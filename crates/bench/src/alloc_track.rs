@@ -6,9 +6,13 @@
 //! reports the peak live allocation during a mapping run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 
 /// Byte-counting wrapper around the system allocator.
+///
+/// It counts only inside [`PeakAlloc::peak_during`]; outside, an
+/// allocation costs one load of a flag nobody is writing, so the pool's
+/// worker threads do not contend on the counters.
 ///
 /// Install with:
 ///
@@ -17,42 +21,46 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// static ALLOC: rtsm_bench::alloc_track::PeakAlloc = rtsm_bench::alloc_track::PeakAlloc::new();
 /// ```
 pub struct PeakAlloc {
-    live: AtomicUsize,
-    peak: AtomicUsize,
+    armed: AtomicBool,
+    /// Net bytes allocated since arming (negative once memory allocated
+    /// before arming is freed).
+    live: AtomicIsize,
+    peak: AtomicIsize,
 }
 
 impl PeakAlloc {
-    /// A fresh counter.
+    /// A fresh, disarmed counter.
     pub const fn new() -> Self {
         PeakAlloc {
-            live: AtomicUsize::new(0),
-            peak: AtomicUsize::new(0),
+            armed: AtomicBool::new(false),
+            live: AtomicIsize::new(0),
+            peak: AtomicIsize::new(0),
         }
     }
 
-    /// Currently live heap bytes.
-    pub fn live_bytes(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
-    }
-
-    /// Peak live heap bytes since the last [`PeakAlloc::reset_peak`].
-    pub fn peak_bytes(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
-    }
-
-    /// Resets the peak to the current live size.
-    pub fn reset_peak(&self) {
-        self.peak
-            .store(self.live.load(Ordering::Relaxed), Ordering::Relaxed);
+    /// Runs `f` and returns the peak net heap growth, in bytes, any moment
+    /// of the run reached above the heap at its start.
+    pub fn peak_during<T>(&self, f: impl FnOnce() -> T) -> (usize, T) {
+        self.live.store(0, Ordering::SeqCst);
+        self.peak.store(0, Ordering::SeqCst);
+        self.armed.store(true, Ordering::SeqCst);
+        let out = f();
+        self.armed.store(false, Ordering::SeqCst);
+        (self.peak.load(Ordering::SeqCst) as usize, out)
     }
 
     fn add(&self, size: usize) {
-        let live = self.live.fetch_add(size, Ordering::Relaxed) + size;
-        self.peak.fetch_max(live, Ordering::Relaxed);
+        if self.armed.load(Ordering::SeqCst) {
+            let size = size as isize;
+            let live = self.live.fetch_add(size, Ordering::Relaxed) + size;
+            self.peak.fetch_max(live, Ordering::Relaxed);
+        }
     }
 
     fn sub(&self, size: usize) {
-        self.live.fetch_sub(size, Ordering::Relaxed);
+        if self.armed.load(Ordering::SeqCst) {
+            self.live.fetch_sub(size as isize, Ordering::Relaxed);
+        }
     }
 }
 

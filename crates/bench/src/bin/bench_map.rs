@@ -466,14 +466,10 @@ fn main() {
     let capture_off_median_ns = median(&mut off_samples);
     let capture_on_median_ns = median(&mut on_samples);
 
-    ALLOC.reset_peak();
-    let live_before = ALLOC.live_bytes() as u64;
-    black_box(mapper_off.map(&spec, &platform, &state).ok());
-    let peak_alloc_capture_off_bytes = ALLOC.peak_bytes() as u64 - live_before;
-    ALLOC.reset_peak();
-    let live_before = ALLOC.live_bytes() as u64;
-    black_box(mapper_on.map(&spec, &platform, &state).ok());
-    let peak_alloc_capture_on_bytes = ALLOC.peak_bytes() as u64 - live_before;
+    let (peak, _) = ALLOC.peak_during(|| black_box(mapper_off.map(&spec, &platform, &state).ok()));
+    let peak_alloc_capture_off_bytes = peak as u64;
+    let (peak, _) = ALLOC.peak_during(|| black_box(mapper_on.map(&spec, &platform, &state).ok()));
+    let peak_alloc_capture_on_bytes = peak as u64;
 
     println!(
         "map/hiperlan2_paper_platform: median {:.3} ms (capture off {:.3} ms); \
@@ -1191,8 +1187,17 @@ fn main() {
     let mut scaling_points = Vec::new();
     let mut sealed_reports: Vec<String> = Vec::new();
     for workers in [1usize, 2, 4] {
-        let run =
-            run_experiment(&scaling_spec, workers, |_, _| {}).expect("the scaling spec is valid");
+        // One worker runs inline on the calling thread, whose per-thread
+        // step-4 memo the sections above have already filled; pool workers
+        // are fresh threads. Start every point from a fresh thread so all
+        // of them pay the same cold start, as a real sweep process does.
+        let run = std::thread::scope(|scope| {
+            scope
+                .spawn(|| run_experiment(&scaling_spec, workers, |_, _| {}))
+                .join()
+                .expect("the sweep does not panic")
+        })
+        .expect("the scaling spec is valid");
         sealed_reports.push(serde_json::to_string(&run.report).expect("reports serialize"));
         let point = ScalingPoint {
             workers: workers as u64,

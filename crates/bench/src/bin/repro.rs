@@ -72,9 +72,8 @@ fn run(which: &str) -> bool {
         }
         "perf" => {
             section("E6 / §4.5 — mapper run time and memory");
-            ALLOC.reset_peak();
-            let stats = perf(100);
-            let peak_kb = ALLOC.peak_bytes() as f64 / 1024.0;
+            let (peak_bytes, stats) = ALLOC.peak_during(|| perf(100));
+            let peak_kb = peak_bytes as f64 / 1024.0;
             println!(
                 "mapping the HIPERLAN/2 receiver, {} runs: min {:.0} µs, mean {:.0} µs, \
                  max {:.0} µs",

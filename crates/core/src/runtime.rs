@@ -2275,17 +2275,26 @@ mod tests {
     #[test]
     fn evacuating_an_untouched_platform_finds_no_victims() {
         let platform = defrag_platform();
+        // First fit places the light app on ARM-a; ARM-b stays idle.
+        let idle_arm = platform.tile_by_name("ARM-b").unwrap();
         let sink = platform.tile_by_name("Sink").unwrap();
         let mut m = RuntimeManager::new(platform, SpatialMapper::default());
         let h = m.start(light()).unwrap();
         let record = m.get(h).unwrap().clone();
         let evacuation = m
-            .evacuate(FailureEvent::Tile(sink), &EvacuationPolicy::default())
+            .evacuate(FailureEvent::Tile(idle_arm), &EvacuationPolicy::default())
             .unwrap();
         assert!(evacuation.victims.is_empty());
         assert_eq!(m.get(h).unwrap(), &record);
-        // While the Sink is failed, admissions cannot use it.
-        assert!(m.is_failed(FailureEvent::Tile(sink)));
+        // While the ARM is failed, admissions cannot use it.
+        assert!(m.is_failed(FailureEvent::Tile(idle_arm)));
+        m.repair(FailureEvent::Tile(idle_arm));
+        // Conversely, the app's output route terminates at the Sink, so
+        // failing the Sink touches it although no process sits there.
+        let evacuation = m
+            .evacuate(FailureEvent::Tile(sink), &EvacuationPolicy::default())
+            .unwrap();
+        assert_eq!(evacuation.victims, vec![h]);
         m.repair(FailureEvent::Tile(sink));
         m.stop_all().unwrap();
     }

@@ -13,6 +13,14 @@
 //! firing per period, the computed buffers fit the consuming tiles'
 //! memories, and the optional latency bound holds.
 //!
+//! The throughput verdict is not a second analysis: buffer sizing proves the
+//! period on exactly the capacities it returns and hands that
+//! [`Throughput`](rtsm_dataflow::Throughput) back with them. Sizing results
+//! are memoised per thread by the composed graph's *structure* (never its
+//! actor names; at most 512 entries, flushed whole), so step 4 on a graph
+//! shape seen before composes the graph, digests it once and runs no
+//! simulation at all.
+//!
 //! Model note: tile-side *producer* NI buffers are sized to the largest
 //! single-phase burst of the producing implementation (atomic firings
 //! reserve their whole production at start, so a uniform 4-word buffer
@@ -23,8 +31,7 @@ use crate::feedback::Feedback;
 use crate::mapping::{Mapping, RouteBinding};
 use rtsm_app::{ApplicationSpec, Endpoint, KpnChannelId};
 use rtsm_dataflow::{
-    check_source_period, iteration_latency, size_buffers, ActorId, BufferSizingConfig, CsdfGraph,
-    PhaseVec,
+    iteration_latency, size_buffers_ref, ActorId, BufferSizingConfig, CsdfGraph, PhaseVec,
 };
 use rtsm_platform::{Platform, PlatformState, TileClaim, TileId};
 use serde::{Deserialize, Serialize};
@@ -300,8 +307,8 @@ pub fn check_constraints(
     }
 
     // --- Buffer sizing (B_i) and throughput check --------------------------
-    let sizing = match size_buffers(
-        csdf.clone(),
+    let sizing = match size_buffers_ref(
+        &csdf,
         &BufferSizingConfig {
             source,
             period,
@@ -362,16 +369,10 @@ pub fn check_constraints(
         }
     }
 
-    let (throughput_ok, achieved) = match check_source_period(&csdf, source, period) {
-        Ok((ok, tp)) => (ok, (tp.period, tp.iterations)),
-        Err(e) => {
-            feedback.push(Feedback::Infeasible {
-                detail: format!("throughput analysis failed: {e}"),
-            });
-            (false, (u64::MAX, 1))
-        }
-    };
-    if !throughput_ok && feedback.is_empty() {
+    // The sizing carries the throughput its search proved for exactly the
+    // capacities just applied, so the sized graph is not simulated again.
+    let achieved = (sizing.achieved.period, sizing.achieved.iterations);
+    if !sizing.achieved.sustains_period(period) && feedback.is_empty() {
         feedback.push(Feedback::Infeasible {
             detail: format!(
                 "achieved period {}/{} exceeds required {period}",

@@ -19,16 +19,30 @@
 //! The result is feasible by construction and minimal per-channel (it may be
 //! off the Pareto frontier of *joint* minimality, as is Wiggers' — both are
 //! conservative).
+//!
+//! # The cross-call memo
+//!
+//! Analysis belongs off the admission path; the admission path looks
+//! results up. A per-thread memo maps a 128-bit digest of the problem's
+//! *structure* (timing, topology, rates, tokens, capacities, config — not
+//! actor names, so the same application routed over different router
+//! coordinates shares an entry) to the whole result: the capacities and the
+//! [`Throughput`] the search proved for them, so a caller never simulates
+//! the sized graph again to learn the verdict. It holds at most 512 entries
+//! of 48 bytes and is flushed whole on overflow. A hit costs one traversal
+//! of the graph to digest it, one lookup and one copy of the capacity
+//! slice: no simulation, no graph clone.
 
 use crate::error::DataflowError;
+use crate::fnv::Fnv128;
 use crate::graph::{ActorId, ChannelId, CsdfGraph};
 use crate::simulate::{SimConfig, Simulation};
-use crate::throughput::check_source_period;
+use crate::throughput::{check_source_period, Throughput};
 use rtsm_obs as obs;
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
 /// Configuration for [`size_buffers`].
 #[derive(Debug, Clone)]
@@ -52,9 +66,22 @@ pub struct BufferSizing {
     pub capacities: Vec<(ChannelId, u64)>,
     /// Total of all computed capacities.
     pub total: u64,
+    /// Self-timed throughput of the source with exactly these capacities
+    /// applied — what [`check_source_period`] on the sized graph returns,
+    /// carried out of the search that proved it (it sustains the period).
+    pub achieved: Throughput,
 }
 
 impl BufferSizing {
+    fn new(capacities: Vec<(ChannelId, u64)>, achieved: Throughput) -> Self {
+        let total = capacities.iter().map(|(_, c)| c).sum();
+        BufferSizing {
+            capacities,
+            total,
+            achieved,
+        }
+    }
+
     /// Capacity computed for `channel`, if it was part of the sizing set.
     pub fn capacity_of(&self, channel: ChannelId) -> Option<u64> {
         self.capacities
@@ -64,74 +91,47 @@ impl BufferSizing {
     }
 }
 
-fn feasible(graph: &CsdfGraph, source: ActorId, period: u64) -> bool {
-    matches!(check_source_period(graph, source, period), Ok((true, _)))
-}
-
-/// 64-bit FNV-1a — a fixed-key [`Hasher`] so the sizing-cache digest is
-/// identical across runs and threads (unlike `DefaultHasher`'s per-process
-/// keys in some configurations, this is specified byte-for-byte).
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new(basis: u64) -> Self {
-        Fnv64(basis)
-    }
-}
-
-impl Hasher for Fnv64 {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
-/// 128-bit structural digest of one sizing problem: the full graph (actor
-/// timing, channel rates, initial tokens, existing capacities) plus the
-/// [`BufferSizingConfig`]. Two calls with equal digests describe the same
-/// pure computation, so their results are interchangeable.
+/// 128-bit structural digest of one sizing problem: everything the
+/// analysis reads — actor timing, channel endpoints, rates, initial tokens
+/// and existing capacities, plus the [`BufferSizingConfig`] — and nothing
+/// it does not (actor names). Two calls with equal digests describe the
+/// same pure computation, so their results are interchangeable.
 fn sizing_digest(graph: &CsdfGraph, config: &BufferSizingConfig) -> u128 {
-    let mut digest = 0u128;
-    for basis in [0xcbf2_9ce4_8422_2325u64, 0x6c62_272e_07bb_0142u64] {
-        let mut h = Fnv64::new(basis);
-        for (_, actor) in graph.actors() {
-            actor.name.hash(&mut h);
-            actor.wcet.hash(&mut h);
-            actor.cycle_time.hash(&mut h);
-        }
-        for (_, channel) in graph.channels() {
-            channel.src.index().hash(&mut h);
-            channel.dst.index().hash(&mut h);
-            channel.prod.hash(&mut h);
-            channel.cons.hash(&mut h);
-            channel.initial_tokens.hash(&mut h);
-            channel.capacity.hash(&mut h);
-        }
-        config.source.index().hash(&mut h);
-        config.period.hash(&mut h);
-        for ch in &config.channels {
-            ch.index().hash(&mut h);
-        }
-        config.max_sweeps.hash(&mut h);
-        digest = (digest << 64) | u128::from(h.finish());
+    let mut h = Fnv128::default();
+    for (_, actor) in graph.actors() {
+        actor.wcet.hash(&mut h);
+        actor.cycle_time.hash(&mut h);
     }
-    digest
+    for (_, channel) in graph.channels() {
+        channel.src.index().hash(&mut h);
+        channel.dst.index().hash(&mut h);
+        channel.prod.hash(&mut h);
+        channel.cons.hash(&mut h);
+        channel.initial_tokens.hash(&mut h);
+        channel.capacity.hash(&mut h);
+    }
+    config.source.index().hash(&mut h);
+    config.period.hash(&mut h);
+    for ch in &config.channels {
+        ch.index().hash(&mut h);
+    }
+    config.max_sweeps.hash(&mut h);
+    h.digest()
+}
+
+/// What the cross-call cache keeps of a [`BufferSizing`]: the exact-size
+/// capacity slice and the verdict (`total` is recomputed on a hit). With
+/// the 16-byte digest a cache bucket is 48 bytes.
+struct Memoised {
+    capacities: Box<[(ChannelId, u64)]>,
+    achieved: Throughput,
 }
 
 thread_local! {
-    /// Cross-call result cache: repeated admissions of the same
-    /// application compose byte-identical CSDF graphs, so the whole
-    /// (pure) sizing result can be reused across `map()` calls instead of
-    /// re-simulating identical capacity vectors. Thread-local so the
-    /// experiment harness's workers never share state; bounded and
-    /// flushed wholesale so memory stays fixed and behaviour stays
-    /// deterministic.
-    static SIZING_CACHE: RefCell<HashMap<u128, BufferSizing>> = RefCell::new(HashMap::new());
+    /// The cross-call memo (see the module docs). Thread-local so the
+    /// experiment harness's workers never share state; bounded and flushed
+    /// wholesale so memory stays fixed and behaviour stays deterministic.
+    static SIZING_CACHE: RefCell<HashMap<u128, Memoised>> = RefCell::new(HashMap::new());
 }
 
 /// Entry bound of the cross-call sizing cache; on overflow the cache is
@@ -139,17 +139,17 @@ thread_local! {
 const SIZING_CACHE_CAP: usize = 512;
 
 /// Computes minimal buffer capacities sustaining `config.period` at the
-/// source.
+/// source, and the throughput the graph achieves with them.
 ///
-/// The graph is taken by value, mutated internally, and the computed
-/// capacities are returned; apply them with [`apply_sizing`] if you need the
-/// capacitated graph itself.
+/// The graph itself is left untouched; apply the result with
+/// [`apply_sizing`] if you need the capacitated graph.
 ///
-/// Sizing is a pure function of `(graph, config)`, so results are memoised
-/// across calls (per thread, keyed by a structural digest): repeated
-/// admissions of the same application answer from the cache — counted as a
-/// `buffer_memo_hit` — without re-running any feasibility simulation. The
-/// returned capacities are identical with or without a cache hit.
+/// Sizing is a pure function of the graph's structure and `config`, so
+/// results are memoised across calls (per thread, keyed by a structural
+/// digest): repeated admissions of the same application answer from the
+/// cache — counted as a `buffer_memo_hit` — without running any
+/// simulation. The returned sizing is identical with or without a cache
+/// hit.
 ///
 /// # Errors
 ///
@@ -159,15 +159,20 @@ const SIZING_CACHE_CAP: usize = 512;
 ///   buffers.
 /// * [`DataflowError::Inconsistent`] if the required period cannot be met at
 ///   any buffer size (the bottleneck is computation, not buffering).
-pub fn size_buffers(
-    graph: CsdfGraph,
+pub fn size_buffers_ref(
+    graph: &CsdfGraph,
     config: &BufferSizingConfig,
 ) -> Result<BufferSizing, DataflowError> {
     let _span = obs::span(obs::Span::BufferSizing);
-    let digest = sizing_digest(&graph, config);
-    if let Some(cached) = SIZING_CACHE.with(|c| c.borrow().get(&digest).cloned()) {
+    let digest = sizing_digest(graph, config);
+    let cached = SIZING_CACHE.with(|c| {
+        c.borrow()
+            .get(&digest)
+            .map(|m| BufferSizing::new(m.capacities.to_vec(), m.achieved))
+    });
+    if let Some(sizing) = cached {
         obs::count(obs::Counter::BufferMemoHit, 1);
-        return Ok(cached);
+        return Ok(sizing);
     }
     let sizing = size_buffers_uncached(graph, config)?;
     SIZING_CACHE.with(|c| {
@@ -175,13 +180,31 @@ pub fn size_buffers(
         if cache.len() >= SIZING_CACHE_CAP {
             cache.clear();
         }
-        cache.insert(digest, sizing.clone());
+        cache.insert(
+            digest,
+            Memoised {
+                capacities: sizing.capacities.as_slice().into(),
+                achieved: sizing.achieved,
+            },
+        );
     });
     Ok(sizing)
 }
 
+/// [`size_buffers_ref`] for callers that hold the graph by value.
+///
+/// # Errors
+///
+/// As [`size_buffers_ref`].
+pub fn size_buffers(
+    graph: CsdfGraph,
+    config: &BufferSizingConfig,
+) -> Result<BufferSizing, DataflowError> {
+    size_buffers_ref(&graph, config)
+}
+
 fn size_buffers_uncached(
-    mut graph: CsdfGraph,
+    graph: &CsdfGraph,
     config: &BufferSizingConfig,
 ) -> Result<BufferSizing, DataflowError> {
     // Utilisation pre-check: actors are sequential, so per graph iteration
@@ -219,31 +242,41 @@ fn size_buffers_uncached(
     // second sweep re-validates every first-sweep decision), so memoise the
     // simulations by target-capacity vector. This only skips duplicate
     // runs — the computed capacities are identical with or without it.
-    let mut memo: HashMap<Vec<u64>, bool> = HashMap::new();
-    let mut feasible_memo = |graph: &CsdfGraph, source: ActorId, period: u64| -> bool {
+    //
+    // A feasible vector's entry holds its throughput. The search only ever
+    // stands on the vector it last probed feasible (an infeasible probe is
+    // undone), so that probe's throughput is the final sizing's verdict.
+    let mut memo: HashMap<Vec<u64>, Option<Throughput>> = HashMap::new();
+    let mut achieved = None;
+    let mut feasible_memo = |graph: &CsdfGraph| -> bool {
         let key: Vec<u64> = targets
             .iter()
             .map(|&ch| graph.channel(ch).capacity.unwrap_or(u64::MAX))
             .collect();
-        match memo.entry(key) {
+        let verdict = match memo.entry(key) {
             Entry::Occupied(hit) => {
                 obs::count(obs::Counter::BufferMemoHit, 1);
                 *hit.get()
             }
             Entry::Vacant(slot) => {
                 obs::count(obs::Counter::BufferProbe, 1);
-                *slot.insert(feasible(graph, source, period))
+                let probed = check_source_period(graph, config.source, config.period);
+                *slot.insert(probed.ok().and_then(|(ok, tp)| ok.then_some(tp)))
             }
+        };
+        if verdict.is_some() {
+            achieved = verdict;
         }
+        verdict.is_some()
     };
 
     // Pilot run with the target channels unbounded to obtain upper bounds.
-    let mut unbounded = graph.clone();
+    let mut graph = graph.clone();
     for &ch in &targets {
-        unbounded.channel_mut(ch).capacity = None;
+        graph.channel_mut(ch).capacity = None;
     }
     let sim = Simulation::new(
-        &unbounded,
+        &graph,
         SimConfig {
             reference: Some(config.source),
             ..SimConfig::default()
@@ -284,7 +317,7 @@ fn size_buffers_uncached(
     // The pilot bound is feasible only if the *combination* still meets the
     // period; this holds because capacities at peak pressure never block the
     // pilot schedule. Validate anyway (defensive).
-    if !feasible_memo(&graph, config.source, config.period) {
+    if !feasible_memo(&graph) {
         // Extremely conservative fallback: double until feasible (bounded by
         // a few steps; pressure bounds are near-tight in practice).
         let mut factor = 2u64;
@@ -292,7 +325,7 @@ fn size_buffers_uncached(
             for (i, &ch) in targets.iter().enumerate() {
                 graph.channel_mut(ch).capacity = Some(caps[i].saturating_mul(factor));
             }
-            if feasible_memo(&graph, config.source, config.period) {
+            if feasible_memo(&graph) {
                 for (i, &ch) in targets.iter().enumerate() {
                     caps[i] = graph.channel(ch).capacity.expect("capacity just set");
                     let _ = ch;
@@ -323,7 +356,7 @@ fn size_buffers_uncached(
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
                 graph.channel_mut(ch).capacity = Some(mid);
-                if feasible_memo(&graph, config.source, config.period) {
+                if feasible_memo(&graph) {
                     hi = mid;
                 } else {
                     lo = mid + 1;
@@ -340,9 +373,10 @@ fn size_buffers_uncached(
         }
     }
 
-    let capacities: Vec<(ChannelId, u64)> = targets.iter().copied().zip(caps).collect();
-    let total = capacities.iter().map(|(_, c)| c).sum();
-    Ok(BufferSizing { capacities, total })
+    Ok(BufferSizing::new(
+        targets.iter().copied().zip(caps).collect(),
+        achieved.expect("the search stands on a vector probed feasible"),
+    ))
 }
 
 /// Applies a computed sizing to a graph (sets channel capacities).
@@ -479,6 +513,7 @@ mod tests {
             "a whole-result cache hit must not re-simulate any capacity vector"
         );
         assert_eq!(probe.counter_total(obs::Counter::BufferMemoHit), 1);
+        assert_eq!(probe.counter_total(obs::Counter::CsdfRun), 0);
     }
 
     #[test]

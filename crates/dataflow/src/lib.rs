@@ -44,6 +44,7 @@
 pub mod buffer;
 pub mod dot;
 pub mod error;
+mod fnv;
 pub mod graph;
 pub mod hsdf;
 pub mod latency;
@@ -53,7 +54,7 @@ pub mod rational;
 pub mod simulate;
 pub mod throughput;
 
-pub use buffer::{apply_sizing, size_buffers, BufferSizing, BufferSizingConfig};
+pub use buffer::{apply_sizing, size_buffers, size_buffers_ref, BufferSizing, BufferSizingConfig};
 pub use error::DataflowError;
 pub use graph::{ActorId, ActorSpec, Channel, ChannelId, CsdfGraph};
 pub use latency::iteration_latency;

@@ -20,10 +20,13 @@
 //! `(iterations, period)` pair gives the graph's self-timed throughput.
 
 use crate::error::DataflowError;
+use crate::fnv::Fnv64;
 use crate::graph::{ActorId, CsdfGraph};
+use rtsm_obs as obs;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::BuildHasherDefault;
 
 /// Configuration knobs for a simulation run.
 #[derive(Debug, Clone)]
@@ -104,14 +107,6 @@ pub struct SimOutcome {
     /// Firings of the actors listed in [`SimConfig::record`], in completion
     /// order.
     pub records: Vec<FiringRecord>,
-}
-
-#[derive(Hash, PartialEq, Eq)]
-struct StateKey {
-    phases: Vec<u32>,
-    data: Vec<u64>,
-    // Remaining busy time per actor (u64::MAX when idle) plus in-flight phase.
-    busy: Vec<(u64, u32)>,
 }
 
 /// A discrete-event, self-timed CSDF simulator.
@@ -356,17 +351,23 @@ impl<'g> Simulation<'g> {
         }
     }
 
-    fn snapshot(&self) -> StateKey {
-        StateKey {
-            phases: self.phase.clone(),
-            data: self.data.clone(),
-            busy: (0..self.graph.n_actors())
-                .map(|a| match self.in_flight[a] {
-                    Some(ph) => (self.busy_until[a] - self.now, ph),
-                    None => (u64::MAX, u32::MAX),
-                })
-                .collect(),
+    /// The normalised state as one flat key: per actor its next phase
+    /// packed with its in-flight phase (`u32::MAX` when idle) and its
+    /// remaining busy time (`u64::MAX` when idle), then per channel its
+    /// tokens.
+    fn snapshot(&self) -> Vec<u64> {
+        let n = self.graph.n_actors();
+        let mut key = Vec::with_capacity(2 * n + self.data.len());
+        for a in 0..n {
+            let (remaining, in_flight) = match self.in_flight[a] {
+                Some(ph) => (self.busy_until[a] - self.now, ph),
+                None => (u64::MAX, u32::MAX),
+            };
+            key.push(u64::from(self.phase[a]) << 32 | u64::from(in_flight));
+            key.push(remaining);
         }
+        key.extend_from_slice(&self.data);
+        key
     }
 
     /// Runs the simulation to a guard, deadlock, or (if enabled) steady
@@ -379,9 +380,10 @@ impl<'g> Simulation<'g> {
     /// that callers can still inspect partial results. The `Result` is kept
     /// for forward compatibility.
     pub fn run(mut self) -> Result<SimOutcome, DataflowError> {
+        obs::count(obs::Counter::CsdfRun, 1);
         let reference = self.config.reference.unwrap_or(ActorId(0)).index();
         let ref_phases = self.graph.actor(ActorId(reference)).n_phases() as u64;
-        let mut seen: HashMap<StateKey, (u64, u64)> = HashMap::new();
+        let mut seen: HashMap<Vec<u64>, (u64, u64), BuildHasherDefault<Fnv64>> = HashMap::default();
         let mut steady: Option<SteadyState> = None;
         let mut deadlocked = false;
         let mut last_snapshot_iter = u64::MAX;

@@ -238,6 +238,60 @@ proptest! {
         let (ok, _) = rtsm_dataflow::check_source_period(&sized, src, 20).unwrap();
         prop_assert!(ok);
     }
+
+    /// Oracle for the verdict buffer sizing carries: on random consistent
+    /// multirate pipelines it equals a fresh self-timed analysis of the
+    /// sized graph, and neither it nor the capacities depend on actor
+    /// names — whether the renamed twin is computed cold (a fresh thread
+    /// has an empty memo) or answered from this thread's memo.
+    #[test]
+    fn sizing_carries_the_sized_graphs_throughput_and_ignores_names(
+        rs in proptest::collection::vec(1u64..=3, 4),
+        ms in proptest::collection::vec(1u64..=2, 3),
+        wcets in proptest::collection::vec(1u64..=6, 3),
+        stages in 2usize..=4,
+    ) {
+        let build = |prefix: &str| {
+            let mut g = CsdfGraph::new();
+            // Stage i fires rs[i]/rs[0] ≤ 3 times per source cycle at
+            // ≤ 6 time units each: always within the 40-unit period.
+            let mut ids = vec![g.add_actor(format!("{prefix}0"), PhaseVec::single(40), 1)];
+            for i in 1..stages {
+                ids.push(g.add_actor(format!("{prefix}{i}"), PhaseVec::single(wcets[i - 1]), 1));
+            }
+            let channels: Vec<_> = (0..stages - 1)
+                .map(|i| {
+                    let (prod, cons) = (rs[i + 1] * ms[i], rs[i] * ms[i]);
+                    g.add_channel(ids[i], ids[i + 1], PhaseVec::single(prod), PhaseVec::single(cons))
+                        .unwrap()
+                })
+                .collect();
+            (g, ids[0], channels)
+        };
+        let (g, src, channels) = build("stage");
+        let config = rtsm_dataflow::BufferSizingConfig {
+            source: src,
+            period: 40,
+            channels,
+            max_sweeps: 3,
+        };
+        let (renamed, _, _) = build("R");
+        let cold_twin = {
+            let (renamed, config) = (renamed.clone(), config.clone());
+            std::thread::spawn(move || rtsm_dataflow::size_buffers(renamed, &config))
+                .join()
+                .unwrap()
+                .unwrap()
+        };
+        let sizing = rtsm_dataflow::size_buffers_ref(&g, &config).unwrap();
+        let mut sized = g;
+        rtsm_dataflow::apply_sizing(&mut sized, &sizing);
+        let (ok, fresh) = rtsm_dataflow::check_source_period(&sized, src, 40).unwrap();
+        prop_assert!(ok);
+        prop_assert_eq!(sizing.achieved, fresh);
+        prop_assert_eq!(&cold_twin, &sizing);
+        prop_assert_eq!(&rtsm_dataflow::size_buffers_ref(&renamed, &config).unwrap(), &sizing);
+    }
 }
 
 #[test]

@@ -17,7 +17,7 @@ use std::rc::Rc;
 pub const N_SPANS: usize = 12;
 
 /// Number of distinct [`Counter`] kinds, for fixed-size tables.
-pub const N_COUNTERS: usize = 6;
+pub const N_COUNTERS: usize = 7;
 
 /// The instrumented regions of the admission path. Span begin/end events
 /// always come in balanced, properly nested pairs per thread.
@@ -127,6 +127,9 @@ pub enum Counter {
     /// An admission that found no instantiable shape and fell back to
     /// the full heuristic (whose result is learned into the library).
     TemplateMiss,
+    /// One self-timed CSDF simulation (`Simulation::run`) — the unit of
+    /// dataflow analysis work; a warm step 4 counts none.
+    CsdfRun,
 }
 
 impl Counter {
@@ -138,6 +141,7 @@ impl Counter {
         Counter::TxAbort,
         Counter::TemplateHit,
         Counter::TemplateMiss,
+        Counter::CsdfRun,
     ];
 
     /// Dense index of this counter, `0..N_COUNTERS`.
@@ -154,6 +158,7 @@ impl Counter {
             Counter::TxAbort => "tx_abort",
             Counter::TemplateHit => "template_hit",
             Counter::TemplateMiss => "template_miss",
+            Counter::CsdfRun => "csdf_run",
         }
     }
 }
@@ -326,6 +331,9 @@ mod tests {
     fn span_indices_are_dense_and_names_distinct() {
         for (i, s) in Span::ALL.iter().enumerate() {
             assert_eq!(s.index(), i);
+        }
+        for (i, c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(c.index(), i);
         }
         let mut names: Vec<&str> = Span::ALL.iter().map(|s| s.name()).collect();
         names.extend(Counter::ALL.iter().map(|c| c.name()));
