@@ -1,7 +1,7 @@
 //! The Application Level Specification: graph + QoS + implementations.
 
 use crate::error::AppModelError;
-use crate::kpn::{ProcessGraph, ProcessId};
+use crate::kpn::{Endpoint, KpnChannel, ProcessGraph, ProcessId};
 use crate::library::ImplementationLibrary;
 use crate::qos::QosSpec;
 use serde::{Deserialize, Serialize};
@@ -35,7 +35,19 @@ impl ApplicationSpec {
     ///
     /// The first violated rule, as an [`AppModelError`].
     pub fn validate(&self) -> Result<(), AppModelError> {
-        self.graph.topological_order()?;
+        self.validated_order().map(drop)
+    }
+
+    /// [`ApplicationSpec::validate`], handing back the topological order of
+    /// the stream processes that the acyclicity check computed — callers
+    /// that validate and then walk the processes in application order sort
+    /// once instead of twice.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ApplicationSpec::validate`].
+    pub fn validated_order(&self) -> Result<Vec<ProcessId>, AppModelError> {
+        let order = self.graph.topological_order()?;
         for (pid, process) in self.graph.stream_processes() {
             let impls = self.library.impls_for(pid);
             if impls.is_empty() {
@@ -111,7 +123,7 @@ impl ApplicationSpec {
                 }
             }
         }
-        Ok(())
+        Ok(order)
     }
 
     /// Phase-cycles per period of `implementation` when serving `process` —
@@ -122,22 +134,13 @@ impl ApplicationSpec {
         process: ProcessId,
         implementation: &crate::implementation::Implementation,
     ) -> u64 {
-        let inputs = self.graph.inputs_of(process);
-        if let Some(first) = inputs.first() {
-            let tokens = self.graph.channel(*first).tokens_per_period;
-            if let Some(c) = implementation.cycles_per_period_in(0, tokens) {
-                return c;
-            }
-        }
-        let outputs = self.graph.outputs_of(process);
-        if let Some(first) = outputs.first() {
-            let tokens = self.graph.channel(*first).tokens_per_period;
-            let per_cycle = implementation.tokens_out_per_cycle(0);
-            if per_cycle > 0 && tokens.is_multiple_of(per_cycle) {
-                return tokens / per_cycle;
-            }
-        }
-        1
+        let first_tokens = |end: fn(&KpnChannel) -> Endpoint| {
+            self.graph
+                .stream_channels()
+                .find(|(_, c)| end(c) == Endpoint::Process(process))
+                .map(|(_, c)| c.tokens_per_period)
+        };
+        implementation.cycles_per_period(first_tokens(|c| c.dst), first_tokens(|c| c.src))
     }
 }
 

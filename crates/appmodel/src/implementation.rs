@@ -79,6 +79,29 @@ impl Implementation {
         Some(tokens_per_period / per_cycle)
     }
 
+    /// Phase-cycles per application period when the process's first input
+    /// channel carries `first_input` tokens per period and its first output
+    /// channel `first_output` (`None`: no such channel). Derived from the
+    /// first port that divides evenly (validation guarantees all ports
+    /// agree); 1 for a process without data channels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a channel is given for a side on which this implementation
+    /// has no port (validated specs match port counts).
+    pub fn cycles_per_period(&self, first_input: Option<u64>, first_output: Option<u64>) -> u64 {
+        if let Some(c) = first_input.and_then(|tokens| self.cycles_per_period_in(0, tokens)) {
+            return c;
+        }
+        if let Some(tokens) = first_output {
+            let per_cycle = self.tokens_out_per_cycle(0);
+            if per_cycle > 0 && tokens.is_multiple_of(per_cycle) {
+                return tokens / per_cycle;
+            }
+        }
+        1
+    }
+
     /// WCET cycles consumed per application period, given the number of
     /// phase-cycles per period.
     pub fn wcet_per_period(&self, cycles_per_period: u64) -> u64 {

@@ -1275,4 +1275,10 @@ fn main() {
     // Atomic: an interrupted run must not leave a truncated artifact.
     write_atomic(&out, &json).expect("write BENCH_map.json");
     println!("wrote {out}");
+    // What README.md quotes from this artifact, ready to paste.
+    let written: serde::Value = serde_json::from_str(&json).expect("the report just serialized");
+    print!(
+        "{}",
+        rtsm_bench::render::readme_admission_block(&written).expect("a `templates` section")
+    );
 }

@@ -81,6 +81,67 @@ impl Table {
     }
 }
 
+/// First line of the README block [`readme_admission_block`] renders.
+pub const README_ADMISSION_BEGIN: &str =
+    "<!-- BENCH_map.json `templates`, as `bench_map` prints it; regenerate, do not edit -->";
+
+/// The README's "Microsecond admission" figures, rendered from a parsed
+/// `BENCH_map.json`: the paper-case hit and miss paths, then the mixed
+/// catalog at steady state with templates off and on. `bench_map` prints
+/// this block after writing the artifact, and a test holds the README to
+/// the committed artifact, so the two cannot drift.
+///
+/// # Errors
+///
+/// A field of the `templates` section is missing or mistyped.
+pub fn readme_admission_block(bench: &serde::Value) -> Result<String, serde::de::Error> {
+    use serde::de::field;
+    let templates: serde::Value = field(bench, "templates")?;
+    let us = |path: &str, percentile: &str| -> Result<String, serde::de::Error> {
+        let latency: serde::Value = field(&templates, path)?;
+        let ns: u64 = field(&latency, percentile)?;
+        Ok(format!("{:.1} µs", ns as f64 / 1e3))
+    };
+    let count = |name: &str| field::<u64>(&templates, name);
+    let mut out = String::new();
+    let _ = writeln!(out, "{README_ADMISSION_BEGIN}");
+    let _ = writeln!(out, "| paper case, path | p50 | p99 |");
+    let _ = writeln!(out, "|---|---:|---:|");
+    for (label, path) in [
+        ("template hit (`TemplateMatch`)", "hit"),
+        ("full heuristic (`Map`)", "miss"),
+    ] {
+        let _ = writeln!(
+            out,
+            "| {label} | {} | {} |",
+            us(path, "p50_ns")?,
+            us(path, "p99_ns")?
+        );
+    }
+    let _ = writeln!(out);
+    let _ = writeln!(
+        out,
+        "| mixed catalog, steady state | events/s | mean map latency |"
+    );
+    let _ = writeln!(out, "|---|---:|---:|");
+    let _ = writeln!(
+        out,
+        "| templates off | {} | {} µs |",
+        count("events_per_sec_templates_off")?,
+        count("mean_map_us_templates_off")?
+    );
+    let _ = writeln!(
+        out,
+        "| templates on ({}‰ hit rate, {} shapes cached) | {} | {} µs |",
+        count("hit_permille")?,
+        count("shapes_cached")?,
+        count("events_per_sec_templates_on")?,
+        count("mean_map_us_templates_on")?
+    );
+    let _ = writeln!(out, "<!-- end of the generated block -->");
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,39 +1,40 @@
 //! Resource claims derived from an implementation choice.
 
-use rtsm_app::{ApplicationSpec, Implementation, ProcessId};
+use rtsm_app::{ApplicationSpec, Endpoint, Implementation, ProcessId};
 use rtsm_platform::TileClaim;
 
 /// The tile resources a process claims when `implementation` serves it:
 /// one compute slot, the implementation's memory, its WCET as a share of
 /// the tile's cycle budget, and NI bandwidth for its channel traffic.
+///
+/// One pass over the stream channels and no allocation: this runs for
+/// every staged commit and release and every template candidate, not only
+/// under the mapper's [`SpecTable`](crate::spec_table::SpecTable).
 pub fn claim_for(
     spec: &ApplicationSpec,
     process: ProcessId,
     implementation: &Implementation,
 ) -> TileClaim {
-    let cycles_per_period = spec.cycles_per_period(process, implementation);
-    let wcet = implementation.wcet_per_period(cycles_per_period);
+    let here = Endpoint::Process(process);
+    // Traffic of the first input and output channel (port 0 of each side),
+    // from which the phase-cycles per period derive.
+    let (mut first_in, mut first_out) = (None, None);
+    let (mut ejection, mut injection) = (0u64, 0u64);
+    for (_, ch) in spec.graph.stream_channels() {
+        if ch.dst == here {
+            first_in.get_or_insert(ch.tokens_per_period);
+            ejection += spec.qos.words_per_second(ch.tokens_per_period);
+        }
+        if ch.src == here {
+            first_out.get_or_insert(ch.tokens_per_period);
+            injection += spec.qos.words_per_second(ch.tokens_per_period);
+        }
+    }
+    let wcet =
+        implementation.wcet_per_period(implementation.cycles_per_period(first_in, first_out));
     // cycles/period ÷ period_ps × 1e12 ps/s = cycles/second.
     let cycles_per_second =
         (wcet as u128 * 1_000_000_000_000u128 / spec.qos.period_ps as u128) as u64;
-    let ejection: u64 = spec
-        .graph
-        .inputs_of(process)
-        .iter()
-        .map(|ch| {
-            spec.qos
-                .words_per_second(spec.graph.channel(*ch).tokens_per_period)
-        })
-        .sum();
-    let injection: u64 = spec
-        .graph
-        .outputs_of(process)
-        .iter()
-        .map(|ch| {
-            spec.qos
-                .words_per_second(spec.graph.channel(*ch).tokens_per_period)
-        })
-        .sum();
     TileClaim {
         slots: 1,
         memory_bytes: implementation.memory_bytes,

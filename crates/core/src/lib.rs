@@ -67,6 +67,7 @@ pub mod mapper;
 pub mod mapping;
 pub mod report;
 pub mod runtime;
+pub mod spec_table;
 pub mod step1;
 pub mod step2;
 pub mod step3;
@@ -87,6 +88,7 @@ pub use runtime::{
     ReconfigurationObjective, ReconfigurationPolicy, RunningApp, RuntimeError, RuntimeErrorKind,
     RuntimeManager, StopAllError, Utilization,
 };
+pub use spec_table::SpecTable;
 pub use template::{
     spec_fingerprint, MappingShape, TemplateLibrary, TemplateStats, TemplatedMapper,
 };

@@ -9,14 +9,15 @@ use crate::constraints::MappingConstraints;
 use crate::cost::CostModel;
 use crate::error::MapError;
 use crate::feedback::Constraints;
-use crate::step1::assign_implementations;
-use crate::step2::{improve_assignment_with, Step2Config};
+use crate::spec_table::SpecTable;
+use crate::step1::assign_implementations_in;
+use crate::step2::{SearchCtx, Step2Config};
 use crate::step3::route_channels_with;
-use crate::step4::{check_constraints, Step4Config};
+use crate::step4::{check_constraints_in, Step4Config};
 use crate::trace::{AttemptTrace, MapTrace};
 use rtsm_app::{ApplicationSpec, Endpoint};
 use rtsm_obs as obs;
-use rtsm_platform::{EnergyModel, Platform, PlatformState, RoutingPolicy, TileKind};
+use rtsm_platform::{EnergyModel, Platform, PlatformState, RoutingPolicy};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the whole mapper.
@@ -126,8 +127,11 @@ impl SpatialMapper {
         base: &PlatformState,
         external: &MappingConstraints,
     ) -> Result<MappingOutcome, MapError> {
-        spec.validate()?;
+        let order = spec.validated_order()?;
         self.check_endpoints(spec, platform)?;
+        // Everything below that depends on the spec alone reads this table;
+        // per attempt only the constraints and the ledger change.
+        let table = SpecTable::new(spec, order);
 
         // Observability only: span guards report timing to whatever probe
         // the caller installed; no decision below depends on them.
@@ -149,7 +153,7 @@ impl SpatialMapper {
             // Step 1: implementations + greedy first-fit tiles.
             let step1_result = {
                 let _s = obs::span(obs::Span::Step1);
-                assign_implementations(spec, platform, base, &constraints)
+                assign_implementations_in(&table, platform, base, &constraints)
             };
             let step1 = match step1_result {
                 Ok(out) => out,
@@ -182,13 +186,9 @@ impl SpatialMapper {
             // Step 2: local-search improvement.
             let step2_trace = {
                 let _s = obs::span(obs::Span::Step2);
-                improve_assignment_with(
-                    spec,
-                    platform,
-                    &constraints,
+                SearchCtx::new(&table, platform, &constraints, &self.config.cost_model).improve(
                     &mut mapping,
                     &mut working,
-                    &self.config.cost_model,
                     &self.config.step2,
                     capture,
                 )
@@ -229,7 +229,7 @@ impl SpatialMapper {
             // Step 4: constraint check.
             let step4 = {
                 let _s = obs::span(obs::Span::Step4);
-                check_constraints(spec, platform, &mapping, &working, &self.config.step4)
+                check_constraints_in(&table, platform, &mapping, &working, &self.config.step4)
             };
             if step4.feasible {
                 if capture {
@@ -281,10 +281,10 @@ impl SpatialMapper {
             .graph
             .stream_channels()
             .any(|(_, c)| c.dst == Endpoint::StreamOutput);
-        if uses_input && platform.tiles_of_kind(TileKind::AdcSource).next().is_none() {
+        if uses_input && platform.stream_input_tile().is_none() {
             return Err(MapError::NoStreamEndpoint { which: "AdcSource" });
         }
-        if uses_output && platform.tiles_of_kind(TileKind::Sink).next().is_none() {
+        if uses_output && platform.stream_output_tile().is_none() {
             return Err(MapError::NoStreamEndpoint { which: "Sink" });
         }
         Ok(())
@@ -330,7 +330,7 @@ mod tests {
     use super::*;
     use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
     use rtsm_platform::paper::paper_platform;
-    use rtsm_platform::TileClaim;
+    use rtsm_platform::{TileClaim, TileKind};
 
     #[test]
     fn paper_case_maps_first_attempt() {

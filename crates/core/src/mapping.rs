@@ -1,7 +1,7 @@
 //! The mapping data structure: what the spatial mapper produces.
 
 use rtsm_app::{ApplicationSpec, Endpoint, KpnChannelId, ProcessId};
-use rtsm_platform::{EnergyModel, Path, Platform, TileId, TileKind};
+use rtsm_platform::{EnergyModel, Path, Platform, TileId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -103,14 +103,8 @@ impl Mapping {
     pub fn endpoint_tile(&self, platform: &Platform, endpoint: Endpoint) -> Option<TileId> {
         match endpoint {
             Endpoint::Process(p) => self.assignment(p).map(|a| a.tile),
-            Endpoint::StreamInput => platform
-                .tiles_of_kind(TileKind::AdcSource)
-                .map(|(id, _)| id)
-                .next(),
-            Endpoint::StreamOutput => platform
-                .tiles_of_kind(TileKind::Sink)
-                .map(|(id, _)| id)
-                .next(),
+            Endpoint::StreamInput => platform.stream_input_tile(),
+            Endpoint::StreamOutput => platform.stream_output_tile(),
         }
     }
 

@@ -10,16 +10,25 @@
 //! chosen process takes its cheapest implementation and is packed
 //! *first-fit* onto the first tile (in tile-id order) of the right type
 //! with sufficient resources.
+//!
+//! Each round probes every unassigned process's every implementation, so
+//! the probe must be cheap: claims come from the [`SpecTable`]'s slots
+//! (computed on first use — a dead end in the first round has paid for only
+//! the slots it reached), the up-front discard is decided once per
+//! implementation and attempt rather than once per round, and the round
+//! tracks the cheapest and second-cheapest option as it goes instead of
+//! collecting and sorting them.
 
-use crate::claims::{claim_for, reservation_of};
+use crate::claims::reservation_of;
 use crate::feedback::{Constraints, Feedback};
 use crate::mapping::Mapping;
+use crate::spec_table::SpecTable;
 use crate::trace::Step1Event;
 use rtsm_app::{ApplicationSpec, ProcessId};
 use rtsm_platform::{Platform, PlatformState, TileId};
 
 /// Successful step-1 result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Step1Output {
     /// The greedy mapping (assignments only; no routes yet).
     pub mapping: Mapping,
@@ -30,7 +39,7 @@ pub struct Step1Output {
 }
 
 /// Step-1 dead end: a process ran out of viable options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Step1Failure {
     /// The process that could not be assigned.
     pub process: ProcessId,
@@ -38,26 +47,19 @@ pub struct Step1Failure {
     pub feedback: Vec<Feedback>,
 }
 
-/// Cost of choosing `impl_index` for step-1 purposes: the implementation's
-/// processing energy (communication is unknown before tiles are fixed).
-fn option_cost(spec: &ApplicationSpec, process: ProcessId, impl_index: usize) -> u64 {
-    spec.library.impls_for(process)[impl_index].energy_pj_per_period
-}
-
 /// First tile (id order) of the implementation's kind that fits the claim
 /// and is not forbidden.
 fn first_fit(
-    spec: &ApplicationSpec,
+    table: &SpecTable<'_>,
     platform: &Platform,
     state: &PlatformState,
     constraints: &Constraints,
     process: ProcessId,
     impl_index: usize,
 ) -> Option<TileId> {
-    let implementation = &spec.library.impls_for(process)[impl_index];
-    let claim = claim_for(spec, process, implementation);
+    let claim = table.claim(process, impl_index);
     platform
-        .tiles_of_kind(implementation.tile_kind)
+        .tiles_of_kind(table.implementation(process, impl_index).tile_kind)
         .find(|(tile, _)| {
             !constraints.is_tile_forbidden(process, *tile)
                 && state.fits_tile(platform, *tile, &claim)
@@ -66,6 +68,9 @@ fn first_fit(
 }
 
 /// Runs step 1.
+///
+/// Builds its own [`SpecTable`]; callers that run several steps on one spec
+/// build the table once and call [`assign_implementations_in`].
 ///
 /// # Errors
 ///
@@ -78,46 +83,70 @@ pub fn assign_implementations(
     base: &PlatformState,
     constraints: &Constraints,
 ) -> Result<Step1Output, Step1Failure> {
-    let order = spec
-        .graph
-        .topological_order()
-        .expect("validated specs are acyclic");
-    let topo_position = {
-        let mut pos = vec![usize::MAX; spec.graph.n_processes()];
-        for (i, p) in order.iter().enumerate() {
-            pos[p.index()] = i;
-        }
-        pos
-    };
+    assign_implementations_in(&SpecTable::for_validated(spec), platform, base, constraints)
+}
+
+/// [`assign_implementations`] over a prebuilt [`SpecTable`].
+///
+/// # Errors
+///
+/// As for [`assign_implementations`].
+pub fn assign_implementations_in(
+    table: &SpecTable<'_>,
+    platform: &Platform,
+    base: &PlatformState,
+    constraints: &Constraints,
+) -> Result<Step1Output, Step1Failure> {
+    let spec = table.spec();
 
     // Static pre-filter: implementations that fit nowhere even on the bare
-    // base state can never lead to an adherent mapping.
-    let statically_viable = |process: ProcessId, impl_index: usize| {
-        !constraints.is_impl_excluded(process, impl_index)
-            && first_fit(spec, platform, base, constraints, process, impl_index).is_some()
+    // base state can never lead to an adherent mapping. Invariant within
+    // the attempt, so each slot is probed once, when first asked for.
+    let mut viable: Vec<Option<bool>> = vec![None; table.n_slots()];
+    let mut statically_viable = |process: ProcessId, impl_index: usize| {
+        *viable[table.slot(process, impl_index)].get_or_insert_with(|| {
+            !constraints.is_impl_excluded(process, impl_index)
+                && first_fit(table, platform, base, constraints, process, impl_index).is_some()
+        })
     };
 
     let mut mapping = Mapping::new();
     let mut working = base.clone();
     let mut events: Vec<Step1Event> = Vec::new();
-    let mut unassigned: Vec<ProcessId> = order.clone();
+    // Kept in application (topological) order, so among equally desirable
+    // processes the first one scanned is the tie-break winner.
+    let mut unassigned: Vec<ProcessId> = table.order().to_vec();
 
     while !unassigned.is_empty() {
         // Desirability of each unassigned process under the current state.
-        let mut best: Option<(u64, usize, ProcessId, usize)> = None; // (desirability, topo, process, impl)
+        let mut best: Option<(u64, ProcessId, usize, TileId)> = None;
         for &process in &unassigned {
-            let mut options: Vec<(u64, usize)> = spec
-                .library
-                .impls_for(process)
-                .iter()
-                .enumerate()
-                .filter(|(ix, _)| statically_viable(process, *ix))
-                .filter(|(ix, _)| {
-                    first_fit(spec, platform, &working, constraints, process, *ix).is_some()
-                })
-                .map(|(ix, _)| (option_cost(spec, process, ix), ix))
-                .collect();
-            if options.is_empty() {
+            // The cheapest option still placeable (cost = the
+            // implementation's processing energy; communication is unknown
+            // before tiles are fixed; ties go to the lower index) and the
+            // cost of the runner-up.
+            let mut cheapest: Option<(u64, usize, TileId)> = None;
+            let mut runner_up: Option<u64> = None;
+            for (ix, implementation) in spec.library.impls_for(process).iter().enumerate() {
+                if !statically_viable(process, ix) {
+                    continue;
+                }
+                let Some(tile) = first_fit(table, platform, &working, constraints, process, ix)
+                else {
+                    continue;
+                };
+                let cost = implementation.energy_pj_per_period;
+                match cheapest {
+                    Some((c, _, _)) if cost >= c => {
+                        runner_up = Some(runner_up.map_or(cost, |r| r.min(cost)));
+                    }
+                    _ => {
+                        runner_up = cheapest.map(|(c, _, _)| c);
+                        cheapest = Some((cost, ix, tile));
+                    }
+                }
+            }
+            let Some((cost, impl_index, tile)) = cheapest else {
                 // Dead end: the feedback forbids the most recent placement
                 // (it consumed the resource this process needed).
                 let mut feedback = vec![Feedback::Infeasible {
@@ -133,38 +162,23 @@ pub fn assign_implementations(
                     });
                 }
                 return Err(Step1Failure { process, feedback });
-            }
-            options.sort_unstable();
-            let desirability = if options.len() == 1 {
-                u64::MAX
-            } else {
-                options[1].0 - options[0].0
             };
-            let topo = topo_position[process.index()];
-            let candidate = (desirability, topo, process, options[0].1);
-            let better = match &best {
-                None => true,
-                Some((d, t, _, _)) => desirability > *d || (desirability == *d && topo < *t),
-            };
-            if better {
-                best = Some(candidate);
+            let desirability = runner_up.map_or(u64::MAX, |r| r - cost);
+            if best.is_none_or(|(d, ..)| desirability > d) {
+                best = Some((desirability, process, impl_index, tile));
             }
         }
-        let (desirability, _, process, impl_index) = best.expect("unassigned is non-empty");
-        let tile = first_fit(spec, platform, &working, constraints, process, impl_index)
-            .expect("viability was just checked");
-        let implementation = &spec.library.impls_for(process)[impl_index];
-        let claim = claim_for(spec, process, implementation);
+        let (desirability, process, impl_index, tile) = best.expect("unassigned is non-empty");
         working
-            .claim_tile(platform, tile, &reservation_of(&claim))
+            .claim_tile(
+                platform,
+                tile,
+                &reservation_of(&table.claim(process, impl_index)),
+            )
             .expect("first_fit checked the claim fits");
         mapping.assign(process, impl_index, tile);
-        let options = spec
-            .library
-            .impls_for(process)
-            .iter()
-            .enumerate()
-            .filter(|(ix, _)| statically_viable(process, *ix))
+        let options = (0..spec.library.impls_for(process).len())
+            .filter(|ix| statically_viable(process, *ix))
             .count();
         events.push(Step1Event {
             process,

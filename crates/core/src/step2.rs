@@ -19,13 +19,22 @@
 //!
 //! Candidate tiles are filtered for locally sufficient resources (including
 //! NI bandwidth), maintaining adequacy and adherence by construction.
+//!
+//! The search reads the application through a [`SpecTable`]: the scan order
+//! is the table's topological order, a candidate is rescored over the
+//! table's incidence row of the one or two processes it touches, and every
+//! apply/undo takes its claims from the table's claim slots — per candidate
+//! the search scans no channel list, sorts nothing and allocates nothing.
+//! [`SearchCtx`] is that search over a caller's table; the spec-taking
+//! [`improve_assignment_with`] builds a table for one call.
 
-use crate::claims::{claim_for, reservation_of};
+use crate::claims::reservation_of;
 use crate::cost::CostModel;
 use crate::feedback::Constraints;
 use crate::mapping::Mapping;
+use crate::spec_table::SpecTable;
 use crate::trace::{Step2Event, Step2Move, Step2Trace};
-use rtsm_app::{ApplicationSpec, ProcessId};
+use rtsm_app::{ApplicationSpec, Endpoint, KpnChannelId, ProcessId};
 use rtsm_platform::{Platform, PlatformState, TileId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -89,67 +98,29 @@ fn candidate_key(c: &Step2Move) -> TriedKey {
     }
 }
 
-/// One stream channel as step 2 sees it: endpoints plus traffic. Collected
-/// once per search into per-process incidence lists so candidate scoring
-/// touches only the channels a move can change.
-#[derive(Debug, Clone, Copy)]
-struct ChannelRef {
-    src: rtsm_app::Endpoint,
-    dst: rtsm_app::Endpoint,
-    tokens_per_period: u64,
-}
-
-struct SearchCtx<'a> {
-    spec: &'a ApplicationSpec,
+/// One step-2 search problem: the spec table, the platform, the constraint
+/// oracle and the cost model. [`SearchCtx::improve`] runs the search.
+pub struct SearchCtx<'a> {
+    table: &'a SpecTable<'a>,
     platform: &'a Platform,
     constraints: &'a Constraints,
     cost_model: &'a CostModel,
-    /// Channel indices (into `channels`) incident to each process, by
-    /// process index.
-    incident: Vec<Vec<usize>>,
-    channels: Vec<ChannelRef>,
 }
 
 impl<'a> SearchCtx<'a> {
-    fn new(
-        spec: &'a ApplicationSpec,
+    /// A search over `table`'s spec on `platform`.
+    pub fn new(
+        table: &'a SpecTable<'a>,
         platform: &'a Platform,
         constraints: &'a Constraints,
         cost_model: &'a CostModel,
     ) -> Self {
-        let mut channels = Vec::new();
-        let mut incident = vec![Vec::new(); spec.graph.n_processes()];
-        for (_, ch) in spec.graph.stream_channels() {
-            let ci = channels.len();
-            channels.push(ChannelRef {
-                src: ch.src,
-                dst: ch.dst,
-                tokens_per_period: ch.tokens_per_period,
-            });
-            if let rtsm_app::Endpoint::Process(p) = ch.src {
-                incident[p.index()].push(ci);
-            }
-            if let rtsm_app::Endpoint::Process(p) = ch.dst {
-                // Self-loops would be recorded once; the graph forbids them,
-                // but guard against double-counting anyway.
-                if ch.src != rtsm_app::Endpoint::Process(p) {
-                    incident[p.index()].push(ci);
-                }
-            }
-        }
         SearchCtx {
-            spec,
+            table,
             platform,
             constraints,
             cost_model,
-            incident,
-            channels,
         }
-    }
-
-    fn channel_touches(&self, ci: usize, p: ProcessId) -> bool {
-        let ch = &self.channels[ci];
-        ch.src == rtsm_app::Endpoint::Process(p) || ch.dst == rtsm_app::Endpoint::Process(p)
     }
 
     /// Σ of this cost model's channel terms over the channels incident to
@@ -157,9 +128,14 @@ impl<'a> SearchCtx<'a> {
     /// current assignment — the only terms a move/swap of those processes
     /// can change. O(degree), not O(channels).
     fn local_cost(&self, mapping: &Mapping, p0: ProcessId, p1: Option<ProcessId>) -> u64 {
+        let graph = &self.table.spec().graph;
+        let touches = |id: KpnChannelId, p: ProcessId| {
+            let ch = graph.channel(id);
+            ch.src == Endpoint::Process(p) || ch.dst == Endpoint::Process(p)
+        };
         let mut sum = 0u64;
-        let mut add = |ci: usize| {
-            let ch = &self.channels[ci];
+        let mut add = |id: KpnChannelId| {
+            let ch = graph.channel(id);
             if let (Some(a), Some(b)) = (
                 mapping.endpoint_tile(self.platform, ch.src),
                 mapping.endpoint_tile(self.platform, ch.dst),
@@ -169,13 +145,13 @@ impl<'a> SearchCtx<'a> {
                     .channel_cost(self.platform, ch.tokens_per_period, a, b);
             }
         };
-        for &ci in &self.incident[p0.index()] {
-            add(ci);
+        for &id in self.table.incident(p0) {
+            add(id);
         }
         if let Some(p1) = p1 {
-            for &ci in &self.incident[p1.index()] {
-                if !self.channel_touches(ci, p0) {
-                    add(ci);
+            for &id in self.table.incident(p1) {
+                if !touches(id, p0) {
+                    add(id);
                 }
             }
         }
@@ -193,8 +169,7 @@ impl<'a> SearchCtx<'a> {
         match candidate {
             Step2Move::Move { process, to } => {
                 let a = mapping.assignment(*process).expect("assigned in step 1");
-                let implementation = &self.spec.library.impls_for(*process)[a.impl_index];
-                let claim = claim_for(self.spec, *process, implementation);
+                let claim = self.table.claim(*process, a.impl_index);
                 working
                     .release_tile(a.tile, &reservation_of(&claim))
                     .expect("claim was reserved");
@@ -215,10 +190,8 @@ impl<'a> SearchCtx<'a> {
             Step2Move::Swap { a, b } => {
                 let aa = mapping.assignment(*a).expect("assigned in step 1");
                 let ab = mapping.assignment(*b).expect("assigned in step 1");
-                let impl_a = &self.spec.library.impls_for(*a)[aa.impl_index];
-                let impl_b = &self.spec.library.impls_for(*b)[ab.impl_index];
-                let claim_a = claim_for(self.spec, *a, impl_a);
-                let claim_b = claim_for(self.spec, *b, impl_b);
+                let claim_a = self.table.claim(*a, aa.impl_index);
+                let claim_b = self.table.claim(*b, ab.impl_index);
                 working
                     .release_tile(aa.tile, &reservation_of(&claim_a))
                     .expect("claim was reserved");
@@ -313,7 +286,10 @@ impl<'a> SearchCtx<'a> {
         let Some(assignment) = mapping.assignment(process) else {
             return;
         };
-        let kind = self.spec.library.impls_for(process)[assignment.impl_index].tile_kind;
+        let kind = self
+            .table
+            .implementation(process, assignment.impl_index)
+            .tile_kind;
         for (tile, _) in self.platform.tiles_of_kind(kind) {
             if tile != assignment.tile {
                 out.push(Step2Move::Move { process, to: tile });
@@ -321,13 +297,15 @@ impl<'a> SearchCtx<'a> {
         }
         for (other, other_assignment) in mapping.assignments() {
             if other == process
-                || self.spec.graph.process(other).is_control
+                || self.table.spec().graph.process(other).is_control
                 || self.constraints.pinned_tile(other).is_some()
             {
                 continue;
             }
-            let other_kind =
-                self.spec.library.impls_for(other)[other_assignment.impl_index].tile_kind;
+            let other_kind = self
+                .table
+                .implementation(other, other_assignment.impl_index)
+                .tile_kind;
             if other_kind == kind {
                 out.push(Step2Move::Swap {
                     a: process,
@@ -368,7 +346,7 @@ impl<'a> SearchCtx<'a> {
         debug_assert_eq!(
             cost,
             self.cost_model
-                .assignment_cost(mapping, self.spec, self.platform),
+                .assignment_cost(mapping, self.table.spec(), self.platform),
             "incremental delta must match a full recompute for {candidate:?}"
         );
         self.undo(mapping, working, candidate, origin);
@@ -390,6 +368,143 @@ impl<'a> SearchCtx<'a> {
         let snapshot = mapping.assignments().map(|(p, a)| (p, a.tile)).collect();
         self.undo(mapping, working, candidate, origin);
         snapshot
+    }
+
+    /// Runs the search, improving `mapping` in place (and keeping
+    /// `working`'s tile reservations in sync).
+    ///
+    /// With `capture = false` the search makes identical decisions but
+    /// records no events or assignment snapshots — only the costs and the
+    /// [`Step2Trace::evaluations`] counter, which stays exactly what
+    /// `events.len()` would be with capture on. This is the mapper hot path:
+    /// simulators and benches map thousands of times and read only counters.
+    pub fn improve(
+        &self,
+        mapping: &mut Mapping,
+        working: &mut PlatformState,
+        config: &Step2Config,
+        capture: bool,
+    ) -> Step2Trace {
+        let spec = self.table.spec();
+        let mut trace = Step2Trace {
+            initial_cost: self
+                .cost_model
+                .assignment_cost(mapping, spec, self.platform),
+            initial_assignment: if capture {
+                mapping.assignments().map(|(p, a)| (p, a.tile)).collect()
+            } else {
+                Vec::new()
+            },
+            events: Vec::new(),
+            evaluations: 0,
+            generated: 0,
+            final_cost: 0,
+        };
+        let mut current_cost = trace.initial_cost;
+        let mut evaluations = 0usize;
+        // Reused across every scan position — one allocation per search, not
+        // one per process visit.
+        let mut candidates: Vec<Step2Move> = Vec::new();
+
+        match config.strategy {
+            Step2Strategy::PaperScan => {
+                let mut tried: BTreeSet<TriedKey> = BTreeSet::new();
+                'search: loop {
+                    for &process in self.table.order() {
+                        // This process's best untried reassignment.
+                        let mut best: Option<ScoredCandidate> = None;
+                        self.candidates_for(mapping, process, &mut candidates);
+                        trace.generated += candidates.len() as u64;
+                        for candidate in &candidates {
+                            if tried.contains(&candidate_key(candidate)) {
+                                continue;
+                            }
+                            if let Some(cost) =
+                                self.evaluate(mapping, working, candidate, current_cost)
+                            {
+                                if best.as_ref().is_none_or(|(c, _)| cost < *c) {
+                                    best = Some((cost, *candidate));
+                                }
+                            }
+                        }
+                        let Some((cost, candidate)) = best else {
+                            continue;
+                        };
+                        evaluations += 1;
+                        trace.evaluations += 1;
+                        let kept = current_cost.saturating_sub(cost) >= config.min_gain;
+                        if capture {
+                            let assignment = self.snapshot_with(mapping, working, &candidate);
+                            trace.events.push(Step2Event {
+                                candidate,
+                                cost,
+                                kept,
+                                assignment,
+                            });
+                        }
+                        if kept {
+                            let applied = self.apply(mapping, working, &candidate);
+                            debug_assert!(applied, "evaluated candidates fit");
+                            current_cost = cost;
+                            tried.clear();
+                            if evaluations >= config.max_evaluations {
+                                break 'search;
+                            }
+                            // Restart the scan from the top of the process order.
+                            continue 'search;
+                        }
+                        tried.insert(candidate_key(&candidate));
+                        if evaluations >= config.max_evaluations {
+                            break 'search;
+                        }
+                    }
+                    // A full pass kept nothing (every keep restarts the scan
+                    // above): the search has converged.
+                    break;
+                }
+            }
+            Step2Strategy::BestImprovement => loop {
+                let mut best: Option<ScoredCandidate> = None;
+                for &process in self.table.order() {
+                    self.candidates_for(mapping, process, &mut candidates);
+                    trace.generated += candidates.len() as u64;
+                    for candidate in &candidates {
+                        if let Some(cost) = self.evaluate(mapping, working, candidate, current_cost)
+                        {
+                            if best.as_ref().is_none_or(|(c, _)| cost < *c) {
+                                best = Some((cost, *candidate));
+                            }
+                        }
+                    }
+                }
+                evaluations += 1;
+                let Some((cost, candidate)) = best else {
+                    break;
+                };
+                if current_cost.saturating_sub(cost) < config.min_gain {
+                    break;
+                }
+                trace.evaluations += 1;
+                if capture {
+                    let assignment = self.snapshot_with(mapping, working, &candidate);
+                    trace.events.push(Step2Event {
+                        candidate,
+                        cost,
+                        kept: true,
+                        assignment,
+                    });
+                }
+                let applied = self.apply(mapping, working, &candidate);
+                debug_assert!(applied, "evaluated candidates fit");
+                current_cost = cost;
+                if evaluations >= config.max_evaluations {
+                    break;
+                }
+            },
+        }
+
+        trace.final_cost = current_cost;
+        trace
     }
 }
 
@@ -416,13 +531,9 @@ pub fn improve_assignment(
     )
 }
 
-/// [`improve_assignment`] with an explicit trace-capture switch.
-///
-/// With `capture = false` the search makes identical decisions but records
-/// no events or assignment snapshots — only the costs and the
-/// [`Step2Trace::evaluations`] counter, which stays exactly what
-/// `events.len()` would be with capture on. This is the mapper hot path:
-/// simulators and benches map thousands of times and read only counters.
+/// [`improve_assignment`] with an explicit trace-capture switch (see
+/// [`SearchCtx::improve`]). Builds its own [`SpecTable`]; callers that run
+/// several steps on one spec build the table once and run a [`SearchCtx`].
 #[allow(clippy::too_many_arguments)]
 pub fn improve_assignment_with(
     spec: &ApplicationSpec,
@@ -434,126 +545,9 @@ pub fn improve_assignment_with(
     config: &Step2Config,
     capture: bool,
 ) -> Step2Trace {
-    let ctx = SearchCtx::new(spec, platform, constraints, cost_model);
-    let order = spec
-        .graph
-        .topological_order()
-        .expect("validated specs are acyclic");
-    let mut trace = Step2Trace {
-        initial_cost: cost_model.assignment_cost(mapping, spec, platform),
-        initial_assignment: if capture {
-            mapping.assignments().map(|(p, a)| (p, a.tile)).collect()
-        } else {
-            Vec::new()
-        },
-        events: Vec::new(),
-        evaluations: 0,
-        generated: 0,
-        final_cost: 0,
-    };
-    let mut current_cost = trace.initial_cost;
-    let mut evaluations = 0usize;
-    // Reused across every scan position — one allocation per search, not
-    // one per process visit.
-    let mut candidates: Vec<Step2Move> = Vec::new();
-
-    match config.strategy {
-        Step2Strategy::PaperScan => {
-            let mut tried: BTreeSet<TriedKey> = BTreeSet::new();
-            'search: loop {
-                for &process in &order {
-                    // This process's best untried reassignment.
-                    let mut best: Option<ScoredCandidate> = None;
-                    ctx.candidates_for(mapping, process, &mut candidates);
-                    trace.generated += candidates.len() as u64;
-                    for candidate in &candidates {
-                        if tried.contains(&candidate_key(candidate)) {
-                            continue;
-                        }
-                        if let Some(cost) = ctx.evaluate(mapping, working, candidate, current_cost)
-                        {
-                            if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                                best = Some((cost, *candidate));
-                            }
-                        }
-                    }
-                    let Some((cost, candidate)) = best else {
-                        continue;
-                    };
-                    evaluations += 1;
-                    trace.evaluations += 1;
-                    let kept = current_cost.saturating_sub(cost) >= config.min_gain;
-                    if capture {
-                        let assignment = ctx.snapshot_with(mapping, working, &candidate);
-                        trace.events.push(Step2Event {
-                            candidate,
-                            cost,
-                            kept,
-                            assignment,
-                        });
-                    }
-                    if kept {
-                        let applied = ctx.apply(mapping, working, &candidate);
-                        debug_assert!(applied, "evaluated candidates fit");
-                        current_cost = cost;
-                        tried.clear();
-                        if evaluations >= config.max_evaluations {
-                            break 'search;
-                        }
-                        // Restart the scan from the top of the process order.
-                        continue 'search;
-                    }
-                    tried.insert(candidate_key(&candidate));
-                    if evaluations >= config.max_evaluations {
-                        break 'search;
-                    }
-                }
-                // A full pass kept nothing (every keep restarts the scan
-                // above): the search has converged.
-                break;
-            }
-        }
-        Step2Strategy::BestImprovement => loop {
-            let mut best: Option<ScoredCandidate> = None;
-            for &process in &order {
-                ctx.candidates_for(mapping, process, &mut candidates);
-                trace.generated += candidates.len() as u64;
-                for candidate in &candidates {
-                    if let Some(cost) = ctx.evaluate(mapping, working, candidate, current_cost) {
-                        if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                            best = Some((cost, *candidate));
-                        }
-                    }
-                }
-            }
-            evaluations += 1;
-            let Some((cost, candidate)) = best else {
-                break;
-            };
-            if current_cost.saturating_sub(cost) < config.min_gain {
-                break;
-            }
-            trace.evaluations += 1;
-            if capture {
-                let assignment = ctx.snapshot_with(mapping, working, &candidate);
-                trace.events.push(Step2Event {
-                    candidate,
-                    cost,
-                    kept: true,
-                    assignment,
-                });
-            }
-            let applied = ctx.apply(mapping, working, &candidate);
-            debug_assert!(applied, "evaluated candidates fit");
-            current_cost = cost;
-            if evaluations >= config.max_evaluations {
-                break;
-            }
-        },
-    }
-
-    trace.final_cost = current_cost;
-    trace
+    let table = SpecTable::for_validated(spec);
+    SearchCtx::new(&table, platform, constraints, cost_model)
+        .improve(mapping, working, config, capture)
 }
 
 #[cfg(test)]

@@ -29,6 +29,7 @@
 
 use crate::feedback::Feedback;
 use crate::mapping::{Mapping, RouteBinding};
+use crate::spec_table::SpecTable;
 use rtsm_app::{ApplicationSpec, Endpoint, KpnChannelId};
 use rtsm_dataflow::{
     iteration_latency, size_buffers_ref, ActorId, BufferSizingConfig, CsdfGraph, PhaseVec,
@@ -70,7 +71,7 @@ pub struct ChannelBuffer {
 }
 
 /// Outcome of step 4.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Step4Result {
     /// The composed whole-application CSDF graph (Figure 3), with all
     /// computed capacities applied.
@@ -97,6 +98,9 @@ pub struct Step4Result {
 /// `working` must contain this mapping's tile reservations (buffer memory
 /// is claimed on top of it and released again before returning — the caller
 /// re-claims real buffers when it commits the mapping).
+///
+/// Builds its own [`SpecTable`]; callers that run several steps on one spec
+/// build the table once and call [`check_constraints_in`].
 pub fn check_constraints(
     spec: &ApplicationSpec,
     platform: &Platform,
@@ -104,6 +108,24 @@ pub fn check_constraints(
     working: &PlatformState,
     config: &Step4Config,
 ) -> Step4Result {
+    check_constraints_in(
+        &SpecTable::for_validated(spec),
+        platform,
+        mapping,
+        working,
+        config,
+    )
+}
+
+/// [`check_constraints`] over a prebuilt [`SpecTable`].
+pub fn check_constraints_in(
+    table: &SpecTable<'_>,
+    platform: &Platform,
+    mapping: &Mapping,
+    working: &PlatformState,
+    config: &Step4Config,
+) -> Step4Result {
+    let spec = table.spec();
     let period = spec.qos.period_ps;
     let mut csdf = CsdfGraph::new();
 
@@ -156,7 +178,7 @@ pub fn check_constraints(
     for (pid, _) in spec.graph.stream_processes() {
         let (_, assignment) = process_actor[&pid];
         let implementation = &spec.library.impls_for(pid)[assignment.impl_index];
-        let cycles = spec.cycles_per_period(pid, implementation);
+        let cycles = table.cycles_per_period(pid, assignment.impl_index);
         let busy_ps =
             implementation.wcet_per_period(cycles) * platform.tile(assignment.tile).cycle_time_ps();
         if busy_ps > period {
@@ -190,9 +212,8 @@ pub fn check_constraints(
             Endpoint::Process(p) => {
                 let (actor, assignment) = process_actor[&p];
                 let implementation = &spec.library.impls_for(p)[assignment.impl_index];
-                let port = spec
-                    .graph
-                    .outputs_of(p)
+                let port = table
+                    .outputs(p)
                     .iter()
                     .position(|c| *c == cid)
                     .expect("channel is an output of its producer");
@@ -205,9 +226,8 @@ pub fn check_constraints(
             Endpoint::Process(p) => {
                 let (actor, assignment) = process_actor[&p];
                 let implementation = &spec.library.impls_for(p)[assignment.impl_index];
-                let port = spec
-                    .graph
-                    .inputs_of(p)
+                let port = table
+                    .inputs(p)
                     .iter()
                     .position(|c| *c == cid)
                     .expect("channel is an input of its consumer");

@@ -225,27 +225,19 @@ impl MappingShape {
         })
     }
 
-    /// The four mesh rotations of the offset vector, deduplicated (a
-    /// single-tile shape has one distinct rotation, not four).
-    fn rotations(&self) -> Vec<Vec<(i32, i32)>> {
-        let rotate = |k: u8, (dx, dy): (i32, i32)| match k {
-            0 => (dx, dy),
-            1 => (dy, -dx),
-            2 => (-dx, -dy),
-            _ => (-dy, dx),
-        };
-        let mut out: Vec<Vec<(i32, i32)>> = Vec::with_capacity(4);
-        for k in 0..4 {
-            let offsets: Vec<(i32, i32)> = self
-                .assignments
+    /// Which of the four mesh rotations of the offset vector are distinct:
+    /// bit `k` is set when `k` quarter turns give a vector no fewer turns
+    /// give (a single-tile shape has one distinct rotation, not four).
+    /// Computed once, when the shape is learned (see [`ShapeEntry`]).
+    fn distinct_rotations(&self) -> u8 {
+        let rotated = |k: u8| {
+            self.assignments
                 .iter()
-                .map(|a| rotate(k, (a.dx, a.dy)))
-                .collect();
-            if !out.contains(&offsets) {
-                out.push(offsets);
-            }
-        }
-        out
+                .map(move |a| rotate(k, (a.dx, a.dy)))
+        };
+        (0..4u8)
+            .filter(|&k| !(0..k).any(|fewer| rotated(fewer).eq(rotated(k))))
+            .fold(0, |mask, k| mask | 1 << k)
     }
 
     /// Shape indices within spec bounds? Guards the (astronomically
@@ -263,7 +255,17 @@ impl MappingShape {
     }
 }
 
-/// Attempts to place `shape` with `offsets` (one rotation) at `anchor`:
+/// `offset` turned by `quarter_turns` × 90° about the anchor.
+fn rotate(quarter_turns: u8, (dx, dy): (i32, i32)) -> (i32, i32) {
+    match quarter_turns {
+        0 => (dx, dy),
+        1 => (dy, -dx),
+        2 => (-dx, -dy),
+        _ => (-dy, dx),
+    }
+}
+
+/// Attempts to place `shape`, turned by `quarter_turns`, at `anchor`:
 /// quick tile-skeleton rejects first, then the full transactional fit check
 /// against a scratch copy of `base`, staging exactly what
 /// `MappingOutcome::stage_commit` would claim. Returns the instantiated
@@ -271,7 +273,7 @@ impl MappingShape {
 #[allow(clippy::too_many_arguments)]
 fn try_candidate(
     shape: &MappingShape,
-    offsets: &[(i32, i32)],
+    quarter_turns: u8,
     anchor: TileId,
     spec: &ApplicationSpec,
     platform: &Platform,
@@ -281,7 +283,8 @@ fn try_candidate(
 ) -> Option<MappingOutcome> {
     let anchor_pos = platform.tile(anchor).position;
     let mut mapping = Mapping::new();
-    for (sa, &(dx, dy)) in shape.assignments.iter().zip(offsets) {
+    for sa in &shape.assignments {
+        let (dx, dy) = rotate(quarter_turns, (sa.dx, sa.dy));
         let x = i32::from(anchor_pos.x) + dx;
         let y = i32::from(anchor_pos.y) + dy;
         if x < 0 || y < 0 || x >= i32::from(platform.width()) || y >= i32::from(platform.height()) {
@@ -377,10 +380,10 @@ fn try_candidate(
     })
 }
 
-/// Tries every (rotation, anchor) placement of `shape` in deterministic
-/// order, counting candidates into `tried`.
+/// Tries every (rotation, anchor) placement of `entry`'s shape in
+/// deterministic order, counting candidates into `tried`.
 fn instantiate_shape(
-    shape: &MappingShape,
+    entry: &ShapeEntry,
     spec: &ApplicationSpec,
     platform: &Platform,
     base: &PlatformState,
@@ -388,16 +391,17 @@ fn instantiate_shape(
     scratch: &mut RouteScratch,
     tried: &mut u64,
 ) -> Option<MappingOutcome> {
+    let shape = &entry.shape;
     if shape.assignments.is_empty() || !shape.indexes_into(spec) {
         return None;
     }
     let anchors = base.free_anchor_tiles(platform, shape.assignments[0].kind);
-    for offsets in shape.rotations() {
+    for quarter_turns in (0..4u8).filter(|k| entry.rotations >> k & 1 == 1) {
         for &anchor in &anchors {
             *tried += 1;
             if let Some(outcome) = try_candidate(
                 shape,
-                &offsets,
+                quarter_turns,
                 anchor,
                 spec,
                 platform,
@@ -432,10 +436,19 @@ pub struct TemplateStats {
     pub invalidations: u64,
 }
 
+/// A cached shape with its usage record. Which rotations are distinct
+/// ([`MappingShape::distinct_rotations`]) is derived when the shape is
+/// learned and kept beside it — not inside it, where it would take part in
+/// the deduplicating `==` — as a mask of quarter turns: a lookup neither
+/// derives nor allocates offset vectors, and the library's footprint does
+/// not grow by them. The mask shares a word with the hit count, which
+/// ranks eviction victims and saturates rather than wraps, so an entry is
+/// no larger than the shape, a count and a sequence number.
 #[derive(Debug)]
 struct ShapeEntry {
     shape: MappingShape,
-    hits: u64,
+    rotations: u8,
+    hits: u32,
     seq: u64,
 }
 
@@ -499,6 +512,7 @@ impl TemplateLibrary {
             self.evictions += 1;
         }
         shapes.push(ShapeEntry {
+            rotations: shape.distinct_rotations(),
             shape,
             hits: 0,
             seq,
@@ -525,7 +539,7 @@ impl TemplateLibrary {
         let mut tried = 0u64;
         for entry in shapes.iter_mut() {
             if let Some(mut outcome) = instantiate_shape(
-                &entry.shape,
+                entry,
                 spec,
                 platform,
                 base,
@@ -533,7 +547,7 @@ impl TemplateLibrary {
                 scratch,
                 &mut tried,
             ) {
-                entry.hits += 1;
+                entry.hits = entry.hits.saturating_add(1);
                 outcome.evaluated = tried;
                 return Some(outcome);
             }
@@ -561,7 +575,7 @@ impl TemplateLibrary {
         shapes.retain(|entry| {
             let mut tried = 0u64;
             instantiate_shape(
-                &entry.shape,
+                entry,
                 spec,
                 platform,
                 state,
@@ -735,6 +749,40 @@ mod tests {
         assert_eq!(spec_fingerprint(&a), spec_fingerprint(&b));
         let c = hiperlan2_receiver(Hiperlan2Mode::Qam16R34);
         assert_ne!(spec_fingerprint(&a), spec_fingerprint(&c));
+    }
+
+    #[test]
+    fn distinct_rotations_mask_matches_collected_offset_vectors() {
+        let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
+        let platform = paper_platform();
+        let outcome = SpatialMapper::default()
+            .map(&spec, &platform, &platform.initial_state())
+            .unwrap();
+        let spread = MappingShape::canonicalise(&outcome, &platform).unwrap();
+        // A shape whose every process sits on the anchor looks the same
+        // from all four sides.
+        let mut stacked = spread.clone();
+        for a in &mut stacked.assignments {
+            (a.dx, a.dy) = (0, 0);
+        }
+        for (shape, expected) in [(&spread, 0b1111), (&stacked, 0b0001)] {
+            // The oracle: collect each rotation's offsets, keep the new ones.
+            let mut seen: Vec<Vec<(i32, i32)>> = Vec::new();
+            let mut mask = 0u8;
+            for k in 0..4u8 {
+                let offsets: Vec<_> = shape
+                    .assignments
+                    .iter()
+                    .map(|a| rotate(k, (a.dx, a.dy)))
+                    .collect();
+                if !seen.contains(&offsets) {
+                    seen.push(offsets);
+                    mask |= 1 << k;
+                }
+            }
+            assert_eq!(shape.distinct_rotations(), mask);
+            assert_eq!(mask, expected);
+        }
     }
 
     #[test]

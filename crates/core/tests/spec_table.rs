@@ -1,0 +1,270 @@
+//! Oracles for the per-map [`SpecTable`]: every slot and list it serves
+//! must be what the spec's own (allocating) accessors compute, the
+//! single-pass [`claim_for`] must equal the formula it replaced, and the
+//! spec-taking step functions must decide exactly as the table-taking ones
+//! sharing a single table.
+
+use proptest::prelude::*;
+use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
+use rtsm_app::{ApplicationSpec, Implementation, ProcessId};
+use rtsm_core::claims::claim_for;
+use rtsm_core::cost::CostModel;
+use rtsm_core::feedback::Constraints;
+use rtsm_core::step1::{assign_implementations, assign_implementations_in};
+use rtsm_core::step2::{improve_assignment, SearchCtx, Step2Config, Step2Strategy};
+use rtsm_core::step3::route_channels;
+use rtsm_core::step4::{check_constraints, check_constraints_in, Step4Config};
+use rtsm_core::{MappingConstraints, SpatialMapper, SpecTable};
+use rtsm_platform::paper::paper_platform;
+use rtsm_platform::{Platform, PlatformState, TileClaim, TileKind};
+use rtsm_workloads::apps::{dvbt_rx, jpeg_encoder, mp3_decoder, wlan_tx};
+use rtsm_workloads::{mesh_platform, synthetic_app, GraphShape, SyntheticConfig};
+
+/// `claim_for` as it was before the single pass: `cycles_per_period` from
+/// the first port of freshly collected `inputs_of`/`outputs_of` lists, NI
+/// bandwidth summed over the same lists. Kept as the oracle.
+fn legacy_claim_for(
+    spec: &ApplicationSpec,
+    process: ProcessId,
+    implementation: &Implementation,
+) -> TileClaim {
+    let inputs = spec.graph.inputs_of(process);
+    let outputs = spec.graph.outputs_of(process);
+    let tokens = |ch| spec.graph.channel(ch).tokens_per_period;
+    let cycles_per_period = inputs
+        .first()
+        .and_then(|ch| implementation.cycles_per_period_in(0, tokens(*ch)))
+        .or_else(|| {
+            let per_cycle = implementation.tokens_out_per_cycle(0);
+            let total = tokens(*outputs.first()?);
+            (per_cycle > 0 && total.is_multiple_of(per_cycle)).then(|| total / per_cycle)
+        })
+        .unwrap_or(1);
+    assert_eq!(
+        cycles_per_period,
+        spec.cycles_per_period(process, implementation)
+    );
+    let wcet = implementation.wcet_per_period(cycles_per_period);
+    let bandwidth = |channels: &[rtsm_app::KpnChannelId]| -> u64 {
+        channels
+            .iter()
+            .map(|ch| spec.qos.words_per_second(tokens(*ch)))
+            .sum()
+    };
+    TileClaim {
+        slots: 1,
+        memory_bytes: implementation.memory_bytes,
+        cycles_per_second: (wcet as u128 * 1_000_000_000_000u128 / spec.qos.period_ps as u128)
+            as u64,
+        injection: bandwidth(&outputs),
+        ejection: bandwidth(&inputs),
+    }
+}
+
+/// Everything a table serves, against the spec's own accessors.
+fn check_table(spec: &ApplicationSpec) {
+    let order = spec.validated_order().expect("catalog specs validate");
+    assert_eq!(order, spec.graph.topological_order().unwrap());
+    let table = SpecTable::new(spec, order.clone());
+    assert_eq!(table.order(), order);
+    assert_eq!(SpecTable::for_validated(spec).order(), order);
+    let mut slots = 0;
+    for (pid, _) in spec.graph.processes() {
+        let (inputs, outputs) = (spec.graph.inputs_of(pid), spec.graph.outputs_of(pid));
+        assert_eq!(table.inputs(pid), inputs);
+        assert_eq!(table.outputs(pid), outputs);
+        assert_eq!(table.incident(pid), [inputs, outputs].concat());
+        for (ix, implementation) in spec.library.impls_for(pid).iter().enumerate() {
+            assert_eq!(table.slot(pid, ix), slots);
+            slots += 1;
+            let claim = claim_for(spec, pid, implementation);
+            assert_eq!(claim, legacy_claim_for(spec, pid, implementation));
+            // First use fills the slot; the second read serves it.
+            assert_eq!(table.claim(pid, ix), claim);
+            assert_eq!(table.claim(pid, ix), claim);
+            assert_eq!(
+                table.cycles_per_period(pid, ix),
+                spec.cycles_per_period(pid, implementation)
+            );
+        }
+    }
+    assert_eq!(table.n_slots(), slots);
+}
+
+fn mixed_mesh() -> Platform {
+    mesh_platform(
+        42,
+        4,
+        4,
+        &[
+            (TileKind::Montium, 4),
+            (TileKind::Arm, 4),
+            (TileKind::Dsp, 2),
+        ],
+    )
+}
+
+fn mixed_specs() -> [ApplicationSpec; 5] {
+    [
+        wlan_tx(),
+        jpeg_encoder(),
+        mp3_decoder(),
+        dvbt_rx(),
+        hiperlan2_receiver(Hiperlan2Mode::Qpsk34),
+    ]
+}
+
+#[test]
+fn table_matches_the_spec_on_the_hiperlan2_and_mixed_catalogs() {
+    for mode in Hiperlan2Mode::ALL {
+        check_table(&hiperlan2_receiver(mode));
+    }
+    for spec in mixed_specs() {
+        check_table(&spec);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The `synthetic` catalog's generator (chains), plus fork-joins so
+    /// processes with several input or output ports are covered.
+    #[test]
+    fn table_matches_the_spec_on_synthetic_apps(
+        seed in 0u64..100_000,
+        n_processes in 3usize..8,
+        fork_width in 0usize..4,
+    ) {
+        let shape = match fork_width {
+            0 => GraphShape::Chain,
+            width => GraphShape::ForkJoin { width },
+        };
+        check_table(&synthetic_app(&SyntheticConfig {
+            seed,
+            n_processes,
+            shape,
+            tile_kinds: vec![TileKind::Montium, TileKind::Arm],
+            ..SyntheticConfig::default()
+        }));
+    }
+}
+
+/// Half of every tile's memory and cycle budget taken by somebody else.
+fn half_occupied(platform: &Platform) -> PlatformState {
+    let mut state = platform.initial_state();
+    for (id, tile) in platform.tiles() {
+        let claim = TileClaim {
+            slots: 0,
+            memory_bytes: tile.memory_bytes / 2,
+            cycles_per_second: u64::from(tile.clock_mhz) * 500_000,
+            injection: 0,
+            ejection: 0,
+        };
+        state.claim_tile(platform, id, &claim).expect("half fits");
+    }
+    state
+}
+
+/// Steps 1, 2 and 4 through the spec-taking wrappers (a table each) and
+/// through one shared table; every result must be equal. Returns whether
+/// the case got as far as step 4.
+fn check_equivalence(
+    spec: &ApplicationSpec,
+    platform: &Platform,
+    base: &PlatformState,
+    external: &MappingConstraints,
+    strategy: Step2Strategy,
+) -> bool {
+    let constraints = Constraints::with_external(external.clone());
+    let table = SpecTable::for_validated(spec);
+    let wrapped = assign_implementations(spec, platform, base, &constraints);
+    let tabled = assign_implementations_in(&table, platform, base, &constraints);
+    assert_eq!(wrapped, tabled, "{}: step 1", spec.name);
+    let Ok(step1) = wrapped else {
+        return false;
+    };
+
+    let config = Step2Config {
+        strategy,
+        ..Step2Config::default()
+    };
+    let (mut mapping, mut working) = (step1.mapping.clone(), step1.working.clone());
+    let wrapped = improve_assignment(
+        spec,
+        platform,
+        &constraints,
+        &mut mapping,
+        &mut working,
+        &CostModel::HopCount,
+        &config,
+    );
+    let (mut mapping_in, mut working_in) = (step1.mapping, step1.working);
+    let tabled = SearchCtx::new(&table, platform, &constraints, &CostModel::HopCount).improve(
+        &mut mapping_in,
+        &mut working_in,
+        &config,
+        true,
+    );
+    assert_eq!(
+        wrapped, tabled,
+        "{}: step 2 trace (Table 2 rows)",
+        spec.name
+    );
+    assert_eq!(wrapped.events.len() as u64, wrapped.evaluations);
+    assert_eq!(mapping, mapping_in, "{}: step 2 mapping", spec.name);
+    assert_eq!(working, working_in, "{}: step 2 ledger", spec.name);
+
+    if route_channels(spec, platform, &mut mapping, &mut working).is_err() {
+        return false;
+    }
+    let step4 = Step4Config::default();
+    assert_eq!(
+        check_constraints(spec, platform, &mapping, &working, &step4),
+        check_constraints_in(&table, platform, &mapping, &working, &step4),
+        "{}: step 4",
+        spec.name
+    );
+    true
+}
+
+#[test]
+fn wrapper_and_table_paths_decide_identically() {
+    let cases: Vec<(ApplicationSpec, Platform)> =
+        std::iter::once((hiperlan2_receiver(Hiperlan2Mode::Qpsk34), paper_platform()))
+            .chain(mixed_specs().map(|spec| (spec, mixed_mesh())))
+            .collect();
+    let (mut reached_step4, mut stopped_early) = (0, 0);
+    for (spec, platform) in &cases {
+        // Pins and an exclusion taken from the unconstrained mapping, so
+        // they bind without making the case unmappable outright: the last
+        // process stays where it landed, the first one's tile is excluded.
+        let free = SpatialMapper::default()
+            .map(spec, platform, &platform.initial_state())
+            .expect("every case maps on its empty platform");
+        let order = spec.graph.topological_order().unwrap();
+        let tile_of = |p: ProcessId| free.mapping.assignment(p).unwrap().tile;
+        let last = *order.last().unwrap();
+        let pinned = MappingConstraints::none().pin(last, tile_of(last));
+        let pinned_and_excluded = pinned.clone().exclude_tile(tile_of(order[0]));
+
+        for base in [platform.initial_state(), half_occupied(platform)] {
+            for external in [
+                MappingConstraints::none(),
+                pinned.clone(),
+                pinned_and_excluded.clone(),
+            ] {
+                for strategy in [Step2Strategy::PaperScan, Step2Strategy::BestImprovement] {
+                    if check_equivalence(spec, platform, &base, &external, strategy) {
+                        reached_step4 += 1;
+                    } else {
+                        stopped_early += 1;
+                    }
+                }
+            }
+        }
+    }
+    // Both kinds of ending must be exercised: full pipelines and step-1
+    // (or routing) failures compared as failures.
+    assert!(reached_step4 >= cases.len(), "{reached_step4} full runs");
+    assert!(stopped_early > 0, "no failing case was compared");
+}

@@ -99,8 +99,10 @@ pub struct AdjEntry {
 /// Besides the tile and link lists, the platform carries derived lookup
 /// tables built once at construction: a flat CSR adjacency table
 /// ([`Platform::adjacency`]) that resolves a router's neighbours and their
-/// directed links without hashing, and a name index making
-/// [`Platform::tile_by_name`] O(1). Both are rebuilt on deserialization.
+/// directed links without hashing, a name index making
+/// [`Platform::tile_by_name`] O(1), and the two stream-endpoint tiles
+/// ([`Platform::stream_input_tile`], [`Platform::stream_output_tile`]). All
+/// are rebuilt on deserialization.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(from = "PlatformSerde", into = "PlatformSerde")]
 pub struct Platform {
@@ -118,16 +120,28 @@ pub struct Platform {
     /// CSR payload: neighbour coords and directed links, in the same
     /// west/east/north/south order [`Platform::neighbours`] yields.
     adj: Vec<AdjEntry>,
+    /// First `AdcSource` and first `Sink` tile (id order), if any.
+    stream_input: Option<TileId>,
+    stream_output: Option<TileId>,
 }
 
-/// Builds the derived lookup tables (CSR adjacency and name index) shared
-/// by `PlatformBuilder::build` and deserialization.
+/// The lookup tables derived from a platform's tiles and links.
+struct DerivedTables {
+    tile_by_name: HashMap<String, TileId>,
+    adj_offsets: Vec<u32>,
+    adj: Vec<AdjEntry>,
+    stream_input: Option<TileId>,
+    stream_output: Option<TileId>,
+}
+
+/// Builds the derived lookup tables (CSR adjacency, name index and stream
+/// endpoints) shared by `PlatformBuilder::build` and deserialization.
 fn derived_tables(
     width: u16,
     height: u16,
     tiles: &[Tile],
     link_index: &HashMap<(Coord, Coord), LinkId>,
-) -> (HashMap<String, TileId>, Vec<u32>, Vec<AdjEntry>) {
+) -> DerivedTables {
     // First insertion wins so duplicate names resolve to the lowest tile
     // id, matching the linear scan this index replaced.
     let mut tile_by_name: HashMap<String, TileId> = HashMap::with_capacity(tiles.len());
@@ -157,7 +171,14 @@ fn derived_tables(
             adj_offsets.push(adj.len() as u32);
         }
     }
-    (tile_by_name, adj_offsets, adj)
+    let first_of = |kind: TileKind| tiles.iter().position(|t| t.kind == kind).map(TileId);
+    DerivedTables {
+        tile_by_name,
+        adj_offsets,
+        adj,
+        stream_input: first_of(TileKind::AdcSource),
+        stream_output: first_of(TileKind::Sink),
+    }
 }
 
 /// Serde shadow of [`Platform`]: the coordinate-keyed lookup maps are
@@ -199,8 +220,7 @@ impl From<PlatformSerde> for Platform {
             .enumerate()
             .map(|(i, t)| (t.position, TileId(i)))
             .collect();
-        let (tile_by_name, adj_offsets, adj) =
-            derived_tables(s.width, s.height, &s.tiles, &link_index);
+        let derived = derived_tables(s.width, s.height, &s.tiles, &link_index);
         Platform {
             width: s.width,
             height: s.height,
@@ -209,9 +229,11 @@ impl From<PlatformSerde> for Platform {
             links: s.links,
             link_index,
             tile_at,
-            tile_by_name,
-            adj_offsets,
-            adj,
+            tile_by_name: derived.tile_by_name,
+            adj_offsets: derived.adj_offsets,
+            adj: derived.adj,
+            stream_input: derived.stream_input,
+            stream_output: derived.stream_output,
         }
     }
 }
@@ -273,6 +295,18 @@ impl Platform {
     /// Tiles of the given kind, in id order.
     pub fn tiles_of_kind(&self, kind: TileKind) -> impl Iterator<Item = (TileId, &Tile)> {
         self.tiles().filter(move |(_, t)| t.kind == kind)
+    }
+
+    /// The tile realising the application's stream input: the first
+    /// `AdcSource` tile in id order (cached at construction).
+    pub fn stream_input_tile(&self) -> Option<TileId> {
+        self.stream_input
+    }
+
+    /// The tile realising the application's stream output: the first `Sink`
+    /// tile in id order (cached at construction).
+    pub fn stream_output_tile(&self) -> Option<TileId> {
+        self.stream_output
     }
 
     /// Looks a tile up by name (O(1) via the name index built at
@@ -468,8 +502,7 @@ impl PlatformBuilder {
                 }
             }
         }
-        let (tile_by_name, adj_offsets, adj) =
-            derived_tables(self.width, self.height, &self.tiles, &link_index);
+        let derived = derived_tables(self.width, self.height, &self.tiles, &link_index);
         Ok(Platform {
             width: self.width,
             height: self.height,
@@ -478,9 +511,11 @@ impl PlatformBuilder {
             links,
             link_index,
             tile_at,
-            tile_by_name,
-            adj_offsets,
-            adj,
+            tile_by_name: derived.tile_by_name,
+            adj_offsets: derived.adj_offsets,
+            adj: derived.adj,
+            stream_input: derived.stream_input,
+            stream_output: derived.stream_output,
         })
     }
 }
@@ -597,6 +632,23 @@ mod tests {
             .unwrap();
         assert_eq!(p.tile_by_name("dup"), Some(TileId(0)));
         assert_eq!(p.tile_by_name("missing"), None);
+    }
+
+    #[test]
+    fn stream_endpoints_are_the_first_tiles_of_their_kind() {
+        let p = PlatformBuilder::mesh(4, 1)
+            .tile("arm", TileKind::Arm, Coord { x: 0, y: 0 })
+            .tile("adc1", TileKind::AdcSource, Coord { x: 1, y: 0 })
+            .tile("adc2", TileKind::AdcSource, Coord { x: 2, y: 0 })
+            .build()
+            .unwrap();
+        let first = |kind| p.tiles_of_kind(kind).map(|(id, _)| id).next();
+        assert_eq!(p.stream_input_tile(), first(TileKind::AdcSource));
+        assert_eq!(p.stream_input_tile(), p.tile_by_name("adc1"));
+        assert_eq!(p.stream_output_tile(), None);
+        // Rebuilt, not serialized.
+        let back: Platform = PlatformSerde::from(p.clone()).into();
+        assert_eq!(back, p);
     }
 
     #[test]

@@ -260,7 +260,9 @@ pub struct SimReport {
     pub mode_switch_attempts: u64,
     /// Mode switches whose new configuration was admitted.
     pub mode_switch_admitted: u64,
-    /// Mode switches blocked — the instance lost its resources and left.
+    /// Mode switches blocked. Without a reconfiguration policy the instance
+    /// lost its resources and left; with one it kept running under its old
+    /// configuration (see [`SimReport::mode_switch_lost`]).
     pub mode_switch_blocked: u64,
     /// Blocking probability over all admission attempts (arrivals + mode
     /// switches), in permille.
@@ -406,6 +408,19 @@ impl SimReport {
         self.blocking_permille as f64 / 1000.0
     }
 
+    /// Instances that *left* at a blocked mode switch — the terminal
+    /// outcome the conservation law counts (`departed + switch-lost +
+    /// evicted + still-running == admitted`). Under a reconfiguration
+    /// policy a blocked switch keeps the instance running
+    /// (`mode_switches_survived`), so only the remainder is lost.
+    pub fn mode_switch_lost(&self) -> u64 {
+        let survived = self
+            .reconfiguration
+            .as_ref()
+            .map_or(0, |r| r.mode_switches_survived);
+        self.mode_switch_blocked - survived
+    }
+
     /// The per-sample fragmentation figures, sorted ascending — the
     /// percentile input for cross-run aggregation. Empty when the run
     /// did not track fragmentation or produced no samples, so callers
@@ -540,15 +555,31 @@ impl MetricsCollector {
     /// previous event: integrates the energy and emits any due occupancy
     /// samples. Call *before* applying the event at `now`.
     pub fn advance(&mut self, now: SimTime, util: &Utilization, running_energy_pj: u64) {
+        self.advance_with(now, running_energy_pj, || *util);
+    }
+
+    /// [`advance`](MetricsCollector::advance) for callers that must
+    /// *compute* the occupancy: `utilization` runs only when a sample
+    /// boundary was crossed (once, however many samples are due), so the
+    /// common event between two boundaries pays nothing for it.
+    pub fn advance_with(
+        &mut self,
+        now: SimTime,
+        running_energy_pj: u64,
+        utilization: impl FnOnce() -> Utilization,
+    ) {
         debug_assert!(now >= self.last_time, "virtual time is monotone");
-        while self.next_sample <= now {
-            self.samples.push(UtilizationSample::capture(
-                self.next_sample,
-                util,
-                running_energy_pj,
-                self.track_fragmentation,
-            ));
-            self.next_sample += self.sample_interval;
+        if self.next_sample <= now {
+            let util = utilization();
+            while self.next_sample <= now {
+                self.samples.push(UtilizationSample::capture(
+                    self.next_sample,
+                    &util,
+                    running_energy_pj,
+                    self.track_fragmentation,
+                ));
+                self.next_sample += self.sample_interval;
+            }
         }
         let dt = now - self.last_time;
         self.energy_pj_ticks = self

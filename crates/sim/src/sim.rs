@@ -302,7 +302,7 @@ pub fn run_sim<A: MappingAlgorithm>(
             }
         }
         end_time = now;
-        metrics.advance(now, &manager.utilization(), manager.running_energy_pj());
+        metrics.advance_with(now, manager.running_energy_pj(), || manager.utilization());
         match event {
             SimEvent::Arrival {
                 instance,
@@ -544,11 +544,9 @@ pub fn run_sim<A: MappingAlgorithm>(
 
     // Teardown: account the tail interval, then release whatever the
     // horizon cut off mid-run.
-    metrics.advance(
-        end_time,
-        &manager.utilization(),
-        manager.running_energy_pj(),
-    );
+    metrics.advance_with(end_time, manager.running_energy_pj(), || {
+        manager.utilization()
+    });
     let final_running = manager.n_running() as u64;
     manager.stop_all().map_err(|e| e.error)?;
     let ledger_idle_at_end = manager.utilization().is_idle();

@@ -10,12 +10,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rtsm::core::{
-    AppHandle, EvacuationPolicy, FailureEvent, MappingAlgorithm, RouteBinding, RunningApp,
-    RuntimeManager, SpatialMapper,
+    AppHandle, EvacuationPolicy, FailureEvent, MappingAlgorithm, ReconfigurationPolicy,
+    RouteBinding, RunningApp, RuntimeManager, SpatialMapper,
 };
 use rtsm::platform::paper::paper_platform;
 use rtsm::platform::{LinkId, Platform, PlatformState, TileId, TileKind};
-use rtsm::sim::{run_sim, ArrivalProcess, Catalog, HoldingTime, SimConfig};
+use rtsm::sim::{run_sim, ArrivalProcess, Catalog, FaultConfig, HoldingTime, SimConfig};
 use rtsm::workloads::mesh_platform;
 
 /// The mixed-DSP mesh `simulate --catalog mixed` uses (platform seed 42).
@@ -272,4 +272,52 @@ fn faults_off_seed2008_reports_match_pre_fault_fixtures() {
             );
         }
     }
+}
+
+/// Faults *and* a reconfiguration policy at once (`simulate --faults
+/// --reconfigure`): a blocked mode switch is survived, not terminal, so
+/// the conservation law counts only `mode_switch_lost()` — summing every
+/// blocked switch over-counts by the survivors.
+#[test]
+fn conservation_counts_only_unsurvived_switches_with_faults_and_reconfiguration() {
+    let config = SimConfig {
+        seed: 2008,
+        arrivals: 300,
+        arrival_process: ArrivalProcess::Poisson { mean_gap: 500 },
+        holding: HoldingTime::Exponential { mean: 2000 },
+        mode_switch_probability: 0.10,
+        reconfiguration: Some(ReconfigurationPolicy::default()),
+        track_fragmentation: true,
+        faults: Some(FaultConfig::default()),
+        ..SimConfig::default()
+    };
+    let report = run_sim(
+        &mixed_platform(),
+        SpatialMapper::default(),
+        &Catalog::mixed_dsp(),
+        &config,
+    )
+    .expect("the simulation never breaks its own ledger")
+    .report;
+    let survived = report
+        .reconfiguration
+        .as_ref()
+        .expect("reconfiguration counters")
+        .mode_switches_survived;
+    assert!(survived > 0, "the run must exercise a survived switch");
+    assert_eq!(
+        report.mode_switch_lost(),
+        report.mode_switch_blocked - survived
+    );
+    let evicted = report
+        .survivability
+        .as_ref()
+        .expect("faults were enabled")
+        .apps_evicted;
+    assert_eq!(
+        report.departures + report.mode_switch_lost() + evicted + report.final_running,
+        report.admitted,
+        "departed + switch-lost + evicted + running must equal admitted"
+    );
+    assert!(report.ledger_idle_at_end);
 }
