@@ -1,5 +1,6 @@
 //! The Application Level Specification: graph + QoS + implementations.
 
+use crate::digest::Mixer;
 use crate::error::AppModelError;
 use crate::kpn::{Endpoint, KpnChannel, ProcessGraph, ProcessId};
 use crate::library::ImplementationLibrary;
@@ -124,6 +125,24 @@ impl ApplicationSpec {
             }
         }
         Ok(order)
+    }
+
+    /// A 64-bit digest of the whole specification, in O(1): the digests
+    /// [`ProcessGraph`] and [`ImplementationLibrary`] keep of themselves,
+    /// mixed with `name` and `qos`. Those two, like all four fields, are
+    /// `pub` and may be assigned between calls, so nothing is memoised here
+    /// — the containers can keep a digest because their content changes
+    /// only through their own append-only methods. Equal specs have equal
+    /// digests; distinct specs collide with probability ≈ 2⁻⁶⁴, so a digest
+    /// match is a lookup key, not a proof of equality. Stable within one
+    /// build, not a file format.
+    pub fn structural_digest(&self) -> u64 {
+        Mixer::of(&(
+            self.name.as_str(),
+            self.qos,
+            self.graph.structural_digest(),
+            self.library.structural_digest(),
+        ))
     }
 
     /// Phase-cycles per period of `implementation` when serving `process` —

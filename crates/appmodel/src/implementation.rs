@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// step 4 composes into the whole-application CSDF graph of Figure 3; the
 /// energy figure is what steps 1–2 optimise; the resource requirements are
 /// what adherence checks against.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Implementation {
     /// Display name, e.g. `Inverse OFDM @ MONTIUM`.
     pub name: String,

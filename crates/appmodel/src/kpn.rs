@@ -1,6 +1,7 @@
 //! Kahn Process Network: the functional decomposition of a streaming
 //! application (the paper's Figure 1).
 
+use crate::digest::{ListDigest, Mixer};
 use crate::error::AppModelError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -46,7 +47,7 @@ impl KpnChannelId {
 }
 
 /// A process of the KPN.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Process {
     /// Human-readable name (e.g. `Inverse OFDM`).
     pub name: String,
@@ -70,7 +71,7 @@ pub enum Endpoint {
 }
 
 /// A FIFO channel of the KPN, annotated with its traffic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct KpnChannel {
     /// Producing end.
     pub src: Endpoint,
@@ -86,10 +87,61 @@ pub struct KpnChannel {
 /// The process network. Channels are kept in insertion order; a process's
 /// input/output *port order* is its channel order, which implementations'
 /// per-port rate vectors must follow.
+///
+/// The graph is append-only behind private fields, so it keeps a
+/// [structural digest](ProcessGraph::structural_digest) of its own content
+/// as it is built. **Invariant:** `digest` is a pure function of
+/// `processes` and `channels` — every mutator that pushes an item accounts
+/// for it, deserialization rebuilds it (it is never serialized) — so two
+/// graphs that compare equal have equal digests, however the `add_process*`
+/// and `add_channel*` calls that built them were interleaved.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(from = "ProcessGraphSerde", into = "ProcessGraphSerde")]
 pub struct ProcessGraph {
     processes: Vec<Process>,
     channels: Vec<KpnChannel>,
+    digest: ListDigest,
+}
+
+/// Which of the graph's two lists a [`ListDigest`] term belongs to.
+const PROCESSES: usize = 0;
+const CHANNELS: usize = 1;
+
+/// Serde shadow of [`ProcessGraph`]: the digest is derived data.
+#[derive(Serialize, Deserialize)]
+#[serde(rename = "ProcessGraph")]
+struct ProcessGraphSerde {
+    processes: Vec<Process>,
+    channels: Vec<KpnChannel>,
+}
+
+impl From<ProcessGraph> for ProcessGraphSerde {
+    fn from(g: ProcessGraph) -> Self {
+        ProcessGraphSerde {
+            processes: g.processes,
+            channels: g.channels,
+        }
+    }
+}
+
+impl From<ProcessGraphSerde> for ProcessGraph {
+    /// Rebuilds the digest. Nothing is indexed here: a channel naming a
+    /// process that does not exist is kept as read and reported by
+    /// [`ProcessGraph::topological_order`].
+    fn from(s: ProcessGraphSerde) -> Self {
+        let mut digest = ListDigest::default();
+        for (i, p) in s.processes.iter().enumerate() {
+            digest.push(PROCESSES, i, p);
+        }
+        for (i, c) in s.channels.iter().enumerate() {
+            digest.push(CHANNELS, i, c);
+        }
+        ProcessGraph {
+            processes: s.processes,
+            channels: s.channels,
+            digest,
+        }
+    }
 }
 
 impl ProcessGraph {
@@ -98,15 +150,29 @@ impl ProcessGraph {
         Self::default()
     }
 
+    /// A 64-bit digest of everything the graph holds (every field of every
+    /// process and channel, in order), kept up to date by the mutators: O(1)
+    /// to read, equal for equal graphs. Distinct graphs collide with
+    /// probability ≈ 2⁻⁶⁴; stable within one build, not a file format.
+    pub fn structural_digest(&self) -> u64 {
+        Mixer::of(&(self.digest.get(), self.processes.len(), self.channels.len()))
+    }
+
+    fn push_process(&mut self, process: Process) -> ProcessId {
+        let id = ProcessId(self.processes.len());
+        self.digest.push(PROCESSES, id.0, &process);
+        self.processes.push(process);
+        id
+    }
+
     /// Adds a data-stream process.
     pub fn add_process(&mut self, name: impl Into<String>) -> ProcessId {
         let name = name.into();
-        self.processes.push(Process {
+        self.push_process(Process {
             short_name: name.clone(),
             name,
             is_control: false,
-        });
-        ProcessId(self.processes.len() - 1)
+        })
     }
 
     /// Adds a data-stream process with a table abbreviation (the paper's
@@ -116,23 +182,21 @@ impl ProcessGraph {
         name: impl Into<String>,
         short_name: impl Into<String>,
     ) -> ProcessId {
-        self.processes.push(Process {
+        self.push_process(Process {
             name: name.into(),
             short_name: short_name.into(),
             is_control: false,
-        });
-        ProcessId(self.processes.len() - 1)
+        })
     }
 
     /// Adds a control process (excluded from the data stream).
     pub fn add_control_process(&mut self, name: impl Into<String>) -> ProcessId {
         let name = name.into();
-        self.processes.push(Process {
+        self.push_process(Process {
             short_name: name.clone(),
             name,
             is_control: true,
-        });
-        ProcessId(self.processes.len() - 1)
+        })
     }
 
     /// Adds a data channel carrying `tokens_per_period` tokens per period.
@@ -184,13 +248,16 @@ impl ProcessGraph {
                 }
             }
         }
-        self.channels.push(KpnChannel {
+        let channel = KpnChannel {
             src,
             dst,
             tokens_per_period,
             is_control,
-        });
-        Ok(KpnChannelId(self.channels.len() - 1))
+        };
+        let id = KpnChannelId(self.channels.len());
+        self.digest.push(CHANNELS, id.0, &channel);
+        self.channels.push(channel);
+        Ok(id)
     }
 
     /// Number of processes (including control processes).
@@ -296,6 +363,9 @@ impl ProcessGraph {
     ///
     /// # Errors
     ///
+    /// [`AppModelError::UnknownProcess`] if a channel (data or control)
+    /// names a process the graph does not have — `add_channel*` refuses
+    /// those, a deserialized graph can hold one;
     /// [`AppModelError::CyclicKpn`] if the data-stream graph has a cycle.
     pub fn topological_order(&self) -> Result<Vec<ProcessId>, AppModelError> {
         let n = self.processes.len();
@@ -304,7 +374,17 @@ impl ProcessGraph {
         for (id, p) in self.processes() {
             is_stream[id.0] = !p.is_control;
         }
-        for (_, c) in self.stream_channels() {
+        for c in &self.channels {
+            for end in [c.src, c.dst] {
+                if let Endpoint::Process(p) = end {
+                    if p.0 >= n {
+                        return Err(AppModelError::UnknownProcess(p.0));
+                    }
+                }
+            }
+            if c.is_control {
+                continue;
+            }
             if let (Endpoint::Process(_), Endpoint::Process(d)) = (c.src, c.dst) {
                 indegree[d.0] += 1;
             }
@@ -371,6 +451,25 @@ mod tests {
         g.add_channel(Endpoint::Process(b), Endpoint::Process(a), 1)
             .unwrap();
         assert_eq!(g.topological_order(), Err(AppModelError::CyclicKpn));
+    }
+
+    #[test]
+    fn dangling_endpoint_of_a_deserialized_graph_is_reported() {
+        // What `add_channel` refuses can still be read from a file.
+        let (good, ids) = chain();
+        for is_control in [false, true] {
+            let mut read = ProcessGraphSerde::from(good.clone());
+            read.channels.push(KpnChannel {
+                src: Endpoint::Process(ids[0]),
+                dst: Endpoint::Process(ProcessId(99)),
+                tokens_per_period: 1,
+                is_control,
+            });
+            assert_eq!(
+                ProcessGraph::from(read).topological_order(),
+                Err(AppModelError::UnknownProcess(99))
+            );
+        }
     }
 
     #[test]

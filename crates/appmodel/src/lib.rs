@@ -20,6 +20,7 @@
 #![forbid(unsafe_code)]
 
 pub mod als;
+mod digest;
 pub mod error;
 pub mod hiperlan2;
 pub mod implementation;

@@ -1,5 +1,6 @@
 //! The implementation library: all known implementations per process.
 
+use crate::digest::{ListDigest, Mixer};
 use crate::implementation::Implementation;
 use crate::kpn::ProcessId;
 use rtsm_platform::TileKind;
@@ -7,10 +8,54 @@ use serde::{Deserialize, Serialize};
 
 /// All implementations available for the processes of one application —
 /// the paper's Table 1 as a data structure.
+///
+/// The library is append-only behind a private field, so it keeps a
+/// [structural digest](ImplementationLibrary::structural_digest) of its own
+/// content as it is filled. **Invariant:** `digest` is a pure function of
+/// `by_process` — [`register`](ImplementationLibrary::register) accounts
+/// for each implementation at its (process, position), deserialization
+/// rebuilds it (it is never serialized) — so two libraries that compare
+/// equal have equal digests, whatever order the processes were registered
+/// in.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(
+    from = "ImplementationLibrarySerde",
+    into = "ImplementationLibrarySerde"
+)]
 pub struct ImplementationLibrary {
     // Indexed by process id; inner Vec in registration order.
     by_process: Vec<Vec<Implementation>>,
+    digest: ListDigest,
+}
+
+/// Serde shadow of [`ImplementationLibrary`]: the digest is derived data.
+#[derive(Serialize, Deserialize)]
+#[serde(rename = "ImplementationLibrary")]
+struct ImplementationLibrarySerde {
+    by_process: Vec<Vec<Implementation>>,
+}
+
+impl From<ImplementationLibrary> for ImplementationLibrarySerde {
+    fn from(l: ImplementationLibrary) -> Self {
+        ImplementationLibrarySerde {
+            by_process: l.by_process,
+        }
+    }
+}
+
+impl From<ImplementationLibrarySerde> for ImplementationLibrary {
+    fn from(s: ImplementationLibrarySerde) -> Self {
+        let mut digest = ListDigest::default();
+        for (process, impls) in s.by_process.iter().enumerate() {
+            for (i, implementation) in impls.iter().enumerate() {
+                digest.push(process, i, implementation);
+            }
+        }
+        ImplementationLibrary {
+            by_process: s.by_process,
+            digest,
+        }
+    }
 }
 
 impl ImplementationLibrary {
@@ -19,12 +64,24 @@ impl ImplementationLibrary {
         Self::default()
     }
 
+    /// A 64-bit digest of everything the library holds (every field of
+    /// every implementation, by process and registration order), kept up to
+    /// date by [`register`](ImplementationLibrary::register): O(1) to read,
+    /// equal for equal libraries. Distinct libraries collide with
+    /// probability ≈ 2⁻⁶⁴; stable within one build, not a file format.
+    pub fn structural_digest(&self) -> u64 {
+        Mixer::of(&(self.digest.get(), self.by_process.len()))
+    }
+
     /// Registers `implementation` for `process`.
     pub fn register(&mut self, process: ProcessId, implementation: Implementation) {
         if self.by_process.len() <= process.index() {
             self.by_process.resize_with(process.index() + 1, Vec::new);
         }
-        self.by_process[process.index()].push(implementation);
+        let impls = &mut self.by_process[process.index()];
+        self.digest
+            .push(process.index(), impls.len(), &implementation);
+        impls.push(implementation);
     }
 
     /// All implementations of `process`, in registration order.

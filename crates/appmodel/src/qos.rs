@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 /// QoS constraints attached to an Application Level Specification (§1.3:
 /// "throughput requirements and latency bounds").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct QosSpec {
     /// Application period in picoseconds: one unit of stream input (e.g. an
     /// OFDM symbol) arrives every `period_ps` (HIPERLAN/2: 4 µs).

@@ -35,7 +35,8 @@
 //!   interleaved window, with the **hit-beats-miss gate** (hit p50 <
 //!   miss p50, asserted) and the deterministic steady-state hit-rate
 //!   floor (≥ 500‰ on the mixed catalog, asserted) plus events/second
-//!   with templates on vs off;
+//!   with templates on vs off, and `key_ns`: what `spec_fingerprint` costs
+//!   on each catalog spec (asserted below the hit path's p50);
 //! * the budget-raced algorithm portfolio (`portfolio` section, new in
 //!   schema 8): blocking ‰ of the default `PortfolioMapper` next to its
 //!   best standalone member on every registered catalog, with the
@@ -69,7 +70,7 @@ use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm_baselines::PortfolioMapper;
 use rtsm_bench::alloc_track::PeakAlloc;
 use rtsm_core::{
-    AdmissionPolicy, MapperConfig, MappingAlgorithm, ReconfigurationObjective,
+    spec_fingerprint, AdmissionPolicy, MapperConfig, MappingAlgorithm, ReconfigurationObjective,
     ReconfigurationPolicy, RuntimeManager, SpatialMapper, TemplatedMapper,
 };
 use rtsm_exp::{run_experiment, write_atomic, ExperimentSpec, PolicySpec, SpecTemplate};
@@ -205,6 +206,17 @@ struct PathLatency {
     max_ns: u64,
 }
 
+/// What one catalog spec's template key costs: the median `spec_fingerprint`
+/// call, next to the sizes a walk over the spec would have scaled with.
+#[derive(Serialize)]
+struct KeyLatency {
+    spec: String,
+    processes: u64,
+    implementations: u64,
+    channels: u64,
+    key_ns: u64,
+}
+
 /// The template-library admission benchmark (new in schema 7): the
 /// microsecond hit path (`Span::TemplateMatch` over pure-hit admissions
 /// of the paper case) against the full-heuristic miss path (`Span::Map`
@@ -221,6 +233,10 @@ struct Templates {
     /// The issue's hit-path latency target (100 µs), informational.
     hit_p50_target_ns: u64,
     hit_p50_within_target: bool,
+    /// The lookup key, per catalog spec (HIPERLAN/2 modes, then the mixed
+    /// catalog). Every arrival pays it, hit or miss, so it is gated below
+    /// the hit path's p50.
+    key_ns: Vec<KeyLatency>,
     /// Mixed-catalog steady-state run, templates on vs off.
     sim_arrivals: u64,
     hit_permille: u64,
@@ -971,6 +987,42 @@ fn main() {
         miss_hist.p50_ns()
     );
 
+    // The lookup key: read off the digests the spec's containers keep, so
+    // its cost must not follow the spec's size. One call is below the
+    // clock's resolution; a sample is the mean of a batch.
+    const KEY_BATCH: u64 = 1000;
+    let key_ns: Vec<KeyLatency> = [Catalog::hiperlan2(), Catalog::mixed_dsp()]
+        .iter()
+        .flat_map(|catalog| catalog.entries())
+        .map(|entry| {
+            let spec = &*entry.spec;
+            let batch_ns = measure(iters, || {
+                for _ in 0..KEY_BATCH {
+                    black_box(spec_fingerprint(black_box(spec)));
+                }
+            });
+            KeyLatency {
+                spec: entry.name.clone(),
+                processes: spec.graph.n_processes() as u64,
+                implementations: spec.library.len() as u64,
+                channels: spec.graph.n_channels() as u64,
+                key_ns: batch_ns / KEY_BATCH,
+            }
+        })
+        .collect();
+    let slowest_key = key_ns.iter().map(|k| k.key_ns).max().unwrap_or(0);
+    println!(
+        "templates/key: spec_fingerprint {}–{} ns over {} catalog specs",
+        key_ns.iter().map(|k| k.key_ns).min().unwrap_or(0),
+        slowest_key,
+        key_ns.len(),
+    );
+    assert!(
+        slowest_key < hit_hist.p50_ns(),
+        "the template key must cost less than the hit it keys ({slowest_key} vs {} ns)",
+        hit_hist.p50_ns()
+    );
+
     // Steady state on the mixed catalog: templates on vs off at a load
     // the platform can actually carry (heavy overload turns every
     // platform-full rejection into a miss and says nothing about reuse).
@@ -1038,6 +1090,7 @@ fn main() {
         },
         hit_p50_target_ns: HIT_P50_TARGET_NS,
         hit_p50_within_target: hit_hist.p50_ns() <= HIT_P50_TARGET_NS,
+        key_ns,
         sim_arrivals: tpl_config.arrivals,
         hit_permille: tpl_stats.hit_permille,
         shapes_cached: tpl_stats.shapes_cached,

@@ -86,8 +86,8 @@ pub const README_ADMISSION_BEGIN: &str =
     "<!-- BENCH_map.json `templates`, as `bench_map` prints it; regenerate, do not edit -->";
 
 /// The README's "Microsecond admission" figures, rendered from a parsed
-/// `BENCH_map.json`: the paper-case hit and miss paths, then the mixed
-/// catalog at steady state with templates off and on. `bench_map` prints
+/// `BENCH_map.json`: the paper-case hit and miss paths, the lookup key's
+/// cost, then the mixed catalog at steady state with templates off and on. `bench_map` prints
 /// this block after writing the artifact, and a test holds the README to
 /// the committed artifact, so the two cannot drift.
 ///
@@ -118,6 +118,19 @@ pub fn readme_admission_block(bench: &serde::Value) -> Result<String, serde::de:
             us(path, "p99_ns")?
         );
     }
+    let keys: Vec<serde::Value> = field(&templates, "key_ns")?;
+    let key_ns = keys
+        .iter()
+        .map(|key| field::<u64>(key, "key_ns"))
+        .collect::<Result<Vec<u64>, _>>()?;
+    let _ = writeln!(out);
+    let _ = writeln!(
+        out,
+        "Lookup key (`spec_fingerprint`), paid by every arrival: {}–{} ns over the {} catalog specs.",
+        key_ns.iter().min().copied().unwrap_or(0),
+        key_ns.iter().max().copied().unwrap_or(0),
+        key_ns.len()
+    );
     let _ = writeln!(out);
     let _ = writeln!(
         out,

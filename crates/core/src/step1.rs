@@ -11,13 +11,14 @@
 //! *first-fit* onto the first tile (in tile-id order) of the right type
 //! with sufficient resources.
 //!
-//! Each round probes every unassigned process's every implementation, so
-//! the probe must be cheap: claims come from the [`SpecTable`]'s slots
-//! (computed on first use — a dead end in the first round has paid for only
-//! the slots it reached), the up-front discard is decided once per
-//! implementation and attempt rather than once per round, and the round
-//! tracks the cheapest and second-cheapest option as it goes instead of
-//! collecting and sorting them.
+//! Each round asks every unassigned process's every implementation for its
+//! first fit, so the answer must be cheap: claims come from the
+//! [`SpecTable`]'s slots (computed on first use — a dead end in the first
+//! round has paid for only the slots it reached), each slot's first fit is
+//! probed once and probed again only after a placement on the very tile it
+//! named (the private `Fit`), the up-front discard is what that first probe
+//! found, and the round tracks the cheapest and second-cheapest option as
+//! it goes instead of collecting and sorting them.
 
 use crate::claims::reservation_of;
 use crate::feedback::{Constraints, Feedback};
@@ -67,6 +68,26 @@ fn first_fit(
         .map(|(tile, _)| tile)
 }
 
+/// What one attempt knows about the [`first_fit`] of one (process,
+/// implementation) slot. The working ledger only fills up during an
+/// attempt, and a claim on one tile changes no other tile's capacity, so a
+/// cached answer stays exact until a placement lands on the tile it names —
+/// and "fits nowhere" stays true for good.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fit {
+    /// Not asked yet.
+    Unprobed,
+    /// Discarded up front ("we only consider those implementations for
+    /// which an adhering mapping exists"): excluded by feedback, or fits
+    /// nowhere even on the untouched base ledger.
+    Never,
+    /// Viable, and this is its first fit on the working ledger (`None`: no
+    /// tile has room any more).
+    Now(Option<TileId>),
+    /// Viable; a placement has since landed on the tile it named.
+    Stale,
+}
+
 /// Runs step 1.
 ///
 /// Builds its own [`SpecTable`]; callers that run several steps on one spec
@@ -99,17 +120,7 @@ pub fn assign_implementations_in(
 ) -> Result<Step1Output, Step1Failure> {
     let spec = table.spec();
 
-    // Static pre-filter: implementations that fit nowhere even on the bare
-    // base state can never lead to an adherent mapping. Invariant within
-    // the attempt, so each slot is probed once, when first asked for.
-    let mut viable: Vec<Option<bool>> = vec![None; table.n_slots()];
-    let mut statically_viable = |process: ProcessId, impl_index: usize| {
-        *viable[table.slot(process, impl_index)].get_or_insert_with(|| {
-            !constraints.is_impl_excluded(process, impl_index)
-                && first_fit(table, platform, base, constraints, process, impl_index).is_some()
-        })
-    };
-
+    let mut fits = vec![Fit::Unprobed; table.n_slots()];
     let mut mapping = Mapping::new();
     let mut working = base.clone();
     let mut events: Vec<Step1Event> = Vec::new();
@@ -128,11 +139,36 @@ pub fn assign_implementations_in(
             let mut cheapest: Option<(u64, usize, TileId)> = None;
             let mut runner_up: Option<u64> = None;
             for (ix, implementation) in spec.library.impls_for(process).iter().enumerate() {
-                if !statically_viable(process, ix) {
-                    continue;
-                }
-                let Some(tile) = first_fit(table, platform, &working, constraints, process, ix)
-                else {
+                let probe = |state: &PlatformState| {
+                    first_fit(table, platform, state, constraints, process, ix)
+                };
+                let slot = &mut fits[table.slot(process, ix)];
+                let fit = match *slot {
+                    Fit::Never => None,
+                    Fit::Now(fit) => fit,
+                    Fit::Stale => {
+                        let fit = probe(&working);
+                        *slot = Fit::Now(fit);
+                        fit
+                    }
+                    Fit::Unprobed => {
+                        // Each round scans every unassigned process, so the
+                        // first round asks for every slot there is.
+                        debug_assert!(events.is_empty(), "`working` is still `base`");
+                        let fit = if constraints.is_impl_excluded(process, ix) {
+                            None
+                        } else {
+                            probe(base)
+                        };
+                        *slot = if fit.is_some() {
+                            Fit::Now(fit)
+                        } else {
+                            Fit::Never
+                        };
+                        fit
+                    }
+                };
+                let Some(tile) = fit else {
                     continue;
                 };
                 let cost = implementation.energy_pj_per_period;
@@ -177,8 +213,15 @@ pub fn assign_implementations_in(
             )
             .expect("first_fit checked the claim fits");
         mapping.assign(process, impl_index, tile);
+        // Only `tile` lost capacity, so only the fits that named it can
+        // have moved.
+        for fit in &mut fits {
+            if *fit == Fit::Now(Some(tile)) {
+                *fit = Fit::Stale;
+            }
+        }
         let options = (0..spec.library.impls_for(process).len())
-            .filter(|ix| statically_viable(process, *ix))
+            .filter(|ix| fits[table.slot(process, *ix)] != Fit::Never)
             .count();
         events.push(Step1Event {
             process,

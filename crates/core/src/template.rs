@@ -3,7 +3,9 @@
 //!
 //! The four-step heuristic re-derives everything from scratch on every
 //! arrival, and its step 4 (CSDF composition + buffer sizing) dominates the
-//! ~1.2 ms map time. Production run-time mappers split that work instead
+//! map time (tens of microseconds on the paper case with a warm sizing
+//! memo; `BENCH_map.json`, `templates.miss`). Production run-time mappers
+//! split that work instead
 //! (Weichslgartner et al., *A Design-Time/Run-Time Application Mapping
 //! Methodology*, 2017): explore mappings once per application *class* at
 //! design time, then instantiate a precomputed mapping "shape" in
@@ -35,10 +37,10 @@
 //! counts (router actors all share the NoC clock). Equal counts on
 //! equal-clock tiles give an isomorphic graph, so the recorded buffer
 //! sizing, achieved period, and latency transfer unchanged — the hit path
-//! performs *no* dataflow analysis at all, which is why it runs in tens of
-//! microseconds instead of ~1.2 ms. The property-based twin-feasibility
-//! tests re-run the full step-4 check on template-admitted mappings to
-//! validate exactly this argument.
+//! performs *no* dataflow analysis at all, which is why it runs in a few
+//! microseconds (`templates.hit`), several times under the full heuristic.
+//! The property-based twin-feasibility tests re-run the full step-4 check
+//! on template-admitted mappings to validate exactly this argument.
 //!
 //! On a miss the wrapped algorithm runs as usual and its outcome is
 //! *learned* back into the library (deduplicated, bounded per spec with
@@ -52,7 +54,7 @@ use crate::constraints::MappingConstraints;
 use crate::error::MapError;
 use crate::mapping::{Mapping, RouteBinding};
 use crate::step4::ChannelBuffer;
-use rtsm_app::{ApplicationSpec, Endpoint, KpnChannelId, ProcessId};
+use rtsm_app::{ApplicationSpec, KpnChannelId, ProcessId};
 use rtsm_obs as obs;
 use rtsm_platform::routing::route_with;
 use rtsm_platform::{
@@ -60,66 +62,23 @@ use rtsm_platform::{
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 /// Default bound on cached shapes per application spec.
 pub const DEFAULT_SHAPE_CAP: usize = 8;
 
-/// FNV-1a, used for the structural spec fingerprint: deterministic across
-/// runs and platforms, unlike `DefaultHasher`.
-struct Fnv64(u64);
-
-impl Hasher for Fnv64 {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
-fn endpoint_code(endpoint: Endpoint) -> (u8, usize) {
-    match endpoint {
-        Endpoint::Process(p) => (0, p.index()),
-        Endpoint::StreamInput => (1, 0),
-        Endpoint::StreamOutput => (2, 0),
-    }
-}
-
-/// A deterministic 64-bit structural fingerprint of an application spec —
-/// the [`TemplateLibrary`] key. Two specs share a fingerprint exactly when
-/// they are structurally identical (name, QoS, process network, and every
-/// implementation's rates, WCET, memory, and energy), so repeated arrivals
-/// of the same catalog entry hit the same shape list.
+/// The [`TemplateLibrary`] key of `spec`: its
+/// [`ApplicationSpec::structural_digest`], read in O(1) off the digests the
+/// spec's graph and library keep of themselves — this runs on every
+/// arrival, ahead of a lookup that most often ends in "no". Structurally
+/// identical specs (name, QoS, process network, and every implementation's
+/// rates, WCET, memory, and energy) always share a key, so repeated
+/// arrivals of one catalog entry hit the same shape list. The converse
+/// holds only up to a 64-bit collision (≈ 2⁻⁶⁴ per pair of specs): the key
+/// is a digest, not an equality proof, and `MappingShape::indexes_into`
+/// guards no more than that a colliding spec's shapes cannot index out of
+/// bounds.
 pub fn spec_fingerprint(spec: &ApplicationSpec) -> u64 {
-    let mut h = Fnv64(0xcbf2_9ce4_8422_2325);
-    spec.name.hash(&mut h);
-    spec.qos.period_ps.hash(&mut h);
-    spec.qos.max_latency_ps.hash(&mut h);
-    spec.graph.n_processes().hash(&mut h);
-    spec.graph.n_channels().hash(&mut h);
-    for (pid, process) in spec.graph.processes() {
-        process.name.hash(&mut h);
-        for implementation in spec.library.impls_for(pid) {
-            implementation.name.hash(&mut h);
-            implementation.tile_kind.hash(&mut h);
-            implementation.wcet.hash(&mut h);
-            implementation.inputs.hash(&mut h);
-            implementation.outputs.hash(&mut h);
-            implementation.energy_pj_per_period.hash(&mut h);
-            implementation.memory_bytes.hash(&mut h);
-        }
-    }
-    for (_, ch) in spec.graph.channels() {
-        endpoint_code(ch.src).hash(&mut h);
-        endpoint_code(ch.dst).hash(&mut h);
-        ch.tokens_per_period.hash(&mut h);
-        ch.is_control.hash(&mut h);
-    }
-    h.finish()
+    spec.structural_digest()
 }
 
 /// One process's slot in a shape: which implementation, the tile offset
@@ -622,7 +581,7 @@ impl TemplateLibrary {
 
 /// A [`MappingAlgorithm`] adaptor that front-runs its wrapped algorithm
 /// with the [`TemplateLibrary`] (see the [module docs](self)): hits are
-/// admitted in tens of microseconds, misses run the wrapped algorithm and
+/// admitted in a few microseconds, misses run the wrapped algorithm and
 /// are learned. `name()` delegates to the inner algorithm, so reports stay
 /// comparable across templated and untemplated runs.
 #[derive(Debug)]

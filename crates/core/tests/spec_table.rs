@@ -1,22 +1,24 @@
 //! Oracles for the per-map [`SpecTable`]: every slot and list it serves
 //! must be what the spec's own (allocating) accessors compute, the
-//! single-pass [`claim_for`] must equal the formula it replaced, and the
+//! single-pass [`claim_for`] must equal the formula it replaced, the
 //! spec-taking step functions must decide exactly as the table-taking ones
-//! sharing a single table.
+//! sharing a single table, and step 1's cached first fits must decide
+//! exactly as a step 1 that probes everything again every round.
 
 use proptest::prelude::*;
 use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm_app::{ApplicationSpec, Implementation, ProcessId};
-use rtsm_core::claims::claim_for;
+use rtsm_core::claims::{claim_for, reservation_of};
 use rtsm_core::cost::CostModel;
 use rtsm_core::feedback::Constraints;
 use rtsm_core::step1::{assign_implementations, assign_implementations_in};
 use rtsm_core::step2::{improve_assignment, SearchCtx, Step2Config, Step2Strategy};
 use rtsm_core::step3::route_channels;
 use rtsm_core::step4::{check_constraints, check_constraints_in, Step4Config};
+use rtsm_core::trace::Step1Event;
 use rtsm_core::{MappingConstraints, SpatialMapper, SpecTable};
 use rtsm_platform::paper::paper_platform;
-use rtsm_platform::{Platform, PlatformState, TileClaim, TileKind};
+use rtsm_platform::{Platform, PlatformState, TileClaim, TileId, TileKind};
 use rtsm_workloads::apps::{dvbt_rx, jpeg_encoder, mp3_decoder, wlan_tx};
 use rtsm_workloads::{mesh_platform, synthetic_app, GraphShape, SyntheticConfig};
 
@@ -165,9 +167,82 @@ fn half_occupied(platform: &Platform) -> PlatformState {
     state
 }
 
+/// Step 1 as §3.1 states it, with no memory between rounds: every round
+/// probes every implementation of every unassigned process afresh against
+/// the working ledger, collects the placeable options and sorts them. The
+/// oracle for the per-slot first-fit cache of `assign_implementations_in`
+/// (which probes a slot again only after a placement on the tile it
+/// named). Returns the decision log, or the process that ran out of
+/// options.
+fn reprobing_step1(
+    table: &SpecTable<'_>,
+    platform: &Platform,
+    base: &PlatformState,
+    constraints: &Constraints,
+) -> Result<Vec<Step1Event>, ProcessId> {
+    let n_impls = |p: ProcessId| table.spec().library.impls_for(p).len();
+    let first_fit = |state: &PlatformState, p: ProcessId, ix: usize| {
+        let claim = table.claim(p, ix);
+        platform
+            .tiles_of_kind(table.implementation(p, ix).tile_kind)
+            .map(|(tile, _)| tile)
+            .find(|t| {
+                !constraints.is_tile_forbidden(p, *t) && state.fits_tile(platform, *t, &claim)
+            })
+    };
+    let viable = |p: ProcessId, ix: usize| {
+        !constraints.is_impl_excluded(p, ix) && first_fit(base, p, ix).is_some()
+    };
+    let mut working = base.clone();
+    let mut unassigned = table.order().to_vec();
+    let mut events = Vec::new();
+    while !unassigned.is_empty() {
+        let mut best: Option<(u64, ProcessId, usize, TileId)> = None;
+        for &p in &unassigned {
+            // (energy, index, tile), sorted: cheapest first, ties to the
+            // lower index.
+            let mut options: Vec<(u64, usize, TileId)> = (0..n_impls(p))
+                .filter(|ix| viable(p, *ix))
+                .filter_map(|ix| {
+                    let energy = table.implementation(p, ix).energy_pj_per_period;
+                    first_fit(&working, p, ix).map(|tile| (energy, ix, tile))
+                })
+                .collect();
+            options.sort_unstable();
+            let Some(&(cost, ix, tile)) = options.first() else {
+                return Err(p);
+            };
+            let desirability = options.get(1).map_or(u64::MAX, |next| next.0 - cost);
+            if best.is_none_or(|(d, ..)| desirability > d) {
+                best = Some((desirability, p, ix, tile));
+            }
+        }
+        let (desirability, process, impl_index, tile) = best.expect("a process is unassigned");
+        working
+            .claim_tile(
+                platform,
+                tile,
+                &reservation_of(&table.claim(process, impl_index)),
+            )
+            .expect("the probe said it fits");
+        events.push(Step1Event {
+            process,
+            impl_index,
+            tile,
+            desirability,
+            options: (0..n_impls(process))
+                .filter(|ix| viable(process, *ix))
+                .count(),
+        });
+        unassigned.retain(|&p| p != process);
+    }
+    Ok(events)
+}
+
 /// Steps 1, 2 and 4 through the spec-taking wrappers (a table each) and
-/// through one shared table; every result must be equal. Returns whether
-/// the case got as far as step 4.
+/// through one shared table; every result must be equal, and step 1 must
+/// decide as its re-probing oracle does. Returns whether the case got as
+/// far as step 4.
 fn check_equivalence(
     spec: &ApplicationSpec,
     platform: &Platform,
@@ -180,6 +255,14 @@ fn check_equivalence(
     let wrapped = assign_implementations(spec, platform, base, &constraints);
     let tabled = assign_implementations_in(&table, platform, base, &constraints);
     assert_eq!(wrapped, tabled, "{}: step 1", spec.name);
+    assert_eq!(
+        tabled
+            .map(|out| out.events)
+            .map_err(|failure| failure.process),
+        reprobing_step1(&table, platform, base, &constraints),
+        "{}: step 1 against the re-probing oracle",
+        spec.name
+    );
     let Ok(step1) = wrapped else {
         return false;
     };
