@@ -43,8 +43,10 @@
 //! twice, byte-compared), instance conservation including evictions
 //! (`departed + switch-lost + evicted + still-running == admitted`, where
 //! with `--reconfigure` only blocked switches that were *not* survived
-//! count as lost), and a leak-free ledger after every failure/repair cycle — the CI chaos
-//! smoke. `--mttf`/`--mttr` without `--faults` is an error.
+//! count as lost), and a leak-free ledger after every failure/repair
+//! cycle — the CI chaos smoke. A run that injected no failure, or evacuated
+//! no victim successfully, exits 1 with a one-line error saying which.
+//! `--mttf`/`--mttr` without `--faults` is an error.
 //!
 //! `--flash-crowd BURST` replaces Poisson arrivals with flash crowds:
 //! BURST arrivals land at one instant, with exponential gaps between
@@ -59,17 +61,17 @@
 //! gains recovered-admission/migration counters plus per-sample
 //! fragmentation, and the run **asserts** that the counters are
 //! deterministic (each algorithm is simulated twice and byte-compared)
-//! and that at least one admission was recovered overall — the CI smoke
-//! for the reconfiguration path.
+//! and exits 1 with a one-line error unless at least one admission was
+//! recovered overall — the CI smoke for the reconfiguration path.
 //!
 //! `--lambda` sets the migration-energy weight λ (permille) of the plan
 //! objective; `--policy` picks the admission policy (`energy-budget`
 //! takes `--budget-pj`, `amortized-payback` takes `--payback` periods).
 //! With a policy other than `always`, every algorithm is *also* simulated
 //! under `AlwaysAdmit` at the same λ, and the run **asserts** the Pareto
-//! trade: the bounded policy still recovers at least one admission while
-//! spending strictly less total migration energy than `AlwaysAdmit` —
-//! the CI Pareto smoke.
+//! trade: the bounded policy spends strictly less total migration energy
+//! than `AlwaysAdmit` (and exits 1 with a one-line error if either run
+//! recovered no admission at all) — the CI Pareto smoke.
 //!
 //! `--out PATH` writes the serialized reports (one JSON line per
 //! algorithm) to a file — what the CI determinism gate byte-compares
@@ -183,6 +185,16 @@ fn validate_args(args: &[String]) {
 fn one_line_error(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2);
+}
+
+/// The run finished, but the workload did not produce what the flags set
+/// out to exercise (a recovered admission, an injected failure, a
+/// successful evacuation): one line and exit code 1, so a CI smoke on a
+/// workload that stopped exercising its path still fails, without a
+/// backtrace that suggests a bug.
+fn expectation_failed(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(1);
 }
 
 fn usage_error(message: &str) -> ! {
@@ -509,17 +521,19 @@ fn main() {
     if reconfigure {
         println!("recovered admissions (all algorithms): {total_recovered}");
         if baseline_config.is_some() {
-            assert!(
-                baseline_recovered > 0,
-                "the always-admit twin run must recover at least one admission"
-            );
-            assert!(
-                total_recovered > 0,
-                "no admission recovered under {} — {total_plans_refused} feasible plan(s) \
-                 were refused; loosen the bound (--budget-pj / --payback) or use \
-                 --policy always",
-                admission.label()
-            );
+            if baseline_recovered == 0 {
+                expectation_failed(
+                    "the always-admit twin run recovered no admission on this workload",
+                );
+            }
+            if total_recovered == 0 {
+                expectation_failed(&format!(
+                    "no admission recovered under {} — {total_plans_refused} feasible plan(s) \
+                     were refused; loosen the bound (--budget-pj / --payback) or use \
+                     --policy always",
+                    admission.label()
+                ));
+            }
             println!(
                 "migration energy: {total_migration_energy} pJ under {}, \
                  {baseline_migration_energy} pJ under always-admit \
@@ -540,10 +554,10 @@ fn main() {
                     "a non-binding admission policy must behave exactly like always-admit"
                 );
             }
-        } else {
-            assert!(
-                total_recovered > 0,
-                "reconfiguration must recover at least one admission on this workload"
+        } else if total_recovered == 0 {
+            expectation_failed(
+                "reconfiguration recovered no admission on this workload \
+                 (--max-migrations and --max-plans must be ≥ 1; try --catalog defrag)",
             );
         }
     }
@@ -598,15 +612,22 @@ fn main() {
             degraded.0,
             degraded.0 + healthy.0,
         );
-        assert!(
-            failures > 0,
-            "the chaos smoke needs at least one injected failure — lower --mttf"
-        );
-        assert!(
-            evacuated > 0,
-            "the chaos smoke needs at least one successful evacuation — this workload \
-             only produced evictions; raise --mttf or use a roomier catalog"
-        );
+        if failures == 0 {
+            expectation_failed("no failure was injected on this workload — lower --mttf");
+        }
+        if evacuated == 0 {
+            expectation_failed(&if evicted == 0 {
+                format!(
+                    "no successful evacuation: none of the {failures} failure(s) hit a running \
+                     application — lower --mttf or raise --arrivals"
+                )
+            } else {
+                format!(
+                    "no successful evacuation: all {evicted} victim(s) of the {failures} \
+                     failure(s) were evicted — raise --mttf or use a roomier catalog"
+                )
+            });
+        }
     }
 
     let json_lines = || -> Vec<String> {

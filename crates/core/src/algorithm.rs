@@ -233,15 +233,6 @@ impl<A: MappingAlgorithm + ?Sized> MappingAlgorithm for &A {
     ) -> Result<MappingOutcome, MapError> {
         (**self).map_constrained(spec, platform, base, constraints)
     }
-
-    fn map(
-        &self,
-        spec: &ApplicationSpec,
-        platform: &Platform,
-        base: &PlatformState,
-    ) -> Result<MappingOutcome, MapError> {
-        (**self).map(spec, platform, base)
-    }
 }
 
 impl<A: MappingAlgorithm + ?Sized> MappingAlgorithm for Box<A> {
@@ -257,14 +248,5 @@ impl<A: MappingAlgorithm + ?Sized> MappingAlgorithm for Box<A> {
         constraints: &MappingConstraints,
     ) -> Result<MappingOutcome, MapError> {
         (**self).map_constrained(spec, platform, base, constraints)
-    }
-
-    fn map(
-        &self,
-        spec: &ApplicationSpec,
-        platform: &Platform,
-        base: &PlatformState,
-    ) -> Result<MappingOutcome, MapError> {
-        (**self).map(spec, platform, base)
     }
 }

@@ -34,16 +34,25 @@
 //! assert!(manager.start(hiperlan2_receiver(Hiperlan2Mode::Qpsk34)).is_ok());
 //! ```
 
+mod error;
+mod plan;
+mod policy;
+
+pub use error::{
+    AdmissionError, AdmissionErrorKind, ReconfigurationFailure, RuntimeError, RuntimeErrorKind,
+    StopAllError,
+};
+pub use policy::{
+    AdmissionPolicy, EvacuationPolicy, ReconfigurationObjective, ReconfigurationPolicy,
+};
+
 use crate::algorithm::{MappingAlgorithm, MappingOutcome};
 use crate::constraints::MappingConstraints;
-use crate::cost::CostModel;
-use crate::error::{MapError, MapErrorKind};
 use crate::mapping::RouteBinding;
+use plan::{Placement, Plan, StageError};
 use rtsm_app::ApplicationSpec;
 use rtsm_obs as obs;
-use rtsm_platform::{
-    EnergyModel, LinkId, Platform, PlatformError, PlatformState, PlatformTransaction, TileId,
-};
+use rtsm_platform::{LinkId, Platform, PlatformState, PlatformTransaction, TileId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -66,340 +75,6 @@ impl AppHandle {
 impl fmt::Display for AppHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "app#{}", self.0)
-    }
-}
-
-/// Why an *admission* (a [`start`](RuntimeManager::start)) failed. Errors
-/// of the other lifecycle operations — stop, remap — are
-/// [`RuntimeError`]s, which this type converts into via `From`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AdmissionError {
-    /// The algorithm found no feasible mapping: the application is
-    /// *rejected* under the current occupancy (the expected, recoverable
-    /// outcome when the platform is full).
-    Rejected(MapError),
-    /// Mapping succeeded but committing its reservations failed. The
-    /// ledger is left unchanged. This cannot happen when the ledger is
-    /// only mutated through one manager; it guards external mutation.
-    CommitFailed(PlatformError),
-}
-
-/// The serializable discriminant of [`AdmissionError`]: which variant
-/// occurred (and, for rejections, which [`MapErrorKind`]), without the
-/// attempt-specific payload. Rejection-reason histograms in scenario and
-/// simulation reports are keyed by this type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum AdmissionErrorKind {
-    /// See [`AdmissionError::Rejected`]; carries the mapping failure kind.
-    Rejected(MapErrorKind),
-    /// See [`AdmissionError::CommitFailed`].
-    CommitFailed,
-}
-
-impl fmt::Display for AdmissionErrorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AdmissionErrorKind::Rejected(kind) => write!(f, "rejected/{kind}"),
-            AdmissionErrorKind::CommitFailed => f.write_str("commit-failed"),
-        }
-    }
-}
-
-impl AdmissionError {
-    /// This error's [`AdmissionErrorKind`] discriminant.
-    pub fn kind(&self) -> AdmissionErrorKind {
-        match self {
-            AdmissionError::Rejected(e) => AdmissionErrorKind::Rejected(e.kind()),
-            AdmissionError::CommitFailed(_) => AdmissionErrorKind::CommitFailed,
-        }
-    }
-}
-
-impl fmt::Display for AdmissionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AdmissionError::Rejected(e) => write!(f, "application rejected: {e}"),
-            AdmissionError::CommitFailed(e) => {
-                write!(f, "admission commit failed (ledger unchanged): {e}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for AdmissionError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            AdmissionError::Rejected(e) => Some(e),
-            AdmissionError::CommitFailed(e) => Some(e),
-        }
-    }
-}
-
-/// Why a lifecycle operation of the [`RuntimeManager`] failed. Admission
-/// failures keep their own [`AdmissionError`] type (they are the expected,
-/// recoverable outcome admission policies reason about); everything else —
-/// stopping or remapping an unknown handle, a release the ledger cannot
-/// honour — is a runtime fault, not an "admission" error.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RuntimeError {
-    /// An admission step failed (start, or the admission inside a remap).
-    Admission(AdmissionError),
-    /// The handle does not name a running application (already stopped,
-    /// or from another manager).
-    UnknownHandle(AppHandle),
-    /// Releasing an application's reservations failed — the ledger no
-    /// longer matches what was committed (external mutation). The partial
-    /// release is rolled back; the ledger is unchanged.
-    ReleaseFailed(PlatformError),
-}
-
-/// The serializable discriminant of [`RuntimeError`]; keeps the
-/// [`AdmissionErrorKind`] sub-discriminant for admission failures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum RuntimeErrorKind {
-    /// See [`RuntimeError::Admission`]; carries the admission failure kind.
-    Admission(AdmissionErrorKind),
-    /// See [`RuntimeError::UnknownHandle`].
-    UnknownHandle,
-    /// See [`RuntimeError::ReleaseFailed`].
-    ReleaseFailed,
-}
-
-impl fmt::Display for RuntimeErrorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RuntimeErrorKind::Admission(kind) => write!(f, "admission/{kind}"),
-            RuntimeErrorKind::UnknownHandle => f.write_str("unknown-handle"),
-            RuntimeErrorKind::ReleaseFailed => f.write_str("release-failed"),
-        }
-    }
-}
-
-impl RuntimeError {
-    /// This error's [`RuntimeErrorKind`] discriminant.
-    pub fn kind(&self) -> RuntimeErrorKind {
-        match self {
-            RuntimeError::Admission(e) => RuntimeErrorKind::Admission(e.kind()),
-            RuntimeError::UnknownHandle(_) => RuntimeErrorKind::UnknownHandle,
-            RuntimeError::ReleaseFailed(_) => RuntimeErrorKind::ReleaseFailed,
-        }
-    }
-}
-
-impl fmt::Display for RuntimeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RuntimeError::Admission(e) => e.fmt(f),
-            RuntimeError::UnknownHandle(h) => {
-                write!(f, "no running application with handle {h}")
-            }
-            RuntimeError::ReleaseFailed(e) => {
-                write!(f, "failed to release reservations: {e}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RuntimeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RuntimeError::Admission(e) => Some(e),
-            RuntimeError::ReleaseFailed(e) => Some(e),
-            RuntimeError::UnknownHandle(_) => None,
-        }
-    }
-}
-
-impl From<AdmissionError> for RuntimeError {
-    fn from(e: AdmissionError) -> Self {
-        RuntimeError::Admission(e)
-    }
-}
-
-/// Error of [`RuntimeManager::stop_all`]: a release failed partway
-/// through. The applications stopped before the failure were released
-/// successfully — their records are carried here, since they are no
-/// longer registered with the manager — while the failing application and
-/// all later ones keep running.
-#[derive(Debug, Clone)]
-pub struct StopAllError {
-    /// Records of the applications stopped before the failure.
-    pub stopped: Vec<(AppHandle, RunningApp)>,
-    /// Why the next release failed.
-    pub error: RuntimeError,
-}
-
-impl fmt::Display for StopAllError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "stop_all failed after stopping {} application(s): {}",
-            self.stopped.len(),
-            self.error
-        )
-    }
-}
-
-impl std::error::Error for StopAllError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
-
-/// The unified objective [`RuntimeManager::start_with_reconfiguration`]
-/// minimizes over migration plans:
-///
-/// ```text
-/// objective = steady_state_energy_pj · 1000 + λ‰ · migration_energy_pj
-/// ```
-///
-/// where *steady-state energy* is the total per-period energy of every
-/// running application after the plan commits (the arriving application
-/// plus all victims under their new mappings plus everything untouched),
-/// and *migration energy* is the one-off state-transfer cost of the plan
-/// priced through [`CostModel::migration_cost`]. λ is carried in permille
-/// so the trade-off sweeps exactly in integers: λ‰ = 0 ignores transfer
-/// cost entirely, λ‰ = 1000 weights one picojoule of transfer like one
-/// picojoule of steady-state energy per period, larger values make the
-/// manager increasingly reluctant to move state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReconfigurationObjective {
-    /// Weight of migration energy against steady-state energy, in
-    /// permille (see the type docs).
-    pub lambda_permille: u64,
-}
-
-impl Default for ReconfigurationObjective {
-    fn default() -> Self {
-        ReconfigurationObjective {
-            lambda_permille: 1000,
-        }
-    }
-}
-
-impl ReconfigurationObjective {
-    /// An objective ignoring migration energy entirely (λ‰ = 0): plans are
-    /// ranked purely by post-plan steady-state energy.
-    pub fn steady_state_only() -> Self {
-        ReconfigurationObjective { lambda_permille: 0 }
-    }
-
-    /// Scores one plan; lower is better. Saturating, so extreme λ values
-    /// degrade to "worst possible" instead of wrapping.
-    pub fn score(&self, steady_state_energy_pj: u64, migration_energy_pj: u64) -> u64 {
-        steady_state_energy_pj
-            .saturating_mul(1000)
-            .saturating_add(self.lambda_permille.saturating_mul(migration_energy_pj))
-    }
-}
-
-/// Whether a feasible migration plan may actually be committed: the Pareto
-/// lever trading recovered admissions against reconfiguration energy.
-/// [`AlwaysAdmit`](AdmissionPolicy::AlwaysAdmit) recovers everything it
-/// can; the bounded policies refuse recoveries whose state-transfer energy
-/// is not worth the admission, accepting a little more blocking for much
-/// less migration traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum AdmissionPolicy {
-    /// Commit the cheapest feasible plan unconditionally (the pre-policy
-    /// behaviour).
-    #[default]
-    AlwaysAdmit,
-    /// Refuse plans whose total migration energy exceeds a hard per-plan
-    /// budget.
-    EnergyBudget {
-        /// Most state-transfer picojoules one plan may spend.
-        max_transfer_pj: u64,
-    },
-    /// Refuse plans whose migration energy cannot be amortized: the
-    /// transfer must cost no more than `horizon_periods` periods of the
-    /// *admitted* application's steady-state energy — a proxy for the
-    /// energy the recovered admission is expected to be worth over its
-    /// lifetime (holding time).
-    AmortizedPayback {
-        /// Periods of the admitted application's energy the transfer may
-        /// cost at most.
-        horizon_periods: u64,
-    },
-}
-
-impl AdmissionPolicy {
-    /// Whether a plan spending `migration_energy_pj` to admit an
-    /// application consuming `admitted_energy_pj` per period may commit.
-    pub fn admits(&self, migration_energy_pj: u64, admitted_energy_pj: u64) -> bool {
-        match self {
-            AdmissionPolicy::AlwaysAdmit => true,
-            AdmissionPolicy::EnergyBudget { max_transfer_pj } => {
-                migration_energy_pj <= *max_transfer_pj
-            }
-            AdmissionPolicy::AmortizedPayback { horizon_periods } => {
-                migration_energy_pj <= horizon_periods.saturating_mul(admitted_energy_pj)
-            }
-        }
-    }
-
-    /// A stable label for reports and Pareto tables.
-    pub fn label(&self) -> String {
-        match self {
-            AdmissionPolicy::AlwaysAdmit => "always-admit".to_string(),
-            AdmissionPolicy::EnergyBudget { max_transfer_pj } => {
-                format!("energy-budget({max_transfer_pj}pJ)")
-            }
-            AdmissionPolicy::AmortizedPayback { horizon_periods } => {
-                format!("amortized-payback({horizon_periods})")
-            }
-        }
-    }
-}
-
-impl fmt::Display for AdmissionPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
-    }
-}
-
-/// How [`RuntimeManager::start_with_reconfiguration`] may defragment the
-/// platform when plain admission fails: how many running applications one
-/// migration plan may move, how many plans to enumerate, how candidate
-/// victims are ranked, how plans are scored, and which feasible plans the
-/// admission policy lets commit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReconfigurationPolicy {
-    /// Most running applications one plan may migrate (`k`). 0 disables
-    /// reconfiguration (plain admission only).
-    pub max_migrations: usize,
-    /// Most migration plans enumerated before the search stops and the
-    /// cheapest feasible plan found so far (if any) commits.
-    pub max_plans: usize,
-    /// Ranks candidate victims by per-application *move cost*: the
-    /// [`CostModel::assignment_cost`] of their current mapping. Cheap-to-
-    /// move (little communication) applications are enumerated first.
-    pub cost_model: CostModel,
-    /// Prices the *state-transfer* (migration) term of the objective:
-    /// [`CostModel::Energy`] over this model via
-    /// [`CostModel::migration_cost`] — the same per-channel decomposition
-    /// victim ranking uses, not a separate account. The steady-state term
-    /// comes from each mapping outcome's own energy account (the mapping
-    /// algorithm's energy model), so keep the two models consistent when
-    /// overriding either.
-    pub energy: EnergyModel,
-    /// Scores candidate plans; the *cheapest* feasible plan commits, not
-    /// the first.
-    pub objective: ReconfigurationObjective,
-    /// Which feasible plans may commit at all.
-    pub admission: AdmissionPolicy,
-}
-
-impl Default for ReconfigurationPolicy {
-    fn default() -> Self {
-        ReconfigurationPolicy {
-            max_migrations: 2,
-            max_plans: 8,
-            cost_model: CostModel::HopCount,
-            energy: EnergyModel::default(),
-            objective: ReconfigurationObjective::default(),
-            admission: AdmissionPolicy::AlwaysAdmit,
-        }
     }
 }
 
@@ -454,39 +129,6 @@ pub struct Reconfiguration {
     pub plans_refused: u64,
 }
 
-/// A failed [`RuntimeManager::start_with_reconfiguration`]: no plan within
-/// the policy's bounds admitted the application. The ledger and every
-/// running application are exactly as before the call.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReconfigurationFailure {
-    /// The original (pre-search) admission failure.
-    pub error: AdmissionError,
-    /// Migration plans evaluated before giving up.
-    pub plans_tried: u64,
-    /// Victim re-mappings attempted across all evaluated plans.
-    pub migrations_attempted: u64,
-    /// Feasible plans found but refused by the [`AdmissionPolicy`] — when
-    /// non-zero, the blocking was a *policy* decision, not a placement
-    /// failure.
-    pub plans_refused: u64,
-}
-
-impl fmt::Display for ReconfigurationFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "admission not recovered after {} migration plan(s): {}",
-            self.plans_tried, self.error
-        )
-    }
-}
-
-impl std::error::Error for ReconfigurationFailure {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
-
 /// A resource failure the manager can react to: one tile or one link.
 ///
 /// Failures are *events*, not states — the corresponding state lives in
@@ -510,37 +152,6 @@ impl fmt::Display for FailureEvent {
         match self {
             FailureEvent::Tile(t) => write!(f, "tile#{}", t.index()),
             FailureEvent::Link(l) => write!(f, "link#{}", l.index()),
-        }
-    }
-}
-
-/// How [`RuntimeManager::evacuate`] re-places the victims of a failure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvacuationPolicy {
-    /// First try re-maps that *pin* every process currently on a healthy
-    /// tile in place, so only the processes that lost their tile move (for
-    /// a link failure: nothing moves, routes are just re-planned around
-    /// the link). When the pinned attempt finds no feasible mapping — or
-    /// the admission policy refuses it — an unpinned attempt follows.
-    pub pin_healthy: bool,
-    /// Prices the state-transfer term of each relocation
-    /// ([`CostModel::migration_cost`] over this model).
-    pub energy: EnergyModel,
-    /// Scores each committed relocation (reported per evacuated app).
-    pub objective: ReconfigurationObjective,
-    /// Whether a relocation spending a given migration energy may commit;
-    /// refused relocations fall through to the next attempt or, when none
-    /// remains, to eviction.
-    pub admission: AdmissionPolicy,
-}
-
-impl Default for EvacuationPolicy {
-    fn default() -> Self {
-        EvacuationPolicy {
-            pin_healthy: true,
-            energy: EnergyModel::default(),
-            objective: ReconfigurationObjective::default(),
-            admission: AdmissionPolicy::AlwaysAdmit,
         }
     }
 }
@@ -736,21 +347,10 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         spec: impl Into<Arc<ApplicationSpec>>,
     ) -> Result<AppHandle, AdmissionError> {
         let _span = obs::span(obs::Span::Admission);
-        let spec: Arc<ApplicationSpec> = spec.into();
-        let mut outcome = self
-            .algorithm
-            .map(&spec, &self.platform, &self.state)
-            .map_err(AdmissionError::Rejected)?;
-        // `MappingOutcome::commit` rolls the ledger back on failure.
-        outcome
-            .commit(&spec, &self.platform, &mut self.state)
-            .map_err(AdmissionError::CommitFailed)?;
-        outcome.trace = None;
-        outcome.csdf = None;
-        let handle = AppHandle(self.next_handle);
-        self.next_handle += 1;
-        self.running.insert(handle, RunningApp { spec, outcome });
-        Ok(handle)
+        let unconstrained = MappingConstraints::none();
+        self.place(Placement::new(None, spec.into(), &unconstrained))
+            .map(|(handle, _)| handle)
+            .map_err(|e| e.admission().expect("an arrival releases nothing"))
     }
 
     /// Stops the application behind `handle`, releasing every resource its
@@ -806,44 +406,22 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             .ok_or(RuntimeError::UnknownHandle(handle))?
             .spec
             .clone();
-        self.replace_mapping(handle, spec, constraints)
+        let (_, previous) = self.place(Placement::new(Some(handle), spec, constraints))?;
+        Ok(previous.expect("a re-placement replaces an outcome"))
     }
 
-    /// The shared transactional core of [`RuntimeManager::remap`] and
-    /// [`RuntimeManager::switch`]: inside one transaction the running
-    /// application's reservations are released *first* (so the new mapping
-    /// may reuse its own freed resources), `spec` is mapped against the
-    /// freed occupancy under `constraints`, and the new reservations are
-    /// committed. On success the record holds `spec` and the new outcome
-    /// (the previous outcome is returned); on any failure the transaction
-    /// aborts and the application keeps running exactly as before.
-    fn replace_mapping(
+    /// The ungated entry points: stages a plan of one placement, commits it
+    /// and adopts it. On any failure the dropped transaction restores the
+    /// ledger and no record is touched.
+    fn place(
         &mut self,
-        handle: AppHandle,
-        spec: Arc<ApplicationSpec>,
-        constraints: &MappingConstraints,
-    ) -> Result<MappingOutcome, RuntimeError> {
-        let app = self
-            .running
-            .get(&handle)
-            .ok_or(RuntimeError::UnknownHandle(handle))?;
+        placement: Placement<'_>,
+    ) -> Result<(AppHandle, Option<MappingOutcome>), StageError> {
+        let mut plan = Plan::of(placement);
         let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
-        app.outcome
-            .stage_release(&app.spec, &mut tx)
-            .map_err(RuntimeError::ReleaseFailed)?; // tx drop restores
-        let mut outcome = self
-            .algorithm
-            .map_constrained(&spec, &self.platform, tx.state(), constraints)
-            .map_err(|e| RuntimeError::Admission(AdmissionError::Rejected(e)))?;
-        outcome
-            .stage_commit(&spec, &mut tx)
-            .map_err(|e| RuntimeError::Admission(AdmissionError::CommitFailed(e)))?;
+        plan.stage(&self.algorithm, &self.running, &mut tx)?;
         tx.commit();
-        outcome.trace = None;
-        outcome.csdf = None;
-        let record = self.running.get_mut(&handle).expect("checked above");
-        record.spec = spec;
-        Ok(std::mem::replace(&mut record.outcome, outcome))
+        Ok(self.adopt(plan.first))
     }
 
     /// Attempts to start `spec`; when plain admission fails, searches
@@ -907,31 +485,23 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         // Candidate victims, cheapest move first; ties break on handle so
         // the search order — and therefore every fixed-seed simulation —
         // is deterministic.
-        let candidates: Vec<(u64, AppHandle)> = {
-            let mut c: Vec<(u64, AppHandle)> = self
-                .running
-                .iter()
-                .map(|(h, app)| {
-                    (
-                        policy.cost_model.assignment_cost(
-                            &app.outcome.mapping,
-                            &app.spec,
-                            &self.platform,
-                        ),
-                        *h,
-                    )
-                })
-                .collect();
-            c.sort_unstable();
-            c
+        let move_cost = |app: &RunningApp| {
+            policy
+                .cost_model
+                .assignment_cost(&app.outcome.mapping, &app.spec, &self.platform)
         };
-        let current_total_energy_pj = self.running_energy_pj();
+        let mut candidates: Vec<(u64, AppHandle)> =
+            (self.running.iter().map(|(h, app)| (move_cost(app), *h))).collect();
+        candidates.sort_unstable();
 
         // Plans: single migrations cheapest-first, then pairs, … up to
-        // `max_migrations` victims, `max_plans` plans overall. Every plan
-        // is evaluated; ties on the objective keep the earliest plan, so
-        // the choice is deterministic.
-        let mut best: Option<PlanCandidate> = None;
+        // `max_migrations` victims, `max_plans` plans overall: the arrival
+        // first, then the victims in enumeration order. Every plan is
+        // staged, scored and aborted; ties on the objective keep the
+        // earliest plan, so the choice is deterministic.
+        let unconstrained = MappingConstraints::none();
+        let mut best: Option<(u64, Plan<'_>)> = None;
+        let mut best_victims = Vec::new();
         let mut plan_objectives = Vec::new();
         'sizes: for size in 1..=policy.max_migrations.min(candidates.len()) {
             let mut indices: Vec<usize> = (0..size).collect();
@@ -942,24 +512,39 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
                 plans_tried += 1;
                 let victims: Vec<(u64, AppHandle)> =
                     indices.iter().map(|&i| candidates[i]).collect();
-                if let Some(candidate) = self.evaluate_migration_plan(
-                    &spec,
-                    victims,
-                    policy,
-                    current_total_energy_pj,
-                    &mut migrations_attempted,
-                ) {
-                    plan_objectives.push(candidate.objective);
-                    if !policy
-                        .admission
-                        .admits(candidate.migration_energy_pj, candidate.admitted_energy_pj)
-                    {
+                let mut plan = Plan {
+                    rest: victims
+                        .iter()
+                        .map(|(_, victim)| {
+                            let spec = self.running[victim].spec.clone();
+                            Placement::new(Some(*victim), spec, &unconstrained)
+                        })
+                        .collect(),
+                    pricing: Some(policy.energy),
+                    ..Plan::of(Placement::new(None, spec.clone(), &unconstrained))
+                };
+                let staged = {
+                    let _span = obs::span(obs::Span::PlanEval);
+                    // Evaluation only: dropping the transaction aborts
+                    // every staged operation, restoring the ledger exactly.
+                    let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
+                    plan.stage(&self.algorithm, &self.running, &mut tx)
+                };
+                migrations_attempted += match staged {
+                    Ok(()) => victims.len(),
+                    // Position 0 is the arrival, so stopping at `at` means
+                    // `at` victim re-maps were attempted.
+                    Err(StageError::Rejected(at, _) | StageError::Commit(at, _)) => at,
+                    Err(StageError::Release(_)) => 0,
+                } as u64;
+                if staged.is_ok() {
+                    let objective = plan.score(&policy.objective);
+                    plan_objectives.push(objective);
+                    if !plan.admitted_by(&policy.admission) {
                         plans_refused += 1;
-                    } else if best
-                        .as_ref()
-                        .is_none_or(|b| candidate.objective < b.objective)
-                    {
-                        best = Some(candidate);
+                    } else if best.as_ref().is_none_or(|(b, _)| objective < *b) {
+                        best = Some((objective, plan));
+                        best_victims = victims;
                     }
                 }
                 if !next_combination(&mut indices, candidates.len()) {
@@ -967,186 +552,48 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
                 }
             }
         }
-        match best {
-            Some(plan) => Ok(self.commit_migration_plan(
-                &spec,
-                plan,
-                plan_objectives,
-                plans_tried,
-                migrations_attempted,
-                plans_refused,
-            )),
-            None => Err(ReconfigurationFailure {
+        let Some((objective, mut plan)) = best else {
+            return Err(ReconfigurationFailure {
                 error,
                 plans_tried,
                 migrations_attempted,
                 plans_refused,
-            }),
-        }
-    }
-
-    /// Evaluates one migration plan: stages every release, the new
-    /// admission, and every victim re-map into a transaction, scores the
-    /// result, then **aborts** the transaction (the ledger is untouched).
-    /// Returns `None` when any step fails.
-    fn evaluate_migration_plan(
-        &mut self,
-        spec: &Arc<ApplicationSpec>,
-        victims: Vec<(u64, AppHandle)>,
-        policy: &ReconfigurationPolicy,
-        current_total_energy_pj: u64,
-        migrations_attempted: &mut u64,
-    ) -> Option<PlanCandidate> {
-        let _span = obs::span(obs::Span::PlanEval);
-        let migration_pricing = CostModel::Energy(policy.energy);
-        let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
-        // Release every victim first, so both the arriving application and
-        // the re-mapped victims can use the freed resources.
-        for &(_, victim) in &victims {
-            let app = self.running.get(&victim).expect("plan names running apps");
-            app.outcome.stage_release(&app.spec, &mut tx).ok()?;
-        }
-        let mut new_outcome = self
-            .algorithm
-            .map_constrained(
-                spec,
-                &self.platform,
-                tx.state(),
-                &MappingConstraints::none(),
-            )
-            .ok()?;
-        new_outcome.stage_commit(spec, &mut tx).ok()?;
-        new_outcome.trace = None;
-        new_outcome.csdf = None;
-        // Re-place each victim against what remains.
-        let mut moved: Vec<PlannedMigration> = Vec::with_capacity(victims.len());
-        let mut migration_energy_pj = 0u64;
-        let mut steady_state_energy_pj =
-            current_total_energy_pj.saturating_add(new_outcome.energy_pj);
-        for &(move_cost, victim) in &victims {
-            *migrations_attempted += 1;
-            let app = self.running.get(&victim).expect("plan names running apps");
-            let mut outcome = self
-                .algorithm
-                .map_constrained(
-                    &app.spec,
-                    &self.platform,
-                    tx.state(),
-                    &MappingConstraints::none(),
-                )
-                .ok()?;
-            outcome.stage_commit(&app.spec, &mut tx).ok()?;
-            outcome.trace = None;
-            outcome.csdf = None;
-            let (processes_moved, energy_pj) = migration_pricing.migration_cost(
-                &app.spec,
-                &self.platform,
-                &app.outcome.mapping,
-                &outcome.mapping,
-            );
-            migration_energy_pj += energy_pj;
-            steady_state_energy_pj = steady_state_energy_pj
-                .saturating_sub(app.outcome.energy_pj)
-                .saturating_add(outcome.energy_pj);
-            moved.push(PlannedMigration {
-                handle: victim,
-                move_cost,
-                processes_moved,
-                energy_pj,
-                outcome,
             });
-        }
-        // Evaluation only: dropping the transaction aborts every staged
-        // operation, restoring the ledger exactly.
-        drop(tx);
-        let admitted_energy_pj = new_outcome.energy_pj;
-        Some(PlanCandidate {
-            victims,
-            new_outcome,
-            moved,
-            migration_energy_pj,
-            steady_state_energy_pj,
-            admitted_energy_pj,
-            objective: policy
-                .objective
-                .score(steady_state_energy_pj, migration_energy_pj),
-        })
-    }
-
-    /// Replays the winning plan's staged outcomes into a fresh transaction
-    /// and commits it, updating every record. The ledger has not changed
-    /// since the plan was evaluated (evaluation aborts its transaction and
-    /// the search never mutates state), so re-staging cannot fail.
-    fn commit_migration_plan(
-        &mut self,
-        spec: &Arc<ApplicationSpec>,
-        plan: PlanCandidate,
-        plan_objectives: Vec<u64>,
-        plans_tried: u64,
-        migrations_attempted: u64,
-        plans_refused: u64,
-    ) -> Reconfiguration {
+        };
+        // The winner carries its outcomes, so staging it again maps nothing;
+        // and the ledger has not changed since it was evaluated (evaluation
+        // aborts, the search never mutates state), so it cannot fail.
         let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
-        for &(_, victim) in &plan.victims {
-            let app = self.running.get(&victim).expect("plan names running apps");
-            app.outcome
-                .stage_release(&app.spec, &mut tx)
-                .expect("re-staging an evaluated plan's release cannot fail");
-        }
-        plan.new_outcome
-            .stage_commit(spec, &mut tx)
-            .expect("re-staging an evaluated plan's admission cannot fail");
-        for migration in &plan.moved {
-            let app = self
-                .running
-                .get(&migration.handle)
-                .expect("plan names running apps");
-            migration
-                .outcome
-                .stage_commit(&app.spec, &mut tx)
-                .expect("re-staging an evaluated plan's re-map cannot fail");
-        }
+        plan.stage(&self.algorithm, &self.running, &mut tx)
+            .expect("re-staging an evaluated plan cannot fail");
         tx.commit();
-
-        let handle = AppHandle(self.next_handle);
-        self.next_handle += 1;
-        self.running.insert(
-            handle,
-            RunningApp {
-                spec: spec.clone(),
-                outcome: plan.new_outcome,
-            },
-        );
-        let mut migrations = Vec::with_capacity(plan.moved.len());
-        for migration in plan.moved {
-            let record = self
-                .running
-                .get_mut(&migration.handle)
-                .expect("victim still runs");
-            record.outcome = migration.outcome;
+        let (handle, _) = self.adopt(plan.first);
+        let mut migrations = Vec::with_capacity(plan.rest.len());
+        for (placement, (move_cost, victim)) in plan.rest.into_iter().zip(best_victims) {
             // A victim whose re-map landed on exactly its old tiles did not
             // migrate (the arriving app fit into space freed by the others):
             // its outcome is refreshed but no migration is reported.
-            if migration.processes_moved > 0 {
+            if placement.processes_moved > 0 {
                 migrations.push(Migration {
-                    handle: migration.handle,
-                    move_cost: migration.move_cost,
-                    processes_moved: migration.processes_moved,
-                    energy_pj: migration.energy_pj,
+                    handle: victim,
+                    move_cost,
+                    processes_moved: placement.processes_moved,
+                    energy_pj: placement.transfer_energy_pj,
                 });
             }
+            self.adopt(placement);
         }
-        Reconfiguration {
+        Ok(Reconfiguration {
             handle,
             migrations,
             migration_energy_pj: plan.migration_energy_pj,
             steady_state_energy_pj: plan.steady_state_energy_pj,
-            objective: plan.objective,
+            objective,
             plan_objectives,
             plans_tried,
             migrations_attempted,
             plans_refused,
-        }
+        })
     }
 
     /// Switches the application behind `handle` to a **new specification**
@@ -1175,7 +622,13 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         spec: impl Into<Arc<ApplicationSpec>>,
     ) -> Result<MappingOutcome, RuntimeError> {
         let _span = obs::span(obs::Span::Switch);
-        self.replace_mapping(handle, spec.into(), &MappingConstraints::none())
+        if !self.running.contains_key(&handle) {
+            return Err(RuntimeError::UnknownHandle(handle));
+        }
+        let unconstrained = MappingConstraints::none();
+        let (_, previous) =
+            self.place(Placement::new(Some(handle), spec.into(), &unconstrained))?;
+        Ok(previous.expect("a re-placement replaces an outcome"))
     }
 
     /// Reacts to a resource failure: quarantines the failed tile or link
@@ -1184,32 +637,18 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
     /// route through the failed link), and re-places each victim on the
     /// healthy remainder of the platform.
     ///
-    /// Victims are processed in handle (admission) order, each inside its
-    /// own transaction: the victim's reservations are released, the
+    /// Victims are processed in handle (admission) order, each as a plan of
+    /// its own (see the `plan` module for what staging guarantees and for
+    /// the failure windows): the victim's reservations are released, the
     /// algorithm re-maps it under auto-derived [`MappingConstraints`]
     /// (every currently-failed tile excluded; with
     /// [`EvacuationPolicy::pin_healthy`], processes on healthy tiles first
     /// pinned in place), the relocation is priced through
-    /// [`CostModel::migration_cost`] and gated by the policy's
-    /// [`AdmissionPolicy`]. If no attempt commits, the victim is *evicted*
-    /// — stopped, its resources released — which is a terminal outcome
-    /// distinct from blocking.
-    ///
-    /// # Failure windows
-    ///
-    /// The manager serializes all ledger mutation behind `&mut self`, so a
-    /// failure cannot be injected *between* plan evaluation and commit: an
-    /// `evacuate` call observes the ledger either entirely before or
-    /// entirely after any admission. Within the call, each victim's
-    /// release + re-map + commit is one [`PlatformTransaction`]; a
-    /// relocation that fails partway (infeasible re-map, commit refusal,
-    /// admission-policy veto) aborts its transaction and the victim's
-    /// original reservations are restored **exactly — including onto the
-    /// failed resources** (rollback bypasses the health check), so the
-    /// subsequent eviction releases precisely what admission committed.
-    /// Victims already relocated by the same call keep their new
-    /// placements; there is no cross-victim rollback, because a committed
-    /// relocation is already a complete, consistent state.
+    /// [`CostModel::migration_cost`](crate::cost::CostModel::migration_cost)
+    /// and gated by the policy's [`AdmissionPolicy`]. If no attempt
+    /// commits, the victim is *evicted* — stopped, its resources released —
+    /// which is a terminal outcome distinct from blocking. Victims already
+    /// relocated by the same call keep their new placements.
     ///
     /// Idempotent on the health layer: evacuating an already-failed
     /// resource re-runs victim identification (normally finding none).
@@ -1243,25 +682,44 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             migration_energy_pj: 0,
         };
         for handle in victims {
-            let current_energy_pj = self.running_energy_pj();
             let unpinned = self.failure_constraints();
-            let mut relocated = None;
-            if policy.pin_healthy {
-                let pinned = self.pin_healthy_constraints(handle);
-                relocated = self.try_relocate(handle, &pinned, policy, current_energy_pj)?;
-            }
-            if relocated.is_none() {
-                relocated = self.try_relocate(handle, &unpinned, policy, current_energy_pj)?;
-            }
-            match relocated {
-                Some(app) => {
-                    evacuation.migration_energy_pj += app.migration_energy_pj;
-                    evacuation.evacuated.push(app);
+            let pinned = policy
+                .pin_healthy
+                .then(|| self.pin_healthy_constraints(handle));
+            let spec = self.running[&handle].spec.clone();
+            let mut relocated = false;
+            for constraints in pinned.iter().chain([&unpinned]) {
+                let mut plan = Plan {
+                    pricing: Some(policy.energy),
+                    ..Plan::of(Placement::new(Some(handle), spec.clone(), constraints))
+                };
+                let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
+                // An infeasible or vetoed attempt drops its transaction
+                // (exact rollback, health checks bypassed for the restore)
+                // and falls through to the next one.
+                match plan.stage(&self.algorithm, &self.running, &mut tx) {
+                    Ok(()) => {}
+                    Err(StageError::Release(e)) => return Err(RuntimeError::ReleaseFailed(e)),
+                    Err(_) => continue,
                 }
-                None => {
-                    self.stop(handle)?;
-                    evacuation.evicted.push(handle);
+                if !plan.admitted_by(&policy.admission) {
+                    continue;
                 }
+                tx.commit();
+                evacuation.migration_energy_pj += plan.migration_energy_pj;
+                evacuation.evacuated.push(EvacuatedApp {
+                    handle,
+                    processes_moved: plan.first.processes_moved,
+                    migration_energy_pj: plan.migration_energy_pj,
+                    objective: plan.score(&policy.objective),
+                });
+                self.adopt(plan.first);
+                relocated = true;
+                break;
+            }
+            if !relocated {
+                self.stop(handle)?;
+                evacuation.evicted.push(handle);
             }
         }
         Ok(evacuation)
@@ -1342,65 +800,6 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             }
         }
         constraints
-    }
-
-    /// One relocation attempt: inside one transaction the victim's
-    /// reservations are released, its spec re-mapped under `constraints`,
-    /// and the new reservations committed — but only if the priced
-    /// migration passes the policy's admission gate. Any refusal or
-    /// infeasibility aborts the transaction (exact rollback, health checks
-    /// bypassed for the restore) and returns `Ok(None)`.
-    fn try_relocate(
-        &mut self,
-        handle: AppHandle,
-        constraints: &MappingConstraints,
-        policy: &EvacuationPolicy,
-        current_energy_pj: u64,
-    ) -> Result<Option<EvacuatedApp>, RuntimeError> {
-        let app = self.running.get(&handle).expect("victim is running");
-        let pricing = CostModel::Energy(policy.energy);
-        let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
-        app.outcome
-            .stage_release(&app.spec, &mut tx)
-            .map_err(RuntimeError::ReleaseFailed)?; // tx drop restores
-        let Ok(mut outcome) =
-            self.algorithm
-                .map_constrained(&app.spec, &self.platform, tx.state(), constraints)
-        else {
-            return Ok(None);
-        };
-        if outcome.stage_commit(&app.spec, &mut tx).is_err() {
-            return Ok(None);
-        }
-        let (processes_moved, migration_energy_pj) = pricing.migration_cost(
-            &app.spec,
-            &self.platform,
-            &app.outcome.mapping,
-            &outcome.mapping,
-        );
-        if !policy
-            .admission
-            .admits(migration_energy_pj, outcome.energy_pj)
-        {
-            return Ok(None);
-        }
-        let steady_state_energy_pj = current_energy_pj
-            .saturating_sub(app.outcome.energy_pj)
-            .saturating_add(outcome.energy_pj);
-        let objective = policy
-            .objective
-            .score(steady_state_energy_pj, migration_energy_pj);
-        tx.commit();
-        outcome.trace = None;
-        outcome.csdf = None;
-        let record = self.running.get_mut(&handle).expect("victim is running");
-        record.outcome = outcome;
-        Ok(Some(EvacuatedApp {
-            handle,
-            processes_moved,
-            migration_energy_pj,
-            objective,
-        }))
     }
 
     /// Stops every running application in handle (admission) order,
@@ -1504,38 +903,6 @@ fn next_combination(indices: &mut [usize], n: usize) -> bool {
         }
     }
     false
-}
-
-/// One fully evaluated migration plan: everything needed to score it
-/// against the other plans and — if it wins — replay its staged outcomes
-/// into a committing transaction without re-running the algorithm.
-#[derive(Debug, Clone)]
-struct PlanCandidate {
-    /// The plan's victims `(move_cost, handle)` in release order.
-    victims: Vec<(u64, AppHandle)>,
-    /// The arriving application's mapping under this plan.
-    new_outcome: MappingOutcome,
-    /// Each victim's re-map, in the order it was staged.
-    moved: Vec<PlannedMigration>,
-    /// Total state-transfer energy of the plan, in picojoules.
-    migration_energy_pj: u64,
-    /// Total per-period energy of the running set after the plan.
-    steady_state_energy_pj: u64,
-    /// The arriving application's per-period energy under this plan (what
-    /// [`AdmissionPolicy::AmortizedPayback`] amortizes against).
-    admitted_energy_pj: u64,
-    /// The plan's [`ReconfigurationObjective::score`].
-    objective: u64,
-}
-
-/// One victim's evaluated re-map within a [`PlanCandidate`].
-#[derive(Debug, Clone)]
-struct PlannedMigration {
-    handle: AppHandle,
-    move_cost: u64,
-    processes_moved: usize,
-    energy_pj: u64,
-    outcome: MappingOutcome,
 }
 
 #[cfg(test)]
@@ -2000,37 +1367,6 @@ mod tests {
         let reconfiguration = m.start_with_reconfiguration(heavy(), &policy).unwrap();
         assert_eq!(reconfiguration.migrations.len(), 1);
         m.stop_all().unwrap();
-    }
-
-    #[test]
-    fn admission_policy_bounds() {
-        assert!(AdmissionPolicy::AlwaysAdmit.admits(u64::MAX, 0));
-        let budget = AdmissionPolicy::EnergyBudget {
-            max_transfer_pj: 100,
-        };
-        assert!(budget.admits(100, 0));
-        assert!(!budget.admits(101, 0));
-        let payback = AdmissionPolicy::AmortizedPayback { horizon_periods: 4 };
-        assert!(payback.admits(40, 10));
-        assert!(!payback.admits(41, 10));
-        assert!(payback.admits(0, 0), "a free move always pays back");
-    }
-
-    #[test]
-    fn objective_weighs_migration_by_lambda() {
-        let objective = ReconfigurationObjective {
-            lambda_permille: 500,
-        };
-        assert_eq!(objective.score(10, 4), 10 * 1000 + 500 * 4);
-        assert_eq!(
-            ReconfigurationObjective::steady_state_only().score(10, 999),
-            10_000
-        );
-        assert_eq!(
-            ReconfigurationObjective::default().score(u64::MAX, u64::MAX),
-            u64::MAX,
-            "saturates instead of wrapping"
-        );
     }
 
     #[test]

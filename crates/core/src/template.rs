@@ -25,8 +25,12 @@
 //! to every anchor under the mesh's four rotations, quick-rejected on tile
 //! kind / clock / health / [`MappingConstraints`], and then fit-checked by
 //! staging the *exact* claims `MappingOutcome::stage_commit` would make
-//! (tile reservations, buffer memory, routed paths with NI bandwidth)
-//! against a scratch copy of the ledger. Channels are re-routed fresh —
+//! (tile reservations, buffer memory, routed paths with NI bandwidth) in a
+//! [`PlatformTransaction`] of its own — the same staging mechanism the
+//! run-time manager commits through — on a scratch copy of the ledger that
+//! is made at most once per lookup: a misfit drops its transaction, which
+//! hands the copy back unchanged to the next candidate. Channels are
+//! re-routed fresh —
 //! stream endpoints (A/D, Sink) are fixed tiles, so recorded paths do not
 //! translate — and a candidate is accepted only if every re-routed channel
 //! traverses **exactly as many routers as the recorded route**.
@@ -224,155 +228,183 @@ fn rotate(quarter_turns: u8, (dx, dy): (i32, i32)) -> (i32, i32) {
     }
 }
 
-/// Attempts to place `shape`, turned by `quarter_turns`, at `anchor`:
-/// quick tile-skeleton rejects first, then the full transactional fit check
-/// against a scratch copy of `base`, staging exactly what
-/// `MappingOutcome::stage_commit` would claim. Returns the instantiated
-/// outcome on success; `base` is never mutated.
-#[allow(clippy::too_many_arguments)]
-fn try_candidate(
-    shape: &MappingShape,
-    quarter_turns: u8,
-    anchor: TileId,
-    spec: &ApplicationSpec,
-    platform: &Platform,
-    base: &PlatformState,
-    constraints: &MappingConstraints,
-    scratch: &mut RouteScratch,
-) -> Option<MappingOutcome> {
-    let anchor_pos = platform.tile(anchor).position;
-    let mut mapping = Mapping::new();
-    for sa in &shape.assignments {
-        let (dx, dy) = rotate(quarter_turns, (sa.dx, sa.dy));
-        let x = i32::from(anchor_pos.x) + dx;
-        let y = i32::from(anchor_pos.y) + dy;
-        if x < 0 || y < 0 || x >= i32::from(platform.width()) || y >= i32::from(platform.height()) {
-            return None;
-        }
-        let tid = platform.tile_at(Coord {
-            x: x as u16,
-            y: y as u16,
-        })?;
-        let tile = platform.tile(tid);
-        if tile.kind != sa.kind
-            || tile.clock_mhz != sa.clock_mhz
-            || base.is_tile_failed(tid)
-            || !constraints.allows(sa.process, tid)
-        {
-            return None;
-        }
-        mapping.assign(sa.process, sa.impl_index, tid);
-    }
-
-    // Transactional fit check on a scratch ledger: the same claims, in
-    // kind, that committing the outcome will make. Process reservations
-    // first, then fresh routes (allocated as they are found, so channels
-    // of this application contend with each other exactly as in step 3),
-    // then buffer memory on the consumer tiles.
-    let mut probe = base.clone();
-    for sa in &shape.assignments {
-        let tile = mapping.assignment(sa.process).expect("assigned above").tile;
-        let implementation = &spec.library.impls_for(sa.process)[sa.impl_index];
-        let claim = reservation_of(&claim_for(spec, sa.process, implementation));
-        probe.claim_tile(platform, tile, &claim).ok()?;
-    }
-    for sr in &shape.routes {
-        let ch = spec.graph.channel(sr.channel);
-        let from = mapping.endpoint_tile(platform, ch.src)?;
-        let to = mapping.endpoint_tile(platform, ch.dst)?;
-        if from == to {
-            if !sr.same_tile {
-                return None;
-            }
-            mapping.bind_route(sr.channel, RouteBinding::SameTile);
-            continue;
-        }
-        if sr.same_tile {
-            return None;
-        }
-        let path = route_with(platform, &probe, from, to, sr.demand, scratch).ok()?;
-        // Router-count equality keeps the composed CSDF isomorphic to the
-        // recorded one, so the cached sizing/period/latency stay valid.
-        if path.router_count() != sr.router_count {
-            return None;
-        }
-        let path = path.clone();
-        {
-            let mut tx = PlatformTransaction::begin(platform, &mut probe);
-            tx.allocate_path(&path).ok()?;
-            tx.commit();
-        }
-        mapping.bind_route(sr.channel, RouteBinding::Path(path));
-    }
-    let mut buffers = Vec::with_capacity(shape.buffers.len());
-    for sb in &shape.buffers {
-        let ch = spec.graph.channel(sb.channel);
-        let tile = mapping.endpoint_tile(platform, ch.dst)?;
-        let claim = TileClaim {
-            slots: 0,
-            memory_bytes: sb.capacity_words * 4,
-            cycles_per_second: 0,
-            injection: 0,
-            ejection: 0,
-        };
-        probe.claim_tile(platform, tile, &claim).ok()?;
-        buffers.push(ChannelBuffer {
-            channel: sb.channel,
-            capacity_words: sb.capacity_words,
-            tile,
-        });
-    }
-
-    let communication_hops = mapping.communication_hops(spec, platform);
-    Some(MappingOutcome {
-        mapping,
-        buffers,
-        csdf: None,
-        energy_pj: shape.energy_pj,
-        communication_hops,
-        feasible: true,
-        evaluated: 0, // candidate count filled in by the caller
-        attempts: 1,
-        achieved_period: shape.achieved_period,
-        latency_ps: shape.latency_ps,
-        trace: None,
-    })
+/// One lookup's fit check: what its candidates are checked against, and the
+/// scratch they are checked on.
+struct FitCheck<'a> {
+    spec: &'a ApplicationSpec,
+    platform: &'a Platform,
+    base: &'a PlatformState,
+    constraints: &'a MappingConstraints,
+    routes: &'a mut RouteScratch,
+    /// The scratch ledger: a copy of `base`, made when the first candidate
+    /// gets past the skeleton checks. Each candidate stages its claims on it
+    /// in a transaction that is then dropped, so it equals `base` again for
+    /// the next candidate and one copy serves the whole lookup.
+    ledger: Option<PlatformState>,
+    /// Candidates tried so far.
+    tried: u64,
 }
 
-/// Tries every (rotation, anchor) placement of `entry`'s shape in
-/// deterministic order, counting candidates into `tried`.
-fn instantiate_shape(
-    entry: &ShapeEntry,
-    spec: &ApplicationSpec,
-    platform: &Platform,
-    base: &PlatformState,
-    constraints: &MappingConstraints,
-    scratch: &mut RouteScratch,
-    tried: &mut u64,
-) -> Option<MappingOutcome> {
-    let shape = &entry.shape;
-    if shape.assignments.is_empty() || !shape.indexes_into(spec) {
-        return None;
-    }
-    let anchors = base.free_anchor_tiles(platform, shape.assignments[0].kind);
-    for quarter_turns in (0..4u8).filter(|k| entry.rotations >> k & 1 == 1) {
-        for &anchor in &anchors {
-            *tried += 1;
-            if let Some(outcome) = try_candidate(
-                shape,
-                quarter_turns,
-                anchor,
-                spec,
-                platform,
-                base,
-                constraints,
-                scratch,
-            ) {
-                return Some(outcome);
-            }
+impl<'a> FitCheck<'a> {
+    /// A fit check of `spec` against `base`, with no candidate tried yet and
+    /// the scratch ledger not yet copied.
+    fn new(
+        spec: &'a ApplicationSpec,
+        platform: &'a Platform,
+        base: &'a PlatformState,
+        constraints: &'a MappingConstraints,
+        routes: &'a mut RouteScratch,
+    ) -> Self {
+        FitCheck {
+            spec,
+            platform,
+            base,
+            constraints,
+            routes,
+            ledger: None,
+            tried: 0,
         }
     }
-    None
+
+    /// Attempts to place `shape`, turned by `quarter_turns`, at `anchor`:
+    /// quick tile-skeleton rejects first, then the full fit check, staging
+    /// into one transaction on the scratch ledger exactly what
+    /// `MappingOutcome::stage_commit` will claim. Returns the instantiated
+    /// outcome on success; `base` is never mutated.
+    fn try_candidate(
+        &mut self,
+        shape: &MappingShape,
+        quarter_turns: u8,
+        anchor: TileId,
+    ) -> Option<MappingOutcome> {
+        let (spec, platform) = (self.spec, self.platform);
+        let anchor_pos = platform.tile(anchor).position;
+        let mut mapping = Mapping::new();
+        for sa in &shape.assignments {
+            let (dx, dy) = rotate(quarter_turns, (sa.dx, sa.dy));
+            let x = i32::from(anchor_pos.x) + dx;
+            let y = i32::from(anchor_pos.y) + dy;
+            if x < 0
+                || y < 0
+                || x >= i32::from(platform.width())
+                || y >= i32::from(platform.height())
+            {
+                return None;
+            }
+            let tid = platform.tile_at(Coord {
+                x: x as u16,
+                y: y as u16,
+            })?;
+            let tile = platform.tile(tid);
+            if tile.kind != sa.kind
+                || tile.clock_mhz != sa.clock_mhz
+                || self.base.is_tile_failed(tid)
+                || !self.constraints.allows(sa.process, tid)
+            {
+                return None;
+            }
+            mapping.assign(sa.process, sa.impl_index, tid);
+        }
+
+        // The same claims, in kind, that committing the outcome will make:
+        // process reservations first, then fresh routes (allocated as they
+        // are found, so channels of this application contend with each
+        // other exactly as in step 3), then buffer memory on the consumer
+        // tiles. A misfit returns early; dropping the transaction undoes
+        // what was staged.
+        let ledger = self.ledger.get_or_insert_with(|| self.base.clone());
+        let mut tx = PlatformTransaction::begin(platform, ledger);
+        for sa in &shape.assignments {
+            let tile = mapping.assignment(sa.process).expect("assigned above").tile;
+            let implementation = &spec.library.impls_for(sa.process)[sa.impl_index];
+            let claim = reservation_of(&claim_for(spec, sa.process, implementation));
+            tx.claim_tile(tile, &claim).ok()?;
+        }
+        for sr in &shape.routes {
+            let ch = spec.graph.channel(sr.channel);
+            let from = mapping.endpoint_tile(platform, ch.src)?;
+            let to = mapping.endpoint_tile(platform, ch.dst)?;
+            if from == to {
+                if !sr.same_tile {
+                    return None;
+                }
+                mapping.bind_route(sr.channel, RouteBinding::SameTile);
+                continue;
+            }
+            if sr.same_tile {
+                return None;
+            }
+            let path = route_with(platform, tx.state(), from, to, sr.demand, self.routes).ok()?;
+            // Router-count equality keeps the composed CSDF isomorphic to
+            // the recorded one, so the cached sizing/period/latency stay
+            // valid.
+            if path.router_count() != sr.router_count {
+                return None;
+            }
+            let path = path.clone();
+            tx.allocate_path(&path).ok()?;
+            mapping.bind_route(sr.channel, RouteBinding::Path(path));
+        }
+        let mut buffers = Vec::with_capacity(shape.buffers.len());
+        for sb in &shape.buffers {
+            let ch = spec.graph.channel(sb.channel);
+            let tile = mapping.endpoint_tile(platform, ch.dst)?;
+            let claim = TileClaim {
+                slots: 0,
+                memory_bytes: sb.capacity_words * 4,
+                cycles_per_second: 0,
+                injection: 0,
+                ejection: 0,
+            };
+            tx.claim_tile(tile, &claim).ok()?;
+            buffers.push(ChannelBuffer {
+                channel: sb.channel,
+                capacity_words: sb.capacity_words,
+                tile,
+            });
+        }
+
+        // A fit: nothing is left to undo, and the scratch ledger, which now
+        // holds this candidate's claims, is spent.
+        tx.commit();
+        self.ledger = None;
+
+        let communication_hops = mapping.communication_hops(spec, platform);
+        Some(MappingOutcome {
+            mapping,
+            buffers,
+            csdf: None,
+            energy_pj: shape.energy_pj,
+            communication_hops,
+            feasible: true,
+            evaluated: 0, // candidate count filled in by the caller
+            attempts: 1,
+            achieved_period: shape.achieved_period,
+            latency_ps: shape.latency_ps,
+            trace: None,
+        })
+    }
+
+    /// Tries every (rotation, anchor) placement of `entry`'s shape in
+    /// deterministic order.
+    fn instantiate_shape(&mut self, entry: &ShapeEntry) -> Option<MappingOutcome> {
+        let shape = &entry.shape;
+        if shape.assignments.is_empty() || !shape.indexes_into(self.spec) {
+            return None;
+        }
+        let anchors = self
+            .base
+            .free_anchor_tiles(self.platform, shape.assignments[0].kind);
+        for quarter_turns in (0..4u8).filter(|k| entry.rotations >> k & 1 == 1) {
+            for &anchor in &anchors {
+                self.tried += 1;
+                if let Some(outcome) = self.try_candidate(shape, quarter_turns, anchor) {
+                    return Some(outcome);
+                }
+            }
+        }
+        None
+    }
 }
 
 /// A snapshot of the library's lifetime statistics — what the simulator
@@ -494,20 +526,11 @@ impl TemplateLibrary {
     ) -> Option<MappingOutcome> {
         let _span = obs::span(obs::Span::TemplateMatch);
         let shapes = self.specs.get_mut(&key)?;
-        let scratch = &mut self.scratch;
-        let mut tried = 0u64;
+        let mut fit = FitCheck::new(spec, platform, base, constraints, &mut self.scratch);
         for entry in shapes.iter_mut() {
-            if let Some(mut outcome) = instantiate_shape(
-                entry,
-                spec,
-                platform,
-                base,
-                constraints,
-                scratch,
-                &mut tried,
-            ) {
+            if let Some(mut outcome) = fit.instantiate_shape(entry) {
                 entry.hits = entry.hits.saturating_add(1);
-                outcome.evaluated = tried;
+                outcome.evaluated = fit.tried;
                 return Some(outcome);
             }
         }
@@ -529,21 +552,10 @@ impl TemplateLibrary {
         let Some(shapes) = self.specs.get_mut(&key) else {
             return 0;
         };
-        let scratch = &mut self.scratch;
+        let unconstrained = MappingConstraints::none();
+        let mut fit = FitCheck::new(spec, platform, state, &unconstrained, &mut self.scratch);
         let before = shapes.len();
-        shapes.retain(|entry| {
-            let mut tried = 0u64;
-            instantiate_shape(
-                entry,
-                spec,
-                platform,
-                state,
-                &MappingConstraints::none(),
-                scratch,
-                &mut tried,
-            )
-            .is_some()
-        });
+        shapes.retain(|entry| fit.instantiate_shape(entry).is_some());
         let removed = before - shapes.len();
         self.invalidations += removed as u64;
         removed

@@ -149,7 +149,7 @@ impl<'a> PlatformTransaction<'a> {
     /// the transaction stays consistent and usable.
     pub fn claim_tile(&mut self, tile: TileId, claim: &TileClaim) -> Result<(), PlatformError> {
         self.state.claim_tile(self.platform, tile, claim)?;
-        self.log.push(TxOp::ClaimedTile {
+        self.record(TxOp::ClaimedTile {
             tile,
             claim: *claim,
         });
@@ -164,7 +164,7 @@ impl<'a> PlatformTransaction<'a> {
     /// transaction stays consistent and usable.
     pub fn release_tile(&mut self, tile: TileId, claim: &TileClaim) -> Result<(), PlatformError> {
         self.state.release_tile(tile, claim)?;
-        self.log.push(TxOp::ReleasedTile {
+        self.record(TxOp::ReleasedTile {
             tile,
             claim: *claim,
         });
@@ -178,7 +178,7 @@ impl<'a> PlatformTransaction<'a> {
     /// [`PlatformError::LinkAccounting`] if the link lacks capacity.
     pub fn allocate_link(&mut self, link: LinkId, demand: u64) -> Result<(), PlatformError> {
         self.state.allocate_link(self.platform, link, demand)?;
-        self.log.push(TxOp::AllocatedLink { link, demand });
+        self.record(TxOp::AllocatedLink { link, demand });
         Ok(())
     }
 
@@ -189,7 +189,7 @@ impl<'a> PlatformTransaction<'a> {
     /// [`PlatformError::LinkAccounting`] if more is released than held.
     pub fn release_link(&mut self, link: LinkId, demand: u64) -> Result<(), PlatformError> {
         self.state.release_link(link, demand)?;
-        self.log.push(TxOp::ReleasedLink { link, demand });
+        self.record(TxOp::ReleasedLink { link, demand });
         Ok(())
     }
 
@@ -257,6 +257,18 @@ impl<'a> PlatformTransaction<'a> {
         // Drop does the work.
     }
 
+    /// Appends an applied operation to the undo log. What gets staged is a
+    /// mapping's worth of claims — a few dozen operations — so the first
+    /// one reserves for them and the log skips its first three doublings;
+    /// a transaction that stages nothing (a refused arrival) still
+    /// allocates nothing.
+    fn record(&mut self, op: TxOp) {
+        if self.log.capacity() == 0 {
+            self.log.reserve(32);
+        }
+        self.log.push(op);
+    }
+
     fn rollback(&mut self) {
         self.rollback_to(0);
     }
@@ -293,7 +305,10 @@ impl<'a> PlatformTransaction<'a> {
 
 impl Drop for PlatformTransaction<'_> {
     fn drop(&mut self) {
-        if !self.committed {
+        // Dropping a transaction that staged nothing (a refused arrival:
+        // the mapping failed before any claim) undoes nothing and is not
+        // counted as an abort.
+        if !self.committed && !self.log.is_empty() {
             self.rollback();
             obs::count(obs::Counter::TxAbort, 1);
         }

@@ -1,6 +1,7 @@
 //! Fault-tolerance properties of the health layer and the evacuation
-//! path: any seeded interleaving of admissions, failures, evacuations,
-//! repairs, and departures leaves the shared ledger byte-identical to a
+//! path: any seeded interleaving of admissions (plain and reconfiguring),
+//! mode switches, constrained remaps, failures, evacuations, repairs, and
+//! departures leaves the shared ledger byte-identical to a
 //! from-scratch replay of the surviving mappings; survivors never occupy
 //! a quarantined resource; and with faults disabled the simulator's
 //! seed-2008 reports are byte-identical to the golden fixtures for
@@ -9,14 +10,16 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use rtsm::app::{ApplicationSpec, ProcessId};
 use rtsm::core::{
-    AppHandle, EvacuationPolicy, FailureEvent, MappingAlgorithm, ReconfigurationPolicy,
-    RouteBinding, RunningApp, RuntimeManager, SpatialMapper,
+    AppHandle, EvacuationPolicy, FailureEvent, MappingAlgorithm, MappingConstraints,
+    ReconfigurationPolicy, RouteBinding, RunningApp, RuntimeError, RuntimeManager, SpatialMapper,
 };
 use rtsm::platform::paper::paper_platform;
 use rtsm::platform::{LinkId, Platform, PlatformState, TileId, TileKind};
 use rtsm::sim::{run_sim, ArrivalProcess, Catalog, FaultConfig, HoldingTime, SimConfig};
 use rtsm::workloads::mesh_platform;
+use std::sync::Arc;
 
 /// The mixed-DSP mesh `simulate --catalog mixed` uses (platform seed 42).
 fn mixed_platform() -> Platform {
@@ -30,6 +33,13 @@ fn mixed_platform() -> Platform {
             (TileKind::Dsp, 2),
         ],
     )
+}
+
+/// One uniformly drawn catalog spec.
+fn draw(catalog: &Catalog, rng: &mut StdRng) -> Arc<ApplicationSpec> {
+    catalog.entries()[rng.random_range(0usize..catalog.len())]
+        .spec
+        .clone()
 }
 
 /// Rebuilds the ledger from scratch: every surviving mapping committed
@@ -95,11 +105,14 @@ proptest! {
     // evacuations; 8 cases keep dev-profile CI time reasonable.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For any seeded interleaving of start / stop / fail+evacuate /
-    /// repair, the incrementally-maintained ledger stays byte-identical
-    /// to a from-scratch replay of the surviving mappings, and after
-    /// stopping everything and repairing every failure it drains back to
-    /// the pristine initial state.
+    /// For any seeded interleaving of every ledger-mutating entry point —
+    /// start / start_with_reconfiguration / stop / switch / remap /
+    /// fail+evacuate / repair — the incrementally-maintained ledger stays
+    /// byte-identical to a from-scratch replay of the surviving mappings
+    /// (so each record is exactly what the ledger holds for it), a blocked
+    /// switch or remap leaves ledger and record untouched, and after
+    /// stopping everything and repairing every failure the ledger drains
+    /// back to the pristine initial state.
     #[test]
     fn ledger_matches_replay_under_fault_interleavings(seed in 0u64..500) {
         let platform = mixed_platform();
@@ -113,22 +126,72 @@ proptest! {
         let mut failed: Vec<FailureEvent> = Vec::new();
 
         for _ in 0..40 {
-            match rng.random_range(0usize..8) {
+            let op = rng.random_range(0usize..11);
+            match op {
                 // Weighted towards admissions so the platform fills up
                 // and failures actually hit running applications.
-                0..=3 => {
-                    let entry = &catalog.entries()[rng.random_range(0usize..catalog.len())];
-                    if let Ok(handle) = manager.start(entry.spec.clone()) {
+                0..=2 => {
+                    if let Ok(handle) = manager.start(draw(&catalog, &mut rng)) {
                         handles.push(handle);
                     }
                 }
-                4 => {
+                // Blocked arrivals stage and abort migration plans; the few
+                // that recover commit one.
+                3..=4 => {
+                    if let Ok(reconfiguration) = manager.start_with_reconfiguration(
+                        draw(&catalog, &mut rng),
+                        &ReconfigurationPolicy::default(),
+                    ) {
+                        handles.push(reconfiguration.handle);
+                    }
+                }
+                5 => {
                     if !handles.is_empty() {
                         let handle = handles.swap_remove(rng.random_range(0usize..handles.len()));
                         manager.stop(handle).expect("running handles stop cleanly");
                     }
                 }
-                5..=6 => {
+                6..=7 => {
+                    if handles.is_empty() {
+                        continue;
+                    }
+                    let handle = handles[rng.random_range(0usize..handles.len())];
+                    let ledger = manager.state().clone();
+                    let record = manager.get(handle).expect("tracked handles run").clone();
+                    let result = if op == 6 {
+                        manager.switch(handle, draw(&catalog, &mut rng))
+                    } else {
+                        let tile = tiles[rng.random_range(0usize..tiles.len())];
+                        let constraints = if rng.random_bool(0.5) {
+                            MappingConstraints::none().exclude_tile(tile)
+                        } else {
+                            let process = rng.random_range(0usize..record.spec.graph.n_processes());
+                            MappingConstraints::none().pin(ProcessId::from_index(process), tile)
+                        };
+                        manager.remap(handle, &constraints)
+                    };
+                    match result {
+                        Ok(previous) => prop_assert!(
+                            previous == record.outcome,
+                            "switch/remap returns the outcome it replaced (seed {seed})"
+                        ),
+                        Err(error) => {
+                            prop_assert!(
+                                matches!(error, RuntimeError::Admission(_)),
+                                "a blocked switch/remap is an admission failure, got {error} (seed {seed})"
+                            );
+                            prop_assert!(
+                                manager.state() == &ledger,
+                                "a blocked switch/remap must restore the ledger (seed {seed})"
+                            );
+                            prop_assert!(
+                                manager.get(handle) == Some(&record),
+                                "a blocked switch/remap must keep the record (seed {seed})"
+                            );
+                        }
+                    }
+                }
+                8..=9 => {
                     let failure = if rng.random_bool(0.5) {
                         FailureEvent::Tile(tiles[rng.random_range(0usize..tiles.len())])
                     } else {
@@ -188,8 +251,7 @@ proptest! {
         // Fill the platform until admission blocks, so the failure has
         // victims to hit.
         loop {
-            let entry = &catalog.entries()[rng.random_range(0usize..catalog.len())];
-            if manager.start(entry.spec.clone()).is_err() {
+            if manager.start(draw(&catalog, &mut rng)).is_err() {
                 break;
             }
         }
