@@ -37,6 +37,13 @@
 //!   floor (≥ 500‰ on the mixed catalog, asserted) plus events/second
 //!   with templates on vs off, and `key_ns`: what `spec_fingerprint` costs
 //!   on each catalog spec (asserted below the hit path's p50);
+//! * what a refusal costs (`rejections` section, additive in schema 8):
+//!   per mixed-catalog spec arriving on the 4×4 mesh while `dvbt-rx` runs —
+//!   the length of the refinement chain behind the refused `map`, how many
+//!   of its attempts were step-1 dead ends, how many cached shapes the
+//!   failed lookup passed over by slot demand, and the time and allocator
+//!   calls of each. That every arrival is refused and every lookup misses
+//!   is asserted; the times are reported, never gated;
 //! * the budget-raced algorithm portfolio (`portfolio` section, new in
 //!   schema 8): blocking ‰ of the default `PortfolioMapper` next to its
 //!   best standalone member on every registered catalog, with the
@@ -247,6 +254,38 @@ struct Templates {
     mean_map_us_templates_off: u64,
 }
 
+/// One refused arrival of the `rejections` section: `spec` arriving while
+/// another application holds the ledger.
+#[derive(Serialize)]
+struct Rejection {
+    spec: String,
+    /// Refinement attempts behind the refused `map`, and how many of them
+    /// were step-1 dead ends (all of them: the arrival is blocked by
+    /// capacity, not by routing or its period).
+    attempts: u64,
+    step1_dead_ends: u64,
+    /// Shapes the library holds for the spec, and how many of them the
+    /// failed lookup passed over for want of compute slots.
+    shapes_cached: u64,
+    shapes_skipped: u64,
+    /// Median time of one refused `map` and of the failed lookup in front
+    /// of it (batch means), and the allocator calls of each.
+    refused_map_ns: u64,
+    failed_lookup_ns: u64,
+    refused_map_allocs: u64,
+    failed_lookup_allocs: u64,
+}
+
+/// The price of "no" (additive in schema 8): every mixed-catalog spec
+/// refused on the 4×4 mesh with one application running.
+#[derive(Serialize)]
+struct Rejections {
+    platform: String,
+    running: String,
+    iterations: u64,
+    points: Vec<Rejection>,
+}
+
 /// One catalog of the portfolio-vs-members comparison: the budget-raced
 /// `PortfolioMapper` against its best standalone member at the same
 /// modeled per-admission latency budget.
@@ -403,6 +442,7 @@ struct BenchReport {
     pareto: Vec<ParetoPoint>,
     resilience: Resilience,
     templates: Templates,
+    rejections: Rejections,
     portfolio: Portfolio,
     scaling: Scaling,
     sanity_checks_passed: bool,
@@ -1110,6 +1150,96 @@ fn main() {
         templates.mean_map_us_templates_off,
     );
 
+    // --- Rejections: what "no" costs ---------------------------------------
+    // The mixed mesh with `dvbt-rx` running refuses all five catalog specs,
+    // four of them only after the whole refinement budget. The library holds
+    // what each spec maps to on the empty mesh and beside every other
+    // application, so the failed lookup has real shapes to rule out.
+    const REFUSAL_BATCH: u64 = 100;
+    let none = rtsm_core::MappingConstraints::none();
+    let holder = "dvbt-rx";
+    let ledger_with = |running: &rtsm_app::ApplicationSpec| {
+        let mut ledger = tpl_platform.initial_state();
+        mapper_off
+            .map(running, &tpl_platform, &ledger)
+            .expect("every catalog spec maps alone")
+            .commit(running, &tpl_platform, &mut ledger)
+            .expect("it was mapped against this ledger");
+        ledger
+    };
+    let full = tpl_catalog
+        .entries()
+        .iter()
+        .find(|entry| entry.name == holder)
+        .map(|entry| ledger_with(&entry.spec))
+        .expect("the mixed catalog has a dvbt-rx");
+    let mut rejection_points = Vec::new();
+    for entry in tpl_catalog.entries() {
+        let spec = &*entry.spec;
+        let key = spec_fingerprint(spec);
+        let mut library = rtsm_core::TemplateLibrary::new(rtsm_core::template::DEFAULT_SHAPE_CAP);
+        let ledgers = std::iter::once(tpl_platform.initial_state())
+            .chain(tpl_catalog.entries().iter().map(|e| ledger_with(&e.spec)));
+        for ledger in ledgers {
+            if let Ok(outcome) = mapper_off.map(spec, &tpl_platform, &ledger) {
+                let shape = rtsm_core::MappingShape::canonicalise(&outcome, &tpl_platform)
+                    .expect("a mapped spec has assignments");
+                library.learn(key, shape);
+            }
+        }
+        let mut lookup = || library.instantiate(key, spec, &tpl_platform, &full, &none);
+        let refuse = || mapper_off.map(spec, &tpl_platform, &full);
+        let probe = Rc::new(SpanLatencyProbe::new());
+        {
+            let _guard = obs::install(probe.clone());
+            assert!(lookup().is_none(), "`{}` must miss", entry.name);
+            assert!(refuse().is_err(), "`{}` must be refused", entry.name);
+        }
+        let failed_lookup_allocs = ALLOC.allocations_during(|| black_box(lookup())).0 as u64;
+        let refused_map_allocs = ALLOC.allocations_during(|| black_box(refuse().is_err())).0 as u64;
+        let failed_lookup_ns = measure(iters, || {
+            for _ in 0..REFUSAL_BATCH {
+                black_box(lookup());
+            }
+        }) / REFUSAL_BATCH;
+        let refused_map_ns = measure(iters, || {
+            for _ in 0..REFUSAL_BATCH {
+                black_box(refuse().is_err());
+            }
+        }) / REFUSAL_BATCH;
+        let point = Rejection {
+            spec: entry.name.clone(),
+            attempts: probe.histogram(Span::Step1).count(),
+            step1_dead_ends: probe.counter_total(Counter::Step1DeadEnd),
+            shapes_cached: library.shapes_for(key) as u64,
+            shapes_skipped: probe.counter_total(Counter::TemplateShapeSkipped),
+            refused_map_ns,
+            failed_lookup_ns,
+            refused_map_allocs,
+            failed_lookup_allocs,
+        };
+        println!(
+            "rejections/{}: {} attempts ({} step-1 dead ends) in {} ns, {} allocator calls; \
+             lookup skipped {} of {} shapes in {} ns, {} allocator calls",
+            point.spec,
+            point.attempts,
+            point.step1_dead_ends,
+            point.refused_map_ns,
+            point.refused_map_allocs,
+            point.shapes_skipped,
+            point.shapes_cached,
+            point.failed_lookup_ns,
+            point.failed_lookup_allocs,
+        );
+        rejection_points.push(point);
+    }
+    let rejections = Rejections {
+        platform: "mixed 4x4 mesh (platform seed 42)".into(),
+        running: holder.into(),
+        iterations: iters,
+        points: rejection_points,
+    };
+
     // --- Portfolio vs its members, every catalog --------------------------
     // The **portfolio-beats-members gate**: at an equal modeled
     // per-admission latency budget, the portfolio's per-admission
@@ -1320,6 +1450,7 @@ fn main() {
         pareto,
         resilience,
         templates,
+        rejections,
         portfolio,
         scaling,
         sanity_checks_passed: true,

@@ -83,17 +83,19 @@ impl Table {
 
 /// First line of the README block [`readme_admission_block`] renders.
 pub const README_ADMISSION_BEGIN: &str =
-    "<!-- BENCH_map.json `templates`, as `bench_map` prints it; regenerate, do not edit -->";
+    "<!-- BENCH_map.json `templates` and `rejections`, as `bench_map` prints it; regenerate, do not edit -->";
 
 /// The README's "Microsecond admission" figures, rendered from a parsed
 /// `BENCH_map.json`: the paper-case hit and miss paths, the lookup key's
-/// cost, then the mixed catalog at steady state with templates off and on. `bench_map` prints
+/// cost, then the mixed catalog at steady state with templates off and on,
+/// then what a refusal costs (the `rejections` section). `bench_map` prints
 /// this block after writing the artifact, and a test holds the README to
 /// the committed artifact, so the two cannot drift.
 ///
 /// # Errors
 ///
-/// A field of the `templates` section is missing or mistyped.
+/// A field of the `templates` or `rejections` section is missing or
+/// mistyped.
 pub fn readme_admission_block(bench: &serde::Value) -> Result<String, serde::de::Error> {
     use serde::de::field;
     let templates: serde::Value = field(bench, "templates")?;
@@ -150,6 +152,40 @@ pub fn readme_admission_block(bench: &serde::Value) -> Result<String, serde::de:
         count("shapes_cached")?,
         count("events_per_sec_templates_on")?,
         count("mean_map_us_templates_on")?
+    );
+    let rejections: serde::Value = field(bench, "rejections")?;
+    let points: Vec<serde::Value> = field(&rejections, "points")?;
+    let range = |name: &str| -> Result<(u64, u64), serde::de::Error> {
+        let values = points
+            .iter()
+            .map(|point| field::<u64>(point, name))
+            .collect::<Result<Vec<u64>, _>>()?;
+        Ok((
+            values.iter().min().copied().unwrap_or(0),
+            values.iter().max().copied().unwrap_or(0),
+        ))
+    };
+    let (attempts, map_ns, map_allocs, lookup_ns) = (
+        range("attempts")?,
+        range("refused_map_ns")?,
+        range("refused_map_allocs")?,
+        range("failed_lookup_ns")?,
+    );
+    let _ = writeln!(out);
+    let _ = writeln!(
+        out,
+        "A refusal, over the {} mixed specs arriving while `{}` holds the mesh: the failed lookup \
+         {}–{} ns, then `map` refused after {}–{} attempts in {:.1}–{:.1} µs ({}–{} allocator calls).",
+        points.len(),
+        field::<String>(&rejections, "running")?,
+        lookup_ns.0,
+        lookup_ns.1,
+        attempts.0,
+        attempts.1,
+        map_ns.0 as f64 / 1e3,
+        map_ns.1 as f64 / 1e3,
+        map_allocs.0,
+        map_allocs.1,
     );
     let _ = writeln!(out, "<!-- end of the generated block -->");
     Ok(out)

@@ -5,11 +5,21 @@
 //! the CI `template-smoke` job checks through the `simulate` binary,
 //! enforced here at `cargo test` granularity so a regression names the
 //! exact algorithm and catalog that drifted.
+//!
+//! And the opposite corner: the paper algorithm with templates, faults and
+//! reconfiguration all on must reproduce
+//! `tests/golden/seed2008_mixed_templates_recover.json` — the one stored
+//! report that carries `evaluated_assignments` of template hits, the
+//! library's hit/miss split and the plan counters, which the refusal path's
+//! shortcuts (shapes skipped by slot demand, step-1 state carried between
+//! refinement attempts) must leave untouched.
 
-use rtsm_core::MappingAlgorithm;
+use rtsm_core::{MappingAlgorithm, ReconfigurationPolicy, TemplatedMapper};
 use rtsm_platform::paper::paper_platform;
 use rtsm_platform::{Platform, TileKind};
-use rtsm_sim::{run_sim, ArrivalProcess, Catalog, HoldingTime, SimConfig};
+use rtsm_sim::{
+    run_sim, ArrivalProcess, Catalog, FaultConfig, HoldingTime, SimConfig, TemplateReport,
+};
 use rtsm_workloads::mesh_platform;
 
 /// The registered algorithms in the `simulate` CLI's emission order —
@@ -71,9 +81,8 @@ fn seed2008_hiperlan2_reports_match_the_golden_fixture() {
     );
 }
 
-#[test]
-fn seed2008_mixed_reports_match_the_golden_fixture() {
-    let platform = mesh_platform(
+fn mixed_mesh() -> Platform {
+    mesh_platform(
         42,
         4,
         4,
@@ -82,10 +91,46 @@ fn seed2008_mixed_reports_match_the_golden_fixture() {
             (TileKind::Arm, 4),
             (TileKind::Dsp, 2),
         ],
-    );
+    )
+}
+
+#[test]
+fn seed2008_mixed_reports_match_the_golden_fixture() {
     assert_matches_fixture(
-        &platform,
+        &mixed_mesh(),
         &Catalog::mixed_dsp(),
         "seed2008_mixed_prepr.jsonl",
+    );
+}
+
+/// `simulate --seed 2008 --arrivals 500 --catalog mixed --algorithm paper
+/// --templates --faults --mttf 10000 --mttr 3000 --reconfigure`, as the CLI
+/// assembles it.
+#[test]
+fn seed2008_mixed_templates_faults_reconfigure_report_matches_the_golden_fixture() {
+    let config = SimConfig {
+        reconfiguration: Some(ReconfigurationPolicy::default()),
+        track_fragmentation: true,
+        faults: Some(FaultConfig {
+            mttf: 10_000,
+            mttr: 3_000,
+            ..FaultConfig::default()
+        }),
+        ..fixture_config()
+    };
+    let paper = rtsm_exp::ALGORITHMS
+        .iter()
+        .find(|entry| entry.name == "paper")
+        .expect("the paper algorithm is registered");
+    let cap = rtsm_core::template::DEFAULT_SHAPE_CAP;
+    let templated = TemplatedMapper::with_cap((paper.build)(), cap);
+    let mut report = run_sim(&mixed_mesh(), &templated, &Catalog::mixed_dsp(), &config)
+        .expect("the simulation never breaks its own ledger")
+        .report;
+    report.templates = Some(TemplateReport::from_stats(templated.stats(), cap));
+    let line = serde_json::to_string(&report).expect("reports serialize");
+    assert_eq!(
+        line,
+        include_str!("../../../tests/golden/seed2008_mixed_templates_recover.json").trim_end()
     );
 }

@@ -2,13 +2,17 @@
 //! allocator, on any machine: a capture-off `map` (steps 1, 2 and 4 read
 //! the spec through one per-map `SpecTable`; a change that goes back to
 //! deriving channel lists, orders or claims per candidate shows up here as
-//! a count), and the two ends of a template lookup — a warm hit and a
-//! lookup that fails on a full platform.
+//! a count), the two ends of a template lookup — a warm hit and a lookup
+//! that fails on a full platform — and a `map` refused after a full chain of
+//! step-1 dead ends, where what one attempt allocates must serve the next.
 
 use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm_bench::alloc_track::PeakAlloc;
-use rtsm_core::{MapperConfig, MappingAlgorithm, SpatialMapper, TemplatedMapper};
+use rtsm_core::{MapError, MapperConfig, MappingAlgorithm, SpatialMapper, TemplatedMapper};
 use rtsm_platform::paper::paper_platform;
+use rtsm_platform::TileKind;
+use rtsm_workloads::apps::{dvbt_rx, wlan_tx};
+use rtsm_workloads::mesh_platform;
 
 #[global_allocator]
 static ALLOC: PeakAlloc = PeakAlloc::new();
@@ -30,11 +34,24 @@ const MAP_CEILING: usize = 185;
 const HIT_CEILING: usize = 25;
 
 /// Allocator calls allowed per lookup that ends in "no" on a full platform.
-/// Measured: 28, before and after candidates were staged through a
-/// transaction — all of them the wrapped mapper's step-1 reject (28 on its
-/// own); with both MONTIUMs taken no anchor is free, so the lookup itself
-/// allocates nothing and never copies the ledger.
-const FAILED_LOOKUP_CEILING: usize = 28;
+/// Measured: 18 — all of them the wrapped mapper's step-1 reject (18 on its
+/// own: the spec's validation and order, the spec table, the slot states,
+/// the unassigned list, the error); with both MONTIUMs taken the shape is
+/// short of slots, so the lookup itself allocates nothing and never copies
+/// the ledger. 28 while step 1 copied the working ledger (8 vectors) before
+/// it knew it would place anything, and built a feedback list nobody read.
+const FAILED_LOOKUP_CEILING: usize = 18;
+
+/// Allocator calls allowed per `map` refused after eight step-1 dead ends
+/// (`wlan-tx` arriving on the mixed 4×4 mesh while `dvbt-rx` runs).
+/// Measured: 34, and 34 for a budget of one attempt as well — validation,
+/// order and spec table, then the first attempt's slot states, working
+/// ledger (8), decision log and unassigned list, one node of the constraint
+/// set and the final attempt's feedback list; no attempt after the first
+/// allocates. 141 while every attempt copied the ledger and rebuilt its
+/// vectors, mapping and feedback (about 15 apiece); the slack is one growth
+/// step of the constraint set.
+const DEAD_END_CHAIN_CEILING: usize = 36;
 
 /// The fewest allocator calls `f` makes over three runs.
 fn calls<T>(mut f: impl FnMut() -> T) -> usize {
@@ -90,10 +107,49 @@ fn paper_case_admission_calls_stay_under_their_allocation_ceilings() {
             .expect_err("the platform is full")
     });
     assert_eq!(templated.stats().misses, misses_before + 3);
-    // With `--nocapture`: the figures to write into the comments above.
-    eprintln!("allocator calls: map {per_map}, hit {per_hit}, failed lookup {per_failed_lookup}");
     assert!(
         per_failed_lookup <= FAILED_LOOKUP_CEILING,
         "{per_failed_lookup} allocator calls per failed lookup, ceiling {FAILED_LOOKUP_CEILING}"
+    );
+
+    // A chain of dead ends as long as the refinement budget: every attempt
+    // places five of `wlan-tx`'s six processes before the sixth finds the
+    // MONTIUMs gone.
+    let mesh = mesh_platform(
+        42,
+        4,
+        4,
+        &[
+            (TileKind::Montium, 4),
+            (TileKind::Arm, 4),
+            (TileKind::Dsp, 2),
+        ],
+    );
+    let mapper = templated.inner();
+    let (running, arriving) = (dvbt_rx(), wlan_tx());
+    let mut ledger = mesh.initial_state();
+    mapper
+        .map(&running, &mesh, &ledger)
+        .expect("maps alone")
+        .commit(&running, &mesh, &mut ledger)
+        .expect("fits");
+    let per_chain = calls(|| {
+        let refusal = mapper
+            .map(&arriving, &mesh, &ledger)
+            .expect_err("the MONTIUMs are taken");
+        let attempts = mapper.config().max_refinements;
+        assert!(
+            matches!(refusal, MapError::NoFeasibleMapping { attempts: n, .. } if n == attempts),
+            "{refusal}"
+        );
+    });
+    // With `--nocapture`: the figures to write into the comments above.
+    eprintln!(
+        "allocator calls: map {per_map}, hit {per_hit}, failed lookup {per_failed_lookup}, \
+         dead-end chain {per_chain}"
+    );
+    assert!(
+        per_chain <= DEAD_END_CHAIN_CEILING,
+        "{per_chain} allocator calls per refused map, ceiling {DEAD_END_CHAIN_CEILING}"
     );
 }

@@ -8,9 +8,9 @@ use crate::algorithm::{MappingAlgorithm, MappingOutcome};
 use crate::constraints::MappingConstraints;
 use crate::cost::CostModel;
 use crate::error::MapError;
-use crate::feedback::Constraints;
+use crate::feedback::{Constraints, Feedback};
 use crate::spec_table::SpecTable;
-use crate::step1::assign_implementations_in;
+use crate::step1::Step1;
 use crate::step2::{SearchCtx, Step2Config};
 use crate::step3::route_channels_with;
 use crate::step4::{check_constraints_in, Step4Config};
@@ -138,6 +138,9 @@ impl SpatialMapper {
         let _map_span = obs::span(obs::Span::Map);
         let capture = self.config.capture;
         let mut constraints = Constraints::with_external(external.clone());
+        // Step 1 for the whole call: what an attempt learns about `base`
+        // serves the attempts after it.
+        let mut step1 = Step1::new(&table, platform, base);
         let mut trace = MapTrace::default();
         let mut last_feedback = Vec::new();
         // Counters maintained independently of the trace so `evaluated` and
@@ -147,41 +150,44 @@ impl SpatialMapper {
         let mut attempts_made = 0usize;
         let mut evaluated: u64 = 0;
 
-        for attempt in 0..self.config.max_refinements.max(1) {
+        let max_attempts = self.config.max_refinements.max(1);
+        for attempt in 0..max_attempts {
             let mut attempt_trace = AttemptTrace::default();
 
             // Step 1: implementations + greedy first-fit tiles.
             let step1_result = {
                 let _s = obs::span(obs::Span::Step1);
-                assign_implementations_in(&table, platform, base, &constraints)
+                step1.attempt(&constraints)
             };
-            let step1 = match step1_result {
+            let step1_out = match step1_result {
                 Ok(out) => out,
-                Err(failure) => {
+                Err(dead_end) => {
+                    obs::count(obs::Counter::Step1DeadEnd, 1);
                     attempts_made += 1;
                     evaluated += 1;
-                    if capture {
-                        attempt_trace.feedback = failure.feedback.clone();
-                        trace.attempts.push(attempt_trace);
-                    }
-                    let mut absorbed = false;
-                    for fb in &failure.feedback {
-                        absorbed |= constraints.absorb(fb);
-                    }
-                    last_feedback = failure.feedback;
-                    if !absorbed {
+                    let forbid = dead_end.forbid();
+                    if !absorb(&mut constraints, &mut step1, forbid.as_slice()) {
                         return Err(MapError::Unmappable {
-                            process: spec.graph.process(failure.process).name.clone(),
+                            process: spec.graph.process(dead_end.process).name.clone(),
                         });
+                    }
+                    // The dead end's feedback list is read by the trace, and by
+                    // the error if no attempt follows this one.
+                    if capture || attempt + 1 == max_attempts {
+                        last_feedback = dead_end.feedback(spec);
+                    }
+                    if capture {
+                        attempt_trace.feedback = last_feedback.clone();
+                        trace.attempts.push(attempt_trace);
                     }
                     continue;
                 }
             };
             if capture {
-                attempt_trace.step1 = step1.events;
+                attempt_trace.step1 = step1_out.events;
             }
-            let mut mapping = step1.mapping;
-            let mut working = step1.working;
+            let mut mapping = step1_out.mapping;
+            let mut working = step1_out.working;
 
             // Step 2: local-search improvement.
             let step2_trace = {
@@ -215,10 +221,7 @@ impl SpatialMapper {
                     attempt_trace.feedback = feedback.clone();
                     trace.attempts.push(attempt_trace);
                 }
-                let mut absorbed = false;
-                for fb in &feedback {
-                    absorbed |= constraints.absorb(fb);
-                }
+                let absorbed = absorb(&mut constraints, &mut step1, &feedback);
                 last_feedback = feedback;
                 if !absorbed {
                     break;
@@ -256,10 +259,7 @@ impl SpatialMapper {
                 attempt_trace.feedback = step4.feedback.clone();
                 trace.attempts.push(attempt_trace);
             }
-            let mut absorbed = false;
-            for fb in &step4.feedback {
-                absorbed |= constraints.absorb(fb);
-            }
+            let absorbed = absorb(&mut constraints, &mut step1, &step4.feedback);
             last_feedback = step4.feedback;
             if !absorbed {
                 break;
@@ -289,6 +289,20 @@ impl SpatialMapper {
         }
         Ok(())
     }
+}
+
+/// Folds `feedback` into `constraints`, telling `step1` about every item
+/// that changed them. Returns whether any did (none ⇒ the feedback is not
+/// actionable and refinement stops rather than loops).
+fn absorb(constraints: &mut Constraints, step1: &mut Step1<'_>, feedback: &[Feedback]) -> bool {
+    let mut absorbed = false;
+    for fb in feedback {
+        if constraints.absorb(fb) {
+            step1.constrained_by(fb);
+            absorbed = true;
+        }
+    }
+    absorbed
 }
 
 impl MappingAlgorithm for SpatialMapper {

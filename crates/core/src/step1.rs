@@ -19,6 +19,34 @@
 //! named (the private `Fit`), the up-front discard is what that first probe
 //! found, and the round tracks the cheapest and second-cheapest option as
 //! it goes instead of collecting and sorting them.
+//!
+//! # What survives an attempt
+//!
+//! A `map` call runs step 1 once per refinement attempt, and most refused
+//! calls are nothing but a chain of step-1 dead ends, each attempt differing
+//! from the one before by a single forbidden (process, tile) pair. [`Step1`]
+//! is step 1 for the whole call, and keeps between attempts everything the
+//! new constraint cannot have changed:
+//!
+//! * **each slot's first fit on the base ledger.** The base ledger is the
+//!   same in every attempt and constraints only accumulate, so the tiles
+//!   that failed the probe still fail it: a recorded first fit stays the
+//!   first fit until that very tile is forbidden for the process (or the
+//!   implementation is excluded), which [`Step1::constrained_by`] is told
+//!   about. "Fits nowhere" stays true for good. The first round of a later
+//!   attempt therefore probes only the slots the last feedback touched;
+//! * **the working ledger.** One copy of the base ledger, made at the
+//!   call's first placement; a dead end releases the reservations it made
+//!   (at most one per process), which leaves the copy equal to the base
+//!   ledger again;
+//! * **the attempt's vectors** (slot states, unassigned list, decision log),
+//!   cleared and refilled.
+//!
+//! Nothing is set up ahead of need: a call refused in its first round, with
+//! nothing placed, copies no ledger at all. The [`Mapping`] is built from
+//! the decision log only when an attempt succeeds, and a dead end is a
+//! [`DeadEnd`] — two ids — whose feedback list (with its formatted
+//! diagnosis) is built only for whoever reads it.
 
 use crate::claims::reservation_of;
 use crate::feedback::{Constraints, Feedback};
@@ -48,6 +76,40 @@ pub struct Step1Failure {
     pub feedback: Vec<Feedback>,
 }
 
+/// A step-1 dead end before anyone asked for its feedback list: the process
+/// that ran out of viable options, and the most recent placement (it
+/// consumed the resource that process needed), if anything was placed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeadEnd {
+    /// The process that could not be assigned.
+    pub process: ProcessId,
+    /// The attempt's last placement before the dead end.
+    pub last_placement: Option<(ProcessId, TileId)>,
+}
+
+impl DeadEnd {
+    /// The one actionable item of [`DeadEnd::feedback`]: forbid the most
+    /// recent placement, so the next attempt packs differently.
+    pub fn forbid(&self) -> Option<Feedback> {
+        self.last_placement
+            .map(|(process, tile)| Feedback::ForbidTile { process, tile })
+    }
+
+    /// The feedback list of this dead end: the diagnosis, then
+    /// [`DeadEnd::forbid`].
+    pub fn feedback(&self, spec: &ApplicationSpec) -> Vec<Feedback> {
+        let mut feedback = Vec::with_capacity(2);
+        feedback.push(Feedback::Infeasible {
+            detail: format!(
+                "process `{}` has no viable implementation left in step 1",
+                spec.graph.process(self.process).name
+            ),
+        });
+        feedback.extend(self.forbid());
+        feedback
+    }
+}
+
 /// First tile (id order) of the implementation's kind that fits the claim
 /// and is not forbidden.
 fn first_fit(
@@ -68,11 +130,11 @@ fn first_fit(
         .map(|(tile, _)| tile)
 }
 
-/// What one attempt knows about the [`first_fit`] of one (process,
-/// implementation) slot. The working ledger only fills up during an
-/// attempt, and a claim on one tile changes no other tile's capacity, so a
-/// cached answer stays exact until a placement lands on the tile it names —
-/// and "fits nowhere" stays true for good.
+/// What is known about the [`first_fit`] of one (process, implementation)
+/// slot. The working ledger only fills up during an attempt, and a claim on
+/// one tile changes no other tile's capacity, so a cached answer stays exact
+/// until a placement lands on the tile it names — and "fits nowhere" stays
+/// true for good.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Fit {
     /// Not asked yet.
@@ -86,6 +148,234 @@ enum Fit {
     Now(Option<TileId>),
     /// Viable; a placement has since landed on the tile it named.
     Stale,
+}
+
+/// One slot's [`Fit`] on the base ledger under the constraints so far
+/// (`Unprobed`, `Never` or `Now(Some(_))`; carried from attempt to attempt)
+/// and on the working ledger of the attempt in progress (starts out as
+/// `base`).
+#[derive(Debug, Clone, Copy)]
+struct SlotFit {
+    base: Fit,
+    now: Fit,
+}
+
+/// Step 1 for one `map` call: [`Step1::attempt`] once per refinement
+/// attempt, against one spec, platform and base ledger, under constraints
+/// that only accumulate between attempts — every change to them announced
+/// through [`Step1::constrained_by`]. See the [module docs](self) for what
+/// is carried from one attempt to the next.
+#[derive(Debug)]
+pub struct Step1<'a> {
+    table: &'a SpecTable<'a>,
+    platform: &'a Platform,
+    base: &'a PlatformState,
+    fits: Vec<SlotFit>,
+    /// `None`, or equal to `base` between attempts.
+    working: Option<PlatformState>,
+    unassigned: Vec<ProcessId>,
+    events: Vec<Step1Event>,
+}
+
+impl<'a> Step1<'a> {
+    /// Step 1 of `table`'s spec on (`platform`, `base`); allocates nothing
+    /// until the first attempt.
+    pub fn new(table: &'a SpecTable<'a>, platform: &'a Platform, base: &'a PlatformState) -> Self {
+        Step1 {
+            table,
+            platform,
+            base,
+            fits: Vec::new(),
+            working: None,
+            unassigned: Vec::new(),
+            events: Vec::new(),
+        }
+    }
+
+    /// Tells step 1 that `feedback` was added to the constraints since the
+    /// last attempt: a first fit on the very tile now forbidden is asked
+    /// for again, an excluded implementation is discarded.
+    pub fn constrained_by(&mut self, feedback: &Feedback) {
+        if self.fits.is_empty() {
+            return;
+        }
+        let n_impls = |p: ProcessId| self.table.spec().library.impls_for(p).len();
+        match *feedback {
+            Feedback::ExcludeImplementation {
+                process,
+                impl_index,
+            } if impl_index < n_impls(process) => {
+                self.fits[self.table.slot(process, impl_index)].base = Fit::Never;
+            }
+            Feedback::ForbidTile { process, tile } => {
+                for ix in 0..n_impls(process) {
+                    let fit = &mut self.fits[self.table.slot(process, ix)].base;
+                    if *fit == Fit::Now(Some(tile)) {
+                        *fit = Fit::Unprobed;
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Runs one attempt under `constraints`. On success the working ledger
+    /// leaves with the output (steps 2–4 write routes and buffers into it);
+    /// an attempt after that copies the base ledger afresh.
+    ///
+    /// # Errors
+    ///
+    /// [`DeadEnd`] when a process has no viable option; the attempt's
+    /// reservations are released.
+    pub fn attempt(&mut self, constraints: &Constraints) -> Result<Step1Output, DeadEnd> {
+        let Step1 {
+            table,
+            platform,
+            base,
+            fits,
+            working,
+            unassigned,
+            events,
+        } = self;
+        let (table, platform, base) = (*table, *platform, *base);
+        let spec = table.spec();
+
+        fits.resize(
+            table.n_slots(),
+            SlotFit {
+                base: Fit::Unprobed,
+                now: Fit::Unprobed,
+            },
+        );
+        for fit in fits.iter_mut() {
+            fit.now = fit.base;
+        }
+        events.clear();
+        // Kept in application (topological) order, so among equally desirable
+        // processes the first one scanned is the tie-break winner.
+        unassigned.clear();
+        unassigned.extend_from_slice(table.order());
+
+        while !unassigned.is_empty() {
+            // Desirability of each unassigned process under the current state.
+            let mut best: Option<(u64, ProcessId, usize, TileId)> = None;
+            for &process in unassigned.iter() {
+                // The cheapest option still placeable (cost = the
+                // implementation's processing energy; communication is unknown
+                // before tiles are fixed; ties go to the lower index) and the
+                // cost of the runner-up.
+                let mut cheapest: Option<(u64, usize, TileId)> = None;
+                let mut runner_up: Option<u64> = None;
+                for (ix, implementation) in spec.library.impls_for(process).iter().enumerate() {
+                    let probe = |state: &PlatformState| {
+                        first_fit(table, platform, state, constraints, process, ix)
+                    };
+                    let slot = &mut fits[table.slot(process, ix)];
+                    let fit = match slot.now {
+                        Fit::Never => None,
+                        Fit::Now(fit) => fit,
+                        Fit::Stale => {
+                            let working = working.as_ref().expect("a placement made it stale");
+                            let fit = probe(working);
+                            slot.now = Fit::Now(fit);
+                            fit
+                        }
+                        Fit::Unprobed => {
+                            // Each round scans every unassigned process, so
+                            // only the first round meets a slot nobody has
+                            // asked about: in the first attempt all of them,
+                            // later the ones the new constraints touched.
+                            debug_assert!(events.is_empty(), "`working` is still `base`");
+                            let fit = if constraints.is_impl_excluded(process, ix) {
+                                None
+                            } else {
+                                probe(base)
+                            };
+                            slot.base = if fit.is_some() {
+                                Fit::Now(fit)
+                            } else {
+                                Fit::Never
+                            };
+                            slot.now = slot.base;
+                            fit
+                        }
+                    };
+                    let Some(tile) = fit else {
+                        continue;
+                    };
+                    let cost = implementation.energy_pj_per_period;
+                    match cheapest {
+                        Some((c, _, _)) if cost >= c => {
+                            runner_up = Some(runner_up.map_or(cost, |r| r.min(cost)));
+                        }
+                        _ => {
+                            runner_up = cheapest.map(|(c, _, _)| c);
+                            cheapest = Some((cost, ix, tile));
+                        }
+                    }
+                }
+                let Some((cost, impl_index, tile)) = cheapest else {
+                    // Dead end. Hand the working ledger back as it was.
+                    if let Some(working) = working.as_mut() {
+                        for e in events.iter() {
+                            working
+                                .release_tile(
+                                    e.tile,
+                                    &reservation_of(&table.claim(e.process, e.impl_index)),
+                                )
+                                .expect("reserved earlier in this attempt");
+                        }
+                        debug_assert_eq!(&*working, base);
+                    }
+                    return Err(DeadEnd {
+                        process,
+                        last_placement: events.last().map(|e| (e.process, e.tile)),
+                    });
+                };
+                let desirability = runner_up.map_or(u64::MAX, |r| r - cost);
+                if best.is_none_or(|(d, ..)| desirability > d) {
+                    best = Some((desirability, process, impl_index, tile));
+                }
+            }
+            let (desirability, process, impl_index, tile) = best.expect("unassigned is non-empty");
+            working
+                .get_or_insert_with(|| base.clone())
+                .claim_tile(
+                    platform,
+                    tile,
+                    &reservation_of(&table.claim(process, impl_index)),
+                )
+                .expect("first_fit checked the claim fits");
+            // Only `tile` lost capacity, so only the fits that named it can
+            // have moved.
+            for fit in fits.iter_mut() {
+                if fit.now == Fit::Now(Some(tile)) {
+                    fit.now = Fit::Stale;
+                }
+            }
+            let options = (0..spec.library.impls_for(process).len())
+                .filter(|ix| fits[table.slot(process, *ix)].now != Fit::Never)
+                .count();
+            events.push(Step1Event {
+                process,
+                impl_index,
+                tile,
+                desirability,
+                options,
+            });
+            unassigned.retain(|&p| p != process);
+        }
+
+        let mut mapping = Mapping::new();
+        for e in events.iter() {
+            mapping.assign(e.process, e.impl_index, e.tile);
+        }
+        Ok(Step1Output {
+            mapping,
+            working: working.take().unwrap_or_else(|| base.clone()),
+            events: std::mem::take(events),
+        })
+    }
 }
 
 /// Runs step 1.
@@ -107,7 +397,8 @@ pub fn assign_implementations(
     assign_implementations_in(&SpecTable::for_validated(spec), platform, base, constraints)
 }
 
-/// [`assign_implementations`] over a prebuilt [`SpecTable`].
+/// [`assign_implementations`] over a prebuilt [`SpecTable`]: a [`Step1`] of
+/// one attempt.
 ///
 /// # Errors
 ///
@@ -118,126 +409,12 @@ pub fn assign_implementations_in(
     base: &PlatformState,
     constraints: &Constraints,
 ) -> Result<Step1Output, Step1Failure> {
-    let spec = table.spec();
-
-    let mut fits = vec![Fit::Unprobed; table.n_slots()];
-    let mut mapping = Mapping::new();
-    let mut working = base.clone();
-    let mut events: Vec<Step1Event> = Vec::new();
-    // Kept in application (topological) order, so among equally desirable
-    // processes the first one scanned is the tie-break winner.
-    let mut unassigned: Vec<ProcessId> = table.order().to_vec();
-
-    while !unassigned.is_empty() {
-        // Desirability of each unassigned process under the current state.
-        let mut best: Option<(u64, ProcessId, usize, TileId)> = None;
-        for &process in &unassigned {
-            // The cheapest option still placeable (cost = the
-            // implementation's processing energy; communication is unknown
-            // before tiles are fixed; ties go to the lower index) and the
-            // cost of the runner-up.
-            let mut cheapest: Option<(u64, usize, TileId)> = None;
-            let mut runner_up: Option<u64> = None;
-            for (ix, implementation) in spec.library.impls_for(process).iter().enumerate() {
-                let probe = |state: &PlatformState| {
-                    first_fit(table, platform, state, constraints, process, ix)
-                };
-                let slot = &mut fits[table.slot(process, ix)];
-                let fit = match *slot {
-                    Fit::Never => None,
-                    Fit::Now(fit) => fit,
-                    Fit::Stale => {
-                        let fit = probe(&working);
-                        *slot = Fit::Now(fit);
-                        fit
-                    }
-                    Fit::Unprobed => {
-                        // Each round scans every unassigned process, so the
-                        // first round asks for every slot there is.
-                        debug_assert!(events.is_empty(), "`working` is still `base`");
-                        let fit = if constraints.is_impl_excluded(process, ix) {
-                            None
-                        } else {
-                            probe(base)
-                        };
-                        *slot = if fit.is_some() {
-                            Fit::Now(fit)
-                        } else {
-                            Fit::Never
-                        };
-                        fit
-                    }
-                };
-                let Some(tile) = fit else {
-                    continue;
-                };
-                let cost = implementation.energy_pj_per_period;
-                match cheapest {
-                    Some((c, _, _)) if cost >= c => {
-                        runner_up = Some(runner_up.map_or(cost, |r| r.min(cost)));
-                    }
-                    _ => {
-                        runner_up = cheapest.map(|(c, _, _)| c);
-                        cheapest = Some((cost, ix, tile));
-                    }
-                }
-            }
-            let Some((cost, impl_index, tile)) = cheapest else {
-                // Dead end: the feedback forbids the most recent placement
-                // (it consumed the resource this process needed).
-                let mut feedback = vec![Feedback::Infeasible {
-                    detail: format!(
-                        "process `{}` has no viable implementation left in step 1",
-                        spec.graph.process(process).name
-                    ),
-                }];
-                if let Some(last) = events.last() {
-                    feedback.push(Feedback::ForbidTile {
-                        process: last.process,
-                        tile: last.tile,
-                    });
-                }
-                return Err(Step1Failure { process, feedback });
-            };
-            let desirability = runner_up.map_or(u64::MAX, |r| r - cost);
-            if best.is_none_or(|(d, ..)| desirability > d) {
-                best = Some((desirability, process, impl_index, tile));
-            }
-        }
-        let (desirability, process, impl_index, tile) = best.expect("unassigned is non-empty");
-        working
-            .claim_tile(
-                platform,
-                tile,
-                &reservation_of(&table.claim(process, impl_index)),
-            )
-            .expect("first_fit checked the claim fits");
-        mapping.assign(process, impl_index, tile);
-        // Only `tile` lost capacity, so only the fits that named it can
-        // have moved.
-        for fit in &mut fits {
-            if *fit == Fit::Now(Some(tile)) {
-                *fit = Fit::Stale;
-            }
-        }
-        let options = (0..spec.library.impls_for(process).len())
-            .filter(|ix| fits[table.slot(process, *ix)] != Fit::Never)
-            .count();
-        events.push(Step1Event {
-            process,
-            impl_index,
-            tile,
-            desirability,
-            options,
-        });
-        unassigned.retain(|&p| p != process);
-    }
-
-    Ok(Step1Output {
-        mapping,
-        working,
-        events,
-    })
+    Step1::new(table, platform, base)
+        .attempt(constraints)
+        .map_err(|dead_end| Step1Failure {
+            process: dead_end.process,
+            feedback: dead_end.feedback(table.spec()),
+        })
 }
 
 #[cfg(test)]

@@ -19,7 +19,14 @@
 //! the mapping they were canonicalised from.
 //!
 //! At admission, [`TemplatedMapper`] matches shapes against the current
-//! platform: candidate anchors come from
+//! platform. A lookup first tallies, in one pass over the tiles, the free
+//! compute slots of every tile kind on healthy tiles; a shape that needs
+//! more slots of some kind than that (its demand is recorded when it is
+//! learned) can be placed nowhere, so it is passed over without trying a
+//! candidate — most lookups that end in "no" end here, on a platform that
+//! is simply full. The candidates it would have tried are still counted,
+//! so nothing a report carries tells a skipped shape from a tried one.
+//! For the others, candidate anchors come from
 //! [`PlatformState::free_anchor_tiles`] (the same free-capacity notion as
 //! `fragmentation()`, with failed tiles excluded), each shape is translated
 //! to every anchor under the mesh's four rotations, quick-rejected on tile
@@ -228,6 +235,123 @@ fn rotate(quarter_turns: u8, (dx, dy): (i32, i32)) -> (i32, i32) {
     }
 }
 
+/// How many compute slots a shape needs of each tile kind (every assignment
+/// reserves one slot on a tile of its kind), packed beside the shape when it
+/// is learned. Room for [`SlotDemand::KINDS`] kinds — nine bytes, since
+/// every cached shape carries one; a shape spread over more leaves the rest
+/// unrecorded, which only makes it skipped less often: exceeding the free
+/// slots of a *recorded* kind is still proof enough.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SlotDemand([(TileKind, u8); SlotDemand::KINDS]);
+
+impl SlotDemand {
+    const KINDS: usize = 3;
+
+    fn of(shape: &MappingShape) -> Self {
+        // A count of 0 marks an unused entry.
+        let mut demand = [(TileKind::Arm, 0u8); SlotDemand::KINDS];
+        for sa in &shape.assignments {
+            let entry = demand
+                .iter_mut()
+                .find(|(kind, slots)| *slots == 0 || *kind == sa.kind);
+            if let Some((kind, slots)) = entry {
+                // Saturation under-states the demand, which is the safe side.
+                (*kind, *slots) = (sa.kind, slots.saturating_add(1));
+            }
+        }
+        SlotDemand(demand)
+    }
+}
+
+/// Free compute capacity of one tile kind: the free slots on its healthy
+/// tiles, and how many of those tiles have a free slot at all (the
+/// [`PlatformState::free_anchor_tiles`] count).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct KindFree {
+    kind: TileKind,
+    slots: u32,
+    tiles: u32,
+}
+
+impl KindFree {
+    const fn nothing(kind: TileKind) -> Self {
+        KindFree {
+            kind,
+            slots: 0,
+            tiles: 0,
+        }
+    }
+}
+
+/// One lookup's view of the free compute capacity of its ledger, per tile
+/// kind. Tallied in one pass over the tiles, on the stack.
+#[derive(Debug, Clone, Copy)]
+struct FreeSlots {
+    kinds: [KindFree; FreeSlots::KINDS],
+    len: usize,
+    /// The platform has more tile kinds than fit: nothing is ruled out.
+    overflowed: bool,
+}
+
+impl FreeSlots {
+    const KINDS: usize = 8;
+
+    fn tally(platform: &Platform, state: &PlatformState) -> Self {
+        let mut free = FreeSlots {
+            kinds: [KindFree::nothing(TileKind::Arm); FreeSlots::KINDS],
+            len: 0,
+            overflowed: false,
+        };
+        for (id, tile) in platform.tiles() {
+            let slots = if state.is_tile_failed(id) {
+                0
+            } else {
+                tile.compute_slots - state.used_slots(id)
+            };
+            let seen = free.kinds[..free.len]
+                .iter_mut()
+                .find(|k| k.kind == tile.kind);
+            let entry = match seen {
+                Some(entry) => entry,
+                None if free.len < FreeSlots::KINDS => {
+                    free.len += 1;
+                    free.kinds[free.len - 1] = KindFree::nothing(tile.kind);
+                    &mut free.kinds[free.len - 1]
+                }
+                None => {
+                    free.overflowed = true;
+                    continue;
+                }
+            };
+            entry.slots += slots;
+            entry.tiles += u32::from(slots > 0);
+        }
+        free
+    }
+
+    /// The tally of `kind`; all zero for a kind the platform does not have.
+    fn of(&self, kind: TileKind) -> KindFree {
+        self.kinds[..self.len]
+            .iter()
+            .find(|k| k.kind == kind)
+            .copied()
+            .unwrap_or(KindFree::nothing(kind))
+    }
+
+    /// If a shape demanding `demand` fits nowhere on this ledger because
+    /// some kind is short of slots: the number of free anchors of
+    /// `anchor_kind`, which is how many candidates per rotation it is
+    /// spared.
+    fn rules_out(&self, demand: &SlotDemand, anchor_kind: TileKind) -> Option<u32> {
+        let short = !self.overflowed
+            && demand
+                .0
+                .iter()
+                .any(|&(kind, slots)| u32::from(slots) > self.of(kind).slots);
+        short.then(|| self.of(anchor_kind).tiles)
+    }
+}
+
 /// One lookup's fit check: what its candidates are checked against, and the
 /// scratch they are checked on.
 struct FitCheck<'a> {
@@ -241,13 +365,15 @@ struct FitCheck<'a> {
     /// in a transaction that is then dropped, so it equals `base` again for
     /// the next candidate and one copy serves the whole lookup.
     ledger: Option<PlatformState>,
-    /// Candidates tried so far.
+    /// Free compute capacity of `base` per tile kind.
+    free: FreeSlots,
+    /// Candidates tried so far, counting those of skipped shapes.
     tried: u64,
 }
 
 impl<'a> FitCheck<'a> {
-    /// A fit check of `spec` against `base`, with no candidate tried yet and
-    /// the scratch ledger not yet copied.
+    /// A fit check of `spec` against `base`, with no candidate tried yet,
+    /// the scratch ledger not yet copied, and `base`'s free slots tallied.
     fn new(
         spec: &'a ApplicationSpec,
         platform: &'a Platform,
@@ -262,6 +388,7 @@ impl<'a> FitCheck<'a> {
             constraints,
             routes,
             ledger: None,
+            free: FreeSlots::tally(platform, base),
             tried: 0,
         }
     }
@@ -386,15 +513,24 @@ impl<'a> FitCheck<'a> {
     }
 
     /// Tries every (rotation, anchor) placement of `entry`'s shape in
-    /// deterministic order.
+    /// deterministic order — or none of them, when the shape demands more
+    /// compute slots of some kind than `base` has free: every placement
+    /// would fail its reservations. `tried` is credited with exactly the
+    /// candidates the loop would have counted on its way to that answer
+    /// (every distinct rotation at every free anchor), so the `evaluated`
+    /// of a later hit does not depend on which shapes were skipped.
     fn instantiate_shape(&mut self, entry: &ShapeEntry) -> Option<MappingOutcome> {
         let shape = &entry.shape;
         if shape.assignments.is_empty() || !shape.indexes_into(self.spec) {
             return None;
         }
-        let anchors = self
-            .base
-            .free_anchor_tiles(self.platform, shape.assignments[0].kind);
+        let anchor_kind = shape.assignments[0].kind;
+        if let Some(free_anchors) = self.free.rules_out(&entry.demand, anchor_kind) {
+            obs::count(obs::Counter::TemplateShapeSkipped, 1);
+            self.tried += u64::from(entry.rotations.count_ones()) * u64::from(free_anchors);
+            return None;
+        }
+        let anchors = self.base.free_anchor_tiles(self.platform, anchor_kind);
         for quarter_turns in (0..4u8).filter(|k| entry.rotations >> k & 1 == 1) {
             for &anchor in &anchors {
                 self.tried += 1;
@@ -428,16 +564,17 @@ pub struct TemplateStats {
 }
 
 /// A cached shape with its usage record. Which rotations are distinct
-/// ([`MappingShape::distinct_rotations`]) is derived when the shape is
-/// learned and kept beside it — not inside it, where it would take part in
-/// the deduplicating `==` — as a mask of quarter turns: a lookup neither
-/// derives nor allocates offset vectors, and the library's footprint does
-/// not grow by them. The mask shares a word with the hit count, which
-/// ranks eviction victims and saturates rather than wraps, so an entry is
-/// no larger than the shape, a count and a sequence number.
+/// ([`MappingShape::distinct_rotations`]) and how many compute slots of
+/// each tile kind the shape needs ([`SlotDemand`]) are derived when the
+/// shape is learned and kept beside it — not inside it, where they would
+/// take part in the deduplicating `==` — as a mask of quarter turns and a
+/// small inline table: a lookup neither derives nor allocates offset
+/// vectors or demand lists. The hit count ranks eviction victims and
+/// saturates rather than wraps.
 #[derive(Debug)]
 struct ShapeEntry {
     shape: MappingShape,
+    demand: SlotDemand,
     rotations: u8,
     hits: u32,
     seq: u64,
@@ -504,6 +641,7 @@ impl TemplateLibrary {
         }
         shapes.push(ShapeEntry {
             rotations: shape.distinct_rotations(),
+            demand: SlotDemand::of(&shape),
             shape,
             hits: 0,
             seq,
@@ -701,6 +839,9 @@ impl<A: MappingAlgorithm> MappingAlgorithm for TemplatedMapper<A> {
         Ok(outcome)
     }
 }
+
+#[cfg(test)]
+mod twin;
 
 #[cfg(test)]
 mod tests {

@@ -2,21 +2,23 @@
 //! must be what the spec's own (allocating) accessors compute, the
 //! single-pass [`claim_for`] must equal the formula it replaced, the
 //! spec-taking step functions must decide exactly as the table-taking ones
-//! sharing a single table, and step 1's cached first fits must decide
-//! exactly as a step 1 that probes everything again every round.
+//! sharing a single table, step 1's cached first fits must decide exactly
+//! as a step 1 that probes everything again every round, and a `map` call
+//! refused by a chain of step-1 dead ends must return the very error a
+//! refinement loop around that memory-less step 1 returns.
 
 use proptest::prelude::*;
 use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm_app::{ApplicationSpec, Implementation, ProcessId};
 use rtsm_core::claims::{claim_for, reservation_of};
 use rtsm_core::cost::CostModel;
-use rtsm_core::feedback::Constraints;
+use rtsm_core::feedback::{Constraints, Feedback};
 use rtsm_core::step1::{assign_implementations, assign_implementations_in};
 use rtsm_core::step2::{improve_assignment, SearchCtx, Step2Config, Step2Strategy};
 use rtsm_core::step3::route_channels;
 use rtsm_core::step4::{check_constraints, check_constraints_in, Step4Config};
 use rtsm_core::trace::Step1Event;
-use rtsm_core::{MappingConstraints, SpatialMapper, SpecTable};
+use rtsm_core::{MapError, MappingConstraints, SpatialMapper, SpecTable};
 use rtsm_platform::paper::paper_platform;
 use rtsm_platform::{Platform, PlatformState, TileClaim, TileId, TileKind};
 use rtsm_workloads::apps::{dvbt_rx, jpeg_encoder, mp3_decoder, wlan_tx};
@@ -173,13 +175,13 @@ fn half_occupied(platform: &Platform) -> PlatformState {
 /// oracle for the per-slot first-fit cache of `assign_implementations_in`
 /// (which probes a slot again only after a placement on the tile it
 /// named). Returns the decision log, or the process that ran out of
-/// options.
+/// options with the decisions made until then.
 fn reprobing_step1(
     table: &SpecTable<'_>,
     platform: &Platform,
     base: &PlatformState,
     constraints: &Constraints,
-) -> Result<Vec<Step1Event>, ProcessId> {
+) -> Result<Vec<Step1Event>, (ProcessId, Vec<Step1Event>)> {
     let n_impls = |p: ProcessId| table.spec().library.impls_for(p).len();
     let first_fit = |state: &PlatformState, p: ProcessId, ix: usize| {
         let claim = table.claim(p, ix);
@@ -210,7 +212,7 @@ fn reprobing_step1(
                 .collect();
             options.sort_unstable();
             let Some(&(cost, ix, tile)) = options.first() else {
-                return Err(p);
+                return Err((p, events));
             };
             let desirability = options.get(1).map_or(u64::MAX, |next| next.0 - cost);
             if best.is_none_or(|(d, ..)| desirability > d) {
@@ -259,7 +261,7 @@ fn check_equivalence(
         tabled
             .map(|out| out.events)
             .map_err(|failure| failure.process),
-        reprobing_step1(&table, platform, base, &constraints),
+        reprobing_step1(&table, platform, base, &constraints).map_err(|(process, _)| process),
         "{}: step 1 against the re-probing oracle",
         spec.name
     );
@@ -350,4 +352,166 @@ fn wrapper_and_table_paths_decide_identically() {
     // (or routing) failures compared as failures.
     assert!(reached_step4 >= cases.len(), "{reached_step4} full runs");
     assert!(stopped_early > 0, "no failing case was compared");
+}
+
+/// The refinement driver of §3 around the memory-less [`reprobing_step1`]:
+/// every attempt starts from nothing but `base` and the constraints so far.
+/// Returns the error of a call that is refused by step-1 dead ends alone —
+/// built here from the paper's rules, not from the mapper's own types — or
+/// `None` when some attempt gets past step 1 (steps 2–4 are not this
+/// oracle's business).
+fn reference_refusal(
+    spec: &ApplicationSpec,
+    platform: &Platform,
+    base: &PlatformState,
+    external: &MappingConstraints,
+    max_refinements: usize,
+) -> Option<MapError> {
+    let table = SpecTable::for_validated(spec);
+    let mut constraints = Constraints::with_external(external.clone());
+    let mut last_feedback = Vec::new();
+    for _ in 0..max_refinements {
+        let Err((process, placed)) = reprobing_step1(&table, platform, base, &constraints) else {
+            return None;
+        };
+        let name = &spec.graph.process(process).name;
+        last_feedback = vec![Feedback::Infeasible {
+            detail: format!("process `{name}` has no viable implementation left in step 1"),
+        }];
+        // The dead end forbids its most recent placement; with nothing
+        // placed, or nothing new to forbid, the process is unmappable.
+        let forbid = placed.last().map(|last| Feedback::ForbidTile {
+            process: last.process,
+            tile: last.tile,
+        });
+        let absorbed = forbid.as_ref().is_some_and(|fb| constraints.absorb(fb));
+        last_feedback.extend(forbid);
+        if !absorbed {
+            return Some(MapError::Unmappable {
+                process: name.clone(),
+            });
+        }
+    }
+    Some(MapError::NoFeasibleMapping {
+        attempts: max_refinements,
+        last_feedback,
+    })
+}
+
+/// `base` with every compute slot of the first tile of each processing kind
+/// taken out of service.
+fn one_failed_tile_per_kind(platform: &Platform, base: &PlatformState) -> PlatformState {
+    let mut state = base.clone();
+    for kind in [TileKind::Arm, TileKind::Montium, TileKind::Dsp] {
+        if let Some((tile, _)) = platform.tiles_of_kind(kind).next() {
+            state.fail_tile(tile);
+        }
+    }
+    state
+}
+
+#[test]
+fn refused_maps_return_the_reference_loops_error() {
+    let cases: Vec<(ApplicationSpec, Platform)> =
+        std::iter::once((hiperlan2_receiver(Hiperlan2Mode::Qpsk34), paper_platform()))
+            .chain(mixed_specs().map(|spec| (spec, mixed_mesh())))
+            .collect();
+    let mapper = SpatialMapper::default();
+    let max_refinements = mapper.config().max_refinements;
+    // Chain lengths seen, by how the refusal ended.
+    let (mut unmappable, mut exhausted, mut past_step1) = (0, 0, 0);
+    let mut longest_unmappable_chain = 0;
+    for (spec, platform) in &cases {
+        let empty = platform.initial_state();
+        let free = mapper
+            .map(spec, platform, &empty)
+            .expect("every case maps on its empty platform");
+        let order = spec.graph.topological_order().unwrap();
+        let tile_of = |p: ProcessId| free.mapping.assignment(p).unwrap().tile;
+        let last = *order.last().unwrap();
+        let pinned = MappingConstraints::none().pin(last, tile_of(last));
+        let pinned_and_excluded = pinned.clone().exclude_tile(tile_of(order[0]));
+        let excluded_twice = MappingConstraints::none()
+            .exclude_tile(tile_of(order[0]))
+            .exclude_tile(tile_of(last));
+
+        // The matrix's two ledgers, then *full* ones — each application that
+        // maps on this platform running, alone and on the half-occupied
+        // ledger — and each of those again with a tile of every kind failed.
+        let mut bases = vec![empty.clone(), half_occupied(platform)];
+        for (running, on) in cases.iter().filter(|(_, on)| on == platform) {
+            for under in [empty.clone(), half_occupied(platform)] {
+                if let Ok(outcome) = mapper.map(running, on, &under) {
+                    let mut ledger = under;
+                    outcome.commit(running, on, &mut ledger).expect("it fits");
+                    bases.push(ledger);
+                }
+            }
+        }
+        let degraded: Vec<_> = bases
+            .iter()
+            .map(|base| one_failed_tile_per_kind(platform, base))
+            .collect();
+        bases.extend(degraded);
+
+        for base in &bases {
+            for external in [
+                MappingConstraints::none(),
+                pinned.clone(),
+                pinned_and_excluded.clone(),
+                excluded_twice.clone(),
+            ] {
+                let mapped = mapper.map_constrained(spec, platform, base, &external);
+                match reference_refusal(spec, platform, base, &external, max_refinements) {
+                    None => past_step1 += 1,
+                    Some(expected) => {
+                        match &expected {
+                            MapError::NoFeasibleMapping { .. } => exhausted += 1,
+                            _ => unmappable += 1,
+                        }
+                        assert_eq!(
+                            mapped.as_ref().err(),
+                            Some(&expected),
+                            "{} under {external:?}",
+                            spec.name
+                        );
+                        // How long a chain ended in `Unmappable`: the trace
+                        // of the same call tells.
+                        if let MapError::Unmappable { .. } = expected {
+                            longest_unmappable_chain = longest_unmappable_chain
+                                .max(chain_length(spec, platform, base, &external));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // All three endings must be compared: one-attempt refusals, chains that
+    // end early because nothing new can be forbidden, and chains that use
+    // up the budget (every attempt after the first relying on what the
+    // attempts before it left behind).
+    assert!(unmappable > 20, "{unmappable} unmappable refusals");
+    assert!(exhausted > 20, "{exhausted} exhausted chains");
+    assert!(
+        longest_unmappable_chain > 2,
+        "no multi-attempt chain ended unmappable ({longest_unmappable_chain})"
+    );
+    assert!(past_step1 > 20, "{past_step1} cases past step 1");
+}
+
+/// Refinement attempts of a refused call, read off a probe.
+fn chain_length(
+    spec: &ApplicationSpec,
+    platform: &Platform,
+    base: &PlatformState,
+    external: &MappingConstraints,
+) -> u64 {
+    let probe = std::rc::Rc::new(rtsm_obs::SpanLatencyProbe::new());
+    let _guard = rtsm_obs::install(probe.clone());
+    SpatialMapper::default()
+        .map_constrained(spec, platform, base, external)
+        .expect_err("the reference loop refused it");
+    let dead_ends = probe.counter_total(rtsm_obs::Counter::Step1DeadEnd);
+    assert_eq!(dead_ends, probe.histogram(rtsm_obs::Span::Step1).count());
+    dead_ends
 }

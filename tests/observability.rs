@@ -163,3 +163,47 @@ fn span_latency_probe_counts_every_admission_attempt() {
         );
     }
 }
+
+/// The two refusal-path counters fire only under a probe, say why an
+/// arrival was blocked, and leave the report alone: on an overloaded mixed
+/// mesh behind the template library, shapes are passed over for want of
+/// compute slots and step 1 dead-ends, yet the probed report — template
+/// section included — is the bare one byte for byte.
+#[test]
+fn refusal_counters_tell_capacity_blocks_apart_without_moving_the_report() {
+    use rtsm::core::TemplatedMapper;
+    use rtsm::sim::TemplateReport;
+    let resolved = rtsm::exp::resolve_catalog("mixed", 42).expect("registered catalog");
+    let run = |probe: Option<Rc<dyn obs::Probe>>| {
+        let _guard = probe.map(obs::install);
+        let templated = TemplatedMapper::new(SpatialMapper::default());
+        let mut report = run_sim(
+            &resolved.platform,
+            &templated,
+            &resolved.catalog,
+            &config(2008, 200),
+        )
+        .expect("simulation never breaks its own ledger")
+        .report;
+        report.templates = Some(TemplateReport::from_stats(
+            templated.stats(),
+            rtsm::core::template::DEFAULT_SHAPE_CAP,
+        ));
+        assert!(report.blocked > 0, "the mesh is overloaded at this gap");
+        serde_json::to_string(&report).expect("reports serialize")
+    };
+    let probe = Rc::new(SpanLatencyProbe::new());
+    assert_eq!(run(Some(probe.clone())), run(None));
+
+    let dead_ends = probe.counter_total(obs::Counter::Step1DeadEnd);
+    let attempts = probe.histogram(obs::Span::Step1).count();
+    assert!(
+        dead_ends > 0 && dead_ends < attempts,
+        "{dead_ends} of {attempts}"
+    );
+    assert!(probe.counter_total(obs::Counter::TemplateShapeSkipped) > 0);
+    assert!(
+        probe.counter_total(obs::Counter::TemplateMiss) > 0,
+        "a lookup whose shapes were all skipped is still a miss"
+    );
+}
