@@ -13,7 +13,8 @@ use rtsm_core::claims::{claim_for, reservation_of};
 use rtsm_core::constraints::MappingConstraints;
 use rtsm_core::error::MapError;
 use rtsm_core::step3::route_channels;
-use rtsm_core::step4::{check_constraints, Step4Config};
+use rtsm_core::step4::{check_constraints_in, Step4Config};
+use rtsm_core::SpecTable;
 use rtsm_core::{Mapping, MappingOutcome};
 use rtsm_platform::{EnergyModel, Platform, PlatformState};
 
@@ -45,7 +46,13 @@ pub fn finalize_assignment(
             .ok()?;
     }
     route_channels(spec, platform, &mut mapping, &mut working).ok()?;
-    let step4 = check_constraints(spec, platform, &mapping, &working, &Step4Config::default());
+    let step4 = check_constraints_in(
+        &SpecTable::for_validated(spec),
+        platform,
+        &mapping,
+        working,
+        &Step4Config::default(),
+    );
     if !step4.feasible {
         return None;
     }
@@ -54,7 +61,7 @@ pub fn finalize_assignment(
     Some(MappingOutcome {
         mapping,
         buffers: step4.buffers,
-        csdf: Some(step4.csdf),
+        csdf: None,
         energy_pj,
         communication_hops,
         feasible: true,

@@ -77,7 +77,7 @@ fn steps(c: &mut Criterion) {
                 &routed_state,
                 &Step4Config::default(),
             );
-            black_box(result.feasible)
+            black_box(result.verdict.feasible)
         })
     });
 }

@@ -44,6 +44,13 @@
 //!   failed lookup passed over by slot demand, and the time and allocator
 //!   calls of each. That every arrival is refused and every lookup misses
 //!   is asserted; the times are reported, never gated;
+//! * what "yes" costs in step 4 (`step4` section, additive in schema 8):
+//!   per spec of every registered catalog, mapped on its empty platform —
+//!   the mapping's signature, the warm verdict keyed by it (with its
+//!   allocator calls), composing the Figure-3 graph the verdict no longer
+//!   needs, and the whole verdict on a fresh thread, where nothing is
+//!   remembered. That the warm verdict equals the cold one is asserted; the
+//!   times are reported, never gated;
 //! * the budget-raced algorithm portfolio (`portfolio` section, new in
 //!   schema 8): blocking ‰ of the default `PortfolioMapper` next to its
 //!   best standalone member on every registered catalog, with the
@@ -286,6 +293,34 @@ struct Rejections {
     points: Vec<Rejection>,
 }
 
+/// One catalog spec of the `step4` section, mapped alone on its platform.
+#[derive(Serialize)]
+struct Step4Point {
+    catalog: String,
+    spec: String,
+    /// Actors of the composed Figure-3 graph (A/D, Sink, implementations,
+    /// one per router crossed).
+    csdf_actors: u64,
+    /// Median time (batch means) of the mapping's signature, of the warm
+    /// verdict it keys — and the allocator calls of one — and of composing
+    /// the graph.
+    signature_ns: u64,
+    warm_verdict_ns: u64,
+    warm_verdict_allocs: u64,
+    compose_ns: u64,
+    /// Median time of the whole verdict on a fresh thread, whose memo is
+    /// empty: signature, composition, buffer-sizing search.
+    cold_verdict_ns: u64,
+}
+
+/// The price of "yes" in step 4 (additive in schema 8).
+#[derive(Serialize)]
+struct Step4 {
+    iterations: u64,
+    cold_samples: u64,
+    points: Vec<Step4Point>,
+}
+
 /// One catalog of the portfolio-vs-members comparison: the budget-raced
 /// `PortfolioMapper` against its best standalone member at the same
 /// modeled per-admission latency budget.
@@ -443,6 +478,7 @@ struct BenchReport {
     resilience: Resilience,
     templates: Templates,
     rejections: Rejections,
+    step4: Step4,
     portfolio: Portfolio,
     scaling: Scaling,
     sanity_checks_passed: bool,
@@ -1240,6 +1276,119 @@ fn main() {
         points: rejection_points,
     };
 
+    // --- Step 4: what "yes" costs ------------------------------------------
+    // Steps 1–3 on the empty platform, then step 4 taken apart. The warm
+    // verdict is what an admission pays; the composition is what it used to
+    // pay on top; the cold verdict is what the first arrival of a signature
+    // on a thread pays.
+    const STEP4_BATCH: u64 = 100;
+    let cold_samples = iters.min(9);
+    let step4_config = rtsm_core::step4::Step4Config::default();
+    let mut step4_points = Vec::new();
+    for catalog_name in rtsm_exp::VALID_CATALOGS {
+        let resolved = rtsm_exp::resolve_catalog(catalog_name, 42).expect("registered catalog");
+        let platform = &resolved.platform;
+        for entry in resolved.catalog.entries() {
+            use rtsm_core::step4::{check_constraints_in, compose, signature};
+            let spec = &*entry.spec;
+            let (mapping, working) = rtsm_bench::steps_one_to_three(spec, platform);
+            let table = rtsm_core::SpecTable::for_validated(spec);
+            let mut cold_ns = Vec::new();
+            let mut cold = None;
+            for _ in 0..cold_samples {
+                let (ns, answer) = std::thread::scope(|scope| {
+                    let timed = || {
+                        let ledger = working.clone();
+                        let table = rtsm_core::SpecTable::for_validated(spec);
+                        let t = Instant::now();
+                        let answer =
+                            check_constraints_in(&table, platform, &mapping, ledger, &step4_config);
+                        (t.elapsed().as_nanos() as u64, answer)
+                    };
+                    scope.spawn(timed).join().expect("step 4 does not panic")
+                });
+                cold_ns.push(ns);
+                cold = Some(answer);
+            }
+            let warm =
+                check_constraints_in(&table, platform, &mapping, working.clone(), &step4_config);
+            assert!(warm.feasible, "`{}` is feasible alone", entry.name);
+            assert_eq!(Some(&warm), cold.as_ref(), "`{}`: warm vs cold", entry.name);
+
+            let ledger = working.clone();
+            let warm_verdict_allocs = ALLOC
+                .allocations_during(|| {
+                    check_constraints_in(&table, platform, &mapping, ledger, &step4_config)
+                })
+                .0 as u64;
+            // The verdict consumes a working ledger, as the refinement loop
+            // hands it one: the copies are made before the clock starts.
+            let mut warm_ns: Vec<u64> = (0..iters)
+                .map(|_| {
+                    let mut ledgers = vec![working.clone(); STEP4_BATCH as usize];
+                    let t = Instant::now();
+                    while let Some(ledger) = ledgers.pop() {
+                        black_box(check_constraints_in(
+                            &table,
+                            platform,
+                            black_box(&mapping),
+                            ledger,
+                            &step4_config,
+                        ));
+                    }
+                    t.elapsed().as_nanos() as u64 / STEP4_BATCH
+                })
+                .collect();
+            let warm_verdict_ns = median(&mut warm_ns);
+            let per_call = |f: &mut dyn FnMut()| {
+                measure(iters, || {
+                    for _ in 0..STEP4_BATCH {
+                        f();
+                    }
+                }) / STEP4_BATCH
+            };
+            let point = Step4Point {
+                catalog: catalog_name.into(),
+                spec: entry.name.clone(),
+                csdf_actors: compose(&table, platform, &mapping, &step4_config)
+                    .expect("assigned")
+                    .csdf
+                    .n_actors() as u64,
+                signature_ns: per_call(&mut || {
+                    black_box(signature(&table, platform, black_box(&mapping), &step4_config).ok());
+                }),
+                warm_verdict_ns,
+                warm_verdict_allocs,
+                compose_ns: per_call(&mut || {
+                    black_box(compose(
+                        &table,
+                        platform,
+                        black_box(&mapping),
+                        &step4_config,
+                    ));
+                }),
+                cold_verdict_ns: median(&mut cold_ns),
+            };
+            println!(
+                "step4/{}: signature {} ns, warm verdict {} ns ({} allocator calls), \
+                 compose {} actors {} ns, cold verdict {} ns",
+                point.spec,
+                point.signature_ns,
+                point.warm_verdict_ns,
+                point.warm_verdict_allocs,
+                point.csdf_actors,
+                point.compose_ns,
+                point.cold_verdict_ns,
+            );
+            step4_points.push(point);
+        }
+    }
+    let step4 = Step4 {
+        iterations: iters,
+        cold_samples,
+        points: step4_points,
+    };
+
     // --- Portfolio vs its members, every catalog --------------------------
     // The **portfolio-beats-members gate**: at an equal modeled
     // per-admission latency budget, the portfolio's per-admission
@@ -1451,6 +1600,7 @@ fn main() {
         resilience,
         templates,
         rejections,
+        step4,
         portfolio,
         scaling,
         sanity_checks_passed: true,

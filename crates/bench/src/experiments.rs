@@ -34,6 +34,40 @@ fn paper_mapping() -> (ApplicationSpec, Platform, MappingOutcome) {
     (spec, platform, result)
 }
 
+/// Steps 1–3 of the paper heuristic for `spec` alone on the empty
+/// `platform`: the routed mapping and the working ledger that step 4 is
+/// handed (what the step-4 measurements start from).
+///
+/// # Panics
+///
+/// Panics if `spec` does not fit or route on the empty platform.
+pub fn steps_one_to_three(
+    spec: &ApplicationSpec,
+    platform: &Platform,
+) -> (rtsm_core::Mapping, rtsm_platform::PlatformState) {
+    let constraints = rtsm_core::feedback::Constraints::new();
+    let placed = rtsm_core::step1::assign_implementations(
+        spec,
+        platform,
+        &platform.initial_state(),
+        &constraints,
+    )
+    .expect("the spec fits its empty platform");
+    let (mut mapping, mut working) = (placed.mapping, placed.working);
+    rtsm_core::step2::improve_assignment(
+        spec,
+        platform,
+        &constraints,
+        &mut mapping,
+        &mut working,
+        &CostModel::HopCount,
+        &Step2Config::default(),
+    );
+    rtsm_core::step3::route_channels(spec, platform, &mut mapping, &mut working)
+        .expect("routable when empty");
+    (mapping, working)
+}
+
 /// E1 — Figure 1: the HIPERLAN/2 receiver KPN.
 pub fn fig1() -> String {
     render_kpn(&hiperlan2_receiver(DEFAULT_MODE))

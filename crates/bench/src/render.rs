@@ -81,21 +81,34 @@ impl Table {
     }
 }
 
+/// The least and the greatest `name` over the `points` of a report section.
+fn range_over(points: &[serde::Value], name: &str) -> Result<(u64, u64), serde::de::Error> {
+    let values = points
+        .iter()
+        .map(|point| serde::de::field::<u64>(point, name))
+        .collect::<Result<Vec<u64>, _>>()?;
+    Ok((
+        values.iter().min().copied().unwrap_or(0),
+        values.iter().max().copied().unwrap_or(0),
+    ))
+}
+
 /// First line of the README block [`readme_admission_block`] renders.
 pub const README_ADMISSION_BEGIN: &str =
-    "<!-- BENCH_map.json `templates` and `rejections`, as `bench_map` prints it; regenerate, do not edit -->";
+    "<!-- BENCH_map.json `templates`, `rejections` and `step4`, as `bench_map` prints it; regenerate, do not edit -->";
 
 /// The README's "Microsecond admission" figures, rendered from a parsed
 /// `BENCH_map.json`: the paper-case hit and miss paths, the lookup key's
 /// cost, then the mixed catalog at steady state with templates off and on,
-/// then what a refusal costs (the `rejections` section). `bench_map` prints
-/// this block after writing the artifact, and a test holds the README to
-/// the committed artifact, so the two cannot drift.
+/// then what a refusal costs (the `rejections` section) and what step 4 of
+/// an admission costs (the `step4` section). `bench_map` prints this block
+/// after writing the artifact, and a test holds the README to the committed
+/// artifact, so the two cannot drift.
 ///
 /// # Errors
 ///
-/// A field of the `templates` or `rejections` section is missing or
-/// mistyped.
+/// A field of the `templates`, `rejections` or `step4` section is missing
+/// or mistyped.
 pub fn readme_admission_block(bench: &serde::Value) -> Result<String, serde::de::Error> {
     use serde::de::field;
     let templates: serde::Value = field(bench, "templates")?;
@@ -155,16 +168,7 @@ pub fn readme_admission_block(bench: &serde::Value) -> Result<String, serde::de:
     );
     let rejections: serde::Value = field(bench, "rejections")?;
     let points: Vec<serde::Value> = field(&rejections, "points")?;
-    let range = |name: &str| -> Result<(u64, u64), serde::de::Error> {
-        let values = points
-            .iter()
-            .map(|point| field::<u64>(point, name))
-            .collect::<Result<Vec<u64>, _>>()?;
-        Ok((
-            values.iter().min().copied().unwrap_or(0),
-            values.iter().max().copied().unwrap_or(0),
-        ))
-    };
+    let range = |name: &str| range_over(&points, name);
     let (attempts, map_ns, map_allocs, lookup_ns) = (
         range("attempts")?,
         range("refused_map_ns")?,
@@ -186,6 +190,38 @@ pub fn readme_admission_block(bench: &serde::Value) -> Result<String, serde::de:
         map_ns.1 as f64 / 1e3,
         map_allocs.0,
         map_allocs.1,
+    );
+    let step4: serde::Value = field(bench, "step4")?;
+    let points: Vec<serde::Value> = field(&step4, "points")?;
+    let range = |name: &str| range_over(&points, name);
+    let (signature, warm, allocs, compose, cold) = (
+        range("signature_ns")?,
+        range("warm_verdict_ns")?,
+        range("warm_verdict_allocs")?,
+        range("compose_ns")?,
+        range("cold_verdict_ns")?,
+    );
+    let _ = writeln!(out);
+    let _ = writeln!(
+        out,
+        "Step 4 of an admission, over the {} catalog specs mapped alone: the mapping's signature \
+         {}–{} ns, the warm verdict it keys {}–{} ns ({} allocator calls); composing the Figure-3 \
+         graph, which the verdict does without, {:.1}–{:.1} µs; a cold verdict (signature new to \
+         the thread) {:.0}–{:.0} µs.",
+        points.len(),
+        signature.0,
+        signature.1,
+        warm.0,
+        warm.1,
+        if allocs.0 == allocs.1 {
+            allocs.0.to_string()
+        } else {
+            format!("{}–{}", allocs.0, allocs.1)
+        },
+        compose.0 as f64 / 1e3,
+        compose.1 as f64 / 1e3,
+        cold.0 as f64 / 1e3,
+        cold.1 as f64 / 1e3,
     );
     let _ = writeln!(out, "<!-- end of the generated block -->");
     Ok(out)

@@ -2,13 +2,17 @@
 //! allocator, on any machine: a capture-off `map` (steps 1, 2 and 4 read
 //! the spec through one per-map `SpecTable`; a change that goes back to
 //! deriving channel lists, orders or claims per candidate shows up here as
-//! a count), the two ends of a template lookup — a warm hit and a lookup
-//! that fails on a full platform — and a `map` refused after a full chain of
-//! step-1 dead ends, where what one attempt allocates must serve the next.
+//! a count), the warm step-4 verdict inside it (which builds no graph), the
+//! two ends of a template lookup — a warm hit and a lookup that fails on a
+//! full platform — and a `map` refused after a full chain of step-1 dead
+//! ends, where what one attempt allocates must serve the next.
 
 use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm_bench::alloc_track::PeakAlloc;
-use rtsm_core::{MapError, MapperConfig, MappingAlgorithm, SpatialMapper, TemplatedMapper};
+use rtsm_core::step4::{check_constraints_in, Step4Config};
+use rtsm_core::{
+    MapError, MapperConfig, MappingAlgorithm, SpatialMapper, SpecTable, TemplatedMapper,
+};
 use rtsm_platform::paper::paper_platform;
 use rtsm_platform::TileKind;
 use rtsm_workloads::apps::{dvbt_rx, wlan_tx};
@@ -17,11 +21,16 @@ use rtsm_workloads::mesh_platform;
 #[global_allocator]
 static ALLOC: PeakAlloc = PeakAlloc::new();
 
-/// Allocator calls allowed per map. Measured: 165 (457 before the spec
-/// table, 168 while step 3's transaction log grew by doubling); the slack
-/// absorbs hash-map growth differences across toolchains, not a
-/// per-candidate allocation.
-const MAP_CEILING: usize = 185;
+/// Allocator calls allowed per map. Measured: 51 (165 while a warm step 4
+/// composed, digested and dropped the Figure-3 graph — a `String` per
+/// actor, a `Vec` per phase vector — and copied the working ledger to probe
+/// buffer memory; 457 before the spec table); the slack absorbs hash-map
+/// growth differences across toolchains, not a per-candidate allocation.
+const MAP_CEILING: usize = 60;
+
+/// Allocator calls allowed per warm step-4 verdict. Measured: 1, the list
+/// of buffers it returns.
+const WARM_STEP4_CEILING: usize = 1;
 
 /// Allocator calls allowed per warm template hit. Measured: 24 — one
 /// scratch ledger (8), one transaction log however many channels are routed
@@ -75,13 +84,36 @@ fn paper_case_admission_calls_stay_under_their_allocation_ceilings() {
         assert_eq!(outcome.communication_hops, 7);
         outcome
     };
-    // The first map fills this thread's step-4 sizing memo; admission-time
-    // maps run warm.
+    // The first map fills this thread's step-4 memo; admission-time maps
+    // run warm.
     let outcome = map();
     let per_map = calls(map);
     assert!(
         per_map <= MAP_CEILING,
         "{per_map} allocator calls per map, ceiling {MAP_CEILING}"
+    );
+
+    // Step 4 alone, on what steps 1–3 hand it (the working ledgers it
+    // consumes are copied beforehand).
+    let (mapping, working) = rtsm_bench::steps_one_to_three(&spec, &platform);
+    assert_eq!(mapping, outcome.mapping);
+    let table = SpecTable::for_validated(&spec);
+    let mut ledgers = vec![working; 3];
+    let per_verdict = calls(|| {
+        let working = ledgers.pop().expect("one per run");
+        let verdict = check_constraints_in(
+            &table,
+            &platform,
+            &mapping,
+            working,
+            &Step4Config::default(),
+        );
+        assert_eq!(verdict.buffers, outcome.buffers);
+        verdict
+    });
+    assert!(
+        per_verdict <= WARM_STEP4_CEILING,
+        "{per_verdict} allocator calls per warm step-4 verdict, ceiling {WARM_STEP4_CEILING}"
     );
 
     let templated = TemplatedMapper::new(mapper);
@@ -145,8 +177,8 @@ fn paper_case_admission_calls_stay_under_their_allocation_ceilings() {
     });
     // With `--nocapture`: the figures to write into the comments above.
     eprintln!(
-        "allocator calls: map {per_map}, hit {per_hit}, failed lookup {per_failed_lookup}, \
-         dead-end chain {per_chain}"
+        "allocator calls: map {per_map}, warm step 4 {per_verdict}, hit {per_hit}, \
+         failed lookup {per_failed_lookup}, dead-end chain {per_chain}"
     );
     assert!(
         per_chain <= DEAD_END_CHAIN_CEILING,

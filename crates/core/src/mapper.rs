@@ -13,7 +13,7 @@ use crate::spec_table::SpecTable;
 use crate::step1::Step1;
 use crate::step2::{SearchCtx, Step2Config};
 use crate::step3::route_channels_with;
-use crate::step4::{check_constraints_in, Step4Config};
+use crate::step4::{check_constraints_in, compose, Step4Config};
 use crate::trace::{AttemptTrace, MapTrace};
 use rtsm_app::{ApplicationSpec, Endpoint};
 use rtsm_obs as obs;
@@ -36,11 +36,15 @@ pub struct MapperConfig {
     /// Energy model used for the result's energy account.
     pub energy_model: EnergyModel,
     /// Record the full search trace ([`MappingOutcome::trace`], Table-2
-    /// events, assignment snapshots). Default `true` — what the paper
-    /// reproduction and debugging read. Turn it **off** on hot paths
+    /// events, assignment snapshots) and compose the accepted mapping's
+    /// Figure-3 graph ([`MappingOutcome::csdf`]). Default `true` — what the
+    /// paper reproduction and debugging read. Turn it **off** on hot paths
     /// (simulators, benches): the search makes identical decisions and the
     /// `evaluated`/`attempts` counters stay exact, but no trace structures
-    /// are allocated at all.
+    /// are allocated at all and no graph is built — step 4 decides from the
+    /// mapping's signature, and composing the 18-actor graph of the paper
+    /// case costs some ten times that decision (6 µs against 0.5 µs; `step4`
+    /// in `BENCH_map.json`).
     pub capture: bool,
 }
 
@@ -232,18 +236,26 @@ impl SpatialMapper {
             // Step 4: constraint check.
             let step4 = {
                 let _s = obs::span(obs::Span::Step4);
-                check_constraints_in(&table, platform, &mapping, &working, &self.config.step4)
+                check_constraints_in(&table, platform, &mapping, working, &self.config.step4)
             };
             if step4.feasible {
                 if capture {
                     attempt_trace.feasible = true;
                     trace.attempts.push(attempt_trace);
                 }
+                // The verdict needed no graph; Figure 3 is drawn for whoever
+                // asked for the search trace.
+                let csdf = capture.then(|| {
+                    let mut figure3 = compose(&table, platform, &mapping, &self.config.step4)
+                        .expect("step 4 accepted the mapping");
+                    figure3.size(&step4.buffers);
+                    figure3.csdf
+                });
                 let energy_pj = mapping.energy_pj(spec, platform, &self.config.energy_model);
                 let communication_hops = mapping.communication_hops(spec, platform);
                 return Ok(MappingOutcome {
                     mapping,
-                    csdf: Some(step4.csdf),
+                    csdf,
                     buffers: step4.buffers,
                     energy_pj,
                     communication_hops,
@@ -440,13 +452,15 @@ mod tests {
             .unwrap();
         assert!(with.trace.is_some());
         assert!(without.trace.is_none(), "capture off records no trace");
-        assert_eq!(with.mapping, without.mapping);
-        assert_eq!(with.buffers, without.buffers);
-        assert_eq!(with.energy_pj, without.energy_pj);
-        assert_eq!(with.communication_hops, without.communication_hops);
-        assert_eq!(with.evaluated, without.evaluated, "counters stay exact");
-        assert_eq!(with.attempts, without.attempts);
-        assert_eq!(with.achieved_period, without.achieved_period);
+        assert_eq!(with.csdf.as_ref().map(|g| g.n_actors()), Some(18));
+        assert!(without.csdf.is_none(), "capture off composes no graph");
+        // Every other field is equal.
+        let stripped = MappingOutcome {
+            trace: None,
+            csdf: None,
+            ..with
+        };
+        assert_eq!(stripped, without);
     }
 
     #[test]

@@ -1,25 +1,43 @@
 //! Step 4: check the application constraints (§3.4).
 //!
-//! The mapped application is composed into one CSDF graph — Figure 3: the
-//! chosen implementations' actors, one router actor (single phase, WCET =
-//! the 4-cycle round-robin arbitration bound) per router traversed by each
+//! The mapped application is one CSDF graph — Figure 3: the chosen
+//! implementations' actors, one router actor (single phase, WCET = the
+//! 4-cycle round-robin arbitration bound) per router traversed by each
 //! routed channel, the A/D source paced at the application period and the
 //! Sink. Finite buffers are channel capacities: router-to-router buffers of
 //! [`Step4Config::router_buffer_words`], the fixed Sink buffer `x`, and the
-//! tile-side input buffers `B_i`, which are *computed* here (via
+//! tile-side input buffers `B_i`, which are *computed* (via
 //! `rtsm-dataflow`'s buffer sizing, standing in for Wiggers et al. \[11\]).
 //!
-//! The mapping is **feasible** iff the composed graph sustains one source
-//! firing per period, the computed buffers fit the consuming tiles'
-//! memories, and the optional latency bound holds.
+//! The mapping is **feasible** iff that graph sustains one source firing
+//! per period, the computed buffers fit the consuming tiles' memories, and
+//! the optional latency bound holds.
 //!
-//! The throughput verdict is not a second analysis: buffer sizing proves the
-//! period on exactly the capacities it returns and hands that
-//! [`Throughput`](rtsm_dataflow::Throughput) back with them. Sizing results
-//! are memoised per thread by the composed graph's *structure* (never its
-//! actor names; at most 512 entries, flushed whole), so step 4 on a graph
-//! shape seen before composes the graph, digests it once and runs no
-//! simulation at all.
+//! # Signature, composition, verdict
+//!
+//! The graph is a function of far less than the mapping: which
+//! implementation each process runs and at what clock, how many routers
+//! each channel crosses, the NoC's timing and the [`Step4Config`] — not
+//! which tiles or which routers. [`signature`] digests exactly that, from
+//! the spec table and the mapping, without building anything; two mappings
+//! with equal signatures compose graphs that differ in actor names only, so
+//! they share one analysis. This is the isomorphism a template hit already
+//! trusts when it reuses a shape's buffers at another anchor.
+//!
+//! [`check_constraints_in`] is the **verdict**: the pre-checks that need no
+//! graph, then the analysis — capacities of the `B_i`, achieved throughput,
+//! latency — looked up by signature in a per-thread memo (at most 512
+//! entries, flushed whole, so memory is bounded and behaviour
+//! deterministic), then the memory-fit, period and latency checks on the
+//! mapping at hand. Only a signature never seen on this thread pays for
+//! [`compose`] and the sizing search; the throughput verdict comes out of
+//! that search (sizing proves the period on exactly the capacities it
+//! returns), never from a second simulation. Failed analyses are not
+//! remembered: their diagnostics name actors.
+//!
+//! Nothing on the admission path reads the graph itself, so the verdict
+//! returns none. [`check_constraints`] composes it as well, for callers
+//! that want Figure 3.
 //!
 //! Model note: tile-side *producer* NI buffers are sized to the largest
 //! single-phase burst of the producing implementation (atomic firings
@@ -30,12 +48,16 @@
 use crate::feedback::Feedback;
 use crate::mapping::{Mapping, RouteBinding};
 use crate::spec_table::SpecTable;
-use rtsm_app::{ApplicationSpec, Endpoint, KpnChannelId};
+use rtsm_app::{ApplicationSpec, Endpoint, KpnChannelId, ProcessId};
 use rtsm_dataflow::{
-    iteration_latency, size_buffers_ref, ActorId, BufferSizingConfig, CsdfGraph, PhaseVec,
+    iteration_latency, size_buffers_ref, ActorId, BufferSizingConfig, ChannelId, CsdfGraph,
+    DataflowError, PhaseVec, SimConfig, Throughput,
 };
+use rtsm_obs as obs;
 use rtsm_platform::{Platform, PlatformState, TileClaim, TileId};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 /// Configuration of the step-4 composition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -70,16 +92,9 @@ pub struct ChannelBuffer {
     pub tile: TileId,
 }
 
-/// Outcome of step 4.
+/// What step 4 decides about a mapping.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Step4Result {
-    /// The composed whole-application CSDF graph (Figure 3), with all
-    /// computed capacities applied.
-    pub csdf: CsdfGraph,
-    /// The A/D source actor.
-    pub source: ActorId,
-    /// The Sink actor.
-    pub sink: ActorId,
+pub struct Step4Verdict {
     /// Computed tile-side buffers (`B_1 … B_n`).
     pub buffers: Vec<ChannelBuffer>,
     /// Whether all QoS constraints hold.
@@ -93,14 +108,71 @@ pub struct Step4Result {
     pub feedback: Vec<Feedback>,
 }
 
-/// Composes the mapped application's CSDF graph and checks feasibility.
+impl Step4Verdict {
+    /// The verdict on a mapping refused before any buffer was sized.
+    fn refused(feedback: Vec<Feedback>) -> Self {
+        Step4Verdict {
+            buffers: Vec::new(),
+            feasible: false,
+            achieved_period: (u64::MAX, 1),
+            latency_ps: None,
+            feedback,
+        }
+    }
+}
+
+/// A [`Step4Verdict`] together with the graph it is a verdict on.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Step4Result {
+    /// The composed whole-application CSDF graph (Figure 3), with all
+    /// computed capacities applied. Holds the A/D and the Sink alone when
+    /// the mapping cannot be composed (see [`compose`]).
+    pub csdf: CsdfGraph,
+    /// The A/D source actor.
+    pub source: ActorId,
+    /// The Sink actor.
+    pub sink: ActorId,
+    /// What step 4 decided.
+    pub verdict: Step4Verdict,
+}
+
+/// The Figure-3 graph of one mapping, as [`compose`] builds it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Composition {
+    /// The graph. The `B_i` edges are unbounded until [`Composition::size`]
+    /// applies computed capacities.
+    pub csdf: CsdfGraph,
+    /// The A/D source actor.
+    pub source: ActorId,
+    /// The Sink actor.
+    pub sink: ActorId,
+    /// The edges that are tile-side input buffers `B_i`, in stream-channel
+    /// order — the order of [`Step4Verdict::buffers`].
+    pub buffer_edges: Vec<ChannelId>,
+}
+
+impl Composition {
+    /// Sets the capacity of every `B_i` edge to its computed buffer
+    /// (`buffers` as a verdict on the same mapping lists them; an empty
+    /// list — nothing was sized — leaves the edges unbounded).
+    pub fn size(&mut self, buffers: &[ChannelBuffer]) {
+        for (edge, buffer) in self.buffer_edges.iter().zip(buffers) {
+            self.csdf.channel_mut(*edge).capacity = Some(buffer.capacity_words);
+        }
+    }
+}
+
+/// Checks feasibility and composes the mapped application's CSDF graph:
+/// [`check_constraints_in`]'s verdict plus [`compose`]'s graph with the
+/// verdict's buffers applied.
 ///
 /// `working` must contain this mapping's tile reservations (buffer memory
-/// is claimed on top of it and released again before returning — the caller
-/// re-claims real buffers when it commits the mapping).
+/// is checked on top of a copy of it — the caller re-claims real buffers
+/// when it commits the mapping).
 ///
 /// Builds its own [`SpecTable`]; callers that run several steps on one spec
-/// build the table once and call [`check_constraints_in`].
+/// build the table once, and callers that only want the decision call
+/// [`check_constraints_in`].
 pub fn check_constraints(
     spec: &ApplicationSpec,
     platform: &Platform,
@@ -108,34 +180,368 @@ pub fn check_constraints(
     working: &PlatformState,
     config: &Step4Config,
 ) -> Step4Result {
-    check_constraints_in(
-        &SpecTable::for_validated(spec),
-        platform,
-        mapping,
-        working,
-        config,
-    )
+    let table = SpecTable::for_validated(spec);
+    let verdict = check_constraints_in(&table, platform, mapping, working.clone(), config);
+    let Composition {
+        csdf, source, sink, ..
+    } = match compose(&table, platform, mapping, config) {
+        Some(mut composition) => {
+            composition.size(&verdict.buffers);
+            composition
+        }
+        None => endpoints_only(spec.qos.period_ps, platform),
+    };
+    Step4Result {
+        csdf,
+        source,
+        sink,
+        verdict,
+    }
 }
 
-/// [`check_constraints`] over a prebuilt [`SpecTable`].
+/// The step-4 verdict over a prebuilt [`SpecTable`], without the graph (see
+/// the [module docs](self)).
+///
+/// `working` must contain this mapping's tile reservations; it is consumed
+/// — the buffers' memory is claimed on top of it to see whether they fit.
 pub fn check_constraints_in(
     table: &SpecTable<'_>,
     platform: &Platform,
     mapping: &Mapping,
-    working: &PlatformState,
+    mut working: PlatformState,
     config: &Step4Config,
-) -> Step4Result {
+) -> Step4Verdict {
     let spec = table.spec();
     let period = spec.qos.period_ps;
-    let mut csdf = CsdfGraph::new();
+    let infeasible = |detail: String| Step4Verdict::refused(vec![Feedback::Infeasible { detail }]);
 
-    // --- Actors -----------------------------------------------------------
-    // Source: the A/D streams samples continuously across the period
-    // (Figure 3 draws it as ⟨1⟩ per sample), so it is a multi-phase actor —
-    // one phase per token of its largest output channel, phase durations
-    // spreading the period evenly. A single burst-firing source would
-    // serialise production against NoC drainage and under-run the period.
-    let source_phases = spec
+    if let Err(tokens) = source_phases(spec) {
+        return infeasible(format!(
+            "the stream input's {tokens} tokens per period are more A/D phases than the \
+             dataflow analysis fires"
+        ));
+    }
+    let key = match signature(table, platform, mapping, config) {
+        Ok(key) => key,
+        Err(pid) => {
+            return infeasible(format!(
+                "process `{}` is unassigned in step 4",
+                spec.graph.process(pid).name
+            ));
+        }
+    };
+
+    // Utilisation pre-check with structured feedback: a sequential actor
+    // busier than the period can never keep up; implicate its
+    // implementation choice. A product past `u128` is busier than any
+    // period.
+    for (pid, _) in spec.graph.stream_processes() {
+        let assignment = mapping.assignment(pid).expect("the signature covers it");
+        let implementation = table.implementation(pid, assignment.impl_index);
+        let cycles = table.cycles_per_period(pid, assignment.impl_index);
+        let busy_ps = (u128::from(implementation.cycle_wcet()) * u128::from(cycles))
+            .saturating_mul(u128::from(platform.tile(assignment.tile).cycle_time_ps()));
+        if busy_ps > u128::from(period) {
+            return Step4Verdict::refused(vec![
+                Feedback::Infeasible {
+                    detail: format!(
+                        "`{}` needs {busy_ps} ps per {period} ps period",
+                        implementation.name
+                    ),
+                },
+                Feedback::ExcludeImplementation {
+                    process: pid,
+                    impl_index: assignment.impl_index,
+                },
+            ]);
+        }
+    }
+
+    // --- Buffer sizing (B_i), throughput and latency ------------------------
+    // An entry that does not have one capacity per buffer site of this spec
+    // (two specs sharing a 64-bit digest) is no answer.
+    let remembered = MEMO.with(|memo| {
+        let memo = memo.borrow();
+        let analysis = memo.get(&key)?;
+        let buffers = buffers_at_sites(spec, mapping, &analysis.capacities)?;
+        Some((buffers, analysis.achieved, analysis.latency_ps.map(Ok)))
+    });
+    let (buffers, achieved, latency) = match remembered {
+        Some(hit) => {
+            obs::count(obs::Counter::BufferMemoHit, 1);
+            hit
+        }
+        None => {
+            let mut composition =
+                compose(table, platform, mapping, config).expect("the pre-checks passed");
+            let (analysis, latency) = match analyse(&mut composition, spec, config) {
+                Ok(analysed) => analysed,
+                Err(e) => return infeasible(format!("buffer sizing failed: {e}")),
+            };
+            let buffers = buffers_at_sites(spec, mapping, &analysis.capacities)
+                .expect("one sized edge per buffer site");
+            let achieved = analysis.achieved;
+            if !matches!(latency, Some(Err(_))) {
+                remember(key, analysis);
+            }
+            (buffers, achieved, latency)
+        }
+    };
+
+    // Buffer memory must fit the consuming tiles (4 bytes per word).
+    let mut feedback = Vec::new();
+    for buffer in &buffers {
+        let claim = TileClaim {
+            slots: 0,
+            memory_bytes: buffer.capacity_words * 4,
+            cycles_per_second: 0,
+            injection: 0,
+            ejection: 0,
+        };
+        if working.claim_tile(platform, buffer.tile, &claim).is_err() {
+            feedback.push(Feedback::BufferOverflow {
+                tile: buffer.tile,
+                needed_bytes: buffer.capacity_words * 4,
+            });
+            if let Some((pid, _)) = spec
+                .graph
+                .stream_processes()
+                .find(|(p, _)| mapping.assignment(*p).map(|a| a.tile) == Some(buffer.tile))
+            {
+                feedback.push(Feedback::ForbidTile {
+                    process: pid,
+                    tile: buffer.tile,
+                });
+            }
+        }
+    }
+
+    let achieved_period = (achieved.period, achieved.iterations);
+    if !achieved.sustains_period(period) && feedback.is_empty() {
+        feedback.push(Feedback::Infeasible {
+            detail: format!(
+                "achieved period {}/{} exceeds required {period}",
+                achieved_period.0, achieved_period.1
+            ),
+        });
+    }
+
+    // Latency bound, when specified.
+    let mut latency_ps = None;
+    if let (Some(bound), Some(latency)) = (spec.qos.max_latency_ps, latency) {
+        match latency {
+            Ok(lat) => {
+                latency_ps = Some(lat);
+                if lat > bound {
+                    feedback.push(Feedback::Infeasible {
+                        detail: format!("latency {lat} ps exceeds bound {bound} ps"),
+                    });
+                }
+            }
+            Err(e) => feedback.push(Feedback::Infeasible {
+                detail: format!("latency analysis failed: {e}"),
+            }),
+        }
+    }
+
+    Step4Verdict {
+        buffers,
+        feasible: feedback.is_empty(),
+        achieved_period,
+        latency_ps,
+        feedback,
+    }
+}
+
+/// What the analysis of one composed graph yields, and the memo keeps: the
+/// capacity of each `B_i` in stream-channel order, the throughput the
+/// sizing search proved on them, and the sized graph's iteration latency
+/// when the spec bounds it.
+struct Analysis {
+    capacities: Box<[u64]>,
+    achieved: Throughput,
+    latency_ps: Option<u64>,
+}
+
+thread_local! {
+    /// Analyses by [`signature`] (see the module docs). Thread-local so the
+    /// experiment harness's workers never share state.
+    static MEMO: RefCell<HashMap<u128, Analysis>> = RefCell::new(HashMap::new());
+}
+
+/// Entry bound of the memo; on overflow it is cleared (a deterministic
+/// flush, unlike LRU tie-breaking on hash order).
+const MEMO_CAP: usize = 512;
+
+fn remember(signature: u128, analysis: Analysis) {
+    MEMO.with(|memo| {
+        let mut memo = memo.borrow_mut();
+        if memo.len() >= MEMO_CAP {
+            memo.clear();
+        }
+        memo.insert(signature, analysis);
+    });
+}
+
+/// The cold path: sizes the `B_i` of `composition` (left applied to its
+/// graph) and, when the spec bounds latency, measures it. A failed latency
+/// measurement comes back beside the analysis, which is then not one to
+/// remember.
+fn analyse(
+    composition: &mut Composition,
+    spec: &ApplicationSpec,
+    config: &Step4Config,
+) -> Result<(Analysis, Option<Result<u64, DataflowError>>), DataflowError> {
+    let sizing = size_buffers_ref(
+        &composition.csdf,
+        &BufferSizingConfig {
+            source: composition.source,
+            period: spec.qos.period_ps,
+            channels: composition.buffer_edges.clone(),
+            max_sweeps: 3,
+        },
+    )?;
+    rtsm_dataflow::apply_sizing(&mut composition.csdf, &sizing);
+    let latency = spec.qos.max_latency_ps.map(|_| {
+        iteration_latency(
+            &composition.csdf,
+            composition.source,
+            composition.sink,
+            config.latency_window.0,
+            config.latency_window.1,
+        )
+    });
+    let analysis = Analysis {
+        capacities: composition
+            .buffer_edges
+            .iter()
+            .map(|&edge| sizing.capacity_of(edge).expect("edge was a sizing target"))
+            .collect(),
+        achieved: sizing.achieved,
+        latency_ps: match latency {
+            Some(Ok(lat)) => Some(lat),
+            _ => None,
+        },
+    };
+    Ok((analysis, latency))
+}
+
+/// The buffer sites of a mapped spec — every stream channel a process
+/// consumes, with the consumer's tile — in stream-channel order.
+fn buffer_sites<'a>(
+    spec: &'a ApplicationSpec,
+    mapping: &'a Mapping,
+) -> impl Iterator<Item = (KpnChannelId, TileId)> + 'a {
+    spec.graph
+        .stream_channels()
+        .filter_map(|(cid, ch)| match ch.dst {
+            Endpoint::Process(p) => Some((cid, mapping.assignment(p)?.tile)),
+            _ => None,
+        })
+}
+
+/// `capacities` laid over the buffer sites; `None` unless there is exactly
+/// one per site.
+fn buffers_at_sites(
+    spec: &ApplicationSpec,
+    mapping: &Mapping,
+    capacities: &[u64],
+) -> Option<Vec<ChannelBuffer>> {
+    if buffer_sites(spec, mapping).count() != capacities.len() {
+        return None;
+    }
+    let mut buffers = Vec::with_capacity(capacities.len());
+    buffers.extend(buffer_sites(spec, mapping).zip(capacities).map(
+        |((channel, tile), &capacity_words)| ChannelBuffer {
+            channel,
+            capacity_words,
+            tile,
+        },
+    ));
+    Some(buffers)
+}
+
+/// Folded 64×64→128 multiply: every input bit reaches every output bit.
+#[inline]
+fn fold(a: u64, b: u64) -> u64 {
+    let wide = u128::from(a) * u128::from(b);
+    (wide as u64) ^ ((wide >> 64) as u64)
+}
+
+/// Two word-at-a-time mixers with distinct keys over one stream of words.
+struct Lanes(u64, u64);
+
+impl Lanes {
+    #[inline]
+    fn word(&mut self, word: u64) {
+        self.0 = fold(self.0 ^ word, 0x9e37_79b9_7f4a_7c15);
+        self.1 = fold(self.1 ^ word, 0xc2b2_ae3d_27d4_eb4f);
+    }
+}
+
+/// The 128-bit signature of the graph [`compose`] would build for
+/// `mapping`: the spec's [structural
+/// digest](ApplicationSpec::structural_digest) (name, QoS, graph and
+/// library — trusted as a key the way the template library trusts it), per
+/// stream process its implementation and tile clock, per stream channel the
+/// routers it crosses (none when it stays on a tile or is unrouted), the
+/// NoC's timing and `config`. O(processes + channels), no allocation.
+///
+/// # Errors
+///
+/// The first stream process `mapping` leaves unassigned.
+pub fn signature(
+    table: &SpecTable<'_>,
+    platform: &Platform,
+    mapping: &Mapping,
+    config: &Step4Config,
+) -> Result<u128, ProcessId> {
+    let spec = table.spec();
+    let mut lanes = Lanes(0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344);
+    lanes.word(spec.structural_digest());
+    for (pid, _) in spec.graph.stream_processes() {
+        let assignment = mapping.assignment(pid).ok_or(pid)?;
+        lanes.word(assignment.impl_index as u64);
+        lanes.word(platform.tile(assignment.tile).cycle_time_ps());
+    }
+    for (cid, _) in spec.graph.stream_channels() {
+        lanes.word(match mapping.route(cid) {
+            Some(RouteBinding::Path(path)) => path.routers.len() as u64,
+            Some(RouteBinding::SameTile) | None => 0,
+        });
+    }
+    lanes.word(platform.noc().cycle_time_ps());
+    lanes.word(platform.noc().hop_latency_cycles);
+    // Destructured so that a new field cannot be left out.
+    let Step4Config {
+        router_buffer_words,
+        sink_buffer_words,
+        latency_window: (warmup, window),
+    } = *config;
+    lanes.word(router_buffer_words);
+    lanes.word(u64::from(sink_buffer_words.is_some()));
+    lanes.word(sink_buffer_words.unwrap_or(0));
+    lanes.word(warmup);
+    lanes.word(window);
+    Ok(u128::from(fold(lanes.0, lanes.1 | 1)) << 64 | u128::from(fold(lanes.1, lanes.0 | 1)))
+}
+
+/// Phases of the A/D source: the A/D streams samples continuously across
+/// the period (Figure 3 draws it as ⟨1⟩ per sample), so it is a multi-phase
+/// actor — one phase per token of its largest output channel. A single
+/// burst-firing source would serialise production against NoC drainage and
+/// under-run the period.
+///
+/// # Errors
+///
+/// The token count, when it is more phases than the dataflow simulator
+/// fires in a whole run (its `max_firings` guard, far below the `u32` a
+/// [`PhaseVec`] counts in). No analysis of such a source sees it wrap even
+/// once, so none reaches a steady state; the simulator lays every actor's
+/// phases out flat before it starts, and nothing in a spec's validation
+/// bounds tokens per period.
+fn source_phases(spec: &ApplicationSpec) -> Result<u32, u64> {
+    let tokens = spec
         .graph
         .stream_channels()
         .filter(|(_, c)| c.src == Endpoint::StreamInput)
@@ -143,75 +549,67 @@ pub fn check_constraints_in(
         .max()
         .unwrap_or(1)
         .max(1);
+    match u32::try_from(tokens) {
+        Ok(phases) if tokens <= SimConfig::default().max_firings => Ok(phases),
+        _ => Err(tokens),
+    }
+}
+
+/// The A/D and the Sink with nothing between them: what
+/// [`check_constraints`] returns for a mapping [`compose`] refuses.
+fn endpoints_only(period: u64, platform: &Platform) -> Composition {
+    let mut csdf = CsdfGraph::new();
+    let source = csdf.add_actor("A/D", PhaseVec::single(period), 1);
+    let sink = csdf.add_actor("Sink", PhaseVec::single(1), platform.noc().cycle_time_ps());
+    Composition {
+        csdf,
+        source,
+        sink,
+        buffer_edges: Vec::new(),
+    }
+}
+
+/// Composes the mapped application's CSDF graph (Figure 3). A pure function
+/// of its arguments, and of no more of them than [`signature`] digests,
+/// actor names aside (implementations' names, `R(x,y)` per router).
+///
+/// `None` when a stream process is unassigned or the stream input carries
+/// more tokens per period than the A/D can be given phases.
+pub fn compose(
+    table: &SpecTable<'_>,
+    platform: &Platform,
+    mapping: &Mapping,
+    config: &Step4Config,
+) -> Option<Composition> {
+    let spec = table.spec();
+    let period = spec.qos.period_ps;
+    let mut csdf = CsdfGraph::new();
+
+    // --- Actors -----------------------------------------------------------
+    // The source's phase durations spread the period evenly.
+    let source_phases = source_phases(spec).ok()?;
     let source = csdf.add_actor("A/D", bresenham(period, source_phases), 1);
     let noc_cycle = platform.noc().cycle_time_ps();
     let sink = csdf.add_actor("Sink", PhaseVec::single(1), noc_cycle);
 
     let mut process_actor = std::collections::BTreeMap::new();
     for (pid, _) in spec.graph.stream_processes() {
-        let Some(assignment) = mapping.assignment(pid) else {
-            return infeasible_result(
-                csdf,
-                source,
-                sink,
-                vec![Feedback::Infeasible {
-                    detail: format!(
-                        "process `{}` is unassigned in step 4",
-                        spec.graph.process(pid).name
-                    ),
-                }],
-            );
-        };
-        let implementation = &spec.library.impls_for(pid)[assignment.impl_index];
-        let tile = platform.tile(assignment.tile);
+        let assignment = mapping.assignment(pid)?;
+        let implementation = table.implementation(pid, assignment.impl_index);
         let actor = csdf.add_actor(
             implementation.name.clone(),
             implementation.wcet.clone(),
-            tile.cycle_time_ps(),
+            platform.tile(assignment.tile).cycle_time_ps(),
         );
-        process_actor.insert(pid, (actor, assignment));
-    }
-
-    // Utilisation pre-check with structured feedback: a sequential actor
-    // busier than the period can never keep up; implicate its
-    // implementation choice.
-    for (pid, _) in spec.graph.stream_processes() {
-        let (_, assignment) = process_actor[&pid];
-        let implementation = &spec.library.impls_for(pid)[assignment.impl_index];
-        let cycles = table.cycles_per_period(pid, assignment.impl_index);
-        let busy_ps =
-            implementation.wcet_per_period(cycles) * platform.tile(assignment.tile).cycle_time_ps();
-        if busy_ps > period {
-            return infeasible_result(
-                csdf,
-                source,
-                sink,
-                vec![
-                    Feedback::Infeasible {
-                        detail: format!(
-                            "`{}` needs {busy_ps} ps per {period} ps period",
-                            implementation.name
-                        ),
-                    },
-                    Feedback::ExcludeImplementation {
-                        process: pid,
-                        impl_index: assignment.impl_index,
-                    },
-                ],
-            );
-        }
+        process_actor.insert(pid, (actor, implementation));
     }
 
     // --- Channels ---------------------------------------------------------
-    // Tile-side input buffers (B_i) to size afterwards.
-    let mut size_targets = Vec::new();
-    let mut buffer_sites: Vec<(KpnChannelId, TileId, rtsm_dataflow::ChannelId)> = Vec::new();
-
+    let mut buffer_edges = Vec::new();
     for (cid, ch) in spec.graph.stream_channels() {
         let (src_actor, src_rates) = match ch.src {
             Endpoint::Process(p) => {
-                let (actor, assignment) = process_actor[&p];
-                let implementation = &spec.library.impls_for(p)[assignment.impl_index];
+                let (actor, implementation) = process_actor[&p];
                 let port = table
                     .outputs(p)
                     .iter()
@@ -222,22 +620,28 @@ pub fn check_constraints_in(
             Endpoint::StreamInput => (source, bresenham(ch.tokens_per_period, source_phases)),
             Endpoint::StreamOutput => unreachable!("validated: StreamOutput never produces"),
         };
-        let (dst_actor, dst_rates, dst_tile) = match ch.dst {
+        // A channel into a process ends in a tile-side input buffer (B_i),
+        // sized afterwards; one into the Sink in the fixed buffer `x`.
+        let (dst_actor, dst_rates, sink_buffer) = match ch.dst {
             Endpoint::Process(p) => {
-                let (actor, assignment) = process_actor[&p];
-                let implementation = &spec.library.impls_for(p)[assignment.impl_index];
+                let (actor, implementation) = process_actor[&p];
                 let port = table
                     .inputs(p)
                     .iter()
                     .position(|c| *c == cid)
                     .expect("channel is an input of its consumer");
+                (actor, implementation.inputs[port].clone(), None)
+            }
+            Endpoint::StreamOutput => {
+                let x = config
+                    .sink_buffer_words
+                    .unwrap_or(config.router_buffer_words.max(ch.tokens_per_period));
                 (
-                    actor,
-                    implementation.inputs[port].clone(),
-                    Some(assignment.tile),
+                    sink,
+                    PhaseVec::single(ch.tokens_per_period),
+                    Some(x.max(ch.tokens_per_period)),
                 )
             }
-            Endpoint::StreamOutput => (sink, PhaseVec::single(ch.tokens_per_period), None),
             Endpoint::StreamInput => unreachable!("validated: StreamInput never consumes"),
         };
 
@@ -256,215 +660,68 @@ pub fn check_constraints_in(
             Some(RouteBinding::SameTile) | None => Vec::new(),
         };
 
-        // Producer-side NI buffer: double-buffered against the largest
-        // production burst, so a producer can fill one burst while the NoC
-        // drains the previous one.
-        let ni_capacity = config.router_buffer_words.max(2 * src_rates.max());
         let one = PhaseVec::single(1);
-        if routers.is_empty() {
-            // Direct edge; capacity sized below (or sink x).
-            let edge = csdf
-                .add_channel_full(src_actor, dst_actor, src_rates, dst_rates, 0, None)
-                .expect("rates validated against actor phases");
-            match dst_tile {
-                Some(tile) => {
-                    size_targets.push(edge);
-                    buffer_sites.push((cid, tile, edge));
-                }
-                None => {
-                    let x = config
-                        .sink_buffer_words
-                        .unwrap_or(config.router_buffer_words.max(ch.tokens_per_period));
-                    csdf.channel_mut(edge).capacity = Some(x.max(ch.tokens_per_period));
-                }
-            }
-        } else {
-            let first = csdf
-                .add_channel_full(
+        let last_hop = match (routers.first(), routers.last()) {
+            (Some(&first), Some(&last)) => {
+                // Producer-side NI buffer: double-buffered against the
+                // largest production burst, so a producer can fill one
+                // burst while the NoC drains the previous one.
+                let ni_capacity = config.router_buffer_words.max(2 * src_rates.max());
+                csdf.add_channel_full(
                     src_actor,
-                    routers[0],
+                    first,
                     src_rates,
                     one.clone(),
                     0,
                     Some(ni_capacity),
                 )
                 .expect("rates validated against actor phases");
-            let _ = first;
-            for pair in routers.windows(2) {
-                csdf.add_channel_full(
-                    pair[0],
-                    pair[1],
-                    one.clone(),
-                    one.clone(),
-                    0,
-                    Some(config.router_buffer_words),
-                )
-                .expect("router rates are single-phase");
-            }
-            let last = csdf
-                .add_channel_full(
-                    *routers.last().expect("non-empty"),
-                    dst_actor,
-                    one.clone(),
-                    dst_rates,
-                    0,
-                    None,
-                )
-                .expect("rates validated against actor phases");
-            match dst_tile {
-                Some(tile) => {
-                    size_targets.push(last);
-                    buffer_sites.push((cid, tile, last));
+                for pair in routers.windows(2) {
+                    csdf.add_channel_full(
+                        pair[0],
+                        pair[1],
+                        one.clone(),
+                        one.clone(),
+                        0,
+                        Some(config.router_buffer_words),
+                    )
+                    .expect("router rates are single-phase");
                 }
-                None => {
-                    let x = config
-                        .sink_buffer_words
-                        .unwrap_or(config.router_buffer_words.max(ch.tokens_per_period));
-                    csdf.channel_mut(last).capacity = Some(x.max(ch.tokens_per_period));
-                }
+                csdf.add_channel_full(last, dst_actor, one, dst_rates, 0, sink_buffer)
             }
+            // Direct edge.
+            _ => csdf.add_channel_full(src_actor, dst_actor, src_rates, dst_rates, 0, sink_buffer),
+        }
+        .expect("rates validated against actor phases");
+        if sink_buffer.is_none() {
+            buffer_edges.push(last_hop);
         }
     }
 
-    // --- Buffer sizing (B_i) and throughput check --------------------------
-    let sizing = match size_buffers_ref(
-        &csdf,
-        &BufferSizingConfig {
-            source,
-            period,
-            channels: size_targets,
-            max_sweeps: 3,
-        },
-    ) {
-        Ok(s) => s,
-        Err(e) => {
-            return infeasible_result(
-                csdf,
-                source,
-                sink,
-                vec![Feedback::Infeasible {
-                    detail: format!("buffer sizing failed: {e}"),
-                }],
-            );
-        }
-    };
-    rtsm_dataflow::apply_sizing(&mut csdf, &sizing);
-
-    let mut buffers = Vec::new();
-    for (cid, tile, edge) in &buffer_sites {
-        let capacity = sizing.capacity_of(*edge).expect("edge was a sizing target");
-        buffers.push(ChannelBuffer {
-            channel: *cid,
-            capacity_words: capacity,
-            tile: *tile,
-        });
-    }
-
-    // Buffer memory must fit the consuming tiles (4 bytes per word).
-    let mut feedback = Vec::new();
-    let mut probe = working.clone();
-    for buffer in &buffers {
-        let claim = TileClaim {
-            slots: 0,
-            memory_bytes: buffer.capacity_words * 4,
-            cycles_per_second: 0,
-            injection: 0,
-            ejection: 0,
-        };
-        if probe.claim_tile(platform, buffer.tile, &claim).is_err() {
-            feedback.push(Feedback::BufferOverflow {
-                tile: buffer.tile,
-                needed_bytes: buffer.capacity_words * 4,
-            });
-            if let Some((pid, _)) = spec
-                .graph
-                .stream_processes()
-                .find(|(p, _)| mapping.assignment(*p).map(|a| a.tile) == Some(buffer.tile))
-            {
-                feedback.push(Feedback::ForbidTile {
-                    process: pid,
-                    tile: buffer.tile,
-                });
-            }
-        }
-    }
-
-    // The sizing carries the throughput its search proved for exactly the
-    // capacities just applied, so the sized graph is not simulated again.
-    let achieved = (sizing.achieved.period, sizing.achieved.iterations);
-    if !sizing.achieved.sustains_period(period) && feedback.is_empty() {
-        feedback.push(Feedback::Infeasible {
-            detail: format!(
-                "achieved period {}/{} exceeds required {period}",
-                achieved.0, achieved.1
-            ),
-        });
-    }
-
-    // Latency bound, when specified.
-    let mut latency_ps = None;
-    if let Some(bound) = spec.qos.max_latency_ps {
-        match iteration_latency(
-            &csdf,
-            source,
-            sink,
-            config.latency_window.0,
-            config.latency_window.1,
-        ) {
-            Ok(lat) => {
-                latency_ps = Some(lat);
-                if lat > bound {
-                    feedback.push(Feedback::Infeasible {
-                        detail: format!("latency {lat} ps exceeds bound {bound} ps"),
-                    });
-                }
-            }
-            Err(e) => feedback.push(Feedback::Infeasible {
-                detail: format!("latency analysis failed: {e}"),
-            }),
-        }
-    }
-
-    Step4Result {
+    Some(Composition {
         csdf,
         source,
         sink,
-        buffers,
-        feasible: feedback.is_empty(),
-        achieved_period: achieved,
-        latency_ps,
-        feedback,
-    }
+        buffer_edges,
+    })
 }
 
 /// Distributes `total` over `phases` values as evenly as integer division
 /// allows (Bresenham spreading): the first `total % phases` positions get
-/// one extra unit. Sums to `total` exactly.
-fn bresenham(total: u64, phases: u64) -> PhaseVec {
+/// one extra unit. Sums to `total` exactly. At most two runs, built as such.
+fn bresenham(total: u64, phases: u32) -> PhaseVec {
     debug_assert!(phases >= 1);
-    let q = total / phases;
-    let r = total % phases;
-    let values: Vec<u64> = (0..phases).map(|i| q + u64::from(i < r)).collect();
-    PhaseVec::from_slice(&values)
-}
-
-fn infeasible_result(
-    csdf: CsdfGraph,
-    source: ActorId,
-    sink: ActorId,
-    feedback: Vec<Feedback>,
-) -> Step4Result {
-    Step4Result {
-        csdf,
-        source,
-        sink,
-        buffers: Vec::new(),
-        feasible: false,
-        achieved_period: (u64::MAX, 1),
-        latency_ps: None,
-        feedback,
+    let n = u64::from(phases);
+    let (q, r) = (total / n, (total % n) as u32);
+    if r == 0 {
+        PhaseVec::uniform(q, phases)
+    } else {
+        PhaseVec::uniform(q + 1, r).concat(&PhaseVec::uniform(q, phases - r))
     }
 }
+
+#[cfg(test)]
+mod twin;
 
 #[cfg(test)]
 mod tests {
@@ -477,7 +734,7 @@ mod tests {
     use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
     use rtsm_platform::paper::paper_platform;
 
-    fn full_pipeline(
+    pub(super) fn full_pipeline(
         mode: Hiperlan2Mode,
     ) -> (rtsm_app::ApplicationSpec, Platform, Mapping, PlatformState) {
         let spec = hiperlan2_receiver(mode);
@@ -510,12 +767,16 @@ mod tests {
             &working,
             &Step4Config::default(),
         );
-        assert!(result.feasible, "feedback: {:?}", result.feedback);
+        assert!(
+            result.verdict.feasible,
+            "feedback: {:?}",
+            result.verdict.feedback
+        );
         // Achieved period = required period exactly (the A/D is the
         // bottleneck by construction).
         assert_eq!(
-            result.achieved_period.0,
-            4_000_000 * result.achieved_period.1
+            result.verdict.achieved_period.0,
+            4_000_000 * result.verdict.achieved_period.1
         );
     }
 
@@ -535,8 +796,8 @@ mod tests {
             .filter(|(_, a)| a.name.starts_with("R("))
             .count();
         assert_eq!(routers, 12, "Figure 3 has 12 router actors");
-        assert_eq!(result.buffers.len(), 4, "B1..B4");
-        for b in &result.buffers {
+        assert_eq!(result.verdict.buffers.len(), 4, "B1..B4");
+        for b in &result.verdict.buffers {
             assert!(b.capacity_words >= 1);
         }
         // 4 process actors + A/D + Sink + 12 routers.
@@ -555,10 +816,10 @@ mod tests {
                 &Step4Config::default(),
             );
             assert!(
-                result.feasible,
+                result.verdict.feasible,
                 "mode {}: {:?}",
                 mode.name(),
-                result.feedback
+                result.verdict.feedback
             );
         }
     }
@@ -573,7 +834,7 @@ mod tests {
             &working,
             &Step4Config::default(),
         );
-        for buffer in &result.buffers {
+        for buffer in &result.verdict.buffers {
             let ch = spec.graph.channel(buffer.channel);
             if let Endpoint::Process(p) = ch.dst {
                 let a = mapping.assignment(p).unwrap();
@@ -603,8 +864,8 @@ mod tests {
             &platform.initial_state(),
             &Step4Config::default(),
         );
-        assert!(!result.feasible);
-        assert!(!result.feedback.is_empty());
+        assert!(!result.verdict.feasible);
+        assert!(!result.verdict.feedback.is_empty());
     }
 
     #[test]
@@ -627,8 +888,8 @@ mod tests {
             &platform.initial_state(),
             &Step4Config::default(),
         );
-        assert!(!result.feasible);
-        assert!(result.feedback.iter().any(|f| matches!(
+        assert!(!result.verdict.feasible);
+        assert!(result.verdict.feedback.iter().any(|f| matches!(
             f,
             Feedback::ExcludeImplementation { process, .. }
                 if *process == p("Inverse OFDM")
@@ -647,8 +908,8 @@ mod tests {
             &working,
             &Step4Config::default(),
         );
-        assert!(!result.feasible);
-        assert!(result.latency_ps.is_some());
+        assert!(!result.verdict.feasible);
+        assert!(result.verdict.latency_ps.is_some());
         // Generous bound: 10 periods.
         spec.qos.max_latency_ps = Some(40_000_000);
         let result = check_constraints(
@@ -658,6 +919,77 @@ mod tests {
             &working,
             &Step4Config::default(),
         );
-        assert!(result.feasible, "feedback: {:?}", result.feedback);
+        assert!(
+            result.verdict.feasible,
+            "feedback: {:?}",
+            result.verdict.feedback
+        );
+    }
+
+    proptest::proptest! {
+        /// The two runs are the run-length encoding of the spread written
+        /// out phase by phase.
+        #[test]
+        fn bresenham_is_the_even_spread_run_length_encoded(
+            total in 0u64..200_000,
+            phases in 1u32..3_000,
+        ) {
+            let (q, r) = (total / u64::from(phases), total % u64::from(phases));
+            let spread: Vec<u64> = (0..u64::from(phases)).map(|i| q + u64::from(i < r)).collect();
+            proptest::prop_assert_eq!(bresenham(total, phases), PhaseVec::from_slice(&spread));
+        }
+    }
+
+    #[test]
+    fn a_busy_time_past_u64_is_busier_than_the_period_not_a_wrap() {
+        use rtsm_app::{Implementation, ImplementationLibrary, ProcessGraph, QosSpec};
+        use rtsm_platform::TileKind;
+        // 2^62 cycles at 5 000 ps each is 0 modulo 2^64.
+        let mut graph = ProcessGraph::new();
+        let p = graph.add_process("Stage");
+        graph
+            .add_channel(Endpoint::StreamInput, Endpoint::Process(p), 16)
+            .unwrap();
+        graph
+            .add_channel(Endpoint::Process(p), Endpoint::StreamOutput, 16)
+            .unwrap();
+        let mut library = ImplementationLibrary::new();
+        library.register(
+            p,
+            Implementation::simple(
+                "Stage @ ARM",
+                TileKind::Arm,
+                PhaseVec::from_slice(&[1 << 62, 0, 0]),
+                PhaseVec::from_slice(&[16, 0, 0]),
+                PhaseVec::from_slice(&[0, 0, 16]),
+                5_000,
+                2048,
+            ),
+        );
+        let spec = ApplicationSpec {
+            name: "an eternity per sample".into(),
+            graph,
+            qos: QosSpec::with_period(4_000_000),
+            library,
+        };
+        let platform = paper_platform();
+        let mut mapping = Mapping::new();
+        mapping.assign(p, 0, platform.tile_by_name("ARM1").unwrap());
+        let verdict = check_constraints(
+            &spec,
+            &platform,
+            &mapping,
+            &platform.initial_state(),
+            &Step4Config::default(),
+        )
+        .verdict;
+        assert!(!verdict.feasible);
+        assert_eq!(
+            verdict.feedback.last(),
+            Some(&Feedback::ExcludeImplementation {
+                process: p,
+                impl_index: 0
+            })
+        );
     }
 }

@@ -304,8 +304,8 @@ fn check_equivalence(
     }
     let step4 = Step4Config::default();
     assert_eq!(
-        check_constraints(spec, platform, &mapping, &working, &step4),
-        check_constraints_in(&table, platform, &mapping, &working, &step4),
+        check_constraints(spec, platform, &mapping, &working, &step4).verdict,
+        check_constraints_in(&table, platform, &mapping, working.clone(), &step4),
         "{}: step 4",
         spec.name
     );

@@ -1,15 +1,16 @@
-//! Oracle tests for step 4's memoised analysis: what a warm sizing cache
-//! answers must be exactly what a cold one computes, and a warm answer
-//! must run no dataflow simulation at all.
+//! Step 4's memoised analysis from the outside: what a warm thread answers
+//! must be exactly what a cold one computes, and a warm answer must run no
+//! dataflow simulation at all. (The memory-less oracle for the memo itself
+//! is `src/step4/twin.rs`.)
 
 use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm_app::ApplicationSpec;
 use rtsm_core::cost::CostModel;
-use rtsm_core::feedback::{Constraints, Feedback};
+use rtsm_core::feedback::Constraints;
 use rtsm_core::step1::assign_implementations;
 use rtsm_core::step2::{improve_assignment, Step2Config};
 use rtsm_core::step3::route_channels;
-use rtsm_core::step4::{check_constraints, ChannelBuffer, Step4Config};
+use rtsm_core::step4::{check_constraints, Step4Config, Step4Verdict};
 use rtsm_obs::{Counter, SpanLatencyProbe};
 use rtsm_platform::paper::paper_platform;
 use rtsm_platform::{Platform, TileKind};
@@ -44,13 +45,13 @@ fn cases() -> Vec<(ApplicationSpec, Platform)> {
         .collect()
 }
 
-/// The decision-bearing part of a `Step4Result`.
-type Verdict = (Vec<ChannelBuffer>, bool, (u64, u64), Vec<Feedback>);
-
 /// Steps 1–3 on the empty platform, then step 4 twice on this thread: the
 /// first answer, the second answer, and the `(CsdfRun, BufferProbe)`
 /// counts of the second call alone.
-fn step4_twice(spec: &ApplicationSpec, platform: &Platform) -> (Verdict, Verdict, (u64, u64)) {
+fn step4_twice(
+    spec: &ApplicationSpec,
+    platform: &Platform,
+) -> (Step4Verdict, Step4Verdict, (u64, u64)) {
     let constraints = Constraints::new();
     let out = assign_implementations(spec, platform, &platform.initial_state(), &constraints)
         .expect("every case fits its empty platform");
@@ -65,10 +66,8 @@ fn step4_twice(spec: &ApplicationSpec, platform: &Platform) -> (Verdict, Verdict
         &Step2Config::default(),
     );
     route_channels(spec, platform, &mut mapping, &mut working).expect("routable when empty");
-    let check = || {
-        let r = check_constraints(spec, platform, &mapping, &working, &Step4Config::default());
-        (r.buffers, r.feasible, r.achieved_period, r.feedback)
-    };
+    let check =
+        || check_constraints(spec, platform, &mapping, &working, &Step4Config::default()).verdict;
     let first = check();
     let probe = Rc::new(SpanLatencyProbe::new());
     let second = {
@@ -86,12 +85,16 @@ fn step4_twice(spec: &ApplicationSpec, platform: &Platform) -> (Verdict, Verdict
 fn warm_cache_answers_equal_cold_ones_and_run_no_simulation() {
     for (spec, platform) in cases() {
         let name = spec.name.clone();
-        // The sizing cache is per thread, so a fresh thread starts cold.
+        // The memo is per thread, so a fresh thread starts cold.
         let (cold, warm, (csdf_runs, buffer_probes)) =
             std::thread::spawn(move || step4_twice(&spec, &platform))
                 .join()
                 .expect("step 4 does not panic");
-        assert!(cold.1, "`{name}` is feasible when alone: {:?}", cold.3);
+        assert!(
+            cold.feasible,
+            "`{name}` is feasible when alone: {:?}",
+            cold.feedback
+        );
         assert_eq!(cold, warm, "`{name}`: warm answer differs from cold");
         assert_eq!(csdf_runs, 0, "`{name}`: a warm step 4 simulated");
         assert_eq!(buffer_probes, 0, "`{name}`: a warm step 4 probed");

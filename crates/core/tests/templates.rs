@@ -85,7 +85,8 @@ proptest! {
                     &outcome.mapping,
                     &state,
                     &Step4Config::default(),
-                );
+                )
+                .verdict;
                 prop_assert!(twin.feasible, "a template hit must satisfy step 4 exactly");
                 prop_assert_eq!(twin.achieved_period, outcome.achieved_period);
                 let key = |b: &rtsm_core::step4::ChannelBuffer| (b.channel.index(), b.capacity_words);

@@ -20,29 +20,19 @@
 //! off the Pareto frontier of *joint* minimality, as is Wiggers' — both are
 //! conservative).
 //!
-//! # The cross-call memo
-//!
-//! Analysis belongs off the admission path; the admission path looks
-//! results up. A per-thread memo maps a 128-bit digest of the problem's
-//! *structure* (timing, topology, rates, tokens, capacities, config — not
-//! actor names, so the same application routed over different router
-//! coordinates shares an entry) to the whole result: the capacities and the
-//! [`Throughput`] the search proved for them, so a caller never simulates
-//! the sized graph again to learn the verdict. It holds at most 512 entries
-//! of 48 bytes and is flushed whole on overflow. A hit costs one traversal
-//! of the graph to digest it, one lookup and one copy of the capacity
-//! slice: no simulation, no graph clone.
+//! Sizing is a pure function of the graph and the configuration: nothing is
+//! remembered between calls. A caller that asks the same question often
+//! keeps the answers itself, keyed by what it knows determines the graph
+//! (the mapper's step 4 keys them by the mapping's signature and never
+//! builds the graph for a question it has seen).
 
 use crate::error::DataflowError;
-use crate::fnv::Fnv128;
 use crate::graph::{ActorId, ChannelId, CsdfGraph};
 use crate::simulate::{SimConfig, Simulation};
 use crate::throughput::{check_source_period, Throughput};
 use rtsm_obs as obs;
-use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::Hash;
 
 /// Configuration for [`size_buffers`].
 #[derive(Debug, Clone)]
@@ -91,65 +81,11 @@ impl BufferSizing {
     }
 }
 
-/// 128-bit structural digest of one sizing problem: everything the
-/// analysis reads — actor timing, channel endpoints, rates, initial tokens
-/// and existing capacities, plus the [`BufferSizingConfig`] — and nothing
-/// it does not (actor names). Two calls with equal digests describe the
-/// same pure computation, so their results are interchangeable.
-fn sizing_digest(graph: &CsdfGraph, config: &BufferSizingConfig) -> u128 {
-    let mut h = Fnv128::default();
-    for (_, actor) in graph.actors() {
-        actor.wcet.hash(&mut h);
-        actor.cycle_time.hash(&mut h);
-    }
-    for (_, channel) in graph.channels() {
-        channel.src.index().hash(&mut h);
-        channel.dst.index().hash(&mut h);
-        channel.prod.hash(&mut h);
-        channel.cons.hash(&mut h);
-        channel.initial_tokens.hash(&mut h);
-        channel.capacity.hash(&mut h);
-    }
-    config.source.index().hash(&mut h);
-    config.period.hash(&mut h);
-    for ch in &config.channels {
-        ch.index().hash(&mut h);
-    }
-    config.max_sweeps.hash(&mut h);
-    h.digest()
-}
-
-/// What the cross-call cache keeps of a [`BufferSizing`]: the exact-size
-/// capacity slice and the verdict (`total` is recomputed on a hit). With
-/// the 16-byte digest a cache bucket is 48 bytes.
-struct Memoised {
-    capacities: Box<[(ChannelId, u64)]>,
-    achieved: Throughput,
-}
-
-thread_local! {
-    /// The cross-call memo (see the module docs). Thread-local so the
-    /// experiment harness's workers never share state; bounded and flushed
-    /// wholesale so memory stays fixed and behaviour stays deterministic.
-    static SIZING_CACHE: RefCell<HashMap<u128, Memoised>> = RefCell::new(HashMap::new());
-}
-
-/// Entry bound of the cross-call sizing cache; on overflow the cache is
-/// cleared (a deterministic flush, unlike LRU tie-breaking on hash order).
-const SIZING_CACHE_CAP: usize = 512;
-
 /// Computes minimal buffer capacities sustaining `config.period` at the
 /// source, and the throughput the graph achieves with them.
 ///
 /// The graph itself is left untouched; apply the result with
 /// [`apply_sizing`] if you need the capacitated graph.
-///
-/// Sizing is a pure function of the graph's structure and `config`, so
-/// results are memoised across calls (per thread, keyed by a structural
-/// digest): repeated admissions of the same application answer from the
-/// cache — counted as a `buffer_memo_hit` — without running any
-/// simulation. The returned sizing is identical with or without a cache
-/// hit.
 ///
 /// # Errors
 ///
@@ -164,49 +100,6 @@ pub fn size_buffers_ref(
     config: &BufferSizingConfig,
 ) -> Result<BufferSizing, DataflowError> {
     let _span = obs::span(obs::Span::BufferSizing);
-    let digest = sizing_digest(graph, config);
-    let cached = SIZING_CACHE.with(|c| {
-        c.borrow()
-            .get(&digest)
-            .map(|m| BufferSizing::new(m.capacities.to_vec(), m.achieved))
-    });
-    if let Some(sizing) = cached {
-        obs::count(obs::Counter::BufferMemoHit, 1);
-        return Ok(sizing);
-    }
-    let sizing = size_buffers_uncached(graph, config)?;
-    SIZING_CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        if cache.len() >= SIZING_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(
-            digest,
-            Memoised {
-                capacities: sizing.capacities.as_slice().into(),
-                achieved: sizing.achieved,
-            },
-        );
-    });
-    Ok(sizing)
-}
-
-/// [`size_buffers_ref`] for callers that hold the graph by value.
-///
-/// # Errors
-///
-/// As [`size_buffers_ref`].
-pub fn size_buffers(
-    graph: CsdfGraph,
-    config: &BufferSizingConfig,
-) -> Result<BufferSizing, DataflowError> {
-    size_buffers_ref(&graph, config)
-}
-
-fn size_buffers_uncached(
-    graph: &CsdfGraph,
-    config: &BufferSizingConfig,
-) -> Result<BufferSizing, DataflowError> {
     // Utilisation pre-check: actors are sequential, so per graph iteration
     // actor `a` is busy `r_a · cycle_duration(a)`; the iteration spans
     // `r_src · period`. A busier actor makes the requirement unattainable at
@@ -261,6 +154,13 @@ fn size_buffers_uncached(
             Entry::Vacant(slot) => {
                 obs::count(obs::Counter::BufferProbe, 1);
                 let probed = check_source_period(graph, config.source, config.period);
+                if matches!(probed, Err(DataflowError::GuardExhausted { .. })) {
+                    // Cut off by the simulation guard, not refuted. Read as
+                    // infeasible it can only inflate a capacity, so it is
+                    // counted: a search that was cut off can be told from
+                    // one that ran to its end.
+                    obs::count(obs::Counter::BufferProbeCutoff, 1);
+                }
                 *slot.insert(probed.ok().and_then(|(ok, tp)| ok.then_some(tp)))
             }
         };
@@ -379,6 +279,18 @@ fn size_buffers_uncached(
     ))
 }
 
+/// [`size_buffers_ref`] for callers that hold the graph by value.
+///
+/// # Errors
+///
+/// As [`size_buffers_ref`].
+pub fn size_buffers(
+    graph: CsdfGraph,
+    config: &BufferSizingConfig,
+) -> Result<BufferSizing, DataflowError> {
+    size_buffers_ref(&graph, config)
+}
+
 /// Applies a computed sizing to a graph (sets channel capacities).
 pub fn apply_sizing(graph: &mut CsdfGraph, sizing: &BufferSizing) {
     for &(ch, cap) in &sizing.capacities {
@@ -486,34 +398,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, DataflowError::Inconsistent { .. }));
-    }
-
-    #[test]
-    fn repeated_sizing_answers_from_the_cross_call_cache() {
-        use rtsm_obs::SpanLatencyProbe;
-        use std::rc::Rc;
-        // Distinct worker timing so no other test shares this digest.
-        let (g, src, chans) = pipeline(20, 17, 13);
-        let cfg = BufferSizingConfig {
-            source: src,
-            period: 20,
-            channels: chans,
-            max_sweeps: 3,
-        };
-        let first = size_buffers(g.clone(), &cfg).unwrap();
-        let probe = Rc::new(SpanLatencyProbe::new());
-        let second = {
-            let _guard = obs::install(probe.clone());
-            size_buffers(g, &cfg).unwrap()
-        };
-        assert_eq!(first, second, "cache hit must return the identical sizing");
-        assert_eq!(
-            probe.counter_total(obs::Counter::BufferProbe),
-            0,
-            "a whole-result cache hit must not re-simulate any capacity vector"
-        );
-        assert_eq!(probe.counter_total(obs::Counter::BufferMemoHit), 1);
-        assert_eq!(probe.counter_total(obs::Counter::CsdfRun), 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::rc::Rc;
 pub const N_SPANS: usize = 12;
 
 /// Number of distinct [`Counter`] kinds, for fixed-size tables.
-pub const N_COUNTERS: usize = 9;
+pub const N_COUNTERS: usize = 10;
 
 /// The instrumented regions of the admission path. Span begin/end events
 /// always come in balanced, properly nested pairs per thread.
@@ -44,9 +44,11 @@ pub enum Span {
     Step2,
     /// Step 3: channel-to-path routing.
     Step3,
-    /// Step 4: QoS constraint check (CSDF composition + analysis).
+    /// Step 4: QoS constraint check (the verdict; CSDF composition and
+    /// analysis only for a mapping signature the thread has not seen).
     Step4,
-    /// Buffer-capacity computation inside step 4 (`size_buffers`).
+    /// The buffer-capacity search (`size_buffers`) — step 4's cold path; a
+    /// step 4 answered from its memo opens none.
     BufferSizing,
     /// `RuntimeManager::evacuate` — one failure's recovery end to end
     /// (victim identification, constrained re-maps, evictions). Opens a
@@ -115,7 +117,9 @@ impl Span {
 pub enum Counter {
     /// A buffer-sizing feasibility probe actually simulated.
     BufferProbe,
-    /// A buffer-sizing feasibility probe answered from the memo table.
+    /// An analysis answered from memory: once per step 4 that found its
+    /// mapping's signature in the memo, and once per feasibility probe a
+    /// (cold) buffer-sizing search answered from its own table.
     BufferMemoHit,
     /// A `PlatformTransaction` committed.
     TxCommit,
@@ -139,6 +143,11 @@ pub enum Counter {
     /// blocked by *capacity*; one with fewer got as far as routing or the
     /// period check.
     Step1DeadEnd,
+    /// A buffer-sizing feasibility probe whose simulation hit the firing
+    /// guard before reaching a steady state. The search reads it as
+    /// "infeasible", which can only inflate a capacity; zero means every
+    /// capacity was searched, not cut off.
+    BufferProbeCutoff,
 }
 
 impl Counter {
@@ -153,6 +162,7 @@ impl Counter {
         Counter::CsdfRun,
         Counter::TemplateShapeSkipped,
         Counter::Step1DeadEnd,
+        Counter::BufferProbeCutoff,
     ];
 
     /// Dense index of this counter, `0..N_COUNTERS`.
@@ -172,6 +182,7 @@ impl Counter {
             Counter::CsdfRun => "csdf_run",
             Counter::TemplateShapeSkipped => "template_shape_skipped",
             Counter::Step1DeadEnd => "step1_dead_end",
+            Counter::BufferProbeCutoff => "buffer_probe_cutoff",
         }
     }
 }

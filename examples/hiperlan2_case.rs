@@ -99,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .filter(|(_, a)| a.name.starts_with("R("))
             .count()
     );
-    for (i, b) in step4.buffers.iter().enumerate() {
+    for (i, b) in step4.verdict.buffers.iter().enumerate() {
         println!(
             "  B{} = {} words (at {})",
             i + 1,
@@ -109,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "  feasible: {} (achieved period {} ps / {} iterations)",
-        step4.feasible, step4.achieved_period.0, step4.achieved_period.1
+        step4.verdict.feasible, step4.verdict.achieved_period.0, step4.verdict.achieved_period.1
     );
     Ok(())
 }

@@ -162,6 +162,42 @@ fn span_latency_probe_counts_every_admission_attempt() {
             span.name()
         );
     }
+    // Only a mapping signature this thread has not met runs the sizing
+    // search; every other step 4 is one memo hit and opens no such span.
+    let step4 = probe.histogram(obs::Span::Step4).count();
+    let searched = probe.histogram(obs::Span::BufferSizing).count();
+    assert!(searched < step4, "{searched} of {step4}");
+    assert!(probe.counter_total(obs::Counter::BufferMemoHit) >= step4 - searched);
+}
+
+/// The capacities in the golden fixtures are searched, not cut off: while
+/// every spec of every catalog is mapped cold on its empty platform, no
+/// feasibility probe runs into the simulator's firing guard (which the
+/// search would read as "infeasible", inflating a buffer).
+#[test]
+fn no_buffer_probe_is_cut_off_while_the_catalogs_are_mapped_cold() {
+    for name in rtsm::exp::VALID_CATALOGS {
+        let resolved = rtsm::exp::resolve_catalog(name, 42).expect("registered catalog");
+        for entry in resolved.catalog.entries() {
+            let (spec, platform) = (entry.spec.clone(), resolved.platform.clone());
+            // The step-4 memo is per thread: a fresh one starts cold.
+            let (probes, cutoffs) = std::thread::spawn(move || {
+                let probe = Rc::new(SpanLatencyProbe::new());
+                let _guard = obs::install(probe.clone() as Rc<dyn obs::Probe>);
+                SpatialMapper::default()
+                    .map(&spec, &platform, &platform.initial_state())
+                    .expect("every catalog spec maps alone");
+                (
+                    probe.counter_total(obs::Counter::BufferProbe),
+                    probe.counter_total(obs::Counter::BufferProbeCutoff),
+                )
+            })
+            .join()
+            .expect("mapping does not panic");
+            assert!(probes > 0, "`{}` was not mapped cold", entry.name);
+            assert_eq!(cutoffs, 0, "`{}`: a probe was cut off", entry.name);
+        }
+    }
 }
 
 /// The two refusal-path counters fire only under a probe, say why an
