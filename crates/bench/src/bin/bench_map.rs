@@ -49,8 +49,11 @@
 //!   the mapping's signature, the warm verdict keyed by it (with its
 //!   allocator calls), composing the Figure-3 graph the verdict no longer
 //!   needs, and the whole verdict on a fresh thread, where nothing is
-//!   remembered. That the warm verdict equals the cold one is asserted; the
-//!   times are reported, never gated;
+//!   remembered, with the self-timed simulations it runs. That the warm
+//!   verdict equals the cold one is asserted, and so is the **cold-count
+//!   gate** (one simulation per mixed spec, at most four per paper-platform
+//!   mode — a count repeats on any runner); the times are reported, never
+//!   gated;
 //! * the budget-raced algorithm portfolio (`portfolio` section, new in
 //!   schema 8): blocking ‰ of the default `PortfolioMapper` next to its
 //!   best standalone member on every registered catalog, with the
@@ -311,6 +314,10 @@ struct Step4Point {
     /// Median time of the whole verdict on a fresh thread, whose memo is
     /// empty: signature, composition, buffer-sizing search.
     cold_verdict_ns: u64,
+    /// Self-timed CSDF simulations (`Counter::CsdfRun`) of one such cold
+    /// verdict — a count, which repeats exactly where the time does not.
+    /// Gated: 1 on the mixed catalog, at most 4 on the paper platform.
+    cold_csdf_runs: u64,
 }
 
 /// The price of "yes" in step 4 (additive in schema 8).
@@ -1310,6 +1317,28 @@ fn main() {
                 cold_ns.push(ns);
                 cold = Some(answer);
             }
+            // Once more under a probe, untimed, for the count.
+            let cold_csdf_runs = std::thread::scope(|scope| {
+                let counted = || {
+                    let probe = Rc::new(SpanLatencyProbe::new());
+                    let _guard = obs::install(probe.clone() as Rc<dyn obs::Probe>);
+                    let table = rtsm_core::SpecTable::for_validated(spec);
+                    let ledger = working.clone();
+                    check_constraints_in(&table, platform, &mapping, ledger, &step4_config);
+                    probe.counter_total(Counter::CsdfRun)
+                };
+                scope.spawn(counted).join().expect("step 4 does not panic")
+            });
+            let most = match catalog_name {
+                "mixed" => 1,
+                "hiperlan2" => 4,
+                _ => u64::MAX,
+            };
+            assert!(
+                (1..=most).contains(&cold_csdf_runs),
+                "`{}`: a cold verdict ran {cold_csdf_runs} simulations, the gate is {most}",
+                entry.name
+            );
             let warm =
                 check_constraints_in(&table, platform, &mapping, working.clone(), &step4_config);
             assert!(warm.feasible, "`{}` is feasible alone", entry.name);
@@ -1368,10 +1397,11 @@ fn main() {
                     ));
                 }),
                 cold_verdict_ns: median(&mut cold_ns),
+                cold_csdf_runs,
             };
             println!(
                 "step4/{}: signature {} ns, warm verdict {} ns ({} allocator calls), \
-                 compose {} actors {} ns, cold verdict {} ns",
+                 compose {} actors {} ns, cold verdict {} ns in {} simulations",
                 point.spec,
                 point.signature_ns,
                 point.warm_verdict_ns,
@@ -1379,6 +1409,7 @@ fn main() {
                 point.csdf_actors,
                 point.compose_ns,
                 point.cold_verdict_ns,
+                point.cold_csdf_runs,
             );
             step4_points.push(point);
         }

@@ -194,12 +194,13 @@ pub fn readme_admission_block(bench: &serde::Value) -> Result<String, serde::de:
     let step4: serde::Value = field(bench, "step4")?;
     let points: Vec<serde::Value> = field(&step4, "points")?;
     let range = |name: &str| range_over(&points, name);
-    let (signature, warm, allocs, compose, cold) = (
+    let (signature, warm, allocs, compose, cold, cold_runs) = (
         range("signature_ns")?,
         range("warm_verdict_ns")?,
         range("warm_verdict_allocs")?,
         range("compose_ns")?,
         range("cold_verdict_ns")?,
+        range("cold_csdf_runs")?,
     );
     let _ = writeln!(out);
     let _ = writeln!(
@@ -207,7 +208,7 @@ pub fn readme_admission_block(bench: &serde::Value) -> Result<String, serde::de:
         "Step 4 of an admission, over the {} catalog specs mapped alone: the mapping's signature \
          {}–{} ns, the warm verdict it keys {}–{} ns ({} allocator calls); composing the Figure-3 \
          graph, which the verdict does without, {:.1}–{:.1} µs; a cold verdict (signature new to \
-         the thread) {:.0}–{:.0} µs.",
+         the thread) {:.0}–{:.0} µs, in {}–{} self-timed simulations.",
         points.len(),
         signature.0,
         signature.1,
@@ -222,6 +223,8 @@ pub fn readme_admission_block(bench: &serde::Value) -> Result<String, serde::de:
         compose.1 as f64 / 1e3,
         cold.0 as f64 / 1e3,
         cold.1 as f64 / 1e3,
+        cold_runs.0,
+        cold_runs.1,
     );
     let _ = writeln!(out, "<!-- end of the generated block -->");
     Ok(out)

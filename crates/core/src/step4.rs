@@ -30,10 +30,14 @@
 //! entries, flushed whole, so memory is bounded and behaviour
 //! deterministic), then the memory-fit, period and latency checks on the
 //! mapping at hand. Only a signature never seen on this thread pays for
-//! [`compose`] and the sizing search; the throughput verdict comes out of
-//! that search (sizing proves the period on exactly the capacities it
-//! returns), never from a second simulation. Failed analyses are not
-//! remembered: their diagnostics name actors.
+//! [`compose`] and the sizing search, and what it pays is counted in
+//! self-timed simulations of the graph (`Counter::CsdfRun`): one — every
+//! `B_i` at its structural floor sustains the period, which is how all but
+//! a few analyses end — or, on the paper platform, four (the floors, the
+//! unbounded pilot, two probes of the descent). The throughput verdict
+//! comes out of that search (sizing proves the period on exactly the
+//! capacities it returns), never from a second simulation. Failed analyses
+//! are not remembered: their diagnostics name actors.
 //!
 //! Nothing on the admission path reads the graph itself, so the verdict
 //! returns none. [`check_constraints`] composes it as well, for callers
@@ -231,29 +235,40 @@ pub fn check_constraints_in(
         }
     };
 
-    // Utilisation pre-check with structured feedback: a sequential actor
-    // busier than the period can never keep up; implicate its
-    // implementation choice. A product past `u128` is busier than any
-    // period.
+    // Per-implementation pre-checks with structured feedback, implicating
+    // the implementation choice so that refinement may try another. An
+    // actor of more phases than the analysis fires is the A/D's case over
+    // again (see `source_phases`): nothing in a spec's validation bounds an
+    // implementation's phase vector either. And a sequential actor busier
+    // than the period can never keep up; a product past `u128` is busier
+    // than any period.
     for (pid, _) in spec.graph.stream_processes() {
         let assignment = mapping.assignment(pid).expect("the signature covers it");
         let implementation = table.implementation(pid, assignment.impl_index);
-        let cycles = table.cycles_per_period(pid, assignment.impl_index);
-        let busy_ps = (u128::from(implementation.cycle_wcet()) * u128::from(cycles))
-            .saturating_mul(u128::from(platform.tile(assignment.tile).cycle_time_ps()));
-        if busy_ps > u128::from(period) {
-            return Step4Verdict::refused(vec![
-                Feedback::Infeasible {
-                    detail: format!(
-                        "`{}` needs {busy_ps} ps per {period} ps period",
-                        implementation.name
-                    ),
-                },
+        let excluding = |detail: String| {
+            Step4Verdict::refused(vec![
+                Feedback::Infeasible { detail },
                 Feedback::ExcludeImplementation {
                     process: pid,
                     impl_index: assignment.impl_index,
                 },
-            ]);
+            ])
+        };
+        let phases = implementation.wcet.len() as u64;
+        if phases > max_phases() {
+            return excluding(format!(
+                "`{}` has {phases} phases, more than the dataflow analysis fires",
+                implementation.name
+            ));
+        }
+        let cycles = table.cycles_per_period(pid, assignment.impl_index);
+        let busy_ps = (u128::from(implementation.cycle_wcet()) * u128::from(cycles))
+            .saturating_mul(u128::from(platform.tile(assignment.tile).cycle_time_ps()));
+        if busy_ps > u128::from(period) {
+            return excluding(format!(
+                "`{}` needs {busy_ps} ps per {period} ps period",
+                implementation.name
+            ));
         }
     }
 
@@ -477,6 +492,16 @@ impl Lanes {
         self.0 = fold(self.0 ^ word, 0x9e37_79b9_7f4a_7c15);
         self.1 = fold(self.1 ^ word, 0xc2b2_ae3d_27d4_eb4f);
     }
+
+    /// Both lanes into each half of the key. `fold` commutes, so one lane
+    /// is rotated before the second cross-multiply: without that the two
+    /// halves are one word whenever both lanes are odd, and the key 64 bits.
+    #[inline]
+    fn finish(self) -> u128 {
+        let high = fold(self.0, self.1 | 1);
+        let low = fold(self.1.rotate_left(32), self.0 | 1);
+        u128::from(high) << 64 | u128::from(low)
+    }
 }
 
 /// The 128-bit signature of the graph [`compose`] would build for
@@ -523,7 +548,16 @@ pub fn signature(
     lanes.word(sink_buffer_words.unwrap_or(0));
     lanes.word(warmup);
     lanes.word(window);
-    Ok(u128::from(fold(lanes.0, lanes.1 | 1)) << 64 | u128::from(fold(lanes.1, lanes.0 | 1)))
+    Ok(lanes.finish())
+}
+
+/// The most phases an actor of the composed graph may have: what the
+/// dataflow simulator fires in a whole run (its `max_firings` guard, far
+/// below the `u32` a [`PhaseVec`] counts in). No analysis of an actor with
+/// more sees it wrap even once, so none reaches a steady state; and the
+/// simulator lays every actor's phases out flat before it starts.
+fn max_phases() -> u64 {
+    SimConfig::default().max_firings
 }
 
 /// Phases of the A/D source: the A/D streams samples continuously across
@@ -534,12 +568,8 @@ pub fn signature(
 ///
 /// # Errors
 ///
-/// The token count, when it is more phases than the dataflow simulator
-/// fires in a whole run (its `max_firings` guard, far below the `u32` a
-/// [`PhaseVec`] counts in). No analysis of such a source sees it wrap even
-/// once, so none reaches a steady state; the simulator lays every actor's
-/// phases out flat before it starts, and nothing in a spec's validation
-/// bounds tokens per period.
+/// The token count, when it is more than [`max_phases`]: nothing in a
+/// spec's validation bounds tokens per period.
 fn source_phases(spec: &ApplicationSpec) -> Result<u32, u64> {
     let tokens = spec
         .graph
@@ -550,7 +580,7 @@ fn source_phases(spec: &ApplicationSpec) -> Result<u32, u64> {
         .unwrap_or(1)
         .max(1);
     match u32::try_from(tokens) {
-        Ok(phases) if tokens <= SimConfig::default().max_firings => Ok(phases),
+        Ok(phases) if tokens <= max_phases() => Ok(phases),
         _ => Err(tokens),
     }
 }

@@ -18,7 +18,10 @@
 //! analysis comes back); skipping the memory-fit loop when the analysis
 //! came from the memo fails the verdict comparison on the first overflow
 //! that is a hit. Leaving out the latency window gets past the random cases
-//! and is caught by `every_setting_moves_the_signature`.
+//! and is caught by `every_setting_moves_the_signature`. Finalising the two
+//! lanes symmetrically (PR 17's `fold(a, b | 1)`, `fold(b, a | 1)`) fails the
+//! halves assertion in the random cases and
+//! `the_halves_of_a_key_differ_whatever_the_parity_of_the_lanes`.
 
 use super::*;
 use crate::constraints::MappingConstraints;
@@ -371,6 +374,11 @@ fn warm_verdicts_equal_a_memoryless_reference() {
 
                 let at = format!("round {round}, `{}`, step {step}", spec.name);
                 let signature = signature(&table, platform, &mapping, &config).expect("assigned");
+                assert_ne!(
+                    (signature >> 64) as u64,
+                    signature as u64,
+                    "{at}: a 64-bit key"
+                );
                 let known = MEMO.with(|memo| memo.borrow().contains_key(&signature));
                 let verdict =
                     check_constraints_in(&table, platform, &mapping, working.clone(), &config);
@@ -416,6 +424,20 @@ fn warm_verdicts_equal_a_memoryless_reference() {
 /// The paper case through steps 1–3 on the empty paper platform.
 fn paper_case() -> (ApplicationSpec, Platform, Mapping, PlatformState) {
     super::tests::full_pipeline(Hiperlan2Mode::Qpsk34)
+}
+
+/// The two halves of a key are two words: the finalisation used to
+/// cross-multiply the lanes with a commutative `fold`, and both lanes odd —
+/// one draw in four — gave a key whose halves were equal.
+#[test]
+fn the_halves_of_a_key_differ_whatever_the_parity_of_the_lanes() {
+    let (even, odd) = (0x243f_6a88_85a3_08d2_u64, 0x1319_8a2e_0370_7345_u64);
+    for (a, b) in [(even, even + 2), (even, odd), (odd, even), (odd, odd + 2)] {
+        for (a, b) in [(a, b), (b, a)] {
+            let key = Lanes(a, b).finish();
+            assert_ne!((key >> 64) as u64, key as u64, "lanes {a:#x}, {b:#x}");
+        }
+    }
 }
 
 #[test]

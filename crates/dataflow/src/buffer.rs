@@ -7,14 +7,44 @@
 //!
 //! The approach here trades the closed-form linear bounds of the original
 //! paper for exact back-pressure simulation (our graphs are run-time-mapper
-//! sized, tens of actors):
+//! sized, tens of actors). The answer is a per-channel descent: starting
+//! from a vector of capacities known to sustain the required source period,
+//! each channel in turn is lowered to the smallest capacity that still
+//! sustains it with all the others as they stand. A channel's *floor* is its
+//! largest single-phase transfer (or its initial tokens): below it an actor
+//! can never fire.
 //!
-//! 1. Run self-timed with unbounded buffers; the per-channel peak *pressure*
-//!    (tokens + in-flight reservations) is a feasible upper bound.
-//! 2. Per channel, binary-search the smallest capacity that still sustains
-//!    the required source period with all other channels at their current
-//!    capacities (throughput is monotone in buffer capacity).
-//! 3. Sweep until a fixpoint (one extra validation pass in practice).
+//! The descent rests on one assumption — self-timed throughput is monotone
+//! in every capacity — and the search spends it to simulate as little as it
+//! can:
+//!
+//! 1. **Floor first.** Every channel at its floor is probed before anything
+//!    else. If that sustains the period it is the answer: each step of the
+//!    descent, from whatever feasible start, is then a minimum over a range
+//!    whose least element is feasible. One simulation, no pilot.
+//! 2. **The pilot is its own proof.** Otherwise the graph is run with the
+//!    sized channels unbounded, and the per-channel peak *pressure* (tokens
+//!    plus in-flight reservations) is where the descent starts. A capacity
+//!    equal to the peak never refuses a start the pilot made, so the bounded
+//!    run *is* the pilot, event for event, up to the same recurrence: the
+//!    vector enters the probe table with the pilot's throughput and is never
+//!    simulated.
+//! 3. **Per channel, the floor before the midpoint**, then bisection on the
+//!    rest of the range: most channels end at their floor, and one probe
+//!    says so.
+//! 4. **Refutation by dominance.** A vector that a *completed* simulation
+//!    refuted (a steady state below the rate, or a deadlock) refutes every
+//!    vector componentwise below it, unsimulated. A run the simulator's
+//!    guard cut off refutes nothing but its own vector. This makes the
+//!    confirming sweep free: when the first sweep leaves channel `i` at
+//!    `c_i` above its floor it has refuted `c_i − 1` among capacities at
+//!    least as large as any later sweep meets, so a second sweep asks only
+//!    questions the first has answered, and changes nothing.
+//!
+//! [`BufferSizingConfig::max_sweeps`] is therefore spent at 1: 0 still means
+//! "no descent" (the pilot's pressures come back as they are) and anything
+//! above 1 buys table look-ups. The field stays for the callers that
+//! construct the struct.
 //!
 //! The result is feasible by construction and minimal per-channel (it may be
 //! off the Pareto frontier of *joint* minimality, as is Wiggers' — both are
@@ -31,7 +61,6 @@ use crate::graph::{ActorId, ChannelId, CsdfGraph};
 use crate::simulate::{SimConfig, Simulation};
 use crate::throughput::{check_source_period, Throughput};
 use rtsm_obs as obs;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Configuration for [`size_buffers`].
@@ -130,53 +159,35 @@ pub fn size_buffers_ref(
         config.channels.clone()
     };
 
-    // Feasibility is a pure function of the capacity assignment, and the
-    // fixpoint sweep revisits assignments it has already probed (a clean
-    // second sweep re-validates every first-sweep decision), so memoise the
-    // simulations by target-capacity vector. This only skips duplicate
-    // runs — the computed capacities are identical with or without it.
-    //
-    // A feasible vector's entry holds its throughput. The search only ever
-    // stands on the vector it last probed feasible (an infeasible probe is
-    // undone), so that probe's throughput is the final sizing's verdict.
-    let mut memo: HashMap<Vec<u64>, Option<Throughput>> = HashMap::new();
-    let mut achieved = None;
-    let mut feasible_memo = |graph: &CsdfGraph| -> bool {
-        let key: Vec<u64> = targets
-            .iter()
-            .map(|&ch| graph.channel(ch).capacity.unwrap_or(u64::MAX))
-            .collect();
-        let verdict = match memo.entry(key) {
-            Entry::Occupied(hit) => {
-                obs::count(obs::Counter::BufferMemoHit, 1);
-                *hit.get()
-            }
-            Entry::Vacant(slot) => {
-                obs::count(obs::Counter::BufferProbe, 1);
-                let probed = check_source_period(graph, config.source, config.period);
-                if matches!(probed, Err(DataflowError::GuardExhausted { .. })) {
-                    // Cut off by the simulation guard, not refuted. Read as
-                    // infeasible it can only inflate a capacity, so it is
-                    // counted: a search that was cut off can be told from
-                    // one that ran to its end.
-                    obs::count(obs::Counter::BufferProbeCutoff, 1);
-                }
-                *slot.insert(probed.ok().and_then(|(ok, tp)| ok.then_some(tp)))
-            }
-        };
-        if verdict.is_some() {
-            achieved = verdict;
-        }
-        verdict.is_some()
+    let floors: Vec<u64> = targets
+        .iter()
+        .map(|&ch| {
+            let c = graph.channel(ch);
+            c.prod.max().max(c.cons.max()).max(c.initial_tokens).max(1)
+        })
+        .collect();
+    let mut search = Search {
+        graph: graph.clone(),
+        targets: &targets,
+        config,
+        table: ProbeTable::default(),
     };
 
+    // Floor first (see the module docs). Zero sweeps ask for the pilot's
+    // vector undescended, which the floors are not.
+    if config.max_sweeps > 0 {
+        if let Some(achieved) = search.probe(&floors) {
+            let capacities = targets.iter().copied().zip(floors).collect();
+            return Ok(BufferSizing::new(capacities, achieved));
+        }
+    }
+
     // Pilot run with the target channels unbounded to obtain upper bounds.
-    let mut graph = graph.clone();
     for &ch in &targets {
-        graph.channel_mut(ch).capacity = None;
+        search.graph.channel_mut(ch).capacity = None;
     }
     let sim = Simulation::new(
-        &graph,
+        &search.graph,
         SimConfig {
             reference: Some(config.source),
             ..SimConfig::default()
@@ -203,80 +214,144 @@ pub fn size_buffers_ref(
         });
     }
 
-    // Initialise each target at its pilot-run peak pressure (feasible by
-    // construction), floored at the largest single-phase transfer.
-    let mut caps: Vec<u64> = Vec::with_capacity(targets.len());
-    for &ch in &targets {
-        let c = graph.channel(ch);
-        let floor = c.prod.max().max(c.cons.max()).max(c.initial_tokens).max(1);
-        let ub = pilot.max_pressure[ch.index()].max(floor);
-        caps.push(ub);
-        graph.channel_mut(ch).capacity = Some(ub);
-    }
+    // Each target at its pilot-run peak pressure, floored: the pilot's own
+    // schedule fits these capacities, so its steady state is theirs.
+    let mut caps: Vec<u64> = targets
+        .iter()
+        .zip(&floors)
+        .map(|(&ch, &floor)| pilot.max_pressure[ch.index()].max(floor))
+        .collect();
+    let proved = Throughput {
+        iterations: steady.iterations,
+        period: steady.period,
+    };
+    search.table.record(caps.clone(), Ok((true, proved)));
 
-    // The pilot bound is feasible only if the *combination* still meets the
-    // period; this holds because capacities at peak pressure never block the
-    // pilot schedule. Validate anyway (defensive).
-    if !feasible_memo(&graph) {
-        // Extremely conservative fallback: double until feasible (bounded by
-        // a few steps; pressure bounds are near-tight in practice).
-        let mut factor = 2u64;
-        loop {
-            for (i, &ch) in targets.iter().enumerate() {
-                graph.channel_mut(ch).capacity = Some(caps[i].saturating_mul(factor));
-            }
-            if feasible_memo(&graph) {
-                for (i, &ch) in targets.iter().enumerate() {
-                    caps[i] = graph.channel(ch).capacity.expect("capacity just set");
-                    let _ = ch;
-                }
-                break;
-            }
-            factor = factor.saturating_mul(2);
-            if factor > 1 << 20 {
-                return Err(DataflowError::GuardExhausted {
-                    guard: "buffer sizing failed to find a feasible upper bound".into(),
-                });
-            }
-        }
-    }
-
-    // Per-channel binary-search descent, swept to a fixpoint.
+    // Per-channel descent. Only a vector probed feasible is ever stood on
+    // (an infeasible probe is undone, and dominance only ever refutes), so
+    // the table holds the final vector's throughput.
     for _sweep in 0..config.max_sweeps {
         let mut changed = false;
-        for (i, &ch) in targets.iter().enumerate() {
-            let c = graph.channel(ch);
-            let floor = c.prod.max().max(c.cons.max()).max(c.initial_tokens).max(1);
-            let mut lo = floor;
-            let mut hi = caps[i];
-            if lo >= hi {
-                continue;
-            }
-            // Invariant: hi feasible. Find the smallest feasible capacity.
+        for i in 0..caps.len() {
+            let standing = caps[i];
+            // Invariant: hi feasible. Find the smallest feasible capacity,
+            // asking the floor first.
+            let (mut lo, mut hi) = (floors[i], standing);
+            let mut mid = lo;
             while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                graph.channel_mut(ch).capacity = Some(mid);
-                if feasible_memo(&graph) {
+                caps[i] = mid;
+                if search.probe(&caps).is_some() {
                     hi = mid;
                 } else {
                     lo = mid + 1;
                 }
+                mid = lo + (hi - lo) / 2;
             }
-            graph.channel_mut(ch).capacity = Some(hi);
-            if hi != caps[i] {
-                caps[i] = hi;
-                changed = true;
-            }
+            caps[i] = hi;
+            changed |= hi != standing;
         }
         if !changed {
             break;
         }
     }
 
+    let achieved = search
+        .table
+        .lookup(&caps)
+        .flatten()
+        .expect("the search stands on a vector probed feasible");
     Ok(BufferSizing::new(
         targets.iter().copied().zip(caps).collect(),
-        achieved.expect("the search stands on a vector probed feasible"),
+        achieved,
     ))
+}
+
+/// The working state of one sizing search.
+struct Search<'a> {
+    /// The caller's graph; every simulated probe overwrites the capacities
+    /// of `targets`.
+    graph: CsdfGraph,
+    targets: &'a [ChannelId],
+    config: &'a BufferSizingConfig,
+    table: ProbeTable,
+}
+
+impl Search<'_> {
+    /// The throughput of the graph at `capacities` (one per target) if it
+    /// sustains the required period. Feasibility is a pure function of the
+    /// capacities, so the table is asked first and keeps every answer.
+    fn probe(&mut self, capacities: &[u64]) -> Option<Throughput> {
+        if let Some(known) = self.table.lookup(capacities) {
+            obs::count(obs::Counter::BufferMemoHit, 1);
+            return known;
+        }
+        obs::count(obs::Counter::BufferProbe, 1);
+        for (&ch, &capacity) in self.targets.iter().zip(capacities) {
+            self.graph.channel_mut(ch).capacity = Some(capacity);
+        }
+        let probed = check_source_period(&self.graph, self.config.source, self.config.period);
+        if matches!(probed, Err(DataflowError::GuardExhausted { .. })) {
+            // Cut off by the simulation guard, not refuted. Read as
+            // infeasible it can only inflate a capacity, so it is counted:
+            // a search that was cut off can be told from one that ran to
+            // its end.
+            obs::count(obs::Counter::BufferProbeCutoff, 1);
+        }
+        self.table.record(capacities.to_vec(), probed)
+    }
+}
+
+/// What a sizing search has learnt about capacity vectors (one capacity per
+/// sized channel, in the search's channel order).
+#[derive(Debug, Default)]
+struct ProbeTable {
+    /// The vectors whose answer is theirs alone: the throughput of one a
+    /// simulation found to sustain the period (its own run, or the pilot's
+    /// for the vector of peak pressures), `None` for one whose run was cut
+    /// off.
+    answers: HashMap<Vec<u64>, Option<Throughput>>,
+    /// The vectors a completed simulation refuted; each answers for every
+    /// vector it dominates, itself included.
+    refuted: Vec<Vec<u64>>,
+}
+
+impl ProbeTable {
+    /// The answer for `capacities`, if the table has one: the vector's own,
+    /// or a refutation by dominance. Never feasibility by dominance — a
+    /// vector above a feasible one has a throughput nobody measured.
+    fn lookup(&self, capacities: &[u64]) -> Option<Option<Throughput>> {
+        match self.answers.get(capacities) {
+            Some(answer) => Some(*answer),
+            None => dominated(&self.refuted, capacities).then_some(None),
+        }
+    }
+
+    /// Enters what analysing the graph at `capacities` returned, and reads
+    /// it as the search does: the throughput if it sustains the period.
+    fn record(
+        &mut self,
+        capacities: Vec<u64>,
+        probed: Result<(bool, Throughput), DataflowError>,
+    ) -> Option<Throughput> {
+        let answer = match probed {
+            Ok((true, throughput)) => Some(throughput),
+            // A guard cut-off is an answer about its own vector only.
+            Err(DataflowError::GuardExhausted { .. }) => None,
+            Ok((false, _)) | Err(_) => {
+                self.refuted.push(capacities);
+                return None;
+            }
+        };
+        self.answers.insert(capacities, answer);
+        answer
+    }
+}
+
+/// Whether `capacities` is componentwise at most some vector of `refuted`.
+fn dominated(refuted: &[Vec<u64>], capacities: &[u64]) -> bool {
+    refuted
+        .iter()
+        .any(|bound| capacities.iter().zip(bound).all(|(c, b)| c <= b))
 }
 
 /// [`size_buffers_ref`] for callers that hold the graph by value.
@@ -398,6 +473,54 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, DataflowError::Inconsistent { .. }));
+    }
+
+    #[test]
+    fn a_refuted_vector_refutes_what_it_dominates_and_nothing_else() {
+        let refuted = [vec![4, 2, 7]];
+        assert!(dominated(&refuted, &[4, 2, 7]));
+        assert!(dominated(&refuted, &[1, 2, 3]));
+        assert!(!dominated(&refuted, &[1, 3, 1]), "one capacity above");
+        assert!(!dominated(&[], &[0, 0, 0]));
+    }
+
+    #[test]
+    fn the_table_answers_beyond_a_vector_only_from_a_completed_refutation() {
+        let measured = Throughput {
+            iterations: 2,
+            period: 20,
+        };
+        let mut table = ProbeTable::default();
+        assert_eq!(table.lookup(&[4, 4]), None);
+
+        // A steady state below the rate, and a deadlock: both refute
+        // everything at or below them.
+        assert_eq!(table.record(vec![4, 4], Ok((false, measured))), None);
+        let deadlock = DataflowError::Deadlock {
+            at_time: 0,
+            firings: 0,
+        };
+        assert_eq!(table.record(vec![2, 9], Err(deadlock)), None);
+        for refuted in [[4, 4], [3, 4], [2, 9], [1, 5]] {
+            assert_eq!(table.lookup(&refuted), Some(None), "{refuted:?}");
+        }
+        assert_eq!(table.lookup(&[5, 4]), None);
+
+        // A run the guard cut off says nothing about any other vector.
+        let cut_off = DataflowError::GuardExhausted {
+            guard: "firings".into(),
+        };
+        assert_eq!(table.record(vec![9, 9], Err(cut_off)), None);
+        assert_eq!(table.lookup(&[9, 9]), Some(None));
+        assert_eq!(table.lookup(&[8, 9]), None);
+
+        // Nor does a feasible one: what runs above it, nobody measured.
+        assert_eq!(
+            table.record(vec![6, 6], Ok((true, measured))),
+            Some(measured)
+        );
+        assert_eq!(table.lookup(&[6, 6]), Some(Some(measured)));
+        assert_eq!(table.lookup(&[7, 6]), None);
     }
 
     #[test]

@@ -119,7 +119,8 @@ pub enum Counter {
     BufferProbe,
     /// An analysis answered from memory: once per step 4 that found its
     /// mapping's signature in the memo, and once per feasibility probe a
-    /// (cold) buffer-sizing search answered from its own table.
+    /// (cold) buffer-sizing search answered from its own table — the
+    /// vector's own entry, or a refuted vector that dominates it.
     BufferMemoHit,
     /// A `PlatformTransaction` committed.
     TxCommit,

@@ -170,33 +170,97 @@ fn span_latency_probe_counts_every_admission_attempt() {
     assert!(probe.counter_total(obs::Counter::BufferMemoHit) >= step4 - searched);
 }
 
+/// Every spec of every registered catalog, mapped alone on its empty
+/// platform by a fresh thread — the step-4 memo is per thread, so each map
+/// is a cold one — with what the dataflow layer counted meanwhile:
+/// `(catalog, spec, [CsdfRun, BufferProbe, BufferMemoHit, BufferProbeCutoff])`.
+fn cold_map_counts() -> Vec<(&'static str, String, [u64; 4])> {
+    let mut counts = Vec::new();
+    for name in rtsm::exp::VALID_CATALOGS {
+        let resolved = rtsm::exp::resolve_catalog(name, 42).expect("registered catalog");
+        for entry in resolved.catalog.entries() {
+            let (spec, platform) = (entry.spec.clone(), resolved.platform.clone());
+            let counted = std::thread::spawn(move || {
+                let probe = Rc::new(SpanLatencyProbe::new());
+                let _guard = obs::install(probe.clone() as Rc<dyn obs::Probe>);
+                SpatialMapper::default()
+                    .map(&spec, &platform, &platform.initial_state())
+                    .expect("every catalog spec maps alone");
+                assert_eq!(
+                    probe.histogram(obs::Span::BufferSizing).count(),
+                    1,
+                    "one span brackets the whole cold search"
+                );
+                [
+                    obs::Counter::CsdfRun,
+                    obs::Counter::BufferProbe,
+                    obs::Counter::BufferMemoHit,
+                    obs::Counter::BufferProbeCutoff,
+                ]
+                .map(|counter| probe.counter_total(counter))
+            })
+            .join()
+            .expect("mapping does not panic");
+            counts.push((name, entry.name.clone(), counted));
+        }
+    }
+    counts
+}
+
 /// The capacities in the golden fixtures are searched, not cut off: while
 /// every spec of every catalog is mapped cold on its empty platform, no
 /// feasibility probe runs into the simulator's firing guard (which the
 /// search would read as "infeasible", inflating a buffer).
 #[test]
 fn no_buffer_probe_is_cut_off_while_the_catalogs_are_mapped_cold() {
-    for name in rtsm::exp::VALID_CATALOGS {
-        let resolved = rtsm::exp::resolve_catalog(name, 42).expect("registered catalog");
-        for entry in resolved.catalog.entries() {
-            let (spec, platform) = (entry.spec.clone(), resolved.platform.clone());
-            // The step-4 memo is per thread: a fresh one starts cold.
-            let (probes, cutoffs) = std::thread::spawn(move || {
-                let probe = Rc::new(SpanLatencyProbe::new());
-                let _guard = obs::install(probe.clone() as Rc<dyn obs::Probe>);
-                SpatialMapper::default()
-                    .map(&spec, &platform, &platform.initial_state())
-                    .expect("every catalog spec maps alone");
-                (
-                    probe.counter_total(obs::Counter::BufferProbe),
-                    probe.counter_total(obs::Counter::BufferProbeCutoff),
-                )
-            })
-            .join()
-            .expect("mapping does not panic");
-            assert!(probes > 0, "`{}` was not mapped cold", entry.name);
-            assert_eq!(cutoffs, 0, "`{}`: a probe was cut off", entry.name);
-        }
+    for (_, spec, [_, probes, _, cutoffs]) in cold_map_counts() {
+        assert!(probes > 0, "`{spec}` was not mapped cold");
+        assert_eq!(cutoffs, 0, "`{spec}`: a probe was cut off");
+    }
+}
+
+/// What a cold map costs, as counts — which repeat exactly, where a timing
+/// does not. `CsdfRun` is every self-timed simulation of the map (the
+/// sizing search's probes and its pilot; no catalog spec bounds latency),
+/// `BufferProbe` the probes among them, `BufferMemoHit` the probes the
+/// search answered from its table, refutations by dominance included. Next
+/// to them, the `CsdfRun` of the search before it asked the floors first
+/// (PR 17): it may never cost more.
+#[test]
+fn a_cold_map_runs_a_pinned_number_of_simulations() {
+    // In `VALID_CATALOGS` order: the seven HIPERLAN/2 modes on the paper
+    // platform, the mixed five, the six synthetic chains, the defrag pair.
+    const PINS: [([u64; 3], u64); 20] = [
+        ([4, 3, 2], 9),
+        ([4, 3, 2], 9),
+        ([4, 3, 2], 9),
+        ([4, 3, 2], 9),
+        ([4, 3, 2], 9),
+        ([4, 3, 2], 9),
+        ([4, 3, 2], 9),
+        ([1, 1, 0], 2),
+        ([1, 1, 0], 2),
+        ([1, 1, 0], 2),
+        ([1, 1, 0], 2),
+        ([1, 1, 0], 9),
+        ([1, 1, 0], 12),
+        ([1, 1, 0], 12),
+        ([11, 10, 5], 22),
+        ([11, 10, 4], 27),
+        ([18, 17, 6], 29),
+        ([1, 1, 0], 8),
+        ([1, 1, 0], 2),
+        ([1, 1, 0], 2),
+    ];
+    let counts = cold_map_counts();
+    assert_eq!(
+        counts.len(),
+        PINS.len(),
+        "every registered catalog is pinned"
+    );
+    for ((catalog, spec, counted), (now, before)) in counts.iter().zip(PINS) {
+        assert_eq!(counted[..3], now, "`{catalog}` / `{spec}`");
+        assert!(counted[0] <= before, "`{catalog}` / `{spec}`");
     }
 }
 
