@@ -19,7 +19,7 @@
 //! Which members run, and which outcome wins, are pure functions of the
 //! budget and the members' deterministic results — worker count only
 //! changes wall-clock, so fixed-seed reports are byte-identical at 1 and
-//! N racing workers (CI diffs them).
+//! N racing workers (`tests/portfolio.rs`).
 
 use crate::{AnnealingMapper, GeneticMapper, GreedyMapper, SpiralMapper};
 use rtsm_app::ApplicationSpec;

@@ -13,8 +13,8 @@
 //! `ExperimentReport` to `--out` atomically (temp file + rename).
 //!
 //! The sealed report is byte-identical for a given spec regardless of
-//! `--workers` — the CI determinism gate byte-diffs two runs at
-//! different worker counts. Wall-clock throughput (events/s) is printed
+//! `--workers` (`tests/experiment_harness.rs` holds that across worker
+//! counts and re-runs). Wall-clock throughput (events/s) is printed
 //! to stdout only; it never enters the report.
 //!
 //! `--heartbeat N` prints a progress line to **stderr** every N
@@ -25,75 +25,42 @@
 //! without it the section is absent and the report keeps its
 //! deterministic byte shape.
 
+use rtsm_bench::cli::Cli;
 use rtsm_exp::{run_experiment, write_atomic, ExperimentSpec};
 use std::io::Write;
 use std::time::Instant;
 
-fn usage_error(message: &str) -> ! {
-    eprintln!("error: {message}");
-    eprintln!(
-        "usage: experiment --spec PATH [--workers N] [--out PATH] [--jsonl PATH] [--quiet] \
-         [--heartbeat N] [--wall]"
-    );
-    std::process::exit(2);
-}
-
-const VALUE_FLAGS: [&str; 5] = ["--spec", "--workers", "--out", "--jsonl", "--heartbeat"];
-
-fn validate_args(args: &[String]) {
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            if i + 1 >= args.len() {
-                usage_error(&format!("{arg} expects a value"));
-            }
-            i += 2;
-        } else if arg == "--quiet" || arg == "--wall" {
-            i += 1;
-        } else {
-            usage_error(&format!("unknown argument `{arg}`"));
-        }
-    }
-}
-
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    validate_args(&args);
-    let spec_path =
-        parse_flag(&args, "--spec").unwrap_or_else(|| usage_error("--spec PATH is required"));
-    let workers = match parse_flag(&args, "--workers") {
-        None => rtsm_exp::available_workers(),
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            usage_error(&format!("--workers expects a positive integer, got `{v}`"))
-        }),
-    };
+    let cli = Cli::from_env(
+        "experiment",
+        &[
+            ("--spec", "PATH"),
+            ("--workers", "N"),
+            ("--out", "PATH"),
+            ("--jsonl", "PATH"),
+            ("--heartbeat", "N"),
+        ],
+        &["--quiet", "--wall"],
+    );
+    let spec_path = cli
+        .value("--spec")
+        .unwrap_or_else(|| cli.usage_error("--spec PATH is required"));
+    let workers = cli
+        .integer::<usize>("--workers")
+        .unwrap_or_else(rtsm_exp::available_workers);
     if workers == 0 {
-        usage_error("--workers must be at least 1");
+        cli.usage_error("--workers must be at least 1");
     }
-    let out = parse_flag(&args, "--out");
-    let jsonl = parse_flag(&args, "--jsonl");
-    let quiet = args.iter().any(|a| a == "--quiet");
-    let embed_wall = args.iter().any(|a| a == "--wall");
-    let heartbeat = match parse_flag(&args, "--heartbeat") {
-        None => 0,
-        Some(v) => v.parse::<u64>().unwrap_or_else(|_| {
-            usage_error(&format!(
-                "--heartbeat expects a positive integer, got `{v}`"
-            ))
-        }),
-    };
+    let out = cli.value("--out");
+    let jsonl = cli.value("--jsonl");
+    let quiet = cli.has("--quiet");
+    let embed_wall = cli.has("--wall");
+    let heartbeat = cli.u64_or("--heartbeat", 0);
 
-    let spec_text = std::fs::read_to_string(&spec_path)
-        .unwrap_or_else(|e| usage_error(&format!("cannot read `{spec_path}`: {e}")));
+    let spec_text = std::fs::read_to_string(spec_path)
+        .unwrap_or_else(|e| cli.usage_error(&format!("cannot read `{spec_path}`: {e}")));
     let spec: ExperimentSpec = serde_json::from_str(&spec_text)
-        .unwrap_or_else(|e| usage_error(&format!("`{spec_path}` is not a valid spec: {e}")));
+        .unwrap_or_else(|e| cli.usage_error(&format!("`{spec_path}` is not a valid spec: {e}")));
     if let Err(message) = spec.validate() {
         // One line, naming the offender and the valid options.
         eprintln!("error: {message}");
@@ -107,7 +74,7 @@ fn main() {
         spec.name
     );
 
-    let mut jsonl_file = jsonl.as_ref().map(|path| {
+    let mut jsonl_file = jsonl.map(|path| {
         std::io::BufWriter::new(std::fs::File::create(path).unwrap_or_else(|e| {
             eprintln!("error: cannot create `{path}`: {e}");
             std::process::exit(2);
@@ -202,7 +169,7 @@ fn main() {
             report.wall = Some(run.wall_section.clone());
         }
         let json = serde_json::to_string(&report).expect("reports serialize");
-        write_atomic(&path, json).unwrap_or_else(|e| {
+        write_atomic(path, json).unwrap_or_else(|e| {
             eprintln!("error: cannot write `{path}`: {e}");
             std::process::exit(1);
         });

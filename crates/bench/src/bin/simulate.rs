@@ -1,108 +1,70 @@
 //! `simulate` — long-horizon admission experiments: a seeded stochastic
-//! workload driven through the `RuntimeManager`, compared across every
-//! mapping algorithm registered in `rtsm_exp::ALGORITHMS`.
+//! workload driven through the `RuntimeManager`, once per mapping
+//! algorithm registered in `rtsm_exp::ALGORITHMS`.
 //!
-//! ```text
-//! simulate [--seed N] [--arrivals N] [--algorithm NAME|all]
-//!          [--catalog hiperlan2|mixed|synthetic|defrag] [--platform-seed N]
-//!          [--mean-gap N] [--mean-hold N] [--switch-prob PCT]
-//!          [--holding exponential|fixed|pareto] [--flash-crowd BURST]
-//!          [--sample-interval N] [--horizon N] [--json] [--out PATH]
-//!          [--trace-out PATH] [--reconfigure] [--max-migrations N] [--max-plans N]
-//!          [--policy always|energy-budget|amortized-payback]
-//!          [--lambda PERMILLE] [--budget-pj N] [--payback N]
-//!          [--faults] [--mttf N] [--mttr N]
-//!          [--templates] [--template-cap N] [--portfolio-workers N]
-//! ```
-//!
-//! Algorithm and catalog names (including the `--algorithm` error text
-//! below) come from the `rtsm_exp` registry — the same lists `experiment`
-//! specs validate against — so the two CLIs cannot drift apart.
-//!
-//! `--portfolio-workers N` races the `portfolio` algorithm's members
-//! across N threads instead of evaluating them sequentially. Reports are
-//! byte-identical for any N (the CI portfolio smoke diffs 1 vs 4); the
-//! flag only changes wall-clock.
-//!
-//! `--templates` wraps every algorithm in a `TemplatedMapper`: admissions
-//! first try to instantiate a cached mapping shape (microsecond hit path)
-//! and fall back to the full algorithm on miss, learning the result. The
-//! report gains a `templates` section (hits, misses, hit rate, shapes
-//! cached), and the run **asserts** templated determinism: each algorithm
-//! is simulated twice from a freshly reset library and the serialized
-//! reports byte-compared. `--template-cap N` bounds the cached shapes per
-//! application spec (default 8); it requires `--templates`.
-//!
-//! `--faults` enables the seeded fault process: tile/link failures with
-//! exponential inter-failure times (mean `--mttf`, default 50 000 ticks)
-//! and a fixed repair time (`--mttr`, default 5000 ticks). Failed
-//! resources are quarantined and their tenants evacuated through
-//! `RuntimeManager::evacuate`; apps with no admissible relocation are
-//! *evicted*. The report gains a `survivability` section, and the run
-//! **asserts** fault-injected determinism (each algorithm simulated
-//! twice, byte-compared), instance conservation including evictions
-//! (`departed + switch-lost + evicted + still-running == admitted`, where
-//! with `--reconfigure` only blocked switches that were *not* survived
-//! count as lost), and a leak-free ledger after every failure/repair
-//! cycle — the CI chaos smoke. A run that injected no failure, or evacuated
-//! no victim successfully, exits 1 with a one-line error saying which.
-//! `--mttf`/`--mttr` without `--faults` is an error.
-//!
-//! `--flash-crowd BURST` replaces Poisson arrivals with flash crowds:
-//! BURST arrivals land at one instant, with exponential gaps between
-//! bursts of mean `--mean-gap × BURST` (same long-run rate, adversarial
-//! spikes). BURST must be ≥ 1. `--holding pareto` draws heavy-tailed
-//! bounded-Pareto holding times (support `[mean/3, mean×100]`, α = 1.5,
-//! from `--mean-hold`); `fixed` holds every instance exactly
-//! `--mean-hold` ticks.
-//!
-//! `--reconfigure` enables defragmentation-by-migration: blocked arrivals
-//! retry through `RuntimeManager::start_with_reconfiguration`, the report
-//! gains recovered-admission/migration counters plus per-sample
-//! fragmentation, and the run **asserts** that the counters are
-//! deterministic (each algorithm is simulated twice and byte-compared)
-//! and exits 1 with a one-line error unless at least one admission was
-//! recovered overall — the CI smoke for the reconfiguration path.
-//!
-//! `--lambda` sets the migration-energy weight λ (permille) of the plan
-//! objective; `--policy` picks the admission policy (`energy-budget`
-//! takes `--budget-pj`, `amortized-payback` takes `--payback` periods).
-//! With a policy other than `always`, every algorithm is *also* simulated
-//! under `AlwaysAdmit` at the same λ, and the run **asserts** the Pareto
-//! trade: the bounded policy spends strictly less total migration energy
-//! than `AlwaysAdmit` (and exits 1 with a one-line error if either run
-//! recovered no admission at all) — the CI Pareto smoke.
-//!
-//! `--out PATH` writes the serialized reports (one JSON line per
-//! algorithm) to a file — what the CI determinism gate byte-compares
-//! across two invocations.
-//!
-//! `--trace-out PATH` installs a `FlightRecorder` probe during each
-//! algorithm's primary run and writes a Chrome trace-event JSON file:
-//! open it in Perfetto (or `chrome://tracing`) to see one lane per
-//! admission with the step1→step4→buffer-sizing→commit spans inside.
-//! Probes are pure observers — the serialized reports are byte-identical
-//! with or without `--trace-out` (the CI trace smoke diffs them).
-//!
-//! `--seed` varies only the *workload* (arrival times, catalog draws,
-//! holding times); the platform layout and the synthetic application
-//! population stay pinned to `--platform-seed`, so seed sweeps compare
-//! the same system under different loads.
+//! The binary translates flags into a `SimConfig`, calls `run_sim` once per
+//! algorithm and prints a table, the summary lines and, on request, the
+//! serialized reports. The flags are declared once, in `main`; any argument
+//! outside them prints the usage line rendered from that list. It checks
+//! nothing about the results: what a run must satisfy (determinism,
+//! conservation, the golden fixtures, the Pareto trade) is held by
+//! `cargo test`, and what it costs is measured by `benchmark/`. Algorithm,
+//! catalog and policy names come from the `rtsm_exp` registry — the lists
+//! `experiment` specs validate against — so the two CLIs cannot drift apart.
 //!
 //! Defaults: seed 2008, 10 000 arrivals, the paper platform with the
 //! HIPERLAN/2 mode catalog, Poisson arrivals (mean gap 500 ticks),
 //! exponential holding times (mean 2000 ticks), 10% mode switches. The
 //! same seed always yields byte-identical serialized reports; wall-clock
-//! mapping latency is printed separately because it cannot be.
+//! mapping latency is printed separately because it cannot be. `--seed`
+//! varies only the *workload* (arrival times, catalog draws, holding
+//! times); the platform layout and the synthetic application population
+//! stay pinned to `--platform-seed`.
+//!
+//! * `--flash-crowd BURST` lands BURST arrivals at one instant, with
+//!   exponential gaps of mean `--mean-gap × BURST` between bursts (same
+//!   long-run rate). `--holding pareto` draws bounded-Pareto holding times
+//!   (support `[mean/3, mean×100]`, α = 1.5); `fixed` holds every instance
+//!   exactly `--mean-hold` ticks.
+//! * `--reconfigure` retries blocked arrivals through
+//!   `RuntimeManager::start_with_reconfiguration`; the report gains the
+//!   recovered-admission and migration counters plus per-sample
+//!   fragmentation. `--lambda` is the migration-energy weight λ (permille)
+//!   of the plan objective, `--policy` the admission policy
+//!   (`energy-budget` takes `--budget-pj`, `amortized-payback` takes
+//!   `--payback` periods).
+//! * `--faults` enables the seeded fault process: tile and link failures
+//!   with exponential gaps (mean `--mttf`, default 50 000 ticks) and a fixed
+//!   repair time (`--mttr`, default 5000), recovered through
+//!   `RuntimeManager::evacuate`; the report gains a `survivability`
+//!   section. `--mttf`/`--mttr` without `--faults` is an error.
+//! * `--templates` wraps every algorithm in a `TemplatedMapper`; the report
+//!   gains a `templates` section. `--template-cap N` bounds the cached
+//!   shapes per application spec (default 8) and requires `--templates`.
+//! * `--portfolio-workers N` races the `portfolio` algorithm's members on
+//!   N threads; reports are byte-identical for any N.
+//! * `--out PATH` writes the serialized reports, one JSON line per
+//!   algorithm; `--json` prints the same lines.
+//! * `--trace-out PATH` records the runs with a `FlightRecorder` probe and
+//!   writes a Chrome trace-event file for Perfetto (one lane per
+//!   admission). Probes are pure observers: the reports are byte-identical
+//!   with or without it.
+//!
+//! A flag value the run cannot honour — an unknown name, a zero where a
+//! count is needed, a run long enough to outgrow the report's sample series
+//! (`rtsm_sim::check_sample_growth`) — is a one-line `error:` and exit
+//! code 2.
 
 use rtsm_baselines::PortfolioMapper;
+use rtsm_bench::cli::Cli;
 use rtsm_core::{
     AdmissionPolicy, MappingAlgorithm, ReconfigurationObjective, ReconfigurationPolicy,
     TemplatedMapper,
 };
 use rtsm_obs::{self as obs, FlightRecorder};
 use rtsm_sim::{
-    run_sim, ArrivalProcess, FaultConfig, HoldingTime, SimConfig, SimRun, TemplateReport,
+    run_sim, ArrivalProcess, FaultConfig, HoldingTime, SimConfig, SimReport, SimRun,
+    SurvivabilityReport, TemplateReport,
 };
 
 /// The requested algorithm set, straight from the `rtsm_exp` registry —
@@ -128,57 +90,6 @@ fn algorithms(which: &str, portfolio_workers: usize) -> Vec<Box<dyn MappingAlgor
     }
 }
 
-/// Flags that take a value, in usage order.
-const VALUE_FLAGS: [&str; 24] = [
-    "--seed",
-    "--arrivals",
-    "--algorithm",
-    "--catalog",
-    "--platform-seed",
-    "--mean-gap",
-    "--mean-hold",
-    "--switch-prob",
-    "--holding",
-    "--flash-crowd",
-    "--sample-interval",
-    "--horizon",
-    "--out",
-    "--trace-out",
-    "--max-migrations",
-    "--max-plans",
-    "--policy",
-    "--lambda",
-    "--budget-pj",
-    "--payback",
-    "--mttf",
-    "--mttr",
-    "--template-cap",
-    "--portfolio-workers",
-];
-
-/// Rejects unknown flags, `--flag=value` syntax, and value flags missing
-/// their value, so a typo can't silently run the default experiment.
-fn validate_args(args: &[String]) {
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            if i + 1 >= args.len() {
-                usage_error(&format!("{arg} expects a value"));
-            }
-            i += 2;
-        } else if arg == "--json"
-            || arg == "--reconfigure"
-            || arg == "--faults"
-            || arg == "--templates"
-        {
-            i += 1;
-        } else {
-            usage_error(&format!("unknown argument `{arg}`"));
-        }
-    }
-}
-
 /// A bad *value* for a known flag: one line naming the offender and the
 /// valid options, without the full usage dump (that's for unknown
 /// flags, where the user needs the whole grammar).
@@ -187,113 +98,107 @@ fn one_line_error(message: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The run finished, but the workload did not produce what the flags set
-/// out to exercise (a recovered admission, an injected failure, a
-/// successful evacuation): one line and exit code 1, so a CI smoke on a
-/// workload that stopped exercising its path still fails, without a
-/// backtrace that suggests a bug.
-fn expectation_failed(message: &str) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(1);
+/// `field` of one optional report section, summed over `runs`.
+fn total<S>(
+    runs: &[SimRun],
+    section: impl Fn(&SimReport) -> Option<&S>,
+    field: impl Fn(&S) -> u64,
+) -> u64 {
+    runs.iter()
+        .filter_map(|run| section(&run.report))
+        .map(field)
+        .sum()
 }
 
-fn usage_error(message: &str) -> ! {
-    eprintln!("error: {message}");
-    // The name lists are derived from the registry, never retyped: the
-    // help text cannot desync from what the parser accepts.
-    eprintln!(
-        "usage: simulate [--seed N] [--arrivals N] [--algorithm all|{algorithms}] \
-         [--catalog {catalogs}] [--platform-seed N] \
-         [--mean-gap N] [--mean-hold N] [--switch-prob PCT] \
-         [--holding exponential|fixed|pareto] [--flash-crowd BURST] [--sample-interval N] \
-         [--horizon N] [--json] [--out PATH] [--trace-out PATH] [--reconfigure] \
-         [--max-migrations N] \
-         [--max-plans N] [--policy {policies}] \
-         [--lambda PERMILLE] [--budget-pj N] [--payback N] [--faults] [--mttf N] [--mttr N] \
-         [--templates] [--template-cap N] [--portfolio-workers N]",
-        algorithms = rtsm_exp::VALID_ALGORITHMS.join("|"),
-        catalogs = rtsm_exp::VALID_CATALOGS.join("|"),
-        policies = rtsm_exp::VALID_POLICY_KINDS[1..].join("|"),
-    );
-    std::process::exit(2);
-}
-
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse_u64(args: &[String], flag: &str, default: u64) -> u64 {
-    parse_flag(args, flag).map_or(default, |v| {
-        v.parse()
-            .unwrap_or_else(|_| usage_error(&format!("{flag} expects an integer, got `{v}`")))
-    })
+fn permille(part: u64, whole: u64) -> u64 {
+    (part * 1000).checked_div(whole).unwrap_or(0)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    validate_args(&args);
-    let seed = parse_u64(&args, "--seed", 2008);
-    let arrivals = parse_u64(&args, "--arrivals", 10_000);
-    let mean_gap = parse_u64(&args, "--mean-gap", 500);
-    let mean_hold = parse_u64(&args, "--mean-hold", 2000);
-    let switch_pct = parse_u64(&args, "--switch-prob", 10);
-    let sample_interval = parse_u64(&args, "--sample-interval", 10_000);
-    let platform_seed = parse_u64(&args, "--platform-seed", 42);
-    let horizon = parse_flag(&args, "--horizon").map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| usage_error(&format!("--horizon expects an integer, got `{v}`")))
-    });
-    let which = parse_flag(&args, "--algorithm").unwrap_or_else(|| "all".into());
-    let catalog_name = parse_flag(&args, "--catalog").unwrap_or_else(|| "hiperlan2".into());
-    let json = args.iter().any(|a| a == "--json");
-    let out = parse_flag(&args, "--out");
-    let trace_out = parse_flag(&args, "--trace-out");
-    let reconfigure = args.iter().any(|a| a == "--reconfigure");
-    let max_migrations = parse_u64(&args, "--max-migrations", 2);
-    let max_plans = parse_u64(&args, "--max-plans", 8);
-    let lambda_permille = parse_u64(&args, "--lambda", 1000);
-    let budget_pj = parse_u64(&args, "--budget-pj", 500_000);
-    let payback = parse_u64(&args, "--payback", 64);
-    let faults = args.iter().any(|a| a == "--faults");
+    // The name lists are derived from the registry, never retyped: the
+    // usage line cannot desync from what the run accepts.
+    let algorithm_names = format!("all|{}", rtsm_exp::VALID_ALGORITHMS.join("|"));
+    let catalog_names = rtsm_exp::VALID_CATALOGS.join("|");
+    let policy_names = rtsm_exp::VALID_POLICY_KINDS[1..].join("|");
+    let cli = Cli::from_env(
+        "simulate",
+        &[
+            ("--seed", "N"),
+            ("--arrivals", "N"),
+            ("--algorithm", &algorithm_names),
+            ("--catalog", &catalog_names),
+            ("--platform-seed", "N"),
+            ("--mean-gap", "N"),
+            ("--mean-hold", "N"),
+            ("--switch-prob", "PCT"),
+            ("--holding", "exponential|fixed|pareto"),
+            ("--flash-crowd", "BURST"),
+            ("--sample-interval", "N"),
+            ("--horizon", "N"),
+            ("--out", "PATH"),
+            ("--trace-out", "PATH"),
+            ("--max-migrations", "N"),
+            ("--max-plans", "N"),
+            ("--policy", &policy_names),
+            ("--lambda", "PERMILLE"),
+            ("--budget-pj", "N"),
+            ("--payback", "N"),
+            ("--mttf", "N"),
+            ("--mttr", "N"),
+            ("--template-cap", "N"),
+            ("--portfolio-workers", "N"),
+        ],
+        &["--json", "--reconfigure", "--faults", "--templates"],
+    );
+    let seed = cli.u64_or("--seed", 2008);
+    let arrivals = cli.u64_or("--arrivals", 10_000);
+    let mean_gap = cli.u64_or("--mean-gap", 500);
+    let mean_hold = cli.u64_or("--mean-hold", 2000);
+    let switch_pct = cli.u64_or("--switch-prob", 10);
+    let sample_interval = cli.u64_or("--sample-interval", 10_000);
+    let platform_seed = cli.u64_or("--platform-seed", 42);
+    let horizon = cli.integer::<u64>("--horizon");
+    let which = cli.value("--algorithm").unwrap_or("all");
+    let catalog_name = cli.value("--catalog").unwrap_or("hiperlan2");
+    let reconfigure = cli.has("--reconfigure");
+    let max_migrations = cli.u64_or("--max-migrations", 2);
+    let max_plans = cli.u64_or("--max-plans", 8);
+    let lambda_permille = cli.u64_or("--lambda", 1000);
+    let budget_pj = cli.u64_or("--budget-pj", 500_000);
+    let payback = cli.u64_or("--payback", 64);
+    let faults = cli.has("--faults");
     if !faults {
         for flag in ["--mttf", "--mttr"] {
-            if parse_flag(&args, flag).is_some() {
+            if cli.value(flag).is_some() {
                 one_line_error(&format!("{flag} requires --faults"));
             }
         }
     }
-    let mttf = parse_u64(&args, "--mttf", 50_000);
-    let mttr = parse_u64(&args, "--mttr", 5_000);
+    let mttf = cli.u64_or("--mttf", 50_000);
+    let mttr = cli.u64_or("--mttr", 5_000);
     if faults && mttf == 0 {
         one_line_error("--mttf is 0, must be ≥ 1 tick");
     }
-    let templates = args.iter().any(|a| a == "--templates");
-    if !templates && parse_flag(&args, "--template-cap").is_some() {
+    let templates = cli.has("--templates");
+    if !templates && cli.value("--template-cap").is_some() {
         one_line_error("--template-cap requires --templates");
     }
-    let template_cap = parse_u64(
-        &args,
+    let template_cap = cli.u64_or(
         "--template-cap",
         rtsm_core::template::DEFAULT_SHAPE_CAP as u64,
     ) as usize;
     if templates && template_cap == 0 {
         one_line_error("--template-cap is 0, must be ≥ 1 shape per spec");
     }
-    let flash_crowd = parse_flag(&args, "--flash-crowd").map(|v| {
-        v.parse::<u32>().unwrap_or_else(|_| {
-            usage_error(&format!("--flash-crowd expects an integer, got `{v}`"))
-        })
-    });
+    let flash_crowd = cli.integer::<u32>("--flash-crowd");
     if flash_crowd == Some(0) {
         one_line_error("--flash-crowd is 0, burst size must be ≥ 1");
     }
-    let holding_name = parse_flag(&args, "--holding").unwrap_or_else(|| "exponential".into());
-    let policy_name = parse_flag(&args, "--policy").unwrap_or_else(|| "always".into());
+    let holding_name = cli.value("--holding").unwrap_or("exponential");
+    let policy_name = cli.value("--policy").unwrap_or("always");
     // `none` is a spec-file concept (a policy *axis* point meaning "no
     // reconfiguration"); here that is spelled by omitting --reconfigure.
-    let admission: AdmissionPolicy = rtsm_exp::admission_policy(&policy_name, budget_pj, payback)
+    let admission: AdmissionPolicy = rtsm_exp::admission_policy(policy_name, budget_pj, payback)
         .unwrap_or_else(|| {
             one_line_error(&format!(
                 "unknown admission policy `{policy_name}` (valid: {})",
@@ -303,18 +208,34 @@ fn main() {
     if switch_pct > 100 {
         one_line_error(&format!("--switch-prob is {switch_pct}%, must be 0–100"));
     }
-    let portfolio_workers = parse_u64(&args, "--portfolio-workers", 1) as usize;
+    let portfolio_workers = cli.u64_or("--portfolio-workers", 1) as usize;
     if portfolio_workers == 0 {
         one_line_error("--portfolio-workers is 0, must be ≥ 1");
     }
+    // What the last arrival can leave in the queue longest: its own
+    // holding time or, with faults on, the pending failure and its repair.
+    let (tail_flag, tail) = [
+        ("--mean-hold", mean_hold),
+        ("--mttf", mttf),
+        ("--mttr", mttr),
+    ]
+    .into_iter()
+    .take(if faults { 3 } else { 1 })
+    .max_by_key(|&(_, ticks)| ticks)
+    .expect("at least --mean-hold");
+    if let Err(message) = rtsm_sim::check_sample_growth(arrivals, mean_gap, tail, sample_interval) {
+        one_line_error(&format!(
+            "--arrivals {arrivals} × --mean-gap {mean_gap} + 100 × {tail_flag} {tail}: {message}"
+        ));
+    }
     // Resolve the algorithm set before any output, so a bad name fails
     // with just the one-line error.
-    let algorithms = algorithms(&which, portfolio_workers);
+    let algorithms = algorithms(which, portfolio_workers);
 
     // Catalog resolution is shared with the experiment harness
     // (`rtsm_exp::resolve_catalog`), so the two CLIs agree on every
     // platform/population pair.
-    let resolved = rtsm_exp::resolve_catalog(&catalog_name, platform_seed).unwrap_or_else(|| {
+    let resolved = rtsm_exp::resolve_catalog(catalog_name, platform_seed).unwrap_or_else(|| {
         one_line_error(&format!(
             "unknown catalog `{catalog_name}` (valid: {})",
             rtsm_exp::VALID_CATALOGS.join(", ")
@@ -322,14 +243,7 @@ fn main() {
     });
     let (platform, catalog) = (resolved.platform, resolved.catalog);
 
-    let reconfiguration_policy = |admission: AdmissionPolicy| ReconfigurationPolicy {
-        max_migrations: max_migrations as usize,
-        max_plans: max_plans as usize,
-        objective: ReconfigurationObjective { lambda_permille },
-        admission,
-        ..ReconfigurationPolicy::default()
-    };
-    let holding = match holding_name.as_str() {
+    let holding = match holding_name {
         "exponential" => HoldingTime::Exponential { mean: mean_hold },
         "fixed" => HoldingTime::Fixed { ticks: mean_hold },
         "pareto" => HoldingTime::BoundedPareto {
@@ -355,7 +269,13 @@ fn main() {
         mode_switch_probability: switch_pct as f64 / 100.0,
         sample_interval,
         horizon,
-        reconfiguration: reconfigure.then(|| reconfiguration_policy(admission)),
+        reconfiguration: reconfigure.then(|| ReconfigurationPolicy {
+            max_migrations: max_migrations as usize,
+            max_plans: max_plans as usize,
+            objective: ReconfigurationObjective { lambda_permille },
+            admission,
+            ..ReconfigurationPolicy::default()
+        }),
         track_fragmentation: reconfigure,
         faults: faults.then(|| FaultConfig {
             mttf,
@@ -363,14 +283,6 @@ fn main() {
             ..FaultConfig::default()
         }),
     };
-    // The Pareto smoke: a bounded policy is compared against AlwaysAdmit
-    // at the same λ — same recoveries where affordable, strictly less
-    // migration energy overall.
-    let baseline_config =
-        (reconfigure && admission != AdmissionPolicy::AlwaysAdmit).then(|| SimConfig {
-            reconfiguration: Some(reconfiguration_policy(AdmissionPolicy::AlwaysAdmit)),
-            ..config.clone()
-        });
 
     println!(
         "simulating {arrivals} arrivals on `{catalog_name}` (seed {seed}, mean gap {mean_gap}, \
@@ -411,223 +323,88 @@ fn main() {
     // One recorder across all algorithms: enough capacity for every span
     // and counter of the run, bounded so a million-arrival trace cannot
     // exhaust memory (the ring keeps the most recent events).
-    let recorder = trace_out.as_ref().map(|_| {
+    let trace_out = cli.value("--trace-out");
+    let recorder = trace_out.map(|_| {
         std::rc::Rc::new(FlightRecorder::new(
             usize::try_from(arrivals.saturating_mul(512))
                 .unwrap_or(usize::MAX)
                 .clamp(65_536, 4_000_000),
         ))
     });
-    let mut runs: Vec<SimRun> = Vec::new();
-    let mut total_recovered = 0u64;
-    let mut total_migration_energy = 0u64;
-    let mut total_plans_refused = 0u64;
-    let mut baseline_recovered = 0u64;
-    let mut baseline_migration_energy = 0u64;
-    for algorithm in algorithms {
-        // `--templates` wraps the boxed algorithm; the untemplated path
-        // keeps the bare box so existing reports stay byte-identical.
-        let mut templated: Option<TemplatedMapper<Box<dyn MappingAlgorithm>>> = None;
-        let runner: &dyn MappingAlgorithm = if templates {
-            templated = Some(TemplatedMapper::with_cap(algorithm, template_cap));
-            templated.as_ref().expect("just wrapped")
-        } else {
-            &algorithm
-        };
-        let template_report = |t: &TemplatedMapper<Box<dyn MappingAlgorithm>>| {
-            TemplateReport::from_stats(t.stats(), template_cap)
-        };
-        // The probe stays installed only for the primary run; the
-        // determinism rerun and the always-admit baseline run bare, so
-        // the byte-compare below doubles as an observer-effect gate.
-        let mut run = {
-            let _probe = recorder
-                .as_ref()
-                .map(|r| obs::install(r.clone() as std::rc::Rc<dyn obs::Probe>));
-            run_sim(&platform, runner, &catalog, &config)
-                .expect("the simulation never breaks its own ledger")
-        };
-        run.report.templates = templated.as_ref().map(template_report);
-        if reconfigure || faults || templates {
-            // Determinism gate for the reconfiguration, fault-injection
-            // and template paths: a second run must serialize
-            // byte-identically. Templated reruns start from a freshly
-            // reset library so the learn/hit history replays exactly.
-            if let Some(t) = &templated {
-                t.reset();
-            }
-            let mut rerun = run_sim(&platform, runner, &catalog, &config)
-                .expect("the simulation never breaks its own ledger");
-            rerun.report.templates = templated.as_ref().map(template_report);
-            let a = serde_json::to_string(&run.report).expect("reports serialize");
-            let b = serde_json::to_string(&rerun.report).expect("reports serialize");
-            assert_eq!(
-                a, b,
-                "fixed-seed reconfiguration/fault-injection/template reports must be \
-                 byte-identical"
-            );
-        }
-        if let Some(s) = &run.report.survivability {
-            // Instance conservation with eviction as a terminal outcome:
-            // every admitted instance departed, left at a blocked mode
-            // switch, was evicted, or survived to the horizon cut. (With
-            // `--reconfigure` a blocked switch is survived, not terminal.)
-            assert_eq!(
-                run.report.departures
-                    + run.report.mode_switch_lost()
-                    + s.apps_evicted
-                    + run.report.final_running,
-                run.report.admitted,
-                "evicted + departed + switch-lost + running must equal admitted"
-            );
-            assert_eq!(
-                s.repairs,
-                s.tile_failures + s.link_failures,
-                "every injected failure must be repaired (no leaked quarantine)"
-            );
-        }
-        if let Some(baseline) = &baseline_config {
-            let always = run_sim(&platform, runner, &catalog, baseline)
-                .expect("the simulation never breaks its own ledger");
-            if let Some(r) = &always.report.reconfiguration {
-                baseline_recovered += r.admissions_recovered;
-                baseline_migration_energy += r.migration_energy_pj;
-            }
-        }
-        let report = &run.report;
-        let reconfiguration = report.reconfiguration.clone().unwrap_or_default();
-        total_recovered += reconfiguration.admissions_recovered;
-        total_migration_energy += reconfiguration.migration_energy_pj;
-        total_plans_refused += reconfiguration.plans_refused;
-        println!(
-            "{:<32} {:>8} {:>8} {:>9} {:>9} {:>10} {:>12} {:>12} {:>12} {:>11.1}",
-            report.algorithm,
-            report.admitted,
-            report.blocked,
-            report.blocking_permille,
-            reconfiguration.admissions_recovered,
-            reconfiguration.migrations_committed,
-            reconfiguration.migration_energy_pj,
-            report.energy_pj_ticks,
-            report.mean_slots_permille(),
-            run.wall.mean_ns() as f64 / 1e3,
-        );
-        assert!(
-            report.ledger_idle_at_end,
-            "commit/release must stay exact inverses over the whole run"
-        );
-        runs.push(run);
-    }
+    let runs: Vec<SimRun> = {
+        let _probe = recorder
+            .as_ref()
+            .map(|r| obs::install(r.clone() as std::rc::Rc<dyn obs::Probe>));
+        algorithms
+            .into_iter()
+            .map(|algorithm| {
+                // `--templates` wraps the boxed algorithm; the untemplated
+                // path keeps the bare box so existing reports stay
+                // byte-identical.
+                let run = if templates {
+                    let templated = TemplatedMapper::with_cap(algorithm, template_cap);
+                    let mut run = run_sim(&platform, &templated, &catalog, &config)
+                        .expect("the simulation never breaks its own ledger");
+                    run.report.templates =
+                        Some(TemplateReport::from_stats(templated.stats(), template_cap));
+                    run
+                } else {
+                    run_sim(&platform, &algorithm, &catalog, &config)
+                        .expect("the simulation never breaks its own ledger")
+                };
+                let report = &run.report;
+                let reconfiguration = report.reconfiguration.clone().unwrap_or_default();
+                println!(
+                    "{:<32} {:>8} {:>8} {:>9} {:>9} {:>10} {:>12} {:>12} {:>12} {:>11.1}",
+                    report.algorithm,
+                    report.admitted,
+                    report.blocked,
+                    report.blocking_permille,
+                    reconfiguration.admissions_recovered,
+                    reconfiguration.migrations_committed,
+                    reconfiguration.migration_energy_pj,
+                    report.energy_pj_ticks,
+                    report.mean_slots_permille(),
+                    run.wall.mean_ns() as f64 / 1e3,
+                );
+                run
+            })
+            .collect()
+    };
+    // The cross-algorithm summary lines: one report section's field, summed.
     if reconfigure {
-        println!("recovered admissions (all algorithms): {total_recovered}");
-        if baseline_config.is_some() {
-            if baseline_recovered == 0 {
-                expectation_failed(
-                    "the always-admit twin run recovered no admission on this workload",
-                );
-            }
-            if total_recovered == 0 {
-                expectation_failed(&format!(
-                    "no admission recovered under {} — {total_plans_refused} feasible plan(s) \
-                     were refused; loosen the bound (--budget-pj / --payback) or use \
-                     --policy always",
-                    admission.label()
-                ));
-            }
-            println!(
-                "migration energy: {total_migration_energy} pJ under {}, \
-                 {baseline_migration_energy} pJ under always-admit \
-                 ({total_plans_refused} plans refused)",
-                admission.label()
-            );
-            if total_plans_refused > 0 {
-                assert!(
-                    total_migration_energy < baseline_migration_energy,
-                    "a binding admission policy must spend strictly less migration energy \
-                     than always-admit ({total_migration_energy} vs {baseline_migration_energy} pJ)"
-                );
-            } else {
-                // A bound that never binds filters nothing: the runs must
-                // coincide exactly.
-                assert_eq!(
-                    total_migration_energy, baseline_migration_energy,
-                    "a non-binding admission policy must behave exactly like always-admit"
-                );
-            }
-        } else if total_recovered == 0 {
-            expectation_failed(
-                "reconfiguration recovered no admission on this workload \
-                 (--max-migrations and --max-plans must be ≥ 1; try --catalog defrag)",
-            );
-        }
+        let recovered = total(
+            &runs,
+            |r| r.reconfiguration.as_ref(),
+            |c| c.admissions_recovered,
+        );
+        println!("recovered admissions (all algorithms): {recovered}");
     }
     if templates {
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut shapes = 0u64;
-        for run in &runs {
-            let t = run
-                .report
-                .templates
-                .as_ref()
-                .expect("templates were enabled");
-            hits += t.hits;
-            misses += t.misses;
-            shapes += t.shapes_cached;
-        }
-        let permille = (hits * 1000).checked_div(hits + misses).unwrap_or(0);
+        let of = |field: fn(&TemplateReport) -> u64| total(&runs, |r| r.templates.as_ref(), field);
+        let (hits, misses) = (of(|t| t.hits), of(|t| t.misses));
         println!(
-            "templates (all algorithms): {hits} hits / {misses} misses ({permille}‰ hit rate), \
-             {shapes} shapes cached, cap {template_cap} per spec"
+            "templates (all algorithms): {hits} hits / {misses} misses ({}‰ hit rate), \
+             {} shapes cached, cap {template_cap} per spec",
+            permille(hits, hits + misses),
+            of(|t| t.shapes_cached),
         );
     }
     if faults {
-        let mut failures = 0u64;
-        let mut evacuated = 0u64;
-        let mut evicted = 0u64;
-        let mut degraded = (0u64, 0u64); // (arrivals, blocked)
-        let mut healthy = (0u64, 0u64);
-        for run in &runs {
-            let s = run
-                .report
-                .survivability
-                .as_ref()
-                .expect("faults were enabled");
-            failures += s.tile_failures + s.link_failures;
-            evacuated += s.apps_evacuated;
-            evicted += s.apps_evicted;
-            degraded.0 += s.degraded_arrivals;
-            degraded.1 += s.degraded_blocked;
-            healthy.0 += s.healthy_arrivals;
-            healthy.1 += s.healthy_blocked;
-        }
-        let blocking =
-            |(arrivals, blocked): (u64, u64)| (blocked * 1000).checked_div(arrivals).unwrap_or(0);
+        let of = |field: fn(&SurvivabilityReport) -> u64| {
+            total(&runs, |r| r.survivability.as_ref(), field)
+        };
+        let (degraded, healthy) = (of(|s| s.degraded_arrivals), of(|s| s.healthy_arrivals));
         println!(
-            "survivability (all algorithms): {failures} failures, {evacuated} evacuated, \
-             {evicted} evicted; blocking {}‰ degraded vs {}‰ healthy \
-             ({} of {} arrivals degraded)",
-            blocking(degraded),
-            blocking(healthy),
-            degraded.0,
-            degraded.0 + healthy.0,
+            "survivability (all algorithms): {} failures, {} evacuated, {} evicted; \
+             blocking {}‰ degraded vs {}‰ healthy ({degraded} of {} arrivals degraded)",
+            of(|s| s.tile_failures + s.link_failures),
+            of(|s| s.apps_evacuated),
+            of(|s| s.apps_evicted),
+            permille(of(|s| s.degraded_blocked), degraded),
+            permille(of(|s| s.healthy_blocked), healthy),
+            degraded + healthy,
         );
-        if failures == 0 {
-            expectation_failed("no failure was injected on this workload — lower --mttf");
-        }
-        if evacuated == 0 {
-            expectation_failed(&if evicted == 0 {
-                format!(
-                    "no successful evacuation: none of the {failures} failure(s) hit a running \
-                     application — lower --mttf or raise --arrivals"
-                )
-            } else {
-                format!(
-                    "no successful evacuation: all {evicted} victim(s) of the {failures} \
-                     failure(s) were evicted — raise --mttf or use a roomier catalog"
-                )
-            });
-        }
     }
 
     let json_lines = || -> Vec<String> {
@@ -635,22 +412,21 @@ fn main() {
             .map(|run| serde_json::to_string(&run.report).expect("reports serialize"))
             .collect()
     };
-    if json {
+    if cli.has("--json") {
         for line in json_lines() {
             println!("{line}");
         }
     }
-    if let Some(path) = out {
+    if let Some(path) = cli.value("--out") {
         let mut contents = json_lines().join("\n");
         contents.push('\n');
-        // Atomic: CI byte-diffs this artifact; an interrupted run must
-        // not leave a truncated file behind.
-        rtsm_exp::write_atomic(&path, contents).expect("write --out file");
+        // Atomic: an interrupted run must not leave a truncated file
+        // behind.
+        rtsm_exp::write_atomic(path, contents).expect("write --out file");
         println!("wrote {path}");
     }
     if let (Some(path), Some(recorder)) = (trace_out, recorder) {
-        rtsm_exp::write_atomic(&path, recorder.chrome_trace_json())
-            .expect("write --trace-out file");
+        rtsm_exp::write_atomic(path, recorder.chrome_trace_json()).expect("write --trace-out file");
         println!(
             "wrote {path} ({} trace events{}) — open in Perfetto or chrome://tracing",
             recorder.len(),

@@ -9,6 +9,7 @@
 // `unsafe` is confined to the GlobalAlloc delegation in `alloc_track`.
 
 pub mod alloc_track;
+pub mod cli;
 pub mod experiments;
 pub mod render;
 

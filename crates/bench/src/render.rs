@@ -81,155 +81,6 @@ impl Table {
     }
 }
 
-/// The least and the greatest `name` over the `points` of a report section.
-fn range_over(points: &[serde::Value], name: &str) -> Result<(u64, u64), serde::de::Error> {
-    let values = points
-        .iter()
-        .map(|point| serde::de::field::<u64>(point, name))
-        .collect::<Result<Vec<u64>, _>>()?;
-    Ok((
-        values.iter().min().copied().unwrap_or(0),
-        values.iter().max().copied().unwrap_or(0),
-    ))
-}
-
-/// First line of the README block [`readme_admission_block`] renders.
-pub const README_ADMISSION_BEGIN: &str =
-    "<!-- BENCH_map.json `templates`, `rejections` and `step4`, as `bench_map` prints it; regenerate, do not edit -->";
-
-/// The README's "Microsecond admission" figures, rendered from a parsed
-/// `BENCH_map.json`: the paper-case hit and miss paths, the lookup key's
-/// cost, then the mixed catalog at steady state with templates off and on,
-/// then what a refusal costs (the `rejections` section) and what step 4 of
-/// an admission costs (the `step4` section). `bench_map` prints this block
-/// after writing the artifact, and a test holds the README to the committed
-/// artifact, so the two cannot drift.
-///
-/// # Errors
-///
-/// A field of the `templates`, `rejections` or `step4` section is missing
-/// or mistyped.
-pub fn readme_admission_block(bench: &serde::Value) -> Result<String, serde::de::Error> {
-    use serde::de::field;
-    let templates: serde::Value = field(bench, "templates")?;
-    let us = |path: &str, percentile: &str| -> Result<String, serde::de::Error> {
-        let latency: serde::Value = field(&templates, path)?;
-        let ns: u64 = field(&latency, percentile)?;
-        Ok(format!("{:.1} µs", ns as f64 / 1e3))
-    };
-    let count = |name: &str| field::<u64>(&templates, name);
-    let mut out = String::new();
-    let _ = writeln!(out, "{README_ADMISSION_BEGIN}");
-    let _ = writeln!(out, "| paper case, path | p50 | p99 |");
-    let _ = writeln!(out, "|---|---:|---:|");
-    for (label, path) in [
-        ("template hit (`TemplateMatch`)", "hit"),
-        ("full heuristic (`Map`)", "miss"),
-    ] {
-        let _ = writeln!(
-            out,
-            "| {label} | {} | {} |",
-            us(path, "p50_ns")?,
-            us(path, "p99_ns")?
-        );
-    }
-    let keys: Vec<serde::Value> = field(&templates, "key_ns")?;
-    let key_ns = keys
-        .iter()
-        .map(|key| field::<u64>(key, "key_ns"))
-        .collect::<Result<Vec<u64>, _>>()?;
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "Lookup key (`spec_fingerprint`), paid by every arrival: {}–{} ns over the {} catalog specs.",
-        key_ns.iter().min().copied().unwrap_or(0),
-        key_ns.iter().max().copied().unwrap_or(0),
-        key_ns.len()
-    );
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "| mixed catalog, steady state | events/s | mean map latency |"
-    );
-    let _ = writeln!(out, "|---|---:|---:|");
-    let _ = writeln!(
-        out,
-        "| templates off | {} | {} µs |",
-        count("events_per_sec_templates_off")?,
-        count("mean_map_us_templates_off")?
-    );
-    let _ = writeln!(
-        out,
-        "| templates on ({}‰ hit rate, {} shapes cached) | {} | {} µs |",
-        count("hit_permille")?,
-        count("shapes_cached")?,
-        count("events_per_sec_templates_on")?,
-        count("mean_map_us_templates_on")?
-    );
-    let rejections: serde::Value = field(bench, "rejections")?;
-    let points: Vec<serde::Value> = field(&rejections, "points")?;
-    let range = |name: &str| range_over(&points, name);
-    let (attempts, map_ns, map_allocs, lookup_ns) = (
-        range("attempts")?,
-        range("refused_map_ns")?,
-        range("refused_map_allocs")?,
-        range("failed_lookup_ns")?,
-    );
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "A refusal, over the {} mixed specs arriving while `{}` holds the mesh: the failed lookup \
-         {}–{} ns, then `map` refused after {}–{} attempts in {:.1}–{:.1} µs ({}–{} allocator calls).",
-        points.len(),
-        field::<String>(&rejections, "running")?,
-        lookup_ns.0,
-        lookup_ns.1,
-        attempts.0,
-        attempts.1,
-        map_ns.0 as f64 / 1e3,
-        map_ns.1 as f64 / 1e3,
-        map_allocs.0,
-        map_allocs.1,
-    );
-    let step4: serde::Value = field(bench, "step4")?;
-    let points: Vec<serde::Value> = field(&step4, "points")?;
-    let range = |name: &str| range_over(&points, name);
-    let (signature, warm, allocs, compose, cold, cold_runs) = (
-        range("signature_ns")?,
-        range("warm_verdict_ns")?,
-        range("warm_verdict_allocs")?,
-        range("compose_ns")?,
-        range("cold_verdict_ns")?,
-        range("cold_csdf_runs")?,
-    );
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "Step 4 of an admission, over the {} catalog specs mapped alone: the mapping's signature \
-         {}–{} ns, the warm verdict it keys {}–{} ns ({} allocator calls); composing the Figure-3 \
-         graph, which the verdict does without, {:.1}–{:.1} µs; a cold verdict (signature new to \
-         the thread) {:.0}–{:.0} µs, in {}–{} self-timed simulations.",
-        points.len(),
-        signature.0,
-        signature.1,
-        warm.0,
-        warm.1,
-        if allocs.0 == allocs.1 {
-            allocs.0.to_string()
-        } else {
-            format!("{}–{}", allocs.0, allocs.1)
-        },
-        compose.0 as f64 / 1e3,
-        compose.1 as f64 / 1e3,
-        cold.0 as f64 / 1e3,
-        cold.1 as f64 / 1e3,
-        cold_runs.0,
-        cold_runs.1,
-    );
-    let _ = writeln!(out, "<!-- end of the generated block -->");
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

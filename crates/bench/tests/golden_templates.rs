@@ -1,10 +1,8 @@
 //! The templates-off regression gate: with the template library disabled,
 //! the fixed-seed 2008 reports of **every registered** mapping algorithm
 //! must stay byte-identical to the golden fixtures
-//! (`tests/golden/seed2008_*_prepr.jsonl`). This is the same guarantee
-//! the CI `template-smoke` job checks through the `simulate` binary,
-//! enforced here at `cargo test` granularity so a regression names the
-//! exact algorithm and catalog that drifted.
+//! (`tests/golden/seed2008_*_prepr.jsonl`), checked line by line so a
+//! regression names the exact algorithm and catalog that drifted.
 //!
 //! And the opposite corner: the paper algorithm with templates, faults and
 //! reconfiguration all on must reproduce

@@ -43,8 +43,7 @@ pub struct MapperConfig {
     /// `evaluated`/`attempts` counters stay exact, but no trace structures
     /// are allocated at all and no graph is built — step 4 decides from the
     /// mapping's signature, and composing the 18-actor graph of the paper
-    /// case costs some ten times that decision (6 µs against 0.5 µs; `step4`
-    /// in `BENCH_map.json`).
+    /// case costs several times that decision.
     pub capture: bool,
 }
 

@@ -3,9 +3,9 @@
 //!
 //! The four-step heuristic re-derives everything from scratch on every
 //! arrival, and its step 4 (CSDF composition + buffer sizing) dominates the
-//! map time (tens of microseconds on the paper case with a warm sizing
-//! memo; `BENCH_map.json`, `templates.miss`). Production run-time mappers
-//! split that work instead
+//! map time (`mapper.step4.p50_us` against `mapper.ok.p50_us` in the
+//! repo benchmark's report, `benchmark/README.md`). Production run-time
+//! mappers split that work instead
 //! (Weichslgartner et al., *A Design-Time/Run-Time Application Mapping
 //! Methodology*, 2017): explore mappings once per application *class* at
 //! design time, then instantiate a precomputed mapping "shape" in

@@ -149,9 +149,9 @@ fn degraded_platforms_never_serve_shapes_on_failed_tiles() {
 
 #[test]
 fn two_fresh_libraries_replay_identically() {
-    // The determinism contract behind the CI template-smoke byte-diff:
-    // the same admission sequence through two independent libraries
-    // yields identical outcomes and identical statistics.
+    // The determinism contract of the library: the same admission
+    // sequence through two independent libraries yields identical
+    // outcomes and identical statistics.
     let platform = paper_platform();
     let (a, b) = (templated_paper_mapper(), templated_paper_mapper());
     for mapper in [&a, &b] {

@@ -317,6 +317,21 @@ impl ExperimentSpec {
                 self.template.switch_prob_pct()
             ));
         }
+        // Every (gap, arrivals) cell must fit the simulator's sample bound;
+        // the policies' overrides are the only other arrival counts.
+        let arrivals = std::iter::once(self.template.arrivals)
+            .chain(self.policies.iter().filter_map(|p| p.arrivals));
+        for arrivals in arrivals {
+            for &gap in &self.mean_gaps {
+                rtsm_sim::check_sample_growth(
+                    arrivals,
+                    gap,
+                    self.template.mean_hold(),
+                    self.template.sample_interval(),
+                )
+                .map_err(|e| format!("mean_gaps entry {gap} × {arrivals} arrivals: {e}"))?;
+            }
+        }
         Ok(())
     }
 
@@ -454,6 +469,48 @@ mod tests {
         assert!(spec.validate().is_err());
 
         assert!(small_spec().validate().is_ok());
+    }
+
+    #[test]
+    fn cells_that_outgrow_the_sample_bound_are_refused() {
+        // What `experiment --spec` used to abort on: 50 arrivals a
+        // terasecond apart are 5 × 10⁹ samples at the default interval.
+        let hostile: ExperimentSpec = serde_json::from_str(
+            r#"{"name":"hostile","template":{"arrivals":50},"algorithms":["greedy"],
+                "catalogs":["hiperlan2"],"mean_gaps":[1000000000000],
+                "policies":[{"kind":"none"}],"seeds":[1]}"#,
+        )
+        .expect("well-formed");
+        let err = hostile.validate().unwrap_err();
+        assert!(
+            err.contains("mean_gaps entry 1000000000000") && !err.contains('\n'),
+            "{err}"
+        );
+
+        // A policy's arrivals override is a cell of its own.
+        let mut spec = small_spec();
+        spec.policies[0].arrivals = Some(u64::MAX);
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains(&format!("{} arrivals", u64::MAX)), "{err}");
+
+        // The holding-time tail and the interval enter the same bound.
+        let mut spec = small_spec();
+        spec.template.mean_hold = Some(u64::MAX);
+        assert!(spec.validate().is_err());
+        let mut spec = small_spec();
+        spec.template.sample_interval = Some(0);
+        spec.template.arrivals = 1_000_000;
+        assert!(spec.validate().is_err());
+        spec.template.sample_interval = Some(1_000);
+        assert!(spec.validate().is_ok());
+
+        // Both committed specs stay far inside it.
+        for name in ["ci_smoke_mixed_1m", "determinism_smoke"] {
+            let path = format!("{}/../../specs/{name}.json", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).expect("committed spec");
+            let spec: ExperimentSpec = serde_json::from_str(&text).expect("well-formed");
+            assert_eq!(spec.validate(), Ok(()), "{name}");
+        }
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //!   render a human-readable span tree, and export a Chrome trace-event
 //!   JSON file (`simulate --trace-out trace.json`) that opens in
 //!   Perfetto with one lane per admission. [`SpanLatencyProbe`] times
-//!   every span into per-span histograms — the per-step latency
-//!   breakdown `bench_map` reports.
+//!   every span into per-span histograms, a per-step latency breakdown
+//!   of whatever ran under it.
 //!
 //! # Example
 //!

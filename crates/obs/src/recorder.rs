@@ -1,6 +1,6 @@
 //! [`FlightRecorder`] — a bounded ring-buffer probe sink — plus the
 //! Chrome trace-event exporter and [`SpanLatencyProbe`], the per-span
-//! histogram collector behind `bench_map`'s step-latency breakdown.
+//! histogram and counter collector the tests count simulations with.
 //!
 //! The recorder keeps the last `capacity` events; older events are
 //! dropped (and counted) so tracing a million-arrival run costs bounded
@@ -336,8 +336,7 @@ impl Probe for FlightRecorder {
 }
 
 /// A probe that times every span into a per-span [`LatencyHistogram`]
-/// and totals every counter — the collector behind `bench_map`'s
-/// per-step latency breakdown. Nested spans are timed independently
+/// and totals every counter. Nested spans are timed independently
 /// (a `Map` sample includes the steps inside it).
 #[derive(Default)]
 pub struct SpanLatencyProbe {

@@ -64,8 +64,8 @@ pub mod workload;
 
 pub use event::{EventQueue, InstanceId, SimEvent, SimTime};
 pub use metrics::{
-    MetricsCollector, ReconfigurationReport, SimReport, SurvivabilityReport, TemplateReport,
-    UtilizationSample,
+    check_sample_growth, MetricsCollector, ReconfigurationReport, SimReport, SurvivabilityReport,
+    TemplateReport, UtilizationSample, MAX_NOMINAL_SAMPLES,
 };
 pub use rtsm_obs::LatencyHistogram;
 pub use sim::{run_sim, FaultConfig, SimConfig, SimRun};

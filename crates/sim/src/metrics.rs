@@ -115,7 +115,8 @@ impl Deserialize for UtilizationSample {
 /// point* per (policy, λ) configuration: recovered admissions and
 /// blocking on one axis, total migration energy on the other. Sweeping
 /// λ and the [`AdmissionPolicy`](rtsm_core::AdmissionPolicy) set traces
-/// the front (see the `bench_map` `pareto` section).
+/// the front (an `ExperimentReport`'s `pareto_fronts` section, e.g.
+/// `EXP_mixed_1m.json`).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReconfigurationReport {
     /// Label of the run's [`AdmissionPolicy`](rtsm_core::AdmissionPolicy).
@@ -457,6 +458,50 @@ impl SimReport {
     }
 }
 
+/// The most occupancy samples a run may nominally record before
+/// [`check_sample_growth`] refuses it: about 170 times what the largest
+/// committed spec records (`specs/ci_smoke_mixed_1m.json`, 12 000 per
+/// trial) and some 100 MB of [`UtilizationSample`]s in memory.
+pub const MAX_NOMINAL_SAMPLES: u64 = 2_000_000;
+
+/// Refuses a run whose occupancy series would outgrow
+/// [`MAX_NOMINAL_SAMPLES`]. The collector records one sample per
+/// `sample_interval` (clamped to ≥ 1 tick) from tick 0 to the last event,
+/// so what bounds the series is the run's nominal length: `arrivals` mean
+/// gaps, then a tail of `100 × tail` ticks for whatever the last arrival
+/// leaves in the queue. `tail` is the mean holding time — an exponential
+/// draw stays below 37 means and the bounded Pareto is truncated at 100 —
+/// or, with faults on, the larger of it, the MTTF and the MTTR (the pending
+/// failure and its repair are processed before the queue drains). All
+/// arithmetic saturates, so every `u64` input gets an answer.
+///
+/// This is the check the front doors share (`simulate`'s flag validation,
+/// `ExperimentSpec::validate` in `rtsm_exp`); [`run_sim`](crate::run_sim)
+/// itself trusts its caller.
+///
+/// # Errors
+///
+/// One line stating the nominal sample count and the limit; the caller
+/// prefixes the flag or spec field at fault.
+pub fn check_sample_growth(
+    arrivals: u64,
+    mean_gap: SimTime,
+    tail: SimTime,
+    sample_interval: SimTime,
+) -> Result<(), String> {
+    let ticks = arrivals
+        .saturating_mul(mean_gap)
+        .saturating_add(tail.saturating_mul(100));
+    let samples = ticks / sample_interval.max(1);
+    if samples > MAX_NOMINAL_SAMPLES {
+        return Err(format!(
+            "a run of ~{ticks} ticks records ~{samples} occupancy samples, over the limit of \
+             {MAX_NOMINAL_SAMPLES}; shorten it or raise the sample interval"
+        ));
+    }
+    Ok(())
+}
+
 /// Accumulates statistics while the simulation runs; [`finish`] turns it
 /// into a [`SimReport`].
 ///
@@ -465,7 +510,8 @@ impl SimReport {
 pub struct MetricsCollector {
     sample_interval: SimTime,
     track_fragmentation: bool,
-    next_sample: SimTime,
+    /// `None` once the next boundary would lie beyond the last tick.
+    next_sample: Option<SimTime>,
     last_time: SimTime,
     arrivals: u64,
     admitted: u64,
@@ -494,7 +540,7 @@ impl MetricsCollector {
         MetricsCollector {
             sample_interval: sample_interval.max(1),
             track_fragmentation: false,
-            next_sample: 0,
+            next_sample: Some(0),
             last_time: 0,
             arrivals: 0,
             admitted: 0,
@@ -569,16 +615,17 @@ impl MetricsCollector {
         utilization: impl FnOnce() -> Utilization,
     ) {
         debug_assert!(now >= self.last_time, "virtual time is monotone");
-        if self.next_sample <= now {
+        let due = |next: Option<SimTime>| next.filter(|&at| at <= now);
+        if due(self.next_sample).is_some() {
             let util = utilization();
-            while self.next_sample <= now {
+            while let Some(at) = due(self.next_sample) {
                 self.samples.push(UtilizationSample::capture(
-                    self.next_sample,
+                    at,
                     &util,
                     running_energy_pj,
                     self.track_fragmentation,
                 ));
-                self.next_sample += self.sample_interval;
+                self.next_sample = at.checked_add(self.sample_interval);
             }
         }
         let dt = now - self.last_time;
@@ -757,7 +804,7 @@ impl MetricsCollector {
     /// injected.
     pub fn record_repair(&mut self, recovery_ticks: SimTime) {
         self.surv().repairs += 1;
-        self.recovery_ticks_total += recovery_ticks;
+        self.recovery_ticks_total = self.recovery_ticks_total.saturating_add(recovery_ticks);
     }
 
     /// Classifies an arrival by operating regime: `degraded` when any
@@ -877,6 +924,45 @@ mod tests {
         let report = m.finish("test", 0, 0, true);
         let times: Vec<SimTime> = report.samples.iter().map(|s| s.time).collect();
         assert_eq!(times, vec![0, 10, 20]);
+    }
+
+    #[test]
+    fn advancing_to_the_last_tick_terminates() {
+        // The boundary after 3 × (MAX / 3) does not fit a u64: sampling
+        // stops there instead of wrapping back below `now` and spinning.
+        let mut m = MetricsCollector::new(u64::MAX / 3);
+        let util = idle_util();
+        m.advance(u64::MAX, &util, 7);
+        m.advance(u64::MAX, &util, 7);
+        let report = m.finish("test", 0, 0, true);
+        let times: Vec<SimTime> = report.samples.iter().map(|s| s.time).collect();
+        let third = u64::MAX / 3;
+        assert_eq!(times, vec![0, third, 2 * third, 3 * third]);
+        assert_eq!(report.end_time, u64::MAX);
+        assert_eq!(report.energy_pj_ticks, u64::MAX, "the integral saturates");
+    }
+
+    #[test]
+    fn sample_growth_is_bounded_at_the_doors() {
+        // The largest committed spec's cell, and the benchmark's sweep.
+        assert!(check_sample_growth(60_000, 2_000, 2_000, 10_000).is_ok());
+        assert!(check_sample_growth(6_250, 2_000, 2_000, 10_000).is_ok());
+        // Exactly at the limit passes; one interval more does not.
+        let limit = MAX_NOMINAL_SAMPLES;
+        assert!(check_sample_growth(limit, 10, 0, 10).is_ok());
+        assert!(check_sample_growth(limit + 1, 10, 0, 10).is_err());
+        // A zero interval is the collector's 1-tick clamp, not a division
+        // by zero, and hostile magnitudes saturate instead of wrapping.
+        assert!(check_sample_growth(limit + 1, 1, 0, 0).is_err());
+        for (arrivals, gap, tail) in [
+            (50, 1_000_000_000_000, 2_000),
+            (50, u64::MAX, 2_000),
+            (50, 500, u64::MAX),
+            (u64::MAX, u64::MAX, u64::MAX),
+        ] {
+            let err = check_sample_growth(arrivals, gap, tail, 10_000).unwrap_err();
+            assert!(err.contains("occupancy samples"), "{err}");
+        }
     }
 
     #[test]

@@ -256,7 +256,7 @@ pub fn run_sim<A: MappingAlgorithm>(
                 let index = *scheduled;
                 *scheduled += 1;
                 queue.push(
-                    now + config.arrival_process.next_gap(rng, index),
+                    now.saturating_add(config.arrival_process.next_gap(rng, index)),
                     SimEvent::Arrival {
                         instance,
                         catalog_index: catalog.sample(rng),
@@ -287,7 +287,7 @@ pub fn run_sim<A: MappingAlgorithm>(
                 tile: tile_ids[fault_rng.random_range(0..tile_ids.len())],
             }
         };
-        queue.push(now + gap, event);
+        queue.push(now.saturating_add(gap), event);
     };
     schedule_fault(&mut fault_rng, &mut queue, 0);
     // Failure → injection instant, for recovery-time accounting.
@@ -328,11 +328,14 @@ pub fn run_sim<A: MappingAlgorithm>(
                         metrics.note_running(manager.n_running());
                         handles.insert(instance, handle);
                         let holding = config.holding.draw(&mut rng);
-                        queue.push(now + holding, SimEvent::Departure { instance });
+                        queue.push(
+                            now.saturating_add(holding),
+                            SimEvent::Departure { instance },
+                        );
                         // A switch, if any, lands strictly before the
                         // departure, so the ordering never races.
                         if holding >= 2 && rng.random_bool(config.mode_switch_probability) {
-                            let at = now + rng.random_range(1..holding);
+                            let at = now.saturating_add(rng.random_range(1..holding));
                             queue.push(at, SimEvent::ModeSwitch { instance });
                         }
                     }
@@ -389,9 +392,12 @@ pub fn run_sim<A: MappingAlgorithm>(
                         metrics.note_running(manager.n_running());
                         handles.insert(instance, reconfiguration.handle);
                         let holding = config.holding.draw(&mut rng);
-                        queue.push(now + holding, SimEvent::Departure { instance });
+                        queue.push(
+                            now.saturating_add(holding),
+                            SimEvent::Departure { instance },
+                        );
                         if holding >= 2 && rng.random_bool(config.mode_switch_probability) {
-                            let at = now + rng.random_range(1..holding);
+                            let at = now.saturating_add(rng.random_range(1..holding));
                             queue.push(at, SimEvent::ModeSwitch { instance });
                         }
                     }
@@ -531,7 +537,10 @@ pub fn run_sim<A: MappingAlgorithm>(
                     evacuation.migration_energy_pj,
                 );
                 failed_at.insert(failure, now);
-                queue.push(now + faults.mttr, SimEvent::Repair { failure });
+                queue.push(
+                    now.saturating_add(faults.mttr),
+                    SimEvent::Repair { failure },
+                );
             }
             SimEvent::Repair { failure } => {
                 manager.repair(failure);
@@ -564,6 +573,7 @@ mod tests {
     use super::*;
     use rtsm_core::SpatialMapper;
     use rtsm_platform::paper::paper_platform;
+    use rtsm_platform::TileKind;
 
     fn small_config(seed: u64) -> SimConfig {
         SimConfig {
@@ -657,59 +667,97 @@ mod tests {
 
     #[test]
     fn fault_injection_is_deterministic_and_conserves_instances() {
-        let mk = || {
-            let config = SimConfig {
-                faults: Some(FaultConfig {
-                    mttf: 3_000,
-                    mttr: 2_000,
-                    evacuation: EvacuationPolicy::default(),
-                }),
-                ..small_config(2008)
-            };
-            run_sim(
-                &paper_platform(),
-                SpatialMapper::default(),
-                &Catalog::hiperlan2(),
-                &config,
-            )
-            .expect("fault recovery never breaks the ledger")
-            .report
+        let faults = |mttf, mttr| {
+            Some(FaultConfig {
+                mttf,
+                mttr,
+                evacuation: EvacuationPolicy::default(),
+            })
         };
-        let report = mk();
-        assert_eq!(report, mk(), "same seed, same fault-injected report");
-        let s = report.survivability.as_ref().expect("faults were enabled");
-        assert!(
-            s.tile_failures + s.link_failures > 0,
-            "an MTTF far below the run length injects failures"
+        let mesh = rtsm_workloads::mesh_platform(
+            42,
+            4,
+            4,
+            &[
+                (TileKind::Montium, 4),
+                (TileKind::Arm, 4),
+                (TileKind::Dsp, 2),
+            ],
         );
-        assert_eq!(
-            s.repairs,
-            s.tile_failures + s.link_failures,
-            "every injected failure is repaired before the queue drains"
-        );
-        assert_eq!(s.mean_recovery_ticks, 2_000, "repair time is fixed");
-        assert_eq!(
-            s.degraded_arrivals + s.healthy_arrivals,
-            report.arrivals,
-            "every arrival is classified into exactly one regime"
-        );
-        assert_eq!(
-            s.degraded_blocked + s.healthy_blocked,
-            report.blocked,
-            "every definitive blocking is classified too"
-        );
-        // Instance conservation with the new terminal outcome: admitted
-        // instances depart, leave at a blocked mode switch, or are
-        // evicted by an evacuation that could not re-place them.
-        assert_eq!(
-            report.departures + report.mode_switch_blocked + s.apps_evicted,
-            report.admitted
-        );
-        assert_eq!(report.final_running, 0);
-        assert!(
-            report.ledger_idle_at_end,
-            "failure/repair cycles leak no slots or bandwidth"
-        );
+        let rows = [
+            (
+                paper_platform(),
+                Catalog::hiperlan2(),
+                SimConfig {
+                    faults: faults(3_000, 2_000),
+                    ..small_config(2008)
+                },
+            ),
+            // Adversarial churn: arrivals in bursts of eight and
+            // heavy-tailed holding times over the same fault process.
+            (
+                mesh,
+                Catalog::mixed_dsp(),
+                SimConfig {
+                    arrivals: 300,
+                    arrival_process: ArrivalProcess::FlashCrowd {
+                        mean_gap: 500,
+                        burst_size: 8,
+                    },
+                    holding: HoldingTime::BoundedPareto {
+                        min: 666,
+                        max: 200_000,
+                        alpha_permille: 1500,
+                    },
+                    faults: faults(10_000, 3_000),
+                    ..small_config(2008)
+                },
+            ),
+        ];
+        for (platform, catalog, config) in &rows {
+            let mk = || {
+                run_sim(platform, SpatialMapper::default(), catalog, config)
+                    .expect("fault recovery never breaks the ledger")
+                    .report
+            };
+            let report = mk();
+            assert_eq!(report, mk(), "same seed, same fault-injected report");
+            let s = report.survivability.as_ref().expect("faults were enabled");
+            assert!(
+                s.tile_failures + s.link_failures > 0,
+                "an MTTF far below the run length injects failures"
+            );
+            assert_eq!(
+                s.repairs,
+                s.tile_failures + s.link_failures,
+                "every injected failure is repaired before the queue drains"
+            );
+            assert!(s.apps_evacuated > 0, "evacuation relocates some victim");
+            let mttr = config.faults.as_ref().expect("set above").mttr;
+            assert_eq!(s.mean_recovery_ticks, mttr, "repair time is fixed");
+            assert_eq!(
+                s.degraded_arrivals + s.healthy_arrivals,
+                report.arrivals,
+                "every arrival is classified into exactly one regime"
+            );
+            assert_eq!(
+                s.degraded_blocked + s.healthy_blocked,
+                report.blocked,
+                "every definitive blocking is classified too"
+            );
+            // Instance conservation with the new terminal outcome: admitted
+            // instances depart, leave at a blocked mode switch, or are
+            // evicted by an evacuation that could not re-place them.
+            assert_eq!(
+                report.departures + report.mode_switch_blocked + s.apps_evicted,
+                report.admitted
+            );
+            assert_eq!(report.final_running, 0);
+            assert!(
+                report.ledger_idle_at_end,
+                "failure/repair cycles leak no slots or bandwidth"
+            );
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! tile frees a whole ARM and recovers the admission, which is exactly
 //! what [`RuntimeManager::start_with_reconfiguration`] searches for.
 //!
-//! Used by the `bench_map` fragmented-admission scenario, the
-//! `simulate --catalog defrag` workload, `examples/defragmentation.rs`,
-//! and the transactional-invariant tests.
+//! Used by the `simulate --catalog defrag` workload,
+//! `examples/defragmentation.rs`, and the reconfiguration and
+//! transactional-invariant tests.
 //!
 //! [`RuntimeManager::start_with_reconfiguration`]:
 //!     rtsm_core::RuntimeManager::start_with_reconfiguration

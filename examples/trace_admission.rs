@@ -6,7 +6,8 @@
 //! wall-clock duration.
 //!
 //! The recorder observes; it never steers. The admission outcome here is
-//! byte-identical to an un-probed run (CI gates this on the simulator).
+//! byte-identical to an un-probed run (`tests/observability.rs` holds this
+//! for the simulator).
 //!
 //! ```sh
 //! cargo run --example trace_admission

@@ -227,35 +227,52 @@ fn cheapest_plan_selection_never_spends_more_than_first_feasible() {
     );
 }
 
-/// The Pareto trade at one seed: a bounded admission policy still
-/// recovers admissions while spending strictly less migration energy than
-/// `AlwaysAdmit` (blocking may rise — that is the trade).
+/// The Pareto trade at one seed, over the front's λ ladder and both
+/// bounded policies: each still recovers admissions while spending
+/// strictly less migration energy than `AlwaysAdmit` at the same λ
+/// (blocking may rise — that is the trade).
 #[test]
 fn energy_budget_trades_admissions_for_strictly_less_energy() {
-    let always = defrag_report(policy(1000, AdmissionPolicy::AlwaysAdmit));
-    let bounded = defrag_report(policy(
-        1000,
-        AdmissionPolicy::EnergyBudget {
-            max_transfer_pj: 500_000,
-        },
-    ));
-    let always_counters = always.reconfiguration.clone().expect("counters");
-    let bounded_counters = bounded.reconfiguration.clone().expect("counters");
-    assert!(bounded_counters.admissions_recovered > 0);
-    assert!(
-        bounded_counters.migration_energy_pj < always_counters.migration_energy_pj,
-        "bounded {} pJ vs always-admit {} pJ",
-        bounded_counters.migration_energy_pj,
-        always_counters.migration_energy_pj
-    );
-    assert!(
-        bounded_counters.plans_refused > 0,
-        "the budget must actually bind on this workload"
-    );
-    assert!(always.blocking_permille <= bounded.blocking_permille);
-    // The report is stamped with the policy it ran under.
-    assert!(bounded_counters.policy.starts_with("energy-budget"));
-    assert_eq!(bounded_counters.lambda_permille, 1000);
+    for lambda in [0, 1000, 4000] {
+        let always = defrag_report(policy(lambda, AdmissionPolicy::AlwaysAdmit));
+        let always_counters = always.reconfiguration.clone().expect("counters");
+        assert!(always_counters.admissions_recovered > 0, "λ={lambda}");
+        for (admission, label) in [
+            (
+                AdmissionPolicy::EnergyBudget {
+                    max_transfer_pj: 500_000,
+                },
+                "energy-budget",
+            ),
+            (
+                AdmissionPolicy::AmortizedPayback {
+                    horizon_periods: 64,
+                },
+                "amortized-payback",
+            ),
+        ] {
+            let bounded = defrag_report(policy(lambda, admission));
+            let bounded_counters = bounded.reconfiguration.clone().expect("counters");
+            assert!(
+                bounded_counters.admissions_recovered > 0,
+                "{label} at λ={lambda} recovers nothing"
+            );
+            assert!(
+                bounded_counters.migration_energy_pj < always_counters.migration_energy_pj,
+                "{label} at λ={lambda}: bounded {} pJ vs always-admit {} pJ",
+                bounded_counters.migration_energy_pj,
+                always_counters.migration_energy_pj
+            );
+            assert!(
+                bounded_counters.plans_refused > 0,
+                "{label} must actually bind on this workload at λ={lambda}"
+            );
+            assert!(always.blocking_permille <= bounded.blocking_permille);
+            // The report is stamped with the policy it ran under.
+            assert!(bounded_counters.policy.starts_with(label));
+            assert_eq!(bounded_counters.lambda_permille, lambda);
+        }
+    }
 }
 
 /// Reconfiguration-aware runs route mode switches through the

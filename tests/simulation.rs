@@ -24,6 +24,16 @@ fn config(seed: u64, arrivals: u64) -> SimConfig {
     }
 }
 
+/// The 4×4 mesh the mixed-DSP catalog runs on (`simulate --catalog mixed`).
+fn mixed_mesh(seed: u64) -> rtsm::platform::Platform {
+    let mix = [
+        (TileKind::Montium, 4),
+        (TileKind::Arm, 4),
+        (TileKind::Dsp, 2),
+    ];
+    mesh_platform(seed, 4, 4, &mix)
+}
+
 fn report_for(seed: u64, arrivals: u64) -> SimReport {
     run_sim(
         &paper_platform(),
@@ -104,16 +114,7 @@ fn all_registered_algorithms_run_deterministically() {
 /// applications resident at once) and per-application admission counts.
 #[test]
 fn mixed_workload_on_a_mesh_platform() {
-    let platform = mesh_platform(
-        7,
-        4,
-        4,
-        &[
-            (TileKind::Montium, 4),
-            (TileKind::Arm, 4),
-            (TileKind::Dsp, 2),
-        ],
-    );
+    let platform = mixed_mesh(7);
     let report = run_sim(
         &platform,
         SpatialMapper::default(),
@@ -133,6 +134,34 @@ fn mixed_workload_on_a_mesh_platform() {
     assert!(report.ledger_idle_at_end);
 }
 
+/// The same mesh at a load it can carry (Poisson gap 2 000), with the
+/// template library in front of the mapper and without: templates change
+/// what an admission costs, never which arrivals are admitted, and at
+/// steady state more than half the lookups hit.
+#[test]
+fn templates_keep_mixed_workload_decisions_and_mostly_hit() {
+    use rtsm::core::{MapperConfig, TemplatedMapper};
+    let platform = mixed_mesh(42);
+    let config = SimConfig {
+        seed: 2008,
+        arrivals: 1000,
+        arrival_process: ArrivalProcess::Poisson { mean_gap: 2000 },
+        ..SimConfig::default()
+    };
+    let mapper = SpatialMapper::new(MapperConfig::default().without_capture());
+    let off = run_sim(&platform, &mapper, &Catalog::mixed_dsp(), &config)
+        .unwrap()
+        .report;
+    let templated = TemplatedMapper::new(mapper);
+    let on = run_sim(&platform, &templated, &Catalog::mixed_dsp(), &config)
+        .unwrap()
+        .report;
+    assert_eq!((on.admitted, on.blocked), (off.admitted, off.blocked));
+    let stats = templated.stats();
+    let hit_permille = stats.hits * 1000 / (stats.hits + stats.misses);
+    assert!(hit_permille >= 500, "{hit_permille}‰ ({stats:?})");
+}
+
 /// The acceptance scenario for reconfiguration: at the same seed, the
 /// mixed workload's blocking probability is *strictly lower* with
 /// reconfiguration than without, the recovered-admission counters are
@@ -140,16 +169,7 @@ fn mixed_workload_on_a_mesh_platform() {
 #[test]
 fn reconfiguration_strictly_lowers_mixed_workload_blocking() {
     use rtsm::core::ReconfigurationPolicy;
-    let platform = mesh_platform(
-        42,
-        4,
-        4,
-        &[
-            (TileKind::Montium, 4),
-            (TileKind::Arm, 4),
-            (TileKind::Dsp, 2),
-        ],
-    );
+    let platform = mixed_mesh(42);
     let base = SimConfig {
         seed: 2008,
         arrivals: 300,
