@@ -20,8 +20,7 @@
 //!   greedy and spiral solutions.
 //! * [`PortfolioMapper`] — not a search of its own: runs a member
 //!   portfolio cheapest-first under a modeled per-admission latency
-//!   budget (optionally raced across threads) and returns the best
-//!   feasible outcome.
+//!   budget and returns the best feasible outcome.
 //!
 //! Every baseline implements the workspace-wide
 //! [`MappingAlgorithm`] trait (the paper's

@@ -5,9 +5,7 @@
 //! microseconds (design-time calibrated, never measured at run time — a
 //! wall clock in the decision path would break byte-determinism). The
 //! cheapest-first prefix whose cumulative modeled cost fits the budget is
-//! evaluated — sequentially with `workers <= 1`, raced across scoped
-//! threads with the same atomic-cursor pool pattern as
-//! `rtsm_exp::run_ordered` otherwise. Every feasible outcome is scored
+//! evaluated, one member after the other. Every feasible outcome is scored
 //! with the portfolio's [`CostModel`] and exactly one — the cheapest, ties
 //! to the earlier member — is returned for the caller to commit through
 //! the usual evaluate-then-replay transaction path
@@ -17,26 +15,22 @@
 //! rejection.
 //!
 //! Which members run, and which outcome wins, are pure functions of the
-//! budget and the members' deterministic results — worker count only
-//! changes wall-clock, so fixed-seed reports are byte-identical at 1 and
-//! N racing workers (`tests/portfolio.rs`).
+//! budget and the members' deterministic results.
 
-use crate::{AnnealingMapper, GeneticMapper, GreedyMapper, SpiralMapper};
+use crate::{GeneticMapper, GreedyMapper, SpiralMapper};
 use rtsm_app::ApplicationSpec;
 use rtsm_core::constraints::MappingConstraints;
 use rtsm_core::cost::CostModel;
 use rtsm_core::mapper::MapperConfig;
 use rtsm_core::{MapError, MappingAlgorithm, MappingOutcome, SpatialMapper};
 use rtsm_platform::{EnergyModel, Platform, PlatformState};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Default per-admission latency budget, microseconds — admits the whole
 /// default member set ([`default_members`]).
 pub const DEFAULT_BUDGET_US: u64 = 5_000;
 
-/// One portfolio member: a constructor (workers build private instances,
-/// so racing shares nothing) plus its modeled per-admission cost.
+/// One portfolio member: a constructor (every admission builds a fresh
+/// instance) plus its modeled per-admission cost.
 #[derive(Debug, Clone, Copy)]
 pub struct PortfolioMember {
     /// Short member name, for reports and docs.
@@ -80,18 +74,6 @@ pub fn default_members() -> Vec<PortfolioMember> {
     ]
 }
 
-/// An aggressive extension of [`default_members`]: adds simulated
-/// annealing for callers with budgets in the tens of milliseconds.
-pub fn extended_members() -> Vec<PortfolioMember> {
-    let mut members = default_members();
-    members.push(PortfolioMember {
-        name: "annealing",
-        estimated_cost_us: 30_000,
-        build: || Box::new(AnnealingMapper::default()),
-    });
-    members
-}
-
 /// Budget-raced portfolio over other [`MappingAlgorithm`]s.
 #[derive(Debug, Clone)]
 pub struct PortfolioMapper {
@@ -101,9 +83,6 @@ pub struct PortfolioMapper {
     /// cheapest member always runs, even when it alone overruns the
     /// budget — a portfolio never refuses to try.
     pub budget_us: u64,
-    /// Racing workers; `<= 1` evaluates the eligible prefix sequentially.
-    /// Reports are byte-identical either way.
-    pub workers: usize,
     /// How feasible member outcomes are compared.
     pub cost_model: CostModel,
 }
@@ -113,23 +92,14 @@ impl Default for PortfolioMapper {
         PortfolioMapper {
             members: default_members(),
             budget_us: DEFAULT_BUDGET_US,
-            workers: 1,
             cost_model: CostModel::Energy(EnergyModel::default()),
         }
     }
 }
 
 impl PortfolioMapper {
-    /// Same portfolio, racing `workers` threads.
-    pub fn with_workers(workers: usize) -> Self {
-        PortfolioMapper {
-            workers,
-            ..PortfolioMapper::default()
-        }
-    }
-
     /// Member indices cheapest-first (stable on cost ties), split into
-    /// the within-budget racing prefix and the escalation tail.
+    /// the within-budget prefix and the escalation tail.
     fn schedule(&self) -> (Vec<usize>, Vec<usize>) {
         let mut order: Vec<usize> = (0..self.members.len()).collect();
         order.sort_by_key(|&i| (self.members[i].estimated_cost_us, i));
@@ -146,55 +116,6 @@ impl PortfolioMapper {
             }
         }
         (raced, tail)
-    }
-
-    /// Runs the given members, returning their results by position. With
-    /// `workers >= 2` this is `rtsm_exp::run_ordered`'s pool pattern —
-    /// scoped threads pulling from an atomic cursor — collapsed to the
-    /// collect-by-index case (no streaming sink is needed here because
-    /// selection is a pure function of the full result vector).
-    fn run_members(
-        &self,
-        indices: &[usize],
-        spec: &ApplicationSpec,
-        platform: &Platform,
-        base: &PlatformState,
-        constraints: &MappingConstraints,
-    ) -> Vec<Result<MappingOutcome, MapError>> {
-        let run = |member: &PortfolioMember| {
-            (member.build)().map_constrained(spec, platform, base, constraints)
-        };
-        let workers = self.workers.clamp(1, indices.len().max(1));
-        if workers <= 1 {
-            return indices.iter().map(|&i| run(&self.members[i])).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let (next, run) = (&next, &run);
-                scope.spawn(move || loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= indices.len() {
-                        break;
-                    }
-                    if tx.send((k, run(&self.members[indices[k]]))).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            let mut slots: Vec<Option<Result<MappingOutcome, MapError>>> = Vec::new();
-            slots.resize_with(indices.len(), || None);
-            for (k, result) in rx {
-                slots[k] = Some(result);
-            }
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every raced member reports exactly once"))
-                .collect()
-        })
     }
 }
 
@@ -216,13 +137,14 @@ impl MappingAlgorithm for PortfolioMapper {
                 last_feedback: Vec::new(),
             });
         }
+        let run =
+            |i: usize| (self.members[i].build)().map_constrained(spec, platform, base, constraints);
         let (raced, tail) = self.schedule();
-        let mut results = self.run_members(&raced, spec, platform, base, constraints);
+        let mut results: Vec<_> = raced.into_iter().map(run).collect();
         let mut attempts = results.len();
 
         // Select: cheapest outcome under the portfolio's cost model, ties
-        // to the earlier (cheaper) member — a pure function of the
-        // deterministic member results, independent of racing order.
+        // to the earlier (cheaper) member.
         let mut winner = results
             .iter()
             .enumerate()
@@ -232,12 +154,9 @@ impl MappingAlgorithm for PortfolioMapper {
 
         if winner.is_none() {
             // Every member within budget missed: escalate past the budget
-            // one member at a time — identical in sequential and racing
-            // mode, so determinism is preserved.
-            for &i in &tail {
-                let result = self
-                    .run_members(&[i], spec, platform, base, constraints)
-                    .remove(0);
+            // one member at a time.
+            for i in tail {
+                let result = run(i);
                 attempts += 1;
                 let feasible = result.is_ok();
                 results.push(result);
@@ -294,23 +213,6 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.energy_pj, best_member_energy);
         assert_eq!(outcome.attempts, default_members().len());
-    }
-
-    #[test]
-    fn racing_workers_do_not_change_the_outcome() {
-        let (spec, platform) = paper_case();
-        let state = platform.initial_state();
-        let sequential = PortfolioMapper::default()
-            .map(&spec, &platform, &state)
-            .unwrap();
-        for workers in [2, 4, 8] {
-            let raced = PortfolioMapper::with_workers(workers)
-                .map(&spec, &platform, &state)
-                .unwrap();
-            assert_eq!(raced.mapping, sequential.mapping, "workers={workers}");
-            assert_eq!(raced.evaluated, sequential.evaluated, "workers={workers}");
-            assert_eq!(raced.attempts, sequential.attempts, "workers={workers}");
-        }
     }
 
     #[test]

@@ -67,11 +67,11 @@ fn main() {
         std::process::exit(2);
     }
 
-    let n_trials = spec.expand().len();
-    let total_arrivals = spec.total_arrivals();
+    let n_trials = spec.n_trials();
     println!(
-        "experiment `{}`: {n_trials} trials, {total_arrivals} total arrivals, {workers} worker(s)",
-        spec.name
+        "experiment `{}`: {n_trials} trials, {} total arrivals, {workers} worker(s)",
+        spec.name,
+        spec.total_arrivals()
     );
 
     let mut jsonl_file = jsonl.map(|path| {

@@ -2,15 +2,18 @@
 //! workload driven through the `RuntimeManager`, once per mapping
 //! algorithm registered in `rtsm_exp::ALGORITHMS`.
 //!
-//! The binary translates flags into a `SimConfig`, calls `run_sim` once per
-//! algorithm and prints a table, the summary lines and, on request, the
-//! serialized reports. The flags are declared once, in `main`; any argument
-//! outside them prints the usage line rendered from that list. It checks
-//! nothing about the results: what a run must satisfy (determinism,
-//! conservation, the golden fixtures, the Pareto trade) is held by
-//! `cargo test`, and what it costs is measured by `benchmark/`. Algorithm,
-//! catalog and policy names come from the `rtsm_exp` registry — the lists
-//! `experiment` specs validate against — so the two CLIs cannot drift apart.
+//! The binary translates flags into a `SimConfig`, runs it once per
+//! algorithm through `rtsm_exp::run_algorithm` and prints a table, the
+//! summary lines and, on request, the serialized reports. The flags are
+//! declared once, in `main`; any argument outside them prints the usage line
+//! rendered from that list. It checks nothing about the results: what a run
+//! must satisfy (determinism, conservation, the golden fixtures, the Pareto
+//! trade) is held by `cargo test`, and what it costs is measured by
+//! `benchmark/`. Algorithm, catalog and policy names come from the
+//! `rtsm_exp` registry, and the reconfiguration and template flags are
+//! stated as the `rtsm_exp::PolicySpec` an `experiment` spec would list — an
+//! absent flag is an unset field — so the two CLIs share every name, default
+//! and run path.
 //!
 //! Defaults: seed 2008, 10 000 arrivals, the paper platform with the
 //! HIPERLAN/2 mode catalog, Poisson arrivals (mean gap 500 ticks),
@@ -41,8 +44,6 @@
 //! * `--templates` wraps every algorithm in a `TemplatedMapper`; the report
 //!   gains a `templates` section. `--template-cap N` bounds the cached
 //!   shapes per application spec (default 8) and requires `--templates`.
-//! * `--portfolio-workers N` races the `portfolio` algorithm's members on
-//!   N threads; reports are byte-identical for any N.
 //! * `--out PATH` writes the serialized reports, one JSON line per
 //!   algorithm; `--json` prints the same lines.
 //! * `--trace-out PATH` records the runs with a `FlightRecorder` probe and
@@ -55,34 +56,23 @@
 //! (`rtsm_sim::check_sample_growth`) — is a one-line `error:` and exit
 //! code 2.
 
-use rtsm_baselines::PortfolioMapper;
 use rtsm_bench::cli::Cli;
-use rtsm_core::{
-    AdmissionPolicy, MappingAlgorithm, ReconfigurationObjective, ReconfigurationPolicy,
-    TemplatedMapper,
-};
+use rtsm_core::MappingAlgorithm;
+use rtsm_exp::PolicySpec;
 use rtsm_obs::{self as obs, FlightRecorder};
 use rtsm_sim::{
-    run_sim, ArrivalProcess, FaultConfig, HoldingTime, SimConfig, SimReport, SimRun,
-    SurvivabilityReport, TemplateReport,
+    ArrivalProcess, FaultConfig, HoldingTime, SimConfig, SimReport, SimRun, SurvivabilityReport,
+    TemplateReport,
 };
 
 /// The requested algorithm set, straight from the `rtsm_exp` registry —
-/// `all` expands it in display order. Only `portfolio` takes a CLI
-/// override (racing workers, which cannot change report bytes).
-fn algorithms(which: &str, portfolio_workers: usize) -> Vec<Box<dyn MappingAlgorithm>> {
-    let build = |entry: &rtsm_exp::AlgorithmEntry| -> Box<dyn MappingAlgorithm> {
-        if entry.name == "portfolio" && portfolio_workers > 1 {
-            Box::new(PortfolioMapper::with_workers(portfolio_workers))
-        } else {
-            (entry.build)()
-        }
-    };
+/// `all` expands it in display order.
+fn algorithms(which: &str) -> Vec<Box<dyn MappingAlgorithm>> {
     if which == "all" {
-        return rtsm_exp::ALGORITHMS.iter().map(build).collect();
+        return rtsm_exp::ALGORITHMS.iter().map(|e| (e.build)()).collect();
     }
-    match rtsm_exp::ALGORITHMS.iter().find(|e| e.name == which) {
-        Some(entry) => vec![build(entry)],
+    match rtsm_exp::make_algorithm(which) {
+        Some(algorithm) => vec![algorithm],
         None => one_line_error(&format!(
             "unknown algorithm `{which}` (valid: all, {})",
             rtsm_exp::VALID_ALGORITHMS.join(", ")
@@ -119,7 +109,10 @@ fn main() {
     // usage line cannot desync from what the run accepts.
     let algorithm_names = format!("all|{}", rtsm_exp::VALID_ALGORITHMS.join("|"));
     let catalog_names = rtsm_exp::VALID_CATALOGS.join("|");
-    let policy_names = rtsm_exp::VALID_POLICY_KINDS[1..].join("|");
+    // `none` is a spec-file concept (a policy *axis* point meaning "no
+    // reconfiguration"); here that is spelled by omitting --reconfigure.
+    let policy_kinds = &rtsm_exp::VALID_POLICY_KINDS[1..];
+    let policy_names = policy_kinds.join("|");
     let cli = Cli::from_env(
         "simulate",
         &[
@@ -146,7 +139,6 @@ fn main() {
             ("--mttf", "N"),
             ("--mttr", "N"),
             ("--template-cap", "N"),
-            ("--portfolio-workers", "N"),
         ],
         &["--json", "--reconfigure", "--faults", "--templates"],
     );
@@ -161,11 +153,6 @@ fn main() {
     let which = cli.value("--algorithm").unwrap_or("all");
     let catalog_name = cli.value("--catalog").unwrap_or("hiperlan2");
     let reconfigure = cli.has("--reconfigure");
-    let max_migrations = cli.u64_or("--max-migrations", 2);
-    let max_plans = cli.u64_or("--max-plans", 8);
-    let lambda_permille = cli.u64_or("--lambda", 1000);
-    let budget_pj = cli.u64_or("--budget-pj", 500_000);
-    let payback = cli.u64_or("--payback", 64);
     let faults = cli.has("--faults");
     if !faults {
         for flag in ["--mttf", "--mttr"] {
@@ -183,11 +170,8 @@ fn main() {
     if !templates && cli.value("--template-cap").is_some() {
         one_line_error("--template-cap requires --templates");
     }
-    let template_cap = cli.u64_or(
-        "--template-cap",
-        rtsm_core::template::DEFAULT_SHAPE_CAP as u64,
-    ) as usize;
-    if templates && template_cap == 0 {
+    let template_cap = cli.integer::<u64>("--template-cap");
+    if template_cap == Some(0) {
         one_line_error("--template-cap is 0, must be ≥ 1 shape per spec");
     }
     let flash_crowd = cli.integer::<u32>("--flash-crowd");
@@ -196,21 +180,25 @@ fn main() {
     }
     let holding_name = cli.value("--holding").unwrap_or("exponential");
     let policy_name = cli.value("--policy").unwrap_or("always");
-    // `none` is a spec-file concept (a policy *axis* point meaning "no
-    // reconfiguration"); here that is spelled by omitting --reconfigure.
-    let admission: AdmissionPolicy = rtsm_exp::admission_policy(policy_name, budget_pj, payback)
-        .unwrap_or_else(|| {
-            one_line_error(&format!(
-                "unknown admission policy `{policy_name}` (valid: {})",
-                rtsm_exp::VALID_POLICY_KINDS[1..].join(", ")
-            ))
-        });
+    if !policy_kinds.contains(&policy_name) {
+        one_line_error(&format!(
+            "unknown admission policy `{policy_name}` (valid: {})",
+            policy_kinds.join(", ")
+        ));
+    }
+    let policy = PolicySpec {
+        kind: if reconfigure { policy_name } else { "none" }.to_string(),
+        lambda_permille: cli.integer("--lambda"),
+        budget_pj: cli.integer("--budget-pj"),
+        payback_periods: cli.integer("--payback"),
+        max_migrations: cli.integer("--max-migrations"),
+        max_plans: cli.integer("--max-plans"),
+        arrivals: None,
+        templates: Some(templates),
+        template_cap,
+    };
     if switch_pct > 100 {
         one_line_error(&format!("--switch-prob is {switch_pct}%, must be 0–100"));
-    }
-    let portfolio_workers = cli.u64_or("--portfolio-workers", 1) as usize;
-    if portfolio_workers == 0 {
-        one_line_error("--portfolio-workers is 0, must be ≥ 1");
     }
     // What the last arrival can leave in the queue longest: its own
     // holding time or, with faults on, the pending failure and its repair.
@@ -230,7 +218,7 @@ fn main() {
     }
     // Resolve the algorithm set before any output, so a bad name fails
     // with just the one-line error.
-    let algorithms = algorithms(which, portfolio_workers);
+    let algorithms = algorithms(which);
 
     // Catalog resolution is shared with the experiment harness
     // (`rtsm_exp::resolve_catalog`), so the two CLIs agree on every
@@ -241,7 +229,6 @@ fn main() {
             rtsm_exp::VALID_CATALOGS.join(", ")
         ))
     });
-    let (platform, catalog) = (resolved.platform, resolved.catalog);
 
     let holding = match holding_name {
         "exponential" => HoldingTime::Exponential { mean: mean_hold },
@@ -269,13 +256,7 @@ fn main() {
         mode_switch_probability: switch_pct as f64 / 100.0,
         sample_interval,
         horizon,
-        reconfiguration: reconfigure.then(|| ReconfigurationPolicy {
-            max_migrations: max_migrations as usize,
-            max_plans: max_plans as usize,
-            objective: ReconfigurationObjective { lambda_permille },
-            admission,
-            ..ReconfigurationPolicy::default()
-        }),
+        reconfiguration: policy.to_policy(),
         track_fragmentation: reconfigure,
         faults: faults.then(|| FaultConfig {
             mttf,
@@ -296,14 +277,15 @@ fn main() {
         } else {
             String::new()
         },
-        if reconfigure {
-            format!(
-                ", reconfigure ≤{max_migrations} migrations × {max_plans} plans, \
-                 λ={lambda_permille}‰, policy {}",
-                admission.label()
-            )
-        } else {
-            String::new()
+        match &config.reconfiguration {
+            Some(policy) => format!(
+                ", reconfigure ≤{} migrations × {} plans, λ={}‰, policy {}",
+                policy.max_migrations,
+                policy.max_plans,
+                policy.objective.lambda_permille,
+                policy.admission
+            ),
+            None => String::new(),
         }
     );
     println!(
@@ -338,20 +320,8 @@ fn main() {
         algorithms
             .into_iter()
             .map(|algorithm| {
-                // `--templates` wraps the boxed algorithm; the untemplated
-                // path keeps the bare box so existing reports stay
-                // byte-identical.
-                let run = if templates {
-                    let templated = TemplatedMapper::with_cap(algorithm, template_cap);
-                    let mut run = run_sim(&platform, &templated, &catalog, &config)
-                        .expect("the simulation never breaks its own ledger");
-                    run.report.templates =
-                        Some(TemplateReport::from_stats(templated.stats(), template_cap));
-                    run
-                } else {
-                    run_sim(&platform, &algorithm, &catalog, &config)
-                        .expect("the simulation never breaks its own ledger")
-                };
+                let run =
+                    rtsm_exp::run_algorithm(&resolved, algorithm, policy.shape_cap(), &config);
                 let report = &run.report;
                 let reconfiguration = report.reconfiguration.clone().unwrap_or_default();
                 println!(
@@ -380,12 +350,12 @@ fn main() {
         );
         println!("recovered admissions (all algorithms): {recovered}");
     }
-    if templates {
+    if let Some(cap) = policy.shape_cap() {
         let of = |field: fn(&TemplateReport) -> u64| total(&runs, |r| r.templates.as_ref(), field);
         let (hits, misses) = (of(|t| t.hits), of(|t| t.misses));
         println!(
             "templates (all algorithms): {hits} hits / {misses} misses ({}‰ hit rate), \
-             {} shapes cached, cap {template_cap} per spec",
+             {} shapes cached, cap {cap} per spec",
             permille(hits, hits + misses),
             of(|t| t.shapes_cached),
         );

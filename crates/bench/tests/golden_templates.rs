@@ -12,20 +12,9 @@
 //! shortcuts (shapes skipped by slot demand, step-1 state carried between
 //! refinement attempts) must leave untouched.
 
-use rtsm_core::{MappingAlgorithm, ReconfigurationPolicy, TemplatedMapper};
-use rtsm_platform::paper::paper_platform;
-use rtsm_platform::{Platform, TileKind};
-use rtsm_sim::{
-    run_sim, ArrivalProcess, Catalog, FaultConfig, HoldingTime, SimConfig, TemplateReport,
-};
-use rtsm_workloads::mesh_platform;
-
-/// The registered algorithms in the `simulate` CLI's emission order —
-/// golden fixture lines are matched positionally, so the fixture grows by
-/// exactly one line whenever `rtsm_exp::ALGORITHMS` gains an entry.
-fn algorithms() -> Vec<Box<dyn MappingAlgorithm>> {
-    rtsm_exp::ALGORITHMS.iter().map(|e| (e.build)()).collect()
-}
+use rtsm_core::ReconfigurationPolicy;
+use rtsm_exp::{resolve_catalog, run_algorithm};
+use rtsm_sim::{ArrivalProcess, FaultConfig, HoldingTime, SimConfig};
 
 /// The exact configuration the fixtures were recorded with: the
 /// `simulate` CLI defaults at `--seed 2008 --arrivals 500`.
@@ -44,7 +33,11 @@ fn fixture_config() -> SimConfig {
     }
 }
 
-fn assert_matches_fixture(platform: &Platform, catalog: &Catalog, fixture: &str) {
+/// One line per registered algorithm, in the `simulate` CLI's emission
+/// order — matched positionally, so the fixture grows by exactly one line
+/// whenever `rtsm_exp::ALGORITHMS` gains an entry.
+fn assert_matches_fixture(catalog: &str, fixture: &str) {
+    let resolved = resolve_catalog(catalog, 42).expect("a registered catalog");
     let path = format!(
         "{}/../../tests/golden/{fixture}",
         env!("CARGO_MANIFEST_DIR")
@@ -52,15 +45,13 @@ fn assert_matches_fixture(platform: &Platform, catalog: &Catalog, fixture: &str)
     let golden = std::fs::read_to_string(&path).expect("golden fixture readable");
     let golden: Vec<&str> = golden.lines().collect();
     let config = fixture_config();
-    let algorithms = algorithms();
     assert_eq!(
         golden.len(),
-        algorithms.len(),
+        rtsm_exp::ALGORITHMS.len(),
         "{fixture} must hold one line per algorithm"
     );
-    for (algorithm, expected) in algorithms.into_iter().zip(golden) {
-        let run = run_sim(platform, &algorithm, catalog, &config)
-            .expect("the simulation never breaks its own ledger");
+    for (entry, expected) in rtsm_exp::ALGORITHMS.iter().zip(golden) {
+        let run = run_algorithm(&resolved, (entry.build)(), None, &config);
         let line = serde_json::to_string(&run.report).expect("reports serialize");
         assert_eq!(
             line, expected,
@@ -72,33 +63,12 @@ fn assert_matches_fixture(platform: &Platform, catalog: &Catalog, fixture: &str)
 
 #[test]
 fn seed2008_hiperlan2_reports_match_the_golden_fixture() {
-    assert_matches_fixture(
-        &paper_platform(),
-        &Catalog::hiperlan2(),
-        "seed2008_hiperlan2_prepr.jsonl",
-    );
-}
-
-fn mixed_mesh() -> Platform {
-    mesh_platform(
-        42,
-        4,
-        4,
-        &[
-            (TileKind::Montium, 4),
-            (TileKind::Arm, 4),
-            (TileKind::Dsp, 2),
-        ],
-    )
+    assert_matches_fixture("hiperlan2", "seed2008_hiperlan2_prepr.jsonl");
 }
 
 #[test]
 fn seed2008_mixed_reports_match_the_golden_fixture() {
-    assert_matches_fixture(
-        &mixed_mesh(),
-        &Catalog::mixed_dsp(),
-        "seed2008_mixed_prepr.jsonl",
-    );
+    assert_matches_fixture("mixed", "seed2008_mixed_prepr.jsonl");
 }
 
 /// `simulate --seed 2008 --arrivals 500 --catalog mixed --algorithm paper
@@ -116,17 +86,13 @@ fn seed2008_mixed_templates_faults_reconfigure_report_matches_the_golden_fixture
         }),
         ..fixture_config()
     };
-    let paper = rtsm_exp::ALGORITHMS
-        .iter()
-        .find(|entry| entry.name == "paper")
-        .expect("the paper algorithm is registered");
-    let cap = rtsm_core::template::DEFAULT_SHAPE_CAP;
-    let templated = TemplatedMapper::with_cap((paper.build)(), cap);
-    let mut report = run_sim(&mixed_mesh(), &templated, &Catalog::mixed_dsp(), &config)
-        .expect("the simulation never breaks its own ledger")
-        .report;
-    report.templates = Some(TemplateReport::from_stats(templated.stats(), cap));
-    let line = serde_json::to_string(&report).expect("reports serialize");
+    let run = run_algorithm(
+        &resolve_catalog("mixed", 42).expect("a registered catalog"),
+        rtsm_exp::make_algorithm("paper").expect("the paper algorithm is registered"),
+        Some(rtsm_core::template::DEFAULT_SHAPE_CAP),
+        &config,
+    );
+    let line = serde_json::to_string(&run.report).expect("reports serialize");
     assert_eq!(
         line,
         include_str!("../../../tests/golden/seed2008_mixed_templates_recover.json").trim_end()

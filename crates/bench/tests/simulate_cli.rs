@@ -53,21 +53,39 @@ fn runs_that_outgrow_the_sample_series_are_one_line_errors() {
         assert!(stderr.contains(at_fault), "names the flag: {stderr}");
     }
 
-    // The same workload as a spec that passes every other validation.
-    let spec = std::env::temp_dir().join(format!("rtsm-hostile-spec-{}.json", std::process::id()));
-    std::fs::write(
-        &spec,
-        r#"{"name":"hostile","template":{"arrivals":50},"algorithms":["greedy"],
-            "catalogs":["hiperlan2"],"mean_gaps":[1000000000000],
-            "policies":[{"kind":"none"}],"seeds":[1]}"#,
-    )
-    .expect("temp dir is writable");
-    let stderr = refused_at_the_door(
-        env!("CARGO_BIN_EXE_experiment"),
-        &["--spec", spec.to_str().expect("UTF-8 path")],
-    );
-    std::fs::remove_file(&spec).expect("just written");
-    assert!(stderr.contains("mean_gaps entry 1000000000000"), "{stderr}");
+    // The same workload as a spec that passes every other validation, and
+    // the specs whose expansion, not whose cells, is what goes wrong: 10¹²
+    // repeats, a total that does not fit a u64, a catalog listed twice.
+    let path = std::env::temp_dir().join(format!("rtsm-hostile-spec-{}.json", std::process::id()));
+    for (axes, at_fault) in [
+        (
+            r#""template":{"arrivals":50},"catalogs":["hiperlan2"],"mean_gaps":[1000000000000],"seeds":[1]"#,
+            "mean_gaps entry 1000000000000",
+        ),
+        (
+            r#""template":{"arrivals":5},"catalogs":["hiperlan2"],"mean_gaps":[500],"seeds":[1],"repeats":1000000000000"#,
+            "1000000000000 trials",
+        ),
+        (
+            r#""template":{"arrivals":18446744073709551615,"sample_interval":18446744073709551615},"catalogs":["hiperlan2"],"mean_gaps":[500],"seeds":[1,2]"#,
+            "add up to 18446744073709551615",
+        ),
+        (
+            r#""template":{"arrivals":5},"catalogs":["hiperlan2","hiperlan2"],"mean_gaps":[500],"seeds":[1]"#,
+            "duplicate entry `hiperlan2` in catalogs",
+        ),
+    ] {
+        let spec = format!(
+            r#"{{"name":"hostile","algorithms":["greedy"],"policies":[{{"kind":"none"}}],{axes}}}"#
+        );
+        std::fs::write(&path, spec).expect("temp dir is writable");
+        let stderr = refused_at_the_door(
+            env!("CARGO_BIN_EXE_experiment"),
+            &["--spec", path.to_str().expect("UTF-8 path")],
+        );
+        assert!(stderr.contains(at_fault), "{stderr}");
+    }
+    std::fs::remove_file(&path).expect("just written");
 }
 
 /// The third golden command line, through the binary: every flag it takes

@@ -72,9 +72,9 @@ pub use report::{
     AggregateRow, CatalogFront, ExperimentReport, FrontPoint, WallRow, WallSection, REPORT_SCHEMA,
 };
 pub use runner::{run_experiment, ExpError, ExperimentRun};
-pub use spec::{admission_policy, ExperimentSpec, PolicySpec, SpecTemplate, VALID_POLICY_KINDS};
+pub use spec::{ExperimentSpec, PolicySpec, SpecTemplate, VALID_POLICY_KINDS};
 pub use stats::StatSummary;
 pub use trial::{
-    make_algorithm, resolve_catalog, run_trial, run_trial_timed, AlgorithmEntry, ResolvedCatalog,
-    Trial, TrialRecord, ALGORITHMS, VALID_ALGORITHMS, VALID_CATALOGS,
+    make_algorithm, resolve_catalog, run_algorithm, run_trial, run_trial_timed, AlgorithmEntry,
+    ResolvedCatalog, Trial, TrialRecord, ALGORITHMS, VALID_ALGORITHMS, VALID_CATALOGS,
 };

@@ -151,9 +151,10 @@ impl WallSection {
 /// record stream. Worker count and wall-clock never appear here — the
 /// report is byte-identical for a given spec. The one exception is the
 /// opt-in [`wall`](ExperimentReport::wall) section, which is clearly
-/// marked non-deterministic and **omitted** from serialization when
-/// `None`, so reports without it keep their historical byte shape.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+/// marked non-deterministic and left out by `skip_serializing_if` when
+/// `None` — not `"wall":null` — so the committed artifacts CI byte-diffs
+/// keep their shape.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExperimentReport {
     /// Report format marker ([`REPORT_SCHEMA`]).
     pub schema: String,
@@ -181,36 +182,8 @@ pub struct ExperimentReport {
     pub trials_fnv1a: u64,
     /// Opt-in non-deterministic wall-clock latency section; `None` (and
     /// absent from the serialized report) unless explicitly requested.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub wall: Option<WallSection>,
-}
-
-// Hand-written so a `None` wall section is *omitted* rather than
-// serialized as `"wall":null` — the committed experiment artifacts are
-// byte-diffed by CI and must not change shape. Field order matches the
-// declaration order the derive would emit.
-impl Serialize for ExperimentReport {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("schema".to_string(), self.schema.to_value()),
-            ("name".to_string(), self.name.to_value()),
-            ("spec".to_string(), self.spec.to_value()),
-            ("n_trials".to_string(), self.n_trials.to_value()),
-            ("total_arrivals".to_string(), self.total_arrivals.to_value()),
-            ("total_admitted".to_string(), self.total_admitted.to_value()),
-            ("total_blocked".to_string(), self.total_blocked.to_value()),
-            (
-                "total_recovered".to_string(),
-                self.total_recovered.to_value(),
-            ),
-            ("aggregates".to_string(), self.aggregates.to_value()),
-            ("pareto_fronts".to_string(), self.pareto_fronts.to_value()),
-            ("trials_fnv1a".to_string(), self.trials_fnv1a.to_value()),
-        ];
-        if let Some(wall) = &self.wall {
-            entries.push(("wall".to_string(), wall.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
 }
 
 /// `a` dominates `b` when it is no worse on both objectives and

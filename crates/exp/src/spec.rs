@@ -61,21 +61,25 @@ impl SpecTemplate {
 /// One admission-policy point of the sweep. `kind` is one of `none`
 /// (plain runs, no reconfiguration), `always`, `energy-budget`, or
 /// `amortized-payback`; the remaining fields refine the reconfiguration
-/// policy and default to the `simulate` CLI defaults.
+/// policy, and an unset one is [`ReconfigurationPolicy::default`]'s value.
+/// The `simulate` CLI states its flags as one of these, so specs and ad-hoc
+/// runs share every default.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PolicySpec {
     /// Policy kind: `none` | `always` | `energy-budget` | `amortized-payback`.
     pub kind: String,
-    /// Migration-energy weight λ of the plan objective, permille
-    /// (default 1000). Ignored for `none`.
+    /// Migration-energy weight λ of the plan objective, permille. Ignored
+    /// for `none`.
     pub lambda_permille: Option<u64>,
-    /// Energy budget for `energy-budget`, pJ (default 500 000).
+    /// Energy budget for `energy-budget`, pJ (default
+    /// [`DEFAULT_BUDGET_PJ`]).
     pub budget_pj: Option<u64>,
-    /// Payback horizon for `amortized-payback`, periods (default 64).
+    /// Payback horizon for `amortized-payback`, periods (default
+    /// [`DEFAULT_PAYBACK_PERIODS`]).
     pub payback_periods: Option<u64>,
-    /// Migration cap per plan (default 2). Ignored for `none`.
+    /// Migration cap per plan. Ignored for `none`.
     pub max_migrations: Option<u64>,
-    /// Plan cap per retry (default 8). Ignored for `none`.
+    /// Plan cap per retry. Ignored for `none`.
     pub max_plans: Option<u64>,
     /// Per-policy arrivals override — reconfiguration runs cost ~4× the
     /// wall time per arrival, so sweeps typically give `none` more
@@ -93,31 +97,15 @@ pub struct PolicySpec {
 
 /// The policy kinds [`PolicySpec::kind`] accepts, in display order.
 /// `none` means "no reconfiguration at all"; the other three name the
-/// [`AdmissionPolicy`] reconfiguration runs under
-/// ([`admission_policy`] resolves them).
+/// [`AdmissionPolicy`] reconfiguration runs under.
 pub const VALID_POLICY_KINDS: [&str; 4] = ["none", "always", "energy-budget", "amortized-payback"];
 
-/// Resolves an admission-policy kind name to the [`AdmissionPolicy`] it
-/// denotes — the single name-to-policy mapping shared by [`PolicySpec`]
-/// and the `simulate` CLI, so their accepted names cannot drift apart.
-/// Returns `None` for unknown kinds and for `none` (which is not an
-/// admission policy but the absence of reconfiguration).
-pub fn admission_policy(
-    kind: &str,
-    budget_pj: u64,
-    payback_periods: u64,
-) -> Option<AdmissionPolicy> {
-    match kind {
-        "always" => Some(AdmissionPolicy::AlwaysAdmit),
-        "energy-budget" => Some(AdmissionPolicy::EnergyBudget {
-            max_transfer_pj: budget_pj,
-        }),
-        "amortized-payback" => Some(AdmissionPolicy::AmortizedPayback {
-            horizon_periods: payback_periods,
-        }),
-        _ => None,
-    }
-}
+/// The energy budget of an `energy-budget` point that sets none, pJ.
+pub const DEFAULT_BUDGET_PJ: u64 = 500_000;
+
+/// The payback horizon of an `amortized-payback` point that sets none,
+/// periods.
+pub const DEFAULT_PAYBACK_PERIODS: u64 = 64;
 
 impl PolicySpec {
     /// A plain-run policy point (no reconfiguration).
@@ -136,7 +124,25 @@ impl PolicySpec {
     }
 
     fn lambda(&self) -> u64 {
-        self.lambda_permille.unwrap_or(1000)
+        self.lambda_permille
+            .unwrap_or(ReconfigurationObjective::default().lambda_permille)
+    }
+
+    /// The [`AdmissionPolicy`] `kind` names, with its parameter's default
+    /// applied — the one name-to-policy mapping specs and the `simulate`
+    /// CLI share. `None` for unknown kinds and for `none` (which is not an
+    /// admission policy but the absence of reconfiguration).
+    fn admission(&self) -> Option<AdmissionPolicy> {
+        match self.kind.as_str() {
+            "always" => Some(AdmissionPolicy::AlwaysAdmit),
+            "energy-budget" => Some(AdmissionPolicy::EnergyBudget {
+                max_transfer_pj: self.budget_pj.unwrap_or(DEFAULT_BUDGET_PJ),
+            }),
+            "amortized-payback" => Some(AdmissionPolicy::AmortizedPayback {
+                horizon_periods: self.payback_periods.unwrap_or(DEFAULT_PAYBACK_PERIODS),
+            }),
+            _ => None,
+        }
     }
 
     /// Whether this policy point runs with the template library enabled.
@@ -144,37 +150,28 @@ impl PolicySpec {
         self.templates.unwrap_or(false)
     }
 
-    /// Shape cap per application spec with the default applied.
-    pub fn template_cap(&self) -> u64 {
-        self.template_cap
-            .unwrap_or(rtsm_core::template::DEFAULT_SHAPE_CAP as u64)
+    /// Cached shapes per application spec, with the default applied:
+    /// `Some` exactly when this point runs with the template library.
+    pub fn shape_cap(&self) -> Option<usize> {
+        let default = rtsm_core::template::DEFAULT_SHAPE_CAP;
+        self.templates()
+            .then(|| self.template_cap.map_or(default, |cap| cap as usize))
     }
 
     /// A stable, human-readable label — the grouping key in reports.
     /// Distinct policy points always label differently (enforced by
     /// [`ExperimentSpec::validate`]).
     pub fn label(&self) -> String {
-        let base = match self.kind.as_str() {
-            "none" => "none".to_string(),
-            "always" => format!("always-admit/l{}", self.lambda()),
-            "energy-budget" => format!(
-                "energy-budget({}pJ)/l{}",
-                self.budget_pj.unwrap_or(500_000),
-                self.lambda()
-            ),
-            "amortized-payback" => format!(
-                "amortized-payback({})/l{}",
-                self.payback_periods.unwrap_or(64),
-                self.lambda()
-            ),
-            other => format!("invalid({other})"),
+        let base = match self.admission() {
+            Some(admission) => format!("{}/l{}", admission.label(), self.lambda()),
+            None if self.kind == "none" => "none".to_string(),
+            None => format!("invalid({})", self.kind),
         };
-        if self.templates() {
+        match self.shape_cap() {
             // Templated and untemplated variants of the same point are
             // distinct sweep cells; the suffix keeps their labels apart.
-            format!("{base}+tpl{}", self.template_cap())
-        } else {
-            base
+            Some(cap) => format!("{base}+tpl{cap}"),
+            None => base,
         }
     }
 
@@ -184,20 +181,20 @@ impl PolicySpec {
         if self.kind == "none" {
             return None;
         }
-        let admission = admission_policy(
-            &self.kind,
-            self.budget_pj.unwrap_or(500_000),
-            self.payback_periods.unwrap_or(64),
-        )
-        .unwrap_or_else(|| panic!("unvalidated policy kind `{}`", self.kind));
+        let admission = self
+            .admission()
+            .unwrap_or_else(|| panic!("unvalidated policy kind `{}`", self.kind));
+        let defaults = ReconfigurationPolicy::default();
         Some(ReconfigurationPolicy {
-            max_migrations: self.max_migrations.unwrap_or(2) as usize,
-            max_plans: self.max_plans.unwrap_or(8) as usize,
+            max_migrations: self
+                .max_migrations
+                .map_or(defaults.max_migrations, |n| n as usize),
+            max_plans: self.max_plans.map_or(defaults.max_plans, |n| n as usize),
             objective: ReconfigurationObjective {
                 lambda_permille: self.lambda(),
             },
             admission,
-            ..ReconfigurationPolicy::default()
+            ..defaults
         })
     }
 }
@@ -228,19 +225,37 @@ pub struct ExperimentSpec {
     pub repeats: Option<u64>,
 }
 
-fn check_axis(kind: &str, given: &[String], valid: &[&str]) -> Result<(), String> {
+/// The most trials a spec may expand into before
+/// [`ExperimentSpec::validate`] refuses it: some 2 800 times the largest
+/// committed spec (`specs/ci_smoke_mixed_1m.json`, 36 trials). A run holds
+/// every [`Trial`] of the expansion, and a record and a latency histogram
+/// per finished one, at once — on the order of 100 MB at the limit.
+pub const MAX_TRIALS: u64 = 100_000;
+
+/// An axis lists something, and nothing twice: a repeated entry would run
+/// its cells twice and seal them as two rows (for a catalog, two fronts).
+fn check_axis<T: Ord + std::fmt::Display>(axis: &str, given: &[T]) -> Result<(), String> {
     if given.is_empty() {
-        return Err(format!("spec lists no {kind}s"));
+        return Err(format!("spec lists no {axis}"));
     }
-    for name in given {
-        if !valid.contains(&name.as_str()) {
-            return Err(format!(
-                "unknown {kind} `{name}` (valid: {})",
-                valid.join(", ")
-            ));
-        }
+    let mut sorted: Vec<&T> = given.iter().collect();
+    sorted.sort_unstable();
+    match sorted.windows(2).find(|w| w[0] == w[1]) {
+        Some(dup) => Err(format!("duplicate entry `{}` in {axis}", dup[0])),
+        None => Ok(()),
     }
-    Ok(())
+}
+
+/// [`check_axis`] for an axis of registry names, each one of `valid`.
+fn check_names(kind: &str, given: &[String], valid: &[&str]) -> Result<(), String> {
+    check_axis(&format!("{kind}s"), given)?;
+    match given.iter().find(|name| !valid.contains(&name.as_str())) {
+        Some(name) => Err(format!(
+            "unknown {kind} `{name}` (valid: {})",
+            valid.join(", ")
+        )),
+        None => Ok(()),
+    }
 }
 
 impl ExperimentSpec {
@@ -259,20 +274,13 @@ impl ExperimentSpec {
         if self.name.is_empty() {
             return Err("spec has an empty name".to_string());
         }
-        check_axis("algorithm", &self.algorithms, &VALID_ALGORITHMS)?;
-        check_axis("catalog", &self.catalogs, &VALID_CATALOGS)?;
-        if self.mean_gaps.is_empty() {
-            return Err("spec lists no mean_gaps".to_string());
-        }
+        check_names("algorithm", &self.algorithms, &VALID_ALGORITHMS)?;
+        check_names("catalog", &self.catalogs, &VALID_CATALOGS)?;
+        check_axis("mean_gaps", &self.mean_gaps)?;
         if self.mean_gaps.contains(&0) {
             return Err("mean_gaps must be positive".to_string());
         }
-        if self.seeds.is_empty() {
-            return Err("spec lists no seeds".to_string());
-        }
-        if self.policies.is_empty() {
-            return Err("spec lists no policies".to_string());
-        }
+        check_axis("seeds", &self.seeds)?;
         for policy in &self.policies {
             if !VALID_POLICY_KINDS.contains(&policy.kind.as_str()) {
                 return Err(format!(
@@ -293,20 +301,23 @@ impl ExperimentSpec {
                     policy.label()
                 ));
             }
-            if policy.templates() && policy.template_cap() == 0 {
+            if policy.shape_cap() == Some(0) {
                 return Err(format!(
                     "policy `{}` sets template_cap to 0, must be ≥ 1 shape",
                     policy.label()
                 ));
             }
         }
-        let mut labels: Vec<String> = self.policies.iter().map(PolicySpec::label).collect();
-        labels.sort_unstable();
-        if let Some(dup) = labels.windows(2).find(|w| w[0] == w[1]) {
-            return Err(format!("duplicate policy point `{}`", dup[0]));
-        }
+        let labels: Vec<String> = self.policies.iter().map(PolicySpec::label).collect();
+        check_axis("policies", &labels)?;
         if self.repeats() == 0 {
             return Err("repeats must be at least 1".to_string());
+        }
+        let n_trials = self.n_trials();
+        if n_trials > MAX_TRIALS {
+            return Err(format!(
+                "spec expands to {n_trials} trials, over the limit of {MAX_TRIALS}"
+            ));
         }
         if self.template.arrivals == 0 {
             return Err("template.arrivals must be at least 1".to_string());
@@ -331,6 +342,13 @@ impl ExperimentSpec {
                 )
                 .map_err(|e| format!("mean_gaps entry {gap} × {arrivals} arrivals: {e}"))?;
             }
+        }
+        // A sealed report states the arrivals of all its trials in one u64.
+        if self.total_arrivals() == u64::MAX {
+            return Err(format!(
+                "the trials' arrivals add up to {} or more, which no report can state",
+                u64::MAX
+            ));
         }
         Ok(())
     }
@@ -366,9 +384,34 @@ impl ExperimentSpec {
         trials
     }
 
-    /// Total simulated arrivals across the whole expansion.
+    /// Trials per policy point — the product of the other five axes —
+    /// without expanding; `None` when it does not fit a `u64`.
+    fn trials_per_policy(&self) -> Option<u64> {
+        [
+            self.catalogs.len(),
+            self.algorithms.len(),
+            self.mean_gaps.len(),
+            self.seeds.len(),
+        ]
+        .iter()
+        .try_fold(self.repeats(), |n, &len| n.checked_mul(len as u64))
+    }
+
+    /// How many trials [`expand`](ExperimentSpec::expand) would list,
+    /// saturating.
+    pub fn n_trials(&self) -> u64 {
+        self.trials_per_policy()
+            .and_then(|n| n.checked_mul(self.policies.len() as u64))
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Total simulated arrivals across the whole expansion, saturating.
     pub fn total_arrivals(&self) -> u64 {
-        self.expand().iter().map(|t| t.arrivals).sum()
+        let trials = self.trials_per_policy().unwrap_or(u64::MAX);
+        self.policies.iter().fold(0, |total: u64, policy| {
+            let arrivals = policy.arrivals.unwrap_or(self.template.arrivals);
+            total.saturating_add(arrivals.saturating_mul(trials))
+        })
     }
 }
 
@@ -434,6 +477,13 @@ mod tests {
         });
         // 16 trials at 100 arrivals plus 16 `always` trials at 10.
         assert_eq!(spec.total_arrivals(), 16 * 100 + 16 * 10);
+        // Both counts are what the expansion would add up to.
+        let trials = spec.expand();
+        assert_eq!(spec.n_trials(), trials.len() as u64);
+        assert_eq!(
+            spec.total_arrivals(),
+            trials.iter().map(|t| t.arrivals).sum::<u64>()
+        );
     }
 
     #[test]
@@ -504,6 +554,32 @@ mod tests {
         spec.template.sample_interval = Some(1_000);
         assert!(spec.validate().is_ok());
 
+        // A repeat count that would expand into 10¹² trials is refused
+        // from the axes' sizes, before anything is expanded; so is one
+        // whose product does not fit a u64.
+        let mut spec = small_spec();
+        spec.repeats = Some(MAX_TRIALS / 8);
+        assert_eq!(spec.n_trials(), MAX_TRIALS);
+        assert!(spec.validate().is_ok());
+        for repeats in [MAX_TRIALS / 8 + 1, 1_000_000_000_000, u64::MAX] {
+            spec.repeats = Some(repeats);
+            let err = spec.validate().unwrap_err();
+            assert!(
+                err.contains("trials, over the limit") && !err.contains('\n'),
+                "{err}"
+            );
+        }
+        assert_eq!(spec.n_trials(), u64::MAX, "the count saturates");
+
+        // Trials of u64::MAX arrivals fit the sample bound (one sample
+        // each), but adding them up used to wrap.
+        let mut spec = small_spec();
+        spec.template.arrivals = u64::MAX;
+        spec.template.sample_interval = Some(u64::MAX);
+        assert_eq!(spec.total_arrivals(), u64::MAX, "the total saturates");
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("add up to"), "{err}");
+
         // Both committed specs stay far inside it.
         for name in ["ci_smoke_mixed_1m", "determinism_smoke"] {
             let path = format!("{}/../../specs/{name}.json", env!("CARGO_MANIFEST_DIR"));
@@ -514,10 +590,19 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_policy_points_are_rejected() {
-        let mut spec = small_spec();
-        spec.policies.push(PolicySpec::none());
-        assert!(spec.validate().unwrap_err().contains("duplicate"));
+    fn duplicate_entries_are_rejected_on_every_axis() {
+        for axis in ["policies", "catalogs", "algorithms", "mean_gaps", "seeds"] {
+            let mut spec = small_spec();
+            match axis {
+                "policies" => spec.policies.push(PolicySpec::none()),
+                "catalogs" => spec.catalogs.push("hiperlan2".to_string()),
+                "algorithms" => spec.algorithms.push("greedy".to_string()),
+                "mean_gaps" => spec.mean_gaps.push(500),
+                _ => spec.seeds.insert(0, 2),
+            }
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains("duplicate") && err.contains(axis), "{err}");
+        }
     }
 
     #[test]

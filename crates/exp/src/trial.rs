@@ -17,7 +17,7 @@ use rtsm_core::{MapperConfig, MappingAlgorithm, SpatialMapper, TemplatedMapper};
 use rtsm_obs::LatencyHistogram;
 use rtsm_platform::paper::paper_platform;
 use rtsm_platform::{Platform, TileKind};
-use rtsm_sim::{run_sim, ArrivalProcess, Catalog, HoldingTime, SimConfig, TemplateReport};
+use rtsm_sim::{run_sim, ArrivalProcess, Catalog, HoldingTime, SimConfig, SimRun, TemplateReport};
 use rtsm_workloads::{defrag_platform, mesh_platform};
 use serde::{Deserialize, Serialize};
 
@@ -178,6 +178,36 @@ pub fn make_algorithm(name: &str) -> Option<Box<dyn MappingAlgorithm>> {
         .map(|entry| (entry.build)())
 }
 
+/// Runs one simulation of `config` over `resolved`, admitting through
+/// `algorithm` — behind a [`TemplatedMapper`] of `template_cap` shapes per
+/// spec when that is set, in which case the report carries the library's
+/// [`TemplateReport`]. The one way `experiment`, `simulate` and the golden
+/// fixtures run an algorithm.
+///
+/// # Panics
+///
+/// Panics if the simulation breaks its own resource ledger — an
+/// invariant violation, never a data-dependent condition.
+pub fn run_algorithm(
+    resolved: &ResolvedCatalog,
+    algorithm: Box<dyn MappingAlgorithm>,
+    template_cap: Option<usize>,
+    config: &SimConfig,
+) -> SimRun {
+    let (platform, catalog) = (&resolved.platform, &resolved.catalog);
+    let run = match template_cap {
+        Some(cap) => {
+            let templated = TemplatedMapper::with_cap(algorithm, cap);
+            run_sim(platform, &templated, catalog, config).map(|mut run| {
+                run.report.templates = Some(TemplateReport::from_stats(templated.stats(), cap));
+                run
+            })
+        }
+        None => run_sim(platform, &algorithm, catalog, config),
+    };
+    run.expect("the simulation never breaks its own ledger")
+}
+
 /// The flattened, all-integer result of one trial — one JSONL row.
 /// Optional fields are `None` (serialized `null`) when the run admitted
 /// nothing or produced no fragmentation samples, never a division by
@@ -266,8 +296,7 @@ pub struct TrialRecord {
 ///
 /// # Panics
 ///
-/// Panics if the simulation breaks its own resource ledger — an
-/// invariant violation, never a data-dependent condition.
+/// As for [`run_algorithm`].
 pub fn run_trial(
     trial: &Trial,
     resolved: &ResolvedCatalog,
@@ -307,19 +336,9 @@ pub fn run_trial_timed(
     };
     let algorithm =
         make_algorithm(&trial.algorithm).expect("trial algorithms are validated before expansion");
-    let (run, templates) = if trial.policy.templates() {
-        let cap = trial.policy.template_cap() as usize;
-        let mapper = TemplatedMapper::with_cap(algorithm, cap);
-        let run = run_sim(&resolved.platform, &mapper, &resolved.catalog, &config)
-            .expect("the simulation never breaks its own ledger");
-        let stats = TemplateReport::from_stats(mapper.stats(), cap);
-        (run, Some(stats))
-    } else {
-        let run = run_sim(&resolved.platform, &algorithm, &resolved.catalog, &config)
-            .expect("the simulation never breaks its own ledger");
-        (run, None)
-    };
+    let run = run_algorithm(resolved, algorithm, trial.policy.shape_cap(), &config);
     let report = run.report;
+    let templates = report.templates.as_ref();
 
     let frag = report.frag_permille_sorted();
     let frag = (!frag.is_empty()).then(|| {
@@ -364,10 +383,10 @@ pub fn run_trial_timed(
         migration_energy_pj: reconfiguration.migration_energy_pj,
         plans_refused: reconfiguration.plans_refused,
         mode_switches_survived: reconfiguration.mode_switches_survived,
-        template_hits: templates.as_ref().map(|t| t.hits),
-        template_misses: templates.as_ref().map(|t| t.misses),
-        template_hit_permille: templates.as_ref().map(|t| t.hit_permille),
-        template_shapes_cached: templates.as_ref().map(|t| t.shapes_cached),
+        template_hits: templates.map(|t| t.hits),
+        template_misses: templates.map(|t| t.misses),
+        template_hit_permille: templates.map(|t| t.hit_permille),
+        template_shapes_cached: templates.map(|t| t.shapes_cached),
         ledger_idle_at_end: report.ledger_idle_at_end,
     };
     (record, run.wall)

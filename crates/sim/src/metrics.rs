@@ -19,11 +19,10 @@ use std::collections::BTreeMap;
 /// Platform occupancy at one sample instant. Ratios are in permille
 /// (integers keep the serialized report byte-stable).
 ///
-/// Serialization is hand-written so the optional fragmentation figure is
-/// *omitted* — not `null` — when tracking is off: runs without
-/// fragmentation tracking serialize byte-identically to reports from
-/// before the field existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// `skip_serializing_if` leaves the fragmentation figure out — not `null` —
+/// when tracking is off, so such runs serialize byte-identically to reports
+/// from before the field existed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UtilizationSample {
     /// Sample instant, in ticks.
     pub time: SimTime,
@@ -40,6 +39,7 @@ pub struct UtilizationSample {
     /// Fragmentation of the free compute capacity, ‰ (see
     /// [`Utilization::fragmentation_permille`]); `None` when the run did
     /// not track fragmentation.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub frag_permille: Option<u32>,
 }
 
@@ -66,43 +66,6 @@ impl UtilizationSample {
             energy_pj_per_period: running_energy_pj,
             frag_permille: track_fragmentation.then_some(util.fragmentation_permille),
         }
-    }
-}
-
-impl Serialize for UtilizationSample {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("time".to_string(), self.time.to_value()),
-            ("running_apps".to_string(), self.running_apps.to_value()),
-            ("slots_permille".to_string(), self.slots_permille.to_value()),
-            (
-                "memory_permille".to_string(),
-                self.memory_permille.to_value(),
-            ),
-            ("link_permille".to_string(), self.link_permille.to_value()),
-            (
-                "energy_pj_per_period".to_string(),
-                self.energy_pj_per_period.to_value(),
-            ),
-        ];
-        if let Some(frag) = self.frag_permille {
-            entries.push(("frag_permille".to_string(), frag.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for UtilizationSample {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::de::Error> {
-        Ok(UtilizationSample {
-            time: serde::de::field(value, "time")?,
-            running_apps: serde::de::field(value, "running_apps")?,
-            slots_permille: serde::de::field(value, "slots_permille")?,
-            memory_permille: serde::de::field(value, "memory_permille")?,
-            link_permille: serde::de::field(value, "link_permille")?,
-            energy_pj_per_period: serde::de::field(value, "energy_pj_per_period")?,
-            frag_permille: serde::de::field(value, "frag_permille")?,
-        })
     }
 }
 
@@ -235,13 +198,10 @@ impl TemplateReport {
 /// The deterministic result of one simulation run: same seed, same
 /// platform, same algorithm ⇒ byte-identical serialized report.
 ///
-/// Serialization is hand-written: the optional
-/// [`reconfiguration`](SimReport::reconfiguration),
-/// [`survivability`](SimReport::survivability), and
-/// [`templates`](SimReport::templates) sections are omitted —
+/// `skip_serializing_if` leaves the three optional sections at the end out —
 /// not `null` — when absent, keeping plain runs byte-identical to reports
 /// from before reconfiguration, fault injection, or templates existed.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// Name of the mapping algorithm that admitted applications.
     pub algorithm: String,
@@ -294,112 +254,18 @@ pub struct SimReport {
     pub ledger_idle_at_end: bool,
     /// Reconfiguration counters; `Some` exactly when the run was
     /// configured with a reconfiguration policy.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub reconfiguration: Option<ReconfigurationReport>,
     /// Survivability counters; `Some` exactly when the run injected
     /// faults.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub survivability: Option<SurvivabilityReport>,
     /// Template-library counters; `Some` exactly when the run admitted
     /// through a [`TemplatedMapper`](rtsm_core::TemplatedMapper). Attached
     /// by the caller after the run (the event loop itself is
     /// template-agnostic).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub templates: Option<TemplateReport>,
-}
-
-impl Serialize for SimReport {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("algorithm".to_string(), self.algorithm.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("end_time".to_string(), self.end_time.to_value()),
-            ("arrivals".to_string(), self.arrivals.to_value()),
-            ("admitted".to_string(), self.admitted.to_value()),
-            ("blocked".to_string(), self.blocked.to_value()),
-            ("departures".to_string(), self.departures.to_value()),
-            (
-                "mode_switch_attempts".to_string(),
-                self.mode_switch_attempts.to_value(),
-            ),
-            (
-                "mode_switch_admitted".to_string(),
-                self.mode_switch_admitted.to_value(),
-            ),
-            (
-                "mode_switch_blocked".to_string(),
-                self.mode_switch_blocked.to_value(),
-            ),
-            (
-                "blocking_permille".to_string(),
-                self.blocking_permille.to_value(),
-            ),
-            (
-                "rejection_histogram".to_string(),
-                self.rejection_histogram.to_value(),
-            ),
-            (
-                "admitted_by_app".to_string(),
-                self.admitted_by_app.to_value(),
-            ),
-            (
-                "evaluated_assignments".to_string(),
-                self.evaluated_assignments.to_value(),
-            ),
-            (
-                "refinement_attempts".to_string(),
-                self.refinement_attempts.to_value(),
-            ),
-            ("peak_running".to_string(), self.peak_running.to_value()),
-            (
-                "energy_pj_ticks".to_string(),
-                self.energy_pj_ticks.to_value(),
-            ),
-            ("samples".to_string(), self.samples.to_value()),
-            ("final_running".to_string(), self.final_running.to_value()),
-            (
-                "ledger_idle_at_end".to_string(),
-                self.ledger_idle_at_end.to_value(),
-            ),
-        ];
-        if let Some(reconfiguration) = &self.reconfiguration {
-            entries.push(("reconfiguration".to_string(), reconfiguration.to_value()));
-        }
-        if let Some(survivability) = &self.survivability {
-            entries.push(("survivability".to_string(), survivability.to_value()));
-        }
-        if let Some(templates) = &self.templates {
-            entries.push(("templates".to_string(), templates.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for SimReport {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::de::Error> {
-        Ok(SimReport {
-            algorithm: serde::de::field(value, "algorithm")?,
-            seed: serde::de::field(value, "seed")?,
-            end_time: serde::de::field(value, "end_time")?,
-            arrivals: serde::de::field(value, "arrivals")?,
-            admitted: serde::de::field(value, "admitted")?,
-            blocked: serde::de::field(value, "blocked")?,
-            departures: serde::de::field(value, "departures")?,
-            mode_switch_attempts: serde::de::field(value, "mode_switch_attempts")?,
-            mode_switch_admitted: serde::de::field(value, "mode_switch_admitted")?,
-            mode_switch_blocked: serde::de::field(value, "mode_switch_blocked")?,
-            blocking_permille: serde::de::field(value, "blocking_permille")?,
-            rejection_histogram: serde::de::field(value, "rejection_histogram")?,
-            admitted_by_app: serde::de::field(value, "admitted_by_app")?,
-            evaluated_assignments: serde::de::field(value, "evaluated_assignments")?,
-            refinement_attempts: serde::de::field(value, "refinement_attempts")?,
-            peak_running: serde::de::field(value, "peak_running")?,
-            energy_pj_ticks: serde::de::field(value, "energy_pj_ticks")?,
-            samples: serde::de::field(value, "samples")?,
-            final_running: serde::de::field(value, "final_running")?,
-            ledger_idle_at_end: serde::de::field(value, "ledger_idle_at_end")?,
-            reconfiguration: serde::de::field(value, "reconfiguration")?,
-            survivability: serde::de::field(value, "survivability")?,
-            templates: serde::de::field(value, "templates")?,
-        })
-    }
 }
 
 impl SimReport {
@@ -502,8 +368,9 @@ pub fn check_sample_growth(
     Ok(())
 }
 
-/// Accumulates statistics while the simulation runs; [`finish`] turns it
-/// into a [`SimReport`].
+/// Keeps the run's books in the [`SimReport`] it seals: every `record_*`
+/// and `advance*` call writes the field that will carry the figure, and
+/// [`finish`] fills in what only the end of the run knows.
 ///
 /// [`finish`]: MetricsCollector::finish
 #[derive(Debug, Clone)]
@@ -512,23 +379,9 @@ pub struct MetricsCollector {
     track_fragmentation: bool,
     /// `None` once the next boundary would lie beyond the last tick.
     next_sample: Option<SimTime>,
-    last_time: SimTime,
-    arrivals: u64,
-    admitted: u64,
-    blocked: u64,
-    departures: u64,
-    mode_switch_attempts: u64,
-    mode_switch_admitted: u64,
-    mode_switch_blocked: u64,
-    rejection_histogram: BTreeMap<AdmissionErrorKind, u64>,
-    admitted_by_app: BTreeMap<String, u64>,
-    evaluated_assignments: u64,
-    refinement_attempts: u64,
-    peak_running: u64,
-    energy_pj_ticks: u64,
-    samples: Vec<UtilizationSample>,
-    reconfiguration: Option<ReconfigurationReport>,
-    survivability: Option<SurvivabilityReport>,
+    /// The report so far; its `end_time` is the instant last advanced to.
+    report: SimReport,
+    /// Numerator of the survivability section's `mean_recovery_ticks`.
     recovery_ticks_total: u64,
 }
 
@@ -541,23 +394,7 @@ impl MetricsCollector {
             sample_interval: sample_interval.max(1),
             track_fragmentation: false,
             next_sample: Some(0),
-            last_time: 0,
-            arrivals: 0,
-            admitted: 0,
-            blocked: 0,
-            departures: 0,
-            mode_switch_attempts: 0,
-            mode_switch_admitted: 0,
-            mode_switch_blocked: 0,
-            rejection_histogram: BTreeMap::new(),
-            admitted_by_app: BTreeMap::new(),
-            evaluated_assignments: 0,
-            refinement_attempts: 0,
-            peak_running: 0,
-            energy_pj_ticks: 0,
-            samples: Vec::new(),
-            reconfiguration: None,
-            survivability: None,
+            report: SimReport::default(),
             recovery_ticks_total: 0,
         }
     }
@@ -576,7 +413,7 @@ impl MetricsCollector {
     /// [`ReconfigurationReport`].
     #[must_use]
     pub fn with_reconfiguration_counters(mut self, policy: String, lambda_permille: u64) -> Self {
-        self.reconfiguration = Some(ReconfigurationReport {
+        self.report.reconfiguration = Some(ReconfigurationReport {
             policy,
             lambda_permille,
             ..ReconfigurationReport::default()
@@ -589,7 +426,7 @@ impl MetricsCollector {
     /// carries a [`SurvivabilityReport`].
     #[must_use]
     pub fn with_survivability_counters(mut self, mttf: u64, mttr: u64) -> Self {
-        self.survivability = Some(SurvivabilityReport {
+        self.report.survivability = Some(SurvivabilityReport {
             mttf,
             mttr,
             ..SurvivabilityReport::default()
@@ -614,12 +451,12 @@ impl MetricsCollector {
         running_energy_pj: u64,
         utilization: impl FnOnce() -> Utilization,
     ) {
-        debug_assert!(now >= self.last_time, "virtual time is monotone");
+        debug_assert!(now >= self.report.end_time, "virtual time is monotone");
         let due = |next: Option<SimTime>| next.filter(|&at| at <= now);
         if due(self.next_sample).is_some() {
             let util = utilization();
             while let Some(at) = due(self.next_sample) {
-                self.samples.push(UtilizationSample::capture(
+                self.report.samples.push(UtilizationSample::capture(
                     at,
                     &util,
                     running_energy_pj,
@@ -628,67 +465,69 @@ impl MetricsCollector {
                 self.next_sample = at.checked_add(self.sample_interval);
             }
         }
-        let dt = now - self.last_time;
-        self.energy_pj_ticks = self
+        let dt = now - self.report.end_time;
+        self.report.energy_pj_ticks = self
+            .report
             .energy_pj_ticks
             .saturating_add(running_energy_pj.saturating_mul(dt));
-        self.last_time = now;
+        self.report.end_time = now;
     }
 
     /// Records a processed arrival event.
     pub fn record_arrival(&mut self) {
-        self.arrivals += 1;
+        self.report.arrivals += 1;
     }
 
     /// Shared admission bookkeeping: per-application count and search
     /// effort.
     fn note_admitted(&mut self, app_name: &str, evaluated: u64, attempts: u64) {
         *self
+            .report
             .admitted_by_app
             .entry(app_name.to_string())
             .or_insert(0) += 1;
-        self.evaluated_assignments += evaluated;
-        self.refinement_attempts += attempts;
+        self.report.evaluated_assignments += evaluated;
+        self.report.refinement_attempts += attempts;
     }
 
     /// Shared rejection bookkeeping: reason histogram and search effort.
     fn note_rejected(&mut self, kind: AdmissionErrorKind, attempts: u64) {
-        *self.rejection_histogram.entry(kind).or_insert(0) += 1;
-        self.refinement_attempts += attempts;
+        *self.report.rejection_histogram.entry(kind).or_insert(0) += 1;
+        self.report.refinement_attempts += attempts;
     }
 
     /// Records a successful admission: which catalog entry got in and the
     /// search effort its mapping took.
     pub fn record_admission(&mut self, app_name: &str, evaluated: u64, attempts: u64) {
-        self.admitted += 1;
+        self.report.admitted += 1;
         self.note_admitted(app_name, evaluated, attempts);
     }
 
     /// Records a blocked arrival and why it was rejected.
     pub fn record_blocked(&mut self, kind: AdmissionErrorKind, attempts: u64) {
-        self.blocked += 1;
+        self.report.blocked += 1;
         self.note_rejected(kind, attempts);
     }
 
     /// Records a departure that released a running instance.
     pub fn record_departure(&mut self) {
-        self.departures += 1;
+        self.report.departures += 1;
     }
 
     /// Records a mode-switch attempt by a running instance.
     pub fn record_mode_switch_attempt(&mut self) {
-        self.mode_switch_attempts += 1;
+        self.report.mode_switch_attempts += 1;
     }
 
     /// Records a mode switch whose new configuration was admitted.
     pub fn record_mode_switch_admitted(&mut self, app_name: &str, evaluated: u64, attempts: u64) {
-        self.mode_switch_admitted += 1;
+        self.report.mode_switch_admitted += 1;
         self.note_admitted(app_name, evaluated, attempts);
     }
 
     /// Records a blocked mode switch and why it was rejected.
     pub fn record_mode_switch_blocked(&mut self, kind: AdmissionErrorKind, attempts: u64) {
-        self.mode_switch_blocked += 1;
+        self.report.mode_switch_blocked += 1;
         self.note_rejected(kind, attempts);
     }
 
@@ -698,14 +537,15 @@ impl MetricsCollector {
     /// spent), while the blocked/recovered decision and the rejection
     /// histogram wait for the retry's outcome.
     pub fn record_retry_scheduled(&mut self, attempts: u64) {
-        self.refinement_attempts += attempts;
+        self.report.refinement_attempts += attempts;
     }
 
     /// The reconfiguration counters, for in-flight updates. Panics when
     /// the collector was built without
     /// [`with_reconfiguration_counters`](MetricsCollector::with_reconfiguration_counters).
     fn reconfig(&mut self) -> &mut ReconfigurationReport {
-        self.reconfiguration
+        self.report
+            .reconfiguration
             .as_mut()
             .expect("reconfiguration counters were enabled")
     }
@@ -769,7 +609,8 @@ impl MetricsCollector {
     /// collector was built without
     /// [`with_survivability_counters`](MetricsCollector::with_survivability_counters).
     fn surv(&mut self) -> &mut SurvivabilityReport {
-        self.survivability
+        self.report
+            .survivability
             .as_mut()
             .expect("survivability counters were enabled")
     }
@@ -834,10 +675,11 @@ impl MetricsCollector {
 
     /// Notes the current number of running applications (peak tracking).
     pub fn note_running(&mut self, running: usize) {
-        self.peak_running = self.peak_running.max(running as u64);
+        self.report.peak_running = self.report.peak_running.max(running as u64);
     }
 
-    /// Seals the collector into a [`SimReport`].
+    /// Seals the collector into its [`SimReport`]: names the run and fills
+    /// in the figures derived from the totals.
     pub fn finish(
         self,
         algorithm: &str,
@@ -845,42 +687,21 @@ impl MetricsCollector {
         final_running: u64,
         ledger_idle_at_end: bool,
     ) -> SimReport {
-        let attempts_total = self.arrivals + self.mode_switch_attempts;
-        let blocked_total = self.blocked + self.mode_switch_blocked;
-        let mut survivability = self.survivability;
-        if let Some(s) = &mut survivability {
+        let mut report = self.report;
+        report.algorithm = algorithm.to_string();
+        report.seed = seed;
+        report.final_running = final_running;
+        report.ledger_idle_at_end = ledger_idle_at_end;
+        let attempts = report.arrivals + report.mode_switch_attempts;
+        let blocked = report.blocked + report.mode_switch_blocked;
+        report.blocking_permille = (blocked * 1000).checked_div(attempts).unwrap_or(0);
+        if let Some(s) = &mut report.survivability {
             s.mean_recovery_ticks = self
                 .recovery_ticks_total
                 .checked_div(s.repairs)
                 .unwrap_or(0);
         }
-        SimReport {
-            algorithm: algorithm.to_string(),
-            seed,
-            end_time: self.last_time,
-            arrivals: self.arrivals,
-            admitted: self.admitted,
-            blocked: self.blocked,
-            departures: self.departures,
-            mode_switch_attempts: self.mode_switch_attempts,
-            mode_switch_admitted: self.mode_switch_admitted,
-            mode_switch_blocked: self.mode_switch_blocked,
-            blocking_permille: (blocked_total * 1000)
-                .checked_div(attempts_total)
-                .unwrap_or(0),
-            rejection_histogram: self.rejection_histogram,
-            admitted_by_app: self.admitted_by_app,
-            evaluated_assignments: self.evaluated_assignments,
-            refinement_attempts: self.refinement_attempts,
-            peak_running: self.peak_running,
-            energy_pj_ticks: self.energy_pj_ticks,
-            samples: self.samples,
-            final_running,
-            ledger_idle_at_end,
-            reconfiguration: self.reconfiguration,
-            survivability,
-            templates: None,
-        }
+        report
     }
 }
 

@@ -303,6 +303,8 @@ pub fn run_sim<A: MappingAlgorithm>(
         }
         end_time = now;
         metrics.advance_with(now, manager.running_energy_pj(), || manager.utilization());
+        // Set by the two events that can get an instance in.
+        let mut admitted: Option<(InstanceId, AppHandle)> = None;
         match event {
             SimEvent::Arrival {
                 instance,
@@ -325,19 +327,7 @@ pub fn run_sim<A: MappingAlgorithm>(
                         attempts,
                     } => {
                         metrics.record_admission(&entry.name, evaluated, attempts);
-                        metrics.note_running(manager.n_running());
-                        handles.insert(instance, handle);
-                        let holding = config.holding.draw(&mut rng);
-                        queue.push(
-                            now.saturating_add(holding),
-                            SimEvent::Departure { instance },
-                        );
-                        // A switch, if any, lands strictly before the
-                        // departure, so the ordering never races.
-                        if holding >= 2 && rng.random_bool(config.mode_switch_probability) {
-                            let at = now.saturating_add(rng.random_range(1..holding));
-                            queue.push(at, SimEvent::ModeSwitch { instance });
-                        }
+                        admitted = Some((instance, handle));
                     }
                     Admission::Blocked { kind, attempts } => {
                         if config.reconfiguration.is_some() {
@@ -389,17 +379,7 @@ pub fn run_sim<A: MappingAlgorithm>(
                             reconfiguration.migration_energy_pj,
                             reconfiguration.plans_refused,
                         );
-                        metrics.note_running(manager.n_running());
-                        handles.insert(instance, reconfiguration.handle);
-                        let holding = config.holding.draw(&mut rng);
-                        queue.push(
-                            now.saturating_add(holding),
-                            SimEvent::Departure { instance },
-                        );
-                        if holding >= 2 && rng.random_bool(config.mode_switch_probability) {
-                            let at = now.saturating_add(rng.random_range(1..holding));
-                            queue.push(at, SimEvent::ModeSwitch { instance });
-                        }
+                        admitted = Some((instance, reconfiguration.handle));
                     }
                     Err(failure) => {
                         if let AdmissionError::CommitFailed(_) = &failure.error {
@@ -547,6 +527,21 @@ pub fn run_sim<A: MappingAlgorithm>(
                 if let Some(injected_at) = failed_at.remove(&failure) {
                     metrics.record_repair(now - injected_at);
                 }
+            }
+        }
+        if let Some((instance, handle)) = admitted {
+            metrics.note_running(manager.n_running());
+            handles.insert(instance, handle);
+            let holding = config.holding.draw(&mut rng);
+            queue.push(
+                now.saturating_add(holding),
+                SimEvent::Departure { instance },
+            );
+            // A switch, if any, lands strictly before the departure, so the
+            // ordering never races.
+            if holding >= 2 && rng.random_bool(config.mode_switch_probability) {
+                let at = now.saturating_add(rng.random_range(1..holding));
+                queue.push(at, SimEvent::ModeSwitch { instance });
             }
         }
     }

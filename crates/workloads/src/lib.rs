@@ -11,9 +11,6 @@
 //! * [`apps`] — constructed realistic DSP applications (802.11a
 //!   transmitter, DVB-T receiver, MP3 decoder, JPEG encoder) in the same
 //!   ALS format as the paper's HIPERLAN/2 receiver;
-//! * [`scenario`] — multi-application run-time scenarios: applications
-//!   arrive and depart on a shared platform, exercising the occupancy
-//!   ledger that motivates run-time mapping (§1.3);
 //! * [`defrag`] — the engineered fragmentation workload whose churn
 //!   provably strands free capacity, used to measure
 //!   defragmentation-by-migration.
@@ -24,10 +21,8 @@
 pub mod apps;
 pub mod defrag;
 pub mod platforms;
-pub mod scenario;
 pub mod synthetic;
 
 pub use defrag::{defrag_heavy, defrag_light, defrag_platform};
 pub use platforms::mesh_platform;
-pub use scenario::{run_scenario, AppEvent, AppId, ScenarioOutcome, ScenarioSummary};
 pub use synthetic::{synthetic_app, GraphShape, SyntheticConfig};

@@ -1,11 +1,7 @@
 //! Run-time mapping in action: applications arrive and depart on a shared
 //! MPSoC, and each start request is mapped against the *actual* occupancy —
-//! the paper's §1.3 motivation.
-//!
-//! Shows both layers of the lifecycle API: the scripted
-//! [`run_scenario`](rtsm::workloads::run_scenario) replay and the
-//! interactive, handle-based [`RuntimeManager`](rtsm::core::RuntimeManager)
-//! underneath it.
+//! the paper's §1.3 motivation — through the handle-based
+//! [`RuntimeManager`](rtsm::core::RuntimeManager) lifecycle.
 //!
 //! ```sh
 //! cargo run --example runtime_scenario
@@ -15,66 +11,11 @@ use rtsm::app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm::core::{RuntimeManager, SpatialMapper};
 use rtsm::platform::TileKind;
 use rtsm::workloads::apps::{jpeg_encoder, wlan_tx};
-use rtsm::workloads::{mesh_platform, run_scenario, AppEvent};
+use rtsm::workloads::mesh_platform;
 
 fn main() {
-    // A 4×4 MPSoC with four MONTIUMs, four ARMs and two DSPs.
+    // A roomy 5×5 MPSoC so the transmitter and the encoder run together.
     let platform = mesh_platform(
-        2026,
-        4,
-        4,
-        &[
-            (TileKind::Montium, 4),
-            (TileKind::Arm, 4),
-            (TileKind::Dsp, 2),
-        ],
-    );
-
-    // --- Scripted replay -------------------------------------------------
-    // Stop events name applications by the ordinal of their Start event
-    // (stable under churn), not by a shifting positional index.
-    let events = vec![
-        AppEvent::start(wlan_tx()),                                 // id 0
-        AppEvent::start(jpeg_encoder()),                            // id 1
-        AppEvent::start(hiperlan2_receiver(Hiperlan2Mode::Qpsk34)), // id 2
-        // The JPEG encoder finishes; its tiles free up.
-        AppEvent::stop(1),
-        // A second WLAN transmitter arrives.
-        AppEvent::start(wlan_tx()), // id 3
-    ];
-
-    let outcome = run_scenario(&platform, events, SpatialMapper::default())
-        .expect("the replay never breaks its own ledger");
-
-    println!(
-        "admitted {} applications, rejected {}",
-        outcome.admitted, outcome.rejected
-    );
-    println!(
-        "applications running at the end ({} total, {:.1} nJ/period):",
-        outcome.running.len(),
-        outcome.running_energy_pj as f64 / 1000.0
-    );
-    for (spec, result) in &outcome.running {
-        println!(
-            "  {:<36} energy {:>8.1} nJ/period, {} hops, mapped in attempt {}",
-            spec.name,
-            result.energy_pj as f64 / 1000.0,
-            result.communication_hops,
-            result.attempts
-        );
-        for (pid, a) in result.mapping.assignments() {
-            println!(
-                "      {:<24} on {}",
-                spec.graph.process(pid).name,
-                platform.tile(a.tile).name
-            );
-        }
-    }
-
-    // --- The same lifecycle, driven interactively ------------------------
-    // A roomier 5×5 mesh so the transmitter and the encoder run together.
-    let big = mesh_platform(
         7,
         5,
         5,
@@ -84,16 +25,46 @@ fn main() {
             (TileKind::Dsp, 4),
         ],
     );
-    let mut manager = RuntimeManager::new(big, SpatialMapper::default());
+    let mut manager = RuntimeManager::new(platform, SpatialMapper::default());
     let wlan = manager.start(wlan_tx()).expect("empty platform admits");
     let jpeg = manager.start(jpeg_encoder()).expect("still fits");
+    // A start is mapped against what is running *now*; a rejection is an
+    // answer, not a failure.
+    let receiver = manager.start(hiperlan2_receiver(Hiperlan2Mode::Qpsk34));
+    match &receiver {
+        Ok(_) => println!("the HIPERLAN/2 receiver fits beside both"),
+        Err(rejection) => println!("the HIPERLAN/2 receiver is rejected: {rejection}"),
+    }
+
     println!(
-        "\nmanager: {} running, utilization {}/{} slots",
+        "manager: {} running ({:.1} nJ/period), utilization {}/{} slots",
         manager.n_running(),
+        manager.running_energy_pj() as f64 / 1000.0,
         manager.utilization().used_slots,
         manager.utilization().total_slots
     );
+    for (_, app) in manager.running() {
+        println!(
+            "  {:<36} energy {:>8.1} nJ/period, {} hops, mapped in attempt {}",
+            app.spec.name,
+            app.outcome.energy_pj as f64 / 1000.0,
+            app.outcome.communication_hops,
+            app.outcome.attempts
+        );
+        for (pid, a) in app.outcome.mapping.assignments() {
+            println!(
+                "      {:<24} on {}",
+                app.spec.graph.process(pid).name,
+                manager.platform().tile(a.tile).name
+            );
+        }
+    }
+
+    // The JPEG encoder finishes; its tiles free up.
     manager.stop(jpeg).expect("running app stops");
+    if let Ok(handle) = receiver {
+        manager.stop(handle).expect("running app stops");
+    }
     // `wlan` stays valid no matter what stopped around it.
     let record = manager.stop(wlan).expect("handle survives churn");
     println!(

@@ -21,7 +21,7 @@
 //! * [`baselines`] — optimal (branch & bound), simulated-annealing,
 //!   random, and greedy comparators behind the same trait;
 //! * [`workloads`] — synthetic generators, constructed realistic DSP
-//!   applications, and scripted multi-application run-time scenarios;
+//!   applications, and the engineered defragmentation workload;
 //! * [`sim`] — a seeded discrete-event simulator driving the
 //!   [`RuntimeManager`](core::RuntimeManager) with stochastic workloads
 //!   (Poisson arrivals, exponential holding times, mode switches) and
@@ -71,8 +71,7 @@
 //!
 //! Every mapper implements [`MappingAlgorithm`](core::MappingAlgorithm)
 //! and returns the same [`MappingOutcome`](core::MappingOutcome), so the
-//! manager (and the scenario replay in [`workloads`]) is generic over the
-//! algorithm:
+//! manager (and the simulator in [`sim`]) is generic over the algorithm:
 //!
 //! ```
 //! use rtsm::baselines::AnnealingMapper;
@@ -99,3 +98,7 @@ pub use rtsm_obs as obs;
 pub use rtsm_platform as platform;
 pub use rtsm_sim as sim;
 pub use rtsm_workloads as workloads;
+
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -1,15 +1,16 @@
-//! Multi-application run-time scenarios across the whole stack.
+//! Multi-application run-time scenarios across the whole stack: several
+//! applications started and stopped on one `RuntimeManager`.
 
 use rtsm::app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
-use rtsm::core::SpatialMapper;
-use rtsm::platform::TileKind;
+use rtsm::core::{RuntimeManager, SpatialMapper};
+use rtsm::platform::{Platform, TileKind};
 use rtsm::workloads::apps::{dvbt_rx, jpeg_encoder, mp3_decoder, wlan_tx};
-use rtsm::workloads::{mesh_platform, run_scenario, AppEvent};
+use rtsm::workloads::mesh_platform;
 
-#[test]
-fn mixed_workload_scenario_admits_and_releases() {
-    let platform = mesh_platform(
-        7,
+/// The roomy 5×5 mesh the constructed applications share.
+fn big_mesh(seed: u64) -> Platform {
+    mesh_platform(
+        seed,
         5,
         5,
         &[
@@ -17,45 +18,36 @@ fn mixed_workload_scenario_admits_and_releases() {
             (TileKind::Arm, 8),
             (TileKind::Dsp, 4),
         ],
-    );
-    let outcome = run_scenario(
-        &platform,
-        vec![
-            AppEvent::start(wlan_tx()),
-            AppEvent::start(jpeg_encoder()),
-            AppEvent::start(mp3_decoder()),
-            AppEvent::stop(0),
-            AppEvent::start(dvbt_rx()),
-        ],
-        SpatialMapper::default(),
     )
-    .expect("replay never breaks its own ledger");
-    assert!(outcome.admitted >= 3, "admitted {}", outcome.admitted);
+}
+
+#[test]
+fn mixed_workload_scenario_admits_and_releases() {
+    let mut manager = RuntimeManager::new(big_mesh(7), SpatialMapper::default());
+    let wlan = manager.start(wlan_tx());
+    let mut admitted = usize::from(wlan.is_ok());
+    admitted += usize::from(manager.start(jpeg_encoder()).is_ok());
+    admitted += usize::from(manager.start(mp3_decoder()).is_ok());
+    if let Ok(handle) = wlan {
+        manager.stop(handle).expect("a running application stops");
+    }
+    admitted += usize::from(manager.start(dvbt_rx()).is_ok());
+    assert!(admitted >= 3, "admitted {admitted}");
     // Whatever is still running is consistently accounted.
-    let sum: u64 = outcome.running.iter().map(|(_, r)| r.energy_pj).sum();
-    assert_eq!(sum, outcome.running_energy_pj);
+    let sum: u64 = manager
+        .running()
+        .map(|(_, app)| app.outcome.energy_pj)
+        .sum();
+    assert_eq!(sum, manager.running_energy_pj());
 }
 
 #[test]
 fn all_four_constructed_apps_map_alone() {
-    let platform = mesh_platform(
-        13,
-        5,
-        5,
-        &[
-            (TileKind::Montium, 6),
-            (TileKind::Arm, 8),
-            (TileKind::Dsp, 4),
-        ],
-    );
+    let platform = big_mesh(13);
     for app in [wlan_tx(), dvbt_rx(), mp3_decoder(), jpeg_encoder()] {
-        let outcome = run_scenario(
-            &platform,
-            vec![AppEvent::start(app.clone())],
-            SpatialMapper::default(),
-        )
-        .expect("replay never breaks its own ledger");
-        assert_eq!(outcome.admitted, 1, "{} failed to map", app.name);
+        let name = app.name.clone();
+        let mut manager = RuntimeManager::new(platform.clone(), SpatialMapper::default());
+        assert!(manager.start(app).is_ok(), "{name} failed to map");
     }
 }
 
@@ -64,46 +56,29 @@ fn saturating_the_platform_rejects_gracefully() {
     // A tiny platform: repeated starts must eventually reject without
     // panicking, and stops recover admission capacity.
     let platform = mesh_platform(3, 3, 3, &[(TileKind::Montium, 3), (TileKind::Arm, 2)]);
-    let spec = || AppEvent::start(hiperlan2_receiver(Hiperlan2Mode::Qpsk34));
-    let outcome = run_scenario(
-        &platform,
-        vec![spec(), spec(), spec(), AppEvent::stop(0), spec()],
-        SpatialMapper::default(),
-    )
-    .expect("replay never breaks its own ledger");
+    let mut manager = RuntimeManager::new(platform, SpatialMapper::default());
+    let receiver = || hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
+    let mut starts = vec![
+        manager.start(receiver()),
+        manager.start(receiver()),
+        manager.start(receiver()),
+    ];
+    if let Ok(handle) = starts[0] {
+        manager.stop(handle).expect("a running application stops");
+    }
+    starts.push(manager.start(receiver()));
     // At most one receiver fits at a time (two MONTIUM processes needed,
     // three MONTIUMs present but ARMs limit the rest).
-    assert!(outcome.admitted >= 1);
-    assert!(outcome.rejected >= 1);
+    assert!(starts.iter().any(Result::is_ok));
+    assert!(starts.iter().any(Result::is_err));
 }
 
 #[test]
 fn scenario_energy_decreases_when_apps_stop() {
-    let platform = mesh_platform(
-        21,
-        5,
-        5,
-        &[
-            (TileKind::Montium, 6),
-            (TileKind::Arm, 8),
-            (TileKind::Dsp, 4),
-        ],
-    );
-    let both = run_scenario(
-        &platform,
-        vec![AppEvent::start(wlan_tx()), AppEvent::start(jpeg_encoder())],
-        SpatialMapper::default(),
-    )
-    .expect("replay never breaks its own ledger");
-    let after_stop = run_scenario(
-        &platform,
-        vec![
-            AppEvent::start(wlan_tx()),
-            AppEvent::start(jpeg_encoder()),
-            AppEvent::stop(1),
-        ],
-        SpatialMapper::default(),
-    )
-    .expect("replay never breaks its own ledger");
-    assert!(after_stop.running_energy_pj < both.running_energy_pj);
+    let mut manager = RuntimeManager::new(big_mesh(21), SpatialMapper::default());
+    manager.start(wlan_tx()).expect("an empty mesh admits");
+    let jpeg = manager.start(jpeg_encoder()).expect("both fit");
+    let both = manager.running_energy_pj();
+    manager.stop(jpeg).expect("a running application stops");
+    assert!(manager.running_energy_pj() < both);
 }

@@ -9,9 +9,6 @@
 //!   whole-trajectory blocking comparisons diverge as soon as one
 //!   admission differs, so the gate holds where the comparison is
 //!   actually like for like.
-//! * **racing determinism**: the fixed-seed portfolio `SimReport` is
-//!   byte-identical whether members race on 1 worker or several — the
-//!   worker count may only change wall-clock, never a report byte.
 //! * **template-library composition**: `TemplatedMapper<PortfolioMapper>`
 //!   seeds, hits, and keeps the portfolio's display name.
 
@@ -100,34 +97,6 @@ proptest! {
             seed
         );
     }
-}
-
-/// The worker count of the racing pool is pure wall-clock: the same
-/// fixed-seed simulation serializes byte-identically at 1, 3, and 8
-/// workers.
-#[test]
-fn fixed_seed_portfolio_reports_are_byte_identical_across_racing_workers() {
-    let reports: Vec<String> = [1usize, 3, 8]
-        .iter()
-        .map(|&workers| {
-            let resolved = resolve_catalog("mixed", 42).expect("registered catalog");
-            let config = SimConfig {
-                seed: 2008,
-                arrivals: 100,
-                ..SimConfig::default()
-            };
-            let run = run_sim(
-                &resolved.platform,
-                PortfolioMapper::with_workers(workers),
-                &resolved.catalog,
-                &config,
-            )
-            .expect("the simulation never breaks its own ledger");
-            serde_json::to_string(&run.report).expect("reports serialize")
-        })
-        .collect();
-    assert_eq!(reports[0], reports[1], "1 vs 3 workers");
-    assert_eq!(reports[0], reports[2], "1 vs 8 workers");
 }
 
 /// The portfolio composes with the design-time template library: the
