@@ -173,6 +173,19 @@ fn buffer_claim(buffer: &ChannelBuffer) -> TileClaim {
 /// [`RuntimeManager::start`](crate::RuntimeManager::start) which does both
 /// atomically).
 ///
+/// A refusal must be a function of the call's arguments and of state the
+/// algorithm changes only inside its own calls: asked the same question
+/// again with no call in between, it refuses again, with an equal error.
+/// The [`RuntimeManager`](crate::RuntimeManager) relies on it to hand the
+/// refusal of a `start` on to the `start_with_reconfiguration` that
+/// follows it, and — with the fact that a committable mapping claims one
+/// slot per process where its reservation fits — to leave an algorithm
+/// unasked about a plan placement that
+/// [cannot fit](crate::runtime::Demand::cannot_fit). Every algorithm of the
+/// workspace qualifies, [`TemplatedMapper`](crate::TemplatedMapper)
+/// included: a refused call touches nothing of its library but the miss
+/// counter.
+///
 /// The required method is the constraint-aware
 /// [`map_constrained`](MappingAlgorithm::map_constrained); the familiar
 /// [`map`](MappingAlgorithm::map) is a provided wrapper passing

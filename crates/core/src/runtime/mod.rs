@@ -14,6 +14,17 @@
 //! tokens that stay valid however many other applications start or stop in
 //! between (unlike positional indices, which shift).
 //!
+//! A blocked arrival is refused once: a manager that serves retries keeps
+//! the refusal [`start`](RuntimeManager::start) returned until its next
+//! `&mut self` call, and
+//! [`start_with_reconfiguration`](RuntimeManager::start_with_reconfiguration)
+//! for the same `Arc`ed specification takes it over instead of asking the
+//! algorithm again. The plans it then evaluates, and the attempts of
+//! [`evacuate`](RuntimeManager::evacuate), map only what can fit: a sound
+//! certificate ([`Demand::cannot_fit`]) turns a placement away before the
+//! algorithm runs when the application's processes cannot be assigned to
+//! distinct free compute slots.
+//!
 //! # Example
 //!
 //! ```
@@ -35,6 +46,7 @@
 //! ```
 
 mod error;
+mod fit;
 mod plan;
 mod policy;
 
@@ -42,18 +54,21 @@ pub use error::{
     AdmissionError, AdmissionErrorKind, ReconfigurationFailure, RuntimeError, RuntimeErrorKind,
     StopAllError,
 };
+pub use fit::Demand;
 pub use policy::{
     AdmissionPolicy, EvacuationPolicy, ReconfigurationObjective, ReconfigurationPolicy,
 };
 
 use crate::algorithm::{MappingAlgorithm, MappingOutcome};
 use crate::constraints::MappingConstraints;
+use crate::error::MapError;
 use crate::mapping::RouteBinding;
 use plan::{Placement, Plan, StageError};
 use rtsm_app::ApplicationSpec;
 use rtsm_obs as obs;
 use rtsm_platform::{LinkId, Platform, PlatformState, PlatformTransaction, TileId};
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -283,19 +298,23 @@ pub struct RuntimeManager<A: MappingAlgorithm> {
     state: PlatformState,
     running: BTreeMap<AppHandle, RunningApp>,
     next_handle: u64,
+    /// The refusal the last call returned, if that call was a
+    /// [`start`](RuntimeManager::start): every `&mut self` entry point
+    /// clears or overwrites it, so it only ever describes *this* ledger.
+    /// The `Arc` keeps the refused specification from being mutated
+    /// (`Arc::get_mut` fails while it is held).
+    last_refusal: Option<(Arc<ApplicationSpec>, AdmissionError)>,
+    /// Whether `start` keeps its refusals: set by the first
+    /// [`start_with_reconfiguration`](RuntimeManager::start_with_reconfiguration),
+    /// so a manager never asked to retry copies no error.
+    serves_retries: bool,
 }
 
 impl<A: MappingAlgorithm> RuntimeManager<A> {
     /// A manager over an empty `platform` using `algorithm` for admission.
     pub fn new(platform: Platform, algorithm: A) -> Self {
         let state = platform.initial_state();
-        RuntimeManager {
-            platform,
-            algorithm,
-            state,
-            running: BTreeMap::new(),
-            next_handle: 0,
-        }
+        RuntimeManager::with_state(platform, algorithm, state)
     }
 
     /// A manager starting from a pre-occupied ledger (e.g. resources held
@@ -307,6 +326,8 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             state,
             running: BTreeMap::new(),
             next_handle: 0,
+            last_refusal: None,
+            serves_retries: false,
         }
     }
 
@@ -347,10 +368,18 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         spec: impl Into<Arc<ApplicationSpec>>,
     ) -> Result<AppHandle, AdmissionError> {
         let _span = obs::span(obs::Span::Admission);
+        let spec = spec.into();
         let unconstrained = MappingConstraints::none();
-        self.place(Placement::new(None, spec.into(), &unconstrained))
-            .map(|(handle, _)| handle)
-            .map_err(|e| e.admission().expect("an arrival releases nothing"))
+        match self.place(Placement::new(None, &spec, &unconstrained)) {
+            Ok((handle, _)) => Ok(handle),
+            Err(e) => {
+                let error = e.admission().expect("an arrival releases nothing");
+                if self.serves_retries {
+                    self.last_refusal = Some((spec, error.clone()));
+                }
+                Err(error)
+            }
+        }
     }
 
     /// Stops the application behind `handle`, releasing every resource its
@@ -364,6 +393,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
     ///   back and the application stays registered, so the ledger is
     ///   exactly as before the call.
     pub fn stop(&mut self, handle: AppHandle) -> Result<RunningApp, RuntimeError> {
+        self.last_refusal = None;
         let app = self
             .running
             .get(&handle)
@@ -400,13 +430,14 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         constraints: &MappingConstraints,
     ) -> Result<MappingOutcome, RuntimeError> {
         let _span = obs::span(obs::Span::Remap);
+        self.last_refusal = None;
         let spec = self
             .running
             .get(&handle)
             .ok_or(RuntimeError::UnknownHandle(handle))?
             .spec
             .clone();
-        let (_, previous) = self.place(Placement::new(Some(handle), spec, constraints))?;
+        let (_, previous) = self.place(Placement::new(Some(handle), &spec, constraints))?;
         Ok(previous.expect("a re-placement replaces an outcome"))
     }
 
@@ -417,6 +448,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         &mut self,
         placement: Placement<'_>,
     ) -> Result<(AppHandle, Option<MappingOutcome>), StageError> {
+        self.last_refusal = None;
         let mut plan = Plan::of(placement);
         let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
         plan.stage(&self.algorithm, &self.running, &mut tx)?;
@@ -441,6 +473,12 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
     /// commit time — the staged outcomes are replayed verbatim — so even
     /// randomized algorithms commit exactly the plan that was scored.
     ///
+    /// "Plain admission" is not computed twice: called right after a
+    /// [`start`](RuntimeManager::start) of the same `Arc` was refused — no
+    /// other `&mut self` call in between — this takes that refusal over;
+    /// otherwise it calls `start` itself. The two are indistinguishable to
+    /// the caller (see [`MappingAlgorithm`] for the one assumption).
+    ///
     /// # Errors
     ///
     /// [`ReconfigurationFailure`] when no plan within the policy's bounds
@@ -453,23 +491,37 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         policy: &ReconfigurationPolicy,
     ) -> Result<Reconfiguration, ReconfigurationFailure> {
         let spec: Arc<ApplicationSpec> = spec.into();
-        let error = match self.start(spec.clone()) {
-            Ok(handle) => {
-                let steady_state_energy_pj = self.running_energy_pj();
-                return Ok(Reconfiguration {
-                    handle,
-                    migrations: Vec::new(),
-                    migration_energy_pj: 0,
-                    steady_state_energy_pj,
-                    objective: policy.objective.score(steady_state_energy_pj, 0),
-                    plan_objectives: Vec::new(),
-                    plans_tried: 0,
-                    migrations_attempted: 0,
-                    plans_refused: 0,
-                });
+        // The caller's `start(spec)` has just been refused on this very
+        // ledger: that refusal is this call's, the algorithm is not asked
+        // again. Anything else starts as a caller without a retry would.
+        let replayed = (self.last_refusal.take())
+            .and_then(|(refused, error)| Arc::ptr_eq(&refused, &spec).then_some(error));
+        self.serves_retries = true;
+        let error = match replayed {
+            Some(error) => {
+                obs::count(obs::Counter::RefusalReplayed, 1);
+                error
             }
-            Err(error) => error,
+            None => match self.start(spec.clone()) {
+                Ok(handle) => {
+                    let steady_state_energy_pj = self.running_energy_pj();
+                    return Ok(Reconfiguration {
+                        handle,
+                        migrations: Vec::new(),
+                        migration_energy_pj: 0,
+                        steady_state_energy_pj,
+                        objective: policy.objective.score(steady_state_energy_pj, 0),
+                        plan_objectives: Vec::new(),
+                        plans_tried: 0,
+                        migrations_attempted: 0,
+                        plans_refused: 0,
+                    });
+                }
+                Err(error) => error,
+            },
         };
+        // A refusal computed just now left a copy of itself behind.
+        self.last_refusal = None;
         let mut plans_tried = 0u64;
         let mut migrations_attempted = 0u64;
         let mut plans_refused = 0u64;
@@ -482,46 +534,73 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             });
         }
 
+        // What a plan can place: the arrival's specification, then every
+        // distinct one running (instances of one catalog entry share their
+        // `Arc`), each with its demand — worked out when the first plan gets
+        // as far as placing it, once for the whole call.
+        let mut specs = Vec::with_capacity(1 + self.running.len());
+        specs.push((spec, OnceCell::new()));
         // Candidate victims, cheapest move first; ties break on handle so
         // the search order — and therefore every fixed-seed simulation —
         // is deterministic.
-        let move_cost = |app: &RunningApp| {
-            policy
-                .cost_model
-                .assignment_cost(&app.outcome.mapping, &app.spec, &self.platform)
-        };
-        let mut candidates: Vec<(u64, AppHandle)> =
-            (self.running.iter().map(|(h, app)| (move_cost(app), *h))).collect();
+        let mut candidates: Vec<(u64, AppHandle, usize)> = (self.running.iter())
+            .map(|(handle, app)| {
+                let move_cost = (policy.cost_model).assignment_cost(
+                    &app.outcome.mapping,
+                    &app.spec,
+                    &self.platform,
+                );
+                let known = (specs
+                    .iter()
+                    .position(|(spec, _)| Arc::ptr_eq(spec, &app.spec)))
+                .unwrap_or_else(|| {
+                    specs.push((app.spec.clone(), OnceCell::new()));
+                    specs.len() - 1
+                });
+                (move_cost, *handle, known)
+            })
+            .collect();
         candidates.sort_unstable();
+        // A specification the algorithm called invalid has no demand to
+        // speak of; only the arrival's can be.
+        let arrival_is_valid = !matches!(error, AdmissionError::Rejected(MapError::InvalidSpec(_)));
+        let unconstrained = MappingConstraints::none();
+        let placement = |handle: Option<AppHandle>, known: usize| {
+            let (spec, demand) = &specs[known];
+            let demand = (handle.is_some() || arrival_is_valid)
+                .then(|| demand.get_or_init(|| Demand::of(spec)));
+            Placement {
+                demand,
+                ..Placement::new(handle, spec, &unconstrained)
+            }
+        };
 
         // Plans: single migrations cheapest-first, then pairs, … up to
         // `max_migrations` victims, `max_plans` plans overall: the arrival
         // first, then the victims in enumeration order. Every plan is
         // staged, scored and aborted; ties on the objective keep the
         // earliest plan, so the choice is deterministic.
-        let unconstrained = MappingConstraints::none();
         let mut best: Option<(u64, Plan<'_>)> = None;
-        let mut best_victims = Vec::new();
         let mut plan_objectives = Vec::new();
-        'sizes: for size in 1..=policy.max_migrations.min(candidates.len()) {
-            let mut indices: Vec<usize> = (0..size).collect();
+        let sizes = policy.max_migrations.min(candidates.len());
+        let mut indices: Vec<usize> = Vec::with_capacity(sizes);
+        // The victim list of a plan that was not kept, for the next plan.
+        let mut victims = Vec::with_capacity(sizes);
+        'sizes: for size in 1..=sizes {
+            indices.clear();
+            indices.extend(0..size);
             loop {
                 if plans_tried >= policy.max_plans as u64 {
                     break 'sizes;
                 }
                 plans_tried += 1;
-                let victims: Vec<(u64, AppHandle)> =
-                    indices.iter().map(|&i| candidates[i]).collect();
+                victims.extend(
+                    (indices.iter()).map(|&i| placement(Some(candidates[i].1), candidates[i].2)),
+                );
                 let mut plan = Plan {
-                    rest: victims
-                        .iter()
-                        .map(|(_, victim)| {
-                            let spec = self.running[victim].spec.clone();
-                            Placement::new(Some(*victim), spec, &unconstrained)
-                        })
-                        .collect(),
+                    rest: std::mem::take(&mut victims),
                     pricing: Some(policy.energy),
-                    ..Plan::of(Placement::new(None, spec.clone(), &unconstrained))
+                    ..Plan::of(placement(None, 0))
                 };
                 let staged = {
                     let _span = obs::span(obs::Span::PlanEval);
@@ -531,20 +610,32 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
                     plan.stage(&self.algorithm, &self.running, &mut tx)
                 };
                 migrations_attempted += match staged {
-                    Ok(()) => victims.len(),
+                    Ok(()) => size,
                     // Position 0 is the arrival, so stopping at `at` means
                     // `at` victim re-maps were attempted.
-                    Err(StageError::Rejected(at, _) | StageError::Commit(at, _)) => at,
+                    Err(
+                        StageError::Rejected(at, _)
+                        | StageError::Refused(at)
+                        | StageError::Commit(at, _),
+                    ) => at,
                     Err(StageError::Release(_)) => 0,
                 } as u64;
+                // The objective of a plan that replaces the best so far.
+                let mut improved = None;
                 if staged.is_ok() {
                     let objective = plan.score(&policy.objective);
                     plan_objectives.push(objective);
                     if !plan.admitted_by(&policy.admission) {
                         plans_refused += 1;
                     } else if best.as_ref().is_none_or(|(b, _)| objective < *b) {
-                        best = Some((objective, plan));
-                        best_victims = victims;
+                        improved = Some(objective);
+                    }
+                }
+                match improved {
+                    Some(objective) => best = Some((objective, plan)),
+                    None => {
+                        victims = plan.rest;
+                        victims.clear();
                     }
                 }
                 if !next_combination(&mut indices, candidates.len()) {
@@ -569,14 +660,18 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         tx.commit();
         let (handle, _) = self.adopt(plan.first);
         let mut migrations = Vec::with_capacity(plan.rest.len());
-        for (placement, (move_cost, victim)) in plan.rest.into_iter().zip(best_victims) {
+        for placement in plan.rest {
             // A victim whose re-map landed on exactly its old tiles did not
             // migrate (the arriving app fit into space freed by the others):
             // its outcome is refreshed but no migration is reported.
+            let victim = placement.handle.expect("victims are running");
             if placement.processes_moved > 0 {
                 migrations.push(Migration {
                     handle: victim,
-                    move_cost,
+                    move_cost: (candidates.iter())
+                        .find(|(_, handle, _)| *handle == victim)
+                        .expect("victims are candidates")
+                        .0,
                     processes_moved: placement.processes_moved,
                     energy_pj: placement.transfer_energy_pj,
                 });
@@ -622,12 +717,13 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         spec: impl Into<Arc<ApplicationSpec>>,
     ) -> Result<MappingOutcome, RuntimeError> {
         let _span = obs::span(obs::Span::Switch);
+        self.last_refusal = None;
         if !self.running.contains_key(&handle) {
             return Err(RuntimeError::UnknownHandle(handle));
         }
+        let spec = spec.into();
         let unconstrained = MappingConstraints::none();
-        let (_, previous) =
-            self.place(Placement::new(Some(handle), spec.into(), &unconstrained))?;
+        let (_, previous) = self.place(Placement::new(Some(handle), &spec, &unconstrained))?;
         Ok(previous.expect("a re-placement replaces an outcome"))
     }
 
@@ -664,6 +760,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         policy: &EvacuationPolicy,
     ) -> Result<Evacuation, RuntimeError> {
         let _span = obs::span(obs::Span::Evacuate);
+        self.last_refusal = None;
         match failure {
             FailureEvent::Tile(tile) => self.state.fail_tile(tile),
             FailureEvent::Link(link) => self.state.fail_link(link),
@@ -681,17 +778,23 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             evicted: Vec::new(),
             migration_energy_pj: 0,
         };
+        // The health layer changed just now and not again before the call
+        // returns, so neither do the constraints it implies.
+        let unpinned = self.failure_constraints();
         for handle in victims {
-            let unpinned = self.failure_constraints();
             let pinned = policy
                 .pin_healthy
-                .then(|| self.pin_healthy_constraints(handle));
+                .then(|| self.pin_healthy(unpinned.clone(), handle));
             let spec = self.running[&handle].spec.clone();
+            let demand = Demand::of(&spec);
             let mut relocated = false;
             for constraints in pinned.iter().chain([&unpinned]) {
                 let mut plan = Plan {
                     pricing: Some(policy.energy),
-                    ..Plan::of(Placement::new(Some(handle), spec.clone(), constraints))
+                    ..Plan::of(Placement {
+                        demand: Some(&demand),
+                        ..Placement::new(Some(handle), &spec, constraints)
+                    })
                 };
                 let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
                 // An infeasible or vetoed attempt drops its transaction
@@ -730,6 +833,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
     /// (the call changed state). Repair never re-places applications —
     /// evacuated victims stay where evacuation put them.
     pub fn repair(&mut self, failure: FailureEvent) -> bool {
+        self.last_refusal = None;
         match failure {
             FailureEvent::Tile(tile) => self.state.repair_tile(tile),
             FailureEvent::Link(link) => self.state.repair_link(link),
@@ -788,11 +892,14 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         constraints
     }
 
-    /// [`RuntimeManager::failure_constraints`] plus a pin for every one of
-    /// the victim's processes that currently sits on a healthy tile, so
-    /// the first relocation attempt moves only what the failure displaced.
-    fn pin_healthy_constraints(&self, handle: AppHandle) -> MappingConstraints {
-        let mut constraints = self.failure_constraints();
+    /// `constraints` plus a pin for every one of the victim's processes
+    /// that currently sits on a healthy tile, so the first relocation
+    /// attempt moves only what the failure displaced.
+    fn pin_healthy(
+        &self,
+        mut constraints: MappingConstraints,
+        handle: AppHandle,
+    ) -> MappingConstraints {
         let app = self.running.get(&handle).expect("victim is running");
         for (process, assignment) in app.outcome.mapping.assignments() {
             if !self.state.is_tile_failed(assignment.tile) {
@@ -815,6 +922,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
     /// records are carried in the error; the failing one and all later
     /// ones keep running.
     pub fn stop_all(&mut self) -> Result<Vec<(AppHandle, RunningApp)>, StopAllError> {
+        self.last_refusal = None;
         let handles: Vec<AppHandle> = self.running.keys().copied().collect();
         let mut stopped = Vec::with_capacity(handles.len());
         for handle in handles {
@@ -1633,6 +1741,211 @@ mod tests {
         assert_eq!(evacuation.victims, vec![h]);
         m.repair(FailureEvent::Tile(sink));
         m.stop_all().unwrap();
+    }
+
+    // --- The refusal carried into the retry -------------------------------
+
+    /// A policy that searches nothing: the retry admits exactly when a
+    /// plain `start` would, so it tells a recomputed refusal from a stale
+    /// one.
+    fn no_migrations() -> ReconfigurationPolicy {
+        ReconfigurationPolicy {
+            max_migrations: 0,
+            ..ReconfigurationPolicy::default()
+        }
+    }
+
+    /// `m` after the first retry of its life, from which on it keeps its
+    /// refusals; the ledger is untouched.
+    fn serving_retries(mut m: RuntimeManager<SpatialMapper>) -> RuntimeManager<SpatialMapper> {
+        let ledger = m.state().clone();
+        let unplaceable = pipe_app("unplaceable", 65 * 1024);
+        assert!(m
+            .start_with_reconfiguration(unplaceable, &no_migrations())
+            .is_err());
+        assert_eq!(m.state(), &ledger);
+        assert!(m.last_refusal.is_none());
+        m
+    }
+
+    /// [`pipe_app`] with a second stage like the first behind it.
+    fn two_stage(memory_bytes: u64) -> ApplicationSpec {
+        use rtsm_app::{Endpoint, Implementation, ProcessGraph};
+        let mut spec = pipe_app("two-stage", memory_bytes);
+        let mut graph = ProcessGraph::new();
+        let stages = [graph.add_process("Stage"), graph.add_process("Stage 2")];
+        let ends = [
+            Endpoint::StreamInput,
+            Endpoint::Process(stages[0]),
+            Endpoint::Process(stages[1]),
+            Endpoint::StreamOutput,
+        ];
+        for hop in ends.windows(2) {
+            graph.add_channel(hop[0], hop[1], 16).unwrap();
+        }
+        // The first stage is process 0 of either graph.
+        let second = Implementation {
+            name: "Stage 2 @ ARM".into(),
+            ..spec.library.impls_for(stages[0])[0].clone()
+        };
+        spec.library.register(stages[1], second);
+        spec.graph = graph;
+        spec
+    }
+
+    #[test]
+    fn a_retry_that_takes_over_the_refusal_equals_one_that_recomputes_it() {
+        let fragmented = || fragmented_manager().0;
+        let full = || {
+            let mut m = RuntimeManager::new(defrag_platform(), SpatialMapper::default());
+            for _ in 0..4 {
+                m.start(light()).unwrap();
+            }
+            m
+        };
+        let vetoing = ReconfigurationPolicy {
+            admission: AdmissionPolicy::EnergyBudget { max_transfer_pj: 0 },
+            ..ReconfigurationPolicy::default()
+        };
+        let cases: [(&str, RuntimeManager<SpatialMapper>, ReconfigurationPolicy); 4] = [
+            ("recovered", fragmented(), ReconfigurationPolicy::default()),
+            ("refused", full(), ReconfigurationPolicy::default()),
+            ("vetoed", fragmented(), vetoing),
+            ("not searched", full(), no_migrations()),
+        ];
+        for (case, manager, policy) in cases {
+            let mut m = serving_retries(manager);
+            let mut twin = m.clone();
+            let spec = Arc::new(heavy());
+            let refusal = m.start(spec.clone()).expect_err("the heavy app is blocked");
+            assert_eq!(
+                m.last_refusal,
+                Some((spec.clone(), refusal.clone())),
+                "{case}: the refusal is kept for the retry"
+            );
+            assert!(twin.last_refusal.is_none());
+            let replayed = m.start_with_reconfiguration(spec.clone(), &policy);
+            let recomputed = twin.start_with_reconfiguration(spec.clone(), &policy);
+            assert_eq!(replayed, recomputed, "{case}: payloads included");
+            match (case, &replayed) {
+                ("recovered", Ok(r)) => assert_eq!(r.migrations.len(), 1),
+                ("refused", Err(f)) => assert!(f.plans_tried > 0 && f.plans_refused == 0),
+                ("vetoed", Err(f)) => assert!(f.plans_refused > 0),
+                ("not searched", Err(f)) => assert_eq!(f.plans_tried, 0),
+                _ => panic!("{case}: {replayed:?}"),
+            }
+            if let Err(failure) = &replayed {
+                assert_eq!(
+                    failure.error, refusal,
+                    "{case}: the very error `start` gave"
+                );
+            }
+            assert_eq!(m.state(), twin.state(), "{case}: equal ledgers");
+            assert!(m.running().eq(twin.running()), "{case}: equal running sets");
+            assert!(m.last_refusal.is_none(), "{case}: taken, not kept");
+        }
+    }
+
+    #[test]
+    fn a_manager_never_asked_to_retry_keeps_no_refusal() {
+        let (mut m, _, _) = fragmented_manager();
+        assert!(m.start(heavy()).is_err());
+        assert!(m.last_refusal.is_none() && !m.serves_retries);
+        // The first retry of its life recomputes, and switches the memory on.
+        let spec = Arc::new(pipe_app("unplaceable", 65 * 1024));
+        assert!(m.start(spec.clone()).is_err());
+        assert!(m
+            .start_with_reconfiguration(spec.clone(), &no_migrations())
+            .is_err());
+        assert!(m.serves_retries);
+        assert!(m.start(spec.clone()).is_err());
+        assert!(m.last_refusal.is_some());
+    }
+
+    #[test]
+    fn the_remembered_refusal_survives_no_other_entry_point() {
+        let platform = defrag_platform();
+        let arm_a = platform.tile_by_name("ARM-a").unwrap();
+        let arm_b = platform.tile_by_name("ARM-b").unwrap();
+        // After each of these, the heavy app that was just refused fits —
+        // which only a retry that looks at the new ledger finds out.
+        type Op = fn(&mut RuntimeManager<SpatialMapper>, AppHandle, TileId);
+        let rows: [(&str, Op); 4] = [
+            ("stop", |m, a, _| drop(m.stop(a).unwrap())),
+            ("stop_all", |m, _, _| drop(m.stop_all().unwrap())),
+            ("switch", |m, a, _| {
+                drop(m.switch(a, pipe_app("tiny", 8 * 1024)).unwrap())
+            }),
+            ("remap", |m, a, its_tile| {
+                let elsewhere = MappingConstraints::none().exclude_tile(its_tile);
+                drop(m.remap(a, &elsewhere).unwrap())
+            }),
+        ];
+        for (entry_point, op) in rows {
+            let mut m = serving_retries(fragmented_manager().0);
+            let a = m.running().next().unwrap().0;
+            let spec = Arc::new(heavy());
+            assert!(m.start(spec.clone()).is_err());
+            assert!(m.last_refusal.is_some());
+            op(&mut m, a, arm_a);
+            assert!(
+                m.last_refusal.is_none(),
+                "{entry_point} forgets the refusal"
+            );
+            let retry = m
+                .start_with_reconfiguration(spec, &no_migrations())
+                .unwrap_or_else(|e| panic!("after {entry_point} the heavy app fits: {e}"));
+            assert_eq!(retry.plans_tried, 0);
+        }
+
+        // repair: ARM-b is down, ARM-a full; repairing ARM-b makes room.
+        let mut m = serving_retries(RuntimeManager::new(
+            defrag_platform(),
+            SpatialMapper::default(),
+        ));
+        m.evacuate(FailureEvent::Tile(arm_b), &EvacuationPolicy::default())
+            .unwrap();
+        m.start(light()).unwrap();
+        m.start(light()).unwrap();
+        let spec = Arc::new(heavy());
+        assert!(m.start(spec.clone()).is_err());
+        assert!(m.repair(FailureEvent::Tile(arm_b)));
+        assert!(m.last_refusal.is_none(), "repair forgets the refusal");
+        assert!(m.start_with_reconfiguration(spec, &no_migrations()).is_ok());
+
+        // evacuate: a two-stage app holds 40 KiB on either ARM. ARM-a fails,
+        // its second stage cannot join the first on ARM-b, the app is
+        // evicted — and ARM-b is free for the heavy app.
+        let mut m = serving_retries(RuntimeManager::new(
+            defrag_platform(),
+            SpatialMapper::default(),
+        ));
+        m.start(two_stage(40 * 1024)).unwrap();
+        let spec = Arc::new(heavy());
+        assert!(m.start(spec.clone()).is_err());
+        let evacuation = m
+            .evacuate(FailureEvent::Tile(arm_a), &EvacuationPolicy::default())
+            .unwrap();
+        assert_eq!(evacuation.evicted.len(), 1);
+        assert!(m.last_refusal.is_none(), "evacuate forgets the refusal");
+        assert!(m.start_with_reconfiguration(spec, &no_migrations()).is_ok());
+
+        // start: an admitted one forgets the refusal, a refused one
+        // replaces it — and a retry takes only the refusal of its own
+        // specification.
+        let mut m = serving_retries(fragmented_manager().0);
+        let (heavy_a, heavy_b) = (Arc::new(heavy()), Arc::new(heavy()));
+        assert!(m.start(heavy_a.clone()).is_err());
+        m.start(pipe_app("tiny", 8 * 1024)).unwrap();
+        assert!(m.last_refusal.is_none(), "an admitted start forgets it");
+        assert!(m.start(heavy_a.clone()).is_err());
+        assert!(m.start(heavy_b.clone()).is_err());
+        assert!(Arc::ptr_eq(&m.last_refusal.as_ref().unwrap().0, &heavy_b));
+        let tiny = m
+            .start_with_reconfiguration(pipe_app("tiny", 8 * 1024), &no_migrations())
+            .expect("another specification's refusal is not this one's");
+        assert_eq!(tiny.plans_tried, 0);
+        assert!(m.last_refusal.is_none());
     }
 
     #[test]

@@ -21,10 +21,15 @@
 //! mapped against the transaction's state and staged in plan order, each
 //! seeing its predecessors' claims; a placement that already carries an
 //! outcome is staged verbatim, the algorithm is not asked again (so a
-//! randomised mapper commits exactly what was scored). Nothing outside the
-//! transaction changes: dropping it restores the ledger byte for byte, and
-//! the records are only written by [`RuntimeManager::adopt`], after the
-//! caller committed.
+//! randomised mapper commits exactly what was scored); a placement that
+//! carries its specification's [`Demand`] — those of a reconfiguration
+//! evaluation or an evacuation attempt, whose mapping error nobody reads —
+//! is first held against the transaction's state and refused at its
+//! position, the algorithm not asked, when it
+//! [cannot fit](Demand::cannot_fit). Nothing outside the transaction
+//! changes: dropping it restores the ledger byte for byte, and the records
+//! are only written by [`RuntimeManager::adopt`], after the caller
+//! committed.
 //!
 //! # Failure windows
 //!
@@ -41,7 +46,17 @@
 //! victims an evacuation already relocated) keep their placements; there is
 //! no cross-plan rollback, because a committed plan is already a complete,
 //! consistent state.
+//!
+//! One thing is remembered *between* calls: the refusal the last
+//! [`start`](RuntimeManager::start) returned, which a
+//! [`start_with_reconfiguration`](RuntimeManager::start_with_reconfiguration)
+//! for the same `Arc`ed specification takes over instead of mapping again.
+//! Its window is exactly the gap between those two calls — every `&mut self`
+//! entry point clears or overwrites it before it touches anything, `repair`
+//! and a `stop` of an unknown handle included — so no failure, departure or
+//! admission can come between a refusal and the retry that uses it.
 
+use super::fit::{self, Demand};
 use super::{
     AdmissionError, AdmissionPolicy, AppHandle, ReconfigurationObjective, RunningApp, RuntimeError,
     RuntimeManager,
@@ -62,10 +77,19 @@ pub(super) struct Placement<'a> {
     /// placed; `None` for an arrival.
     pub handle: Option<AppHandle>,
     /// What is placed (for a [`switch`](RuntimeManager::switch): the new
-    /// specification, not the record's).
-    pub spec: Arc<ApplicationSpec>,
+    /// specification, not the record's). Borrowed: a migration search
+    /// stages the same victim in plan after plan, and only
+    /// [`adopt`](RuntimeManager::adopt) needs a handle of its own.
+    pub spec: &'a Arc<ApplicationSpec>,
     /// What the mapping must honour.
     pub constraints: &'a MappingConstraints,
+    /// Set on the placements whose mapping error nobody reads — those of a
+    /// reconfiguration evaluation or an evacuation attempt: `spec`'s
+    /// [`Demand`], which lets [`Plan::stage`] turn the placement away
+    /// without asking the algorithm when it
+    /// [cannot fit](Demand::cannot_fit). `None` where the error is report
+    /// data (`start`, `remap`, `switch`): there the algorithm always runs.
+    pub demand: Option<&'a Demand>,
     /// The mapping: filled in by the first [`Plan::stage`], staged verbatim
     /// by a later one. Search trace and composed CSDF graph are dropped as
     /// soon as it is mapped, so neither a kept plan nor a long-lived
@@ -81,13 +105,14 @@ impl<'a> Placement<'a> {
     /// A placement yet to be mapped.
     pub fn new(
         handle: Option<AppHandle>,
-        spec: Arc<ApplicationSpec>,
+        spec: &'a Arc<ApplicationSpec>,
         constraints: &'a MappingConstraints,
     ) -> Self {
         Placement {
             handle,
             spec,
             constraints,
+            demand: None,
             outcome: None,
             processes_moved: 0,
             transfer_energy_pj: 0,
@@ -121,16 +146,26 @@ pub(super) enum StageError {
     Release(PlatformError),
     /// The algorithm found no mapping for the placement at this position.
     Rejected(usize, MapError),
+    /// The placement at this position [cannot fit](Demand::cannot_fit), so
+    /// the algorithm was not asked: a `Rejected` without the error, which
+    /// only placements carrying a [`Placement::demand`] can get.
+    Refused(usize),
     /// The placement's reservations did not fit the transaction's state.
     Commit(usize, PlatformError),
 }
 
 impl StageError {
     /// The admission failure this is, or the release failure it is instead.
+    ///
+    /// # Panics
+    ///
+    /// On [`StageError::Refused`], which has no error to hand on: the entry
+    /// points that report one stage placements without a demand.
     pub fn admission(self) -> Result<AdmissionError, PlatformError> {
         match self {
             StageError::Release(e) => Err(e),
             StageError::Rejected(_, e) => Ok(AdmissionError::Rejected(e)),
+            StageError::Refused(_) => unreachable!("a reported placement is always mapped"),
             StageError::Commit(_, e) => Ok(AdmissionError::CommitFailed(e)),
         }
     }
@@ -208,9 +243,14 @@ impl<'a> Plan<'a> {
             let outcome = match &mut placement.outcome {
                 Some(outcome) => outcome,
                 unmapped => {
+                    if placement.demand.is_some_and(|demand| {
+                        fit::rules_out(demand, tx.platform(), tx.state(), placement.constraints)
+                    }) {
+                        return Err(StageError::Refused(at));
+                    }
                     let mut outcome = algorithm
                         .map_constrained(
-                            &placement.spec,
+                            placement.spec,
                             tx.platform(),
                             tx.state(),
                             placement.constraints,
@@ -222,7 +262,7 @@ impl<'a> Plan<'a> {
                 }
             };
             outcome
-                .stage_commit(&placement.spec, tx)
+                .stage_commit(placement.spec, tx)
                 .map_err(|e| StageError::Commit(at, e))?;
             if let Some(pricing) = pricing {
                 if let Some(app) = replaced(placement.handle) {
@@ -255,7 +295,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         &mut self,
         placement: Placement<'_>,
     ) -> (AppHandle, Option<MappingOutcome>) {
-        let spec = placement.spec;
+        let spec = placement.spec.clone();
         let outcome = placement.outcome.expect("adopted plans were staged");
         match placement.handle {
             Some(handle) => {

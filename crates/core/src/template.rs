@@ -549,7 +549,12 @@ impl<'a> FitCheck<'a> {
 pub struct TemplateStats {
     /// Admissions served by instantiating a cached shape.
     pub hits: u64,
-    /// Admissions that fell back to the wrapped algorithm.
+    /// Calls that found no instantiable shape and fell back to the wrapped
+    /// algorithm. A count of *consultations*: the
+    /// [`RuntimeManager`](crate::RuntimeManager) does not consult the
+    /// library for a retry whose refusal it already holds, nor for a plan
+    /// placement that [cannot fit](crate::runtime::Demand::cannot_fit) —
+    /// lookups that could not have hit.
     pub misses: u64,
     /// Shapes learned from the design-time seeding pass (first arrival of
     /// each spec, mapped on an empty platform).

@@ -15,7 +15,8 @@
 //!   [`span`]). Instrumented regions are enumerated by [`Span`] (mapper
 //!   steps 1–4, buffer sizing, admission/remap/switch, migration-plan
 //!   evaluation) and [`Counter`] (buffer-sizing probes and memo hits,
-//!   transaction commits and aborts, CSDF simulation runs). With no probe
+//!   transaction commits and aborts, CSDF simulation runs, refusals replayed
+//!   and placements ruled out on the retry path). With no probe
 //!   installed every emission is a no-op and allocates nothing.
 //! * [`hist`] — [`LatencyHistogram`], a log2-bucketed integer-nanosecond
 //!   histogram (HdrHistogram-style) with p50/p90/p99/max and mergeable

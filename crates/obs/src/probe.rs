@@ -17,7 +17,7 @@ use std::rc::Rc;
 pub const N_SPANS: usize = 12;
 
 /// Number of distinct [`Counter`] kinds, for fixed-size tables.
-pub const N_COUNTERS: usize = 10;
+pub const N_COUNTERS: usize = 12;
 
 /// The instrumented regions of the admission path. Span begin/end events
 /// always come in balanced, properly nested pairs per thread.
@@ -149,6 +149,15 @@ pub enum Counter {
     /// "infeasible", which can only inflate a capacity; zero means every
     /// capacity was searched, not cut off.
     BufferProbeCutoff,
+    /// A `start_with_reconfiguration` that took over the refusal `start`
+    /// had just returned for the same specification on the same ledger,
+    /// instead of asking the algorithm again.
+    RefusalReplayed,
+    /// A placement of a reconfiguration plan or evacuation attempt turned
+    /// away by the slot-matching certificate: no assignment of the
+    /// application's processes to distinct free compute slots exists, so
+    /// the algorithm — template lookup included — was not asked.
+    PlacementRuledOut,
 }
 
 impl Counter {
@@ -164,6 +173,8 @@ impl Counter {
         Counter::TemplateShapeSkipped,
         Counter::Step1DeadEnd,
         Counter::BufferProbeCutoff,
+        Counter::RefusalReplayed,
+        Counter::PlacementRuledOut,
     ];
 
     /// Dense index of this counter, `0..N_COUNTERS`.
@@ -184,6 +195,8 @@ impl Counter {
             Counter::TemplateShapeSkipped => "template_shape_skipped",
             Counter::Step1DeadEnd => "step1_dead_end",
             Counter::BufferProbeCutoff => "buffer_probe_cutoff",
+            Counter::RefusalReplayed => "refusal_replayed",
+            Counter::PlacementRuledOut => "placement_ruled_out",
         }
     }
 }

@@ -18,7 +18,7 @@ use rtsm::core::{
 use rtsm::platform::paper::paper_platform;
 use rtsm::platform::{LinkId, Platform, PlatformState, TileId, TileKind};
 use rtsm::sim::{run_sim, ArrivalProcess, Catalog, FaultConfig, HoldingTime, SimConfig};
-use rtsm::workloads::mesh_platform;
+use rtsm::workloads::{defrag_platform, mesh_platform};
 use std::sync::Arc;
 
 /// The mixed-DSP mesh `simulate --catalog mixed` uses (platform seed 42).
@@ -100,142 +100,158 @@ fn check_survivors(manager: &RuntimeManager<impl MappingAlgorithm>) {
     }
 }
 
+/// Drives one manager over `platform` through 40 seeded operations drawn
+/// from every ledger-mutating entry point — start /
+/// start_with_reconfiguration / stop / switch / remap / fail+evacuate /
+/// repair — and checks after each that the incrementally-maintained ledger
+/// is byte-identical to a from-scratch replay of the surviving mappings (so
+/// each record is exactly what the ledger holds for it), that a blocked
+/// switch or remap leaves ledger and record untouched, and at the end that
+/// stopping everything and repairing every failure drains the ledger back
+/// to the pristine initial state. Returns how many migration plans — an
+/// arrival plus re-placed victims, adopted from the outcomes their
+/// evaluation attached — were committed on the way.
+fn interleave(seed: u64, platform: &Platform, catalog: &Catalog) -> u64 {
+    let mut manager = RuntimeManager::new(platform.clone(), SpatialMapper::default());
+    let mut rng = StdRng::seed_from_u64(seed);
+    let tiles: Vec<TileId> = platform.tiles().map(|(id, _)| id).collect();
+    let links: Vec<LinkId> = platform.links().map(|(id, _)| id).collect();
+    let policy = EvacuationPolicy::default();
+    let mut handles: Vec<AppHandle> = Vec::new();
+    let mut failed: Vec<FailureEvent> = Vec::new();
+    let mut plans_committed = 0;
+
+    for _ in 0..40 {
+        let op = rng.random_range(0usize..11);
+        match op {
+            // Weighted towards admissions so the platform fills up
+            // and failures actually hit running applications.
+            0..=2 => {
+                if let Ok(handle) = manager.start(draw(catalog, &mut rng)) {
+                    handles.push(handle);
+                }
+            }
+            // Blocked arrivals stage and abort migration plans; the few
+            // that recover commit one.
+            3..=4 => {
+                if let Ok(reconfiguration) = manager.start_with_reconfiguration(
+                    draw(catalog, &mut rng),
+                    &ReconfigurationPolicy::default(),
+                ) {
+                    handles.push(reconfiguration.handle);
+                    plans_committed += u64::from(reconfiguration.plans_tried > 0);
+                }
+            }
+            5 => {
+                if !handles.is_empty() {
+                    let handle = handles.swap_remove(rng.random_range(0usize..handles.len()));
+                    manager.stop(handle).expect("running handles stop cleanly");
+                }
+            }
+            6..=7 => {
+                if handles.is_empty() {
+                    continue;
+                }
+                let handle = handles[rng.random_range(0usize..handles.len())];
+                let ledger = manager.state().clone();
+                let record = manager.get(handle).expect("tracked handles run").clone();
+                let result = if op == 6 {
+                    manager.switch(handle, draw(catalog, &mut rng))
+                } else {
+                    let tile = tiles[rng.random_range(0usize..tiles.len())];
+                    let constraints = if rng.random_bool(0.5) {
+                        MappingConstraints::none().exclude_tile(tile)
+                    } else {
+                        let process = rng.random_range(0usize..record.spec.graph.n_processes());
+                        MappingConstraints::none().pin(ProcessId::from_index(process), tile)
+                    };
+                    manager.remap(handle, &constraints)
+                };
+                match result {
+                    Ok(previous) => prop_assert!(
+                        previous == record.outcome,
+                        "switch/remap returns the outcome it replaced (seed {seed})"
+                    ),
+                    Err(error) => {
+                        prop_assert!(
+                            matches!(error, RuntimeError::Admission(_)),
+                            "a blocked switch/remap is an admission failure, got {error} (seed {seed})"
+                        );
+                        prop_assert!(
+                            manager.state() == &ledger,
+                            "a blocked switch/remap must restore the ledger (seed {seed})"
+                        );
+                        prop_assert!(
+                            manager.get(handle) == Some(&record),
+                            "a blocked switch/remap must keep the record (seed {seed})"
+                        );
+                    }
+                }
+            }
+            8..=9 => {
+                let failure = if rng.random_bool(0.5) {
+                    FailureEvent::Tile(tiles[rng.random_range(0usize..tiles.len())])
+                } else {
+                    FailureEvent::Link(links[rng.random_range(0usize..links.len())])
+                };
+                if manager.is_failed(failure) {
+                    continue;
+                }
+                let evacuation = manager
+                    .evacuate(failure, &policy)
+                    .expect("evacuation never corrupts the ledger");
+                handles.retain(|h| !evacuation.evicted.contains(h));
+                failed.push(failure);
+                check_survivors(&manager);
+            }
+            _ => {
+                if !failed.is_empty() {
+                    let failure = failed.swap_remove(rng.random_range(0usize..failed.len()));
+                    prop_assert!(manager.repair(failure));
+                }
+            }
+        }
+        let replay = replay_from_scratch(platform, manager.running(), &failed);
+        prop_assert!(
+            manager.state() == &replay,
+            "ledger diverged from from-scratch replay (seed {seed})"
+        );
+        let real_json = serde_json::to_string(manager.state()).expect("serialize");
+        let replay_json = serde_json::to_string(&replay).expect("serialize");
+        prop_assert_eq!(
+            real_json,
+            replay_json,
+            "ledger bytes diverged (seed {})",
+            seed
+        );
+    }
+
+    // Drain: stop the survivors, repair the open failures — the
+    // ledger must be exactly the pristine initial state again.
+    for handle in handles.drain(..) {
+        manager.stop(handle).expect("running handles stop cleanly");
+    }
+    for failure in failed.drain(..) {
+        prop_assert!(manager.repair(failure));
+    }
+    prop_assert!(
+        manager.state() == &platform.initial_state(),
+        "ledger must drain to pristine after stop-all + repair-all (seed {seed})"
+    );
+    plans_committed
+}
+
 proptest! {
     // Each case drives a full manager through ~40 operations including
     // evacuations; 8 cases keep dev-profile CI time reasonable.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For any seeded interleaving of every ledger-mutating entry point —
-    /// start / start_with_reconfiguration / stop / switch / remap /
-    /// fail+evacuate / repair — the incrementally-maintained ledger stays
-    /// byte-identical to a from-scratch replay of the surviving mappings
-    /// (so each record is exactly what the ledger holds for it), a blocked
-    /// switch or remap leaves ledger and record untouched, and after
-    /// stopping everything and repairing every failure the ledger drains
-    /// back to the pristine initial state.
+    /// [`interleave`] on the mixed-DSP mesh, where blocked arrivals stage and
+    /// abort migration plans but capacity, not placement, is what blocks
+    /// them: next to none commits.
     #[test]
     fn ledger_matches_replay_under_fault_interleavings(seed in 0u64..500) {
-        let platform = mixed_platform();
-        let catalog = Catalog::mixed_dsp();
-        let mut manager = RuntimeManager::new(platform.clone(), SpatialMapper::default());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let tiles: Vec<TileId> = platform.tiles().map(|(id, _)| id).collect();
-        let links: Vec<LinkId> = platform.links().map(|(id, _)| id).collect();
-        let policy = EvacuationPolicy::default();
-        let mut handles: Vec<AppHandle> = Vec::new();
-        let mut failed: Vec<FailureEvent> = Vec::new();
-
-        for _ in 0..40 {
-            let op = rng.random_range(0usize..11);
-            match op {
-                // Weighted towards admissions so the platform fills up
-                // and failures actually hit running applications.
-                0..=2 => {
-                    if let Ok(handle) = manager.start(draw(&catalog, &mut rng)) {
-                        handles.push(handle);
-                    }
-                }
-                // Blocked arrivals stage and abort migration plans; the few
-                // that recover commit one.
-                3..=4 => {
-                    if let Ok(reconfiguration) = manager.start_with_reconfiguration(
-                        draw(&catalog, &mut rng),
-                        &ReconfigurationPolicy::default(),
-                    ) {
-                        handles.push(reconfiguration.handle);
-                    }
-                }
-                5 => {
-                    if !handles.is_empty() {
-                        let handle = handles.swap_remove(rng.random_range(0usize..handles.len()));
-                        manager.stop(handle).expect("running handles stop cleanly");
-                    }
-                }
-                6..=7 => {
-                    if handles.is_empty() {
-                        continue;
-                    }
-                    let handle = handles[rng.random_range(0usize..handles.len())];
-                    let ledger = manager.state().clone();
-                    let record = manager.get(handle).expect("tracked handles run").clone();
-                    let result = if op == 6 {
-                        manager.switch(handle, draw(&catalog, &mut rng))
-                    } else {
-                        let tile = tiles[rng.random_range(0usize..tiles.len())];
-                        let constraints = if rng.random_bool(0.5) {
-                            MappingConstraints::none().exclude_tile(tile)
-                        } else {
-                            let process = rng.random_range(0usize..record.spec.graph.n_processes());
-                            MappingConstraints::none().pin(ProcessId::from_index(process), tile)
-                        };
-                        manager.remap(handle, &constraints)
-                    };
-                    match result {
-                        Ok(previous) => prop_assert!(
-                            previous == record.outcome,
-                            "switch/remap returns the outcome it replaced (seed {seed})"
-                        ),
-                        Err(error) => {
-                            prop_assert!(
-                                matches!(error, RuntimeError::Admission(_)),
-                                "a blocked switch/remap is an admission failure, got {error} (seed {seed})"
-                            );
-                            prop_assert!(
-                                manager.state() == &ledger,
-                                "a blocked switch/remap must restore the ledger (seed {seed})"
-                            );
-                            prop_assert!(
-                                manager.get(handle) == Some(&record),
-                                "a blocked switch/remap must keep the record (seed {seed})"
-                            );
-                        }
-                    }
-                }
-                8..=9 => {
-                    let failure = if rng.random_bool(0.5) {
-                        FailureEvent::Tile(tiles[rng.random_range(0usize..tiles.len())])
-                    } else {
-                        FailureEvent::Link(links[rng.random_range(0usize..links.len())])
-                    };
-                    if manager.is_failed(failure) {
-                        continue;
-                    }
-                    let evacuation = manager
-                        .evacuate(failure, &policy)
-                        .expect("evacuation never corrupts the ledger");
-                    handles.retain(|h| !evacuation.evicted.contains(h));
-                    failed.push(failure);
-                    check_survivors(&manager);
-                }
-                _ => {
-                    if !failed.is_empty() {
-                        let failure = failed.swap_remove(rng.random_range(0usize..failed.len()));
-                        prop_assert!(manager.repair(failure));
-                    }
-                }
-            }
-            let replay = replay_from_scratch(&platform, manager.running(), &failed);
-            prop_assert!(
-                manager.state() == &replay,
-                "ledger diverged from from-scratch replay (seed {seed})"
-            );
-            let real_json = serde_json::to_string(manager.state()).expect("serialize");
-            let replay_json = serde_json::to_string(&replay).expect("serialize");
-            prop_assert_eq!(real_json, replay_json, "ledger bytes diverged (seed {})", seed);
-        }
-
-        // Drain: stop the survivors, repair the open failures — the
-        // ledger must be exactly the pristine initial state again.
-        for handle in handles.drain(..) {
-            manager.stop(handle).expect("running handles stop cleanly");
-        }
-        for failure in failed.drain(..) {
-            prop_assert!(manager.repair(failure));
-        }
-        prop_assert!(
-            manager.state() == &platform.initial_state(),
-            "ledger must drain to pristine after stop-all + repair-all (seed {seed})"
-        );
+        interleave(seed, &mixed_platform(), &Catalog::mixed_dsp());
     }
 
     /// After any single failure and evacuation, no surviving mapping
@@ -283,6 +299,21 @@ proptest! {
         prop_assert!(manager.repair(failure));
         prop_assert_eq!(manager.utilization().failed_tiles, 0);
     }
+}
+
+/// The same oracle where migration plans *commit*: on the fragmenting strip
+/// of `rtsm_workloads::defrag` a heavy arrival is blocked by placement, and
+/// moving a light application recovers it — the winner of the search is
+/// re-staged from its attached outcomes and every placement adopted, under
+/// the byte-compare after every operation.
+#[test]
+fn migration_plans_commit_under_the_replay_oracle() {
+    let (platform, catalog) = (defrag_platform(4), Catalog::defrag());
+    let committed: u64 = (0..32)
+        .map(|seed| interleave(seed, &platform, &catalog))
+        .sum();
+    println!("{committed} migration plans committed over 32 seeds");
+    assert!(committed > 0, "no seed committed a migration plan");
 }
 
 /// With faults disabled, the simulator's seed-2008 reports are

@@ -1,0 +1,451 @@
+//! The *cannot fit* certificate (`rtsm_core::runtime::Demand`) against
+//! every oracle the workspace has: whenever it fires, no registered
+//! algorithm — the exhaustive search among them — and no warmed template
+//! library finds a mapping; and it fires exactly when Hall's condition,
+//! checked subset by subset over edges this file derives on its own, fails.
+//!
+//! Random catalog and synthetic specs on the paper platform and on 3×3 and
+//! 4×4 meshes, random ledgers (any load, NI traffic included, up to three
+//! failed tiles, failed links) and random constraints (pins, exclusions).
+//!
+//! Hand mutations of `crates/core/src/runtime/fit.rs` this was checked
+//! against. Three make the certificate *miss* refusals, which no algorithm
+//! can show; the Hall oracle of `a_fired_certificate_is_never_contradicted`
+//! and a unit test of the module do: capacity read from `compute_slots`
+//! instead of the free slots (seed 15, on the two-slot mesh — the other
+//! platforms have one-slot tiles; `a_tile_hosts_as_many_processes_…`);
+//! tile health ignored (seed 86; `a_failed_tile_hosts_nothing`);
+//! `constraints.allows` dropped (seed 6; the pin and exclusion tests).
+//! The fourth is unsound: the NI-filtered `claim_for` in place of
+//! `reservation_of`. The Hall oracle sees it (seed 81), but over 6 000
+//! generated cases no algorithm and no template hit contradicted the mutant
+//! — the two differ only where communicating processes share a tile and its
+//! NI is nearly full — so `a_template_hit_admits_what_the_ni_filter_refuses`
+//! builds that case by hand, and fails under the mutant.
+
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use rtsm::app::{ApplicationSpec, ProcessId};
+use rtsm::core::claims::{claim_for, reservation_of};
+use rtsm::core::runtime::Demand;
+use rtsm::core::{MappingAlgorithm, MappingConstraints, SpatialMapper, TemplatedMapper};
+use rtsm::platform::paper::paper_platform;
+use rtsm::platform::{
+    Coord, LinkId, Platform, PlatformBuilder, PlatformState, TileClaim, TileId, TileKind,
+};
+use rtsm::sim::Catalog;
+use rtsm::workloads::mesh_platform;
+use std::sync::Arc;
+
+/// About 40 s in a debug build.
+const CASES: u64 = 300;
+
+/// A 3×3 mesh whose processing tiles host two processes each (the meshes of
+/// `mesh_platform` and the paper platform have one-slot tiles).
+fn two_slot_mesh() -> Platform {
+    use TileKind::{AdcSource, Arm, Montium, Sink};
+    let kinds = [
+        AdcSource, Montium, Arm, Arm, Montium, Arm, Montium, Arm, Sink,
+    ];
+    let mut builder = PlatformBuilder::mesh(3, 3).tile_defaults(200, 2, 128 * 1024, 200_000_000);
+    for (i, kind) in kinds.into_iter().enumerate() {
+        let position = Coord {
+            x: i as u16 % 3,
+            y: i as u16 / 3,
+        };
+        builder = builder.tile(format!("T{i}"), kind, position);
+    }
+    builder.build().expect("nine tiles on nine routers")
+}
+
+/// One platform with a catalog that suits it.
+fn draw_instance(rng: &mut StdRng) -> (Platform, Arc<ApplicationSpec>) {
+    let (platform, catalog) = match rng.random_range(0u32..5) {
+        0 => (paper_platform(), Catalog::hiperlan2()),
+        1 => (
+            two_slot_mesh(),
+            Catalog::synthetic(rng.random_range(0u64..1000), 5),
+        ),
+        2 => (
+            mesh_platform(
+                rng.random_range(0u64..64),
+                3,
+                3,
+                &[
+                    (TileKind::Montium, 2),
+                    (TileKind::Arm, 3),
+                    (TileKind::Dsp, 2),
+                ],
+            ),
+            Catalog::synthetic(rng.random_range(0u64..1000), 5),
+        ),
+        3 => (
+            mesh_platform(
+                rng.random_range(0u64..64),
+                4,
+                4,
+                &[
+                    (TileKind::Montium, 4),
+                    (TileKind::Arm, 4),
+                    (TileKind::Dsp, 2),
+                ],
+            ),
+            Catalog::mixed_dsp(),
+        ),
+        _ => (
+            mesh_platform(
+                rng.random_range(0u64..64),
+                4,
+                4,
+                &[(TileKind::Montium, 6), (TileKind::Arm, 8)],
+            ),
+            Catalog::synthetic(rng.random_range(0u64..1000), 5),
+        ),
+    };
+    let spec = catalog.entries()[rng.random_range(0usize..catalog.len())]
+        .spec
+        .clone();
+    (platform, spec)
+}
+
+/// A ledger at a random load: every slot of every tile is taken with the
+/// load's probability by a tenant of random size (memory, cycles and NI
+/// traffic), then up to three tiles and three links fail.
+fn draw_ledger(platform: &Platform, rng: &mut StdRng) -> PlatformState {
+    let mut state = platform.initial_state();
+    let load = f64::from(rng.random_range(0u32..=100)) / 100.0;
+    for (tile, spec) in platform.tiles() {
+        for _ in 0..spec.compute_slots {
+            if !rng.random_bool(load) {
+                continue;
+            }
+            let share = |rng: &mut StdRng, whole: u64| {
+                rng.random_range(0..=whole / u64::from(spec.compute_slots))
+            };
+            let tenant = TileClaim {
+                slots: 1,
+                memory_bytes: share(rng, spec.memory_bytes),
+                cycles_per_second: share(rng, u64::from(spec.clock_mhz) * 1_000_000),
+                injection: share(rng, spec.ni_injection),
+                ejection: share(rng, spec.ni_ejection),
+            };
+            state
+                .claim_tile(platform, tile, &tenant)
+                .expect("the shares of a tile's slots fit it together");
+        }
+    }
+    // Tenants that take no slot: buffers that fill a tile's memory, routes
+    // that end on it and take its NI bandwidth (which is no part of a
+    // process's hard reservation).
+    for (tile, spec) in platform.tiles() {
+        let mut squatter = TileClaim {
+            slots: 0,
+            memory_bytes: 0,
+            cycles_per_second: 0,
+            injection: 0,
+            ejection: 0,
+        };
+        if rng.random_bool(0.1) {
+            squatter.memory_bytes = spec.memory_bytes - state.used_memory(tile);
+        }
+        if spec.kind.is_processing() && rng.random_bool(0.3) {
+            let percent = rng.random_range(50u64..=100);
+            squatter.injection = state.residual_injection(platform, tile) * percent / 100;
+            squatter.ejection = state.residual_ejection(platform, tile) * percent / 100;
+        }
+        state
+            .claim_tile(platform, tile, &squatter)
+            .expect("what is left of a tile fits it");
+    }
+    for _ in 0..rng.random_range(0u32..4) {
+        state.fail_tile(TileId::from_index(
+            rng.random_range(0usize..platform.n_tiles()),
+        ));
+    }
+    let links: Vec<LinkId> = platform.links().map(|(link, _)| link).collect();
+    for _ in 0..rng.random_range(0u32..4) {
+        state.fail_link(links[rng.random_range(0usize..links.len())]);
+    }
+    state
+}
+
+/// No constraints half of the time; otherwise up to two pins (to a tile of
+/// a kind the process runs on, or to any tile) and up to two exclusions.
+fn draw_constraints(
+    spec: &ApplicationSpec,
+    platform: &Platform,
+    rng: &mut StdRng,
+) -> MappingConstraints {
+    let mut constraints = MappingConstraints::none();
+    if rng.random_bool(0.5) {
+        return constraints;
+    }
+    let processes: Vec<ProcessId> = spec.graph.stream_processes().map(|(p, _)| p).collect();
+    for _ in 0..rng.random_range(0u32..3) {
+        let process = processes[rng.random_range(0usize..processes.len())];
+        let suitable: Vec<TileId> = spec
+            .library
+            .impls_for(process)
+            .iter()
+            .flat_map(|i| platform.tiles_of_kind(i.tile_kind))
+            .map(|(tile, _)| tile)
+            .collect();
+        let tile = if suitable.is_empty() || rng.random_bool(0.2) {
+            TileId::from_index(rng.random_range(0usize..platform.n_tiles()))
+        } else {
+            suitable[rng.random_range(0usize..suitable.len())]
+        };
+        constraints = constraints.pin(process, tile);
+    }
+    for _ in 0..rng.random_range(0u32..3) {
+        constraints = constraints.exclude_tile(TileId::from_index(
+            rng.random_range(0usize..platform.n_tiles()),
+        ));
+    }
+    constraints
+}
+
+/// Per mapped process, the tiles that could host it — derived here, tile
+/// kind by tile kind, from the public pieces a mapper uses.
+fn hosts(
+    spec: &ApplicationSpec,
+    platform: &Platform,
+    state: &PlatformState,
+    constraints: &MappingConstraints,
+) -> Vec<Vec<TileId>> {
+    spec.graph
+        .stream_processes()
+        .map(|(process, _)| {
+            let mut tiles = Vec::new();
+            for implementation in spec.library.impls_for(process) {
+                let reservation = reservation_of(&claim_for(spec, process, implementation));
+                for (tile, _) in platform.tiles_of_kind(implementation.tile_kind) {
+                    if constraints.allows(process, tile)
+                        && state.fits_tile(platform, tile, &reservation)
+                        && !tiles.contains(&tile)
+                    {
+                        tiles.push(tile);
+                    }
+                }
+            }
+            tiles
+        })
+        .collect()
+}
+
+/// Hall's condition, subset by subset: every set of processes is hosted by
+/// tiles with at least as many free slots between them.
+fn hall_holds(hosts: &[Vec<TileId>], platform: &Platform, state: &PlatformState) -> bool {
+    (1u32..1 << hosts.len()).all(|subset| {
+        let mut tiles: Vec<TileId> = (0..hosts.len())
+            .filter(|p| subset >> p & 1 == 1)
+            .flat_map(|p| hosts[p].iter().copied())
+            .collect();
+        tiles.sort_unstable();
+        tiles.dedup();
+        let slots: u32 = tiles.iter().map(|t| state.free_slots(platform, *t)).sum();
+        slots >= subset.count_ones()
+    })
+}
+
+/// What a count of slots per tile kind would have caught: more processes
+/// implemented on one kind only than healthy tiles of that kind have free
+/// slots.
+fn kind_count_fails(spec: &ApplicationSpec, platform: &Platform, state: &PlatformState) -> bool {
+    let mut kinds: Vec<TileKind> = platform.tiles().map(|(_, t)| t.kind).collect();
+    kinds.sort_unstable();
+    kinds.dedup();
+    kinds.iter().any(|&kind| {
+        let bound = spec
+            .graph
+            .stream_processes()
+            .filter(|(p, _)| {
+                spec.library
+                    .impls_for(*p)
+                    .iter()
+                    .all(|i| i.tile_kind == kind)
+            })
+            .count() as u32;
+        let free: u32 = platform
+            .tiles_of_kind(kind)
+            .filter(|(tile, _)| !state.is_tile_failed(*tile))
+            .map(|(tile, _)| state.free_slots(platform, tile))
+            .sum();
+        bound > free
+    })
+}
+
+/// A template library that has seen `spec` on the empty platform and on a
+/// few busier ones.
+fn warmed(
+    spec: &ApplicationSpec,
+    platform: &Platform,
+    rng: &mut StdRng,
+) -> TemplatedMapper<SpatialMapper> {
+    let templated = TemplatedMapper::new(SpatialMapper::default());
+    let _ = templated.map(spec, platform, &platform.initial_state());
+    for _ in 0..3 {
+        let _ = templated.map(spec, platform, &draw_ledger(platform, rng));
+    }
+    templated
+}
+
+#[derive(Debug, Default)]
+struct Coverage {
+    fired_no_tile: u32,
+    fired_kind_count: u32,
+    fired_matching_only: u32,
+    silent_and_refused: u32,
+    silent_and_admitted: u32,
+    template_hits_checked: u32,
+}
+
+#[test]
+fn a_fired_certificate_is_never_contradicted() {
+    let mut coverage = Coverage::default();
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (platform, spec) = draw_instance(&mut rng);
+        let state = draw_ledger(&platform, &mut rng);
+        let constraints = draw_constraints(&spec, &platform, &mut rng);
+        let fired = Demand::of(&spec).cannot_fit(&platform, &state, &constraints);
+
+        let hosts = hosts(&spec, &platform, &state, &constraints);
+        assert_eq!(
+            fired,
+            !hall_holds(&hosts, &platform, &state),
+            "seed {seed}: the certificate and Hall's condition disagree"
+        );
+
+        let templated = warmed(&spec, &platform, &mut rng);
+        let hits_before = templated.stats().hits;
+        let by_template = templated.map_constrained(&spec, &platform, &state, &constraints);
+        coverage.template_hits_checked += (templated.stats().hits - hits_before) as u32;
+        if !fired {
+            match by_template {
+                Ok(_) => coverage.silent_and_admitted += 1,
+                Err(_) => coverage.silent_and_refused += 1,
+            }
+            continue;
+        }
+        assert!(
+            by_template.is_err(),
+            "seed {seed}: the warmed template library admitted {}",
+            spec.name
+        );
+        for entry in rtsm::exp::ALGORITHMS {
+            let outcome = (entry.build)().map_constrained(&spec, &platform, &state, &constraints);
+            assert!(
+                outcome.is_err(),
+                "seed {seed}: `{}` admitted {} where the certificate fired",
+                entry.name,
+                spec.name
+            );
+        }
+        if hosts.iter().any(Vec::is_empty) {
+            coverage.fired_no_tile += 1;
+        } else if kind_count_fails(&spec, &platform, &state) {
+            coverage.fired_kind_count += 1;
+        } else {
+            coverage.fired_matching_only += 1;
+        }
+    }
+    println!("fit certificate over {CASES} cases: {coverage:?}");
+    let Coverage {
+        fired_no_tile,
+        fired_kind_count,
+        fired_matching_only,
+        silent_and_refused,
+        silent_and_admitted,
+        template_hits_checked,
+    } = coverage;
+    for (what, count) in [
+        ("fired: a process without a tile", fired_no_tile),
+        ("fired: a tile-kind count", fired_kind_count),
+        ("fired: only the matching", fired_matching_only),
+        ("silent and refused", silent_and_refused),
+        ("silent and admitted", silent_and_admitted),
+        ("admitted by a template hit", template_hits_checked),
+    ] {
+        assert!(count > 0, "no case was `{what}`");
+    }
+}
+
+/// Why the certificate reads the hard reservation and not step 1's NI
+/// filter: two stages share the one ARM, so the 16 M words/s between them
+/// never touch its network interface — but the filter charges them to the
+/// first stage, and step 1 refuses where a template hit (which reserves
+/// without the filter) admits. No generated case above separates the two;
+/// this one does.
+#[test]
+fn a_template_hit_admits_what_the_ni_filter_refuses() {
+    use rtsm::app::{Endpoint, Implementation, ImplementationLibrary, ProcessGraph, QosSpec};
+    use rtsm::dataflow::PhaseVec;
+    let platform = PlatformBuilder::mesh(3, 1)
+        .tile_defaults(200, 2, 128 * 1024, 200_000_000)
+        .tile("A/D", TileKind::AdcSource, Coord { x: 0, y: 0 })
+        .tile("ARM", TileKind::Arm, Coord { x: 1, y: 0 })
+        .tile("Sink", TileKind::Sink, Coord { x: 2, y: 0 })
+        .build()
+        .unwrap();
+    let mut graph = ProcessGraph::new();
+    let mut library = ImplementationLibrary::new();
+    let stages = [("expand", 16, 64), ("reduce", 64, 16)].map(|(name, tokens_in, tokens_out)| {
+        let process = graph.add_process(name);
+        library.register(
+            process,
+            Implementation::simple(
+                format!("{name} @ ARM"),
+                TileKind::Arm,
+                PhaseVec::from_slice(&[8, 60, 8]),
+                PhaseVec::from_slice(&[tokens_in, 0, 0]),
+                PhaseVec::from_slice(&[0, 0, tokens_out]),
+                5_000,
+                4 * 1024,
+            ),
+        );
+        Endpoint::Process(process)
+    });
+    for (from, to, tokens) in [
+        (Endpoint::StreamInput, stages[0], 16),
+        (stages[0], stages[1], 64),
+        (stages[1], Endpoint::StreamOutput, 16),
+    ] {
+        graph.add_channel(from, to, tokens).unwrap();
+    }
+    let spec = ApplicationSpec {
+        name: "expand-reduce".into(),
+        graph,
+        qos: QosSpec::with_period(4_000_000),
+        library,
+    };
+    spec.validate().unwrap();
+
+    let templated = TemplatedMapper::new(SpatialMapper::default());
+    let learned = templated
+        .map(&spec, &platform, &platform.initial_state())
+        .expect("both stages share the ARM");
+    assert_eq!(learned.communication_hops, 2, "A/D → ARM → Sink");
+
+    // Routes ending on the ARM leave 4 M words/s of injection: what
+    // `reduce` sends on, a quarter of what `expand` "injects" into its
+    // neighbour on the same tile.
+    let arm = platform.tile_by_name("ARM").unwrap();
+    let mut state = platform.initial_state();
+    let routes = TileClaim {
+        slots: 0,
+        memory_bytes: 0,
+        cycles_per_second: 0,
+        injection: state.residual_injection(&platform, arm) - 4_000_000,
+        ejection: 0,
+    };
+    state.claim_tile(&platform, arm, &routes).unwrap();
+    let none = MappingConstraints::none();
+    assert!(SpatialMapper::default()
+        .map(&spec, &platform, &state)
+        .is_err());
+    let hits = templated.stats().hits;
+    assert!(templated.map(&spec, &platform, &state).is_ok());
+    assert_eq!(templated.stats().hits, hits + 1);
+    assert!(!Demand::of(&spec).cannot_fit(&platform, &state, &none));
+}

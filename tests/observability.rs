@@ -307,3 +307,61 @@ fn refusal_counters_tell_capacity_blocks_apart_without_moving_the_report() {
         "a lookup whose shapes were all skipped is still a miss"
     );
 }
+
+/// The golden recover command line (`simulate --seed 2008 --arrivals 500
+/// --catalog mixed --algorithm paper --templates --faults --mttf 10000
+/// --mttr 3000 --reconfigure`) under a probe: the probe's `template_miss`
+/// total is the report's `templates.misses`, and the two counters of the
+/// retry path account, one for one, for every lookup it no longer makes —
+/// at PR 20 each retry recomputed the refusal it was called about and every
+/// plan placement asked the algorithm, and `misses` read 1 279. Every plan,
+/// ruled out or not, is still one `PlanEval` span.
+#[test]
+fn the_retry_counters_account_for_the_lookups_no_longer_made() {
+    use rtsm::core::ReconfigurationPolicy;
+    use rtsm::sim::FaultConfig;
+    const MISSES_WHEN_EVERY_RETRY_RECOMPUTED: u64 = 1279;
+    let config = SimConfig {
+        seed: 2008,
+        arrivals: 500,
+        arrival_process: ArrivalProcess::Poisson { mean_gap: 500 },
+        holding: HoldingTime::Exponential { mean: 2000 },
+        mode_switch_probability: 0.1,
+        sample_interval: 10_000,
+        horizon: None,
+        reconfiguration: Some(ReconfigurationPolicy::default()),
+        track_fragmentation: true,
+        faults: Some(FaultConfig {
+            mttf: 10_000,
+            mttr: 3_000,
+            ..FaultConfig::default()
+        }),
+    };
+    let probe = Rc::new(SpanLatencyProbe::new());
+    let report = {
+        let _guard = obs::install(probe.clone() as Rc<dyn obs::Probe>);
+        rtsm::exp::run_algorithm(
+            &rtsm::exp::resolve_catalog("mixed", 42).expect("registered catalog"),
+            rtsm::exp::make_algorithm("paper").expect("registered algorithm"),
+            Some(rtsm::core::template::DEFAULT_SHAPE_CAP),
+            &config,
+        )
+        .report
+    };
+    let misses = report.templates.expect("templates were on").misses;
+    assert_eq!(probe.counter_total(obs::Counter::TemplateMiss), misses);
+    let replayed = probe.counter_total(obs::Counter::RefusalReplayed);
+    let ruled_out = probe.counter_total(obs::Counter::PlacementRuledOut);
+    println!("misses {misses}: {replayed} refusals replayed, {ruled_out} placements ruled out");
+    assert!(replayed > 0 && ruled_out > 0);
+    assert_eq!(
+        MISSES_WHEN_EVERY_RETRY_RECOMPUTED - misses,
+        replayed + ruled_out,
+        "{replayed} refusals replayed, {ruled_out} placements ruled out"
+    );
+    let plans_tried = report
+        .reconfiguration
+        .expect("reconfiguration was on")
+        .plans_tried;
+    assert_eq!(probe.histogram(obs::Span::PlanEval).count(), plans_tried);
+}
