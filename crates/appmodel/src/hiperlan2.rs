@@ -11,7 +11,7 @@
 //! seven modes span 12 bytes (3 words, BPSK) to 384 bytes (96 words, QAM64)
 //! per symbol (§4.1).
 //!
-//! # Model notes (documented substitutions, see `DESIGN.md`)
+//! # Model notes (documented substitutions)
 //!
 //! * The ARM Inverse-OFDM output is normalised from Table 1's 64 tokens to
 //!   the 52 useful carriers, matching Figure 1's edge label (the 12 extra

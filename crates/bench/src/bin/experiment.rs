@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiment --spec PATH [--workers N] [--out PATH] [--jsonl PATH] [--quiet]
-//!            [--heartbeat N] [--wall]
+//!            [--heartbeat N]
 //! ```
 //!
 //! Loads an `ExperimentSpec`, expands it into independent trials, fans
@@ -20,10 +20,8 @@
 //! `--heartbeat N` prints a progress line to **stderr** every N
 //! completed trials (trial id, cumulative events/s) — stderr only, so
 //! the JSONL stream and the sealed report stay byte-identical with or
-//! without it. `--wall` embeds the merged admission-latency histograms
-//! into the report's clearly-marked non-deterministic `wall` section;
-//! without it the section is absent and the report keeps its
-//! deterministic byte shape.
+//! without it. No trial is timed: a sealed report has no field that could
+//! hold a wall-clock figure.
 
 use rtsm_bench::cli::Cli;
 use rtsm_exp::{run_experiment, write_atomic, ExperimentSpec};
@@ -40,7 +38,7 @@ fn main() {
             ("--jsonl", "PATH"),
             ("--heartbeat", "N"),
         ],
-        &["--quiet", "--wall"],
+        &["--quiet"],
     );
     let spec_path = cli
         .value("--spec")
@@ -54,7 +52,6 @@ fn main() {
     let out = cli.value("--out");
     let jsonl = cli.value("--jsonl");
     let quiet = cli.has("--quiet");
-    let embed_wall = cli.has("--wall");
     let heartbeat = cli.u64_or("--heartbeat", 0);
 
     let spec_text = std::fs::read_to_string(spec_path)
@@ -151,24 +148,8 @@ fn main() {
         }
     }
 
-    let wall = &run.wall_section;
-    println!(
-        "admission latency (wall, non-deterministic): {} samples, mean {:.1} µs, \
-         p50 {:.1} µs, p90 {:.1} µs, p99 {:.1} µs, max {:.1} µs",
-        wall.map_latency.count(),
-        wall.map_latency.mean_ns() as f64 / 1e3,
-        wall.map_latency.p50_ns() as f64 / 1e3,
-        wall.map_latency.p90_ns() as f64 / 1e3,
-        wall.map_latency.p99_ns() as f64 / 1e3,
-        wall.map_latency.max_ns() as f64 / 1e3,
-    );
-
     if let Some(path) = out {
-        let mut report = run.report.clone();
-        if embed_wall {
-            report.wall = Some(run.wall_section.clone());
-        }
-        let json = serde_json::to_string(&report).expect("reports serialize");
+        let json = serde_json::to_string(&run.report).expect("reports serialize");
         write_atomic(path, json).unwrap_or_else(|e| {
             eprintln!("error: cannot write `{path}`: {e}");
             std::process::exit(1);

@@ -5,8 +5,8 @@
 //!        runtime-scenario|modes|feedback]
 //! ```
 //!
-//! Paper-vs-measured comparisons for each experiment are recorded in
-//! `EXPERIMENTS.md`.
+//! Paper-vs-measured comparisons for each experiment are assertions in
+//! `tests/paper_reproduction.rs`.
 
 use rtsm_bench::alloc_track::PeakAlloc;
 use rtsm_bench::{
@@ -34,7 +34,7 @@ fn run(which: &str) -> bool {
             print!("{}", table1());
         }
         "fig2" => {
-            section("E3 / Figure 2 — MPSoC layout (reconstructed, see DESIGN.md)");
+            section("E3 / Figure 2 — MPSoC layout (reconstructed, see rtsm_platform::paper)");
             print!("{}", fig2());
         }
         "table2" => {

@@ -1,5 +1,4 @@
-//! Experiment runners: one function per paper artefact (E1–E12 of
-//! `DESIGN.md`).
+//! Experiment runners: one function per paper artefact (E1–E12).
 
 use crate::render::{render_kpn, Table};
 use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};

@@ -1,9 +1,11 @@
-//! Benchmark harness: experiment runners shared by the `repro` binary, the
-//! Criterion benches, and the workspace integration tests.
+//! Experiment runners shared by the `repro` binary and the workspace
+//! integration tests, plus the flag grammar of `simulate` and `experiment`.
 //!
-//! Each public function regenerates one artefact of the paper (see
-//! `DESIGN.md`'s per-experiment index); `EXPERIMENTS.md` records the
-//! paper-vs-measured comparison for every one of them.
+//! Each public function of [`experiments`] regenerates one artefact of the
+//! paper (E1–E12; README, *Reproducing the paper*);
+//! `tests/paper_reproduction.rs` holds the paper-vs-measured comparison for
+//! every one of them as assertions. Nothing here times anything for the
+//! record: that is `benchmark/`'s job.
 
 #![warn(missing_docs)]
 // `unsafe` is confined to the GlobalAlloc delegation in `alloc_track`.

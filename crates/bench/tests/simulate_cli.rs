@@ -1,8 +1,10 @@
 //! The binaries' front doors, driven as a user drives them: hostile flag
-//! values and a hostile spec end in a one-line `error: …` and exit code 2
-//! before anything is simulated, and the flags → `SimConfig` translation
-//! reproduces a golden fixture byte for byte.
+//! values, flags nothing would read and a hostile spec end in a one-line
+//! `error: …` and exit code 2 before anything is simulated, the flags →
+//! `SimConfig` translation reproduces a golden fixture byte for byte, and a
+//! recorded run writes the same reports plus a well-formed Chrome trace.
 
+use std::collections::BTreeMap;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
@@ -86,6 +88,135 @@ fn runs_that_outgrow_the_sample_series_are_one_line_errors() {
         assert!(stderr.contains(at_fault), "{stderr}");
     }
     std::fs::remove_file(&path).expect("just written");
+}
+
+/// A flag that states a parameter no part of the run would read is refused,
+/// not ignored: the per-kind rules are `PolicySpec::check_parameters`, the
+/// same ones `ExperimentSpec::validate` applies to a spec's policy points.
+#[test]
+fn flags_nothing_would_read_are_one_line_errors() {
+    for (line, at_fault) in [
+        ("--policy energy-budget", "--policy requires --reconfigure"),
+        ("--lambda 300", "lambda_permille"),
+        ("--budget-pj 5", "budget_pj"),
+        ("--payback 3", "payback_periods"),
+        ("--max-migrations 1", "max_migrations"),
+        ("--max-plans 2", "max_plans"),
+        (
+            "--reconfigure --budget-pj 5",
+            "budget_pj (read by: energy-budget)",
+        ),
+        (
+            "--reconfigure --policy energy-budget --payback 3",
+            "payback_periods (read by: amortized-payback)",
+        ),
+        ("--mean-gap 0", "--mean-gap is 0"),
+    ] {
+        let args: Vec<&str> = line.split(' ').collect();
+        let stderr = refused_at_the_door(env!("CARGO_BIN_EXE_simulate"), &args);
+        assert!(stderr.contains(at_fault), "{line}: {stderr}");
+    }
+
+    // No report can hold a wall-clock section, so the flag that asked for
+    // one is a usage error like any other typo.
+    let output = Command::new(env!("CARGO_BIN_EXE_experiment"))
+        .args(["--spec", "unread.json", "--wall"])
+        .output()
+        .expect("runs");
+    let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines[0], "error: unknown argument `--wall`", "{stderr}");
+    assert!(lines[1].starts_with("usage: experiment "), "{stderr}");
+    assert_eq!(lines.len(), 2, "{stderr}");
+}
+
+/// One event of a Chrome trace file (`cat` and `args` are not read).
+#[derive(serde::Deserialize)]
+struct ChromeEvent {
+    name: String,
+    ph: String,
+    #[allow(dead_code)]
+    ts: f64,
+    #[allow(dead_code)]
+    pid: u64,
+    tid: u64,
+}
+
+#[derive(serde::Deserialize)]
+#[allow(non_snake_case)]
+struct ChromeTrace {
+    traceEvents: Vec<ChromeEvent>,
+}
+
+/// Probes are pure observers — a recorded run writes byte-identical
+/// reports — and the trace `--trace-out` leaves is what Perfetto expects:
+/// parseable, `B`/`E` balanced per lane, every mapper span completed, and
+/// one lane per root span.
+#[test]
+fn a_recorded_run_writes_the_same_reports_and_a_balanced_trace() {
+    let dir = std::env::temp_dir().join(format!("rtsm-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    let (plain, probed, trace) = (
+        dir.join("plain.jsonl"),
+        dir.join("probed.jsonl"),
+        dir.join("trace.json"),
+    );
+    for (out, trace_out) in [(&plain, None), (&probed, Some(&trace))] {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_simulate"));
+        command
+            .args("--seed 2008 --arrivals 300 --algorithm paper --out".split(' '))
+            .arg(out);
+        if let Some(path) = trace_out {
+            command.arg("--trace-out").arg(path);
+        }
+        let status = command
+            .stdout(std::process::Stdio::null())
+            .status()
+            .expect("simulate runs");
+        assert!(status.success(), "{status}");
+    }
+    let read = |path| std::fs::read_to_string(path).expect("simulate wrote it");
+    assert_eq!(read(&plain), read(&probed), "the recorder moved a byte");
+    let events = serde_json::from_str::<ChromeTrace>(&read(&trace))
+        .expect("a trace of well-formed events")
+        .traceEvents;
+    std::fs::remove_dir_all(&dir).expect("just written");
+
+    let mut open: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
+    let mut completed: BTreeMap<&str, usize> = BTreeMap::new();
+    for event in &events {
+        let lane = open.entry(event.tid).or_default();
+        match event.ph.as_str() {
+            "B" => lane.push(&event.name),
+            "E" => {
+                assert_eq!(lane.pop(), Some(event.name.as_str()), "lane {}", event.tid);
+                *completed.entry(&event.name).or_default() += 1;
+            }
+            phase => assert_eq!(phase, "C", "unexpected phase"),
+        }
+    }
+    assert!(open.values().all(Vec::is_empty), "unbalanced: {open:?}");
+    let count = |name| completed.get(name).copied().unwrap_or(0);
+    for name in [
+        "admission",
+        "map",
+        "step1",
+        "step2",
+        "step3",
+        "step4",
+        "buffer_sizing",
+    ] {
+        assert!(count(name) > 0, "no completed `{name}` span");
+    }
+    // Admission, remap and switch spans each open a fresh lane.
+    let roots = count("admission") + count("remap") + count("switch");
+    assert!(open.len() >= count("admission"), "a lane per admission");
+    assert!(
+        open.len() <= roots + 1,
+        "{} lanes, {roots} roots",
+        open.len()
+    );
 }
 
 /// The third golden command line, through the binary: every flag it takes

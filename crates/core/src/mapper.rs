@@ -332,24 +332,6 @@ impl MappingAlgorithm for SpatialMapper {
     }
 }
 
-/// Convenience: the tile each process ended up on, by name.
-pub fn placement_by_name(
-    result: &MappingOutcome,
-    spec: &ApplicationSpec,
-    platform: &Platform,
-) -> Vec<(String, String)> {
-    result
-        .mapping
-        .assignments()
-        .map(|(p, a)| {
-            (
-                spec.graph.process(p).name.clone(),
-                platform.tile(a.tile).name.clone(),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

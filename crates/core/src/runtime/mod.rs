@@ -987,12 +987,6 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             .unwrap_or(0);
         util
     }
-
-    /// Consumes the manager, returning the final ledger and the records of
-    /// the applications still running.
-    pub fn into_parts(self) -> (PlatformState, Vec<(AppHandle, RunningApp)>) {
-        (self.state, self.running.into_iter().collect())
-    }
 }
 
 /// Advances `indices` to the next lexicographic `k`-combination of

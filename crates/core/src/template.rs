@@ -770,14 +770,6 @@ impl<A: MappingAlgorithm> TemplatedMapper<A> {
         self.library.borrow().stats()
     }
 
-    /// Clears the library (shapes *and* statistics) back to empty, keeping
-    /// the inner algorithm. Determinism reruns use this so both executions
-    /// start from the same cold library.
-    pub fn reset(&self) {
-        let cap = self.library.borrow().cap;
-        *self.library.borrow_mut() = TemplateLibrary::new(cap);
-    }
-
     /// [`TemplateLibrary::prune_unfit`] against the wrapped library.
     pub fn prune_unfit(
         &self,
@@ -1009,17 +1001,5 @@ mod tests {
         let stats = library.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(library.shapes_for(key), 1);
-    }
-
-    #[test]
-    fn reset_clears_shapes_and_stats() {
-        let tm = mapper();
-        let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
-        let platform = paper_platform();
-        let state = platform.initial_state();
-        tm.map(&spec, &platform, &state).unwrap();
-        assert_ne!(tm.stats(), TemplateStats::default());
-        tm.reset();
-        assert_eq!(tm.stats(), TemplateStats::default());
     }
 }

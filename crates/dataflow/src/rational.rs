@@ -108,16 +108,6 @@ impl Ratio {
             self.den * other.den,
         )
     }
-
-    /// True if this ratio is zero.
-    pub fn is_zero(&self) -> bool {
-        self.num == 0
-    }
-
-    /// True if this ratio is an integer.
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
-    }
 }
 
 impl PartialOrd for Ratio {

@@ -81,13 +81,6 @@ pub struct SteadyState {
     pub period: u64,
 }
 
-impl SteadyState {
-    /// Average time per reference-actor cycle, as `(time, cycles)`.
-    pub fn cycle_time_ratio(&self) -> (u64, u64) {
-        (self.period, self.iterations)
-    }
-}
-
 /// Result of a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimOutcome {

@@ -18,9 +18,10 @@
 //!    ([`StatSummary`]) plus a Pareto front per catalog, stamped with
 //!    the FNV-1a digest of the record stream.
 //!
-//! Everything in a record or report is an integer; wall-clock lives
-//! only in [`ExperimentRun`]. Same spec ⇒ byte-identical report,
-//! whether it ran on 1 worker or 16.
+//! Everything in a record or report is an integer. The harness reads the
+//! clock once, around the whole fan-out ([`ExperimentRun::wall`]); no
+//! trial is timed. Same spec ⇒ byte-identical report, whether it ran on
+//! 1 worker or 16.
 //!
 //! # Example
 //!
@@ -68,13 +69,11 @@ pub mod trial;
 
 pub use io::write_atomic;
 pub use pool::{available_workers, run_ordered};
-pub use report::{
-    AggregateRow, CatalogFront, ExperimentReport, FrontPoint, WallRow, WallSection, REPORT_SCHEMA,
-};
+pub use report::{AggregateRow, CatalogFront, ExperimentReport, FrontPoint, REPORT_SCHEMA};
 pub use runner::{run_experiment, ExpError, ExperimentRun};
 pub use spec::{ExperimentSpec, PolicySpec, SpecTemplate, VALID_POLICY_KINDS};
 pub use stats::StatSummary;
 pub use trial::{
-    make_algorithm, resolve_catalog, run_algorithm, run_trial, run_trial_timed, AlgorithmEntry,
-    ResolvedCatalog, Trial, TrialRecord, ALGORITHMS, VALID_ALGORITHMS, VALID_CATALOGS,
+    make_algorithm, resolve_catalog, run_algorithm, run_trial, AlgorithmEntry, ResolvedCatalog,
+    Trial, TrialRecord, ALGORITHMS, VALID_ALGORITHMS, VALID_CATALOGS,
 };

@@ -11,7 +11,6 @@
 use crate::spec::ExperimentSpec;
 use crate::stats::{summarize, StatSummary};
 use crate::trial::TrialRecord;
-use rtsm_obs::LatencyHistogram;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -86,74 +85,10 @@ pub struct CatalogFront {
     pub points: Vec<FrontPoint>,
 }
 
-/// Wall-clock mapping latency of one (catalog, algorithm) cell of the
-/// sweep, merged across every trial of the cell.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WallRow {
-    /// Catalog name.
-    pub catalog: String,
-    /// Algorithm short name.
-    pub algorithm: String,
-    /// Merged admission-latency distribution of the cell's trials.
-    pub map_latency: LatencyHistogram,
-}
-
-/// The explicitly **non-deterministic** wall-clock section of a report:
-/// per-trial admission-latency histograms merged across the whole run
-/// and per (catalog, algorithm) cell. Never part of the sealed,
-/// byte-compared artifacts — the `experiment` bin only embeds it on
-/// request (`--wall`), and serialization omits the field entirely when
-/// absent so existing reports stay byte-identical.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WallSection {
-    /// A warning to consumers: these figures vary run to run.
-    pub note: String,
-    /// Admission latency merged across every trial of the run.
-    pub map_latency: LatencyHistogram,
-    /// One row per (catalog, algorithm), in first-seen trial-id order.
-    pub by_algorithm: Vec<WallRow>,
-}
-
-impl WallSection {
-    /// Merges per-trial histograms (paired with their records, in
-    /// trial-id order) into the overall and per-cell distributions.
-    pub fn from_trials<'a>(
-        trials: impl IntoIterator<Item = (&'a TrialRecord, &'a LatencyHistogram)>,
-    ) -> Self {
-        let mut map_latency = LatencyHistogram::new();
-        let mut index: BTreeMap<(String, String), usize> = BTreeMap::new();
-        let mut by_algorithm: Vec<WallRow> = Vec::new();
-        for (record, hist) in trials {
-            map_latency.merge(hist);
-            let key = (record.catalog.clone(), record.algorithm.clone());
-            match index.get(&key) {
-                Some(&pos) => by_algorithm[pos].map_latency.merge(hist),
-                None => {
-                    index.insert(key, by_algorithm.len());
-                    by_algorithm.push(WallRow {
-                        catalog: record.catalog.clone(),
-                        algorithm: record.algorithm.clone(),
-                        map_latency: hist.clone(),
-                    });
-                }
-            }
-        }
-        WallSection {
-            note: "wall-clock latency: NOT deterministic, varies run to run".to_string(),
-            map_latency,
-            by_algorithm,
-        }
-    }
-}
-
 /// The sealed result of one experiment: the spec it ran, totals,
 /// aggregate tables, Pareto fronts, and the FNV-1a digest of the JSONL
 /// record stream. Worker count and wall-clock never appear here — the
-/// report is byte-identical for a given spec. The one exception is the
-/// opt-in [`wall`](ExperimentReport::wall) section, which is clearly
-/// marked non-deterministic and left out by `skip_serializing_if` when
-/// `None` — not `"wall":null` — so the committed artifacts CI byte-diffs
-/// keep their shape.
+/// report is byte-identical for a given spec.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExperimentReport {
     /// Report format marker ([`REPORT_SCHEMA`]).
@@ -180,10 +115,6 @@ pub struct ExperimentReport {
     /// FNV-1a 64 digest of the per-trial JSONL stream (each line plus
     /// its newline) — ties the sealed report to the exact records.
     pub trials_fnv1a: u64,
-    /// Opt-in non-deterministic wall-clock latency section; `None` (and
-    /// absent from the serialized report) unless explicitly requested.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub wall: Option<WallSection>,
 }
 
 /// `a` dominates `b` when it is no worse on both objectives and
@@ -324,7 +255,6 @@ pub fn aggregate(
         aggregates,
         pareto_fronts,
         trials_fnv1a,
-        wall: None,
     }
 }
 

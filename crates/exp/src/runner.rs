@@ -6,14 +6,15 @@
 //! per-worker clones), fans the expanded trials across the pool, streams
 //! every [`TrialRecord`] to the caller as a serialized JSONL line in
 //! trial-id order while later trials still run, and seals the
-//! [`ExperimentReport`] with the stream's FNV-1a digest. Wall-clock and
-//! worker count live only in [`ExperimentRun`], never in the report.
+//! [`ExperimentReport`] with the stream's FNV-1a digest. The one stopwatch
+//! (around the pool) and the worker count live only in [`ExperimentRun`];
+//! the report type has no field that could hold either.
 
 use crate::pool::run_ordered;
-use crate::report::{aggregate, ExperimentReport, WallSection};
+use crate::report::{aggregate, ExperimentReport};
 use crate::spec::ExperimentSpec;
 use crate::stats::{fnv1a64, FNV_OFFSET};
-use crate::trial::{resolve_catalog, run_trial_timed, ResolvedCatalog, TrialRecord};
+use crate::trial::{resolve_catalog, run_trial, ResolvedCatalog, TrialRecord};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -43,10 +44,6 @@ pub struct ExperimentRun {
     pub events: u64,
     /// Wall-clock time of the fan-out (excludes catalog resolution).
     pub wall: Duration,
-    /// Per-trial admission-latency histograms merged overall and per
-    /// (catalog, algorithm) — non-deterministic, so it lives here and
-    /// enters [`ExperimentReport::wall`] only on explicit request.
-    pub wall_section: WallSection,
 }
 
 impl ExperimentRun {
@@ -85,18 +82,16 @@ pub fn run_experiment(
 
     let start = Instant::now();
     let mut digest = FNV_OFFSET;
-    // Workers return (record, latency histogram); only the record enters
-    // the digested JSONL stream — wall-clock stays side-band.
-    let results = run_ordered(
+    let records = run_ordered(
         &trials,
         workers,
         |_, trial| {
             let resolved = catalogs
                 .get(trial.catalog.as_str())
                 .expect("every expanded trial names a resolved catalog");
-            run_trial_timed(trial, resolved, &spec.template)
+            run_trial(trial, resolved, &spec.template)
         },
-        |_, (record, _)| {
+        |_, record| {
             let line = serde_json::to_string(record).expect("trial records serialize");
             digest = fnv1a64(line.as_bytes(), digest);
             digest = fnv1a64(b"\n", digest);
@@ -104,8 +99,6 @@ pub fn run_experiment(
         },
     );
     let wall = start.elapsed();
-    let wall_section = WallSection::from_trials(results.iter().map(|(r, h)| (r, h)));
-    let records: Vec<TrialRecord> = results.into_iter().map(|(record, _)| record).collect();
     let events = records
         .iter()
         .map(|r| r.arrivals + r.departures + r.mode_switch_attempts)
@@ -116,7 +109,6 @@ pub fn run_experiment(
         records,
         events,
         wall,
-        wall_section,
     })
 }
 

@@ -68,18 +68,18 @@ impl SpecTemplate {
 pub struct PolicySpec {
     /// Policy kind: `none` | `always` | `energy-budget` | `amortized-payback`.
     pub kind: String,
-    /// Migration-energy weight λ of the plan objective, permille. Ignored
-    /// for `none`.
+    /// Migration-energy weight λ of the plan objective, permille. Not for
+    /// `none` (see [`PolicySpec::check_parameters`]).
     pub lambda_permille: Option<u64>,
-    /// Energy budget for `energy-budget`, pJ (default
+    /// Energy budget, pJ, for `energy-budget` only (default
     /// [`DEFAULT_BUDGET_PJ`]).
     pub budget_pj: Option<u64>,
-    /// Payback horizon for `amortized-payback`, periods (default
+    /// Payback horizon, periods, for `amortized-payback` only (default
     /// [`DEFAULT_PAYBACK_PERIODS`]).
     pub payback_periods: Option<u64>,
-    /// Migration cap per plan. Ignored for `none`.
+    /// Migration cap per plan. Not for `none`.
     pub max_migrations: Option<u64>,
-    /// Plan cap per retry. Ignored for `none`.
+    /// Plan cap per retry. Not for `none`.
     pub max_plans: Option<u64>,
     /// Per-policy arrivals override — reconfiguration runs cost ~4× the
     /// wall time per arrival, so sweeps typically give `none` more
@@ -143,6 +143,65 @@ impl PolicySpec {
             }),
             _ => None,
         }
+    }
+
+    /// The parameter rules of a policy point, stated once for
+    /// [`ExperimentSpec::validate`] and the `simulate` CLI: `kind` is one of
+    /// [`VALID_POLICY_KINDS`], a parameter is set only where the kind reads
+    /// it, and `template_cap` only with `templates: true` and at least 1.
+    ///
+    /// # Errors
+    ///
+    /// One line naming the offending field and the kinds that read it.
+    pub fn check_parameters(&self) -> Result<(), String> {
+        let kind = self.kind.as_str();
+        if !VALID_POLICY_KINDS.contains(&kind) {
+            return Err(format!(
+                "unknown policy kind `{kind}` (valid: {})",
+                VALID_POLICY_KINDS.join(", ")
+            ));
+        }
+        let reconfiguring = &VALID_POLICY_KINDS[1..];
+        let read_by: [(&str, bool, &[&str]); 5] = [
+            (
+                "lambda_permille",
+                self.lambda_permille.is_some(),
+                reconfiguring,
+            ),
+            ("budget_pj", self.budget_pj.is_some(), &["energy-budget"]),
+            (
+                "payback_periods",
+                self.payback_periods.is_some(),
+                &["amortized-payback"],
+            ),
+            (
+                "max_migrations",
+                self.max_migrations.is_some(),
+                reconfiguring,
+            ),
+            ("max_plans", self.max_plans.is_some(), reconfiguring),
+        ];
+        for (field, set, kinds) in read_by {
+            if set && !kinds.contains(&kind) {
+                return Err(format!(
+                    "policy kind `{kind}` does not read {field} (read by: {})",
+                    kinds.join(", ")
+                ));
+            }
+        }
+        if self.template_cap.is_some() && !self.templates() {
+            return Err(format!(
+                "policy `{}` sets template_cap without templates: true",
+                self.label()
+            ));
+        }
+        if self.shape_cap() == Some(0) {
+            return Err(format!(
+                "policy `{}` sets template_cap to 0, must be ≥ 1 shape",
+                self.label()
+            ));
+        }
+        Ok(())
     }
 
     /// Whether this policy point runs with the template library enabled.
@@ -228,8 +287,8 @@ pub struct ExperimentSpec {
 /// The most trials a spec may expand into before
 /// [`ExperimentSpec::validate`] refuses it: some 2 800 times the largest
 /// committed spec (`specs/ci_smoke_mixed_1m.json`, 36 trials). A run holds
-/// every [`Trial`] of the expansion, and a record and a latency histogram
-/// per finished one, at once — on the order of 100 MB at the limit.
+/// every [`Trial`] of the expansion, and a record per finished one, at
+/// once — on the order of 100 MB at the limit.
 pub const MAX_TRIALS: u64 = 100_000;
 
 /// An axis lists something, and nothing twice: a repeated entry would run
@@ -282,28 +341,10 @@ impl ExperimentSpec {
         }
         check_axis("seeds", &self.seeds)?;
         for policy in &self.policies {
-            if !VALID_POLICY_KINDS.contains(&policy.kind.as_str()) {
-                return Err(format!(
-                    "unknown policy kind `{}` (valid: {})",
-                    policy.kind,
-                    VALID_POLICY_KINDS.join(", ")
-                ));
-            }
+            policy.check_parameters()?;
             if policy.arrivals == Some(0) {
                 return Err(format!(
                     "policy `{}` overrides arrivals to 0",
-                    policy.label()
-                ));
-            }
-            if policy.template_cap.is_some() && !policy.templates() {
-                return Err(format!(
-                    "policy `{}` sets template_cap without templates: true",
-                    policy.label()
-                ));
-            }
-            if policy.shape_cap() == Some(0) {
-                return Err(format!(
-                    "policy `{}` sets template_cap to 0, must be ≥ 1 shape",
                     policy.label()
                 ));
             }
@@ -503,6 +544,23 @@ mod tests {
         let err = spec.validate().unwrap_err();
         assert!(
             err.contains("sometimes") && err.contains("amortized-payback"),
+            "{err}"
+        );
+
+        // A parameter the kind does not read names itself and its readers.
+        let mut spec = small_spec();
+        spec.policies[0].max_plans = Some(4);
+        let err = spec.validate().unwrap_err();
+        assert!(
+            err.contains("`none` does not read max_plans") && err.contains("always"),
+            "{err}"
+        );
+        spec.policies[0].kind = "always".to_string();
+        assert_eq!(spec.validate(), Ok(()));
+        spec.policies[0].payback_periods = Some(8);
+        let err = spec.validate().unwrap_err();
+        assert!(
+            err.contains("payback_periods (read by: amortized-payback)"),
             "{err}"
         );
 

@@ -14,7 +14,6 @@ use rtsm_baselines::{
     SpiralMapper,
 };
 use rtsm_core::{MapperConfig, MappingAlgorithm, SpatialMapper, TemplatedMapper};
-use rtsm_obs::LatencyHistogram;
 use rtsm_platform::paper::paper_platform;
 use rtsm_platform::{Platform, TileKind};
 use rtsm_sim::{run_sim, ArrivalProcess, Catalog, HoldingTime, SimConfig, SimRun, TemplateReport};
@@ -89,8 +88,71 @@ pub const VALID_ALGORITHMS: [&str; ALGORITHMS.len()] = {
     names
 };
 
-/// The catalog names a spec may list, in display order.
-pub const VALID_CATALOGS: [&str; 4] = ["hiperlan2", "mixed", "synthetic", "defrag"];
+/// One registered catalog: the name specs and CLIs use, plus the
+/// platform/population pair it resolves to under a `platform_seed`.
+struct CatalogSource {
+    name: &'static str,
+    build: fn(u64) -> ResolvedCatalog,
+}
+
+/// Every catalog the harness can run, in display order. Like
+/// [`ALGORITHMS`], the one place a catalog is named.
+const CATALOGS: [CatalogSource; 4] = [
+    CatalogSource {
+        name: "hiperlan2",
+        build: |_| ResolvedCatalog {
+            platform: paper_platform(),
+            catalog: Catalog::hiperlan2(),
+        },
+    },
+    CatalogSource {
+        name: "mixed",
+        build: |platform_seed| ResolvedCatalog {
+            platform: mesh_platform(
+                platform_seed,
+                4,
+                4,
+                &[
+                    (TileKind::Montium, 4),
+                    (TileKind::Arm, 4),
+                    (TileKind::Dsp, 2),
+                ],
+            ),
+            catalog: Catalog::mixed_dsp(),
+        },
+    },
+    CatalogSource {
+        name: "synthetic",
+        build: |platform_seed| ResolvedCatalog {
+            platform: mesh_platform(
+                platform_seed,
+                4,
+                4,
+                &[(TileKind::Montium, 6), (TileKind::Arm, 4)],
+            ),
+            catalog: Catalog::synthetic(platform_seed, 6),
+        },
+    },
+    CatalogSource {
+        name: "defrag",
+        build: |_| ResolvedCatalog {
+            platform: defrag_platform(4),
+            catalog: Catalog::defrag(),
+        },
+    },
+];
+
+/// The catalog names a spec may list, in display order — derived from the
+/// catalog table at compile time.
+pub const VALID_CATALOGS: [&str; CATALOGS.len()] = {
+    let mut names = [""; CATALOGS.len()];
+    let mut i = 0;
+    while i < CATALOGS.len() {
+        names[i] = CATALOGS[i].name;
+        i += 1;
+    }
+    names
+};
 
 /// One cell of the expanded sweep matrix: a fully-specified,
 /// independently-runnable simulation. `id` is the position in the
@@ -138,34 +200,10 @@ pub struct ResolvedCatalog {
 /// Resolves a catalog name exactly like the `simulate` CLI does; `None`
 /// for unknown names (spec validation reports them with the valid list).
 pub fn resolve_catalog(name: &str, platform_seed: u64) -> Option<ResolvedCatalog> {
-    let (platform, catalog) = match name {
-        "hiperlan2" => (paper_platform(), Catalog::hiperlan2()),
-        "mixed" => (
-            mesh_platform(
-                platform_seed,
-                4,
-                4,
-                &[
-                    (TileKind::Montium, 4),
-                    (TileKind::Arm, 4),
-                    (TileKind::Dsp, 2),
-                ],
-            ),
-            Catalog::mixed_dsp(),
-        ),
-        "synthetic" => (
-            mesh_platform(
-                platform_seed,
-                4,
-                4,
-                &[(TileKind::Montium, 6), (TileKind::Arm, 4)],
-            ),
-            Catalog::synthetic(platform_seed, 6),
-        ),
-        "defrag" => (defrag_platform(4), Catalog::defrag()),
-        _ => return None,
-    };
-    Some(ResolvedCatalog { platform, catalog })
+    CATALOGS
+        .iter()
+        .find(|source| source.name == name)
+        .map(|source| (source.build)(platform_seed))
 }
 
 /// Builds the mapping algorithm for a short name; `None` for unknown
@@ -302,22 +340,6 @@ pub fn run_trial(
     resolved: &ResolvedCatalog,
     template: &SpecTemplate,
 ) -> TrialRecord {
-    run_trial_timed(trial, resolved, template).0
-}
-
-/// [`run_trial`], additionally returning the trial's wall-clock
-/// admission-latency histogram. The histogram is strictly side-band: the
-/// record is identical to what [`run_trial`] returns, so the
-/// deterministic JSONL stream and sealed report are unaffected.
-///
-/// # Panics
-///
-/// As for [`run_trial`].
-pub fn run_trial_timed(
-    trial: &Trial,
-    resolved: &ResolvedCatalog,
-    template: &SpecTemplate,
-) -> (TrialRecord, LatencyHistogram) {
     let config = SimConfig {
         seed: trial.trial_seed(),
         arrivals: trial.arrivals,
@@ -336,8 +358,7 @@ pub fn run_trial_timed(
     };
     let algorithm =
         make_algorithm(&trial.algorithm).expect("trial algorithms are validated before expansion");
-    let run = run_algorithm(resolved, algorithm, trial.policy.shape_cap(), &config);
-    let report = run.report;
+    let report = run_algorithm(resolved, algorithm, trial.policy.shape_cap(), &config).report;
     let templates = report.templates.as_ref();
 
     let frag = report.frag_permille_sorted();
@@ -351,7 +372,7 @@ pub fn run_trial_timed(
     });
     let reconfiguration = report.reconfiguration.clone().unwrap_or_default();
 
-    let record = TrialRecord {
+    TrialRecord {
         id: trial.id,
         catalog: trial.catalog.clone(),
         algorithm: trial.algorithm.clone(),
@@ -388,8 +409,7 @@ pub fn run_trial_timed(
         template_hit_permille: templates.map(|t| t.hit_permille),
         template_shapes_cached: templates.map(|t| t.shapes_cached),
         ledger_idle_at_end: report.ledger_idle_at_end,
-    };
-    (record, run.wall)
+    }
 }
 
 #[cfg(test)]

@@ -8,13 +8,11 @@
 //! observed `[min, max]`, so every reported figure is deterministic given
 //! the recorded samples.
 //!
-//! Wall-clock latency can never be reproducible, so histograms live
-//! strictly *outside* deterministic reports: `SimRun::wall` sits next to
-//! — never inside — `SimReport`, and the experiment harness serializes
-//! the merged histograms only into the explicitly non-deterministic
-//! `wall` section when asked to.
+//! Wall-clock latency can never be reproducible, so a histogram is an
+//! in-memory accumulator only — [`SpanLatencyProbe`](crate::SpanLatencyProbe)
+//! keeps one per span — and has no serialized form: no deterministic
+//! report can hold one.
 
-use serde::{de, Deserialize, Serialize, Value};
 use std::time::Duration;
 
 /// Number of log2 buckets — one per possible highest set bit of a `u64`.
@@ -172,65 +170,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Serialized as a map of summary figures plus the sparse occupied
-/// buckets (`[bucket_index, count]` pairs). The p50/p90/p99 entries are
-/// derived conveniences for human readers; deserialization recomputes
-/// them from the buckets.
-impl Serialize for LatencyHistogram {
-    fn to_value(&self) -> Value {
-        let buckets: Vec<Value> = self
-            .nonzero_buckets()
-            .into_iter()
-            .map(|(i, n)| Value::Seq(vec![Value::UInt(u128::from(i)), Value::UInt(u128::from(n))]))
-            .collect();
-        Value::Map(vec![
-            ("count".to_string(), Value::UInt(u128::from(self.count))),
-            (
-                "total_ns".to_string(),
-                Value::UInt(u128::from(self.total_ns)),
-            ),
-            ("min_ns".to_string(), Value::UInt(u128::from(self.min_ns()))),
-            ("max_ns".to_string(), Value::UInt(u128::from(self.max_ns))),
-            (
-                "mean_ns".to_string(),
-                Value::UInt(u128::from(self.mean_ns())),
-            ),
-            ("p50_ns".to_string(), Value::UInt(u128::from(self.p50_ns()))),
-            ("p90_ns".to_string(), Value::UInt(u128::from(self.p90_ns()))),
-            ("p99_ns".to_string(), Value::UInt(u128::from(self.p99_ns()))),
-            ("buckets".to_string(), Value::Seq(buckets)),
-        ])
-    }
-}
-
-impl Deserialize for LatencyHistogram {
-    fn from_value(value: &Value) -> Result<Self, de::Error> {
-        let count: u64 = de::field(value, "count")?;
-        if count == 0 {
-            return Ok(LatencyHistogram::new());
-        }
-        let mut hist = LatencyHistogram {
-            count,
-            total_ns: de::field(value, "total_ns")?,
-            min_ns: de::field(value, "min_ns")?,
-            max_ns: de::field(value, "max_ns")?,
-            buckets: [0; N_BUCKETS],
-        };
-        let pairs: Vec<Vec<u64>> = de::field(value, "buckets")?;
-        for pair in pairs {
-            let [index, n] = pair[..] else {
-                return Err(de::Error::msg("histogram buckets must be [index, count]"));
-            };
-            let slot = hist
-                .buckets
-                .get_mut(index as usize)
-                .ok_or_else(|| de::Error::msg(format!("bucket index {index} out of range")))?;
-            *slot = n;
-        }
-        Ok(hist)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,27 +233,5 @@ mod tests {
         // Merging an empty histogram changes nothing.
         a.merge(&LatencyHistogram::new());
         assert_eq!(a, all);
-    }
-
-    #[test]
-    fn serialization_round_trips() {
-        let mut h = LatencyHistogram::new();
-        for ns in [5u64, 5, 80, 3_000_000, 12] {
-            h.record_ns(ns);
-        }
-        let back = LatencyHistogram::from_value(&h.to_value()).expect("round trip");
-        assert_eq!(back, h);
-        let empty = LatencyHistogram::new();
-        let back = LatencyHistogram::from_value(&empty.to_value()).expect("round trip");
-        assert_eq!(back, empty);
-        assert_eq!(back.merge_probe(), u64::MAX);
-    }
-
-    impl LatencyHistogram {
-        /// Test-only: the raw min sentinel survives the round trip, so
-        /// later merges still fold minima correctly.
-        fn merge_probe(&self) -> u64 {
-            self.min_ns
-        }
     }
 }

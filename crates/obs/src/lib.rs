@@ -20,9 +20,9 @@
 //!   installed every emission is a no-op and allocates nothing.
 //! * [`hist`] — [`LatencyHistogram`], a log2-bucketed integer-nanosecond
 //!   histogram (HdrHistogram-style) with p50/p90/p99/max and mergeable
-//!   buckets. Wall-clock numbers are inherently non-deterministic, so
-//!   histograms stay strictly *outside* deterministic reports, exactly
-//!   like the mean-only `WallStats` they replace.
+//!   buckets. Wall-clock numbers are inherently non-deterministic, so a
+//!   histogram has no serialized form and no deterministic report can
+//!   hold one.
 //! * [`recorder`] — [`FlightRecorder`], a bounded ring buffer of probe
 //!   events that can dump the last N events when an admission goes wrong,
 //!   render a human-readable span tree, and export a Chrome trace-event

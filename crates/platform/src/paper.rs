@@ -9,7 +9,7 @@
 //! greedy initial cost 11, ARM-swap evaluated at 11 and reverted,
 //! MONTIUM-swap at 9 kept, ARM-swap at 7 kept, no further choices — while
 //! preserving the figure's row pairing (ARM1/MONTIUM2, Sink/MONTIUM1,
-//! A/D/ARM2 share mesh rows). See `DESIGN.md` for the derivation.
+//! A/D/ARM2 share mesh rows).
 //!
 //! Tile insertion order is `ARM1, ARM2, MONTIUM1, MONTIUM2, A/D, Sink,
 //! other…` so that step 1's first-fit packing visits ARM1 before ARM2 and

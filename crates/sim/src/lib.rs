@@ -27,9 +27,9 @@
 //! Determinism is a hard guarantee: the same seed, platform, catalog, and
 //! algorithm produce a byte-identical serialized [`SimReport`], which is
 //! what makes long-horizon comparisons across mapping algorithms
-//! trustworthy. Wall-clock mapping latency is measured too, but kept
-//! outside the report (a [`LatencyHistogram`] with p50/p90/p99/max)
-//! because it cannot be reproducible.
+//! trustworthy. [`run_sim`] never reads the clock: whoever wants the
+//! wall-clock cost of the admission path installs an
+//! [`rtsm_obs::SpanLatencyProbe`] around the call.
 //!
 //! # Example
 //!
@@ -67,6 +67,5 @@ pub use metrics::{
     check_sample_growth, MetricsCollector, ReconfigurationReport, SimReport, SurvivabilityReport,
     TemplateReport, UtilizationSample, MAX_NOMINAL_SAMPLES,
 };
-pub use rtsm_obs::LatencyHistogram;
 pub use sim::{run_sim, FaultConfig, SimConfig, SimRun};
 pub use workload::{bounded_pareto_mean, ArrivalProcess, Catalog, CatalogEntry, HoldingTime};

@@ -1,15 +1,10 @@
 //! Long-horizon admission metrics and the serializable [`SimReport`].
 //!
-//! The collector splits its measurements by determinism:
-//!
-//! * everything derived from *virtual* time and the mapping outcomes —
-//!   counts, blocking probability, utilization-over-time samples, the
-//!   energy integral, rejection histograms, search effort — goes into the
-//!   [`SimReport`], which is byte-identical across re-runs of the same
-//!   seed;
-//! * *wall-clock* mapping latency (how long the algorithm itself took) is
-//!   kept in a [`LatencyHistogram`](rtsm_obs::LatencyHistogram), outside
-//!   the report, precisely because it can never be reproducible.
+//! Everything the collector measures derives from *virtual* time and the
+//! mapping outcomes — counts, blocking probability, utilization-over-time
+//! samples, the energy integral, rejection histograms, search effort — so
+//! the [`SimReport`] is byte-identical across re-runs of the same seed.
+//! Wall-clock latency is not measured here at all (see the crate docs).
 
 use crate::event::SimTime;
 use rtsm_core::runtime::{AdmissionErrorKind, Utilization};

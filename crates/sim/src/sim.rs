@@ -12,10 +12,8 @@ use rtsm_core::runtime::{
     ReconfigurationPolicy, RuntimeError, RuntimeManager,
 };
 use rtsm_core::{MapError, MappingAlgorithm};
-use rtsm_obs::LatencyHistogram;
 use rtsm_platform::{LinkId, Platform, TileId};
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
 
 /// Salt XORed into the workload seed to derive the *fault* RNG stream:
 /// fault draws never consume workload randomness, so enabling faults
@@ -107,16 +105,14 @@ impl Default for SimConfig {
     }
 }
 
-/// The result of [`run_sim`]: the deterministic report plus the
-/// wall-clock mapping-latency statistics (deliberately outside the
-/// report — see [`crate::metrics`]).
-#[derive(Debug, Clone)]
+/// The result of [`run_sim`]: a function of its arguments, so two runs of
+/// one configuration compare equal. The wrapper around the report exists
+/// only because `benchmark/` reads `run.report`; it folds into
+/// [`SimReport`] when that crate is next maintained.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimRun {
     /// The deterministic, serializable report.
     pub report: SimReport,
-    /// Wall-clock mapping-latency distribution (one sample per timed
-    /// admission attempt), with p50/p90/p99/max.
-    pub wall: LatencyHistogram,
 }
 
 /// Attempt count a rejection reports, when its error carries one.
@@ -127,7 +123,7 @@ fn rejected_attempts(err: &AdmissionError) -> u64 {
     }
 }
 
-/// Result of one timed admission attempt (shared by arrivals and mode
+/// Result of one admission attempt (shared by arrivals and mode
 /// switches, which only differ in which counters they bump).
 enum Admission {
     /// Admitted: the handle plus the outcome's search effort.
@@ -143,18 +139,14 @@ enum Admission {
     },
 }
 
-/// Times one `manager.start` call and classifies its result; fatal ledger
+/// Makes one `manager.start` call and classifies its result; fatal ledger
 /// errors propagate. The spec arrives as a shared handle — admitting a
 /// catalog entry never deep-copies the specification.
 fn try_admit<A: MappingAlgorithm>(
     manager: &mut RuntimeManager<A>,
-    wall: &mut LatencyHistogram,
     spec: std::sync::Arc<ApplicationSpec>,
 ) -> Result<Admission, AdmissionError> {
-    let started = Instant::now();
-    let admission = manager.start(spec);
-    wall.record(started.elapsed());
-    match admission {
+    match manager.start(spec) {
         Ok(handle) => {
             let outcome = &manager.get(handle).expect("just admitted").outcome;
             Ok(Admission::Admitted {
@@ -243,7 +235,6 @@ pub fn run_sim<A: MappingAlgorithm>(
     if let Some(faults) = &config.faults {
         metrics = metrics.with_survivability_counters(faults.mttf, faults.mttr);
     }
-    let mut wall = LatencyHistogram::new();
     // Instance → current handle; absent once departed, blocked, or
     // evicted.
     let mut handles: BTreeMap<InstanceId, AppHandle> = BTreeMap::new();
@@ -320,7 +311,7 @@ pub fn run_sim<A: MappingAlgorithm>(
                     metrics.record_window_arrival(degraded);
                 }
                 let entry = &catalog.entries()[catalog_index];
-                match try_admit(&mut manager, &mut wall, entry.spec.clone())? {
+                match try_admit(&mut manager, entry.spec.clone())? {
                     Admission::Admitted {
                         handle,
                         evaluated,
@@ -360,10 +351,7 @@ pub fn run_sim<A: MappingAlgorithm>(
                     .as_ref()
                     .expect("Reconfigure events are only scheduled with a policy");
                 let entry = &catalog.entries()[catalog_index];
-                let started = Instant::now();
-                let result = manager.start_with_reconfiguration(entry.spec.clone(), policy);
-                wall.record(started.elapsed());
-                match result {
+                match manager.start_with_reconfiguration(entry.spec.clone(), policy) {
                     Ok(reconfiguration) => {
                         let outcome = &manager
                             .get(reconfiguration.handle)
@@ -419,10 +407,7 @@ pub fn run_sim<A: MappingAlgorithm>(
                         // being evicted — the loss is partially recovered.
                         metrics.record_mode_switch_attempt();
                         let entry = &catalog.entries()[catalog.sample(&mut rng)];
-                        let started = Instant::now();
-                        let result = manager.switch(handle, entry.spec.clone());
-                        wall.record(started.elapsed());
-                        match result {
+                        match manager.switch(handle, entry.spec.clone()) {
                             Ok(_old_outcome) => {
                                 let outcome = &manager.get(handle).expect("still running").outcome;
                                 metrics.record_mode_switch_admitted(
@@ -450,7 +435,7 @@ pub fn run_sim<A: MappingAlgorithm>(
                         manager.stop(handle)?;
                         metrics.record_mode_switch_attempt();
                         let entry = &catalog.entries()[catalog.sample(&mut rng)];
-                        match try_admit(&mut manager, &mut wall, entry.spec.clone())? {
+                        match try_admit(&mut manager, entry.spec.clone())? {
                             Admission::Admitted {
                                 handle: new_handle,
                                 evaluated,
@@ -560,7 +545,7 @@ pub fn run_sim<A: MappingAlgorithm>(
         final_running,
         ledger_idle_at_end,
     );
-    Ok(SimRun { report, wall })
+    Ok(SimRun { report })
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! End-to-end reproduction assertions for every paper artefact —
-//! the workspace-level contract that `EXPERIMENTS.md` documents.
+//! End-to-end reproduction assertions for every paper artefact: the
+//! paper-vs-measured comparison, held as the workspace-level contract.
 
 use rtsm::app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm::core::mapper::{MapperConfig, SpatialMapper};

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rtsm::core::{MappingAlgorithm, SpatialMapper};
 use rtsm::platform::paper::paper_platform;
 use rtsm::platform::TileKind;
-use rtsm::sim::{run_sim, ArrivalProcess, Catalog, HoldingTime, SimConfig, SimReport};
+use rtsm::sim::{run_sim, ArrivalProcess, Catalog, HoldingTime, SimConfig, SimReport, SimRun};
 use rtsm::workloads::mesh_platform;
 
 fn config(seed: u64, arrivals: u64) -> SimConfig {
@@ -34,7 +34,7 @@ fn mixed_mesh(seed: u64) -> rtsm::platform::Platform {
     mesh_platform(seed, 4, 4, &mix)
 }
 
-fn report_for(seed: u64, arrivals: u64) -> SimReport {
+fn run_for(seed: u64, arrivals: u64) -> SimRun {
     run_sim(
         &paper_platform(),
         SpatialMapper::default(),
@@ -42,7 +42,10 @@ fn report_for(seed: u64, arrivals: u64) -> SimReport {
         &config(seed, arrivals),
     )
     .expect("the simulation never breaks its own ledger")
-    .report
+}
+
+fn report_for(seed: u64, arrivals: u64) -> SimReport {
+    run_for(seed, arrivals).report
 }
 
 proptest! {
@@ -50,14 +53,15 @@ proptest! {
     // full ~60-arrival simulations.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Same seed ⇒ identical report, down to the serialized bytes.
+    /// Same seed ⇒ identical result — everything `run_sim` returns, not
+    /// only the report in it — down to the serialized bytes.
     #[test]
     fn seeded_simulation_is_deterministic(seed in 0u64..1000) {
-        let a = report_for(seed, 60);
-        let b = report_for(seed, 60);
-        prop_assert!(a == b, "reports for seed {seed} differ structurally");
-        let json_a = serde_json::to_string(&a).expect("serialize");
-        let json_b = serde_json::to_string(&b).expect("serialize");
+        let a = run_for(seed, 60);
+        let b = run_for(seed, 60);
+        prop_assert!(a == b, "runs for seed {seed} differ structurally");
+        let json_a = serde_json::to_string(&a.report).expect("serialize");
+        let json_b = serde_json::to_string(&b.report).expect("serialize");
         prop_assert!(json_a == json_b, "serialized reports for seed {seed} differ");
     }
 
