@@ -14,32 +14,28 @@ use rand::{RngExt, SeedableRng};
 use rtsm_app::{ApplicationSpec, ProcessId};
 use rtsm_core::constraints::MappingConstraints;
 use rtsm_core::{MapError, Mapping, MappingAlgorithm, MappingOutcome};
-use rtsm_platform::{EnergyModel, Platform, PlatformState};
+use rtsm_platform::{Platform, PlatformState};
 
-/// Simulated-annealing mapper (seeded: runs are reproducible).
+/// RNG seed: runs are reproducible.
+const SEED: u64 = 0xD41E_2008;
+
+/// Initial temperature, in picojoules of acceptable uphill move.
+const INITIAL_TEMPERATURE: f64 = 50_000.0;
+
+/// Geometric cooling factor per iteration.
+const COOLING: f64 = 0.998;
+
+/// Simulated-annealing mapper.
 #[derive(Debug, Clone)]
 pub struct AnnealingMapper {
-    /// RNG seed.
-    pub seed: u64,
-    /// Number of proposed moves.
+    /// Number of proposed moves — the one knob, because `repro`'s quality
+    /// table runs a shorter schedule than the default.
     pub iterations: u32,
-    /// Initial temperature, in picojoules of acceptable uphill move.
-    pub initial_temperature: f64,
-    /// Geometric cooling factor per iteration.
-    pub cooling: f64,
-    /// Energy model scored against.
-    pub energy_model: EnergyModel,
 }
 
 impl Default for AnnealingMapper {
     fn default() -> Self {
-        AnnealingMapper {
-            seed: 0xD41E_2008,
-            iterations: 4000,
-            initial_temperature: 50_000.0,
-            cooling: 0.998,
-            energy_model: EnergyModel::default(),
-        }
+        AnnealingMapper { iterations: 4000 }
     }
 }
 
@@ -75,19 +71,19 @@ impl MappingAlgorithm for AnnealingMapper {
         base: &PlatformState,
         constraints: &MappingConstraints,
     ) -> Result<MappingOutcome, MapError> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let mut working = base.clone();
         let mut mapping = self
             .initial(spec, platform, &mut working, constraints)
             .ok_or_else(|| no_feasible_mapping(0))?;
         let processes: Vec<ProcessId> = spec.graph.stream_processes().map(|(pid, _)| pid).collect();
-        let mut energy = mapping.energy_pj(spec, platform, &self.energy_model) as f64;
+        let mut energy = mapping.energy_pj(spec, platform) as f64;
         let mut best = (energy, mapping.clone());
-        let mut temperature = self.initial_temperature;
+        let mut temperature = INITIAL_TEMPERATURE;
         let mut evaluated = 0u64;
 
         for _ in 0..self.iterations {
-            temperature *= self.cooling;
+            temperature *= COOLING;
             let p = processes[rng.random_range(0..processes.len())];
             let current = mapping.assignment(p).expect("all processes assigned");
             // Propose: release p, pick a random alternative option.
@@ -108,7 +104,7 @@ impl MappingAlgorithm for AnnealingMapper {
             claim_option(spec, platform, &mut working, p, impl_index, tile);
             mapping.assign(p, impl_index, tile);
             evaluated += 1;
-            let proposal = mapping.energy_pj(spec, platform, &self.energy_model) as f64;
+            let proposal = mapping.energy_pj(spec, platform) as f64;
             let delta = proposal - energy;
             let accept = delta <= 0.0
                 || (temperature > f64::EPSILON

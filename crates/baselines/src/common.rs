@@ -16,7 +16,7 @@ use rtsm_core::step3::route_channels;
 use rtsm_core::step4::{check_constraints_in, Step4Config};
 use rtsm_core::SpecTable;
 use rtsm_core::{Mapping, MappingOutcome};
-use rtsm_platform::{EnergyModel, Platform, PlatformState};
+use rtsm_platform::{Platform, PlatformState};
 
 /// Routes and feasibility-checks an assignment-only mapping, producing a
 /// scored, committable [`MappingOutcome`]. Returns `None` if the tile
@@ -56,7 +56,7 @@ pub fn finalize_assignment(
     if !step4.feasible {
         return None;
     }
-    let energy_pj = mapping.energy_pj(spec, platform, &EnergyModel::default());
+    let energy_pj = mapping.energy_pj(spec, platform);
     let communication_hops = mapping.communication_hops(spec, platform);
     Some(MappingOutcome {
         mapping,

@@ -17,22 +17,22 @@ use crate::common::{
 use rtsm_app::{ApplicationSpec, Endpoint, ProcessId};
 use rtsm_core::constraints::MappingConstraints;
 use rtsm_core::{MapError, Mapping, MappingAlgorithm, MappingOutcome};
-use rtsm_platform::{EnergyModel, Platform, PlatformState};
+use rtsm_platform::energy::channel_energy_pj;
+use rtsm_platform::{Platform, PlatformState};
 
 /// Branch-and-bound optimal mapper.
 #[derive(Debug, Clone)]
 pub struct ExhaustiveMapper {
-    /// Abort after this many search nodes (returns best-so-far).
+    /// Abort after this many search nodes (returns best-so-far) — the one
+    /// knob, because `repro`'s quality table bounds the search tighter than
+    /// the default.
     pub max_nodes: u64,
-    /// Energy model for the bound and final scoring.
-    pub energy_model: EnergyModel,
 }
 
 impl Default for ExhaustiveMapper {
     fn default() -> Self {
         ExhaustiveMapper {
             max_nodes: 5_000_000,
-            energy_model: EnergyModel::default(),
         }
     }
 }
@@ -41,7 +41,6 @@ struct Search<'a> {
     spec: &'a ApplicationSpec,
     platform: &'a Platform,
     base: &'a PlatformState,
-    model: &'a EnergyModel,
     constraints: &'a MappingConstraints,
     order: Vec<ProcessId>,
     best: Option<(u64, Mapping)>,
@@ -64,7 +63,7 @@ impl Search<'_> {
                 let a = mapping.endpoint_tile(self.platform, ch.src)?;
                 let b = mapping.endpoint_tile(self.platform, ch.dst)?;
                 let hops = self.platform.manhattan(a, b);
-                Some(self.model.channel_energy_pj(ch.tokens_per_period, hops))
+                Some(channel_energy_pj(ch.tokens_per_period, hops))
             })
             .sum()
     }
@@ -142,7 +141,6 @@ impl MappingAlgorithm for ExhaustiveMapper {
             spec,
             platform,
             base,
-            model: &self.energy_model,
             constraints,
             order,
             best: None,
@@ -201,10 +199,7 @@ mod tests {
     fn node_guard_terminates_search() {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
-        let limited = ExhaustiveMapper {
-            max_nodes: 1,
-            ..ExhaustiveMapper::default()
-        };
+        let limited = ExhaustiveMapper { max_nodes: 1 };
         // With one node the search cannot reach a leaf: no result.
         assert!(limited
             .map(&spec, &platform, &platform.initial_state())

@@ -31,35 +31,25 @@ use rtsm_platform::{Platform, PlatformState, TileId};
 /// One `(impl_index, tile)` gene per process, in topological order.
 type Genome = Vec<(usize, TileId)>;
 
-/// Seeded bias-elitist genetic mapper.
-#[derive(Debug, Clone)]
-pub struct GeneticMapper {
-    /// RNG seed — runs are reproducible.
-    pub seed: u64,
-    /// Individuals per generation (including the greedy/spiral seeds).
-    pub population: usize,
-    /// Generations evolved before the best candidates are finalized.
-    pub generations: u32,
-    /// Individuals carried over unchanged each generation.
-    pub elite: usize,
-    /// Per-gene mutation probability, permille.
-    pub mutation_permille: u64,
-    /// Cost model the (feasibility-biased) fitness minimises.
-    pub cost_model: CostModel,
-}
+/// RNG seed — runs are reproducible.
+const SEED: u64 = 0x6E0_2008;
 
-impl Default for GeneticMapper {
-    fn default() -> Self {
-        GeneticMapper {
-            seed: 0x6E0_2008,
-            population: 16,
-            generations: 24,
-            elite: 4,
-            mutation_permille: 150,
-            cost_model: CostModel::Energy(rtsm_platform::EnergyModel::default()),
-        }
-    }
-}
+/// Individuals per generation (including the greedy/spiral seeds).
+const POPULATION: usize = 16;
+
+/// Generations evolved before the best candidates are finalized.
+const GENERATIONS: u32 = 24;
+
+/// Individuals carried over unchanged each generation.
+const ELITE: usize = 4;
+
+/// Per-gene mutation probability, permille.
+const MUTATION_PERMILLE: u64 = 150;
+
+/// Seeded bias-elitist genetic mapper; its fitness minimises
+/// [`CostModel::Energy`].
+#[derive(Debug, Clone, Default)]
+pub struct GeneticMapper;
 
 /// Capacity violations and cost of one genome: genes are replayed onto a
 /// scratch state in order; a gene that no longer fits counts as a
@@ -70,7 +60,6 @@ fn fitness(
     base: &PlatformState,
     processes: &[ProcessId],
     genome: &Genome,
-    cost_model: &CostModel,
 ) -> (u32, u64) {
     let mut working = base.clone();
     let mut violations = 0u32;
@@ -89,7 +78,7 @@ fn fitness(
     }
     (
         violations,
-        cost_model.assignment_cost(&mapping, spec, platform),
+        CostModel::Energy.assignment_cost(&mapping, spec, platform),
     )
 }
 
@@ -120,14 +109,7 @@ impl GeneticMapper {
             seeds.extend(to_genome(&out.mapping));
         }
         let mut working = base.clone();
-        if let Some((mapping, _)) = spiral_assignment(
-            spec,
-            platform,
-            &mut working,
-            constraints,
-            &CostModel::TrafficWeighted,
-            1,
-        ) {
+        if let Some((mapping, _)) = spiral_assignment(spec, platform, &mut working, constraints) {
             seeds.extend(to_genome(&mapping));
         }
         seeds
@@ -160,21 +142,20 @@ impl MappingAlgorithm for GeneticMapper {
             return Err(no_feasible_mapping(0));
         }
 
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let mut evaluated = 0u64;
         let score = |genome: &Genome, evaluated: &mut u64| {
             *evaluated += 1;
-            fitness(spec, platform, base, &processes, genome, &self.cost_model)
+            fitness(spec, platform, base, &processes, genome)
         };
 
         // Population: deterministic seeds first, random fill after.
-        let population_size = self.population.max(4);
-        let mut population: Vec<(Genome, (u32, u64))> = Vec::with_capacity(population_size);
+        let mut population: Vec<(Genome, (u32, u64))> = Vec::with_capacity(POPULATION);
         for genome in self.seed_genomes(spec, platform, base, constraints, &processes) {
             let fit = score(&genome, &mut evaluated);
             population.push((genome, fit));
         }
-        while population.len() < population_size {
+        while population.len() < POPULATION {
             let genome: Genome = options
                 .iter()
                 .map(|opts| opts[rng.random_range(0..opts.len())])
@@ -183,14 +164,13 @@ impl MappingAlgorithm for GeneticMapper {
             population.push((genome, fit));
         }
 
-        let elite = self.elite.clamp(1, population_size - 1);
-        for _ in 0..self.generations {
+        for _ in 0..GENERATIONS {
             // Bias-elitist ranking: feasibility first, cost second. The
             // sort is stable, so equal individuals keep their order and
             // the evolution stays deterministic.
             population.sort_by_key(|(_, fit)| *fit);
-            let mut next: Vec<(Genome, (u32, u64))> = population[..elite].to_vec();
-            while next.len() < population_size {
+            let mut next: Vec<(Genome, (u32, u64))> = population[..ELITE].to_vec();
+            while next.len() < POPULATION {
                 // Binary tournaments with the same feasibility bias.
                 let pick = |rng: &mut StdRng| {
                     let a = rng.random_range(0..population.len());
@@ -209,7 +189,7 @@ impl MappingAlgorithm for GeneticMapper {
                     .zip(&father)
                     .zip(&options)
                     .map(|((&m, &f), opts)| {
-                        if u64::from(rng.random_range(0..1000u32)) < self.mutation_permille {
+                        if u64::from(rng.random_range(0..1000u32)) < MUTATION_PERMILLE {
                             opts[rng.random_range(0..opts.len())]
                         } else if rng.random_range(0..2u32) == 0 {
                             m
@@ -253,7 +233,7 @@ mod tests {
     fn genetic_finds_a_feasible_mapping_on_the_paper_case() {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
-        let result = GeneticMapper::default()
+        let result = GeneticMapper
             .map(&spec, &platform, &platform.initial_state())
             .expect("the GA maps the paper case");
         assert!(result.feasible);
@@ -264,10 +244,10 @@ mod tests {
     fn genetic_is_deterministic_per_seed() {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
-        let a = GeneticMapper::default()
+        let a = GeneticMapper
             .map(&spec, &platform, &platform.initial_state())
             .unwrap();
-        let b = GeneticMapper::default()
+        let b = GeneticMapper
             .map(&spec, &platform, &platform.initial_state())
             .unwrap();
         assert_eq!(a.mapping, b.mapping);
@@ -278,7 +258,7 @@ mod tests {
     fn seeding_keeps_the_ga_at_least_as_good_as_greedy() {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
-        let ga = GeneticMapper::default()
+        let ga = GeneticMapper
             .map(&spec, &platform, &platform.initial_state())
             .unwrap();
         let greedy = crate::GreedyMapper
@@ -296,7 +276,7 @@ mod tests {
         let p = spec.graph.process_by_name("Prefix removal").unwrap();
         let tile = platform.tile_by_name("ARM1").unwrap();
         let constraints = MappingConstraints::none().pin(p, tile);
-        let result = GeneticMapper::default()
+        let result = GeneticMapper
             .map_constrained(&spec, &platform, &platform.initial_state(), &constraints)
             .expect("pinned paper case stays mappable");
         assert_eq!(result.mapping.assignment(p).unwrap().tile, tile);

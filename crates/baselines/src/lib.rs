@@ -18,9 +18,9 @@
 //! * [`GeneticMapper`] — seeded bias-elitist genetic search (after Quan
 //!   & Pimentel, arXiv:1406.7539), its population seeded with the
 //!   greedy and spiral solutions.
-//! * [`PortfolioMapper`] — not a search of its own: runs a member
-//!   portfolio cheapest-first under a modeled per-admission latency
-//!   budget and returns the best feasible outcome.
+//! * [`PortfolioMapper`] — not a search of its own: runs greedy, spiral,
+//!   the paper's heuristic and the genetic mapper in turn and returns the
+//!   lowest-energy feasible outcome.
 //!
 //! Every baseline implements the workspace-wide
 //! [`MappingAlgorithm`] trait (the paper's
@@ -28,6 +28,10 @@
 //! and returns the shared [`MappingOutcome`]
 //! type, so results are interchangeable: any of them can drive a
 //! [`RuntimeManager`](rtsm_core::RuntimeManager) or a benchmark table.
+//!
+//! Every tuning value of these baselines is a constant of its module,
+//! except the two `repro` varies: [`AnnealingMapper::iterations`] and
+//! [`ExhaustiveMapper::max_nodes`].
 //!
 //! Every algorithm returns mappings that are *adherent by construction*
 //! (claims are checked during search) and *feasibility-checked* with the
@@ -51,7 +55,7 @@ pub use common::finalize_assignment;
 pub use exhaustive::ExhaustiveMapper;
 pub use genetic::GeneticMapper;
 pub use greedy::GreedyMapper;
-pub use portfolio::{default_members, PortfolioMapper, PortfolioMember, DEFAULT_BUDGET_US};
+pub use portfolio::PortfolioMapper;
 pub use random::RandomMapper;
 pub use spiral::SpiralMapper;
 

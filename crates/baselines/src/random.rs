@@ -7,29 +7,18 @@ use rand::{RngExt, SeedableRng};
 use rtsm_app::ApplicationSpec;
 use rtsm_core::constraints::MappingConstraints;
 use rtsm_core::{MapError, Mapping, MappingAlgorithm, MappingOutcome};
-use rtsm_platform::{EnergyModel, Platform, PlatformState};
+use rtsm_platform::{Platform, PlatformState};
 
-/// Samples `samples` random adherent mappings and returns the best
-/// feasible one by energy.
-#[derive(Debug, Clone)]
-pub struct RandomMapper {
-    /// RNG seed.
-    pub seed: u64,
-    /// Number of samples to draw.
-    pub samples: u32,
-    /// Energy model for scoring.
-    pub energy_model: EnergyModel,
-}
+/// RNG seed: runs are reproducible.
+const SEED: u64 = 0x5EED;
 
-impl Default for RandomMapper {
-    fn default() -> Self {
-        RandomMapper {
-            seed: 0x5EED,
-            samples: 32,
-            energy_model: EnergyModel::default(),
-        }
-    }
-}
+/// Random mappings drawn per call.
+const SAMPLES: u32 = 32;
+
+/// Samples 32 random adherent mappings and returns the best feasible one
+/// by energy.
+#[derive(Debug, Clone, Default)]
+pub struct RandomMapper;
 
 impl RandomMapper {
     fn sample(
@@ -69,10 +58,10 @@ impl MappingAlgorithm for RandomMapper {
         base: &PlatformState,
         constraints: &MappingConstraints,
     ) -> Result<MappingOutcome, MapError> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let mut best: Option<MappingOutcome> = None;
         let mut evaluated = 0u64;
-        for _ in 0..self.samples {
+        for _ in 0..SAMPLES {
             let Some(mapping) = self.sample(spec, platform, base, constraints, &mut rng) else {
                 continue;
             };
@@ -102,7 +91,7 @@ mod tests {
     fn random_finds_a_feasible_mapping_on_paper_case() {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
-        let result = RandomMapper::default()
+        let result = RandomMapper
             .map(&spec, &platform, &platform.initial_state())
             .expect("32 samples hit a feasible mapping");
         assert!(result.feasible);
@@ -112,7 +101,7 @@ mod tests {
     fn random_no_better_than_heuristic_needs_not_hold_but_energy_positive() {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
-        let result = RandomMapper::default()
+        let result = RandomMapper
             .map(&spec, &platform, &platform.initial_state())
             .unwrap();
         // Structural sanity: at least the MONTIUM processing energy.
@@ -123,10 +112,10 @@ mod tests {
     fn deterministic_per_seed() {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
-        let a = RandomMapper::default()
+        let a = RandomMapper
             .map(&spec, &platform, &platform.initial_state())
             .unwrap();
-        let b = RandomMapper::default()
+        let b = RandomMapper
             .map(&spec, &platform, &platform.initial_state())
             .unwrap();
         assert_eq!(a.energy_pj, b.energy_pj);

@@ -19,28 +19,20 @@ use rtsm_core::cost::CostModel;
 use rtsm_core::{MapError, Mapping, MappingAlgorithm, MappingOutcome};
 use rtsm_platform::{Platform, PlatformState};
 
+/// How candidate tiles are scored against the already-placed region:
+/// traffic-weighted distance mirrors the reference paper's
+/// communication-volume objective.
+const COST_MODEL: CostModel = CostModel::TrafficWeighted;
+
+/// Weight of the ring-distance (spiral compactness) term added to the
+/// communication score. `0` would degenerate to pure nearest-neighbour
+/// placement; larger values force tighter spirals.
+const SPREAD_PENALTY: u64 = 1;
+
 /// Spiral / region-growing mapper: clusters communicating processes along
 /// Manhattan rings around the first-placed process.
-#[derive(Debug, Clone)]
-pub struct SpiralMapper {
-    /// How candidate tiles are scored against the already-placed region.
-    pub cost_model: CostModel,
-    /// Weight of the ring-distance (spiral compactness) term added to the
-    /// communication score. `0` degenerates to pure nearest-neighbour
-    /// placement; larger values force tighter spirals.
-    pub spread_penalty: u64,
-}
-
-impl Default for SpiralMapper {
-    fn default() -> Self {
-        SpiralMapper {
-            // Traffic-weighted distance mirrors the reference paper's
-            // communication-volume objective.
-            cost_model: CostModel::TrafficWeighted,
-            spread_penalty: 1,
-        }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct SpiralMapper;
 
 /// Traffic (tokens/period, both directions summed) between every pair of
 /// processes, flattened to `n × n`.
@@ -64,8 +56,6 @@ pub(crate) fn spiral_assignment(
     platform: &Platform,
     working: &mut PlatformState,
     constraints: &MappingConstraints,
-    cost_model: &CostModel,
-    spread_penalty: u64,
 ) -> Option<(Mapping, u64)> {
     let order = spec.graph.topological_order().ok()?;
     let n = spec.graph.n_processes();
@@ -129,11 +119,11 @@ pub(crate) fn spiral_assignment(
                         _ => return None,
                     };
                     let there = mapping.endpoint_tile(platform, there)?;
-                    Some(cost_model.channel_cost(platform, ch.tokens_per_period, here, there))
+                    Some(COST_MODEL.channel_cost(platform, ch.tokens_per_period, here, there))
                 })
                 .sum();
             let ring = u64::from(platform.manhattan(*tile, anchor_tile));
-            (comm + spread_penalty * ring, ring, tile.index(), *ix)
+            (comm + SPREAD_PENALTY * ring, ring, tile.index(), *ix)
         })?;
         claim_option(spec, platform, working, next, impl_index, tile);
         mapping.assign(next, impl_index, tile);
@@ -155,15 +145,8 @@ impl MappingAlgorithm for SpiralMapper {
         constraints: &MappingConstraints,
     ) -> Result<MappingOutcome, MapError> {
         let mut working = base.clone();
-        let (mapping, evaluated) = spiral_assignment(
-            spec,
-            platform,
-            &mut working,
-            constraints,
-            &self.cost_model,
-            self.spread_penalty,
-        )
-        .ok_or_else(|| no_feasible_mapping(0))?;
+        let (mapping, evaluated) = spiral_assignment(spec, platform, &mut working, constraints)
+            .ok_or_else(|| no_feasible_mapping(0))?;
         finalize_assignment(spec, platform, base, mapping, evaluated)
             .ok_or_else(|| no_feasible_mapping(evaluated))
     }
@@ -179,7 +162,7 @@ mod tests {
     fn spiral_is_feasible_and_compact_on_the_paper_case() {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
-        let result = SpiralMapper::default()
+        let result = SpiralMapper
             .map(&spec, &platform, &platform.initial_state())
             .expect("spiral maps the paper case");
         assert!(result.feasible);
@@ -195,10 +178,10 @@ mod tests {
     fn spiral_is_deterministic() {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
-        let a = SpiralMapper::default()
+        let a = SpiralMapper
             .map(&spec, &platform, &platform.initial_state())
             .unwrap();
-        let b = SpiralMapper::default()
+        let b = SpiralMapper
             .map(&spec, &platform, &platform.initial_state())
             .unwrap();
         assert_eq!(a.mapping, b.mapping);
@@ -209,7 +192,7 @@ mod tests {
     fn spiral_honours_constraints() {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
-        let unconstrained = SpiralMapper::default()
+        let unconstrained = SpiralMapper
             .map(&spec, &platform, &platform.initial_state())
             .unwrap();
         // Exclude every tile the unconstrained run used for the first
@@ -217,12 +200,9 @@ mod tests {
         let victim = spec.graph.topological_order().unwrap()[0];
         let used = unconstrained.mapping.assignment(victim).unwrap().tile;
         let constraints = MappingConstraints::none().exclude_tile(used);
-        if let Ok(result) = SpiralMapper::default().map_constrained(
-            &spec,
-            &platform,
-            &platform.initial_state(),
-            &constraints,
-        ) {
+        if let Ok(result) =
+            SpiralMapper.map_constrained(&spec, &platform, &platform.initial_state(), &constraints)
+        {
             assert_ne!(result.mapping.assignment(victim).unwrap().tile, used);
             assert!(constraints.satisfied_by(&result.mapping));
         }

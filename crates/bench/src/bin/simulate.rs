@@ -61,6 +61,9 @@
 
 use rtsm_bench::cli::Cli;
 use rtsm_core::MappingAlgorithm;
+use rtsm_exp::spec::{
+    DEFAULT_MEAN_HOLD, DEFAULT_PLATFORM_SEED, DEFAULT_SAMPLE_INTERVAL, DEFAULT_SWITCH_PROB_PCT,
+};
 use rtsm_exp::PolicySpec;
 use rtsm_obs::{self as obs, FlightRecorder};
 use rtsm_sim::{
@@ -152,10 +155,10 @@ fn main() {
     if mean_gap == 0 {
         one_line_error("--mean-gap is 0, must be ≥ 1 tick");
     }
-    let mean_hold = cli.u64_or("--mean-hold", 2000);
-    let switch_pct = cli.u64_or("--switch-prob", 10);
-    let sample_interval = cli.u64_or("--sample-interval", 10_000);
-    let platform_seed = cli.u64_or("--platform-seed", 42);
+    let mean_hold = cli.u64_or("--mean-hold", DEFAULT_MEAN_HOLD);
+    let switch_pct = cli.u64_or("--switch-prob", DEFAULT_SWITCH_PROB_PCT);
+    let sample_interval = cli.u64_or("--sample-interval", DEFAULT_SAMPLE_INTERVAL);
+    let platform_seed = cli.u64_or("--platform-seed", DEFAULT_PLATFORM_SEED);
     let horizon = cli.integer::<u64>("--horizon");
     let which = cli.value("--algorithm").unwrap_or("all");
     let catalog_name = cli.value("--catalog").unwrap_or("hiperlan2");
@@ -168,8 +171,9 @@ fn main() {
             }
         }
     }
-    let mttf = cli.u64_or("--mttf", 50_000);
-    let mttr = cli.u64_or("--mttr", 5_000);
+    let fault_defaults = FaultConfig::default();
+    let mttf = cli.u64_or("--mttf", fault_defaults.mttf);
+    let mttr = cli.u64_or("--mttr", fault_defaults.mttr);
     if faults && mttf == 0 {
         one_line_error("--mttf is 0, must be ≥ 1 tick");
     }
@@ -277,10 +281,10 @@ fn main() {
         horizon,
         reconfiguration: policy.to_policy(),
         track_fragmentation: reconfigure,
-        faults: faults.then(|| FaultConfig {
+        faults: faults.then_some(FaultConfig {
             mttf,
             mttr,
-            ..FaultConfig::default()
+            ..fault_defaults
         }),
     };
 

@@ -229,15 +229,9 @@ pub fn quality_comparison(seeds: &[u64]) -> (String, Vec<QualityRow>) {
         let algorithms: Vec<Box<dyn MappingAlgorithm>> = vec![
             Box::new(SpatialMapper::default()),
             Box::new(GreedyMapper),
-            Box::new(RandomMapper::default()),
-            Box::new(AnnealingMapper {
-                iterations: 1500,
-                ..AnnealingMapper::default()
-            }),
-            Box::new(ExhaustiveMapper {
-                max_nodes: 200_000,
-                ..ExhaustiveMapper::default()
-            }),
+            Box::new(RandomMapper),
+            Box::new(AnnealingMapper { iterations: 1500 }),
+            Box::new(ExhaustiveMapper { max_nodes: 200_000 }),
         ];
         for algorithm in &algorithms {
             let t0 = Instant::now();
@@ -402,10 +396,7 @@ pub fn ablation() -> String {
         for (label, cost_model) in [
             ("hops", CostModel::HopCount),
             ("traffic", CostModel::TrafficWeighted),
-            (
-                "energy",
-                CostModel::Energy(rtsm_platform::EnergyModel::default()),
-            ),
+            ("energy", CostModel::Energy),
         ] {
             let config = MapperConfig {
                 cost_model,

@@ -9,6 +9,7 @@
 
 use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm_bench::alloc_track::PeakAlloc;
+use rtsm_core::mapper::MAX_REFINEMENTS;
 use rtsm_core::step4::{check_constraints_in, Step4Config};
 use rtsm_core::{
     MapError, MapperConfig, MappingAlgorithm, SpatialMapper, SpecTable, TemplatedMapper,
@@ -169,9 +170,8 @@ fn paper_case_admission_calls_stay_under_their_allocation_ceilings() {
         let refusal = mapper
             .map(&arriving, &mesh, &ledger)
             .expect_err("the MONTIUMs are taken");
-        let attempts = mapper.config().max_refinements;
         assert!(
-            matches!(refusal, MapError::NoFeasibleMapping { attempts: n, .. } if n == attempts),
+            matches!(refusal, MapError::NoFeasibleMapping { attempts: n, .. } if n == MAX_REFINEMENTS),
             "{refusal}"
         );
     });

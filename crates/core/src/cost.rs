@@ -1,12 +1,14 @@
 //! Pluggable cost models for steps 1–2.
 //!
 //! The paper's Table 2 uses the plain sum of channel Manhattan distances;
-//! the overall objective is energy. Both are provided, plus a
+//! the overall objective is energy, priced by the platform's one energy
+//! characterisation ([`rtsm_platform::energy`]). Both are provided, plus a
 //! traffic-weighted middle ground, so ablation benches can compare them.
 
 use crate::mapping::Mapping;
 use rtsm_app::ApplicationSpec;
-use rtsm_platform::{EnergyModel, Platform, TileId};
+use rtsm_platform::energy::channel_energy_pj;
+use rtsm_platform::{Platform, TileId};
 use serde::{Deserialize, Serialize};
 
 /// How step 2 scores a (complete) tile assignment.
@@ -18,7 +20,7 @@ pub enum CostModel {
     /// Σ channel Manhattan distance × tokens/period.
     TrafficWeighted,
     /// Full energy objective (processing + estimated communication).
-    Energy(EnergyModel),
+    Energy,
 }
 
 impl CostModel {
@@ -36,7 +38,7 @@ impl CostModel {
                     Some(u64::from(platform.manhattan(a, b)) * ch.tokens_per_period)
                 })
                 .sum(),
-            CostModel::Energy(model) => mapping.energy_pj(spec, platform, model),
+            CostModel::Energy => mapping.energy_pj(spec, platform),
         }
     }
 
@@ -59,7 +61,7 @@ impl CostModel {
         match self {
             CostModel::HopCount => u64::from(hops),
             CostModel::TrafficWeighted => u64::from(hops) * tokens_per_period,
-            CostModel::Energy(model) => model.channel_energy_pj(tokens_per_period, hops),
+            CostModel::Energy => channel_energy_pj(tokens_per_period, hops),
         }
     }
 
@@ -69,7 +71,7 @@ impl CostModel {
     pub fn base_cost(&self, mapping: &Mapping, spec: &ApplicationSpec) -> u64 {
         match self {
             CostModel::HopCount | CostModel::TrafficWeighted => 0,
-            CostModel::Energy(_) => mapping
+            CostModel::Energy => mapping
                 .assignments()
                 .map(|(p, a)| spec.library.impls_for(p)[a.impl_index].energy_pj_per_period)
                 .sum(),
@@ -180,7 +182,7 @@ mod tests {
     #[test]
     fn energy_cost_includes_processing() {
         let (spec, platform, m) = paper_initial();
-        let cost = CostModel::Energy(EnergyModel::default()).cost(&m, &spec, &platform);
+        let cost = CostModel::Energy.cost(&m, &spec, &platform);
         assert!(cost >= 60_000 + 62_000 + 143_000 + 76_000);
     }
 
@@ -196,7 +198,7 @@ mod tests {
         for model in [
             CostModel::HopCount,
             CostModel::TrafficWeighted,
-            CostModel::Energy(EnergyModel::default()),
+            CostModel::Energy,
         ] {
             assert_eq!(model.migration_cost(&spec, &platform, &old, &old), (0, 0));
         }
@@ -209,7 +211,7 @@ mod tests {
         let arm2 = platform.tile_by_name("ARM2").unwrap();
         new.assign(pfx, 0, arm2);
         new.assign(frq, 0, arm1);
-        let model = CostModel::Energy(EnergyModel::default());
+        let model = CostModel::Energy;
         let (moved, cost) = model.migration_cost(&spec, &platform, &old, &new);
         assert_eq!(moved, 2);
         let words = |p| spec.library.impls_for(p)[0].memory_bytes / 4;
@@ -225,7 +227,7 @@ mod tests {
         for model in [
             CostModel::HopCount,
             CostModel::TrafficWeighted,
-            CostModel::Energy(EnergyModel::default()),
+            CostModel::Energy,
         ] {
             assert_eq!(
                 model.assignment_cost(&m, &spec, &platform),

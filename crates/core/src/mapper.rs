@@ -17,8 +17,11 @@ use crate::step4::{check_constraints_in, compose, Step4Config};
 use crate::trace::{AttemptTrace, MapTrace};
 use rtsm_app::{ApplicationSpec, Endpoint};
 use rtsm_obs as obs;
-use rtsm_platform::{EnergyModel, Platform, PlatformState, RoutingPolicy};
+use rtsm_platform::{Platform, PlatformState, RoutingPolicy};
 use serde::{Deserialize, Serialize};
+
+/// Refinement attempts one `map` makes before giving up.
+pub const MAX_REFINEMENTS: usize = 8;
 
 /// Configuration of the whole mapper.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -31,10 +34,6 @@ pub struct MapperConfig {
     pub step4: Step4Config,
     /// Step-3 path-search policy (adaptive, per the paper, or XY).
     pub routing: RoutingPolicy,
-    /// Maximum refinement attempts before giving up.
-    pub max_refinements: usize,
-    /// Energy model used for the result's energy account.
-    pub energy_model: EnergyModel,
     /// Record the full search trace ([`MappingOutcome::trace`], Table-2
     /// events, assignment snapshots) and compose the accepted mapping's
     /// Figure-3 graph ([`MappingOutcome::csdf`]). Default `true` — what the
@@ -54,8 +53,6 @@ impl Default for MapperConfig {
             step2: Step2Config::default(),
             step4: Step4Config::default(),
             routing: RoutingPolicy::Adaptive,
-            max_refinements: 8,
-            energy_model: EnergyModel::default(),
             capture: true,
         }
     }
@@ -153,8 +150,7 @@ impl SpatialMapper {
         let mut attempts_made = 0usize;
         let mut evaluated: u64 = 0;
 
-        let max_attempts = self.config.max_refinements.max(1);
-        for attempt in 0..max_attempts {
+        for attempt in 0..MAX_REFINEMENTS {
             let mut attempt_trace = AttemptTrace::default();
 
             // Step 1: implementations + greedy first-fit tiles.
@@ -176,7 +172,7 @@ impl SpatialMapper {
                     }
                     // The dead end's feedback list is read by the trace, and by
                     // the error if no attempt follows this one.
-                    if capture || attempt + 1 == max_attempts {
+                    if capture || attempt + 1 == MAX_REFINEMENTS {
                         last_feedback = dead_end.feedback(spec);
                     }
                     if capture {
@@ -250,7 +246,7 @@ impl SpatialMapper {
                     figure3.size(&step4.buffers);
                     figure3.csdf
                 });
-                let energy_pj = mapping.energy_pj(spec, platform, &self.config.energy_model);
+                let energy_pj = mapping.energy_pj(spec, platform);
                 let communication_hops = mapping.communication_hops(spec, platform);
                 return Ok(MappingOutcome {
                     mapping,
@@ -786,9 +782,6 @@ mod tests {
         let result = SpatialMapper::new(MapperConfig::default())
             .map(&spec, &platform, &platform.initial_state())
             .unwrap();
-        let recomputed = result
-            .mapping
-            .energy_pj(&spec, &platform, &EnergyModel::default());
-        assert_eq!(result.energy_pj, recomputed);
+        assert_eq!(result.energy_pj, result.mapping.energy_pj(&spec, &platform));
     }
 }

@@ -1,7 +1,8 @@
 //! The mapping data structure: what the spatial mapper produces.
 
 use rtsm_app::{ApplicationSpec, Endpoint, KpnChannelId, ProcessId};
-use rtsm_platform::{EnergyModel, Path, Platform, TileId};
+use rtsm_platform::energy::channel_energy_pj;
+use rtsm_platform::{Path, Platform, TileId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -126,12 +127,7 @@ impl Mapping {
     /// implementations' processing energy plus communication energy over
     /// the *routed* paths (falling back to Manhattan distance for unrouted
     /// channels, as steps 1–2 estimate it).
-    pub fn energy_pj(
-        &self,
-        spec: &ApplicationSpec,
-        platform: &Platform,
-        model: &EnergyModel,
-    ) -> u64 {
+    pub fn energy_pj(&self, spec: &ApplicationSpec, platform: &Platform) -> u64 {
         let processing: u64 = self
             .assignments()
             .map(|(p, a)| spec.library.impls_for(p)[a.impl_index].energy_pj_per_period)
@@ -148,7 +144,7 @@ impl Mapping {
                         platform.manhattan(a, b)
                     }
                 };
-                Some(model.channel_energy_pj(ch.tokens_per_period, hops))
+                Some(channel_energy_pj(ch.tokens_per_period, hops))
             })
             .sum();
         processing + communication
@@ -197,12 +193,11 @@ mod tests {
     #[test]
     fn energy_prefers_montium_and_locality() {
         let (spec, platform, m) = paper_final_mapping();
-        let model = EnergyModel::default();
-        let e = m.energy_pj(&spec, &platform, &model);
+        let e = m.energy_pj(&spec, &platform);
         // Processing: 60+62 (ARM) + 143+76 (MONTIUM) = 341 nJ, plus
-        // communication: strictly more than processing alone.
+        // exactly 25.68 nJ of communication over the 7 hops.
         let processing = 60_000 + 62_000 + 143_000 + 76_000;
-        assert!(e > processing);
+        assert_eq!(e, processing + 25_680);
         // All-ARM processing alone would cost 60+62+275+140 = 537 nJ; the
         // heterogeneous mapping with communication still wins.
         assert!(e < 537_000);

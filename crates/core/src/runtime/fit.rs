@@ -395,4 +395,34 @@ mod tests {
         let platform = arms_only(63);
         assert!(!cannot_fit(&spec, &platform, &platform.initial_state()));
     }
+
+    /// `evacuate`'s unpinned second attempt: once `T1` fails, pinning `B`
+    /// to its healthy ARM leaves `A` no ARM (the pinned attempt is ruled
+    /// out here), so only moving `B` to the DSP frees `T2` for `A`.
+    #[test]
+    fn evacuation_unpins_when_the_pinned_attempt_cannot_fit() {
+        use crate::runtime::{EvacuationPolicy, FailureEvent, RuntimeManager};
+        use crate::SpatialMapper;
+        let platform = strip(&[Arm, Arm, Dsp], 1);
+        let tile = |name: &str| platform.tile_by_name(name).unwrap();
+        let (t1, t2) = (tile("T1"), tile("T2"));
+        let mut m = RuntimeManager::new(platform.clone(), SpatialMapper::default());
+        let h = m.start(pipeline(&[&[Arm], &[Arm, Dsp]], 1024)).unwrap();
+        let (a, b) = (process(0), process(1));
+        m.remap(h, &MappingConstraints::none().pin(a, t1).pin(b, t2))
+            .unwrap();
+
+        let evacuation = m
+            .evacuate(FailureEvent::Tile(t1), &EvacuationPolicy)
+            .unwrap();
+        assert_eq!(evacuation.victims, vec![h]);
+        assert!(evacuation.evicted.is_empty());
+        assert_eq!(evacuation.evacuated.len(), 1);
+        assert_eq!(evacuation.evacuated[0].processes_moved, 2);
+        let mapping = &m.get(h).unwrap().outcome.mapping;
+        assert_eq!(mapping.assignment(a).unwrap().tile, t2);
+        assert_eq!(mapping.assignment(b).unwrap().tile, tile("T3"));
+        m.stop_all().unwrap();
+        assert!(m.utilization().is_idle());
+    }
 }

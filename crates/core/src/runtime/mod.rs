@@ -61,6 +61,7 @@ pub use policy::{
 
 use crate::algorithm::{MappingAlgorithm, MappingOutcome};
 use crate::constraints::MappingConstraints;
+use crate::cost::CostModel;
 use crate::error::MapError;
 use crate::mapping::RouteBinding;
 use plan::{Placement, Plan, StageError};
@@ -99,8 +100,8 @@ impl fmt::Display for AppHandle {
 pub struct Migration {
     /// The migrated application (its handle is unchanged).
     pub handle: AppHandle,
-    /// The move cost that ranked it (see
-    /// [`ReconfigurationPolicy::cost_model`]).
+    /// The move cost that ranked it: its mapping's communication hops
+    /// before the move ([`CostModel::HopCount`]).
     pub move_cost: u64,
     /// Processes whose tile actually changed.
     pub processes_moved: usize,
@@ -182,10 +183,6 @@ pub struct EvacuatedApp {
     pub processes_moved: usize,
     /// Modelled state-transfer energy of the relocation, in picojoules.
     pub migration_energy_pj: u64,
-    /// The relocation's [`ReconfigurationObjective::score`] (post-commit
-    /// steady-state energy of the running set, plus the weighted transfer
-    /// term).
-    pub objective: u64,
 }
 
 /// What one [`RuntimeManager::evacuate`] call did: which applications the
@@ -459,8 +456,8 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
     /// Attempts to start `spec`; when plain admission fails, searches
     /// bounded migration plans that *defragment* the platform: up to
     /// [`ReconfigurationPolicy::max_migrations`] running applications —
-    /// enumerated cheapest-to-move first, ranked by
-    /// [`ReconfigurationPolicy::cost_model`] — are released inside one
+    /// enumerated cheapest-to-move first, ranked by the hop count of their
+    /// mapping ([`CostModel::HopCount`]) — are released inside one
     /// transaction, the arriving application is mapped against the freed
     /// occupancy, and every victim is re-mapped after it.
     ///
@@ -545,7 +542,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         // is deterministic.
         let mut candidates: Vec<(u64, AppHandle, usize)> = (self.running.iter())
             .map(|(handle, app)| {
-                let move_cost = (policy.cost_model).assignment_cost(
+                let move_cost = CostModel::HopCount.assignment_cost(
                     &app.outcome.mapping,
                     &app.spec,
                     &self.platform,
@@ -599,7 +596,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
                 );
                 let mut plan = Plan {
                     rest: std::mem::take(&mut victims),
-                    pricing: Some(policy.energy),
+                    priced: true,
                     ..Plan::of(placement(None, 0))
                 };
                 let staged = {
@@ -736,15 +733,15 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
     /// Victims are processed in handle (admission) order, each as a plan of
     /// its own (see the `plan` module for what staging guarantees and for
     /// the failure windows): the victim's reservations are released, the
-    /// algorithm re-maps it under auto-derived [`MappingConstraints`]
-    /// (every currently-failed tile excluded; with
-    /// [`EvacuationPolicy::pin_healthy`], processes on healthy tiles first
-    /// pinned in place), the relocation is priced through
-    /// [`CostModel::migration_cost`](crate::cost::CostModel::migration_cost)
-    /// and gated by the policy's [`AdmissionPolicy`]. If no attempt
-    /// commits, the victim is *evicted* — stopped, its resources released —
-    /// which is a terminal outcome distinct from blocking. Victims already
-    /// relocated by the same call keep their new placements.
+    /// algorithm re-maps it under auto-derived [`MappingConstraints`] —
+    /// every currently-failed tile excluded, and in a first attempt every
+    /// process on a healthy tile pinned in place, in a second one nothing
+    /// pinned — and the first attempt that stages commits, its move priced
+    /// through [`CostModel::migration_cost`]. If neither stages, the victim
+    /// is *evicted* — stopped, its resources released — which is a terminal
+    /// outcome distinct from blocking. Victims already relocated by the
+    /// same call keep their new placements. [`EvacuationPolicy`] has no
+    /// fields: evacuation always proceeds this way.
     ///
     /// Idempotent on the health layer: evacuating an already-failed
     /// resource re-runs victim identification (normally finding none).
@@ -757,7 +754,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
     pub fn evacuate(
         &mut self,
         failure: FailureEvent,
-        policy: &EvacuationPolicy,
+        _: &EvacuationPolicy,
     ) -> Result<Evacuation, RuntimeError> {
         let _span = obs::span(obs::Span::Evacuate);
         self.last_refusal = None;
@@ -782,31 +779,26 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         // returns, so neither do the constraints it implies.
         let unpinned = self.failure_constraints();
         for handle in victims {
-            let pinned = policy
-                .pin_healthy
-                .then(|| self.pin_healthy(unpinned.clone(), handle));
+            let pinned = self.pin_healthy(unpinned.clone(), handle);
             let spec = self.running[&handle].spec.clone();
             let demand = Demand::of(&spec);
             let mut relocated = false;
-            for constraints in pinned.iter().chain([&unpinned]) {
+            for constraints in [&pinned, &unpinned] {
                 let mut plan = Plan {
-                    pricing: Some(policy.energy),
+                    priced: true,
                     ..Plan::of(Placement {
                         demand: Some(&demand),
                         ..Placement::new(Some(handle), &spec, constraints)
                     })
                 };
                 let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
-                // An infeasible or vetoed attempt drops its transaction
-                // (exact rollback, health checks bypassed for the restore)
-                // and falls through to the next one.
+                // An infeasible attempt drops its transaction (exact
+                // rollback, health checks bypassed for the restore) and falls
+                // through to the next one.
                 match plan.stage(&self.algorithm, &self.running, &mut tx) {
                     Ok(()) => {}
                     Err(StageError::Release(e)) => return Err(RuntimeError::ReleaseFailed(e)),
                     Err(_) => continue,
-                }
-                if !plan.admitted_by(&policy.admission) {
-                    continue;
                 }
                 tx.commit();
                 evacuation.migration_energy_pj += plan.migration_energy_pj;
@@ -814,7 +806,6 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
                     handle,
                     processes_moved: plan.first.processes_moved,
                     migration_energy_pj: plan.migration_energy_pj,
-                    objective: plan.score(&policy.objective),
                 });
                 self.adopt(plan.first);
                 relocated = true;
@@ -1549,7 +1540,7 @@ mod tests {
         );
 
         let evacuation = m
-            .evacuate(FailureEvent::Tile(arm_a), &EvacuationPolicy::default())
+            .evacuate(FailureEvent::Tile(arm_a), &EvacuationPolicy)
             .unwrap();
         assert_eq!(evacuation.victims, vec![h]);
         assert_eq!(evacuation.evacuated.len(), 1);
@@ -1599,7 +1590,7 @@ mod tests {
         assert_eq!(before_running, 4);
 
         let evacuation = m
-            .evacuate(FailureEvent::Tile(arm_a), &EvacuationPolicy::default())
+            .evacuate(FailureEvent::Tile(arm_a), &EvacuationPolicy)
             .unwrap();
         assert_eq!(evacuation.victims.len(), 2, "two tenants on the failed ARM");
         assert!(evacuation.evacuated.is_empty(), "ARM-b is already full");
@@ -1632,33 +1623,13 @@ mod tests {
             })
             .map(|(h, app)| (h, app.clone()))
             .collect();
-        m.evacuate(FailureEvent::Tile(arm_a), &EvacuationPolicy::default())
+        m.evacuate(FailureEvent::Tile(arm_a), &EvacuationPolicy)
             .unwrap();
         for (h, record) in survivors {
             assert_eq!(m.get(h).unwrap(), &record, "survivors are untouched");
         }
         m.repair(FailureEvent::Tile(arm_a));
         m.stop_all().unwrap();
-        assert!(m.utilization().is_idle());
-    }
-
-    #[test]
-    fn admission_policy_can_veto_relocations_into_eviction() {
-        let platform = defrag_platform();
-        let arm_a = platform.tile_by_name("ARM-a").unwrap();
-        let mut m = RuntimeManager::new(platform, SpatialMapper::default());
-        m.start(light()).unwrap();
-        let policy = EvacuationPolicy {
-            admission: AdmissionPolicy::EnergyBudget { max_transfer_pj: 0 },
-            ..EvacuationPolicy::default()
-        };
-        let evacuation = m.evacuate(FailureEvent::Tile(arm_a), &policy).unwrap();
-        assert!(
-            evacuation.evacuated.is_empty(),
-            "zero budget vetoes the move"
-        );
-        assert_eq!(evacuation.evicted.len(), 1);
-        m.repair(FailureEvent::Tile(arm_a));
         assert!(m.utilization().is_idle());
     }
 
@@ -1682,7 +1653,7 @@ mod tests {
             })
             .expect("the paper mapping routes at least one channel");
         let evacuation = m
-            .evacuate(FailureEvent::Link(used_link), &EvacuationPolicy::default())
+            .evacuate(FailureEvent::Link(used_link), &EvacuationPolicy)
             .unwrap();
         assert_eq!(evacuation.victims, vec![h], "the app uses the failed link");
         if let Some(evacuee) = evacuation.evacuated.first() {
@@ -1720,7 +1691,7 @@ mod tests {
         let h = m.start(light()).unwrap();
         let record = m.get(h).unwrap().clone();
         let evacuation = m
-            .evacuate(FailureEvent::Tile(idle_arm), &EvacuationPolicy::default())
+            .evacuate(FailureEvent::Tile(idle_arm), &EvacuationPolicy)
             .unwrap();
         assert!(evacuation.victims.is_empty());
         assert_eq!(m.get(h).unwrap(), &record);
@@ -1730,7 +1701,7 @@ mod tests {
         // Conversely, the app's output route terminates at the Sink, so
         // failing the Sink touches it although no process sits there.
         let evacuation = m
-            .evacuate(FailureEvent::Tile(sink), &EvacuationPolicy::default())
+            .evacuate(FailureEvent::Tile(sink), &EvacuationPolicy)
             .unwrap();
         assert_eq!(evacuation.victims, vec![h]);
         m.repair(FailureEvent::Tile(sink));
@@ -1897,7 +1868,7 @@ mod tests {
             defrag_platform(),
             SpatialMapper::default(),
         ));
-        m.evacuate(FailureEvent::Tile(arm_b), &EvacuationPolicy::default())
+        m.evacuate(FailureEvent::Tile(arm_b), &EvacuationPolicy)
             .unwrap();
         m.start(light()).unwrap();
         m.start(light()).unwrap();
@@ -1918,7 +1889,7 @@ mod tests {
         let spec = Arc::new(heavy());
         assert!(m.start(spec.clone()).is_err());
         let evacuation = m
-            .evacuate(FailureEvent::Tile(arm_a), &EvacuationPolicy::default())
+            .evacuate(FailureEvent::Tile(arm_a), &EvacuationPolicy)
             .unwrap();
         assert_eq!(evacuation.evicted.len(), 1);
         assert!(m.last_refusal.is_none(), "evacuate forgets the refusal");

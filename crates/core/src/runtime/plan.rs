@@ -26,7 +26,11 @@
 //! evaluation or an evacuation attempt, whose mapping error nobody reads —
 //! is first held against the transaction's state and refused at its
 //! position, the algorithm not asked, when it
-//! [cannot fit](Demand::cannot_fit). Nothing outside the transaction
+//! [cannot fit](Demand::cannot_fit). A *priced* plan — a reconfiguration
+//! evaluation's or an evacuation attempt's — also prices every
+//! re-placement's state transfer in the one energy model
+//! ([`CostModel::Energy`]) and sums the plan's migration and steady-state
+//! energies. Nothing outside the transaction
 //! changes: dropping it restores the ledger byte for byte, and the records
 //! are only written by [`RuntimeManager::adopt`], after the caller
 //! committed.
@@ -66,7 +70,7 @@ use crate::constraints::MappingConstraints;
 use crate::cost::CostModel;
 use crate::error::MapError;
 use rtsm_app::ApplicationSpec;
-use rtsm_platform::{EnergyModel, PlatformError, PlatformTransaction};
+use rtsm_platform::{PlatformError, PlatformTransaction};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -127,10 +131,10 @@ pub(super) struct Plan<'a> {
     pub first: Placement<'a>,
     /// Re-placed after it, in order: a migration plan's victims.
     pub rest: Vec<Placement<'a>>,
-    /// Prices every re-placement's state transfer
-    /// ([`CostModel::migration_cost`] over this model) and sums the plan's
-    /// energies, for the entry points whose gate reads them.
-    pub pricing: Option<EnergyModel>,
+    /// Whether to price every re-placement's state transfer
+    /// ([`CostModel::Energy`]'s [`CostModel::migration_cost`]) and sum the
+    /// plan's energies, for the entry points that read them.
+    pub priced: bool,
     /// Of a priced plan, once staged: total state-transfer energy.
     pub migration_energy_pj: u64,
     /// Of a priced plan, once staged: total per-period energy of the
@@ -184,7 +188,7 @@ impl<'a> Plan<'a> {
         Plan {
             first,
             rest: Vec::new(),
-            pricing: None,
+            priced: false,
             migration_energy_pj: 0,
             steady_state_energy_pj: 0,
         }
@@ -232,11 +236,11 @@ impl<'a> Plan<'a> {
                 .stage_release(&app.spec, tx)
                 .map_err(StageError::Release)?;
         }
-        let pricing = self.pricing.map(CostModel::Energy);
         let mut migration_energy_pj = 0u64;
-        let mut steady_state_energy_pj = match pricing {
-            Some(_) => running.values().map(|app| app.outcome.energy_pj).sum(),
-            None => 0,
+        let mut steady_state_energy_pj = if self.priced {
+            running.values().map(|app| app.outcome.energy_pj).sum()
+        } else {
+            0
         };
         let placements = std::iter::once(&mut self.first).chain(&mut self.rest);
         for (at, placement) in placements.enumerate() {
@@ -264,9 +268,9 @@ impl<'a> Plan<'a> {
             outcome
                 .stage_commit(placement.spec, tx)
                 .map_err(|e| StageError::Commit(at, e))?;
-            if let Some(pricing) = pricing {
+            if self.priced {
                 if let Some(app) = replaced(placement.handle) {
-                    (placement.processes_moved, placement.transfer_energy_pj) = pricing
+                    (placement.processes_moved, placement.transfer_energy_pj) = CostModel::Energy
                         .migration_cost(
                             &app.spec,
                             tx.platform(),

@@ -1,10 +1,10 @@
 //! The policies the gated entry points of
 //! [`RuntimeManager`](super::RuntimeManager) decide under: how migration
-//! plans are enumerated, scored and admitted, and how the victims of a
-//! failure are re-placed.
+//! plans are enumerated, scored and admitted. What is not a policy is fixed:
+//! victims are ranked by hop count, every move is priced by the one energy
+//! model, and [`evacuate`](super::RuntimeManager::evacuate) re-places the
+//! victims of a failure the same way every time.
 
-use crate::cost::CostModel;
-use rtsm_platform::EnergyModel;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -20,11 +20,12 @@ use std::fmt;
 /// running application after the plan commits (the arriving application
 /// plus all victims under their new mappings plus everything untouched),
 /// and *migration energy* is the one-off state-transfer cost of the plan
-/// priced through [`CostModel::migration_cost`]. λ is carried in permille
-/// so the trade-off sweeps exactly in integers: λ‰ = 0 ignores transfer
-/// cost entirely, λ‰ = 1000 weights one picojoule of transfer like one
-/// picojoule of steady-state energy per period, larger values make the
-/// manager increasingly reluctant to move state.
+/// priced through
+/// [`CostModel::migration_cost`](crate::cost::CostModel::migration_cost).
+/// λ is carried in permille so the trade-off sweeps exactly in integers:
+/// λ‰ = 0 ignores transfer cost entirely, λ‰ = 1000 weights one picojoule
+/// of transfer like one picojoule of steady-state energy per period,
+/// larger values make the manager increasingly reluctant to move state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReconfigurationObjective {
     /// Weight of migration energy against steady-state energy, in
@@ -123,11 +124,13 @@ impl fmt::Display for AdmissionPolicy {
 
 /// How
 /// [`start_with_reconfiguration`](super::RuntimeManager::start_with_reconfiguration)
-/// may defragment the
-/// platform when plain admission fails: how many running applications one
-/// migration plan may move, how many plans to enumerate, how candidate
-/// victims are ranked, how plans are scored, and which feasible plans the
-/// admission policy lets commit.
+/// may defragment the platform when plain admission fails: how many running
+/// applications one migration plan may move, how many plans to enumerate,
+/// how plans are scored, and which feasible plans the admission policy lets
+/// commit. Candidate victims are ranked by their current mapping's
+/// [`CostModel::HopCount`](crate::cost::CostModel::HopCount) — cheap-to-move
+/// (little communication) applications are enumerated first — and every
+/// plan is priced in [`rtsm_platform::energy`]'s one energy model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigurationPolicy {
     /// Most running applications one plan may migrate (`k`). 0 disables
@@ -136,18 +139,6 @@ pub struct ReconfigurationPolicy {
     /// Most migration plans enumerated before the search stops and the
     /// cheapest feasible plan found so far (if any) commits.
     pub max_plans: usize,
-    /// Ranks candidate victims by per-application *move cost*: the
-    /// [`CostModel::assignment_cost`] of their current mapping. Cheap-to-
-    /// move (little communication) applications are enumerated first.
-    pub cost_model: CostModel,
-    /// Prices the *state-transfer* (migration) term of the objective:
-    /// [`CostModel::Energy`] over this model via
-    /// [`CostModel::migration_cost`] — the same per-channel decomposition
-    /// victim ranking uses, not a separate account. The steady-state term
-    /// comes from each mapping outcome's own energy account (the mapping
-    /// algorithm's energy model), so keep the two models consistent when
-    /// overriding either.
-    pub energy: EnergyModel,
     /// Scores candidate plans; the *cheapest* feasible plan commits, not
     /// the first.
     pub objective: ReconfigurationObjective,
@@ -160,45 +151,18 @@ impl Default for ReconfigurationPolicy {
         ReconfigurationPolicy {
             max_migrations: 2,
             max_plans: 8,
-            cost_model: CostModel::HopCount,
-            energy: EnergyModel::default(),
             objective: ReconfigurationObjective::default(),
             admission: AdmissionPolicy::AlwaysAdmit,
         }
     }
 }
 
-/// How [`evacuate`](super::RuntimeManager::evacuate) re-places the victims of
-/// a failure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvacuationPolicy {
-    /// First try re-maps that *pin* every process currently on a healthy
-    /// tile in place, so only the processes that lost their tile move (for
-    /// a link failure: nothing moves, routes are just re-planned around
-    /// the link). When the pinned attempt finds no feasible mapping — or
-    /// the admission policy refuses it — an unpinned attempt follows.
-    pub pin_healthy: bool,
-    /// Prices the state-transfer term of each relocation
-    /// ([`CostModel::migration_cost`] over this model).
-    pub energy: EnergyModel,
-    /// Scores each committed relocation (reported per evacuated app).
-    pub objective: ReconfigurationObjective,
-    /// Whether a relocation spending a given migration energy may commit;
-    /// refused relocations fall through to the next attempt or, when none
-    /// remains, to eviction.
-    pub admission: AdmissionPolicy,
-}
-
-impl Default for EvacuationPolicy {
-    fn default() -> Self {
-        EvacuationPolicy {
-            pin_healthy: true,
-            energy: EnergyModel::default(),
-            objective: ReconfigurationObjective::default(),
-            admission: AdmissionPolicy::AlwaysAdmit,
-        }
-    }
-}
+/// How [`evacuate`](super::RuntimeManager::evacuate) re-places the victims
+/// of a failure — which is always the same way (see there), so this has no
+/// fields. It is kept only because the `benchmark/` crate names it; it goes
+/// when `benchmark/` is next maintained.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EvacuationPolicy;
 
 #[cfg(test)]
 mod tests {

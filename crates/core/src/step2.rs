@@ -694,13 +694,12 @@ mod tests {
 
     #[test]
     fn incremental_delta_exact_for_all_cost_models() {
-        use rtsm_platform::EnergyModel;
         // The debug assertion inside `evaluate` cross-checks every delta
         // against a full recompute; drive it under all three models.
         for model in [
             CostModel::HopCount,
             CostModel::TrafficWeighted,
-            CostModel::Energy(EnergyModel::default()),
+            CostModel::Energy,
         ] {
             let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
             let platform = paper_platform();

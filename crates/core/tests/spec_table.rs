@@ -13,6 +13,7 @@ use rtsm_app::{ApplicationSpec, Implementation, ProcessId};
 use rtsm_core::claims::{claim_for, reservation_of};
 use rtsm_core::cost::CostModel;
 use rtsm_core::feedback::{Constraints, Feedback};
+use rtsm_core::mapper::MAX_REFINEMENTS;
 use rtsm_core::step1::{assign_implementations, assign_implementations_in};
 use rtsm_core::step2::{improve_assignment, SearchCtx, Step2Config, Step2Strategy};
 use rtsm_core::step3::route_channels;
@@ -365,12 +366,11 @@ fn reference_refusal(
     platform: &Platform,
     base: &PlatformState,
     external: &MappingConstraints,
-    max_refinements: usize,
 ) -> Option<MapError> {
     let table = SpecTable::for_validated(spec);
     let mut constraints = Constraints::with_external(external.clone());
     let mut last_feedback = Vec::new();
-    for _ in 0..max_refinements {
+    for _ in 0..MAX_REFINEMENTS {
         let Err((process, placed)) = reprobing_step1(&table, platform, base, &constraints) else {
             return None;
         };
@@ -393,7 +393,7 @@ fn reference_refusal(
         }
     }
     Some(MapError::NoFeasibleMapping {
-        attempts: max_refinements,
+        attempts: MAX_REFINEMENTS,
         last_feedback,
     })
 }
@@ -417,7 +417,6 @@ fn refused_maps_return_the_reference_loops_error() {
             .chain(mixed_specs().map(|spec| (spec, mixed_mesh())))
             .collect();
     let mapper = SpatialMapper::default();
-    let max_refinements = mapper.config().max_refinements;
     // Chain lengths seen, by how the refusal ended.
     let (mut unmappable, mut exhausted, mut past_step1) = (0, 0, 0);
     let mut longest_unmappable_chain = 0;
@@ -462,7 +461,7 @@ fn refused_maps_return_the_reference_loops_error() {
                 excluded_twice.clone(),
             ] {
                 let mapped = mapper.map_constrained(spec, platform, base, &external);
-                match reference_refusal(spec, platform, base, &external, max_refinements) {
+                match reference_refusal(spec, platform, base, &external) {
                     None => past_step1 += 1,
                     Some(expected) => {
                         match &expected {

@@ -17,44 +17,63 @@ use rtsm_core::{AdmissionPolicy, ReconfigurationObjective, ReconfigurationPolicy
 use serde::{Deserialize, Serialize};
 
 /// Simulation parameters shared by every trial of a spec. Only
-/// `arrivals` is mandatory; the optional fields default to the
-/// `simulate` CLI defaults so specs and ad-hoc runs agree.
+/// `arrivals` is mandatory; the optional fields default to the `DEFAULT_*`
+/// constants below, which the `simulate` CLI reads too, so specs and ad-hoc
+/// runs agree.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpecTemplate {
     /// Arrivals per trial (policies may override per-policy; see
     /// [`PolicySpec::arrivals`]).
     pub arrivals: u64,
-    /// Mean exponential holding time, ticks (default 2000).
+    /// Mean exponential holding time, ticks (default
+    /// [`DEFAULT_MEAN_HOLD`]).
     pub mean_hold: Option<u64>,
-    /// Mode-switch probability, percent 0–100 (default 10).
+    /// Mode-switch probability, percent 0–100 (default
+    /// [`DEFAULT_SWITCH_PROB_PCT`]).
     pub switch_prob_pct: Option<u64>,
-    /// Occupancy sample interval, ticks (default 10 000).
+    /// Occupancy sample interval, ticks (default
+    /// [`DEFAULT_SAMPLE_INTERVAL`]).
     pub sample_interval: Option<u64>,
     /// Optional virtual-time horizon cutting trials short, ticks.
     pub horizon: Option<u64>,
-    /// Seed pinning platform layout and synthetic catalogs (default 42).
+    /// Seed pinning platform layout and synthetic catalogs (default
+    /// [`DEFAULT_PLATFORM_SEED`]).
     pub platform_seed: Option<u64>,
 }
+
+/// Mean holding time of a spec or `simulate` run that sets none, ticks.
+pub const DEFAULT_MEAN_HOLD: u64 = 2000;
+
+/// Mode-switch probability of a spec or `simulate` run that sets none,
+/// percent.
+pub const DEFAULT_SWITCH_PROB_PCT: u64 = 10;
+
+/// Occupancy sample interval of a spec or `simulate` run that sets none,
+/// ticks.
+pub const DEFAULT_SAMPLE_INTERVAL: u64 = 10_000;
+
+/// Platform seed of a spec or `simulate` run that sets none.
+pub const DEFAULT_PLATFORM_SEED: u64 = 42;
 
 impl SpecTemplate {
     /// Mean holding time with the default applied.
     pub fn mean_hold(&self) -> u64 {
-        self.mean_hold.unwrap_or(2000)
+        self.mean_hold.unwrap_or(DEFAULT_MEAN_HOLD)
     }
 
     /// Mode-switch probability (percent) with the default applied.
     pub fn switch_prob_pct(&self) -> u64 {
-        self.switch_prob_pct.unwrap_or(10)
+        self.switch_prob_pct.unwrap_or(DEFAULT_SWITCH_PROB_PCT)
     }
 
     /// Sample interval with the default applied.
     pub fn sample_interval(&self) -> u64 {
-        self.sample_interval.unwrap_or(10_000)
+        self.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL)
     }
 
     /// Platform seed with the default applied.
     pub fn platform_seed(&self) -> u64 {
-        self.platform_seed.unwrap_or(42)
+        self.platform_seed.unwrap_or(DEFAULT_PLATFORM_SEED)
     }
 }
 
@@ -253,7 +272,6 @@ impl PolicySpec {
                 lambda_permille: self.lambda(),
             },
             admission,
-            ..defaults
         })
     }
 }

@@ -52,7 +52,7 @@ pub const ALGORITHMS: [AlgorithmEntry; 8] = [
     },
     AlgorithmEntry {
         name: "random",
-        build: || Box::new(RandomMapper::default()),
+        build: || Box::new(RandomMapper),
     },
     AlgorithmEntry {
         name: "annealing",
@@ -64,15 +64,15 @@ pub const ALGORITHMS: [AlgorithmEntry; 8] = [
     },
     AlgorithmEntry {
         name: "spiral",
-        build: || Box::new(SpiralMapper::default()),
+        build: || Box::new(SpiralMapper),
     },
     AlgorithmEntry {
         name: "genetic",
-        build: || Box::new(GeneticMapper::default()),
+        build: || Box::new(GeneticMapper),
     },
     AlgorithmEntry {
         name: "portfolio",
-        build: || Box::new(PortfolioMapper::default()),
+        build: || Box::new(PortfolioMapper),
     },
 ];
 

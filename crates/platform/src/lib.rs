@@ -19,7 +19,7 @@
 //! * [`PlatformTransaction`] — staged, all-or-nothing mutation of the
 //!   ledger: the single audited claim/release path that admission, stop,
 //!   and migration are built on.
-//! * [`EnergyModel`] — processing + communication energy accounting.
+//! * [`energy`] — the communication side of energy accounting.
 //!
 //! # Example
 //!
@@ -47,7 +47,6 @@ pub mod tile;
 pub mod topology;
 pub mod transaction;
 
-pub use energy::EnergyModel;
 pub use error::PlatformError;
 pub use routing::{route, route_xy, Path, RouteScratch, RoutingPolicy};
 pub use state::{Fragmentation, PlatformState, TileClaim};

@@ -237,7 +237,7 @@ pub struct SimReport {
     pub peak_running: u64,
     /// The energy integral ∫ running_energy dt over the run, in pJ·ticks:
     /// each admitted mapping's `energy_pj` (per period, via the platform's
-    /// `EnergyModel`) weighted by how long it actually ran.
+    /// energy model) weighted by how long it actually ran.
     pub energy_pj_ticks: u64,
     /// Occupancy over time, one sample per configured interval.
     pub samples: Vec<UtilizationSample>,

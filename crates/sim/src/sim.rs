@@ -34,7 +34,8 @@ pub struct FaultConfig {
     pub mttf: SimTime,
     /// Fixed time from a failure's injection to its repair, ticks.
     pub mttr: SimTime,
-    /// How evacuation relocates (or evicts) the failure's victims.
+    /// What [`RuntimeManager::evacuate`] is handed — fieldless, kept (like
+    /// this field) because `benchmark/` names it.
     pub evacuation: EvacuationPolicy,
 }
 
@@ -43,7 +44,7 @@ impl Default for FaultConfig {
         FaultConfig {
             mttf: 50_000,
             mttr: 5_000,
-            evacuation: EvacuationPolicy::default(),
+            evacuation: EvacuationPolicy,
         }
     }
 }
@@ -651,7 +652,7 @@ mod tests {
             Some(FaultConfig {
                 mttf,
                 mttr,
-                evacuation: EvacuationPolicy::default(),
+                evacuation: EvacuationPolicy,
             })
         };
         let mesh = rtsm_workloads::mesh_platform(

@@ -42,15 +42,9 @@ fn main() {
             let algorithms: Vec<Box<dyn MappingAlgorithm>> = vec![
                 Box::new(SpatialMapper::default()),
                 Box::new(GreedyMapper),
-                Box::new(RandomMapper::default()),
-                Box::new(AnnealingMapper {
-                    iterations: 2000,
-                    ..AnnealingMapper::default()
-                }),
-                Box::new(ExhaustiveMapper {
-                    max_nodes: 300_000,
-                    ..ExhaustiveMapper::default()
-                }),
+                Box::new(RandomMapper),
+                Box::new(AnnealingMapper { iterations: 2000 }),
+                Box::new(ExhaustiveMapper { max_nodes: 300_000 }),
             ];
             for algorithm in &algorithms {
                 let t0 = Instant::now();

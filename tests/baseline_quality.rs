@@ -32,11 +32,7 @@ fn heuristic_within_factor_of_optimal() {
         let (spec, platform) = setup(seed);
         let state = platform.initial_state();
         let heuristic = SpatialMapper::default().map(&spec, &platform, &state);
-        let optimal = ExhaustiveMapper {
-            max_nodes: 400_000,
-            ..ExhaustiveMapper::default()
-        }
-        .map(&spec, &platform, &state);
+        let optimal = ExhaustiveMapper { max_nodes: 400_000 }.map(&spec, &platform, &state);
         if let (Ok(h), Ok(o)) = (heuristic, optimal) {
             assert!(
                 h.energy_pj >= o.energy_pj,
@@ -92,11 +88,7 @@ fn heuristic_admits_when_optimal_exists() {
     for seed in 0..8u64 {
         let (spec, platform) = setup(seed);
         let state = platform.initial_state();
-        let optimal = ExhaustiveMapper {
-            max_nodes: 400_000,
-            ..ExhaustiveMapper::default()
-        }
-        .map(&spec, &platform, &state);
+        let optimal = ExhaustiveMapper { max_nodes: 400_000 }.map(&spec, &platform, &state);
         if optimal.is_ok() {
             assert!(
                 SpatialMapper::default()

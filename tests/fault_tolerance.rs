@@ -116,7 +116,7 @@ fn interleave(seed: u64, platform: &Platform, catalog: &Catalog) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let tiles: Vec<TileId> = platform.tiles().map(|(id, _)| id).collect();
     let links: Vec<LinkId> = platform.links().map(|(id, _)| id).collect();
-    let policy = EvacuationPolicy::default();
+    let policy = EvacuationPolicy;
     let mut handles: Vec<AppHandle> = Vec::new();
     let mut failed: Vec<FailureEvent> = Vec::new();
     let mut plans_committed = 0;
@@ -281,7 +281,7 @@ proptest! {
             FailureEvent::Link(links[rng.random_range(0usize..links.len())])
         };
         let evacuation = manager
-            .evacuate(failure, &EvacuationPolicy::default())
+            .evacuate(failure, &EvacuationPolicy)
             .expect("evacuation never corrupts the ledger");
         prop_assert_eq!(
             evacuation.evacuated.len() + evacuation.evicted.len(),

@@ -134,10 +134,7 @@ fn energy_recomputation_matches() {
             &platform,
             &platform.initial_state(),
         ) {
-            let recomputed =
-                result
-                    .mapping
-                    .energy_pj(&spec, &platform, &rtsm::platform::EnergyModel::default());
+            let recomputed = result.mapping.energy_pj(&spec, &platform);
             assert_eq!(result.energy_pj, recomputed, "seed {seed}");
         }
     }

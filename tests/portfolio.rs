@@ -1,8 +1,7 @@
 //! The `PortfolioMapper` acceptance properties, cross-crate:
 //!
 //! * **portfolio ≤ best member, per admission** (property test): on every
-//!   registered catalog, at the default (equal) modeled latency budget,
-//!   every arrival the portfolio blocks is replayed through each
+//!   registered catalog, every arrival the portfolio blocks is replayed through each
 //!   standalone member on the identical platform state and must be
 //!   unmappable by all of them. This is the state-for-state form of
 //!   "portfolio blocking never exceeds the best single member's" —
@@ -14,7 +13,8 @@
 
 use proptest::prelude::*;
 use rtsm::app::ApplicationSpec;
-use rtsm::baselines::{default_members, PortfolioMapper, PortfolioMember};
+use rtsm::baselines::portfolio::MEMBERS;
+use rtsm::baselines::PortfolioMapper;
 use rtsm::core::{MapError, MappingAlgorithm, MappingConstraints, MappingOutcome, TemplatedMapper};
 use rtsm::exp::{resolve_catalog, VALID_CATALOGS};
 use rtsm::platform::paper::paper_platform;
@@ -26,15 +26,13 @@ use std::cell::Cell;
 /// exactly the portfolio's) and, on every blocked admission, replays all
 /// standalone members against the same platform state, counting blocks
 /// any member could have recovered.
-struct MemberCoverage<'a> {
-    portfolio: PortfolioMapper,
-    members: &'a [PortfolioMember],
+struct MemberCoverage {
     recoverable_blocks: Cell<u64>,
 }
 
-impl MappingAlgorithm for MemberCoverage<'_> {
+impl MappingAlgorithm for MemberCoverage {
     fn name(&self) -> &str {
-        self.portfolio.name()
+        PortfolioMapper.name()
     }
 
     fn map_constrained(
@@ -44,12 +42,10 @@ impl MappingAlgorithm for MemberCoverage<'_> {
         base: &PlatformState,
         constraints: &MappingConstraints,
     ) -> Result<MappingOutcome, MapError> {
-        let result = self
-            .portfolio
-            .map_constrained(spec, platform, base, constraints);
+        let result = PortfolioMapper.map_constrained(spec, platform, base, constraints);
         if result.is_err() {
-            let recovered = self.members.iter().any(|member| {
-                (member.build)()
+            let recovered = MEMBERS.iter().any(|build| {
+                build()
                     .map_constrained(spec, platform, base, constraints)
                     .is_ok()
             });
@@ -75,10 +71,7 @@ proptest! {
     ) {
         let resolved = resolve_catalog(VALID_CATALOGS[catalog_ix], 42)
             .expect("registered catalog");
-        let members = default_members();
         let gated = MemberCoverage {
-            portfolio: PortfolioMapper::default(),
-            members: &members,
             recoverable_blocks: Cell::new(0),
         };
         let config = SimConfig {
@@ -109,7 +102,7 @@ fn portfolio_composes_with_the_template_library() {
 
     let platform = paper_platform();
     let base = platform.initial_state();
-    let templated = TemplatedMapper::new(PortfolioMapper::default());
+    let templated = TemplatedMapper::new(PortfolioMapper);
     assert_eq!(templated.name(), "portfolio (budget-raced)");
 
     let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
