@@ -56,13 +56,14 @@ fn main() {
 
     let spec_text = std::fs::read_to_string(spec_path)
         .unwrap_or_else(|e| cli.usage_error(&format!("cannot read `{spec_path}`: {e}")));
-    let spec: ExperimentSpec = serde_json::from_str(&spec_text)
-        .unwrap_or_else(|e| cli.usage_error(&format!("`{spec_path}` is not a valid spec: {e}")));
-    if let Err(message) = spec.validate() {
-        // One line, naming the offender and the valid options.
-        eprintln!("error: {message}");
-        std::process::exit(2);
-    }
+    let spec = serde_json::from_str::<ExperimentSpec>(&spec_text)
+        .map_err(|e| format!("`{spec_path}` is not a valid spec: {e}"))
+        .and_then(|spec| spec.validate().map(|()| spec))
+        .unwrap_or_else(|message| {
+            // One line, naming the offender (and the valid options).
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        });
 
     let n_trials = spec.n_trials();
     println!(

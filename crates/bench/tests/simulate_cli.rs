@@ -90,6 +90,54 @@ fn runs_that_outgrow_the_sample_series_are_one_line_errors() {
     std::fs::remove_file(&path).expect("just written");
 }
 
+/// Hostile spec *text* is one short line too: nesting that overflowed the
+/// stack, a string whose parse was quadratic, errors that echoed megabytes
+/// of the value, a repeated key that was silently read once.
+#[test]
+fn hostile_spec_files_are_short_one_line_errors() {
+    let dir = std::env::temp_dir().join(format!("rtsm-hostile-json-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    let nested = |depth| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let valid = r#""algorithms":["greedy"],"policies":[{"kind":"none"}],"template":{"arrivals":5},"catalogs":["hiperlan2"],"mean_gaps":[500]"#;
+    for (name, spec, at_fault) in [
+        (
+            "deep",
+            nested(200_000),
+            "nesting deeper than 128 at byte 128",
+        ),
+        (
+            "accent",
+            format!(r#"{{"name":"{}"}}"#, "é".repeat(100_000)),
+            "missing field",
+        ),
+        (
+            "deep-name",
+            format!(r#"{{"name":{}}}"#, nested(20_000)),
+            "nesting deeper than 128",
+        ),
+        (
+            "long-name",
+            format!(r#"{{"name":[{}]}}"#, ["1234567"; 200_000].join(",")),
+            "expected a string, got a sequence",
+        ),
+        (
+            "repeated-key",
+            format!(r#"{{"name":"d",{valid},"seeds":[1],"seeds":[2]}}"#),
+            "duplicate key `seeds`",
+        ),
+    ] {
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, spec).expect("temp dir is writable");
+        let stderr = refused_at_the_door(
+            env!("CARGO_BIN_EXE_experiment"),
+            &["--spec", path.to_str().expect("UTF-8 path")],
+        );
+        assert!(stderr.len() < 512, "{name}: {} bytes", stderr.len());
+        assert!(stderr.contains(at_fault), "{name}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("just written");
+}
+
 /// A flag that states a parameter no part of the run would read is refused,
 /// not ignored: the per-kind rules are `PolicySpec::check_parameters`, the
 /// same ones `ExperimentSpec::validate` applies to a spec's policy points.

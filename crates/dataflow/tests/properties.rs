@@ -285,6 +285,63 @@ proptest! {
     }
 }
 
+/// Per-phase rates 0–3 over `phases` phases, redrawn until one is non-zero.
+fn nonzero_rates(phases: usize, rng: &mut proptest::TestRng) -> Vec<u64> {
+    loop {
+        let rates = collection::vec(0u64..=3, phases).generate(rng);
+        if rates.iter().any(|&r| r > 0) {
+            return rates;
+        }
+    }
+}
+
+/// MCR is the self-timed simulator's independent oracle on random connected
+/// multi-rate CSDF chains: 2–4 actors of 1–3 phases (WCET 1–9), per-phase
+/// rates 0–3 with a non-zero total, every channel bounded at
+/// `1 + U[0, 3·(max prod + max cons))` tokens. On a live chain the MCR of
+/// the capacity-expanded HSDF graph equals the simulated period; on a
+/// deadlocked one both refuse; both kinds occur.
+#[test]
+fn mcr_matches_simulation_on_bounded_multirate_chains() {
+    let mut runner = TestRunner::new(ProptestConfig::with_cases(500));
+    let (mut live, mut dead) = (0, 0);
+    for _ in 0..runner.cases() {
+        let rng = runner.rng();
+        let mut g = CsdfGraph::new();
+        let phases = collection::vec(1usize..=3, 2..=4).generate(rng);
+        let mut ids = Vec::new();
+        for (i, &n) in phases.iter().enumerate() {
+            let wcet = collection::vec(1u64..=9, n).generate(rng);
+            ids.push(g.add_actor(format!("a{i}"), PhaseVec::from_slice(&wcet), 1));
+        }
+        for i in 1..ids.len() {
+            let prod = nonzero_rates(phases[i - 1], rng);
+            let cons = nonzero_rates(phases[i], rng);
+            let bound = 3 * (prod.iter().max().unwrap() + cons.iter().max().unwrap());
+            let capacity = Some(1 + (0..bound).generate(rng));
+            let (prod, cons) = (PhaseVec::from_slice(&prod), PhaseVec::from_slice(&cons));
+            g.add_channel_full(ids[i - 1], ids[i], prod, cons, 0, capacity)
+                .unwrap();
+        }
+        let mcr = hsdf::expand(&g.expand_capacities()).and_then(|h| maximum_cycle_ratio(&h));
+        let steady = Simulation::new(&g, SimConfig::default())
+            .run()
+            .unwrap()
+            .steady;
+        match (mcr, steady) {
+            (Ok(mcr), Some(s)) => {
+                let reps = g.repetition_vector().unwrap();
+                let period = Ratio::new(s.period as i128 * reps[0] as i128, s.iterations as i128);
+                assert_eq!(period, mcr, "{g:?}");
+                live += 1;
+            }
+            (Err(_), None) => dead += 1,
+            (mcr, steady) => panic!("MCR {mcr:?} but simulation {steady:?} on {g:?}"),
+        }
+    }
+    assert!(live > 0 && dead > 0, "{live} live, {dead} deadlocked");
+}
+
 #[test]
 fn phase_vec_with_total_strategy_is_sound() {
     // Sanity-check the helper strategy itself once.

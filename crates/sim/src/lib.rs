@@ -10,19 +10,24 @@
 //!
 //! The pieces:
 //!
-//! * [`event`] — virtual-time ticks, [`SimEvent`] (arrival / departure /
-//!   mode switch), and a deterministic binary-heap [`EventQueue`];
+//! * [`event`] — virtual-time ticks, the seven [`SimEvent`]s (arrival,
+//!   departure, mode switch, reconfiguration retry, tile failure, link
+//!   failure, repair), and a deterministic binary-heap [`EventQueue`];
 //! * [`workload`] — pluggable stochastic workload generation: weighted
 //!   application [`Catalog`]s (HIPERLAN/2 modes, realistic DSP apps,
-//!   seeded synthetics), Poisson or periodic [`ArrivalProcess`]es, and
-//!   exponential or fixed [`HoldingTime`]s — all reproducible from one
-//!   `u64` seed;
-//! * [`metrics`] — a collector sampling admission/blocking counts,
+//!   seeded synthetics), Poisson, periodic or flash-crowd
+//!   [`ArrivalProcess`]es, and exponential, fixed or bounded-Pareto
+//!   [`HoldingTime`]s — all reproducible from one `u64` seed;
+//! * [`metrics`] — the [`MetricsCollector`], the one place a manager
+//!   result becomes report data: admission/blocking counts,
 //!   rejection-reason histograms keyed by
 //!   [`AdmissionErrorKind`](rtsm_core::runtime::AdmissionErrorKind),
-//!   utilization over time, and the energy integral, sealed into a
+//!   utilization over time, the energy integral and the optional
+//!   reconfiguration and survivability sections, sealed into a
 //!   serializable [`SimReport`];
-//! * [`sim`] — the loop itself: [`run_sim`] plus [`SimConfig`].
+//! * [`sim`] — the loop itself, [`run_sim`] plus [`SimConfig`]: it decides
+//!   which manager call each event makes and what it schedules, and hands
+//!   every result to the collector.
 //!
 //! Determinism is a hard guarantee: the same seed, platform, catalog, and
 //! algorithm produce a byte-identical serialized [`SimReport`], which is

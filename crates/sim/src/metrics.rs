@@ -1,13 +1,25 @@
 //! Long-horizon admission metrics and the serializable [`SimReport`].
 //!
 //! Everything the collector measures derives from *virtual* time and the
-//! mapping outcomes — counts, blocking probability, utilization-over-time
+//! manager's results — counts, blocking probability, utilization-over-time
 //! samples, the energy integral, rejection histograms, search effort — so
 //! the [`SimReport`] is byte-identical across re-runs of the same seed.
 //! Wall-clock latency is not measured here at all (see the crate docs).
+//!
+//! [`MetricsCollector`] alone turns a manager result into report data:
+//! [`run_sim`](crate::run_sim) hands it every result through one
+//! crate-private intake per kind — an arrival, a switch attempt, an
+//! admission, a refusal, a deferred refusal, a recovery, a failed retry, a
+//! departure, an evacuation, a repair — and the intake decides which fields
+//! move, the optional sections and the degraded/healthy split included.
 
 use crate::event::SimTime;
-use rtsm_core::runtime::{AdmissionErrorKind, Utilization};
+use crate::sim::SimConfig;
+use rtsm_core::runtime::{
+    AdmissionError, AdmissionErrorKind, Evacuation, FailureEvent, Reconfiguration,
+    ReconfigurationFailure, Utilization,
+};
+use rtsm_core::{MapError, MappingOutcome};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -134,8 +146,11 @@ pub struct SurvivabilityReport {
     pub processes_moved: u64,
     /// Total modelled state-transfer energy of evacuations, pJ.
     pub evacuation_energy_pj: u64,
-    /// Mean ticks from a failure's injection to its repair (0 when no
-    /// repair was processed).
+    /// Mean ticks from a failure's injection to its repair: `mttr` once a
+    /// repair was processed (every repair is scheduled exactly `mttr` after
+    /// its failure), 0 before. The scheduled instant could only fall short
+    /// where `now + mttr` saturates a `u64`, which [`check_sample_growth`]
+    /// refuses at both front doors.
     pub mean_recovery_ticks: u64,
     /// Arrivals that landed while at least one resource was quarantined.
     pub degraded_arrivals: u64,
@@ -363,9 +378,17 @@ pub fn check_sample_growth(
     Ok(())
 }
 
-/// Keeps the run's books in the [`SimReport`] it seals: every `record_*`
-/// and `advance*` call writes the field that will carry the figure, and
-/// [`finish`] fills in what only the end of the run knows.
+/// Which admission attempt a manager result answers: an arriving instance
+/// (its reconfiguration retry included) or a running one's mode switch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Attempt {
+    Arrival,
+    Switch,
+}
+
+/// Keeps the run's books in the [`SimReport`] it seals: every intake
+/// writes the fields that will carry its figures, and [`finish`] fills in
+/// what only the end of the run knows.
 ///
 /// [`finish`]: MetricsCollector::finish
 #[derive(Debug, Clone)]
@@ -374,59 +397,46 @@ pub struct MetricsCollector {
     track_fragmentation: bool,
     /// `None` once the next boundary would lie beyond the last tick.
     next_sample: Option<SimTime>,
+    /// Whether the arrival last booked landed while a resource was
+    /// quarantined (read only on runs with a survivability section).
+    degraded: bool,
     /// The report so far; its `end_time` is the instant last advanced to.
     report: SimReport,
-    /// Numerator of the survivability section's `mean_recovery_ticks`.
-    recovery_ticks_total: u64,
 }
 
 impl MetricsCollector {
     /// A collector sampling occupancy every `sample_interval` ticks
-    /// (clamped to ≥ 1), without fragmentation tracking or reconfiguration
-    /// counters.
+    /// (clamped to ≥ 1), without the fragmentation figure or the optional
+    /// report sections.
     pub fn new(sample_interval: SimTime) -> Self {
         MetricsCollector {
             sample_interval: sample_interval.max(1),
             track_fragmentation: false,
             next_sample: Some(0),
+            degraded: false,
             report: SimReport::default(),
-            recovery_ticks_total: 0,
         }
     }
 
-    /// Adds the fragmentation figure to every occupancy sample (builder
-    /// style).
-    #[must_use]
-    pub fn with_fragmentation_tracking(mut self) -> Self {
-        self.track_fragmentation = true;
-        self
-    }
-
-    /// Enables the reconfiguration counters (builder style), stamping them
-    /// with the run's admission-policy label and λ so every report is a
-    /// self-describing Pareto point; the finished report then carries a
-    /// [`ReconfigurationReport`].
-    #[must_use]
-    pub fn with_reconfiguration_counters(mut self, policy: String, lambda_permille: u64) -> Self {
-        self.report.reconfiguration = Some(ReconfigurationReport {
-            policy,
-            lambda_permille,
+    /// The collector of a run of `config`: its sample interval and
+    /// fragmentation figure, plus the reconfiguration section (policy
+    /// label, λ) and the survivability section (MTTF, MTTR) exactly when
+    /// the config enables them.
+    pub(crate) fn for_config(config: &SimConfig) -> Self {
+        let mut metrics = MetricsCollector::new(config.sample_interval);
+        metrics.track_fragmentation = config.track_fragmentation;
+        let policy = config.reconfiguration.as_ref();
+        metrics.report.reconfiguration = policy.map(|policy| ReconfigurationReport {
+            policy: policy.admission.label(),
+            lambda_permille: policy.objective.lambda_permille,
             ..ReconfigurationReport::default()
         });
-        self
-    }
-
-    /// Enables the survivability counters (builder style), stamping them
-    /// with the run's fault-process parameters; the finished report then
-    /// carries a [`SurvivabilityReport`].
-    #[must_use]
-    pub fn with_survivability_counters(mut self, mttf: u64, mttr: u64) -> Self {
-        self.report.survivability = Some(SurvivabilityReport {
-            mttf,
-            mttr,
+        metrics.report.survivability = config.faults.as_ref().map(|faults| SurvivabilityReport {
+            mttf: faults.mttf,
+            mttr: faults.mttr,
             ..SurvivabilityReport::default()
         });
-        self
+        metrics
     }
 
     /// Advances virtual time to `now` given the state that held since the
@@ -440,7 +450,7 @@ impl MetricsCollector {
     /// *compute* the occupancy: `utilization` runs only when a sample
     /// boundary was crossed (once, however many samples are due), so the
     /// common event between two boundaries pays nothing for it.
-    pub fn advance_with(
+    pub(crate) fn advance_with(
         &mut self,
         now: SimTime,
         running_energy_pj: u64,
@@ -468,209 +478,146 @@ impl MetricsCollector {
         self.report.end_time = now;
     }
 
-    /// Records a processed arrival event.
-    pub fn record_arrival(&mut self) {
+    /// An arrival. `degraded` — is any resource quarantined? — is asked
+    /// only on runs with a survivability section, and its answer classifies
+    /// the arrival and, if [`refused`](Self::refused), its blocking.
+    pub(crate) fn arrival(&mut self, degraded: impl FnOnce() -> bool) {
         self.report.arrivals += 1;
+        if let Some(s) = &mut self.report.survivability {
+            self.degraded = degraded();
+            s.degraded_arrivals += u64::from(self.degraded);
+            s.healthy_arrivals += u64::from(!self.degraded);
+        }
     }
 
-    /// Shared admission bookkeeping: per-application count and search
-    /// effort.
-    fn note_admitted(&mut self, app_name: &str, evaluated: u64, attempts: u64) {
-        *self
-            .report
-            .admitted_by_app
-            .entry(app_name.to_string())
-            .or_insert(0) += 1;
-        self.report.evaluated_assignments += evaluated;
-        self.report.refinement_attempts += attempts;
-    }
-
-    /// Shared rejection bookkeeping: reason histogram and search effort.
-    fn note_rejected(&mut self, kind: AdmissionErrorKind, attempts: u64) {
-        *self.report.rejection_histogram.entry(kind).or_insert(0) += 1;
-        self.report.refinement_attempts += attempts;
-    }
-
-    /// Records a successful admission: which catalog entry got in and the
-    /// search effort its mapping took.
-    pub fn record_admission(&mut self, app_name: &str, evaluated: u64, attempts: u64) {
-        self.report.admitted += 1;
-        self.note_admitted(app_name, evaluated, attempts);
-    }
-
-    /// Records a blocked arrival and why it was rejected.
-    pub fn record_blocked(&mut self, kind: AdmissionErrorKind, attempts: u64) {
-        self.report.blocked += 1;
-        self.note_rejected(kind, attempts);
-    }
-
-    /// Records a departure that released a running instance.
-    pub fn record_departure(&mut self) {
-        self.report.departures += 1;
-    }
-
-    /// Records a mode-switch attempt by a running instance.
-    pub fn record_mode_switch_attempt(&mut self) {
+    /// A running instance attempts a mode switch.
+    pub(crate) fn switch_attempt(&mut self) {
         self.report.mode_switch_attempts += 1;
     }
 
-    /// Records a mode switch whose new configuration was admitted.
-    pub fn record_mode_switch_admitted(&mut self, app_name: &str, evaluated: u64, attempts: u64) {
-        self.report.mode_switch_admitted += 1;
-        self.note_admitted(app_name, evaluated, attempts);
-    }
-
-    /// Records a blocked mode switch and why it was rejected.
-    pub fn record_mode_switch_blocked(&mut self, kind: AdmissionErrorKind, attempts: u64) {
-        self.report.mode_switch_blocked += 1;
-        self.note_rejected(kind, attempts);
-    }
-
-    /// Records the search effort of a blocked arrival whose fate is
-    /// deferred to a same-instant reconfiguration retry: the failed plain
-    /// attempt's refinement effort is accounted immediately (it was really
-    /// spent), while the blocked/recovered decision and the rejection
-    /// histogram wait for the retry's outcome.
-    pub fn record_retry_scheduled(&mut self, attempts: u64) {
-        self.report.refinement_attempts += attempts;
-    }
-
-    /// The reconfiguration counters, for in-flight updates. Panics when
-    /// the collector was built without
-    /// [`with_reconfiguration_counters`](MetricsCollector::with_reconfiguration_counters).
-    fn reconfig(&mut self) -> &mut ReconfigurationReport {
-        self.report
-            .reconfiguration
-            .as_mut()
-            .expect("reconfiguration counters were enabled")
-    }
-
-    /// Records a recovered admission: a blocked arrival that the
-    /// reconfiguration retry admitted. Counts as the arrival's admission
-    /// (so blocking probability reflects the recovery) plus the plan
-    /// search's effort, committed migrations, and any feasible plans the
-    /// admission policy refused along the way.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_admission_recovered(
+    /// An admission of catalog entry `app` under `outcome`, after which
+    /// `running` applications run.
+    pub(crate) fn admitted(
         &mut self,
-        app_name: &str,
-        evaluated: u64,
-        attempts: u64,
-        plans_tried: u64,
-        migrations_attempted: u64,
-        migrations_committed: u64,
-        migration_energy_pj: u64,
-        plans_refused: u64,
+        attempt: Attempt,
+        app: &str,
+        outcome: &MappingOutcome,
+        running: usize,
     ) {
-        self.record_admission(app_name, evaluated, attempts);
-        let r = self.reconfig();
-        r.reconfigure_attempts += 1;
-        r.admissions_recovered += 1;
-        r.plans_tried += plans_tried;
-        r.migrations_attempted += migrations_attempted;
-        r.migrations_committed += migrations_committed;
-        r.migration_energy_pj += migration_energy_pj;
-        r.plans_refused += plans_refused;
+        let r = &mut self.report;
+        match attempt {
+            Attempt::Arrival => r.admitted += 1,
+            Attempt::Switch => r.mode_switch_admitted += 1,
+        }
+        *r.admitted_by_app.entry(app.to_string()).or_insert(0) += 1;
+        r.evaluated_assignments += outcome.evaluated;
+        r.refinement_attempts += outcome.attempts as u64;
+        r.peak_running = r.peak_running.max(running as u64);
     }
 
-    /// Records a reconfiguration retry that still could not admit the
-    /// arrival — the instance's definitive blocking, plus the failed
-    /// search's effort and refusals.
-    pub fn record_reconfigure_blocked(
-        &mut self,
-        kind: AdmissionErrorKind,
-        attempts: u64,
-        plans_tried: u64,
-        migrations_attempted: u64,
-        plans_refused: u64,
-    ) {
-        self.record_blocked(kind, attempts);
-        let r = self.reconfig();
-        r.reconfigure_attempts += 1;
-        r.plans_tried += plans_tried;
-        r.migrations_attempted += migrations_attempted;
-        r.plans_refused += plans_refused;
-    }
-
-    /// Records a blocked mode switch whose instance kept running under its
-    /// old configuration (switch-through-remap). Call *in addition to*
-    /// [`record_mode_switch_blocked`](MetricsCollector::record_mode_switch_blocked):
-    /// the switch itself still failed; what survived is the instance.
-    pub fn record_mode_switch_survived(&mut self) {
-        self.reconfig().mode_switches_survived += 1;
-    }
-
-    /// The survivability counters, for in-flight updates. Panics when the
-    /// collector was built without
-    /// [`with_survivability_counters`](MetricsCollector::with_survivability_counters).
-    fn surv(&mut self) -> &mut SurvivabilityReport {
-        self.report
-            .survivability
-            .as_mut()
-            .expect("survivability counters were enabled")
-    }
-
-    /// Records an injected tile failure.
-    pub fn record_tile_failure(&mut self) {
-        self.surv().tile_failures += 1;
-    }
-
-    /// Records an injected link failure.
-    pub fn record_link_failure(&mut self) {
-        self.surv().link_failures += 1;
-    }
-
-    /// Records one evacuation's outcome: how many victims were relocated,
-    /// how many evicted, and the physical cost of the relocations.
-    pub fn record_evacuation(
-        &mut self,
-        evacuated: u64,
-        evicted: u64,
-        processes_moved: u64,
-        energy_pj: u64,
-    ) {
-        let s = self.surv();
-        s.apps_evacuated += evacuated;
-        s.apps_evicted += evicted;
-        s.processes_moved += processes_moved;
-        s.evacuation_energy_pj += energy_pj;
-    }
-
-    /// Records a processed repair, `recovery_ticks` after its failure was
-    /// injected.
-    pub fn record_repair(&mut self, recovery_ticks: SimTime) {
-        self.surv().repairs += 1;
-        self.recovery_ticks_total = self.recovery_ticks_total.saturating_add(recovery_ticks);
-    }
-
-    /// Classifies an arrival by operating regime: `degraded` when any
-    /// resource was quarantined at its instant. Call *in addition to*
-    /// [`record_arrival`](MetricsCollector::record_arrival), only on runs
-    /// with survivability counters.
-    pub fn record_window_arrival(&mut self, degraded: bool) {
-        let s = self.surv();
-        if degraded {
-            s.degraded_arrivals += 1;
-        } else {
-            s.healthy_arrivals += 1;
+    /// A definitive refusal. A refused arrival is blocked in the regime
+    /// its [`arrival`](Self::arrival) found; a refused switch under a
+    /// reconfiguration policy left its instance running under the old
+    /// configuration, so it also counts as survived.
+    pub(crate) fn refused(&mut self, attempt: Attempt, err: &AdmissionError) {
+        self.deferred(err); // the effort, booked as for a deferred refusal
+        let (report, degraded) = (&mut self.report, self.degraded);
+        *report.rejection_histogram.entry(err.kind()).or_insert(0) += 1;
+        match attempt {
+            Attempt::Arrival => {
+                report.blocked += 1;
+                if let Some(s) = &mut report.survivability {
+                    s.degraded_blocked += u64::from(degraded);
+                    s.healthy_blocked += u64::from(!degraded);
+                }
+            }
+            Attempt::Switch => {
+                report.mode_switch_blocked += 1;
+                if let Some(r) = &mut report.reconfiguration {
+                    r.mode_switches_survived += 1;
+                }
+            }
         }
     }
 
-    /// Classifies a *definitively blocked* arrival by the regime recorded
-    /// at its [`record_window_arrival`](MetricsCollector::record_window_arrival)
-    /// call (pass the same flag).
-    pub fn record_window_blocked(&mut self, degraded: bool) {
-        let s = self.surv();
-        if degraded {
-            s.degraded_blocked += 1;
-        } else {
-            s.healthy_blocked += 1;
+    /// A refused arrival whose fate a same-instant reconfiguration retry
+    /// decides: the refinement effort was really spent and is booked now;
+    /// blocked-or-recovered and the histogram wait for the retry.
+    pub(crate) fn deferred(&mut self, err: &AdmissionError) {
+        if let AdmissionError::Rejected(MapError::NoFeasibleMapping { attempts, .. }) = err {
+            self.report.refinement_attempts += *attempts as u64;
         }
     }
 
-    /// Notes the current number of running applications (peak tracking).
-    pub fn note_running(&mut self, running: usize) {
-        self.report.peak_running = self.report.peak_running.max(running as u64);
+    /// A retry that admitted a blocked arrival (`app` under `outcome`,
+    /// `running` applications after it): the arrival's admission plus the
+    /// plan search's effort and committed migrations.
+    pub(crate) fn recovered(
+        &mut self,
+        app: &str,
+        outcome: &MappingOutcome,
+        running: usize,
+        done: &Reconfiguration,
+    ) {
+        self.admitted(Attempt::Arrival, app, outcome, running);
+        if let Some(r) = &mut self.report.reconfiguration {
+            r.reconfigure_attempts += 1;
+            r.admissions_recovered += 1;
+            r.plans_tried += done.plans_tried;
+            r.migrations_attempted += done.migrations_attempted;
+            r.migrations_committed += done.migrations.len() as u64;
+            r.migration_energy_pj += done.migration_energy_pj;
+            r.plans_refused += done.plans_refused;
+        }
+    }
+
+    /// A retry that could not admit its arrival: the plan search's effort
+    /// and the arrival's definitive blocking, in the regime `degraded`
+    /// reports once the retry is over.
+    pub(crate) fn retry_failed(
+        &mut self,
+        failure: &ReconfigurationFailure,
+        degraded: impl FnOnce() -> bool,
+    ) {
+        if let Some(r) = &mut self.report.reconfiguration {
+            r.reconfigure_attempts += 1;
+            r.plans_tried += failure.plans_tried;
+            r.migrations_attempted += failure.migrations_attempted;
+            r.plans_refused += failure.plans_refused;
+        }
+        if self.report.survivability.is_some() {
+            self.degraded = degraded();
+        }
+        self.refused(Attempt::Arrival, &failure.error);
+    }
+
+    /// A departure that released a running instance.
+    pub(crate) fn departed(&mut self) {
+        self.report.departures += 1;
+    }
+
+    /// An injected failure (tile or link, read from `evacuation`) and what
+    /// its evacuation relocated, evicted and cost.
+    pub(crate) fn evacuated(&mut self, evacuation: &Evacuation) {
+        if let Some(s) = &mut self.report.survivability {
+            match evacuation.failure {
+                FailureEvent::Tile(_) => s.tile_failures += 1,
+                FailureEvent::Link(_) => s.link_failures += 1,
+            }
+            for app in &evacuation.evacuated {
+                s.apps_evacuated += 1;
+                s.processes_moved += app.processes_moved as u64;
+            }
+            s.apps_evicted += evacuation.evicted.len() as u64;
+            s.evacuation_energy_pj += evacuation.migration_energy_pj;
+        }
+    }
+
+    /// A processed repair.
+    pub(crate) fn repaired(&mut self) {
+        if let Some(s) = &mut self.report.survivability {
+            s.repairs += 1;
+        }
     }
 
     /// Seals the collector into its [`SimReport`]: names the run and fills
@@ -691,10 +638,7 @@ impl MetricsCollector {
         let blocked = report.blocked + report.mode_switch_blocked;
         report.blocking_permille = (blocked * 1000).checked_div(attempts).unwrap_or(0);
         if let Some(s) = &mut report.survivability {
-            s.mean_recovery_ticks = self
-                .recovery_ticks_total
-                .checked_div(s.repairs)
-                .unwrap_or(0);
+            s.mean_recovery_ticks = if s.repairs > 0 { s.mttr } else { 0 };
         }
         report
     }
@@ -781,26 +725,40 @@ mod tests {
         }
     }
 
+    fn no_feasible_mapping(attempts: usize) -> AdmissionError {
+        AdmissionError::Rejected(MapError::NoFeasibleMapping {
+            attempts,
+            last_feedback: Vec::new(),
+        })
+    }
+
     #[test]
     fn blocking_permille_covers_arrivals_and_switches() {
         let mut m = MetricsCollector::new(1);
         for _ in 0..3 {
-            m.record_arrival();
+            m.arrival(|| unreachable!("no survivability section"));
         }
-        m.record_admission("a", 10, 1);
-        m.record_blocked(
-            AdmissionErrorKind::Rejected(rtsm_core::MapErrorKind::NoFeasibleMapping),
-            2,
-        );
-        m.record_blocked(
-            AdmissionErrorKind::Rejected(rtsm_core::MapErrorKind::Unmappable),
-            0,
-        );
-        m.record_mode_switch_attempt();
-        m.record_mode_switch_blocked(
-            AdmissionErrorKind::Rejected(rtsm_core::MapErrorKind::NoFeasibleMapping),
-            1,
-        );
+        let outcome = MappingOutcome {
+            mapping: rtsm_core::Mapping::default(),
+            buffers: Vec::new(),
+            csdf: None,
+            energy_pj: 0,
+            communication_hops: 0,
+            feasible: true,
+            evaluated: 10,
+            attempts: 1,
+            achieved_period: (1, 1),
+            latency_ps: None,
+            trace: None,
+        };
+        m.admitted(Attempt::Arrival, "a", &outcome, 1);
+        m.refused(Attempt::Arrival, &no_feasible_mapping(2));
+        let unmappable = MapError::Unmappable {
+            process: "p".to_string(),
+        };
+        m.refused(Attempt::Arrival, &AdmissionError::Rejected(unmappable));
+        m.switch_attempt();
+        m.refused(Attempt::Switch, &no_feasible_mapping(1));
         let report = m.finish("test", 0, 0, true);
         // 3 blocked out of 4 attempts.
         assert_eq!(report.blocking_permille, 750);
@@ -829,7 +787,11 @@ mod tests {
 
     #[test]
     fn aggregation_hooks_report_tracked_runs() {
-        let mut m = MetricsCollector::new(10).with_fragmentation_tracking();
+        let mut m = MetricsCollector::for_config(&SimConfig {
+            sample_interval: 10,
+            track_fragmentation: true,
+            ..SimConfig::default()
+        });
         let mut util = idle_util();
         util.fragmentation_permille = 400;
         m.advance(15, &util, 0);
@@ -855,19 +817,46 @@ mod tests {
 
     #[test]
     fn survivability_counters_aggregate_and_average_recovery() {
-        let mut m = MetricsCollector::new(1_000_000).with_survivability_counters(50_000, 3_000);
+        let mut m = MetricsCollector::for_config(&SimConfig {
+            sample_interval: 1_000_000,
+            faults: Some(crate::FaultConfig {
+                mttf: 50_000,
+                mttr: 4_000,
+                evacuation: rtsm_core::EvacuationPolicy,
+            }),
+            ..SimConfig::default()
+        });
         m.advance(5, &idle_util(), 0);
-        m.record_tile_failure();
-        m.record_link_failure();
-        m.record_evacuation(2, 1, 3, 400);
-        m.record_repair(3_000);
-        m.record_repair(5_000);
-        m.record_window_arrival(true);
-        m.record_window_blocked(true);
-        m.record_window_arrival(false);
+        // Handles and link ids have no public constructor; their wire
+        // form is the bare index.
+        let handle: rtsm_core::AppHandle = serde_json::from_str("1").expect("a handle");
+        let moved = |processes_moved, migration_energy_pj| rtsm_core::EvacuatedApp {
+            handle,
+            processes_moved,
+            migration_energy_pj,
+        };
+        m.evacuated(&Evacuation {
+            failure: FailureEvent::Tile(rtsm_platform::TileId::from_index(0)),
+            victims: vec![handle; 3],
+            evacuated: vec![moved(1, 100), moved(2, 300)],
+            evicted: vec![handle],
+            migration_energy_pj: 400,
+        });
+        m.evacuated(&Evacuation {
+            failure: FailureEvent::Link(serde_json::from_str("0").expect("a link")),
+            victims: Vec::new(),
+            evacuated: Vec::new(),
+            evicted: Vec::new(),
+            migration_energy_pj: 0,
+        });
+        m.repaired();
+        m.repaired();
+        m.arrival(|| true);
+        m.refused(Attempt::Arrival, &no_feasible_mapping(1));
+        m.arrival(|| false);
         let report = m.finish("test", 0, 0, true);
         let s = report.survivability.as_ref().expect("counters enabled");
-        assert_eq!((s.mttf, s.mttr), (50_000, 3_000));
+        assert_eq!((s.mttf, s.mttr), (50_000, 4_000));
         assert_eq!((s.tile_failures, s.link_failures, s.repairs), (1, 1, 2));
         assert_eq!((s.apps_evacuated, s.apps_evicted), (2, 1));
         assert_eq!((s.processes_moved, s.evacuation_energy_pj), (3, 400));

@@ -2,18 +2,17 @@
 //! [`RuntimeManager`] through virtual time.
 
 use crate::event::{EventQueue, InstanceId, SimEvent, SimTime};
-use crate::metrics::{MetricsCollector, SimReport};
-use crate::workload::{exponential_ticks, ArrivalProcess, Catalog, HoldingTime};
+use crate::metrics::{Attempt, MetricsCollector, SimReport};
+use crate::workload::{exponential_ticks, ArrivalProcess, Catalog, CatalogEntry, HoldingTime};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rtsm_app::ApplicationSpec;
 use rtsm_core::runtime::{
-    AdmissionError, AdmissionErrorKind, AppHandle, EvacuationPolicy, FailureEvent,
-    ReconfigurationPolicy, RuntimeError, RuntimeManager,
+    AdmissionError, AppHandle, EvacuationPolicy, FailureEvent, ReconfigurationPolicy, RuntimeError,
+    RuntimeManager,
 };
-use rtsm_core::{MapError, MappingAlgorithm};
+use rtsm_core::MappingAlgorithm;
 use rtsm_platform::{LinkId, Platform, TileId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Salt XORed into the workload seed to derive the *fault* RNG stream:
 /// fault draws never consume workload randomness, so enabling faults
@@ -116,54 +115,6 @@ pub struct SimRun {
     pub report: SimReport,
 }
 
-/// Attempt count a rejection reports, when its error carries one.
-fn rejected_attempts(err: &AdmissionError) -> u64 {
-    match err {
-        AdmissionError::Rejected(MapError::NoFeasibleMapping { attempts, .. }) => *attempts as u64,
-        _ => 0,
-    }
-}
-
-/// Result of one admission attempt (shared by arrivals and mode
-/// switches, which only differ in which counters they bump).
-enum Admission {
-    /// Admitted: the handle plus the outcome's search effort.
-    Admitted {
-        handle: AppHandle,
-        evaluated: u64,
-        attempts: u64,
-    },
-    /// Rejected: the reason discriminant and reported attempt count.
-    Blocked {
-        kind: AdmissionErrorKind,
-        attempts: u64,
-    },
-}
-
-/// Makes one `manager.start` call and classifies its result; fatal ledger
-/// errors propagate. The spec arrives as a shared handle — admitting a
-/// catalog entry never deep-copies the specification.
-fn try_admit<A: MappingAlgorithm>(
-    manager: &mut RuntimeManager<A>,
-    spec: std::sync::Arc<ApplicationSpec>,
-) -> Result<Admission, AdmissionError> {
-    match manager.start(spec) {
-        Ok(handle) => {
-            let outcome = &manager.get(handle).expect("just admitted").outcome;
-            Ok(Admission::Admitted {
-                handle,
-                evaluated: outcome.evaluated,
-                attempts: outcome.attempts as u64,
-            })
-        }
-        Err(err @ AdmissionError::Rejected(_)) => Ok(Admission::Blocked {
-            kind: err.kind(),
-            attempts: rejected_attempts(&err),
-        }),
-        Err(fatal) => Err(fatal),
-    }
-}
-
 /// Runs one seeded simulation of `config` over `platform`, admitting every
 /// arrival through `algorithm` with specs drawn from `catalog`.
 ///
@@ -223,19 +174,7 @@ pub fn run_sim<A: MappingAlgorithm>(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut manager = RuntimeManager::new(platform.clone(), algorithm);
     let mut queue = EventQueue::new();
-    let mut metrics = MetricsCollector::new(config.sample_interval);
-    if config.track_fragmentation {
-        metrics = metrics.with_fragmentation_tracking();
-    }
-    if let Some(policy) = &config.reconfiguration {
-        metrics = metrics.with_reconfiguration_counters(
-            policy.admission.label(),
-            policy.objective.lambda_permille,
-        );
-    }
-    if let Some(faults) = &config.faults {
-        metrics = metrics.with_survivability_counters(faults.mttf, faults.mttr);
-    }
+    let mut metrics = MetricsCollector::for_config(config);
     // Instance → current handle; absent once departed, blocked, or
     // evicted.
     let mut handles: BTreeMap<InstanceId, AppHandle> = BTreeMap::new();
@@ -282,8 +221,6 @@ pub fn run_sim<A: MappingAlgorithm>(
         queue.push(now.saturating_add(gap), event);
     };
     schedule_fault(&mut fault_rng, &mut queue, 0);
-    // Failure → injection instant, for recovery-time accounting.
-    let mut failed_at: BTreeMap<FailureEvent, SimTime> = BTreeMap::new();
 
     let mut end_time: SimTime = 0;
     while let Some((now, event)) = queue.pop() {
@@ -304,43 +241,30 @@ pub fn run_sim<A: MappingAlgorithm>(
             } => {
                 // Arrivals are chained: processing one schedules the next.
                 schedule_arrival(&mut rng, &mut queue, &mut scheduled_arrivals, now);
-                metrics.record_arrival();
-                // Which operating regime this arrival lands in: degraded
-                // while any resource is quarantined.
-                let degraded = config.faults.is_some() && manager.state().any_failed();
-                if config.faults.is_some() {
-                    metrics.record_window_arrival(degraded);
-                }
-                let entry = &catalog.entries()[catalog_index];
-                match try_admit(&mut manager, entry.spec.clone())? {
-                    Admission::Admitted {
-                        handle,
-                        evaluated,
-                        attempts,
-                    } => {
-                        metrics.record_admission(&entry.name, evaluated, attempts);
+                metrics.arrival(|| manager.state().any_failed());
+                let CatalogEntry { name, spec, .. } = &catalog.entries()[catalog_index];
+                match manager.start(spec.clone()) {
+                    Ok(handle) => {
+                        let outcome = &manager.get(handle).expect("just admitted").outcome;
+                        metrics.admitted(Attempt::Arrival, name, outcome, manager.n_running());
                         admitted = Some((instance, handle));
                     }
-                    Admission::Blocked { kind, attempts } => {
-                        if config.reconfiguration.is_some() {
-                            // The retry at the same instant decides whether
-                            // this counts as blocked or recovered; the
-                            // failed attempt's search effort is booked now.
-                            metrics.record_retry_scheduled(attempts);
-                            queue.push(
-                                now,
-                                SimEvent::Reconfigure {
-                                    instance,
-                                    catalog_index,
-                                },
-                            );
-                        } else {
-                            metrics.record_blocked(kind, attempts);
-                            if config.faults.is_some() {
-                                metrics.record_window_blocked(degraded);
-                            }
-                        }
+                    // The retry at the same instant decides whether this
+                    // arrival is blocked or recovered.
+                    Err(err @ AdmissionError::Rejected(_)) if config.reconfiguration.is_some() => {
+                        metrics.deferred(&err);
+                        queue.push(
+                            now,
+                            SimEvent::Reconfigure {
+                                instance,
+                                catalog_index,
+                            },
+                        );
                     }
+                    Err(err @ AdmissionError::Rejected(_)) => {
+                        metrics.refused(Attempt::Arrival, &err)
+                    }
+                    Err(fatal) => return Err(fatal.into()),
                 }
             }
             SimEvent::Reconfigure {
@@ -351,42 +275,17 @@ pub fn run_sim<A: MappingAlgorithm>(
                     .reconfiguration
                     .as_ref()
                     .expect("Reconfigure events are only scheduled with a policy");
-                let entry = &catalog.entries()[catalog_index];
-                match manager.start_with_reconfiguration(entry.spec.clone(), policy) {
-                    Ok(reconfiguration) => {
-                        let outcome = &manager
-                            .get(reconfiguration.handle)
-                            .expect("just admitted")
-                            .outcome;
-                        metrics.record_admission_recovered(
-                            &entry.name,
-                            outcome.evaluated,
-                            outcome.attempts as u64,
-                            reconfiguration.plans_tried,
-                            reconfiguration.migrations_attempted,
-                            reconfiguration.migrations.len() as u64,
-                            reconfiguration.migration_energy_pj,
-                            reconfiguration.plans_refused,
-                        );
-                        admitted = Some((instance, reconfiguration.handle));
+                let CatalogEntry { name, spec, .. } = &catalog.entries()[catalog_index];
+                match manager.start_with_reconfiguration(spec.clone(), policy) {
+                    Ok(done) => {
+                        let outcome = &manager.get(done.handle).expect("just admitted").outcome;
+                        metrics.recovered(name, outcome, manager.n_running(), &done);
+                        admitted = Some((instance, done.handle));
                     }
-                    Err(failure) => {
-                        if let AdmissionError::CommitFailed(_) = &failure.error {
-                            return Err(RuntimeError::Admission(failure.error));
-                        }
-                        metrics.record_reconfigure_blocked(
-                            failure.error.kind(),
-                            rejected_attempts(&failure.error),
-                            failure.plans_tried,
-                            failure.migrations_attempted,
-                            failure.plans_refused,
-                        );
-                        // The retry ran at the arrival's own virtual
-                        // instant, so its regime is the arrival's.
-                        if config.faults.is_some() {
-                            metrics.record_window_blocked(manager.state().any_failed());
-                        }
+                    Err(failure) if matches!(failure.error, AdmissionError::CommitFailed(_)) => {
+                        return Err(RuntimeError::Admission(failure.error));
                     }
+                    Err(failure) => metrics.retry_failed(&failure, || manager.state().any_failed()),
                 }
             }
             SimEvent::Departure { instance } => {
@@ -394,71 +293,37 @@ pub fn run_sim<A: MappingAlgorithm>(
                 // mode switch) are ignored.
                 if let Some(handle) = handles.remove(&instance) {
                     manager.stop(handle)?;
-                    metrics.record_departure();
+                    metrics.departed();
                 }
             }
             SimEvent::ModeSwitch { instance } => {
-                if let Some(&handle) = handles.get(&instance) {
-                    if config.reconfiguration.is_some() {
-                        // Reconfiguration-aware runs route the switch
-                        // through the transactional
-                        // [`RuntimeManager::switch`]: a blocked switch is a
-                        // measurable switching loss, but the instance keeps
-                        // running under its old configuration instead of
-                        // being evicted — the loss is partially recovered.
-                        metrics.record_mode_switch_attempt();
-                        let entry = &catalog.entries()[catalog.sample(&mut rng)];
-                        match manager.switch(handle, entry.spec.clone()) {
-                            Ok(_old_outcome) => {
-                                let outcome = &manager.get(handle).expect("still running").outcome;
-                                metrics.record_mode_switch_admitted(
-                                    &entry.name,
-                                    outcome.evaluated,
-                                    outcome.attempts as u64,
-                                );
-                                metrics.note_running(manager.n_running());
-                            }
-                            Err(RuntimeError::Admission(err @ AdmissionError::Rejected(_))) => {
-                                metrics.record_mode_switch_blocked(
-                                    err.kind(),
-                                    rejected_attempts(&err),
-                                );
-                                metrics.record_mode_switch_survived();
-                                // The old configuration keeps running; the
-                                // scheduled departure stays valid.
-                            }
-                            Err(fatal) => return Err(fatal),
-                        }
-                    } else {
-                        // Plain runs keep the historical stop-then-readmit
-                        // semantics (and their byte-identical reports): a
-                        // blocked switch evicts the instance.
-                        manager.stop(handle)?;
-                        metrics.record_mode_switch_attempt();
-                        let entry = &catalog.entries()[catalog.sample(&mut rng)];
-                        match try_admit(&mut manager, entry.spec.clone())? {
-                            Admission::Admitted {
-                                handle: new_handle,
-                                evaluated,
-                                attempts,
-                            } => {
-                                metrics.record_mode_switch_admitted(
-                                    &entry.name,
-                                    evaluated,
-                                    attempts,
-                                );
-                                metrics.note_running(manager.n_running());
-                                handles.insert(instance, new_handle);
-                            }
-                            Admission::Blocked { kind, attempts } => {
-                                // The instance lost its resources and
-                                // leaves; its pending departure becomes
-                                // stale.
-                                handles.remove(&instance);
-                                metrics.record_mode_switch_blocked(kind, attempts);
-                            }
-                        }
+                let Some(&handle) = handles.get(&instance) else {
+                    continue; // the instance already left
+                };
+                metrics.switch_attempt();
+                let CatalogEntry { name, spec, .. } = &catalog.entries()[catalog.sample(&mut rng)];
+                // Under a reconfiguration policy the switch is
+                // transactional: a refused one leaves the instance running
+                // under its old configuration. Plain runs stop, then
+                // readmit: a refused switch evicts the instance, and its
+                // pending departure becomes stale.
+                let switched = if config.reconfiguration.is_some() {
+                    manager.switch(handle, spec.clone()).map(|_| handle)
+                } else {
+                    handles.remove(&instance);
+                    manager.stop(handle)?;
+                    manager.start(spec.clone()).map_err(RuntimeError::from)
+                };
+                match switched {
+                    Ok(handle) => {
+                        let outcome = &manager.get(handle).expect("just switched").outcome;
+                        metrics.admitted(Attempt::Switch, name, outcome, manager.n_running());
+                        handles.insert(instance, handle);
                     }
+                    Err(RuntimeError::Admission(err @ AdmissionError::Rejected(_))) => {
+                        metrics.refused(Attempt::Switch, &err);
+                    }
+                    Err(fatal) => return Err(fatal),
                 }
             }
             ev @ (SimEvent::TileFail { .. } | SimEvent::LinkFail { .. }) => {
@@ -481,28 +346,11 @@ pub fn run_sim<A: MappingAlgorithm>(
                     .faults
                     .as_ref()
                     .expect("failure events are only scheduled with faults configured");
-                match failure {
-                    FailureEvent::Tile(_) => metrics.record_tile_failure(),
-                    FailureEvent::Link(_) => metrics.record_link_failure(),
-                }
                 let evacuation = manager.evacuate(failure, &faults.evacuation)?;
-                if !evacuation.evicted.is_empty() {
-                    // Evicted instances leave; their scheduled departures
-                    // (and mode switches) become stale and are ignored.
-                    let evicted: BTreeSet<AppHandle> = evacuation.evicted.iter().copied().collect();
-                    handles.retain(|_, h| !evicted.contains(h));
-                }
-                metrics.record_evacuation(
-                    evacuation.evacuated.len() as u64,
-                    evacuation.evicted.len() as u64,
-                    evacuation
-                        .evacuated
-                        .iter()
-                        .map(|e| e.processes_moved as u64)
-                        .sum(),
-                    evacuation.migration_energy_pj,
-                );
-                failed_at.insert(failure, now);
+                // Evicted instances leave; their scheduled departures (and
+                // mode switches) become stale and are ignored.
+                handles.retain(|_, h| !evacuation.evicted.contains(h));
+                metrics.evacuated(&evacuation);
                 queue.push(
                     now.saturating_add(faults.mttr),
                     SimEvent::Repair { failure },
@@ -510,13 +358,10 @@ pub fn run_sim<A: MappingAlgorithm>(
             }
             SimEvent::Repair { failure } => {
                 manager.repair(failure);
-                if let Some(injected_at) = failed_at.remove(&failure) {
-                    metrics.record_repair(now - injected_at);
-                }
+                metrics.repaired();
             }
         }
         if let Some((instance, handle)) = admitted {
-            metrics.note_running(manager.n_running());
             handles.insert(instance, handle);
             let holding = config.holding.draw(&mut rng);
             queue.push(

@@ -16,23 +16,17 @@ use rtsm::core::{
     ReconfigurationPolicy, RouteBinding, RunningApp, RuntimeError, RuntimeManager, SpatialMapper,
 };
 use rtsm::platform::paper::paper_platform;
-use rtsm::platform::{LinkId, Platform, PlatformState, TileId, TileKind};
+use rtsm::platform::{LinkId, Platform, PlatformState, TileId};
 use rtsm::sim::{run_sim, ArrivalProcess, Catalog, FaultConfig, HoldingTime, SimConfig};
-use rtsm::workloads::{defrag_platform, mesh_platform};
+use rtsm::workloads::defrag_platform;
 use std::sync::Arc;
 
-/// The mixed-DSP mesh `simulate --catalog mixed` uses (platform seed 42).
+/// The mixed-DSP mesh `simulate --catalog mixed` uses (platform seed 42),
+/// from the table it and `experiment` resolve it through.
 fn mixed_platform() -> Platform {
-    mesh_platform(
-        42,
-        4,
-        4,
-        &[
-            (TileKind::Montium, 4),
-            (TileKind::Arm, 4),
-            (TileKind::Dsp, 2),
-        ],
-    )
+    rtsm::exp::resolve_catalog("mixed", 42)
+        .expect("a registered catalog")
+        .platform
 }
 
 /// One uniformly drawn catalog spec.

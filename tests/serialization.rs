@@ -7,6 +7,7 @@ use rtsm::app::ApplicationSpec;
 use rtsm::core::mapper::{MapperConfig, SpatialMapper};
 use rtsm::core::{Mapping, MappingOutcome};
 use rtsm::dataflow::{CsdfGraph, PhaseVec};
+use rtsm::exp::ExperimentSpec;
 use rtsm::platform::paper::paper_platform;
 use rtsm::platform::{Platform, PlatformState};
 use rtsm::sim::{run_sim, Catalog, InstanceId, SimConfig, SimEvent, SimReport};
@@ -135,6 +136,42 @@ fn skip_serializing_if_omits_the_key_and_roundtrips() {
     let present = serde_json::to_string(&value).expect("serialize");
     assert_eq!(present, r#"{"always":7,"sometimes":"here","last":true}"#);
     assert_eq!(serde_json::from_str::<Sections>(&present).unwrap(), value);
+}
+
+/// Hostile text is an `Err` — never a panic, stack overflow or abort — for
+/// each type a file holds: nesting one past the limit, truncation, a
+/// number past `u128`, a key repeated in an otherwise valid document.
+/// Nesting *at* the limit parses, then fails on shape.
+#[test]
+fn hostile_json_is_an_error_for_every_file_type() {
+    fn refusals<T: Deserialize + std::fmt::Debug>(valid: &str) -> Vec<String> {
+        assert!(serde_json::from_str::<T>(valid).is_ok());
+        let nested = |depth| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(serde_json::from_str::<serde::Value>(&nested(128)).is_ok());
+        [
+            nested(128),
+            nested(129),
+            valid.chars().take(valid.len() / 2).collect(),
+            r#"{"x":340282366920938463463374607431768211456}"#.to_string(),
+            format!(r#"{{"dup":0,"dup":1,{}"#, &valid[1..]),
+        ]
+        .iter()
+        .map(|text| serde_json::from_str::<T>(text).unwrap_err().to_string())
+        .collect()
+    }
+    let spec = serde_json::to_string(&hiperlan2_receiver(Hiperlan2Mode::Qpsk34)).unwrap();
+    let platform = serde_json::to_string(&paper_platform()).unwrap();
+    for errors in [
+        refusals::<ExperimentSpec>(include_str!("../specs/ci_smoke_mixed_1m.json")),
+        refusals::<ApplicationSpec>(&spec),
+        refusals::<Platform>(&platform),
+    ] {
+        assert!(!errors[0].contains("nesting"), "{}", errors[0]);
+        let expected = ["nesting deeper", "", "invalid number", "duplicate key"];
+        for (error, expected) in errors[1..].iter().zip(expected) {
+            assert!(error.contains(expected) && error.len() < 512, "{error}");
+        }
+    }
 }
 
 #[test]

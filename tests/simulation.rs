@@ -5,9 +5,7 @@
 use proptest::prelude::*;
 use rtsm::core::{MappingAlgorithm, SpatialMapper};
 use rtsm::platform::paper::paper_platform;
-use rtsm::platform::TileKind;
 use rtsm::sim::{run_sim, ArrivalProcess, Catalog, HoldingTime, SimConfig, SimReport, SimRun};
-use rtsm::workloads::mesh_platform;
 
 fn config(seed: u64, arrivals: u64) -> SimConfig {
     SimConfig {
@@ -24,14 +22,12 @@ fn config(seed: u64, arrivals: u64) -> SimConfig {
     }
 }
 
-/// The 4×4 mesh the mixed-DSP catalog runs on (`simulate --catalog mixed`).
+/// The 4×4 mesh the mixed-DSP catalog runs on, from the table `simulate
+/// --catalog mixed` and `experiment` resolve it through.
 fn mixed_mesh(seed: u64) -> rtsm::platform::Platform {
-    let mix = [
-        (TileKind::Montium, 4),
-        (TileKind::Arm, 4),
-        (TileKind::Dsp, 2),
-    ];
-    mesh_platform(seed, 4, 4, &mix)
+    rtsm::exp::resolve_catalog("mixed", seed)
+        .expect("a registered catalog")
+        .platform
 }
 
 fn run_for(seed: u64, arrivals: u64) -> SimRun {
