@@ -10,10 +10,14 @@
 //! must satisfy (determinism, conservation, the golden fixtures, the Pareto
 //! trade) is held by `cargo test`, and what it costs is measured by
 //! `benchmark/`. Algorithm, catalog and policy names come from the
-//! `rtsm_exp` registry, and the reconfiguration and template flags are
-//! stated as the `rtsm_exp::PolicySpec` an `experiment` spec would list — an
-//! absent flag is an unset field — so the two CLIs share every name, default
-//! and run path.
+//! `rtsm_exp` registry. The workload flags (`--mean-hold`, `--switch-prob`,
+//! `--sample-interval`, `--platform-seed`, `--horizon`) are stated as the
+//! `rtsm_exp::SpecTemplate` and the reconfiguration and template flags as the
+//! `rtsm_exp::PolicySpec` an `experiment` spec would list — an absent flag
+//! is an unset field — and `rtsm_exp::sim_config` turns them into the
+//! `SimConfig` an `experiment` trial of the same cell runs, so the two CLIs
+//! share every name, default and run path. On top of it `simulate` sets only
+//! the fault process and whether samples record fragmentation.
 //!
 //! Defaults: seed 2008, 10 000 arrivals, the paper platform with the
 //! HIPERLAN/2 mode catalog, Poisson arrivals (mean gap 500 ticks),
@@ -25,11 +29,6 @@
 //! times); the platform layout and the synthetic application population
 //! stay pinned to `--platform-seed`.
 //!
-//! * `--flash-crowd BURST` lands BURST arrivals at one instant, with
-//!   exponential gaps of mean `--mean-gap × BURST` between bursts (same
-//!   long-run rate). `--holding pareto` draws bounded-Pareto holding times
-//!   (support `[mean/3, mean×100]`, α = 1.5); `fixed` holds every instance
-//!   exactly `--mean-hold` ticks.
 //! * `--reconfigure` retries blocked arrivals through
 //!   `RuntimeManager::start_with_reconfiguration`; the report gains the
 //!   recovered-admission and migration counters plus per-sample
@@ -61,15 +60,9 @@
 
 use rtsm_bench::cli::Cli;
 use rtsm_core::MappingAlgorithm;
-use rtsm_exp::spec::{
-    DEFAULT_MEAN_HOLD, DEFAULT_PLATFORM_SEED, DEFAULT_SAMPLE_INTERVAL, DEFAULT_SWITCH_PROB_PCT,
-};
-use rtsm_exp::PolicySpec;
+use rtsm_exp::{PolicySpec, SpecTemplate};
 use rtsm_obs::{self as obs, FlightRecorder};
-use rtsm_sim::{
-    ArrivalProcess, FaultConfig, HoldingTime, SimConfig, SimReport, SimRun, SurvivabilityReport,
-    TemplateReport,
-};
+use rtsm_sim::{FaultConfig, SimConfig, SimReport, SimRun, SurvivabilityReport, TemplateReport};
 use std::time::Instant;
 
 /// The requested algorithm set, straight from the `rtsm_exp` registry —
@@ -131,8 +124,6 @@ fn main() {
             ("--mean-gap", "N"),
             ("--mean-hold", "N"),
             ("--switch-prob", "PCT"),
-            ("--holding", "exponential|fixed|pareto"),
-            ("--flash-crowd", "BURST"),
             ("--sample-interval", "N"),
             ("--horizon", "N"),
             ("--out", "PATH"),
@@ -151,15 +142,22 @@ fn main() {
     );
     let seed = cli.u64_or("--seed", 2008);
     let arrivals = cli.u64_or("--arrivals", 10_000);
+    if arrivals == 0 {
+        one_line_error("--arrivals is 0, must be ≥ 1");
+    }
     let mean_gap = cli.u64_or("--mean-gap", 500);
     if mean_gap == 0 {
         one_line_error("--mean-gap is 0, must be ≥ 1 tick");
     }
-    let mean_hold = cli.u64_or("--mean-hold", DEFAULT_MEAN_HOLD);
-    let switch_pct = cli.u64_or("--switch-prob", DEFAULT_SWITCH_PROB_PCT);
-    let sample_interval = cli.u64_or("--sample-interval", DEFAULT_SAMPLE_INTERVAL);
-    let platform_seed = cli.u64_or("--platform-seed", DEFAULT_PLATFORM_SEED);
-    let horizon = cli.integer::<u64>("--horizon");
+    let template = SpecTemplate {
+        arrivals,
+        mean_hold: cli.integer("--mean-hold"),
+        switch_prob_pct: cli.integer("--switch-prob"),
+        sample_interval: cli.integer("--sample-interval"),
+        horizon: cli.integer("--horizon"),
+        platform_seed: cli.integer("--platform-seed"),
+    };
+    let (mean_hold, switch_pct) = (template.mean_hold(), template.switch_prob_pct());
     let which = cli.value("--algorithm").unwrap_or("all");
     let catalog_name = cli.value("--catalog").unwrap_or("hiperlan2");
     let reconfigure = cli.has("--reconfigure");
@@ -177,19 +175,6 @@ fn main() {
     if faults && mttf == 0 {
         one_line_error("--mttf is 0, must be ≥ 1 tick");
     }
-    let templates = cli.has("--templates");
-    if !templates && cli.value("--template-cap").is_some() {
-        one_line_error("--template-cap requires --templates");
-    }
-    let template_cap = cli.integer::<u64>("--template-cap");
-    if template_cap == Some(0) {
-        one_line_error("--template-cap is 0, must be ≥ 1 shape per spec");
-    }
-    let flash_crowd = cli.integer::<u32>("--flash-crowd");
-    if flash_crowd == Some(0) {
-        one_line_error("--flash-crowd is 0, burst size must be ≥ 1");
-    }
-    let holding_name = cli.value("--holding").unwrap_or("exponential");
     if !reconfigure && cli.value("--policy").is_some() {
         one_line_error("--policy requires --reconfigure");
     }
@@ -208,8 +193,8 @@ fn main() {
         max_migrations: cli.integer("--max-migrations"),
         max_plans: cli.integer("--max-plans"),
         arrivals: None,
-        templates: Some(templates),
-        template_cap,
+        templates: Some(cli.has("--templates")),
+        template_cap: cli.integer("--template-cap"),
     };
     // The per-kind parameter rules are the spec's own, so their message
     // names the spec field each flag states.
@@ -234,7 +219,9 @@ fn main() {
     .take(if faults { 3 } else { 1 })
     .max_by_key(|&(_, ticks)| ticks)
     .expect("at least --mean-hold");
-    if let Err(message) = rtsm_sim::check_sample_growth(arrivals, mean_gap, tail, sample_interval) {
+    if let Err(message) =
+        rtsm_sim::check_sample_growth(arrivals, mean_gap, tail, template.sample_interval())
+    {
         one_line_error(&format!(
             "--arrivals {arrivals} × --mean-gap {mean_gap} + 100 × {tail_flag} {tail}: {message}"
         ));
@@ -246,55 +233,27 @@ fn main() {
     // Catalog resolution is shared with the experiment harness
     // (`rtsm_exp::resolve_catalog`), so the two CLIs agree on every
     // platform/population pair.
-    let resolved = rtsm_exp::resolve_catalog(catalog_name, platform_seed).unwrap_or_else(|| {
-        one_line_error(&format!(
-            "unknown catalog `{catalog_name}` (valid: {})",
-            rtsm_exp::VALID_CATALOGS.join(", ")
-        ))
-    });
+    let resolved = rtsm_exp::resolve_catalog(catalog_name, template.platform_seed())
+        .unwrap_or_else(|| {
+            one_line_error(&format!(
+                "unknown catalog `{catalog_name}` (valid: {})",
+                rtsm_exp::VALID_CATALOGS.join(", ")
+            ))
+        });
 
-    let holding = match holding_name {
-        "exponential" => HoldingTime::Exponential { mean: mean_hold },
-        "fixed" => HoldingTime::Fixed { ticks: mean_hold },
-        "pareto" => HoldingTime::BoundedPareto {
-            min: (mean_hold / 3).max(1),
-            max: mean_hold.saturating_mul(100),
-            alpha_permille: 1500,
-        },
-        other => one_line_error(&format!(
-            "unknown holding-time distribution `{other}` (valid: exponential, fixed, pareto)"
-        )),
-    };
     let config = SimConfig {
-        seed,
-        arrivals,
-        arrival_process: match flash_crowd {
-            Some(burst_size) => ArrivalProcess::FlashCrowd {
-                mean_gap,
-                burst_size,
-            },
-            None => ArrivalProcess::Poisson { mean_gap },
-        },
-        holding,
-        mode_switch_probability: switch_pct as f64 / 100.0,
-        sample_interval,
-        horizon,
-        reconfiguration: policy.to_policy(),
         track_fragmentation: reconfigure,
         faults: faults.then_some(FaultConfig {
             mttf,
             mttr,
             ..fault_defaults
         }),
+        ..rtsm_exp::sim_config(&template, &policy, mean_gap, seed, arrivals)
     };
 
     println!(
         "simulating {arrivals} arrivals on `{catalog_name}` (seed {seed}, mean gap {mean_gap}, \
-         mean hold {mean_hold} ({holding_name}), switch prob {switch_pct}%{}{}{})",
-        match flash_crowd {
-            Some(burst) => format!(", flash crowds of {burst}"),
-            None => String::new(),
-        },
+         mean hold {mean_hold}, switch prob {switch_pct}%{}{})",
         if faults {
             format!(", faults mttf {mttf} mttr {mttr}")
         } else {

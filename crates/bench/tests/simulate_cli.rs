@@ -159,24 +159,56 @@ fn flags_nothing_would_read_are_one_line_errors() {
             "payback_periods (read by: amortized-payback)",
         ),
         ("--mean-gap 0", "--mean-gap is 0"),
+        ("--arrivals 0 --algorithm greedy", "--arrivals is 0"),
+        ("--template-cap 4", "template_cap without templates"),
+        ("--templates --template-cap 0", "template_cap to 0"),
     ] {
         let args: Vec<&str> = line.split(' ').collect();
         let stderr = refused_at_the_door(env!("CARGO_BIN_EXE_simulate"), &args);
         assert!(stderr.contains(at_fault), "{line}: {stderr}");
     }
 
-    // No report can hold a wall-clock section, so the flag that asked for
-    // one is a usage error like any other typo.
-    let output = Command::new(env!("CARGO_BIN_EXE_experiment"))
-        .args(["--spec", "unread.json", "--wall"])
-        .output()
-        .expect("runs");
-    let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
-    assert_eq!(output.status.code(), Some(2), "{stderr}");
-    let lines: Vec<&str> = stderr.lines().collect();
-    assert_eq!(lines[0], "error: unknown argument `--wall`", "{stderr}");
-    assert!(lines[1].starts_with("usage: experiment "), "{stderr}");
-    assert_eq!(lines.len(), 2, "{stderr}");
+    // No report can hold a wall-clock section, and the simulator runs one
+    // traffic model, so the flags that asked for either are usage errors
+    // like any other typo.
+    for (binary, path, line, unknown) in [
+        (
+            "experiment",
+            env!("CARGO_BIN_EXE_experiment"),
+            "--spec unread.json --wall",
+            "--wall",
+        ),
+        (
+            "simulate",
+            env!("CARGO_BIN_EXE_simulate"),
+            "--flash-crowd 8",
+            "--flash-crowd",
+        ),
+        (
+            "simulate",
+            env!("CARGO_BIN_EXE_simulate"),
+            "--holding pareto",
+            "--holding",
+        ),
+    ] {
+        let output = Command::new(path)
+            .args(line.split(' '))
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
+        assert_eq!(output.status.code(), Some(2), "{line}: {stderr}");
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert_eq!(
+            lines[0],
+            format!("error: unknown argument `{unknown}`"),
+            "{stderr}"
+        );
+        assert!(
+            lines[1].starts_with(&format!("usage: {binary} ")),
+            "{stderr}"
+        );
+        assert_eq!(lines.len(), 2, "{stderr}");
+    }
 }
 
 /// One event of a Chrome trace file (`cat` and `args` are not read).
@@ -285,5 +317,79 @@ fn the_golden_command_line_reproduces_its_fixture() {
     assert_eq!(
         written,
         include_str!("../../../tests/golden/seed2008_mixed_templates_recover.json")
+    );
+}
+
+/// One cell, two front doors: an `experiment` trial and the `simulate`
+/// command line stating the same catalog, algorithm, gap, policy and seed
+/// run one `SimConfig` (`rtsm_exp::sim_config`), so their counts agree.
+#[test]
+fn an_experiment_trial_and_simulate_run_the_same_cell() {
+    let dir = std::env::temp_dir().join(format!("rtsm-one-path-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    let (spec, jsonl, out) = (
+        dir.join("spec.json"),
+        dir.join("trials.jsonl"),
+        dir.join("simulate.json"),
+    );
+    std::fs::write(
+        &spec,
+        r#"{"name":"one-cell","algorithms":["greedy"],"catalogs":["mixed"],"mean_gaps":[500],
+            "policies":[{"kind":"energy-budget"}],"seeds":[2008],"template":{"arrivals":300}}"#,
+    )
+    .expect("temp dir is writable");
+    let runs = [
+        Command::new(env!("CARGO_BIN_EXE_experiment"))
+            .args(["--workers", "1", "--quiet", "--spec"])
+            .arg(&spec)
+            .arg("--jsonl")
+            .arg(&jsonl)
+            .stdout(std::process::Stdio::null())
+            .status(),
+        Command::new(env!("CARGO_BIN_EXE_simulate"))
+            .args("--seed 2008 --arrivals 300 --catalog mixed --algorithm greedy".split(' '))
+            .args("--mean-gap 500 --reconfigure --policy energy-budget --out".split(' '))
+            .arg(&out)
+            .stdout(std::process::Stdio::null())
+            .status(),
+    ];
+    for status in runs {
+        let status = status.expect("runs");
+        assert!(status.success(), "{status}");
+    }
+    let line = |path| {
+        let text = std::fs::read_to_string(path).expect("written by the run");
+        assert_eq!(text.lines().count(), 1, "one trial, one algorithm");
+        text
+    };
+    let trial: rtsm_exp::TrialRecord =
+        serde_json::from_str(line(&jsonl).trim_end()).expect("a row");
+    let report: rtsm_sim::SimReport =
+        serde_json::from_str(line(&out).trim_end()).expect("a report");
+    std::fs::remove_dir_all(&dir).expect("just written");
+
+    let reconfiguration = report.reconfiguration.expect("--reconfigure");
+    assert_eq!(
+        [
+            trial.admitted,
+            trial.blocked,
+            trial.departures,
+            trial.energy_pj_ticks,
+            trial.recovered,
+            trial.migrations_committed,
+        ],
+        [
+            report.admitted,
+            report.blocked,
+            report.departures,
+            report.energy_pj_ticks,
+            reconfiguration.admissions_recovered,
+            reconfiguration.migrations_committed,
+        ],
+        "admitted, blocked, departures, energy, recovered, migrations"
+    );
+    assert!(
+        trial.recovered > 0,
+        "the cell exercises the reconfiguration retry"
     );
 }

@@ -74,6 +74,6 @@ pub use runner::{run_experiment, ExpError, ExperimentRun};
 pub use spec::{ExperimentSpec, PolicySpec, SpecTemplate, VALID_POLICY_KINDS};
 pub use stats::StatSummary;
 pub use trial::{
-    make_algorithm, resolve_catalog, run_algorithm, run_trial, AlgorithmEntry, ResolvedCatalog,
-    Trial, TrialRecord, ALGORITHMS, VALID_ALGORITHMS, VALID_CATALOGS,
+    make_algorithm, resolve_catalog, run_algorithm, run_trial, sim_config, AlgorithmEntry,
+    ResolvedCatalog, Trial, TrialRecord, ALGORITHMS, VALID_ALGORITHMS, VALID_CATALOGS,
 };

@@ -17,43 +17,39 @@ use rtsm_core::{AdmissionPolicy, ReconfigurationObjective, ReconfigurationPolicy
 use serde::{Deserialize, Serialize};
 
 /// Simulation parameters shared by every trial of a spec. Only
-/// `arrivals` is mandatory; the optional fields default to the `DEFAULT_*`
-/// constants below, which the `simulate` CLI reads too, so specs and ad-hoc
-/// runs agree.
+/// `arrivals` is mandatory; an unset optional field takes the default its
+/// accessor applies. The `simulate` CLI states its workload flags as one of
+/// these, so specs and ad-hoc runs agree.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpecTemplate {
     /// Arrivals per trial (policies may override per-policy; see
     /// [`PolicySpec::arrivals`]).
     pub arrivals: u64,
-    /// Mean exponential holding time, ticks (default
-    /// [`DEFAULT_MEAN_HOLD`]).
+    /// Mean exponential holding time, ticks (default 2000).
     pub mean_hold: Option<u64>,
-    /// Mode-switch probability, percent 0–100 (default
-    /// [`DEFAULT_SWITCH_PROB_PCT`]).
+    /// Mode-switch probability, percent 0–100 (default 10).
     pub switch_prob_pct: Option<u64>,
-    /// Occupancy sample interval, ticks (default
-    /// [`DEFAULT_SAMPLE_INTERVAL`]).
+    /// Occupancy sample interval, ticks (default 10 000).
     pub sample_interval: Option<u64>,
     /// Optional virtual-time horizon cutting trials short, ticks.
     pub horizon: Option<u64>,
-    /// Seed pinning platform layout and synthetic catalogs (default
-    /// [`DEFAULT_PLATFORM_SEED`]).
+    /// Seed pinning platform layout and synthetic catalogs (default 42).
     pub platform_seed: Option<u64>,
 }
 
 /// Mean holding time of a spec or `simulate` run that sets none, ticks.
-pub const DEFAULT_MEAN_HOLD: u64 = 2000;
+const DEFAULT_MEAN_HOLD: u64 = 2000;
 
 /// Mode-switch probability of a spec or `simulate` run that sets none,
 /// percent.
-pub const DEFAULT_SWITCH_PROB_PCT: u64 = 10;
+const DEFAULT_SWITCH_PROB_PCT: u64 = 10;
 
 /// Occupancy sample interval of a spec or `simulate` run that sets none,
 /// ticks.
-pub const DEFAULT_SAMPLE_INTERVAL: u64 = 10_000;
+const DEFAULT_SAMPLE_INTERVAL: u64 = 10_000;
 
 /// Platform seed of a spec or `simulate` run that sets none.
-pub const DEFAULT_PLATFORM_SEED: u64 = 42;
+const DEFAULT_PLATFORM_SEED: u64 = 42;
 
 impl SpecTemplate {
     /// Mean holding time with the default applied.

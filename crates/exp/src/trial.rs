@@ -246,6 +246,35 @@ pub fn run_algorithm(
     run.expect("the simulation never breaks its own ledger")
 }
 
+/// The simulation one cell runs: Poisson arrivals of `mean_gap`, the
+/// template's holding, switching, sampling and horizon with their defaults
+/// applied, and `policy`'s reconfiguration, fragmentation tracked and no
+/// faults. The one place parameters become a [`SimConfig`]: [`run_trial`]
+/// runs it as is, the `simulate` CLI sets its fault process and fragmentation
+/// flag on top.
+pub fn sim_config(
+    template: &SpecTemplate,
+    policy: &PolicySpec,
+    mean_gap: u64,
+    seed: u64,
+    arrivals: u64,
+) -> SimConfig {
+    SimConfig {
+        seed,
+        arrivals,
+        arrival_process: ArrivalProcess::Poisson { mean_gap },
+        holding: HoldingTime::Exponential {
+            mean: template.mean_hold(),
+        },
+        mode_switch_probability: template.switch_prob_pct() as f64 / 100.0,
+        sample_interval: template.sample_interval(),
+        horizon: template.horizon,
+        reconfiguration: policy.to_policy(),
+        track_fragmentation: true,
+        faults: None,
+    }
+}
+
 /// The flattened, all-integer result of one trial — one JSONL row.
 /// Optional fields are `None` (serialized `null`) when the run admitted
 /// nothing or produced no fragmentation samples, never a division by
@@ -340,22 +369,13 @@ pub fn run_trial(
     resolved: &ResolvedCatalog,
     template: &SpecTemplate,
 ) -> TrialRecord {
-    let config = SimConfig {
-        seed: trial.trial_seed(),
-        arrivals: trial.arrivals,
-        arrival_process: ArrivalProcess::Poisson {
-            mean_gap: trial.mean_gap,
-        },
-        holding: HoldingTime::Exponential {
-            mean: template.mean_hold(),
-        },
-        mode_switch_probability: template.switch_prob_pct() as f64 / 100.0,
-        sample_interval: template.sample_interval(),
-        horizon: template.horizon,
-        reconfiguration: trial.policy.to_policy(),
-        track_fragmentation: true,
-        faults: None,
-    };
+    let config = sim_config(
+        template,
+        &trial.policy,
+        trial.mean_gap,
+        trial.trial_seed(),
+        trial.arrivals,
+    );
     let algorithm =
         make_algorithm(&trial.algorithm).expect("trial algorithms are validated before expansion");
     let report = run_algorithm(resolved, algorithm, trial.policy.shape_cap(), &config).report;

@@ -13,11 +13,10 @@
 //! * [`event`] — virtual-time ticks, the seven [`SimEvent`]s (arrival,
 //!   departure, mode switch, reconfiguration retry, tile failure, link
 //!   failure, repair), and a deterministic binary-heap [`EventQueue`];
-//! * [`workload`] — pluggable stochastic workload generation: weighted
-//!   application [`Catalog`]s (HIPERLAN/2 modes, realistic DSP apps,
-//!   seeded synthetics), Poisson, periodic or flash-crowd
-//!   [`ArrivalProcess`]es, and exponential, fixed or bounded-Pareto
-//!   [`HoldingTime`]s — all reproducible from one `u64` seed;
+//! * [`workload`] — stochastic workload generation: weighted application
+//!   [`Catalog`]s (HIPERLAN/2 modes, realistic DSP apps, seeded
+//!   synthetics), Poisson [`ArrivalProcess`] and exponential
+//!   [`HoldingTime`] — all reproducible from one `u64` seed;
 //! * [`metrics`] — the [`MetricsCollector`], the one place a manager
 //!   result becomes report data: admission/blocking counts,
 //!   rejection-reason histograms keyed by
@@ -73,4 +72,4 @@ pub use metrics::{
     TemplateReport, UtilizationSample, MAX_NOMINAL_SAMPLES,
 };
 pub use sim::{run_sim, FaultConfig, SimConfig, SimRun};
-pub use workload::{bounded_pareto_mean, ArrivalProcess, Catalog, CatalogEntry, HoldingTime};
+pub use workload::{ArrivalProcess, Catalog, CatalogEntry, HoldingTime};

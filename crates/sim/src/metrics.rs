@@ -346,9 +346,9 @@ pub const MAX_NOMINAL_SAMPLES: u64 = 2_000_000;
 /// so what bounds the series is the run's nominal length: `arrivals` mean
 /// gaps, then a tail of `100 × tail` ticks for whatever the last arrival
 /// leaves in the queue. `tail` is the mean holding time — an exponential
-/// draw stays below 37 means and the bounded Pareto is truncated at 100 —
-/// or, with faults on, the larger of it, the MTTF and the MTTR (the pending
-/// failure and its repair are processed before the queue drains). All
+/// draw stays below 37 means — or, with faults on, the larger of it, the
+/// MTTF and the MTTR (the pending failure and its repair are processed
+/// before the queue drains). All
 /// arithmetic saturates, so every `u64` input gets an answer.
 ///
 /// This is the check the front doors share (`simulate`'s flag validation,

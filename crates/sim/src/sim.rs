@@ -184,10 +184,9 @@ pub fn run_sim<A: MappingAlgorithm>(
         |rng: &mut StdRng, queue: &mut EventQueue, scheduled: &mut u64, now: SimTime| {
             if *scheduled < config.arrivals {
                 let instance = InstanceId(*scheduled);
-                let index = *scheduled;
                 *scheduled += 1;
                 queue.push(
-                    now.saturating_add(config.arrival_process.next_gap(rng, index)),
+                    now.saturating_add(config.arrival_process.next_gap(rng)),
                     SimEvent::Arrival {
                         instance,
                         catalog_index: catalog.sample(rng),
@@ -519,22 +518,13 @@ mod tests {
                     ..small_config(2008)
                 },
             ),
-            // Adversarial churn: arrivals in bursts of eight and
-            // heavy-tailed holding times over the same fault process.
+            // The mixed DSP catalog on a heterogeneous mesh, where an
+            // evacuation has real alternatives to choose between.
             (
                 mesh,
                 Catalog::mixed_dsp(),
                 SimConfig {
                     arrivals: 300,
-                    arrival_process: ArrivalProcess::FlashCrowd {
-                        mean_gap: 500,
-                        burst_size: 8,
-                    },
-                    holding: HoldingTime::BoundedPareto {
-                        min: 666,
-                        max: 200_000,
-                        alpha_permille: 1500,
-                    },
                     faults: faults(10_000, 3_000),
                     ..small_config(2008)
                 },

@@ -1,5 +1,5 @@
-//! Stochastic workload generation: weighted application catalogs, arrival
-//! processes, and holding-time distributions.
+//! Stochastic workload generation: weighted application catalogs, Poisson
+//! arrivals and exponential holding times.
 //!
 //! Everything here draws from one caller-supplied
 //! [`StdRng`], so a whole workload — which
@@ -159,7 +159,9 @@ impl Catalog {
     }
 }
 
-/// When the next application arrives.
+/// When the next application arrives. One variant: every workload, spec
+/// and fixture runs Poisson arrivals. The enum stays because the
+/// out-of-workspace `benchmark/` crate names the variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalProcess {
     /// Poisson arrivals: exponentially distributed inter-arrival gaps with
@@ -169,56 +171,18 @@ pub enum ArrivalProcess {
         /// Mean inter-arrival gap, in ticks.
         mean_gap: SimTime,
     },
-    /// One arrival every `interval` ticks, exactly.
-    Periodic {
-        /// Fixed inter-arrival gap, in ticks.
-        interval: SimTime,
-    },
-    /// Flash crowds: arrivals come in bursts of `burst_size` at the same
-    /// virtual instant, with exponentially distributed gaps *between*
-    /// bursts of mean `mean_gap × burst_size` — so the long-run arrival
-    /// rate matches a Poisson process with mean gap `mean_gap`, but the
-    /// load lands in adversarial spikes. The process is stateless: the
-    /// burst structure is a function of the arrival's index, so the same
-    /// seed and index always yield the same gap.
-    FlashCrowd {
-        /// Long-run mean inter-arrival gap, in ticks (matched to
-        /// [`ArrivalProcess::Poisson`] for comparability).
-        mean_gap: SimTime,
-        /// Arrivals per burst (> 0; 1 degenerates to Poisson).
-        burst_size: u32,
-    },
 }
 
 impl ArrivalProcess {
-    /// Draws the gap between arrival number `index` and its successor
-    /// (always ≥ 1 tick, except *within* a flash-crowd burst, where it is
-    /// 0 so the burst lands at one virtual instant). `index` counts
-    /// scheduled arrivals from 0; only [`ArrivalProcess::FlashCrowd`]
-    /// consults it.
-    pub fn next_gap(&self, rng: &mut StdRng, index: u64) -> SimTime {
-        match *self {
-            ArrivalProcess::Poisson { mean_gap } => exponential_ticks(rng, mean_gap),
-            ArrivalProcess::Periodic { interval } => interval.max(1),
-            ArrivalProcess::FlashCrowd {
-                mean_gap,
-                burst_size,
-            } => {
-                let burst = u64::from(burst_size.max(1));
-                // The gap *after* the last arrival of a burst separates it
-                // from the next burst; all earlier gaps are 0 (FIFO order
-                // at equal times keeps the burst deterministic).
-                if (index + 1).is_multiple_of(burst) {
-                    exponential_ticks(rng, mean_gap.saturating_mul(burst))
-                } else {
-                    0
-                }
-            }
-        }
+    /// Draws the gap to the next arrival (always ≥ 1 tick).
+    pub fn next_gap(&self, rng: &mut StdRng) -> SimTime {
+        let ArrivalProcess::Poisson { mean_gap } = *self;
+        exponential_ticks(rng, mean_gap)
     }
 }
 
-/// How long an admitted application holds its resources.
+/// How long an admitted application holds its resources. One variant, for
+/// the same reason as [`ArrivalProcess`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HoldingTime {
     /// Exponentially distributed with the given mean (ticks) — memoryless
@@ -227,41 +191,13 @@ pub enum HoldingTime {
         /// Mean holding time, in ticks.
         mean: SimTime,
     },
-    /// Every admitted application runs exactly this long.
-    Fixed {
-        /// Holding time, in ticks.
-        ticks: SimTime,
-    },
-    /// Heavy-tailed session lengths: a Pareto distribution with shape
-    /// `alpha`, truncated to `[min, max]` ticks. Most sessions are short,
-    /// but a non-negligible fraction hold resources for a very long time —
-    /// the adversarial shape for admission control, since long holders
-    /// fragment the platform far more than the exponential's memoryless
-    /// churn.
-    BoundedPareto {
-        /// Smallest holding time, in ticks (> 0).
-        min: SimTime,
-        /// Largest holding time, in ticks (> `min`).
-        max: SimTime,
-        /// Shape parameter α in permille (e.g. 1500 = α 1.5). Carried as
-        /// an integer so the distribution stays `Eq`-comparable; smaller α
-        /// means a heavier tail.
-        alpha_permille: u32,
-    },
 }
 
 impl HoldingTime {
     /// Draws one holding time (always ≥ 1 tick).
     pub fn draw(&self, rng: &mut StdRng) -> SimTime {
-        match *self {
-            HoldingTime::Exponential { mean } => exponential_ticks(rng, mean),
-            HoldingTime::Fixed { ticks } => ticks.max(1),
-            HoldingTime::BoundedPareto {
-                min,
-                max,
-                alpha_permille,
-            } => bounded_pareto_ticks(rng, min, max, alpha_permille),
-        }
+        let HoldingTime::Exponential { mean } = *self;
+        exponential_ticks(rng, mean)
     }
 }
 
@@ -271,53 +207,6 @@ pub(crate) fn exponential_ticks(rng: &mut StdRng, mean: SimTime) -> SimTime {
     let u: f64 = rng.random();
     let ticks = -(1.0 - u).ln() * mean as f64;
     (ticks.ceil() as SimTime).max(1)
-}
-
-/// One bounded-Pareto draw by inverse CDF, rounded up to whole ticks and
-/// clamped to `[min, max]` (≥ 1):
-///
-/// ```text
-/// x = L / (1 − U·(1 − (L/H)^α))^(1/α),   U ∈ [0, 1)
-/// ```
-///
-/// with `L = min`, `H = max`, `α = alpha_permille / 1000`. Degenerate
-/// parameters (`min ≥ max`, `α = 0`) fall back to the fixed `min`.
-fn bounded_pareto_ticks(
-    rng: &mut StdRng,
-    min: SimTime,
-    max: SimTime,
-    alpha_permille: u32,
-) -> SimTime {
-    let lo = min.max(1);
-    if max <= lo || alpha_permille == 0 {
-        // Still consume one draw so the RNG stream is shape-independent.
-        let _: f64 = rng.random();
-        return lo;
-    }
-    let alpha = f64::from(alpha_permille) / 1000.0;
-    let l = lo as f64;
-    let h = max as f64;
-    let u: f64 = rng.random();
-    let x = l / (1.0 - u * (1.0 - (l / h).powf(alpha))).powf(1.0 / alpha);
-    (x.ceil() as SimTime).clamp(lo, max)
-}
-
-/// The analytic mean of the bounded Pareto in
-/// [`HoldingTime::BoundedPareto`]'s parameterization (α ≠ 1), for
-/// calibrating workloads and validating the sampler:
-///
-/// ```text
-/// E[X] = L^α / (1 − (L/H)^α) · α/(α−1) · (1/L^(α−1) − 1/H^(α−1))
-/// ```
-pub fn bounded_pareto_mean(min: SimTime, max: SimTime, alpha_permille: u32) -> f64 {
-    let l = min.max(1) as f64;
-    let h = max as f64;
-    if h <= l || alpha_permille == 0 {
-        return l;
-    }
-    let alpha = f64::from(alpha_permille) / 1000.0;
-    let scale = l.powf(alpha) / (1.0 - (l / h).powf(alpha));
-    scale * (alpha / (alpha - 1.0)) * (1.0 / l.powf(alpha - 1.0) - 1.0 / h.powf(alpha - 1.0))
 }
 
 #[cfg(test)]
@@ -360,142 +249,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let process = ArrivalProcess::Poisson { mean_gap: 1000 };
         let n = 4000u64;
-        let total: u64 = (0..n).map(|i| process.next_gap(&mut rng, i)).sum();
+        let total: u64 = (0..n).map(|_| process.next_gap(&mut rng)).sum();
         let mean = total / n;
         assert!(
             (700..=1300).contains(&mean),
             "empirical mean {mean} should be near 1000"
         );
-    }
-
-    #[test]
-    fn bounded_pareto_mean_matches_the_analytic_value() {
-        let (min, max, alpha_permille) = (100, 10_000, 1_500);
-        let holding = HoldingTime::BoundedPareto {
-            min,
-            max,
-            alpha_permille,
-        };
-        let mut rng = StdRng::seed_from_u64(2008);
-        let n = 20_000u64;
-        let total: u64 = (0..n).map(|_| holding.draw(&mut rng)).sum();
-        let empirical = total as f64 / n as f64;
-        let analytic = bounded_pareto_mean(min, max, alpha_permille);
-        // Heavy tail ⇒ slow convergence; a ±10% band at n = 20 000 is a
-        // real check without being flaky (the draw is ceil'd, biasing
-        // empirical slightly high).
-        assert!(
-            (empirical - analytic).abs() / analytic < 0.10,
-            "empirical mean {empirical:.1} vs analytic {analytic:.1}"
-        );
-        // Support is respected.
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..2000 {
-            let x = holding.draw(&mut rng);
-            assert!((min..=max).contains(&x));
-        }
-    }
-
-    #[test]
-    fn bounded_pareto_is_deterministic_per_seed_and_heavy_tailed() {
-        let draw = |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let holding = HoldingTime::BoundedPareto {
-                min: 50,
-                max: 100_000,
-                alpha_permille: 1_200,
-            };
-            (0..64).map(|_| holding.draw(&mut rng)).collect::<Vec<_>>()
-        };
-        assert_eq!(draw(9), draw(9));
-        assert_ne!(draw(9), draw(10));
-        // Heavier tail than the exponential with the same mean: the
-        // maximum of a modest sample is far above the mean.
-        let samples = draw(9);
-        let mean = samples.iter().sum::<u64>() / samples.len() as u64;
-        assert!(
-            *samples.iter().max().unwrap() > mean * 5,
-            "a 64-sample Pareto draw should show its tail"
-        );
-    }
-
-    #[test]
-    fn bounded_pareto_degenerate_parameters_fall_back_to_fixed() {
-        let mut rng = StdRng::seed_from_u64(1);
-        for holding in [
-            HoldingTime::BoundedPareto {
-                min: 100,
-                max: 100,
-                alpha_permille: 1_500,
-            },
-            HoldingTime::BoundedPareto {
-                min: 100,
-                max: 10_000,
-                alpha_permille: 0,
-            },
-        ] {
-            for _ in 0..16 {
-                assert_eq!(holding.draw(&mut rng), 100);
-            }
-        }
-    }
-
-    #[test]
-    fn flash_crowd_bursts_are_reproducible_and_conserve_arrivals() {
-        let process = ArrivalProcess::FlashCrowd {
-            mean_gap: 500,
-            burst_size: 8,
-        };
-        let gaps = |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            (0..64)
-                .map(|i| process.next_gap(&mut rng, i))
-                .collect::<Vec<SimTime>>()
-        };
-        let a = gaps(2008);
-        assert_eq!(a, gaps(2008), "bursts are deterministic per seed");
-        assert_ne!(a, gaps(2009));
-        // Exactly one positive gap per burst of 8 (after its last member):
-        // the burst structure conserves the total arrival count.
-        for (i, &gap) in a.iter().enumerate() {
-            if (i as u64 + 1).is_multiple_of(8) {
-                assert!(gap >= 1, "burst boundary at index {i} has a real gap");
-            } else {
-                assert_eq!(gap, 0, "index {i} is inside a burst");
-            }
-        }
-        // 64 arrivals land on exactly 64/8 distinct virtual instants.
-        let mut t = 0u64;
-        let mut instants = std::collections::BTreeSet::new();
-        for (i, _) in (0..64).enumerate() {
-            instants.insert(t);
-            t += a[i];
-        }
-        assert_eq!(instants.len(), 8);
-        // The long-run rate matches the Poisson parameterization: total
-        // span of n arrivals ≈ n × mean_gap.
-        let span: u64 = a.iter().sum();
-        assert!(
-            (64 * 200..=64 * 1200).contains(&span),
-            "64 arrivals at mean gap 500 span ≈ 32 000 ticks, got {span}"
-        );
-    }
-
-    #[test]
-    fn flash_crowd_burst_size_one_degenerates_to_poisson() {
-        let mut rng_a = StdRng::seed_from_u64(5);
-        let mut rng_b = StdRng::seed_from_u64(5);
-        let flash = ArrivalProcess::FlashCrowd {
-            mean_gap: 300,
-            burst_size: 1,
-        };
-        let poisson = ArrivalProcess::Poisson { mean_gap: 300 };
-        for i in 0..32 {
-            assert_eq!(
-                flash.next_gap(&mut rng_a, i),
-                poisson.next_gap(&mut rng_b, i)
-            );
-        }
     }
 
     #[test]
