@@ -34,10 +34,14 @@
 //! self-timed simulations of the graph (`Counter::CsdfRun`): one — every
 //! `B_i` at its structural floor sustains the period, which is how all but
 //! a few analyses end — or, on the paper platform, four (the floors, the
-//! unbounded pilot, two probes of the descent). The throughput verdict
-//! comes out of that search (sizing proves the period on exactly the
-//! capacities it returns), never from a second simulation. Failed analyses
-//! are not remembered: their diagnostics name actors.
+//! unbounded pilot, two probes of the descent). The floors' refusal there is
+//! the one simulation that does not end soon: it is stopped after four graph
+//! iterations, when a cycle of the graph's HSDF expansion proves the period
+//! out of reach (`Counter::BufferProbeCycleRefuted`), instead of run some
+//! thirty iterations on to the recurrence that says the same. The
+//! throughput verdict comes out of that search (sizing proves the period on
+//! exactly the capacities it returns), never from a second simulation.
+//! Failed analyses are not remembered: their diagnostics name actors.
 //!
 //! Nothing on the admission path reads the graph itself, so the verdict
 //! returns none. [`check_constraints`] composes it as well, for callers

@@ -33,15 +33,33 @@
 //!    rest of the range: most channels end at their floor, and one probe
 //!    says so.
 //! 4. **Refutation by dominance.** A vector that a *completed* simulation
-//!    refuted (a steady state below the rate, or a deadlock) refutes every
-//!    vector componentwise below it, unsimulated. A run the simulator's
-//!    guard cut off refutes nothing but its own vector. This makes the
-//!    confirming sweep free: when the first sweep leaves channel `i` at
-//!    `c_i` above its floor it has refuted `c_i − 1` among capacities at
-//!    least as large as any later sweep meets, so a second sweep asks only
-//!    questions the first has answered, and changes nothing.
+//!    refuted (a steady state below the rate, or a deadlock), or the cycle
+//!    test of rule 5, refutes every vector componentwise below it,
+//!    unsimulated. A run the simulator's guard cut off refutes nothing but
+//!    its own vector. This makes the confirming sweep free: when the first
+//!    sweep leaves channel `i` at `c_i` above its floor it has refuted
+//!    `c_i − 1` among capacities at least as large as any later sweep
+//!    meets, so a second sweep asks only questions the first has answered,
+//!    and changes nothing.
+//! 5. **A slow "no" is refuted by its cycles.** A probe that sustains the
+//!    period recurs within a few graph iterations; one that refutes it can
+//!    take dozens, because a schedule that falls behind by a little takes
+//!    long to repeat. So a probe simulates at most
+//!    `ITERATIONS_BEFORE_CYCLE_TEST` (4) iterations' firings first; a run
+//!    still without recurrence or deadlock is put to
+//!    [`refutes_source_period`], which asks whether a cycle of the HSDF
+//!    expansion that paces the source holds no tokens or is slower than the
+//!    period. That is exactly what the
+//!    completed run would find, so a "yes" is entered as a completed
+//!    refutation (rule 4 applies) and the run is dropped; a "no" or a
+//!    "don't know" resumes the same run to its end. Capacities, achieved
+//!    throughputs and simulation counts are those of running every probe to
+//!    its end. One exception, outside step 4's graphs, where every channel
+//!    is bounded: a run that piles tokens up on an unbounded channel never
+//!    recurs, and the guard would have cut it off — the test refutes it
+//!    instead, truthfully, and the refutation dominates.
 //!
-//! [`BufferSizingConfig::max_sweeps`] is therefore spent at 1: 0 still means
+//! By rule 4, [`BufferSizingConfig::max_sweeps`] is spent at 1: 0 still means
 //! "no descent" (the pilot's pressures come back as they are) and anything
 //! above 1 buys table look-ups. The field stays for the callers that
 //! construct the struct.
@@ -58,8 +76,9 @@
 
 use crate::error::DataflowError;
 use crate::graph::{ActorId, ChannelId, CsdfGraph};
+use crate::mcr::refutes_source_period;
 use crate::simulate::{SimConfig, Simulation};
-use crate::throughput::{check_source_period, Throughput};
+use crate::throughput::{throughput_of, Throughput};
 use rtsm_obs as obs;
 use std::collections::HashMap;
 
@@ -86,8 +105,9 @@ pub struct BufferSizing {
     /// Total of all computed capacities.
     pub total: u64,
     /// Self-timed throughput of the source with exactly these capacities
-    /// applied — what [`check_source_period`] on the sized graph returns,
-    /// carried out of the search that proved it (it sustains the period).
+    /// applied — what [`check_source_period`](crate::check_source_period) on
+    /// the sized graph returns, carried out of the search that proved it (it
+    /// sustains the period).
     pub achieved: Throughput,
 }
 
@@ -166,10 +186,15 @@ pub fn size_buffers_ref(
             c.prod.max().max(c.cons.max()).max(c.initial_tokens).max(1)
         })
         .collect();
+    let firings_per_iteration: u64 = graph
+        .actors()
+        .map(|(id, actor)| reps[id.index()] * actor.n_phases() as u64)
+        .sum();
     let mut search = Search {
         graph: graph.clone(),
         targets: &targets,
         config,
+        budget: ITERATIONS_BEFORE_CYCLE_TEST.saturating_mul(firings_per_iteration),
         table: ProbeTable::default(),
     };
 
@@ -225,7 +250,7 @@ pub fn size_buffers_ref(
         iterations: steady.iterations,
         period: steady.period,
     };
-    search.table.record(caps.clone(), Ok((true, proved)));
+    search.table.record(caps.clone(), Probed::Sustains(proved));
 
     // Per-channel descent. Only a vector probed feasible is ever stood on
     // (an infeasible probe is undone, and dominance only ever refutes), so
@@ -266,6 +291,16 @@ pub fn size_buffers_ref(
     ))
 }
 
+/// Graph iterations a probe simulates before it asks whether a cycle
+/// already refutes it (module docs, rule 5), in firings: this times `Σq`,
+/// the firings of one iteration. Measured on the four benchmark workloads
+/// (seed 2008): every probe that sustains the period recurred within
+/// 2.73·Σq firings, every refuting one took 12.3–33.3·Σq — on the paper
+/// platform 33·Σq. At 4 no sustaining probe
+/// pays for the test, and a refuting one stops after at most a third of the
+/// firings it would take to recur.
+const ITERATIONS_BEFORE_CYCLE_TEST: u64 = 4;
+
 /// The working state of one sizing search.
 struct Search<'a> {
     /// The caller's graph; every simulated probe overwrites the capacities
@@ -273,6 +308,9 @@ struct Search<'a> {
     graph: CsdfGraph,
     targets: &'a [ChannelId],
     config: &'a BufferSizingConfig,
+    /// Firings a probe simulates before the cycle test:
+    /// [`ITERATIONS_BEFORE_CYCLE_TEST`] graph iterations.
+    budget: u64,
     table: ProbeTable,
 }
 
@@ -289,8 +327,8 @@ impl Search<'_> {
         for (&ch, &capacity) in self.targets.iter().zip(capacities) {
             self.graph.channel_mut(ch).capacity = Some(capacity);
         }
-        let probed = check_source_period(&self.graph, self.config.source, self.config.period);
-        if matches!(probed, Err(DataflowError::GuardExhausted { .. })) {
+        let probed = self.analyse();
+        if probed == Probed::CutOff {
             // Cut off by the simulation guard, not refuted. Read as
             // infeasible it can only inflate a capacity, so it is counted:
             // a search that was cut off can be told from one that ran to
@@ -298,6 +336,58 @@ impl Search<'_> {
             obs::count(obs::Counter::BufferProbeCutoff, 1);
         }
         self.table.record(capacities.to_vec(), probed)
+    }
+
+    /// What the self-timed run of the graph at its current capacities
+    /// concludes, as [`check_source_period`](crate::check_source_period)
+    /// would — except that a run still without recurrence after `budget`
+    /// firings is first put to the cycle test, and not run on if that
+    /// refutes it (rule 5). A "no" or a "don't know" resumes the same run.
+    fn analyse(&self) -> Probed {
+        let (source, period) = (self.config.source, self.config.period);
+        let sim = Simulation::new(
+            &self.graph,
+            SimConfig {
+                reference: Some(source),
+                ..SimConfig::default()
+            },
+        );
+        let outcome = match sim.run_within(self.budget) {
+            Ok(outcome) => outcome,
+            Err(paused) => {
+                if refutes_source_period(&self.graph, source, period) == Ok(true) {
+                    obs::count(obs::Counter::BufferProbeCycleRefuted, 1);
+                    return Probed::Refuted;
+                }
+                paused.resume()
+            }
+        };
+        throughput_of(&outcome)
+            .map(|throughput| (throughput.sustains_period(period), throughput))
+            .into()
+    }
+}
+
+/// What analysing a capacity vector established.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Probed {
+    /// It sustains the period, at this throughput.
+    Sustains(Throughput),
+    /// A completed analysis refuted it: a steady state below the rate, a
+    /// deadlock, or a cycle too slow for the period or without tokens.
+    Refuted,
+    /// The simulation guard cut the run off: a "no" about this vector only.
+    CutOff,
+}
+
+impl From<Result<(bool, Throughput), DataflowError>> for Probed {
+    /// Reads what [`check_source_period`](crate::check_source_period) returns.
+    fn from(checked: Result<(bool, Throughput), DataflowError>) -> Probed {
+        match checked {
+            Ok((true, throughput)) => Probed::Sustains(throughput),
+            Err(DataflowError::GuardExhausted { .. }) => Probed::CutOff,
+            Ok((false, _)) | Err(_) => Probed::Refuted,
+        }
     }
 }
 
@@ -310,7 +400,7 @@ struct ProbeTable {
     /// for the vector of peak pressures), `None` for one whose run was cut
     /// off.
     answers: HashMap<Vec<u64>, Option<Throughput>>,
-    /// The vectors a completed simulation refuted; each answers for every
+    /// The vectors a completed analysis refuted; each answers for every
     /// vector it dominates, itself included.
     refuted: Vec<Vec<u64>>,
 }
@@ -326,18 +416,14 @@ impl ProbeTable {
         }
     }
 
-    /// Enters what analysing the graph at `capacities` returned, and reads
-    /// it as the search does: the throughput if it sustains the period.
-    fn record(
-        &mut self,
-        capacities: Vec<u64>,
-        probed: Result<(bool, Throughput), DataflowError>,
-    ) -> Option<Throughput> {
+    /// Enters what analysing the graph at `capacities` established, and
+    /// reads it as the search does: the throughput if it sustains the
+    /// period.
+    fn record(&mut self, capacities: Vec<u64>, probed: Probed) -> Option<Throughput> {
         let answer = match probed {
-            Ok((true, throughput)) => Some(throughput),
-            // A guard cut-off is an answer about its own vector only.
-            Err(DataflowError::GuardExhausted { .. }) => None,
-            Ok((false, _)) | Err(_) => {
+            Probed::Sustains(throughput) => Some(throughput),
+            Probed::CutOff => None,
+            Probed::Refuted => {
                 self.refuted.push(capacities);
                 return None;
             }
@@ -377,6 +463,7 @@ pub fn apply_sizing(graph: &mut CsdfGraph, sizing: &BufferSizing) {
 mod tests {
     use super::*;
     use crate::phase::PhaseVec;
+    use crate::throughput::check_source_period;
 
     /// source(period P) -> worker(wcet w) -> sink(wcet s)
     fn pipeline(p: u64, w: u64, s: u64) -> (CsdfGraph, ActorId, Vec<ChannelId>) {
@@ -495,12 +582,12 @@ mod tests {
 
         // A steady state below the rate, and a deadlock: both refute
         // everything at or below them.
-        assert_eq!(table.record(vec![4, 4], Ok((false, measured))), None);
+        assert_eq!(table.record(vec![4, 4], Ok((false, measured)).into()), None);
         let deadlock = DataflowError::Deadlock {
             at_time: 0,
             firings: 0,
         };
-        assert_eq!(table.record(vec![2, 9], Err(deadlock)), None);
+        assert_eq!(table.record(vec![2, 9], Err(deadlock).into()), None);
         for refuted in [[4, 4], [3, 4], [2, 9], [1, 5]] {
             assert_eq!(table.lookup(&refuted), Some(None), "{refuted:?}");
         }
@@ -510,17 +597,45 @@ mod tests {
         let cut_off = DataflowError::GuardExhausted {
             guard: "firings".into(),
         };
-        assert_eq!(table.record(vec![9, 9], Err(cut_off)), None);
+        assert_eq!(table.record(vec![9, 9], Err(cut_off).into()), None);
         assert_eq!(table.lookup(&[9, 9]), Some(None));
         assert_eq!(table.lookup(&[8, 9]), None);
 
         // Nor does a feasible one: what runs above it, nobody measured.
         assert_eq!(
-            table.record(vec![6, 6], Ok((true, measured))),
+            table.record(vec![6, 6], Ok((true, measured)).into()),
             Some(measured)
         );
         assert_eq!(table.lookup(&[6, 6]), Some(Some(measured)));
         assert_eq!(table.lookup(&[7, 6]), None);
+    }
+
+    /// A hundred tokens wait in front of a consumer a little faster than
+    /// the source: they drain by one per ten iterations, so the floor probe
+    /// recurs only after some thousand iterations, far past its budget of
+    /// eight firings. No cycle refutes it, and the resumed run proves it.
+    #[test]
+    fn a_probe_no_cycle_refutes_is_resumed_to_its_recurrence() {
+        let mut g = CsdfGraph::new();
+        let src = g.add_actor("src", PhaseVec::single(10), 1);
+        let work = g.add_actor("work", PhaseVec::single(9), 1);
+        let one = PhaseVec::single(1);
+        let ch = g
+            .add_channel_full(src, work, one.clone(), one, 100, None)
+            .unwrap();
+        let config = BufferSizingConfig {
+            source: src,
+            period: 10,
+            channels: vec![ch],
+            max_sweeps: 1,
+        };
+        let sizing = size_buffers_ref(&g, &config).unwrap();
+        assert_eq!(sizing.capacity_of(ch), Some(100), "the floor sustains");
+        apply_sizing(&mut g, &sizing);
+        assert_eq!(
+            check_source_period(&g, src, 10).unwrap(),
+            (true, sizing.achieved)
+        );
     }
 
     #[test]

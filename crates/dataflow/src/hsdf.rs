@@ -2,13 +2,21 @@
 //!
 //! Every actor `a` with firing-repetition count `q_a` becomes `q_a` nodes,
 //! one per firing within a graph iteration; inter-firing dependencies carry
-//! initial-token counts equal to their iteration distance. The expansion is
-//! used by [`crate::mcr`] to compute the maximum cycle ratio, which
-//! cross-validates the self-timed simulator: for a live, consistent graph
-//! the steady-state time per graph iteration equals the MCR.
+//! initial-token counts equal to their iteration distance. For a live,
+//! consistent graph the steady-state time per graph iteration equals the
+//! maximum cycle ratio of the expansion ([`crate::mcr`]), which is how the
+//! buffer-sizing search refutes a capacity vector without simulating it to
+//! recurrence.
+//!
+//! [`expand`] builds the expansion as node and edge lists. The cycle test
+//! reads a graph by in-edges (`InEdges`): `Rows` regroups such lists,
+//! and `Expansion` works each in-edge out from the rates when it is asked
+//! for, straight from a graph with its capacities as bounds — no copy of
+//! the graph, nothing stored per firing.
 
 use crate::error::DataflowError;
-use crate::graph::{ActorId, CsdfGraph};
+use crate::graph::{ActorId, ActorSpec, ChannelId, CsdfGraph};
+use crate::phase::PhaseVec;
 
 /// A node of the expanded HSDF graph: firing `firing` of actor `actor`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,29 +49,58 @@ pub struct HsdfGraph {
     pub edges: Vec<HsdfEdge>,
 }
 
-/// Smallest `p ≥ 0` such that `cum(p + 1) ≥ requirement`, where `cum` is the
-/// cumulative production of `prod` over firings; `total` is one-iteration
-/// production (`prod.total() × ?` — here per `q` firings).
-fn min_enabling_firing(
-    prod: &crate::phase::PhaseVec,
-    q: u64,
-    total_per_iteration: u64,
-    requirement: u64,
-) -> u64 {
-    debug_assert!(requirement >= 1);
-    debug_assert!(total_per_iteration >= 1);
-    // Whole iterations we can safely skip.
-    let skip_iters = (requirement - 1) / total_per_iteration;
-    let rem = requirement - skip_iters * total_per_iteration;
-    // rem in [1, total_per_iteration]: scan one iteration of firings.
-    let mut acc = 0u64;
-    for i in 0..q {
-        acc += prod.get((i % prod.len() as u64) as usize);
-        if acc >= rem {
-            return skip_iters * q + i;
+/// The fewest firings of an actor producing `rates` (cycled) that move at
+/// least `tokens ≥ 1` tokens; `rates` must move some. O(runs of `rates`):
+/// the inverse of [`PhaseVec::cumulative`].
+fn firings_to_reach(rates: &PhaseVec, tokens: u64) -> u64 {
+    let cycles = (tokens - 1) / rates.total();
+    let mut left = tokens - cycles * rates.total();
+    let mut firings = cycles * rates.len() as u64;
+    for run in rates.runs() {
+        let moved = run.value * u64::from(run.count);
+        if moved >= left {
+            return firings + left.div_ceil(run.value);
         }
+        left -= moved;
+        firings += u64::from(run.count);
     }
-    unreachable!("one iteration moves total_per_iteration tokens");
+    unreachable!("one cycle of the rates moves their total")
+}
+
+/// The last data dependency of firing `j` (within an iteration) of the
+/// consumer of a channel: the producer firing whose completion brings the
+/// channel's tokens up to what firings `0..=j` consume, and the iteration
+/// distance between the two. `total` is what one iteration moves (non-zero).
+///
+/// Consumer firing `j` of iteration `m` needs the channel's
+/// `m·total + consumed(j) − initial_tokens`-th token, which is token
+/// `need ∈ [1, total]` of the producer's iteration `m − shift`.
+fn dependency(
+    prod: &PhaseVec,
+    cons: &PhaseVec,
+    total: u64,
+    initial_tokens: u64,
+    j: u64,
+) -> (u64, u64) {
+    let consumed = cons.cumulative(j + 1);
+    let (shift, need) = if consumed > initial_tokens {
+        (0, consumed - initial_tokens)
+    } else {
+        let shift = (initial_tokens - consumed) / total + 1;
+        (shift, shift * total + consumed - initial_tokens)
+    };
+    (firings_to_reach(prod, need) - 1, shift)
+}
+
+/// Tokens a channel's producer moves per graph iteration, for its firing
+/// repetition `q_prod`.
+fn per_iteration(prod: &PhaseVec, q_prod: u64) -> u64 {
+    q_prod / prod.len() as u64 * prod.total()
+}
+
+/// Execution time of firing `f` of `actor`.
+fn duration(actor: &ActorSpec, f: u64) -> u64 {
+    actor.phase_duration((f % actor.n_phases() as u64) as usize)
 }
 
 /// Expands a CSDF graph into its HSDF equivalent.
@@ -74,8 +111,7 @@ fn min_enabling_firing(
 /// # Errors
 ///
 /// * [`DataflowError::Inconsistent`] if the graph has no repetition vector
-///   or a consumer firing would depend on a *future* producer iteration
-///   (the graph is not live at iteration level).
+///   or a bounded channel.
 /// * [`DataflowError::Empty`] for an empty graph.
 pub fn expand(graph: &CsdfGraph) -> Result<HsdfGraph, DataflowError> {
     for (_, ch) in graph.channels() {
@@ -90,12 +126,11 @@ pub fn expand(graph: &CsdfGraph) -> Result<HsdfGraph, DataflowError> {
     let mut node_base = vec![0usize; graph.n_actors()];
     for (id, actor) in graph.actors() {
         node_base[id.index()] = nodes.len();
-        let phases = actor.n_phases() as u64;
         for f in 0..q[id.index()] {
             nodes.push(HsdfNode {
                 actor: id,
                 firing: f,
-                time: actor.phase_duration((f % phases) as usize),
+                time: duration(actor, f),
             });
         }
     }
@@ -117,53 +152,232 @@ pub fn expand(graph: &CsdfGraph) -> Result<HsdfGraph, DataflowError> {
 
     // Data dependencies per channel.
     for (_, ch) in graph.channels() {
-        let qs = q[ch.src.index()];
-        let qd = q[ch.dst.index()];
-        let total: u64 = (0..qs)
-            .map(|i| ch.prod.get((i % ch.prod.len() as u64) as usize))
-            .sum();
+        let (src, dst) = (ch.src.index(), ch.dst.index());
+        let total = per_iteration(&ch.prod, q[src]);
         if total == 0 {
             // Channel never carries tokens (all-zero rates): no constraint.
             continue;
         }
-        let delta = ch.initial_tokens;
-        let mut cons_cum = 0u64;
-        for j in 0..qd {
-            cons_cum += ch.cons.get((j % ch.cons.len() as u64) as usize);
-            // Requirement R may be covered by initial tokens for iteration 0,
-            // but the periodic constraint needs the dependence for a generic
-            // iteration m: shift by enough iterations to make it positive.
-            let m_shift = if cons_cum > delta {
-                0u64
-            } else {
-                (delta - cons_cum) / total + 1
-            };
-            let requirement = m_shift * total + cons_cum - delta;
-            let p = min_enabling_firing(&ch.prod, qs, total, requirement);
-            let firing = p % qs;
-            let producer_iteration = p / qs;
-            // Producer fires in iteration (m + m_shift - producer_iteration)
-            // relative to the consumer's iteration m... as a distance:
-            if producer_iteration > m_shift {
-                return Err(DataflowError::Inconsistent {
-                    detail: format!(
-                        "consumer firing depends on a future producer iteration \
-                         (channel {} → {})",
-                        graph.actor(ch.src).name,
-                        graph.actor(ch.dst).name
-                    ),
-                });
-            }
-            let tokens = m_shift - producer_iteration;
+        for j in 0..q[dst] {
+            let (p, tokens) = dependency(&ch.prod, &ch.cons, total, ch.initial_tokens, j);
             edges.push(HsdfEdge {
-                from: node_base[ch.src.index()] + firing as usize,
-                to: node_base[ch.dst.index()] + j as usize,
+                from: node_base[src] + p as usize,
+                to: node_base[dst] + j as usize,
                 tokens,
             });
         }
     }
 
     Ok(HsdfGraph { nodes, edges })
+}
+
+/// No node: an actor outside an [`Expansion`], or a node without a parent.
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// A node-timed HSDF graph read by in-edges, as the cycle test of
+/// [`crate::mcr`] walks it.
+pub(crate) trait InEdges {
+    /// Number of nodes; they are `0..nodes()`.
+    fn nodes(&self) -> usize;
+
+    /// Calls `edge(tail, time of tail, tokens)` for every in-edge of `v`.
+    fn in_edges(&self, v: usize, edge: impl FnMut(usize, u64, u64));
+}
+
+/// An edge list regrouped by head, in compressed rows: node `v`'s in-edges
+/// are `edges[off[v]..off[v + 1]]`, as `(tail, tokens)`.
+#[derive(Debug)]
+pub(crate) struct Rows {
+    time: Vec<u64>,
+    off: Vec<usize>,
+    edges: Vec<(usize, u64)>,
+}
+
+impl Rows {
+    pub(crate) fn new(graph: &HsdfGraph) -> Rows {
+        let n = graph.nodes.len();
+        let mut off = vec![0; n + 1];
+        for e in &graph.edges {
+            off[e.to + 1] += 1;
+        }
+        for v in 0..n {
+            off[v + 1] += off[v];
+        }
+        let mut fill = off.clone();
+        let mut edges = vec![(0, 0); graph.edges.len()];
+        for e in &graph.edges {
+            edges[fill[e.to]] = (e.from, e.tokens);
+            fill[e.to] += 1;
+        }
+        Rows {
+            time: graph.nodes.iter().map(|node| node.time).collect(),
+            off,
+            edges,
+        }
+    }
+}
+
+impl InEdges for Rows {
+    fn nodes(&self) -> usize {
+        self.time.len()
+    }
+
+    fn in_edges(&self, v: usize, mut edge: impl FnMut(usize, u64, u64)) {
+        for &(u, tokens) in &self.edges[self.off[v]..self.off[v + 1]] {
+            edge(u, self.time[u], tokens);
+        }
+    }
+}
+
+/// The HSDF expansion of a graph with every capacity as a bound — the
+/// expansion of [`CsdfGraph::expand_capacities`], without the copy —
+/// restricted to the firings of actors from which one target actor can be
+/// reached: the only ones whose cycles pace it.
+///
+/// Nothing is stored per firing or per edge: firing `j` of an actor depends
+/// on firing `j − 1`, and per channel into it on one producer firing, which
+/// [`dependency`] finds from the rates in O(runs). A bounded channel adds
+/// the reverse dependency, of its producer on the consumer firing that
+/// frees the room it needs. O(actors + channels) words.
+#[derive(Debug)]
+pub(crate) struct Expansion<'g> {
+    graph: &'g CsdfGraph,
+    /// Firings per iteration, per actor.
+    q: Vec<u64>,
+    /// First node per actor; `NONE` for one outside.
+    base: Vec<u32>,
+    /// The actors inside, in node order.
+    kept: Vec<u32>,
+    /// Per kept actor, in `kept` order: the channels it depends on,
+    /// `deps[deps_off[k]..deps_off[k + 1]]`, each with `true` for the room
+    /// of a bounded output channel and `false` for the data of an input.
+    deps_off: Vec<u32>,
+    deps: Vec<(u32, bool)>,
+    nodes: usize,
+}
+
+impl<'g> Expansion<'g> {
+    /// The expansion of `graph` reaching `target`. `reps` is the graph's
+    /// cycle-repetition vector.
+    ///
+    /// # Errors
+    ///
+    /// * [`DataflowError::Overflow`] when the nodes outnumber `u32`.
+    /// * [`DataflowError::Inconsistent`] for a capacity below its channel's
+    ///   initial tokens, which the expansion cannot express.
+    pub(crate) fn reaching(
+        graph: &'g CsdfGraph,
+        reps: &[u64],
+        target: ActorId,
+    ) -> Result<Expansion<'g>, DataflowError> {
+        let n_actors = graph.n_actors();
+        // A channel that moves no tokens constrains nothing.
+        let moving = || graph.channels().filter(|(_, ch)| ch.prod.total() > 0);
+
+        // Actors with a path to `target`: data flows from producer to
+        // consumer, and the room of a bounded channel back.
+        let mut reaches = vec![false; n_actors];
+        reaches[target.index()] = true;
+        let mut stack = vec![target];
+        while let Some(actor) = stack.pop() {
+            for (_, ch) in moving() {
+                let from = if ch.dst == actor {
+                    ch.src
+                } else if ch.src == actor && ch.capacity.is_some() {
+                    ch.dst
+                } else {
+                    continue;
+                };
+                if !reaches[from.index()] {
+                    reaches[from.index()] = true;
+                    stack.push(from);
+                }
+            }
+        }
+
+        let q: Vec<u64> = graph
+            .actors()
+            .map(|(id, actor)| reps[id.index()] * actor.n_phases() as u64)
+            .collect();
+        let mut expansion = Expansion {
+            graph,
+            q,
+            base: vec![NONE; n_actors],
+            kept: Vec::new(),
+            deps_off: vec![0],
+            deps: Vec::new(),
+            nodes: 0,
+        };
+        for (id, _) in graph.actors().filter(|(id, _)| reaches[id.index()]) {
+            let a = id.index();
+            expansion.base[a] = expansion.nodes as u32;
+            expansion.nodes += expansion.q[a] as usize;
+            if expansion.nodes >= NONE as usize {
+                return Err(DataflowError::Overflow("HSDF expansion size"));
+            }
+            expansion.kept.push(a as u32);
+            // A producer into a kept actor reaches it, and so does the
+            // consumer of a bounded channel out of one: both are kept.
+            for (c, ch) in moving() {
+                if let Some(capacity) = ch.capacity.filter(|_| ch.src == id) {
+                    if capacity < ch.initial_tokens {
+                        return Err(DataflowError::Inconsistent {
+                            detail: format!("capacity {capacity} below the initial tokens"),
+                        });
+                    }
+                    expansion.deps.push((c.index() as u32, true));
+                }
+                if ch.dst == id {
+                    expansion.deps.push((c.index() as u32, false));
+                }
+            }
+            expansion.deps_off.push(expansion.deps.len() as u32);
+        }
+        Ok(expansion)
+    }
+}
+
+impl InEdges for Expansion<'_> {
+    fn nodes(&self) -> usize {
+        self.nodes
+    }
+
+    fn in_edges(&self, v: usize, mut edge: impl FnMut(usize, u64, u64)) {
+        let k = self
+            .kept
+            .partition_point(|&a| self.base[a as usize] as usize <= v)
+            - 1;
+        let a = self.kept[k] as usize;
+        let (first, q) = (self.base[a] as usize, self.q[a]);
+        let j = (v - first) as u64;
+        // Firing `j` follows `j − 1`; firing 0 the previous iteration's last.
+        let prev = if j == 0 { q - 1 } else { j - 1 };
+        let actor = self.graph.actor(ActorId(a));
+        edge(
+            first + prev as usize,
+            duration(actor, prev),
+            u64::from(j == 0),
+        );
+        for &(c, room) in &self.deps[self.deps_off[k] as usize..self.deps_off[k + 1] as usize] {
+            let ch = self.graph.channel(ChannelId(c as usize));
+            let (producer, rates, needs, initial_tokens) = if room {
+                // What the consumer frees, `capacity − initial_tokens` free
+                // from the start.
+                let capacity = ch.capacity.expect("room is asked of bounded channels");
+                (ch.dst, &ch.cons, &ch.prod, capacity - ch.initial_tokens)
+            } else {
+                (ch.src, &ch.prod, &ch.cons, ch.initial_tokens)
+            };
+            let q_prod = self.q[producer.index()];
+            let total = per_iteration(rates, q_prod);
+            let (p, tokens) = dependency(rates, needs, total, initial_tokens, j);
+            edge(
+                self.base[producer.index()] as usize + p as usize,
+                duration(self.graph.actor(producer), p),
+                tokens,
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -243,5 +457,83 @@ mod tests {
             .map(|n| n.time)
             .collect();
         assert_eq!(times, vec![2, 7]);
+    }
+
+    #[test]
+    fn firings_to_reach_inverts_cumulative() {
+        for values in [&[3, 0, 1][..], &[0, 2], &[4], &[1, 1, 0, 5]] {
+            let rates = PhaseVec::from_slice(values);
+            for tokens in 1..=3 * rates.total() {
+                let k = firings_to_reach(&rates, tokens);
+                assert!(rates.cumulative(k) >= tokens, "{rates} {tokens}");
+                assert!(rates.cumulative(k - 1) < tokens, "{rates} {tokens}");
+            }
+        }
+    }
+
+    /// A bounded multi-rate chain and a loop hanging off it behind an
+    /// unbounded channel.
+    fn chain_with_a_loop() -> (CsdfGraph, ActorId) {
+        let mut g = CsdfGraph::new();
+        let a = g.add_actor("a", PhaseVec::from_slice(&[2, 3]), 1);
+        let b = g.add_actor("b", PhaseVec::from_slice(&[1, 4, 1]), 1);
+        let c = g.add_actor("c", PhaseVec::single(5), 1);
+        let x = g.add_actor("x", PhaseVec::single(7), 1);
+        g.add_channel_full(
+            a,
+            b,
+            PhaseVec::from_slice(&[1, 2]),
+            PhaseVec::from_slice(&[1, 0, 1]),
+            1,
+            Some(5),
+        )
+        .unwrap();
+        g.add_channel_full(
+            b,
+            c,
+            PhaseVec::from_slice(&[2, 0, 1]),
+            PhaseVec::single(3),
+            0,
+            Some(4),
+        )
+        .unwrap();
+        g.add_channel(c, x, PhaseVec::single(1), PhaseVec::single(1))
+            .unwrap();
+        g.add_channel_full(x, x, PhaseVec::single(1), PhaseVec::single(1), 1, None)
+            .unwrap();
+        (g, a)
+    }
+
+    /// Every in-edge of every node, sorted, by head.
+    fn listed(graph: &impl InEdges) -> Vec<Vec<(usize, u64, u64)>> {
+        (0..graph.nodes())
+            .map(|v| {
+                let mut edges = Vec::new();
+                graph.in_edges(v, |u, time, tokens| edges.push((u, time, tokens)));
+                edges.sort_unstable();
+                edges
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_expansion_is_that_of_the_expanded_capacities_within_reach() {
+        let (g, a) = chain_with_a_loop();
+        let reps = g.repetition_vector().unwrap();
+        let implicit = Expansion::reaching(&g, &reps, a).unwrap();
+        // `x` cannot reach `a`; the others are the first nodes, in order.
+        let inside = expand(&g.expand_capacities()).unwrap();
+        let kept = inside.nodes.iter().filter(|n| n.actor.index() < 3).count();
+        assert_eq!(implicit.nodes(), kept);
+        let rows = listed(&Rows::new(&inside));
+        let only_inside = |edges: &Vec<(usize, u64, u64)>| {
+            edges
+                .iter()
+                .copied()
+                .filter(|&(u, _, _)| u < kept)
+                .collect::<Vec<_>>()
+        };
+        let expected: Vec<_> = rows[..kept].iter().map(only_inside).collect();
+        assert_eq!(listed(&implicit), expected);
     }
 }

@@ -20,7 +20,9 @@
 //!   constraint (binary search with back-pressure simulation).
 //! * [`latency`] — end-to-end latency measurement in steady state.
 //! * [`hsdf`] / [`mcr`] — CSDF→HSDF expansion and maximum-cycle-ratio
-//!   analysis, used to cross-validate the simulator on small graphs.
+//!   analysis: the exact early "no" of the buffer-sizing search
+//!   ([`mcr::refutes_source_period`]), and the simulator's independent
+//!   oracle in the property tests.
 //! * [`dot`] — Graphviz export.
 //!
 //! # Example

@@ -1,53 +1,162 @@
-//! Maximum cycle ratio (MCR) analysis of HSDF graphs.
+//! Maximum cycle ratio (MCR) analysis of HSDF graphs, and the period test
+//! the buffer-sizing search refutes a capacity vector with.
 //!
 //! The MCR of a node-timed, token-annotated graph is
 //! `max over cycles C of (Σ node time in C) / (Σ edge tokens in C)` — the
-//! steady-state time per graph iteration of a self-timed execution. It is
-//! computed exactly: binary search over dyadic rationals using an exact
-//! positive-cycle test (Bellman–Ford on `b·w − a·t` weights), then snapped
-//! to the unique candidate rational with bounded denominator via a
-//! simplest-rational-in-interval search, and verified.
+//! steady-state time per graph iteration of a self-timed execution; a cycle
+//! without tokens makes it infinite (that execution deadlocks). Both
+//! analyses here rest on one exact test, `has_critical_cycle`: is there a
+//! cycle without tokens, or one with `Σ den·time − num·Σ tokens > 0`?
+//!
+//! * [`refutes_source_period`] asks it once, at `λ = r_source · period`.
+//! * [`maximum_cycle_ratio`] binary-searches it over dyadic rationals, then
+//!   snaps to the unique candidate rational with bounded denominator via a
+//!   simplest-rational-in-interval search.
 
 use crate::error::DataflowError;
-use crate::hsdf::HsdfGraph;
+use crate::graph::{ActorId, CsdfGraph};
+use crate::hsdf::{Expansion, HsdfGraph, InEdges, Rows, NONE};
 use crate::rational::Ratio;
 
-/// True if the graph contains a cycle with `Σ time − λ·Σ tokens > 0` for
-/// `λ = num/den` (exact integer arithmetic).
-fn has_positive_cycle(graph: &HsdfGraph, num: i128, den: i128) -> bool {
-    let n = graph.nodes.len();
-    if n == 0 {
-        return false;
+/// True if `graph` has a cycle without tokens, or one with
+/// `Σ den·time − num·Σ tokens > 0` (exact integer arithmetic).
+///
+/// Kahn's algorithm over the zero-token edges, run backwards on in-edges,
+/// finds the first kind, or an order in which every zero-token edge runs
+/// forwards. Longest-path potentials from 0 are then relaxed a node at a
+/// time in that order, each round settling every chain of zero-token edges
+/// at once, until a round changes nothing (no critical cycle) or the
+/// parents of the last relaxations close a cycle — which is always a
+/// positive one, and must appear when one exists, since potentials on it
+/// grow without bound while any path of parents is bounded. Besides the
+/// graph: a potential, a parent and a place in the order per node, and one
+/// bit.
+///
+/// # Errors
+///
+/// [`DataflowError::Overflow`] if a weight or potential leaves `i64`.
+fn has_critical_cycle(graph: &impl InEdges, num: i128, den: i128) -> Result<bool, DataflowError> {
+    let overflow = || DataflowError::Overflow("cycle test");
+    let (num, den) = (
+        i64::try_from(num).map_err(|_| overflow())?,
+        i64::try_from(den).map_err(|_| overflow())?,
+    );
+    let n = graph.nodes();
+    // A node joins `order` once every zero-token edge out of it leads to a
+    // node already in it; what never joins is on, or feeds, a cycle without
+    // tokens. `parent` counts the edges still outstanding until then.
+    let mut parent = vec![0u32; n];
+    for v in 0..n {
+        graph.in_edges(v, |u, _, tokens| parent[u] += u32::from(tokens == 0));
     }
-    // Edge weight: den·time(from) − num·tokens(edge).
-    let weights: Vec<i128> = graph
-        .edges
-        .iter()
-        .map(|e| den * graph.nodes[e.from].time as i128 - num * e.tokens as i128)
-        .collect();
-    let mut dist = vec![0i128; n];
-    for _ in 0..n {
+    let mut order = Vec::with_capacity(n);
+    order.extend((0..n as u32).filter(|&v| parent[v as usize] == 0));
+    let mut next = 0;
+    while let Some(&v) = order.get(next) {
+        next += 1;
+        graph.in_edges(v as usize, |u, _, tokens| {
+            if tokens == 0 {
+                parent[u] -= 1;
+                if parent[u] == 0 {
+                    order.push(u as u32);
+                }
+            }
+        });
+    }
+    if order.len() < n {
+        return Ok(true);
+    }
+
+    let weight = |time: u64, tokens: u64| {
+        den.checked_mul(i64::try_from(time).ok()?)?
+            .checked_sub(num.checked_mul(i64::try_from(tokens).ok()?)?)
+    };
+    parent.fill(NONE);
+    let mut potential = vec![0i64; n];
+    let mut walked = vec![0u64; n.div_ceil(64)];
+    loop {
         let mut relaxed = false;
-        for (e, &w) in graph.edges.iter().zip(&weights) {
-            let cand = dist[e.from] + w;
-            if cand > dist[e.to] {
-                dist[e.to] = cand;
+        for &v in order.iter().rev() {
+            let v = v as usize;
+            let (mut best, mut from, mut overflowed) = (potential[v], NONE, false);
+            graph.in_edges(v, |u, time, tokens| {
+                match weight(time, tokens).and_then(|w| potential[u].checked_add(w)) {
+                    Some(candidate) if candidate > best => (best, from) = (candidate, u as u32),
+                    Some(_) => {}
+                    None => overflowed = true,
+                }
+            });
+            if overflowed {
+                return Err(overflow());
+            }
+            if from != NONE {
+                (potential[v], parent[v]) = (best, from);
                 relaxed = true;
             }
         }
         if !relaxed {
-            return false;
+            return Ok(false);
+        }
+        if parents_close_a_cycle(&parent, &mut walked) {
+            return Ok(true);
         }
     }
-    // Still relaxing after n rounds ⇒ positive cycle.
-    let mut relaxed = false;
-    for (e, &w) in graph.edges.iter().zip(&weights) {
-        if dist[e.from] + w > dist[e.to] {
-            relaxed = true;
-            break;
+}
+
+/// Whether following parents from some node leads back to it. Each node is
+/// walked once (`walked` holds a bit per node): a walk stops at a root or
+/// at a node walked before, and closes a cycle exactly when that node is
+/// among its own steps.
+fn parents_close_a_cycle(parent: &[u32], walked: &mut [u64]) -> bool {
+    walked.fill(0);
+    for start in 0..parent.len() {
+        let (mut v, mut steps) = (start as u32, 0);
+        while v != NONE && walked[v as usize / 64] & (1 << (v % 64)) == 0 {
+            walked[v as usize / 64] |= 1 << (v % 64);
+            v = parent[v as usize];
+            steps += 1;
+        }
+        if v != NONE {
+            let stop = v;
+            let mut w = start as u32;
+            for _ in 0..steps {
+                if w == stop {
+                    return true;
+                }
+                w = parent[w as usize];
+            }
         }
     }
-    relaxed
+    false
+}
+
+/// Whether the self-timed execution of `graph`, its capacities as bounds,
+/// certainly fails to sustain one phase-cycle of `source` per `period`: a
+/// cycle of its HSDF expansion from which `source` can be reached holds no
+/// tokens (the source stops) or has `Σ time − λ·Σ tokens > 0` for
+/// `λ = r_source · period`, the time a graph iteration may take (the source
+/// falls behind). Only those cycles pace the source, and its steady-state
+/// time per iteration is the largest ratio among them, so `Ok(true)` is
+/// exactly what a simulation to recurrence or deadlock would conclude.
+///
+/// `Ok(false)` is not a "yes": the source keeps pace with the period as far
+/// as cycles go, but a run may still accumulate tokens without bound
+/// elsewhere and never recur.
+///
+/// # Errors
+///
+/// Whatever [`CsdfGraph::repetition_vector`] returns;
+/// [`DataflowError::Overflow`] where the expansion or the test outgrows its
+/// integer types; [`DataflowError::Inconsistent`] for a capacity below its
+/// channel's initial tokens. Each means "don't know".
+pub fn refutes_source_period(
+    graph: &CsdfGraph,
+    source: ActorId,
+    period: u64,
+) -> Result<bool, DataflowError> {
+    let reps = graph.repetition_vector()?;
+    let lambda = i128::from(reps[source.index()]) * i128::from(period);
+    has_critical_cycle(&Expansion::reaching(graph, &reps, source)?, lambda, 1)
 }
 
 /// Simplest rational `p/q` with `lo ≤ p/q ≤ hi` (both bounds non-negative).
@@ -77,9 +186,11 @@ fn simplest_between(lo: Ratio, hi: Ratio) -> Ratio {
 ///
 /// # Errors
 ///
-/// * [`DataflowError::Inconsistent`] if the graph has a positive-time cycle
-///   with zero tokens (deadlocked / non-causal: infinite ratio).
+/// * [`DataflowError::Inconsistent`] if the graph has a cycle with zero
+///   tokens, whatever its time (deadlocked: infinite ratio).
 /// * [`DataflowError::Empty`] for a graph with no nodes or no cycles.
+/// * [`DataflowError::Overflow`] if the weights of the search outgrow
+///   `i64`.
 pub fn maximum_cycle_ratio(graph: &HsdfGraph) -> Result<Ratio, DataflowError> {
     if graph.nodes.is_empty() {
         return Err(DataflowError::Empty("HSDF graph"));
@@ -89,14 +200,16 @@ pub fn maximum_cycle_ratio(graph: &HsdfGraph) -> Result<Ratio, DataflowError> {
     if total_tokens == 0 {
         return Err(DataflowError::Empty("HSDF token set (no cycles possible)"));
     }
-    // λ* ≤ total_time; a positive cycle at λ = total_time + 1 implies a
-    // zero-token cycle.
-    if has_positive_cycle(graph, total_time + 1, 1) {
+    let rows = Rows::new(graph);
+    let has_critical_cycle = |num, den| has_critical_cycle(&rows, num, den);
+    // λ* ≤ total_time: at λ = total_time + 1 only a cycle without tokens is
+    // critical.
+    if has_critical_cycle(total_time + 1, 1)? {
         return Err(DataflowError::Inconsistent {
-            detail: "zero-token positive-time cycle (infinite cycle ratio)".into(),
+            detail: "zero-token cycle (infinite cycle ratio: deadlock)".into(),
         });
     }
-    if !has_positive_cycle(graph, 0, 1) {
+    if !has_critical_cycle(0, 1)? {
         // No cycle has positive total time: the MCR is zero.
         return Ok(Ratio::ZERO);
     }
@@ -111,7 +224,7 @@ pub fn maximum_cycle_ratio(graph: &HsdfGraph) -> Result<Ratio, DataflowError> {
     while hi.add(lo.mul(Ratio::integer(-1))) > gap {
         // mid = (lo + hi)/2 as exact rational.
         let mid = lo.add(hi).mul(Ratio::new(1, 2));
-        if has_positive_cycle(graph, mid.numer(), mid.denom()) {
+        if has_critical_cycle(mid.numer(), mid.denom())? {
             lo = mid;
         } else {
             hi = mid;
@@ -119,19 +232,16 @@ pub fn maximum_cycle_ratio(graph: &HsdfGraph) -> Result<Ratio, DataflowError> {
     }
     // The answer is the unique rational with denominator ≤ D in (lo, hi].
     let candidate = simplest_between(lo, hi);
-    // Verify: no positive cycle at candidate, but positive cycle just below.
-    debug_assert!(!has_positive_cycle(
-        graph,
-        candidate.numer(),
-        candidate.denom()
-    ));
+    debug_assert_eq!(
+        has_critical_cycle(candidate.numer(), candidate.denom()),
+        Ok(false)
+    );
     Ok(candidate)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::CsdfGraph;
     use crate::hsdf::expand;
     use crate::phase::PhaseVec;
     use crate::simulate::{SimConfig, Simulation};
@@ -244,6 +354,34 @@ mod tests {
         if let Ok(h) = h {
             assert!(maximum_cycle_ratio(&h).is_err())
         }
+    }
+
+    /// `a ⇄ b` (WCET 0) with no tokens, and `c` (WCET 3) in a one-token
+    /// loop with `a`: nothing can ever fire. The zero-token cycle takes no
+    /// time, which is no reason to report the ratio of the loop.
+    fn zero_time_deadlock() -> (CsdfGraph, ActorId) {
+        let mut g = CsdfGraph::new();
+        let a = g.add_actor("a", PhaseVec::single(0), 1);
+        let b = g.add_actor("b", PhaseVec::single(0), 1);
+        let c = g.add_actor("c", PhaseVec::single(3), 1);
+        let one = PhaseVec::single(1);
+        g.add_channel(a, b, one.clone(), one.clone()).unwrap();
+        g.add_channel(b, a, one.clone(), one.clone()).unwrap();
+        g.add_channel(a, c, one.clone(), one.clone()).unwrap();
+        g.add_channel_full(c, a, one.clone(), one, 1, None).unwrap();
+        (g, c)
+    }
+
+    #[test]
+    fn a_zero_time_cycle_without_tokens_is_a_deadlock() {
+        let (g, c) = zero_time_deadlock();
+        let out = Simulation::new(&g, SimConfig::default()).run().unwrap();
+        assert!(out.deadlocked);
+        assert!(matches!(
+            maximum_cycle_ratio(&expand(&g).unwrap()),
+            Err(DataflowError::Inconsistent { .. })
+        ));
+        assert_eq!(refutes_source_period(&g, c, u64::MAX / 4), Ok(true));
     }
 
     #[test]

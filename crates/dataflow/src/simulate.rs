@@ -102,35 +102,19 @@ pub struct SimOutcome {
     pub records: Vec<FiringRecord>,
 }
 
-/// A discrete-event, self-timed CSDF simulator.
-///
-/// Use [`Simulation::run`] for a complete run; the intermediate state is
-/// intentionally private (the outcome carries everything analyses need).
-#[derive(Debug)]
-pub struct Simulation<'g> {
-    graph: &'g CsdfGraph,
-    config: SimConfig,
-    now: u64,
-    data: Vec<u64>,
-    reserved: Vec<u64>,
-    held: Vec<u64>,
-    phase: Vec<u32>,
-    in_flight: Vec<Option<u32>>,
-    busy_until: Vec<u64>,
-    completions: Vec<u64>,
-    total_firings: u64,
-    max_pressure: Vec<u64>,
-    events: BinaryHeap<Reverse<(u64, usize)>>,
-    recorded: Vec<bool>,
-    fire_start: Vec<u64>,
-    records: Vec<FiringRecord>,
-    // Flat CSR tables, precomputed once so the event loop indexes
-    // contiguous arrays instead of chasing `PhaseVec` runs and per-actor
-    // heap-allocated adjacency lists. Actor `a`'s input channels are
-    // `in_ch[in_off[a]..in_off[a+1]]` (likewise `out_*`); channel `c`
-    // consumes `cons_val[cons_off[c] + consumer_phase]` tokens and produces
-    // `prod_val[prod_off[c] + producer_phase]`; actor `a`'s phase `p` runs
-    // for `dur_val[dur_off[a] + p]` time units.
+/// The normalised states met at reference-iteration boundaries, each with
+/// the iteration count and time it was first met at.
+type Recurrences = HashMap<Vec<u64>, (u64, u64), BuildHasherDefault<Fnv64>>;
+
+/// The graph in flat CSR tables, built once per run so the event loop
+/// indexes contiguous arrays instead of chasing `PhaseVec` runs and
+/// per-actor heap-allocated adjacency lists. Actor `a`'s input channels are
+/// `in_ch[in_off[a]..in_off[a+1]]` (likewise `out_*`); channel `c` consumes
+/// `cons_val[cons_off[c] + consumer_phase]` tokens and produces
+/// `prod_val[prod_off[c] + producer_phase]`; actor `a`'s phase `p` runs for
+/// `dur_val[dur_off[a] + p]` time units.
+#[derive(Debug, Default)]
+struct Tables {
     in_off: Vec<u32>,
     in_ch: Vec<u32>,
     out_off: Vec<u32>,
@@ -147,16 +131,10 @@ pub struct Simulation<'g> {
     dur_val: Vec<u64>,
 }
 
-impl<'g> Simulation<'g> {
-    /// Creates a simulator over `graph` with the given configuration.
-    pub fn new(graph: &'g CsdfGraph, config: SimConfig) -> Self {
+impl Tables {
+    fn new(graph: &CsdfGraph) -> Tables {
         let n = graph.n_actors();
         let m = graph.n_channels();
-        let data = graph.channels().map(|(_, c)| c.initial_tokens).collect();
-        let mut recorded = vec![false; n];
-        for a in &config.record {
-            recorded[a.index()] = true;
-        }
         // Degree counts, then prefix sums, then a fill pass — the standard
         // CSR construction.
         let mut in_deg = vec![0u32; n];
@@ -212,23 +190,7 @@ impl<'g> Simulation<'g> {
             }
             dur_off.push(dur_val.len() as u32);
         }
-        Simulation {
-            graph,
-            config,
-            now: 0,
-            data,
-            reserved: vec![0; m],
-            held: vec![0; m],
-            phase: vec![0; n],
-            in_flight: vec![None; n],
-            busy_until: vec![0; n],
-            completions: vec![0; n],
-            total_firings: 0,
-            max_pressure: vec![0; m],
-            events: BinaryHeap::new(),
-            recorded,
-            fire_start: vec![0; n],
-            records: Vec::new(),
+        Tables {
             in_off,
             in_ch,
             out_off,
@@ -264,22 +226,112 @@ impl<'g> Simulation<'g> {
     fn prod(&self, ci: usize, phase: usize) -> u64 {
         self.prod_val[self.prod_off[ci] as usize + phase]
     }
+}
+
+/// A discrete-event, self-timed CSDF simulator.
+///
+/// Use [`Simulation::run`] for a complete run; the intermediate state is
+/// intentionally private (the outcome carries everything analyses need).
+#[derive(Debug)]
+pub struct Simulation<'g> {
+    graph: &'g CsdfGraph,
+    config: SimConfig,
+    now: u64,
+    data: Vec<u64>,
+    reserved: Vec<u64>,
+    held: Vec<u64>,
+    phase: Vec<u32>,
+    in_flight: Vec<Option<u32>>,
+    busy_until: Vec<u64>,
+    completions: Vec<u64>,
+    total_firings: u64,
+    max_pressure: Vec<u64>,
+    events: BinaryHeap<Reverse<(u64, usize)>>,
+    recorded: Vec<bool>,
+    fire_start: Vec<u64>,
+    records: Vec<FiringRecord>,
+    tables: Tables,
+    // Where the run stands, kept between `advance` calls so that a paused
+    // run resumes exactly where it stopped.
+    seen: Recurrences,
+    last_snapshot_iter: u64,
+    steady: Option<SteadyState>,
+    deadlocked: bool,
+    // Candidate-driven start scheduling: starting a firing only consumes
+    // resources, so only completions can enable new firings. The dirty set
+    // holds exactly the actors whose enablement may have changed.
+    dirty: Vec<bool>,
+    candidates: Vec<usize>,
+}
+
+/// A run [`Simulation::run_within`] stopped at its firing budget, before it
+/// ended. It keeps its state and lets go of its tables, which are a
+/// function of the graph alone: what runs while it waits has their memory.
+#[derive(Debug)]
+pub(crate) struct Paused<'g>(Simulation<'g>);
+
+impl Paused<'_> {
+    /// Runs the paused simulation on to its end, as [`Simulation::run`]
+    /// would have: the outcome is the one an uninterrupted run returns.
+    pub(crate) fn resume(mut self) -> SimOutcome {
+        self.0.tables = Tables::new(self.0.graph);
+        self.0.advance(u64::MAX);
+        self.0.into_outcome()
+    }
+}
+
+impl<'g> Simulation<'g> {
+    /// Creates a simulator over `graph` with the given configuration.
+    pub fn new(graph: &'g CsdfGraph, config: SimConfig) -> Self {
+        let n = graph.n_actors();
+        let m = graph.n_channels();
+        let data = graph.channels().map(|(_, c)| c.initial_tokens).collect();
+        let mut recorded = vec![false; n];
+        for a in &config.record {
+            recorded[a.index()] = true;
+        }
+        Simulation {
+            graph,
+            config,
+            tables: Tables::new(graph),
+            now: 0,
+            data,
+            reserved: vec![0; m],
+            held: vec![0; m],
+            phase: vec![0; n],
+            in_flight: vec![None; n],
+            busy_until: vec![0; n],
+            completions: vec![0; n],
+            total_firings: 0,
+            max_pressure: vec![0; m],
+            events: BinaryHeap::new(),
+            recorded,
+            fire_start: vec![0; n],
+            records: Vec::new(),
+            seen: Recurrences::default(),
+            last_snapshot_iter: u64::MAX,
+            steady: None,
+            deadlocked: false,
+            dirty: vec![true; n],
+            candidates: (0..n).collect(),
+        }
+    }
 
     fn can_start(&self, actor: usize) -> bool {
         if self.in_flight[actor].is_some() {
             return false;
         }
         let phase = self.phase[actor] as usize;
-        for &ci in self.inputs(actor) {
+        for &ci in self.tables.inputs(actor) {
             let ci = ci as usize;
-            if self.data[ci] < self.cons(ci, phase) {
+            if self.data[ci] < self.tables.cons(ci, phase) {
                 return false;
             }
         }
-        for &ci in self.outputs(actor) {
+        for &ci in self.tables.outputs(actor) {
             let ci = ci as usize;
             let pressure = self.data[ci] + self.reserved[ci] + self.held[ci];
-            if pressure + self.prod(ci, phase) > self.cap_tab[ci] {
+            if pressure + self.tables.prod(ci, phase) > self.tables.cap_tab[ci] {
                 return false;
             }
         }
@@ -288,22 +340,22 @@ impl<'g> Simulation<'g> {
 
     fn start(&mut self, actor: usize) {
         let phase = self.phase[actor] as usize;
-        for k in self.in_off[actor]..self.in_off[actor + 1] {
-            let ci = self.in_ch[k as usize] as usize;
-            let cons = self.cons(ci, phase);
+        for k in self.tables.in_off[actor]..self.tables.in_off[actor + 1] {
+            let ci = self.tables.in_ch[k as usize] as usize;
+            let cons = self.tables.cons(ci, phase);
             debug_assert!(self.data[ci] >= cons);
             self.data[ci] -= cons;
             self.held[ci] += cons;
         }
-        for k in self.out_off[actor]..self.out_off[actor + 1] {
-            let ci = self.out_ch[k as usize] as usize;
-            self.reserved[ci] += self.prod(ci, phase);
+        for k in self.tables.out_off[actor]..self.tables.out_off[actor + 1] {
+            let ci = self.tables.out_ch[k as usize] as usize;
+            self.reserved[ci] += self.tables.prod(ci, phase);
             let pressure = self.data[ci] + self.reserved[ci] + self.held[ci];
             if pressure > self.max_pressure[ci] {
                 self.max_pressure[ci] = pressure;
             }
         }
-        let duration = self.dur_val[self.dur_off[actor] as usize + phase];
+        let duration = self.tables.dur_val[self.tables.dur_off[actor] as usize + phase];
         self.in_flight[actor] = Some(phase as u32);
         self.busy_until[actor] = self.now + duration;
         if self.recorded[actor] {
@@ -317,15 +369,15 @@ impl<'g> Simulation<'g> {
         let phase = self.in_flight[actor]
             .take()
             .expect("completion event for idle actor") as usize;
-        for k in self.in_off[actor]..self.in_off[actor + 1] {
-            let ci = self.in_ch[k as usize] as usize;
-            let cons = self.cons(ci, phase);
+        for k in self.tables.in_off[actor]..self.tables.in_off[actor + 1] {
+            let ci = self.tables.in_ch[k as usize] as usize;
+            let cons = self.tables.cons(ci, phase);
             debug_assert!(self.held[ci] >= cons);
             self.held[ci] -= cons;
         }
-        for k in self.out_off[actor]..self.out_off[actor + 1] {
-            let ci = self.out_ch[k as usize] as usize;
-            let prod = self.prod(ci, phase);
+        for k in self.tables.out_off[actor]..self.tables.out_off[actor + 1] {
+            let ci = self.tables.out_ch[k as usize] as usize;
+            let prod = self.tables.prod(ci, phase);
             debug_assert!(self.reserved[ci] >= prod);
             self.reserved[ci] -= prod;
             self.data[ci] += prod;
@@ -374,24 +426,36 @@ impl<'g> Simulation<'g> {
     /// for forward compatibility.
     pub fn run(mut self) -> Result<SimOutcome, DataflowError> {
         obs::count(obs::Counter::CsdfRun, 1);
+        self.advance(u64::MAX);
+        Ok(self.into_outcome())
+    }
+
+    /// [`Simulation::run`], paused instead once `budget` firings have
+    /// completed without the run ending. One simulation however often it is
+    /// paused and resumed: `Counter::CsdfRun` counts it here, once.
+    #[allow(clippy::result_large_err)] // the run itself, moved out once per probe
+    pub(crate) fn run_within(mut self, budget: u64) -> Result<SimOutcome, Paused<'g>> {
+        obs::count(obs::Counter::CsdfRun, 1);
+        if self.advance(budget) {
+            Ok(self.into_outcome())
+        } else {
+            self.tables = Tables::default();
+            Err(Paused(self))
+        }
+    }
+
+    /// Simulates until the run ends — a recurrence (when enabled), a
+    /// deadlock, a guard — and returns true, or until `budget` firings have
+    /// completed and returns false. It pauses where the guard is checked,
+    /// with nothing left to start at the current time, so the next call
+    /// picks the run up as if it had never stopped.
+    fn advance(&mut self, budget: u64) -> bool {
         let reference = self.config.reference.unwrap_or(ActorId(0)).index();
         let ref_phases = self.graph.actor(ActorId(reference)).n_phases() as u64;
-        let mut seen: HashMap<Vec<u64>, (u64, u64), BuildHasherDefault<Fnv64>> = HashMap::default();
-        let mut steady: Option<SteadyState> = None;
-        let mut deadlocked = false;
-        let mut last_snapshot_iter = u64::MAX;
-
-        // Candidate-driven start scheduling: starting a firing only consumes
-        // resources, so only completions can enable new firings. The dirty
-        // set holds exactly the actors whose enablement may have changed.
-        let n_actors = self.graph.n_actors();
-        let mut dirty = vec![true; n_actors];
-        let mut candidates: Vec<usize> = (0..n_actors).collect();
-
-        'outer: loop {
+        loop {
             // Start every enabled candidate at the current time.
-            while let Some(a) = candidates.pop() {
-                dirty[a] = false;
+            while let Some(a) = self.candidates.pop() {
+                self.dirty[a] = false;
                 if self.can_start(a) {
                     self.start(a);
                 }
@@ -401,23 +465,24 @@ impl<'g> Simulation<'g> {
             // when the reference actor has just wrapped its phase cycle and
             // the state at `now` is saturated (nothing more can start).
             if self.config.stop_at_steady_state
-                && steady.is_none()
+                && self.steady.is_none()
                 && self.completions[reference] > 0
                 && self.completions[reference].is_multiple_of(ref_phases)
                 && self.phase[reference] == 0
-                && self.completions[reference] / ref_phases != last_snapshot_iter
+                && self.completions[reference] / ref_phases != self.last_snapshot_iter
             {
                 let iterations = self.completions[reference] / ref_phases;
-                last_snapshot_iter = iterations;
-                match seen.entry(self.snapshot()) {
+                self.last_snapshot_iter = iterations;
+                let key = self.snapshot();
+                match self.seen.entry(key) {
                     Entry::Occupied(prev) => {
                         let (it0, t0) = *prev.get();
-                        steady = Some(SteadyState {
+                        self.steady = Some(SteadyState {
                             reference: ActorId(reference),
                             iterations: iterations - it0,
                             period: self.now - t0,
                         });
-                        break 'outer;
+                        return true;
                     }
                     Entry::Vacant(slot) => {
                         slot.insert((iterations, self.now));
@@ -426,18 +491,21 @@ impl<'g> Simulation<'g> {
             }
 
             if self.total_firings >= self.config.max_firings {
-                break;
+                return true;
+            }
+            if self.total_firings >= budget {
+                return false;
             }
 
             // Advance to the next completion.
             let Some(Reverse((t, _))) = self.events.peek().copied() else {
                 // No in-flight firings and nothing startable: deadlock (or a
                 // graph with no fireable actor at all).
-                deadlocked = true;
-                break;
+                self.deadlocked = true;
+                return true;
             };
             if t > self.config.max_time {
-                break;
+                return true;
             }
             self.now = t;
             while let Some(Reverse((t2, actor))) = self.events.peek().copied() {
@@ -449,33 +517,37 @@ impl<'g> Simulation<'g> {
                 // Wake the actors this completion may have enabled: the
                 // completer itself, consumers of its outputs (new data),
                 // and producers into its inputs (freed space).
-                let wake = |a: usize, dirty: &mut Vec<bool>, candidates: &mut Vec<usize>| {
-                    if !dirty[a] {
-                        dirty[a] = true;
-                        candidates.push(a);
-                    }
-                };
-                wake(actor, &mut dirty, &mut candidates);
-                for k in self.out_off[actor]..self.out_off[actor + 1] {
-                    let ci = self.out_ch[k as usize] as usize;
-                    wake(self.dst_tab[ci] as usize, &mut dirty, &mut candidates);
+                self.wake(actor);
+                for k in self.tables.out_off[actor]..self.tables.out_off[actor + 1] {
+                    let ci = self.tables.out_ch[k as usize] as usize;
+                    self.wake(self.tables.dst_tab[ci] as usize);
                 }
-                for k in self.in_off[actor]..self.in_off[actor + 1] {
-                    let ci = self.in_ch[k as usize] as usize;
-                    wake(self.src_tab[ci] as usize, &mut dirty, &mut candidates);
+                for k in self.tables.in_off[actor]..self.tables.in_off[actor + 1] {
+                    let ci = self.tables.in_ch[k as usize] as usize;
+                    self.wake(self.tables.src_tab[ci] as usize);
                 }
             }
         }
+    }
 
-        Ok(SimOutcome {
+    #[inline]
+    fn wake(&mut self, actor: usize) {
+        if !self.dirty[actor] {
+            self.dirty[actor] = true;
+            self.candidates.push(actor);
+        }
+    }
+
+    fn into_outcome(self) -> SimOutcome {
+        SimOutcome {
             end_time: self.now,
             total_firings: self.total_firings,
             completions: self.completions,
             max_pressure: self.max_pressure,
-            steady,
-            deadlocked,
+            steady: self.steady,
+            deadlocked: self.deadlocked,
             records: self.records,
-        })
+        }
     }
 }
 

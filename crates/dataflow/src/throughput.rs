@@ -2,7 +2,7 @@
 
 use crate::error::DataflowError;
 use crate::graph::{ActorId, CsdfGraph};
-use crate::simulate::{SimConfig, Simulation};
+use crate::simulate::{SimConfig, SimOutcome, Simulation};
 
 /// Self-timed steady-state throughput of an actor, as an exact ratio of
 /// phase-cycles per time.
@@ -44,7 +44,12 @@ pub fn steady_state_throughput(
         reference: Some(reference),
         ..SimConfig::default()
     };
-    let outcome = Simulation::new(graph, config).run()?;
+    throughput_of(&Simulation::new(graph, config).run()?)
+}
+
+/// The reference actor's throughput a run found, as
+/// [`steady_state_throughput`] reports it.
+pub(crate) fn throughput_of(outcome: &SimOutcome) -> Result<Throughput, DataflowError> {
     if outcome.deadlocked {
         return Err(DataflowError::Deadlock {
             at_time: outcome.end_time,

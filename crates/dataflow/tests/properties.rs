@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 use rtsm_dataflow::graph::CsdfGraph;
-use rtsm_dataflow::mcr::maximum_cycle_ratio;
+use rtsm_dataflow::mcr::{maximum_cycle_ratio, refutes_source_period};
 use rtsm_dataflow::simulate::{SimConfig, Simulation};
-use rtsm_dataflow::{hsdf, PhaseVec, Ratio};
+use rtsm_dataflow::{check_source_period, hsdf, DataflowError, PhaseVec, Ratio};
 
 /// Strategy: a phase vector with the given total, split over 1..=4 phases.
 fn phase_vec_with_total(total: u64) -> impl Strategy<Value = PhaseVec> {
@@ -295,34 +295,39 @@ fn nonzero_rates(phases: usize, rng: &mut proptest::TestRng) -> Vec<u64> {
     }
 }
 
+/// A random connected multi-rate CSDF chain: 2–4 actors of 1–3 phases
+/// (WCET 1–9), per-phase rates 0–3 with a non-zero total, every channel
+/// bounded at `1 + U[0, 3·(max prod + max cons))` tokens. Actor 0 heads it.
+fn bounded_multirate_chain(rng: &mut proptest::TestRng) -> CsdfGraph {
+    let mut g = CsdfGraph::new();
+    let phases = collection::vec(1usize..=3, 2..=4).generate(rng);
+    let mut ids = Vec::new();
+    for (i, &n) in phases.iter().enumerate() {
+        let wcet = collection::vec(1u64..=9, n).generate(rng);
+        ids.push(g.add_actor(format!("a{i}"), PhaseVec::from_slice(&wcet), 1));
+    }
+    for i in 1..ids.len() {
+        let prod = nonzero_rates(phases[i - 1], rng);
+        let cons = nonzero_rates(phases[i], rng);
+        let bound = 3 * (prod.iter().max().unwrap() + cons.iter().max().unwrap());
+        let capacity = Some(1 + (0..bound).generate(rng));
+        let (prod, cons) = (PhaseVec::from_slice(&prod), PhaseVec::from_slice(&cons));
+        g.add_channel_full(ids[i - 1], ids[i], prod, cons, 0, capacity)
+            .unwrap();
+    }
+    g
+}
+
 /// MCR is the self-timed simulator's independent oracle on random connected
-/// multi-rate CSDF chains: 2–4 actors of 1–3 phases (WCET 1–9), per-phase
-/// rates 0–3 with a non-zero total, every channel bounded at
-/// `1 + U[0, 3·(max prod + max cons))` tokens. On a live chain the MCR of
-/// the capacity-expanded HSDF graph equals the simulated period; on a
-/// deadlocked one both refuse; both kinds occur.
+/// multi-rate CSDF chains ([`bounded_multirate_chain`]). On a live chain the
+/// MCR of the capacity-expanded HSDF graph equals the simulated period; on
+/// a deadlocked one both refuse; both kinds occur.
 #[test]
 fn mcr_matches_simulation_on_bounded_multirate_chains() {
     let mut runner = TestRunner::new(ProptestConfig::with_cases(500));
     let (mut live, mut dead) = (0, 0);
     for _ in 0..runner.cases() {
-        let rng = runner.rng();
-        let mut g = CsdfGraph::new();
-        let phases = collection::vec(1usize..=3, 2..=4).generate(rng);
-        let mut ids = Vec::new();
-        for (i, &n) in phases.iter().enumerate() {
-            let wcet = collection::vec(1u64..=9, n).generate(rng);
-            ids.push(g.add_actor(format!("a{i}"), PhaseVec::from_slice(&wcet), 1));
-        }
-        for i in 1..ids.len() {
-            let prod = nonzero_rates(phases[i - 1], rng);
-            let cons = nonzero_rates(phases[i], rng);
-            let bound = 3 * (prod.iter().max().unwrap() + cons.iter().max().unwrap());
-            let capacity = Some(1 + (0..bound).generate(rng));
-            let (prod, cons) = (PhaseVec::from_slice(&prod), PhaseVec::from_slice(&cons));
-            g.add_channel_full(ids[i - 1], ids[i], prod, cons, 0, capacity)
-                .unwrap();
-        }
+        let g = bounded_multirate_chain(runner.rng());
         let mcr = hsdf::expand(&g.expand_capacities()).and_then(|h| maximum_cycle_ratio(&h));
         let steady = Simulation::new(&g, SimConfig::default())
             .run()
@@ -340,6 +345,87 @@ fn mcr_matches_simulation_on_bounded_multirate_chains() {
         }
     }
     assert!(live > 0 && dead > 0, "{live} live, {dead} deadlocked");
+}
+
+/// The verdict the buffer-sizing search takes from the cycle test is the
+/// simulation's: on random bounded chains ([`bounded_multirate_chain`])
+/// whose head is held to a period drawn just below, exactly at, or just
+/// above its simulated period, `refutes_source_period` says "refuted"
+/// exactly when the self-timed run settles below the rate or deadlocks.
+/// Refutations by rate and by deadlock, sustained periods and the exact
+/// boundary (period = MCR per head cycle, where only `>` refutes) all occur.
+#[test]
+fn the_cycle_test_refutes_exactly_what_simulation_refutes() {
+    let mut runner = TestRunner::new(ProptestConfig::with_cases(500));
+    let (mut slow, mut dead, mut sustained, mut boundary) = (0, 0, 0, 0);
+    for _ in 0..runner.cases() {
+        let rng = runner.rng();
+        let g = bounded_multirate_chain(rng);
+        let head = g.actors().next().unwrap().0;
+        let reps = g.repetition_vector().unwrap();
+        // The head's simulated time per cycle, when it has one.
+        let achievable = hsdf::expand(&g.expand_capacities())
+            .and_then(|h| maximum_cycle_ratio(&h))
+            .map(|mcr| mcr.mul(Ratio::new(1, reps[0] as i128)));
+        let period = match achievable {
+            Ok(p) => {
+                // The least whole period that keeps up, and its neighbours.
+                let ceil = ((p.numer() + p.denom() - 1) / p.denom()) as u64;
+                (ceil + (0u64..3).generate(rng)).saturating_sub(1).max(1)
+            }
+            Err(_) => (1u64..=100).generate(rng),
+        };
+        let simulated = match check_source_period(&g, head, period) {
+            Ok((sustains, _)) => !sustains,
+            Err(DataflowError::Deadlock { .. }) => true,
+            Err(e) => panic!("{e} on {g:?}"),
+        };
+        let refuted = refutes_source_period(&g, head, period).unwrap();
+        assert_eq!(refuted, simulated, "period {period} on {g:?}");
+        match (refuted, achievable) {
+            (true, Err(_)) => dead += 1,
+            (true, Ok(_)) => slow += 1,
+            (false, Ok(p)) if p == Ratio::integer(period as i128) => boundary += 1,
+            (false, _) => sustained += 1,
+        }
+    }
+    assert!(
+        slow > 0 && dead > 0 && sustained > 0 && boundary > 0,
+        "{slow} too slow, {dead} deadlocked, {sustained} sustained, {boundary} at the boundary"
+    );
+}
+
+/// Only cycles from which the source can be reached pace it: a slow loop
+/// downstream, behind an unbounded channel, is not a refutation — the run
+/// keeps the source's pace (tokens pile up in front of the loop, so it
+/// never recurs) — until that channel is bounded.
+#[test]
+fn a_slow_cycle_the_source_does_not_wait_for_is_no_refutation() {
+    let one = || PhaseVec::single(1);
+    let mut g = CsdfGraph::new();
+    let src = g.add_actor("src", PhaseVec::single(10), 1);
+    let work = g.add_actor("work", PhaseVec::single(5), 1);
+    let slow = g.add_actor("slow", PhaseVec::single(50), 1);
+    g.add_channel_full(src, work, one(), one(), 0, Some(1))
+        .unwrap();
+    let behind = g.add_channel(src, slow, one(), one()).unwrap();
+    g.add_channel_full(slow, slow, one(), one(), 1, None)
+        .unwrap();
+    // One token in the src–work room cycle: 15 per source cycle.
+    assert_eq!(refutes_source_period(&g, src, 15), Ok(false));
+    let config = SimConfig {
+        max_firings: 20_000,
+        reference: Some(src),
+        ..SimConfig::default()
+    };
+    let run = Simulation::new(&g, config.clone()).run().unwrap();
+    assert!(!run.deadlocked && run.steady.is_none());
+    assert!(run.completions[src.index()] * 15 + 15 >= run.end_time);
+
+    g.channel_mut(behind).capacity = Some(1);
+    assert_eq!(refutes_source_period(&g, src, 15), Ok(true));
+    let (sustains, _) = check_source_period(&g, src, 15).unwrap();
+    assert!(!sustains);
 }
 
 #[test]

@@ -17,7 +17,7 @@ use std::rc::Rc;
 pub const N_SPANS: usize = 12;
 
 /// Number of distinct [`Counter`] kinds, for fixed-size tables.
-pub const N_COUNTERS: usize = 12;
+pub const N_COUNTERS: usize = 13;
 
 /// The instrumented regions of the admission path. Span begin/end events
 /// always come in balanced, properly nested pairs per thread.
@@ -158,6 +158,11 @@ pub enum Counter {
     /// application's processes to distinct free compute slots exists, so
     /// the algorithm — template lookup included — was not asked.
     PlacementRuledOut,
+    /// A buffer-sizing feasibility probe whose simulation had not recurred
+    /// within its firing budget, refuted there by the cycle-ratio test (a
+    /// cycle pacing the source is too slow for the period, or holds no
+    /// tokens) instead of being simulated on to its recurrence.
+    BufferProbeCycleRefuted,
 }
 
 impl Counter {
@@ -175,6 +180,7 @@ impl Counter {
         Counter::BufferProbeCutoff,
         Counter::RefusalReplayed,
         Counter::PlacementRuledOut,
+        Counter::BufferProbeCycleRefuted,
     ];
 
     /// Dense index of this counter, `0..N_COUNTERS`.
@@ -197,6 +203,7 @@ impl Counter {
             Counter::BufferProbeCutoff => "buffer_probe_cutoff",
             Counter::RefusalReplayed => "refusal_replayed",
             Counter::PlacementRuledOut => "placement_ruled_out",
+            Counter::BufferProbeCycleRefuted => "buffer_probe_cycle_refuted",
         }
     }
 }

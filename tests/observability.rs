@@ -172,8 +172,9 @@ fn span_latency_probe_counts_every_admission_attempt() {
 /// Every spec of every registered catalog, mapped alone on its empty
 /// platform by a fresh thread — the step-4 memo is per thread, so each map
 /// is a cold one — with what the dataflow layer counted meanwhile:
-/// `(catalog, spec, [CsdfRun, BufferProbe, BufferMemoHit, BufferProbeCutoff])`.
-fn cold_map_counts() -> Vec<(&'static str, String, [u64; 4])> {
+/// `(catalog, spec, [CsdfRun, BufferProbe, BufferMemoHit,
+/// BufferProbeCycleRefuted, BufferProbeCutoff])`.
+fn cold_map_counts() -> Vec<(&'static str, String, [u64; 5])> {
     let mut counts = Vec::new();
     for name in rtsm::exp::VALID_CATALOGS {
         let resolved = rtsm::exp::resolve_catalog(name, 42).expect("registered catalog");
@@ -194,6 +195,7 @@ fn cold_map_counts() -> Vec<(&'static str, String, [u64; 4])> {
                     obs::Counter::CsdfRun,
                     obs::Counter::BufferProbe,
                     obs::Counter::BufferMemoHit,
+                    obs::Counter::BufferProbeCycleRefuted,
                     obs::Counter::BufferProbeCutoff,
                 ]
                 .map(|counter| probe.counter_total(counter))
@@ -212,7 +214,7 @@ fn cold_map_counts() -> Vec<(&'static str, String, [u64; 4])> {
 /// search would read as "infeasible", inflating a buffer).
 #[test]
 fn no_buffer_probe_is_cut_off_while_the_catalogs_are_mapped_cold() {
-    for (_, spec, [_, probes, _, cutoffs]) in cold_map_counts() {
+    for (_, spec, [_, probes, _, _, cutoffs]) in cold_map_counts() {
         assert!(probes > 0, "`{spec}` was not mapped cold");
         assert_eq!(cutoffs, 0, "`{spec}`: a probe was cut off");
     }
@@ -222,34 +224,36 @@ fn no_buffer_probe_is_cut_off_while_the_catalogs_are_mapped_cold() {
 /// does not. `CsdfRun` is every self-timed simulation of the map (the
 /// sizing search's probes and its pilot; no catalog spec bounds latency),
 /// `BufferProbe` the probes among them, `BufferMemoHit` the probes the
-/// search answered from its table, refutations by dominance included. Next
-/// to them, the `CsdfRun` of the search before it asked the floors first
-/// (PR 17): it may never cost more.
+/// search answered from its table, refutations by dominance included, and
+/// `BufferProbeCycleRefuted` the probes the cycle test stopped short of
+/// their recurrence — a stopped run is still one `CsdfRun`, and a resumed
+/// one is not a second. Next to them, the `CsdfRun` of the search before it
+/// asked the floors first: it may never cost more.
 #[test]
 fn a_cold_map_runs_a_pinned_number_of_simulations() {
     // In `VALID_CATALOGS` order: the seven HIPERLAN/2 modes on the paper
     // platform, the mixed five, the six synthetic chains, the defrag pair.
-    const PINS: [([u64; 3], u64); 20] = [
-        ([4, 3, 2], 9),
-        ([4, 3, 2], 9),
-        ([4, 3, 2], 9),
-        ([4, 3, 2], 9),
-        ([4, 3, 2], 9),
-        ([4, 3, 2], 9),
-        ([4, 3, 2], 9),
-        ([1, 1, 0], 2),
-        ([1, 1, 0], 2),
-        ([1, 1, 0], 2),
-        ([1, 1, 0], 2),
-        ([1, 1, 0], 9),
-        ([1, 1, 0], 12),
-        ([1, 1, 0], 12),
-        ([11, 10, 5], 22),
-        ([11, 10, 4], 27),
-        ([18, 17, 6], 29),
-        ([1, 1, 0], 8),
-        ([1, 1, 0], 2),
-        ([1, 1, 0], 2),
+    const PINS: [([u64; 4], u64); 20] = [
+        ([4, 3, 2, 1], 9),
+        ([4, 3, 2, 1], 9),
+        ([4, 3, 2, 1], 9),
+        ([4, 3, 2, 1], 9),
+        ([4, 3, 2, 1], 9),
+        ([4, 3, 2, 1], 9),
+        ([4, 3, 2, 1], 9),
+        ([1, 1, 0, 0], 2),
+        ([1, 1, 0, 0], 2),
+        ([1, 1, 0, 0], 2),
+        ([1, 1, 0, 0], 2),
+        ([1, 1, 0, 0], 9),
+        ([1, 1, 0, 0], 12),
+        ([1, 1, 0, 0], 12),
+        ([11, 10, 5, 4], 22),
+        ([11, 10, 4, 0], 27),
+        ([18, 17, 6, 6], 29),
+        ([1, 1, 0, 0], 8),
+        ([1, 1, 0, 0], 2),
+        ([1, 1, 0, 0], 2),
     ];
     let counts = cold_map_counts();
     assert_eq!(
@@ -258,7 +262,7 @@ fn a_cold_map_runs_a_pinned_number_of_simulations() {
         "every registered catalog is pinned"
     );
     for ((catalog, spec, counted), (now, before)) in counts.iter().zip(PINS) {
-        assert_eq!(counted[..3], now, "`{catalog}` / `{spec}`");
+        assert_eq!(counted[..4], now, "`{catalog}` / `{spec}`");
         assert!(counted[0] <= before, "`{catalog}` / `{spec}`");
     }
 }
