@@ -338,26 +338,6 @@ impl ProcessGraph {
             .collect()
     }
 
-    /// Neighbouring stream processes of `process` (union of producers into
-    /// and consumers from it), deduplicated, in id order.
-    pub fn neighbours_of(&self, process: ProcessId) -> Vec<ProcessId> {
-        let mut out: Vec<ProcessId> = Vec::new();
-        for (_, c) in self.stream_channels() {
-            let other = match (c.src, c.dst) {
-                (Endpoint::Process(a), Endpoint::Process(b)) if a == process => Some(b),
-                (Endpoint::Process(a), Endpoint::Process(b)) if b == process => Some(a),
-                _ => None,
-            };
-            if let Some(o) = other {
-                if !out.contains(&o) {
-                    out.push(o);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Topological order of the stream processes (stream-input feeders
     /// first). This is the paper's deterministic tie-break order.
     ///
@@ -484,13 +464,6 @@ mod tests {
         assert_eq!(g.inputs_of(ids[2]).len(), 1);
         // Control process excluded from topological order.
         assert_eq!(g.topological_order().unwrap().len(), 3);
-    }
-
-    #[test]
-    fn neighbours_are_symmetric_and_deduplicated() {
-        let (g, ids) = chain();
-        assert_eq!(g.neighbours_of(ids[1]), vec![ids[0], ids[2]]);
-        assert_eq!(g.neighbours_of(ids[0]), vec![ids[1]]);
     }
 
     #[test]

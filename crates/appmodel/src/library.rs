@@ -98,17 +98,6 @@ impl ImplementationLibrary {
         self.impls_for(process).iter().find(|i| i.tile_kind == kind)
     }
 
-    /// Distinct tile kinds for which `process` has an implementation.
-    pub fn kinds_for(&self, process: ProcessId) -> Vec<TileKind> {
-        let mut kinds: Vec<TileKind> = Vec::new();
-        for i in self.impls_for(process) {
-            if !kinds.contains(&i.tile_kind) {
-                kinds.push(i.tile_kind);
-            }
-        }
-        kinds
-    }
-
     /// Total number of registered implementations.
     pub fn len(&self) -> usize {
         self.by_process.iter().map(Vec::len).sum()
@@ -149,7 +138,6 @@ mod tests {
             TileKind::Montium
         );
         assert!(lib.impl_for(p, TileKind::Dsp).is_none());
-        assert_eq!(lib.kinds_for(p), vec![TileKind::Arm, TileKind::Montium]);
         assert_eq!(lib.len(), 2);
     }
 

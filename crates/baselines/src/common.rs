@@ -13,7 +13,7 @@ use rtsm_core::claims::{claim_for, reservation_of};
 use rtsm_core::constraints::MappingConstraints;
 use rtsm_core::error::MapError;
 use rtsm_core::step3::route_channels;
-use rtsm_core::step4::{check_constraints_in, Step4Config};
+use rtsm_core::step4::check_constraints_in;
 use rtsm_core::SpecTable;
 use rtsm_core::{Mapping, MappingOutcome};
 use rtsm_platform::{Platform, PlatformState};
@@ -46,13 +46,7 @@ pub fn finalize_assignment(
             .ok()?;
     }
     route_channels(spec, platform, &mut mapping, &mut working).ok()?;
-    let step4 = check_constraints_in(
-        &SpecTable::for_validated(spec),
-        platform,
-        &mapping,
-        working,
-        &Step4Config::default(),
-    );
+    let step4 = check_constraints_in(&SpecTable::for_validated(spec), platform, &mapping, working);
     if !step4.feasible {
         return None;
     }

@@ -63,6 +63,7 @@ use rtsm_core::MappingAlgorithm;
 use rtsm_exp::{PolicySpec, SpecTemplate};
 use rtsm_obs::{self as obs, FlightRecorder};
 use rtsm_sim::{FaultConfig, SimConfig, SimReport, SimRun, SurvivabilityReport, TemplateReport};
+use serde::de::excerpt;
 use std::time::Instant;
 
 /// The requested algorithm set, straight from the `rtsm_exp` registry —
@@ -74,7 +75,8 @@ fn algorithms(which: &str) -> Vec<Box<dyn MappingAlgorithm>> {
     match rtsm_exp::make_algorithm(which) {
         Some(algorithm) => vec![algorithm],
         None => one_line_error(&format!(
-            "unknown algorithm `{which}` (valid: all, {})",
+            "unknown algorithm `{}` (valid: all, {})",
+            excerpt(which),
             rtsm_exp::VALID_ALGORITHMS.join(", ")
         )),
     }
@@ -181,7 +183,8 @@ fn main() {
     let policy_name = cli.value("--policy").unwrap_or("always");
     if !policy_kinds.contains(&policy_name) {
         one_line_error(&format!(
-            "unknown admission policy `{policy_name}` (valid: {})",
+            "unknown admission policy `{}` (valid: {})",
+            excerpt(policy_name),
             policy_kinds.join(", ")
         ));
     }
@@ -236,7 +239,8 @@ fn main() {
     let resolved = rtsm_exp::resolve_catalog(catalog_name, template.platform_seed())
         .unwrap_or_else(|| {
             one_line_error(&format!(
-                "unknown catalog `{catalog_name}` (valid: {})",
+                "unknown catalog `{}` (valid: {})",
+                excerpt(catalog_name),
                 rtsm_exp::VALID_CATALOGS.join(", ")
             ))
         });

@@ -8,7 +8,6 @@ use rtsm_app::{
 use rtsm_baselines::{AnnealingMapper, ExhaustiveMapper, GreedyMapper, RandomMapper};
 use rtsm_core::cost::CostModel;
 use rtsm_core::report::{render_summary, render_table1, render_table2};
-use rtsm_core::step2::{Step2Config, Step2Strategy};
 use rtsm_core::trace::Step2Trace;
 use rtsm_core::{MapperConfig, MappingAlgorithm, MappingOutcome, SpatialMapper};
 use rtsm_dataflow::PhaseVec;
@@ -60,7 +59,6 @@ pub fn steps_one_to_three(
         &mut mapping,
         &mut working,
         &CostModel::HopCount,
-        &Step2Config::default(),
     );
     rtsm_core::step3::route_channels(spec, platform, &mut mapping, &mut working)
         .expect("routable when empty");
@@ -271,7 +269,7 @@ pub fn quality_comparison(seeds: &[u64]) -> (String, Vec<QualityRow>) {
     (table.render(), rows)
 }
 
-/// E8/E9 — ablations: step 2 on/off, search strategy, cost model.
+/// E8/E9 — ablations: step 2 on/off, cost model.
 pub fn ablation() -> String {
     let mut out = String::new();
     let spec = hiperlan2_receiver(DEFAULT_MODE);
@@ -301,82 +299,6 @@ pub fn ablation() -> String {
         "  communication reduction: {:.0}%",
         100.0 * (1.0 - full.communication_hops as f64 / greedy.communication_hops as f64)
     );
-
-    // E9a: search strategy.
-    let _ = writeln!(
-        out,
-        "\nE9a — step-2 strategy (PaperScan vs BestImprovement):"
-    );
-    for strategy in [Step2Strategy::PaperScan, Step2Strategy::BestImprovement] {
-        let config = MapperConfig {
-            step2: Step2Config {
-                strategy,
-                ..Step2Config::default()
-            },
-            ..MapperConfig::default()
-        };
-        let result = SpatialMapper::new(config)
-            .map(&spec, &platform, &state)
-            .unwrap();
-        let evals: usize = result
-            .trace
-            .as_ref()
-            .expect("the heuristic records a trace")
-            .attempts
-            .iter()
-            .map(|a| a.step2.events.len())
-            .sum();
-        let _ = writeln!(
-            out,
-            "  {strategy:?}: final cost {} hops, {evals} evaluations",
-            result.communication_hops
-        );
-    }
-
-    // E9c: routing policy — the paper's adaptive capacity-aware search vs
-    // classic dimension-ordered XY, on a congested platform.
-    let _ = writeln!(out, "\nE9c — step-3 routing policy (congested 4×4 mesh):");
-    {
-        use rtsm_platform::RoutingPolicy;
-        let platform = mesh_platform(77, 4, 4, &[(TileKind::Montium, 5), (TileKind::Arm, 5)]);
-        // Pre-congest: another application already holds bandwidth on a
-        // column of links.
-        let mut base = platform.initial_state();
-        for (l, link) in platform.links() {
-            if link.from.x == 1 && link.to.x == 1 {
-                base.allocate_link(&platform, l, link.capacity - 10_000_000)
-                    .expect("empty ledger accepts");
-            }
-        }
-        let syn = synthetic_app(&SyntheticConfig {
-            seed: 77,
-            n_processes: 6,
-            ..SyntheticConfig::default()
-        });
-        for (label, routing) in [
-            ("adaptive", RoutingPolicy::Adaptive),
-            ("XY", RoutingPolicy::DimensionOrdered),
-        ] {
-            let config = MapperConfig {
-                routing,
-                ..MapperConfig::default()
-            };
-            match SpatialMapper::new(config).map(&syn, &platform, &base) {
-                Ok(r) => {
-                    let _ = writeln!(
-                        out,
-                        "  {label}: feasible, {} hops, {:.1} nJ, attempt {}",
-                        r.communication_hops,
-                        r.energy_pj as f64 / 1000.0,
-                        r.attempts
-                    );
-                }
-                Err(_) => {
-                    let _ = writeln!(out, "  {label}: no feasible mapping");
-                }
-            }
-        }
-    }
 
     // E9b: cost model on synthetic workloads (hop count vs traffic vs
     // energy as the step-2 objective).

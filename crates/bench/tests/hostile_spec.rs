@@ -108,10 +108,9 @@ fn an_actor_of_too_many_phases_is_refused_without_materialising_it() {
         let stage = spec.graph.process_by_name("Stage").unwrap();
         let mut mapping = Mapping::new();
         mapping.assign(stage, 0, platform.tile_by_name("ARM").unwrap());
-        let feedback =
-            check_constraints(&spec, &platform, &mapping, &state, &Step4Config::default())
-                .verdict
-                .feedback;
+        let feedback = check_constraints(&spec, &platform, &mapping, &state, &Step4Config)
+            .verdict
+            .feedback;
         assert!(
             matches!(&feedback[..], [
                 Feedback::Infeasible { detail },

@@ -10,7 +10,7 @@
 use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm_bench::alloc_track::PeakAlloc;
 use rtsm_core::mapper::MAX_REFINEMENTS;
-use rtsm_core::step4::{check_constraints_in, Step4Config};
+use rtsm_core::step4::check_constraints_in;
 use rtsm_core::{
     MapError, MapperConfig, MappingAlgorithm, SpatialMapper, SpecTable, TemplatedMapper,
 };
@@ -102,13 +102,7 @@ fn paper_case_admission_calls_stay_under_their_allocation_ceilings() {
     let mut ledgers = vec![working; 3];
     let per_verdict = calls(|| {
         let working = ledgers.pop().expect("one per run");
-        let verdict = check_constraints_in(
-            &table,
-            &platform,
-            &mapping,
-            working,
-            &Step4Config::default(),
-        );
+        let verdict = check_constraints_in(&table, &platform, &mapping, working);
         assert_eq!(verdict.buffers, outcome.buffers);
         verdict
     });

@@ -92,13 +92,21 @@ fn runs_that_outgrow_the_sample_series_are_one_line_errors() {
 
 /// Hostile spec *text* is one short line too: nesting that overflowed the
 /// stack, a string whose parse was quadratic, errors that echoed megabytes
-/// of the value, a repeated key that was silently read once.
+/// of the value, a repeated key that was silently read once, and a
+/// megabyte name in an axis or a policy kind, which the spec's own checks
+/// used to repeat in full.
 #[test]
 fn hostile_spec_files_are_short_one_line_errors() {
     let dir = std::env::temp_dir().join(format!("rtsm-hostile-json-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir is writable");
     let nested = |depth| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
     let valid = r#""algorithms":["greedy"],"policies":[{"kind":"none"}],"template":{"arrivals":5},"catalogs":["hiperlan2"],"mean_gaps":[500]"#;
+    let long = "x".repeat(1 << 20);
+    let with = |algorithm: &str, catalogs: &str, kind: &str| {
+        format!(
+            r#"{{"name":"d","algorithms":["{algorithm}"],"policies":[{{"kind":"{kind}"}}],"template":{{"arrivals":5}},"catalogs":[{catalogs}],"mean_gaps":[500],"seeds":[1]}}"#
+        )
+    };
     for (name, spec, at_fault) in [
         (
             "deep",
@@ -125,6 +133,26 @@ fn hostile_spec_files_are_short_one_line_errors() {
             format!(r#"{{"name":"d",{valid},"seeds":[1],"seeds":[2]}}"#),
             "duplicate key `seeds`",
         ),
+        (
+            "long-algorithm",
+            with(&long, r#""hiperlan2""#, "none"),
+            "unknown algorithm `xxx",
+        ),
+        (
+            "long-catalog",
+            with("greedy", &format!(r#""{long}""#), "none"),
+            "unknown catalog `xxx",
+        ),
+        (
+            "long-kind",
+            with("greedy", r#""hiperlan2""#, &long),
+            "unknown policy kind `xxx",
+        ),
+        (
+            "long-duplicate",
+            with("greedy", &format!(r#""{long}","{long}""#), "none"),
+            "duplicate entry `xxx",
+        ),
     ] {
         let path = dir.join(format!("{name}.json"));
         std::fs::write(&path, spec).expect("temp dir is writable");
@@ -132,7 +160,7 @@ fn hostile_spec_files_are_short_one_line_errors() {
             env!("CARGO_BIN_EXE_experiment"),
             &["--spec", path.to_str().expect("UTF-8 path")],
         );
-        assert!(stderr.len() < 512, "{name}: {} bytes", stderr.len());
+        assert!(stderr.len() <= 256, "{name}: {} bytes", stderr.len());
         assert!(stderr.contains(at_fault), "{name}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).expect("just written");

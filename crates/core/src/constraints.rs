@@ -55,11 +55,6 @@ impl MappingConstraints {
         self.pinned.get(&process).copied()
     }
 
-    /// True if `tile` is excluded for all processes.
-    pub fn is_tile_excluded(&self, tile: TileId) -> bool {
-        self.excluded_tiles.contains(&tile)
-    }
-
     /// True if placing `process` on `tile` is allowed: the tile is not
     /// excluded, and any pin on the process names this tile.
     pub fn allows(&self, process: ProcessId, tile: TileId) -> bool {
@@ -125,7 +120,6 @@ mod tests {
     #[test]
     fn excluded_tile_blocks_all_processes() {
         let c = MappingConstraints::none().exclude_tile(t(3));
-        assert!(c.is_tile_excluded(t(3)));
         assert!(!c.allows(p(0), t(3)));
         assert!(!c.allows(p(7), t(3)));
         assert!(c.allows(p(0), t(2)));

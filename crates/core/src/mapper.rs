@@ -12,7 +12,7 @@ use crate::feedback::{Constraints, Feedback};
 use crate::spec_table::SpecTable;
 use crate::step1::Step1;
 use crate::step2::{SearchCtx, Step2Config};
-use crate::step3::route_channels_with;
+use crate::step3::route_channels;
 use crate::step4::{check_constraints_in, compose, Step4Config};
 use crate::trace::{AttemptTrace, MapTrace};
 use rtsm_app::{ApplicationSpec, Endpoint};
@@ -28,11 +28,12 @@ pub const MAX_REFINEMENTS: usize = 8;
 pub struct MapperConfig {
     /// Step-2 cost model (default: the paper's hop count).
     pub cost_model: CostModel,
-    /// Step-2 search settings.
+    /// Read by nothing: step 2 has no settings (see [`Step2Config`]).
     pub step2: Step2Config,
-    /// Step-4 composition settings.
+    /// Read by nothing: step 4 has no settings (see [`Step4Config`]).
     pub step4: Step4Config,
-    /// Step-3 path-search policy (adaptive, per the paper, or XY).
+    /// Read by nothing: step 3 routes every channel on the paper's
+    /// capacity-aware shortest path (see [`RoutingPolicy`]).
     pub routing: RoutingPolicy,
     /// Record the full search trace ([`MappingOutcome::trace`], Table-2
     /// events, assignment snapshots) and compose the accepted mapping's
@@ -50,9 +51,9 @@ impl Default for MapperConfig {
     fn default() -> Self {
         MapperConfig {
             cost_model: CostModel::HopCount,
-            step2: Step2Config::default(),
-            step4: Step4Config::default(),
-            routing: RoutingPolicy::Adaptive,
+            step2: Step2Config,
+            step4: Step4Config,
+            routing: RoutingPolicy,
             capture: true,
         }
     }
@@ -194,7 +195,6 @@ impl SpatialMapper {
                 SearchCtx::new(&table, platform, &constraints, &self.config.cost_model).improve(
                     &mut mapping,
                     &mut working,
-                    &self.config.step2,
                     capture,
                 )
             };
@@ -207,13 +207,7 @@ impl SpatialMapper {
             // Step 3: routing.
             let step3_result = {
                 let _s = obs::span(obs::Span::Step3);
-                route_channels_with(
-                    spec,
-                    platform,
-                    &mut mapping,
-                    &mut working,
-                    self.config.routing,
-                )
+                route_channels(spec, platform, &mut mapping, &mut working)
             };
             if let Err(feedback) = step3_result {
                 if capture {
@@ -231,7 +225,7 @@ impl SpatialMapper {
             // Step 4: constraint check.
             let step4 = {
                 let _s = obs::span(obs::Span::Step4);
-                check_constraints_in(&table, platform, &mapping, working, &self.config.step4)
+                check_constraints_in(&table, platform, &mapping, working)
             };
             if step4.feasible {
                 if capture {
@@ -241,8 +235,8 @@ impl SpatialMapper {
                 // The verdict needed no graph; Figure 3 is drawn for whoever
                 // asked for the search trace.
                 let csdf = capture.then(|| {
-                    let mut figure3 = compose(&table, platform, &mapping, &self.config.step4)
-                        .expect("step 4 accepted the mapping");
+                    let mut figure3 =
+                        compose(&table, platform, &mapping).expect("step 4 accepted the mapping");
                     figure3.size(&step4.buffers);
                     figure3.csdf
                 });
@@ -757,22 +751,6 @@ mod tests {
             result.mapping.route(shared),
             Some(&crate::RouteBinding::SameTile)
         );
-    }
-
-    #[test]
-    fn xy_routing_policy_maps_paper_case_identically() {
-        let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
-        let platform = paper_platform();
-        let config = MapperConfig {
-            routing: RoutingPolicy::DimensionOrdered,
-            ..MapperConfig::default()
-        };
-        let result = SpatialMapper::new(config)
-            .map(&spec, &platform, &platform.initial_state())
-            .expect("XY routes the uncongested paper case");
-        // Same placement and cost; only path shapes may differ.
-        assert_eq!(result.communication_hops, 7);
-        assert!(result.feasible);
     }
 
     #[test]

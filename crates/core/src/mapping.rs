@@ -74,11 +74,6 @@ impl Mapping {
         self.assignments.iter().map(|(p, a)| (*p, *a))
     }
 
-    /// Number of bound processes.
-    pub fn n_assigned(&self) -> usize {
-        self.assignments.len()
-    }
-
     /// Binds `channel` to `route`.
     pub fn bind_route(&mut self, channel: KpnChannelId, route: RouteBinding) {
         self.routes.insert(channel, route);
@@ -211,7 +206,6 @@ mod tests {
         // Only the A/D→Pfx and Rem→Sink channels have stream endpoints, but
         // their process ends are unassigned: cost is 0.
         assert_eq!(m.communication_hops(&spec, &platform), 0);
-        assert_eq!(m.n_assigned(), 0);
     }
 
     #[test]

@@ -6,16 +6,11 @@
 //! the same for any iteration. When this happens, that choice is rejected
 //! and another is evaluated" (§4.4).
 //!
-//! Two search disciplines are provided:
-//!
-//! * [`Step2Strategy::PaperScan`] — processes are scanned in application
-//!   (topological) order; each iteration evaluates the scanned process's
-//!   best reassignment, keeps it on strict improvement (restarting the
-//!   scan) and reverts it otherwise, de-duplicating already-tried
-//!   candidates until a full pass keeps nothing. This regenerates Table 2
-//!   row for row.
-//! * [`Step2Strategy::BestImprovement`] — classical steepest-descent over
-//!   all candidates (the ablation baseline).
+//! Processes are scanned in application (topological) order; each
+//! iteration evaluates the scanned process's best reassignment, keeps it on
+//! strict improvement (restarting the scan) and reverts it otherwise,
+//! de-duplicating already-tried candidates until a full pass keeps nothing.
+//! This regenerates Table 2 row for row.
 //!
 //! Candidate tiles are filtered for locally sufficient resources (including
 //! NI bandwidth), maintaining adequacy and adherence by construction.
@@ -39,38 +34,19 @@ use rtsm_platform::{Platform, PlatformState, TileId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// Search discipline for step 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Step2Strategy {
-    /// One candidate per iteration in scan order with revert logging — the
-    /// paper's published behaviour (Table 2).
-    PaperScan,
-    /// Steepest descent: apply the globally best candidate per iteration.
-    BestImprovement,
-}
+/// Hard cap on kept-or-reverted iterations of one search ("a maximum
+/// number of iterations", §3.2).
+const MAX_EVALUATIONS: u64 = 1000;
 
-/// Configuration of step 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Step2Config {
-    /// Search discipline.
-    pub strategy: Step2Strategy,
-    /// Hard cap on candidate evaluations ("a maximum number of
-    /// iterations", §3.2).
-    pub max_evaluations: usize,
-    /// Minimum cost decrease for a candidate to be kept ("a minimum gain
-    /// from the current iteration", §3.2).
-    pub min_gain: u64,
-}
+/// Cost decrease a candidate must reach to be kept ("a minimum gain from the
+/// current iteration", §3.2).
+const MIN_GAIN: u64 = 1;
 
-impl Default for Step2Config {
-    fn default() -> Self {
-        Step2Config {
-            strategy: Step2Strategy::PaperScan,
-            max_evaluations: 1000,
-            min_gain: 1,
-        }
-    }
-}
+/// Step 2 has no settings: it is the one scan of §3.2, bounded by
+/// `MAX_EVALUATIONS` (1000) and `MIN_GAIN` (1). It is kept only because the
+/// `benchmark/` crate names it; it goes when `benchmark/` is next maintained.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct Step2Config;
 
 /// A scored candidate: cost with it applied plus the move itself. The
 /// Table-2 snapshot is captured lazily (only when tracing is on and only
@@ -382,7 +358,6 @@ impl<'a> SearchCtx<'a> {
         &self,
         mapping: &mut Mapping,
         working: &mut PlatformState,
-        config: &Step2Config,
         capture: bool,
     ) -> Step2Trace {
         let spec = self.table.spec();
@@ -401,106 +376,60 @@ impl<'a> SearchCtx<'a> {
             final_cost: 0,
         };
         let mut current_cost = trace.initial_cost;
-        let mut evaluations = 0usize;
         // Reused across every scan position — one allocation per search, not
         // one per process visit.
         let mut candidates: Vec<Step2Move> = Vec::new();
+        let mut tried: BTreeSet<TriedKey> = BTreeSet::new();
 
-        match config.strategy {
-            Step2Strategy::PaperScan => {
-                let mut tried: BTreeSet<TriedKey> = BTreeSet::new();
-                'search: loop {
-                    for &process in self.table.order() {
-                        // This process's best untried reassignment.
-                        let mut best: Option<ScoredCandidate> = None;
-                        self.candidates_for(mapping, process, &mut candidates);
-                        trace.generated += candidates.len() as u64;
-                        for candidate in &candidates {
-                            if tried.contains(&candidate_key(candidate)) {
-                                continue;
-                            }
-                            if let Some(cost) =
-                                self.evaluate(mapping, working, candidate, current_cost)
-                            {
-                                if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                                    best = Some((cost, *candidate));
-                                }
-                            }
-                        }
-                        let Some((cost, candidate)) = best else {
-                            continue;
-                        };
-                        evaluations += 1;
-                        trace.evaluations += 1;
-                        let kept = current_cost.saturating_sub(cost) >= config.min_gain;
-                        if capture {
-                            let assignment = self.snapshot_with(mapping, working, &candidate);
-                            trace.events.push(Step2Event {
-                                candidate,
-                                cost,
-                                kept,
-                                assignment,
-                            });
-                        }
-                        if kept {
-                            let applied = self.apply(mapping, working, &candidate);
-                            debug_assert!(applied, "evaluated candidates fit");
-                            current_cost = cost;
-                            tried.clear();
-                            if evaluations >= config.max_evaluations {
-                                break 'search;
-                            }
-                            // Restart the scan from the top of the process order.
-                            continue 'search;
-                        }
-                        tried.insert(candidate_key(&candidate));
-                        if evaluations >= config.max_evaluations {
-                            break 'search;
-                        }
-                    }
-                    // A full pass kept nothing (every keep restarts the scan
-                    // above): the search has converged.
-                    break;
-                }
-            }
-            Step2Strategy::BestImprovement => loop {
+        'search: loop {
+            for &process in self.table.order() {
+                // This process's best untried reassignment.
                 let mut best: Option<ScoredCandidate> = None;
-                for &process in self.table.order() {
-                    self.candidates_for(mapping, process, &mut candidates);
-                    trace.generated += candidates.len() as u64;
-                    for candidate in &candidates {
-                        if let Some(cost) = self.evaluate(mapping, working, candidate, current_cost)
-                        {
-                            if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                                best = Some((cost, *candidate));
-                            }
+                self.candidates_for(mapping, process, &mut candidates);
+                trace.generated += candidates.len() as u64;
+                for candidate in &candidates {
+                    if tried.contains(&candidate_key(candidate)) {
+                        continue;
+                    }
+                    if let Some(cost) = self.evaluate(mapping, working, candidate, current_cost) {
+                        if best.as_ref().is_none_or(|(c, _)| cost < *c) {
+                            best = Some((cost, *candidate));
                         }
                     }
                 }
-                evaluations += 1;
                 let Some((cost, candidate)) = best else {
-                    break;
+                    continue;
                 };
-                if current_cost.saturating_sub(cost) < config.min_gain {
-                    break;
-                }
                 trace.evaluations += 1;
+                let kept = current_cost.saturating_sub(cost) >= MIN_GAIN;
                 if capture {
                     let assignment = self.snapshot_with(mapping, working, &candidate);
                     trace.events.push(Step2Event {
                         candidate,
                         cost,
-                        kept: true,
+                        kept,
                         assignment,
                     });
                 }
-                let applied = self.apply(mapping, working, &candidate);
-                debug_assert!(applied, "evaluated candidates fit");
-                current_cost = cost;
-                if evaluations >= config.max_evaluations {
-                    break;
+                if kept {
+                    let applied = self.apply(mapping, working, &candidate);
+                    debug_assert!(applied, "evaluated candidates fit");
+                    current_cost = cost;
+                    tried.clear();
+                    if trace.evaluations >= MAX_EVALUATIONS {
+                        break 'search;
+                    }
+                    // Restart the scan from the top of the process order.
+                    continue 'search;
                 }
-            },
+                tried.insert(candidate_key(&candidate));
+                if trace.evaluations >= MAX_EVALUATIONS {
+                    break 'search;
+                }
+            }
+            // A full pass kept nothing (every keep restarts the scan above):
+            // the search has converged.
+            break;
         }
 
         trace.final_cost = current_cost;
@@ -517,7 +446,6 @@ pub fn improve_assignment(
     mapping: &mut Mapping,
     working: &mut PlatformState,
     cost_model: &CostModel,
-    config: &Step2Config,
 ) -> Step2Trace {
     improve_assignment_with(
         spec,
@@ -526,7 +454,7 @@ pub fn improve_assignment(
         mapping,
         working,
         cost_model,
-        config,
+        &Step2Config,
         true,
     )
 }
@@ -534,6 +462,8 @@ pub fn improve_assignment(
 /// [`improve_assignment`] with an explicit trace-capture switch (see
 /// [`SearchCtx::improve`]). Builds its own [`SpecTable`]; callers that run
 /// several steps on one spec build the table once and run a [`SearchCtx`].
+/// Nothing reads `_config`; it is kept only because the `benchmark/` crate
+/// passes it (see [`Step2Config`]).
 #[allow(clippy::too_many_arguments)]
 pub fn improve_assignment_with(
     spec: &ApplicationSpec,
@@ -542,12 +472,11 @@ pub fn improve_assignment_with(
     mapping: &mut Mapping,
     working: &mut PlatformState,
     cost_model: &CostModel,
-    config: &Step2Config,
+    _config: &Step2Config,
     capture: bool,
 ) -> Step2Trace {
     let table = SpecTable::for_validated(spec);
-    SearchCtx::new(&table, platform, constraints, cost_model)
-        .improve(mapping, working, config, capture)
+    SearchCtx::new(&table, platform, constraints, cost_model).improve(mapping, working, capture)
 }
 
 #[cfg(test)]
@@ -557,9 +486,7 @@ mod tests {
     use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
     use rtsm_platform::paper::paper_platform;
 
-    fn run_paper(
-        strategy: Step2Strategy,
-    ) -> (rtsm_app::ApplicationSpec, Platform, Mapping, Step2Trace) {
+    fn run_paper() -> (rtsm_app::ApplicationSpec, Platform, Mapping, Step2Trace) {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
         let constraints = Constraints::new();
@@ -574,10 +501,6 @@ mod tests {
             &mut mapping,
             &mut working,
             &CostModel::HopCount,
-            &Step2Config {
-                strategy,
-                ..Step2Config::default()
-            },
         );
         (spec, platform, mapping, trace)
     }
@@ -585,7 +508,7 @@ mod tests {
     /// The headline reproduction: Table 2's exact cost sequence.
     #[test]
     fn paper_scan_regenerates_table2() {
-        let (spec, platform, mapping, trace) = run_paper(Step2Strategy::PaperScan);
+        let (spec, platform, mapping, trace) = run_paper();
         assert_eq!(trace.initial_cost, 11);
         let costs: Vec<u64> = trace.events.iter().map(|e| e.cost).collect();
         let kept: Vec<bool> = trace.events.iter().map(|e| e.kept).collect();
@@ -614,7 +537,7 @@ mod tests {
 
     #[test]
     fn table2_iteration1_is_the_arm_swap() {
-        let (spec, _, _, trace) = run_paper(Step2Strategy::PaperScan);
+        let (spec, _, _, trace) = run_paper();
         let pfx = spec.graph.process_by_name("Prefix removal").unwrap();
         let frq = spec.graph.process_by_name("Freq. off. correction").unwrap();
         match trace.events[0].candidate {
@@ -626,17 +549,8 @@ mod tests {
     }
 
     #[test]
-    fn best_improvement_also_reaches_seven() {
-        let (spec, platform, mapping, trace) = run_paper(Step2Strategy::BestImprovement);
-        assert_eq!(trace.final_cost, 7);
-        assert_eq!(mapping.communication_hops(&spec, &platform), 7);
-        // Steepest descent needs only the two improving steps.
-        assert_eq!(trace.events.len(), 2);
-    }
-
-    #[test]
     fn adherence_preserved_throughout() {
-        let (spec, platform, mapping, _) = run_paper(Step2Strategy::PaperScan);
+        let (spec, platform, mapping, _) = run_paper();
         assert!(crate::criteria::is_adherent(
             &mapping,
             &spec,
@@ -647,49 +561,41 @@ mod tests {
 
     #[test]
     fn capture_off_same_decisions_same_counters() {
-        for strategy in [Step2Strategy::PaperScan, Step2Strategy::BestImprovement] {
-            let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
-            let platform = paper_platform();
-            let constraints = Constraints::new();
-            let out =
-                assign_implementations(&spec, &platform, &platform.initial_state(), &constraints)
-                    .unwrap();
-            let config = Step2Config {
-                strategy,
-                ..Step2Config::default()
-            };
-            let mut m_on = out.mapping.clone();
-            let mut w_on = out.working.clone();
-            let on = improve_assignment(
-                &spec,
-                &platform,
-                &constraints,
-                &mut m_on,
-                &mut w_on,
-                &CostModel::HopCount,
-                &config,
-            );
-            let mut m_off = out.mapping.clone();
-            let mut w_off = out.working.clone();
-            let off = improve_assignment_with(
-                &spec,
-                &platform,
-                &constraints,
-                &mut m_off,
-                &mut w_off,
-                &CostModel::HopCount,
-                &config,
-                false,
-            );
-            assert_eq!(m_on, m_off, "{strategy:?}: identical final mappings");
-            assert_eq!(w_on, w_off, "{strategy:?}: identical working states");
-            assert_eq!(on.final_cost, off.final_cost);
-            assert_eq!(on.initial_cost, off.initial_cost);
-            assert_eq!(on.evaluations, off.evaluations);
-            assert_eq!(on.events.len() as u64, on.evaluations);
-            assert!(off.events.is_empty(), "capture off records no events");
-            assert!(off.initial_assignment.is_empty());
-        }
+        let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
+        let platform = paper_platform();
+        let constraints = Constraints::new();
+        let out = assign_implementations(&spec, &platform, &platform.initial_state(), &constraints)
+            .unwrap();
+        let mut m_on = out.mapping.clone();
+        let mut w_on = out.working.clone();
+        let on = improve_assignment(
+            &spec,
+            &platform,
+            &constraints,
+            &mut m_on,
+            &mut w_on,
+            &CostModel::HopCount,
+        );
+        let mut m_off = out.mapping.clone();
+        let mut w_off = out.working.clone();
+        let off = improve_assignment_with(
+            &spec,
+            &platform,
+            &constraints,
+            &mut m_off,
+            &mut w_off,
+            &CostModel::HopCount,
+            &Step2Config,
+            false,
+        );
+        assert_eq!(m_on, m_off, "identical final mappings");
+        assert_eq!(w_on, w_off, "identical working states");
+        assert_eq!(on.final_cost, off.final_cost);
+        assert_eq!(on.initial_cost, off.initial_cost);
+        assert_eq!(on.evaluations, off.evaluations);
+        assert_eq!(on.events.len() as u64, on.evaluations);
+        assert!(off.events.is_empty(), "capture off records no events");
+        assert!(off.initial_assignment.is_empty());
     }
 
     #[test]
@@ -716,7 +622,6 @@ mod tests {
                 &mut mapping,
                 &mut working,
                 &model,
-                &Step2Config::default(),
             );
             assert_eq!(
                 trace.final_cost,
@@ -724,30 +629,5 @@ mod tests {
                 "{model:?}: tracked cost must equal a full recompute"
             );
         }
-    }
-
-    #[test]
-    fn max_evaluations_caps_search() {
-        let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
-        let platform = paper_platform();
-        let constraints = Constraints::new();
-        let out = assign_implementations(&spec, &platform, &platform.initial_state(), &constraints)
-            .unwrap();
-        let mut mapping = out.mapping;
-        let mut working = out.working;
-        let trace = improve_assignment(
-            &spec,
-            &platform,
-            &constraints,
-            &mut mapping,
-            &mut working,
-            &CostModel::HopCount,
-            &Step2Config {
-                strategy: Step2Strategy::PaperScan,
-                max_evaluations: 1,
-                min_gain: 1,
-            },
-        );
-        assert_eq!(trace.events.len(), 1);
     }
 }

@@ -9,26 +9,13 @@
 use crate::feedback::Feedback;
 use crate::mapping::{Mapping, RouteBinding};
 use rtsm_app::{ApplicationSpec, KpnChannelId};
+use rtsm_platform::routing::route_with;
 use rtsm_platform::{Platform, PlatformState, PlatformTransaction, RouteScratch, RoutingPolicy};
 
-/// Routes every data-stream channel of `mapping` with the paper's adaptive
-/// (capacity-aware shortest path) policy. See [`route_channels_with`].
-///
-/// # Errors
-///
-/// Same as [`route_channels_with`].
-pub fn route_channels(
-    spec: &ApplicationSpec,
-    platform: &Platform,
-    mapping: &mut Mapping,
-    working: &mut PlatformState,
-) -> Result<(), Vec<Feedback>> {
-    route_channels_with(spec, platform, mapping, working, RoutingPolicy::Adaptive)
-}
-
-/// Routes every data-stream channel of `mapping` under `policy`, allocating
-/// link and NI bandwidth in `working`. Channels between processes on the
-/// same tile become [`RouteBinding::SameTile`].
+/// Routes every data-stream channel of `mapping` on a capacity-aware
+/// shortest path ([`rtsm_platform::route`]), allocating link and NI
+/// bandwidth in `working`. Channels between processes on the same tile
+/// become [`RouteBinding::SameTile`].
 ///
 /// `mapping` must enter route-free (steps 1–2 produce assignments only);
 /// any stale routes would be released against `working` on rollback.
@@ -40,12 +27,11 @@ pub fn route_channels(
 ///
 /// Feedback naming the unroutable channel plus a `ForbidTile` item for its
 /// producer's tile (the refinement lever).
-pub fn route_channels_with(
+pub fn route_channels(
     spec: &ApplicationSpec,
     platform: &Platform,
     mapping: &mut Mapping,
     working: &mut PlatformState,
-    policy: RoutingPolicy,
 ) -> Result<(), Vec<Feedback>> {
     // Sort by non-increasing throughput, ties by channel id for
     // reproducibility.
@@ -64,7 +50,7 @@ pub fn route_channels_with(
     // mapping commits.
     debug_assert!(
         mapping.routes().next().is_none(),
-        "route_channels_with requires a route-free mapping (its routes \
+        "route_channels requires a route-free mapping (its routes \
          double as the record of what this call allocated)"
     );
     let mut scratch = RouteScratch::new();
@@ -89,7 +75,7 @@ pub fn route_channels_with(
             continue;
         }
         let demand = spec.qos.words_per_second(tokens);
-        match policy.route_with(platform, tx.state(), from, to, demand, &mut scratch) {
+        match route_with(platform, tx.state(), from, to, demand, &mut scratch) {
             Ok(path) => {
                 let path = path.clone();
                 tx.allocate_path(&path)
@@ -122,13 +108,29 @@ pub fn route_channels_with(
     Ok(())
 }
 
+/// [`route_channels`]. Nothing reads `_policy`; it is kept only because the
+/// `benchmark/` crate passes it (see [`RoutingPolicy`]).
+///
+/// # Errors
+///
+/// Same as [`route_channels`].
+pub fn route_channels_with(
+    spec: &ApplicationSpec,
+    platform: &Platform,
+    mapping: &mut Mapping,
+    working: &mut PlatformState,
+    _policy: RoutingPolicy,
+) -> Result<(), Vec<Feedback>> {
+    route_channels(spec, platform, mapping, working)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::feedback::Constraints;
     use crate::step1::assign_implementations;
-    use crate::step2::{improve_assignment, Step2Config};
+    use crate::step2::improve_assignment;
     use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
     use rtsm_platform::paper::paper_platform;
 
@@ -147,7 +149,6 @@ mod tests {
             &mut mapping,
             &mut working,
             &CostModel::HopCount,
-            &Step2Config::default(),
         );
         (spec, platform, mapping, working)
     }

@@ -5,9 +5,10 @@
 //! 4-cycle round-robin arbitration bound) per router traversed by each
 //! routed channel, the A/D source paced at the application period and the
 //! Sink. Finite buffers are channel capacities: router-to-router buffers of
-//! [`Step4Config::router_buffer_words`], the fixed Sink buffer `x`, and the
-//! tile-side input buffers `B_i`, which are *computed* (via
-//! `rtsm-dataflow`'s buffer sizing, standing in for Wiggers et al. \[11\]).
+//! `ROUTER_BUFFER_WORDS` (Figure 3's 4 words), the fixed Sink buffer
+//! `x = max(4, tokens per period)`, and the tile-side input buffers `B_i`,
+//! which are *computed* (via `rtsm-dataflow`'s buffer sizing, standing in for
+//! Wiggers et al. \[11\]).
 //!
 //! The mapping is **feasible** iff that graph sustains one source firing
 //! per period, the computed buffers fit the consuming tiles' memories, and
@@ -17,11 +18,11 @@
 //!
 //! The graph is a function of far less than the mapping: which
 //! implementation each process runs and at what clock, how many routers
-//! each channel crosses, the NoC's timing and the [`Step4Config`] — not
-//! which tiles or which routers. [`signature`] digests exactly that, from
-//! the spec table and the mapping, without building anything; two mappings
-//! with equal signatures compose graphs that differ in actor names only, so
-//! they share one analysis. This is the isomorphism a template hit already
+//! each channel crosses and the NoC's timing — not which tiles or which
+//! routers. [`signature`] digests exactly that, from the spec table and the
+//! mapping, without building anything; two mappings with equal signatures
+//! compose graphs that differ in actor names only, so they share one
+//! analysis. This is the isomorphism a template hit already
 //! trusts when it reuses a shape's buffers at another anchor.
 //!
 //! [`check_constraints_in`] is the **verdict**: the pre-checks that need no
@@ -67,27 +68,23 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// Configuration of the step-4 composition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Step4Config {
-    /// Router input-buffer capacity in words (Figure 3's `4`).
-    pub router_buffer_words: u64,
-    /// The Sink's fixed buffer `x` in words; `None` derives
-    /// `max(router_buffer_words, channel tokens/period)`.
-    pub sink_buffer_words: Option<u64>,
-    /// Warm-up and window (in source cycles) for the latency measurement.
-    pub latency_window: (u64, u64),
-}
+/// Capacity in words of every router input buffer — Figure 3's `4`. The
+/// Sink's buffer `x` and each producer-side NI buffer hold at least as much.
+const ROUTER_BUFFER_WORDS: u64 = 4;
 
-impl Default for Step4Config {
-    fn default() -> Self {
-        Step4Config {
-            router_buffer_words: 4,
-            sink_buffer_words: None,
-            latency_window: (4, 8),
-        }
-    }
-}
+/// Source cycles the latency measurement discards as its transient.
+const LATENCY_WARMUP_CYCLES: u64 = 4;
+
+/// Source cycles the latency measurement takes its maximum over.
+const LATENCY_WINDOW_CYCLES: u64 = 8;
+
+/// Step 4 has no settings: its fixed capacities are `ROUTER_BUFFER_WORDS`
+/// (4) and what the module docs derive from it, and its latency window is
+/// `LATENCY_WARMUP_CYCLES` (4) then `LATENCY_WINDOW_CYCLES` (8) source
+/// cycles. It is kept only because the `benchmark/` crate names it; it goes
+/// when `benchmark/` is next maintained.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct Step4Config;
 
 /// A computed tile-side input buffer (Figure 3's `B_i`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -180,19 +177,20 @@ impl Composition {
 ///
 /// Builds its own [`SpecTable`]; callers that run several steps on one spec
 /// build the table once, and callers that only want the decision call
-/// [`check_constraints_in`].
+/// [`check_constraints_in`]. Nothing reads `_config`; it is kept only because
+/// the `benchmark/` crate passes it (see [`Step4Config`]).
 pub fn check_constraints(
     spec: &ApplicationSpec,
     platform: &Platform,
     mapping: &Mapping,
     working: &PlatformState,
-    config: &Step4Config,
+    _config: &Step4Config,
 ) -> Step4Result {
     let table = SpecTable::for_validated(spec);
-    let verdict = check_constraints_in(&table, platform, mapping, working.clone(), config);
+    let verdict = check_constraints_in(&table, platform, mapping, working.clone());
     let Composition {
         csdf, source, sink, ..
-    } = match compose(&table, platform, mapping, config) {
+    } = match compose(&table, platform, mapping) {
         Some(mut composition) => {
             composition.size(&verdict.buffers);
             composition
@@ -217,7 +215,6 @@ pub fn check_constraints_in(
     platform: &Platform,
     mapping: &Mapping,
     mut working: PlatformState,
-    config: &Step4Config,
 ) -> Step4Verdict {
     let spec = table.spec();
     let period = spec.qos.period_ps;
@@ -229,7 +226,7 @@ pub fn check_constraints_in(
              dataflow analysis fires"
         ));
     }
-    let key = match signature(table, platform, mapping, config) {
+    let key = match signature(table, platform, mapping) {
         Ok(key) => key,
         Err(pid) => {
             return infeasible(format!(
@@ -291,9 +288,8 @@ pub fn check_constraints_in(
             hit
         }
         None => {
-            let mut composition =
-                compose(table, platform, mapping, config).expect("the pre-checks passed");
-            let (analysis, latency) = match analyse(&mut composition, spec, config) {
+            let mut composition = compose(table, platform, mapping).expect("the pre-checks passed");
+            let (analysis, latency) = match analyse(&mut composition, spec) {
                 Ok(analysed) => analysed,
                 Err(e) => return infeasible(format!("buffer sizing failed: {e}")),
             };
@@ -409,7 +405,6 @@ fn remember(signature: u128, analysis: Analysis) {
 fn analyse(
     composition: &mut Composition,
     spec: &ApplicationSpec,
-    config: &Step4Config,
 ) -> Result<(Analysis, Option<Result<u64, DataflowError>>), DataflowError> {
     let sizing = size_buffers_ref(
         &composition.csdf,
@@ -426,8 +421,8 @@ fn analyse(
             &composition.csdf,
             composition.source,
             composition.sink,
-            config.latency_window.0,
-            config.latency_window.1,
+            LATENCY_WARMUP_CYCLES,
+            LATENCY_WINDOW_CYCLES,
         )
     });
     let analysis = Analysis {
@@ -513,8 +508,8 @@ impl Lanes {
 /// digest](ApplicationSpec::structural_digest) (name, QoS, graph and
 /// library — trusted as a key the way the template library trusts it), per
 /// stream process its implementation and tile clock, per stream channel the
-/// routers it crosses (none when it stays on a tile or is unrouted), the
-/// NoC's timing and `config`. O(processes + channels), no allocation.
+/// routers it crosses (none when it stays on a tile or is unrouted) and the
+/// NoC's timing. O(processes + channels), no allocation.
 ///
 /// # Errors
 ///
@@ -523,7 +518,6 @@ pub fn signature(
     table: &SpecTable<'_>,
     platform: &Platform,
     mapping: &Mapping,
-    config: &Step4Config,
 ) -> Result<u128, ProcessId> {
     let spec = table.spec();
     let mut lanes = Lanes(0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344);
@@ -541,17 +535,6 @@ pub fn signature(
     }
     lanes.word(platform.noc().cycle_time_ps());
     lanes.word(platform.noc().hop_latency_cycles);
-    // Destructured so that a new field cannot be left out.
-    let Step4Config {
-        router_buffer_words,
-        sink_buffer_words,
-        latency_window: (warmup, window),
-    } = *config;
-    lanes.word(router_buffer_words);
-    lanes.word(u64::from(sink_buffer_words.is_some()));
-    lanes.word(sink_buffer_words.unwrap_or(0));
-    lanes.word(warmup);
-    lanes.word(window);
     Ok(lanes.finish())
 }
 
@@ -613,7 +596,6 @@ pub fn compose(
     table: &SpecTable<'_>,
     platform: &Platform,
     mapping: &Mapping,
-    config: &Step4Config,
 ) -> Option<Composition> {
     let spec = table.spec();
     let period = spec.qos.period_ps;
@@ -666,16 +648,11 @@ pub fn compose(
                     .expect("channel is an input of its consumer");
                 (actor, implementation.inputs[port].clone(), None)
             }
-            Endpoint::StreamOutput => {
-                let x = config
-                    .sink_buffer_words
-                    .unwrap_or(config.router_buffer_words.max(ch.tokens_per_period));
-                (
-                    sink,
-                    PhaseVec::single(ch.tokens_per_period),
-                    Some(x.max(ch.tokens_per_period)),
-                )
-            }
+            Endpoint::StreamOutput => (
+                sink,
+                PhaseVec::single(ch.tokens_per_period),
+                Some(ROUTER_BUFFER_WORDS.max(ch.tokens_per_period)),
+            ),
             Endpoint::StreamInput => unreachable!("validated: StreamInput never consumes"),
         };
 
@@ -700,7 +677,7 @@ pub fn compose(
                 // Producer-side NI buffer: double-buffered against the
                 // largest production burst, so a producer can fill one
                 // burst while the NoC drains the previous one.
-                let ni_capacity = config.router_buffer_words.max(2 * src_rates.max());
+                let ni_capacity = ROUTER_BUFFER_WORDS.max(2 * src_rates.max());
                 csdf.add_channel_full(
                     src_actor,
                     first,
@@ -717,7 +694,7 @@ pub fn compose(
                         one.clone(),
                         one.clone(),
                         0,
-                        Some(config.router_buffer_words),
+                        Some(ROUTER_BUFFER_WORDS),
                     )
                     .expect("router rates are single-phase");
                 }
@@ -763,7 +740,7 @@ mod tests {
     use crate::cost::CostModel;
     use crate::feedback::Constraints;
     use crate::step1::assign_implementations;
-    use crate::step2::{improve_assignment, Step2Config};
+    use crate::step2::improve_assignment;
     use crate::step3::route_channels;
     use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
     use rtsm_platform::paper::paper_platform;
@@ -785,7 +762,6 @@ mod tests {
             &mut mapping,
             &mut working,
             &CostModel::HopCount,
-            &Step2Config::default(),
         );
         route_channels(&spec, &platform, &mut mapping, &mut working).unwrap();
         (spec, platform, mapping, working)
@@ -794,13 +770,7 @@ mod tests {
     #[test]
     fn paper_mapping_is_feasible() {
         let (spec, platform, mapping, working) = full_pipeline(Hiperlan2Mode::Qpsk34);
-        let result = check_constraints(
-            &spec,
-            &platform,
-            &mapping,
-            &working,
-            &Step4Config::default(),
-        );
+        let result = check_constraints(&spec, &platform, &mapping, &working, &Step4Config);
         assert!(
             result.verdict.feasible,
             "feedback: {:?}",
@@ -817,13 +787,7 @@ mod tests {
     #[test]
     fn figure3_structure_twelve_routers_four_buffers() {
         let (spec, platform, mapping, working) = full_pipeline(Hiperlan2Mode::Qpsk34);
-        let result = check_constraints(
-            &spec,
-            &platform,
-            &mapping,
-            &working,
-            &Step4Config::default(),
-        );
+        let result = check_constraints(&spec, &platform, &mapping, &working, &Step4Config);
         let routers = result
             .csdf
             .actors()
@@ -842,13 +806,7 @@ mod tests {
     fn all_modes_feasible_on_paper_platform() {
         for mode in Hiperlan2Mode::ALL {
             let (spec, platform, mapping, working) = full_pipeline(mode);
-            let result = check_constraints(
-                &spec,
-                &platform,
-                &mapping,
-                &working,
-                &Step4Config::default(),
-            );
+            let result = check_constraints(&spec, &platform, &mapping, &working, &Step4Config);
             assert!(
                 result.verdict.feasible,
                 "mode {}: {:?}",
@@ -861,13 +819,7 @@ mod tests {
     #[test]
     fn buffers_cover_consumer_bursts() {
         let (spec, platform, mapping, working) = full_pipeline(Hiperlan2Mode::Qpsk34);
-        let result = check_constraints(
-            &spec,
-            &platform,
-            &mapping,
-            &working,
-            &Step4Config::default(),
-        );
+        let result = check_constraints(&spec, &platform, &mapping, &working, &Step4Config);
         for buffer in &result.verdict.buffers {
             let ch = spec.graph.channel(buffer.channel);
             if let Endpoint::Process(p) = ch.dst {
@@ -896,7 +848,7 @@ mod tests {
             &platform,
             &Mapping::new(),
             &platform.initial_state(),
-            &Step4Config::default(),
+            &Step4Config,
         );
         assert!(!result.verdict.feasible);
         assert!(!result.verdict.feedback.is_empty());
@@ -920,7 +872,7 @@ mod tests {
             &platform,
             &mapping,
             &platform.initial_state(),
-            &Step4Config::default(),
+            &Step4Config,
         );
         assert!(!result.verdict.feasible);
         assert!(result.verdict.feedback.iter().any(|f| matches!(
@@ -935,24 +887,12 @@ mod tests {
         let (mut spec, platform, mapping, working) = full_pipeline(Hiperlan2Mode::Qpsk34);
         // Absurdly tight bound: 1 ps.
         spec.qos.max_latency_ps = Some(1);
-        let result = check_constraints(
-            &spec,
-            &platform,
-            &mapping,
-            &working,
-            &Step4Config::default(),
-        );
+        let result = check_constraints(&spec, &platform, &mapping, &working, &Step4Config);
         assert!(!result.verdict.feasible);
         assert!(result.verdict.latency_ps.is_some());
         // Generous bound: 10 periods.
         spec.qos.max_latency_ps = Some(40_000_000);
-        let result = check_constraints(
-            &spec,
-            &platform,
-            &mapping,
-            &working,
-            &Step4Config::default(),
-        );
+        let result = check_constraints(&spec, &platform, &mapping, &working, &Step4Config);
         assert!(
             result.verdict.feasible,
             "feedback: {:?}",
@@ -1014,7 +954,7 @@ mod tests {
             &platform,
             &mapping,
             &platform.initial_state(),
-            &Step4Config::default(),
+            &Step4Config,
         )
         .verdict;
         assert!(!verdict.feasible);

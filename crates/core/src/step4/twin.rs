@@ -11,16 +11,15 @@
 //!
 //! Mutations tried by hand against this file, each caught by
 //! `warm_verdicts_equal_a_memoryless_reference`: leaving out of
-//! [`signature`] the tile clocks, the implementation indices, the router
-//! buffer or Sink buffer words, or the NoC clock fails the structure
+//! [`signature`] the tile clocks or the NoC clock fails the structure
 //! comparison; leaving out the spec digest, the NoC's hop latency, or the
 //! first channel's router count fails the verdict comparison (another
-//! analysis comes back); skipping the memory-fit loop when the analysis
-//! came from the memo fails the verdict comparison on the first overflow
-//! that is a hit. Leaving out the latency window gets past the random cases
-//! and is caught by `every_setting_moves_the_signature`. Finalising the two
-//! lanes symmetrically (PR 17's `fold(a, b | 1)`, `fold(b, a | 1)`) fails the
-//! halves assertion in the random cases and
+//! analysis comes back); skipping the memory-fit loop when the analysis came
+//! from the memo fails the verdict comparison on the first overflow that is
+//! a hit. Leaving out the implementation indices gets past the random cases
+//! and is caught by `an_implementation_choice_moves_the_signature`.
+//! Finalising the two lanes symmetrically (`fold(a, b | 1)`,
+//! `fold(b, a | 1)`) fails the halves assertion in the random cases and
 //! `the_halves_of_a_key_differ_whatever_the_parity_of_the_lanes`.
 
 use super::*;
@@ -28,13 +27,13 @@ use crate::constraints::MappingConstraints;
 use crate::cost::CostModel;
 use crate::feedback::Constraints;
 use crate::step1::Step1;
-use crate::step2::{SearchCtx, Step2Config};
-use crate::step3::route_channels_with;
+use crate::step2::SearchCtx;
+use crate::step3::route_channels;
 use proptest::prelude::*;
 use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm_dataflow::{check_source_period, size_buffers, Channel};
 use rtsm_platform::paper::paper_platform;
-use rtsm_platform::{NocParams, PlatformBuilder, RoutingPolicy, Tile, TileKind};
+use rtsm_platform::{NocParams, PlatformBuilder, Tile, TileKind};
 use rtsm_workloads::apps::{dvbt_rx, jpeg_encoder, mp3_decoder, wlan_tx};
 use rtsm_workloads::synthetic::{synthetic_app, GraphShape, SyntheticConfig};
 use rtsm_workloads::{defrag_heavy, defrag_light, defrag_platform, mesh_platform};
@@ -45,7 +44,6 @@ fn reference(
     platform: &Platform,
     mapping: &Mapping,
     working: &PlatformState,
-    config: &Step4Config,
 ) -> Step4Verdict {
     let spec = table.spec();
     let period = spec.qos.period_ps;
@@ -78,7 +76,7 @@ fn reference(
         source,
         sink,
         buffer_edges,
-    } = compose(table, platform, mapping, config).expect("assigned, and no catalog floods the A/D");
+    } = compose(table, platform, mapping).expect("assigned, and no catalog floods the A/D");
     let sizing = BufferSizingConfig {
         source,
         period,
@@ -142,8 +140,13 @@ fn reference(
     }
     let mut latency_ps = None;
     if let Some(bound) = spec.qos.max_latency_ps {
-        let (warmup, window) = config.latency_window;
-        match iteration_latency(&csdf, source, sink, warmup, window) {
+        match iteration_latency(
+            &csdf,
+            source,
+            sink,
+            LATENCY_WARMUP_CYCLES,
+            LATENCY_WINDOW_CYCLES,
+        ) {
             Ok(lat) => {
                 latency_ps = Some(lat);
                 if lat > bound {
@@ -295,14 +298,8 @@ fn warm_verdicts_equal_a_memoryless_reference() {
 
             for step in 0..*steps {
                 let spec = &specs[draw(specs.len() as u32) as usize];
-                // Mostly the catalog's NoC and the default settings, so that
-                // signatures repeat.
+                // Mostly the catalog's NoC, so that signatures repeat.
                 let platform = &platforms[draw(12).saturating_sub(9) as usize];
-                let config = Step4Config {
-                    router_buffer_words: if draw(12) == 0 { 8 } else { 4 },
-                    sink_buffer_words: (draw(12) == 0).then_some(96),
-                    latency_window: if draw(12) == 0 { (2, 4) } else { (4, 8) },
-                };
                 let table = SpecTable::for_validated(spec);
                 let n_tiles = platform.n_tiles() as u32;
 
@@ -362,33 +359,27 @@ fn warm_verdicts_equal_a_memoryless_reference() {
                 SearchCtx::new(&table, platform, &constraints, &CostModel::HopCount).improve(
                     &mut mapping,
                     &mut working,
-                    &Step2Config::default(),
                     false,
                 );
-                let policy = RoutingPolicy::Adaptive;
-                if route_channels_with(spec, platform, &mut mapping, &mut working, policy).is_err()
-                {
+                if route_channels(spec, platform, &mut mapping, &mut working).is_err() {
                     coverage.unmapped += 1;
                     continue;
                 }
 
                 let at = format!("round {round}, `{}`, step {step}", spec.name);
-                let signature = signature(&table, platform, &mapping, &config).expect("assigned");
+                let signature = signature(&table, platform, &mapping).expect("assigned");
                 assert_ne!(
                     (signature >> 64) as u64,
                     signature as u64,
                     "{at}: a 64-bit key"
                 );
                 let known = MEMO.with(|memo| memo.borrow().contains_key(&signature));
-                let verdict =
-                    check_constraints_in(&table, platform, &mapping, working.clone(), &config);
-                let expected = reference(&table, platform, &mapping, &working, &config);
+                let verdict = check_constraints_in(&table, platform, &mapping, working.clone());
+                let expected = reference(&table, platform, &mapping, &working);
                 assert_eq!(verdict, expected, "{at}");
 
                 // One signature, one graph.
-                let graph = compose(&table, platform, &mapping, &config)
-                    .expect("assigned")
-                    .csdf;
+                let graph = compose(&table, platform, &mapping).expect("assigned").csdf;
                 let (structure, names) = (structure_of(&graph), names_of(&graph));
                 let (first_structure, first_names) = seen
                     .entry(signature)
@@ -440,56 +431,40 @@ fn the_halves_of_a_key_differ_whatever_the_parity_of_the_lanes() {
     }
 }
 
+/// Every tile of the paper platform runs at one clock, so the paper case
+/// with one implementation index flipped composes another graph from the
+/// same clocks and routes: only the index tells the two signatures apart.
+/// The random cases meet such a pair too rarely to rely on.
 #[test]
-fn every_setting_moves_the_signature() {
-    // The random cases rarely pair a latency-bounded spec with another
-    // window, and a steady state's latency hardly depends on it.
-    let (mut spec, platform, mapping, working) = paper_case();
-    spec.qos.max_latency_ps = Some(40_000_000);
+fn an_implementation_choice_moves_the_signature() {
+    let (spec, platform, routed, _) = paper_case();
     let table = SpecTable::for_validated(&spec);
-    let base = Step4Config::default();
-    let settings = [
-        base,
-        Step4Config {
-            router_buffer_words: 8,
-            ..base
-        },
-        Step4Config {
-            sink_buffer_words: Some(0),
-            ..base
-        },
-        Step4Config {
-            latency_window: (0, 8),
-            ..base
-        },
-        Step4Config {
-            latency_window: (4, 1),
-            ..base
-        },
-    ];
-    let mut signatures = Vec::new();
-    for config in &settings {
-        let verdict = check_constraints_in(&table, &platform, &mapping, working.clone(), config);
-        assert_eq!(
-            verdict,
-            reference(&table, &platform, &mapping, &working, config)
+    let frq = spec.graph.process_by_name("Freq. off. correction").unwrap();
+    let (mut mapping, mut flipped) = (Mapping::new(), Mapping::new());
+    for (process, assignment) in routed.assignments() {
+        let index = assignment.impl_index;
+        mapping.assign(process, index, assignment.tile);
+        flipped.assign(
+            process,
+            if process == frq { 1 - index } else { index },
+            assignment.tile,
         );
-        assert!(verdict.latency_ps.is_some());
-        signatures.push(signature(&table, &platform, &mapping, config).unwrap());
     }
-    signatures.sort_unstable();
-    signatures.dedup();
-    assert_eq!(signatures.len(), settings.len());
+    let structure = |m: &Mapping| structure_of(&compose(&table, &platform, m).unwrap().csdf);
+    assert_ne!(structure(&mapping), structure(&flipped));
+    assert_ne!(
+        signature(&table, &platform, &mapping),
+        signature(&table, &platform, &flipped)
+    );
 }
 
 #[test]
 fn an_entry_with_another_number_of_capacities_is_a_miss_not_a_panic() {
     let (spec, platform, mapping, working) = paper_case();
     let table = SpecTable::for_validated(&spec);
-    let config = Step4Config::default();
-    let expected = reference(&table, &platform, &mapping, &working, &config);
+    let expected = reference(&table, &platform, &mapping, &working);
     assert_eq!(expected.buffers.len(), 4);
-    let signature = signature(&table, &platform, &mapping, &config).unwrap();
+    let signature = signature(&table, &platform, &mapping).unwrap();
     // What a spec with other buffer sites and the same 64-bit digest would
     // have left behind.
     for capacities in [vec![], vec![7], vec![7; 5]] {
@@ -504,7 +479,7 @@ fn an_entry_with_another_number_of_capacities_is_a_miss_not_a_panic() {
                 latency_ps: None,
             },
         );
-        let verdict = check_constraints_in(&table, &platform, &mapping, working.clone(), &config);
+        let verdict = check_constraints_in(&table, &platform, &mapping, working.clone());
         assert_eq!(verdict, expected);
         let kept = MEMO.with(|memo| memo.borrow()[&signature].capacities.len());
         assert_eq!(kept, 4, "the cold answer replaces the entry");
@@ -515,14 +490,10 @@ fn an_entry_with_another_number_of_capacities_is_a_miss_not_a_panic() {
 fn the_flush_at_the_entry_bound_changes_no_answer() {
     let (spec, platform, mapping, working) = paper_case();
     let table = SpecTable::for_validated(&spec);
-    let config = Step4Config::default();
-    let judge = || check_constraints_in(&table, &platform, &mapping, working.clone(), &config);
+    let judge = || check_constraints_in(&table, &platform, &mapping, working.clone());
     let entries = || MEMO.with(|memo| memo.borrow().len());
     let cold = judge();
-    assert_eq!(
-        cold,
-        reference(&table, &platform, &mapping, &working, &config)
-    );
+    assert_eq!(cold, reference(&table, &platform, &mapping, &working));
     // Fill the memo to its bound with other signatures: the next unseen one
     // flushes it.
     for other in 1..MEMO_CAP as u128 {
@@ -539,17 +510,11 @@ fn the_flush_at_the_entry_bound_changes_no_answer() {
     assert_eq!(entries(), MEMO_CAP);
     assert_eq!(judge(), cold, "a hit in a full memo");
     assert_eq!(entries(), MEMO_CAP);
-    let other_settings = Step4Config {
-        router_buffer_words: 8,
-        ..config
-    };
-    check_constraints_in(
-        &table,
-        &platform,
-        &mapping,
-        working.clone(),
-        &other_settings,
-    );
+    // Another mode of the receiver: another spec, so an unseen signature.
+    let (other, _, other_mapping, other_working) =
+        super::tests::full_pipeline(Hiperlan2Mode::Qpsk12);
+    let other_table = SpecTable::for_validated(&other);
+    check_constraints_in(&other_table, &platform, &other_mapping, other_working);
     assert_eq!(entries(), 1, "flushed whole");
     assert_eq!(judge(), cold, "cold again after the flush");
     assert_eq!(judge(), cold, "and warm again");

@@ -716,11 +716,6 @@ impl TemplateLibrary {
         }
     }
 
-    /// Number of shapes cached for `key`.
-    pub fn shapes_for(&self, key: u64) -> usize {
-        self.specs.get(&key).map_or(0, Vec::len)
-    }
-
     fn note_hit(&mut self) {
         self.hits += 1;
     }
@@ -1000,6 +995,6 @@ mod tests {
         assert!(library.learn(key, other));
         let stats = library.stats();
         assert_eq!(stats.evictions, 1);
-        assert_eq!(library.shapes_for(key), 1);
+        assert_eq!(stats.shapes_cached, 1);
     }
 }

@@ -15,7 +15,7 @@ use rtsm_core::cost::CostModel;
 use rtsm_core::feedback::{Constraints, Feedback};
 use rtsm_core::mapper::MAX_REFINEMENTS;
 use rtsm_core::step1::{assign_implementations, assign_implementations_in};
-use rtsm_core::step2::{improve_assignment, SearchCtx, Step2Config, Step2Strategy};
+use rtsm_core::step2::{improve_assignment, SearchCtx};
 use rtsm_core::step3::route_channels;
 use rtsm_core::step4::{check_constraints, check_constraints_in, Step4Config};
 use rtsm_core::trace::Step1Event;
@@ -251,7 +251,6 @@ fn check_equivalence(
     platform: &Platform,
     base: &PlatformState,
     external: &MappingConstraints,
-    strategy: Step2Strategy,
 ) -> bool {
     let constraints = Constraints::with_external(external.clone());
     let table = SpecTable::for_validated(spec);
@@ -270,10 +269,6 @@ fn check_equivalence(
         return false;
     };
 
-    let config = Step2Config {
-        strategy,
-        ..Step2Config::default()
-    };
     let (mut mapping, mut working) = (step1.mapping.clone(), step1.working.clone());
     let wrapped = improve_assignment(
         spec,
@@ -282,13 +277,11 @@ fn check_equivalence(
         &mut mapping,
         &mut working,
         &CostModel::HopCount,
-        &config,
     );
     let (mut mapping_in, mut working_in) = (step1.mapping, step1.working);
     let tabled = SearchCtx::new(&table, platform, &constraints, &CostModel::HopCount).improve(
         &mut mapping_in,
         &mut working_in,
-        &config,
         true,
     );
     assert_eq!(
@@ -303,10 +296,9 @@ fn check_equivalence(
     if route_channels(spec, platform, &mut mapping, &mut working).is_err() {
         return false;
     }
-    let step4 = Step4Config::default();
     assert_eq!(
-        check_constraints(spec, platform, &mapping, &working, &step4).verdict,
-        check_constraints_in(&table, platform, &mapping, working.clone(), &step4),
+        check_constraints(spec, platform, &mapping, &working, &Step4Config).verdict,
+        check_constraints_in(&table, platform, &mapping, working.clone()),
         "{}: step 4",
         spec.name
     );
@@ -339,12 +331,10 @@ fn wrapper_and_table_paths_decide_identically() {
                 pinned.clone(),
                 pinned_and_excluded.clone(),
             ] {
-                for strategy in [Step2Strategy::PaperScan, Step2Strategy::BestImprovement] {
-                    if check_equivalence(spec, platform, &base, &external, strategy) {
-                        reached_step4 += 1;
-                    } else {
-                        stopped_early += 1;
-                    }
+                if check_equivalence(spec, platform, &base, &external) {
+                    reached_step4 += 1;
+                } else {
+                    stopped_early += 1;
                 }
             }
         }

@@ -8,7 +8,7 @@ use rtsm_app::ApplicationSpec;
 use rtsm_core::cost::CostModel;
 use rtsm_core::feedback::Constraints;
 use rtsm_core::step1::assign_implementations;
-use rtsm_core::step2::{improve_assignment, Step2Config};
+use rtsm_core::step2::improve_assignment;
 use rtsm_core::step3::route_channels;
 use rtsm_core::step4::{check_constraints, Step4Config, Step4Verdict};
 use rtsm_obs::{Counter, SpanLatencyProbe};
@@ -63,11 +63,9 @@ fn step4_twice(
         &mut mapping,
         &mut working,
         &CostModel::HopCount,
-        &Step2Config::default(),
     );
     route_channels(spec, platform, &mut mapping, &mut working).expect("routable when empty");
-    let check =
-        || check_constraints(spec, platform, &mapping, &working, &Step4Config::default()).verdict;
+    let check = || check_constraints(spec, platform, &mapping, &working, &Step4Config).verdict;
     let first = check();
     let probe = Rc::new(SpanLatencyProbe::new());
     let second = {

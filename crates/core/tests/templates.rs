@@ -79,14 +79,9 @@ proptest! {
                 // The heuristic twin's QoS machinery, re-run from scratch
                 // on the instantiated mapping: same feasibility, same
                 // achieved period, same buffer sizing.
-                let twin = check_constraints(
-                    &spec,
-                    &platform,
-                    &outcome.mapping,
-                    &state,
-                    &Step4Config::default(),
-                )
-                .verdict;
+                let twin =
+                    check_constraints(&spec, &platform, &outcome.mapping, &state, &Step4Config)
+                        .verdict;
                 prop_assert!(twin.feasible, "a template hit must satisfy step 4 exactly");
                 prop_assert_eq!(twin.achieved_period, outcome.achieved_period);
                 let key = |b: &rtsm_core::step4::ChannelBuffer| (b.channel.index(), b.capacity_words);

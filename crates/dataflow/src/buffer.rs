@@ -218,7 +218,7 @@ pub fn size_buffers_ref(
             ..SimConfig::default()
         },
     );
-    let pilot = sim.run()?;
+    let pilot = sim.run();
     if pilot.deadlocked {
         return Err(DataflowError::Deadlock {
             at_time: pilot.end_time,

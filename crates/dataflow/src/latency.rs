@@ -49,9 +49,8 @@ pub fn iteration_latency(
             .saturating_mul(graph_iterations)
             .saturating_mul(2),
         record: vec![source, sink],
-        ..SimConfig::default()
     };
-    let out = Simulation::new(graph, config).run()?;
+    let out = Simulation::new(graph, config).run();
     if out.deadlocked {
         return Err(DataflowError::Deadlock {
             at_time: out.end_time,

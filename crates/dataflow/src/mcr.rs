@@ -253,7 +253,7 @@ mod tests {
     /// Steady-state time per *graph iteration* measured by simulation.
     fn simulated_iteration_period(g: &CsdfGraph) -> Ratio {
         let reps = g.repetition_vector().unwrap();
-        let out = Simulation::new(g, SimConfig::default()).run().unwrap();
+        let out = Simulation::new(g, SimConfig::default()).run();
         let s = out.steady.expect("steady state");
         // reference actor = 0; r_ref cycles per iteration.
         Ratio::new(s.period as i128 * reps[0] as i128, s.iterations as i128)
@@ -375,7 +375,7 @@ mod tests {
     #[test]
     fn a_zero_time_cycle_without_tokens_is_a_deadlock() {
         let (g, c) = zero_time_deadlock();
-        let out = Simulation::new(&g, SimConfig::default()).run().unwrap();
+        let out = Simulation::new(&g, SimConfig::default()).run();
         assert!(out.deadlocked);
         assert!(matches!(
             maximum_cycle_ratio(&expand(&g).unwrap()),

@@ -191,11 +191,6 @@ impl PhaseVec {
             len: self.len,
         }
     }
-
-    /// True if every phase has the same value.
-    pub fn is_uniform(&self) -> bool {
-        self.runs.len() == 1
-    }
 }
 
 impl fmt::Display for PhaseVec {
@@ -238,7 +233,7 @@ mod tests {
         let v = PhaseVec::uniform(18, 18);
         assert_eq!(v.len(), 18);
         assert_eq!(v.total(), 324);
-        assert!(v.is_uniform());
+        assert_eq!(v.runs().len(), 1);
         assert_eq!(v.to_string(), "⟨18^18⟩");
     }
 

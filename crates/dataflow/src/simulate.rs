@@ -19,7 +19,6 @@
 //! simulator states at reference-actor iteration boundaries; the detected
 //! `(iterations, period)` pair gives the graph's self-timed throughput.
 
-use crate::error::DataflowError;
 use crate::fnv::Fnv64;
 use crate::graph::{ActorId, CsdfGraph};
 use rtsm_obs as obs;
@@ -28,13 +27,15 @@ use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::BuildHasherDefault;
 
+/// Simulated time past which a run stops (guards the clock against
+/// overflow).
+const TIME_LIMIT: u64 = u64::MAX / 4;
+
 /// Configuration knobs for a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Stop after this many completed firings (guards against divergence).
     pub max_firings: u64,
-    /// Stop when simulated time exceeds this bound.
-    pub max_time: u64,
     /// Actor whose full phase-cycle completions delimit steady-state
     /// snapshots. Defaults to actor 0 when `None`.
     pub reference: Option<ActorId>,
@@ -49,7 +50,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             max_firings: 2_000_000,
-            max_time: u64::MAX / 4,
             reference: None,
             stop_at_steady_state: true,
             record: Vec::new(),
@@ -416,18 +416,12 @@ impl<'g> Simulation<'g> {
     }
 
     /// Runs the simulation to a guard, deadlock, or (if enabled) steady
-    /// state.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible in the error-return sense — deadlock and guard
-    /// exhaustion are reported in the [`SimOutcome`] rather than as errors so
-    /// that callers can still inspect partial results. The `Result` is kept
-    /// for forward compatibility.
-    pub fn run(mut self) -> Result<SimOutcome, DataflowError> {
+    /// state. Deadlock and guard exhaustion are reported in the
+    /// [`SimOutcome`], so that callers can still inspect partial results.
+    pub fn run(mut self) -> SimOutcome {
         obs::count(obs::Counter::CsdfRun, 1);
         self.advance(u64::MAX);
-        Ok(self.into_outcome())
+        self.into_outcome()
     }
 
     /// [`Simulation::run`], paused instead once `budget` firings have
@@ -504,7 +498,7 @@ impl<'g> Simulation<'g> {
                 self.deadlocked = true;
                 return true;
             };
-            if t > self.config.max_time {
+            if t > TIME_LIMIT {
                 return true;
             }
             self.now = t;
@@ -569,7 +563,7 @@ mod tests {
     #[test]
     fn steady_state_of_simple_chain_is_producer_limited() {
         let g = chain();
-        let out = Simulation::new(&g, SimConfig::default()).run().unwrap();
+        let out = Simulation::new(&g, SimConfig::default()).run();
         let steady = out.steady.expect("steady state");
         assert_eq!(steady.period / steady.iterations, 10);
         assert!(!out.deadlocked);
@@ -582,7 +576,7 @@ mod tests {
         let c = g.add_actor("c", PhaseVec::single(9), 1);
         g.add_channel_full(p, c, PhaseVec::single(1), PhaseVec::single(1), 0, Some(2))
             .unwrap();
-        let out = Simulation::new(&g, SimConfig::default()).run().unwrap();
+        let out = Simulation::new(&g, SimConfig::default()).run();
         let steady = out.steady.expect("steady state");
         assert_eq!(steady.period / steady.iterations, 9);
     }
@@ -597,7 +591,7 @@ mod tests {
         // Back edge with no initial tokens: nobody can ever fire.
         g.add_channel(b, a, PhaseVec::single(1), PhaseVec::single(1))
             .unwrap();
-        let out = Simulation::new(&g, SimConfig::default()).run().unwrap();
+        let out = Simulation::new(&g, SimConfig::default()).run();
         assert!(out.deadlocked);
         assert_eq!(out.total_firings, 0);
     }
@@ -611,7 +605,7 @@ mod tests {
             .unwrap();
         g.add_channel_full(b, a, PhaseVec::single(1), PhaseVec::single(1), 1, None)
             .unwrap();
-        let out = Simulation::new(&g, SimConfig::default()).run().unwrap();
+        let out = Simulation::new(&g, SimConfig::default()).run();
         let steady = out.steady.expect("steady state");
         // One token in the cycle: period = 3 + 5.
         assert_eq!(steady.period / steady.iterations, 8);
@@ -626,7 +620,7 @@ mod tests {
             .unwrap();
         g.add_channel_full(b, a, PhaseVec::single(1), PhaseVec::single(1), 2, None)
             .unwrap();
-        let out = Simulation::new(&g, SimConfig::default()).run().unwrap();
+        let out = Simulation::new(&g, SimConfig::default()).run();
         let steady = out.steady.expect("steady state");
         // Bottleneck actor dominates: period 5.
         assert_eq!(steady.period / steady.iterations, 5);
@@ -645,7 +639,7 @@ mod tests {
             stop_at_steady_state: false,
             ..SimConfig::default()
         };
-        let out = Simulation::new(&g, cfg).run().unwrap();
+        let out = Simulation::new(&g, cfg).run();
         // Producer runs ~10x faster: pressure builds up well beyond 2.
         assert!(out.max_pressure[0] > 5, "pressure {}", out.max_pressure[0]);
     }
@@ -658,7 +652,7 @@ mod tests {
         let c = g.add_actor("c", PhaseVec::single(3), 1);
         g.add_channel(p, c, PhaseVec::from_slice(&[2, 0]), PhaseVec::single(1))
             .unwrap();
-        let out = Simulation::new(&g, SimConfig::default()).run().unwrap();
+        let out = Simulation::new(&g, SimConfig::default()).run();
         let steady = out.steady.expect("steady state");
         // Producer cycle = 10 time units producing 2 tokens; consumer needs
         // 2 firings (6 time units) per producer cycle: producer-limited.
@@ -672,7 +666,7 @@ mod tests {
         let c = g.add_actor("c", PhaseVec::single(4), 1);
         g.add_channel_full(p, c, PhaseVec::single(1), PhaseVec::single(1), 0, Some(1))
             .unwrap();
-        let out = Simulation::new(&g, SimConfig::default()).run().unwrap();
+        let out = Simulation::new(&g, SimConfig::default()).run();
         let steady = out.steady.expect("steady state");
         // Capacity 1 with space released only at consumer completion fully
         // serialises the two actors: period = 4 + 4.
@@ -687,7 +681,7 @@ mod tests {
             stop_at_steady_state: false,
             ..SimConfig::default()
         };
-        let out = Simulation::new(&g, cfg).run().unwrap();
+        let out = Simulation::new(&g, cfg).run();
         assert!(out.total_firings >= 5);
         assert!(out.steady.is_none());
     }

@@ -113,9 +113,9 @@ proptest! {
         let b = g.add_actor("b", PhaseVec::single(wcet_b), 1);
         g.add_channel_full(a, b, PhaseVec::single(1), PhaseVec::single(1), 0, Some(cap))
             .unwrap();
-        let bounded = Simulation::new(&g, SimConfig::default()).run().unwrap();
+        let bounded = Simulation::new(&g, SimConfig::default()).run();
         let expanded_graph = g.expand_capacities();
-        let expanded = Simulation::new(&expanded_graph, SimConfig::default()).run().unwrap();
+        let expanded = Simulation::new(&expanded_graph, SimConfig::default()).run();
         let sb = bounded.steady.expect("bounded steady");
         let se = expanded.steady.expect("expanded steady");
         prop_assert_eq!(
@@ -139,8 +139,8 @@ proptest! {
                 .unwrap();
             g
         };
-        let small = Simulation::new(&build(cap), SimConfig::default()).run().unwrap();
-        let large = Simulation::new(&build(cap + 1), SimConfig::default()).run().unwrap();
+        let small = Simulation::new(&build(cap), SimConfig::default()).run();
+        let large = Simulation::new(&build(cap + 1), SimConfig::default()).run();
         let ss = small.steady.expect("steady");
         let sl = large.steady.expect("steady");
         // period-per-iteration of larger capacity <= smaller capacity.
@@ -171,7 +171,7 @@ proptest! {
         g.add_channel_full(b, a, PhaseVec::uniform(1, phases_b as u32), PhaseVec::uniform(1, phases_a as u32), tokens, None).unwrap();
 
         let reps = g.repetition_vector().unwrap();
-        let sim = Simulation::new(&g, SimConfig::default()).run().unwrap();
+        let sim = Simulation::new(&g, SimConfig::default()).run();
         let steady = sim.steady.expect("steady");
         let sim_period = Ratio::new(
             steady.period as i128 * reps[0] as i128,
@@ -197,8 +197,8 @@ proptest! {
             g.add_channel_full(w[0], w[1], PhaseVec::single(1), PhaseVec::single(1), 0, Some(3))
                 .unwrap();
         }
-        let r1 = Simulation::new(&g, SimConfig::default()).run().unwrap();
-        let r2 = Simulation::new(&g, SimConfig::default()).run().unwrap();
+        let r1 = Simulation::new(&g, SimConfig::default()).run();
+        let r2 = Simulation::new(&g, SimConfig::default()).run();
         prop_assert_eq!(r1.end_time, r2.end_time);
         prop_assert_eq!(r1.total_firings, r2.total_firings);
         prop_assert_eq!(r1.max_pressure, r2.max_pressure);
@@ -329,10 +329,7 @@ fn mcr_matches_simulation_on_bounded_multirate_chains() {
     for _ in 0..runner.cases() {
         let g = bounded_multirate_chain(runner.rng());
         let mcr = hsdf::expand(&g.expand_capacities()).and_then(|h| maximum_cycle_ratio(&h));
-        let steady = Simulation::new(&g, SimConfig::default())
-            .run()
-            .unwrap()
-            .steady;
+        let steady = Simulation::new(&g, SimConfig::default()).run().steady;
         match (mcr, steady) {
             (Ok(mcr), Some(s)) => {
                 let reps = g.repetition_vector().unwrap();
@@ -418,7 +415,7 @@ fn a_slow_cycle_the_source_does_not_wait_for_is_no_refutation() {
         reference: Some(src),
         ..SimConfig::default()
     };
-    let run = Simulation::new(&g, config.clone()).run().unwrap();
+    let run = Simulation::new(&g, config.clone()).run();
     assert!(!run.deadlocked && run.steady.is_none());
     assert!(run.completions[src.index()] * 15 + 15 >= run.end_time);
 

@@ -14,6 +14,7 @@
 
 use crate::trial::{Trial, VALID_ALGORITHMS, VALID_CATALOGS};
 use rtsm_core::{AdmissionPolicy, ReconfigurationObjective, ReconfigurationPolicy};
+use serde::de::excerpt;
 use serde::{Deserialize, Serialize};
 
 /// Simulation parameters shared by every trial of a spec. Only
@@ -172,7 +173,8 @@ impl PolicySpec {
         let kind = self.kind.as_str();
         if !VALID_POLICY_KINDS.contains(&kind) {
             return Err(format!(
-                "unknown policy kind `{kind}` (valid: {})",
+                "unknown policy kind `{}` (valid: {})",
+                excerpt(kind),
                 VALID_POLICY_KINDS.join(", ")
             ));
         }
@@ -239,7 +241,7 @@ impl PolicySpec {
         let base = match self.admission() {
             Some(admission) => format!("{}/l{}", admission.label(), self.lambda()),
             None if self.kind == "none" => "none".to_string(),
-            None => format!("invalid({})", self.kind),
+            None => format!("invalid({})", excerpt(&self.kind)),
         };
         match self.shape_cap() {
             // Templated and untemplated variants of the same point are
@@ -314,7 +316,10 @@ fn check_axis<T: Ord + std::fmt::Display>(axis: &str, given: &[T]) -> Result<(),
     let mut sorted: Vec<&T> = given.iter().collect();
     sorted.sort_unstable();
     match sorted.windows(2).find(|w| w[0] == w[1]) {
-        Some(dup) => Err(format!("duplicate entry `{}` in {axis}", dup[0])),
+        Some(dup) => Err(format!(
+            "duplicate entry `{}` in {axis}",
+            excerpt(&dup[0].to_string())
+        )),
         None => Ok(()),
     }
 }
@@ -324,7 +329,8 @@ fn check_names(kind: &str, given: &[String], valid: &[&str]) -> Result<(), Strin
     check_axis(&format!("{kind}s"), given)?;
     match given.iter().find(|name| !valid.contains(&name.as_str())) {
         Some(name) => Err(format!(
-            "unknown {kind} `{name}` (valid: {})",
+            "unknown {kind} `{}` (valid: {})",
+            excerpt(name),
             valid.join(", ")
         )),
         None => Ok(()),

@@ -56,7 +56,7 @@ pub mod recorder;
 
 pub use hist::{LatencyHistogram, N_BUCKETS};
 pub use probe::{
-    count, enabled, install, span, span_begin, span_end, Counter, NoopProbe, Probe, ProbeGuard,
-    Span, SpanGuard, N_COUNTERS, N_SPANS,
+    count, install, span, span_begin, span_end, Counter, NoopProbe, Probe, ProbeGuard, Span,
+    SpanGuard, N_COUNTERS, N_SPANS,
 };
 pub use recorder::{FlightRecorder, SpanLatencyProbe, TraceEvent, TraceEventKind};

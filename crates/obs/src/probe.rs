@@ -265,11 +265,6 @@ impl Drop for ProbeGuard {
     }
 }
 
-/// True when this thread currently has a probe installed.
-pub fn enabled() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
-}
-
 #[inline]
 fn with_probe(f: impl FnOnce(&dyn Probe)) {
     CURRENT.with(|c| {
@@ -347,11 +342,9 @@ mod tests {
         span_begin(Span::Map); // no probe: dropped
         {
             let _guard = install(tally.clone());
-            assert!(enabled());
             let _span = span(Span::Map);
             count(Counter::TxCommit, 3);
         }
-        assert!(!enabled());
         span_end(Span::Map); // no probe again
         assert_eq!(tally.begins.get(), 1);
         assert_eq!(tally.ends.get(), 1);

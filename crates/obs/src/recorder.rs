@@ -138,15 +138,10 @@ impl FlightRecorder {
     }
 
     /// Snapshot of the most recent `n` events, oldest first.
-    pub fn last_events(&self, n: usize) -> Vec<TraceEvent> {
+    fn last_events(&self, n: usize) -> Vec<TraceEvent> {
         let inner = self.inner.borrow();
         let skip = inner.events.len().saturating_sub(n);
         inner.events.iter().skip(skip).copied().collect()
-    }
-
-    /// Discards every buffered event (sequence numbers keep counting).
-    pub fn clear(&self) {
-        self.inner.borrow_mut().events.clear();
     }
 
     /// Number of unpaired span events in the buffer: `End`s whose `Begin`

@@ -48,7 +48,7 @@ pub mod topology;
 pub mod transaction;
 
 pub use error::PlatformError;
-pub use routing::{route, route_xy, Path, RouteScratch, RoutingPolicy};
+pub use routing::{route, Path, RouteScratch, RoutingPolicy};
 pub use state::{Fragmentation, PlatformState, TileClaim};
 pub use tile::{Tile, TileId, TileKind};
 pub use topology::{AdjEntry, Coord, Link, LinkId, NocParams, Platform, PlatformBuilder};

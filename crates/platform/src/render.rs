@@ -1,6 +1,5 @@
-//! ASCII rendering of the platform layout (Figure 2) and link loads.
+//! ASCII rendering of the platform layout (Figure 2).
 
-use crate::state::PlatformState;
 use crate::topology::{Coord, Platform};
 use std::fmt::Write as _;
 
@@ -47,27 +46,6 @@ pub fn render_layout(platform: &Platform) -> String {
     out
 }
 
-/// Renders per-link utilisation as `from -> to: used/capacity` lines,
-/// skipping idle links.
-pub fn render_link_loads(platform: &Platform, state: &PlatformState) -> String {
-    let mut out = String::new();
-    for (id, link) in platform.links() {
-        let residual = state.residual_link(platform, id);
-        let used = link.capacity - residual;
-        if used > 0 {
-            let _ = writeln!(
-                out,
-                "{} -> {}: {}/{} words/s",
-                link.from, link.to, used, link.capacity
-            );
-        }
-    }
-    if out.is_empty() {
-        out.push_str("(no link load)\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,16 +60,5 @@ mod tests {
         }
         // 3 rows of cells + 4 horizontal rules.
         assert_eq!(art.lines().count(), 7);
-    }
-
-    #[test]
-    fn link_loads_reports_allocations() {
-        let p = paper_platform();
-        let mut s = p.initial_state();
-        assert!(render_link_loads(&p, &s).contains("no link load"));
-        let (lid, _) = p.links().next().unwrap();
-        s.allocate_link(&p, lid, 42).unwrap();
-        let report = render_link_loads(&p, &s);
-        assert!(report.contains("42/"), "{report}");
     }
 }

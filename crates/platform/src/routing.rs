@@ -13,11 +13,10 @@
 //! CSR adjacency table ([`Platform::adjacency`]) instead of hashing
 //! coordinate pairs, and all Dijkstra working memory lives in a reusable,
 //! generation-stamped [`RouteScratch`]. Pass one scratch to repeated
-//! [`route_with`] / [`route_xy_with`] / [`RoutingPolicy::route_with`] calls
-//! and the search performs zero heap allocation in steady state (the
-//! returned [`Path`] is borrowed from the scratch; clone it only when a
-//! route is actually kept). The plain [`route`] / [`route_xy`] wrappers
-//! allocate a fresh scratch per call for convenience.
+//! [`route_with`] calls and the search performs zero heap allocation in
+//! steady state (the returned [`Path`] is borrowed from the scratch; clone it
+//! only when a route is actually kept). The plain [`route`] wrapper allocates
+//! a fresh scratch per call for convenience.
 
 use crate::error::PlatformError;
 use crate::state::PlatformState;
@@ -266,150 +265,12 @@ pub fn route_with<'s>(
     Ok(&scratch.path)
 }
 
-/// The path-search policy used when realising a channel.
+/// Step 3 has one path search, [`route`] — the paper's capacity-aware
+/// shortest path that may detour around congestion — so this has no
+/// variants. It is kept only because the `benchmark/` crate names it; it goes
+/// when `benchmark/` is next maintained.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RoutingPolicy {
-    /// Capacity-aware shortest path that may detour around congestion
-    /// ([`route`]) — the paper's step-3 behaviour.
-    #[default]
-    Adaptive,
-    /// Deterministic dimension-ordered XY routing ([`route_xy`]).
-    DimensionOrdered,
-}
-
-impl RoutingPolicy {
-    /// Routes with this policy.
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::NoRoute`] as the underlying router reports.
-    pub fn route(
-        &self,
-        platform: &Platform,
-        state: &PlatformState,
-        from: TileId,
-        to: TileId,
-        demand: u64,
-    ) -> Result<Path, PlatformError> {
-        let mut scratch = RouteScratch::new();
-        self.route_with(platform, state, from, to, demand, &mut scratch)
-            .cloned()
-    }
-
-    /// Routes with this policy against caller-owned working memory
-    /// (allocation-free once `scratch` is warm; the returned path borrows
-    /// from it).
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::NoRoute`] as the underlying router reports.
-    pub fn route_with<'s>(
-        &self,
-        platform: &Platform,
-        state: &PlatformState,
-        from: TileId,
-        to: TileId,
-        demand: u64,
-        scratch: &'s mut RouteScratch,
-    ) -> Result<&'s Path, PlatformError> {
-        match self {
-            RoutingPolicy::Adaptive => route_with(platform, state, from, to, demand, scratch),
-            RoutingPolicy::DimensionOrdered => {
-                route_xy_with(platform, state, from, to, demand, scratch)
-            }
-        }
-    }
-}
-
-/// Dimension-ordered (XY) routing: first along X, then along Y — the
-/// classic deterministic policy of guaranteed-throughput mesh NoCs.
-///
-/// Unlike [`route`], XY cannot detour: if any link on *the* XY path lacks
-/// residual capacity, routing fails. The benches compare both policies
-/// under congestion.
-///
-/// # Errors
-///
-/// [`PlatformError::NoRoute`] if an XY-path link or an endpoint NI lacks
-/// capacity.
-pub fn route_xy(
-    platform: &Platform,
-    state: &PlatformState,
-    from: TileId,
-    to: TileId,
-    demand: u64,
-) -> Result<Path, PlatformError> {
-    let mut scratch = RouteScratch::new();
-    route_xy_with(platform, state, from, to, demand, &mut scratch).cloned()
-}
-
-/// [`route_xy`] against caller-owned working memory (allocation-free once
-/// `scratch` is warm; the returned path borrows from it).
-///
-/// # Errors
-///
-/// [`PlatformError::NoRoute`] as for [`route_xy`].
-pub fn route_xy_with<'s>(
-    platform: &Platform,
-    state: &PlatformState,
-    from: TileId,
-    to: TileId,
-    demand: u64,
-    scratch: &'s mut RouteScratch,
-) -> Result<&'s Path, PlatformError> {
-    let no_route = || PlatformError::NoRoute { from, to, demand };
-    // As in [`route_with`]: quarantined endpoints are unroutable.
-    if state.is_tile_failed(from) || state.is_tile_failed(to) {
-        return Err(no_route());
-    }
-    if state.residual_injection(platform, from) < demand
-        || state.residual_ejection(platform, to) < demand
-    {
-        return Err(no_route());
-    }
-    let start = platform.tile(from).position;
-    let goal = platform.tile(to).position;
-    scratch.reset_path(from, to, demand);
-    scratch.path.routers.push(start);
-    let mut cursor = start;
-    while cursor.x != goal.x {
-        let next = Coord {
-            x: if goal.x > cursor.x {
-                cursor.x + 1
-            } else {
-                cursor.x - 1
-            },
-            y: cursor.y,
-        };
-        scratch.path.routers.push(next);
-        cursor = next;
-    }
-    while cursor.y != goal.y {
-        let next = Coord {
-            x: cursor.x,
-            y: if goal.y > cursor.y {
-                cursor.y + 1
-            } else {
-                cursor.y - 1
-            },
-        };
-        scratch.path.routers.push(next);
-        cursor = next;
-    }
-    for w in scratch.path.routers.windows(2) {
-        let link = platform
-            .adjacency(w[0])
-            .iter()
-            .find(|e| e.to == w[1])
-            .map(|e| e.link)
-            .ok_or_else(no_route)?;
-        if state.is_link_failed(link) || state.residual_link(platform, link) < demand {
-            return Err(no_route());
-        }
-        scratch.path.links.push(link);
-    }
-    Ok(&scratch.path)
-}
+pub struct RoutingPolicy;
 
 pub(crate) fn ni_claims(path: &Path) -> [(TileId, crate::state::TileClaim); 2] {
     let inject = crate::state::TileClaim {
@@ -601,66 +462,6 @@ mod tests {
         let p1 = route(&p, &s, a, b, 10).unwrap();
         let p2 = route(&p, &s, a, b, 10).unwrap();
         assert_eq!(p1, p2);
-    }
-
-    #[test]
-    fn xy_route_is_minimal_and_dimension_ordered() {
-        let p = platform_3x3();
-        let s = p.initial_state();
-        let a = p.tile_by_name("a").unwrap(); // (0,0)
-        let b = p.tile_by_name("b").unwrap(); // (2,2)
-        let path = route_xy(&p, &s, a, b, 10).unwrap();
-        assert_eq!(path.hops(), 4);
-        // X first: the second router must be (1,0), not (0,1).
-        assert_eq!(path.routers[1], Coord { x: 1, y: 0 });
-        assert_eq!(path.routers[2], Coord { x: 2, y: 0 });
-    }
-
-    #[test]
-    fn xy_cannot_detour_but_adaptive_can() {
-        let p = platform_3x3();
-        let mut s = p.initial_state();
-        let a = p.tile_by_name("a").unwrap(); // (0,0)
-        let c = p.tile_by_name("c").unwrap(); // (2,0)
-                                              // Saturate the direct X corridor.
-        for (from, to) in [((0, 0), (1, 0)), ((1, 0), (2, 0))] {
-            let l = p
-                .link_between(
-                    Coord {
-                        x: from.0,
-                        y: from.1,
-                    },
-                    Coord { x: to.0, y: to.1 },
-                )
-                .unwrap();
-            s.allocate_link(&p, l, 100).unwrap();
-        }
-        assert!(matches!(
-            route_xy(&p, &s, a, c, 10),
-            Err(PlatformError::NoRoute { .. })
-        ));
-        // The adaptive router detours around it.
-        assert!(route(&p, &s, a, c, 10).is_ok());
-    }
-
-    #[test]
-    fn xy_self_route_is_empty() {
-        let p = platform_3x3();
-        let s = p.initial_state();
-        let a = p.tile_by_name("a").unwrap();
-        let path = route_xy(&p, &s, a, a, 10).unwrap();
-        assert_eq!(path.hops(), 0);
-    }
-
-    #[test]
-    fn xy_and_adaptive_agree_on_empty_noc_hop_count() {
-        let p = platform_3x3();
-        let s = p.initial_state();
-        let a = p.tile_by_name("a").unwrap();
-        let b = p.tile_by_name("b").unwrap();
-        let adaptive = route(&p, &s, a, b, 10).unwrap();
-        let xy = route_xy(&p, &s, a, b, 10).unwrap();
-        assert_eq!(adaptive.hops(), xy.hops());
     }
 
     #[test]

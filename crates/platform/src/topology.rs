@@ -352,7 +352,7 @@ impl Platform {
     /// Dense row-major index of the router at `c` — the key into the
     /// adjacency table and the router-indexed scratch buffers of
     /// [`crate::routing::RouteScratch`].
-    pub fn router_index(&self, c: Coord) -> usize {
+    fn router_index(&self, c: Coord) -> usize {
         c.y as usize * self.width as usize + c.x as usize
     }
 

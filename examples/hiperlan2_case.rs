@@ -11,7 +11,7 @@ use rtsm::core::cost::CostModel;
 use rtsm::core::feedback::Constraints;
 use rtsm::core::report::{render_table1, render_table2};
 use rtsm::core::step1::assign_implementations;
-use rtsm::core::step2::{improve_assignment, Step2Config};
+use rtsm::core::step2::improve_assignment;
 use rtsm::core::step3::route_channels;
 use rtsm::core::step4::{check_constraints, Step4Config};
 use rtsm::platform::paper::paper_platform;
@@ -69,7 +69,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &mut mapping,
         &mut working,
         &CostModel::HopCount,
-        &Step2Config::default(),
     );
     println!("\nstep 2 iterations (Table 2):");
     print!("{}", render_table2(&spec, &platform, &trace));
@@ -82,13 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Step 4: compose the CSDF graph (Figure 3) and check the constraints.
-    let step4 = check_constraints(
-        &spec,
-        &platform,
-        &mapping,
-        &working,
-        &Step4Config::default(),
-    );
+    let step4 = check_constraints(&spec, &platform, &mapping, &working, &Step4Config);
     println!("\nstep 4 (Figure 3):");
     println!(
         "  actors: {} (A/D + Sink + 4 implementations + {} routers)",

@@ -60,9 +60,9 @@ use proptest::prelude::*;
 use rtsm::app::ApplicationSpec;
 use rtsm::core::feedback::Constraints;
 use rtsm::core::step1::assign_implementations;
-use rtsm::core::step2::{improve_assignment, Step2Config};
+use rtsm::core::step2::improve_assignment;
 use rtsm::core::step3::route_channels;
-use rtsm::core::step4::{compose, Step4Config};
+use rtsm::core::step4::compose;
 use rtsm::core::{CostModel, SpecTable};
 use rtsm::dataflow::{
     check_source_period, size_buffers_ref, ActorId, BufferSizing, BufferSizingConfig, ChannelId,
@@ -152,7 +152,7 @@ fn reference_descent(
         },
     );
     met.runs += 1;
-    let pilot = sim.run()?;
+    let pilot = sim.run();
     if pilot.deadlocked {
         return Err(DataflowError::Deadlock {
             at_time: pilot.end_time,
@@ -668,11 +668,10 @@ fn composed_on(spec: &ApplicationSpec, platform: &Platform, base: &PlatformState
         &mut mapping,
         &mut working,
         &CostModel::HopCount,
-        &Step2Config::default(),
     );
     route_channels(spec, platform, &mut mapping, &mut working).ok()?;
     let table = SpecTable::for_validated(spec);
-    let composition = compose(&table, platform, &mapping, &Step4Config::default())?;
+    let composition = compose(&table, platform, &mapping)?;
     Some(Case {
         graph: composition.csdf,
         config: BufferSizingConfig {

@@ -2,6 +2,7 @@
 //! paper-vs-measured comparison, held as the workspace-level contract.
 
 use rtsm::app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
+use rtsm::app::Endpoint;
 use rtsm::core::mapper::{MapperConfig, SpatialMapper};
 use rtsm::core::trace::Step2Move;
 use rtsm::platform::paper::paper_platform;
@@ -64,7 +65,8 @@ fn final_placement_matches_paper() {
 }
 
 /// E5 / Figure 3: 12 router actors, 18 actors total, 4 computed buffers,
-/// and the achieved period equals the required 4 µs exactly.
+/// the figure's fixed capacities, and the achieved period equals the
+/// required 4 µs exactly.
 #[test]
 fn figure3_composition_matches_paper() {
     let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
@@ -83,6 +85,32 @@ fn figure3_composition_matches_paper() {
     assert_eq!(routers, 12);
     assert_eq!(csdf.n_actors(), 18);
     assert_eq!(result.buffers.len(), 4);
+    // The capacities that are not computed: 4-word router buffers, the
+    // Sink's `x = max(4, tokens per period)`, and producer-side NI buffers
+    // holding two of the producer's largest bursts, and at least 4 words.
+    let sink_tokens = spec
+        .graph
+        .stream_channels()
+        .find(|(_, c)| c.dst == Endpoint::StreamOutput)
+        .expect("the receiver streams out")
+        .1
+        .tokens_per_period;
+    let is_router = |actor| csdf.actor(actor).name.starts_with("R(");
+    let (mut between_routers, mut into_sink, mut into_noc) = (0, 0, 0);
+    for (_, channel) in csdf.channels() {
+        if is_router(channel.src) && is_router(channel.dst) {
+            assert_eq!(channel.capacity, Some(4));
+            between_routers += 1;
+        } else if csdf.actor(channel.dst).name == "Sink" {
+            assert_eq!(channel.capacity, Some(sink_tokens.max(4)));
+            into_sink += 1;
+        } else if is_router(channel.dst) {
+            assert_eq!(channel.capacity, Some((2 * channel.prod.max()).max(4)));
+            into_noc += 1;
+        }
+    }
+    // Five routed channels over 7 hops, one of them into the Sink.
+    assert_eq!((between_routers, into_sink, into_noc), (7, 1, 5));
     assert_eq!(
         result.achieved_period.0,
         4_000_000 * result.achieved_period.1
