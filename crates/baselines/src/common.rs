@@ -55,7 +55,6 @@ pub fn finalize_assignment(
     Some(MappingOutcome {
         mapping,
         buffers: step4.buffers,
-        csdf: None,
         energy_pj,
         communication_hops,
         feasible: true,

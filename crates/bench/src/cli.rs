@@ -2,15 +2,17 @@
 //! pairs and bare switches, each binary declaring its own once — the usage
 //! line is rendered from the declaration, so the two cannot drift apart.
 //!
-//! An unknown argument, a value flag at the end of the line and
-//! `--flag=value` are usage errors, so a typo cannot silently run the
-//! default experiment: `error: …`, the usage line, exit code 2.
+//! An unknown argument, a value flag at the end of the line, a flag given
+//! twice and `--flag=value` are usage errors, so a typo cannot silently run
+//! the default experiment: `error: …`, the usage line, exit code 2.
 
 use std::str::FromStr;
 
 /// A command line checked against one binary's declared flags.
 pub struct Cli {
-    args: Vec<String>,
+    /// Every flag given, in order, with the value of a value flag; no flag
+    /// twice.
+    given: Vec<(String, Option<String>)>,
     usage: String,
 }
 
@@ -20,8 +22,9 @@ impl Cli {
     ///
     /// # Errors
     ///
-    /// One line naming the first argument that fits neither list, or the
-    /// value flag that ends the line, then the usage line.
+    /// One line naming the first argument that fits neither list, the value
+    /// flag that ends the line, or the first flag given a second time, then
+    /// the usage line.
     pub fn parse(
         binary: &str,
         value_flags: &[(&str, &str)],
@@ -35,17 +38,25 @@ impl Cli {
         for switch in switches {
             usage += &format!(" [{switch}]");
         }
-        let mut rest = args.iter();
+        let mut given: Vec<(String, Option<String>)> = Vec::new();
+        let mut rest = args.into_iter();
         while let Some(arg) = rest.next() {
-            if value_flags.iter().any(|(flag, _)| flag == arg) {
-                if rest.next().is_none() {
-                    return Err(format!("{arg} expects a value\n{usage}"));
+            let value = if value_flags.iter().any(|(flag, _)| *flag == arg) {
+                match rest.next() {
+                    Some(value) => Some(value),
+                    None => return Err(format!("{arg} expects a value\n{usage}")),
                 }
-            } else if !switches.contains(&arg.as_str()) {
+            } else if switches.contains(&arg.as_str()) {
+                None
+            } else {
                 return Err(format!("unknown argument `{arg}`\n{usage}"));
+            };
+            if given.iter().any(|(flag, _)| *flag == arg) {
+                return Err(format!("{arg} given twice\n{usage}"));
             }
+            given.push((arg, value));
         }
-        Ok(Cli { args, usage })
+        Ok(Cli { given, usage })
     }
 
     /// [`parse`](Cli::parse) over the process's own arguments; a grammar
@@ -67,13 +78,15 @@ impl Cli {
 
     /// The value following `flag`, if the flag was given.
     pub fn value(&self, flag: &str) -> Option<&str> {
-        let at = self.args.iter().position(|a| a == flag)?;
-        self.args.get(at + 1).map(String::as_str)
+        self.given
+            .iter()
+            .find(|(given, _)| given == flag)
+            .and_then(|(_, value)| value.as_deref())
     }
 
     /// Whether the switch `flag` was given.
     pub fn has(&self, flag: &str) -> bool {
-        self.args.iter().any(|a| a == flag)
+        self.given.iter().any(|(given, _)| given == flag)
     }
 
     /// The integer following `flag`, if the flag was given; a value that
@@ -125,6 +138,11 @@ mod tests {
             (&["--seed=7"][..], "unknown argument `--seed=7`"),
             (&["7"][..], "unknown argument `7`"),
             (&["--json", "--seed"][..], "--seed expects a value"),
+            (&["--seed", "1", "--seed", "2"][..], "--seed given twice"),
+            (
+                &["--json", "--seed", "1", "--json"][..],
+                "--json given twice",
+            ),
         ] {
             let usage = "usage: demo [--seed N] [--out PATH] [--json]";
             assert_eq!(parse(line).err(), Some(format!("{offender}\n{usage}")));
@@ -132,5 +150,6 @@ mod tests {
         // A value flag swallows whatever follows it, even a flag name.
         let cli = parse(&["--out", "--json"]).expect("`--json` is the path here");
         assert_eq!(cli.value("--out"), Some("--json"));
+        assert!(!cli.has("--json"), "a value is not a switch");
     }
 }

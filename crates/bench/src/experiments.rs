@@ -8,8 +8,9 @@ use rtsm_app::{
 use rtsm_baselines::{AnnealingMapper, ExhaustiveMapper, GreedyMapper, RandomMapper};
 use rtsm_core::cost::CostModel;
 use rtsm_core::report::{render_summary, render_table1, render_table2};
+use rtsm_core::step4::compose;
 use rtsm_core::trace::Step2Trace;
-use rtsm_core::{MapperConfig, MappingAlgorithm, MappingOutcome, SpatialMapper};
+use rtsm_core::{MapperConfig, MappingAlgorithm, MappingOutcome, SpatialMapper, SpecTable};
 use rtsm_dataflow::PhaseVec;
 use rtsm_platform::paper::paper_platform;
 use rtsm_platform::render::render_layout;
@@ -115,10 +116,10 @@ pub struct Fig3Summary {
 /// E5 — Figure 3: the final CSDF graph with computed buffer capacities.
 pub fn fig3() -> Fig3Summary {
     let (spec, platform, result) = paper_mapping();
-    let csdf = result
-        .csdf
-        .as_ref()
-        .expect("the heuristic retains the CSDF graph");
+    let mut figure3 = compose(&SpecTable::for_validated(&spec), &platform, &result.mapping)
+        .expect("the paper mapping composes");
+    figure3.size(&result.buffers);
+    let csdf = &figure3.csdf;
     let routers = csdf
         .actors()
         .filter(|(_, a)| a.name.starts_with("R("))

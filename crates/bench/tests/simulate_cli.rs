@@ -317,8 +317,8 @@ fn a_recorded_run_writes_the_same_reports_and_a_balanced_trace() {
     ] {
         assert!(count(name) > 0, "no completed `{name}` span");
     }
-    // Admission, remap and switch spans each open a fresh lane.
-    let roots = count("admission") + count("remap") + count("switch");
+    // Admission and switch spans each open a fresh lane.
+    let roots = count("admission") + count("switch");
     assert!(open.len() >= count("admission"), "a lane per admission");
     assert!(
         open.len() <= roots + 1,

@@ -14,7 +14,6 @@ use crate::mapping::{Mapping, RouteBinding};
 use crate::step4::ChannelBuffer;
 use crate::trace::MapTrace;
 use rtsm_app::ApplicationSpec;
-use rtsm_dataflow::CsdfGraph;
 use rtsm_platform::{Platform, PlatformError, PlatformState, PlatformTransaction, TileClaim};
 use serde::{Deserialize, Serialize};
 
@@ -27,8 +26,6 @@ pub struct MappingOutcome {
     pub mapping: Mapping,
     /// Computed tile-side buffers (`B_i`), needed to commit the mapping.
     pub buffers: Vec<ChannelBuffer>,
-    /// The composed CSDF graph (Figure 3), when the algorithm retains it.
-    pub csdf: Option<CsdfGraph>,
     /// Total energy per period in picojoules (processing + communication).
     pub energy_pj: u64,
     /// The paper's communication cost (Σ Manhattan hops).

@@ -2,11 +2,11 @@
 //!
 //! The refinement loop's internal [`Constraints`](crate::feedback::Constraints)
 //! are *discovered* while mapping; [`MappingConstraints`] are *imposed* from
-//! outside, before mapping starts. They are what run-time reconfiguration
-//! needs (Weichslgartner et al., "A Design-Time/Run-Time Application Mapping
-//! Methodology", 2017): a manager that wants to migrate an application next
-//! to its data pins processes to tiles, and one that wants to keep a region
-//! free for an arriving application excludes tiles outright.
+//! outside, before mapping starts. The run-time manager imposes them when it
+//! evacuates the victims of a failure
+//! ([`RuntimeManager::evacuate`](crate::RuntimeManager::evacuate)): failed
+//! tiles are excluded outright, and a first attempt pins every process that
+//! sits on a healthy tile, so only what the failure displaced moves.
 //!
 //! An empty constraint set ([`MappingConstraints::none`]) is the default
 //! everywhere and leaves every algorithm's behaviour — including fixed-seed

@@ -89,6 +89,4 @@ pub use runtime::{
     RuntimeManager, StopAllError, Utilization,
 };
 pub use spec_table::SpecTable;
-pub use template::{
-    spec_fingerprint, MappingShape, TemplateLibrary, TemplateStats, TemplatedMapper,
-};
+pub use template::{TemplateStats, TemplatedMapper};

@@ -13,7 +13,7 @@ use crate::spec_table::SpecTable;
 use crate::step1::Step1;
 use crate::step2::{SearchCtx, Step2Config};
 use crate::step3::route_channels;
-use crate::step4::{check_constraints_in, compose, Step4Config};
+use crate::step4::{check_constraints_in, Step4Config};
 use crate::trace::{AttemptTrace, MapTrace};
 use rtsm_app::{ApplicationSpec, Endpoint};
 use rtsm_obs as obs;
@@ -36,14 +36,13 @@ pub struct MapperConfig {
     /// capacity-aware shortest path (see [`RoutingPolicy`]).
     pub routing: RoutingPolicy,
     /// Record the full search trace ([`MappingOutcome::trace`], Table-2
-    /// events, assignment snapshots) and compose the accepted mapping's
-    /// Figure-3 graph ([`MappingOutcome::csdf`]). Default `true` — what the
-    /// paper reproduction and debugging read. Turn it **off** on hot paths
+    /// events, assignment snapshots). Default `true` — what the paper
+    /// reproduction and debugging read. Turn it **off** on hot paths
     /// (simulators, benches): the search makes identical decisions and the
     /// `evaluated`/`attempts` counters stay exact, but no trace structures
-    /// are allocated at all and no graph is built — step 4 decides from the
-    /// mapping's signature, and composing the 18-actor graph of the paper
-    /// case costs several times that decision.
+    /// are allocated at all. The Figure-3 graph is never kept: draw it with
+    /// [`compose`](crate::step4::compose) (or
+    /// [`check_constraints`](crate::step4::check_constraints)).
     pub capture: bool,
 }
 
@@ -232,19 +231,10 @@ impl SpatialMapper {
                     attempt_trace.feasible = true;
                     trace.attempts.push(attempt_trace);
                 }
-                // The verdict needed no graph; Figure 3 is drawn for whoever
-                // asked for the search trace.
-                let csdf = capture.then(|| {
-                    let mut figure3 =
-                        compose(&table, platform, &mapping).expect("step 4 accepted the mapping");
-                    figure3.size(&step4.buffers);
-                    figure3.csdf
-                });
                 let energy_pj = mapping.energy_pj(spec, platform);
                 let communication_hops = mapping.communication_hops(spec, platform);
                 return Ok(MappingOutcome {
                     mapping,
-                    csdf,
                     buffers: step4.buffers,
                     energy_pj,
                     communication_hops,
@@ -423,12 +413,9 @@ mod tests {
             .unwrap();
         assert!(with.trace.is_some());
         assert!(without.trace.is_none(), "capture off records no trace");
-        assert_eq!(with.csdf.as_ref().map(|g| g.n_actors()), Some(18));
-        assert!(without.csdf.is_none(), "capture off composes no graph");
         // Every other field is equal.
         let stripped = MappingOutcome {
             trace: None,
-            csdf: None,
             ..with
         };
         assert_eq!(stripped, without);

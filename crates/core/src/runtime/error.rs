@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why an *admission* (a [`start`](super::RuntimeManager::start)) failed. Errors
-/// of the other lifecycle operations — stop, remap — are
+/// of the other lifecycle operations — stop, switch — are
 /// [`RuntimeError`]s, which this type converts into via `From`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdmissionError {
@@ -76,11 +76,11 @@ impl std::error::Error for AdmissionError {
 /// [`RuntimeManager`](super::RuntimeManager) failed. Admission
 /// failures keep their own [`AdmissionError`] type (they are the expected,
 /// recoverable outcome admission policies reason about); everything else —
-/// stopping or remapping an unknown handle, a release the ledger cannot
+/// stopping or switching an unknown handle, a release the ledger cannot
 /// honour — is a runtime fault, not an "admission" error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeError {
-    /// An admission step failed (start, or the admission inside a remap).
+    /// An admission step failed (start, or the admission inside a switch).
     Admission(AdmissionError),
     /// The handle does not name a running application (already stopped,
     /// or from another manager).

@@ -406,11 +406,22 @@ mod tests {
         let platform = strip(&[Arm, Arm, Dsp], 1);
         let tile = |name: &str| platform.tile_by_name(name).unwrap();
         let (t1, t2) = (tile("T1"), tile("T2"));
-        let mut m = RuntimeManager::new(platform.clone(), SpatialMapper::default());
-        let h = m.start(pipeline(&[&[Arm], &[Arm, Dsp]], 1024)).unwrap();
+        // `B` runs on an ARM or, dearer, on the DSP: first fit puts `A` on
+        // `T1` and `B` on `T2`.
+        let mut spec = pipeline(&[&[Arm], &[Arm]], 1024);
         let (a, b) = (process(0), process(1));
-        m.remap(h, &MappingConstraints::none().pin(a, t1).pin(b, t2))
-            .unwrap();
+        let on_the_dsp = Implementation {
+            name: "stage 1 @ Dsp".into(),
+            tile_kind: Dsp,
+            energy_pj_per_period: 6_000,
+            ..spec.library.impls_for(b)[0].clone()
+        };
+        spec.library.register(b, on_the_dsp);
+        let mut m = RuntimeManager::new(platform.clone(), SpatialMapper::default());
+        let h = m.start(spec).unwrap();
+        let mapping = &m.get(h).unwrap().outcome.mapping;
+        assert_eq!(mapping.assignment(a).unwrap().tile, t1);
+        assert_eq!(mapping.assignment(b).unwrap().tile, t2);
 
         let evacuation = m
             .evacuate(FailureEvent::Tile(t1), &EvacuationPolicy)

@@ -351,9 +351,9 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
     /// On any error the ledger is unchanged (rollback-on-failure).
     ///
     /// The stored record keeps what the lifecycle needs (mapping, routes,
-    /// buffers, scores); the search trace and composed CSDF graph are
-    /// dropped so a long-lived manager does not accumulate per-admission
-    /// search logs. Map with the algorithm directly when those are wanted.
+    /// buffers, scores); the search trace is dropped so a long-lived manager
+    /// does not accumulate per-admission search logs. Map with the algorithm
+    /// directly when it is wanted.
     ///
     /// # Errors
     ///
@@ -401,45 +401,8 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         Ok(self.running.remove(&handle).expect("handle checked above"))
     }
 
-    /// Re-maps the running application behind `handle` under
-    /// `constraints`, atomically: inside one transaction its current
-    /// reservations are released *first* (so the new mapping may reuse its
-    /// own freed resources), the algorithm maps the spec against the freed
-    /// occupancy, and the new mapping's reservations are committed. On any
-    /// failure the transaction aborts and the ledger — including the
-    /// application's original reservations and routes — is restored
-    /// exactly; the application keeps running under its old mapping.
-    ///
-    /// Returns the *previous* outcome, so callers can diff placements or
-    /// account migration costs.
-    ///
-    /// # Errors
-    ///
-    /// * [`RuntimeError::UnknownHandle`] — `handle` is not running;
-    /// * [`RuntimeError::Admission`] — no feasible mapping under
-    ///   `constraints` (the application keeps its old mapping), or the
-    ///   re-commit failed;
-    /// * [`RuntimeError::ReleaseFailed`] — the ledger no longer holds the
-    ///   committed reservations (external mutation).
-    pub fn remap(
-        &mut self,
-        handle: AppHandle,
-        constraints: &MappingConstraints,
-    ) -> Result<MappingOutcome, RuntimeError> {
-        let _span = obs::span(obs::Span::Remap);
-        self.last_refusal = None;
-        let spec = self
-            .running
-            .get(&handle)
-            .ok_or(RuntimeError::UnknownHandle(handle))?
-            .spec
-            .clone();
-        let (_, previous) = self.place(Placement::new(Some(handle), &spec, constraints))?;
-        Ok(previous.expect("a re-placement replaces an outcome"))
-    }
-
-    /// The ungated entry points: stages a plan of one placement, commits it
-    /// and adopts it. On any failure the dropped transaction restores the
+    /// The ungated entry points, `start` and `switch`: stages a plan of one
+    /// placement, commits it and adopts it. On any failure the dropped transaction restores the
     /// ledger and no record is touched.
     fn place(
         &mut self,
@@ -1198,88 +1161,6 @@ mod tests {
     }
 
     #[test]
-    fn remap_honours_constraints_and_keeps_the_ledger_consistent() {
-        let platform = defrag_platform();
-        let arm_a = platform.tile_by_name("ARM-a").unwrap();
-        let arm_b = platform.tile_by_name("ARM-b").unwrap();
-        let mut m = RuntimeManager::new(platform, SpatialMapper::default());
-        let before = m.state().clone();
-        let h = m.start(light()).unwrap();
-        let spec = m.get(h).unwrap().spec.clone();
-        let process = spec.graph.process_by_name("Stage").unwrap();
-        assert_eq!(
-            m.get(h)
-                .unwrap()
-                .outcome
-                .mapping
-                .assignment(process)
-                .unwrap()
-                .tile,
-            arm_a,
-            "first fit places the light app on ARM-a"
-        );
-        let old = m
-            .remap(h, &MappingConstraints::none().exclude_tile(arm_a))
-            .expect("ARM-b can host the process");
-        assert_eq!(old.mapping.assignment(process).unwrap().tile, arm_a);
-        assert_eq!(
-            m.get(h)
-                .unwrap()
-                .outcome
-                .mapping
-                .assignment(process)
-                .unwrap()
-                .tile,
-            arm_b
-        );
-        // The remapped app stops cleanly: the ledger drains to empty.
-        m.stop(h).unwrap();
-        assert_eq!(m.state(), &before);
-    }
-
-    #[test]
-    fn failed_remap_restores_state_and_routes_exactly() {
-        let platform = defrag_platform();
-        let arm_a = platform.tile_by_name("ARM-a").unwrap();
-        let arm_b = platform.tile_by_name("ARM-b").unwrap();
-        let mut m = RuntimeManager::new(platform, SpatialMapper::default());
-        let h = m.start(light()).unwrap();
-        let ledger = m.state().clone();
-        let record = m.get(h).unwrap().clone();
-        // Excluding both ARMs leaves the process nowhere to go.
-        let err = m
-            .remap(
-                h,
-                &MappingConstraints::none()
-                    .exclude_tile(arm_a)
-                    .exclude_tile(arm_b),
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            RuntimeError::Admission(AdmissionError::Rejected(_))
-        ));
-        assert_eq!(m.state(), &ledger, "rollback restores the exact ledger");
-        assert_eq!(
-            m.get(h).unwrap(),
-            &record,
-            "the app keeps its old mapping, routes and buffers"
-        );
-        // Still fully functional: the old reservations release cleanly.
-        m.stop(h).unwrap();
-        assert!(m.utilization().is_idle());
-    }
-
-    #[test]
-    fn remap_unknown_handle_is_a_runtime_error() {
-        let mut m = RuntimeManager::new(defrag_platform(), SpatialMapper::default());
-        let h = m.start(light()).unwrap();
-        m.stop(h).unwrap();
-        let err = m.remap(h, &MappingConstraints::none()).unwrap_err();
-        assert_eq!(err.kind(), RuntimeErrorKind::UnknownHandle);
-    }
-
-    #[test]
     fn fragmented_admission_fails_plain_but_recovers_by_migration() {
         let (mut m, a, d) = fragmented_manager();
         // The defining property of fragmentation: total free ARM memory
@@ -1454,7 +1335,7 @@ mod tests {
         // behaviour (which admissions succeed) is unchanged.
         let (mut m, _, _) = fragmented_manager();
         let policy = ReconfigurationPolicy {
-            objective: ReconfigurationObjective::steady_state_only(),
+            objective: ReconfigurationObjective { lambda_permille: 0 },
             ..ReconfigurationPolicy::default()
         };
         let reconfiguration = m.start_with_reconfiguration(heavy(), &policy).unwrap();
@@ -1834,16 +1715,12 @@ mod tests {
         let arm_b = platform.tile_by_name("ARM-b").unwrap();
         // After each of these, the heavy app that was just refused fits —
         // which only a retry that looks at the new ledger finds out.
-        type Op = fn(&mut RuntimeManager<SpatialMapper>, AppHandle, TileId);
-        let rows: [(&str, Op); 4] = [
-            ("stop", |m, a, _| drop(m.stop(a).unwrap())),
-            ("stop_all", |m, _, _| drop(m.stop_all().unwrap())),
-            ("switch", |m, a, _| {
+        type Op = fn(&mut RuntimeManager<SpatialMapper>, AppHandle);
+        let rows: [(&str, Op); 3] = [
+            ("stop", |m, a| drop(m.stop(a).unwrap())),
+            ("stop_all", |m, _| drop(m.stop_all().unwrap())),
+            ("switch", |m, a| {
                 drop(m.switch(a, pipe_app("tiny", 8 * 1024)).unwrap())
-            }),
-            ("remap", |m, a, its_tile| {
-                let elsewhere = MappingConstraints::none().exclude_tile(its_tile);
-                drop(m.remap(a, &elsewhere).unwrap())
             }),
         ];
         for (entry_point, op) in rows {
@@ -1852,7 +1729,7 @@ mod tests {
             let spec = Arc::new(heavy());
             assert!(m.start(spec.clone()).is_err());
             assert!(m.last_refusal.is_some());
-            op(&mut m, a, arm_a);
+            op(&mut m, a);
             assert!(
                 m.last_refusal.is_none(),
                 "{entry_point} forgets the refusal"

@@ -6,8 +6,8 @@
 //! without a handle is an arrival; one with a handle re-places a running
 //! application, and its current reservations are the plan's releases.
 //! [`start`](RuntimeManager::start) is one arrival;
-//! [`remap`](RuntimeManager::remap) and [`switch`](RuntimeManager::switch)
-//! re-place one application under new constraints or a new specification;
+//! [`switch`](RuntimeManager::switch) re-places one application under a new
+//! specification;
 //! [`start_with_reconfiguration`](RuntimeManager::start_with_reconfiguration)
 //! stages an arrival followed by its victims once per victim combination,
 //! aborting each, and stages the winner a second time;
@@ -92,12 +92,12 @@ pub(super) struct Placement<'a> {
     /// [`Demand`], which lets [`Plan::stage`] turn the placement away
     /// without asking the algorithm when it
     /// [cannot fit](Demand::cannot_fit). `None` where the error is report
-    /// data (`start`, `remap`, `switch`): there the algorithm always runs.
+    /// data (`start`, `switch`): there the algorithm always runs.
     pub demand: Option<&'a Demand>,
     /// The mapping: filled in by the first [`Plan::stage`], staged verbatim
-    /// by a later one. Search trace and composed CSDF graph are dropped as
-    /// soon as it is mapped, so neither a kept plan nor a long-lived
-    /// manager accumulates per-admission search logs.
+    /// by a later one. The search trace is dropped as soon as it is mapped,
+    /// so neither a kept plan nor a long-lived manager accumulates
+    /// per-admission search logs.
     pub outcome: Option<MappingOutcome>,
     /// Of a priced re-placement: how many processes change tile.
     pub processes_moved: usize,
@@ -261,7 +261,6 @@ impl<'a> Plan<'a> {
                         )
                         .map_err(|e| StageError::Rejected(at, e))?;
                     outcome.trace = None;
-                    outcome.csdf = None;
                     unmapped.insert(outcome)
                 }
             };

@@ -42,12 +42,6 @@ impl Default for ReconfigurationObjective {
 }
 
 impl ReconfigurationObjective {
-    /// An objective ignoring migration energy entirely (λ‰ = 0): plans are
-    /// ranked purely by post-plan steady-state energy.
-    pub fn steady_state_only() -> Self {
-        ReconfigurationObjective { lambda_permille: 0 }
-    }
-
     /// Scores one plan; lower is better. Saturating, so extreme λ values
     /// degrade to "worst possible" instead of wrapping.
     pub fn score(&self, steady_state_energy_pj: u64, migration_energy_pj: u64) -> u64 {
@@ -189,7 +183,7 @@ mod tests {
         };
         assert_eq!(objective.score(10, 4), 10 * 1000 + 500 * 4);
         assert_eq!(
-            ReconfigurationObjective::steady_state_only().score(10, 999),
+            ReconfigurationObjective { lambda_permille: 0 }.score(10, 999),
             10_000
         );
         assert_eq!(

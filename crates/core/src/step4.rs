@@ -45,8 +45,9 @@
 //! Failed analyses are not remembered: their diagnostics name actors.
 //!
 //! Nothing on the admission path reads the graph itself, so the verdict
-//! returns none. [`check_constraints`] composes it as well, for callers
-//! that want Figure 3.
+//! returns none and no mapping outcome carries one. Figure 3 of a mapping is
+//! [`compose`] sized by [`Composition::size`] with the verdict's buffers;
+//! [`check_constraints`] returns it next to the verdict.
 //!
 //! Model note: tile-side *producer* NI buffers are sized to the largest
 //! single-phase burst of the producing implementation (atomic firings

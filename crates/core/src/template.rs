@@ -11,8 +11,9 @@
 //! design time, then instantiate a precomputed mapping "shape" in
 //! microseconds at run time.
 //!
-//! [`TemplateLibrary`] caches, per application spec (keyed by a structural
-//! [`spec_fingerprint`]), a bounded set of [`MappingShape`]s: tile-*type*-
+//! The library behind a [`TemplatedMapper`] caches, per application spec
+//! (keyed by its [`ApplicationSpec::structural_digest`]), a bounded set of
+//! mapping shapes: tile-*type*-
 //! relative placements (process → offset from an anchor tile) plus the
 //! route skeleton (per-channel router counts and demands) and the
 //! already-verified buffer sizing, achieved period, latency, and energy of
@@ -77,21 +78,6 @@ use std::collections::HashMap;
 /// Default bound on cached shapes per application spec.
 pub const DEFAULT_SHAPE_CAP: usize = 8;
 
-/// The [`TemplateLibrary`] key of `spec`: its
-/// [`ApplicationSpec::structural_digest`], read in O(1) off the digests the
-/// spec's graph and library keep of themselves — this runs on every
-/// arrival, ahead of a lookup that most often ends in "no". Structurally
-/// identical specs (name, QoS, process network, and every implementation's
-/// rates, WCET, memory, and energy) always share a key, so repeated
-/// arrivals of one catalog entry hit the same shape list. The converse
-/// holds only up to a 64-bit collision (≈ 2⁻⁶⁴ per pair of specs): the key
-/// is a digest, not an equality proof, and `MappingShape::indexes_into`
-/// guards no more than that a colliding spec's shapes cannot index out of
-/// bounds.
-pub fn spec_fingerprint(spec: &ApplicationSpec) -> u64 {
-    spec.structural_digest()
-}
-
 /// One process's slot in a shape: which implementation, the tile offset
 /// from the anchor, and the tile kind/clock the offset was recorded on
 /// (clock equality is required for the CSDF-isomorphism argument).
@@ -128,7 +114,7 @@ struct ShapeBuffer {
 /// from. Produced by [`MappingShape::canonicalise`], instantiated by the
 /// [`TemplateLibrary`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MappingShape {
+pub(crate) struct MappingShape {
     assignments: Vec<ShapeAssignment>,
     routes: Vec<ShapeRoute>,
     buffers: Vec<ShapeBuffer>,
@@ -500,7 +486,6 @@ impl<'a> FitCheck<'a> {
         Some(MappingOutcome {
             mapping,
             buffers,
-            csdf: None,
             energy_pj: shape.energy_pj,
             communication_hops,
             feasible: true,
@@ -563,9 +548,6 @@ pub struct TemplateStats {
     pub shapes_cached: u64,
     /// Shapes evicted by the per-spec cap.
     pub evictions: u64,
-    /// Shapes removed by [`TemplateLibrary::prune_unfit`] because they no
-    /// longer fit a (typically degraded) platform.
-    pub invalidations: u64,
 }
 
 /// A cached shape with its usage record. Which rotations are distinct
@@ -589,7 +571,7 @@ struct ShapeEntry {
 /// deterministic, and usable through any [`MappingAlgorithm`] via
 /// [`TemplatedMapper`].
 #[derive(Debug, Default)]
-pub struct TemplateLibrary {
+pub(crate) struct TemplateLibrary {
     specs: HashMap<u64, Vec<ShapeEntry>>,
     cap: usize,
     seq: u64,
@@ -597,7 +579,6 @@ pub struct TemplateLibrary {
     misses: u64,
     seeded: u64,
     evictions: u64,
-    invalidations: u64,
     scratch: RouteScratch,
 }
 
@@ -680,30 +661,6 @@ impl TemplateLibrary {
         None
     }
 
-    /// Drops every cached shape of `spec` that can no longer be
-    /// instantiated anywhere on (`platform`, `state`) — the invalidation
-    /// hook for degraded platforms (failed tiles/links, heavy occupancy).
-    /// Returns how many shapes were removed; they are counted as
-    /// `invalidations` in [`TemplateStats`].
-    pub fn prune_unfit(
-        &mut self,
-        spec: &ApplicationSpec,
-        platform: &Platform,
-        state: &PlatformState,
-    ) -> usize {
-        let key = spec_fingerprint(spec);
-        let Some(shapes) = self.specs.get_mut(&key) else {
-            return 0;
-        };
-        let unconstrained = MappingConstraints::none();
-        let mut fit = FitCheck::new(spec, platform, state, &unconstrained, &mut self.scratch);
-        let before = shapes.len();
-        shapes.retain(|entry| fit.instantiate_shape(entry).is_some());
-        let removed = before - shapes.len();
-        self.invalidations += removed as u64;
-        removed
-    }
-
     /// Current statistics snapshot.
     pub fn stats(&self) -> TemplateStats {
         TemplateStats {
@@ -712,7 +669,6 @@ impl TemplateLibrary {
             seeded: self.seeded,
             shapes_cached: self.specs.values().map(|s| s.len() as u64).sum(),
             evictions: self.evictions,
-            invalidations: self.invalidations,
         }
     }
 
@@ -730,7 +686,7 @@ impl TemplateLibrary {
 }
 
 /// A [`MappingAlgorithm`] adaptor that front-runs its wrapped algorithm
-/// with the [`TemplateLibrary`] (see the [module docs](self)): hits are
+/// with a template library (see the [module docs](self)): hits are
 /// admitted in a few microseconds, misses run the wrapped algorithm and
 /// are learned. `name()` delegates to the inner algorithm, so reports stay
 /// comparable across templated and untemplated runs.
@@ -764,16 +720,6 @@ impl<A: MappingAlgorithm> TemplatedMapper<A> {
     pub fn stats(&self) -> TemplateStats {
         self.library.borrow().stats()
     }
-
-    /// [`TemplateLibrary::prune_unfit`] against the wrapped library.
-    pub fn prune_unfit(
-        &self,
-        spec: &ApplicationSpec,
-        platform: &Platform,
-        state: &PlatformState,
-    ) -> usize {
-        self.library.borrow_mut().prune_unfit(spec, platform, state)
-    }
 }
 
 impl<A: MappingAlgorithm> MappingAlgorithm for TemplatedMapper<A> {
@@ -788,7 +734,13 @@ impl<A: MappingAlgorithm> MappingAlgorithm for TemplatedMapper<A> {
         base: &PlatformState,
         constraints: &MappingConstraints,
     ) -> Result<MappingOutcome, MapError> {
-        let key = spec_fingerprint(spec);
+        // Read in O(1) off the digests the spec's graph and library keep of
+        // themselves: this runs on every arrival, ahead of a lookup that
+        // most often ends in "no". Structurally identical specs always share
+        // a key; the converse holds up to a 64-bit collision, and
+        // `MappingShape::indexes_into` guards no more than that a colliding
+        // spec's shapes cannot index out of bounds.
+        let key = spec.structural_digest();
 
         // Design-time seeding, lazily on the first arrival of each spec:
         // one unconstrained map on an *empty* platform gives the canonical
@@ -847,12 +799,12 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_structural() {
+    fn the_key_is_structural() {
         let a = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let b = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
-        assert_eq!(spec_fingerprint(&a), spec_fingerprint(&b));
+        assert_eq!(a.structural_digest(), b.structural_digest());
         let c = hiperlan2_receiver(Hiperlan2Mode::Qam16R34);
-        assert_ne!(spec_fingerprint(&a), spec_fingerprint(&c));
+        assert_ne!(a.structural_digest(), c.structural_digest());
     }
 
     #[test]
@@ -901,7 +853,6 @@ mod tests {
         assert_eq!(stats.hits, 1, "the seeded shape instantiates immediately");
         assert_eq!(stats.misses, 0);
         assert!(outcome.feasible);
-        assert!(outcome.csdf.is_none(), "hit path skips step 4");
         // The instantiated mapping commits cleanly.
         let mut committed = state.clone();
         outcome.commit(&spec, &platform, &mut committed).unwrap();
@@ -954,7 +905,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_tiles_invalidate_cached_shapes() {
+    fn failed_tiles_turn_cached_shapes_into_misses() {
         let tm = mapper();
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
@@ -968,12 +919,6 @@ mod tests {
         // inner heuristic cannot map it either.
         assert!(tm.map(&spec, &platform, &state).is_err());
         assert_eq!(tm.stats().misses, 1);
-        // Pruning removes the now-unfit shapes and counts invalidations.
-        let removed = tm.prune_unfit(&spec, &platform, &state);
-        assert!(removed >= 1);
-        let stats = tm.stats();
-        assert_eq!(stats.invalidations, removed as u64);
-        assert_eq!(stats.shapes_cached, 0);
     }
 
     #[test]
@@ -982,7 +927,7 @@ mod tests {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
         let state = platform.initial_state();
-        let key = spec_fingerprint(&spec);
+        let key = spec.structural_digest();
         let outcome = SpatialMapper::new(MapperConfig::default())
             .map(&spec, &platform, &state)
             .unwrap();

@@ -1,9 +1,9 @@
 //! The oracle for the slot-demand skip: a lookup that tries every shape's
 //! every candidate, skipping nothing, must be indistinguishable from the
 //! real one — same outcome including `evaluated`, same per-entry hit counts
-//! (eviction order depends on them), same surviving shapes after a prune —
-//! on random occupancies, failed tiles, exclusions, pins and multi-slot
-//! tiles. And a shape is never skipped on a ledger where it fits.
+//! (eviction order depends on them) — on random occupancies, failed tiles,
+//! exclusions, pins and multi-slot tiles. And a shape is never skipped on a
+//! ledger where it fits.
 
 use super::*;
 use crate::mapper::{MapperConfig, SpatialMapper};
@@ -57,23 +57,6 @@ impl TemplateLibrary {
         None
     }
 
-    /// [`TemplateLibrary::prune_unfit`], trying everything.
-    fn prune_trying_everything(
-        &mut self,
-        spec: &ApplicationSpec,
-        platform: &Platform,
-        state: &PlatformState,
-    ) -> usize {
-        let Some(shapes) = self.specs.get_mut(&spec_fingerprint(spec)) else {
-            return 0;
-        };
-        let unconstrained = MappingConstraints::none();
-        let mut fit = FitCheck::new(spec, platform, state, &unconstrained, &mut self.scratch);
-        let before = shapes.len();
-        shapes.retain(|entry| try_everywhere(&mut fit, entry).is_some());
-        before - shapes.len()
-    }
-
     /// Everything eviction and lookup order depend on.
     fn entries(&self, key: u64) -> Vec<(&MappingShape, u32, u64)> {
         self.specs.get(&key).map_or_else(Vec::new, |shapes| {
@@ -109,12 +92,11 @@ struct Coverage {
     /// Hits whose `evaluated` includes the credit of a skipped shape.
     hits_past_a_credited_skip: u32,
     evictions: u64,
-    pruned: usize,
 }
 
 /// The draws of one random history: per tile its compute slots; the shape
 /// cap; per step the arriving spec, the load, per tile an occupancy and a
-/// health draw, and three limits (excluded tile, pinned tile, prune).
+/// health draw, and two limits (excluded tile, pinned tile).
 struct Case {
     slots: Vec<u32>,
     cap: usize,
@@ -146,7 +128,7 @@ impl Case {
             cap: Strategy::generate(&(1usize..5), runner.rng()),
             arrivals: Strategy::generate(&collection::vec(0usize..5, steps), runner.rng()),
             limits: Strategy::generate(
-                &collection::vec(0usize..6 * tiles, 3 * steps),
+                &collection::vec(0usize..6 * tiles, 2 * steps),
                 runner.rng(),
             ),
         }
@@ -178,7 +160,7 @@ fn twin_case(case: &Case, coverage: &mut Coverage) {
     let (mut real, mut twin) = (TemplateLibrary::new(cap), TemplateLibrary::new(cap));
     for (step, &arrival) in arrivals.iter().enumerate() {
         let spec = &specs[arrival];
-        let key = spec_fingerprint(spec);
+        let key = spec.structural_digest();
         let per_tile = |values: &[u32], tile: usize| values[step * n_tiles + tile];
 
         // A tile is full when its draw is under the step's load, holds one
@@ -205,7 +187,7 @@ fn twin_case(case: &Case, coverage: &mut Coverage) {
         }
         // Draws past the tile count leave the constraint out.
         let mut constraints = MappingConstraints::none();
-        let [excluded, pinned, prune] = [0, 1, 2].map(|i| limits[3 * step + i]);
+        let [excluded, pinned] = [0, 1].map(|i| limits[2 * step + i]);
         if excluded < n_tiles {
             constraints = constraints.exclude_tile(TileId::from_index(excluded));
         }
@@ -253,14 +235,8 @@ fn twin_case(case: &Case, coverage: &mut Coverage) {
                 "step {step}"
             );
         }
-        // Now and then, the invalidation hook on the same ledger.
-        if prune < n_tiles {
-            let pruned = real.prune_unfit(spec, &platform, &base);
-            assert_eq!(pruned, twin.prune_trying_everything(spec, &platform, &base));
-            coverage.pruned += pruned;
-        }
         for spec in &specs {
-            let key = spec_fingerprint(spec);
+            let key = spec.structural_digest();
             assert_eq!(real.entries(key), twin.entries(key), "step {step}");
         }
     }
@@ -275,13 +251,12 @@ fn lookups_with_and_without_the_skip_are_indistinguishable() {
         twin_case(&Case::draw(&mut runner), &mut coverage);
     }
     // The cases must reach what the skip could get wrong: hits, skipped
-    // shapes, hits counted past a skipped shape's credit, hit-ranked
-    // evictions and prunes.
+    // shapes, hits counted past a skipped shape's credit and hit-ranked
+    // evictions.
     assert!(coverage.hits > 50, "{coverage:?}");
     assert!(coverage.shapes_skipped > 50, "{coverage:?}");
     assert!(coverage.hits_past_a_credited_skip > 0, "{coverage:?}");
     assert!(coverage.evictions > 0, "{coverage:?}");
-    assert!(coverage.pruned > 0, "{coverage:?}");
 }
 
 /// Two light stages that only run on an ARM.
@@ -337,7 +312,7 @@ fn a_shape_sharing_one_two_slot_tile_is_skipped_only_when_a_slot_is_gone() {
     let outcome = SpatialMapper::default()
         .map(&spec, &platform, &empty)
         .expect("both stages share the ARM");
-    let key = spec_fingerprint(&spec);
+    let key = spec.structural_digest();
     let mut library = TemplateLibrary::new(DEFAULT_SHAPE_CAP);
     let shape = MappingShape::canonicalise(&outcome, &platform).unwrap();
     assert!(library.learn(key, shape));

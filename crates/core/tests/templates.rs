@@ -75,7 +75,6 @@ proptest! {
             let hit = tm.stats().hits > before.hits;
             if hit {
                 prop_assert!(outcome.feasible);
-                prop_assert!(outcome.csdf.is_none(), "the hit path never composes a CSDF");
                 // The heuristic twin's QoS machinery, re-run from scratch
                 // on the instantiated mapping: same feasibility, same
                 // achieved period, same buffer sizing.
@@ -116,9 +115,7 @@ fn degraded_platforms_never_serve_shapes_on_failed_tiles() {
     );
 
     // Fail each tile in turn: whatever the library serves on the degraded
-    // state must avoid the failed tile, and pruning must invalidate every
-    // shape that no longer instantiates.
-    let mut total_invalidated = 0u64;
+    // state must avoid the failed tile.
     for (tile, _) in platform.tiles() {
         let mut degraded = platform.initial_state();
         degraded.fail_tile(tile);
@@ -130,16 +127,9 @@ fn degraded_platforms_never_serve_shapes_on_failed_tiles() {
                 );
             }
         }
-        total_invalidated += tm.prune_unfit(&spec, &platform, &degraded) as u64;
-        // Healthy admissions afterwards re-seed whatever pruning removed.
         tm.map(&spec, &platform, &healthy)
             .expect("the healthy platform keeps admitting");
     }
-    assert_eq!(
-        tm.stats().invalidations,
-        total_invalidated,
-        "every pruned shape must be counted as an invalidation"
-    );
 }
 
 #[test]

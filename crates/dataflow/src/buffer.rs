@@ -59,10 +59,8 @@
 //!    recurs, and the guard would have cut it off — the test refutes it
 //!    instead, truthfully, and the refutation dominates.
 //!
-//! By rule 4, [`BufferSizingConfig::max_sweeps`] is spent at 1: 0 still means
-//! "no descent" (the pilot's pressures come back as they are) and anything
-//! above 1 buys table look-ups. The field stays for the callers that
-//! construct the struct.
+//! By rule 4 the descent makes one sweep over the channels: a second one
+//! would change nothing.
 //!
 //! The result is feasible by construction and minimal per-channel (it may be
 //! off the Pareto frontier of *joint* minimality, as is Wiggers' — both are
@@ -93,7 +91,9 @@ pub struct BufferSizingConfig {
     /// Channels to size; channels not listed keep their existing capacity.
     /// When empty, every channel with `capacity: None` is sized.
     pub channels: Vec<ChannelId>,
-    /// Maximum sweeps over the channel list before giving up.
+    /// Read by nothing: the descent makes one sweep (module docs, rule 4).
+    /// It is kept only because the `benchmark/` crate constructs the struct;
+    /// it goes when `benchmark/` is next maintained.
     pub max_sweeps: usize,
 }
 
@@ -198,13 +198,10 @@ pub fn size_buffers_ref(
         table: ProbeTable::default(),
     };
 
-    // Floor first (see the module docs). Zero sweeps ask for the pilot's
-    // vector undescended, which the floors are not.
-    if config.max_sweeps > 0 {
-        if let Some(achieved) = search.probe(&floors) {
-            let capacities = targets.iter().copied().zip(floors).collect();
-            return Ok(BufferSizing::new(capacities, achieved));
-        }
+    // Floor first (see the module docs).
+    if let Some(achieved) = search.probe(&floors) {
+        let capacities = targets.iter().copied().zip(floors).collect();
+        return Ok(BufferSizing::new(capacities, achieved));
     }
 
     // Pilot run with the target channels unbounded to obtain upper bounds.
@@ -252,32 +249,25 @@ pub fn size_buffers_ref(
     };
     search.table.record(caps.clone(), Probed::Sustains(proved));
 
-    // Per-channel descent. Only a vector probed feasible is ever stood on
-    // (an infeasible probe is undone, and dominance only ever refutes), so
-    // the table holds the final vector's throughput.
-    for _sweep in 0..config.max_sweeps {
-        let mut changed = false;
-        for i in 0..caps.len() {
-            let standing = caps[i];
-            // Invariant: hi feasible. Find the smallest feasible capacity,
-            // asking the floor first.
-            let (mut lo, mut hi) = (floors[i], standing);
-            let mut mid = lo;
-            while lo < hi {
-                caps[i] = mid;
-                if search.probe(&caps).is_some() {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-                mid = lo + (hi - lo) / 2;
+    // Per-channel descent, one sweep: by rule 4 a second one would ask only
+    // questions the first has answered. Only a vector probed feasible is ever
+    // stood on (an infeasible probe is undone, and dominance only ever
+    // refutes), so the table holds the final vector's throughput.
+    for i in 0..caps.len() {
+        // Invariant: hi feasible. Find the smallest feasible capacity,
+        // asking the floor first.
+        let (mut lo, mut hi) = (floors[i], caps[i]);
+        let mut mid = lo;
+        while lo < hi {
+            caps[i] = mid;
+            if search.probe(&caps).is_some() {
+                hi = mid;
+            } else {
+                lo = mid + 1;
             }
-            caps[i] = hi;
-            changed |= hi != standing;
+            mid = lo + (hi - lo) / 2;
         }
-        if !changed {
-            break;
-        }
+        caps[i] = hi;
     }
 
     let achieved = search

@@ -14,29 +14,6 @@ pub struct Ratio {
     den: i128,
 }
 
-/// Greatest common divisor (non-negative).
-pub fn gcd(a: u64, b: u64) -> u64 {
-    let (mut a, mut b) = (a, b);
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
-
-/// Least common multiple.
-///
-/// # Panics
-///
-/// Panics on overflow.
-pub fn lcm(a: u64, b: u64) -> u64 {
-    if a == 0 || b == 0 {
-        return 0;
-    }
-    a / gcd(a, b) * b
-}
-
 fn gcd_i128(a: i128, b: i128) -> i128 {
     let (mut a, mut b) = (a.abs(), b.abs());
     while b != 0 {
@@ -87,17 +64,6 @@ impl Ratio {
     #[must_use]
     pub fn mul(&self, other: Ratio) -> Ratio {
         Ratio::new(self.num * other.num, self.den * other.den)
-    }
-
-    /// `self / other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` is zero.
-    #[must_use]
-    pub fn div(&self, other: Ratio) -> Ratio {
-        assert!(other.num != 0, "division by rational zero");
-        Ratio::new(self.num * other.den, self.den * other.num)
     }
 
     /// `self + other`.
@@ -156,21 +122,12 @@ mod tests {
         let b = Ratio::new(1, 6);
         assert_eq!(a.add(b), Ratio::new(1, 2));
         assert_eq!(a.mul(b), Ratio::new(1, 18));
-        assert_eq!(a.div(b), Ratio::integer(2));
     }
 
     #[test]
     fn ordering() {
         assert!(Ratio::new(1, 3) < Ratio::new(1, 2));
         assert!(Ratio::new(-1, 2) < Ratio::ZERO);
-    }
-
-    #[test]
-    fn gcd_lcm() {
-        assert_eq!(gcd(12, 18), 6);
-        assert_eq!(gcd(7, 0), 7);
-        assert_eq!(lcm(4, 6), 12);
-        assert_eq!(lcm(0, 5), 0);
     }
 
     #[test]

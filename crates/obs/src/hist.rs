@@ -3,10 +3,9 @@
 //!
 //! Bucket `i` holds samples whose value has highest set bit `i`, i.e. the
 //! range `[2^i, 2^(i+1))` (bucket 0 holds 0 and 1 ns), so recording is a
-//! `leading_zeros` and buckets from independent runs merge by addition.
-//! Percentiles are read from the bucket upper bound clamped into the
-//! observed `[min, max]`, so every reported figure is deterministic given
-//! the recorded samples.
+//! `leading_zeros`. Percentiles are read from the bucket upper bound clamped
+//! into the observed `[min, max]`, so every reported figure is deterministic
+//! given the recorded samples.
 //!
 //! Wall-clock latency can never be reproducible, so a histogram is an
 //! in-memory accumulator only — [`SpanLatencyProbe`](crate::SpanLatencyProbe)
@@ -18,12 +17,12 @@ use std::time::Duration;
 /// Number of log2 buckets — one per possible highest set bit of a `u64`.
 pub const N_BUCKETS: usize = 64;
 
-/// A mergeable latency distribution over integer nanoseconds.
+/// A latency distribution over integer nanoseconds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     count: u64,
     total_ns: u64,
-    min_ns: u64, // u64::MAX while empty, so min() folds correctly on merge
+    min_ns: u64, // u64::MAX while empty, so the first sample sets it
     max_ns: u64,
     buckets: [u64; N_BUCKETS],
 }
@@ -74,19 +73,6 @@ impl LatencyHistogram {
     /// Records one sample (saturating at `u64::MAX` ns ≈ 584 years).
     pub fn record(&mut self, elapsed: Duration) {
         self.record_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Folds `other`'s samples into `self` — bucket-wise addition, so
-    /// merging per-trial histograms equals recording every sample into
-    /// one histogram (up to the saturating total).
-    pub fn merge(&mut self, other: &Self) {
-        self.count += other.count;
-        self.total_ns = self.total_ns.saturating_add(other.total_ns);
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
     }
 
     /// Samples recorded.
@@ -158,16 +144,6 @@ impl LatencyHistogram {
     pub fn p99_ns(&self) -> u64 {
         self.percentile_ns(99)
     }
-
-    /// Occupied buckets as `(bucket_index, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u32, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (i as u32, n))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -194,10 +170,12 @@ mod tests {
         assert_eq!(h.count(), 7);
         assert_eq!(h.min_ns(), 0);
         assert_eq!(h.max_ns(), 1024);
-        let buckets = h.nonzero_buckets();
+        let occupied: Vec<(usize, u64)> = (h.buckets.iter().copied().enumerate())
+            .filter(|&(_, n)| n > 0)
+            .collect();
         // 0,1 → bucket 0; 2,3 → bucket 1; 4 → bucket 2; 1000 → bucket 9;
         // 1024 → bucket 10.
-        assert_eq!(buckets, vec![(0, 2), (1, 2), (2, 1), (9, 1), (10, 1)]);
+        assert_eq!(occupied, vec![(0, 2), (1, 2), (2, 1), (9, 1), (10, 1)]);
     }
 
     #[test]
@@ -211,27 +189,5 @@ mod tests {
         assert!(p99 <= h.max_ns());
         assert!(p50 >= h.min_ns());
         assert_eq!(h.percentile_ns(100), h.max_ns());
-    }
-
-    #[test]
-    fn merge_equals_recording_everything_once() {
-        let samples_a = [3u64, 900, 40_000, 7];
-        let samples_b = [1u64, 65_000, 12];
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut all = LatencyHistogram::new();
-        for &s in &samples_a {
-            a.record_ns(s);
-            all.record_ns(s);
-        }
-        for &s in &samples_b {
-            b.record_ns(s);
-            all.record_ns(s);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
-        // Merging an empty histogram changes nothing.
-        a.merge(&LatencyHistogram::new());
-        assert_eq!(a, all);
     }
 }

@@ -13,14 +13,13 @@
 //! * [`probe`] — the [`Probe`] trait plus the emission points the model
 //!   crates call ([`span_begin`]/[`span_end`]/[`count`], or the RAII
 //!   [`span`]). Instrumented regions are enumerated by [`Span`] (mapper
-//!   steps 1–4, buffer sizing, admission/remap/switch, migration-plan
+//!   steps 1–4, buffer sizing, admission/switch, migration-plan
 //!   evaluation) and [`Counter`] (buffer-sizing probes and memo hits,
 //!   transaction commits and aborts, CSDF simulation runs, refusals replayed
 //!   and placements ruled out on the retry path). With no probe
 //!   installed every emission is a no-op and allocates nothing.
 //! * [`hist`] — [`LatencyHistogram`], a log2-bucketed integer-nanosecond
-//!   histogram (HdrHistogram-style) with p50/p90/p99/max and mergeable
-//!   buckets. Wall-clock numbers are inherently non-deterministic, so a
+//!   histogram (HdrHistogram-style) with p50/p90/p99/max. Wall-clock numbers are inherently non-deterministic, so a
 //!   histogram has no serialized form and no deterministic report can
 //!   hold one.
 //! * [`recorder`] — [`FlightRecorder`], a bounded ring buffer of probe

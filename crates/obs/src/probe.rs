@@ -14,7 +14,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Number of distinct [`Span`] kinds, for fixed-size per-span tables.
-pub const N_SPANS: usize = 12;
+pub const N_SPANS: usize = 11;
 
 /// Number of distinct [`Counter`] kinds, for fixed-size tables.
 pub const N_COUNTERS: usize = 13;
@@ -26,9 +26,6 @@ pub enum Span {
     /// `RuntimeManager::start` — one admission attempt end to end
     /// (map + transactional commit). Opens a new trace lane.
     Admission,
-    /// `RuntimeManager::remap` — transactional re-map of a running
-    /// application under constraints. Opens a new trace lane.
-    Remap,
     /// `RuntimeManager::switch` — transactional mode switch to a new
     /// specification. Opens a new trace lane.
     Switch,
@@ -65,7 +62,6 @@ impl Span {
     /// All spans, in [`Span::index`] order.
     pub const ALL: [Span; N_SPANS] = [
         Span::Admission,
-        Span::Remap,
         Span::Switch,
         Span::PlanEval,
         Span::Map,
@@ -87,7 +83,6 @@ impl Span {
     pub const fn name(self) -> &'static str {
         match self {
             Span::Admission => "admission",
-            Span::Remap => "remap",
             Span::Switch => "switch",
             Span::PlanEval => "plan_eval",
             Span::Map => "map",
@@ -105,10 +100,7 @@ impl Span {
     /// admission-path entry, so Perfetto shows each arrival on its own
     /// row.
     pub const fn starts_lane(self) -> bool {
-        matches!(
-            self,
-            Span::Admission | Span::Remap | Span::Switch | Span::Evacuate
-        )
+        matches!(self, Span::Admission | Span::Switch | Span::Evacuate)
     }
 }
 

@@ -130,11 +130,6 @@ impl<'a> PlatformTransaction<'a> {
         self.state
     }
 
-    /// Number of operations staged so far.
-    pub fn staged_ops(&self) -> usize {
-        self.log.len()
-    }
-
     /// True if `claim` currently fits on `tile` (staged operations
     /// included).
     pub fn fits_tile(&self, tile: TileId, claim: &TileClaim) -> bool {
@@ -411,7 +406,7 @@ mod tests {
         tx.claim_tile(a, &claim(100)).unwrap();
         // 5000 bytes exceed the 4096-byte tile: the op fails atomically.
         assert!(tx.claim_tile(a, &claim(5000)).is_err());
-        assert_eq!(tx.staged_ops(), 1, "failed ops are not logged");
+        assert_eq!(tx.log.len(), 1, "failed ops are not logged");
         tx.claim_tile(a, &claim(200)).unwrap();
         tx.abort();
         assert_eq!(state, before);

@@ -112,8 +112,8 @@ pub struct ReconfigurationReport {
     /// that was a *policy* decision, not a placement failure.
     pub plans_refused: u64,
     /// Blocked mode switches whose instance kept running under its old
-    /// configuration (switch-through-remap): switching losses that no
-    /// longer evict.
+    /// configuration (the transactional `switch` rolled back): switching
+    /// losses that no longer evict.
     pub mode_switches_survived: u64,
 }
 
@@ -184,7 +184,10 @@ pub struct TemplateReport {
     pub seeded: u64,
     /// Shapes evicted by the per-spec cap.
     pub evictions: u64,
-    /// Shapes invalidated because they stopped fitting the platform.
+    /// Always 0: nothing invalidates a cached shape (the library passes
+    /// over one that no longer fits). Kept because the golden report
+    /// `tests/golden/seed2008_mixed_templates_recover.json` carries it; it
+    /// goes with the next deliberate change of the report schema.
     pub invalidations: u64,
 }
 
@@ -200,7 +203,7 @@ impl TemplateReport {
             shapes_cached: stats.shapes_cached,
             seeded: stats.seeded,
             evictions: stats.evictions,
-            invalidations: stats.invalidations,
+            invalidations: 0,
         }
     }
 }
@@ -741,7 +744,6 @@ mod tests {
         let outcome = MappingOutcome {
             mapping: rtsm_core::Mapping::default(),
             buffers: Vec::new(),
-            csdf: None,
             energy_pj: 0,
             communication_hops: 0,
             feasible: true,

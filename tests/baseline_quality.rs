@@ -2,6 +2,7 @@
 //! on a seed sweep — the paper's "promising results" claim, quantified.
 
 use rtsm::baselines::{ExhaustiveMapper, GreedyMapper, MappingAlgorithm, SpatialMapper};
+use rtsm::core::MapError;
 use rtsm::platform::TileKind;
 use rtsm::workloads::{mesh_platform, synthetic_app, GraphShape, SyntheticConfig};
 
@@ -78,6 +79,52 @@ fn step2_monotonically_improves_communication() {
             );
         }
     }
+}
+
+/// Every registered algorithm against the exhaustive optimum, on the
+/// instances the search completes (it evaluated fewer nodes than its bound,
+/// so its answer is proof): an algorithm maps only where a mapping exists,
+/// and never below the optimum's energy.
+#[test]
+fn no_registered_algorithm_beats_or_outmaps_the_exhaustive_optimum() {
+    const MAX_NODES: u64 = 400_000;
+    let mut complete = 0;
+    for seed in 0..8u64 {
+        let (spec, platform) = setup(seed);
+        let state = platform.initial_state();
+        let optimal = ExhaustiveMapper {
+            max_nodes: MAX_NODES,
+        }
+        .map(&spec, &platform, &state);
+        let evaluated = match &optimal {
+            Ok(outcome) => outcome.evaluated,
+            Err(MapError::NoFeasibleMapping { attempts, .. }) => *attempts as u64,
+            Err(other) => panic!("seed {seed}: {other}"),
+        };
+        if evaluated >= MAX_NODES {
+            continue;
+        }
+        complete += 1;
+        for entry in &rtsm::exp::ALGORITHMS {
+            let Ok(found) = (entry.build)().map(&spec, &platform, &state) else {
+                continue;
+            };
+            match &optimal {
+                Ok(best) => assert!(
+                    found.energy_pj >= best.energy_pj,
+                    "seed {seed}: `{}` at {} pJ below the optimum {} pJ",
+                    entry.name,
+                    found.energy_pj,
+                    best.energy_pj
+                ),
+                Err(_) => panic!(
+                    "seed {seed}: `{}` mapped what the exhaustive search proved unmappable",
+                    entry.name
+                ),
+            }
+        }
+    }
+    assert!(complete >= 4, "too few completed searches ({complete})");
 }
 
 /// Whenever the exhaustive search finds any feasible mapping, the heuristic

@@ -1,8 +1,9 @@
 //! Fault-tolerance properties of the health layer and the evacuation
-//! path: any seeded interleaving of admissions (plain and reconfiguring),
-//! mode switches, constrained remaps, failures, evacuations, repairs, and
-//! departures leaves the shared ledger byte-identical to a
-//! from-scratch replay of the surviving mappings; survivors never occupy
+//! path: any seeded interleaving of admissions (plain and reconfiguring,
+//! with and without the template library), mode switches, failures,
+//! evacuations, repairs, and departures leaves the shared ledger
+//! byte-identical to a from-scratch replay of the surviving mappings;
+//! survivors never occupy
 //! a quarantined resource; and with faults disabled the simulator's
 //! seed-2008 reports are byte-identical to the golden fixtures for
 //! every registered algorithm.
@@ -10,10 +11,10 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rtsm::app::{ApplicationSpec, ProcessId};
+use rtsm::app::ApplicationSpec;
 use rtsm::core::{
-    AppHandle, EvacuationPolicy, FailureEvent, MappingAlgorithm, MappingConstraints,
-    ReconfigurationPolicy, RouteBinding, RunningApp, RuntimeError, RuntimeManager, SpatialMapper,
+    AppHandle, EvacuationPolicy, FailureEvent, MappingAlgorithm, ReconfigurationPolicy,
+    RouteBinding, RunningApp, RuntimeError, RuntimeManager, SpatialMapper, TemplatedMapper,
 };
 use rtsm::platform::paper::paper_platform;
 use rtsm::platform::{LinkId, Platform, PlatformState, TileId};
@@ -94,19 +95,23 @@ fn check_survivors(manager: &RuntimeManager<impl MappingAlgorithm>) {
     }
 }
 
-/// Drives one manager over `platform` through 40 seeded operations drawn
-/// from every ledger-mutating entry point — start /
-/// start_with_reconfiguration / stop / switch / remap / fail+evacuate /
-/// repair — and checks after each that the incrementally-maintained ledger
-/// is byte-identical to a from-scratch replay of the surviving mappings (so
+/// Drives `manager` (fresh, over an idle platform) through 40 seeded
+/// operations drawn from every ledger-mutating entry point — start /
+/// start_with_reconfiguration / stop / switch / fail+evacuate / repair —
+/// and checks after each that the incrementally-maintained ledger is
+/// byte-identical to a from-scratch replay of the surviving mappings (so
 /// each record is exactly what the ledger holds for it), that a blocked
-/// switch or remap leaves ledger and record untouched, and at the end that
-/// stopping everything and repairing every failure drains the ledger back
-/// to the pristine initial state. Returns how many migration plans — an
-/// arrival plus re-placed victims, adopted from the outcomes their
-/// evaluation attached — were committed on the way.
-fn interleave(seed: u64, platform: &Platform, catalog: &Catalog) -> u64 {
-    let mut manager = RuntimeManager::new(platform.clone(), SpatialMapper::default());
+/// switch leaves ledger and record untouched, and at the end that stopping
+/// everything and repairing every failure drains the ledger back to the
+/// pristine initial state. Returns how many migration plans — an arrival
+/// plus re-placed victims, adopted from the outcomes their evaluation
+/// attached — were committed on the way.
+fn interleave<A: MappingAlgorithm>(
+    seed: u64,
+    manager: &mut RuntimeManager<A>,
+    catalog: &Catalog,
+) -> u64 {
+    let platform = &manager.platform().clone();
     let mut rng = StdRng::seed_from_u64(seed);
     let tiles: Vec<TileId> = platform.tiles().map(|(id, _)| id).collect();
     let links: Vec<LinkId> = platform.links().map(|(id, _)| id).collect();
@@ -149,35 +154,23 @@ fn interleave(seed: u64, platform: &Platform, catalog: &Catalog) -> u64 {
                 let handle = handles[rng.random_range(0usize..handles.len())];
                 let ledger = manager.state().clone();
                 let record = manager.get(handle).expect("tracked handles run").clone();
-                let result = if op == 6 {
-                    manager.switch(handle, draw(catalog, &mut rng))
-                } else {
-                    let tile = tiles[rng.random_range(0usize..tiles.len())];
-                    let constraints = if rng.random_bool(0.5) {
-                        MappingConstraints::none().exclude_tile(tile)
-                    } else {
-                        let process = rng.random_range(0usize..record.spec.graph.n_processes());
-                        MappingConstraints::none().pin(ProcessId::from_index(process), tile)
-                    };
-                    manager.remap(handle, &constraints)
-                };
-                match result {
+                match manager.switch(handle, draw(catalog, &mut rng)) {
                     Ok(previous) => prop_assert!(
                         previous == record.outcome,
-                        "switch/remap returns the outcome it replaced (seed {seed})"
+                        "switch returns the outcome it replaced (seed {seed})"
                     ),
                     Err(error) => {
                         prop_assert!(
                             matches!(error, RuntimeError::Admission(_)),
-                            "a blocked switch/remap is an admission failure, got {error} (seed {seed})"
+                            "a blocked switch is an admission failure, got {error} (seed {seed})"
                         );
                         prop_assert!(
                             manager.state() == &ledger,
-                            "a blocked switch/remap must restore the ledger (seed {seed})"
+                            "a blocked switch must restore the ledger (seed {seed})"
                         );
                         prop_assert!(
                             manager.get(handle) == Some(&record),
-                            "a blocked switch/remap must keep the record (seed {seed})"
+                            "a blocked switch must keep the record (seed {seed})"
                         );
                     }
                 }
@@ -196,7 +189,7 @@ fn interleave(seed: u64, platform: &Platform, catalog: &Catalog) -> u64 {
                     .expect("evacuation never corrupts the ledger");
                 handles.retain(|h| !evacuation.evicted.contains(h));
                 failed.push(failure);
-                check_survivors(&manager);
+                check_survivors(manager);
             }
             _ => {
                 if !failed.is_empty() {
@@ -242,10 +235,21 @@ proptest! {
 
     /// [`interleave`] on the mixed-DSP mesh, where blocked arrivals stage and
     /// abort migration plans but capacity, not placement, is what blocks
-    /// them: next to none commits.
+    /// them: next to none commits. Once for the heuristic, once behind the
+    /// template library, so that the replay also audits outcomes
+    /// instantiated from cached shapes.
     #[test]
     fn ledger_matches_replay_under_fault_interleavings(seed in 0u64..500) {
-        interleave(seed, &mixed_platform(), &Catalog::mixed_dsp());
+        let catalog = Catalog::mixed_dsp();
+        let mut plain = RuntimeManager::new(mixed_platform(), SpatialMapper::default());
+        interleave(seed, &mut plain, &catalog);
+        let templated = TemplatedMapper::new(SpatialMapper::default());
+        let mut templated = RuntimeManager::new(mixed_platform(), templated);
+        interleave(seed, &mut templated, &catalog);
+        prop_assert!(
+            templated.algorithm().stats().hits > 0,
+            "no admission was a template hit (seed {seed})"
+        );
     }
 
     /// After any single failure and evacuation, no surviving mapping
@@ -304,7 +308,10 @@ proptest! {
 fn migration_plans_commit_under_the_replay_oracle() {
     let (platform, catalog) = (defrag_platform(4), Catalog::defrag());
     let committed: u64 = (0..32)
-        .map(|seed| interleave(seed, &platform, &catalog))
+        .map(|seed| {
+            let mut manager = RuntimeManager::new(platform.clone(), SpatialMapper::default());
+            interleave(seed, &mut manager, &catalog)
+        })
         .sum();
     println!("{committed} migration plans committed over 32 seeds");
     assert!(committed > 0, "no seed committed a migration plan");

@@ -4,7 +4,9 @@
 use rtsm::app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm::app::Endpoint;
 use rtsm::core::mapper::{MapperConfig, SpatialMapper};
+use rtsm::core::step4::compose;
 use rtsm::core::trace::Step2Move;
+use rtsm::core::SpecTable;
 use rtsm::platform::paper::paper_platform;
 
 /// E4 / Table 2: the exact published iteration sequence.
@@ -74,10 +76,12 @@ fn figure3_composition_matches_paper() {
     let result = SpatialMapper::new(MapperConfig::default())
         .map(&spec, &platform, &platform.initial_state())
         .unwrap();
-    let csdf = result
-        .csdf
-        .as_ref()
-        .expect("the heuristic retains the CSDF graph");
+    // Figure 3 is the composition of the accepted mapping, sized with the
+    // buffers the mapper returned.
+    let mut figure3 = compose(&SpecTable::for_validated(&spec), &platform, &result.mapping)
+        .expect("the paper mapping composes");
+    figure3.size(&result.buffers);
+    let csdf = &figure3.csdf;
     let routers = csdf
         .actors()
         .filter(|(_, a)| a.name.starts_with("R("))

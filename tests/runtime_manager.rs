@@ -5,11 +5,12 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rtsm::core::{
-    AdmissionError, AppHandle, MappingConstraints, RuntimeError, RuntimeManager, SpatialMapper,
-};
+use rtsm::app::{Endpoint, Implementation, ImplementationLibrary, ProcessGraph, QosSpec};
+use rtsm::core::{AdmissionError, AppHandle, RuntimeError, RuntimeManager, SpatialMapper};
+use rtsm::dataflow::PhaseVec;
 use rtsm::platform::TileKind;
 use rtsm::workloads::{mesh_platform, synthetic_app, GraphShape, SyntheticConfig};
+use std::sync::Arc;
 
 fn manager(seed: u64) -> RuntimeManager<SpatialMapper> {
     let platform = mesh_platform(
@@ -28,6 +29,38 @@ fn app(seed: u64, n_processes: usize) -> rtsm::app::ApplicationSpec {
         shape: GraphShape::Chain,
         ..SyntheticConfig::default()
     })
+}
+
+/// One stage implemented only on a tile kind the mesh does not have.
+fn unhostable() -> rtsm::app::ApplicationSpec {
+    let mut graph = ProcessGraph::new();
+    let stage = graph.add_process("Stage");
+    let at_stage = Endpoint::Process(stage);
+    graph
+        .add_channel(Endpoint::StreamInput, at_stage, 16)
+        .unwrap();
+    graph
+        .add_channel(at_stage, Endpoint::StreamOutput, 16)
+        .unwrap();
+    let mut library = ImplementationLibrary::new();
+    library.register(
+        stage,
+        Implementation::simple(
+            "Stage @ FPGA",
+            TileKind::Fpga,
+            PhaseVec::from_slice(&[8, 60, 8]),
+            PhaseVec::from_slice(&[16, 0, 0]),
+            PhaseVec::from_slice(&[0, 0, 16]),
+            5_000,
+            1024,
+        ),
+    );
+    rtsm::app::ApplicationSpec {
+        name: "unhostable".into(),
+        graph,
+        qos: QosSpec::with_period(4_000_000),
+        library,
+    }
 }
 
 proptest! {
@@ -126,23 +159,16 @@ fn stale_handles_fail_cleanly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Churn plus forced-to-fail remaps: a remap whose constraints exclude
-    /// every tile must roll back to the *exact* ledger — claims, buffer
+    /// Churn plus forced-to-fail switches: a switch to a specification no
+    /// tile can host must roll back to the *exact* ledger — claims, buffer
     /// memory, and allocated routes — and the app must keep functioning
     /// (it still stops cleanly at drain time).
     #[test]
-    fn churned_remap_rollback_restores_state_and_routes(seed in 0u64..40) {
+    fn churned_switch_rollback_restores_state_and_routes(seed in 0u64..40) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xDEFA6);
         let mut m = manager(seed);
         let empty = m.state().clone();
-        let unsatisfiable = {
-            // Excluding every tile leaves any remap nowhere to go.
-            let mut c = MappingConstraints::none();
-            for (tile, _) in m.platform().clone().tiles() {
-                c = c.exclude_tile(tile);
-            }
-            c
-        };
+        let unhostable = Arc::new(unhostable());
         let mut live: Vec<AppHandle> = Vec::new();
         let mut app_seed = seed;
 
@@ -159,19 +185,19 @@ proptest! {
                 let victim = live.swap_remove(rng.random_range(0usize..live.len()));
                 m.stop(victim).expect("live handle stops");
             } else {
-                // Induced remap failure: ledger and record must not move.
+                // Induced switch failure: ledger and record must not move.
                 let target = live[rng.random_range(0usize..live.len())];
                 let ledger = m.state().clone();
                 let record = m.get(target).expect("live handle").clone();
-                let err = m.remap(target, &unsatisfiable).expect_err("cannot satisfy");
+                let err = m.switch(target, unhostable.clone()).expect_err("nothing hosts it");
                 prop_assert!(matches!(err, RuntimeError::Admission(_)));
                 prop_assert!(
                     m.state() == &ledger,
-                    "failed remap must restore the exact ledger (seed {seed})"
+                    "failed switch must restore the exact ledger (seed {seed})"
                 );
                 prop_assert!(
                     m.get(target) == Some(&record),
-                    "failed remap must keep the old mapping and routes (seed {seed})"
+                    "failed switch must keep the old mapping and routes (seed {seed})"
                 );
             }
         }
@@ -181,7 +207,7 @@ proptest! {
         }
         prop_assert!(
             m.state() == &empty,
-            "ledger leaked claims after churn with failed remaps (seed {seed})"
+            "ledger leaked claims after churn with failed switches (seed {seed})"
         );
     }
 }

@@ -1,7 +1,6 @@
 //! Oracles for the structural digests `ProcessGraph` and
 //! `ImplementationLibrary` keep of themselves, and for the template key
-//! (`spec_fingerprint` = `ApplicationSpec::structural_digest`) built on
-//! them:
+//! (`ApplicationSpec::structural_digest`) built on them:
 //!
 //! * equal specs ⇔ equal digests over the whole catalog and proptested
 //!   synthetic graphs, and every single-field flip the pre-digest
@@ -20,7 +19,7 @@ use rtsm::app::{
     AppModelError, ApplicationSpec, Endpoint, Implementation, ImplementationLibrary, KpnChannel,
     Process, ProcessGraph, ProcessId, QosSpec,
 };
-use rtsm::core::{spec_fingerprint, MapError, MappingAlgorithm, SpatialMapper, TemplatedMapper};
+use rtsm::core::{MapError, MappingAlgorithm, SpatialMapper, TemplatedMapper};
 use rtsm::dataflow::PhaseVec;
 use rtsm::platform::paper::paper_platform;
 use rtsm::platform::TileKind;
@@ -152,7 +151,7 @@ impl Hasher for Fnv64 {
     }
 }
 
-/// The `spec_fingerprint` this repository used before the digests: a walk
+/// The template key this repository used before the digests: a walk
 /// over the whole spec. Kept verbatim as the oracle's *field list* — the
 /// digest must tell apart every pair of specs this walk told apart.
 fn walked_fingerprint(spec: &ApplicationSpec) -> u64 {
@@ -363,17 +362,17 @@ fn digest_is_a_function_of_content_not_of_construction() {
                 "{name}: {how}"
             );
             assert_eq!(
-                spec_fingerprint(other),
-                spec_fingerprint(&spec),
+                other.structural_digest(),
+                spec.structural_digest(),
                 "{name}: {how}"
             );
         }
         // A spec's own `pub` fields are mixed in per call, not remembered.
         let mut renamed = spec.clone();
         renamed.name.push('!');
-        assert_ne!(spec_fingerprint(&renamed), spec_fingerprint(&spec));
+        assert_ne!(renamed.structural_digest(), spec.structural_digest());
         renamed.name.pop();
-        assert_eq!(spec_fingerprint(&renamed), spec_fingerprint(&spec));
+        assert_eq!(renamed.structural_digest(), spec.structural_digest());
     }
 }
 
@@ -421,7 +420,7 @@ proptest! {
         assert_every_field_counts(first);
         let interleaved = build(&parts(first), Order::Interleaved);
         prop_assert_eq!(&interleaved, first);
-        prop_assert_eq!(spec_fingerprint(&interleaved), spec_fingerprint(first));
+        prop_assert_eq!(interleaved.structural_digest(), first.structural_digest());
     }
 }
 
@@ -443,7 +442,7 @@ fn same_named_specs_differing_in_one_rate_never_share_a_shape() {
     twin.impls[0][0].wcet = bumped(&twin.impls[0][0].wcet);
     let twin = build(&twin, Order::Plain);
     assert_eq!(twin.name, spec.name);
-    assert_ne!(spec_fingerprint(&twin), spec_fingerprint(&spec));
+    assert_ne!(twin.structural_digest(), spec.structural_digest());
 
     // Its first arrival seeds shapes of its own, under its own key.
     tm.map(&twin, &platform, &state).expect("maps");
@@ -511,10 +510,10 @@ fn library_longer_than_graph_and_empty_graph_do_not_panic() {
     let json = serde_json::to_string(&long).unwrap();
     let reread: ApplicationSpec = serde_json::from_str(&json).unwrap();
     assert_eq!(reread, long);
-    assert_eq!(spec_fingerprint(&reread), spec_fingerprint(&long));
+    assert_eq!(reread.structural_digest(), long.structural_digest());
     assert_ne!(
-        spec_fingerprint(&long),
-        spec_fingerprint(&hiperlan2_receiver(Hiperlan2Mode::Qpsk34))
+        long.structural_digest(),
+        hiperlan2_receiver(Hiperlan2Mode::Qpsk34).structural_digest()
     );
 
     // Nothing to place: whatever the verdict, it is a value, not a panic.
