@@ -16,6 +16,9 @@ use rtsm_core::ReconfigurationPolicy;
 use rtsm_exp::{resolve_catalog, run_algorithm};
 use rtsm_sim::{ArrivalProcess, FaultConfig, HoldingTime, SimConfig};
 
+#[path = "../../../tests/support/fixture.rs"]
+mod fixture;
+
 /// The exact configuration the fixtures were recorded with: the
 /// `simulate` CLI defaults at `--seed 2008 --arrivals 500`.
 fn fixture_config() -> SimConfig {
@@ -53,10 +56,10 @@ fn assert_matches_fixture(catalog: &str, fixture: &str) {
     for (entry, expected) in rtsm_exp::ALGORITHMS.iter().zip(golden) {
         let run = run_algorithm(&resolved, (entry.build)(), None, &config);
         let line = serde_json::to_string(&run.report).expect("reports serialize");
-        assert_eq!(
-            line, expected,
-            "`{}` drifted from {fixture} with templates off",
-            run.report.algorithm
+        fixture::assert_matches_fixture(
+            &line,
+            expected,
+            &format!("`{}` with templates off ({fixture})", run.report.algorithm),
         );
     }
 }
@@ -93,8 +96,9 @@ fn seed2008_mixed_templates_faults_reconfigure_report_matches_the_golden_fixture
         &config,
     );
     let line = serde_json::to_string(&run.report).expect("reports serialize");
-    assert_eq!(
-        line,
-        include_str!("../../../tests/golden/seed2008_mixed_templates_recover.json").trim_end()
+    fixture::assert_matches_fixture(
+        &line,
+        include_str!("../../../tests/golden/seed2008_mixed_templates_recover.json").trim_end(),
+        "the templates/faults/reconfiguration report",
     );
 }

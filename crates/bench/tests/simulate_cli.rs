@@ -8,6 +8,9 @@ use std::collections::BTreeMap;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
+#[path = "../../../tests/support/fixture.rs"]
+mod fixture;
+
 /// Runs `binary` with `args`, requires exit code 2 within a second and a
 /// stderr of exactly one `error: …` line, and returns that line.
 fn refused_at_the_door(binary: &str, args: &[&str]) -> String {
@@ -342,9 +345,10 @@ fn the_golden_command_line_reproduces_its_fixture() {
     assert!(status.success(), "{status}");
     let written = std::fs::read_to_string(&out).expect("--out was written");
     std::fs::remove_file(&out).expect("just written");
-    assert_eq!(
-        written,
-        include_str!("../../../tests/golden/seed2008_mixed_templates_recover.json")
+    fixture::assert_matches_fixture(
+        &written,
+        include_str!("../../../tests/golden/seed2008_mixed_templates_recover.json"),
+        "simulate's --out of the golden command line",
     );
 }
 

@@ -177,7 +177,7 @@ fn buffer_claim(buffer: &ChannelBuffer) -> TileClaim {
 /// refusal of a `start` on to the `start_with_reconfiguration` that
 /// follows it, and — with the fact that a committable mapping claims one
 /// slot per process where its reservation fits — to leave an algorithm
-/// unasked about a plan placement that
+/// unasked about a placement that
 /// [cannot fit](crate::runtime::Demand::cannot_fit). Every algorithm of the
 /// workspace qualifies, [`TemplatedMapper`](crate::TemplatedMapper)
 /// included: a refused call touches nothing of its library but the miss

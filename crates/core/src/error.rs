@@ -28,6 +28,15 @@ pub enum MapError {
         /// Name of the process that could not be placed.
         process: String,
     },
+    /// The run-time manager's certificate
+    /// ([`Demand::cannot_fit`](crate::runtime::Demand::cannot_fit)) proved
+    /// that no mapping can be committed onto the current ledger, so no
+    /// algorithm was asked.
+    CannotFit {
+        /// A process no free compute slot can host at all; `None` when every
+        /// process has a host but they cannot all have distinct slots.
+        unhosted: Option<rtsm_app::ProcessId>,
+    },
 }
 
 impl fmt::Display for MapError {
@@ -49,6 +58,16 @@ impl fmt::Display for MapError {
             MapError::Unmappable { process } => {
                 write!(f, "process `{process}` has no viable implementation")
             }
+            MapError::CannotFit {
+                unhosted: Some(process),
+            } => write!(
+                f,
+                "no free compute slot can host process #{}",
+                process.index()
+            ),
+            MapError::CannotFit { unhosted: None } => {
+                f.write_str("the processes cannot have distinct free compute slots")
+            }
         }
     }
 }
@@ -67,6 +86,8 @@ pub enum MapErrorKind {
     NoFeasibleMapping,
     /// See [`MapError::Unmappable`].
     Unmappable,
+    /// See [`MapError::CannotFit`].
+    CannotFit,
 }
 
 impl fmt::Display for MapErrorKind {
@@ -76,6 +97,7 @@ impl fmt::Display for MapErrorKind {
             MapErrorKind::NoStreamEndpoint => "no-stream-endpoint",
             MapErrorKind::NoFeasibleMapping => "no-feasible-mapping",
             MapErrorKind::Unmappable => "unmappable",
+            MapErrorKind::CannotFit => "cannot-fit",
         };
         f.write_str(label)
     }
@@ -89,6 +111,7 @@ impl MapError {
             MapError::NoStreamEndpoint { .. } => MapErrorKind::NoStreamEndpoint,
             MapError::NoFeasibleMapping { .. } => MapErrorKind::NoFeasibleMapping,
             MapError::Unmappable { .. } => MapErrorKind::Unmappable,
+            MapError::CannotFit { .. } => MapErrorKind::CannotFit,
         }
     }
 }

@@ -128,7 +128,7 @@ impl SpatialMapper {
         external: &MappingConstraints,
     ) -> Result<MappingOutcome, MapError> {
         let order = spec.validated_order()?;
-        self.check_endpoints(spec, platform)?;
+        check_endpoints(spec, platform)?;
         // Everything below that depends on the spec alone reads this table;
         // per attempt only the constraints and the ledger change.
         let table = SpecTable::new(spec, order);
@@ -262,24 +262,25 @@ impl SpatialMapper {
             last_feedback,
         })
     }
+}
 
-    fn check_endpoints(&self, spec: &ApplicationSpec, platform: &Platform) -> Result<(), MapError> {
-        let uses_input = spec
-            .graph
-            .stream_channels()
-            .any(|(_, c)| c.src == Endpoint::StreamInput);
-        let uses_output = spec
-            .graph
-            .stream_channels()
-            .any(|(_, c)| c.dst == Endpoint::StreamOutput);
-        if uses_input && platform.stream_input_tile().is_none() {
-            return Err(MapError::NoStreamEndpoint { which: "AdcSource" });
-        }
-        if uses_output && platform.stream_output_tile().is_none() {
-            return Err(MapError::NoStreamEndpoint { which: "Sink" });
-        }
-        Ok(())
+/// Refuses a spec whose stream endpoints `platform` has no tile for.
+pub(crate) fn check_endpoints(spec: &ApplicationSpec, platform: &Platform) -> Result<(), MapError> {
+    let uses_input = spec
+        .graph
+        .stream_channels()
+        .any(|(_, c)| c.src == Endpoint::StreamInput);
+    let uses_output = spec
+        .graph
+        .stream_channels()
+        .any(|(_, c)| c.dst == Endpoint::StreamOutput);
+    if uses_input && platform.stream_input_tile().is_none() {
+        return Err(MapError::NoStreamEndpoint { which: "AdcSource" });
     }
+    if uses_output && platform.stream_output_tile().is_none() {
+        return Err(MapError::NoStreamEndpoint { which: "Sink" });
+    }
+    Ok(())
 }
 
 /// Folds `feedback` into `constraints`, telling `step1` about every item

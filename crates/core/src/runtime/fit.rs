@@ -20,11 +20,20 @@
 //! [`MappingAlgorithm`](crate::MappingAlgorithm) — heuristic, template hit,
 //! baseline or exhaustive — and `tests/fit_certificate.rs` holds it against
 //! all of them.
+//!
+//! The [`RuntimeManager`](super::RuntimeManager) asks it in front of every
+//! placement it maps ([`Demands`] keeps each specification's [`Demand`]),
+//! so it must be cheap where it answers "don't know": a first-fit pass that
+//! finds every process a free slot proves that, and only a failed pass pays
+//! for the masks and the matching.
 
 use crate::claims::{claim_for, reservation_of};
 use crate::constraints::MappingConstraints;
+use crate::error::MapError;
+use crate::mapper::check_endpoints;
 use rtsm_app::{ApplicationSpec, ProcessId};
 use rtsm_platform::{Platform, PlatformState, TileClaim, TileId, TileKind};
+use std::sync::Arc;
 
 /// The certificate's bit masks hold this many tiles and processes; a larger
 /// instance is answered "don't know".
@@ -32,25 +41,82 @@ const MASK_BITS: usize = u64::BITS as usize;
 
 /// What one application asks of the tiles, whatever mapping it gets: for
 /// every mapped process, the tile kind and hard reservation of each of its
-/// implementations. Depends on the specification only, so the entry points
-/// that stage many plans build it once per specification and call.
-#[derive(Debug)]
+/// implementations. Depends on the specification only, so the
+/// [`RuntimeManager`](super::RuntimeManager) works it out once per
+/// specification and keeps it.
+#[derive(Debug, Clone, Default)]
 pub struct Demand {
-    /// Every implementation of every mapped process; those of one process
-    /// are next to each other.
+    /// Every implementation of every mapped process (a valid specification
+    /// gives each at least one); those of one process are next to each
+    /// other.
     hosts: Vec<Host>,
-    /// Some mapped process has no implementation: nothing can host it.
-    starved: bool,
 }
 
 /// One implementation of a process: the kind of tile that hosts it and what
 /// it reserves there besides its one compute slot.
 #[derive(Debug, Clone, Copy)]
 struct Host {
-    process: ProcessId,
+    /// The process's index, narrowed so a host takes 24 bytes.
+    process: u32,
     kind: TileKind,
     memory_bytes: u64,
     cycles_per_second: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Host>() <= 24);
+
+impl Host {
+    fn process(&self) -> ProcessId {
+        ProcessId::from_index(self.process as usize)
+    }
+
+    /// Whether tile `t`, a healthy one with a free slot of the kind class
+    /// of `self.kind`, hosts this implementation for `constraints`.
+    fn hosted_on(
+        &self,
+        t: usize,
+        platform: &Platform,
+        state: &PlatformState,
+        constraints: &MappingConstraints,
+    ) -> bool {
+        let tile = TileId::from_index(t);
+        let reservation = TileClaim {
+            slots: 1,
+            memory_bytes: self.memory_bytes,
+            cycles_per_second: self.cycles_per_second,
+            injection: 0,
+            ejection: 0,
+        };
+        platform.tile(tile).kind == self.kind
+            && state.fits_tile(platform, tile, &reservation)
+            && constraints.allows(self.process(), tile)
+    }
+}
+
+/// Tile kinds as mask indices: each named kind its own, every
+/// [`TileKind::Other`] tag the last one (a tile's exact kind is compared
+/// when it is tried).
+const KIND_CLASSES: usize = 7;
+
+fn class(kind: TileKind) -> usize {
+    match kind {
+        TileKind::Arm => 0,
+        TileKind::Montium => 1,
+        TileKind::Dsp => 2,
+        TileKind::Fpga => 3,
+        TileKind::AdcSource => 4,
+        TileKind::Sink => 5,
+        TileKind::Other(_) => 6,
+    }
+}
+
+/// Each tile set bit by bit, lowest index first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let t = mask.trailing_zeros() as usize;
+        mask &= mask.checked_sub(1)?;
+        Some(t)
+    })
 }
 
 impl Demand {
@@ -58,83 +124,97 @@ impl Demand {
     /// ([`ApplicationSpec::validate`]).
     pub fn of(spec: &ApplicationSpec) -> Demand {
         let mut hosts = Vec::with_capacity(spec.library.len());
-        let mut starved = false;
         for (process, _) in spec.graph.stream_processes() {
-            let implementations = spec.library.impls_for(process);
-            starved |= implementations.is_empty();
-            for implementation in implementations {
+            for implementation in spec.library.impls_for(process) {
                 let reserved = reservation_of(&claim_for(spec, process, implementation));
                 debug_assert_eq!(reserved.slots, 1, "a process takes one slot");
                 hosts.push(Host {
-                    process,
+                    process: process.index() as u32,
                     kind: implementation.tile_kind,
                     memory_bytes: reserved.memory_bytes,
                     cycles_per_second: reserved.cycles_per_second,
                 });
             }
         }
-        Demand { hosts, starved }
+        Demand { hosts }
     }
 
     /// `true` only when **no** mapping of this application can be committed
     /// onto `state` under `constraints`: some process has no tile at all, or
     /// the processes cannot be assigned to distinct free compute slots
     /// (Hall's condition, decided by augmenting paths). `false` is "don't
-    /// know" — always the answer beyond 64 tiles or processes.
+    /// know" — always the answer beyond 64 tiles, and beyond 64 processes
+    /// unless one of them has no tile at all.
     pub fn cannot_fit(
         &self,
         platform: &Platform,
         state: &PlatformState,
         constraints: &MappingConstraints,
     ) -> bool {
-        if self.starved {
-            return true;
-        }
+        self.refusal(platform, state, constraints).is_some()
+    }
+
+    /// [`Demand::cannot_fit`] with its reason: the
+    /// [`MapError::CannotFit`] a placement ruled out is refused with.
+    pub(super) fn refusal(
+        &self,
+        platform: &Platform,
+        state: &PlatformState,
+        constraints: &MappingConstraints,
+    ) -> Option<MapError> {
         if platform.n_tiles() > MASK_BITS {
-            return false;
+            return None;
+        }
+        // Only a healthy tile with a free slot hosts anything; on the loaded
+        // ledger of a blocked arrival that is a handful of them.
+        let mut open = [0u64; KIND_CLASSES];
+        let mut free = [0u32; MASK_BITS];
+        for (tile, spec) in platform.tiles() {
+            let slots = state.free_slots(platform, tile);
+            if slots > 0 && !state.is_tile_failed(tile) {
+                free[tile.index()] = slots;
+                open[class(spec.kind)] |= 1 << tile.index();
+            }
+        }
+        let processes = || self.hosts.chunk_by(|a, b| a.process == b.process);
+        // First fit: a free slot for every process in turn is a matching, so
+        // the answer is "don't know" whatever Hall's condition would say.
+        let mut left = free;
+        let first_fit = processes().all(|hosts| {
+            let slot = hosts.iter().find_map(|host| {
+                bits(open[class(host.kind)])
+                    .find(|&t| left[t] > 0 && host.hosted_on(t, platform, state, constraints))
+            });
+            slot.map(|t| left[t] -= 1).is_some()
+        });
+        if first_fit {
+            return None;
         }
         let mut matching = Matching {
             tiles: [0; MASK_BITS],
-            free: [0; MASK_BITS],
+            free,
             placed: [0; MASK_BITS],
         };
-        // Only a tile with a free slot hosts anything; on the loaded ledger
-        // of a blocked arrival that is a handful of them.
-        let mut open = 0u64;
-        for (tile, _) in platform.tiles() {
-            matching.free[tile.index()] = state.free_slots(platform, tile);
-            open |= u64::from(matching.free[tile.index()] > 0) << tile.index();
-        }
-        let mut processes = 0;
-        for hosts in self.hosts.chunk_by(|a, b| a.process == b.process) {
-            if processes == MASK_BITS {
-                return false;
+        let mut n = 0;
+        for hosts in processes() {
+            let mut tiles = 0u64;
+            for host in hosts {
+                tiles |= bits(open[class(host.kind)] & !tiles)
+                    .filter(|&t| host.hosted_on(t, platform, state, constraints))
+                    .fold(0, |mask, t| mask | 1 << t);
             }
-            let mut tiles = open;
-            while tiles != 0 {
-                let tile = TileId::from_index(tiles.trailing_zeros() as usize);
-                tiles &= tiles - 1;
-                let kind = platform.tile(tile).kind;
-                let hosted = hosts.iter().any(|host| {
-                    let reservation = TileClaim {
-                        slots: 1,
-                        memory_bytes: host.memory_bytes,
-                        cycles_per_second: host.cycles_per_second,
-                        injection: 0,
-                        ejection: 0,
-                    };
-                    host.kind == kind && state.fits_tile(platform, tile, &reservation)
+            if tiles == 0 {
+                return Some(MapError::CannotFit {
+                    unhosted: Some(hosts[0].process()),
                 });
-                if hosted && constraints.allows(hosts[0].process, tile) {
-                    matching.tiles[processes] |= 1 << tile.index();
-                }
             }
-            if matching.tiles[processes] == 0 {
-                return true;
+            if let Some(slot) = matching.tiles.get_mut(n) {
+                *slot = tiles;
             }
-            processes += 1;
+            n += 1;
         }
-        (0..processes).any(|p| !matching.place(p, &mut 0))
+        (n <= MASK_BITS && (0..n).any(|p| !matching.place(p, &mut 0)))
+            .then_some(MapError::CannotFit { unhosted: None })
     }
 }
 
@@ -176,21 +256,69 @@ impl Matching {
     }
 }
 
-/// [`Demand::cannot_fit`] as [`Plan::stage`](super::plan::Plan::stage) asks
-/// it: behind a call, so the inlined staging loop of `start` carries one
-/// branch and no certificate.
+/// Entries the [`Demands`] table holds before it is flushed whole (a
+/// deterministic flush, as `step4`'s memo does).
+const DEMANDS_CAP: usize = 64;
+
+/// The demands of the specifications the manager placed lately, matched by
+/// `Arc` identity: the entry's `Arc` keeps its specification from being
+/// mutated (`Arc::get_mut` fails while it is held), so a demand never
+/// outlives what it was worked out from.
+#[derive(Debug, Clone, Default)]
+pub(super) struct Demands(Vec<(Arc<ApplicationSpec>, Demand)>);
+
+impl Demands {
+    /// Empties a full table. An entry point calls this once, before its
+    /// first [`Demands::position`], so the positions it is handed stay
+    /// valid for the whole call.
+    pub fn flush_if_full(&mut self) {
+        if self.0.len() >= DEMANDS_CAP {
+            self.0.clear();
+        }
+    }
+
+    /// Where `spec`'s demand on `platform` is, worked out if it is new. A
+    /// specification that fails validation, or whose stream endpoints the
+    /// platform lacks, gets the empty demand, which answers "don't know":
+    /// the algorithm is asked and says why it refuses.
+    pub fn position(&mut self, spec: &Arc<ApplicationSpec>, platform: &Platform) -> usize {
+        if let Some(at) = self
+            .0
+            .iter()
+            .position(|(known, _)| Arc::ptr_eq(known, spec))
+        {
+            return at;
+        }
+        let placeable = spec.validate().is_ok() && check_endpoints(spec, platform).is_ok();
+        let demand = if placeable {
+            Demand::of(spec)
+        } else {
+            Demand::default()
+        };
+        self.0.push((spec.clone(), demand));
+        self.0.len() - 1
+    }
+
+    /// The specification and demand at `at`.
+    pub fn get(&self, at: usize) -> (&Arc<ApplicationSpec>, &Demand) {
+        let (spec, demand) = &self.0[at];
+        (spec, demand)
+    }
+}
+
+/// [`Demand::refusal`] as [`Plan::stage`](super::plan::Plan::stage) asks
+/// it: behind a call, so the inlined staging loop carries one branch and
+/// no certificate.
 #[inline(never)]
 pub(super) fn rules_out(
     demand: &Demand,
     platform: &Platform,
     state: &PlatformState,
     constraints: &MappingConstraints,
-) -> bool {
-    let ruled_out = demand.cannot_fit(platform, state, constraints);
-    if ruled_out {
-        rtsm_obs::count(rtsm_obs::Counter::PlacementRuledOut, 1);
-    }
-    ruled_out
+) -> Option<MapError> {
+    let refusal = demand.refusal(platform, state, constraints)?;
+    rtsm_obs::count(rtsm_obs::Counter::PlacementRuledOut, 1);
+    Some(refusal)
 }
 
 #[cfg(test)]

@@ -14,16 +14,17 @@
 //! tokens that stay valid however many other applications start or stop in
 //! between (unlike positional indices, which shift).
 //!
-//! A blocked arrival is refused once: a manager that serves retries keeps
-//! the refusal [`start`](RuntimeManager::start) returned until its next
-//! `&mut self` call, and
+//! Every placement is mapped only if it can fit: a sound certificate
+//! ([`Demand::cannot_fit`]) turns it away before the algorithm runs when
+//! the application's processes cannot be assigned to distinct free compute
+//! slots, and the refusal is
+//! [`MapError::CannotFit`](crate::MapError::CannotFit). A blocked arrival
+//! is refused once: a manager that serves retries keeps the refusal
+//! [`start`](RuntimeManager::start) returned until its next `&mut self`
+//! call, and
 //! [`start_with_reconfiguration`](RuntimeManager::start_with_reconfiguration)
-//! for the same `Arc`ed specification takes it over instead of asking the
-//! algorithm again. The plans it then evaluates, and the attempts of
-//! [`evacuate`](RuntimeManager::evacuate), map only what can fit: a sound
-//! certificate ([`Demand::cannot_fit`]) turns a placement away before the
-//! algorithm runs when the application's processes cannot be assigned to
-//! distinct free compute slots.
+//! for the same `Arc`ed specification takes it over instead of placing the
+//! arrival again.
 //!
 //! # Example
 //!
@@ -62,14 +63,13 @@ pub use policy::{
 use crate::algorithm::{MappingAlgorithm, MappingOutcome};
 use crate::constraints::MappingConstraints;
 use crate::cost::CostModel;
-use crate::error::MapError;
 use crate::mapping::RouteBinding;
-use plan::{Placement, Plan, StageError};
+use fit::Demands;
+use plan::{adopt, Placement, Plan, StageError};
 use rtsm_app::ApplicationSpec;
 use rtsm_obs as obs;
 use rtsm_platform::{LinkId, Platform, PlatformState, PlatformTransaction, TileId};
 use serde::{Deserialize, Serialize};
-use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -305,6 +305,9 @@ pub struct RuntimeManager<A: MappingAlgorithm> {
     /// [`start_with_reconfiguration`](RuntimeManager::start_with_reconfiguration),
     /// so a manager never asked to retry copies no error.
     serves_retries: bool,
+    /// The demand of every specification placed lately, which every
+    /// placement is held against before the algorithm is asked.
+    demands: Demands,
 }
 
 impl<A: MappingAlgorithm> RuntimeManager<A> {
@@ -325,6 +328,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             next_handle: 0,
             last_refusal: None,
             serves_retries: false,
+            demands: Demands::default(),
         }
     }
 
@@ -357,7 +361,10 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
     ///
     /// # Errors
     ///
-    /// * [`AdmissionError::Rejected`] — no feasible mapping right now;
+    /// * [`AdmissionError::Rejected`] — no feasible mapping right now:
+    ///   [`MapError::CannotFit`](crate::MapError::CannotFit) when the
+    ///   certificate ruled it out without asking the algorithm, otherwise
+    ///   the algorithm's error;
     /// * [`AdmissionError::CommitFailed`] — the mapping could not be
     ///   committed (only possible if the ledger was mutated externally).
     pub fn start(
@@ -366,8 +373,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
     ) -> Result<AppHandle, AdmissionError> {
         let _span = obs::span(obs::Span::Admission);
         let spec = spec.into();
-        let unconstrained = MappingConstraints::none();
-        match self.place(Placement::new(None, &spec, &unconstrained)) {
+        match self.place(None, &spec) {
             Ok((handle, _)) => Ok(handle),
             Err(e) => {
                 let error = e.admission().expect("an arrival releases nothing");
@@ -402,18 +408,24 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
     }
 
     /// The ungated entry points, `start` and `switch`: stages a plan of one
-    /// placement, commits it and adopts it. On any failure the dropped transaction restores the
-    /// ledger and no record is touched.
+    /// unconstrained placement of `spec` (an arrival, or a re-placement of
+    /// `handle`), commits it and adopts it. On any failure the dropped
+    /// transaction restores the ledger and no record is touched.
     fn place(
         &mut self,
-        placement: Placement<'_>,
+        handle: Option<AppHandle>,
+        spec: &Arc<ApplicationSpec>,
     ) -> Result<(AppHandle, Option<MappingOutcome>), StageError> {
         self.last_refusal = None;
+        self.demands.flush_if_full();
+        let at = self.demands.position(spec, &self.platform);
+        let unconstrained = MappingConstraints::none();
+        let placement = Placement::new(handle, spec, &unconstrained, self.demands.get(at).1);
         let mut plan = Plan::of(placement);
         let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
         plan.stage(&self.algorithm, &self.running, &mut tx)?;
         tx.commit();
-        Ok(self.adopt(plan.first))
+        Ok(adopt(&mut self.running, &mut self.next_handle, plan.first))
     }
 
     /// Attempts to start `spec`; when plain admission fails, searches
@@ -494,12 +506,11 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             });
         }
 
-        // What a plan can place: the arrival's specification, then every
-        // distinct one running (instances of one catalog entry share their
-        // `Arc`), each with its demand — worked out when the first plan gets
-        // as far as placing it, once for the whole call.
-        let mut specs = Vec::with_capacity(1 + self.running.len());
-        specs.push((spec, OnceCell::new()));
+        // What a plan can place: the arrival's specification and every one
+        // running (instances of one catalog entry share their `Arc`), by
+        // where the demand table keeps each.
+        self.demands.flush_if_full();
+        let arrival = self.demands.position(&spec, &self.platform);
         // Candidate victims, cheapest move first; ties break on handle so
         // the search order — and therefore every fixed-seed simulation —
         // is deterministic.
@@ -510,29 +521,16 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
                     &app.spec,
                     &self.platform,
                 );
-                let known = (specs
-                    .iter()
-                    .position(|(spec, _)| Arc::ptr_eq(spec, &app.spec)))
-                .unwrap_or_else(|| {
-                    specs.push((app.spec.clone(), OnceCell::new()));
-                    specs.len() - 1
-                });
+                let known = self.demands.position(&app.spec, &self.platform);
                 (move_cost, *handle, known)
             })
             .collect();
         candidates.sort_unstable();
-        // A specification the algorithm called invalid has no demand to
-        // speak of; only the arrival's can be.
-        let arrival_is_valid = !matches!(error, AdmissionError::Rejected(MapError::InvalidSpec(_)));
         let unconstrained = MappingConstraints::none();
+        let demands = &self.demands;
         let placement = |handle: Option<AppHandle>, known: usize| {
-            let (spec, demand) = &specs[known];
-            let demand = (handle.is_some() || arrival_is_valid)
-                .then(|| demand.get_or_init(|| Demand::of(spec)));
-            Placement {
-                demand,
-                ..Placement::new(handle, spec, &unconstrained)
-            }
+            let (spec, demand) = demands.get(known);
+            Placement::new(handle, spec, &unconstrained, demand)
         };
 
         // Plans: single migrations cheapest-first, then pairs, … up to
@@ -560,7 +558,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
                 let mut plan = Plan {
                     rest: std::mem::take(&mut victims),
                     priced: true,
-                    ..Plan::of(placement(None, 0))
+                    ..Plan::of(placement(None, arrival))
                 };
                 let staged = {
                     let _span = obs::span(obs::Span::PlanEval);
@@ -573,11 +571,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
                     Ok(()) => size,
                     // Position 0 is the arrival, so stopping at `at` means
                     // `at` victim re-maps were attempted.
-                    Err(
-                        StageError::Rejected(at, _)
-                        | StageError::Refused(at)
-                        | StageError::Commit(at, _),
-                    ) => at,
+                    Err(StageError::Rejected(at, _) | StageError::Commit(at, _)) => at,
                     Err(StageError::Release(_)) => 0,
                 } as u64;
                 // The objective of a plan that replaces the best so far.
@@ -618,7 +612,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         plan.stage(&self.algorithm, &self.running, &mut tx)
             .expect("re-staging an evaluated plan cannot fail");
         tx.commit();
-        let (handle, _) = self.adopt(plan.first);
+        let (handle, _) = adopt(&mut self.running, &mut self.next_handle, plan.first);
         let mut migrations = Vec::with_capacity(plan.rest.len());
         for placement in plan.rest {
             // A victim whose re-map landed on exactly its old tiles did not
@@ -636,7 +630,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
                     energy_pj: placement.transfer_energy_pj,
                 });
             }
-            self.adopt(placement);
+            adopt(&mut self.running, &mut self.next_handle, placement);
         }
         Ok(Reconfiguration {
             handle,
@@ -682,8 +676,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             return Err(RuntimeError::UnknownHandle(handle));
         }
         let spec = spec.into();
-        let unconstrained = MappingConstraints::none();
-        let (_, previous) = self.place(Placement::new(Some(handle), &spec, &unconstrained))?;
+        let (_, previous) = self.place(Some(handle), &spec)?;
         Ok(previous.expect("a re-placement replaces an outcome"))
     }
 
@@ -699,7 +692,8 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
     /// algorithm re-maps it under auto-derived [`MappingConstraints`] —
     /// every currently-failed tile excluded, and in a first attempt every
     /// process on a healthy tile pinned in place, in a second one nothing
-    /// pinned — and the first attempt that stages commits, its move priced
+    /// pinned (made only when the first pinned something) — and the first
+    /// attempt that stages commits, its move priced
     /// through [`CostModel::migration_cost`]. If neither stages, the victim
     /// is *evicted* — stopped, its resources released — which is a terminal
     /// outcome distinct from blocking. Victims already relocated by the
@@ -741,18 +735,21 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         // The health layer changed just now and not again before the call
         // returns, so neither do the constraints it implies.
         let unpinned = self.failure_constraints();
+        self.demands.flush_if_full();
         for handle in victims {
             let pinned = self.pin_healthy(unpinned.clone(), handle);
-            let spec = self.running[&handle].spec.clone();
-            let demand = Demand::of(&spec);
+            // With no process on a healthy tile nothing is pinned, and the
+            // second attempt would be the first again.
+            let attempts = if pinned == unpinned { 1 } else { 2 };
+            let at = self
+                .demands
+                .position(&self.running[&handle].spec, &self.platform);
+            let (spec, demand) = self.demands.get(at);
             let mut relocated = false;
-            for constraints in [&pinned, &unpinned] {
+            for constraints in [&pinned, &unpinned].into_iter().take(attempts) {
                 let mut plan = Plan {
                     priced: true,
-                    ..Plan::of(Placement {
-                        demand: Some(&demand),
-                        ..Placement::new(Some(handle), &spec, constraints)
-                    })
+                    ..Plan::of(Placement::new(Some(handle), spec, constraints, demand))
                 };
                 let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
                 // An infeasible attempt drops its transaction (exact
@@ -770,7 +767,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
                     processes_moved: plan.first.processes_moved,
                     migration_energy_pj: plan.migration_energy_pj,
                 });
-                self.adopt(plan.first);
+                adopt(&mut self.running, &mut self.next_handle, plan.first);
                 relocated = true;
                 break;
             }
@@ -1084,6 +1081,45 @@ mod tests {
         let h = m.start(hiperlan2_receiver(Hiperlan2Mode::Qpsk34)).unwrap();
         assert_eq!(m.n_running(), 1);
         m.stop(h).unwrap();
+    }
+
+    #[test]
+    fn what_the_certificate_cannot_judge_keeps_the_algorithms_error() {
+        use crate::error::MapError;
+        use rtsm_platform::{Coord, PlatformBuilder, TileKind};
+        // No ARM could host the stage either, but the missing Sink is what
+        // the mapper reports, and so does the manager.
+        let sinkless = PlatformBuilder::mesh(2, 1)
+            .tile_defaults(200, 1, 64 * 1024, 200_000_000)
+            .tile("A/D", TileKind::AdcSource, Coord { x: 0, y: 0 })
+            .tile("MONTIUM", TileKind::Montium, Coord { x: 1, y: 0 })
+            .build()
+            .unwrap();
+        let mut m = RuntimeManager::new(sinkless, SpatialMapper::default());
+        assert_eq!(
+            m.start(light()).unwrap_err(),
+            AdmissionError::Rejected(MapError::NoStreamEndpoint { which: "Sink" })
+        );
+        // A process without an implementation makes the spec invalid; on a
+        // full platform its stage would not fit, but invalid it stays.
+        let mut m = RuntimeManager::new(defrag_platform(), SpatialMapper::default());
+        for _ in 0..4 {
+            m.start(light()).unwrap();
+        }
+        let mut orphaned = light();
+        orphaned.graph.add_process("orphan");
+        assert!(matches!(
+            m.start(orphaned).unwrap_err(),
+            AdmissionError::Rejected(MapError::InvalidSpec(_))
+        ));
+        // A valid spec on that ledger is ruled out, and says which process
+        // has no free slot.
+        assert_eq!(
+            m.start(light()).unwrap_err(),
+            AdmissionError::Rejected(MapError::CannotFit {
+                unhosted: Some(rtsm_app::ProcessId::from_index(0))
+            })
+        );
     }
 
     // --- Remapping and defragmentation ----------------------------------
@@ -1484,6 +1520,31 @@ mod tests {
         m.repair(FailureEvent::Tile(arm_a));
         m.stop_all().unwrap();
         assert!(m.utilization().is_idle(), "evictions released everything");
+    }
+
+    #[test]
+    fn a_victim_with_nothing_to_pin_is_attempted_once() {
+        // Each light app is one process, so a victim on the failed ARM has
+        // none left on a healthy tile to pin: its pinned attempt is its
+        // unpinned one, and with ARM-b full the certificate rules it out.
+        let platform = defrag_platform();
+        let arm_a = platform.tile_by_name("ARM-a").unwrap();
+        let mut m = RuntimeManager::new(platform, SpatialMapper::default());
+        for _ in 0..4 {
+            m.start(light()).unwrap();
+        }
+        let probe = std::rc::Rc::new(obs::SpanLatencyProbe::new());
+        let evacuation = {
+            let _guard = obs::install(probe.clone() as std::rc::Rc<dyn obs::Probe>);
+            m.evacuate(FailureEvent::Tile(arm_a), &EvacuationPolicy)
+                .unwrap()
+        };
+        assert_eq!(evacuation.evicted.len(), 2);
+        assert_eq!(
+            probe.counter_total(obs::Counter::PlacementRuledOut),
+            2,
+            "one attempt per victim"
+        );
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! The one pipeline under every ledger-mutating entry point of the
-//! [`RuntimeManager`]: a [`Plan`] is *staged* into a transaction, the entry
+//! [`RuntimeManager`](super::RuntimeManager): a [`Plan`] is *staged* into a transaction, the entry
 //! point *gates* it, and a committed plan is *adopted* into the records.
 //!
 //! A plan is an ordered, non-empty list of [`Placement`]s. A placement
 //! without a handle is an arrival; one with a handle re-places a running
 //! application, and its current reservations are the plan's releases.
-//! [`start`](RuntimeManager::start) is one arrival;
-//! [`switch`](RuntimeManager::switch) re-places one application under a new
+//! [`start`](super::RuntimeManager::start) is one arrival;
+//! [`switch`](super::RuntimeManager::switch) re-places one application under a new
 //! specification;
-//! [`start_with_reconfiguration`](RuntimeManager::start_with_reconfiguration)
+//! [`start_with_reconfiguration`](super::RuntimeManager::start_with_reconfiguration)
 //! stages an arrival followed by its victims once per victim combination,
 //! aborting each, and stages the winner a second time;
-//! [`evacuate`](RuntimeManager::evacuate) re-places one victim per attempt
+//! [`evacuate`](super::RuntimeManager::evacuate) re-places one victim per attempt
 //! under the failure's constraints. What differs between them is the gate
 //! and the result type, not the sequence.
 //!
@@ -21,18 +21,17 @@
 //! mapped against the transaction's state and staged in plan order, each
 //! seeing its predecessors' claims; a placement that already carries an
 //! outcome is staged verbatim, the algorithm is not asked again (so a
-//! randomised mapper commits exactly what was scored); a placement that
-//! carries its specification's [`Demand`] — those of a reconfiguration
-//! evaluation or an evacuation attempt, whose mapping error nobody reads —
-//! is first held against the transaction's state and refused at its
-//! position, the algorithm not asked, when it
+//! randomised mapper commits exactly what was scored); every other
+//! placement is first held, through its specification's [`Demand`], against
+//! the transaction's state and refused at its position with
+//! [`MapError::CannotFit`], the algorithm not asked, when it
 //! [cannot fit](Demand::cannot_fit). A *priced* plan — a reconfiguration
 //! evaluation's or an evacuation attempt's — also prices every
 //! re-placement's state transfer in the one energy model
 //! ([`CostModel::Energy`]) and sums the plan's migration and steady-state
 //! energies. Nothing outside the transaction
 //! changes: dropping it restores the ledger byte for byte, and the records
-//! are only written by [`RuntimeManager::adopt`], after the caller
+//! are only written by [`adopt`], after the caller
 //! committed.
 //!
 //! # Failure windows
@@ -52,8 +51,8 @@
 //! consistent state.
 //!
 //! One thing is remembered *between* calls: the refusal the last
-//! [`start`](RuntimeManager::start) returned, which a
-//! [`start_with_reconfiguration`](RuntimeManager::start_with_reconfiguration)
+//! [`start`](super::RuntimeManager::start) returned, which a
+//! [`start_with_reconfiguration`](super::RuntimeManager::start_with_reconfiguration)
 //! for the same `Arc`ed specification takes over instead of mapping again.
 //! Its window is exactly the gap between those two calls — every `&mut self`
 //! entry point clears or overwrites it before it touches anything, `repair`
@@ -63,7 +62,6 @@
 use super::fit::{self, Demand};
 use super::{
     AdmissionError, AdmissionPolicy, AppHandle, ReconfigurationObjective, RunningApp, RuntimeError,
-    RuntimeManager,
 };
 use crate::algorithm::{MappingAlgorithm, MappingOutcome};
 use crate::constraints::MappingConstraints;
@@ -80,20 +78,17 @@ pub(super) struct Placement<'a> {
     /// The running application this re-places, released before anything is
     /// placed; `None` for an arrival.
     pub handle: Option<AppHandle>,
-    /// What is placed (for a [`switch`](RuntimeManager::switch): the new
+    /// What is placed (for a [`switch`](super::RuntimeManager::switch): the new
     /// specification, not the record's). Borrowed: a migration search
     /// stages the same victim in plan after plan, and only
-    /// [`adopt`](RuntimeManager::adopt) needs a handle of its own.
+    /// [`adopt`] needs a handle of its own.
     pub spec: &'a Arc<ApplicationSpec>,
     /// What the mapping must honour.
     pub constraints: &'a MappingConstraints,
-    /// Set on the placements whose mapping error nobody reads — those of a
-    /// reconfiguration evaluation or an evacuation attempt: `spec`'s
-    /// [`Demand`], which lets [`Plan::stage`] turn the placement away
-    /// without asking the algorithm when it
-    /// [cannot fit](Demand::cannot_fit). `None` where the error is report
-    /// data (`start`, `switch`): there the algorithm always runs.
-    pub demand: Option<&'a Demand>,
+    /// `spec`'s [`Demand`], which lets [`Plan::stage`] turn the placement
+    /// away without asking the algorithm when it
+    /// [cannot fit](Demand::cannot_fit).
+    pub demand: &'a Demand,
     /// The mapping: filled in by the first [`Plan::stage`], staged verbatim
     /// by a later one. The search trace is dropped as soon as it is mapped,
     /// so neither a kept plan nor a long-lived manager accumulates
@@ -111,12 +106,13 @@ impl<'a> Placement<'a> {
         handle: Option<AppHandle>,
         spec: &'a Arc<ApplicationSpec>,
         constraints: &'a MappingConstraints,
+        demand: &'a Demand,
     ) -> Self {
         Placement {
             handle,
             spec,
             constraints,
-            demand: None,
+            demand,
             outcome: None,
             processes_moved: 0,
             transfer_energy_pj: 0,
@@ -148,28 +144,20 @@ pub(super) struct Plan<'a> {
 pub(super) enum StageError {
     /// The ledger does not hold a re-placed application's reservations.
     Release(PlatformError),
-    /// The algorithm found no mapping for the placement at this position.
+    /// The placement at this position has no mapping: it
+    /// [cannot fit](Demand::cannot_fit) ([`MapError::CannotFit`], the
+    /// algorithm not asked), or the algorithm found none.
     Rejected(usize, MapError),
-    /// The placement at this position [cannot fit](Demand::cannot_fit), so
-    /// the algorithm was not asked: a `Rejected` without the error, which
-    /// only placements carrying a [`Placement::demand`] can get.
-    Refused(usize),
     /// The placement's reservations did not fit the transaction's state.
     Commit(usize, PlatformError),
 }
 
 impl StageError {
     /// The admission failure this is, or the release failure it is instead.
-    ///
-    /// # Panics
-    ///
-    /// On [`StageError::Refused`], which has no error to hand on: the entry
-    /// points that report one stage placements without a demand.
     pub fn admission(self) -> Result<AdmissionError, PlatformError> {
         match self {
             StageError::Release(e) => Err(e),
             StageError::Rejected(_, e) => Ok(AdmissionError::Rejected(e)),
-            StageError::Refused(_) => unreachable!("a reported placement is always mapped"),
             StageError::Commit(_, e) => Ok(AdmissionError::CommitFailed(e)),
         }
     }
@@ -247,10 +235,13 @@ impl<'a> Plan<'a> {
             let outcome = match &mut placement.outcome {
                 Some(outcome) => outcome,
                 unmapped => {
-                    if placement.demand.is_some_and(|demand| {
-                        fit::rules_out(demand, tx.platform(), tx.state(), placement.constraints)
-                    }) {
-                        return Err(StageError::Refused(at));
+                    if let Some(refusal) = fit::rules_out(
+                        placement.demand,
+                        tx.platform(),
+                        tx.state(),
+                        placement.constraints,
+                    ) {
+                        return Err(StageError::Rejected(at, refusal));
                     }
                     let mut outcome = algorithm
                         .map_constrained(
@@ -289,35 +280,35 @@ impl<'a> Plan<'a> {
     }
 }
 
-impl<A: MappingAlgorithm> RuntimeManager<A> {
-    /// Writes one placement of a *committed* plan into the records — the
-    /// only place a record is created or overwritten. An arrival is allotted
-    /// the next handle; a re-placement keeps its handle, takes the
-    /// placement's specification and hands back the outcome it replaces.
-    pub(super) fn adopt(
-        &mut self,
-        placement: Placement<'_>,
-    ) -> (AppHandle, Option<MappingOutcome>) {
-        let spec = placement.spec.clone();
-        let outcome = placement.outcome.expect("adopted plans were staged");
-        match placement.handle {
-            Some(handle) => {
-                let record = self
-                    .running
-                    .get_mut(&handle)
-                    .expect("plans name running applications");
-                record.spec = spec;
-                (
-                    handle,
-                    Some(std::mem::replace(&mut record.outcome, outcome)),
-                )
-            }
-            None => {
-                let handle = AppHandle(self.next_handle);
-                self.next_handle += 1;
-                self.running.insert(handle, RunningApp { spec, outcome });
-                (handle, None)
-            }
+/// Writes one placement of a *committed* plan into `running` — the only
+/// place a record is created or overwritten. An arrival is allotted
+/// `next_handle`; a re-placement keeps its handle, takes the placement's
+/// specification and hands back the outcome it replaces. A function of the
+/// two fields rather than a method, so the plan's placements may borrow the
+/// manager's [`Demands`](super::fit::Demands) meanwhile.
+pub(super) fn adopt(
+    running: &mut BTreeMap<AppHandle, RunningApp>,
+    next_handle: &mut u64,
+    placement: Placement<'_>,
+) -> (AppHandle, Option<MappingOutcome>) {
+    let spec = placement.spec.clone();
+    let outcome = placement.outcome.expect("adopted plans were staged");
+    match placement.handle {
+        Some(handle) => {
+            let record = running
+                .get_mut(&handle)
+                .expect("plans name running applications");
+            record.spec = spec;
+            (
+                handle,
+                Some(std::mem::replace(&mut record.outcome, outcome)),
+            )
+        }
+        None => {
+            let handle = AppHandle(*next_handle);
+            *next_handle += 1;
+            running.insert(handle, RunningApp { spec, outcome });
+            (handle, None)
         }
     }
 }

@@ -537,9 +537,10 @@ pub struct TemplateStats {
     /// Calls that found no instantiable shape and fell back to the wrapped
     /// algorithm. A count of *consultations*: the
     /// [`RuntimeManager`](crate::RuntimeManager) does not consult the
-    /// library for a retry whose refusal it already holds, nor for a plan
+    /// library for a retry whose refusal it already holds, nor for any
     /// placement that [cannot fit](crate::runtime::Demand::cannot_fit) —
-    /// lookups that could not have hit.
+    /// a certified refusal, of a `start` or `switch` as of a plan — so
+    /// lookups that could not have hit are not counted.
     pub misses: u64,
     /// Shapes learned from the design-time seeding pass (first arrival of
     /// each spec, mapped on an empty platform).

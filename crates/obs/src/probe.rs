@@ -145,10 +145,11 @@ pub enum Counter {
     /// had just returned for the same specification on the same ledger,
     /// instead of asking the algorithm again.
     RefusalReplayed,
-    /// A placement of a reconfiguration plan or evacuation attempt turned
-    /// away by the slot-matching certificate: no assignment of the
-    /// application's processes to distinct free compute slots exists, so
-    /// the algorithm — template lookup included — was not asked.
+    /// A placement — of a `start`, a `switch`, a reconfiguration plan or an
+    /// evacuation attempt — turned away by the slot-matching certificate:
+    /// no assignment of the application's processes to distinct free
+    /// compute slots exists, so the algorithm — template lookup included —
+    /// was not asked.
     PlacementRuledOut,
     /// A buffer-sizing feasibility probe whose simulation had not recurred
     /// within its firing budget, refuted there by the cycle-ratio test (a

@@ -249,7 +249,8 @@ pub struct SimReport {
     /// admissions — the deterministic proxy for mapping latency.
     pub evaluated_assignments: u64,
     /// Total refinement attempts over all admission attempts (successful
-    /// admissions plus rejections that report their attempt count).
+    /// admissions plus rejections that report their attempt count; a
+    /// certified `CannotFit` refusal made none).
     pub refinement_attempts: u64,
     /// Most applications running at once.
     pub peak_running: u64,

@@ -1,0 +1,65 @@
+#!/usr/bin/env python3
+"""Alternating parent/change runs of one benchmark workload, summarised.
+
+Build both trees' `rtsm_benchmark` (each into its own CARGO_TARGET_DIR),
+then, for example:
+
+    python3 scripts/bench_ab.py --parent P/release/rtsm_benchmark \\
+        --change C/release/rtsm_benchmark --workload overload_reject \\
+        --seed 2008 --pairs 10 --seconds 30 >> ab.jsonl
+
+Each pair runs both with `--trace 0`, the parent first in every other
+pair and the change first in the rest. The line
+printed holds, per end-to-end metric of BENCHMARK.json, both sides'
+median and quartiles and the pairs the change won (strictly better in the
+metric's direction). `bench_history.py --ab ab.jsonl` files the lines in
+the PR's history row.
+"""
+import argparse, json, pathlib, statistics, subprocess, tempfile
+
+root = pathlib.Path(__file__).resolve().parent.parent
+parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+parser.add_argument("--parent", required=True, help="the parent commit's rtsm_benchmark binary")
+parser.add_argument("--change", required=True, help="the change's rtsm_benchmark binary")
+parser.add_argument("--workload", required=True)
+parser.add_argument("--seed", type=int, required=True)
+parser.add_argument("--pairs", type=int, default=10)
+parser.add_argument("--seconds", type=int, default=30)
+args = parser.parse_args()
+better = {m["name"]: m["better"] for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
+def run(binary, out):
+    line = subprocess.run(
+        [binary, "--out", out, "--workload", args.workload, "--seed", str(args.seed),
+         "--seconds", str(args.seconds), "--trace", "0"],
+        check=True, capture_output=True, text=True).stdout.strip().splitlines()[-1]
+    result = json.loads(line)
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"error: {binary} ran {args.workload} incorrectly: {line}")
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def spread(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+pairs = []
+with tempfile.TemporaryDirectory() as parent_out, tempfile.TemporaryDirectory() as change_out:
+    for i in range(args.pairs):
+        if i % 2 == 0:
+            parent = run(args.parent, parent_out)
+            change = run(args.change, change_out)
+        else:
+            change = run(args.change, change_out)
+            parent = run(args.parent, parent_out)
+        pairs.append((parent, change))
+metrics = {}
+for name, direction in better.items():
+    parent = [p[name] for p, _ in pairs]
+    change = [c[name] for _, c in pairs]
+    won = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(parent, change))
+    metrics[name] = {"parent": spread(parent), "change": spread(change), "change_won": won}
+print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+                  "pairs": args.pairs, "metrics": metrics}, separators=(",", ":")))

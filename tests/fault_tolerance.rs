@@ -22,6 +22,9 @@ use rtsm::sim::{run_sim, ArrivalProcess, Catalog, FaultConfig, HoldingTime, SimC
 use rtsm::workloads::defrag_platform;
 use std::sync::Arc;
 
+#[path = "support/fixture.rs"]
+mod fixture;
+
 /// The mixed-DSP mesh `simulate --catalog mixed` uses (platform seed 42),
 /// from the table it and `experiment` resolve it through.
 fn mixed_platform() -> Platform {
@@ -359,10 +362,10 @@ fn faults_off_seed2008_reports_match_pre_fault_fixtures() {
                 .expect("the simulation never breaks its own ledger")
                 .report;
             let got = serde_json::to_string(&report).expect("serialize");
-            assert_eq!(
-                got, want,
-                "faults-off report for `{}` drifted from the pre-fault fixture",
-                report.algorithm
+            fixture::assert_matches_fixture(
+                &got,
+                want,
+                &format!("faults-off report for `{}`", report.algorithm),
             );
         }
     }

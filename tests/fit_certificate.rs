@@ -21,7 +21,16 @@
 //! generated cases no algorithm and no template hit contradicted the mutant
 //! — the two differ only where communicating processes share a tile and its
 //! NI is nearly full — so `a_template_hit_admits_what_the_ni_filter_refuses`
-//! builds that case by hand, and fails under the mutant.
+//! builds that case by hand, and fails under the mutant. A fifth mutant lets
+//! the first-fit pass in front of the matching seat a process on a tile
+//! whose free slots it has already handed out; `a_fired_certificate_is_…`
+//! fails under it.
+//!
+//! The certificate stands in front of every `RuntimeManager` placement, so
+//! the last tests drive a manager: one per registered algorithm through a
+//! seeded start/stop/switch stream, where every `CannotFit` refusal must be
+//! one the algorithm makes too, and one on a mesh beyond the masks' 64
+//! tiles, where `start` refuses through the algorithm.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -448,4 +457,127 @@ fn a_template_hit_admits_what_the_ni_filter_refuses() {
     assert!(templated.map(&spec, &platform, &state).is_ok());
     assert_eq!(templated.stats().hits, hits + 1);
     assert!(!Demand::of(&spec).cannot_fit(&platform, &state, &none));
+}
+
+/// The certificate where it now stands, in front of every `start` and
+/// `switch`: a seeded stream of starts, stops and switches drives one
+/// manager per registered algorithm, and at every refusal with
+/// `MapError::CannotFit` the algorithm itself — asked on the very ledger
+/// the manager held it against (for a switch: with the old configuration
+/// released) — must refuse too. Returns the certified refusals checked and
+/// the refusals the algorithm gave.
+fn drive_manager(
+    platform: &Platform,
+    catalog: &Catalog,
+    entry: &rtsm::exp::AlgorithmEntry,
+    seed: u64,
+) -> (u32, u32) {
+    use rtsm::core::runtime::{AdmissionError, RuntimeError, RuntimeManager};
+    use rtsm::core::MapError;
+    let none = MappingConstraints::none();
+    let mut manager = RuntimeManager::new(platform.clone(), (entry.build)());
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut running = Vec::new();
+    let (mut certified, mut by_algorithm) = (0, 0);
+    for op in 0..120 {
+        let spec = catalog.entries()[rng.random_range(0usize..catalog.len())]
+            .spec
+            .clone();
+        let roll = rng.random_range(0u32..100);
+        if !running.is_empty() && roll < 30 {
+            let handle = running.swap_remove(rng.random_range(0usize..running.len()));
+            manager.stop(handle).expect("a running handle stops");
+            continue;
+        }
+        // The ledger the placement is held against, and its outcome.
+        let (ledger, refusal) = if !running.is_empty() && roll < 45 {
+            let handle = running[rng.random_range(0usize..running.len())];
+            let old = manager.get(handle).expect("running").clone();
+            let mut released = manager.state().clone();
+            old.outcome
+                .release(&old.spec, manager.platform(), &mut released)
+                .expect("the manager's ledger holds what it committed");
+            match manager.switch(handle, spec.clone()) {
+                Ok(_) => continue,
+                Err(RuntimeError::Admission(AdmissionError::Rejected(e))) => (released, e),
+                Err(other) => panic!("seed {seed} op {op}: switch failed: {other}"),
+            }
+        } else {
+            match manager.start(spec.clone()) {
+                Ok(handle) => {
+                    running.push(handle);
+                    continue;
+                }
+                Err(AdmissionError::Rejected(e)) => (manager.state().clone(), e),
+                Err(other) => panic!("seed {seed} op {op}: start failed: {other}"),
+            }
+        };
+        if !matches!(refusal, MapError::CannotFit { .. }) {
+            by_algorithm += 1;
+            continue;
+        }
+        certified += 1;
+        let mapped =
+            (manager.algorithm()).map_constrained(&spec, manager.platform(), &ledger, &none);
+        assert!(
+            mapped.is_err(),
+            "seed {seed} op {op}: `{}` maps {} where the manager refused it with `{refusal}`",
+            entry.name,
+            spec.name
+        );
+    }
+    (certified, by_algorithm)
+}
+
+#[test]
+fn a_manager_never_certifies_a_refusal_its_algorithm_would_admit() {
+    let mixed = rtsm::exp::resolve_catalog("mixed", 42).expect("registered catalog");
+    let instances = [
+        ("mixed mesh", mixed.platform, mixed.catalog),
+        ("paper platform", paper_platform(), Catalog::hiperlan2()),
+    ];
+    for (name, platform, catalog) in &instances {
+        for (seed, entry) in rtsm::exp::ALGORITHMS.iter().enumerate() {
+            let (certified, _) = drive_manager(platform, catalog, entry, seed as u64);
+            assert!(certified > 0, "{name}: `{}` was never refused", entry.name);
+        }
+    }
+}
+
+/// Beyond 64 tiles the certificate answers "don't know": `start` never
+/// returns `CannotFit` there, and a full platform still refuses — through
+/// the algorithm.
+#[test]
+fn beyond_64_tiles_start_refuses_through_the_algorithm() {
+    use rtsm::core::runtime::{AdmissionError, RuntimeManager};
+    use rtsm::core::MapError;
+    let platform = mesh_platform(
+        7,
+        9,
+        8,
+        &[
+            (TileKind::Montium, 4),
+            (TileKind::Arm, 4),
+            (TileKind::Dsp, 2),
+        ],
+    );
+    assert!(platform.n_tiles() > 64);
+    let catalog = Catalog::mixed_dsp();
+    let mut manager = RuntimeManager::new(platform, SpatialMapper::default());
+    let mut refused = 0;
+    for round in 0..12 {
+        let spec = catalog.entries()[round % catalog.len()].spec.clone();
+        match manager.start(spec) {
+            Ok(_) => {}
+            Err(AdmissionError::Rejected(e)) => {
+                assert!(
+                    !matches!(e, MapError::CannotFit { .. }),
+                    "round {round}: {e}"
+                );
+                refused += 1;
+            }
+            Err(other) => panic!("round {round}: {other}"),
+        }
+    }
+    assert!(refused > 0, "ten processing tiles fill up");
 }
