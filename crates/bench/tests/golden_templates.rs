@@ -9,7 +9,7 @@
 //! `tests/golden/seed2008_mixed_templates_recover.json` — the one stored
 //! report that carries `evaluated_assignments` of template hits, the
 //! library's hit/miss split and the plan counters, which the refusal path's
-//! shortcuts (shapes skipped by slot demand, step-1 state carried between
+//! shortcuts (the cannot-fit certificate, step-1 state carried between
 //! refinement attempts) must leave untouched.
 
 use rtsm_core::ReconfigurationPolicy;

@@ -46,10 +46,11 @@ const HIT_CEILING: usize = 25;
 /// Allocator calls allowed per lookup that ends in "no" on a full platform.
 /// Measured: 18 — all of them the wrapped mapper's step-1 reject (18 on its
 /// own: the spec's validation and order, the spec table, the slot states,
-/// the unassigned list, the error); with both MONTIUMs taken the shape is
-/// short of slots, so the lookup itself allocates nothing and never copies
-/// the ledger. 28 while step 1 copied the working ledger (8 vectors) before
-/// it knew it would place anything, and built a feedback list nobody read.
+/// the unassigned list, the error); with both MONTIUMs taken the shape's
+/// anchor kind has no free tile, so its candidate loop runs zero times and
+/// the lookup itself allocates nothing and never copies the ledger. 28
+/// while step 1 copied the working ledger (8 vectors) before it knew it
+/// would place anything, and built a feedback list nobody read.
 const FAILED_LOOKUP_CEILING: usize = 18;
 
 /// Allocator calls allowed per `map` refused after eight step-1 dead ends

@@ -20,17 +20,15 @@
 //! the mapping they were canonicalised from.
 //!
 //! At admission, [`TemplatedMapper`] matches shapes against the current
-//! platform. A lookup first tallies, in one pass over the tiles, the free
-//! compute slots of every tile kind on healthy tiles; a shape that needs
-//! more slots of some kind than that (its demand is recorded when it is
-//! learned) can be placed nowhere, so it is passed over without trying a
-//! candidate — most lookups that end in "no" end here, on a platform that
-//! is simply full. The candidates it would have tried are still counted,
-//! so nothing a report carries tells a skipped shape from a tried one.
-//! For the others, candidate anchors come from
-//! [`PlatformState::free_anchor_tiles`] (the same free-capacity notion as
-//! `fragmentation()`, with failed tiles excluded), each shape is translated
-//! to every anchor under the mesh's four rotations, quick-rejected on tile
+//! platform. Behind a [`RuntimeManager`](crate::RuntimeManager), a
+//! placement on a platform simply too full for it never gets here: the
+//! slot-matching certificate
+//! ([`Demand::cannot_fit`](crate::runtime::Demand::cannot_fit)) refuses it
+//! before the library is consulted. A lookup is its candidate loop:
+//! anchors come from [`PlatformState::free_anchor_tiles`] (the same
+//! free-capacity notion as `fragmentation()`, with failed tiles excluded),
+//! each shape in insertion order is translated to every anchor under the
+//! mesh's four rotations, quick-rejected on tile
 //! kind / clock / health / [`MappingConstraints`], and then fit-checked by
 //! staging the *exact* claims `MappingOutcome::stage_commit` would make
 //! (tile reservations, buffer memory, routed paths with NI bandwidth) in a
@@ -221,123 +219,6 @@ fn rotate(quarter_turns: u8, (dx, dy): (i32, i32)) -> (i32, i32) {
     }
 }
 
-/// How many compute slots a shape needs of each tile kind (every assignment
-/// reserves one slot on a tile of its kind), packed beside the shape when it
-/// is learned. Room for [`SlotDemand::KINDS`] kinds — nine bytes, since
-/// every cached shape carries one; a shape spread over more leaves the rest
-/// unrecorded, which only makes it skipped less often: exceeding the free
-/// slots of a *recorded* kind is still proof enough.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SlotDemand([(TileKind, u8); SlotDemand::KINDS]);
-
-impl SlotDemand {
-    const KINDS: usize = 3;
-
-    fn of(shape: &MappingShape) -> Self {
-        // A count of 0 marks an unused entry.
-        let mut demand = [(TileKind::Arm, 0u8); SlotDemand::KINDS];
-        for sa in &shape.assignments {
-            let entry = demand
-                .iter_mut()
-                .find(|(kind, slots)| *slots == 0 || *kind == sa.kind);
-            if let Some((kind, slots)) = entry {
-                // Saturation under-states the demand, which is the safe side.
-                (*kind, *slots) = (sa.kind, slots.saturating_add(1));
-            }
-        }
-        SlotDemand(demand)
-    }
-}
-
-/// Free compute capacity of one tile kind: the free slots on its healthy
-/// tiles, and how many of those tiles have a free slot at all (the
-/// [`PlatformState::free_anchor_tiles`] count).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct KindFree {
-    kind: TileKind,
-    slots: u32,
-    tiles: u32,
-}
-
-impl KindFree {
-    const fn nothing(kind: TileKind) -> Self {
-        KindFree {
-            kind,
-            slots: 0,
-            tiles: 0,
-        }
-    }
-}
-
-/// One lookup's view of the free compute capacity of its ledger, per tile
-/// kind. Tallied in one pass over the tiles, on the stack.
-#[derive(Debug, Clone, Copy)]
-struct FreeSlots {
-    kinds: [KindFree; FreeSlots::KINDS],
-    len: usize,
-    /// The platform has more tile kinds than fit: nothing is ruled out.
-    overflowed: bool,
-}
-
-impl FreeSlots {
-    const KINDS: usize = 8;
-
-    fn tally(platform: &Platform, state: &PlatformState) -> Self {
-        let mut free = FreeSlots {
-            kinds: [KindFree::nothing(TileKind::Arm); FreeSlots::KINDS],
-            len: 0,
-            overflowed: false,
-        };
-        for (id, tile) in platform.tiles() {
-            let slots = if state.is_tile_failed(id) {
-                0
-            } else {
-                tile.compute_slots - state.used_slots(id)
-            };
-            let seen = free.kinds[..free.len]
-                .iter_mut()
-                .find(|k| k.kind == tile.kind);
-            let entry = match seen {
-                Some(entry) => entry,
-                None if free.len < FreeSlots::KINDS => {
-                    free.len += 1;
-                    free.kinds[free.len - 1] = KindFree::nothing(tile.kind);
-                    &mut free.kinds[free.len - 1]
-                }
-                None => {
-                    free.overflowed = true;
-                    continue;
-                }
-            };
-            entry.slots += slots;
-            entry.tiles += u32::from(slots > 0);
-        }
-        free
-    }
-
-    /// The tally of `kind`; all zero for a kind the platform does not have.
-    fn of(&self, kind: TileKind) -> KindFree {
-        self.kinds[..self.len]
-            .iter()
-            .find(|k| k.kind == kind)
-            .copied()
-            .unwrap_or(KindFree::nothing(kind))
-    }
-
-    /// If a shape demanding `demand` fits nowhere on this ledger because
-    /// some kind is short of slots: the number of free anchors of
-    /// `anchor_kind`, which is how many candidates per rotation it is
-    /// spared.
-    fn rules_out(&self, demand: &SlotDemand, anchor_kind: TileKind) -> Option<u32> {
-        let short = !self.overflowed
-            && demand
-                .0
-                .iter()
-                .any(|&(kind, slots)| u32::from(slots) > self.of(kind).slots);
-        short.then(|| self.of(anchor_kind).tiles)
-    }
-}
-
 /// One lookup's fit check: what its candidates are checked against, and the
 /// scratch they are checked on.
 struct FitCheck<'a> {
@@ -351,15 +232,13 @@ struct FitCheck<'a> {
     /// in a transaction that is then dropped, so it equals `base` again for
     /// the next candidate and one copy serves the whole lookup.
     ledger: Option<PlatformState>,
-    /// Free compute capacity of `base` per tile kind.
-    free: FreeSlots,
-    /// Candidates tried so far, counting those of skipped shapes.
+    /// Candidates tried so far.
     tried: u64,
 }
 
 impl<'a> FitCheck<'a> {
-    /// A fit check of `spec` against `base`, with no candidate tried yet,
-    /// the scratch ledger not yet copied, and `base`'s free slots tallied.
+    /// A fit check of `spec` against `base`, with no candidate tried yet
+    /// and the scratch ledger not yet copied.
     fn new(
         spec: &'a ApplicationSpec,
         platform: &'a Platform,
@@ -374,7 +253,6 @@ impl<'a> FitCheck<'a> {
             constraints,
             routes,
             ledger: None,
-            free: FreeSlots::tally(platform, base),
             tried: 0,
         }
     }
@@ -498,24 +376,16 @@ impl<'a> FitCheck<'a> {
     }
 
     /// Tries every (rotation, anchor) placement of `entry`'s shape in
-    /// deterministic order — or none of them, when the shape demands more
-    /// compute slots of some kind than `base` has free: every placement
-    /// would fail its reservations. `tried` is credited with exactly the
-    /// candidates the loop would have counted on its way to that answer
-    /// (every distinct rotation at every free anchor), so the `evaluated`
-    /// of a later hit does not depend on which shapes were skipped.
+    /// deterministic order — every distinct rotation at every free anchor
+    /// of its first process's tile kind — counting each in `tried`.
     fn instantiate_shape(&mut self, entry: &ShapeEntry) -> Option<MappingOutcome> {
         let shape = &entry.shape;
         if shape.assignments.is_empty() || !shape.indexes_into(self.spec) {
             return None;
         }
-        let anchor_kind = shape.assignments[0].kind;
-        if let Some(free_anchors) = self.free.rules_out(&entry.demand, anchor_kind) {
-            obs::count(obs::Counter::TemplateShapeSkipped, 1);
-            self.tried += u64::from(entry.rotations.count_ones()) * u64::from(free_anchors);
-            return None;
-        }
-        let anchors = self.base.free_anchor_tiles(self.platform, anchor_kind);
+        let anchors = self
+            .base
+            .free_anchor_tiles(self.platform, shape.assignments[0].kind);
         for quarter_turns in (0..4u8).filter(|k| entry.rotations >> k & 1 == 1) {
             for &anchor in &anchors {
                 self.tried += 1;
@@ -552,17 +422,14 @@ pub struct TemplateStats {
 }
 
 /// A cached shape with its usage record. Which rotations are distinct
-/// ([`MappingShape::distinct_rotations`]) and how many compute slots of
-/// each tile kind the shape needs ([`SlotDemand`]) are derived when the
-/// shape is learned and kept beside it — not inside it, where they would
-/// take part in the deduplicating `==` — as a mask of quarter turns and a
-/// small inline table: a lookup neither derives nor allocates offset
-/// vectors or demand lists. The hit count ranks eviction victims and
-/// saturates rather than wraps.
+/// ([`MappingShape::distinct_rotations`]) is derived when the shape is
+/// learned and kept beside it — not inside it, where it would take part in
+/// the deduplicating `==` — as a mask of quarter turns: a lookup neither
+/// derives nor allocates offset vectors. The hit count ranks eviction
+/// victims and saturates rather than wraps.
 #[derive(Debug)]
 struct ShapeEntry {
     shape: MappingShape,
-    demand: SlotDemand,
     rotations: u8,
     hits: u32,
     seq: u64,
@@ -628,7 +495,6 @@ impl TemplateLibrary {
         }
         shapes.push(ShapeEntry {
             rotations: shape.distinct_rotations(),
-            demand: SlotDemand::of(&shape),
             shape,
             hits: 0,
             seq,
@@ -786,14 +652,13 @@ impl<A: MappingAlgorithm> MappingAlgorithm for TemplatedMapper<A> {
 }
 
 #[cfg(test)]
-mod twin;
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::mapper::{MapperConfig, SpatialMapper};
     use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
     use rtsm_platform::paper::paper_platform;
+    use rtsm_workloads::apps::{jpeg_encoder, mp3_decoder};
+    use rtsm_workloads::mesh_platform;
 
     fn mapper() -> TemplatedMapper<SpatialMapper> {
         TemplatedMapper::new(SpatialMapper::new(MapperConfig::default()))
@@ -840,6 +705,71 @@ mod tests {
             assert_eq!(shape.distinct_rotations(), mask);
             assert_eq!(mask, expected);
         }
+    }
+
+    /// `evaluated` counts every candidate tried before the hit, across
+    /// shapes: a shape that fits at no free anchor adds each of its
+    /// distinct rotations at each free anchor of its anchor kind, and the
+    /// hit adds its position in the next shape's loop.
+    #[test]
+    fn evaluated_counts_every_candidate_of_the_shapes_before_a_hit() {
+        let platform = mesh_platform(
+            42,
+            5,
+            5,
+            &[
+                (TileKind::Montium, 6),
+                (TileKind::Arm, 8),
+                (TileKind::Dsp, 4),
+            ],
+        );
+        let (running, arriving) = (jpeg_encoder(), mp3_decoder());
+        let inner = SpatialMapper::default();
+        let mut base = platform.initial_state();
+        inner
+            .map(&running, &platform, &base)
+            .unwrap()
+            .commit(&running, &platform, &mut base)
+            .unwrap();
+        let fits = inner.map(&arriving, &platform, &base).unwrap();
+        let fits = MappingShape::canonicalise(&fits, &platform).unwrap();
+        // The same placements with one channel's recorded route longer than
+        // any path on a 5×5 mesh: every candidate is turned away.
+        let mut misfit = fits.clone();
+        misfit
+            .routes
+            .iter_mut()
+            .find(|r| !r.same_tile)
+            .expect("a routed channel")
+            .router_count += 1_000;
+
+        let key = arriving.structural_digest();
+        let lookup = |shapes: &[&MappingShape]| {
+            let mut library = TemplateLibrary::new(DEFAULT_SHAPE_CAP);
+            for &shape in shapes {
+                assert!(library.learn(key, shape.clone()));
+            }
+            let none = MappingConstraints::none();
+            let outcome = library.instantiate(key, &arriving, &platform, &base, &none);
+            let hits: Vec<u32> = library.specs[&key].iter().map(|e| e.hits).collect();
+            (outcome, hits)
+        };
+        assert!(lookup(&[&misfit]).0.is_none(), "the misfit fits nowhere");
+        let (alone, _) = lookup(&[&fits]);
+        let alone = alone.expect("the shape hits on the ledger it came from");
+        let (behind, hits) = lookup(&[&misfit, &fits]);
+        let behind = behind.expect("the second shape hits");
+
+        let anchor_kind = misfit.assignments[0].kind;
+        let free_anchors = base.free_anchor_tiles(&platform, anchor_kind).len() as u64;
+        assert!(
+            free_anchors > 0 && free_anchors < platform.tiles_of_kind(anchor_kind).count() as u64,
+            "some anchors of the kind are taken, some free"
+        );
+        let rotations = u64::from(misfit.distinct_rotations().count_ones());
+        assert_eq!(behind.evaluated, rotations * free_anchors + alone.evaluated);
+        assert_eq!(behind.mapping, alone.mapping);
+        assert_eq!(hits, [0, 1]);
     }
 
     #[test]

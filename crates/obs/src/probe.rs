@@ -17,7 +17,7 @@ use std::rc::Rc;
 pub const N_SPANS: usize = 11;
 
 /// Number of distinct [`Counter`] kinds, for fixed-size tables.
-pub const N_COUNTERS: usize = 13;
+pub const N_COUNTERS: usize = 12;
 
 /// The instrumented regions of the admission path. Span begin/end events
 /// always come in balanced, properly nested pairs per thread.
@@ -127,10 +127,6 @@ pub enum Counter {
     /// One self-timed CSDF simulation (`Simulation::run`) — the unit of
     /// dataflow analysis work; a warm step 4 counts none.
     CsdfRun,
-    /// A cached mapping shape passed over without trying a placement: it
-    /// needs more compute slots of some tile kind than the healthy tiles of
-    /// that kind have free — the lookup was blocked by *capacity*.
-    TemplateShapeSkipped,
     /// A step-1 attempt that ran out of viable implementations for some
     /// process. A refused `map` with as many dead ends as attempts was
     /// blocked by *capacity*; one with fewer got as far as routing or the
@@ -168,7 +164,6 @@ impl Counter {
         Counter::TemplateHit,
         Counter::TemplateMiss,
         Counter::CsdfRun,
-        Counter::TemplateShapeSkipped,
         Counter::Step1DeadEnd,
         Counter::BufferProbeCutoff,
         Counter::RefusalReplayed,
@@ -191,7 +186,6 @@ impl Counter {
             Counter::TemplateHit => "template_hit",
             Counter::TemplateMiss => "template_miss",
             Counter::CsdfRun => "csdf_run",
-            Counter::TemplateShapeSkipped => "template_shape_skipped",
             Counter::Step1DeadEnd => "step1_dead_end",
             Counter::BufferProbeCutoff => "buffer_probe_cutoff",
             Counter::RefusalReplayed => "refusal_replayed",
