@@ -22,7 +22,9 @@ use rtsm_workloads::mesh_platform;
 #[global_allocator]
 static ALLOC: PeakAlloc = PeakAlloc::new();
 
-/// Allocator calls allowed per map. Measured: 51 (165 while a warm step 4
+/// Allocator calls allowed per map. Measured: 51, one of them step 2's
+/// dense view of the assignment, in place of the candidate buffer it
+/// replaced (165 while a warm step 4
 /// composed, digested and dropped the Figure-3 graph — a `String` per
 /// actor, a `Vec` per phase vector — and copied the working ledger to probe
 /// buffer memory; 457 before the spec table); the slack absorbs hash-map

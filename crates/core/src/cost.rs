@@ -6,7 +6,7 @@
 //! traffic-weighted middle ground, so ablation benches can compare them.
 
 use crate::mapping::Mapping;
-use rtsm_app::ApplicationSpec;
+use rtsm_app::{ApplicationSpec, Endpoint};
 use rtsm_platform::energy::channel_energy_pj;
 use rtsm_platform::{Platform, TileId};
 use serde::{Deserialize, Serialize};
@@ -89,15 +89,26 @@ impl CostModel {
         platform: &Platform,
     ) -> u64 {
         self.base_cost(mapping, spec)
-            + spec
-                .graph
-                .stream_channels()
-                .filter_map(|(_, ch)| {
-                    let a = mapping.endpoint_tile(platform, ch.src)?;
-                    let b = mapping.endpoint_tile(platform, ch.dst)?;
-                    Some(self.channel_cost(platform, ch.tokens_per_period, a, b))
-                })
-                .sum::<u64>()
+            + self.channel_costs(spec, platform, |end| mapping.endpoint_tile(platform, end))
+    }
+
+    /// The channel half of [`CostModel::assignment_cost`], with the
+    /// endpoints placed by `tile_of` instead of a [`Mapping`]: step 2 scores
+    /// a candidate on its own view of the assignment without making it.
+    pub(crate) fn channel_costs(
+        &self,
+        spec: &ApplicationSpec,
+        platform: &Platform,
+        tile_of: impl Fn(Endpoint) -> Option<TileId>,
+    ) -> u64 {
+        spec.graph
+            .stream_channels()
+            .filter_map(|(_, ch)| {
+                let a = tile_of(ch.src)?;
+                let b = tile_of(ch.dst)?;
+                Some(self.channel_cost(platform, ch.tokens_per_period, a, b))
+            })
+            .sum()
     }
 
     /// The state-transfer cost of reconfiguring an application from `old`

@@ -15,13 +15,19 @@
 //! Candidate tiles are filtered for locally sufficient resources (including
 //! NI bandwidth), maintaining adequacy and adherence by construction.
 //!
-//! The search reads the application through a [`SpecTable`]: the scan order
-//! is the table's topological order, a candidate is rescored over the
-//! table's incidence row of the one or two processes it touches, and every
-//! apply/undo takes its claims from the table's claim slots — per candidate
-//! the search scans no channel list, sorts nothing and allocates nothing.
-//! [`SearchCtx`] is that search over a caller's table; the spec-taking
-//! [`improve_assignment_with`] builds a table for one call.
+//! The search reads the application through a [`SpecTable`] and the
+//! assignment through a dense per-process view (tile, implementation, tile
+//! kind, whether it can be a swap partner), built once per search and
+//! changed only when a candidate is kept. The scan order is the table's
+//! topological order; candidates are generated from the view; a candidate is
+//! scored first, from the view alone, over the table's incidence row of the
+//! one or two processes it touches with their tiles substituted; and only a
+//! candidate that would be the best so far is asked whether it was tried
+//! and whether it fits, by non-mutating ledger queries. Per candidate the
+//! search scans no channel list, sorts nothing, allocates nothing and
+//! mutates nothing: the ledger and the `Mapping` change once per kept
+//! candidate. [`SearchCtx`] is that search over a caller's table; the
+//! spec-taking [`improve_assignment_with`] builds a table for one call.
 
 use crate::claims::reservation_of;
 use crate::cost::CostModel;
@@ -30,7 +36,7 @@ use crate::mapping::Mapping;
 use crate::spec_table::SpecTable;
 use crate::trace::{Step2Event, Step2Move, Step2Trace};
 use rtsm_app::{ApplicationSpec, Endpoint, KpnChannelId, ProcessId};
-use rtsm_platform::{Platform, PlatformState, TileId};
+use rtsm_platform::{Platform, PlatformState, TileClaim, TileId, TileKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -99,251 +105,191 @@ impl<'a> SearchCtx<'a> {
         }
     }
 
-    /// Σ of this cost model's channel terms over the channels incident to
-    /// `p0` (and `p1`, deduplicating channels incident to both) under the
-    /// current assignment — the only terms a move/swap of those processes
-    /// can change. O(degree), not O(channels).
-    fn local_cost(&self, mapping: &Mapping, p0: ProcessId, p1: Option<ProcessId>) -> u64 {
+    /// The view of `mapping` the search runs on.
+    fn view_of(&self, mapping: &Mapping) -> View {
         let graph = &self.table.spec().graph;
-        let touches = |id: KpnChannelId, p: ProcessId| {
+        let mut placed = vec![None; graph.n_processes()];
+        for (process, assignment) in mapping.assignments() {
+            placed[process.index()] = Some(Placed {
+                tile: assignment.tile,
+                impl_index: assignment.impl_index,
+                kind: self
+                    .table
+                    .implementation(process, assignment.impl_index)
+                    .tile_kind,
+                swappable: !graph.process(process).is_control
+                    && self.constraints.pinned_tile(process).is_none(),
+            });
+        }
+        View(placed)
+    }
+
+    /// The tile realising `end` when `tile_of` places the processes.
+    fn endpoint_tile(
+        &self,
+        end: Endpoint,
+        tile_of: impl Fn(ProcessId) -> Option<TileId>,
+    ) -> Option<TileId> {
+        match end {
+            Endpoint::Process(p) => tile_of(p),
+            Endpoint::StreamInput => self.platform.stream_input_tile(),
+            Endpoint::StreamOutput => self.platform.stream_output_tile(),
+        }
+    }
+
+    /// Σ of this cost model's channel terms over the channels incident to
+    /// `p0` (and `p1`, deduplicating channels incident to both), with the
+    /// processes on the tiles `tile_of` reports — the only terms a
+    /// move/swap of those processes can change. O(degree), not
+    /// O(channels).
+    fn local_cost(
+        &self,
+        p0: ProcessId,
+        p1: Option<ProcessId>,
+        tile_of: impl Fn(ProcessId) -> Option<TileId> + Copy,
+    ) -> u64 {
+        let graph = &self.table.spec().graph;
+        let term = |id: KpnChannelId| {
             let ch = graph.channel(id);
-            ch.src == Endpoint::Process(p) || ch.dst == Endpoint::Process(p)
-        };
-        let mut sum = 0u64;
-        let mut add = |id: KpnChannelId| {
-            let ch = graph.channel(id);
-            if let (Some(a), Some(b)) = (
-                mapping.endpoint_tile(self.platform, ch.src),
-                mapping.endpoint_tile(self.platform, ch.dst),
+            match (
+                self.endpoint_tile(ch.src, tile_of),
+                self.endpoint_tile(ch.dst, tile_of),
             ) {
-                sum += self
-                    .cost_model
-                    .channel_cost(self.platform, ch.tokens_per_period, a, b);
+                (Some(a), Some(b)) => {
+                    self.cost_model
+                        .channel_cost(self.platform, ch.tokens_per_period, a, b)
+                }
+                _ => 0,
             }
         };
-        for &id in self.table.incident(p0) {
-            add(id);
-        }
+        let mut sum: u64 = self.table.incident(p0).iter().map(|&id| term(id)).sum();
         if let Some(p1) = p1 {
+            let here = Endpoint::Process(p0);
             for &id in self.table.incident(p1) {
-                if !touches(id, p0) {
-                    add(id);
+                let ch = graph.channel(id);
+                if ch.src != here && ch.dst != here {
+                    sum += term(id);
                 }
             }
         }
         sum
     }
 
-    /// Applies `candidate` to mapping + working state. Returns `false`
-    /// (leaving both untouched) if resources do not fit.
-    fn apply(
-        &self,
-        mapping: &mut Mapping,
-        working: &mut PlatformState,
-        candidate: &Step2Move,
-    ) -> bool {
-        match candidate {
-            Step2Move::Move { process, to } => {
-                let a = mapping.assignment(*process).expect("assigned in step 1");
-                let claim = self.table.claim(*process, a.impl_index);
-                working
-                    .release_tile(a.tile, &reservation_of(&claim))
-                    .expect("claim was reserved");
-                if self.constraints.is_tile_forbidden(*process, *to)
-                    || !working.fits_tile(self.platform, *to, &claim)
-                {
-                    working
-                        .claim_tile(self.platform, a.tile, &reservation_of(&claim))
-                        .expect("restoring a just-released claim");
-                    return false;
-                }
-                working
-                    .claim_tile(self.platform, *to, &reservation_of(&claim))
-                    .expect("fits_tile just checked");
-                mapping.assign(*process, a.impl_index, *to);
-                true
-            }
-            Step2Move::Swap { a, b } => {
-                let aa = mapping.assignment(*a).expect("assigned in step 1");
-                let ab = mapping.assignment(*b).expect("assigned in step 1");
-                let claim_a = self.table.claim(*a, aa.impl_index);
-                let claim_b = self.table.claim(*b, ab.impl_index);
-                working
-                    .release_tile(aa.tile, &reservation_of(&claim_a))
-                    .expect("claim was reserved");
-                working
-                    .release_tile(ab.tile, &reservation_of(&claim_b))
-                    .expect("claim was reserved");
-                let ok = !self.constraints.is_tile_forbidden(*a, ab.tile)
-                    && !self.constraints.is_tile_forbidden(*b, aa.tile)
-                    && working.fits_tile(self.platform, ab.tile, &claim_a)
-                    && {
-                        working
-                            .claim_tile(self.platform, ab.tile, &reservation_of(&claim_a))
-                            .expect("fits_tile just checked");
-                        if working.fits_tile(self.platform, aa.tile, &claim_b) {
-                            true
-                        } else {
-                            working
-                                .release_tile(ab.tile, &reservation_of(&claim_a))
-                                .expect("rollback of a claim just made");
-                            false
-                        }
-                    };
-                if !ok {
-                    working
-                        .claim_tile(self.platform, aa.tile, &reservation_of(&claim_a))
-                        .expect("restoring a just-released claim");
-                    working
-                        .claim_tile(self.platform, ab.tile, &reservation_of(&claim_b))
-                        .expect("restoring a just-released claim");
-                    return false;
-                }
-                working
-                    .claim_tile(self.platform, aa.tile, &reservation_of(&claim_b))
-                    .expect("swap target was just vacated");
-                mapping.assign(*a, aa.impl_index, ab.tile);
-                mapping.assign(*b, ab.impl_index, aa.tile);
-                true
-            }
-        }
-    }
-
-    /// The tile a move must return to on undo: the process's tile *before*
-    /// the candidate is applied. `None` for swaps, which are their own
-    /// inverse and need no origin.
-    fn origin_of(mapping: &Mapping, candidate: &Step2Move) -> Option<TileId> {
-        match candidate {
-            Step2Move::Move { process, .. } => Some(
-                mapping
-                    .assignment(*process)
-                    .expect("assigned in step 1")
-                    .tile,
-            ),
-            Step2Move::Swap { .. } => None,
-        }
-    }
-
-    /// Undoes a previously applied candidate. `origin` must be the value
-    /// [`SearchCtx::origin_of`] captured before the apply — typed as an
-    /// `Option` so an unfilled inversion target is a panic, not a bogus
-    /// tile id.
-    fn undo(
-        &self,
-        mapping: &mut Mapping,
-        working: &mut PlatformState,
-        candidate: &Step2Move,
-        origin: Option<TileId>,
-    ) {
-        let inverse = match candidate {
-            Step2Move::Move { process, .. } => Step2Move::Move {
-                process: *process,
-                to: origin.expect("undoing a move requires its origin tile"),
-            },
-            Step2Move::Swap { a, b } => Step2Move::Swap { a: *a, b: *b },
-        };
-        let ok = self.apply(mapping, working, &inverse);
-        debug_assert!(ok, "undo of an applied candidate always fits");
-    }
-
-    /// All candidates for `process` — moves to same-kind tiles and swaps
-    /// with same-kind processes — generated into the caller's reusable
-    /// buffer (cleared first) instead of a fresh allocation per scan.
+    /// The cost with `candidate` made, from the view alone: `current` minus
+    /// `before` (the candidate's [`SearchCtx::local_cost`] now) plus its
+    /// local cost with the candidate's tiles substituted. Moves and swaps
+    /// never change implementation choices, so the base term cancels.
     ///
-    /// Constraint-aware pruning: a pinned process generates no candidates
-    /// at all (every move or swap would take it off its pin, which the
-    /// oracle would reject one by one), and no process offers a swap with
-    /// a pinned partner. Unconstrained searches are untouched.
-    fn candidates_for(&self, mapping: &Mapping, process: ProcessId, out: &mut Vec<Step2Move>) {
-        out.clear();
-        if self.constraints.pinned_tile(process).is_some() {
-            return;
-        }
-        let Some(assignment) = mapping.assignment(process) else {
-            return;
-        };
-        let kind = self
-            .table
-            .implementation(process, assignment.impl_index)
-            .tile_kind;
-        for (tile, _) in self.platform.tiles_of_kind(kind) {
-            if tile != assignment.tile {
-                out.push(Step2Move::Move { process, to: tile });
-            }
-        }
-        for (other, other_assignment) in mapping.assignments() {
-            if other == process
-                || self.table.spec().graph.process(other).is_control
-                || self.constraints.pinned_tile(other).is_some()
-            {
-                continue;
-            }
-            let other_kind = self
-                .table
-                .implementation(other, other_assignment.impl_index)
-                .tile_kind;
-            if other_kind == kind {
-                out.push(Step2Move::Swap {
-                    a: process,
-                    b: other,
-                });
-            }
-        }
-    }
-
-    /// Evaluates `candidate` incrementally: only the channel terms incident
-    /// to the touched processes are rescored (O(degree) instead of
-    /// O(channels)), and no snapshot is allocated. Mapping and state are
-    /// restored before returning. `None` if the candidate does not fit.
-    ///
-    /// `current_cost` must be the model's cost of the current assignment;
-    /// the returned value is exactly what a full recompute would give
-    /// (debug-asserted).
-    fn evaluate(
+    /// Debug builds hold the result to a full recompute on the same
+    /// substituted view, which allocates nothing.
+    fn score(
         &self,
-        mapping: &mut Mapping,
-        working: &mut PlatformState,
+        mapping: &Mapping,
+        view: &View,
         candidate: &Step2Move,
-        current_cost: u64,
-    ) -> Option<u64> {
-        let (p0, p1) = match candidate {
-            Step2Move::Move { process, .. } => (*process, None),
-            Step2Move::Swap { a, b } => (*a, Some(*b)),
-        };
-        let origin = Self::origin_of(mapping, candidate);
-        let before = self.local_cost(mapping, p0, p1);
-        if !self.apply(mapping, working, candidate) {
-            return None;
-        }
-        let after = self.local_cost(mapping, p0, p1);
-        // Moves and swaps never change implementation choices, so the base
-        // term cancels; only incident channel terms differ.
-        let cost = current_cost - before + after;
+        current: u64,
+        before: u64,
+    ) -> u64 {
+        let (p0, p1) = touched(candidate);
+        let after = self.local_cost(p0, p1, |p| view.tile_after(candidate, p));
+        let cost = current - before + after;
         debug_assert_eq!(
             cost,
-            self.cost_model
-                .assignment_cost(mapping, self.table.spec(), self.platform),
+            self.cost_model.base_cost(mapping, self.table.spec())
+                + self
+                    .cost_model
+                    .channel_costs(self.table.spec(), self.platform, |end| {
+                        self.endpoint_tile(end, |p| view.tile_after(candidate, p))
+                    }),
             "incremental delta must match a full recompute for {candidate:?}"
         );
-        self.undo(mapping, working, candidate, origin);
-        Some(cost)
+        cost
     }
 
-    /// The Table-2 row content: the full `(process, tile)` assignment with
-    /// `candidate` applied. Only called for winning candidates when trace
-    /// capture is on.
-    fn snapshot_with(
+    /// Whether `candidate` fits: what applying it would find, asked
+    /// without applying it.
+    fn fits(&self, view: &View, working: &PlatformState, candidate: &Step2Move) -> bool {
+        match *candidate {
+            Step2Move::Move { process, to } => {
+                // `to` is never the process's own tile, so releasing its
+                // reservation first would not change what `to` holds.
+                let claim = self.table.claim(process, view.placed(process).impl_index);
+                !self.constraints.is_tile_forbidden(process, to)
+                    && working.fits_tile(self.platform, to, &claim)
+            }
+            Step2Move::Swap { a, b } => {
+                let (pa, pb) = (view.placed(a), view.placed(b));
+                let claim_a = self.table.claim(a, pa.impl_index);
+                let claim_b = self.table.claim(b, pb.impl_index);
+                let (held_a, held_b) = (reservation_of(&claim_a), reservation_of(&claim_b));
+                let fits = |tile, vacated: &TileClaim, claim: &TileClaim| {
+                    working.fits_after_vacating(self.platform, tile, vacated, claim)
+                };
+                !self.constraints.is_tile_forbidden(a, pb.tile)
+                    && !self.constraints.is_tile_forbidden(b, pa.tile)
+                    && if pa.tile == pb.tile {
+                        // Both partners on one multi-slot tile: `a` lands
+                        // where both were released, `b` where `a` is back.
+                        let both = TileClaim {
+                            slots: held_a.slots + held_b.slots,
+                            memory_bytes: held_a.memory_bytes + held_b.memory_bytes,
+                            cycles_per_second: held_a.cycles_per_second + held_b.cycles_per_second,
+                            injection: held_a.injection + held_b.injection,
+                            ejection: held_a.ejection + held_b.ejection,
+                        };
+                        fits(pa.tile, &both, &claim_a) && fits(pa.tile, &held_b, &claim_b)
+                    } else {
+                        fits(pb.tile, &held_b, &claim_a) && fits(pa.tile, &held_a, &claim_b)
+                    }
+            }
+        }
+    }
+
+    /// Makes `candidate`, which [`SearchCtx::fits`] accepted, in the
+    /// ledger, the mapping and the view.
+    fn commit(
         &self,
         mapping: &mut Mapping,
         working: &mut PlatformState,
+        view: &mut View,
         candidate: &Step2Move,
-    ) -> Vec<(ProcessId, TileId)> {
-        let origin = Self::origin_of(mapping, candidate);
-        let applied = self.apply(mapping, working, candidate);
-        debug_assert!(applied, "snapshotting a candidate that was evaluated");
-        let snapshot = mapping.assignments().map(|(p, a)| (p, a.tile)).collect();
-        self.undo(mapping, working, candidate, origin);
-        snapshot
+    ) {
+        let held =
+            |p: ProcessId, placed: &Placed| reservation_of(&self.table.claim(p, placed.impl_index));
+        match *candidate {
+            Step2Move::Move { process, to } => {
+                let placed = view.placed(process);
+                let held = held(process, &placed);
+                working
+                    .release_tile(placed.tile, &held)
+                    .expect("claim was reserved");
+                working
+                    .claim_tile(self.platform, to, &held)
+                    .expect("the fit check passed");
+                mapping.assign(process, placed.impl_index, to);
+                view.move_to(process, to);
+            }
+            Step2Move::Swap { a, b } => {
+                let (pa, pb) = (view.placed(a), view.placed(b));
+                let (held_a, held_b) = (held(a, &pa), held(b, &pb));
+                working
+                    .release_tile(pa.tile, &held_a)
+                    .expect("claim was reserved");
+                working
+                    .release_tile(pb.tile, &held_b)
+                    .expect("claim was reserved");
+                working
+                    .claim_tile(self.platform, pb.tile, &held_a)
+                    .expect("the fit check passed");
+                working
+                    .claim_tile(self.platform, pa.tile, &held_b)
+                    .expect("the fit check passed");
+                mapping.assign(a, pa.impl_index, pb.tile);
+                mapping.assign(b, pb.impl_index, pa.tile);
+                view.move_to(a, pb.tile);
+                view.move_to(b, pa.tile);
+            }
+        }
     }
 
     /// Runs the search, improving `mapping` in place (and keeping
@@ -376,25 +322,52 @@ impl<'a> SearchCtx<'a> {
             final_cost: 0,
         };
         let mut current_cost = trace.initial_cost;
-        // Reused across every scan position — one allocation per search, not
-        // one per process visit.
-        let mut candidates: Vec<Step2Move> = Vec::new();
+        let mut view = self.view_of(mapping);
         let mut tried: BTreeSet<TriedKey> = BTreeSet::new();
 
         'search: loop {
             for &process in self.table.order() {
-                // This process's best untried reassignment.
+                // The order holds stream processes only, so not swappable
+                // means pinned: every candidate would take it off its pin.
+                let Some(placed) = view.0[process.index()].filter(|p| p.swappable) else {
+                    continue;
+                };
+                // This process's best untried reassignment that fits: a
+                // candidate is scored first and asked the rest only if it
+                // would be the best so far, so the first strict minimum in
+                // candidate order wins.
                 let mut best: Option<ScoredCandidate> = None;
-                self.candidates_for(mapping, process, &mut candidates);
-                trace.generated += candidates.len() as u64;
-                for candidate in &candidates {
-                    if tried.contains(&candidate_key(candidate)) {
-                        continue;
+                let mut offer = |candidate: Step2Move, cost: u64| {
+                    if best.as_ref().is_none_or(|(c, _)| cost < *c)
+                        && !tried.contains(&candidate_key(&candidate))
+                        && self.fits(&view, working, &candidate)
+                    {
+                        best = Some((cost, candidate));
                     }
-                    if let Some(cost) = self.evaluate(mapping, working, candidate, current_cost) {
-                        if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                            best = Some((cost, *candidate));
-                        }
+                };
+                // Moves to the other tiles of its kind, then swaps with the
+                // swappable processes of its kind, in process order.
+                let here = self.local_cost(process, None, |p| view.tile(p));
+                for (to, _) in self.platform.tiles_of_kind(placed.kind) {
+                    if to != placed.tile {
+                        trace.generated += 1;
+                        let candidate = Step2Move::Move { process, to };
+                        offer(
+                            candidate,
+                            self.score(mapping, &view, &candidate, current_cost, here),
+                        );
+                    }
+                }
+                for (index, other) in view.0.iter().enumerate() {
+                    let b = ProcessId::from_index(index);
+                    if other.is_some_and(|o| o.swappable && o.kind == placed.kind) && b != process {
+                        trace.generated += 1;
+                        let candidate = Step2Move::Swap { a: process, b };
+                        let before = self.local_cost(process, Some(b), |p| view.tile(p));
+                        offer(
+                            candidate,
+                            self.score(mapping, &view, &candidate, current_cost, before),
+                        );
                     }
                 }
                 let Some((cost, candidate)) = best else {
@@ -403,17 +376,15 @@ impl<'a> SearchCtx<'a> {
                 trace.evaluations += 1;
                 let kept = current_cost.saturating_sub(cost) >= MIN_GAIN;
                 if capture {
-                    let assignment = self.snapshot_with(mapping, working, &candidate);
                     trace.events.push(Step2Event {
                         candidate,
                         cost,
                         kept,
-                        assignment,
+                        assignment: view.snapshot_after(&candidate),
                     });
                 }
                 if kept {
-                    let applied = self.apply(mapping, working, &candidate);
-                    debug_assert!(applied, "evaluated candidates fit");
+                    self.commit(mapping, working, &mut view, &candidate);
                     current_cost = cost;
                     tried.clear();
                     if trace.evaluations >= MAX_EVALUATIONS {
@@ -434,6 +405,64 @@ impl<'a> SearchCtx<'a> {
 
         trace.final_cost = current_cost;
         trace
+    }
+}
+
+/// The processes `candidate` reassigns.
+fn touched(candidate: &Step2Move) -> (ProcessId, Option<ProcessId>) {
+    match *candidate {
+        Step2Move::Move { process, .. } => (process, None),
+        Step2Move::Swap { a, b } => (a, Some(b)),
+    }
+}
+
+/// An assigned process as the search sees it.
+#[derive(Debug, Clone, Copy)]
+struct Placed {
+    tile: TileId,
+    impl_index: usize,
+    kind: TileKind,
+    /// May be a swap partner: neither a control process nor pinned.
+    swappable: bool,
+}
+
+/// The search's dense view of the assignment: one entry per process of the
+/// graph, `None` for an unassigned one. Built once per search; only a kept
+/// candidate changes it.
+struct View(Vec<Option<Placed>>);
+
+impl View {
+    fn placed(&self, process: ProcessId) -> Placed {
+        self.0[process.index()].expect("assigned in step 1")
+    }
+
+    fn tile(&self, process: ProcessId) -> Option<TileId> {
+        self.0[process.index()].map(|p| p.tile)
+    }
+
+    /// `process`'s tile once `candidate` is made.
+    fn tile_after(&self, candidate: &Step2Move, process: ProcessId) -> Option<TileId> {
+        match *candidate {
+            Step2Move::Move { process: p, to } if p == process => Some(to),
+            Step2Move::Swap { a, b } if a == process => self.tile(b),
+            Step2Move::Swap { a, b } if b == process => self.tile(a),
+            _ => self.tile(process),
+        }
+    }
+
+    fn move_to(&mut self, process: ProcessId, tile: TileId) {
+        if let Some(placed) = &mut self.0[process.index()] {
+            placed.tile = tile;
+        }
+    }
+
+    /// The Table-2 row content: every `(process, tile)` with `candidate`
+    /// made, in process order (as `Mapping::assignments` lists them).
+    fn snapshot_after(&self, candidate: &Step2Move) -> Vec<(ProcessId, TileId)> {
+        (0..self.0.len())
+            .map(ProcessId::from_index)
+            .filter_map(|p| Some((p, self.tile_after(candidate, p)?)))
+            .collect()
     }
 }
 
@@ -478,6 +507,9 @@ pub fn improve_assignment_with(
     let table = SpecTable::for_validated(spec);
     SearchCtx::new(&table, platform, constraints, cost_model).improve(mapping, working, capture)
 }
+
+#[cfg(test)]
+mod twin;
 
 #[cfg(test)]
 mod tests {
@@ -600,8 +632,8 @@ mod tests {
 
     #[test]
     fn incremental_delta_exact_for_all_cost_models() {
-        // The debug assertion inside `evaluate` cross-checks every delta
-        // against a full recompute; drive it under all three models.
+        // The debug assertion inside `score` cross-checks every candidate's
+        // delta against a full recompute; drive it under all three models.
         for model in [
             CostModel::HopCount,
             CostModel::TrafficWeighted,

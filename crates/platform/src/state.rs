@@ -28,6 +28,16 @@ pub struct TileClaim {
     pub ejection: u64,
 }
 
+/// The empty claim: what [`PlatformState::fits_tile`] and
+/// [`PlatformState::restore_tile`] vacate.
+const NOTHING: TileClaim = TileClaim {
+    slots: 0,
+    memory_bytes: 0,
+    cycles_per_second: 0,
+    injection: 0,
+    ejection: 0,
+};
+
 /// Mutable resource usage of a [`Platform`].
 ///
 /// All mutating operations are exact inverses of each other
@@ -68,19 +78,52 @@ impl PlatformState {
     /// this check, so quarantining here makes all mapping algorithms and
     /// transactions refuse failed tiles without any change on their side.
     pub fn fits_tile(&self, platform: &Platform, tile: TileId, claim: &TileClaim) -> bool {
-        !self.failed_tiles[tile.index()] && self.tile_has_capacity(platform, tile, claim)
+        !self.failed_tiles[tile.index()] && self.tile_has_capacity(platform, tile, &NOTHING, claim)
     }
 
-    /// The capacity half of [`PlatformState::fits_tile`], ignoring health.
-    fn tile_has_capacity(&self, platform: &Platform, tile: TileId, claim: &TileClaim) -> bool {
+    /// True if `claim` would fit on `tile` once `vacated`, a claim held
+    /// there, were released: what [`PlatformState::release_tile`] then
+    /// [`PlatformState::fits_tile`] would answer, asked without releasing
+    /// anything. A failed tile fits nothing here either.
+    ///
+    /// Step 2 asks it of a swap candidate before it decides to make the
+    /// swap.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if `vacated` is more than `tile` holds.
+    pub fn fits_after_vacating(
+        &self,
+        platform: &Platform,
+        tile: TileId,
+        vacated: &TileClaim,
+        claim: &TileClaim,
+    ) -> bool {
+        !self.failed_tiles[tile.index()] && self.tile_has_capacity(platform, tile, vacated, claim)
+    }
+
+    /// The capacity half of [`PlatformState::fits_tile`] and
+    /// [`PlatformState::fits_after_vacating`], ignoring health: whether
+    /// `claim` fits on `tile` once `vacated` has left it. Inlined so that
+    /// the empty `vacated` of `fits_tile`, the admission path's most
+    /// frequent probe, folds away.
+    #[inline(always)]
+    fn tile_has_capacity(
+        &self,
+        platform: &Platform,
+        tile: TileId,
+        vacated: &TileClaim,
+        claim: &TileClaim,
+    ) -> bool {
         let t = platform.tile(tile);
         let i = tile.index();
         let cycle_budget = u64::from(t.clock_mhz) * 1_000_000;
-        self.used_slots[i] + claim.slots <= t.compute_slots
-            && self.used_memory[i] + claim.memory_bytes <= t.memory_bytes
-            && self.used_cycles[i] + claim.cycles_per_second <= cycle_budget
-            && self.used_injection[i] + claim.injection <= t.ni_injection
-            && self.used_ejection[i] + claim.ejection <= t.ni_ejection
+        self.used_slots[i] - vacated.slots + claim.slots <= t.compute_slots
+            && self.used_memory[i] - vacated.memory_bytes + claim.memory_bytes <= t.memory_bytes
+            && self.used_cycles[i] - vacated.cycles_per_second + claim.cycles_per_second
+                <= cycle_budget
+            && self.used_injection[i] - vacated.injection + claim.injection <= t.ni_injection
+            && self.used_ejection[i] - vacated.ejection + claim.ejection <= t.ni_ejection
     }
 
     /// Claims `claim` on `tile`.
@@ -305,7 +348,7 @@ impl PlatformState {
         tile: TileId,
         claim: &TileClaim,
     ) -> Result<(), PlatformError> {
-        if !self.tile_has_capacity(platform, tile, claim) {
+        if !self.tile_has_capacity(platform, tile, &NOTHING, claim) {
             return Err(PlatformError::InsufficientResource {
                 tile,
                 resource: self.first_missing(platform, tile, claim),

@@ -3,7 +3,10 @@
 //! path (de)allocations — including operations that fail mid-build — a
 //! committed transaction leaves the ledger byte-identical to applying the
 //! successful operations directly, and an aborted (or dropped) one leaves
-//! it byte-identical to the snapshot taken at `begin`.
+//! it byte-identical to the snapshot taken at `begin`. The one ledger query
+//! that answers for a release it does not make,
+//! [`PlatformState::fits_after_vacating`], is checked against making the
+//! release inside a transaction and rolling it back.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -153,6 +156,64 @@ proptest! {
             let real_json = serde_json::to_string(&real).expect("serialize");
             let expected_json = serde_json::to_string(&expected).expect("serialize");
             prop_assert_eq!(real_json, expected_json);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On random ledgers, failed tiles included, `fits_after_vacating`
+    /// answers what releasing the vacated claim, asking `fits_tile` and
+    /// claiming it back would, and leaves the ledger as it found it.
+    #[test]
+    fn fits_after_vacating_is_release_then_fits_tile(seed in 0u64..400) {
+        let platform = tight_platform();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ledger = platform.initial_state();
+        let nothing = TileClaim {
+            slots: 0,
+            memory_bytes: 0,
+            cycles_per_second: 0,
+            injection: 0,
+            ejection: 0,
+        };
+        // What each tile holds, claim by claim; then one tile in four fails.
+        let mut held: Vec<Vec<TileClaim>> = vec![vec![nothing]; platform.n_tiles()];
+        for _ in 0..rng.random_range(0usize..10) {
+            let tile = TileId::from_index(rng.random_range(0usize..platform.n_tiles()));
+            let claim = random_claim(&mut rng);
+            if ledger.claim_tile(&platform, tile, &claim).is_ok() {
+                held[tile.index()].push(claim);
+            }
+        }
+        for (tile, _) in platform.tiles() {
+            if rng.random_bool(0.25) {
+                ledger.fail_tile(tile);
+            }
+        }
+
+        for _ in 0..16 {
+            let tile = TileId::from_index(rng.random_range(0usize..platform.n_tiles()));
+            let on_tile = &held[tile.index()];
+            let vacated = on_tile[rng.random_range(0usize..on_tile.len())];
+            let claim = random_claim(&mut rng);
+            let before = ledger.clone();
+            let answer = ledger.fits_after_vacating(&platform, tile, &vacated, &claim);
+            prop_assert!(ledger == before, "the query moved the ledger (seed {seed})");
+            let expected = {
+                // Dropping the transaction claims the release back, on a
+                // failed tile too.
+                let mut tx = PlatformTransaction::begin(&platform, &mut ledger);
+                tx.release_tile(tile, &vacated).expect("the tile holds it");
+                tx.state().fits_tile(&platform, tile, &claim)
+            };
+            prop_assert!(ledger == before, "the rollback moved the ledger (seed {seed})");
+            prop_assert_eq!(
+                answer,
+                expected,
+                "{vacated:?} off {tile:?} for {claim:?} (seed {seed})"
+            );
         }
     }
 }
