@@ -41,6 +41,19 @@
 //! translate — and a candidate is accepted only if every re-routed channel
 //! traverses **exactly as many routers as the recorded route**.
 //!
+//! What does not change between candidates is worked out once, when a
+//! shape is learned (`MappingShape::canonicalise`): each process's
+//! reservation (the memory and cycles its implementation claims; one
+//! compute slot, no NI bandwidth) and each channel end's *slot* — a
+//! position in the shape's assignments, or the stream input or output. A
+//! candidate resolves its tiles into a buffer the library reuses, stages
+//! the stored claims, finds each route's ends by slot, and builds its
+//! `Mapping` only once it is past the tile skeleton: the candidate loop
+//! derives no claim and looks nothing up in a `Mapping`. The stored claims
+//! are exactly as sound as the recorded buffer sizing, period and latency
+//! the hit already reuses — all are functions of the spec the
+//! structural-digest key stands for.
+//!
 //! That router-count equality is what makes skipping step 4 sound: the
 //! composed CSDF graph of Figure 3 depends only on the spec, the chosen
 //! implementations, each assigned tile's clock, and the per-channel router
@@ -59,12 +72,12 @@
 //! nothing here runs and fixed-seed reports are byte-for-byte unchanged.
 
 use crate::algorithm::{MappingAlgorithm, MappingOutcome};
-use crate::claims::{claim_for, reservation_of};
+use crate::claims::reservation_of;
 use crate::constraints::MappingConstraints;
 use crate::error::MapError;
 use crate::mapping::{Mapping, RouteBinding};
 use crate::step4::ChannelBuffer;
-use rtsm_app::{ApplicationSpec, KpnChannelId, ProcessId};
+use rtsm_app::{ApplicationSpec, Endpoint, KpnChannelId, ProcessId};
 use rtsm_obs as obs;
 use rtsm_platform::routing::route_with;
 use rtsm_platform::{
@@ -76,41 +89,103 @@ use std::collections::HashMap;
 /// Default bound on cached shapes per application spec.
 pub const DEFAULT_SHAPE_CAP: usize = 8;
 
+/// Where a channel end of a shape sits: a position in the shape's
+/// `assignments`, or the platform's stream input or output. Worked out when
+/// the shape is learned, so a candidate finds a channel's tiles by index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot(u16);
+
+impl Slot {
+    const STREAM_INPUT: Slot = Slot(u16::MAX);
+    const STREAM_OUTPUT: Slot = Slot(u16::MAX - 1);
+    /// The most assignments a shape holds: positions stay below the two
+    /// stream-endpoint slots.
+    const MAX_ASSIGNMENTS: usize = u16::MAX as usize - 1;
+
+    /// The tile this slot names under a candidate that put assignment `i`
+    /// on `tiles[i]`; `None` for a stream endpoint the platform lacks.
+    fn tile(self, tiles: &[TileId], platform: &Platform) -> Option<TileId> {
+        match self {
+            Slot::STREAM_INPUT => platform.stream_input_tile(),
+            Slot::STREAM_OUTPUT => platform.stream_output_tile(),
+            Slot(position) => Some(tiles[usize::from(position)]),
+        }
+    }
+}
+
 /// One process's slot in a shape: which implementation, the tile offset
-/// from the anchor, and the tile kind/clock the offset was recorded on
-/// (clock equality is required for the CSDF-isomorphism argument).
+/// from the anchor, the tile kind/clock the offset was recorded on (clock
+/// equality is required for the CSDF-isomorphism argument), and the memory
+/// and cycles its reservation claims — with one compute slot and no NI
+/// bandwidth, as [`reservation_of`] always gives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ShapeAssignment {
-    process: ProcessId,
-    impl_index: usize,
-    dx: i32,
-    dy: i32,
-    kind: TileKind,
+    memory_bytes: u64,
+    cycles_per_second: u64,
     clock_mhz: u32,
+    process: u32,
+    impl_index: u16,
+    dx: i16,
+    dy: i16,
+    kind: TileKind,
 }
 
-/// One channel's recorded route skeleton: same-tile or a path of exactly
-/// `router_count` routers at `demand` words/second.
+impl ShapeAssignment {
+    fn process(&self) -> ProcessId {
+        ProcessId::from_index(self.process as usize)
+    }
+
+    fn offset(&self) -> (i32, i32) {
+        (i32::from(self.dx), i32::from(self.dy))
+    }
+
+    /// What staging this process claims on its tile.
+    fn reservation(&self) -> TileClaim {
+        TileClaim {
+            slots: 1,
+            memory_bytes: self.memory_bytes,
+            cycles_per_second: self.cycles_per_second,
+            injection: 0,
+            ejection: 0,
+        }
+    }
+}
+
+/// One channel's recorded route skeleton: the ends' slots, and a path of
+/// exactly `router_count` routers at `demand` words/second — or, with
+/// `router_count` 0, both ends on one tile (a path has at least one router).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ShapeRoute {
-    channel: KpnChannelId,
-    same_tile: bool,
-    router_count: u32,
     demand: u64,
+    channel: u32,
+    router_count: u32,
+    src: Slot,
+    dst: Slot,
 }
 
-/// One already-verified tile-side buffer (`B_i`); its tile is re-derived
-/// from the consumer's placement at instantiation.
+/// One already-verified tile-side buffer (`B_i`), held on the tile of its
+/// consumer's slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ShapeBuffer {
-    channel: KpnChannelId,
     capacity_words: u64,
+    channel: u32,
+    dst: Slot,
 }
 
-/// A canonicalised, position-independent mapping: relative placements, the
-/// route skeleton, and the verified QoS results of the mapping it came
-/// from. Produced by [`MappingShape::canonicalise`], instantiated by the
-/// [`TemplateLibrary`].
+// A library holds up to `DEFAULT_SHAPE_CAP` shapes per spec for as long as
+// it lives: compiling claims and slots into a shape must not grow it.
+const _: () = assert!(std::mem::size_of::<ShapeAssignment>() <= 32);
+const _: () = assert!(std::mem::size_of::<ShapeRoute>() <= 24);
+const _: () = assert!(std::mem::size_of::<ShapeBuffer>() <= 16);
+
+fn channel_id(index: u32) -> KpnChannelId {
+    KpnChannelId::from_index(index as usize)
+}
+
+/// A canonicalised, position-independent mapping: relative placements with
+/// their claims, the route skeleton, and the verified QoS results of the
+/// mapping it came from. Produced by [`MappingShape::canonicalise`],
+/// instantiated by the [`TemplateLibrary`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct MappingShape {
     assignments: Vec<ShapeAssignment>,
@@ -122,53 +197,76 @@ pub(crate) struct MappingShape {
 }
 
 impl MappingShape {
-    /// Canonicalises a feasible outcome into a tile-type-relative shape:
-    /// the first assignment (process-id order) becomes the anchor at offset
-    /// `(0, 0)`. Returns `None` for outcomes with no assignments.
-    pub fn canonicalise(outcome: &MappingOutcome, platform: &Platform) -> Option<MappingShape> {
+    /// Canonicalises a feasible outcome of `spec` into a tile-type-relative
+    /// shape: the first assignment (process-id order) becomes the anchor at
+    /// offset `(0, 0)`. Each process's reservation and each channel end's
+    /// slot are worked out here, once, so that a lookup only routes and
+    /// stages. Returns `None` for an outcome with no assignments, with a
+    /// channel end on an unassigned process, or that does not fit the
+    /// shape's widths (`u32` ids, `u16` implementation indices and slots,
+    /// `i16` offsets).
+    pub fn canonicalise(
+        outcome: &MappingOutcome,
+        spec: &ApplicationSpec,
+        platform: &Platform,
+    ) -> Option<MappingShape> {
         let (_, first) = outcome.mapping.assignments().next()?;
         let anchor = platform.tile(first.tile).position;
-        let assignments = outcome
-            .mapping
-            .assignments()
-            .map(|(pid, a)| {
-                let tile = platform.tile(a.tile);
-                ShapeAssignment {
-                    process: pid,
-                    impl_index: a.impl_index,
-                    dx: i32::from(tile.position.x) - i32::from(anchor.x),
-                    dy: i32::from(tile.position.y) - i32::from(anchor.y),
-                    kind: tile.kind,
-                    clock_mhz: tile.clock_mhz,
-                }
-            })
-            .collect();
-        let routes = outcome
-            .mapping
-            .routes()
-            .map(|(cid, route)| match route {
-                RouteBinding::SameTile => ShapeRoute {
-                    channel: cid,
-                    same_tile: true,
-                    router_count: 0,
-                    demand: 0,
-                },
-                RouteBinding::Path(path) => ShapeRoute {
-                    channel: cid,
-                    same_tile: false,
-                    router_count: path.router_count(),
-                    demand: path.demand,
-                },
-            })
-            .collect();
-        let buffers = outcome
-            .buffers
-            .iter()
-            .map(|b| ShapeBuffer {
-                channel: b.channel,
+        let offset = |from: u16, to: u16| i16::try_from(i32::from(to) - i32::from(from)).ok();
+        let n_assignments = outcome.mapping.assignments().count();
+        if n_assignments > Slot::MAX_ASSIGNMENTS {
+            return None;
+        }
+        let mut assignments = Vec::with_capacity(n_assignments);
+        for (pid, a) in outcome.mapping.assignments() {
+            let tile = platform.tile(a.tile);
+            let implementation = spec.library.impls_for(pid).get(a.impl_index)?;
+            let claim = reservation_of(&crate::claims::claim_for(spec, pid, implementation));
+            debug_assert_eq!((claim.slots, claim.injection, claim.ejection), (1, 0, 0));
+            assignments.push(ShapeAssignment {
+                memory_bytes: claim.memory_bytes,
+                cycles_per_second: claim.cycles_per_second,
+                clock_mhz: tile.clock_mhz,
+                process: u32::try_from(pid.index()).ok()?,
+                impl_index: u16::try_from(a.impl_index).ok()?,
+                dx: offset(anchor.x, tile.position.x)?,
+                dy: offset(anchor.y, tile.position.y)?,
+                kind: tile.kind,
+            });
+        }
+        // Assignments are in process-id order, so a process's slot is found
+        // by bisection.
+        let slot = |end: Endpoint| match end {
+            Endpoint::StreamInput => Some(Slot::STREAM_INPUT),
+            Endpoint::StreamOutput => Some(Slot::STREAM_OUTPUT),
+            Endpoint::Process(p) => assignments
+                .binary_search_by_key(&p.index(), |a| a.process as usize)
+                .ok()
+                .map(|position| Slot(position as u16)),
+        };
+        let mut routes = Vec::with_capacity(outcome.mapping.routes().count());
+        for (cid, route) in outcome.mapping.routes() {
+            let ch = spec.graph.channel(cid);
+            let (router_count, demand) = match route {
+                RouteBinding::SameTile => (0, 0),
+                RouteBinding::Path(path) => (path.router_count(), path.demand),
+            };
+            routes.push(ShapeRoute {
+                demand,
+                channel: u32::try_from(cid.index()).ok()?,
+                router_count,
+                src: slot(ch.src)?,
+                dst: slot(ch.dst)?,
+            });
+        }
+        let mut buffers = Vec::with_capacity(outcome.buffers.len());
+        for b in &outcome.buffers {
+            buffers.push(ShapeBuffer {
                 capacity_words: b.capacity_words,
-            })
-            .collect();
+                channel: u32::try_from(b.channel.index()).ok()?,
+                dst: slot(spec.graph.channel(b.channel).dst)?,
+            });
+        }
         Some(MappingShape {
             assignments,
             routes,
@@ -184,11 +282,7 @@ impl MappingShape {
     /// give (a single-tile shape has one distinct rotation, not four).
     /// Computed once, when the shape is learned (see [`ShapeEntry`]).
     fn distinct_rotations(&self) -> u8 {
-        let rotated = |k: u8| {
-            self.assignments
-                .iter()
-                .map(move |a| rotate(k, (a.dx, a.dy)))
-        };
+        let rotated = |k: u8| self.assignments.iter().map(move |a| rotate(k, a.offset()));
         (0..4u8)
             .filter(|&k| !(0..k).any(|fewer| rotated(fewer).eq(rotated(k))))
             .fold(0, |mask, k| mask | 1 << k)
@@ -198,14 +292,14 @@ impl MappingShape {
     /// unlikely) fingerprint collision and stale libraries.
     fn indexes_into(&self, spec: &ApplicationSpec) -> bool {
         self.assignments.iter().all(|a| {
-            a.process.index() < spec.graph.n_processes()
-                && a.impl_index < spec.library.impls_for(a.process).len()
+            a.process().index() < spec.graph.n_processes()
+                && usize::from(a.impl_index) < spec.library.impls_for(a.process()).len()
         }) && self
             .routes
             .iter()
             .map(|r| r.channel)
             .chain(self.buffers.iter().map(|b| b.channel))
-            .all(|c| c.index() < spec.graph.n_channels())
+            .all(|c| (c as usize) < spec.graph.n_channels())
     }
 }
 
@@ -219,6 +313,14 @@ fn rotate(quarter_turns: u8, (dx, dy): (i32, i32)) -> (i32, i32) {
     }
 }
 
+/// What a lookup reuses from one call to the next: the router's working
+/// memory, and the tiles a candidate puts its shape's assignments on.
+#[derive(Debug, Default)]
+struct LookupScratch {
+    routes: RouteScratch,
+    tiles: Vec<TileId>,
+}
+
 /// One lookup's fit check: what its candidates are checked against, and the
 /// scratch they are checked on.
 struct FitCheck<'a> {
@@ -226,7 +328,7 @@ struct FitCheck<'a> {
     platform: &'a Platform,
     base: &'a PlatformState,
     constraints: &'a MappingConstraints,
-    routes: &'a mut RouteScratch,
+    scratch: &'a mut LookupScratch,
     /// The scratch ledger: a copy of `base`, made when the first candidate
     /// gets past the skeleton checks. Each candidate stages its claims on it
     /// in a transaction that is then dropped, so it equals `base` again for
@@ -244,24 +346,27 @@ impl<'a> FitCheck<'a> {
         platform: &'a Platform,
         base: &'a PlatformState,
         constraints: &'a MappingConstraints,
-        routes: &'a mut RouteScratch,
+        scratch: &'a mut LookupScratch,
     ) -> Self {
         FitCheck {
             spec,
             platform,
             base,
             constraints,
-            routes,
+            scratch,
             ledger: None,
             tried: 0,
         }
     }
 
     /// Attempts to place `shape`, turned by `quarter_turns`, at `anchor`:
-    /// quick tile-skeleton rejects first, then the full fit check, staging
-    /// into one transaction on the scratch ledger exactly what
-    /// `MappingOutcome::stage_commit` will claim. Returns the instantiated
-    /// outcome on success; `base` is never mutated.
+    /// quick tile-skeleton rejects first, which resolve the assignments'
+    /// tiles into the reused `tiles` buffer, then the full fit check,
+    /// staging into one transaction on the scratch ledger exactly what
+    /// `MappingOutcome::stage_commit` will claim — the shape's compiled
+    /// reservations, routes between the tiles its slots name, and buffer
+    /// memory. Returns the instantiated outcome on success; `base` is never
+    /// mutated.
     fn try_candidate(
         &mut self,
         shape: &MappingShape,
@@ -270,9 +375,10 @@ impl<'a> FitCheck<'a> {
     ) -> Option<MappingOutcome> {
         let (spec, platform) = (self.spec, self.platform);
         let anchor_pos = platform.tile(anchor).position;
-        let mut mapping = Mapping::new();
+        let LookupScratch { routes, tiles } = &mut *self.scratch;
+        tiles.clear();
         for sa in &shape.assignments {
-            let (dx, dy) = rotate(quarter_turns, (sa.dx, sa.dy));
+            let (dx, dy) = rotate(quarter_turns, sa.offset());
             let x = i32::from(anchor_pos.x) + dx;
             let y = i32::from(anchor_pos.y) + dy;
             if x < 0
@@ -290,11 +396,11 @@ impl<'a> FitCheck<'a> {
             if tile.kind != sa.kind
                 || tile.clock_mhz != sa.clock_mhz
                 || self.base.is_tile_failed(tid)
-                || !self.constraints.allows(sa.process, tid)
+                || !self.constraints.allows(sa.process(), tid)
             {
                 return None;
             }
-            mapping.assign(sa.process, sa.impl_index, tid);
+            tiles.push(tid);
         }
 
         // The same claims, in kind, that committing the outcome will make:
@@ -303,43 +409,37 @@ impl<'a> FitCheck<'a> {
         // other exactly as in step 3), then buffer memory on the consumer
         // tiles. A misfit returns early; dropping the transaction undoes
         // what was staged.
+        let mut mapping = Mapping::new();
         let ledger = self.ledger.get_or_insert_with(|| self.base.clone());
         let mut tx = PlatformTransaction::begin(platform, ledger);
-        for sa in &shape.assignments {
-            let tile = mapping.assignment(sa.process).expect("assigned above").tile;
-            let implementation = &spec.library.impls_for(sa.process)[sa.impl_index];
-            let claim = reservation_of(&claim_for(spec, sa.process, implementation));
-            tx.claim_tile(tile, &claim).ok()?;
+        for (sa, &tile) in shape.assignments.iter().zip(tiles.iter()) {
+            tx.claim_tile(tile, &sa.reservation()).ok()?;
+            mapping.assign(sa.process(), usize::from(sa.impl_index), tile);
         }
         for sr in &shape.routes {
-            let ch = spec.graph.channel(sr.channel);
-            let from = mapping.endpoint_tile(platform, ch.src)?;
-            let to = mapping.endpoint_tile(platform, ch.dst)?;
-            if from == to {
-                if !sr.same_tile {
-                    return None;
-                }
-                mapping.bind_route(sr.channel, RouteBinding::SameTile);
-                continue;
-            }
-            if sr.same_tile {
+            let from = sr.src.tile(tiles, platform)?;
+            let to = sr.dst.tile(tiles, platform)?;
+            let channel = channel_id(sr.channel);
+            if (from == to) != (sr.router_count == 0) {
                 return None;
             }
-            let path = route_with(platform, tx.state(), from, to, sr.demand, self.routes).ok()?;
+            if from == to {
+                mapping.bind_route(channel, RouteBinding::SameTile);
+                continue;
+            }
+            let path = route_with(platform, tx.state(), from, to, sr.demand, routes).ok()?;
             // Router-count equality keeps the composed CSDF isomorphic to
             // the recorded one, so the cached sizing/period/latency stay
             // valid.
             if path.router_count() != sr.router_count {
                 return None;
             }
-            let path = path.clone();
-            tx.allocate_path(&path).ok()?;
-            mapping.bind_route(sr.channel, RouteBinding::Path(path));
+            tx.allocate_path(path).ok()?;
+            mapping.bind_route(channel, RouteBinding::Path(path.clone()));
         }
         let mut buffers = Vec::with_capacity(shape.buffers.len());
         for sb in &shape.buffers {
-            let ch = spec.graph.channel(sb.channel);
-            let tile = mapping.endpoint_tile(platform, ch.dst)?;
+            let tile = sb.dst.tile(tiles, platform)?;
             let claim = TileClaim {
                 slots: 0,
                 memory_bytes: sb.capacity_words * 4,
@@ -349,7 +449,7 @@ impl<'a> FitCheck<'a> {
             };
             tx.claim_tile(tile, &claim).ok()?;
             buffers.push(ChannelBuffer {
-                channel: sb.channel,
+                channel: channel_id(sb.channel),
                 capacity_words: sb.capacity_words,
                 tile,
             });
@@ -447,7 +547,7 @@ pub(crate) struct TemplateLibrary {
     misses: u64,
     seeded: u64,
     evictions: u64,
-    scratch: RouteScratch,
+    scratch: LookupScratch,
 }
 
 impl TemplateLibrary {
@@ -620,7 +720,7 @@ impl<A: MappingAlgorithm> MappingAlgorithm for TemplatedMapper<A> {
                 &platform.initial_state(),
                 &MappingConstraints::none(),
             ) {
-                if let Some(shape) = MappingShape::canonicalise(&seeded, platform) {
+                if let Some(shape) = MappingShape::canonicalise(&seeded, spec, platform) {
                     let mut library = self.library.borrow_mut();
                     if library.learn(key, shape) {
                         library.note_seeded();
@@ -644,7 +744,7 @@ impl<A: MappingAlgorithm> MappingAlgorithm for TemplatedMapper<A> {
         let outcome = self
             .inner
             .map_constrained(spec, platform, base, constraints)?;
-        if let Some(shape) = MappingShape::canonicalise(&outcome, platform) {
+        if let Some(shape) = MappingShape::canonicalise(&outcome, spec, platform) {
             self.library.borrow_mut().learn(key, shape);
         }
         Ok(outcome)
@@ -652,11 +752,15 @@ impl<A: MappingAlgorithm> MappingAlgorithm for TemplatedMapper<A> {
 }
 
 #[cfg(test)]
+mod twin;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::mapper::{MapperConfig, SpatialMapper};
     use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
     use rtsm_platform::paper::paper_platform;
+    use rtsm_platform::PlatformBuilder;
     use rtsm_workloads::apps::{jpeg_encoder, mp3_decoder};
     use rtsm_workloads::mesh_platform;
 
@@ -680,7 +784,7 @@ mod tests {
         let outcome = SpatialMapper::default()
             .map(&spec, &platform, &platform.initial_state())
             .unwrap();
-        let spread = MappingShape::canonicalise(&outcome, &platform).unwrap();
+        let spread = MappingShape::canonicalise(&outcome, &spec, &platform).unwrap();
         // A shape whose every process sits on the anchor looks the same
         // from all four sides.
         let mut stacked = spread.clone();
@@ -695,7 +799,7 @@ mod tests {
                 let offsets: Vec<_> = shape
                     .assignments
                     .iter()
-                    .map(|a| rotate(k, (a.dx, a.dy)))
+                    .map(|a| rotate(k, a.offset()))
                     .collect();
                 if !seen.contains(&offsets) {
                     seen.push(offsets);
@@ -732,14 +836,14 @@ mod tests {
             .commit(&running, &platform, &mut base)
             .unwrap();
         let fits = inner.map(&arriving, &platform, &base).unwrap();
-        let fits = MappingShape::canonicalise(&fits, &platform).unwrap();
+        let fits = MappingShape::canonicalise(&fits, &arriving, &platform).unwrap();
         // The same placements with one channel's recorded route longer than
         // any path on a 5×5 mesh: every candidate is turned away.
         let mut misfit = fits.clone();
         misfit
             .routes
             .iter_mut()
-            .find(|r| !r.same_tile)
+            .find(|r| r.router_count != 0)
             .expect("a routed channel")
             .router_count += 1_000;
 
@@ -770,6 +874,44 @@ mod tests {
         assert_eq!(behind.evaluated, rotations * free_anchors + alone.evaluated);
         assert_eq!(behind.mapping, alone.mapping);
         assert_eq!(hits, [0, 1]);
+    }
+
+    /// Offsets are `i16`: a mapping that spans `i16::MAX` columns from its
+    /// anchor is learned, one that spans a column more is not.
+    #[test]
+    fn canonicalise_refuses_offsets_wider_than_i16() {
+        let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
+        let far = i16::MAX as u16 + 1;
+        let platform = PlatformBuilder::mesh(far + 1, 1)
+            .tile("anchor", TileKind::Arm, Coord { x: 0, y: 0 })
+            .tile("edge", TileKind::Arm, Coord { x: far - 1, y: 0 })
+            .tile("beyond", TileKind::Arm, Coord { x: far, y: 0 })
+            .build()
+            .unwrap();
+        // The first process on the anchor tile, every other stream process
+        // on `tile`.
+        let spread_to = |tile: &str| {
+            let mut mapping = Mapping::new();
+            for (pid, _) in spec.graph.stream_processes() {
+                let name = if pid.index() == 0 { "anchor" } else { tile };
+                mapping.assign(pid, 0, platform.tile_by_name(name).unwrap());
+            }
+            MappingOutcome {
+                mapping,
+                buffers: Vec::new(),
+                energy_pj: 0,
+                communication_hops: 0,
+                feasible: true,
+                evaluated: 0,
+                attempts: 1,
+                achieved_period: (1, 1),
+                latency_ps: None,
+                trace: None,
+            }
+        };
+        let edge = MappingShape::canonicalise(&spread_to("edge"), &spec, &platform).unwrap();
+        assert_eq!(edge.assignments[1].dx, i16::MAX);
+        assert!(MappingShape::canonicalise(&spread_to("beyond"), &spec, &platform).is_none());
     }
 
     #[test]
@@ -862,7 +1004,7 @@ mod tests {
         let outcome = SpatialMapper::new(MapperConfig::default())
             .map(&spec, &platform, &state)
             .unwrap();
-        let shape = MappingShape::canonicalise(&outcome, &platform).unwrap();
+        let shape = MappingShape::canonicalise(&outcome, &spec, &platform).unwrap();
         assert!(library.learn(key, shape.clone()));
         assert!(!library.learn(key, shape.clone()), "duplicates are dropped");
         // A distinct shape evicts the old one at cap 1.

@@ -11,19 +11,30 @@
 //! A run-time mapper routes thousands of channels per second, so the search
 //! must not pay for setup: edges are resolved through the platform's flat
 //! CSR adjacency table ([`Platform::adjacency`]) instead of hashing
-//! coordinate pairs, and all Dijkstra working memory lives in a reusable,
+//! coordinate pairs, and all working memory lives in a reusable,
 //! generation-stamped [`RouteScratch`]. Pass one scratch to repeated
 //! [`route_with`] calls and the search performs zero heap allocation in
 //! steady state (the returned [`Path`] is borrowed from the scratch; clone it
 //! only when a route is actually kept). The plain [`route`] wrapper allocates
 //! a fresh scratch per call for convenience.
+//!
+//! # The search
+//!
+//! Every hop costs 1, so the shortest-path search is a breadth-first search
+//! that expands one hop level at a time, each level in `(x, y)` order, and
+//! stops as soon as it discovers the goal. That is the order in which a
+//! Dijkstra heap keyed on `(cost, (x, y))` pops routers: all of level `d`
+//! before any of level `d + 1`, and within a level by coordinate. A router's
+//! predecessor is the first router to discover it and is never overwritten,
+//! so every predecessor, path and tie-break is the one that heap gives, and
+//! nothing the heap did after the goal's discovery could change the goal's
+//! chain of predecessors.
 
 use crate::error::PlatformError;
 use crate::state::PlatformState;
 use crate::tile::TileId;
 use crate::topology::{Coord, LinkId, Platform};
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
 
 /// A routed guaranteed-throughput connection through the NoC.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -53,28 +64,47 @@ impl Path {
     }
 }
 
-/// Reusable working memory for the path searches: Dijkstra's distance and
-/// predecessor tables, the priority queue, and the result [`Path`] itself.
+/// Reusable working memory for the path searches: the level-ordered
+/// breadth-first search's visited marks and predecessor table, its two hop
+/// levels, and the result [`Path`] itself.
 ///
 /// Entries are *generation-stamped*: every search bumps a counter and
 /// treats entries from older generations as unvisited, so per-call work is
 /// proportional to the routers actually touched — no O(mesh) clearing and,
 /// once warm, no allocation at all. One scratch may serve platforms of any
-/// (and varying) size; the buffers grow to the largest mesh seen.
+/// (and varying) size; the buffers grow to the largest mesh seen. Each
+/// level is sorted by `(x, y)` before it is expanded, which is the order a
+/// `(cost, (x, y))` heap would pop it in (see the [module docs](self)), so
+/// the search breaks ties exactly as Dijkstra's algorithm with that heap.
 #[derive(Debug, Clone, Default)]
 pub struct RouteScratch {
     /// Current search generation; `stamp[i] == generation` marks router `i`
-    /// as visited in this search.
+    /// as discovered in this search.
     generation: u32,
     stamp: Vec<u32>,
-    /// Best-known hop count per router (valid only when stamped).
-    best: Vec<u32>,
     /// Predecessor router index (`u32::MAX` = none; valid only when
     /// stamped).
     prev: Vec<u32>,
-    heap: BinaryHeap<std::cmp::Reverse<(u32, (u16, u16))>>,
+    /// The hop level being expanded and the one being discovered, as
+    /// [`level_key`]s.
+    level: Vec<u32>,
+    next: Vec<u32>,
     /// The most recent search result; its vectors are reused across calls.
     path: Path,
+}
+
+/// A router's sort key within a hop level: `x` in the high half, `y` in the
+/// low half, so ascending keys are ascending `(x, y)`.
+fn level_key(c: Coord) -> u32 {
+    u32::from(c.x) << 16 | u32::from(c.y)
+}
+
+/// The router a [`level_key`] stands for.
+fn key_coord(key: u32) -> Coord {
+    Coord {
+        x: (key >> 16) as u16,
+        y: key as u16,
+    }
 }
 
 impl RouteScratch {
@@ -84,11 +114,10 @@ impl RouteScratch {
     }
 
     /// Prepares for a search over `n_routers` routers: sizes the tables,
-    /// advances the generation, and clears the queue (keeping capacity).
+    /// advances the generation, and clears the levels (keeping capacity).
     fn begin(&mut self, n_routers: usize) {
         if self.stamp.len() < n_routers {
             self.stamp.resize(n_routers, 0);
-            self.best.resize(n_routers, u32::MAX);
             self.prev.resize(n_routers, u32::MAX);
         }
         self.generation = self.generation.wrapping_add(1);
@@ -98,21 +127,19 @@ impl RouteScratch {
             self.stamp.fill(0);
             self.generation = 1;
         }
-        self.heap.clear();
+        self.level.clear();
+        self.next.clear();
     }
 
-    fn visit(&mut self, i: usize, cost: u32, prev: u32) {
+    /// True once router `i` has been discovered in this search.
+    fn discovered(&self, i: usize) -> bool {
+        self.stamp[i] == self.generation
+    }
+
+    /// Marks router `i` discovered from router `prev`.
+    fn discover(&mut self, i: usize, prev: u32) {
         self.stamp[i] = self.generation;
-        self.best[i] = cost;
         self.prev[i] = prev;
-    }
-
-    fn best(&self, i: usize) -> u32 {
-        if self.stamp[i] == self.generation {
-            self.best[i]
-        } else {
-            u32::MAX
-        }
     }
 
     /// Begins refilling `self.path` for a new result.
@@ -196,44 +223,44 @@ pub fn route_with<'s>(
         return Ok(&scratch.path);
     }
 
-    // Dijkstra over routers; cost = hops; deterministic tie-break on
-    // (cost, coord). Edges come from the platform's CSR adjacency table in
-    // the same west/east/north/south order the original hash-map walk used,
-    // so paths (including ties) are bit-for-bit identical.
+    // Breadth-first over routers, one hop level at a time, each level in
+    // (x, y) order (see the module docs for why that is the heap's order).
+    // Edges come from the platform's CSR adjacency table in west/east/north/
+    // south order; a router's predecessor is the first router to discover
+    // it, and the search ends when the goal is discovered.
     let width = platform.width() as usize;
     let index = |c: Coord| (c.y as usize) * width + c.x as usize;
+    let goal_index = index(goal);
     scratch.begin(platform.n_routers());
-    scratch.visit(index(start), 0, u32::MAX);
-    scratch
-        .heap
-        .push(std::cmp::Reverse((0, (start.x, start.y))));
-    while let Some(std::cmp::Reverse((cost, (x, y)))) = scratch.heap.pop() {
-        let here = Coord { x, y };
-        if cost > scratch.best(index(here)) {
-            continue;
-        }
-        if here == goal {
-            break;
-        }
-        for entry in platform.adjacency(here) {
-            // A quarantined link is unusable even at zero demand: routes
-            // through failed links are invalid, not merely full.
-            if state.is_link_failed(entry.link)
-                || state.residual_link(platform, entry.link) < demand
-            {
-                continue;
-            }
-            let ncost = cost + 1;
-            let ni = index(entry.to);
-            if ncost < scratch.best(ni) {
-                scratch.visit(ni, ncost, index(here) as u32);
-                scratch
-                    .heap
-                    .push(std::cmp::Reverse((ncost, (entry.to.x, entry.to.y))));
+    scratch.discover(index(start), u32::MAX);
+    scratch.level.push(level_key(start));
+    'levels: while !scratch.level.is_empty() {
+        scratch.level.sort_unstable();
+        for k in 0..scratch.level.len() {
+            let here = key_coord(scratch.level[k]);
+            let here_index = index(here) as u32;
+            for entry in platform.adjacency(here) {
+                let ni = index(entry.to);
+                // A discovered router keeps its first predecessor. A
+                // quarantined link is unusable even at zero demand: routes
+                // through failed links are invalid, not merely full.
+                if scratch.discovered(ni)
+                    || state.is_link_failed(entry.link)
+                    || state.residual_link(platform, entry.link) < demand
+                {
+                    continue;
+                }
+                scratch.discover(ni, here_index);
+                if ni == goal_index {
+                    break 'levels;
+                }
+                scratch.next.push(level_key(entry.to));
             }
         }
+        std::mem::swap(&mut scratch.level, &mut scratch.next);
+        scratch.next.clear();
     }
-    if scratch.best(index(goal)) == u32::MAX {
+    if !scratch.discovered(goal_index) {
         return Err(no_route());
     }
 
@@ -242,7 +269,7 @@ pub fn route_with<'s>(
         x: (i % width) as u16,
         y: (i / width) as u16,
     };
-    let mut cursor = index(goal);
+    let mut cursor = goal_index;
     scratch.path.routers.push(goal);
     loop {
         let p = scratch.prev[cursor];

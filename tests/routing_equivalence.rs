@@ -4,11 +4,18 @@
 //! The platform layer routes through a precomputed CSR adjacency table
 //! with reusable, generation-stamped scratch buffers
 //! ([`RouteScratch`](rtsm::platform::RouteScratch)). These tests re-derive
-//! every route with a straightforward textbook Dijkstra (hash-map edge
-//! lookups, fresh allocations, `Option<Coord>` predecessors — the shape of
-//! the pre-optimisation code) and require byte-identical results: same
-//! routers, same links, same tie-breaks, same errors — across random mesh
-//! sizes, random link occupancies, random demands, and scratch reuse.
+//! every route with a straightforward textbook Dijkstra (a `(cost, coord)`
+//! heap, hash-map edge lookups, fresh allocations, `Option<Coord>`
+//! predecessors — the shape of the pre-optimisation code) and require
+//! byte-identical results: same routers, same links, same tie-breaks, same
+//! errors — across random square and non-square meshes from 2×2 to 9×9,
+//! random link occupancies, failed links and tiles, random demands
+//! including zero, and scratch reuse.
+//!
+//! Mutations of the level-ordered search tried by hand, each caught by
+//! `adaptive_route_matches_reference`: sorting a level by router index
+//! (`y`, then `x`) instead of `(x, y)`; letting a later discovery overwrite
+//! a router's predecessor.
 //!
 //! One property does not lean on the reference: every route is a walk of
 //! adjacent routers over links with room for the demand, and on an idle
@@ -24,7 +31,9 @@ use std::collections::BinaryHeap;
 
 /// The naive reference router: minimal-hop Dijkstra with deterministic
 /// `(cost, coord)` tie-breaks, resolving edges through
-/// [`Platform::link_between`] and allocating everything fresh.
+/// [`Platform::link_between`] and allocating everything fresh. It keeps the
+/// production health rules: a failed endpoint tile has no route, and a
+/// failed link is never taken, even at zero demand.
 fn reference_route(
     platform: &Platform,
     state: &PlatformState,
@@ -33,6 +42,9 @@ fn reference_route(
     demand: u64,
 ) -> Result<Path, PlatformError> {
     let no_route = || PlatformError::NoRoute { from, to, demand };
+    if state.is_tile_failed(from) || state.is_tile_failed(to) {
+        return Err(no_route());
+    }
     if state.residual_injection(platform, from) < demand
         || state.residual_ejection(platform, to) < demand
     {
@@ -68,7 +80,7 @@ fn reference_route(
             let Some(link) = platform.link_between(here, next) else {
                 continue;
             };
-            if state.residual_link(platform, link) < demand {
+            if state.is_link_failed(link) || state.residual_link(platform, link) < demand {
                 continue;
             }
             let ncost = cost + 1;
@@ -104,7 +116,8 @@ fn reference_route(
 
 /// Builds a full `width × height` mesh with an ARM on every router, then
 /// loads a pseudo-random subset of links with a pseudo-random fraction of
-/// their capacity (deterministic per `occupancy_seed`).
+/// their capacity, fails about one link in twelve and one tile in sixteen
+/// (deterministic per `occupancy_seed`).
 fn occupied_mesh(width: u16, height: u16, occupancy_seed: u64) -> (Platform, PlatformState) {
     let mut builder = PlatformBuilder::mesh(width, height);
     for y in 0..height {
@@ -134,6 +147,15 @@ fn occupied_mesh(width: u16, height: u16, occupancy_seed: u64) -> (Platform, Pla
                     .expect("within capacity");
             }
         }
+        if next() % 12 == 0 {
+            state.fail_link(id);
+        }
+    }
+    let tiles: Vec<_> = platform.tiles().map(|(id, _)| id).collect();
+    for id in tiles {
+        if next() % 16 == 0 {
+            state.fail_tile(id);
+        }
     }
     (platform, state)
 }
@@ -146,13 +168,16 @@ proptest! {
     /// and the scratch gives the same answers when reused across queries.
     #[test]
     fn adaptive_route_matches_reference(
-        width in 2u16..7,
-        height in 2u16..7,
+        width in 2u16..10,
+        height in 2u16..10,
         occupancy_seed in 0u64..1_000,
-        from_ix in 0usize..49,
-        to_ix in 0usize..49,
-        demand in 1u64..200_000_001,
+        from_ix in 0usize..81,
+        to_ix in 0usize..81,
+        demand_draw in 0u64..200_000_001,
     ) {
+        // One case in eight routes at zero demand, where only the health
+        // rules can refuse a link.
+        let demand = if demand_draw % 8 == 0 { 0 } else { demand_draw };
         let (platform, state) = occupied_mesh(width, height, occupancy_seed);
         let n = platform.n_tiles();
         let from = platform.tiles().nth(from_ix % n).unwrap().0;
@@ -178,16 +203,16 @@ proptest! {
         }
     }
 
-    /// A route joins its endpoints' routers through adjacent links that
-    /// each have room for the demand, is never shorter than the Manhattan
-    /// distance, and on the idle mesh is exactly that long.
+    /// A route joins its endpoints' routers through adjacent, unfailed
+    /// links that each have room for the demand, is never shorter than the
+    /// Manhattan distance, and on the idle mesh is exactly that long.
     #[test]
     fn routes_are_feasible_walks_and_minimal_on_an_idle_mesh(
-        width in 2u16..7,
-        height in 2u16..7,
+        width in 2u16..10,
+        height in 2u16..10,
         occupancy_seed in 0u64..1_000,
-        from_ix in 0usize..49,
-        to_ix in 0usize..49,
+        from_ix in 0usize..81,
+        to_ix in 0usize..81,
         demand in 1u64..200_000_001,
     ) {
         let (platform, loaded) = occupied_mesh(width, height, occupancy_seed);
@@ -207,6 +232,7 @@ proptest! {
             for (w, &link) in path.routers.windows(2).zip(&path.links) {
                 prop_assert_eq!(platform.link_between(w[0], w[1]), Some(link));
                 prop_assert!(state.residual_link(&platform, link) >= demand);
+                prop_assert!(!state.is_link_failed(link));
             }
             prop_assert!(path.hops() >= distance);
         }
