@@ -33,10 +33,24 @@ pub enum MapError {
     /// that no mapping can be committed onto the current ledger, so no
     /// algorithm was asked.
     CannotFit {
-        /// A process no free compute slot can host at all; `None` when every
-        /// process has a host but they cannot all have distinct slots.
-        unhosted: Option<rtsm_app::ProcessId>,
+        /// What rules every mapping out.
+        cause: CannotFitCause,
     },
+}
+
+/// Why [`MapError::CannotFit`] was certain that no mapping can be
+/// committed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CannotFitCause {
+    /// A process no free compute slot can host at all.
+    Unhosted(rtsm_app::ProcessId),
+    /// Every process has a host, but they cannot all have distinct free
+    /// slots (Hall's condition fails).
+    NoMatching,
+    /// The application streams from or to this tile (the platform's A/D
+    /// or Sink), and it has failed: its channel can neither be routed
+    /// there nor kept on it.
+    EndpointFailed(rtsm_platform::TileId),
 }
 
 impl fmt::Display for MapError {
@@ -58,16 +72,19 @@ impl fmt::Display for MapError {
             MapError::Unmappable { process } => {
                 write!(f, "process `{process}` has no viable implementation")
             }
-            MapError::CannotFit {
-                unhosted: Some(process),
-            } => write!(
-                f,
-                "no free compute slot can host process #{}",
-                process.index()
-            ),
-            MapError::CannotFit { unhosted: None } => {
-                f.write_str("the processes cannot have distinct free compute slots")
-            }
+            MapError::CannotFit { cause } => match cause {
+                CannotFitCause::Unhosted(process) => write!(
+                    f,
+                    "no free compute slot can host process #{}",
+                    process.index()
+                ),
+                CannotFitCause::NoMatching => {
+                    f.write_str("the processes cannot have distinct free compute slots")
+                }
+                CannotFitCause::EndpointFailed(tile) => {
+                    write!(f, "stream endpoint tile #{} has failed", tile.index())
+                }
+            },
         }
     }
 }

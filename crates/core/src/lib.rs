@@ -78,7 +78,7 @@ pub mod trace;
 pub use algorithm::{MappingAlgorithm, MappingOutcome};
 pub use constraints::MappingConstraints;
 pub use cost::CostModel;
-pub use error::{MapError, MapErrorKind};
+pub use error::{CannotFitCause, MapError, MapErrorKind};
 pub use feedback::Feedback;
 pub use mapper::{MapperConfig, SpatialMapper};
 pub use mapping::{Assignment, Mapping, RouteBinding};

@@ -16,8 +16,9 @@
 //!
 //! Every placement is mapped only if it can fit: a sound certificate
 //! ([`Demand::cannot_fit`]) turns it away before the algorithm runs when
-//! the application's processes cannot be assigned to distinct free compute
-//! slots, and the refusal is
+//! the tile of a stream endpoint the application uses has failed or its
+//! processes cannot be assigned to distinct free compute slots, and the
+//! refusal is
 //! [`MapError::CannotFit`](crate::MapError::CannotFit). A blocked arrival
 //! is refused once: a manager that serves retries keeps the refusal
 //! [`start`](RuntimeManager::start) returned until its next `&mut self`
@@ -1085,7 +1086,7 @@ mod tests {
 
     #[test]
     fn what_the_certificate_cannot_judge_keeps_the_algorithms_error() {
-        use crate::error::MapError;
+        use crate::error::{CannotFitCause, MapError};
         use rtsm_platform::{Coord, PlatformBuilder, TileKind};
         // No ARM could host the stage either, but the missing Sink is what
         // the mapper reports, and so does the manager.
@@ -1117,7 +1118,7 @@ mod tests {
         assert_eq!(
             m.start(light()).unwrap_err(),
             AdmissionError::Rejected(MapError::CannotFit {
-                unhosted: Some(rtsm_app::ProcessId::from_index(0))
+                cause: CannotFitCause::Unhosted(rtsm_app::ProcessId::from_index(0))
             })
         );
     }

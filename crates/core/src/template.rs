@@ -509,7 +509,8 @@ pub struct TemplateStats {
     /// [`RuntimeManager`](crate::RuntimeManager) does not consult the
     /// library for a retry whose refusal it already holds, nor for any
     /// placement that [cannot fit](crate::runtime::Demand::cannot_fit) —
-    /// a certified refusal, of a `start` or `switch` as of a plan — so
+    /// a certified refusal, of a `start` or `switch` as of a plan, on a
+    /// full platform or while a stream endpoint's tile is failed — so
     /// lookups that could not have hit are not counted.
     pub misses: u64,
     /// Shapes learned from the design-time seeding pass (first arrival of

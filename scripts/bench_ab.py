@@ -12,8 +12,17 @@ Each pair runs both with `--trace 0`, the parent first in every other
 pair and the change first in the rest. The line
 printed holds, per end-to-end metric of BENCHMARK.json, both sides'
 median and quartiles and the pairs the change won (strictly better in the
-metric's direction). `bench_history.py --ab ab.jsonl` files the lines in
-the PR's history row.
+metric's direction), and a verdict:
+
+  gain        the change won at least 9/10 of the pairs and the medians
+              differ, the change's way, by more than the parent's IQR;
+  worse       the change's median is worse than the parent's by more than
+              the metric's BENCHMARK.json bound (a fraction of the parent's);
+  unresolved  neither, and either side's IQR is wider than that bound,
+              unless every change run reads better than every parent run;
+  same        otherwise.
+
+`bench_history.py --ab ab.jsonl` files the lines in the PR's history row.
 """
 import argparse, json, pathlib, statistics, subprocess, tempfile
 
@@ -26,7 +35,9 @@ parser.add_argument("--seed", type=int, required=True)
 parser.add_argument("--pairs", type=int, default=10)
 parser.add_argument("--seconds", type=int, default=30)
 args = parser.parse_args()
-better = {m["name"]: m["better"] for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]}
+end_to_end = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+better = {m["name"]: m["better"] for m in end_to_end}
+bound = {m["name"]: m["bound"] for m in end_to_end}
 
 
 def run(binary, out):
@@ -45,6 +56,22 @@ def spread(values):
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def verdict(name, parent, change, won):
+    """The rule of the module docs, for one metric's runs."""
+    sign = -1 if better[name] == "lower" else 1
+    p, c = spread(parent), spread(change)
+    gained = sign * (c["median"] - p["median"])
+    tolerance = bound[name] * abs(p["median"])
+    if won * 10 >= 9 * len(parent) and gained > p["q3"] - p["q1"]:
+        return "gain"
+    if -gained > tolerance:
+        return "worse"
+    all_better = min(sign * x for x in change) > max(sign * x for x in parent)
+    if max(p["q3"] - p["q1"], c["q3"] - c["q1"]) > tolerance and not all_better:
+        return "unresolved"
+    return "same"
+
+
 pairs = []
 with tempfile.TemporaryDirectory() as parent_out, tempfile.TemporaryDirectory() as change_out:
     for i in range(args.pairs):
@@ -60,6 +87,7 @@ for name, direction in better.items():
     parent = [p[name] for p, _ in pairs]
     change = [c[name] for _, c in pairs]
     won = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(parent, change))
-    metrics[name] = {"parent": spread(parent), "change": spread(change), "change_won": won}
+    metrics[name] = {"parent": spread(parent), "change": spread(change), "change_won": won,
+                     "verdict": verdict(name, parent, change, won)}
 print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
                   "pairs": args.pairs, "metrics": metrics}, separators=(",", ":")))

@@ -1,43 +1,61 @@
 //! The *cannot fit* certificate (`rtsm_core::runtime::Demand`) against
 //! every oracle the workspace has: whenever it fires, no registered
 //! algorithm — the exhaustive search among them — and no warmed template
-//! library finds a mapping; and it fires exactly when Hall's condition,
+//! library finds a mapping; and it fires exactly when a stream channel of
+//! the specification starts or ends on a failed tile, or Hall's condition,
 //! checked subset by subset over edges this file derives on its own, fails.
 //!
 //! Random catalog and synthetic specs on the paper platform and on 3×3 and
-//! 4×4 meshes, random ledgers (any load, NI traffic included, up to three
-//! failed tiles, failed links) and random constraints (pins, exclusions).
+//! 4×4 meshes — a quarter of them replaced by a pipeline that lacks its
+//! stream input, its stream output or both —, random ledgers (any load, NI
+//! traffic included, up to three failed tiles, failed links, and the A/D
+//! and the Sink each failed at `ENDPOINT_FAILURE_RATE`) and random
+//! constraints (pins, exclusions).
 //!
 //! Hand mutations of `crates/core/src/runtime/fit.rs` this was checked
-//! against. Three make the certificate *miss* refusals, which no algorithm
-//! can show; the Hall oracle of `a_fired_certificate_is_never_contradicted`
-//! and a unit test of the module do: capacity read from `compute_slots`
-//! instead of the free slots (seed 15, on the two-slot mesh — the other
-//! platforms have one-slot tiles; `a_tile_hosts_as_many_processes_…`);
-//! tile health ignored (seed 86; `a_failed_tile_hosts_nothing`);
-//! `constraints.allows` dropped (seed 6; the pin and exclusion tests).
-//! The fourth is unsound: the NI-filtered `claim_for` in place of
-//! `reservation_of`. The Hall oracle sees it (seed 81), but over 6 000
-//! generated cases no algorithm and no template hit contradicted the mutant
-//! — the two differ only where communicating processes share a tile and its
-//! NI is nearly full — so `a_template_hit_admits_what_the_ni_filter_refuses`
-//! builds that case by hand, and fails under the mutant. A fifth mutant lets
-//! the first-fit pass in front of the matching seat a process on a tile
-//! whose free slots it has already handed out; `a_fired_certificate_is_…`
-//! fails under it.
+//! against, each failing the tests named (a seed is the first case of
+//! `a_fired_certificate_is_never_contradicted` to fail):
+//! - the input flag tested against the Sink tile: seed 17,
+//!   `a_failed_endpoint_refuses_before_the_template_library_is_asked` and
+//!   the module's `a_failed_stream_endpoint_rules_out_only_…`;
+//! - the endpoint rule applied to a specification without the stream
+//!   channel: seed 30 and the same unit test;
+//! - the endpoint rule placed after the 64-tile return: only a platform of
+//!   65 or more tiles shows it, `beyond_64_tiles_start_refuses_through_…`
+//!   and the module's `beyond_64_tiles_a_failed_endpoint_is_still_certain`.
+//!
+//! Three more make the certificate *miss* refusals, which no algorithm can
+//! show; the Hall oracle and a unit test of the module do: capacity read
+//! from `compute_slots` instead of the free slots (seed 23;
+//! `a_tile_hosts_as_many_processes_…`); tile health ignored (seed 97;
+//! `a_failed_tile_hosts_nothing`); `constraints.allows` dropped (seed 0;
+//! the pin and exclusion tests). One is unsound: a host's reservation
+//! charged with the NI traffic of step 1's filter (`claim_for`'s injection
+//! and ejection). The Hall oracle sees it (seed 235), but over 6 000
+//! generated cases no algorithm and no template hit contradicted the
+//! mutant — the two differ only where communicating processes share a tile
+//! and its NI is nearly full — so
+//! `a_template_hit_admits_what_the_ni_filter_refuses` builds that case by
+//! hand, and fails under the mutant. The last lets the first-fit pass in
+//! front of the matching seat a process on a tile whose free slots it has
+//! already handed out; `a_fired_certificate_is_…` fails under it.
 //!
 //! The certificate stands in front of every `RuntimeManager` placement, so
 //! the last tests drive a manager: one per registered algorithm through a
 //! seeded start/stop/switch stream, where every `CannotFit` refusal must be
-//! one the algorithm makes too, and one on a mesh beyond the masks' 64
-//! tiles, where `start` refuses through the algorithm.
+//! one the algorithm makes too; a templated one through a fail/repair
+//! stream, where a failed endpoint refuses before the library is asked;
+//! and one on a mesh beyond the masks' 64 tiles, where `start` refuses
+//! through the algorithm unless an endpoint is down.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rtsm::app::{ApplicationSpec, ProcessId};
 use rtsm::core::claims::{claim_for, reservation_of};
-use rtsm::core::runtime::Demand;
-use rtsm::core::{MappingAlgorithm, MappingConstraints, SpatialMapper, TemplatedMapper};
+use rtsm::core::runtime::{AdmissionError, Demand, EvacuationPolicy, FailureEvent, RuntimeManager};
+use rtsm::core::{
+    CannotFitCause, MapError, MappingAlgorithm, MappingConstraints, SpatialMapper, TemplatedMapper,
+};
 use rtsm::platform::paper::paper_platform;
 use rtsm::platform::{
     Coord, LinkId, Platform, PlatformBuilder, PlatformState, TileClaim, TileId, TileKind,
@@ -114,8 +132,79 @@ fn draw_instance(rng: &mut StdRng) -> (Platform, Arc<ApplicationSpec>) {
     let spec = catalog.entries()[rng.random_range(0usize..catalog.len())]
         .spec
         .clone();
+    // Every catalog streams from the A/D to the Sink; a quarter of the
+    // cases map a pipeline cut loose from one endpoint or both instead.
+    if rng.random_bool(0.25) {
+        let spec = open_pipeline(&platform, rng);
+        return (platform, Arc::new(spec));
+    }
     (platform, spec)
 }
+
+/// A two- or three-stage pipeline on the platform's processing kinds that
+/// lacks a channel from the stream input, one to the stream output, or
+/// both: no failed endpoint rules it out through a channel it does not have.
+fn open_pipeline(platform: &Platform, rng: &mut StdRng) -> ApplicationSpec {
+    use rtsm::app::{Endpoint, Implementation, ImplementationLibrary, ProcessGraph, QosSpec};
+    use rtsm::dataflow::PhaseVec;
+    let mut kinds: Vec<TileKind> = platform
+        .tiles()
+        .map(|(_, t)| t.kind)
+        .filter(|kind| kind.is_processing())
+        .collect();
+    kinds.sort_unstable();
+    kinds.dedup();
+    let (input, output) =
+        [(false, true), (true, false), (false, false)][rng.random_range(0usize..3)];
+    let stages = rng.random_range(2usize..4);
+    let mut graph = ProcessGraph::new();
+    let mut library = ImplementationLibrary::new();
+    let mut upstream = input.then_some(Endpoint::StreamInput);
+    for i in 0..stages {
+        let process = graph.add_process(format!("stage {i}"));
+        if let Some(from) = upstream {
+            graph
+                .add_channel(from, Endpoint::Process(process), 16)
+                .unwrap();
+        }
+        let kind = kinds[rng.random_range(0usize..kinds.len())];
+        let sends = i + 1 < stages || output;
+        library.register(
+            process,
+            Implementation {
+                name: format!("stage {i} @ {kind}"),
+                tile_kind: kind,
+                wcet: PhaseVec::from_slice(&[8, 60, 8]),
+                inputs: upstream
+                    .map(|_| PhaseVec::from_slice(&[16, 0, 0]))
+                    .into_iter()
+                    .collect(),
+                outputs: sends
+                    .then(|| PhaseVec::from_slice(&[0, 0, 16]))
+                    .into_iter()
+                    .collect(),
+                energy_pj_per_period: 5_000,
+                memory_bytes: 4 * 1024,
+            },
+        );
+        upstream = Some(Endpoint::Process(process));
+    }
+    if let (true, Some(last)) = (output, upstream) {
+        graph.add_channel(last, Endpoint::StreamOutput, 16).unwrap();
+    }
+    let spec = ApplicationSpec {
+        name: format!("open pipeline ({input}, {output})"),
+        graph,
+        qos: QosSpec::with_period(4_000_000),
+        library,
+    };
+    spec.validate().expect("the open pipeline is a valid spec");
+    spec
+}
+
+/// How often each stream endpoint tile fails on a drawn ledger, besides
+/// the up to three random tile failures that may also hit it.
+const ENDPOINT_FAILURE_RATE: f64 = 0.1;
 
 /// A ledger at a random load: every slot of every tile is taken with the
 /// load's probability by a tenant of random size (memory, cycles and NI
@@ -174,6 +263,11 @@ fn draw_ledger(platform: &Platform, rng: &mut StdRng) -> PlatformState {
     let links: Vec<LinkId> = platform.links().map(|(link, _)| link).collect();
     for _ in 0..rng.random_range(0u32..4) {
         state.fail_link(links[rng.random_range(0usize..links.len())]);
+    }
+    for endpoint in [platform.stream_input_tile(), platform.stream_output_tile()] {
+        if rng.random_bool(ENDPOINT_FAILURE_RATE) {
+            state.fail_tile(endpoint.expect("every platform here has both endpoints"));
+        }
     }
     state
 }
@@ -257,6 +351,22 @@ fn hall_holds(hosts: &[Vec<TileId>], platform: &Platform, state: &PlatformState)
     })
 }
 
+/// The failed tile a stream channel of `spec` starts or ends on, the stream
+/// input's first.
+fn failed_endpoint(
+    spec: &ApplicationSpec,
+    platform: &Platform,
+    state: &PlatformState,
+) -> Option<TileId> {
+    use rtsm::app::Endpoint;
+    let down = |end: Endpoint, tile: Option<TileId>| {
+        let uses = || (spec.graph.stream_channels()).any(|(_, c)| c.src == end || c.dst == end);
+        tile.filter(|&t| state.is_tile_failed(t) && uses())
+    };
+    down(Endpoint::StreamInput, platform.stream_input_tile())
+        .or_else(|| down(Endpoint::StreamOutput, platform.stream_output_tile()))
+}
+
 /// What a count of slots per tile kind would have caught: more processes
 /// implemented on one kind only than healthy tiles of that kind have free
 /// slots.
@@ -301,11 +411,13 @@ fn warmed(
 
 #[derive(Debug, Default)]
 struct Coverage {
+    fired_endpoint: u32,
     fired_no_tile: u32,
     fired_kind_count: u32,
     fired_matching_only: u32,
     silent_and_refused: u32,
     silent_and_admitted: u32,
+    silent_past_a_failed_endpoint: u32,
     template_hits_checked: u32,
 }
 
@@ -320,11 +432,16 @@ fn a_fired_certificate_is_never_contradicted() {
         let fired = Demand::of(&spec).cannot_fit(&platform, &state, &constraints);
 
         let hosts = hosts(&spec, &platform, &state, &constraints);
+        let endpoint_down = failed_endpoint(&spec, &platform, &state).is_some();
         assert_eq!(
             fired,
-            !hall_holds(&hosts, &platform, &state),
-            "seed {seed}: the certificate and Hall's condition disagree"
+            endpoint_down || !hall_holds(&hosts, &platform, &state),
+            "seed {seed}: the certificate disagrees with Hall's condition and the endpoints"
         );
+        let ends = [platform.stream_input_tile(), platform.stream_output_tile()];
+        if !fired && ends.into_iter().flatten().any(|t| state.is_tile_failed(t)) {
+            coverage.silent_past_a_failed_endpoint += 1;
+        }
 
         let templated = warmed(&spec, &platform, &mut rng);
         let hits_before = templated.stats().hits;
@@ -351,7 +468,9 @@ fn a_fired_certificate_is_never_contradicted() {
                 spec.name
             );
         }
-        if hosts.iter().any(Vec::is_empty) {
+        if endpoint_down {
+            coverage.fired_endpoint += 1;
+        } else if hosts.iter().any(Vec::is_empty) {
             coverage.fired_no_tile += 1;
         } else if kind_count_fails(&spec, &platform, &state) {
             coverage.fired_kind_count += 1;
@@ -361,11 +480,13 @@ fn a_fired_certificate_is_never_contradicted() {
     }
     println!("fit certificate over {CASES} cases: {coverage:?}");
     let Coverage {
+        fired_endpoint,
         fired_no_tile,
         fired_kind_count,
         fired_matching_only,
         silent_and_refused,
         silent_and_admitted,
+        silent_past_a_failed_endpoint,
         template_hits_checked,
     } = coverage;
     for (what, count) in [
@@ -374,10 +495,18 @@ fn a_fired_certificate_is_never_contradicted() {
         ("fired: only the matching", fired_matching_only),
         ("silent and refused", silent_and_refused),
         ("silent and admitted", silent_and_admitted),
+        (
+            "silent past a failed endpoint",
+            silent_past_a_failed_endpoint,
+        ),
         ("admitted by a template hit", template_hits_checked),
     ] {
         assert!(count > 0, "no case was `{what}`");
     }
+    assert!(
+        fired_endpoint >= 45,
+        "only {fired_endpoint} cases fired on a failed endpoint"
+    );
 }
 
 /// Why the certificate reads the hard reservation and not step 1's NI
@@ -472,8 +601,7 @@ fn drive_manager(
     entry: &rtsm::exp::AlgorithmEntry,
     seed: u64,
 ) -> (u32, u32) {
-    use rtsm::core::runtime::{AdmissionError, RuntimeError, RuntimeManager};
-    use rtsm::core::MapError;
+    use rtsm::core::runtime::RuntimeError;
     let none = MappingConstraints::none();
     let mut manager = RuntimeManager::new(platform.clone(), (entry.build)());
     let mut rng = StdRng::seed_from_u64(seed);
@@ -544,13 +672,12 @@ fn a_manager_never_certifies_a_refusal_its_algorithm_would_admit() {
     }
 }
 
-/// Beyond 64 tiles the certificate answers "don't know": `start` never
-/// returns `CannotFit` there, and a full platform still refuses — through
-/// the algorithm.
+/// Beyond 64 tiles the slot matching answers "don't know": while the
+/// endpoints are up `start` never returns `CannotFit` there, and a full
+/// platform still refuses — through the algorithm. A failed endpoint is
+/// refused by the certificate all the same.
 #[test]
 fn beyond_64_tiles_start_refuses_through_the_algorithm() {
-    use rtsm::core::runtime::{AdmissionError, RuntimeManager};
-    use rtsm::core::MapError;
     let platform = mesh_platform(
         7,
         9,
@@ -580,4 +707,162 @@ fn beyond_64_tiles_start_refuses_through_the_algorithm() {
         }
     }
     assert!(refused > 0, "ten processing tiles fill up");
+    // The endpoint rule needs no masks: with the Sink down, `start` is
+    // refused by the certificate on this platform too.
+    let sink = manager.platform().stream_output_tile().expect("a Sink");
+    manager
+        .evacuate(FailureEvent::Tile(sink), &EvacuationPolicy)
+        .expect("the ledger holds what the manager committed");
+    assert_eq!(
+        manager.start(catalog.entries()[0].spec.clone()),
+        Err(AdmissionError::Rejected(MapError::CannotFit {
+            cause: CannotFitCause::EndpointFailed(sink)
+        }))
+    );
+}
+
+/// The endpoint rule where the fault stream exercises it: a templated
+/// manager with reconfiguration on the `mixed` catalog, through a seeded
+/// stream of arrivals, departures, mode switches and tile or link failures
+/// (mean time to failure 5 000 ticks, repair 3 000 ticks later). Every
+/// `start` and `switch` made while a stream endpoint the specification
+/// uses is down must be refused with that endpoint as the cause, the
+/// template library unasked; the algorithm itself, asked on the ledger the
+/// manager held it against, must refuse too.
+#[test]
+fn a_failed_endpoint_refuses_before_the_template_library_is_asked() {
+    use rtsm::core::runtime::{AppHandle, ReconfigurationPolicy, RuntimeError};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    const ARRIVALS: u32 = 1_000;
+    const MTTF: f64 = 5_000.0;
+    const MTTR: u64 = 3_000;
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Event {
+        Arrival,
+        Switch(AppHandle),
+        Departure(AppHandle),
+        Fail,
+        Repair(FailureEvent),
+    }
+    let exponential =
+        |rng: &mut StdRng, mean: f64| (-mean * (1.0 - rng.random::<f64>()).ln()) as u64 + 1;
+    let mixed = rtsm::exp::resolve_catalog("mixed", 42).expect("registered catalog");
+    let (platform, catalog) = (mixed.platform, mixed.catalog);
+    let tiles: Vec<TileId> = platform.tiles().map(|(t, _)| t).collect();
+    let links: Vec<LinkId> = platform.links().map(|(l, _)| l).collect();
+    let policy = ReconfigurationPolicy::default();
+    let mut manager = RuntimeManager::new(
+        platform.clone(),
+        TemplatedMapper::new(SpatialMapper::default()),
+    );
+    let mut rng = StdRng::seed_from_u64(2008);
+    let mut queue = BinaryHeap::from([Reverse((0, Event::Arrival)), Reverse((0, Event::Fail))]);
+    let (mut arrivals, mut refused_at_a_failed_endpoint) = (0, 0);
+    // The refusal `spec` must meet on `state`, if a stream endpoint it uses
+    // is down.
+    let endpoint_refusal = |spec: &ApplicationSpec, state: &PlatformState| {
+        failed_endpoint(spec, &platform, state).map(|tile| MapError::CannotFit {
+            cause: CannotFitCause::EndpointFailed(tile),
+        })
+    };
+    while let Some(Reverse((now, event))) = queue.pop() {
+        match event {
+            Event::Arrival => {
+                arrivals += 1;
+                if arrivals < ARRIVALS {
+                    queue.push(Reverse((
+                        now + exponential(&mut rng, 500.0),
+                        Event::Arrival,
+                    )));
+                }
+                let spec = catalog.entries()[catalog.sample(&mut rng)].spec.clone();
+                let expected = endpoint_refusal(&spec, manager.state());
+                let stats = manager.algorithm().stats();
+                let started = manager.start(spec.clone());
+                let Some(cause) = expected else {
+                    let handle = match started {
+                        Ok(handle) => handle,
+                        Err(AdmissionError::Rejected(_)) => {
+                            match manager.start_with_reconfiguration(spec, &policy) {
+                                Ok(done) => done.handle,
+                                Err(_) => continue,
+                            }
+                        }
+                        Err(other) => panic!("at {now}: start failed: {other}"),
+                    };
+                    let hold = exponential(&mut rng, 8_000.0);
+                    queue.push(Reverse((now + hold, Event::Departure(handle))));
+                    if rng.random_bool(0.3) {
+                        queue.push(Reverse((now + hold / 2, Event::Switch(handle))));
+                    }
+                    continue;
+                };
+                assert_eq!(started, Err(AdmissionError::Rejected(cause)), "at {now}");
+                assert_eq!(manager.algorithm().stats(), stats, "at {now}");
+                let mapped = manager.algorithm().map(&spec, &platform, manager.state());
+                assert!(mapped.is_err(), "at {now}: {} maps", spec.name);
+                assert!(manager.start_with_reconfiguration(spec, &policy).is_err());
+                assert_eq!(manager.algorithm().stats().hits, stats.hits, "at {now}");
+                refused_at_a_failed_endpoint += 1;
+            }
+            Event::Switch(handle) => {
+                let Some(old) = manager.get(handle).cloned() else {
+                    continue; // evicted by an evacuation
+                };
+                let spec = catalog.entries()[catalog.sample(&mut rng)].spec.clone();
+                let mut released = manager.state().clone();
+                old.outcome
+                    .release(&old.spec, &platform, &mut released)
+                    .expect("the manager's ledger holds what it committed");
+                let expected = endpoint_refusal(&spec, &released);
+                let stats = manager.algorithm().stats();
+                let switched = manager.switch(handle, spec.clone());
+                let Some(cause) = expected else {
+                    match switched {
+                        Ok(_) | Err(RuntimeError::Admission(AdmissionError::Rejected(_))) => {}
+                        Err(other) => panic!("at {now}: switch failed: {other}"),
+                    }
+                    continue;
+                };
+                assert_eq!(
+                    switched,
+                    Err(RuntimeError::Admission(AdmissionError::Rejected(cause))),
+                    "at {now}"
+                );
+                assert_eq!(manager.algorithm().stats(), stats, "at {now}");
+                let mapped = manager.algorithm().map(&spec, &platform, &released);
+                assert!(mapped.is_err(), "at {now}: {} maps", spec.name);
+            }
+            Event::Departure(handle) => {
+                if manager.get(handle).is_some() {
+                    manager.stop(handle).expect("a running handle stops");
+                }
+            }
+            Event::Fail => {
+                if arrivals < ARRIVALS {
+                    queue.push(Reverse((now + exponential(&mut rng, MTTF), Event::Fail)));
+                }
+                let failure = if rng.random_bool(0.5) {
+                    FailureEvent::Link(links[rng.random_range(0..links.len())])
+                } else {
+                    FailureEvent::Tile(tiles[rng.random_range(0..tiles.len())])
+                };
+                if !manager.is_failed(failure) {
+                    manager
+                        .evacuate(failure, &EvacuationPolicy)
+                        .expect("the ledger holds what the manager committed");
+                    queue.push(Reverse((now + MTTR, Event::Repair(failure))));
+                }
+            }
+            Event::Repair(failure) => {
+                manager.repair(failure);
+            }
+        }
+    }
+    println!("{refused_at_a_failed_endpoint} of {arrivals} arrivals met a failed endpoint");
+    assert!(
+        refused_at_a_failed_endpoint >= 20,
+        "only {refused_at_a_failed_endpoint} arrivals met a failed endpoint"
+    );
 }
