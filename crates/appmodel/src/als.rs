@@ -2,7 +2,7 @@
 
 use crate::digest::Mixer;
 use crate::error::AppModelError;
-use crate::kpn::{Endpoint, KpnChannel, ProcessGraph, ProcessId};
+use crate::kpn::{Endpoint, KpnChannel, KpnChannelId, Ports, Process, ProcessGraph, ProcessId};
 use crate::library::ImplementationLibrary;
 use crate::qos::QosSpec;
 use serde::{Deserialize, Serialize};
@@ -48,81 +48,118 @@ impl ApplicationSpec {
     ///
     /// As for [`ApplicationSpec::validate`].
     pub fn validated_order(&self) -> Result<Vec<ProcessId>, AppModelError> {
-        let order = self.graph.topological_order()?;
+        self.validated_ports().map(|(order, _)| order)
+    }
+
+    /// [`ApplicationSpec::validated_order`] plus the graph's [`Ports`], the
+    /// incidence list the checks read: one pass over the channels and the
+    /// library, where collecting each process's port lists anew was a scan
+    /// of every channel per process.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ApplicationSpec::validate`].
+    pub fn validated_ports(&self) -> Result<(Vec<ProcessId>, Ports), AppModelError> {
+        let ports = self.graph.ports()?;
+        let order = self.graph.topological_order_over(&ports)?;
         for (pid, process) in self.graph.stream_processes() {
-            let impls = self.library.impls_for(pid);
-            if impls.is_empty() {
-                return Err(AppModelError::NoImplementation {
-                    process: process.name.clone(),
+            self.check_process(pid, process, ports.inputs(pid), ports.outputs(pid))?;
+        }
+        Ok((order, ports))
+    }
+
+    /// The rules [`ApplicationSpec::validate`] lists for one stream process
+    /// whose ports are `in_channels` and `out_channels`.
+    fn check_process(
+        &self,
+        pid: ProcessId,
+        process: &Process,
+        in_channels: &[KpnChannelId],
+        out_channels: &[KpnChannelId],
+    ) -> Result<(), AppModelError> {
+        let impls = self.library.impls_for(pid);
+        if impls.is_empty() {
+            return Err(AppModelError::NoImplementation {
+                process: process.name.clone(),
+            });
+        }
+        for implementation in impls {
+            if implementation.inputs.len() != in_channels.len() {
+                return Err(AppModelError::PortMismatch {
+                    implementation: implementation.name.clone(),
+                    direction: "input",
+                    has: implementation.inputs.len(),
+                    expected: in_channels.len(),
                 });
             }
-            let in_channels = self.graph.inputs_of(pid);
-            let out_channels = self.graph.outputs_of(pid);
-            for implementation in impls {
-                if implementation.inputs.len() != in_channels.len() {
-                    return Err(AppModelError::PortMismatch {
+            if implementation.outputs.len() != out_channels.len() {
+                return Err(AppModelError::PortMismatch {
+                    implementation: implementation.name.clone(),
+                    direction: "output",
+                    has: implementation.outputs.len(),
+                    expected: out_channels.len(),
+                });
+            }
+            if !implementation.phases_consistent() {
+                return Err(AppModelError::RateMismatch {
+                    implementation: implementation.name.clone(),
+                    detail: "rate vector phase counts differ from WCET phases".into(),
+                });
+            }
+            // One consistent cycles-per-period across all ports.
+            let mut cycles: Option<u64> = None;
+            for (port, ch) in in_channels.iter().enumerate() {
+                let tokens = self.graph.channel(*ch).tokens_per_period;
+                let c = implementation
+                    .cycles_per_period_in(port, tokens)
+                    .ok_or_else(|| AppModelError::RateMismatch {
                         implementation: implementation.name.clone(),
-                        direction: "input",
-                        has: implementation.inputs.len(),
-                        expected: in_channels.len(),
-                    });
-                }
-                if implementation.outputs.len() != out_channels.len() {
-                    return Err(AppModelError::PortMismatch {
-                        implementation: implementation.name.clone(),
-                        direction: "output",
-                        has: implementation.outputs.len(),
-                        expected: out_channels.len(),
-                    });
-                }
-                if !implementation.phases_consistent() {
+                        detail: format!(
+                            "input port {port}: {} tokens/cycle does not divide \
+                             {tokens} tokens/period",
+                            implementation.tokens_in_per_cycle(port)
+                        ),
+                    })?;
+                if *cycles.get_or_insert(c) != c {
                     return Err(AppModelError::RateMismatch {
                         implementation: implementation.name.clone(),
-                        detail: "rate vector phase counts differ from WCET phases".into(),
+                        detail: "ports imply different cycle counts".into(),
                     });
                 }
-                // One consistent cycles-per-period across all ports.
-                let mut cycles: Option<u64> = None;
-                for (port, ch) in in_channels.iter().enumerate() {
-                    let tokens = self.graph.channel(*ch).tokens_per_period;
-                    let c = implementation
-                        .cycles_per_period_in(port, tokens)
-                        .ok_or_else(|| AppModelError::RateMismatch {
-                            implementation: implementation.name.clone(),
-                            detail: format!(
-                                "input port {port}: {} tokens/cycle does not divide \
-                                 {tokens} tokens/period",
-                                implementation.tokens_in_per_cycle(port)
-                            ),
-                        })?;
-                    if *cycles.get_or_insert(c) != c {
-                        return Err(AppModelError::RateMismatch {
-                            implementation: implementation.name.clone(),
-                            detail: "ports imply different cycle counts".into(),
-                        });
-                    }
+            }
+            for (port, ch) in out_channels.iter().enumerate() {
+                let tokens = self.graph.channel(*ch).tokens_per_period;
+                let per_cycle = implementation.tokens_out_per_cycle(port);
+                if per_cycle == 0 || !tokens.is_multiple_of(per_cycle) {
+                    return Err(AppModelError::RateMismatch {
+                        implementation: implementation.name.clone(),
+                        detail: format!(
+                            "output port {port}: {per_cycle} tokens/cycle does not \
+                             divide {tokens} tokens/period"
+                        ),
+                    });
                 }
-                for (port, ch) in out_channels.iter().enumerate() {
-                    let tokens = self.graph.channel(*ch).tokens_per_period;
-                    let per_cycle = implementation.tokens_out_per_cycle(port);
-                    if per_cycle == 0 || !tokens.is_multiple_of(per_cycle) {
-                        return Err(AppModelError::RateMismatch {
-                            implementation: implementation.name.clone(),
-                            detail: format!(
-                                "output port {port}: {per_cycle} tokens/cycle does not \
-                                 divide {tokens} tokens/period"
-                            ),
-                        });
-                    }
-                    let c = tokens / per_cycle;
-                    if *cycles.get_or_insert(c) != c {
-                        return Err(AppModelError::RateMismatch {
-                            implementation: implementation.name.clone(),
-                            detail: "ports imply different cycle counts".into(),
-                        });
-                    }
+                let c = tokens / per_cycle;
+                if *cycles.get_or_insert(c) != c {
+                    return Err(AppModelError::RateMismatch {
+                        implementation: implementation.name.clone(),
+                        detail: "ports imply different cycle counts".into(),
+                    });
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Validation as it was before [`ApplicationSpec::validated_ports`]:
+    /// freshly collected port lists per process, the reference of the
+    /// property tests.
+    #[cfg(test)]
+    pub(crate) fn reference_validated_order(&self) -> Result<Vec<ProcessId>, AppModelError> {
+        let order = self.graph.reference_topological_order()?;
+        for (pid, process) in self.graph.stream_processes() {
+            let (inputs, outputs) = (self.graph.inputs_of(pid), self.graph.outputs_of(pid));
+            self.check_process(pid, process, &inputs, &outputs)?;
         }
         Ok(order)
     }
@@ -167,7 +204,6 @@ impl ApplicationSpec {
 mod tests {
     use super::*;
     use crate::implementation::Implementation;
-    use crate::kpn::Endpoint;
     use rtsm_dataflow::PhaseVec;
     use rtsm_platform::TileKind;
 
@@ -295,5 +331,118 @@ mod tests {
             s.validate(),
             Err(AppModelError::RateMismatch { .. })
         ));
+    }
+
+    /// A random spec over raw lists — what a file can hold, so channels may
+    /// name processes past the end, form cycles, touch control processes
+    /// and disagree with their implementations' ports and rates.
+    fn random_spec(seed: u64) -> ApplicationSpec {
+        let mut state = seed;
+        let mut draw = |bound: u64| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        let n = draw(7) as usize;
+        let processes: Vec<Process> = (0..n)
+            .map(|i| Process {
+                name: format!("p{i}"),
+                short_name: format!("p{i}"),
+                is_control: draw(5) == 0,
+            })
+            .collect();
+        // One draw in 40 names the process just past the end.
+        let end = |stream: Endpoint, draw: &mut dyn FnMut(u64) -> u64| match draw(40) {
+            0 => Endpoint::Process(ProcessId(n)),
+            k if k < 6 || n == 0 => stream,
+            _ => Endpoint::Process(ProcessId(draw(n as u64) as usize)),
+        };
+        let mut channels = Vec::new();
+        for _ in 0..draw(12) {
+            channels.push(KpnChannel {
+                src: end(Endpoint::StreamInput, &mut draw),
+                dst: end(Endpoint::StreamOutput, &mut draw),
+                tokens_per_period: [4, 6, 8, 12][draw(4) as usize],
+                is_control: draw(6) == 0,
+            });
+        }
+        let graph = ProcessGraph::from_lists(processes, channels);
+        let mut library = ImplementationLibrary::new();
+        for pid in (0..n).map(ProcessId) {
+            let (ins, outs) = (graph.inputs_of(pid).len(), graph.outputs_of(pid).len());
+            for k in 0..draw(3) {
+                let ports = |degree: usize, draw: &mut dyn FnMut(u64) -> u64| {
+                    let degree = match draw(8) {
+                        0 => degree + 1,
+                        1 => degree.saturating_sub(1),
+                        _ => degree,
+                    };
+                    (0..degree)
+                        .map(|_| PhaseVec::single([1, 2, 3, 4][draw(4) as usize]))
+                        .collect()
+                };
+                let inputs = ports(ins, &mut draw);
+                let outputs = ports(outs, &mut draw);
+                library.register(
+                    pid,
+                    Implementation {
+                        name: format!("p{}/{k}", pid.0),
+                        tile_kind: TileKind::Arm,
+                        wcet: PhaseVec::single(1),
+                        inputs,
+                        outputs,
+                        energy_pj_per_period: 1,
+                        memory_bytes: 1,
+                    },
+                );
+            }
+        }
+        ApplicationSpec {
+            name: format!("random {seed}"),
+            graph,
+            qos: QosSpec::with_period(1_000_000),
+            library,
+        }
+    }
+
+    /// The one-pass validation gives the order and the first error of the
+    /// per-process scans it replaced, and its port lists are the ones
+    /// those scans collected.
+    #[test]
+    fn the_incidence_pass_agrees_with_the_per_process_scans() {
+        let (mut valid, mut cyclic, mut unknown, mut other) = (0, 0, 0, 0);
+        let mut with_control = 0;
+        for seed in 0..4000 {
+            let spec = random_spec(seed);
+            let expected = spec.reference_validated_order();
+            assert_eq!(spec.validated_order(), expected, "seed {seed}");
+            assert_eq!(
+                spec.graph.topological_order(),
+                spec.graph.reference_topological_order(),
+                "seed {seed}"
+            );
+            match expected {
+                Ok(_) => valid += 1,
+                Err(AppModelError::CyclicKpn) => cyclic += 1,
+                Err(AppModelError::UnknownProcess(_)) => unknown += 1,
+                Err(_) => other += 1,
+            }
+            if let Ok(ports) = spec.graph.ports() {
+                for (pid, _) in spec.graph.processes() {
+                    assert_eq!(ports.inputs(pid), spec.graph.inputs_of(pid), "seed {seed}");
+                    assert_eq!(
+                        ports.outputs(pid),
+                        spec.graph.outputs_of(pid),
+                        "seed {seed}"
+                    );
+                }
+                with_control += u32::from(spec.graph.channels().any(|(_, c)| c.is_control));
+            }
+        }
+        let seen = [valid, cyclic, unknown, other, with_control];
+        assert!(seen.iter().all(|&n| n >= 100), "{seen:?}");
     }
 }

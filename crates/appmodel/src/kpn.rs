@@ -4,6 +4,8 @@
 use crate::digest::{ListDigest, Mixer};
 use crate::error::AppModelError;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Identifier of a process within a [`ProcessGraph`].
@@ -338,6 +340,50 @@ impl ProcessGraph {
             .collect()
     }
 
+    /// Every process's stream ports, in one pass over the channels (see
+    /// [`Ports`]).
+    ///
+    /// # Errors
+    ///
+    /// [`AppModelError::UnknownProcess`] for the first channel (data or
+    /// control) that names a process the graph does not have —
+    /// `add_channel*` refuses those, a deserialized graph can hold one.
+    pub fn ports(&self) -> Result<Ports, AppModelError> {
+        let n = self.processes.len();
+        // Segment 2p holds p's inputs, 2p + 1 its outputs. Count each
+        // segment, turn the counts into segment ends, then fill backwards:
+        // each segment keeps channel order, and each bound, decremented
+        // once per item, ends at its segment's start.
+        let mut bounds = vec![0usize; 2 * n + 1];
+        for c in &self.channels {
+            for end in [c.src, c.dst] {
+                if let Endpoint::Process(p) = end {
+                    if p.0 >= n {
+                        return Err(AppModelError::UnknownProcess(p.0));
+                    }
+                }
+            }
+            if !c.is_control {
+                Ports::segments(c, |segment| bounds[segment] += 1);
+            }
+        }
+        let mut total = 0;
+        for bound in &mut bounds {
+            total += *bound;
+            *bound = total;
+        }
+        let mut ports = vec![KpnChannelId(0); total];
+        for (i, c) in self.channels.iter().enumerate().rev() {
+            if !c.is_control {
+                Ports::segments(c, |segment| {
+                    bounds[segment] -= 1;
+                    ports[bounds[segment]] = KpnChannelId(i);
+                });
+            }
+        }
+        Ok(Ports { bounds, ports })
+    }
+
     /// Topological order of the stream processes (stream-input feeders
     /// first). This is the paper's deterministic tie-break order.
     ///
@@ -348,6 +394,66 @@ impl ProcessGraph {
     /// those, a deserialized graph can hold one;
     /// [`AppModelError::CyclicKpn`] if the data-stream graph has a cycle.
     pub fn topological_order(&self) -> Result<Vec<ProcessId>, AppModelError> {
+        self.topological_order_over(&self.ports()?)
+    }
+
+    /// Kahn's algorithm over `ports`' successor lists, smallest index
+    /// first. A process's in-degree counts the stream channels it consumes
+    /// from a process — control or not — so a stream process fed by a
+    /// control process never becomes ready, and a control process enters
+    /// the order only when a stream channel makes it ready.
+    pub(crate) fn topological_order_over(
+        &self,
+        ports: &Ports,
+    ) -> Result<Vec<ProcessId>, AppModelError> {
+        let n = self.processes.len();
+        let from_process =
+            |ch: &KpnChannelId| matches!(self.channels[ch.0].src, Endpoint::Process(_));
+        let mut indegree: Vec<usize> = (0..n)
+            .map(|p| {
+                ports
+                    .inputs(ProcessId(p))
+                    .iter()
+                    .filter(|ch| from_process(ch))
+                    .count()
+            })
+            .collect();
+        let mut frontier: BinaryHeap<Reverse<usize>> = (0..n)
+            .filter(|&p| !self.processes[p].is_control && indegree[p] == 0)
+            .map(Reverse)
+            .collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(Reverse(next)) = frontier.pop() {
+            order.push(ProcessId(next));
+            for ch in ports.outputs(ProcessId(next)) {
+                if let Endpoint::Process(d) = self.channels[ch.0].dst {
+                    indegree[d.0] -= 1;
+                    if indegree[d.0] == 0 {
+                        frontier.push(Reverse(d.0));
+                    }
+                }
+            }
+        }
+        if order.len() != self.stream_processes().count() {
+            return Err(AppModelError::CyclicKpn);
+        }
+        Ok(order)
+    }
+
+    /// The graph a file holding these lists deserializes to.
+    #[cfg(test)]
+    pub(crate) fn from_lists(processes: Vec<Process>, channels: Vec<KpnChannel>) -> Self {
+        ProcessGraph::from(ProcessGraphSerde {
+            processes,
+            channels,
+        })
+    }
+
+    /// The order as it was computed before [`ProcessGraph::ports`]: a scan
+    /// of every channel per ready process, the reference of the property
+    /// tests.
+    #[cfg(test)]
+    pub(crate) fn reference_topological_order(&self) -> Result<Vec<ProcessId>, AppModelError> {
         let n = self.processes.len();
         let mut indegree = vec![0usize; n];
         let mut is_stream = vec![false; n];
@@ -369,7 +475,6 @@ impl ProcessGraph {
                 indegree[d.0] += 1;
             }
         }
-        // Kahn's algorithm with an index-ordered frontier for determinism.
         let mut order = Vec::new();
         let mut frontier: Vec<usize> = (0..n)
             .filter(|&i| is_stream[i] && indegree[i] == 0)
@@ -392,6 +497,41 @@ impl ProcessGraph {
             return Err(AppModelError::CyclicKpn);
         }
         Ok(order)
+    }
+}
+
+/// Each process's stream channels in port order — inputs, then outputs —
+/// as one incidence list: what [`ProcessGraph::inputs_of`] and
+/// [`ProcessGraph::outputs_of`] collect, for every process at once, built
+/// by [`ProcessGraph::ports`] in one pass over the channels.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Ports {
+    /// `bounds[2p]..bounds[2p + 1]` index process `p`'s inputs in `ports`,
+    /// `bounds[2p + 1]..bounds[2p + 2]` its outputs.
+    bounds: Vec<usize>,
+    ports: Vec<KpnChannelId>,
+}
+
+impl Ports {
+    /// Calls `f` with the segment of each process end of stream channel `c`:
+    /// its consumer's inputs, its producer's outputs.
+    fn segments(c: &KpnChannel, mut f: impl FnMut(usize)) {
+        if let Endpoint::Process(d) = c.dst {
+            f(2 * d.0);
+        }
+        if let Endpoint::Process(s) = c.src {
+            f(2 * s.0 + 1);
+        }
+    }
+
+    /// Stream input channels of `process`, in port order.
+    pub fn inputs(&self, process: ProcessId) -> &[KpnChannelId] {
+        &self.ports[self.bounds[2 * process.0]..self.bounds[2 * process.0 + 1]]
+    }
+
+    /// Stream output channels of `process`, in port order.
+    pub fn outputs(&self, process: ProcessId) -> &[KpnChannelId] {
+        &self.ports[self.bounds[2 * process.0 + 1]..self.bounds[2 * process.0 + 2]]
     }
 }
 

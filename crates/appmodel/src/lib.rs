@@ -31,6 +31,6 @@ pub mod qos;
 pub use als::ApplicationSpec;
 pub use error::AppModelError;
 pub use implementation::Implementation;
-pub use kpn::{Endpoint, KpnChannel, KpnChannelId, Process, ProcessGraph, ProcessId};
+pub use kpn::{Endpoint, KpnChannel, KpnChannelId, Ports, Process, ProcessGraph, ProcessId};
 pub use library::ImplementationLibrary;
 pub use qos::QosSpec;

@@ -30,6 +30,24 @@ pub fn claim_for(
             injection += spec.qos.words_per_second(ch.tokens_per_period);
         }
     }
+    claim_of(
+        spec,
+        implementation,
+        (first_in, first_out),
+        (injection, ejection),
+    )
+}
+
+/// The claim of `implementation` given the tokens per period of its first
+/// input and output port and its total injection and ejection in words per
+/// second — what [`claim_for`] gathers in a scan of the channels and the
+/// [`SpecTable`](crate::spec_table::SpecTable) reads off its port rows.
+pub(crate) fn claim_of(
+    spec: &ApplicationSpec,
+    implementation: &Implementation,
+    (first_in, first_out): (Option<u64>, Option<u64>),
+    (injection, ejection): (u64, u64),
+) -> TileClaim {
     let wcet =
         implementation.wcet_per_period(implementation.cycles_per_period(first_in, first_out));
     // cycles/period ÷ period_ps × 1e12 ps/s = cycles/second.

@@ -72,6 +72,7 @@ pub mod step1;
 pub mod step2;
 pub mod step3;
 pub mod step4;
+mod store;
 pub mod template;
 pub mod trace;
 
@@ -88,5 +89,5 @@ pub use runtime::{
     ReconfigurationObjective, ReconfigurationPolicy, RunningApp, RuntimeError, RuntimeErrorKind,
     RuntimeManager, StopAllError, Utilization,
 };
-pub use spec_table::SpecTable;
+pub use spec_table::{CompiledSpec, SpecTable};
 pub use template::{TemplateStats, TemplatedMapper};

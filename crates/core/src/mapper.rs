@@ -9,11 +9,11 @@ use crate::constraints::MappingConstraints;
 use crate::cost::CostModel;
 use crate::error::MapError;
 use crate::feedback::{Constraints, Feedback};
-use crate::spec_table::SpecTable;
 use crate::step1::Step1;
 use crate::step2::{SearchCtx, Step2Config};
 use crate::step3::route_channels;
 use crate::step4::{check_constraints_in, Step4Config};
+use crate::store;
 use crate::trace::{AttemptTrace, MapTrace};
 use rtsm_app::{ApplicationSpec, Endpoint};
 use rtsm_obs as obs;
@@ -127,11 +127,13 @@ impl SpatialMapper {
         base: &PlatformState,
         external: &MappingConstraints,
     ) -> Result<MappingOutcome, MapError> {
-        let order = spec.validated_order()?;
+        // Everything below that depends on the spec alone reads this table,
+        // over the spec's entry in the thread's store: validated and
+        // compiled the first time the thread maps the spec, found by digest
+        // after that. Per attempt only the constraints and the ledger
+        // change.
+        let table = store::table(spec)?;
         check_endpoints(spec, platform)?;
-        // Everything below that depends on the spec alone reads this table;
-        // per attempt only the constraints and the ledger change.
-        let table = SpecTable::new(spec, order);
 
         // Observability only: span guards report timing to whatever probe
         // the caller installed; no decision below depends on them.

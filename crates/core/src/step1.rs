@@ -254,7 +254,7 @@ impl<'a> Step1<'a> {
         // Kept in application (topological) order, so among equally desirable
         // processes the first one scanned is the tie-break winner.
         unassigned.clear();
-        unassigned.extend_from_slice(table.order());
+        unassigned.extend(table.order());
 
         while !unassigned.is_empty() {
             // Desirability of each unassigned process under the current state.

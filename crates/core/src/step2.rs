@@ -162,10 +162,10 @@ impl<'a> SearchCtx<'a> {
                 _ => 0,
             }
         };
-        let mut sum: u64 = self.table.incident(p0).iter().map(|&id| term(id)).sum();
+        let mut sum: u64 = self.table.incident(p0).map(term).sum();
         if let Some(p1) = p1 {
             let here = Endpoint::Process(p0);
-            for &id in self.table.incident(p1) {
+            for id in self.table.incident(p1) {
                 let ch = graph.channel(id);
                 if ch.src != here && ch.dst != here {
                     sum += term(id);
@@ -326,7 +326,7 @@ impl<'a> SearchCtx<'a> {
         let mut tried: BTreeSet<TriedKey> = BTreeSet::new();
 
         'search: loop {
-            for &process in self.table.order() {
+            for process in self.table.order() {
                 // The order holds stream processes only, so not swappable
                 // means pinned: every candidate would take it off its pin.
                 let Some(placed) = view.0[process.index()].filter(|p| p.swappable) else {

@@ -54,11 +54,11 @@ impl Reference<'_, '_> {
                     .channel_cost(ctx.platform, ch.tokens_per_period, a, b);
             }
         };
-        for &id in ctx.table.incident(p0) {
+        for id in ctx.table.incident(p0) {
             add(id);
         }
         if let Some(p1) = p1 {
-            for &id in ctx.table.incident(p1) {
+            for id in ctx.table.incident(p1) {
                 if !touches(id, p0) {
                     add(id);
                 }
@@ -290,7 +290,7 @@ impl Reference<'_, '_> {
         let mut tried: BTreeSet<TriedKey> = BTreeSet::new();
 
         'search: loop {
-            for &process in ctx.table.order() {
+            for process in ctx.table.order() {
                 let mut best: Option<ScoredCandidate> = None;
                 self.candidates_for(mapping, process, &mut candidates);
                 trace.generated += candidates.len() as u64;

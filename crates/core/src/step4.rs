@@ -27,10 +27,10 @@
 //!
 //! [`check_constraints_in`] is the **verdict**: the pre-checks that need no
 //! graph, then the analysis — capacities of the `B_i`, achieved throughput,
-//! latency — looked up by signature in a per-thread memo (at most 512
-//! entries, flushed whole, so memory is bounded and behaviour
-//! deterministic), then the memory-fit, period and latency checks on the
-//! mapping at hand. Only a signature never seen on this thread pays for
+//! latency — looked up by signature in the thread's store (`store.rs`: at
+//! most 512 analyses, flushed whole, so memory is bounded and behaviour
+//! deterministic; the compiled specs beside them are bounded on their own),
+//! then the memory-fit, period and latency checks on the mapping at hand. Only a signature never seen on this thread pays for
 //! [`compose`] and the sizing search, and what it pays is counted in
 //! self-timed simulations of the graph (`Counter::CsdfRun`): one — every
 //! `B_i` at its structural floor sustains the period, which is how all but
@@ -58,6 +58,7 @@
 use crate::feedback::Feedback;
 use crate::mapping::{Mapping, RouteBinding};
 use crate::spec_table::SpecTable;
+use crate::store;
 use rtsm_app::{ApplicationSpec, Endpoint, KpnChannelId, ProcessId};
 use rtsm_dataflow::{
     iteration_latency, size_buffers_ref, ActorId, BufferSizingConfig, ChannelId, CsdfGraph,
@@ -66,8 +67,6 @@ use rtsm_dataflow::{
 use rtsm_obs as obs;
 use rtsm_platform::{Platform, PlatformState, TileClaim, TileId};
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// Capacity in words of every router input buffer — Figure 3's `4`. The
 /// Sink's buffer `x` and each producer-side NI buffer hold at least as much.
@@ -277,9 +276,8 @@ pub fn check_constraints_in(
     // --- Buffer sizing (B_i), throughput and latency ------------------------
     // An entry that does not have one capacity per buffer site of this spec
     // (two specs sharing a 64-bit digest) is no answer.
-    let remembered = MEMO.with(|memo| {
-        let memo = memo.borrow();
-        let analysis = memo.get(&key)?;
+    let remembered = store::with(|store| {
+        let analysis = store.analyses.get(&key)?;
         let buffers = buffers_at_sites(spec, mapping, &analysis.capacities)?;
         Some((buffers, analysis.achieved, analysis.latency_ps.map(Ok)))
     });
@@ -298,7 +296,7 @@ pub fn check_constraints_in(
                 .expect("one sized edge per buffer site");
             let achieved = analysis.achieved;
             if !matches!(latency, Some(Err(_))) {
-                remember(key, analysis);
+                store::remember(key, analysis);
             }
             (buffers, achieved, latency)
         }
@@ -369,34 +367,14 @@ pub fn check_constraints_in(
     }
 }
 
-/// What the analysis of one composed graph yields, and the memo keeps: the
-/// capacity of each `B_i` in stream-channel order, the throughput the
-/// sizing search proved on them, and the sized graph's iteration latency
-/// when the spec bounds it.
-struct Analysis {
-    capacities: Box<[u64]>,
-    achieved: Throughput,
-    latency_ps: Option<u64>,
-}
-
-thread_local! {
-    /// Analyses by [`signature`] (see the module docs). Thread-local so the
-    /// experiment harness's workers never share state.
-    static MEMO: RefCell<HashMap<u128, Analysis>> = RefCell::new(HashMap::new());
-}
-
-/// Entry bound of the memo; on overflow it is cleared (a deterministic
-/// flush, unlike LRU tie-breaking on hash order).
-const MEMO_CAP: usize = 512;
-
-fn remember(signature: u128, analysis: Analysis) {
-    MEMO.with(|memo| {
-        let mut memo = memo.borrow_mut();
-        if memo.len() >= MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(signature, analysis);
-    });
+/// What the analysis of one composed graph yields, and the thread's
+/// [store](crate::store) keeps by signature: the capacity of each `B_i` in
+/// stream-channel order, the throughput the sizing search proved on them,
+/// and the sized graph's iteration latency when the spec bounds it.
+pub(crate) struct Analysis {
+    pub(crate) capacities: Box<[u64]>,
+    pub(crate) achieved: Throughput,
+    pub(crate) latency_ps: Option<u64>,
 }
 
 /// The cold path: sizes the `B_i` of `composition` (left applied to its
@@ -629,8 +607,7 @@ pub fn compose(
                 let (actor, implementation) = process_actor[&p];
                 let port = table
                     .outputs(p)
-                    .iter()
-                    .position(|c| *c == cid)
+                    .position(|c| c == cid)
                     .expect("channel is an output of its producer");
                 (actor, implementation.outputs[port].clone())
             }
@@ -644,8 +621,7 @@ pub fn compose(
                 let (actor, implementation) = process_actor[&p];
                 let port = table
                     .inputs(p)
-                    .iter()
-                    .position(|c| *c == cid)
+                    .position(|c| c == cid)
                     .expect("channel is an input of its consumer");
                 (actor, implementation.inputs[port].clone(), None)
             }

@@ -29,6 +29,7 @@ use crate::feedback::Constraints;
 use crate::step1::Step1;
 use crate::step2::SearchCtx;
 use crate::step3::route_channels;
+use crate::store::{self, ANALYSIS_CAP};
 use proptest::prelude::*;
 use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm_dataflow::{check_source_period, size_buffers, Channel};
@@ -37,6 +38,7 @@ use rtsm_platform::{NocParams, PlatformBuilder, Tile, TileKind};
 use rtsm_workloads::apps::{dvbt_rx, jpeg_encoder, mp3_decoder, wlan_tx};
 use rtsm_workloads::synthetic::{synthetic_app, GraphShape, SyntheticConfig};
 use rtsm_workloads::{defrag_heavy, defrag_light, defrag_platform, mesh_platform};
+use std::collections::HashMap;
 
 /// Step 4 with no memory and no shortcut.
 fn reference(
@@ -373,7 +375,7 @@ fn warm_verdicts_equal_a_memoryless_reference() {
                     signature as u64,
                     "{at}: a 64-bit key"
                 );
-                let known = MEMO.with(|memo| memo.borrow().contains_key(&signature));
+                let known = store::with(|store| store.analyses.contains_key(&signature));
                 let verdict = check_constraints_in(&table, platform, &mapping, working.clone());
                 let expected = reference(&table, platform, &mapping, &working);
                 assert_eq!(verdict, expected, "{at}");
@@ -468,7 +470,7 @@ fn an_entry_with_another_number_of_capacities_is_a_miss_not_a_panic() {
     // What a spec with other buffer sites and the same 64-bit digest would
     // have left behind.
     for capacities in [vec![], vec![7], vec![7; 5]] {
-        remember(
+        store::remember(
             signature,
             Analysis {
                 capacities: capacities.into(),
@@ -481,7 +483,7 @@ fn an_entry_with_another_number_of_capacities_is_a_miss_not_a_panic() {
         );
         let verdict = check_constraints_in(&table, &platform, &mapping, working.clone());
         assert_eq!(verdict, expected);
-        let kept = MEMO.with(|memo| memo.borrow()[&signature].capacities.len());
+        let kept = store::with(|store| store.analyses[&signature].capacities.len());
         assert_eq!(kept, 4, "the cold answer replaces the entry");
     }
 }
@@ -491,12 +493,12 @@ fn the_flush_at_the_entry_bound_changes_no_answer() {
     let (spec, platform, mapping, working) = paper_case();
     let table = SpecTable::for_validated(&spec);
     let judge = || check_constraints_in(&table, &platform, &mapping, working.clone());
-    let entries = || MEMO.with(|memo| memo.borrow().len());
+    let entries = || store::with(|store| store.analyses.len());
     let cold = judge();
     assert_eq!(cold, reference(&table, &platform, &mapping, &working));
     // Fill the memo to its bound with other signatures: the next unseen one
     // flushes it.
-    for other in 1..MEMO_CAP as u128 {
+    for other in 1..ANALYSIS_CAP as u128 {
         let analysis = Analysis {
             capacities: Box::new([]),
             achieved: Throughput {
@@ -505,11 +507,11 @@ fn the_flush_at_the_entry_bound_changes_no_answer() {
             },
             latency_ps: None,
         };
-        remember(other, analysis);
+        store::remember(other, analysis);
     }
-    assert_eq!(entries(), MEMO_CAP);
+    assert_eq!(entries(), ANALYSIS_CAP);
     assert_eq!(judge(), cold, "a hit in a full memo");
-    assert_eq!(entries(), MEMO_CAP);
+    assert_eq!(entries(), ANALYSIS_CAP);
     // Another mode of the receiver: another spec, so an unseen signature.
     let (other, _, other_mapping, other_working) =
         super::tests::full_pipeline(Hiperlan2Mode::Qpsk12);

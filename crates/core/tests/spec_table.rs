@@ -1,5 +1,8 @@
-//! Oracles for the per-map [`SpecTable`]: every slot and list it serves
-//! must be what the spec's own (allocating) accessors compute, the
+//! Oracles for the per-map [`SpecTable`] and the thread's store of compiled
+//! specs behind it: every slot and list it serves must be what the spec's
+//! own (allocating) accessors compute, a `map` on a warm thread must answer
+//! exactly as on a fresh one — also after the spec is mutated in place —,
+//! the
 //! single-pass [`claim_for`] must equal the formula it replaced, the
 //! spec-taking step functions must decide exactly as the table-taking ones
 //! sharing a single table, step 1's cached first fits must decide exactly
@@ -9,7 +12,7 @@
 
 use proptest::prelude::*;
 use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
-use rtsm_app::{ApplicationSpec, Implementation, ProcessId};
+use rtsm_app::{AppModelError, ApplicationSpec, Implementation, ImplementationLibrary, ProcessId};
 use rtsm_core::claims::{claim_for, reservation_of};
 use rtsm_core::cost::CostModel;
 use rtsm_core::feedback::{Constraints, Feedback};
@@ -19,7 +22,9 @@ use rtsm_core::step2::{improve_assignment, SearchCtx};
 use rtsm_core::step3::route_channels;
 use rtsm_core::step4::{check_constraints, check_constraints_in, Step4Config};
 use rtsm_core::trace::Step1Event;
-use rtsm_core::{MapError, MappingConstraints, SpatialMapper, SpecTable};
+use rtsm_core::{
+    CompiledSpec, MapError, MapperConfig, MappingConstraints, SpatialMapper, SpecTable,
+};
 use rtsm_platform::paper::paper_platform;
 use rtsm_platform::{Platform, PlatformState, TileClaim, TileId, TileKind};
 use rtsm_workloads::apps::{dvbt_rx, jpeg_encoder, mp3_decoder, wlan_tx};
@@ -70,15 +75,21 @@ fn legacy_claim_for(
 fn check_table(spec: &ApplicationSpec) {
     let order = spec.validated_order().expect("catalog specs validate");
     assert_eq!(order, spec.graph.topological_order().unwrap());
-    let table = SpecTable::new(spec, order.clone());
-    assert_eq!(table.order(), order);
-    assert_eq!(SpecTable::for_validated(spec).order(), order);
+    let table = SpecTable::new(spec, &CompiledSpec::compile(spec).expect("validates"));
+    assert_eq!(table.order().collect::<Vec<_>>(), order);
+    assert_eq!(
+        SpecTable::for_validated(spec).order().collect::<Vec<_>>(),
+        order
+    );
     let mut slots = 0;
     for (pid, _) in spec.graph.processes() {
         let (inputs, outputs) = (spec.graph.inputs_of(pid), spec.graph.outputs_of(pid));
-        assert_eq!(table.inputs(pid), inputs);
-        assert_eq!(table.outputs(pid), outputs);
-        assert_eq!(table.incident(pid), [inputs, outputs].concat());
+        assert_eq!(table.inputs(pid).collect::<Vec<_>>(), inputs);
+        assert_eq!(table.outputs(pid).collect::<Vec<_>>(), outputs);
+        assert_eq!(
+            table.incident(pid).collect::<Vec<_>>(),
+            [inputs, outputs].concat()
+        );
         for (ix, implementation) in spec.library.impls_for(pid).iter().enumerate() {
             assert_eq!(table.slot(pid, ix), slots);
             slots += 1;
@@ -197,7 +208,7 @@ fn reprobing_step1(
         !constraints.is_impl_excluded(p, ix) && first_fit(base, p, ix).is_some()
     };
     let mut working = base.clone();
-    let mut unassigned = table.order().to_vec();
+    let mut unassigned = table.order().collect::<Vec<_>>();
     let mut events = Vec::new();
     while !unassigned.is_empty() {
         let mut best: Option<(u64, ProcessId, usize, TileId)> = None;
@@ -503,4 +514,135 @@ fn chain_length(
     let dead_ends = probe.counter_total(rtsm_obs::Counter::Step1DeadEnd);
     assert_eq!(dead_ends, probe.histogram(rtsm_obs::Span::Step1).count());
     dead_ends
+}
+
+/// What `map` answers for `spec` on `base`: the outcome's JSON, or the
+/// error.
+fn answer(spec: &ApplicationSpec, platform: &Platform, base: &PlatformState) -> String {
+    let mapper = SpatialMapper::new(MapperConfig::default().without_capture());
+    match mapper.map(spec, platform, base) {
+        Ok(outcome) => serde_json::to_string(&outcome).expect("serializes"),
+        Err(e) => format!("{e:?}"),
+    }
+}
+
+/// `answer` on a thread of its own, whose store starts empty.
+fn cold_answer(spec: &ApplicationSpec, platform: &Platform, base: &PlatformState) -> String {
+    let (spec, platform, base) = (spec.clone(), platform.clone(), base.clone());
+    std::thread::spawn(move || answer(&spec, &platform, &base))
+        .join()
+        .expect("map does not panic")
+}
+
+/// Every spec of `mixed` and `hiperlan2` and five synthetic seeds, each on
+/// its catalog's platform, empty and half full.
+fn store_cases() -> Vec<(ApplicationSpec, Platform, PlatformState)> {
+    let mesh = mixed_mesh();
+    let synthetic = (1..=5).map(|seed| {
+        synthetic_app(&SyntheticConfig {
+            seed,
+            shape: match seed % 2 {
+                0 => GraphShape::Chain,
+                _ => GraphShape::ForkJoin { width: 2 },
+            },
+            ..SyntheticConfig::default()
+        })
+    });
+    let on_mesh = mixed_specs()
+        .into_iter()
+        .chain(synthetic)
+        .map(|s| (s, mesh.clone()));
+    let on_paper = Hiperlan2Mode::ALL
+        .iter()
+        .map(|&mode| (hiperlan2_receiver(mode), paper_platform()));
+    on_mesh
+        .chain(on_paper)
+        .flat_map(|(spec, platform)| {
+            let half = half_occupied(&platform);
+            [
+                (spec.clone(), platform.clone(), platform.initial_state()),
+                (spec, platform, half),
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn a_warm_thread_answers_as_a_fresh_one() {
+    let cases = store_cases();
+    let (mut mapped, mut refused) = (0, 0);
+    // Twice round on this thread: the second round reads every spec from
+    // the store, the first compiles some and reads others.
+    for round in 0..2 {
+        for (spec, platform, base) in &cases {
+            let warm = answer(spec, platform, base);
+            assert_eq!(
+                warm,
+                cold_answer(spec, platform, base),
+                "round {round}, `{}`",
+                spec.name
+            );
+            if round == 1 {
+                if warm.starts_with('{') {
+                    mapped += 1;
+                } else {
+                    refused += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        mapped >= 10 && refused >= 1,
+        "{mapped} mapped, {refused} refused"
+    );
+}
+
+#[test]
+fn a_spec_mutated_after_it_was_compiled_is_compiled_again() {
+    let platform = paper_platform();
+    let empty = platform.initial_state();
+    let mut spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
+    let first = answer(&spec, &platform, &empty);
+    assert!(first.starts_with('{'), "{first}");
+
+    // A latency bound no mapping meets.
+    let bound = spec.qos.max_latency_ps;
+    spec.qos.max_latency_ps = Some(1);
+    let bounded = answer(&spec, &platform, &empty);
+    assert!(bounded.starts_with("NoFeasibleMapping"), "{bounded}");
+    assert_eq!(bounded, cold_answer(&spec, &platform, &empty));
+    spec.qos.max_latency_ps = bound;
+    assert_eq!(answer(&spec, &platform, &empty), first);
+
+    spec.name = "renamed receiver".into();
+    assert_eq!(answer(&spec, &platform, &empty), first);
+    assert_eq!(cold_answer(&spec, &platform, &empty), first);
+
+    // One implementation with an input port too many, under the same
+    // process, channel and implementation counts.
+    let original = spec.library.clone();
+    let mut library = ImplementationLibrary::new();
+    for (pid, _) in spec.graph.processes() {
+        for (ix, implementation) in original.impls_for(pid).iter().enumerate() {
+            let mut implementation = implementation.clone();
+            if (pid.index(), ix) == (0, 0) {
+                implementation.inputs.push(implementation.inputs[0].clone());
+            }
+            library.register(pid, implementation);
+        }
+    }
+    assert_eq!(library.len(), original.len());
+    spec.library = library;
+    for _ in 0..2 {
+        let refused = SpatialMapper::default().map(&spec, &platform, &empty);
+        assert!(
+            matches!(
+                refused,
+                Err(MapError::InvalidSpec(AppModelError::PortMismatch { .. }))
+            ),
+            "{refused:?}"
+        );
+    }
+    spec.library = original;
+    assert_eq!(answer(&spec, &platform, &empty), first);
 }

@@ -22,9 +22,16 @@ metric's direction), and a verdict:
               unless every change run reads better than every parent run;
   same        otherwise.
 
+A metric that reads one value in every run of each side — exact for a
+seed, as `blocked_permille` and `peak_live_kib` are — also carries
+`exact`: the change's value minus the parent's, absolutely and in percent
+of the parent's, so that a shift inside the bound shows in the line
+instead of reading as `same`. A one-line summary of each such metric goes
+to stderr.
+
 `bench_history.py --ab ab.jsonl` files the lines in the PR's history row.
 """
-import argparse, json, pathlib, statistics, subprocess, tempfile
+import argparse, json, pathlib, statistics, subprocess, sys, tempfile
 
 root = pathlib.Path(__file__).resolve().parent.parent
 parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -87,7 +94,15 @@ for name, direction in better.items():
     parent = [p[name] for p, _ in pairs]
     change = [c[name] for _, c in pairs]
     won = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(parent, change))
-    metrics[name] = {"parent": spread(parent), "change": spread(change), "change_won": won,
-                     "verdict": verdict(name, parent, change, won)}
+    metrics[name] = {"parent": spread(parent), "change": spread(change), "change_won": won}
+    if len(set(parent)) == 1 and len(set(change)) == 1:
+        delta = change[0] - parent[0]
+        pct = 100 * delta / parent[0] if parent[0] else None
+        metrics[name]["exact"] = {"delta": delta, "pct": pct}
+    metrics[name]["verdict"] = verdict(name, parent, change, won)
+    if "exact" in metrics[name]:
+        shown = "n/a" if pct is None else f"{pct:+.2f} %"
+        print(f"{args.workload} seed {args.seed} {name}: {parent[0]:g} -> {change[0]:g} "
+              f"({delta:+g}, {shown}), {metrics[name]['verdict']}", file=sys.stderr)
 print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
                   "pairs": args.pairs, "metrics": metrics}, separators=(",", ":")))
