@@ -48,7 +48,7 @@ impl AnnealingMapper {
         working: &mut PlatformState,
         constraints: &MappingConstraints,
     ) -> Option<Mapping> {
-        let mut mapping = Mapping::new();
+        let mut mapping = Mapping::for_spec(spec);
         for pid in spec.graph.topological_order().ok()? {
             let options = viable_options(spec, platform, working, pid, constraints);
             let &(impl_index, tile) = options.first()?;

@@ -147,7 +147,7 @@ impl MappingAlgorithm for ExhaustiveMapper {
             nodes: 0,
             max_nodes: self.max_nodes,
         };
-        let mut mapping = Mapping::new();
+        let mut mapping = Mapping::for_spec(spec);
         let mut working = base.clone();
         search.recurse(0, &mut mapping, &mut working, 0);
         let nodes = search.nodes;

@@ -63,7 +63,7 @@ fn fitness(
 ) -> (u32, u64) {
     let mut working = base.clone();
     let mut violations = 0u32;
-    let mut mapping = Mapping::new();
+    let mut mapping = Mapping::for_spec(spec);
     for (&process, &(impl_index, tile)) in processes.iter().zip(genome) {
         let implementation = &spec.library.impls_for(process)[impl_index];
         let claim = claim_for(spec, process, implementation);
@@ -211,7 +211,7 @@ impl MappingAlgorithm for GeneticMapper {
             if *violations > 0 {
                 break;
             }
-            let mut mapping = Mapping::new();
+            let mut mapping = Mapping::for_spec(spec);
             for (&p, &(impl_index, tile)) in processes.iter().zip(genome) {
                 mapping.assign(p, impl_index, tile);
             }

@@ -32,7 +32,7 @@ impl RandomMapper {
         let mut order: Vec<_> = spec.graph.stream_processes().map(|(pid, _)| pid).collect();
         order.shuffle(rng);
         let mut working = base.clone();
-        let mut mapping = Mapping::new();
+        let mut mapping = Mapping::for_spec(spec);
         for pid in order {
             let options = viable_options(spec, platform, &working, pid, constraints);
             if options.is_empty() {

@@ -76,7 +76,7 @@ pub(crate) fn spiral_assignment(
         u32::from(platform.height()) - 1,
     );
     let mut evaluated = 0u64;
-    let mut mapping = Mapping::new();
+    let mut mapping = Mapping::for_spec(spec);
     let options = viable_options(spec, platform, working, anchor, constraints);
     evaluated += options.len() as u64;
     let &(impl_index, anchor_tile) = options.iter().min_by_key(|(ix, tile)| {

@@ -24,21 +24,28 @@ use rtsm_workloads::mesh_platform;
 static ALLOC: PeakAlloc = PeakAlloc::new();
 
 /// Allocator calls allowed per map on a thread that has mapped the spec
-/// before. Measured: 37, one of them the spec table's claim slots and one
-/// step 2's dense view of the assignment; validation, the topological order
-/// and the port rows are the thread's compiled entry, read by digest (51
-/// while every call validated the spec, sorted it and built the table's
-/// rows again; 165 while a warm step 4 composed, digested and dropped the
-/// Figure-3 graph — a `String` per actor, a `Vec` per phase vector — and
-/// copied the working ledger to probe buffer memory; 457 before the spec
-/// table). The slack is one allocation.
-const MAP_CEILING: usize = 38;
+/// before. Measured: 34 (rustc 1.95), one of them the spec table's claim
+/// slots and one step 2's dense view of the assignment; the `Mapping` is
+/// two id-indexed vectors sized to the spec when step 1 builds it, so
+/// binding and re-binding routes allocates nothing and a clone is two
+/// allocations. 38 on the same toolchain while the `Mapping` kept
+/// `BTreeMap`s, whose nodes came and went as steps 2 and 3 re-bound
+/// routes; validation, the topological order and the port rows are the
+/// thread's compiled entry, read by digest (51 while every call validated
+/// the spec, sorted it and built the table's rows again; 165 while a warm
+/// step 4 composed, digested and dropped the Figure-3 graph — a `String`
+/// per actor, a `Vec` per phase vector — and copied the working ledger to
+/// probe buffer memory; 457 before the spec table). The slack is one
+/// allocation.
+const MAP_CEILING: usize = 35;
 
 /// Allocator calls allowed per warm step-4 verdict. Measured: 1, the list
 /// of buffers it returns.
 const WARM_STEP4_CEILING: usize = 1;
 
-/// Allocator calls allowed per warm template hit. Measured: 23 — one
+/// Allocator calls allowed per warm template hit. Measured: 23 (rustc 1.95;
+/// the same with `BTreeMap`s in the `Mapping`: its two vectors, sized to
+/// the spec, take the place of the two maps' first nodes) — one
 /// scratch ledger (8), one transaction log however many channels are routed
 /// (1: reserved on the first of the 25 operations the paper case stages —
 /// 4 processes, 5 routed channels over 7 links, 4 buffers), the anchor
@@ -51,25 +58,30 @@ const WARM_STEP4_CEILING: usize = 1;
 const HIT_CEILING: usize = 24;
 
 /// Allocator calls allowed per lookup that ends in "no" on a full platform.
-/// Measured: 4 — all of them the wrapped mapper's step-1 reject: the spec
-/// table's claim slots, the slot states, the unassigned list, the error;
-/// with both MONTIUMs taken the shape's anchor kind has no free tile, so its
-/// candidate loop runs zero times and the lookup itself allocates nothing
-/// and never copies the ledger. 18 while every `map` validated the spec,
-/// sorted it and built the table's rows; 28 while step 1 also copied the
-/// working ledger (8 vectors) before it knew it would place anything, and
-/// built a feedback list nobody read. The slack is one allocation.
+/// Measured: 5 on rustc 1.95 — the code before the dense `Mapping` reads 5
+/// there too, though this comment gave 4 — all of them the wrapped
+/// mapper's step-1 reject, which builds no `Mapping`: among them the spec
+/// table's claim slots, the slot states, the unassigned list and the
+/// error. With both MONTIUMs taken the shape's anchor kind has no free
+/// tile, so its candidate loop runs zero times and the lookup itself
+/// allocates nothing and never copies the ledger. 18 while every `map`
+/// validated the spec, sorted it and built the table's rows; 28 while
+/// step 1 also copied the working ledger (8 vectors) before it knew it
+/// would place anything, and built a feedback list nobody read. No slack:
+/// the ceiling may not rise.
 const FAILED_LOOKUP_CEILING: usize = 5;
 
 /// Allocator calls allowed per `map` refused after eight step-1 dead ends
 /// (`wlan-tx` arriving on the mixed 4×4 mesh while `dvbt-rx` runs).
-/// Measured: 15 — the spec table's claim slots, then the first attempt's
-/// slot states, working ledger (8), decision log and unassigned list, one
-/// node of the constraint set and the final attempt's feedback list; no
-/// attempt after the first allocates. 34 while every call validated the
-/// spec, sorted it and built the table's rows; 141 while every attempt
-/// also copied the ledger and rebuilt its vectors, mapping and feedback
-/// (about 15 apiece). The slack is one allocation.
+/// Measured: 16 on rustc 1.95 — the code before the dense `Mapping` reads
+/// 16 there too, though this comment gave 15; no `Mapping` is built —
+/// among them the spec table's claim slots, then the first attempt's slot
+/// states, working ledger (8), decision log and unassigned list, one node
+/// of the constraint set and the final attempt's feedback list; no attempt
+/// after the first allocates. 34 while every call validated the spec,
+/// sorted it and built the table's rows; 141 while every attempt also
+/// copied the ledger and rebuilt its vectors, mapping and feedback (about
+/// 15 apiece). No slack: the ceiling may not rise.
 const DEAD_END_CHAIN_CEILING: usize = 16;
 
 /// The fewest allocator calls `f` makes over three runs.

@@ -14,7 +14,9 @@ use crate::mapping::{Mapping, RouteBinding};
 use crate::step4::ChannelBuffer;
 use crate::trace::MapTrace;
 use rtsm_app::ApplicationSpec;
-use rtsm_platform::{Platform, PlatformError, PlatformState, PlatformTransaction, TileClaim};
+use rtsm_platform::{
+    Platform, PlatformError, PlatformState, PlatformTransaction, TileClaim, TileId,
+};
 use serde::{Deserialize, Serialize};
 
 /// A feasible spatial mapping with everything needed to report it, compare
@@ -82,10 +84,20 @@ impl MappingOutcome {
         spec: &ApplicationSpec,
         tx: &mut PlatformTransaction<'_>,
     ) -> Result<(), PlatformError> {
-        for (pid, assignment) in self.mapping.assignments() {
-            let implementation = &spec.library.impls_for(pid)[assignment.impl_index];
-            let claim = claim_for(spec, pid, implementation);
-            tx.claim_tile(assignment.tile, &reservation_of(&claim))?;
+        self.stage_commit_reserving(self.reservations(spec), tx)
+    }
+
+    /// [`MappingOutcome::stage_commit`] with each process's hard
+    /// reservation handed in (`(tile, reservation)` in process-id order):
+    /// the run-time manager reads them off the application's
+    /// [`Demand`](crate::runtime::Demand) instead of deriving them again.
+    pub(crate) fn stage_commit_reserving(
+        &self,
+        reservations: impl Iterator<Item = (TileId, TileClaim)>,
+        tx: &mut PlatformTransaction<'_>,
+    ) -> Result<(), PlatformError> {
+        for (tile, reservation) in reservations {
+            tx.claim_tile(tile, &reservation)?;
         }
         for buffer in &self.buffers {
             tx.claim_tile(buffer.tile, &buffer_claim(buffer))?;
@@ -133,10 +145,18 @@ impl MappingOutcome {
         spec: &ApplicationSpec,
         tx: &mut PlatformTransaction<'_>,
     ) -> Result<(), PlatformError> {
-        for (pid, assignment) in self.mapping.assignments() {
-            let implementation = &spec.library.impls_for(pid)[assignment.impl_index];
-            let claim = claim_for(spec, pid, implementation);
-            tx.release_tile(assignment.tile, &reservation_of(&claim))?;
+        self.stage_release_reserving(self.reservations(spec), tx)
+    }
+
+    /// [`MappingOutcome::stage_release`] with the reservations handed in,
+    /// as for [`MappingOutcome::stage_commit_reserving`].
+    pub(crate) fn stage_release_reserving(
+        &self,
+        reservations: impl Iterator<Item = (TileId, TileClaim)>,
+        tx: &mut PlatformTransaction<'_>,
+    ) -> Result<(), PlatformError> {
+        for (tile, reservation) in reservations {
+            tx.release_tile(tile, &reservation)?;
         }
         for buffer in &self.buffers {
             tx.release_tile(buffer.tile, &buffer_claim(buffer))?;
@@ -147,6 +167,19 @@ impl MappingOutcome {
             }
         }
         Ok(())
+    }
+
+    /// Each assigned process's tile and hard reservation, derived from
+    /// `spec` ([`reservation_of`]`(`[`claim_for`]`(..))`).
+    fn reservations<'s>(
+        &'s self,
+        spec: &'s ApplicationSpec,
+    ) -> impl Iterator<Item = (TileId, TileClaim)> + 's {
+        self.mapping.assignments().map(|(pid, assignment)| {
+            let implementation = &spec.library.impls_for(pid)[assignment.impl_index];
+            let claim = claim_for(spec, pid, implementation);
+            (assignment.tile, reservation_of(&claim))
+        })
     }
 }
 
@@ -178,10 +211,14 @@ fn buffer_claim(buffer: &ChannelBuffer) -> TileClaim {
 /// follows it, and — with the fact that a committable mapping claims one
 /// slot per process where its reservation fits — to leave an algorithm
 /// unasked about a placement that
-/// [cannot fit](crate::runtime::Demand::cannot_fit). Every algorithm of the
-/// workspace qualifies, [`TemplatedMapper`](crate::TemplatedMapper)
-/// included: a refused call touches nothing of its library but the miss
-/// counter.
+/// [cannot fit](crate::runtime::Demand::cannot_fit). It also relies on a
+/// returned mapping assigning only stream processes of a valid
+/// specification whose stream endpoints the platform has, each to one of
+/// its implementations: the manager stages and releases a mapping with the
+/// reservations its [`Demand`](crate::runtime::Demand) holds for exactly
+/// those. Every algorithm of the workspace qualifies,
+/// [`TemplatedMapper`](crate::TemplatedMapper) included: a refused call
+/// touches nothing of its library but the miss counter.
 ///
 /// The required method is the constraint-aware
 /// [`map_constrained`](MappingAlgorithm::map_constrained); the familiar

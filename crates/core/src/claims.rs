@@ -7,9 +7,13 @@ use rtsm_platform::TileClaim;
 /// one compute slot, the implementation's memory, its WCET as a share of
 /// the tile's cycle budget, and NI bandwidth for its channel traffic.
 ///
-/// One pass over the stream channels and no allocation: this runs for
-/// every staged commit and release and every template candidate, not only
-/// under the mapper's [`SpecTable`](crate::spec_table::SpecTable).
+/// One pass over the stream channels and no allocation: besides the
+/// mapper's [`SpecTable`](crate::spec_table::SpecTable), it serves
+/// [`MappingOutcome::stage_commit`](crate::MappingOutcome::stage_commit)
+/// and `stage_release` called directly, the manager's
+/// [`Demand`](crate::runtime::Demand) (worked out once per specification,
+/// and what the manager stages and releases with), template learning and
+/// the baselines.
 pub fn claim_for(
     spec: &ApplicationSpec,
     process: ProcessId,

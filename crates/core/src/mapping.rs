@@ -3,8 +3,9 @@
 use rtsm_app::{ApplicationSpec, Endpoint, KpnChannelId, ProcessId};
 use rtsm_platform::energy::channel_energy_pj;
 use rtsm_platform::{Path, Platform, TileId};
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// One process's binding: which implementation and which tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,12 +39,26 @@ impl RouteBinding {
 /// A (possibly partial) spatial mapping: process → (implementation, tile)
 /// and channel → route.
 ///
-/// `BTreeMap`s keep iteration deterministic, which the paper-exact traces
-/// rely on.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Process and channel ids are dense indices into the specification's
+/// lists, so both tables are id-indexed vectors: a lookup is an array read
+/// and iteration runs in id order, which the paper-exact traces rely on.
+/// An unbound id is a `None` slot; equality, `Debug` and the serialized
+/// form see bound entries only, so a mapping that bound and then unbound
+/// an id equals one that never bound it. The JSON is the `[id, value]`
+/// pair lists the `BTreeMap`s this replaced wrote
+/// (`tests/golden/paper_mapping*.json` pins the bytes).
+#[derive(Clone, Default)]
 pub struct Mapping {
-    assignments: BTreeMap<ProcessId, Assignment>,
-    routes: BTreeMap<KpnChannelId, RouteBinding>,
+    assignments: Vec<Option<Assignment>>,
+    routes: Vec<Option<RouteBinding>>,
+}
+
+/// Writes `value` at `index`, growing `slots` with unbound entries first.
+fn bind<T>(slots: &mut Vec<Option<T>>, index: usize, value: T) {
+    if index >= slots.len() {
+        slots.resize_with(index + 1, || None);
+    }
+    slots[index] = Some(value);
 }
 
 impl Mapping {
@@ -52,41 +67,59 @@ impl Mapping {
         Mapping::default()
     }
 
+    /// An empty mapping with room for every process and channel of
+    /// `spec`, so binding them allocates once per table.
+    pub fn for_spec(spec: &ApplicationSpec) -> Self {
+        Mapping::with_capacity(spec.graph.n_processes(), spec.graph.n_channels())
+    }
+
+    fn with_capacity(processes: usize, channels: usize) -> Self {
+        Mapping {
+            assignments: Vec::with_capacity(processes),
+            routes: Vec::with_capacity(channels),
+        }
+    }
+
     /// Binds `process` to (`impl_index`, `tile`), replacing any previous
     /// binding.
     pub fn assign(&mut self, process: ProcessId, impl_index: usize, tile: TileId) {
-        self.assignments
-            .insert(process, Assignment { impl_index, tile });
+        bind(
+            &mut self.assignments,
+            process.index(),
+            Assignment { impl_index, tile },
+        );
     }
 
     /// The binding of `process`, if any.
     pub fn assignment(&self, process: ProcessId) -> Option<Assignment> {
-        self.assignments.get(&process).copied()
+        self.assignments.get(process.index()).copied().flatten()
     }
 
     /// Removes `process`'s binding (used by backtracking searches).
     pub fn unassign(&mut self, process: ProcessId) -> Option<Assignment> {
-        self.assignments.remove(&process)
+        self.assignments.get_mut(process.index())?.take()
     }
 
     /// Iterates over `(process, assignment)` in process-id order.
     pub fn assignments(&self) -> impl Iterator<Item = (ProcessId, Assignment)> + '_ {
-        self.assignments.iter().map(|(p, a)| (*p, *a))
+        (self.assignments.iter().enumerate())
+            .filter_map(|(i, a)| Some((ProcessId::from_index(i), (*a)?)))
     }
 
     /// Binds `channel` to `route`.
     pub fn bind_route(&mut self, channel: KpnChannelId, route: RouteBinding) {
-        self.routes.insert(channel, route);
+        bind(&mut self.routes, channel.index(), route);
     }
 
     /// The route of `channel`, if bound.
     pub fn route(&self, channel: KpnChannelId) -> Option<&RouteBinding> {
-        self.routes.get(&channel)
+        self.routes.get(channel.index())?.as_ref()
     }
 
     /// Iterates over `(channel, route)` in channel-id order.
     pub fn routes(&self) -> impl Iterator<Item = (KpnChannelId, &RouteBinding)> {
-        self.routes.iter().map(|(c, r)| (*c, r))
+        (self.routes.iter().enumerate())
+            .filter_map(|(i, r)| Some((KpnChannelId::from_index(i), r.as_ref()?)))
     }
 
     /// Removes all routes (step 2 invalidates step 3's work).
@@ -143,6 +176,75 @@ impl Mapping {
             })
             .sum();
         processing + communication
+    }
+}
+
+impl PartialEq for Mapping {
+    fn eq(&self, other: &Self) -> bool {
+        self.assignments().eq(other.assignments()) && self.routes().eq(other.routes())
+    }
+}
+
+impl Eq for Mapping {}
+
+impl fmt::Debug for Mapping {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let assignments: BTreeMap<_, _> = self.assignments().collect();
+        let routes: BTreeMap<_, _> = self.routes().collect();
+        f.debug_struct("Mapping")
+            .field("assignments", &assignments)
+            .field("routes", &routes)
+            .finish()
+    }
+}
+
+/// The bound entries of `pairs` as the `[id, value]` sequence a
+/// `BTreeMap` serializes to.
+fn pairs_value<K: Serialize, V: Serialize>(pairs: impl Iterator<Item = (K, V)>) -> Value {
+    Value::Seq(
+        pairs
+            .map(|(k, v)| Value::Seq(vec![k.to_value(), v.to_value()]))
+            .collect(),
+    )
+}
+
+impl Serialize for Mapping {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("assignments".to_string(), pairs_value(self.assignments())),
+            ("routes".to_string(), pairs_value(self.routes())),
+        ])
+    }
+}
+
+/// The largest id a deserialized mapping may bind: the tables are as long
+/// as the largest id, so a file naming process 10¹² would otherwise ask
+/// for terabytes. A specification has far fewer processes and channels.
+const MAX_DESERIALIZED_ID: usize = 1 << 20;
+
+impl Deserialize for Mapping {
+    fn from_value(value: &Value) -> Result<Self, de::Error> {
+        // Read as the maps the format was written from (a repeated id keeps
+        // its last value), then laid out by id.
+        let assignments: BTreeMap<ProcessId, Assignment> = de::field(value, "assignments")?;
+        let routes: BTreeMap<KpnChannelId, RouteBinding> = de::field(value, "routes")?;
+        // The table length that holds ids up to `last`.
+        let length = |last: Option<usize>| match last {
+            Some(id) if id > MAX_DESERIALIZED_ID => Err(de::Error::msg(format!(
+                "mapping id {id} exceeds {MAX_DESERIALIZED_ID}, the largest a file may bind"
+            ))),
+            last => Ok(last.map_or(0, |id| id + 1)),
+        };
+        let n_processes = length(assignments.keys().next_back().map(ProcessId::index))?;
+        let n_channels = length(routes.keys().next_back().map(KpnChannelId::index))?;
+        let mut mapping = Mapping::with_capacity(n_processes, n_channels);
+        for (process, a) in assignments {
+            mapping.assign(process, a.impl_index, a.tile);
+        }
+        for (channel, route) in routes {
+            mapping.bind_route(channel, route);
+        }
+        Ok(mapping)
     }
 }
 

@@ -39,6 +39,7 @@ use crate::claims::{claim_for, reservation_of};
 use crate::constraints::MappingConstraints;
 use crate::error::{CannotFitCause, MapError};
 use crate::mapper::check_endpoints;
+use crate::mapping::Mapping;
 use rtsm_app::{ApplicationSpec, Endpoint, ProcessId};
 use rtsm_platform::{Platform, PlatformState, TileClaim, TileId, TileKind};
 use std::sync::Arc;
@@ -87,6 +88,18 @@ impl Host {
         ProcessId::from_index(self.process as usize)
     }
 
+    /// What this implementation reserves on its tile:
+    /// [`reservation_of`]`(`[`claim_for`]`(..))`.
+    fn reservation(&self) -> TileClaim {
+        TileClaim {
+            slots: 1,
+            memory_bytes: self.memory_bytes,
+            cycles_per_second: self.cycles_per_second,
+            injection: 0,
+            ejection: 0,
+        }
+    }
+
     /// Whether tile `t`, a healthy one with a free slot of the kind class
     /// of `self.kind`, hosts this implementation for `constraints`.
     fn hosted_on(
@@ -97,15 +110,8 @@ impl Host {
         constraints: &MappingConstraints,
     ) -> bool {
         let tile = TileId::from_index(t);
-        let reservation = TileClaim {
-            slots: 1,
-            memory_bytes: self.memory_bytes,
-            cycles_per_second: self.cycles_per_second,
-            injection: 0,
-            ejection: 0,
-        };
         platform.tile(tile).kind == self.kind
-            && state.fits_tile(platform, tile, &reservation)
+            && state.fits_tile(platform, tile, &self.reservation())
             && constraints.allows(self.process(), tile)
     }
 }
@@ -159,6 +165,41 @@ impl Demand {
             streams_in: channels().any(|c| c.src == Endpoint::StreamInput),
             streams_out: channels().any(|c| c.dst == Endpoint::StreamOutput),
         }
+    }
+
+    /// The tile and hard reservation of every process `mapping` assigns,
+    /// in process-id order: what
+    /// [`MappingOutcome::stage_commit`](crate::MappingOutcome::stage_commit)
+    /// claims for it, read off the hosts instead of derived from the
+    /// specification again.
+    ///
+    /// # Panics
+    ///
+    /// If `mapping` assigns a process, or an implementation index, this
+    /// demand does not hold. The manager never asks that: it stages only
+    /// outcomes the algorithm returned for this demand's specification,
+    /// whose demand is the empty one only when the specification is
+    /// invalid or needs a stream endpoint the platform lacks — and then
+    /// every algorithm refuses it, so there is no outcome to stage — and an
+    /// algorithm assigns the stream processes of a valid specification, one
+    /// of their implementations each ([`MappingAlgorithm`]'s contract).
+    ///
+    /// [`MappingAlgorithm`]: crate::MappingAlgorithm
+    pub fn reservations<'d>(
+        &'d self,
+        mapping: &'d Mapping,
+    ) -> impl Iterator<Item = (TileId, TileClaim)> + 'd {
+        // Hosts run in process order, a process's in implementation order,
+        // as do the assignments: each process's hosts start past the last.
+        let mut first = 0;
+        mapping.assignments().map(move |(process, assignment)| {
+            let p = process.index() as u32;
+            first += self.hosts[first..].partition_point(|h| h.process < p);
+            let host = (self.hosts.get(first + assignment.impl_index))
+                .filter(|h| h.process == p)
+                .expect("the demand holds every implementation of a mapped process");
+            (assignment.tile, host.reservation())
+        })
     }
 
     /// `true` only when **no** mapping of this application can be committed

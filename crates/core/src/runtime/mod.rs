@@ -402,9 +402,16 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             .running
             .get(&handle)
             .ok_or(RuntimeError::UnknownHandle(handle))?;
-        app.outcome
-            .release(&app.spec, &self.platform, &mut self.state)
+        // Released with the reservations it was committed with: its
+        // specification's demand.
+        self.demands.flush_if_full();
+        let at = self.demands.position(&app.spec, &self.platform);
+        let held = self.demands.get(at).1;
+        let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
+        (app.outcome)
+            .stage_release_reserving(held.reservations(&app.outcome.mapping), &mut tx)
             .map_err(RuntimeError::ReleaseFailed)?;
+        tx.commit();
         Ok(self.running.remove(&handle).expect("handle checked above"))
     }
 
@@ -420,8 +427,19 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         self.last_refusal = None;
         self.demands.flush_if_full();
         let at = self.demands.position(spec, &self.platform);
+        // A switch releases what the record's own specification reserved.
+        let held = handle.map(|h| {
+            let record = &self.running[&h].spec;
+            (h, self.demands.position(record, &self.platform))
+        });
+        let demands = &self.demands;
         let unconstrained = MappingConstraints::none();
-        let placement = Placement::new(handle, spec, &unconstrained, self.demands.get(at).1);
+        let placement = Placement::new(
+            held.map(|(h, held)| (h, demands.get(held).1)),
+            spec,
+            &unconstrained,
+            demands.get(at).1,
+        );
         let mut plan = Plan::of(placement);
         let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
         plan.stage(&self.algorithm, &self.running, &mut tx)?;
@@ -531,7 +549,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         let demands = &self.demands;
         let placement = |handle: Option<AppHandle>, known: usize| {
             let (spec, demand) = demands.get(known);
-            Placement::new(handle, spec, &unconstrained, demand)
+            Placement::new(handle.map(|h| (h, demand)), spec, &unconstrained, demand)
         };
 
         // Plans: single migrations cheapest-first, then pairs, … up to
@@ -619,7 +637,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             // A victim whose re-map landed on exactly its old tiles did not
             // migrate (the arriving app fit into space freed by the others):
             // its outcome is refreshed but no migration is reported.
-            let victim = placement.handle.expect("victims are running");
+            let (victim, _) = placement.replaces.expect("victims are running");
             if placement.processes_moved > 0 {
                 migrations.push(Migration {
                     handle: victim,
@@ -750,7 +768,12 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             for constraints in [&pinned, &unpinned].into_iter().take(attempts) {
                 let mut plan = Plan {
                     priced: true,
-                    ..Plan::of(Placement::new(Some(handle), spec, constraints, demand))
+                    ..Plan::of(Placement::new(
+                        Some((handle, demand)),
+                        spec,
+                        constraints,
+                        demand,
+                    ))
                 };
                 let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
                 // An infeasible attempt drops its transaction (exact

@@ -76,8 +76,11 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub(super) struct Placement<'a> {
     /// The running application this re-places, released before anything is
-    /// placed; `None` for an arrival.
-    pub handle: Option<AppHandle>,
+    /// placed, with the [`Demand`] of its record's own specification (what
+    /// its reservations were committed with — for a
+    /// [`switch`](super::RuntimeManager::switch), not `demand`); `None` for
+    /// an arrival.
+    pub replaces: Option<(AppHandle, &'a Demand)>,
     /// What is placed (for a [`switch`](super::RuntimeManager::switch): the new
     /// specification, not the record's). Borrowed: a migration search
     /// stages the same victim in plan after plan, and only
@@ -87,7 +90,8 @@ pub(super) struct Placement<'a> {
     pub constraints: &'a MappingConstraints,
     /// `spec`'s [`Demand`], which lets [`Plan::stage`] turn the placement
     /// away without asking the algorithm when it
-    /// [cannot fit](Demand::cannot_fit).
+    /// [cannot fit](Demand::cannot_fit), and holds the reservations its
+    /// mapping is staged with.
     pub demand: &'a Demand,
     /// The mapping: filled in by the first [`Plan::stage`], staged verbatim
     /// by a later one. The search trace is dropped as soon as it is mapped,
@@ -103,13 +107,13 @@ pub(super) struct Placement<'a> {
 impl<'a> Placement<'a> {
     /// A placement yet to be mapped.
     pub fn new(
-        handle: Option<AppHandle>,
+        replaces: Option<(AppHandle, &'a Demand)>,
         spec: &'a Arc<ApplicationSpec>,
         constraints: &'a MappingConstraints,
         demand: &'a Demand,
     ) -> Self {
         Placement {
-            handle,
+            replaces,
             spec,
             constraints,
             demand,
@@ -215,13 +219,15 @@ impl<'a> Plan<'a> {
         running: &BTreeMap<AppHandle, RunningApp>,
         tx: &mut PlatformTransaction<'_>,
     ) -> Result<(), StageError> {
-        let replaced = |handle: Option<AppHandle>| handle.map(|h| &running[&h]);
-        for app in std::iter::once(&self.first)
+        let replaced = |replaces: Option<(AppHandle, &'a Demand)>| {
+            replaces.map(|(handle, held)| (&running[&handle], held))
+        };
+        for (app, held) in std::iter::once(&self.first)
             .chain(&self.rest)
-            .filter_map(|placement| replaced(placement.handle))
+            .filter_map(|placement| replaced(placement.replaces))
         {
-            app.outcome
-                .stage_release(&app.spec, tx)
+            (app.outcome)
+                .stage_release_reserving(held.reservations(&app.outcome.mapping), tx)
                 .map_err(StageError::Release)?;
         }
         let mut migration_energy_pj = 0u64;
@@ -255,11 +261,12 @@ impl<'a> Plan<'a> {
                     unmapped.insert(outcome)
                 }
             };
+            let reservations = placement.demand.reservations(&outcome.mapping);
             outcome
-                .stage_commit(placement.spec, tx)
+                .stage_commit_reserving(reservations, tx)
                 .map_err(|e| StageError::Commit(at, e))?;
             if self.priced {
-                if let Some(app) = replaced(placement.handle) {
+                if let Some((app, _)) = replaced(placement.replaces) {
                     (placement.processes_moved, placement.transfer_energy_pj) = CostModel::Energy
                         .migration_cost(
                             &app.spec,
@@ -293,8 +300,8 @@ pub(super) fn adopt(
 ) -> (AppHandle, Option<MappingOutcome>) {
     let spec = placement.spec.clone();
     let outcome = placement.outcome.expect("adopted plans were staged");
-    match placement.handle {
-        Some(handle) => {
+    match placement.replaces {
+        Some((handle, _)) => {
             let record = running
                 .get_mut(&handle)
                 .expect("plans name running applications");

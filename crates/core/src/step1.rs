@@ -366,7 +366,7 @@ impl<'a> Step1<'a> {
             unassigned.retain(|&p| p != process);
         }
 
-        let mut mapping = Mapping::new();
+        let mut mapping = Mapping::for_spec(table.spec());
         for e in events.iter() {
             mapping.assign(e.process, e.impl_index, e.tile);
         }

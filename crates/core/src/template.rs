@@ -409,7 +409,7 @@ impl<'a> FitCheck<'a> {
         // other exactly as in step 3), then buffer memory on the consumer
         // tiles. A misfit returns early; dropping the transaction undoes
         // what was staged.
-        let mut mapping = Mapping::new();
+        let mut mapping = Mapping::for_spec(spec);
         let ledger = self.ledger.get_or_insert_with(|| self.base.clone());
         let mut tx = PlatformTransaction::begin(platform, ledger);
         for (sa, &tile) in shape.assignments.iter().zip(tiles.iter()) {

@@ -18,6 +18,33 @@
 //! only when a route is actually kept). The plain [`route`] wrapper allocates
 //! a fresh scratch per call for convenience.
 //!
+//! # The canonical path first
+//!
+//! Before it searches, [`route_with`] tries one path: the *canonical* one.
+//! Walk back from the goal; at each router step to the lowest-`(x, y)` grid
+//! neighbour that is one Manhattan step nearer the start — west while the
+//! start lies west, else north or south while the rows differ, else east.
+//! If every link of that path exists, is healthy and has residual capacity
+//! ≥ the demand, it is the answer; otherwise the search below runs. On a
+//! lightly loaded mesh the walk answers almost every call, in time
+//! proportional to the path's length.
+//!
+//! It is the path the search would return. Adjacency joins grid neighbours
+//! only, so on any ledger a router's search distance d′ (hops over usable
+//! links) is at least its Manhattan distance from the start. When the
+//! canonical path is usable, every router on it has d′ equal to its
+//! Manhattan distance, since the walk's path from the start to it is
+//! itself canonical and usable. The search gives a router as predecessor
+//! the lowest-keyed router of the previous hop level with a usable link to
+//! it. A router of that level adjacent to router v on the path has d′ =
+//! d′(v) − 1, so it is one Manhattan step nearer the start; among such
+//! neighbours the walk took the lowest-keyed, and that one is on the level
+//! with a usable link to v. So no router is both lower-keyed and nearer
+//! than the walk's choice, and the search picks, step by step back from
+//! the goal, exactly the routers the walk picked — same routers, same
+//! links. `tests/routing_equivalence.rs` holds the walk to that on random
+//! ledgers, with a floor on the cases that fall back to the search.
+//!
 //! # The search
 //!
 //! Every hop costs 1, so the shortest-path search is a breadth-first search
@@ -111,6 +138,13 @@ impl RouteScratch {
     /// A fresh scratch; buffers are sized on first use.
     pub fn new() -> Self {
         RouteScratch::default()
+    }
+
+    /// How many breadth-first searches this scratch has served, modulo
+    /// 2³². A call the canonical walk answers (see the
+    /// [module docs](self)) runs none, so this tells the two apart.
+    pub fn searches(&self) -> u32 {
+        self.generation
     }
 
     /// Prepares for a search over `n_routers` routers: sizes the tables,
@@ -218,10 +252,11 @@ pub fn route_with<'s>(
     let start = platform.tile(from).position;
     let goal = platform.tile(to).position;
     scratch.reset_path(from, to, demand);
-    if start == goal {
-        scratch.path.routers.push(start);
+    if walk_canonical(platform, state, start, goal, demand, &mut scratch.path) {
         return Ok(&scratch.path);
     }
+    scratch.path.routers.clear();
+    scratch.path.links.clear();
 
     // Breadth-first over routers, one hop level at a time, each level in
     // (x, y) order (see the module docs for why that is the heap's order).
@@ -290,6 +325,59 @@ pub fn route_with<'s>(
         scratch.path.links.push(link);
     }
     Ok(&scratch.path)
+}
+
+/// Writes the canonical path from `start` to `goal` into `path` (whose
+/// router and link lists are empty) and returns whether every link of it
+/// is usable at `demand`; on `false` the lists hold a partial walk. See
+/// the [module docs](self) for why a usable canonical path is the one the
+/// search returns.
+fn walk_canonical(
+    platform: &Platform,
+    state: &PlatformState,
+    start: Coord,
+    goal: Coord,
+    demand: u64,
+    path: &mut Path,
+) -> bool {
+    let mut here = goal;
+    path.routers.push(goal);
+    while here != start {
+        // The lowest-(x, y) neighbour one step nearer the start.
+        let back = if start.x < here.x {
+            Coord {
+                x: here.x - 1,
+                ..here
+            }
+        } else if start.y < here.y {
+            Coord {
+                y: here.y - 1,
+                ..here
+            }
+        } else if start.y > here.y {
+            Coord {
+                y: here.y + 1,
+                ..here
+            }
+        } else {
+            Coord {
+                x: here.x + 1,
+                ..here
+            }
+        };
+        let Some(entry) = platform.adjacency(back).iter().find(|e| e.to == here) else {
+            return false;
+        };
+        if state.is_link_failed(entry.link) || state.residual_link(platform, entry.link) < demand {
+            return false;
+        }
+        path.links.push(entry.link);
+        path.routers.push(back);
+        here = back;
+    }
+    path.routers.reverse();
+    path.links.reverse();
+    true
 }
 
 /// Step 3 has one path search, [`route`] — the paper's capacity-aware

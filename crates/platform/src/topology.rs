@@ -99,7 +99,8 @@ pub struct AdjEntry {
 /// Besides the tile and link lists, the platform carries derived lookup
 /// tables built once at construction: a flat CSR adjacency table
 /// ([`Platform::adjacency`]) that resolves a router's neighbours and their
-/// directed links without hashing, a name index making
+/// directed links without hashing, a router-indexed tile table making
+/// [`Platform::tile_at`] an array read, a name index making
 /// [`Platform::tile_by_name`] O(1), and the two stream-endpoint tiles
 /// ([`Platform::stream_input_tile`], [`Platform::stream_output_tile`]). All
 /// are rebuilt on deserialization.
@@ -112,8 +113,10 @@ pub struct Platform {
     tiles: Vec<Tile>,
     links: Vec<Link>,
     link_index: HashMap<(Coord, Coord), LinkId>,
-    tile_at: HashMap<Coord, TileId>,
     tile_by_name: HashMap<String, TileId>,
+    /// The tile attached to each router, routers indexed row-major like
+    /// the adjacency table. Length `width*height`.
+    tile_at: Vec<Option<TileId>>,
     /// CSR offsets: router `r`'s adjacency is `adj[adj_offsets[r] .. adj_offsets[r+1]]`,
     /// routers indexed row-major (`y * width + x`). Length `width*height + 1`.
     adj_offsets: Vec<u32>,
@@ -128,14 +131,16 @@ pub struct Platform {
 /// The lookup tables derived from a platform's tiles and links.
 struct DerivedTables {
     tile_by_name: HashMap<String, TileId>,
+    tile_at: Vec<Option<TileId>>,
     adj_offsets: Vec<u32>,
     adj: Vec<AdjEntry>,
     stream_input: Option<TileId>,
     stream_output: Option<TileId>,
 }
 
-/// Builds the derived lookup tables (CSR adjacency, name index and stream
-/// endpoints) shared by `PlatformBuilder::build` and deserialization.
+/// Builds the derived lookup tables (CSR adjacency, router→tile table, name
+/// index and stream endpoints) shared by `PlatformBuilder::build` and
+/// deserialization.
 fn derived_tables(
     width: u16,
     height: u16,
@@ -149,6 +154,17 @@ fn derived_tables(
         tile_by_name.entry(t.name.clone()).or_insert(TileId(i));
     }
     let n_routers = width as usize * height as usize;
+    // The builder refuses two tiles on one router and a tile off the mesh;
+    // a deserialized platform can hold either. Of two tiles on one router
+    // the later one is kept (what the `HashMap` this table replaced kept),
+    // and a tile off the mesh is on no router.
+    let mut tile_at = vec![None; n_routers];
+    for (i, t) in tiles.iter().enumerate() {
+        let Coord { x, y } = t.position;
+        if x < width && y < height {
+            tile_at[y as usize * width as usize + x as usize] = Some(TileId(i));
+        }
+    }
     let mut adj_offsets = Vec::with_capacity(n_routers + 1);
     let mut adj = Vec::with_capacity(4 * n_routers);
     adj_offsets.push(0u32);
@@ -174,6 +190,7 @@ fn derived_tables(
     let first_of = |kind: TileKind| tiles.iter().position(|t| t.kind == kind).map(TileId);
     DerivedTables {
         tile_by_name,
+        tile_at,
         adj_offsets,
         adj,
         stream_input: first_of(TileKind::AdcSource),
@@ -214,12 +231,6 @@ impl From<PlatformSerde> for Platform {
             .enumerate()
             .map(|(i, l)| ((l.from, l.to), LinkId(i)))
             .collect();
-        let tile_at = s
-            .tiles
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.position, TileId(i)))
-            .collect();
         let derived = derived_tables(s.width, s.height, &s.tiles, &link_index);
         Platform {
             width: s.width,
@@ -228,8 +239,8 @@ impl From<PlatformSerde> for Platform {
             tiles: s.tiles,
             links: s.links,
             link_index,
-            tile_at,
             tile_by_name: derived.tile_by_name,
+            tile_at: derived.tile_at,
             adj_offsets: derived.adj_offsets,
             adj: derived.adj,
             stream_input: derived.stream_input,
@@ -315,9 +326,13 @@ impl Platform {
         self.tile_by_name.get(name).copied()
     }
 
-    /// The tile attached to the router at `coord`, if any.
+    /// The tile attached to the router at `coord`, if any (`None` off the
+    /// mesh).
     pub fn tile_at(&self, coord: Coord) -> Option<TileId> {
-        self.tile_at.get(&coord).copied()
+        if coord.x >= self.width || coord.y >= self.height {
+            return None;
+        }
+        self.tile_at[self.router_index(coord)]
     }
 
     /// The directed link from `from` to `to` (adjacent routers only).
@@ -467,8 +482,8 @@ impl PlatformBuilder {
     ///   mesh.
     /// * [`PlatformError::DuplicatePosition`] if two tiles share a router.
     pub fn build(self) -> Result<Platform, PlatformError> {
-        let mut tile_at = HashMap::new();
-        for (i, t) in self.tiles.iter().enumerate() {
+        let mut occupied = vec![false; self.width as usize * self.height as usize];
+        for t in &self.tiles {
             if t.position.x >= self.width || t.position.y >= self.height {
                 return Err(PlatformError::OutOfMesh {
                     coord: t.position,
@@ -476,7 +491,8 @@ impl PlatformBuilder {
                     height: self.height,
                 });
             }
-            if tile_at.insert(t.position, TileId(i)).is_some() {
+            let router = t.position.y as usize * self.width as usize + t.position.x as usize;
+            if std::mem::replace(&mut occupied[router], true) {
                 return Err(PlatformError::DuplicatePosition(t.position));
             }
         }
@@ -510,8 +526,8 @@ impl PlatformBuilder {
             tiles: self.tiles,
             links,
             link_index,
-            tile_at,
             tile_by_name: derived.tile_by_name,
+            tile_at: derived.tile_at,
             adj_offsets: derived.adj_offsets,
             adj: derived.adj,
             stream_input: derived.stream_input,
@@ -649,6 +665,31 @@ mod tests {
         // Rebuilt, not serialized.
         let back: Platform = PlatformSerde::from(p.clone()).into();
         assert_eq!(back, p);
+    }
+
+    #[test]
+    fn router_table_keeps_what_the_hash_map_kept() {
+        // A file can put two tiles on one router, and one off the mesh.
+        let mut read = PlatformSerde::from(small());
+        let mut twin = read.tiles[0].clone();
+        twin.name = "a twin".into();
+        read.tiles.push(twin);
+        let mut off = read.tiles[0].clone();
+        off.position = Coord { x: 7, y: 0 };
+        read.tiles.push(off);
+        let p = Platform::from(read);
+        // The map the table replaced: the later of two tiles on a router.
+        let map: HashMap<Coord, TileId> = p.tiles().map(|(id, t)| (t.position, id)).collect();
+        for y in 0..p.height() {
+            for x in 0..p.width() {
+                let c = Coord { x, y };
+                assert_eq!(p.tile_at(c), map.get(&c).copied(), "at {c}");
+            }
+        }
+        assert_eq!(p.tile_at(Coord { x: 0, y: 0 }), p.tile_by_name("a twin"));
+        // Off the mesh is no router's.
+        assert_eq!(p.tile_at(Coord { x: 7, y: 0 }), None);
+        assert_eq!(p.tile_at(Coord { x: 0, y: 3 }), None);
     }
 
     #[test]

@@ -40,6 +40,15 @@
 //! front of the matching seat a process on a tile whose free slots it has
 //! already handed out; `a_fired_certificate_is_…` fails under it.
 //!
+//! The demand is also where the manager reads each process's reservation
+//! when it stages a commit or a release: `reservations_are_the_claims_…`
+//! holds it to `reservation_of(claim_for(..))` process by process and
+//! implementation by implementation, `every_process_an_algorithm_assigns_…`
+//! to what every registered algorithm assigns, and
+//! `a_switch_releases_with_the_records_own_demand` to a snapshot replay
+//! across switches between specifications that reserve differently (a
+//! release with the new specification's demand fails it).
+//!
 //! The certificate stands in front of every `RuntimeManager` placement, so
 //! the last tests drive a manager: one per registered algorithm through a
 //! seeded start/stop/switch stream, where every `CannotFit` refusal must be
@@ -54,7 +63,8 @@ use rtsm::app::{ApplicationSpec, ProcessId};
 use rtsm::core::claims::{claim_for, reservation_of};
 use rtsm::core::runtime::{AdmissionError, Demand, EvacuationPolicy, FailureEvent, RuntimeManager};
 use rtsm::core::{
-    CannotFitCause, MapError, MappingAlgorithm, MappingConstraints, SpatialMapper, TemplatedMapper,
+    CannotFitCause, MapError, Mapping, MappingAlgorithm, MappingConstraints, SpatialMapper,
+    TemplatedMapper,
 };
 use rtsm::platform::paper::paper_platform;
 use rtsm::platform::{
@@ -865,4 +875,173 @@ fn a_failed_endpoint_refuses_before_the_template_library_is_asked() {
         refused_at_a_failed_endpoint >= 20,
         "only {refused_at_a_failed_endpoint} arrivals met a failed endpoint"
     );
+}
+
+/// The stream catalogs whose demands the manager keeps, with their
+/// platforms.
+fn catalogs() -> Vec<(Platform, Catalog)> {
+    ["mixed", "hiperlan2", "synthetic"]
+        .into_iter()
+        .map(|name| {
+            let resolved = rtsm::exp::resolve_catalog(name, 42).expect("registered catalog");
+            (resolved.platform, resolved.catalog)
+        })
+        .collect()
+}
+
+/// What `MappingOutcome::stage_commit` claims for each assignment of
+/// `mapping`, derived from the specification.
+fn derived(spec: &ApplicationSpec, mapping: &Mapping) -> Vec<(TileId, TileClaim)> {
+    (mapping.assignments())
+        .map(|(p, a)| {
+            let implementation = &spec.library.impls_for(p)[a.impl_index];
+            (a.tile, reservation_of(&claim_for(spec, p, implementation)))
+        })
+        .collect()
+}
+
+/// Every stream process × implementation of every catalog spec: the
+/// demand's reservation is the derived one, alone and with every process
+/// of the spec assigned at once (implementations rotated so each process
+/// reads a different one). A control process is no host of the demand.
+#[test]
+fn reservations_are_the_claims_reservations() {
+    let tile = TileId::from_index(0);
+    for (_, catalog) in catalogs() {
+        for entry in catalog.entries() {
+            let spec = &entry.spec;
+            let demand = Demand::of(spec);
+            let widest = (spec.graph.stream_processes())
+                .map(|(p, _)| spec.library.impls_for(p).len())
+                .max()
+                .unwrap();
+            for rotation in 0..widest {
+                let mut all = Mapping::new();
+                for (k, (p, _)) in spec.graph.stream_processes().enumerate() {
+                    let n = spec.library.impls_for(p).len();
+                    for i in 0..n {
+                        let mut one = Mapping::new();
+                        one.assign(p, i, tile);
+                        let held: Vec<_> = demand.reservations(&one).collect();
+                        assert_eq!(held, derived(spec, &one), "{} {p}/{i}", spec.name);
+                    }
+                    all.assign(p, (k + rotation) % n, TileId::from_index(k));
+                }
+                let held: Vec<_> = demand.reservations(&all).collect();
+                assert_eq!(held, derived(spec, &all), "{}", spec.name);
+            }
+            for (p, process) in spec.graph.processes() {
+                if process.is_control {
+                    let mut control = Mapping::new();
+                    control.assign(p, 0, tile);
+                    let read = std::panic::catch_unwind(|| demand.reservations(&control).count());
+                    assert!(read.is_err(), "{}: control process {p} held", spec.name);
+                }
+            }
+        }
+    }
+}
+
+/// Whatever a registered algorithm maps, on its catalog's idle platform,
+/// the demand holds each assigned process and implementation, with the
+/// reservation staging derived before.
+#[test]
+fn every_process_an_algorithm_assigns_is_held_by_the_demand() {
+    let mut mapped = 0;
+    for (platform, catalog) in catalogs() {
+        let idle = platform.initial_state();
+        for entry in &rtsm::exp::ALGORITHMS {
+            let algorithm = (entry.build)();
+            for spec in catalog.entries().iter().map(|e| &e.spec) {
+                let Ok(outcome) = algorithm.map(spec, &platform, &idle) else {
+                    continue;
+                };
+                let held: Vec<_> = Demand::of(spec).reservations(&outcome.mapping).collect();
+                assert_eq!(held, derived(spec, &outcome.mapping), "{}", entry.name);
+                assert_eq!(
+                    held.len(),
+                    spec.graph.stream_processes().count(),
+                    "{} maps every stream process of {}",
+                    entry.name,
+                    spec.name
+                );
+                mapped += 1;
+            }
+        }
+    }
+    assert!(mapped >= 100, "{mapped} outcomes checked");
+}
+
+/// Two pipelines alike in shape whose implementations reserve different
+/// memory and cycles: switching one running application between them,
+/// back and forth, leaves the ledger equal to committing the records
+/// afresh, and stopping everything leaves it idle. Releasing with the new
+/// specification's demand instead of the record's fails here.
+#[test]
+fn a_switch_releases_with_the_records_own_demand() {
+    use rtsm::app::{Endpoint, Implementation, ImplementationLibrary, ProcessGraph, QosSpec};
+    use rtsm::dataflow::PhaseVec;
+    let pipeline = |memory_bytes: u64, wcet: u64| {
+        let mut graph = ProcessGraph::new();
+        let mut library = ImplementationLibrary::new();
+        let mut upstream = Endpoint::StreamInput;
+        for i in 0..3 {
+            let process = graph.add_process(format!("stage {i}"));
+            graph
+                .add_channel(upstream, Endpoint::Process(process), 16)
+                .unwrap();
+            upstream = Endpoint::Process(process);
+            library.register(
+                process,
+                Implementation::simple(
+                    format!("stage {i} @ ARM"),
+                    TileKind::Arm,
+                    PhaseVec::from_slice(&[8, wcet, 8]),
+                    PhaseVec::from_slice(&[16, 0, 0]),
+                    PhaseVec::from_slice(&[0, 0, 16]),
+                    5_000,
+                    memory_bytes,
+                ),
+            );
+        }
+        graph
+            .add_channel(upstream, Endpoint::StreamOutput, 16)
+            .unwrap();
+        Arc::new(ApplicationSpec {
+            name: format!("pipeline {memory_bytes} B"),
+            graph,
+            qos: QosSpec::with_period(4_000_000),
+            library,
+        })
+    };
+    let (light, heavy) = (pipeline(1024, 60), pipeline(8 * 1024, 90));
+    let reserved = |spec: &ApplicationSpec| {
+        let p = ProcessId::from_index(0);
+        reservation_of(&claim_for(spec, p, &spec.library.impls_for(p)[0]))
+    };
+    let (a, b) = (reserved(&light), reserved(&heavy));
+    assert!(a.memory_bytes < b.memory_bytes && a.cycles_per_second < b.cycles_per_second);
+
+    let platform = mesh_platform(7, 4, 4, &[(TileKind::Arm, 8)]);
+    let mut manager = RuntimeManager::new(platform.clone(), SpatialMapper::default());
+    let replayed = |manager: &RuntimeManager<SpatialMapper>| {
+        let mut state = platform.initial_state();
+        for (_, app) in manager.running() {
+            (app.outcome.commit(&app.spec, &platform, &mut state)).expect("records re-commit");
+        }
+        state
+    };
+    let steady = manager.start(light.clone()).unwrap();
+    let switched = manager.start(heavy.clone()).unwrap();
+    for spec in [&heavy, &light, &heavy, &light] {
+        for handle in [switched, steady] {
+            manager
+                .switch(handle, spec.clone())
+                .expect("room to switch");
+            assert_eq!(manager.state(), &replayed(&manager));
+        }
+    }
+    manager.stop_all().unwrap();
+    assert!(manager.utilization().is_idle());
+    assert_eq!(manager.state(), &platform.initial_state());
 }

@@ -17,6 +17,18 @@
 //! (`y`, then `x`) instead of `(x, y)`; letting a later discovery overwrite
 //! a router's predecessor.
 //!
+//! The router first walks the *canonical* path (back from the goal, each
+//! step to the lowest-`(x, y)` neighbour one Manhattan step nearer the
+//! start) and searches only when a link of it is unusable. Built here from
+//! that definition alone, it must be the answer whenever its links are
+//! healthy with residual ≥ demand, with no search run; otherwise a search
+//! must run. `canonical_walk_answers_exactly_when_its_path_is_usable` holds
+//! that over a fixed set of ledgers with floors on each kind of case
+//! (usable at equality, blocked by a failed link at zero demand, blocked
+//! with a detour found), so the fallback stays exercised. Mutations of the
+//! walk tried in a copy, each caught: stepping north/south before west;
+//! dropping the failed-link check; `residual > demand` for `≥`.
+//!
 //! One property does not lean on the reference: every route is a walk of
 //! adjacent routers over links with room for the demand, and on an idle
 //! mesh it is exactly as long as the Manhattan distance (what a
@@ -25,7 +37,7 @@
 use proptest::prelude::*;
 use rtsm::platform::routing::{route_with, RouteScratch};
 use rtsm::platform::{
-    Coord, Path, Platform, PlatformBuilder, PlatformError, PlatformState, TileId, TileKind,
+    Coord, LinkId, Path, Platform, PlatformBuilder, PlatformError, PlatformState, TileId, TileKind,
 };
 use std::collections::BinaryHeap;
 
@@ -114,6 +126,41 @@ fn reference_route(
     })
 }
 
+/// The canonical path from `from` to `to`, from its definition: back from
+/// the goal, each step to the lowest-`(x, y)` neighbour one Manhattan step
+/// nearer the start.
+fn canonical_path(platform: &Platform, from: TileId, to: TileId, demand: u64) -> Path {
+    let start = platform.tile(from).position;
+    let goal = platform.tile(to).position;
+    let mut routers = vec![goal];
+    let mut here = goal;
+    while here != start {
+        here = platform
+            .neighbours(here)
+            .filter(|n| n.manhattan(start) + 1 == here.manhattan(start))
+            .min_by_key(|n| (n.x, n.y))
+            .expect("a mesh router has a neighbour nearer any other");
+        routers.push(here);
+    }
+    routers.reverse();
+    let links = routers
+        .windows(2)
+        .map(|w| platform.link_between(w[0], w[1]).expect("adjacent"))
+        .collect();
+    Path {
+        from,
+        to,
+        routers,
+        links,
+        demand,
+    }
+}
+
+/// Whether `link` is healthy with room for `demand`.
+fn usable(platform: &Platform, state: &PlatformState, link: LinkId, demand: u64) -> bool {
+    !state.is_link_failed(link) && state.residual_link(platform, link) >= demand
+}
+
 /// Builds a full `width × height` mesh with an ARM on every router, then
 /// loads a pseudo-random subset of links with a pseudo-random fraction of
 /// their capacity, fails about one link in twelve and one tile in sixteen
@@ -190,6 +237,12 @@ proptest! {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "paths must be byte-identical"),
             (Err(_), Err(_)) => {}
             _ => prop_assert!(false, "verdicts differ: {fast:?} vs {reference:?}"),
+        }
+        // Whenever every link of the canonical path is usable, that path is
+        // the route.
+        let canonical = canonical_path(&platform, from, to, demand);
+        if fast.is_ok() && canonical.links.iter().all(|&l| usable(&platform, &state, l, demand)) {
+            prop_assert_eq!(fast.as_ref(), Ok(&canonical));
         }
         // Reuse the same scratch for the reverse query: stale state from
         // the first search must not leak into the second.
@@ -282,4 +335,93 @@ proptest! {
             }
         }
     }
+}
+
+/// What one `canonical_walk_answers_exactly_when_its_path_is_usable` case
+/// was, for the floors.
+#[derive(Default, Debug)]
+struct WalkCases {
+    /// Canonical path usable, and the router took it without a search.
+    walked: u32,
+    /// …of which a link had exactly the demand left.
+    walked_at_equality: u32,
+    /// Canonical path blocked, and the search found a (longer or other)
+    /// path.
+    detoured: u32,
+    /// Canonical path blocked by a failed link at zero demand.
+    failed_at_zero: u32,
+}
+
+/// Whenever the endpoints take the demand, the router returns the
+/// canonical path without searching exactly when every link of it is
+/// usable; otherwise it searches, and agrees with the reference. Demands
+/// are drawn so that a quarter of the cases ask for zero and a quarter for
+/// exactly the least residual along the canonical path.
+#[test]
+fn canonical_walk_answers_exactly_when_its_path_is_usable() {
+    let mut cases = WalkCases::default();
+    let mut scratch = RouteScratch::new();
+    for seed in 0..240u64 {
+        let (width, height) = (2 + (seed % 7) as u16, 2 + (seed / 7 % 7) as u16);
+        let (platform, state) = occupied_mesh(width, height, seed);
+        let n = platform.n_tiles();
+        for query in 0..12u64 {
+            let mix = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ query.wrapping_mul(0xBF58_476D);
+            let from = TileId::from_index((mix % n as u64) as usize);
+            let to = TileId::from_index((mix / 97 % n as u64) as usize);
+            let canonical = canonical_path(&platform, from, to, 0);
+            let least = (canonical.links.iter())
+                .map(|&l| state.residual_link(&platform, l))
+                .min();
+            let demand = match query % 4 {
+                0 => 0,
+                1 => least.unwrap_or(0),
+                _ => mix % 120_000_000 + 1,
+            };
+            let canonical = Path {
+                demand,
+                ..canonical
+            };
+            let endpoints_take_it = !state.is_tile_failed(from)
+                && !state.is_tile_failed(to)
+                && state.residual_injection(&platform, from) >= demand
+                && state.residual_ejection(&platform, to) >= demand;
+            if !endpoints_take_it {
+                continue;
+            }
+            let walkable = (canonical.links.iter()).all(|&l| usable(&platform, &state, l, demand));
+            let before = scratch.searches();
+            let routed = route_with(&platform, &state, from, to, demand, &mut scratch).cloned();
+            let searched = scratch.searches() != before;
+            let reference = reference_route(&platform, &state, from, to, demand);
+            assert_eq!(
+                routed.as_ref().ok(),
+                reference.as_ref().ok(),
+                "seed {seed} query {query}"
+            );
+            if walkable {
+                assert_eq!(routed.as_ref(), Ok(&canonical), "seed {seed} query {query}");
+                assert!(!searched, "a usable canonical path was searched for");
+                cases.walked += 1;
+                let at_equality = |&l: &LinkId| state.residual_link(&platform, l) == demand;
+                cases.walked_at_equality += u32::from(canonical.links.iter().any(at_equality));
+            } else {
+                assert!(
+                    searched,
+                    "seed {seed} query {query}: a blocked path was walked"
+                );
+                cases.detoured += u32::from(routed.is_ok());
+                let failed = |&l: &LinkId| state.is_link_failed(l);
+                cases.failed_at_zero +=
+                    u32::from(demand == 0 && canonical.links.iter().any(failed));
+            }
+        }
+    }
+    let floors = [
+        cases.walked >= 800,
+        cases.walked_at_equality >= 200,
+        cases.detoured >= 350,
+        cases.failed_at_zero >= 140,
+    ];
+    assert!(floors.iter().all(|&f| f), "{cases:?}");
 }

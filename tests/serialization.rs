@@ -5,7 +5,7 @@
 use rtsm::app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm::app::ApplicationSpec;
 use rtsm::core::mapper::{MapperConfig, SpatialMapper};
-use rtsm::core::{Mapping, MappingOutcome};
+use rtsm::core::{Mapping, MappingOutcome, RouteBinding};
 use rtsm::dataflow::{CsdfGraph, PhaseVec};
 use rtsm::exp::ExperimentSpec;
 use rtsm::platform::paper::paper_platform;
@@ -165,6 +165,7 @@ fn hostile_json_is_an_error_for_every_file_type() {
         refusals::<ExperimentSpec>(include_str!("../specs/ci_smoke_mixed_1m.json")),
         refusals::<ApplicationSpec>(&spec),
         refusals::<Platform>(&platform),
+        refusals::<Mapping>(include_str!("golden/paper_mapping.json")),
     ] {
         assert!(!errors[0].contains("nesting"), "{}", errors[0]);
         let expected = ["nesting deeper", "", "invalid number", "duplicate key"];
@@ -172,6 +173,27 @@ fn hostile_json_is_an_error_for_every_file_type() {
             assert!(error.contains(expected) && error.len() < 512, "{error}");
         }
     }
+}
+
+/// A mapping's tables are as long as its largest id, so a file naming
+/// process or channel 10¹² is refused rather than allocated for; an id
+/// far past the last one bound reads back as it was written.
+#[test]
+fn a_mapping_file_naming_a_huge_id_is_refused() {
+    let huge = 1_000_000_000_000u64;
+    for json in [
+        format!(r#"{{"assignments":[[{huge},{{"impl_index":0,"tile":0}}]],"routes":[]}}"#),
+        format!(r#"{{"assignments":[],"routes":[[{huge},"SameTile"]]}}"#),
+    ] {
+        let error = serde_json::from_str::<Mapping>(&json)
+            .unwrap_err()
+            .to_string();
+        assert!(error.contains("exceeds"), "{error}");
+    }
+    let sparse = r#"{"assignments":[[5000,{"impl_index":1,"tile":2}]],"routes":[]}"#;
+    let mapping: Mapping = serde_json::from_str(sparse).unwrap();
+    assert_eq!(mapping.assignments().count(), 1);
+    assert_eq!(serde_json::to_string(&mapping).unwrap(), sparse);
 }
 
 #[test]
@@ -279,4 +301,80 @@ fn sim_report_with_reconfiguration_roundtrips() {
     );
     let back: SimReport = serde_json::from_str(&json).expect("deserialize");
     assert_eq!(report, back);
+}
+
+/// The paper case's outcome, plus a copy of its mapping that keeps one
+/// channel on a tile and leaves its last process unbound — the two shapes a
+/// `RouteBinding` and a partial mapping take in a file.
+fn paper_case_files() -> (MappingOutcome, Mapping) {
+    let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
+    let platform = paper_platform();
+    let outcome = SpatialMapper::new(MapperConfig::default())
+        .map(&spec, &platform, &platform.initial_state())
+        .unwrap();
+    let mut partial = outcome.mapping.clone();
+    let (first, _) = spec.graph.stream_channels().next().unwrap();
+    partial.bind_route(first, RouteBinding::SameTile);
+    let (last, _) = spec.graph.stream_processes().last().unwrap();
+    partial.unassign(last);
+    (outcome, partial)
+}
+
+/// The bytes a stored mapping or outcome is written as: keys in field
+/// order, assignments and routes as `[id, value]` pairs in id order, only
+/// bound ids listed. Round-trips alone would not see a changed format.
+#[test]
+fn mapping_and_outcome_json_are_pinned() {
+    let (outcome, partial) = paper_case_files();
+    let pinned = [
+        (
+            serde_json::to_string(&outcome.mapping).unwrap(),
+            include_str!("golden/paper_mapping.json"),
+        ),
+        (
+            serde_json::to_string(&partial).unwrap(),
+            include_str!("golden/paper_mapping_partial.json"),
+        ),
+        (
+            serde_json::to_string(&outcome).unwrap(),
+            include_str!("golden/paper_outcome.json"),
+        ),
+    ];
+    for (written, expected) in &pinned {
+        assert_eq!(written, expected.trim_end());
+    }
+    let back: Mapping = serde_json::from_str(pinned[1].1).unwrap();
+    assert_eq!(back, partial);
+    let back: MappingOutcome = serde_json::from_str(pinned[2].1).unwrap();
+    assert_eq!(back, outcome);
+}
+
+/// Equality reads bound entries only: a mapping that bound its last
+/// process and route and then dropped them equals one that never bound
+/// them, and so does its JSON.
+#[test]
+fn unbinding_the_last_entry_leaves_an_equal_mapping() {
+    let (outcome, _) = paper_case_files();
+    let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
+    let (last, _) = spec.graph.stream_processes().last().unwrap();
+    let mut never = Mapping::new();
+    let mut dropped = Mapping::new();
+    for (process, a) in outcome.mapping.assignments() {
+        if process != last {
+            never.assign(process, a.impl_index, a.tile);
+        }
+        dropped.assign(process, a.impl_index, a.tile);
+    }
+    assert_ne!(never, dropped);
+    dropped.unassign(last);
+    assert_eq!(never, dropped);
+    assert_eq!(
+        serde_json::to_string(&never).unwrap(),
+        serde_json::to_string(&dropped).unwrap()
+    );
+    let (channel, route) = outcome.mapping.routes().last().unwrap();
+    dropped.bind_route(channel, route.clone());
+    assert_ne!(never, dropped);
+    dropped.clear_routes();
+    assert_eq!(never, dropped);
 }
