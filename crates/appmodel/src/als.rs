@@ -242,6 +242,58 @@ mod tests {
         assert_eq!(spec().validate(), Ok(()));
     }
 
+    /// Stream channels A/D → p → c and d → x → Sink, with c and d control
+    /// processes: an order of the right length, [p, c], used to pass for
+    /// one of the stream processes, and every map then failed in step 3.
+    #[test]
+    fn a_stream_channel_joining_a_control_process_is_refused() {
+        let mut graph = ProcessGraph::new();
+        let p = graph.add_process("p");
+        let c = graph.add_control_process("c");
+        let d = graph.add_control_process("d");
+        let x = graph.add_process("x");
+        for (src, dst) in [
+            (Endpoint::StreamInput, Endpoint::Process(p)),
+            (Endpoint::Process(p), Endpoint::Process(c)),
+            (Endpoint::Process(d), Endpoint::Process(x)),
+            (Endpoint::Process(x), Endpoint::StreamOutput),
+        ] {
+            graph.add_channel(src, dst, 8).unwrap();
+        }
+        let mut library = ImplementationLibrary::new();
+        for (process, name) in [(p, "p @ ARM"), (x, "x @ ARM")] {
+            let rate = PhaseVec::single(2);
+            let arm = Implementation::simple(
+                name,
+                TileKind::Arm,
+                rate.clone(),
+                rate.clone(),
+                rate,
+                1000,
+                64,
+            );
+            library.register(process, arm);
+        }
+        let spec = ApplicationSpec {
+            name: "control in the stream".into(),
+            graph,
+            qos: QosSpec::with_period(1_000_000),
+            library,
+        };
+        let error = AppModelError::ControlInStream {
+            process: "p".into(),
+        };
+        let refused = Err(error.clone());
+        assert_eq!(spec.validate(), Err(error.clone()));
+        assert_eq!(spec.graph.topological_order(), refused);
+        assert_eq!(spec.graph.reference_topological_order(), refused);
+        assert_eq!(spec.reference_validated_order(), refused);
+        assert_eq!(
+            error.to_string(),
+            "stream process `p` shares a data-stream channel with a control process"
+        );
+    }
+
     #[test]
     fn missing_implementation_reported() {
         let mut s = spec();

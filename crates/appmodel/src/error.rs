@@ -35,6 +35,14 @@ pub enum AppModelError {
     /// The KPN has a cycle (streaming specifications here are acyclic; the
     /// control process is not part of the data stream).
     CyclicKpn,
+    /// A data-stream channel joins a stream process to a control process.
+    /// The control process is not part of the data stream, so no order of
+    /// the stream processes exists: it would either hold the control
+    /// process or leave the stream process out.
+    ControlInStream {
+        /// Name of the stream process on the channel.
+        process: String,
+    },
     /// A stream endpoint is used incorrectly (e.g. `StreamInput` as a
     /// destination).
     BadEndpoint(&'static str),
@@ -61,6 +69,10 @@ impl fmt::Display for AppModelError {
                 detail,
             } => write!(f, "implementation `{implementation}` rate mismatch: {detail}"),
             AppModelError::CyclicKpn => write!(f, "KPN data-stream graph has a cycle"),
+            AppModelError::ControlInStream { process } => write!(
+                f,
+                "stream process `{process}` shares a data-stream channel with a control process"
+            ),
             AppModelError::BadEndpoint(what) => write!(f, "bad endpoint use: {what}"),
         }
     }

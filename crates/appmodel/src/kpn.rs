@@ -392,20 +392,45 @@ impl ProcessGraph {
     /// [`AppModelError::UnknownProcess`] if a channel (data or control)
     /// names a process the graph does not have — `add_channel*` refuses
     /// those, a deserialized graph can hold one;
+    /// [`AppModelError::ControlInStream`] if a data-stream channel joins a
+    /// stream process to a control process;
     /// [`AppModelError::CyclicKpn`] if the data-stream graph has a cycle.
     pub fn topological_order(&self) -> Result<Vec<ProcessId>, AppModelError> {
         self.topological_order_over(&self.ports()?)
     }
 
+    /// The first stream process, in channel order, that a data-stream
+    /// channel joins to a control process.
+    fn joined_to_control(&self) -> Option<&Process> {
+        let process = |end| match end {
+            Endpoint::Process(p) => Some(&self.processes[p.0]),
+            _ => None,
+        };
+        self.stream_channels()
+            .find_map(|(_, c)| match (process(c.src), process(c.dst)) {
+                (Some(a), Some(b)) if a.is_control != b.is_control => {
+                    Some(if a.is_control { b } else { a })
+                }
+                _ => None,
+            })
+    }
+
     /// Kahn's algorithm over `ports`' successor lists, smallest index
-    /// first. A process's in-degree counts the stream channels it consumes
-    /// from a process — control or not — so a stream process fed by a
-    /// control process never becomes ready, and a control process enters
-    /// the order only when a stream channel makes it ready.
+    /// first, once no data-stream channel joins a stream process to a
+    /// control process. Such a channel is what could make the order wrong
+    /// with the right length: a stream process fed by a control process
+    /// never becomes ready, and a control process fed by a stream process
+    /// would enter the order. Without one, the order holds stream processes
+    /// only, and all of them unless the stream graph has a cycle.
     pub(crate) fn topological_order_over(
         &self,
         ports: &Ports,
     ) -> Result<Vec<ProcessId>, AppModelError> {
+        if let Some(process) = self.joined_to_control() {
+            return Err(AppModelError::ControlInStream {
+                process: process.name.clone(),
+            });
+        }
         let n = self.processes.len();
         let from_process =
             |ch: &KpnChannelId| matches!(self.channels[ch.0].src, Endpoint::Process(_));
@@ -473,6 +498,16 @@ impl ProcessGraph {
             }
             if let (Endpoint::Process(_), Endpoint::Process(d)) = (c.src, c.dst) {
                 indegree[d.0] += 1;
+            }
+        }
+        for (_, c) in self.stream_channels() {
+            if let (Endpoint::Process(s), Endpoint::Process(d)) = (c.src, c.dst) {
+                if is_stream[s.0] != is_stream[d.0] {
+                    let stream = if is_stream[s.0] { s } else { d };
+                    return Err(AppModelError::ControlInStream {
+                        process: self.processes[stream.0].name.clone(),
+                    });
+                }
             }
         }
         let mut order = Vec::new();

@@ -358,8 +358,9 @@ impl Demands {
 
     /// Where `spec`'s demand on `platform` is, worked out if it is new. A
     /// specification that fails validation, or whose stream endpoints the
-    /// platform lacks, gets the empty demand, which answers "don't know":
-    /// the algorithm is asked and says why it refuses.
+    /// platform lacks, gets the empty demand, which answers "don't know".
+    /// [`rules_out`] refuses the first with its validation error; of the
+    /// second, the algorithm is asked and says why it refuses.
     pub fn position(&mut self, spec: &Arc<ApplicationSpec>, platform: &Platform) -> usize {
         if let Some(at) = self
             .0
@@ -387,14 +388,22 @@ impl Demands {
 
 /// [`Demand::refusal`] as [`Plan::stage`](super::plan::Plan::stage) asks
 /// it: behind a call, so the inlined staging loop carries one branch and
-/// no certificate.
+/// no certificate. The empty demand [`Demands`] gives `spec` when it fails
+/// validation refuses it with the validation error, as
+/// [`MapError::InvalidSpec`]: no algorithm can map it, so none is asked.
 #[inline(never)]
 pub(super) fn rules_out(
     demand: &Demand,
+    spec: &ApplicationSpec,
     platform: &Platform,
     state: &PlatformState,
     constraints: &MappingConstraints,
 ) -> Option<MapError> {
+    if demand.hosts.is_empty() {
+        if let Err(invalid) = spec.validate() {
+            return Some(MapError::InvalidSpec(invalid));
+        }
+    }
     let refusal = demand.refusal(platform, state, constraints)?;
     rtsm_obs::count(rtsm_obs::Counter::PlacementRuledOut, 1);
     Some(refusal)

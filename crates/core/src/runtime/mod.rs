@@ -51,6 +51,8 @@ mod error;
 mod fit;
 mod plan;
 mod policy;
+#[cfg(test)]
+mod twin;
 
 pub use error::{
     AdmissionError, AdmissionErrorKind, ReconfigurationFailure, RuntimeError, RuntimeErrorKind,
@@ -309,6 +311,10 @@ pub struct RuntimeManager<A: MappingAlgorithm> {
     /// The demand of every specification placed lately, which every
     /// placement is held against before the algorithm is asked.
     demands: Demands,
+    /// What a reconfiguration plan is evaluated on: a copy of `state`,
+    /// refreshed in place before each plan, which keeps what the plan
+    /// staged. Empty — no allocation — until the first plan sizes it.
+    scratch: PlatformState,
 }
 
 impl<A: MappingAlgorithm> RuntimeManager<A> {
@@ -330,6 +336,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             last_refusal: None,
             serves_retries: false,
             demands: Demands::default(),
+            scratch: PlatformState::default(),
         }
     }
 
@@ -456,8 +463,9 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
     /// occupancy, and every victim is re-mapped after it.
     ///
     /// Unlike a first-feasible search, *every* plan within
-    /// [`ReconfigurationPolicy::max_plans`] is evaluated (staged in a
-    /// transaction that is then aborted) and scored by the policy's
+    /// [`ReconfigurationPolicy::max_plans`] is evaluated (staged on a copy
+    /// of the ledger, which is refreshed for the next plan rather than
+    /// undone) and scored by the policy's
     /// [`ReconfigurationObjective`]; the **cheapest** feasible plan the
     /// [`AdmissionPolicy`] accepts is then re-staged and committed
     /// all-or-nothing. Evaluation never re-runs the mapping algorithm at
@@ -555,8 +563,8 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         // Plans: single migrations cheapest-first, then pairs, … up to
         // `max_migrations` victims, `max_plans` plans overall: the arrival
         // first, then the victims in enumeration order. Every plan is
-        // staged, scored and aborted; ties on the objective keep the
-        // earliest plan, so the choice is deterministic.
+        // staged on the scratch copy and scored; ties on the objective keep
+        // the earliest plan, so the choice is deterministic.
         let mut best: Option<(u64, Plan<'_>)> = None;
         let mut plan_objectives = Vec::new();
         let sizes = policy.max_migrations.min(candidates.len());
@@ -581,10 +589,15 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
                 };
                 let staged = {
                     let _span = obs::span(obs::Span::PlanEval);
-                    // Evaluation only: dropping the transaction aborts
-                    // every staged operation, restoring the ledger exactly.
-                    let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
-                    plan.stage(&self.algorithm, &self.running, &mut tx)
+                    // Evaluation only, on a copy of the ledger refreshed in
+                    // place: what the plan staged is committed there and
+                    // left behind, never undone, and the ledger is not
+                    // touched.
+                    self.scratch.clone_from(&self.state);
+                    let mut tx = PlatformTransaction::begin(&self.platform, &mut self.scratch);
+                    let staged = plan.stage(&self.algorithm, &self.running, &mut tx);
+                    tx.commit();
+                    staged
                 };
                 migrations_attempted += match staged {
                     Ok(()) => size,
@@ -625,8 +638,8 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             });
         };
         // The winner carries its outcomes, so staging it again maps nothing;
-        // and the ledger has not changed since it was evaluated (evaluation
-        // aborts, the search never mutates state), so it cannot fail.
+        // and the ledger has not changed since it was evaluated (plans are
+        // evaluated on the scratch copy), so it cannot fail.
         let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
         plan.stage(&self.algorithm, &self.running, &mut tx)
             .expect("re-staging an evaluated plan cannot fail");
@@ -1144,6 +1157,65 @@ mod tests {
                 cause: CannotFitCause::Unhosted(rtsm_app::ProcessId::from_index(0))
             })
         );
+    }
+
+    /// A spec whose stream channels join a stream process to a control
+    /// process (A/D → p → c and d → x → Sink, c and d control) is refused
+    /// with its validation error, and no algorithm is asked to map it.
+    #[test]
+    fn a_spec_that_fails_validation_is_refused_before_the_algorithm() {
+        use crate::error::MapError;
+        use rtsm_app::{AppModelError, Endpoint, ProcessGraph};
+        use std::cell::Cell;
+
+        struct Counting(Cell<u32>);
+        impl MappingAlgorithm for Counting {
+            fn name(&self) -> &str {
+                "counting"
+            }
+            fn map_constrained(
+                &self,
+                spec: &ApplicationSpec,
+                platform: &Platform,
+                base: &PlatformState,
+                constraints: &MappingConstraints,
+            ) -> Result<MappingOutcome, MapError> {
+                self.0.set(self.0.get() + 1);
+                SpatialMapper::default().map_constrained(spec, platform, base, constraints)
+            }
+        }
+
+        let mut spec = light();
+        let mut graph = ProcessGraph::new();
+        let p = graph.add_process("p");
+        let c = graph.add_control_process("c");
+        let d = graph.add_control_process("d");
+        let x = graph.add_process("x");
+        for (src, dst) in [
+            (Endpoint::StreamInput, Endpoint::Process(p)),
+            (Endpoint::Process(p), Endpoint::Process(c)),
+            (Endpoint::Process(d), Endpoint::Process(x)),
+            (Endpoint::Process(x), Endpoint::StreamOutput),
+        ] {
+            graph.add_channel(src, dst, 16).unwrap();
+        }
+        let stage = spec.library.impls_for(rtsm_app::ProcessId::from_index(0))[0].clone();
+        spec.library.register(x, stage);
+        spec.graph = graph;
+        let refusal = AppModelError::ControlInStream {
+            process: "p".into(),
+        };
+        assert_eq!(spec.validate(), Err(refusal.clone()));
+
+        let algorithm = Counting(Cell::new(0));
+        let mut m = RuntimeManager::new(defrag_platform(), &algorithm);
+        assert_eq!(
+            m.start(spec).unwrap_err(),
+            AdmissionError::Rejected(MapError::InvalidSpec(refusal))
+        );
+        assert_eq!(algorithm.0.get(), 0, "no algorithm was asked");
+        m.start(light()).expect("a valid spec is mapped");
+        assert_eq!(algorithm.0.get(), 1);
     }
 
     // --- Remapping and defragmentation ----------------------------------

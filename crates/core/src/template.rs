@@ -34,9 +34,11 @@
 //! (tile reservations, buffer memory, routed paths with NI bandwidth) in a
 //! [`PlatformTransaction`] of its own — the same staging mechanism the
 //! run-time manager commits through — on a scratch copy of the ledger that
-//! is made at most once per lookup: a misfit drops its transaction, which
-//! hands the copy back unchanged to the next candidate. Channels are
-//! re-routed fresh —
+//! the library keeps from one lookup to the next. The copy is refreshed in
+//! place ([`Clone::clone_from`], which allocates nothing) when the first
+//! candidate of a lookup gets past the skeleton checks, and again after a
+//! misfit that staged something: a candidate's transaction is committed
+//! onto the copy and never rolled back. Channels are re-routed fresh —
 //! stream endpoints (A/D, Sink) are fixed tiles, so recorded paths do not
 //! translate — and a candidate is accepted only if every re-routed channel
 //! traverses **exactly as many routers as the recorded route**.
@@ -314,11 +316,16 @@ fn rotate(quarter_turns: u8, (dx, dy): (i32, i32)) -> (i32, i32) {
 }
 
 /// What a lookup reuses from one call to the next: the router's working
-/// memory, and the tiles a candidate puts its shape's assignments on.
+/// memory, the tiles a candidate puts its shape's assignments on, and the
+/// ledger candidates are staged on.
 #[derive(Debug, Default)]
 struct LookupScratch {
     routes: RouteScratch,
     tiles: Vec<TileId>,
+    /// A copy of the lookup's base ledger, refreshed in place
+    /// ([`Clone::clone_from`]) when it is needed and no longer equal to
+    /// the base; empty until the first candidate gets past the skeleton.
+    ledger: PlatformState,
 }
 
 /// One lookup's fit check: what its candidates are checked against, and the
@@ -329,18 +336,20 @@ struct FitCheck<'a> {
     base: &'a PlatformState,
     constraints: &'a MappingConstraints,
     scratch: &'a mut LookupScratch,
-    /// The scratch ledger: a copy of `base`, made when the first candidate
-    /// gets past the skeleton checks. Each candidate stages its claims on it
-    /// in a transaction that is then dropped, so it equals `base` again for
-    /// the next candidate and one copy serves the whole lookup.
-    ledger: Option<PlatformState>,
+    /// Whether the scratch ledger equals `base`. It does not when the
+    /// lookup starts (it holds whatever the last lookup left), so the
+    /// first candidate past the skeleton checks refreshes it. Each
+    /// candidate commits what it staged onto the scratch ledger, undoing
+    /// nothing: one that staged something and failed leaves it stale, and
+    /// the next candidate past the skeleton refreshes it again.
+    fresh: bool,
     /// Candidates tried so far.
     tried: u64,
 }
 
 impl<'a> FitCheck<'a> {
     /// A fit check of `spec` against `base`, with no candidate tried yet
-    /// and the scratch ledger not yet copied.
+    /// and the scratch ledger not yet refreshed.
     fn new(
         spec: &'a ApplicationSpec,
         platform: &'a Platform,
@@ -354,7 +363,7 @@ impl<'a> FitCheck<'a> {
             base,
             constraints,
             scratch,
-            ledger: None,
+            fresh: false,
             tried: 0,
         }
     }
@@ -375,7 +384,11 @@ impl<'a> FitCheck<'a> {
     ) -> Option<MappingOutcome> {
         let (spec, platform) = (self.spec, self.platform);
         let anchor_pos = platform.tile(anchor).position;
-        let LookupScratch { routes, tiles } = &mut *self.scratch;
+        let LookupScratch {
+            routes,
+            tiles,
+            ledger,
+        } = &mut *self.scratch;
         tiles.clear();
         for sa in &shape.assignments {
             let (dx, dy) = rotate(quarter_turns, sa.offset());
@@ -403,62 +416,19 @@ impl<'a> FitCheck<'a> {
             tiles.push(tid);
         }
 
-        // The same claims, in kind, that committing the outcome will make:
-        // process reservations first, then fresh routes (allocated as they
-        // are found, so channels of this application contend with each
-        // other exactly as in step 3), then buffer memory on the consumer
-        // tiles. A misfit returns early; dropping the transaction undoes
-        // what was staged.
         let mut mapping = Mapping::for_spec(spec);
-        let ledger = self.ledger.get_or_insert_with(|| self.base.clone());
+        if !self.fresh {
+            ledger.clone_from(self.base);
+        }
         let mut tx = PlatformTransaction::begin(platform, ledger);
-        for (sa, &tile) in shape.assignments.iter().zip(tiles.iter()) {
-            tx.claim_tile(tile, &sa.reservation()).ok()?;
-            mapping.assign(sa.process(), usize::from(sa.impl_index), tile);
-        }
-        for sr in &shape.routes {
-            let from = sr.src.tile(tiles, platform)?;
-            let to = sr.dst.tile(tiles, platform)?;
-            let channel = channel_id(sr.channel);
-            if (from == to) != (sr.router_count == 0) {
-                return None;
-            }
-            if from == to {
-                mapping.bind_route(channel, RouteBinding::SameTile);
-                continue;
-            }
-            let path = route_with(platform, tx.state(), from, to, sr.demand, routes).ok()?;
-            // Router-count equality keeps the composed CSDF isomorphic to
-            // the recorded one, so the cached sizing/period/latency stay
-            // valid.
-            if path.router_count() != sr.router_count {
-                return None;
-            }
-            tx.allocate_path(path).ok()?;
-            mapping.bind_route(channel, RouteBinding::Path(path.clone()));
-        }
-        let mut buffers = Vec::with_capacity(shape.buffers.len());
-        for sb in &shape.buffers {
-            let tile = sb.dst.tile(tiles, platform)?;
-            let claim = TileClaim {
-                slots: 0,
-                memory_bytes: sb.capacity_words * 4,
-                cycles_per_second: 0,
-                injection: 0,
-                ejection: 0,
-            };
-            tx.claim_tile(tile, &claim).ok()?;
-            buffers.push(ChannelBuffer {
-                channel: channel_id(sb.channel),
-                capacity_words: sb.capacity_words,
-                tile,
-            });
-        }
-
-        // A fit: nothing is left to undo, and the scratch ledger, which now
-        // holds this candidate's claims, is spent.
+        let buffers = stage_candidate(shape, platform, tiles, routes, &mut tx, &mut mapping);
+        // Whatever was staged stays on the scratch ledger: a fit leaves
+        // nothing to undo, and a misfit's claims are not undone either —
+        // the next candidate past the skeleton refreshes the ledger instead,
+        // unless the misfit staged nothing.
+        self.fresh = tx.is_empty();
         tx.commit();
-        self.ledger = None;
+        let buffers = buffers?;
 
         let communication_hops = mapping.communication_hops(spec, platform);
         Some(MappingOutcome {
@@ -498,6 +468,65 @@ impl<'a> FitCheck<'a> {
     }
 }
 
+/// Stages on `tx` the claims, in kind, that committing a candidate of
+/// `shape` on `tiles` will make, and binds them in `mapping`: process
+/// reservations first, then fresh routes (allocated as they are found, so
+/// channels of this application contend with each other exactly as in step
+/// 3), then buffer memory on the consumer tiles. Returns the candidate's
+/// buffers, or `None` at the first misfit, with what was staged before it
+/// left in `tx`.
+fn stage_candidate(
+    shape: &MappingShape,
+    platform: &Platform,
+    tiles: &[TileId],
+    routes: &mut RouteScratch,
+    tx: &mut PlatformTransaction<'_>,
+    mapping: &mut Mapping,
+) -> Option<Vec<ChannelBuffer>> {
+    for (sa, &tile) in shape.assignments.iter().zip(tiles) {
+        tx.claim_tile(tile, &sa.reservation()).ok()?;
+        mapping.assign(sa.process(), usize::from(sa.impl_index), tile);
+    }
+    for sr in &shape.routes {
+        let from = sr.src.tile(tiles, platform)?;
+        let to = sr.dst.tile(tiles, platform)?;
+        let channel = channel_id(sr.channel);
+        if (from == to) != (sr.router_count == 0) {
+            return None;
+        }
+        if from == to {
+            mapping.bind_route(channel, RouteBinding::SameTile);
+            continue;
+        }
+        let path = route_with(platform, tx.state(), from, to, sr.demand, routes).ok()?;
+        // Router-count equality keeps the composed CSDF isomorphic to the
+        // recorded one, so the cached sizing/period/latency stay valid.
+        if path.router_count() != sr.router_count {
+            return None;
+        }
+        tx.allocate_path(path).ok()?;
+        mapping.bind_route(channel, RouteBinding::Path(path.clone()));
+    }
+    let mut buffers = Vec::with_capacity(shape.buffers.len());
+    for sb in &shape.buffers {
+        let tile = sb.dst.tile(tiles, platform)?;
+        let claim = TileClaim {
+            slots: 0,
+            memory_bytes: sb.capacity_words * 4,
+            cycles_per_second: 0,
+            injection: 0,
+            ejection: 0,
+        };
+        tx.claim_tile(tile, &claim).ok()?;
+        buffers.push(ChannelBuffer {
+            channel: channel_id(sb.channel),
+            capacity_words: sb.capacity_words,
+            tile,
+        });
+    }
+    Some(buffers)
+}
+
 /// A snapshot of the library's lifetime statistics — what the simulator
 /// and benchmarks report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -510,8 +539,9 @@ pub struct TemplateStats {
     /// library for a retry whose refusal it already holds, nor for any
     /// placement that [cannot fit](crate::runtime::Demand::cannot_fit) —
     /// a certified refusal, of a `start` or `switch` as of a plan, on a
-    /// full platform or while a stream endpoint's tile is failed — so
-    /// lookups that could not have hit are not counted.
+    /// full platform or while a stream endpoint's tile is failed — nor for
+    /// a specification that fails validation, so lookups that could not
+    /// have hit are not counted.
     pub misses: u64,
     /// Shapes learned from the design-time seeding pass (first arrival of
     /// each spec, mapped on an empty platform).

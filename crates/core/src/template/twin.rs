@@ -14,7 +14,10 @@
 //! `compiled_shapes_make_the_reference_lookups_decisions`: resolving a
 //! channel end to its `src` slot where the `dst` slot belongs; taking the
 //! stream output tile for the stream input; staging a reservation without
-//! its cycles; recording the first assignment's claim for every process.
+//! its cycles; recording the first assignment's claim for every process;
+//! not refreshing the scratch ledger after a misfit that staged something
+//! (also caught by
+//! `template::tests::evaluated_counts_every_candidate_of_the_shapes_before_a_hit`).
 
 use super::*;
 use crate::claims::claim_for;

@@ -43,7 +43,14 @@ const NOTHING: TileClaim = TileClaim {
 /// All mutating operations are exact inverses of each other
 /// (`claim_tile`/`release_tile`, `allocate_link`/`release_link`), a property
 /// the test-suite checks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// [`Clone::clone_from`] copies into the vectors the target already holds,
+/// so refreshing a copy of a ledger of the same platform allocates nothing:
+/// a throw-away evaluation stages on such a copy and leaves what it staged
+/// there, instead of copying the ledger anew or undoing its operations. The
+/// default ledger is empty and belongs to no platform; it allocates nothing,
+/// and a copy starts as one until its first `clone_from` sizes it.
+#[derive(Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlatformState {
     used_slots: Vec<u32>,
     used_memory: Vec<u64>,
@@ -53,6 +60,54 @@ pub struct PlatformState {
     used_links: Vec<u64>,
     failed_tiles: Vec<bool>,
     failed_links: Vec<bool>,
+}
+
+impl Clone for PlatformState {
+    fn clone(&self) -> Self {
+        let PlatformState {
+            used_slots,
+            used_memory,
+            used_cycles,
+            used_injection,
+            used_ejection,
+            used_links,
+            failed_tiles,
+            failed_links,
+        } = self;
+        PlatformState {
+            used_slots: used_slots.clone(),
+            used_memory: used_memory.clone(),
+            used_cycles: used_cycles.clone(),
+            used_injection: used_injection.clone(),
+            used_ejection: used_ejection.clone(),
+            used_links: used_links.clone(),
+            failed_tiles: failed_tiles.clone(),
+            failed_links: failed_links.clone(),
+        }
+    }
+
+    /// Field by field, each vector into the one `self` holds: no allocation
+    /// unless `source` belongs to a larger platform.
+    fn clone_from(&mut self, source: &Self) {
+        let PlatformState {
+            used_slots,
+            used_memory,
+            used_cycles,
+            used_injection,
+            used_ejection,
+            used_links,
+            failed_tiles,
+            failed_links,
+        } = source;
+        self.used_slots.clone_from(used_slots);
+        self.used_memory.clone_from(used_memory);
+        self.used_cycles.clone_from(used_cycles);
+        self.used_injection.clone_from(used_injection);
+        self.used_ejection.clone_from(used_ejection);
+        self.used_links.clone_from(used_links);
+        self.failed_tiles.clone_from(failed_tiles);
+        self.failed_links.clone_from(failed_links);
+    }
 }
 
 impl PlatformState {

@@ -130,6 +130,12 @@ impl<'a> PlatformTransaction<'a> {
         self.state
     }
 
+    /// True while nothing is staged: the ledger is as
+    /// [`begin`](PlatformTransaction::begin) saw it.
+    pub fn is_empty(&self) -> bool {
+        self.log.is_empty()
+    }
+
     /// True if `claim` currently fits on `tile` (staged operations
     /// included).
     pub fn fits_tile(&self, tile: TileId, claim: &TileClaim) -> bool {

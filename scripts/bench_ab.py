@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Alternating parent/change runs of one benchmark workload, summarised.
+"""Alternating parent/change runs of benchmark workloads, summarised.
 
 Build both trees' `rtsm_benchmark` (each into its own CARGO_TARGET_DIR),
 then, for example:
@@ -8,9 +8,13 @@ then, for example:
         --change C/release/rtsm_benchmark --workload overload_reject \\
         --seed 2008 --pairs 10 --seconds 30 >> ab.jsonl
 
-Each pair runs both with `--trace 0`, the parent first in every other
-pair and the change first in the rest. The line
-printed holds, per end-to-end metric of BENCHMARK.json, both sides'
+`--workload` takes several names (`--workload mixed_hit recover`, or the
+flag repeated). Each pair runs both with `--trace 0`, the parent first in
+every other pair and the change first in the rest; with several
+workloads, every round runs one pair of each workload, in the order
+given, so host drift over the call is spread across them. One line is
+printed per workload, in that order. It
+holds, per end-to-end metric of BENCHMARK.json, both sides'
 median and quartiles and the pairs the change won (strictly better in the
 metric's direction), and a verdict:
 
@@ -37,7 +41,7 @@ root = pathlib.Path(__file__).resolve().parent.parent
 parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
 parser.add_argument("--parent", required=True, help="the parent commit's rtsm_benchmark binary")
 parser.add_argument("--change", required=True, help="the change's rtsm_benchmark binary")
-parser.add_argument("--workload", required=True)
+parser.add_argument("--workload", required=True, nargs="+", action="extend")
 parser.add_argument("--seed", type=int, required=True)
 parser.add_argument("--pairs", type=int, default=10)
 parser.add_argument("--seconds", type=int, default=30)
@@ -47,14 +51,14 @@ better = {m["name"]: m["better"] for m in end_to_end}
 bound = {m["name"]: m["bound"] for m in end_to_end}
 
 
-def run(binary, out):
+def run(binary, out, workload):
     line = subprocess.run(
-        [binary, "--out", out, "--workload", args.workload, "--seed", str(args.seed),
+        [binary, "--out", out, "--workload", workload, "--seed", str(args.seed),
          "--seconds", str(args.seconds), "--trace", "0"],
         check=True, capture_output=True, text=True).stdout.strip().splitlines()[-1]
     result = json.loads(line)
     if not result["correct"] or result["failed"]:
-        raise SystemExit(f"error: {binary} ran {args.workload} incorrectly: {line}")
+        raise SystemExit(f"error: {binary} ran {workload} incorrectly: {line}")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
@@ -79,30 +83,37 @@ def verdict(name, parent, change, won):
     return "same"
 
 
-pairs = []
+def summary(workload, pairs):
+    """One workload's line: every end-to-end metric over its pairs."""
+    metrics = {}
+    for name, direction in better.items():
+        parent = [p[name] for p, _ in pairs]
+        change = [c[name] for _, c in pairs]
+        won = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(parent, change))
+        metrics[name] = {"parent": spread(parent), "change": spread(change), "change_won": won}
+        if len(set(parent)) == 1 and len(set(change)) == 1:
+            delta = change[0] - parent[0]
+            pct = 100 * delta / parent[0] if parent[0] else None
+            metrics[name]["exact"] = {"delta": delta, "pct": pct}
+        metrics[name]["verdict"] = verdict(name, parent, change, won)
+        if "exact" in metrics[name]:
+            shown = "n/a" if pct is None else f"{pct:+.2f} %"
+            print(f"{workload} seed {args.seed} {name}: {parent[0]:g} -> {change[0]:g} "
+                  f"({delta:+g}, {shown}), {metrics[name]['verdict']}", file=sys.stderr)
+    return {"workload": workload, "seed": args.seed, "seconds": args.seconds,
+            "pairs": args.pairs, "metrics": metrics}
+
+
+pairs = {workload: [] for workload in args.workload}
 with tempfile.TemporaryDirectory() as parent_out, tempfile.TemporaryDirectory() as change_out:
     for i in range(args.pairs):
-        if i % 2 == 0:
-            parent = run(args.parent, parent_out)
-            change = run(args.change, change_out)
-        else:
-            change = run(args.change, change_out)
-            parent = run(args.parent, parent_out)
-        pairs.append((parent, change))
-metrics = {}
-for name, direction in better.items():
-    parent = [p[name] for p, _ in pairs]
-    change = [c[name] for _, c in pairs]
-    won = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(parent, change))
-    metrics[name] = {"parent": spread(parent), "change": spread(change), "change_won": won}
-    if len(set(parent)) == 1 and len(set(change)) == 1:
-        delta = change[0] - parent[0]
-        pct = 100 * delta / parent[0] if parent[0] else None
-        metrics[name]["exact"] = {"delta": delta, "pct": pct}
-    metrics[name]["verdict"] = verdict(name, parent, change, won)
-    if "exact" in metrics[name]:
-        shown = "n/a" if pct is None else f"{pct:+.2f} %"
-        print(f"{args.workload} seed {args.seed} {name}: {parent[0]:g} -> {change[0]:g} "
-              f"({delta:+g}, {shown}), {metrics[name]['verdict']}", file=sys.stderr)
-print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-                  "pairs": args.pairs, "metrics": metrics}, separators=(",", ":")))
+        for workload in args.workload:
+            if i % 2 == 0:
+                parent = run(args.parent, parent_out, workload)
+                change = run(args.change, change_out, workload)
+            else:
+                change = run(args.change, change_out, workload)
+                parent = run(args.parent, parent_out, workload)
+            pairs[workload].append((parent, change))
+for workload, runs in pairs.items():
+    print(json.dumps(summary(workload, runs), separators=(",", ":")))

@@ -6,15 +6,19 @@
 //! it byte-identical to the snapshot taken at `begin`. The one ledger query
 //! that answers for a release it does not make,
 //! [`PlatformState::fits_after_vacating`], is checked against making the
-//! release inside a transaction and rolling it back.
+//! release inside a transaction and rolling it back. A ledger refreshed in
+//! place with `clone_from` equals a fresh clone of its source, whichever
+//! platforms the two belong to.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use rtsm::platform::paper::paper_platform;
 use rtsm::platform::{
     routing, Coord, NocParams, Platform, PlatformBuilder, PlatformState, PlatformTransaction,
     TileClaim, TileId, TileKind,
 };
+use rtsm::workloads::mesh_platform;
 
 /// A deliberately tight platform so random operations fail often: 2-slot
 /// tiles, 4 KiB memory, small NI and link budgets.
@@ -214,6 +218,69 @@ proptest! {
                 expected,
                 "{vacated:?} off {tile:?} for {claim:?} (seed {seed})"
             );
+        }
+    }
+}
+
+/// A random ledger of `platform`: random claims and link allocations (those
+/// that fit), then each tile and each link failed with probability ¼.
+fn random_ledger(platform: &Platform, rng: &mut StdRng) -> PlatformState {
+    let mut ledger = platform.initial_state();
+    let links: Vec<_> = platform.links().map(|(id, _)| id).collect();
+    for _ in 0..rng.random_range(0usize..24) {
+        let tile = TileId::from_index(rng.random_range(0usize..platform.n_tiles()));
+        let _ = ledger.claim_tile(platform, tile, &random_claim(rng));
+        let link = links[rng.random_range(0usize..links.len())];
+        let _ = ledger.allocate_link(platform, link, rng.random_range(0u64..4_000));
+    }
+    for (tile, _) in platform.tiles() {
+        if rng.random_bool(0.25) {
+            ledger.fail_tile(tile);
+        }
+    }
+    for &link in &links {
+        if rng.random_bool(0.25) {
+            ledger.fail_link(link);
+        }
+    }
+    ledger
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `a.clone_from(&b)` is `b.clone()` for random ledgers of platforms of
+    /// 4 to 25 tiles, so the copy's vectors grow, shrink or keep their
+    /// length; a refresh from a ledger of the copy's own platform is one
+    /// too.
+    #[test]
+    fn clone_from_is_a_fresh_clone_across_platforms(seed in 0u64..400) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mix = [(TileKind::Montium, 4), (TileKind::Arm, 4), (TileKind::Dsp, 2)];
+        let platforms = [
+            tight_platform(),
+            paper_platform(),
+            mesh_platform(seed, 4, 4, &mix),
+            mesh_platform(seed, 5, 5, &mix),
+        ];
+        let ledgers: Vec<PlatformState> =
+            platforms.iter().map(|p| random_ledger(p, &mut rng)).collect();
+        for target in &ledgers {
+            for source in &ledgers {
+                let mut copy = target.clone();
+                copy.clone_from(source);
+                prop_assert!(copy == source.clone(), "seed {seed}");
+                prop_assert_eq!(
+                    serde_json::to_string(&copy).expect("serialize"),
+                    serde_json::to_string(source).expect("serialize")
+                );
+            }
+        }
+        for (platform, ledger) in platforms.iter().zip(&ledgers) {
+            let mut copy = ledger.clone();
+            let other = random_ledger(platform, &mut rng);
+            copy.clone_from(&other);
+            prop_assert!(copy == other, "seed {seed}: same platform");
         }
     }
 }
