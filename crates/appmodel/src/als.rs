@@ -292,6 +292,33 @@ mod tests {
             error.to_string(),
             "stream process `p` shares a data-stream channel with a control process"
         );
+
+        // A channel with no stream process on it: the A/D feeding a control
+        // process, one control process feeding another, a control process
+        // feeding the Sink. Each used to validate beside the valid
+        // A/D → work → Sink, and every map failed in step 3.
+        let error =
+            AppModelError::BadEndpoint("a control process cannot end a data-stream channel");
+        let refused = Err(error.clone());
+        for shape in 0..3 {
+            let mut spec = super::tests::spec();
+            let c = Endpoint::Process(spec.graph.add_control_process("c"));
+            let d = Endpoint::Process(spec.graph.add_control_process("d"));
+            let (src, dst) = [
+                (Endpoint::StreamInput, c),
+                (c, d),
+                (c, Endpoint::StreamOutput),
+            ][shape];
+            spec.graph.add_channel(src, dst, 8).unwrap();
+            assert_eq!(spec.validate(), Err(error.clone()), "{src:?} → {dst:?}");
+            assert_eq!(spec.graph.topological_order(), refused);
+            assert_eq!(spec.graph.reference_topological_order(), refused);
+            assert_eq!(spec.reference_validated_order(), refused);
+        }
+        assert_eq!(
+            error.to_string(),
+            "bad endpoint use: a control process cannot end a data-stream channel"
+        );
     }
 
     #[test]
@@ -406,17 +433,19 @@ mod tests {
                 is_control: draw(5) == 0,
             })
             .collect();
-        // One draw in 40 names the process just past the end.
-        let end = |stream: Endpoint, draw: &mut dyn FnMut(u64) -> u64| match draw(40) {
+        // One draw in 40 names the process just past the end, and one the
+        // stream endpoint that cannot stand at this end (`ends[1]`).
+        let end = |ends: [Endpoint; 2], draw: &mut dyn FnMut(u64) -> u64| match draw(40) {
             0 => Endpoint::Process(ProcessId(n)),
-            k if k < 6 || n == 0 => stream,
+            1 => ends[1],
+            k if k < 6 || n == 0 => ends[0],
             _ => Endpoint::Process(ProcessId(draw(n as u64) as usize)),
         };
         let mut channels = Vec::new();
         for _ in 0..draw(12) {
             channels.push(KpnChannel {
-                src: end(Endpoint::StreamInput, &mut draw),
-                dst: end(Endpoint::StreamOutput, &mut draw),
+                src: end([Endpoint::StreamInput, Endpoint::StreamOutput], &mut draw),
+                dst: end([Endpoint::StreamOutput, Endpoint::StreamInput], &mut draw),
                 tokens_per_period: [4, 6, 8, 12][draw(4) as usize],
                 is_control: draw(6) == 0,
             });
@@ -467,6 +496,7 @@ mod tests {
     fn the_incidence_pass_agrees_with_the_per_process_scans() {
         let (mut valid, mut cyclic, mut unknown, mut other) = (0, 0, 0, 0);
         let mut with_control = 0;
+        let mut bad_ends = std::collections::BTreeMap::new();
         for seed in 0..4000 {
             let spec = random_spec(seed);
             let expected = spec.reference_validated_order();
@@ -480,6 +510,7 @@ mod tests {
                 Ok(_) => valid += 1,
                 Err(AppModelError::CyclicKpn) => cyclic += 1,
                 Err(AppModelError::UnknownProcess(_)) => unknown += 1,
+                Err(AppModelError::BadEndpoint(what)) => *bad_ends.entry(what).or_insert(0) += 1,
                 Err(_) => other += 1,
             }
             if let Ok(ports) = spec.graph.ports() {
@@ -494,7 +525,12 @@ mod tests {
                 with_control += u32::from(spec.graph.channels().any(|(_, c)| c.is_control));
             }
         }
-        let seen = [valid, cyclic, unknown, other, with_control];
-        assert!(seen.iter().all(|&n| n >= 100), "{seen:?}");
+        // Each of the three ways a channel end can be wrong is drawn.
+        let mut seen = vec![valid, cyclic, unknown, other, with_control];
+        seen.extend(bad_ends.values());
+        assert!(
+            bad_ends.len() == 3 && seen.iter().all(|&n| n >= 100),
+            "{seen:?} {bad_ends:?}"
+        );
     }
 }

@@ -43,8 +43,9 @@ pub enum AppModelError {
         /// Name of the stream process on the channel.
         process: String,
     },
-    /// A stream endpoint is used incorrectly (e.g. `StreamInput` as a
-    /// destination).
+    /// A channel endpoint is used incorrectly: `StreamInput` as a
+    /// destination, `StreamOutput` as a source, or a control process at an
+    /// end of a data-stream channel that joins it to no stream process.
     BadEndpoint(&'static str),
 }
 

@@ -237,19 +237,7 @@ impl ProcessGraph {
         tokens_per_period: u64,
         is_control: bool,
     ) -> Result<KpnChannelId, AppModelError> {
-        if matches!(src, Endpoint::StreamOutput) {
-            return Err(AppModelError::BadEndpoint("StreamOutput cannot produce"));
-        }
-        if matches!(dst, Endpoint::StreamInput) {
-            return Err(AppModelError::BadEndpoint("StreamInput cannot consume"));
-        }
-        for ep in [src, dst] {
-            if let Endpoint::Process(p) = ep {
-                if p.0 >= self.processes.len() {
-                    return Err(AppModelError::UnknownProcess(p.0));
-                }
-            }
-        }
+        check_ends(src, dst, self.processes.len())?;
         let channel = KpnChannel {
             src,
             dst,
@@ -345,9 +333,9 @@ impl ProcessGraph {
     ///
     /// # Errors
     ///
-    /// [`AppModelError::UnknownProcess`] for the first channel (data or
-    /// control) that names a process the graph does not have —
-    /// `add_channel*` refuses those, a deserialized graph can hold one.
+    /// [`AppModelError::BadEndpoint`] or [`AppModelError::UnknownProcess`]
+    /// for the first channel (data or control) whose ends `add_channel*`
+    /// would refuse — a deserialized graph can hold one.
     pub fn ports(&self) -> Result<Ports, AppModelError> {
         let n = self.processes.len();
         // Segment 2p holds p's inputs, 2p + 1 its outputs. Count each
@@ -356,13 +344,7 @@ impl ProcessGraph {
         // once per item, ends at its segment's start.
         let mut bounds = vec![0usize; 2 * n + 1];
         for c in &self.channels {
-            for end in [c.src, c.dst] {
-                if let Endpoint::Process(p) = end {
-                    if p.0 >= n {
-                        return Err(AppModelError::UnknownProcess(p.0));
-                    }
-                }
-            }
+            check_ends(c.src, c.dst, n)?;
             if !c.is_control {
                 Ports::segments(c, |segment| bounds[segment] += 1);
             }
@@ -389,47 +371,62 @@ impl ProcessGraph {
     ///
     /// # Errors
     ///
-    /// [`AppModelError::UnknownProcess`] if a channel (data or control)
-    /// names a process the graph does not have — `add_channel*` refuses
-    /// those, a deserialized graph can hold one;
+    /// [`AppModelError::BadEndpoint`] or [`AppModelError::UnknownProcess`]
+    /// if a channel (data or control) has ends `add_channel*` would refuse
+    /// — a deserialized graph can hold one;
     /// [`AppModelError::ControlInStream`] if a data-stream channel joins a
-    /// stream process to a control process;
+    /// stream process to a control process, and
+    /// [`AppModelError::BadEndpoint`] if one has a control process at an end
+    /// and no stream process;
     /// [`AppModelError::CyclicKpn`] if the data-stream graph has a cycle.
     pub fn topological_order(&self) -> Result<Vec<ProcessId>, AppModelError> {
         self.topological_order_over(&self.ports()?)
     }
 
-    /// The first stream process, in channel order, that a data-stream
-    /// channel joins to a control process.
-    fn joined_to_control(&self) -> Option<&Process> {
+    /// The refusal of the first data-stream channel, in channel order, with
+    /// a control process at an end: [`AppModelError::ControlInStream`]
+    /// naming the stream process at the other end, or
+    /// [`AppModelError::BadEndpoint`] when the other end is a control
+    /// process or a stream endpoint — no step of the mapping places a
+    /// control process, so such a channel has an end nothing would map.
+    fn control_in_stream(&self) -> Option<AppModelError> {
         let process = |end| match end {
             Endpoint::Process(p) => Some(&self.processes[p.0]),
             _ => None,
         };
-        self.stream_channels()
-            .find_map(|(_, c)| match (process(c.src), process(c.dst)) {
+        self.stream_channels().find_map(|(_, c)| {
+            let (src, dst) = (process(c.src), process(c.dst));
+            match (src, dst) {
                 (Some(a), Some(b)) if a.is_control != b.is_control => {
-                    Some(if a.is_control { b } else { a })
+                    Some(AppModelError::ControlInStream {
+                        process: (if a.is_control { b } else { a }).name.clone(),
+                    })
+                }
+                _ if [src, dst].into_iter().flatten().any(|p| p.is_control) => {
+                    Some(AppModelError::BadEndpoint(
+                        "a control process cannot end a data-stream channel",
+                    ))
                 }
                 _ => None,
-            })
+            }
+        })
     }
 
     /// Kahn's algorithm over `ports`' successor lists, smallest index
-    /// first, once no data-stream channel joins a stream process to a
-    /// control process. Such a channel is what could make the order wrong
-    /// with the right length: a stream process fed by a control process
-    /// never becomes ready, and a control process fed by a stream process
-    /// would enter the order. Without one, the order holds stream processes
-    /// only, and all of them unless the stream graph has a cycle.
+    /// first, once no data-stream channel has a control process at an end.
+    /// Such a channel is what could make the order wrong with the right
+    /// length: a stream process fed by a control process never becomes
+    /// ready, a control process fed by a stream process would enter the
+    /// order, and a channel between a control process and the A/D, the Sink
+    /// or another control process has an end no mapping step places.
+    /// Without one, the order holds stream processes only, and all of them
+    /// unless the stream graph has a cycle.
     pub(crate) fn topological_order_over(
         &self,
         ports: &Ports,
     ) -> Result<Vec<ProcessId>, AppModelError> {
-        if let Some(process) = self.joined_to_control() {
-            return Err(AppModelError::ControlInStream {
-                process: process.name.clone(),
-            });
+        if let Some(error) = self.control_in_stream() {
+            return Err(error);
         }
         let n = self.processes.len();
         let from_process =
@@ -486,6 +483,12 @@ impl ProcessGraph {
             is_stream[id.0] = !p.is_control;
         }
         for c in &self.channels {
+            if c.src == Endpoint::StreamOutput {
+                return Err(AppModelError::BadEndpoint("StreamOutput cannot produce"));
+            }
+            if c.dst == Endpoint::StreamInput {
+                return Err(AppModelError::BadEndpoint("StreamInput cannot consume"));
+            }
             for end in [c.src, c.dst] {
                 if let Endpoint::Process(p) = end {
                     if p.0 >= n {
@@ -501,6 +504,10 @@ impl ProcessGraph {
             }
         }
         for (_, c) in self.stream_channels() {
+            let control = |end| matches!(end, Endpoint::Process(p) if !is_stream[p.0]);
+            if !control(c.src) && !control(c.dst) {
+                continue;
+            }
             if let (Endpoint::Process(s), Endpoint::Process(d)) = (c.src, c.dst) {
                 if is_stream[s.0] != is_stream[d.0] {
                     let stream = if is_stream[s.0] { s } else { d };
@@ -509,6 +516,9 @@ impl ProcessGraph {
                     });
                 }
             }
+            return Err(AppModelError::BadEndpoint(
+                "a control process cannot end a data-stream channel",
+            ));
         }
         let mut order = Vec::new();
         let mut frontier: Vec<usize> = (0..n)
@@ -533,6 +543,26 @@ impl ProcessGraph {
         }
         Ok(order)
     }
+}
+
+/// The rules a channel's ends keep, whether it was added or deserialized:
+/// the stream output produces nothing, the stream input consumes nothing,
+/// and a process end names one of the graph's `n` processes.
+fn check_ends(src: Endpoint, dst: Endpoint, n: usize) -> Result<(), AppModelError> {
+    if matches!(src, Endpoint::StreamOutput) {
+        return Err(AppModelError::BadEndpoint("StreamOutput cannot produce"));
+    }
+    if matches!(dst, Endpoint::StreamInput) {
+        return Err(AppModelError::BadEndpoint("StreamInput cannot consume"));
+    }
+    for end in [src, dst] {
+        if let Endpoint::Process(p) = end {
+            if p.0 >= n {
+                return Err(AppModelError::UnknownProcess(p.0));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Each process's stream channels in port order — inputs, then outputs —

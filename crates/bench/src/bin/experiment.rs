@@ -56,7 +56,7 @@ fn main() {
 
     let spec_text = std::fs::read_to_string(spec_path)
         .unwrap_or_else(|e| cli.usage_error(&format!("cannot read `{spec_path}`: {e}")));
-    let spec = serde_json::from_str::<ExperimentSpec>(&spec_text)
+    let spec = ExperimentSpec::from_json(&spec_text)
         .map_err(|e| format!("`{spec_path}` is not a valid spec: {e}"))
         .and_then(|spec| spec.validate().map(|()| spec))
         .unwrap_or_else(|message| {

@@ -44,8 +44,7 @@
 //!   `RuntimeManager::evacuate`; the report gains a `survivability`
 //!   section. `--mttf`/`--mttr` without `--faults` is an error.
 //! * `--templates` wraps every algorithm in a `TemplatedMapper`; the report
-//!   gains a `templates` section. `--template-cap N` bounds the cached
-//!   shapes per application spec (default 8) and requires `--templates`.
+//!   gains a `templates` section.
 //! * `--out PATH` writes the serialized reports, one JSON line per
 //!   algorithm; `--json` prints the same lines.
 //! * `--trace-out PATH` records the runs with a `FlightRecorder` probe and
@@ -59,6 +58,7 @@
 //! code 2.
 
 use rtsm_bench::cli::Cli;
+use rtsm_core::runtime::{MAX_MIGRATIONS, MAX_PLANS};
 use rtsm_core::MappingAlgorithm;
 use rtsm_exp::{PolicySpec, SpecTemplate};
 use rtsm_obs::{self as obs, FlightRecorder};
@@ -130,15 +130,12 @@ fn main() {
             ("--horizon", "N"),
             ("--out", "PATH"),
             ("--trace-out", "PATH"),
-            ("--max-migrations", "N"),
-            ("--max-plans", "N"),
             ("--policy", &policy_names),
             ("--lambda", "PERMILLE"),
             ("--budget-pj", "N"),
             ("--payback", "N"),
             ("--mttf", "N"),
             ("--mttr", "N"),
-            ("--template-cap", "N"),
         ],
         &["--json", "--reconfigure", "--faults", "--templates"],
     );
@@ -193,11 +190,8 @@ fn main() {
         lambda_permille: cli.integer("--lambda"),
         budget_pj: cli.integer("--budget-pj"),
         payback_periods: cli.integer("--payback"),
-        max_migrations: cli.integer("--max-migrations"),
-        max_plans: cli.integer("--max-plans"),
         arrivals: None,
         templates: Some(cli.has("--templates")),
-        template_cap: cli.integer("--template-cap"),
     };
     // The per-kind parameter rules are the spec's own, so their message
     // names the spec field each flag states.
@@ -265,11 +259,9 @@ fn main() {
         },
         match &config.reconfiguration {
             Some(policy) => format!(
-                ", reconfigure ≤{} migrations × {} plans, λ={}‰, policy {}",
-                policy.max_migrations,
-                policy.max_plans,
-                policy.objective.lambda_permille,
-                policy.admission
+                ", reconfigure ≤{MAX_MIGRATIONS} migrations × {MAX_PLANS} plans, λ={}‰, \
+                 policy {}",
+                policy.objective.lambda_permille, policy.admission
             ),
             None => String::new(),
         }
@@ -308,7 +300,7 @@ fn main() {
             .map(|algorithm| {
                 let started = Instant::now();
                 let run =
-                    rtsm_exp::run_algorithm(&resolved, algorithm, policy.shape_cap(), &config);
+                    rtsm_exp::run_algorithm(&resolved, algorithm, policy.templates(), &config);
                 let run_ms = started.elapsed().as_secs_f64() * 1e3;
                 let report = &run.report;
                 let reconfiguration = report.reconfiguration.clone().unwrap_or_default();
@@ -338,12 +330,12 @@ fn main() {
         );
         println!("recovered admissions (all algorithms): {recovered}");
     }
-    if let Some(cap) = policy.shape_cap() {
+    if policy.templates() {
         let of = |field: fn(&TemplateReport) -> u64| total(&runs, |r| r.templates.as_ref(), field);
         let (hits, misses) = (of(|t| t.hits), of(|t| t.misses));
         println!(
             "templates (all algorithms): {hits} hits / {misses} misses ({}‰ hit rate), \
-             {} shapes cached, cap {cap} per spec",
+             {} shapes cached",
             permille(hits, hits + misses),
             of(|t| t.shapes_cached),
         );

@@ -54,7 +54,7 @@ fn assert_matches_fixture(catalog: &str, fixture: &str) {
         "{fixture} must hold one line per algorithm"
     );
     for (entry, expected) in rtsm_exp::ALGORITHMS.iter().zip(golden) {
-        let run = run_algorithm(&resolved, (entry.build)(), None, &config);
+        let run = run_algorithm(&resolved, (entry.build)(), false, &config);
         let line = serde_json::to_string(&run.report).expect("reports serialize");
         fixture::assert_matches_fixture(
             &line,
@@ -92,7 +92,7 @@ fn seed2008_mixed_templates_faults_reconfigure_report_matches_the_golden_fixture
     let run = run_algorithm(
         &resolve_catalog("mixed", 42).expect("a registered catalog"),
         rtsm_exp::make_algorithm("paper").expect("the paper algorithm is registered"),
-        Some(rtsm_core::template::DEFAULT_SHAPE_CAP),
+        true,
         &config,
     );
     let line = serde_json::to_string(&run.report).expect("reports serialize");

@@ -95,9 +95,10 @@ fn runs_that_outgrow_the_sample_series_are_one_line_errors() {
 
 /// Hostile spec *text* is one short line too: nesting that overflowed the
 /// stack, a string whose parse was quadratic, errors that echoed megabytes
-/// of the value, a repeated key that was silently read once, and a
-/// megabyte name in an axis or a policy kind, which the spec's own checks
-/// used to repeat in full.
+/// of the value, a repeated key that was silently read once, a key that no
+/// field reads and that was silently passed over, and a megabyte name in an
+/// axis or a policy kind, which the spec's own checks used to repeat in
+/// full.
 #[test]
 fn hostile_spec_files_are_short_one_line_errors() {
     let dir = std::env::temp_dir().join(format!("rtsm-hostile-json-{}", std::process::id()));
@@ -135,6 +136,11 @@ fn hostile_spec_files_are_short_one_line_errors() {
             "repeated-key",
             format!(r#"{{"name":"d",{valid},"seeds":[1],"seeds":[2]}}"#),
             "duplicate key `seeds`",
+        ),
+        (
+            "unread-key",
+            with("greedy", r#""hiperlan2""#, r#"none","template_cap":"4"#),
+            "unknown key `template_cap`",
         ),
         (
             "long-algorithm",
@@ -179,8 +185,6 @@ fn flags_nothing_would_read_are_one_line_errors() {
         ("--lambda 300", "lambda_permille"),
         ("--budget-pj 5", "budget_pj"),
         ("--payback 3", "payback_periods"),
-        ("--max-migrations 1", "max_migrations"),
-        ("--max-plans 2", "max_plans"),
         (
             "--reconfigure --budget-pj 5",
             "budget_pj (read by: energy-budget)",
@@ -191,18 +195,24 @@ fn flags_nothing_would_read_are_one_line_errors() {
         ),
         ("--mean-gap 0", "--mean-gap is 0"),
         ("--arrivals 0 --algorithm greedy", "--arrivals is 0"),
-        ("--template-cap 4", "template_cap without templates"),
-        ("--templates --template-cap 0", "template_cap to 0"),
     ] {
         let args: Vec<&str> = line.split(' ').collect();
         let stderr = refused_at_the_door(env!("CARGO_BIN_EXE_simulate"), &args);
         assert!(stderr.contains(at_fault), "{line}: {stderr}");
     }
 
-    // No report can hold a wall-clock section, and the simulator runs one
-    // traffic model, so the flags that asked for either are usage errors
-    // like any other typo.
-    for (binary, path, line, unknown) in [
+    // No report can hold a wall-clock section, the simulator runs one
+    // traffic model, and the reconfiguration search's bounds and the
+    // template library's cap are constants, so the flags that asked for
+    // any of these are usage errors like any other typo.
+    let simulate = env!("CARGO_BIN_EXE_simulate");
+    let constants = [
+        ("--reconfigure --max-migrations 1", "--max-migrations"),
+        ("--reconfigure --max-plans 2", "--max-plans"),
+        ("--templates --template-cap 4", "--template-cap"),
+    ]
+    .map(|(line, unknown)| ("simulate", simulate, line, unknown));
+    for (binary, path, line, unknown) in constants.into_iter().chain([
         (
             "experiment",
             env!("CARGO_BIN_EXE_experiment"),
@@ -221,7 +231,7 @@ fn flags_nothing_would_read_are_one_line_errors() {
             "--holding pareto",
             "--holding",
         ),
-    ] {
+    ]) {
         let output = Command::new(path)
             .args(line.split(' '))
             .output()

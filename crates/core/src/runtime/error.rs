@@ -186,7 +186,7 @@ impl std::error::Error for StopAllError {
 
 /// A failed
 /// [`start_with_reconfiguration`](super::RuntimeManager::start_with_reconfiguration):
-/// no plan within the policy's bounds admitted the application. The ledger
+/// no plan within the search's bounds admitted the application. The ledger
 /// and every running application are exactly as before the call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigurationFailure {

@@ -61,6 +61,7 @@ pub use error::{
 pub use fit::Demand;
 pub use policy::{
     AdmissionPolicy, EvacuationPolicy, ReconfigurationObjective, ReconfigurationPolicy,
+    MAX_MIGRATIONS, MAX_PLANS,
 };
 
 use crate::algorithm::{MappingAlgorithm, MappingOutcome};
@@ -456,16 +457,15 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
 
     /// Attempts to start `spec`; when plain admission fails, searches
     /// bounded migration plans that *defragment* the platform: up to
-    /// [`ReconfigurationPolicy::max_migrations`] running applications —
-    /// enumerated cheapest-to-move first, ranked by the hop count of their
-    /// mapping ([`CostModel::HopCount`]) — are released inside one
-    /// transaction, the arriving application is mapped against the freed
-    /// occupancy, and every victim is re-mapped after it.
+    /// [`MAX_MIGRATIONS`] running applications — enumerated cheapest-to-move
+    /// first, ranked by the hop count of their mapping
+    /// ([`CostModel::HopCount`]) — are released inside one transaction, the
+    /// arriving application is mapped against the freed occupancy, and
+    /// every victim is re-mapped after it.
     ///
-    /// Unlike a first-feasible search, *every* plan within
-    /// [`ReconfigurationPolicy::max_plans`] is evaluated (staged on a copy
-    /// of the ledger, which is refreshed for the next plan rather than
-    /// undone) and scored by the policy's
+    /// Unlike a first-feasible search, *every* plan within [`MAX_PLANS`] is
+    /// evaluated (staged on a copy of the ledger, which is refreshed for
+    /// the next plan rather than undone) and scored by the policy's
     /// [`ReconfigurationObjective`]; the **cheapest** feasible plan the
     /// [`AdmissionPolicy`] accepts is then re-staged and committed
     /// all-or-nothing. Evaluation never re-runs the mapping algorithm at
@@ -480,7 +480,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
     ///
     /// # Errors
     ///
-    /// [`ReconfigurationFailure`] when no plan within the policy's bounds
+    /// [`ReconfigurationFailure`] when no plan within the search's bounds
     /// both admits the application and passes the admission policy; it
     /// carries the original [`AdmissionError`] plus the search effort
     /// spent and how many feasible plans the policy refused.
@@ -524,7 +524,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         let mut plans_tried = 0u64;
         let mut migrations_attempted = 0u64;
         let mut plans_refused = 0u64;
-        if matches!(error, AdmissionError::CommitFailed(_)) || policy.max_migrations == 0 {
+        if matches!(error, AdmissionError::CommitFailed(_)) {
             return Err(ReconfigurationFailure {
                 error,
                 plans_tried: 0,
@@ -561,13 +561,13 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         };
 
         // Plans: single migrations cheapest-first, then pairs, … up to
-        // `max_migrations` victims, `max_plans` plans overall: the arrival
+        // `MAX_MIGRATIONS` victims, `MAX_PLANS` plans overall: the arrival
         // first, then the victims in enumeration order. Every plan is
         // staged on the scratch copy and scored; ties on the objective keep
         // the earliest plan, so the choice is deterministic.
         let mut best: Option<(u64, Plan<'_>)> = None;
         let mut plan_objectives = Vec::new();
-        let sizes = policy.max_migrations.min(candidates.len());
+        let sizes = MAX_MIGRATIONS.min(candidates.len());
         let mut indices: Vec<usize> = Vec::with_capacity(sizes);
         // The victim list of a plan that was not kept, for the next plan.
         let mut victims = Vec::with_capacity(sizes);
@@ -575,7 +575,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             indices.clear();
             indices.extend(0..size);
             loop {
-                if plans_tried >= policy.max_plans as u64 {
+                if plans_tried >= MAX_PLANS as u64 {
                     break 'sizes;
                 }
                 plans_tried += 1;
@@ -1160,8 +1160,9 @@ mod tests {
     }
 
     /// A spec whose stream channels join a stream process to a control
-    /// process (A/D → p → c and d → x → Sink, c and d control) is refused
-    /// with its validation error, and no algorithm is asked to map it.
+    /// process (A/D → p → c and d → x → Sink, c and d control), or the A/D
+    /// to a control process, is refused with its validation error, and no
+    /// algorithm is asked to map it.
     #[test]
     fn a_spec_that_fails_validation_is_refused_before_the_algorithm() {
         use crate::error::MapError;
@@ -1207,11 +1208,27 @@ mod tests {
         };
         assert_eq!(spec.validate(), Err(refusal.clone()));
 
+        // A valid pipeline beside a stream channel from the A/D to a
+        // control process: before validation refused it, every map failed
+        // in step 3.
+        let mut beside = light();
+        let c = beside.graph.add_control_process("c");
+        (beside.graph)
+            .add_channel(Endpoint::StreamInput, Endpoint::Process(c), 16)
+            .unwrap();
+        let unjoined =
+            AppModelError::BadEndpoint("a control process cannot end a data-stream channel");
+        assert_eq!(beside.validate(), Err(unjoined.clone()));
+
         let algorithm = Counting(Cell::new(0));
         let mut m = RuntimeManager::new(defrag_platform(), &algorithm);
         assert_eq!(
             m.start(spec).unwrap_err(),
             AdmissionError::Rejected(MapError::InvalidSpec(refusal))
+        );
+        assert_eq!(
+            m.start(beside).unwrap_err(),
+            AdmissionError::Rejected(MapError::InvalidSpec(unjoined))
         );
         assert_eq!(algorithm.0.get(), 0, "no algorithm was asked");
         m.start(light()).expect("a valid spec is mapped");
@@ -1359,18 +1376,6 @@ mod tests {
         assert!(reconfiguration.migrations.is_empty());
         assert_eq!(reconfiguration.plans_tried, 0);
         assert_eq!(reconfiguration.migration_energy_pj, 0);
-    }
-
-    #[test]
-    fn zero_migration_policy_degenerates_to_plain_admission() {
-        let (mut m, _, _) = fragmented_manager();
-        let policy = ReconfigurationPolicy {
-            max_migrations: 0,
-            ..ReconfigurationPolicy::default()
-        };
-        let failure = m.start_with_reconfiguration(heavy(), &policy).unwrap_err();
-        assert_eq!(failure.plans_tried, 0);
-        assert_eq!(failure.migrations_attempted, 0);
     }
 
     #[test]
@@ -1748,23 +1753,17 @@ mod tests {
 
     // --- The refusal carried into the retry -------------------------------
 
-    /// A policy that searches nothing: the retry admits exactly when a
-    /// plain `start` would, so it tells a recomputed refusal from a stale
-    /// one.
-    fn no_migrations() -> ReconfigurationPolicy {
-        ReconfigurationPolicy {
-            max_migrations: 0,
-            ..ReconfigurationPolicy::default()
-        }
+    /// More memory than either ARM has: no plan can place it.
+    fn unplaceable() -> ApplicationSpec {
+        pipe_app("unplaceable", 65 * 1024)
     }
 
     /// `m` after the first retry of its life, from which on it keeps its
     /// refusals; the ledger is untouched.
     fn serving_retries(mut m: RuntimeManager<SpatialMapper>) -> RuntimeManager<SpatialMapper> {
         let ledger = m.state().clone();
-        let unplaceable = pipe_app("unplaceable", 65 * 1024);
         assert!(m
-            .start_with_reconfiguration(unplaceable, &no_migrations())
+            .start_with_reconfiguration(unplaceable(), &ReconfigurationPolicy::default())
             .is_err());
         assert_eq!(m.state(), &ledger);
         assert!(m.last_refusal.is_none());
@@ -1799,6 +1798,10 @@ mod tests {
     #[test]
     fn a_retry_that_takes_over_the_refusal_equals_one_that_recomputes_it() {
         let fragmented = || fragmented_manager().0;
+        // With no application running there is no victim, so the retry
+        // tries no plan: it admits exactly when a plain `start` would, and
+        // tells a recomputed refusal from a stale one.
+        let idle = || RuntimeManager::new(defrag_platform(), SpatialMapper::default());
         let full = || {
             let mut m = RuntimeManager::new(defrag_platform(), SpatialMapper::default());
             for _ in 0..4 {
@@ -1810,17 +1813,18 @@ mod tests {
             admission: AdmissionPolicy::EnergyBudget { max_transfer_pj: 0 },
             ..ReconfigurationPolicy::default()
         };
-        let cases: [(&str, RuntimeManager<SpatialMapper>, ReconfigurationPolicy); 4] = [
-            ("recovered", fragmented(), ReconfigurationPolicy::default()),
-            ("refused", full(), ReconfigurationPolicy::default()),
-            ("vetoed", fragmented(), vetoing),
-            ("not searched", full(), no_migrations()),
+        let searching = ReconfigurationPolicy::default;
+        let cases = [
+            ("recovered", fragmented(), searching(), heavy()),
+            ("refused", full(), searching(), heavy()),
+            ("vetoed", fragmented(), vetoing, heavy()),
+            ("not searched", idle(), searching(), unplaceable()),
         ];
-        for (case, manager, policy) in cases {
+        for (case, manager, policy, spec) in cases {
             let mut m = serving_retries(manager);
             let mut twin = m.clone();
-            let spec = Arc::new(heavy());
-            let refusal = m.start(spec.clone()).expect_err("the heavy app is blocked");
+            let spec = Arc::new(spec);
+            let refusal = m.start(spec.clone()).expect_err("the arrival is blocked");
             assert_eq!(
                 m.last_refusal,
                 Some((spec.clone(), refusal.clone())),
@@ -1855,10 +1859,10 @@ mod tests {
         assert!(m.start(heavy()).is_err());
         assert!(m.last_refusal.is_none() && !m.serves_retries);
         // The first retry of its life recomputes, and switches the memory on.
-        let spec = Arc::new(pipe_app("unplaceable", 65 * 1024));
+        let spec = Arc::new(unplaceable());
         assert!(m.start(spec.clone()).is_err());
         assert!(m
-            .start_with_reconfiguration(spec.clone(), &no_migrations())
+            .start_with_reconfiguration(spec.clone(), &ReconfigurationPolicy::default())
             .is_err());
         assert!(m.serves_retries);
         assert!(m.start(spec.clone()).is_err());
@@ -1870,8 +1874,11 @@ mod tests {
         let platform = defrag_platform();
         let arm_a = platform.tile_by_name("ARM-a").unwrap();
         let arm_b = platform.tile_by_name("ARM-b").unwrap();
-        // After each of these, the heavy app that was just refused fits —
-        // which only a retry that looks at the new ledger finds out.
+        // After each of these, the heavy app that was just refused fits
+        // without a plan — which only a retry that looks at the new ledger
+        // finds out: one that took the stale refusal over would search
+        // plans, and either fail or try at least one.
+        let policy = ReconfigurationPolicy::default();
         type Op = fn(&mut RuntimeManager<SpatialMapper>, AppHandle);
         let rows: [(&str, Op); 3] = [
             ("stop", |m, a| drop(m.stop(a).unwrap())),
@@ -1892,7 +1899,7 @@ mod tests {
                 "{entry_point} forgets the refusal"
             );
             let retry = m
-                .start_with_reconfiguration(spec, &no_migrations())
+                .start_with_reconfiguration(spec, &policy)
                 .unwrap_or_else(|e| panic!("after {entry_point} the heavy app fits: {e}"));
             assert_eq!(retry.plans_tried, 0);
         }
@@ -1910,7 +1917,8 @@ mod tests {
         assert!(m.start(spec.clone()).is_err());
         assert!(m.repair(FailureEvent::Tile(arm_b)));
         assert!(m.last_refusal.is_none(), "repair forgets the refusal");
-        assert!(m.start_with_reconfiguration(spec, &no_migrations()).is_ok());
+        let retry = m.start_with_reconfiguration(spec, &policy).unwrap();
+        assert_eq!(retry.plans_tried, 0);
 
         // evacuate: a two-stage app holds 40 KiB on either ARM. ARM-a fails,
         // its second stage cannot join the first on ARM-b, the app is
@@ -1927,7 +1935,8 @@ mod tests {
             .unwrap();
         assert_eq!(evacuation.evicted.len(), 1);
         assert!(m.last_refusal.is_none(), "evacuate forgets the refusal");
-        assert!(m.start_with_reconfiguration(spec, &no_migrations()).is_ok());
+        let retry = m.start_with_reconfiguration(spec, &policy).unwrap();
+        assert_eq!(retry.plans_tried, 0);
 
         // start: an admitted one forgets the refusal, a refused one
         // replaces it — and a retry takes only the refusal of its own
@@ -1941,7 +1950,7 @@ mod tests {
         assert!(m.start(heavy_b.clone()).is_err());
         assert!(Arc::ptr_eq(&m.last_refusal.as_ref().unwrap().0, &heavy_b));
         let tiny = m
-            .start_with_reconfiguration(pipe_app("tiny", 8 * 1024), &no_migrations())
+            .start_with_reconfiguration(pipe_app("tiny", 8 * 1024), &policy)
             .expect("another specification's refusal is not this one's");
         assert_eq!(tiny.plans_tried, 0);
         assert!(m.last_refusal.is_none());

@@ -116,39 +116,32 @@ impl fmt::Display for AdmissionPolicy {
     }
 }
 
+/// Most running applications one migration plan may move.
+pub const MAX_MIGRATIONS: usize = 2;
+
+/// Most migration plans one
+/// [`start_with_reconfiguration`](super::RuntimeManager::start_with_reconfiguration)
+/// evaluates before the cheapest feasible plan found so far (if any)
+/// commits.
+pub const MAX_PLANS: usize = 8;
+
 /// How
 /// [`start_with_reconfiguration`](super::RuntimeManager::start_with_reconfiguration)
-/// may defragment the platform when plain admission fails: how many running
-/// applications one migration plan may move, how many plans to enumerate,
-/// how plans are scored, and which feasible plans the admission policy lets
-/// commit. Candidate victims are ranked by their current mapping's
+/// scores the migration plans it evaluates when plain admission fails, and
+/// which feasible plans the admission policy lets commit. The search itself
+/// is bounded by constants: plans move at most [`MAX_MIGRATIONS`] running
+/// applications, and at most [`MAX_PLANS`] are evaluated. Candidate victims
+/// are ranked by their current mapping's
 /// [`CostModel::HopCount`](crate::cost::CostModel::HopCount) — cheap-to-move
 /// (little communication) applications are enumerated first — and every
 /// plan is priced in [`rtsm_platform::energy`]'s one energy model.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReconfigurationPolicy {
-    /// Most running applications one plan may migrate (`k`). 0 disables
-    /// reconfiguration (plain admission only).
-    pub max_migrations: usize,
-    /// Most migration plans enumerated before the search stops and the
-    /// cheapest feasible plan found so far (if any) commits.
-    pub max_plans: usize,
     /// Scores candidate plans; the *cheapest* feasible plan commits, not
     /// the first.
     pub objective: ReconfigurationObjective,
     /// Which feasible plans may commit at all.
     pub admission: AdmissionPolicy,
-}
-
-impl Default for ReconfigurationPolicy {
-    fn default() -> Self {
-        ReconfigurationPolicy {
-            max_migrations: 2,
-            max_plans: 8,
-            objective: ReconfigurationObjective::default(),
-            admission: AdmissionPolicy::AlwaysAdmit,
-        }
-    }
 }
 
 /// How [`evacuate`](super::RuntimeManager::evacuate) re-places the victims

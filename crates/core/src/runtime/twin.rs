@@ -66,7 +66,7 @@ fn reference_retry<A: MappingAlgorithm>(
             migrations_attempted,
             plans_refused,
         };
-    if matches!(error, AdmissionError::CommitFailed(_)) || policy.max_migrations == 0 {
+    if matches!(error, AdmissionError::CommitFailed(_)) {
         return Err(failure(error, 0, 0, 0));
     }
     m.demands.flush_if_full();
@@ -92,11 +92,11 @@ fn reference_retry<A: MappingAlgorithm>(
     let (mut plans_tried, mut migrations_attempted, mut plans_refused) = (0u64, 0u64, 0u64);
     let mut best: Option<(u64, Plan<'_>)> = None;
     let mut plan_objectives = Vec::new();
-    let sizes = policy.max_migrations.min(candidates.len());
+    let sizes = MAX_MIGRATIONS.min(candidates.len());
     'sizes: for size in 1..=sizes {
         let mut indices: Vec<usize> = (0..size).collect();
         loop {
-            if plans_tried >= policy.max_plans as u64 {
+            if plans_tried >= MAX_PLANS as u64 {
                 break 'sizes;
             }
             plans_tried += 1;

@@ -88,8 +88,8 @@ use rtsm_platform::{
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// Default bound on cached shapes per application spec.
-pub const DEFAULT_SHAPE_CAP: usize = 8;
+/// Most shapes a library caches per application spec.
+pub const SHAPE_CAP: usize = 8;
 
 /// Where a channel end of a shape sits: a position in the shape's
 /// `assignments`, or the platform's stream input or output. Worked out when
@@ -174,7 +174,7 @@ struct ShapeBuffer {
     dst: Slot,
 }
 
-// A library holds up to `DEFAULT_SHAPE_CAP` shapes per spec for as long as
+// A library holds up to `SHAPE_CAP` shapes per spec for as long as
 // it lives: compiling claims and slots into a shape must not grow it.
 const _: () = assert!(std::mem::size_of::<ShapeAssignment>() <= 32);
 const _: () = assert!(std::mem::size_of::<ShapeRoute>() <= 24);
@@ -548,7 +548,7 @@ pub struct TemplateStats {
     pub seeded: u64,
     /// Shapes currently cached, over all specs.
     pub shapes_cached: u64,
-    /// Shapes evicted by the per-spec cap.
+    /// Shapes evicted by the per-spec cap, [`SHAPE_CAP`].
     pub evictions: u64,
 }
 
@@ -572,7 +572,6 @@ struct ShapeEntry {
 #[derive(Debug, Default)]
 pub(crate) struct TemplateLibrary {
     specs: HashMap<u64, Vec<ShapeEntry>>,
-    cap: usize,
     seq: u64,
     hits: u64,
     misses: u64,
@@ -582,14 +581,6 @@ pub(crate) struct TemplateLibrary {
 }
 
 impl TemplateLibrary {
-    /// An empty library keeping at most `cap` shapes per spec.
-    pub fn new(cap: usize) -> Self {
-        TemplateLibrary {
-            cap,
-            ..TemplateLibrary::default()
-        }
-    }
-
     /// True once `key` has been seen (even if seeding produced no shape).
     pub fn contains(&self, key: u64) -> bool {
         self.specs.contains_key(&key)
@@ -601,26 +592,23 @@ impl TemplateLibrary {
     }
 
     /// Learns `shape` for `key`: deduplicated against cached shapes, and
-    /// bounded by the per-spec cap with deterministic eviction of the
+    /// bounded by [`SHAPE_CAP`] per spec with deterministic eviction of the
     /// lowest-hit (then oldest) entry. Returns whether the shape was
     /// stored.
     pub fn learn(&mut self, key: u64, shape: MappingShape) -> bool {
-        if self.cap == 0 {
-            return false;
-        }
         self.seq += 1;
         let seq = self.seq;
         let shapes = self.specs.entry(key).or_default();
         if shapes.iter().any(|s| s.shape == shape) {
             return false;
         }
-        if shapes.len() >= self.cap {
+        if shapes.len() >= SHAPE_CAP {
             let victim = shapes
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, s)| (s.hits, s.seq))
                 .map(|(i, _)| i)
-                .expect("cap >= 1 and the list is full");
+                .expect("the list is full");
             shapes.remove(victim);
             self.evictions += 1;
         }
@@ -695,17 +683,12 @@ pub struct TemplatedMapper<A> {
 }
 
 impl<A: MappingAlgorithm> TemplatedMapper<A> {
-    /// Wraps `inner` with an empty library at [`DEFAULT_SHAPE_CAP`].
+    /// Wraps `inner` with an empty library of at most [`SHAPE_CAP`] shapes
+    /// per spec.
     pub fn new(inner: A) -> Self {
-        TemplatedMapper::with_cap(inner, DEFAULT_SHAPE_CAP)
-    }
-
-    /// Wraps `inner` with an empty library keeping at most `cap` shapes
-    /// per spec (`--template-cap`).
-    pub fn with_cap(inner: A, cap: usize) -> Self {
         TemplatedMapper {
             inner,
-            library: RefCell::new(TemplateLibrary::new(cap)),
+            library: RefCell::default(),
         }
     }
 
@@ -880,7 +863,7 @@ mod tests {
 
         let key = arriving.structural_digest();
         let lookup = |shapes: &[&MappingShape]| {
-            let mut library = TemplateLibrary::new(DEFAULT_SHAPE_CAP);
+            let mut library = TemplateLibrary::default();
             for &shape in shapes {
                 assert!(library.learn(key, shape.clone()));
             }
@@ -1027,7 +1010,7 @@ mod tests {
 
     #[test]
     fn cap_evicts_deterministically() {
-        let mut library = TemplateLibrary::new(1);
+        let mut library = TemplateLibrary::default();
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();
         let state = platform.initial_state();
@@ -1036,14 +1019,30 @@ mod tests {
             .map(&spec, &platform, &state)
             .unwrap();
         let shape = MappingShape::canonicalise(&outcome, &spec, &platform).unwrap();
-        assert!(library.learn(key, shape.clone()));
-        assert!(!library.learn(key, shape.clone()), "duplicates are dropped");
-        // A distinct shape evicts the old one at cap 1.
-        let mut other = shape;
-        other.energy_pj += 1;
-        assert!(library.learn(key, other));
+        // Distinct shapes, told apart by their recorded energy.
+        let nth = |i: usize| MappingShape {
+            energy_pj: shape.energy_pj + i as u64,
+            ..shape.clone()
+        };
+        assert!(library.learn(key, nth(0)));
+        assert!(!library.learn(key, nth(0)), "duplicates are dropped");
+        for i in 1..SHAPE_CAP {
+            assert!(library.learn(key, nth(i)));
+        }
+        // Every entry but the second and the last has hit once: of the two
+        // with the fewest hits, the older goes.
+        let entries = library.specs.get_mut(&key).unwrap();
+        for (i, entry) in entries.iter_mut().enumerate() {
+            entry.hits = u32::from(i != 1 && i != SHAPE_CAP - 1);
+        }
+        assert!(library.learn(key, nth(SHAPE_CAP)));
+        let kept: Vec<u64> = (library.specs[&key].iter())
+            .map(|e| e.shape.energy_pj - shape.energy_pj)
+            .collect();
+        let expected: Vec<u64> = (0..=SHAPE_CAP as u64).filter(|&i| i != 1).collect();
+        assert_eq!(kept, expected);
         let stats = library.stats();
         assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.shapes_cached, 1);
+        assert_eq!(stats.shapes_cached, SHAPE_CAP as u64);
     }
 }

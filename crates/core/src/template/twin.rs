@@ -270,7 +270,7 @@ fn compiled_shapes_make_the_reference_lookups_decisions() {
 
         // Learn what the mapper makes of each spec on the empty platform
         // and on loaded ledgers, as misses would.
-        let mut library = TemplateLibrary::new(DEFAULT_SHAPE_CAP);
+        let mut library = TemplateLibrary::default();
         for spec in specs {
             let key = spec.structural_digest();
             for round in 0..LEARNING_MAPS {

@@ -15,7 +15,7 @@
 use crate::trial::{Trial, VALID_ALGORITHMS, VALID_CATALOGS};
 use rtsm_core::{AdmissionPolicy, ReconfigurationObjective, ReconfigurationPolicy};
 use serde::de::excerpt;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Simulation parameters shared by every trial of a spec. Only
 /// `arrivals` is mandatory; an unset optional field takes the default its
@@ -93,10 +93,6 @@ pub struct PolicySpec {
     /// Payback horizon, periods, for `amortized-payback` only (default
     /// [`DEFAULT_PAYBACK_PERIODS`]).
     pub payback_periods: Option<u64>,
-    /// Migration cap per plan. Not for `none`.
-    pub max_migrations: Option<u64>,
-    /// Plan cap per retry. Not for `none`.
-    pub max_plans: Option<u64>,
     /// Per-policy arrivals override — reconfiguration runs cost ~4× the
     /// wall time per arrival, so sweeps typically give `none` more
     /// arrivals than the reconfiguring points.
@@ -105,10 +101,6 @@ pub struct PolicySpec {
     /// admissions try the microsecond shape-instantiation hit path first
     /// and fall back to the full algorithm on miss (default off).
     pub templates: Option<bool>,
-    /// Cached shapes per application spec when `templates` is on
-    /// (default 8). Setting it without `templates: true` is a
-    /// validation error.
-    pub template_cap: Option<u64>,
 }
 
 /// The policy kinds [`PolicySpec::kind`] accepts, in display order.
@@ -131,11 +123,8 @@ impl PolicySpec {
             lambda_permille: None,
             budget_pj: None,
             payback_periods: None,
-            max_migrations: None,
-            max_plans: None,
             arrivals: None,
             templates: None,
-            template_cap: None,
         }
     }
 
@@ -163,8 +152,8 @@ impl PolicySpec {
 
     /// The parameter rules of a policy point, stated once for
     /// [`ExperimentSpec::validate`] and the `simulate` CLI: `kind` is one of
-    /// [`VALID_POLICY_KINDS`], a parameter is set only where the kind reads
-    /// it, and `template_cap` only with `templates: true` and at least 1.
+    /// [`VALID_POLICY_KINDS`], and a parameter is set only where the kind
+    /// reads it.
     ///
     /// # Errors
     ///
@@ -179,7 +168,7 @@ impl PolicySpec {
             ));
         }
         let reconfiguring = &VALID_POLICY_KINDS[1..];
-        let read_by: [(&str, bool, &[&str]); 5] = [
+        let read_by: [(&str, bool, &[&str]); 3] = [
             (
                 "lambda_permille",
                 self.lambda_permille.is_some(),
@@ -191,12 +180,6 @@ impl PolicySpec {
                 self.payback_periods.is_some(),
                 &["amortized-payback"],
             ),
-            (
-                "max_migrations",
-                self.max_migrations.is_some(),
-                reconfiguring,
-            ),
-            ("max_plans", self.max_plans.is_some(), reconfiguring),
         ];
         for (field, set, kinds) in read_by {
             if set && !kinds.contains(&kind) {
@@ -206,32 +189,12 @@ impl PolicySpec {
                 ));
             }
         }
-        if self.template_cap.is_some() && !self.templates() {
-            return Err(format!(
-                "policy `{}` sets template_cap without templates: true",
-                self.label()
-            ));
-        }
-        if self.shape_cap() == Some(0) {
-            return Err(format!(
-                "policy `{}` sets template_cap to 0, must be ≥ 1 shape",
-                self.label()
-            ));
-        }
         Ok(())
     }
 
     /// Whether this policy point runs with the template library enabled.
     pub fn templates(&self) -> bool {
         self.templates.unwrap_or(false)
-    }
-
-    /// Cached shapes per application spec, with the default applied:
-    /// `Some` exactly when this point runs with the template library.
-    pub fn shape_cap(&self) -> Option<usize> {
-        let default = rtsm_core::template::DEFAULT_SHAPE_CAP;
-        self.templates()
-            .then(|| self.template_cap.map_or(default, |cap| cap as usize))
     }
 
     /// A stable, human-readable label — the grouping key in reports.
@@ -243,11 +206,12 @@ impl PolicySpec {
             None if self.kind == "none" => "none".to_string(),
             None => format!("invalid({})", excerpt(&self.kind)),
         };
-        match self.shape_cap() {
+        if self.templates() {
             // Templated and untemplated variants of the same point are
             // distinct sweep cells; the suffix keeps their labels apart.
-            Some(cap) => format!("{base}+tpl{cap}"),
-            None => base,
+            format!("{base}+tpl{}", rtsm_core::template::SHAPE_CAP)
+        } else {
+            base
         }
     }
 
@@ -260,12 +224,7 @@ impl PolicySpec {
         let admission = self
             .admission()
             .unwrap_or_else(|| panic!("unvalidated policy kind `{}`", self.kind));
-        let defaults = ReconfigurationPolicy::default();
         Some(ReconfigurationPolicy {
-            max_migrations: self
-                .max_migrations
-                .map_or(defaults.max_migrations, |n| n as usize),
-            max_plans: self.max_plans.map_or(defaults.max_plans, |n| n as usize),
             objective: ReconfigurationObjective {
                 lambda_permille: self.lambda(),
             },
@@ -337,7 +296,43 @@ fn check_names(kind: &str, given: &[String], valid: &[&str]) -> Result<(), Strin
     }
 }
 
+/// The first key of `given`, depth first, that `read` does not hold.
+fn unread_key<'a>(given: &'a Value, read: &Value) -> Option<&'a str> {
+    match (given, read) {
+        (Value::Map(given), Value::Map(read)) => given.iter().find_map(|(key, value)| {
+            match read.iter().find(|(known, _)| known == key) {
+                Some((_, inner)) => unread_key(value, inner),
+                None => Some(key.as_str()),
+            }
+        }),
+        (Value::Seq(given), Value::Seq(read)) => given
+            .iter()
+            .zip(read)
+            .find_map(|(value, inner)| unread_key(value, inner)),
+        _ => None,
+    }
+}
+
 impl ExperimentSpec {
+    /// Reads a spec from JSON text, refusing a key that no field reads. The
+    /// deserializer passes over keys it does not know, so a misspelt or
+    /// retired setting would otherwise run quietly on its default: every
+    /// key of the text must reappear when the spec is serialized again.
+    ///
+    /// # Errors
+    ///
+    /// The JSON error of malformed text or of a value of the wrong shape,
+    /// or one line naming the first unread key.
+    pub fn from_json(text: &str) -> Result<ExperimentSpec, String> {
+        let given: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        let spec = ExperimentSpec::from_value(&given)
+            .map_err(|e| serde_json::Error::from(e).to_string())?;
+        match unread_key(&given, &spec.to_value()) {
+            Some(key) => Err(format!("unknown key `{}`: nothing reads it", excerpt(key))),
+            None => Ok(spec),
+        }
+    }
+
     /// Repeats per seed with the default applied.
     pub fn repeats(&self) -> u64 {
         self.repeats.unwrap_or(1)
@@ -569,10 +564,10 @@ mod tests {
 
         // A parameter the kind does not read names itself and its readers.
         let mut spec = small_spec();
-        spec.policies[0].max_plans = Some(4);
+        spec.policies[0].lambda_permille = Some(400);
         let err = spec.validate().unwrap_err();
         assert!(
-            err.contains("`none` does not read max_plans") && err.contains("always"),
+            err.contains("`none` does not read lambda_permille") && err.contains("always"),
             "{err}"
         );
         spec.policies[0].kind = "always".to_string();
@@ -658,13 +653,42 @@ mod tests {
         let err = spec.validate().unwrap_err();
         assert!(err.contains("add up to"), "{err}");
 
-        // Both committed specs stay far inside it.
+        // Both committed specs stay far inside it, and set no key that
+        // nothing reads.
         for name in ["ci_smoke_mixed_1m", "determinism_smoke"] {
             let path = format!("{}/../../specs/{name}.json", env!("CARGO_MANIFEST_DIR"));
             let text = std::fs::read_to_string(&path).expect("committed spec");
-            let spec: ExperimentSpec = serde_json::from_str(&text).expect("well-formed");
+            let spec = ExperimentSpec::from_json(&text).expect("well-formed");
             assert_eq!(spec.validate(), Ok(()), "{name}");
         }
+    }
+
+    /// The retired search and cache bounds, and a misspelt key, at every
+    /// level a spec has: a key nothing reads is refused, not run on a
+    /// default.
+    #[test]
+    fn keys_that_no_field_reads_are_refused() {
+        let with = |top: &str, template: &str, policy: &str| {
+            let policy = format!(r#"{{"kind":"always","templates":true{policy}}}"#);
+            let rest = r#""algorithms":["greedy"],"catalogs":["hiperlan2"],"mean_gaps":[500]"#;
+            format!(
+                r#"{{"name":"k","template":{{"arrivals":5{template}}},{rest},"seeds":[1],"policies":[{{"kind":"none"}},{policy}]{top}}}"#
+            )
+        };
+        let read = ExperimentSpec::from_json(&with("", "", "")).expect("every key is read");
+        assert_eq!(read.validate(), Ok(()));
+        for (text, key) in [
+            (with("", "", r#","template_cap":4"#), "template_cap"),
+            (with("", "", r#","max_migrations":1"#), "max_migrations"),
+            (with("", "", r#","max_plans":2"#), "max_plans"),
+            (with("", r#","mean_hlod":9"#, ""), "mean_hlod"),
+            (with(r#","repeat":2"#, "", ""), "repeat"),
+        ] {
+            let err = ExperimentSpec::from_json(&text).unwrap_err();
+            assert_eq!(err, format!("unknown key `{key}`: nothing reads it"));
+        }
+        let err = ExperimentSpec::from_json(r#"{"name":7}"#).unwrap_err();
+        assert!(err.starts_with("JSON error: "), "{err}");
     }
 
     #[test]
@@ -710,19 +734,10 @@ mod tests {
         });
         assert!(spec.validate().is_ok());
         assert_eq!(spec.policies[1].label(), "none+tpl8");
-        spec.policies[1].template_cap = Some(4);
-        assert_eq!(spec.policies[1].label(), "none+tpl4");
-
-        let mut spec = small_spec();
-        spec.policies[0].template_cap = Some(4);
+        // Twice the same templated point is one cell listed twice.
+        spec.policies.push(spec.policies[1].clone());
         let err = spec.validate().unwrap_err();
-        assert!(err.contains("template_cap without templates"), "{err}");
-
-        let mut spec = small_spec();
-        spec.policies[0].templates = Some(true);
-        spec.policies[0].template_cap = Some(0);
-        let err = spec.validate().unwrap_err();
-        assert!(err.contains("must be ≥ 1"), "{err}");
+        assert!(err.contains("duplicate entry `none+tpl8`"), "{err}");
     }
 
     #[test]

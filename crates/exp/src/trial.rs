@@ -217,9 +217,8 @@ pub fn make_algorithm(name: &str) -> Option<Box<dyn MappingAlgorithm>> {
 }
 
 /// Runs one simulation of `config` over `resolved`, admitting through
-/// `algorithm` — behind a [`TemplatedMapper`] of `template_cap` shapes per
-/// spec when that is set, in which case the report carries the library's
-/// [`TemplateReport`]. The one way `experiment`, `simulate` and the golden
+/// `algorithm` — behind a [`TemplatedMapper`] when `templates` is set, in
+/// which case the report carries the library's [`TemplateReport`]. The one way `experiment`, `simulate` and the golden
 /// fixtures run an algorithm.
 ///
 /// # Panics
@@ -229,19 +228,18 @@ pub fn make_algorithm(name: &str) -> Option<Box<dyn MappingAlgorithm>> {
 pub fn run_algorithm(
     resolved: &ResolvedCatalog,
     algorithm: Box<dyn MappingAlgorithm>,
-    template_cap: Option<usize>,
+    templates: bool,
     config: &SimConfig,
 ) -> SimRun {
     let (platform, catalog) = (&resolved.platform, &resolved.catalog);
-    let run = match template_cap {
-        Some(cap) => {
-            let templated = TemplatedMapper::with_cap(algorithm, cap);
-            run_sim(platform, &templated, catalog, config).map(|mut run| {
-                run.report.templates = Some(TemplateReport::from_stats(templated.stats(), cap));
-                run
-            })
-        }
-        None => run_sim(platform, &algorithm, catalog, config),
+    let run = if templates {
+        let templated = TemplatedMapper::new(algorithm);
+        run_sim(platform, &templated, catalog, config).map(|mut run| {
+            run.report.templates = Some(TemplateReport::from_stats(templated.stats()));
+            run
+        })
+    } else {
+        run_sim(platform, &algorithm, catalog, config)
     };
     run.expect("the simulation never breaks its own ledger")
 }
@@ -378,7 +376,7 @@ pub fn run_trial(
     );
     let algorithm =
         make_algorithm(&trial.algorithm).expect("trial algorithms are validated before expansion");
-    let report = run_algorithm(resolved, algorithm, trial.policy.shape_cap(), &config).report;
+    let report = run_algorithm(resolved, algorithm, trial.policy.templates(), &config).report;
     let templates = report.templates.as_ref();
 
     let frag = report.frag_permille_sorted();

@@ -30,8 +30,8 @@ pub enum Span {
     /// specification. Opens a new trace lane.
     Switch,
     /// One migration-plan evaluation inside
-    /// `RuntimeManager::start_with_reconfiguration` (staged, scored,
-    /// aborted).
+    /// `RuntimeManager::start_with_reconfiguration`: staged and committed
+    /// on the manager's scratch copy of the ledger, then scored.
     PlanEval,
     /// One `SpatialMapper` map call — the four-step refinement loop.
     Map,
@@ -114,9 +114,13 @@ pub enum Counter {
     /// (cold) buffer-sizing search answered from its own table — the
     /// vector's own entry, or a refuted vector that dominates it.
     BufferMemoHit,
-    /// A `PlatformTransaction` committed.
+    /// A `PlatformTransaction` committed. Template candidates and evaluated
+    /// migration plans commit too — onto scratch ledgers, which are
+    /// refreshed rather than undone — so they count here.
     TxCommit,
-    /// A `PlatformTransaction` aborted (explicitly or by drop).
+    /// A `PlatformTransaction` aborted (explicitly or by drop). A template
+    /// candidate or a migration plan that does not fit is committed onto
+    /// its scratch ledger like one that does, so never counts here.
     TxAbort,
     /// An admission served by instantiating a cached mapping shape — the
     /// template hit path, which skips the four-step heuristic entirely.

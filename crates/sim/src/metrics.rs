@@ -170,8 +170,6 @@ pub struct SurvivabilityReport {
 /// they are as deterministic as the rest of the report.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TemplateReport {
-    /// Configured per-spec shape cap (`--template-cap`).
-    pub cap: u64,
     /// Admissions served by instantiating a cached shape.
     pub hits: u64,
     /// Admissions that fell back to the full heuristic.
@@ -182,28 +180,22 @@ pub struct TemplateReport {
     pub shapes_cached: u64,
     /// Shapes learned by design-time seeding (first arrival per spec).
     pub seeded: u64,
-    /// Shapes evicted by the per-spec cap.
+    /// Shapes evicted by the per-spec cap,
+    /// [`SHAPE_CAP`](rtsm_core::template::SHAPE_CAP).
     pub evictions: u64,
-    /// Always 0: nothing invalidates a cached shape (the library passes
-    /// over one that no longer fits). Kept because the golden report
-    /// `tests/golden/seed2008_mixed_templates_recover.json` carries it; it
-    /// goes with the next deliberate change of the report schema.
-    pub invalidations: u64,
 }
 
 impl TemplateReport {
     /// Builds the report section from the mapper's lifetime statistics.
-    pub fn from_stats(stats: rtsm_core::TemplateStats, cap: usize) -> Self {
+    pub fn from_stats(stats: rtsm_core::TemplateStats) -> Self {
         let attempts = stats.hits + stats.misses;
         TemplateReport {
-            cap: cap as u64,
             hits: stats.hits,
             misses: stats.misses,
             hit_permille: (stats.hits * 1000).checked_div(attempts).unwrap_or(0),
             shapes_cached: stats.shapes_cached,
             seeded: stats.seeded,
             evictions: stats.evictions,
-            invalidations: 0,
         }
     }
 }

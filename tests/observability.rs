@@ -291,10 +291,7 @@ fn refusal_counters_tell_capacity_blocks_apart_without_moving_the_report() {
         )
         .expect("simulation never breaks its own ledger")
         .report;
-        report.templates = Some(TemplateReport::from_stats(
-            templated.stats(),
-            rtsm::core::template::DEFAULT_SHAPE_CAP,
-        ));
+        report.templates = Some(TemplateReport::from_stats(templated.stats()));
         assert!(report.blocked > 0, "the mesh is overloaded at this gap");
         serde_json::to_string(&report).expect("reports serialize")
     };
@@ -340,7 +337,7 @@ fn the_retry_counters_account_for_the_lookups_no_longer_made() {
         rtsm::exp::run_algorithm(
             &rtsm::exp::resolve_catalog("mixed", 42).expect("registered catalog"),
             rtsm::exp::make_algorithm("paper").expect("registered algorithm"),
-            Some(rtsm::core::template::DEFAULT_SHAPE_CAP),
+            true,
             &config,
         )
         .report

@@ -47,7 +47,6 @@ fn policy(lambda_permille: u64, admission: AdmissionPolicy) -> ReconfigurationPo
     ReconfigurationPolicy {
         objective: ReconfigurationObjective { lambda_permille },
         admission,
-        ..ReconfigurationPolicy::default()
     }
 }
 

@@ -465,26 +465,37 @@ fn tampered(from: &str, to: &str) -> ApplicationSpec {
 fn dangling_channel_endpoint_in_deserialized_spec_is_an_error_not_a_panic() {
     let platform = paper_platform();
     // A process-to-process data channel, a channel into the sink, and the
-    // control process's channel: deserialization skips `add_channel`'s
-    // endpoint check, so each must be caught before anything indexes.
-    for (from, to) in [
-        (r#"{"Process":1}"#, r#"{"Process":99}"#),
-        (r#""src":{"Process":3}"#, r#""src":{"Process":99}"#),
-        (r#""src":{"Process":4}"#, r#""src":{"Process":99}"#),
+    // control process's channel naming a process past the end, and a
+    // channel out of the sink or into the A/D (step 4 used to reach an
+    // `unreachable!` on those): deserialization skips `add_channel`'s
+    // endpoint checks, so each must be caught before anything indexes.
+    let unknown = AppModelError::UnknownProcess(99);
+    for (from, to, error) in [
+        (r#"{"Process":1}"#, r#"{"Process":99}"#, unknown.clone()),
+        (
+            r#""src":{"Process":3}"#,
+            r#""src":{"Process":99}"#,
+            unknown.clone(),
+        ),
+        (r#""src":{"Process":4}"#, r#""src":{"Process":99}"#, unknown),
+        (
+            r#""src":"StreamInput""#,
+            r#""src":"StreamOutput""#,
+            AppModelError::BadEndpoint("StreamOutput cannot produce"),
+        ),
+        (
+            r#""dst":"StreamOutput""#,
+            r#""dst":"StreamInput""#,
+            AppModelError::BadEndpoint("StreamInput cannot consume"),
+        ),
     ] {
         let spec = tampered(from, to);
-        assert_eq!(
-            spec.graph.topological_order(),
-            Err(AppModelError::UnknownProcess(99))
-        );
-        assert_eq!(spec.validate(), Err(AppModelError::UnknownProcess(99)));
+        assert_eq!(spec.graph.topological_order(), Err(error.clone()));
+        assert_eq!(spec.validate(), Err(error.clone()));
         let refused = |result: Result<_, MapError>| {
-            let error = result.map(drop).expect_err("an invalid spec does not map");
-            assert!(matches!(
-                error,
-                MapError::InvalidSpec(AppModelError::UnknownProcess(99))
-            ));
-            assert!(!error.to_string().contains('\n'), "a one-line error");
+            let refusal = result.map(drop).expect_err("an invalid spec does not map");
+            assert_eq!(refusal, MapError::InvalidSpec(error.clone()));
+            assert!(!refusal.to_string().contains('\n'), "a one-line error");
         };
         refused(SpatialMapper::default().map(&spec, &platform, &platform.initial_state()));
         refused(TemplatedMapper::new(SpatialMapper::default()).map(
