@@ -49,14 +49,15 @@ pub struct MappingOutcome {
 
 impl MappingOutcome {
     /// Reserves this mapping's resources on `state`: tile claims, buffer
-    /// memory, and routed-path bandwidth. Use when actually *starting* the
+    /// memory, and routed-path bandwidth, staged in one
+    /// [`PlatformTransaction::begin`]. Use when actually *starting* the
     /// application; [`MappingOutcome::release`] is the exact inverse.
     ///
     /// # Errors
     ///
     /// [`PlatformError`] if `state` no longer has the resources (another
-    /// application claimed them since mapping); partial reservations are
-    /// rolled back.
+    /// application claimed them since mapping); the dropped transaction
+    /// swaps the ledger as it was back, so `state` is unchanged.
     pub fn commit(
         &self,
         spec: &ApplicationSpec,
@@ -64,7 +65,7 @@ impl MappingOutcome {
         state: &mut PlatformState,
     ) -> Result<(), PlatformError> {
         let mut tx = PlatformTransaction::begin(platform, state);
-        self.stage_commit(spec, &mut tx)?; // early return drops tx: rollback
+        self.stage_commit(spec, &mut tx)?; // an early return drops tx: restored
         tx.commit();
         Ok(())
     }
@@ -78,7 +79,8 @@ impl MappingOutcome {
     ///
     /// [`PlatformError`] if a reservation does not fit the transaction's
     /// current state. Reservations staged before the failure stay in the
-    /// transaction (aborting it undoes them with everything else).
+    /// transaction; dropping it restores the ledger as the transaction
+    /// found it, everything else staged included.
     pub fn stage_commit(
         &self,
         spec: &ApplicationSpec,
@@ -111,13 +113,13 @@ impl MappingOutcome {
     }
 
     /// Releases everything [`MappingOutcome::commit`] reserved (the
-    /// application stopped).
+    /// application stopped), in one [`PlatformTransaction::begin`].
     ///
     /// # Errors
     ///
     /// [`PlatformError`] if the reservations were not present; like
-    /// [`MappingOutcome::commit`], partial releases are rolled back, so a
-    /// failed release leaves `state` exactly as it was.
+    /// [`MappingOutcome::commit`], the dropped transaction restores the
+    /// ledger, so a failed release leaves `state` exactly as it was.
     pub fn release(
         &self,
         spec: &ApplicationSpec,

@@ -13,7 +13,7 @@
 use crate::claims::{claim_for, reservation_of};
 use crate::mapping::{Mapping, RouteBinding};
 use rtsm_app::ApplicationSpec;
-use rtsm_platform::{routing, Platform, PlatformState};
+use rtsm_platform::{Platform, PlatformState};
 
 /// True if every data-stream process is assigned to a tile whose kind has a
 /// registered implementation — the paper's *adequate*.
@@ -66,7 +66,7 @@ pub fn is_adherent(
     // Routed channels must fit the links they reserve.
     for (_, binding) in mapping.routes() {
         if let RouteBinding::Path(path) = binding {
-            if routing::allocate(platform, &mut state, path).is_err() {
+            if state.allocate_path(platform, path).is_err() {
                 return false;
             }
         }
@@ -170,7 +170,7 @@ mod tests {
             .unwrap();
         let pfx = spec.graph.process_by_name("Prefix removal").unwrap();
         let to = m.assignment(pfx).unwrap().tile;
-        let path = routing::route(&platform, &state, from, to, 20_000_000).unwrap();
+        let path = rtsm_platform::route(&platform, &state, from, to, 20_000_000).unwrap();
         m.bind_route(ch, RouteBinding::Path(path.clone()));
         let mut base = platform.initial_state();
         for &l in &path.links {

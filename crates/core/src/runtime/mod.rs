@@ -312,9 +312,11 @@ pub struct RuntimeManager<A: MappingAlgorithm> {
     /// The demand of every specification placed lately, which every
     /// placement is held against before the algorithm is asked.
     demands: Demands,
-    /// What a reconfiguration plan is evaluated on: a copy of `state`,
-    /// refreshed in place before each plan, which keeps what the plan
-    /// staged. Empty — no allocation — until the first plan sizes it.
+    /// The spare every transaction on `state` copies the ledger into
+    /// before its first operation and swaps back to abort
+    /// ([`PlatformTransaction::over`]). Empty — no allocation — until the
+    /// first staged operation sizes it; what it holds between calls is
+    /// never read.
     scratch: PlatformState,
 }
 
@@ -415,7 +417,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         self.demands.flush_if_full();
         let at = self.demands.position(&app.spec, &self.platform);
         let held = self.demands.get(at).1;
-        let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
+        let mut tx = PlatformTransaction::over(&self.platform, &mut self.state, &mut self.scratch);
         (app.outcome)
             .stage_release_reserving(held.reservations(&app.outcome.mapping), &mut tx)
             .map_err(RuntimeError::ReleaseFailed)?;
@@ -449,7 +451,7 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             demands.get(at).1,
         );
         let mut plan = Plan::of(placement);
-        let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
+        let mut tx = PlatformTransaction::over(&self.platform, &mut self.state, &mut self.scratch);
         plan.stage(&self.algorithm, &self.running, &mut tx)?;
         tx.commit();
         Ok(adopt(&mut self.running, &mut self.next_handle, plan.first))
@@ -464,9 +466,9 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
     /// every victim is re-mapped after it.
     ///
     /// Unlike a first-feasible search, *every* plan within [`MAX_PLANS`] is
-    /// evaluated (staged on a copy of the ledger, which is refreshed for
-    /// the next plan rather than undone) and scored by the policy's
-    /// [`ReconfigurationObjective`]; the **cheapest** feasible plan the
+    /// evaluated (staged on the ledger in a transaction that is then
+    /// dropped, which swaps the ledger as it was back) and scored by the
+    /// policy's [`ReconfigurationObjective`]; the **cheapest** feasible plan the
     /// [`AdmissionPolicy`] accepts is then re-staged and committed
     /// all-or-nothing. Evaluation never re-runs the mapping algorithm at
     /// commit time — the staged outcomes are replayed verbatim — so even
@@ -563,8 +565,8 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
         // Plans: single migrations cheapest-first, then pairs, … up to
         // `MAX_MIGRATIONS` victims, `MAX_PLANS` plans overall: the arrival
         // first, then the victims in enumeration order. Every plan is
-        // staged on the scratch copy and scored; ties on the objective keep
-        // the earliest plan, so the choice is deterministic.
+        // staged, scored and dropped; ties on the objective keep the
+        // earliest plan, so the choice is deterministic.
         let mut best: Option<(u64, Plan<'_>)> = None;
         let mut plan_objectives = Vec::new();
         let sizes = MAX_MIGRATIONS.min(candidates.len());
@@ -589,15 +591,15 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
                 };
                 let staged = {
                     let _span = obs::span(obs::Span::PlanEval);
-                    // Evaluation only, on a copy of the ledger refreshed in
-                    // place: what the plan staged is committed there and
-                    // left behind, never undone, and the ledger is not
-                    // touched.
-                    self.scratch.clone_from(&self.state);
-                    let mut tx = PlatformTransaction::begin(&self.platform, &mut self.scratch);
-                    let staged = plan.stage(&self.algorithm, &self.running, &mut tx);
-                    tx.commit();
-                    staged
+                    // Evaluation only: the transaction is dropped, whether
+                    // the plan staged whole or stopped partway, and swaps
+                    // the ledger as it was back.
+                    let mut tx = PlatformTransaction::over(
+                        &self.platform,
+                        &mut self.state,
+                        &mut self.scratch,
+                    );
+                    plan.stage(&self.algorithm, &self.running, &mut tx)
                 };
                 migrations_attempted += match staged {
                     Ok(()) => size,
@@ -638,9 +640,9 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
             });
         };
         // The winner carries its outcomes, so staging it again maps nothing;
-        // and the ledger has not changed since it was evaluated (plans are
-        // evaluated on the scratch copy), so it cannot fail.
-        let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
+        // and the ledger is as it was when the winner was evaluated (every
+        // evaluation swapped it back), so it cannot fail.
+        let mut tx = PlatformTransaction::over(&self.platform, &mut self.state, &mut self.scratch);
         plan.stage(&self.algorithm, &self.running, &mut tx)
             .expect("re-staging an evaluated plan cannot fail");
         tx.commit();
@@ -788,10 +790,12 @@ impl<A: MappingAlgorithm> RuntimeManager<A> {
                         demand,
                     ))
                 };
-                let mut tx = PlatformTransaction::begin(&self.platform, &mut self.state);
-                // An infeasible attempt drops its transaction (exact
-                // rollback, health checks bypassed for the restore) and falls
-                // through to the next one.
+                let mut tx =
+                    PlatformTransaction::over(&self.platform, &mut self.state, &mut self.scratch);
+                // An infeasible attempt drops its transaction, which swaps
+                // the ledger as it was back — the victim's claims on the
+                // failed resource included — and falls through to the next
+                // one.
                 match plan.stage(&self.algorithm, &self.running, &mut tx) {
                     Ok(()) => {}
                     Err(StageError::Release(e)) => return Err(RuntimeError::ReleaseFailed(e)),

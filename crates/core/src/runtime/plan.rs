@@ -10,8 +10,8 @@
 //! specification;
 //! [`start_with_reconfiguration`](super::RuntimeManager::start_with_reconfiguration)
 //! stages an arrival followed by its victims once per victim combination,
-//! each on a scratch copy of the ledger, and stages the winner a second
-//! time, on the ledger;
+//! each in a transaction it drops, and stages the winner a second time, to
+//! commit it;
 //! [`evacuate`](super::RuntimeManager::evacuate) re-places one victim per attempt
 //! under the failure's constraints. What differs between them is the gate
 //! and the result type, not the sequence.
@@ -41,26 +41,23 @@
 //! The manager serializes all ledger mutation behind `&mut self`, so a
 //! failure cannot be injected *between* staging and commit: every entry
 //! point observes the ledger either entirely before or entirely after any
-//! other. Within a call, one plan is one [`PlatformTransaction`].
+//! other. Within a call, one plan is one [`PlatformTransaction`], staged
+//! on the ledger over the manager's one spare
+//! ([`PlatformTransaction::over`]).
 //!
-//! On the ledger — `start`, `stop`, `switch`, an evacuation attempt and a
-//! reconfiguration's winner — a plan that fails partway (infeasible
-//! mapping, commit refusal, a gate's veto) aborts its transaction and the
-//! released reservations are restored **exactly — including onto failed
-//! resources** (rollback bypasses the health check), so an application
-//! whose relocation was refused still holds precisely what admission
-//! committed, and a subsequent eviction releases precisely that. Plans
-//! committed earlier by the same call (the victims an evacuation already
-//! relocated) keep their placements; there is no cross-plan rollback,
-//! because a committed plan is already a complete, consistent state.
-//!
-//! A reconfiguration plan that is only *evaluated* rolls nothing back. It
-//! is staged on the manager's scratch copy of the ledger, refreshed in
-//! place from the ledger before each plan, and its transaction is
-//! committed onto the copy whether it staged the whole plan or stopped
-//! partway; the next plan's refresh discards it. The ledger is not touched
-//! until the winner is staged on it, from the outcomes it was scored with,
-//! so that staging cannot fail.
+//! A plan that fails partway (infeasible mapping, commit refusal, a gate's
+//! veto), and a reconfiguration plan that is only *evaluated*, drops its
+//! transaction, which swaps back the copy of the ledger its first
+//! operation took. The released reservations are back **exactly —
+//! including on failed resources**, since nothing is re-claimed, so an
+//! application whose relocation was refused still holds precisely what
+//! admission committed, and a subsequent eviction releases precisely that.
+//! Plans committed earlier by the same call (the victims an evacuation
+//! already relocated) keep their placements; there is no cross-plan
+//! rollback, because a committed plan is already a complete, consistent
+//! state. A reconfiguration's winner is staged a second time from the
+//! outcomes it was scored with, on the ledger it was evaluated on, so that
+//! staging cannot fail.
 //!
 //! One thing is remembered *between* calls: the refusal the last
 //! [`start`](super::RuntimeManager::start) returned, which a

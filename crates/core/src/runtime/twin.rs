@@ -1,23 +1,22 @@
-//! The oracle for plans evaluated on a recycled ledger:
+//! The oracle for plans staged on the ledger and swapped back:
 //! [`RuntimeManager::start_with_reconfiguration`] stages every plan on the
-//! manager's scratch copy of the ledger, refreshed in place before each
-//! plan, and leaves what it staged there. The reference below is the
-//! search as it was written before that — each plan staged on a fresh
-//! `state.clone()` inside an undo-logged transaction that is dropped — and
-//! the two must be indistinguishable: the same `Reconfiguration` or
-//! `ReconfigurationFailure` (plan counts and objectives included), the same
-//! ledger after every operation and the same template library statistics,
-//! over a seeded `mixed` stream with templates, reconfiguration, and tile
-//! and link failures and repairs.
+//! manager's ledger in a transaction over the manager's spare and drops
+//! it, which swaps the ledger as it was back. The reference below is the
+//! search with no swap to rely on — each plan staged on a fresh
+//! `state.clone()` of its own and committed there, the clone then thrown
+//! away — and the two must be indistinguishable: the same
+//! `Reconfiguration` or `ReconfigurationFailure` (plan counts and
+//! objectives included), the same ledger after every operation and the
+//! same template library statistics, over a seeded `mixed` stream with
+//! templates, reconfiguration, and tile and link failures and repairs.
 //!
-//! Mutations tried by hand against the production search, each caught by
+//! Mutations tried by hand against the production code, each caught by
 //! `plans_on_a_recycled_ledger_make_the_reference_searchs_decisions`:
-//! refreshing the scratch copy only before a call's first plan (a retry's
-//! `migrations_attempted` differs at operation 24); refreshing it only
-//! while it is still empty, once per manager (operation 3); never
-//! refreshing it (an index out of bounds on the empty copy). The template
-//! lookup's own refresh is held by `template::twin`: both managers here
-//! run the same lookup code.
+//! committing each evaluated plan's transaction instead of dropping it;
+//! skipping the swap when a transaction is dropped (the ledgers differ at
+//! operation 2 either way). The template lookup's own
+//! refresh is held by `template::twin`: both managers here run the same
+//! lookup code.
 
 use super::*;
 use crate::mapper::SpatialMapper;
@@ -28,8 +27,8 @@ use rtsm_workloads::apps::{dvbt_rx, jpeg_encoder, mp3_decoder, wlan_tx};
 use rtsm_workloads::mesh_platform;
 
 /// [`RuntimeManager::start_with_reconfiguration`] with every plan
-/// evaluated on a copy of the ledger of its own, in a transaction that is
-/// dropped — undone operation by operation.
+/// evaluated on a copy of the ledger of its own, committed there and
+/// discarded with the copy.
 fn reference_retry<A: MappingAlgorithm>(
     m: &mut RuntimeManager<A>,
     spec: Arc<ApplicationSpec>,
@@ -108,11 +107,9 @@ fn reference_retry<A: MappingAlgorithm>(
                 ..Plan::of(placement(None, arrival))
             };
             let mut copy = m.state.clone();
-            let staged = {
-                let mut tx = PlatformTransaction::begin(&m.platform, &mut copy);
-                plan.stage(&m.algorithm, &m.running, &mut tx)
-            };
-            assert_eq!(copy, m.state, "a dropped transaction undoes the plan");
+            let mut tx = PlatformTransaction::begin(&m.platform, &mut copy);
+            let staged = plan.stage(&m.algorithm, &m.running, &mut tx);
+            tx.commit();
             migrations_attempted += match staged {
                 Ok(()) => size,
                 Err(StageError::Rejected(at, _) | StageError::Commit(at, _)) => at,

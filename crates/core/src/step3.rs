@@ -10,18 +10,18 @@ use crate::feedback::Feedback;
 use crate::mapping::{Mapping, RouteBinding};
 use rtsm_app::{ApplicationSpec, KpnChannelId};
 use rtsm_platform::routing::route_with;
-use rtsm_platform::{Platform, PlatformState, PlatformTransaction, RouteScratch, RoutingPolicy};
+use rtsm_platform::{Platform, PlatformState, RouteScratch, RoutingPolicy};
 
 /// Routes every data-stream channel of `mapping` on a capacity-aware
 /// shortest path ([`rtsm_platform::route`]), allocating link and NI
 /// bandwidth in `working`. Channels between processes on the same tile
 /// become [`RouteBinding::SameTile`].
 ///
-/// `mapping` must enter route-free (steps 1–2 produce assignments only);
-/// any stale routes would be released against `working` on rollback.
+/// `mapping` must enter route-free (steps 1–2 produce assignments only):
+/// its routes are the record of what this call allocated.
 ///
-/// On failure, **all** allocations made by this call are rolled back and
-/// the routes are cleared, so the caller can refine and retry.
+/// On failure, **all** allocations made by this call are released again
+/// and the routes are cleared, so the caller can refine and retry.
 ///
 /// # Errors
 ///
@@ -44,28 +44,26 @@ pub fn route_channels(
 
     // One scratch serves every channel of this call: the path searches
     // themselves allocate nothing, and a path is cloned exactly once — into
-    // the mapping — when it is actually kept. All bandwidth reservations are
-    // staged in one transaction: a failed channel drops the transaction,
-    // which rolls every earlier allocation back; only a fully routed
-    // mapping commits.
+    // the mapping — when it is actually kept. Each path is allocated on
+    // `working` as it is bound; a failed channel releases every path bound
+    // before it.
     debug_assert!(
         mapping.routes().next().is_none(),
         "route_channels requires a route-free mapping (its routes \
          double as the record of what this call allocated)"
     );
     let mut scratch = RouteScratch::new();
-    let mut tx = PlatformTransaction::begin(platform, working);
 
     for (channel_id, tokens) in channels {
         let ch = spec.graph.channel(channel_id);
         let Some(from) = mapping.endpoint_tile(platform, ch.src) else {
-            mapping.clear_routes();
+            unbind(mapping, working);
             return Err(vec![Feedback::Infeasible {
                 detail: format!("channel {channel_id:?} has an unmapped producer"),
             }]);
         };
         let Some(to) = mapping.endpoint_tile(platform, ch.dst) else {
-            mapping.clear_routes();
+            unbind(mapping, working);
             return Err(vec![Feedback::Infeasible {
                 detail: format!("channel {channel_id:?} has an unmapped consumer"),
             }]);
@@ -75,10 +73,11 @@ pub fn route_channels(
             continue;
         }
         let demand = spec.qos.words_per_second(tokens);
-        match route_with(platform, tx.state(), from, to, demand, &mut scratch) {
+        match route_with(platform, working, from, to, demand, &mut scratch) {
             Ok(path) => {
                 let path = path.clone();
-                tx.allocate_path(&path)
+                working
+                    .allocate_path(platform, &path)
                     .expect("route() verified residual capacity");
                 mapping.bind_route(channel_id, RouteBinding::Path(path));
             }
@@ -99,13 +98,25 @@ pub fn route_channels(
                         tile: to,
                     });
                 }
-                mapping.clear_routes();
-                return Err(feedback); // tx dropped: allocations rolled back
+                unbind(mapping, working);
+                return Err(feedback);
             }
         }
     }
-    tx.commit();
     Ok(())
+}
+
+/// Releases every path bound in `mapping` from `working`, then clears the
+/// routes: how a failed [`route_channels`] leaves both.
+fn unbind(mapping: &mut Mapping, working: &mut PlatformState) {
+    for (_, route) in mapping.routes() {
+        if let RouteBinding::Path(path) = route {
+            working
+                .release_path(path)
+                .expect("releasing a path this call allocated");
+        }
+    }
+    mapping.clear_routes();
 }
 
 /// [`route_channels`]. Nothing reads `_policy`; it is kept only because the

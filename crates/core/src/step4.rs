@@ -368,7 +368,7 @@ pub fn check_constraints_in(
 }
 
 /// What the analysis of one composed graph yields, and the thread's
-/// [store](crate::store) keeps by signature: the capacity of each `B_i` in
+/// [`store`] keeps by signature: the capacity of each `B_i` in
 /// stream-channel order, the throughput the sizing search proved on them,
 /// and the sized graph's iteration latency when the spec bounds it.
 pub(crate) struct Analysis {

@@ -31,14 +31,14 @@
 //! mesh's four rotations, quick-rejected on tile
 //! kind / clock / health / [`MappingConstraints`], and then fit-checked by
 //! staging the *exact* claims `MappingOutcome::stage_commit` would make
-//! (tile reservations, buffer memory, routed paths with NI bandwidth) in a
-//! [`PlatformTransaction`] of its own — the same staging mechanism the
-//! run-time manager commits through — on a scratch copy of the ledger that
-//! the library keeps from one lookup to the next. The copy is refreshed in
-//! place ([`Clone::clone_from`], which allocates nothing) when the first
+//! (tile reservations, buffer memory, routed paths with NI bandwidth)
+//! through the same [`PlatformState`] primitives the run-time manager
+//! commits through, on a scratch copy of the ledger that the library keeps
+//! from one lookup to the next. The copy is refreshed in place
+//! ([`Clone::clone_from`], which allocates nothing) when the first
 //! candidate of a lookup gets past the skeleton checks, and again after a
-//! misfit that staged something: a candidate's transaction is committed
-//! onto the copy and never rolled back. Channels are re-routed fresh —
+//! misfit that staged something: what a candidate staged is left on the
+//! copy, never undone. Channels are re-routed fresh —
 //! stream endpoints (A/D, Sink) are fixed tiles, so recorded paths do not
 //! translate — and a candidate is accepted only if every re-routed channel
 //! traverses **exactly as many routers as the recorded route**.
@@ -82,9 +82,7 @@ use crate::step4::ChannelBuffer;
 use rtsm_app::{ApplicationSpec, Endpoint, KpnChannelId, ProcessId};
 use rtsm_obs as obs;
 use rtsm_platform::routing::route_with;
-use rtsm_platform::{
-    Coord, Platform, PlatformState, PlatformTransaction, RouteScratch, TileClaim, TileId, TileKind,
-};
+use rtsm_platform::{Coord, Platform, PlatformState, RouteScratch, TileClaim, TileId, TileKind};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -339,7 +337,7 @@ struct FitCheck<'a> {
     /// Whether the scratch ledger equals `base`. It does not when the
     /// lookup starts (it holds whatever the last lookup left), so the
     /// first candidate past the skeleton checks refreshes it. Each
-    /// candidate commits what it staged onto the scratch ledger, undoing
+    /// candidate leaves what it staged on the scratch ledger, undoing
     /// nothing: one that staged something and failed leaves it stale, and
     /// the next candidate past the skeleton refreshes it again.
     fresh: bool,
@@ -371,7 +369,7 @@ impl<'a> FitCheck<'a> {
     /// Attempts to place `shape`, turned by `quarter_turns`, at `anchor`:
     /// quick tile-skeleton rejects first, which resolve the assignments'
     /// tiles into the reused `tiles` buffer, then the full fit check,
-    /// staging into one transaction on the scratch ledger exactly what
+    /// staging on the scratch ledger exactly what
     /// `MappingOutcome::stage_commit` will claim — the shape's compiled
     /// reservations, routes between the tiles its slots name, and buffer
     /// memory. Returns the instantiated outcome on success; `base` is never
@@ -420,15 +418,20 @@ impl<'a> FitCheck<'a> {
         if !self.fresh {
             ledger.clone_from(self.base);
         }
-        let mut tx = PlatformTransaction::begin(platform, ledger);
-        let buffers = stage_candidate(shape, platform, tiles, routes, &mut tx, &mut mapping);
-        // Whatever was staged stays on the scratch ledger: a fit leaves
+        // Whatever is staged stays on the scratch ledger: a fit leaves
         // nothing to undo, and a misfit's claims are not undone either —
         // the next candidate past the skeleton refreshes the ledger instead,
         // unless the misfit staged nothing.
-        self.fresh = tx.is_empty();
-        tx.commit();
-        let buffers = buffers?;
+        self.fresh = true;
+        let buffers = stage_candidate(
+            shape,
+            platform,
+            tiles,
+            routes,
+            ledger,
+            &mut self.fresh,
+            &mut mapping,
+        )?;
 
         let communication_hops = mapping.communication_hops(spec, platform);
         Some(MappingOutcome {
@@ -468,23 +471,27 @@ impl<'a> FitCheck<'a> {
     }
 }
 
-/// Stages on `tx` the claims, in kind, that committing a candidate of
+/// Stages on `ledger` the claims, in kind, that committing a candidate of
 /// `shape` on `tiles` will make, and binds them in `mapping`: process
 /// reservations first, then fresh routes (allocated as they are found, so
 /// channels of this application contend with each other exactly as in step
 /// 3), then buffer memory on the consumer tiles. Returns the candidate's
 /// buffers, or `None` at the first misfit, with what was staged before it
-/// left in `tx`.
+/// left on `ledger`. Clears `fresh` once anything is staged: every
+/// primitive stages all or nothing, and the first is always a process
+/// reservation.
 fn stage_candidate(
     shape: &MappingShape,
     platform: &Platform,
     tiles: &[TileId],
     routes: &mut RouteScratch,
-    tx: &mut PlatformTransaction<'_>,
+    ledger: &mut PlatformState,
+    fresh: &mut bool,
     mapping: &mut Mapping,
 ) -> Option<Vec<ChannelBuffer>> {
     for (sa, &tile) in shape.assignments.iter().zip(tiles) {
-        tx.claim_tile(tile, &sa.reservation()).ok()?;
+        ledger.claim_tile(platform, tile, &sa.reservation()).ok()?;
+        *fresh = false;
         mapping.assign(sa.process(), usize::from(sa.impl_index), tile);
     }
     for sr in &shape.routes {
@@ -498,13 +505,13 @@ fn stage_candidate(
             mapping.bind_route(channel, RouteBinding::SameTile);
             continue;
         }
-        let path = route_with(platform, tx.state(), from, to, sr.demand, routes).ok()?;
+        let path = route_with(platform, ledger, from, to, sr.demand, routes).ok()?;
         // Router-count equality keeps the composed CSDF isomorphic to the
         // recorded one, so the cached sizing/period/latency stay valid.
         if path.router_count() != sr.router_count {
             return None;
         }
-        tx.allocate_path(path).ok()?;
+        ledger.allocate_path(platform, path).ok()?;
         mapping.bind_route(channel, RouteBinding::Path(path.clone()));
     }
     let mut buffers = Vec::with_capacity(shape.buffers.len());
@@ -517,7 +524,7 @@ fn stage_candidate(
             injection: 0,
             ejection: 0,
         };
-        tx.claim_tile(tile, &claim).ok()?;
+        ledger.claim_tile(platform, tile, &claim).ok()?;
         buffers.push(ChannelBuffer {
             channel: channel_id(sb.channel),
             capacity_words: sb.capacity_words,
@@ -623,7 +630,7 @@ impl TemplateLibrary {
 
     /// Attempts to admit `spec` from the cached shapes of `key`: each shape
     /// in insertion order, over every rotation and free anchor, with the
-    /// full transactional fit check. Emits [`obs::Span::TemplateMatch`]
+    /// full fit check. Emits [`obs::Span::TemplateMatch`]
     /// around the whole lookup. Returns `None` on miss (the caller falls
     /// back to its wrapped algorithm).
     pub fn instantiate(

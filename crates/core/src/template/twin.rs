@@ -105,7 +105,6 @@ fn reference_candidate(
     }
 
     let mut ledger = base.clone();
-    let mut tx = PlatformTransaction::begin(platform, &mut ledger);
     for sa in &shape.assignments {
         let tile = mapping
             .assignment(sa.process())
@@ -113,7 +112,7 @@ fn reference_candidate(
             .tile;
         let implementation = &spec.library.impls_for(sa.process())[usize::from(sa.impl_index)];
         let claim = reservation_of(&claim_for(spec, sa.process(), implementation));
-        tx.claim_tile(tile, &claim).ok()?;
+        ledger.claim_tile(platform, tile, &claim).ok()?;
     }
     for sr in &shape.routes {
         let channel = channel_id(sr.channel);
@@ -131,11 +130,11 @@ fn reference_candidate(
         if same_tile {
             return None;
         }
-        let path = route(platform, tx.state(), from, to, sr.demand).ok()?;
+        let path = route(platform, &ledger, from, to, sr.demand).ok()?;
         if path.router_count() != sr.router_count {
             return None;
         }
-        tx.allocate_path(&path).ok()?;
+        ledger.allocate_path(platform, &path).ok()?;
         mapping.bind_route(channel, RouteBinding::Path(path));
     }
     let mut buffers = Vec::new();
@@ -149,14 +148,13 @@ fn reference_candidate(
             injection: 0,
             ejection: 0,
         };
-        tx.claim_tile(tile, &claim).ok()?;
+        ledger.claim_tile(platform, tile, &claim).ok()?;
         buffers.push(ChannelBuffer {
             channel,
             capacity_words: sb.capacity_words,
             tile,
         });
     }
-    tx.commit();
 
     let communication_hops = mapping.communication_hops(spec, platform);
     Some(MappingOutcome {

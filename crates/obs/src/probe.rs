@@ -30,8 +30,8 @@ pub enum Span {
     /// specification. Opens a new trace lane.
     Switch,
     /// One migration-plan evaluation inside
-    /// `RuntimeManager::start_with_reconfiguration`: staged and committed
-    /// on the manager's scratch copy of the ledger, then scored.
+    /// `RuntimeManager::start_with_reconfiguration`: staged on the ledger
+    /// in a transaction that is dropped, then scored.
     PlanEval,
     /// One `SpatialMapper` map call — the four-step refinement loop.
     Map,
@@ -114,13 +114,13 @@ pub enum Counter {
     /// (cold) buffer-sizing search answered from its own table — the
     /// vector's own entry, or a refuted vector that dominates it.
     BufferMemoHit,
-    /// A `PlatformTransaction` committed. Template candidates and evaluated
-    /// migration plans commit too — onto scratch ledgers, which are
-    /// refreshed rather than undone — so they count here.
+    /// A `PlatformTransaction` committed. Template candidates stage on a
+    /// scratch ledger without a transaction, so they never count here.
     TxCommit,
-    /// A `PlatformTransaction` aborted (explicitly or by drop). A template
-    /// candidate or a migration plan that does not fit is committed onto
-    /// its scratch ledger like one that does, so never counts here.
+    /// A `PlatformTransaction` that staged something aborted (explicitly or
+    /// by drop): its copy of the ledger was swapped back. Every evaluated
+    /// migration plan counts here, fitting or not — it is staged and
+    /// dropped — and so does a refused switch or evacuation attempt.
     TxAbort,
     /// An admission served by instantiating a cached mapping shape — the
     /// template hit path, which skips the four-step heuristic entirely.

@@ -387,6 +387,8 @@ fn walk_canonical(
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoutingPolicy;
 
+/// The network-interface claims a routed path makes: injection at its
+/// source tile and ejection at its destination.
 pub(crate) fn ni_claims(path: &Path) -> [(TileId, crate::state::TileClaim); 2] {
     let inject = crate::state::TileClaim {
         slots: 0,
@@ -403,47 +405,6 @@ pub(crate) fn ni_claims(path: &Path) -> [(TileId, crate::state::TileClaim); 2] {
         ejection: path.demand,
     };
     [(path.from, inject), (path.to, eject)]
-}
-
-/// Reserves the path's bandwidth on every link plus NI injection at the
-/// source tile and NI ejection at the destination tile.
-///
-/// On failure the ledger is left exactly as found (all partial reservations
-/// are rolled back).
-///
-/// # Errors
-///
-/// [`PlatformError::LinkAccounting`] if any link lacks capacity, or
-/// [`PlatformError::InsufficientResource`] if an endpoint NI is exhausted.
-pub fn allocate(
-    platform: &Platform,
-    state: &mut PlatformState,
-    path: &Path,
-) -> Result<(), PlatformError> {
-    let mut tx = crate::transaction::PlatformTransaction::begin(platform, state);
-    tx.allocate_path(path)?; // an early return drops the tx, rolling back
-    tx.commit();
-    Ok(())
-}
-
-/// Releases a previously allocated path (links and endpoint NI).
-///
-/// On failure the ledger is left exactly as found (partial releases are
-/// rolled back).
-///
-/// # Errors
-///
-/// [`PlatformError::LinkAccounting`] / [`PlatformError::UnknownClaim`] if
-/// the path was not allocated.
-pub fn release(
-    platform: &Platform,
-    state: &mut PlatformState,
-    path: &Path,
-) -> Result<(), PlatformError> {
-    let mut tx = crate::transaction::PlatformTransaction::begin(platform, state);
-    tx.release_path(path)?;
-    tx.commit();
-    Ok(())
 }
 
 #[cfg(test)]
@@ -544,12 +505,12 @@ mod tests {
         let b = p.tile_by_name("b").unwrap();
         let before = s.clone();
         let path = route(&p, &s, a, b, 60).unwrap();
-        allocate(&p, &mut s, &path).unwrap();
+        s.allocate_path(&p, &path).unwrap();
         // A second 60-demand route must avoid the allocated links or fail;
         // capacity is 100 so the same links cannot fit both.
         let second = route(&p, &s, a, b, 60).unwrap();
         assert!(second.links.iter().all(|l| !path.links.contains(l)));
-        release(&p, &mut s, &path).unwrap();
+        s.release_path(&path).unwrap();
         assert_eq!(s, before);
     }
 
@@ -564,7 +525,7 @@ mod tests {
         let last = *path.links.last().unwrap();
         s.allocate_link(&p, last, 50).unwrap();
         let snapshot = s.clone();
-        assert!(allocate(&p, &mut s, &path).is_err());
+        assert!(s.allocate_path(&p, &path).is_err());
         assert_eq!(s, snapshot, "partial allocation must roll back");
     }
 

@@ -8,6 +8,7 @@
 //! mapping requests.
 
 use crate::error::PlatformError;
+use crate::routing::{ni_claims, Path};
 use crate::tile::{TileId, TileKind};
 use crate::topology::{LinkId, Platform};
 use serde::{Deserialize, Serialize};
@@ -28,8 +29,7 @@ pub struct TileClaim {
     pub ejection: u64,
 }
 
-/// The empty claim: what [`PlatformState::fits_tile`] and
-/// [`PlatformState::restore_tile`] vacate.
+/// The empty claim: what [`PlatformState::fits_tile`] vacates.
 const NOTHING: TileClaim = TileClaim {
     slots: 0,
     memory_bytes: 0,
@@ -45,11 +45,14 @@ const NOTHING: TileClaim = TileClaim {
 /// the test-suite checks.
 ///
 /// [`Clone::clone_from`] copies into the vectors the target already holds,
-/// so refreshing a copy of a ledger of the same platform allocates nothing:
-/// a throw-away evaluation stages on such a copy and leaves what it staged
-/// there, instead of copying the ledger anew or undoing its operations. The
-/// default ledger is empty and belongs to no platform; it allocates nothing,
-/// and a copy starts as one until its first `clone_from` sizes it.
+/// so refreshing a copy of a ledger of the same platform allocates nothing.
+/// That is how a ledger is staged: a
+/// [`PlatformTransaction`](crate::PlatformTransaction) copies the ledger
+/// into a spare before its first operation and swaps it back to abort, and
+/// a throw-away evaluation (a template candidate) stages on a copy
+/// refreshed this way and leaves what it staged there. The default ledger
+/// is empty and belongs to no platform; it allocates nothing, and a spare
+/// starts as one until its first `clone_from` sizes it.
 #[derive(Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlatformState {
     used_slots: Vec<u32>,
@@ -199,12 +202,7 @@ impl PlatformState {
                 resource: self.first_missing(platform, tile, claim),
             });
         }
-        let i = tile.index();
-        self.used_slots[i] += claim.slots;
-        self.used_memory[i] += claim.memory_bytes;
-        self.used_cycles[i] += claim.cycles_per_second;
-        self.used_injection[i] += claim.injection;
-        self.used_ejection[i] += claim.ejection;
+        self.add_claim(tile, claim);
         Ok(())
     }
 
@@ -224,12 +222,30 @@ impl PlatformState {
         {
             return Err(PlatformError::UnknownClaim);
         }
+        self.take_claim(tile, claim);
+        Ok(())
+    }
+
+    /// Adds `claim` to `tile`'s counters, unchecked: a claim that fits, or
+    /// the unwinding of a release made just before.
+    fn add_claim(&mut self, tile: TileId, claim: &TileClaim) {
+        let i = tile.index();
+        self.used_slots[i] += claim.slots;
+        self.used_memory[i] += claim.memory_bytes;
+        self.used_cycles[i] += claim.cycles_per_second;
+        self.used_injection[i] += claim.injection;
+        self.used_ejection[i] += claim.ejection;
+    }
+
+    /// Takes `claim` off `tile`'s counters, unchecked: a release of a claim
+    /// held, or the unwinding of a claim made just before.
+    fn take_claim(&mut self, tile: TileId, claim: &TileClaim) {
+        let i = tile.index();
         self.used_slots[i] -= claim.slots;
         self.used_memory[i] -= claim.memory_bytes;
         self.used_cycles[i] -= claim.cycles_per_second;
         self.used_injection[i] -= claim.injection;
         self.used_ejection[i] -= claim.ejection;
-        Ok(())
     }
 
     fn first_missing(&self, platform: &Platform, tile: TileId, claim: &TileClaim) -> &'static str {
@@ -301,6 +317,81 @@ impl PlatformState {
         }
         self.used_links[link.index()] -= demand;
         Ok(())
+    }
+
+    /// Reserves `path`'s bandwidth on each of its links, then NI injection
+    /// at its source tile and NI ejection at its destination: all of it, or
+    /// on an error none of it — what this call reserved before the failing
+    /// step is taken off again.
+    ///
+    /// # Errors
+    ///
+    /// [`PlatformError::LinkAccounting`] if a link lacks capacity (or has
+    /// failed), [`PlatformError::InsufficientResource`] if an endpoint NI is
+    /// exhausted (or its tile has failed).
+    pub fn allocate_path(&mut self, platform: &Platform, path: &Path) -> Result<(), PlatformError> {
+        let [(from, inject), (to, eject)] = ni_claims(path);
+        for (done, &link) in path.links.iter().enumerate() {
+            if let Err(e) = self.allocate_link(platform, link, path.demand) {
+                self.take_links(&path.links[..done], path.demand);
+                return Err(e);
+            }
+        }
+        if let Err(e) = self.claim_tile(platform, from, &inject) {
+            self.take_links(&path.links, path.demand);
+            return Err(e);
+        }
+        if let Err(e) = self.claim_tile(platform, to, &eject) {
+            self.take_claim(from, &inject);
+            self.take_links(&path.links, path.demand);
+            return Err(e);
+        }
+        Ok(())
+    }
+
+    /// Releases what [`PlatformState::allocate_path`] reserved for `path`,
+    /// on failed resources too: all of it, or on an error none of it — what
+    /// this call released before the failing step is put back, unchecked,
+    /// as it was held.
+    ///
+    /// # Errors
+    ///
+    /// [`PlatformError::LinkAccounting`] / [`PlatformError::UnknownClaim`]
+    /// if the path was not allocated on this ledger.
+    pub fn release_path(&mut self, path: &Path) -> Result<(), PlatformError> {
+        let [(from, inject), (to, eject)] = ni_claims(path);
+        for (done, &link) in path.links.iter().enumerate() {
+            if let Err(e) = self.release_link(link, path.demand) {
+                self.put_links(&path.links[..done], path.demand);
+                return Err(e);
+            }
+        }
+        if let Err(e) = self.release_tile(from, &inject) {
+            self.put_links(&path.links, path.demand);
+            return Err(e);
+        }
+        if let Err(e) = self.release_tile(to, &eject) {
+            self.add_claim(from, &inject);
+            self.put_links(&path.links, path.demand);
+            return Err(e);
+        }
+        Ok(())
+    }
+
+    /// Takes `demand` off each of `links`, unchecked: the unwinding of
+    /// allocations made just before.
+    fn take_links(&mut self, links: &[LinkId], demand: u64) {
+        for link in links {
+            self.used_links[link.index()] -= demand;
+        }
+    }
+
+    /// Puts `demand` back on each of `links`, unchecked: the unwinding of
+    /// releases made just before.
+    fn put_links(&mut self, links: &[LinkId], demand: u64) {
+        for link in links {
+            self.used_links[link.index()] += demand;
+        }
     }
 
     /// Used compute slots of `tile`.
@@ -388,54 +479,6 @@ impl PlatformState {
             .filter(|&i| self.failed_tiles[i])
             .map(|i| platform.tile(TileId::from_index(i)).compute_slots)
             .sum()
-    }
-
-    /// Re-applies a claim previously released from this ledger, bypassing
-    /// the health check (capacity checks still apply).
-    ///
-    /// Only for transaction rollback: aborting an evacuation must be able
-    /// to put a victim's claims back onto the failed tile they were
-    /// released from, which [`PlatformState::claim_tile`] — correctly —
-    /// refuses.
-    pub(crate) fn restore_tile(
-        &mut self,
-        platform: &Platform,
-        tile: TileId,
-        claim: &TileClaim,
-    ) -> Result<(), PlatformError> {
-        if !self.tile_has_capacity(platform, tile, &NOTHING, claim) {
-            return Err(PlatformError::InsufficientResource {
-                tile,
-                resource: self.first_missing(platform, tile, claim),
-            });
-        }
-        let i = tile.index();
-        self.used_slots[i] += claim.slots;
-        self.used_memory[i] += claim.memory_bytes;
-        self.used_cycles[i] += claim.cycles_per_second;
-        self.used_injection[i] += claim.injection;
-        self.used_ejection[i] += claim.ejection;
-        Ok(())
-    }
-
-    /// Re-applies a link allocation previously released from this ledger,
-    /// bypassing the health check (capacity still applies). Rollback-only,
-    /// like [`PlatformState::restore_tile`].
-    pub(crate) fn restore_link(
-        &mut self,
-        platform: &Platform,
-        link: LinkId,
-        demand: u64,
-    ) -> Result<(), PlatformError> {
-        let i = link.index();
-        let free = platform.link(link).capacity - self.used_links[i];
-        if free < demand {
-            return Err(PlatformError::LinkAccounting {
-                detail: format!("restoring {demand} words/s exceeds capacity ({free} free)"),
-            });
-        }
-        self.used_links[i] += demand;
-        Ok(())
     }
 
     /// How fragmented the free compute capacity is (see [`Fragmentation`]).

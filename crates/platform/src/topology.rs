@@ -112,7 +112,6 @@ pub struct Platform {
     noc: NocParams,
     tiles: Vec<Tile>,
     links: Vec<Link>,
-    link_index: HashMap<(Coord, Coord), LinkId>,
     tile_by_name: HashMap<String, TileId>,
     /// The tile attached to each router, routers indexed row-major like
     /// the adjacency table. Length `width*height`.
@@ -141,12 +140,8 @@ struct DerivedTables {
 /// Builds the derived lookup tables (CSR adjacency, router→tile table, name
 /// index and stream endpoints) shared by `PlatformBuilder::build` and
 /// deserialization.
-fn derived_tables(
-    width: u16,
-    height: u16,
-    tiles: &[Tile],
-    link_index: &HashMap<(Coord, Coord), LinkId>,
-) -> DerivedTables {
+fn derived_tables(width: u16, height: u16, tiles: &[Tile], links: &[Link]) -> DerivedTables {
+    let on_mesh = |c: Coord| c.x < width && c.y < height;
     // First insertion wins so duplicate names resolve to the lowest tile
     // id, matching the linear scan this index replaced.
     let mut tile_by_name: HashMap<String, TileId> = HashMap::with_capacity(tiles.len());
@@ -161,31 +156,33 @@ fn derived_tables(
     let mut tile_at = vec![None; n_routers];
     for (i, t) in tiles.iter().enumerate() {
         let Coord { x, y } = t.position;
-        if x < width && y < height {
+        if on_mesh(t.position) {
             tile_at[y as usize * width as usize + x as usize] = Some(TileId(i));
+        }
+    }
+    // Each router's edges to its west, east, north and south neighbour —
+    // the order `Platform::neighbours` yields. Of two links joining the
+    // same routers the later is kept (what the `HashMap` index this
+    // replaced kept); a link that does not join grid neighbours of the mesh
+    // is in no router's row.
+    let mut rows = vec![[None; 4]; n_routers];
+    for (i, link) in links.iter().enumerate() {
+        let (from, to) = (link.from, link.to);
+        let direction = (0..4).find(|&d| neighbour(from, d) == Some(to));
+        if let Some(d) = direction.filter(|_| on_mesh(from) && on_mesh(to)) {
+            let r = from.y as usize * width as usize + from.x as usize;
+            rows[r][d] = Some(AdjEntry {
+                to,
+                link: LinkId(i),
+            });
         }
     }
     let mut adj_offsets = Vec::with_capacity(n_routers + 1);
     let mut adj = Vec::with_capacity(4 * n_routers);
     adj_offsets.push(0u32);
-    for y in 0..height {
-        for x in 0..width {
-            let here = Coord { x, y };
-            // Same order as `Platform::neighbours`: west, east, north, south.
-            let (xi, yi) = (x as i32, y as i32);
-            for (nx, ny) in [(xi - 1, yi), (xi + 1, yi), (xi, yi - 1), (xi, yi + 1)] {
-                if nx >= 0 && ny >= 0 && (nx as u16) < width && (ny as u16) < height {
-                    let there = Coord {
-                        x: nx as u16,
-                        y: ny as u16,
-                    };
-                    if let Some(&link) = link_index.get(&(here, there)) {
-                        adj.push(AdjEntry { to: there, link });
-                    }
-                }
-            }
-            adj_offsets.push(adj.len() as u32);
-        }
+    for row in &rows {
+        adj.extend(row.iter().flatten());
+        adj_offsets.push(adj.len() as u32);
     }
     let first_of = |kind: TileKind| tiles.iter().position(|t| t.kind == kind).map(TileId);
     DerivedTables {
@@ -196,6 +193,15 @@ fn derived_tables(
         stream_input: first_of(TileKind::AdcSource),
         stream_output: first_of(TileKind::Sink),
     }
+}
+
+/// The grid neighbour of `c` to the west, east, north or south (`direction`
+/// 0 to 3), if its coordinates are representable.
+fn neighbour(c: Coord, direction: usize) -> Option<Coord> {
+    let (dx, dy) = [(-1, 0), (1, 0), (0, -1), (0, 1)][direction];
+    let x = u16::try_from(i32::from(c.x) + dx).ok()?;
+    let y = u16::try_from(i32::from(c.y) + dy).ok()?;
+    Some(Coord { x, y })
 }
 
 /// Serde shadow of [`Platform`]: the coordinate-keyed lookup maps are
@@ -225,20 +231,13 @@ impl From<Platform> for PlatformSerde {
 
 impl From<PlatformSerde> for Platform {
     fn from(s: PlatformSerde) -> Self {
-        let link_index = s
-            .links
-            .iter()
-            .enumerate()
-            .map(|(i, l)| ((l.from, l.to), LinkId(i)))
-            .collect();
-        let derived = derived_tables(s.width, s.height, &s.tiles, &link_index);
+        let derived = derived_tables(s.width, s.height, &s.tiles, &s.links);
         Platform {
             width: s.width,
             height: s.height,
             noc: s.noc,
             tiles: s.tiles,
             links: s.links,
-            link_index,
             tile_by_name: derived.tile_by_name,
             tile_at: derived.tile_at,
             adj_offsets: derived.adj_offsets,
@@ -335,9 +334,16 @@ impl Platform {
         self.tile_at[self.router_index(coord)]
     }
 
-    /// The directed link from `from` to `to` (adjacent routers only).
+    /// The directed link from `from` to `to` (adjacent routers only): a
+    /// scan of `from`'s adjacency row, at most four entries.
     pub fn link_between(&self, from: Coord, to: Coord) -> Option<LinkId> {
-        self.link_index.get(&(from, to)).copied()
+        if from.x >= self.width || from.y >= self.height {
+            return None;
+        }
+        self.adjacency(from)
+            .iter()
+            .find(|e| e.to == to)
+            .map(|e| e.link)
     }
 
     /// Manhattan distance between two tiles' routers.
@@ -374,8 +380,8 @@ impl Platform {
     /// The precomputed outgoing edges of the router at `c`: neighbour
     /// coordinates and directed links, in west/east/north/south order.
     ///
-    /// This is the flat CSR table the routing hot path walks instead of
-    /// probing the `(Coord, Coord) → LinkId` hash map per edge.
+    /// This is the flat CSR table the routing hot path walks, and the one
+    /// [`Platform::link_between`] scans.
     pub fn adjacency(&self, c: Coord) -> &[AdjEntry] {
         let r = self.router_index(c);
         let lo = self.adj_offsets[r] as usize;
@@ -497,7 +503,6 @@ impl PlatformBuilder {
             }
         }
         let mut links = Vec::new();
-        let mut link_index = HashMap::new();
         for y in 0..self.height {
             for x in 0..self.width {
                 let here = Coord { x, y };
@@ -506,26 +511,23 @@ impl PlatformBuilder {
                     if nx < self.width && ny < self.height {
                         let there = Coord { x: nx, y: ny };
                         for (a, b) in [(here, there), (there, here)] {
-                            let id = LinkId(links.len());
                             links.push(Link {
                                 from: a,
                                 to: b,
                                 capacity: self.noc.link_capacity,
                             });
-                            link_index.insert((a, b), id);
                         }
                     }
                 }
             }
         }
-        let derived = derived_tables(self.width, self.height, &self.tiles, &link_index);
+        let derived = derived_tables(self.width, self.height, &self.tiles, &links);
         Ok(Platform {
             width: self.width,
             height: self.height,
             noc: self.noc,
             tiles: self.tiles,
             links,
-            link_index,
             tile_by_name: derived.tile_by_name,
             tile_at: derived.tile_at,
             adj_offsets: derived.adj_offsets,
@@ -605,7 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_matches_link_index_everywhere() {
+    fn adjacency_matches_link_between_everywhere() {
         let p = small();
         for y in 0..p.height() {
             for x in 0..p.width() {
@@ -690,6 +692,32 @@ mod tests {
         // Off the mesh is no router's.
         assert_eq!(p.tile_at(Coord { x: 7, y: 0 }), None);
         assert_eq!(p.tile_at(Coord { x: 0, y: 3 }), None);
+    }
+
+    #[test]
+    fn adjacency_keeps_the_later_of_two_duplicate_links() {
+        // A file can list a link twice, and one joining routers that are
+        // not grid neighbours.
+        let mut read = PlatformSerde::from(small());
+        let first = read.links[0];
+        let (a, far) = (Coord { x: 0, y: 0 }, Coord { x: 2, y: 2 });
+        read.links.push(first);
+        read.links.push(Link {
+            from: a,
+            to: far,
+            capacity: 7,
+        });
+        let p = Platform::from(read);
+        let later = LinkId(p.n_links() - 2);
+        assert_eq!(p.link_between(first.from, first.to), Some(later));
+        let row = p.adjacency(first.from);
+        assert_eq!(row.iter().filter(|e| e.to == first.to).count(), 1);
+        assert_eq!(p.link_between(a, far), None);
+        assert_eq!(
+            p.link_between(Coord { x: 3, y: 0 }, a),
+            None,
+            "off the mesh"
+        );
     }
 
     #[test]

@@ -1,25 +1,32 @@
 //! The transactional resource layer: staged, atomic mutation of a
 //! [`PlatformState`].
 //!
-//! Every resource mutation in the workspace used to carry its own
-//! hand-rolled rollback sequence (snapshot-and-restore in the mapping
-//! commit path, undo loops in the router allocator, release-then-reclaim
-//! dances in the runtime manager). [`PlatformTransaction`] replaces them
-//! with one audited path: operations apply to the ledger *immediately* —
-//! so later operations in the same transaction see their effects, which is
-//! what lets a migrating application reuse its own freed resources
-//! (release-before-claim) — while an undo log records their exact
-//! inverses. [`commit`](PlatformTransaction::commit) discards the log;
-//! [`abort`](PlatformTransaction::abort) (or dropping the transaction)
-//! replays it in reverse, restoring the ledger byte-for-byte.
+//! [`PlatformTransaction`] is the one way a ledger is staged. Operations
+//! apply to the ledger *immediately* — so later operations in the same
+//! transaction see their effects, which is what lets a migrating
+//! application reuse its own freed resources (release-before-claim) — and
+//! the first of them copies the ledger into a *spare* ([`Clone::clone_from`],
+//! in place). [`commit`](PlatformTransaction::commit) keeps the ledger;
+//! [`abort`](PlatformTransaction::abort), or dropping the transaction,
+//! swaps the copy back, which restores the ledger byte for byte in O(1)
+//! whatever was staged. Discarding a staged candidate costs one copy.
 //!
-//! Because every primitive of [`PlatformState`] either applies fully or
-//! leaves the ledger untouched, a failed operation leaves the transaction
-//! consistent: the caller can keep staging, or bail and let the drop-abort
-//! clean up. Replaying the log in LIFO order retraces the exact state
-//! sequence backwards, so every inverse is guaranteed to apply — a
-//! violated inverse is a logic error and panics rather than corrupting the
-//! ledger.
+//! [`begin`](PlatformTransaction::begin) owns its spare, so its first
+//! operation allocates the copy; [`over`](PlatformTransaction::over)
+//! borrows one the caller keeps between transactions — once it is sized,
+//! staging allocates nothing. What the spare held before is irrelevant:
+//! it is overwritten before it is read, and after a swap it holds the
+//! discarded ledger.
+//!
+//! Every primitive of [`PlatformState`] applies fully or leaves the ledger
+//! untouched — a whole routed path included
+//! ([`PlatformState::allocate_path`]) — so a failed operation leaves the
+//! transaction consistent: the caller can keep staging, or bail and let
+//! the drop restore the ledger.
+//!
+//! Code that stages on a ledger it will throw away anyway (a template
+//! candidate's scratch copy, a mapper's working ledger) needs no
+//! transaction and calls [`PlatformState`] directly.
 //!
 //! # Failure windows
 //!
@@ -32,22 +39,18 @@
 //!   plan that names a failed tile or routes through a failed link fails
 //!   at [`claim_tile`](PlatformTransaction::claim_tile) /
 //!   [`allocate_path`](PlatformTransaction::allocate_path), before
-//!   anything commits. There is no window in which a commit can land
-//!   claims on a resource that failed before the transaction staged them:
-//!   the whole plan→stage→commit sequence runs under one `&mut
-//!   PlatformState` borrow, so no failure can be injected between plan
-//!   evaluation and commit — a failure observed by the staging step is a
-//!   failure that happened before `begin`.
-//! * **Releases (and their rollback) ignore health.** Evacuating a victim
-//!   releases claims from a failed tile; aborting that evacuation must
-//!   restore them onto the same failed tile. Releases check only ledger
-//!   underflow, and rollback of a staged release re-applies it through a
-//!   capacity-only restore path, so the drop-abort guarantee — the ledger
-//!   is restored byte-for-byte — holds even while resources are failed.
+//!   anything commits. The whole plan→stage→commit sequence runs under one
+//!   `&mut PlatformState` borrow, so no failure can be injected between
+//!   plan evaluation and commit.
+//! * **Releases ignore health, and so does the restore.** Evacuating a
+//!   victim releases claims from a failed tile; aborting that evacuation
+//!   must put them back onto the same failed tile. Releases check only
+//!   ledger underflow, and an abort swaps the whole pre-transaction ledger
+//!   back, so nothing is re-claimed and no health check can refuse it.
 //! * **Fail/repair are not transactional operations.** They mutate health
 //!   metadata, never usage counters, and are applied by the runtime
-//!   manager outside any open transaction; a transaction's undo log never
-//!   contains them.
+//!   manager outside any open transaction — an abort would swap a health
+//!   change made inside one back out with the rest of the copy.
 //!
 //! # Example
 //!
@@ -81,19 +84,29 @@
 //! ```
 
 use crate::error::PlatformError;
-use crate::routing::{ni_claims, Path};
+use crate::routing::Path;
 use crate::state::{PlatformState, TileClaim};
 use crate::tile::TileId;
 use crate::topology::{LinkId, Platform};
 use rtsm_obs as obs;
 
-/// One applied operation, recorded so the transaction can invert it.
-#[derive(Debug, Clone, Copy)]
-enum TxOp {
-    ClaimedTile { tile: TileId, claim: TileClaim },
-    ReleasedTile { tile: TileId, claim: TileClaim },
-    AllocatedLink { link: LinkId, demand: u64 },
-    ReleasedLink { link: LinkId, demand: u64 },
+/// Where a transaction keeps its copy of the ledger.
+#[derive(Debug)]
+enum Spare<'a> {
+    /// [`PlatformTransaction::begin`]'s own, empty until the first
+    /// operation.
+    Owned(PlatformState),
+    /// [`PlatformTransaction::over`]'s, lent by the caller.
+    Lent(&'a mut PlatformState),
+}
+
+impl Spare<'_> {
+    fn ledger(&mut self) -> &mut PlatformState {
+        match self {
+            Spare::Owned(spare) => spare,
+            Spare::Lent(spare) => spare,
+        }
+    }
 }
 
 /// A staged set of claims and releases over a [`PlatformState`] with
@@ -102,19 +115,38 @@ enum TxOp {
 pub struct PlatformTransaction<'a> {
     platform: &'a Platform,
     state: &'a mut PlatformState,
-    log: Vec<TxOp>,
+    spare: Spare<'a>,
+    /// Whether the spare holds the ledger as the transaction found it: set
+    /// by the first operation.
+    saved: bool,
     committed: bool,
 }
 
 impl<'a> PlatformTransaction<'a> {
-    /// Opens a transaction over `state`. Until
+    /// Opens a transaction over `state` with a spare of its own. Until
     /// [`commit`](PlatformTransaction::commit), every staged operation is
     /// provisional: dropping the transaction rolls all of them back.
     pub fn begin(platform: &'a Platform, state: &'a mut PlatformState) -> Self {
+        PlatformTransaction::with_spare(platform, state, Spare::Owned(PlatformState::default()))
+    }
+
+    /// [`begin`](PlatformTransaction::begin) with the caller's `spare`,
+    /// whatever it holds: the first operation overwrites it in place, so a
+    /// spare kept from one transaction to the next is sized once.
+    pub fn over(
+        platform: &'a Platform,
+        state: &'a mut PlatformState,
+        spare: &'a mut PlatformState,
+    ) -> Self {
+        PlatformTransaction::with_spare(platform, state, Spare::Lent(spare))
+    }
+
+    fn with_spare(platform: &'a Platform, state: &'a mut PlatformState, spare: Spare<'a>) -> Self {
         PlatformTransaction {
             platform,
             state,
-            log: Vec::new(),
+            spare,
+            saved: false,
             committed: false,
         }
     }
@@ -130,16 +162,14 @@ impl<'a> PlatformTransaction<'a> {
         self.state
     }
 
-    /// True while nothing is staged: the ledger is as
-    /// [`begin`](PlatformTransaction::begin) saw it.
-    pub fn is_empty(&self) -> bool {
-        self.log.is_empty()
-    }
-
-    /// True if `claim` currently fits on `tile` (staged operations
-    /// included).
-    pub fn fits_tile(&self, tile: TileId, claim: &TileClaim) -> bool {
-        self.state.fits_tile(self.platform, tile, claim)
+    /// The ledger, for an operation about to be staged: the first one
+    /// copies it into the spare.
+    fn staging(&mut self) -> &mut PlatformState {
+        if !self.saved {
+            self.spare.ledger().clone_from(self.state);
+            self.saved = true;
+        }
+        self.state
     }
 
     /// Stages a tile claim.
@@ -149,12 +179,8 @@ impl<'a> PlatformTransaction<'a> {
     /// [`PlatformError::InsufficientResource`] if the claim does not fit;
     /// the transaction stays consistent and usable.
     pub fn claim_tile(&mut self, tile: TileId, claim: &TileClaim) -> Result<(), PlatformError> {
-        self.state.claim_tile(self.platform, tile, claim)?;
-        self.record(TxOp::ClaimedTile {
-            tile,
-            claim: *claim,
-        });
-        Ok(())
+        let platform = self.platform;
+        self.staging().claim_tile(platform, tile, claim)
     }
 
     /// Stages a tile release.
@@ -164,12 +190,7 @@ impl<'a> PlatformTransaction<'a> {
     /// [`PlatformError::UnknownClaim`] if the claim is not present; the
     /// transaction stays consistent and usable.
     pub fn release_tile(&mut self, tile: TileId, claim: &TileClaim) -> Result<(), PlatformError> {
-        self.state.release_tile(tile, claim)?;
-        self.record(TxOp::ReleasedTile {
-            tile,
-            claim: *claim,
-        });
-        Ok(())
+        self.staging().release_tile(tile, claim)
     }
 
     /// Stages a link-bandwidth allocation.
@@ -178,9 +199,8 @@ impl<'a> PlatformTransaction<'a> {
     ///
     /// [`PlatformError::LinkAccounting`] if the link lacks capacity.
     pub fn allocate_link(&mut self, link: LinkId, demand: u64) -> Result<(), PlatformError> {
-        self.state.allocate_link(self.platform, link, demand)?;
-        self.record(TxOp::AllocatedLink { link, demand });
-        Ok(())
+        let platform = self.platform;
+        self.staging().allocate_link(platform, link, demand)
     }
 
     /// Stages a link-bandwidth release.
@@ -189,128 +209,53 @@ impl<'a> PlatformTransaction<'a> {
     ///
     /// [`PlatformError::LinkAccounting`] if more is released than held.
     pub fn release_link(&mut self, link: LinkId, demand: u64) -> Result<(), PlatformError> {
-        self.state.release_link(link, demand)?;
-        self.record(TxOp::ReleasedLink { link, demand });
-        Ok(())
+        self.staging().release_link(link, demand)
     }
 
-    /// Stages a whole routed path: bandwidth on every link plus NI
-    /// injection at the source tile and NI ejection at the destination.
-    /// Atomic as a unit: if any piece fails, the pieces staged by *this
-    /// call* are unwound before returning, so the transaction holds either
-    /// the whole path or none of it.
+    /// Stages a whole routed path ([`PlatformState::allocate_path`]): all
+    /// of it, or on an error none of it.
     ///
     /// # Errors
     ///
     /// The first failing link or NI claim.
     pub fn allocate_path(&mut self, path: &Path) -> Result<(), PlatformError> {
-        let mark = self.log.len();
-        self.try_allocate_path(path).inspect_err(|_| {
-            self.rollback_to(mark);
-        })
+        let platform = self.platform;
+        self.staging().allocate_path(platform, path)
     }
 
-    fn try_allocate_path(&mut self, path: &Path) -> Result<(), PlatformError> {
-        for &link in &path.links {
-            self.allocate_link(link, path.demand)?;
-        }
-        let [inject, eject] = ni_claims(path);
-        self.claim_tile(inject.0, &inject.1)?;
-        self.claim_tile(eject.0, &eject.1)?;
-        Ok(())
-    }
-
-    /// Stages the release of a previously allocated path. Atomic as a
-    /// unit, like [`allocate_path`](PlatformTransaction::allocate_path).
+    /// Stages the release of a previously allocated path
+    /// ([`PlatformState::release_path`]): all of it, or on an error none
+    /// of it.
     ///
     /// # Errors
     ///
     /// The first failing link or NI release (the path was not allocated on
     /// this ledger).
     pub fn release_path(&mut self, path: &Path) -> Result<(), PlatformError> {
-        let mark = self.log.len();
-        self.try_release_path(path).inspect_err(|_| {
-            self.rollback_to(mark);
-        })
-    }
-
-    fn try_release_path(&mut self, path: &Path) -> Result<(), PlatformError> {
-        for &link in &path.links {
-            self.release_link(link, path.demand)?;
-        }
-        let [inject, eject] = ni_claims(path);
-        self.release_tile(inject.0, &inject.1)?;
-        self.release_tile(eject.0, &eject.1)?;
-        Ok(())
+        self.staging().release_path(path)
     }
 
     /// Makes every staged operation permanent.
     pub fn commit(mut self) {
         self.committed = true;
-        self.log.clear();
         obs::count(obs::Counter::TxCommit, 1);
     }
 
     /// Rolls every staged operation back, restoring the ledger to exactly
-    /// the state [`begin`](PlatformTransaction::begin) saw. Equivalent to
-    /// dropping the transaction; provided for explicitness.
+    /// the state the transaction found. Equivalent to dropping the
+    /// transaction; provided for explicitness.
     pub fn abort(self) {
         // Drop does the work.
-    }
-
-    /// Appends an applied operation to the undo log. What gets staged is a
-    /// mapping's worth of claims — a few dozen operations — so the first
-    /// one reserves for them and the log skips its first three doublings;
-    /// a transaction that stages nothing (a refused arrival) still
-    /// allocates nothing.
-    fn record(&mut self, op: TxOp) {
-        if self.log.capacity() == 0 {
-            self.log.reserve(32);
-        }
-        self.log.push(op);
-    }
-
-    fn rollback(&mut self) {
-        self.rollback_to(0);
-    }
-
-    /// Unwinds staged operations (in reverse) until `mark` entries remain.
-    fn rollback_to(&mut self, mark: usize) {
-        while self.log.len() > mark {
-            let op = self.log.pop().expect("len > mark ≥ 0");
-            match op {
-                TxOp::ClaimedTile { tile, claim } => self
-                    .state
-                    .release_tile(tile, &claim)
-                    .expect("inverting a claim staged by this transaction"),
-                // Restores bypass the health check: an aborted evacuation
-                // must put the victim's claims back onto the very tile or
-                // link whose failure triggered it (see the module docs on
-                // failure windows).
-                TxOp::ReleasedTile { tile, claim } => self
-                    .state
-                    .restore_tile(self.platform, tile, &claim)
-                    .expect("re-claiming a release staged by this transaction"),
-                TxOp::AllocatedLink { link, demand } => self
-                    .state
-                    .release_link(link, demand)
-                    .expect("inverting a link allocation staged by this transaction"),
-                TxOp::ReleasedLink { link, demand } => self
-                    .state
-                    .restore_link(self.platform, link, demand)
-                    .expect("re-allocating a link release staged by this transaction"),
-            }
-        }
     }
 }
 
 impl Drop for PlatformTransaction<'_> {
     fn drop(&mut self) {
-        // Dropping a transaction that staged nothing (a refused arrival:
-        // the mapping failed before any claim) undoes nothing and is not
+        // A transaction that staged nothing (a refused arrival: the mapping
+        // failed before any claim) has nothing to swap back and is not
         // counted as an abort.
-        if !self.committed && !self.log.is_empty() {
-            self.rollback();
+        if !self.committed && self.saved {
+            std::mem::swap(self.state, self.spare.ledger());
             obs::count(obs::Counter::TxAbort, 1);
         }
     }
@@ -319,7 +264,6 @@ impl Drop for PlatformTransaction<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::route;
     use crate::tile::TileKind;
     use crate::topology::{Coord, PlatformBuilder};
 
@@ -344,39 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn commit_keeps_abort_restores() {
-        let p = platform();
-        let a = p.tile_by_name("a").unwrap();
-        let mut state = p.initial_state();
-        let before = state.clone();
-
-        let mut tx = PlatformTransaction::begin(&p, &mut state);
-        tx.claim_tile(a, &claim(100)).unwrap();
-        tx.abort();
-        assert_eq!(state, before, "abort restores the exact prior ledger");
-
-        let mut tx = PlatformTransaction::begin(&p, &mut state);
-        tx.claim_tile(a, &claim(100)).unwrap();
-        tx.commit();
-        assert_eq!(state.used_slots(a), 1);
-        assert_eq!(state.used_memory(a), 100);
-    }
-
-    #[test]
-    fn drop_without_commit_aborts() {
-        let p = platform();
-        let a = p.tile_by_name("a").unwrap();
-        let mut state = p.initial_state();
-        let before = state.clone();
-        {
-            let mut tx = PlatformTransaction::begin(&p, &mut state);
-            tx.claim_tile(a, &claim(100)).unwrap();
-            // Dropped here.
-        }
-        assert_eq!(state, before);
-    }
-
-    #[test]
     fn release_before_claim_reuses_freed_resources() {
         // The migration pattern: a 2-slot tile is full; releasing one claim
         // inside the transaction lets a different claim take its place, and
@@ -389,7 +300,10 @@ mod tests {
         let occupied = state.clone();
 
         let mut tx = PlatformTransaction::begin(&p, &mut state);
-        assert!(!tx.fits_tile(a, &claim(500)), "tile starts full");
+        assert!(
+            !tx.state().fits_tile(&p, a, &claim(500)),
+            "tile starts full"
+        );
         tx.release_tile(a, &claim(1000)).unwrap();
         tx.claim_tile(a, &claim(500)).unwrap();
         tx.abort();
@@ -400,50 +314,6 @@ mod tests {
         tx.claim_tile(a, &claim(500)).unwrap();
         tx.commit();
         assert_eq!(state.used_memory(a), 2500);
-    }
-
-    #[test]
-    fn failed_operation_leaves_transaction_usable() {
-        let p = platform();
-        let a = p.tile_by_name("a").unwrap();
-        let mut state = p.initial_state();
-        let before = state.clone();
-        let mut tx = PlatformTransaction::begin(&p, &mut state);
-        tx.claim_tile(a, &claim(100)).unwrap();
-        // 5000 bytes exceed the 4096-byte tile: the op fails atomically.
-        assert!(tx.claim_tile(a, &claim(5000)).is_err());
-        assert_eq!(tx.log.len(), 1, "failed ops are not logged");
-        tx.claim_tile(a, &claim(200)).unwrap();
-        tx.abort();
-        assert_eq!(state, before);
-    }
-
-    #[test]
-    fn path_allocation_is_staged_atomically() {
-        let p = platform();
-        let a = p.tile_by_name("a").unwrap();
-        let b = p.tile_by_name("b").unwrap();
-        let mut state = p.initial_state();
-        let path = route(&p, &state, a, b, 1_000).unwrap();
-        let before = state.clone();
-
-        let mut tx = PlatformTransaction::begin(&p, &mut state);
-        tx.allocate_path(&path).unwrap();
-        tx.abort();
-        assert_eq!(state, before);
-
-        let mut tx = PlatformTransaction::begin(&p, &mut state);
-        tx.allocate_path(&path).unwrap();
-        tx.commit();
-        assert_eq!(
-            state.residual_link(&p, path.links[0]),
-            p.link(path.links[0]).capacity - 1_000
-        );
-
-        let mut tx = PlatformTransaction::begin(&p, &mut state);
-        tx.release_path(&path).unwrap();
-        tx.commit();
-        assert_eq!(state, before);
     }
 
     #[test]
@@ -458,7 +328,8 @@ mod tests {
         state.fail_tile(a);
         let before = state.clone();
 
-        let mut tx = PlatformTransaction::begin(&p, &mut state);
+        let mut spare = PlatformState::default();
+        let mut tx = PlatformTransaction::over(&p, &mut state, &mut spare);
         tx.release_tile(a, &claim(100)).unwrap();
         assert!(
             tx.claim_tile(a, &claim(100)).is_err(),
@@ -466,38 +337,5 @@ mod tests {
         );
         tx.abort();
         assert_eq!(state, before, "abort restores the failed tile's claims");
-    }
-
-    #[test]
-    fn staging_refuses_failed_resources() {
-        let p = platform();
-        let a = p.tile_by_name("a").unwrap();
-        let b = p.tile_by_name("b").unwrap();
-        let mut state = p.initial_state();
-        let path = route(&p, &state, a, b, 1_000).unwrap();
-        state.fail_link(path.links[0]);
-        let before = state.clone();
-
-        let mut tx = PlatformTransaction::begin(&p, &mut state);
-        assert!(
-            tx.allocate_path(&path).is_err(),
-            "routes through failed links are invalid"
-        );
-        drop(tx);
-        assert_eq!(state, before);
-    }
-
-    #[test]
-    fn releasing_an_unallocated_path_fails_without_corruption() {
-        let p = platform();
-        let a = p.tile_by_name("a").unwrap();
-        let c = p.tile_by_name("c").unwrap();
-        let mut state = p.initial_state();
-        let path = route(&p, &state, a, c, 1_000).unwrap();
-        let before = state.clone();
-        let mut tx = PlatformTransaction::begin(&p, &mut state);
-        assert!(tx.release_path(&path).is_err());
-        drop(tx);
-        assert_eq!(state, before);
     }
 }
