@@ -635,9 +635,17 @@ mod tests {
                     "adjacency order at {here}"
                 );
                 for e in entries {
+                    // Checked against the link list itself, not the table
+                    // `link_between` scans.
+                    let link = p.link(e.link);
+                    assert_eq!((link.from, link.to), (here, e.to), "row entry at {here}");
                     assert_eq!(p.link_between(here, e.to), Some(e.link));
                 }
             }
+        }
+        // …and every link is filed in its source router's row.
+        for (id, link) in p.links() {
+            assert_eq!(p.link_between(link.from, link.to), Some(id));
         }
     }
 

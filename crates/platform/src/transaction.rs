@@ -264,6 +264,7 @@ impl Drop for PlatformTransaction<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::route;
     use crate::tile::TileKind;
     use crate::topology::{Coord, PlatformBuilder};
 
@@ -285,6 +286,39 @@ mod tests {
             injection: 100,
             ejection: 100,
         }
+    }
+
+    #[test]
+    fn commit_keeps_abort_restores() {
+        let p = platform();
+        let a = p.tile_by_name("a").unwrap();
+        let mut state = p.initial_state();
+        let before = state.clone();
+
+        let mut tx = PlatformTransaction::begin(&p, &mut state);
+        tx.claim_tile(a, &claim(100)).unwrap();
+        tx.abort();
+        assert_eq!(state, before, "abort restores the exact prior ledger");
+
+        let mut tx = PlatformTransaction::begin(&p, &mut state);
+        tx.claim_tile(a, &claim(100)).unwrap();
+        tx.commit();
+        assert_eq!(state.used_slots(a), 1);
+        assert_eq!(state.used_memory(a), 100);
+    }
+
+    #[test]
+    fn drop_without_commit_aborts() {
+        let p = platform();
+        let a = p.tile_by_name("a").unwrap();
+        let mut state = p.initial_state();
+        let before = state.clone();
+        {
+            let mut tx = PlatformTransaction::begin(&p, &mut state);
+            tx.claim_tile(a, &claim(100)).unwrap();
+            // Dropped here.
+        }
+        assert_eq!(state, before);
     }
 
     #[test]
@@ -317,6 +351,51 @@ mod tests {
     }
 
     #[test]
+    fn failed_operation_leaves_transaction_usable() {
+        let p = platform();
+        let a = p.tile_by_name("a").unwrap();
+        let mut state = p.initial_state();
+        let before = state.clone();
+        let mut tx = PlatformTransaction::begin(&p, &mut state);
+        tx.claim_tile(a, &claim(100)).unwrap();
+        let staged = tx.state().clone();
+        // 5000 bytes exceed the 4096-byte tile: the op fails atomically.
+        assert!(tx.claim_tile(a, &claim(5000)).is_err());
+        assert_eq!(tx.state(), &staged, "a failed op changes nothing");
+        tx.claim_tile(a, &claim(200)).unwrap();
+        tx.abort();
+        assert_eq!(state, before);
+    }
+
+    #[test]
+    fn path_allocation_is_staged_atomically() {
+        let p = platform();
+        let a = p.tile_by_name("a").unwrap();
+        let b = p.tile_by_name("b").unwrap();
+        let mut state = p.initial_state();
+        let path = route(&p, &state, a, b, 1_000).unwrap();
+        let before = state.clone();
+
+        let mut tx = PlatformTransaction::begin(&p, &mut state);
+        tx.allocate_path(&path).unwrap();
+        tx.abort();
+        assert_eq!(state, before);
+
+        let mut tx = PlatformTransaction::begin(&p, &mut state);
+        tx.allocate_path(&path).unwrap();
+        tx.commit();
+        assert_eq!(
+            state.residual_link(&p, path.links[0]),
+            p.link(path.links[0]).capacity - 1_000
+        );
+
+        let mut tx = PlatformTransaction::begin(&p, &mut state);
+        tx.release_path(&path).unwrap();
+        tx.commit();
+        assert_eq!(state, before);
+    }
+
+    #[test]
     fn abort_restores_claims_onto_a_failed_tile() {
         // The evacuation-rollback window: the victim's claims were released
         // from a tile that is *currently failed*; abort must restore them
@@ -337,5 +416,38 @@ mod tests {
         );
         tx.abort();
         assert_eq!(state, before, "abort restores the failed tile's claims");
+    }
+
+    #[test]
+    fn staging_refuses_failed_resources() {
+        let p = platform();
+        let a = p.tile_by_name("a").unwrap();
+        let b = p.tile_by_name("b").unwrap();
+        let mut state = p.initial_state();
+        let path = route(&p, &state, a, b, 1_000).unwrap();
+        state.fail_link(path.links[0]);
+        let before = state.clone();
+
+        let mut tx = PlatformTransaction::begin(&p, &mut state);
+        assert!(
+            tx.allocate_path(&path).is_err(),
+            "routes through failed links are invalid"
+        );
+        drop(tx);
+        assert_eq!(state, before);
+    }
+
+    #[test]
+    fn releasing_an_unallocated_path_fails_without_corruption() {
+        let p = platform();
+        let a = p.tile_by_name("a").unwrap();
+        let c = p.tile_by_name("c").unwrap();
+        let mut state = p.initial_state();
+        let path = route(&p, &state, a, c, 1_000).unwrap();
+        let before = state.clone();
+        let mut tx = PlatformTransaction::begin(&p, &mut state);
+        assert!(tx.release_path(&path).is_err());
+        drop(tx);
+        assert_eq!(state, before);
     }
 }

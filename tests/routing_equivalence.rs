@@ -5,12 +5,12 @@
 //! with reusable, generation-stamped scratch buffers
 //! ([`RouteScratch`](rtsm::platform::RouteScratch)). These tests re-derive
 //! every route with a straightforward textbook Dijkstra (a `(cost, coord)`
-//! heap, hash-map edge lookups, fresh allocations, `Option<Coord>`
-//! predecessors — the shape of the pre-optimisation code) and require
-//! byte-identical results: same routers, same links, same tie-breaks, same
-//! errors — across random square and non-square meshes from 2×2 to 9×9,
-//! random link occupancies, failed links and tiles, random demands
-//! including zero, and scratch reuse.
+//! heap, edges found by scanning the link list, fresh allocations,
+//! `Option<Coord>` predecessors — the shape of the pre-optimisation code)
+//! and require byte-identical results: same routers, same links, same
+//! tie-breaks, same errors — across random square and non-square meshes
+//! from 2×2 to 9×9, random link occupancies, failed links and tiles,
+//! random demands including zero, and scratch reuse.
 //!
 //! Mutations of the level-ordered search tried by hand, each caught by
 //! `adaptive_route_matches_reference`: sorting a level by router index
@@ -41,9 +41,29 @@ use rtsm::platform::{
 };
 use std::collections::BinaryHeap;
 
+/// The links leaving `here` with the routers they reach, found by scanning
+/// the platform's link list — never the derived adjacency table that the
+/// production router and [`Platform::link_between`] read, so a wrong row
+/// in that table cannot hide in the reference too.
+fn out_links(platform: &Platform, here: Coord) -> impl Iterator<Item = (LinkId, Coord)> + '_ {
+    platform
+        .links()
+        .filter(move |(_, l)| l.from == here)
+        .map(|(id, l)| (id, l.to))
+}
+
+/// The directed link from `from` to `to`, from the link list (see
+/// [`out_links`]).
+fn link_of(platform: &Platform, from: Coord, to: Coord) -> Option<LinkId> {
+    out_links(platform, from)
+        .filter(|&(_, next)| next == to)
+        .map(|(id, _)| id)
+        .last()
+}
+
 /// The naive reference router: minimal-hop Dijkstra with deterministic
-/// `(cost, coord)` tie-breaks, resolving edges through
-/// [`Platform::link_between`] and allocating everything fresh. It keeps the
+/// `(cost, coord)` tie-breaks, resolving edges by scanning the link list
+/// ([`out_links`]) and allocating everything fresh. It keeps the
 /// production health rules: a failed endpoint tile has no route, and a
 /// failed link is never taken, even at zero demand.
 fn reference_route(
@@ -88,10 +108,7 @@ fn reference_route(
         if here == goal {
             break;
         }
-        for next in platform.neighbours(here) {
-            let Some(link) = platform.link_between(here, next) else {
-                continue;
-            };
+        for (link, next) in out_links(platform, here) {
             if state.is_link_failed(link) || state.residual_link(platform, link) < demand {
                 continue;
             }
@@ -115,7 +132,7 @@ fn reference_route(
     routers.reverse();
     let links = routers
         .windows(2)
-        .map(|w| platform.link_between(w[0], w[1]).expect("adjacent"))
+        .map(|w| link_of(platform, w[0], w[1]).expect("adjacent"))
         .collect();
     Ok(Path {
         from,
@@ -135,8 +152,8 @@ fn canonical_path(platform: &Platform, from: TileId, to: TileId, demand: u64) ->
     let mut routers = vec![goal];
     let mut here = goal;
     while here != start {
-        here = platform
-            .neighbours(here)
+        here = out_links(platform, here)
+            .map(|(_, n)| n)
             .filter(|n| n.manhattan(start) + 1 == here.manhattan(start))
             .min_by_key(|n| (n.x, n.y))
             .expect("a mesh router has a neighbour nearer any other");
@@ -145,7 +162,7 @@ fn canonical_path(platform: &Platform, from: TileId, to: TileId, demand: u64) ->
     routers.reverse();
     let links = routers
         .windows(2)
-        .map(|w| platform.link_between(w[0], w[1]).expect("adjacent"))
+        .map(|w| link_of(platform, w[0], w[1]).expect("adjacent"))
         .collect();
     Path {
         from,
@@ -283,7 +300,7 @@ proptest! {
             prop_assert_eq!(path.routers.last(), Some(&platform.tile(to).position));
             prop_assert_eq!(path.links.len() + 1, path.routers.len());
             for (w, &link) in path.routers.windows(2).zip(&path.links) {
-                prop_assert_eq!(platform.link_between(w[0], w[1]), Some(link));
+                prop_assert_eq!(link_of(&platform, w[0], w[1]), Some(link));
                 prop_assert!(state.residual_link(&platform, link) >= demand);
                 prop_assert!(!state.is_link_failed(link));
             }
