@@ -27,8 +27,11 @@ use std::sync::Arc;
 static ALLOC: PeakAlloc = PeakAlloc::new();
 
 /// Allocator calls allowed per map on a thread that has mapped the spec
-/// before. Measured: 33 (rustc 1.95), one of them the spec table's claim
-/// slots and one step 2's dense view of the assignment; step 3 allocates
+/// before. Measured: 31 (rustc 1.95), one of them the spec table's claim
+/// slots and one step 2's vector (an entry per process, which also holds
+/// the tried set, and room for one neighbour row; 33 while the tried set
+/// was a `BTreeSet`, which allocated a node at the first revert after
+/// each keep — twice on the paper case); step 3 allocates
 /// its paths on the working ledger directly (34 while it staged them in a
 /// transaction with an undo log); the `Mapping` is
 /// two id-indexed vectors sized to the spec when step 1 builds it, so
@@ -42,7 +45,7 @@ static ALLOC: PeakAlloc = PeakAlloc::new();
 /// per actor, a `Vec` per phase vector — and copied the working ledger to
 /// probe buffer memory; 457 before the spec table). The slack is one
 /// allocation.
-const MAP_CEILING: usize = 34;
+const MAP_CEILING: usize = 32;
 
 /// Allocator calls allowed per warm step-4 verdict. Measured: 1, the list
 /// of buffers it returns.

@@ -47,9 +47,8 @@ impl CostModel {
     /// what steps 1–2 use before any route exists).
     ///
     /// All three models decompose as `base + Σ channel terms`, which is
-    /// what makes step 2's O(degree) incremental rescoring exact: a move or
-    /// swap only changes the terms of channels incident to the touched
-    /// processes.
+    /// what makes step 2's incremental rescoring exact: a move or swap only
+    /// changes the terms of channels incident to the touched processes.
     pub fn channel_cost(
         &self,
         platform: &Platform,
@@ -57,7 +56,11 @@ impl CostModel {
         a: TileId,
         b: TileId,
     ) -> u64 {
-        let hops = platform.manhattan(a, b);
+        self.term(tokens_per_period, platform.manhattan(a, b))
+    }
+
+    /// [`CostModel::channel_cost`] of a channel whose ends are `hops` apart.
+    pub(crate) fn term(&self, tokens_per_period: u64, hops: u32) -> u64 {
         match self {
             CostModel::HopCount => u64::from(hops),
             CostModel::TrafficWeighted => u64::from(hops) * tokens_per_period,

@@ -6,8 +6,7 @@
 //! * the topological order of the stream processes (the paper's tie-break
 //!   and scan order),
 //! * each process's stream channels in port order — inputs then outputs in
-//!   one row, which is also the incidence list step 2 rescans per
-//!   candidate,
+//!   one row, which is also step 2's neighbour row of the process,
 //! * where each process's (process, implementation) slots start.
 //!
 //! It is built in one pass over the spec's incidence list

@@ -15,19 +15,33 @@
 //! Candidate tiles are filtered for locally sufficient resources (including
 //! NI bandwidth), maintaining adequacy and adherence by construction.
 //!
-//! The search reads the application through a [`SpecTable`] and the
-//! assignment through a dense per-process view (tile, implementation, tile
-//! kind, whether it can be a swap partner), built once per search and
-//! changed only when a candidate is kept. The scan order is the table's
-//! topological order; candidates are generated from the view; a candidate is
-//! scored first, from the view alone, over the table's incidence row of the
-//! one or two processes it touches with their tiles substituted; and only a
-//! candidate that would be the best so far is asked whether it was tried
-//! and whether it fits, by non-mutating ledger queries. Per candidate the
-//! search scans no channel list, sorts nothing, allocates nothing and
-//! mutates nothing: the ledger and the `Mapping` change once per kept
-//! candidate. [`SearchCtx`] is that search over a caller's table; the
-//! spec-taking [`improve_assignment_with`] builds a table for one call.
+//! The search reads the application through a [`SpecTable`] and keeps its
+//! state in one vector, built once per search: an entry per process (its
+//! tile, whether it may move, two local costs), then room for the scanned
+//! process's neighbour row. A candidate is scored from that vector by what
+//! it changes:
+//!
+//! * every pass (the first, and the one after each kept candidate) records
+//!   `here[p]` for each movable process `p`: the sum of its channels' terms
+//!   where everything is;
+//! * the scanned process `a` reads its neighbour row once: tokens per
+//!   period and the tile at the other end, per stream channel;
+//! * a move of `a` to `t` scores `current − here[a] + cost_at[t]`, where
+//!   `cost_at[t]` is a sum over that precomputed row with `a` on `t`;
+//! * a swap of `a` (on `ta`) with `b` (on `tb ≠ ta`) is one pass over `b`'s
+//!   row: `current + cost_at[tb] + X_b + 2·S − here[a] − here[b] − Z`, where
+//!   `X_b` sums `b`'s channels that do not touch `a` with `b` on `ta`, `S`
+//!   sums the channels between `a` and `b` at their distance, and `Z` the
+//!   same channels at distance 0, where `cost_at[tb]` counted them (`b`
+//!   still on `tb`). Partners on one multi-slot tile swap at `current`.
+//!
+//! Only a candidate that would be the best so far is asked whether it was
+//! tried and whether it fits, by non-mutating ledger queries. Per candidate
+//! the search allocates nothing and writes nothing but `cost_at`: the
+//! ledger, the `Mapping` and the tiles in the vector change once per kept
+//! candidate. Debug builds hold every score to a full recompute.
+//! [`SearchCtx`] is that search over a caller's table; the spec-taking
+//! [`improve_assignment_with`] builds a table for one call.
 
 use crate::claims::reservation_of;
 use crate::cost::CostModel;
@@ -35,10 +49,9 @@ use crate::feedback::Constraints;
 use crate::mapping::Mapping;
 use crate::spec_table::SpecTable;
 use crate::trace::{Step2Event, Step2Move, Step2Trace};
-use rtsm_app::{ApplicationSpec, Endpoint, KpnChannelId, ProcessId};
+use rtsm_app::{ApplicationSpec, Endpoint, ProcessId};
 use rtsm_platform::{Platform, PlatformState, TileClaim, TileId, TileKind};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Hard cap on kept-or-reverted iterations of one search ("a maximum
 /// number of iterations", §3.2).
@@ -58,27 +71,6 @@ pub struct Step2Config;
 /// Table-2 snapshot is captured lazily (only when tracing is on and only
 /// for the winning candidate), never per evaluation.
 type ScoredCandidate = (u64, Step2Move);
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum TriedKey {
-    Move(ProcessId, TileId),
-    Swap(ProcessId, ProcessId), // ordered pair (min, max)
-}
-
-fn swap_key(a: ProcessId, b: ProcessId) -> TriedKey {
-    if a <= b {
-        TriedKey::Swap(a, b)
-    } else {
-        TriedKey::Swap(b, a)
-    }
-}
-
-fn candidate_key(c: &Step2Move) -> TriedKey {
-    match c {
-        Step2Move::Move { process, to } => TriedKey::Move(*process, *to),
-        Step2Move::Swap { a, b } => swap_key(*a, *b),
-    }
-}
 
 /// One step-2 search problem: the spec table, the platform, the constraint
 /// oracle and the cost model. [`SearchCtx::improve`] runs the search.
@@ -105,23 +97,44 @@ impl<'a> SearchCtx<'a> {
         }
     }
 
-    /// The view of `mapping` the search runs on.
+    /// The view of `mapping` the search runs on, with room for the widest
+    /// neighbour row.
     fn view_of(&self, mapping: &Mapping) -> View {
         let graph = &self.table.spec().graph;
-        let mut placed = vec![None; graph.n_processes()];
-        for (process, assignment) in mapping.assignments() {
-            placed[process.index()] = Some(Placed {
-                tile: assignment.tile,
-                impl_index: assignment.impl_index,
-                kind: self
-                    .table
-                    .implementation(process, assignment.impl_index)
-                    .tile_kind,
-                swappable: !graph.process(process).is_control
-                    && self.constraints.pinned_tile(process).is_none(),
-            });
-        }
-        View(placed)
+        let processes = graph.n_processes();
+        let pids = || (0..processes).map(ProcessId::from_index);
+        let widest = pids()
+            .map(|p| self.table.incident(p).len())
+            .max()
+            .unwrap_or(0);
+        let mut entries = Vec::with_capacity(processes + widest);
+        entries.extend(pids().map(|process| {
+            let assignment = mapping.assignment(process);
+            let movable = !graph.process(process).is_control
+                && self.constraints.pinned_tile(process).is_none();
+            Entry::Process(Process {
+                here: 0,
+                cost_at: 0,
+                tile: pack(assignment.map(|a| a.tile)),
+                reverted: NOWHERE,
+                kind: assignment
+                    .filter(|_| movable)
+                    .map(|a| self.table.implementation(process, a.impl_index).tile_kind),
+            })
+        }));
+        View { entries, processes }
+    }
+
+    /// `process`'s neighbour row: per stream channel, its tokens per period
+    /// and the endpoint at its other end.
+    fn row(&self, process: ProcessId) -> impl Iterator<Item = (u64, Endpoint)> + '_ {
+        let graph = &self.table.spec().graph;
+        let end = Endpoint::Process(process);
+        self.table.incident(process).map(move |id| {
+            let ch = graph.channel(id);
+            let other = if ch.src == end { ch.dst } else { ch.src };
+            (ch.tokens_per_period, other)
+        })
     }
 
     /// The tile realising `end` when `tile_of` places the processes.
@@ -137,62 +150,35 @@ impl<'a> SearchCtx<'a> {
         }
     }
 
-    /// Σ of this cost model's channel terms over the channels incident to
-    /// `p0` (and `p1`, deduplicating channels incident to both), with the
-    /// processes on the tiles `tile_of` reports — the only terms a
-    /// move/swap of those processes can change. O(degree), not
-    /// O(channels).
-    fn local_cost(
-        &self,
-        p0: ProcessId,
-        p1: Option<ProcessId>,
-        tile_of: impl Fn(ProcessId) -> Option<TileId> + Copy,
-    ) -> u64 {
-        let graph = &self.table.spec().graph;
-        let term = |id: KpnChannelId| {
-            let ch = graph.channel(id);
-            match (
-                self.endpoint_tile(ch.src, tile_of),
-                self.endpoint_tile(ch.dst, tile_of),
-            ) {
-                (Some(a), Some(b)) => {
-                    self.cost_model
-                        .channel_cost(self.platform, ch.tokens_per_period, a, b)
-                }
-                _ => 0,
-            }
-        };
-        let mut sum: u64 = self.table.incident(p0).map(term).sum();
-        if let Some(p1) = p1 {
-            let here = Endpoint::Process(p0);
-            for id in self.table.incident(p1) {
-                let ch = graph.channel(id);
-                if ch.src != here && ch.dst != here {
-                    sum += term(id);
-                }
-            }
-        }
-        sum
+    /// The cost model's term of a channel carrying `tokens` between `a`
+    /// and `b`.
+    fn term(&self, tokens: u64, a: TileId, b: TileId) -> u64 {
+        self.cost_model.channel_cost(self.platform, tokens, a, b)
     }
 
-    /// The cost with `candidate` made, from the view alone: `current` minus
-    /// `before` (the candidate's [`SearchCtx::local_cost`] now) plus its
-    /// local cost with the candidate's tiles substituted. Moves and swaps
-    /// never change implementation choices, so the base term cancels.
-    ///
-    /// Debug builds hold the result to a full recompute on the same
-    /// substituted view, which allocates nothing.
-    fn score(
-        &self,
-        mapping: &Mapping,
-        view: &View,
-        candidate: &Step2Move,
-        current: u64,
-        before: u64,
-    ) -> u64 {
-        let (p0, p1) = touched(candidate);
-        let after = self.local_cost(p0, p1, |p| view.tile_after(candidate, p));
-        let cost = current - before + after;
+    /// Starts a pass: records `here` for every movable process and empties
+    /// the tried set.
+    fn start_pass(&self, view: &mut View) {
+        for process in (0..view.processes).map(ProcessId::from_index) {
+            let Some((_, tile)) = view.movable(process) else {
+                continue;
+            };
+            let here = self
+                .row(process)
+                .filter_map(|(tokens, end)| {
+                    Some(self.term(tokens, tile, self.endpoint_tile(end, |p| view.tile(p))?))
+                })
+                .sum();
+            let entry = view.process_mut(process);
+            entry.here = here;
+            entry.reverted = NOWHERE;
+        }
+    }
+
+    /// `cost`, the score of `candidate`; debug builds hold it to a full
+    /// recompute on the view with the candidate's tiles substituted, which
+    /// allocates nothing.
+    fn checked(&self, mapping: &Mapping, view: &View, candidate: &Step2Move, cost: u64) -> u64 {
         debug_assert_eq!(
             cost,
             self.cost_model.base_cost(mapping, self.table.spec())
@@ -201,24 +187,25 @@ impl<'a> SearchCtx<'a> {
                     .channel_costs(self.table.spec(), self.platform, |end| {
                         self.endpoint_tile(end, |p| view.tile_after(candidate, p))
                     }),
-            "incremental delta must match a full recompute for {candidate:?}"
+            "incremental score must match a full recompute for {candidate:?}"
         );
         cost
     }
 
     /// Whether `candidate` fits: what applying it would find, asked
     /// without applying it.
-    fn fits(&self, view: &View, working: &PlatformState, candidate: &Step2Move) -> bool {
+    fn fits(&self, mapping: &Mapping, working: &PlatformState, candidate: &Step2Move) -> bool {
+        let placed = |p| mapping.assignment(p).expect("assigned in step 1");
         match *candidate {
             Step2Move::Move { process, to } => {
                 // `to` is never the process's own tile, so releasing its
                 // reservation first would not change what `to` holds.
-                let claim = self.table.claim(process, view.placed(process).impl_index);
+                let claim = self.table.claim(process, placed(process).impl_index);
                 !self.constraints.is_tile_forbidden(process, to)
                     && working.fits_tile(self.platform, to, &claim)
             }
             Step2Move::Swap { a, b } => {
-                let (pa, pb) = (view.placed(a), view.placed(b));
+                let (pa, pb) = (placed(a), placed(b));
                 let claim_a = self.table.claim(a, pa.impl_index);
                 let claim_b = self.table.claim(b, pb.impl_index);
                 let (held_a, held_b) = (reservation_of(&claim_a), reservation_of(&claim_b));
@@ -254,12 +241,12 @@ impl<'a> SearchCtx<'a> {
         view: &mut View,
         candidate: &Step2Move,
     ) {
-        let held =
-            |p: ProcessId, placed: &Placed| reservation_of(&self.table.claim(p, placed.impl_index));
+        let placed = |mapping: &Mapping, p| mapping.assignment(p).expect("assigned in step 1");
+        let held = |p: ProcessId, impl_index| reservation_of(&self.table.claim(p, impl_index));
         match *candidate {
             Step2Move::Move { process, to } => {
-                let placed = view.placed(process);
-                let held = held(process, &placed);
+                let placed = placed(mapping, process);
+                let held = held(process, placed.impl_index);
                 working
                     .release_tile(placed.tile, &held)
                     .expect("claim was reserved");
@@ -270,8 +257,8 @@ impl<'a> SearchCtx<'a> {
                 view.move_to(process, to);
             }
             Step2Move::Swap { a, b } => {
-                let (pa, pb) = (view.placed(a), view.placed(b));
-                let (held_a, held_b) = (held(a, &pa), held(b, &pb));
+                let (pa, pb) = (placed(mapping, a), placed(mapping, b));
+                let (held_a, held_b) = (held(a, pa.impl_index), held(b, pb.impl_index));
                 working
                     .release_tile(pa.tile, &held_a)
                     .expect("claim was reserved");
@@ -321,60 +308,91 @@ impl<'a> SearchCtx<'a> {
             generated: 0,
             final_cost: 0,
         };
-        let mut current_cost = trace.initial_cost;
+        let mut current = trace.initial_cost;
         let mut view = self.view_of(mapping);
-        let mut tried: BTreeSet<TriedKey> = BTreeSet::new();
 
         'search: loop {
-            for process in self.table.order() {
-                // The order holds stream processes only, so not swappable
+            self.start_pass(&mut view);
+            for a in self.table.order() {
+                // The order holds stream processes only, so not movable
                 // means pinned: every candidate would take it off its pin.
-                let Some(placed) = view.0[process.index()].filter(|p| p.swappable) else {
+                let Some((kind, ta)) = view.movable(a) else {
                     continue;
                 };
+                let here_a = view.process(a).here;
+                view.read_row(self, a);
                 // This process's best untried reassignment that fits: a
                 // candidate is scored first and asked the rest only if it
                 // would be the best so far, so the first strict minimum in
                 // candidate order wins.
                 let mut best: Option<ScoredCandidate> = None;
-                let mut offer = |candidate: Step2Move, cost: u64| {
+                let offer = |best: &mut Option<ScoredCandidate>,
+                             candidate: Step2Move,
+                             cost: u64,
+                             tried: bool| {
                     if best.as_ref().is_none_or(|(c, _)| cost < *c)
-                        && !tried.contains(&candidate_key(&candidate))
-                        && self.fits(&view, working, &candidate)
+                        && !tried
+                        && self.fits(mapping, working, &candidate)
                     {
-                        best = Some((cost, candidate));
+                        *best = Some((cost, candidate));
                     }
                 };
                 // Moves to the other tiles of its kind, then swaps with the
-                // swappable processes of its kind, in process order.
-                let here = self.local_cost(process, None, |p| view.tile(p));
-                for (to, _) in self.platform.tiles_of_kind(placed.kind) {
-                    if to != placed.tile {
+                // movable processes of its kind, in process order.
+                for (to, _) in self.platform.tiles_of_kind(kind) {
+                    if to != ta {
                         trace.generated += 1;
-                        let candidate = Step2Move::Move { process, to };
+                        let cost_at = view.row_cost(self, to);
+                        view.set_cost_at(to, cost_at);
+                        let candidate = Step2Move::Move { process: a, to };
+                        let cost = current - here_a + cost_at;
                         offer(
+                            &mut best,
                             candidate,
-                            self.score(mapping, &view, &candidate, current_cost, here),
+                            self.checked(mapping, &view, &candidate, cost),
+                            false,
                         );
                     }
                 }
-                for (index, other) in view.0.iter().enumerate() {
-                    let b = ProcessId::from_index(index);
-                    if other.is_some_and(|o| o.swappable && o.kind == placed.kind) && b != process {
-                        trace.generated += 1;
-                        let candidate = Step2Move::Swap { a: process, b };
-                        let before = self.local_cost(process, Some(b), |p| view.tile(p));
-                        offer(
-                            candidate,
-                            self.score(mapping, &view, &candidate, current_cost, before),
-                        );
+                for b in (0..view.processes).map(ProcessId::from_index) {
+                    let Some((kind_b, tb)) = view.movable(b).filter(|_| b != a) else {
+                        continue;
+                    };
+                    if kind_b != kind {
+                        continue;
                     }
+                    // `tb` is a tile of this kind (step 1 places a process on
+                    // a tile of its implementation's kind): unless it is
+                    // `ta`, the moves above filled `cost_at` for it.
+                    trace.generated += 1;
+                    let candidate = Step2Move::Swap { a, b };
+                    let partner = view.process(b);
+                    let cost = if ta == tb {
+                        current
+                    } else {
+                        let (mut x, mut s, mut z) = (0, 0, 0);
+                        for (tokens, end) in self.row(b) {
+                            if end == Endpoint::Process(a) {
+                                s += self.term(tokens, ta, tb);
+                                z += self.cost_model.term(tokens, 0);
+                            } else if let Some(other) = self.endpoint_tile(end, |p| view.tile(p)) {
+                                x += self.term(tokens, ta, other);
+                            }
+                        }
+                        current + partner.cost_at + x + 2 * s - here_a - partner.here - z
+                    };
+                    offer(
+                        &mut best,
+                        candidate,
+                        self.checked(mapping, &view, &candidate, cost),
+                        partner.reverted == pack_process(a),
+                    );
                 }
                 let Some((cost, candidate)) = best else {
                     continue;
                 };
                 trace.evaluations += 1;
-                let kept = current_cost.saturating_sub(cost) >= MIN_GAIN;
+                let kept = current.saturating_sub(cost) >= MIN_GAIN;
                 if capture {
                     trace.events.push(Step2Event {
                         candidate,
@@ -385,15 +403,23 @@ impl<'a> SearchCtx<'a> {
                 }
                 if kept {
                     self.commit(mapping, working, &mut view, &candidate);
-                    current_cost = cost;
-                    tried.clear();
+                    current = cost;
                     if trace.evaluations >= MAX_EVALUATIONS {
                         break 'search;
                     }
                     // Restart the scan from the top of the process order.
                     continue 'search;
                 }
-                tried.insert(candidate_key(&candidate));
+                // The tried set holds the candidates reverted since the last
+                // keep. A scan adds at most one, and no process is scanned
+                // twice between keeps, so a reverted move is never generated
+                // again before the set empties; a reverted swap comes back
+                // only as its partner's candidate later in the pass. The
+                // scanned process's entry naming its swap partner is
+                // therefore the whole set.
+                if let Step2Move::Swap { b, .. } = candidate {
+                    view.process_mut(a).reverted = pack_process(b);
+                }
                 if trace.evaluations >= MAX_EVALUATIONS {
                     break 'search;
                 }
@@ -403,41 +429,123 @@ impl<'a> SearchCtx<'a> {
             break;
         }
 
-        trace.final_cost = current_cost;
+        trace.final_cost = current;
         trace
     }
 }
 
-/// The processes `candidate` reassigns.
-fn touched(candidate: &Step2Move) -> (ProcessId, Option<ProcessId>) {
-    match *candidate {
-        Step2Move::Move { process, .. } => (process, None),
-        Step2Move::Swap { a, b } => (a, Some(b)),
-    }
+/// What an entry holds for "no tile" or "no process".
+const NOWHERE: u32 = u32::MAX;
+
+/// `tile` as an entry holds it.
+fn pack(tile: Option<TileId>) -> u32 {
+    tile.map_or(NOWHERE, |t| {
+        u32::try_from(t.index()).expect("tile ids fit 32 bits")
+    })
 }
 
-/// An assigned process as the search sees it.
+/// The tile an entry holds.
+fn unpack(tile: u32) -> Option<TileId> {
+    (tile != NOWHERE).then(|| TileId::from_index(tile as usize))
+}
+
+/// `process` as an entry holds it.
+fn pack_process(process: ProcessId) -> u32 {
+    u32::try_from(process.index()).expect("a spec's counts fit 32 bits")
+}
+
+/// A process as the search sees it.
 #[derive(Debug, Clone, Copy)]
-struct Placed {
-    tile: TileId,
-    impl_index: usize,
-    kind: TileKind,
-    /// May be a swap partner: neither a control process nor pinned.
-    swappable: bool,
+struct Process {
+    /// Its local cost this pass: the sum of its channels' terms where
+    /// everything is (movable processes only).
+    here: u64,
+    /// The scanned process's local cost with it on this process's tile
+    /// (filled by the scan's moves; read by its swaps).
+    cost_at: u64,
+    /// Where it is, packed; `NOWHERE` while unassigned.
+    tile: u32,
+    /// The partner of the swap this process's scan reverted in this pass,
+    /// packed; `NOWHERE` if none.
+    reverted: u32,
+    /// Its tile kind, if it may move and be a swap partner: assigned, not a
+    /// control process and not pinned.
+    kind: Option<TileKind>,
 }
 
-/// The search's dense view of the assignment: one entry per process of the
-/// graph, `None` for an unassigned one. Built once per search; only a kept
-/// candidate changes it.
-struct View(Vec<Option<Placed>>);
+/// One entry of the [`View`]'s vector.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    Process(Process),
+    /// A stream channel of the scanned process: its tokens per period and
+    /// the tile at its other end, packed.
+    Channel(u64, u32),
+}
+
+/// The search's state, in one vector built once per search: an entry per
+/// process of the graph, then the scanned process's neighbour row.
+struct View {
+    entries: Vec<Entry>,
+    processes: usize,
+}
 
 impl View {
-    fn placed(&self, process: ProcessId) -> Placed {
-        self.0[process.index()].expect("assigned in step 1")
+    fn process(&self, process: ProcessId) -> Process {
+        match self.entries[process.index()] {
+            Entry::Process(entry) => entry,
+            Entry::Channel(..) => unreachable!("the first entries are the processes'"),
+        }
+    }
+
+    fn process_mut(&mut self, process: ProcessId) -> &mut Process {
+        match &mut self.entries[process.index()] {
+            Entry::Process(entry) => entry,
+            Entry::Channel(..) => unreachable!("the first entries are the processes'"),
+        }
     }
 
     fn tile(&self, process: ProcessId) -> Option<TileId> {
-        self.0[process.index()].map(|p| p.tile)
+        unpack(self.process(process).tile)
+    }
+
+    /// `process`'s kind and tile, if it may move.
+    fn movable(&self, process: ProcessId) -> Option<(TileKind, TileId)> {
+        let entry = self.process(process);
+        Some((entry.kind?, unpack(entry.tile)?))
+    }
+
+    /// Reads `process`'s neighbour row into the vector, past the processes.
+    fn read_row(&mut self, ctx: &SearchCtx<'_>, process: ProcessId) {
+        self.entries.truncate(self.processes);
+        for (tokens, end) in ctx.row(process) {
+            let tile = pack(ctx.endpoint_tile(end, |p| self.tile(p)));
+            self.entries.push(Entry::Channel(tokens, tile));
+        }
+    }
+
+    /// The read row's cost with its process on `tile`.
+    fn row_cost(&self, ctx: &SearchCtx<'_>, tile: TileId) -> u64 {
+        self.entries[self.processes..]
+            .iter()
+            .map(|entry| match *entry {
+                Entry::Channel(tokens, other) => {
+                    unpack(other).map_or(0, |other| ctx.term(tokens, tile, other))
+                }
+                Entry::Process(_) => unreachable!("the row follows the processes"),
+            })
+            .sum()
+    }
+
+    /// Records `cost_at` on every process on `tile`.
+    fn set_cost_at(&mut self, tile: TileId, cost_at: u64) {
+        let tile = pack(Some(tile));
+        for entry in &mut self.entries[..self.processes] {
+            if let Entry::Process(entry) = entry {
+                if entry.tile == tile {
+                    entry.cost_at = cost_at;
+                }
+            }
+        }
     }
 
     /// `process`'s tile once `candidate` is made.
@@ -451,15 +559,13 @@ impl View {
     }
 
     fn move_to(&mut self, process: ProcessId, tile: TileId) {
-        if let Some(placed) = &mut self.0[process.index()] {
-            placed.tile = tile;
-        }
+        self.process_mut(process).tile = pack(Some(tile));
     }
 
     /// The Table-2 row content: every `(process, tile)` with `candidate`
     /// made, in process order (as `Mapping::assignments` lists them).
     fn snapshot_after(&self, candidate: &Step2Move) -> Vec<(ProcessId, TileId)> {
-        (0..self.0.len())
+        (0..self.processes)
             .map(ProcessId::from_index)
             .filter_map(|p| Some((p, self.tile_after(candidate, p)?)))
             .collect()
@@ -574,7 +680,7 @@ mod tests {
         let frq = spec.graph.process_by_name("Freq. off. correction").unwrap();
         match trace.events[0].candidate {
             Step2Move::Swap { a, b } => {
-                assert_eq!(swap_key(a, b), swap_key(pfx, frq));
+                assert!((a, b) == (pfx, frq) || (a, b) == (frq, pfx));
             }
             other => panic!("iteration 1 should be the ARM swap, got {other:?}"),
         }

@@ -1,20 +1,32 @@
-//! The oracle for step 2's scoring view: the search as it was written
-//! before the view — every candidate applied to the ledger and the
-//! `Mapping`, rescored, and undone — must be indistinguishable from
+//! The oracle for step 2's scoring: the search as it was written before
+//! its scoring vector — every candidate applied to the ledger and the
+//! `Mapping`, rescored over the touched processes' channels, and undone,
+//! with a `BTreeSet` of tried candidates — must be indistinguishable from
 //! [`SearchCtx::improve`]: the same `Mapping`, the same ledger and the same
 //! [`Step2Trace`], events included, under all three cost models with
 //! capture on and off. The cases are random ledgers of the paper platform
 //! and the mixed 4×4 mesh with one to three compute slots per tile, so swap
 //! partners can share one: partly occupied, with failed tiles, excluded
-//! tiles, tiles forbidden by feedback, and pins.
+//! tiles, tiles forbidden by feedback, and pins. The mesh runs the mixed
+//! catalog, and the `synthetic` catalog's chains, two fork-joins and two
+//! specs whose same-kind processes are joined by parallel channels.
 //!
-//! Mutations tried by hand against this file, each caught by
-//! `the_view_makes_the_reference_scans_decisions`: checking two partners on
-//! one tile as if they sat on two; letting pinned processes be swap
-//! partners; letting the last minimum win instead of the first (`<=`);
-//! skipping the tried set; skipping the forbidden-tile check of a move.
-//! Dropping the failed-tile check from `PlatformState::fits_after_vacating`
-//! passes here — step 1 never places a process on a failed tile, so no swap
+//! Mutations tried by hand against `step2.rs`, each caught by
+//! `the_view_makes_the_reference_scans_decisions` in a release build
+//! (debug builds stop earlier, at the full-recompute assertion): dropping
+//! the swap's `2·S` term; recording `here` once per search instead of once
+//! per pass, so a kept candidate leaves it stale; dropping the same-tile
+//! swap rule, so a swap reads `cost_at` on a tile the scan's moves did not
+//! fill (the partners' own); summing `S` over one of the partners' channels
+//! instead of all of them (caught only with the parallel-channel specs);
+//! checking two partners on one tile as if they sat on two; letting pinned
+//! processes be swap partners; letting the last minimum win instead of the
+//! first (`<=`); skipping the tried set; recording a reverted swap on the
+//! partner's entry instead of the scanned process's; skipping the
+//! forbidden-tile check of a move. Dropping `Z` passes: every cost model
+//! prices a channel of 0 hops at 0, so `Z` is 0 for every spec. Dropping
+//! the failed-tile check from `PlatformState::fits_after_vacating` passes
+//! here — step 1 never places a process on a failed tile, so no swap
 //! partner sits on one, and this reference cannot restore a claim on one —
 //! and is caught by `tests/transaction_invariants.rs`.
 
@@ -24,10 +36,35 @@ use crate::feedback::Feedback;
 use crate::step1::Step1;
 use proptest::prelude::*;
 use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
+use rtsm_app::{Implementation, ImplementationLibrary, KpnChannelId, ProcessGraph, QosSpec};
+use rtsm_dataflow::PhaseVec;
 use rtsm_platform::paper::paper_platform;
 use rtsm_platform::{PlatformBuilder, Tile};
 use rtsm_workloads::apps::{dvbt_rx, jpeg_encoder, mp3_decoder, wlan_tx};
-use rtsm_workloads::mesh_platform;
+use rtsm_workloads::{mesh_platform, synthetic_app, GraphShape, SyntheticConfig};
+use std::collections::BTreeSet;
+
+/// A key of the reference's tried set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum TriedKey {
+    Move(ProcessId, TileId),
+    Swap(ProcessId, ProcessId), // ordered pair (min, max)
+}
+
+fn candidate_key(c: &Step2Move) -> TriedKey {
+    match *c {
+        Step2Move::Move { process, to } => TriedKey::Move(process, to),
+        Step2Move::Swap { a, b } => TriedKey::Swap(a.min(b), a.max(b)),
+    }
+}
+
+/// The processes `candidate` reassigns.
+fn touched(candidate: &Step2Move) -> (ProcessId, Option<ProcessId>) {
+    match *candidate {
+        Step2Move::Move { process, .. } => (process, None),
+        Step2Move::Swap { a, b } => (a, Some(b)),
+    }
+}
 
 /// The search with every candidate applied, rescored and undone.
 struct Reference<'c, 'a>(&'c SearchCtx<'a>);
@@ -343,8 +380,122 @@ impl Reference<'_, '_> {
     }
 }
 
+/// A spec of `n` processes, each with a one-phase MONTIUM and ARM
+/// implementation, over `channels` as `(source, destination, tokens)` —
+/// `None` is the stream input as a source and the stream output as a
+/// destination — parallel channels included.
+fn linked(
+    name: &str,
+    n: usize,
+    channels: &[(Option<usize>, Option<usize>, u64)],
+) -> ApplicationSpec {
+    let mut graph = ProcessGraph::new();
+    let processes: Vec<ProcessId> = (0..n)
+        .map(|i| graph.add_process_abbrev(format!("q{i}"), format!("q{i}")))
+        .collect();
+    for &(src, dst, tokens) in channels {
+        let end = |p: Option<usize>, stream| p.map_or(stream, |p| Endpoint::Process(processes[p]));
+        graph
+            .add_channel(
+                end(src, Endpoint::StreamInput),
+                end(dst, Endpoint::StreamOutput),
+                tokens,
+            )
+            .expect("valid endpoints");
+    }
+    let mut library = ImplementationLibrary::new();
+    for (i, &p) in processes.iter().enumerate() {
+        // One firing per period: every port moves its channel's tokens.
+        let rates = |ports: Vec<KpnChannelId>| -> Vec<PhaseVec> {
+            ports
+                .iter()
+                .map(|&c| PhaseVec::from_slice(&[graph.channel(c).tokens_per_period]))
+                .collect()
+        };
+        for (kind, cycles, energy, memory) in [
+            (TileKind::Montium, 100, 20_000, 2048),
+            (TileKind::Arm, 250, 38_000, 8192),
+        ] {
+            library.register(
+                p,
+                Implementation {
+                    name: format!("q{i} @ {kind}"),
+                    tile_kind: kind,
+                    wcet: PhaseVec::from_slice(&[cycles]),
+                    inputs: rates(graph.inputs_of(p)),
+                    outputs: rates(graph.outputs_of(p)),
+                    energy_pj_per_period: energy + 1000 * i as u64,
+                    memory_bytes: memory,
+                },
+            );
+        }
+    }
+    let spec = ApplicationSpec {
+        name: name.to_string(),
+        graph,
+        qos: QosSpec::with_period(4_000_000),
+        library,
+    };
+    assert_eq!(spec.validate(), Ok(()), "{name}");
+    spec
+}
+
+/// The `synthetic` catalog's five chains (`rtsm_sim::Catalog::synthetic(42,
+/// 5)`: 3 to 7 processes preferring MONTIUM, most with ARM alternatives),
+/// two fork-joins, and specs whose same-kind processes are joined by two
+/// or three parallel channels — many swap partners of one kind, and many
+/// partners that share a multi-slot tile with a channel between them.
+fn synthetic_specs() -> Vec<ApplicationSpec> {
+    let config = |seed, n_processes, shape| SyntheticConfig {
+        seed,
+        n_processes,
+        shape,
+        tile_kinds: vec![TileKind::Montium, TileKind::Arm],
+        ..SyntheticConfig::default()
+    };
+    let chains =
+        (0..5).map(|i| synthetic_app(&config(42 + i, 3 + i as usize % 5, GraphShape::Chain)));
+    let forks = [(7, 3), (6, 2)]
+        .map(|(n, width)| synthetic_app(&config(7, n, GraphShape::ForkJoin { width })));
+    let (a, b, c, d, e) = (Some(0), Some(1), Some(2), Some(3), Some(4));
+    let parallel = [
+        linked(
+            "parallel pairs",
+            5,
+            &[
+                (None, a, 16),
+                (a, b, 8),
+                (a, b, 24),
+                (b, c, 40),
+                (b, c, 8),
+                (b, c, 16),
+                (c, d, 32),
+                (d, e, 8),
+                (d, e, 8),
+                (e, None, 16),
+            ],
+        ),
+        linked(
+            "parallel diamond",
+            4,
+            &[
+                (None, a, 32),
+                (a, b, 16),
+                (a, b, 48),
+                (a, c, 8),
+                (b, d, 24),
+                (c, d, 8),
+                (c, d, 40),
+                (d, None, 16),
+            ],
+        ),
+    ];
+    chains.chain(forks).chain(parallel).collect()
+}
+
 /// HIPERLAN/2 in every mode on the paper platform, and the mixed catalog
-/// on the mixed 4×4 mesh (platform seed 42, the repo-wide default).
+/// and the synthetic specs on the mixed 4×4 mesh (platform seed 42, the
+/// repo-wide default).
 fn worlds() -> Vec<(Platform, Vec<ApplicationSpec>)> {
     let mixed_mix = [
         (TileKind::Montium, 4),
@@ -369,7 +520,17 @@ fn worlds() -> Vec<(Platform, Vec<ApplicationSpec>)> {
                 hiperlan2_receiver(Hiperlan2Mode::Qpsk34),
             ],
         ),
+        (mesh_platform(42, 4, 4, &mixed_mix), synthetic_specs()),
     ]
+}
+
+/// Channels between `a` and `b`, either way.
+fn links(spec: &ApplicationSpec, a: ProcessId, b: ProcessId) -> usize {
+    let (a, b) = (Endpoint::Process(a), Endpoint::Process(b));
+    spec.graph
+        .stream_channels()
+        .filter(|(_, ch)| (ch.src, ch.dst) == (a, b) || (ch.src, ch.dst) == (b, a))
+        .count()
 }
 
 /// What the random cases exercised, summed over the run.
@@ -387,6 +548,11 @@ struct Coverage {
     reverted: u32,
     /// Events of a swap whose partners share one tile.
     shared_tile_swaps: u32,
+    /// ... and are joined by a channel.
+    shared_tile_linked_swaps: u32,
+    /// Events of a swap whose partners, on two tiles, are joined by
+    /// parallel channels.
+    parallel_linked_swaps: u32,
 }
 
 #[test]
@@ -501,8 +667,11 @@ fn the_view_makes_the_reference_scans_decisions() {
                             coverage.reverted += u32::from(!event.kept);
                             if let Step2Move::Swap { a, b } = event.candidate {
                                 let tile_of = |p| event.assignment.iter().find(|(q, _)| *q == p);
-                                coverage.shared_tile_swaps +=
-                                    u32::from(tile_of(a).map(|t| t.1) == tile_of(b).map(|t| t.1));
+                                let shared = tile_of(a).map(|t| t.1) == tile_of(b).map(|t| t.1);
+                                let links = links(spec, a, b);
+                                coverage.shared_tile_swaps += u32::from(shared);
+                                coverage.shared_tile_linked_swaps += u32::from(shared && links > 0);
+                                coverage.parallel_linked_swaps += u32::from(!shared && links >= 2);
                             }
                         }
                     }
@@ -518,5 +687,7 @@ fn the_view_makes_the_reference_scans_decisions() {
     assert!(coverage.kept >= 100, "{coverage:?}");
     assert!(coverage.reverted >= 100, "{coverage:?}");
     assert!(coverage.shared_tile_swaps >= 10, "{coverage:?}");
+    assert!(coverage.shared_tile_linked_swaps >= 10, "{coverage:?}");
+    assert!(coverage.parallel_linked_swaps >= 20, "{coverage:?}");
     eprintln!("{coverage:?}");
 }

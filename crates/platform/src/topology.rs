@@ -337,9 +337,6 @@ impl Platform {
     /// The directed link from `from` to `to` (adjacent routers only): a
     /// scan of `from`'s adjacency row, at most four entries.
     pub fn link_between(&self, from: Coord, to: Coord) -> Option<LinkId> {
-        if from.x >= self.width || from.y >= self.height {
-            return None;
-        }
         self.adjacency(from)
             .iter()
             .find(|e| e.to == to)
@@ -360,7 +357,7 @@ impl Platform {
         PlatformState::new(self)
     }
 
-    /// Neighbouring router coordinates of `c` (up to 4).
+    /// Neighbouring router coordinates of `c` (up to 4; none off the mesh).
     pub fn neighbours(&self, c: Coord) -> impl Iterator<Item = Coord> + '_ {
         self.adjacency(c).iter().map(|e| e.to)
     }
@@ -381,8 +378,12 @@ impl Platform {
     /// coordinates and directed links, in west/east/north/south order.
     ///
     /// This is the flat CSR table the routing hot path walks, and the one
-    /// [`Platform::link_between`] scans.
+    /// [`Platform::link_between`] scans. Empty for a coordinate off the
+    /// mesh, such as a deserialized platform's tile can have.
     pub fn adjacency(&self, c: Coord) -> &[AdjEntry] {
+        if c.x >= self.width || c.y >= self.height {
+            return &[];
+        }
         let r = self.router_index(c);
         let lo = self.adj_offsets[r] as usize;
         let hi = self.adj_offsets[r + 1] as usize;

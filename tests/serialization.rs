@@ -196,6 +196,35 @@ fn a_mapping_file_naming_a_huge_id_is_refused() {
     assert_eq!(serde_json::to_string(&mapping).unwrap(), sparse);
 }
 
+/// The builder refuses a tile off the mesh; a deserialized platform can
+/// hold one, on no router. Such a tile has no neighbours, so the ledger's
+/// fragmentation query finds it an island of its own. Moved from (0, 0) to
+/// (0, 9) it made the adjacency lookup panic past the last router; moved to
+/// (7, 0) it read router (1, 2)'s row and joined the Sink's region.
+#[test]
+fn a_tile_off_the_mesh_has_no_neighbours() {
+    let json = serde_json::to_string(&paper_platform()).unwrap();
+    let origin = r#""position":{"x":0,"y":0}"#;
+    assert_eq!(json.matches(origin).count(), 1, "OTHER1 sits at (0, 0)");
+    for (x, y) in [(0, 9), (7, 0)] {
+        let moved = format!(r#""position":{{"x":{x},"y":{y}}}"#);
+        let platform: Platform = serde_json::from_str(&json.replacen(origin, &moved, 1)).unwrap();
+        let other1 = platform.tile(platform.tile_by_name("OTHER1").unwrap());
+        assert_eq!((other1.position.x, other1.position.y), (x, y));
+        assert_eq!(
+            platform.neighbours(other1.position).count(),
+            0,
+            "({x}, {y})"
+        );
+        assert!(platform.adjacency(other1.position).is_empty());
+        // Nine free single-slot tiles: the eight on the mesh are one
+        // region, OTHER1 is another.
+        let fragmentation = platform.initial_state().fragmentation(&platform);
+        assert_eq!(fragmentation.free_slots, 9);
+        assert_eq!(fragmentation.largest_free_region_slots, 8, "({x}, {y})");
+    }
+}
+
 #[test]
 fn sim_event_roundtrips() {
     let events = [
