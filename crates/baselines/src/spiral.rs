@@ -66,14 +66,14 @@ pub(crate) fn spiral_assignment(
 
     // Anchor: the heaviest communicator, placed as close to the mesh
     // centre as its viable tiles allow (doubled coordinates avoid the
-    // half-tile rounding of even meshes).
+    // half-tile rounding of even meshes; a deserialized mesh can be empty).
     let anchor = order
         .iter()
         .copied()
         .max_by_key(|p| (total[p.index()], usize::MAX - p.index()))?;
     let (cx2, cy2) = (
-        u32::from(platform.width()) - 1,
-        u32::from(platform.height()) - 1,
+        u32::from(platform.width()).saturating_sub(1),
+        u32::from(platform.height()).saturating_sub(1),
     );
     let mut evaluated = 0u64;
     let mut mapping = Mapping::for_spec(spec);

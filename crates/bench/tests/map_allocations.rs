@@ -27,8 +27,8 @@ use std::sync::Arc;
 static ALLOC: PeakAlloc = PeakAlloc::new();
 
 /// Allocator calls allowed per map on a thread that has mapped the spec
-/// before. Measured: 31 (rustc 1.95), one of them the spec table's claim
-/// slots and one step 2's vector (an entry per process, which also holds
+/// before. Measured: 31 (rustc 1.95), one of them the spec table's claims
+/// (filled when it is built) and one step 2's vector (an entry per process, which also holds
 /// the tried set, and room for one neighbour row; 33 while the tried set
 /// was a `BTreeSet`, which allocated a node at the first revert after
 /// each keep — twice on the paper case); step 3 allocates
@@ -70,7 +70,7 @@ const HIT_CEILING: usize = 15;
 /// Measured: 5 on rustc 1.95 — the code before the dense `Mapping` reads 5
 /// there too, though this comment gave 4 — all of them the wrapped
 /// mapper's step-1 reject, which builds no `Mapping`: among them the spec
-/// table's claim slots, the slot states, the unassigned list and the
+/// table's claims, the slot states, the unassigned list and the
 /// error. With both MONTIUMs taken the shape's anchor kind has no free
 /// tile, so its candidate loop runs zero times and the lookup itself
 /// allocates nothing and never copies the ledger. 18 while every `map`
@@ -84,10 +84,12 @@ const FAILED_LOOKUP_CEILING: usize = 5;
 /// (`wlan-tx` arriving on the mixed 4×4 mesh while `dvbt-rx` runs).
 /// Measured: 16 on rustc 1.95 — the code before the dense `Mapping` reads
 /// 16 there too, though this comment gave 15; no `Mapping` is built —
-/// among them the spec table's claim slots, then the first attempt's slot
+/// among them the spec table's claims, then the first attempt's slot
 /// states, working ledger (8), decision log and unassigned list, one node
 /// of the constraint set and the final attempt's feedback list; no attempt
-/// after the first allocates. 34 while every call validated the spec,
+/// after the first allocates: each starts from nothing but the constraints
+/// in the first one's buffers, and refreshes the working ledger from the
+/// base with `clone_from`. 34 while every call validated the spec,
 /// sorted it and built the table's rows; 141 while every attempt also
 /// copied the ledger and rebuilt its vectors, mapping and feedback (about
 /// 15 apiece). No slack: the ceiling may not rise.

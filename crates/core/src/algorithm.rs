@@ -102,7 +102,7 @@ impl MappingOutcome {
             tx.claim_tile(tile, &reservation)?;
         }
         for buffer in &self.buffers {
-            tx.claim_tile(buffer.tile, &buffer_claim(buffer))?;
+            tx.claim_tile(buffer.tile, &buffer.claim())?;
         }
         for (_, route) in self.mapping.routes() {
             if let RouteBinding::Path(path) = route {
@@ -161,7 +161,7 @@ impl MappingOutcome {
             tx.release_tile(tile, &reservation)?;
         }
         for buffer in &self.buffers {
-            tx.release_tile(buffer.tile, &buffer_claim(buffer))?;
+            tx.release_tile(buffer.tile, &buffer.claim())?;
         }
         for (_, route) in self.mapping.routes() {
             if let RouteBinding::Path(path) = route {
@@ -182,17 +182,6 @@ impl MappingOutcome {
             let claim = claim_for(spec, pid, implementation);
             (assignment.tile, reservation_of(&claim))
         })
-    }
-}
-
-/// The tile-memory claim of one computed channel buffer.
-fn buffer_claim(buffer: &ChannelBuffer) -> TileClaim {
-    TileClaim {
-        slots: 0,
-        memory_bytes: buffer.capacity_words * 4,
-        cycles_per_second: 0,
-        injection: 0,
-        ejection: 0,
     }
 }
 

@@ -80,6 +80,19 @@ pub fn reservation_of(claim: &TileClaim) -> TileClaim {
     }
 }
 
+/// The [`reservation_of`] a [`claim_for`] of `memory_bytes` and
+/// `cycles_per_second`: one compute slot, those two, and no NI bandwidth —
+/// what the manager's demand and a template's shape keep of a claim.
+pub(crate) fn hard_reservation(memory_bytes: u64, cycles_per_second: u64) -> TileClaim {
+    TileClaim {
+        slots: 1,
+        memory_bytes,
+        cycles_per_second,
+        injection: 0,
+        ejection: 0,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -140,8 +140,8 @@ impl SpatialMapper {
         let _map_span = obs::span(obs::Span::Map);
         let capture = self.config.capture;
         let mut constraints = Constraints::with_external(external.clone());
-        // Step 1 for the whole call: what an attempt learns about `base`
-        // serves the attempts after it.
+        // Step 1 for the whole call: its attempts share their buffers, and
+        // each answers from `base` and the constraints so far alone.
         let mut step1 = Step1::new(&table, platform, base);
         let mut trace = MapTrace::default();
         let mut last_feedback = Vec::new();
@@ -167,7 +167,7 @@ impl SpatialMapper {
                     attempts_made += 1;
                     evaluated += 1;
                     let forbid = dead_end.forbid();
-                    if !absorb(&mut constraints, &mut step1, forbid.as_slice()) {
+                    if !absorb(&mut constraints, forbid.as_slice()) {
                         return Err(MapError::Unmappable {
                             process: spec.graph.process(dead_end.process).name.clone(),
                         });
@@ -215,7 +215,7 @@ impl SpatialMapper {
                     attempt_trace.feedback = feedback.clone();
                     trace.attempts.push(attempt_trace);
                 }
-                let absorbed = absorb(&mut constraints, &mut step1, &feedback);
+                let absorbed = absorb(&mut constraints, &feedback);
                 last_feedback = feedback;
                 if !absorbed {
                     break;
@@ -252,7 +252,7 @@ impl SpatialMapper {
                 attempt_trace.feedback = step4.feedback.clone();
                 trace.attempts.push(attempt_trace);
             }
-            let absorbed = absorb(&mut constraints, &mut step1, &step4.feedback);
+            let absorbed = absorb(&mut constraints, &step4.feedback);
             last_feedback = step4.feedback;
             if !absorbed {
                 break;
@@ -285,18 +285,13 @@ pub(crate) fn check_endpoints(spec: &ApplicationSpec, platform: &Platform) -> Re
     Ok(())
 }
 
-/// Folds `feedback` into `constraints`, telling `step1` about every item
-/// that changed them. Returns whether any did (none ⇒ the feedback is not
-/// actionable and refinement stops rather than loops).
-fn absorb(constraints: &mut Constraints, step1: &mut Step1<'_>, feedback: &[Feedback]) -> bool {
-    let mut absorbed = false;
-    for fb in feedback {
-        if constraints.absorb(fb) {
-            step1.constrained_by(fb);
-            absorbed = true;
-        }
-    }
-    absorbed
+/// Folds `feedback` into `constraints`. Returns whether any item changed
+/// them (none ⇒ the feedback is not actionable and refinement stops rather
+/// than loops).
+fn absorb(constraints: &mut Constraints, feedback: &[Feedback]) -> bool {
+    feedback
+        .iter()
+        .fold(false, |absorbed, fb| constraints.absorb(fb) | absorbed)
 }
 
 impl MappingAlgorithm for SpatialMapper {

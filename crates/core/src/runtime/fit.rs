@@ -35,7 +35,7 @@
 //! finds every process a free slot proves that, and only a failed pass pays
 //! for the masks and the matching.
 
-use crate::claims::{claim_for, reservation_of};
+use crate::claims::{claim_for, hard_reservation, reservation_of};
 use crate::constraints::MappingConstraints;
 use crate::error::{CannotFitCause, MapError};
 use crate::mapper::check_endpoints;
@@ -91,13 +91,7 @@ impl Host {
     /// What this implementation reserves on its tile:
     /// [`reservation_of`]`(`[`claim_for`]`(..))`.
     fn reservation(&self) -> TileClaim {
-        TileClaim {
-            slots: 1,
-            memory_bytes: self.memory_bytes,
-            cycles_per_second: self.cycles_per_second,
-            injection: 0,
-            ejection: 0,
-        }
+        hard_reservation(self.memory_bytes, self.cycles_per_second)
     }
 
     /// Whether tile `t`, a healthy one with a free slot of the kind class

@@ -25,16 +25,16 @@
 //! A [`SpecTable`] borrows the spec for the duration of one `map` call. It
 //! copies the compiled entry's rows into one 32-bit slice — a copy, not a
 //! derivation: the steps then iterate plain slices instead of decoding the
-//! packed units value by value — and holds the `(process, implementation)
-//! → TileClaim` table, filled **on first use** from the port rows in
-//! O(degree): a fast step-1 reject touches a handful of slots and pays for
-//! no more, and no claim is kept between calls.
+//! packed units value by value — and fills the `(process, implementation)
+//! → TileClaim` table when it is built: each process's traffic is summed
+//! once over its port rows, then each of its implementations gets the
+//! claim [`claim_for`](crate::claims::claim_for) would compute. No claim is
+//! kept between calls.
 
 use crate::claims::claim_of;
 use crate::store;
 use rtsm_app::{AppModelError, ApplicationSpec, Implementation, KpnChannelId, ProcessId};
 use rtsm_platform::TileClaim;
-use std::cell::Cell;
 
 /// Values before the order: process, channel and implementation counts,
 /// then the order's length.
@@ -160,7 +160,8 @@ pub struct SpecTable<'a> {
     bounds_at: usize,
     slots_at: usize,
     ports_at: usize,
-    claims: Box<[Cell<Option<TileClaim>>]>,
+    /// [`SpecTable::claim`] of every slot, in slot order.
+    claims: Box<[TileClaim]>,
 }
 
 impl<'a> SpecTable<'a> {
@@ -173,15 +174,26 @@ impl<'a> SpecTable<'a> {
         let slots_at = bounds_at + 2 * n + 1;
         let ports_at = slots_at + n + 1;
         let rows = compiled.values(HEADER);
-        let n_slots = rows[ports_at - 1] as usize;
-        SpecTable {
+        let mut claims = Vec::with_capacity(rows[ports_at - 1] as usize);
+        let mut table = SpecTable {
             spec,
             rows,
             bounds_at,
             slots_at,
             ports_at,
-            claims: vec![Cell::new(None); n_slots].into_boxed_slice(),
+            claims: Box::default(),
+        };
+        // Slots run in process order, a process's in implementation order.
+        for process in (0..n).map(ProcessId::from_index) {
+            let (first_in, ejection) = table.traffic(table.inputs(process));
+            let (first_out, injection) = table.traffic(table.outputs(process));
+            for implementation in spec.library.impls_for(process) {
+                let (tokens, words) = ((first_in, first_out), (injection, ejection));
+                claims.push(claim_of(spec, implementation, tokens, words));
+            }
         }
+        table.claims = claims.into_boxed_slice();
+        table
     }
 
     /// The table of a spec that already passed
@@ -289,22 +301,9 @@ impl<'a> SpecTable<'a> {
     }
 
     /// [`claim_for`](crate::claims::claim_for) of (`process`,
-    /// `impl_index`), computed on first use from the process's port rows.
+    /// `impl_index`).
     pub fn claim(&self, process: ProcessId, impl_index: usize) -> TileClaim {
-        let slot = &self.claims[self.slot(process, impl_index)];
-        if let Some(claim) = slot.get() {
-            return claim;
-        }
-        let (first_in, ejection) = self.traffic(self.inputs(process));
-        let (first_out, injection) = self.traffic(self.outputs(process));
-        let claim = claim_of(
-            self.spec,
-            self.implementation(process, impl_index),
-            (first_in, first_out),
-            (injection, ejection),
-        );
-        slot.set(Some(claim));
-        claim
+        self.claims[self.slot(process, impl_index)]
     }
 
     /// [`ApplicationSpec::cycles_per_period`] of (`process`, `impl_index`),

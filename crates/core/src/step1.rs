@@ -12,41 +12,28 @@
 //! with sufficient resources.
 //!
 //! Each round asks every unassigned process's every implementation for its
-//! first fit, so the answer must be cheap: claims come from the
-//! [`SpecTable`]'s slots (computed on first use — a dead end in the first
-//! round has paid for only the slots it reached), each slot's first fit is
-//! probed once and probed again only after a placement on the very tile it
-//! named (the private `Fit`), the up-front discard is what that first probe
-//! found, and the round tracks the cheapest and second-cheapest option as
-//! it goes instead of collecting and sorting them.
+//! first fit, so the answer must be cheap: claims are read off the
+//! [`SpecTable`], each slot's first fit is probed once and probed again
+//! only after a placement on the very tile it named (the private `Fit`),
+//! the up-front discard is what that first probe found, and the round
+//! tracks the cheapest and second-cheapest option as it goes instead of
+//! collecting and sorting them.
 //!
-//! # What survives an attempt
+//! # One attempt, from its inputs alone
 //!
-//! A `map` call runs step 1 once per refinement attempt, and most refused
-//! calls are nothing but a chain of step-1 dead ends, each attempt differing
-//! from the one before by a single forbidden (process, tile) pair. [`Step1`]
-//! is step 1 for the whole call, and keeps between attempts everything the
-//! new constraint cannot have changed:
+//! A `map` call runs step 1 once per refinement attempt (§3), and an
+//! attempt's result depends on nothing but the spec, the platform, the
+//! base ledger and the constraints it is given: the constraint set is the
+//! refinement's only memory. [`Step1`] is step 1 for the whole call only so
+//! that the attempts share their buffers — the slot states, the unassigned
+//! list, the decision log and the working ledger, which an attempt's first
+//! placement refreshes from the base ledger. An attempt after the first
+//! allocates nothing, and a call refused in its first round, with nothing
+//! placed, copies no ledger at all.
 //!
-//! * **each slot's first fit on the base ledger.** The base ledger is the
-//!   same in every attempt and constraints only accumulate, so the tiles
-//!   that failed the probe still fail it: a recorded first fit stays the
-//!   first fit until that very tile is forbidden for the process (or the
-//!   implementation is excluded), which [`Step1::constrained_by`] is told
-//!   about. "Fits nowhere" stays true for good. The first round of a later
-//!   attempt therefore probes only the slots the last feedback touched;
-//! * **the working ledger.** One copy of the base ledger, made at the
-//!   call's first placement; a dead end releases the reservations it made
-//!   (at most one per process), which leaves the copy equal to the base
-//!   ledger again;
-//! * **the attempt's vectors** (slot states, unassigned list, decision log),
-//!   cleared and refilled.
-//!
-//! Nothing is set up ahead of need: a call refused in its first round, with
-//! nothing placed, copies no ledger at all. The [`Mapping`] is built from
-//! the decision log only when an attempt succeeds, and a dead end is a
-//! [`DeadEnd`] — two ids — whose feedback list (with its formatted
-//! diagnosis) is built only for whoever reads it.
+//! The [`Mapping`] is built from the decision log only when an attempt
+//! succeeds, and a dead end is a [`DeadEnd`] — two ids — whose feedback
+//! list (with its formatted diagnosis) is built only for whoever reads it.
 
 use crate::claims::reservation_of;
 use crate::feedback::{Constraints, Feedback};
@@ -131,10 +118,10 @@ fn first_fit(
 }
 
 /// What is known about the [`first_fit`] of one (process, implementation)
-/// slot. The working ledger only fills up during an attempt, and a claim on
-/// one tile changes no other tile's capacity, so a cached answer stays exact
-/// until a placement lands on the tile it names — and "fits nowhere" stays
-/// true for good.
+/// slot in the attempt in progress. The working ledger only fills up during
+/// an attempt, and a claim on one tile changes no other tile's capacity, so
+/// a cached answer stays exact until a placement lands on the tile it names
+/// — and "fits nowhere" stays true for good.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Fit {
     /// Not asked yet.
@@ -150,28 +137,18 @@ enum Fit {
     Stale,
 }
 
-/// One slot's [`Fit`] on the base ledger under the constraints so far
-/// (`Unprobed`, `Never` or `Now(Some(_))`; carried from attempt to attempt)
-/// and on the working ledger of the attempt in progress (starts out as
-/// `base`).
-#[derive(Debug, Clone, Copy)]
-struct SlotFit {
-    base: Fit,
-    now: Fit,
-}
-
 /// Step 1 for one `map` call: [`Step1::attempt`] once per refinement
-/// attempt, against one spec, platform and base ledger, under constraints
-/// that only accumulate between attempts — every change to them announced
-/// through [`Step1::constrained_by`]. See the [module docs](self) for what
-/// is carried from one attempt to the next.
+/// attempt, against one spec, platform and base ledger. Each attempt is a
+/// function of its constraints alone; between attempts only the buffers
+/// are kept (see the [module docs](self)).
 #[derive(Debug)]
 pub struct Step1<'a> {
     table: &'a SpecTable<'a>,
     platform: &'a Platform,
     base: &'a PlatformState,
-    fits: Vec<SlotFit>,
-    /// `None`, or equal to `base` between attempts.
+    fits: Vec<Fit>,
+    /// The working ledger's buffer: `None` until a placement needs it, and
+    /// after a success took it.
     working: Option<PlatformState>,
     unassigned: Vec<ProcessId>,
     events: Vec<Step1Event>,
@@ -192,41 +169,13 @@ impl<'a> Step1<'a> {
         }
     }
 
-    /// Tells step 1 that `feedback` was added to the constraints since the
-    /// last attempt: a first fit on the very tile now forbidden is asked
-    /// for again, an excluded implementation is discarded.
-    pub fn constrained_by(&mut self, feedback: &Feedback) {
-        if self.fits.is_empty() {
-            return;
-        }
-        let n_impls = |p: ProcessId| self.table.spec().library.impls_for(p).len();
-        match *feedback {
-            Feedback::ExcludeImplementation {
-                process,
-                impl_index,
-            } if impl_index < n_impls(process) => {
-                self.fits[self.table.slot(process, impl_index)].base = Fit::Never;
-            }
-            Feedback::ForbidTile { process, tile } => {
-                for ix in 0..n_impls(process) {
-                    let fit = &mut self.fits[self.table.slot(process, ix)].base;
-                    if *fit == Fit::Now(Some(tile)) {
-                        *fit = Fit::Unprobed;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
     /// Runs one attempt under `constraints`. On success the working ledger
     /// leaves with the output (steps 2–4 write routes and buffers into it);
     /// an attempt after that copies the base ledger afresh.
     ///
     /// # Errors
     ///
-    /// [`DeadEnd`] when a process has no viable option; the attempt's
-    /// reservations are released.
+    /// [`DeadEnd`] when a process has no viable option.
     pub fn attempt(&mut self, constraints: &Constraints) -> Result<Step1Output, DeadEnd> {
         let Step1 {
             table,
@@ -240,16 +189,8 @@ impl<'a> Step1<'a> {
         let (table, platform, base) = (*table, *platform, *base);
         let spec = table.spec();
 
-        fits.resize(
-            table.n_slots(),
-            SlotFit {
-                base: Fit::Unprobed,
-                now: Fit::Unprobed,
-            },
-        );
-        for fit in fits.iter_mut() {
-            fit.now = fit.base;
-        }
+        fits.clear();
+        fits.resize(table.n_slots(), Fit::Unprobed);
         events.clear();
         // Kept in application (topological) order, so among equally desirable
         // processes the first one scanned is the tie-break winner.
@@ -271,32 +212,29 @@ impl<'a> Step1<'a> {
                         first_fit(table, platform, state, constraints, process, ix)
                     };
                     let slot = &mut fits[table.slot(process, ix)];
-                    let fit = match slot.now {
+                    let fit = match *slot {
                         Fit::Never => None,
                         Fit::Now(fit) => fit,
                         Fit::Stale => {
                             let working = working.as_ref().expect("a placement made it stale");
                             let fit = probe(working);
-                            slot.now = Fit::Now(fit);
+                            *slot = Fit::Now(fit);
                             fit
                         }
                         Fit::Unprobed => {
                             // Each round scans every unassigned process, so
-                            // only the first round meets a slot nobody has
-                            // asked about: in the first attempt all of them,
-                            // later the ones the new constraints touched.
-                            debug_assert!(events.is_empty(), "`working` is still `base`");
+                            // only the first round meets an unprobed slot.
+                            debug_assert!(events.is_empty(), "nothing is placed yet");
                             let fit = if constraints.is_impl_excluded(process, ix) {
                                 None
                             } else {
                                 probe(base)
                             };
-                            slot.base = if fit.is_some() {
+                            *slot = if fit.is_some() {
                                 Fit::Now(fit)
                             } else {
                                 Fit::Never
                             };
-                            slot.now = slot.base;
                             fit
                         }
                     };
@@ -315,18 +253,6 @@ impl<'a> Step1<'a> {
                     }
                 }
                 let Some((cost, impl_index, tile)) = cheapest else {
-                    // Dead end. Hand the working ledger back as it was.
-                    if let Some(working) = working.as_mut() {
-                        for e in events.iter() {
-                            working
-                                .release_tile(
-                                    e.tile,
-                                    &reservation_of(&table.claim(e.process, e.impl_index)),
-                                )
-                                .expect("reserved earlier in this attempt");
-                        }
-                        debug_assert_eq!(&*working, base);
-                    }
                     return Err(DeadEnd {
                         process,
                         last_placement: events.last().map(|e| (e.process, e.tile)),
@@ -338,8 +264,17 @@ impl<'a> Step1<'a> {
                 }
             }
             let (desirability, process, impl_index, tile) = best.expect("unassigned is non-empty");
-            working
-                .get_or_insert_with(|| base.clone())
+            let ledger = match working {
+                Some(ledger) if !events.is_empty() => ledger,
+                // The attempt's first placement: the base ledger, copied
+                // into the buffer an earlier attempt left, if any.
+                Some(ledger) => {
+                    ledger.clone_from(base);
+                    ledger
+                }
+                None => working.insert(base.clone()),
+            };
+            ledger
                 .claim_tile(
                     platform,
                     tile,
@@ -349,12 +284,12 @@ impl<'a> Step1<'a> {
             // Only `tile` lost capacity, so only the fits that named it can
             // have moved.
             for fit in fits.iter_mut() {
-                if fit.now == Fit::Now(Some(tile)) {
-                    fit.now = Fit::Stale;
+                if *fit == Fit::Now(Some(tile)) {
+                    *fit = Fit::Stale;
                 }
             }
             let options = (0..spec.library.impls_for(process).len())
-                .filter(|ix| fits[table.slot(process, *ix)].now != Fit::Never)
+                .filter(|ix| fits[table.slot(process, *ix)] != Fit::Never)
                 .count();
             events.push(Step1Event {
                 process,

@@ -97,6 +97,20 @@ pub struct ChannelBuffer {
     pub tile: TileId,
 }
 
+impl ChannelBuffer {
+    /// What the buffer claims on its tile: four bytes of memory per word,
+    /// and no compute slot.
+    pub fn claim(&self) -> TileClaim {
+        TileClaim {
+            slots: 0,
+            memory_bytes: self.capacity_words * 4,
+            cycles_per_second: 0,
+            injection: 0,
+            ejection: 0,
+        }
+    }
+}
+
 /// What step 4 decides about a mapping.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Step4Verdict {
@@ -302,20 +316,14 @@ pub fn check_constraints_in(
         }
     };
 
-    // Buffer memory must fit the consuming tiles (4 bytes per word).
+    // Buffer memory must fit the consuming tiles.
     let mut feedback = Vec::new();
     for buffer in &buffers {
-        let claim = TileClaim {
-            slots: 0,
-            memory_bytes: buffer.capacity_words * 4,
-            cycles_per_second: 0,
-            injection: 0,
-            ejection: 0,
-        };
+        let claim = buffer.claim();
         if working.claim_tile(platform, buffer.tile, &claim).is_err() {
             feedback.push(Feedback::BufferOverflow {
                 tile: buffer.tile,
-                needed_bytes: buffer.capacity_words * 4,
+                needed_bytes: claim.memory_bytes,
             });
             if let Some((pid, _)) = spec
                 .graph

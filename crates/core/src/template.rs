@@ -74,7 +74,7 @@
 //! nothing here runs and fixed-seed reports are byte-for-byte unchanged.
 
 use crate::algorithm::{MappingAlgorithm, MappingOutcome};
-use crate::claims::reservation_of;
+use crate::claims::{hard_reservation, reservation_of};
 use crate::constraints::MappingConstraints;
 use crate::error::MapError;
 use crate::mapping::{Mapping, RouteBinding};
@@ -141,13 +141,7 @@ impl ShapeAssignment {
 
     /// What staging this process claims on its tile.
     fn reservation(&self) -> TileClaim {
-        TileClaim {
-            slots: 1,
-            memory_bytes: self.memory_bytes,
-            cycles_per_second: self.cycles_per_second,
-            injection: 0,
-            ejection: 0,
-        }
+        hard_reservation(self.memory_bytes, self.cycles_per_second)
     }
 }
 
@@ -516,20 +510,15 @@ fn stage_candidate(
     }
     let mut buffers = Vec::with_capacity(shape.buffers.len());
     for sb in &shape.buffers {
-        let tile = sb.dst.tile(tiles, platform)?;
-        let claim = TileClaim {
-            slots: 0,
-            memory_bytes: sb.capacity_words * 4,
-            cycles_per_second: 0,
-            injection: 0,
-            ejection: 0,
-        };
-        ledger.claim_tile(platform, tile, &claim).ok()?;
-        buffers.push(ChannelBuffer {
+        let buffer = ChannelBuffer {
             channel: channel_id(sb.channel),
             capacity_words: sb.capacity_words,
-            tile,
-        });
+            tile: sb.dst.tile(tiles, platform)?,
+        };
+        ledger
+            .claim_tile(platform, buffer.tile, &buffer.claim())
+            .ok()?;
+        buffers.push(buffer);
     }
     Some(buffers)
 }

@@ -6,9 +6,10 @@
 //! single-pass [`claim_for`] must equal the formula it replaced, the
 //! spec-taking step functions must decide exactly as the table-taking ones
 //! sharing a single table, step 1's cached first fits must decide exactly
-//! as a step 1 that probes everything again every round, and a `map` call
-//! refused by a chain of step-1 dead ends must return the very error a
-//! refinement loop around that memory-less step 1 returns.
+//! as a step 1 that probes everything again every round, a step 1 that ran
+//! attempts before must answer as a fresh one, and a `map` call refused by
+//! a chain of step-1 dead ends must return the very error a refinement loop
+//! around that memory-less step 1 returns.
 
 use proptest::prelude::*;
 use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
@@ -17,7 +18,7 @@ use rtsm_core::claims::{claim_for, reservation_of};
 use rtsm_core::cost::CostModel;
 use rtsm_core::feedback::{Constraints, Feedback};
 use rtsm_core::mapper::MAX_REFINEMENTS;
-use rtsm_core::step1::{assign_implementations, assign_implementations_in};
+use rtsm_core::step1::{assign_implementations, assign_implementations_in, DeadEnd, Step1};
 use rtsm_core::step2::{improve_assignment, SearchCtx};
 use rtsm_core::step3::route_channels;
 use rtsm_core::step4::{check_constraints, check_constraints_in, Step4Config};
@@ -95,8 +96,6 @@ fn check_table(spec: &ApplicationSpec) {
             slots += 1;
             let claim = claim_for(spec, pid, implementation);
             assert_eq!(claim, legacy_claim_for(spec, pid, implementation));
-            // First use fills the slot; the second read serves it.
-            assert_eq!(table.claim(pid, ix), claim);
             assert_eq!(table.claim(pid, ix), claim);
             assert_eq!(
                 table.cycles_per_period(pid, ix),
@@ -514,6 +513,125 @@ fn chain_length(
     let dead_ends = probe.counter_total(rtsm_obs::Counter::Step1DeadEnd);
     assert_eq!(dead_ends, probe.histogram(rtsm_obs::Span::Step1).count());
     dead_ends
+}
+
+/// SplitMix64: the next value of the stream in `state`.
+fn next_random(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce5_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A ledger on `platform` where each tile, at random, is untouched, has
+/// lost a random share of its memory and cycles, has every compute slot
+/// taken, or has failed.
+fn random_ledger(platform: &Platform, rng: &mut u64) -> PlatformState {
+    let mut state = platform.initial_state();
+    for (id, tile) in platform.tiles() {
+        let share = |rng: &mut u64, whole: u64| whole * (next_random(rng) % 90) / 100;
+        let claim = match next_random(rng) % 8 {
+            0..=2 => continue,
+            3..=5 => TileClaim {
+                slots: 0,
+                memory_bytes: share(rng, tile.memory_bytes),
+                cycles_per_second: share(rng, u64::from(tile.clock_mhz) * 1_000_000),
+                injection: 0,
+                ejection: 0,
+            },
+            6 => TileClaim {
+                slots: tile.compute_slots,
+                memory_bytes: 0,
+                cycles_per_second: 0,
+                injection: 0,
+                ejection: 0,
+            },
+            _ => {
+                state.fail_tile(id);
+                continue;
+            }
+        };
+        state
+            .claim_tile(platform, id, &claim)
+            .expect("a share fits");
+    }
+    state
+}
+
+/// A [`Step1`] answers each attempt from its inputs alone: whatever
+/// attempts it ran before — successes, dead ends after a placement — it
+/// returns what a fresh one returns under the same constraints. Each case
+/// is a refinement chain on a random ledger: a dead end's
+/// [`DeadEnd::forbid`] is absorbed, and so, after a success, is a
+/// `ForbidTile` of its last placement (standing in for step-3 or step-4
+/// feedback).
+#[test]
+fn an_attempt_depends_only_on_its_inputs() {
+    let cases: Vec<(ApplicationSpec, Platform)> = Hiperlan2Mode::ALL
+        .into_iter()
+        .map(|mode| (hiperlan2_receiver(mode), paper_platform()))
+        .chain(mixed_specs().map(|spec| (spec, mixed_mesh())))
+        .collect();
+    // Attempts compared, by what the attempt before them on the same
+    // `Step1` ended in.
+    let (mut first, mut after_success, mut after_placed_dead_end) = (0, 0, 0);
+    // Successes right after a dead end that had placed something: the
+    // working ledger it reserved on is reused by this attempt.
+    let mut placed_after_placed_dead_end = 0;
+    let mut rng = 2008;
+    for (spec, platform) in &cases {
+        let table = SpecTable::for_validated(spec);
+        for _ in 0..40 {
+            let base = random_ledger(platform, &mut rng);
+            let mut step1 = Step1::new(&table, platform, &base);
+            let mut constraints = Constraints::new();
+            let mut before: Option<Result<(), DeadEnd>> = None;
+            for _ in 0..MAX_REFINEMENTS {
+                let reused = step1.attempt(&constraints);
+                let fresh = Step1::new(&table, platform, &base).attempt(&constraints);
+                assert_eq!(reused, fresh, "{} after {before:?}", spec.name);
+                match before {
+                    None => first += 1,
+                    Some(Ok(())) => after_success += 1,
+                    Some(Err(_)) => {
+                        after_placed_dead_end += 1;
+                        placed_after_placed_dead_end += usize::from(reused.is_ok());
+                    }
+                }
+                let feedback = match &reused {
+                    Ok(out) => out.events.last().map(|e| Feedback::ForbidTile {
+                        process: e.process,
+                        tile: e.tile,
+                    }),
+                    Err(dead_end) => dead_end.forbid(),
+                };
+                if !feedback.is_some_and(|fb| constraints.absorb(&fb)) {
+                    break;
+                }
+                before = Some(reused.map(drop));
+            }
+        }
+    }
+    println!(
+        "attempts compared: {first} first, {after_success} after a success, \
+         {after_placed_dead_end} after a dead end that placed something \
+         ({placed_after_placed_dead_end} of them successes)"
+    );
+    assert_eq!(first, cases.len() * 40);
+    // Measured: 936, 1204 and 184.
+    assert!(
+        after_success > 450,
+        "{after_success} attempts after a success"
+    );
+    assert!(
+        after_placed_dead_end > 600,
+        "{after_placed_dead_end} attempts after a dead end"
+    );
+    assert!(
+        placed_after_placed_dead_end > 90,
+        "{placed_after_placed_dead_end} successes after a dead end"
+    );
 }
 
 /// What `map` answers for `spec` on `base`: the outcome's JSON, or the

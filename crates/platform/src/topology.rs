@@ -325,10 +325,16 @@ impl Platform {
         self.tile_by_name.get(name).copied()
     }
 
+    /// Whether `coord` names one of the mesh's routers. A deserialized
+    /// platform's tile can sit off the mesh, on no router.
+    pub fn on_mesh(&self, coord: Coord) -> bool {
+        coord.x < self.width && coord.y < self.height
+    }
+
     /// The tile attached to the router at `coord`, if any (`None` off the
     /// mesh).
     pub fn tile_at(&self, coord: Coord) -> Option<TileId> {
-        if coord.x >= self.width || coord.y >= self.height {
+        if !self.on_mesh(coord) {
             return None;
         }
         self.tile_at[self.router_index(coord)]
@@ -381,7 +387,7 @@ impl Platform {
     /// [`Platform::link_between`] scans. Empty for a coordinate off the
     /// mesh, such as a deserialized platform's tile can have.
     pub fn adjacency(&self, c: Coord) -> &[AdjEntry] {
-        if c.x >= self.width || c.y >= self.height {
+        if !self.on_mesh(c) {
             return &[];
         }
         let r = self.router_index(c);

@@ -5,7 +5,7 @@
 use rtsm::app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm::app::ApplicationSpec;
 use rtsm::core::mapper::{MapperConfig, SpatialMapper};
-use rtsm::core::{Mapping, MappingOutcome, RouteBinding};
+use rtsm::core::{Mapping, MappingOutcome, RouteBinding, RuntimeManager};
 use rtsm::dataflow::{CsdfGraph, PhaseVec};
 use rtsm::exp::ExperimentSpec;
 use rtsm::platform::paper::paper_platform;
@@ -223,6 +223,58 @@ fn a_tile_off_the_mesh_has_no_neighbours() {
         assert_eq!(fragmentation.free_slots, 9);
         assert_eq!(fragmentation.largest_free_region_slots, 8, "({x}, {y})");
     }
+}
+
+/// Routing to or from a tile off the mesh finds no route: every registered
+/// algorithm, asked to start each HIPERLAN/2 mode with one tile of the
+/// paper platform moved off the mesh — or the mesh shrunk under the tiles
+/// — answers instead of indexing past its routers. Moved to (7, 0), a tile
+/// also aliased router (1, 2) and made a path step off its last router.
+#[test]
+fn no_algorithm_panics_routing_to_a_tile_off_the_mesh() {
+    let paper = paper_platform();
+    let json = serde_json::to_string(&paper).unwrap();
+    let mut platforms = Vec::new();
+    for (_, tile) in paper.tiles() {
+        let (x, y) = (tile.position.x, tile.position.y);
+        let at = format!(r#""position":{{"x":{x},"y":{y}}}"#);
+        assert_eq!(
+            json.matches(&at).count(),
+            1,
+            "{} has its own router",
+            tile.name
+        );
+        for (x, y) in [(0, 9), (7, 0), (65535, 65535)] {
+            let moved = format!(r#""position":{{"x":{x},"y":{y}}}"#);
+            platforms.push(json.replacen(&at, &moved, 1));
+        }
+    }
+    for (mesh, shrunk) in [
+        (r#""width":3"#, r#""width":0"#),
+        (r#""height":3"#, r#""height":1"#),
+    ] {
+        assert_eq!(json.matches(mesh).count(), 1);
+        platforms.push(json.replacen(mesh, shrunk, 1));
+    }
+    let (mut admitted, mut refused) = (0, 0);
+    for text in &platforms {
+        let platform: Platform = serde_json::from_str(text).unwrap();
+        for entry in &rtsm::exp::ALGORITHMS {
+            for mode in Hiperlan2Mode::ALL {
+                let mut manager = RuntimeManager::new(platform.clone(), (entry.build)());
+                match manager.start(hiperlan2_receiver(mode)) {
+                    Ok(_) => admitted += 1,
+                    Err(_) => refused += 1,
+                }
+            }
+        }
+    }
+    // Both answers must occur: a moved tile the receiver needs refuses it,
+    // one it can do without does not.
+    assert!(
+        admitted > 0 && refused > 0,
+        "{admitted} admitted, {refused} refused"
+    );
 }
 
 #[test]
