@@ -6,19 +6,23 @@
 //! shows up here as a count), the warm step-4 verdict inside it (which builds no graph), the
 //! two ends of a template lookup — a warm hit and a lookup that fails on a
 //! full platform — a `map` refused after a full chain of step-1 dead
-//! ends, where what one attempt allocates must serve the next, and a
-//! reconfiguration retry that evaluates one doomed plan.
+//! ends, where what one attempt allocates must serve the next, a
+//! reconfiguration retry that evaluates one doomed plan, and a cold buffer
+//! sizing — the search step 4 runs on a mapping it has not seen — of the
+//! paper case and of one mixed-catalog composition.
 
 use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
+use rtsm_app::ApplicationSpec;
 use rtsm_bench::alloc_track::PeakAlloc;
 use rtsm_core::mapper::MAX_REFINEMENTS;
-use rtsm_core::step4::check_constraints_in;
+use rtsm_core::step4::{check_constraints_in, compose};
 use rtsm_core::{
-    MapError, MapperConfig, MappingAlgorithm, ReconfigurationPolicy, RuntimeManager, SpatialMapper,
-    SpecTable, TemplatedMapper,
+    MapError, MapperConfig, Mapping, MappingAlgorithm, ReconfigurationPolicy, RuntimeManager,
+    SpatialMapper, SpecTable, TemplatedMapper,
 };
+use rtsm_dataflow::{size_buffers_ref, BufferSizingConfig};
 use rtsm_platform::paper::paper_platform;
-use rtsm_platform::TileKind;
+use rtsm_platform::{Platform, TileKind};
 use rtsm_workloads::apps::{dvbt_rx, wlan_tx};
 use rtsm_workloads::mesh_platform;
 use std::sync::Arc;
@@ -106,6 +110,22 @@ const DEAD_END_CHAIN_CEILING: usize = 16;
 /// manager's ledger and rolled back). The slack is one allocation.
 const RETRY_CEILING: usize = 18;
 
+/// Allocator calls allowed per cold sizing of the paper case's Figure-3
+/// graph (`size_buffers_ref` on what `step4::compose` builds). Measured:
+/// 113 (rustc 1.95) — four simulations over one set of tables built for
+/// the search (each run's event heap grows as firings overlap), and the
+/// cycle test of the probe that refutes the period. 368 while the search
+/// copied the graph and every probe built its tables again, a vector per
+/// table. No slack: a table build that falls back to a vector per actor,
+/// or a copy of the graph coming back, fails it.
+const COLD_SIZING_PAPER_CEILING: usize = 113;
+
+/// Allocator calls allowed per cold sizing of `dvbt-rx` mapped alone on
+/// the mixed catalog's 4×4 mesh, where every buffer at its floor sustains
+/// the period, so the search runs one simulation. Measured: 33 (rustc
+/// 1.95), 208 while the search copied the graph. No slack.
+const COLD_SIZING_MIXED_CEILING: usize = 33;
+
 /// The fewest allocator calls `f` makes over three runs.
 fn calls<T>(mut f: impl FnMut() -> T) -> usize {
     let calls = (0..3)
@@ -114,6 +134,20 @@ fn calls<T>(mut f: impl FnMut() -> T) -> usize {
         .expect("three runs");
     assert!(calls > 0, "the counter must be armed");
     calls
+}
+
+/// Allocator calls of one cold sizing of the `B_i` of `spec` under
+/// `mapping`, as step 4's cold path asks it.
+fn cold_sizing_calls(spec: &ApplicationSpec, platform: &Platform, mapping: &Mapping) -> usize {
+    let table = SpecTable::for_validated(spec);
+    let composition = compose(&table, platform, mapping).expect("the mapping composes");
+    let config = BufferSizingConfig {
+        source: composition.source,
+        period: spec.qos.period_ps,
+        channels: composition.buffer_edges.clone(),
+        max_sweeps: 3,
+    };
+    calls(|| size_buffers_ref(&composition.csdf, &config).expect("the graph sizes"))
 }
 
 // The only test in this binary: the counter is process-wide.
@@ -153,6 +187,7 @@ fn paper_case_admission_calls_stay_under_their_allocation_ceilings() {
         per_verdict <= WARM_STEP4_CEILING,
         "{per_verdict} allocator calls per warm step-4 verdict, ceiling {WARM_STEP4_CEILING}"
     );
+    let per_paper_sizing = cold_sizing_calls(&spec, &platform, &mapping);
 
     let templated = TemplatedMapper::new(mapper);
     // The first arrival seeds the library; later ones on the empty platform
@@ -198,11 +233,9 @@ fn paper_case_admission_calls_stay_under_their_allocation_ceilings() {
     let mapper = templated.inner();
     let (running, arriving) = (dvbt_rx(), wlan_tx());
     let mut ledger = mesh.initial_state();
-    mapper
-        .map(&running, &mesh, &ledger)
-        .expect("maps alone")
-        .commit(&running, &mesh, &mut ledger)
-        .expect("fits");
+    let alone = mapper.map(&running, &mesh, &ledger).expect("maps alone");
+    let per_mixed_sizing = cold_sizing_calls(&running, &mesh, &alone.mapping);
+    alone.commit(&running, &mesh, &mut ledger).expect("fits");
     let per_chain = calls(|| {
         let refusal = mapper
             .map(&arriving, &mesh, &ledger)
@@ -232,7 +265,8 @@ fn paper_case_admission_calls_stay_under_their_allocation_ceilings() {
     // With `--nocapture`: the figures to write into the comments above.
     eprintln!(
         "allocator calls: map {per_map}, warm step 4 {per_verdict}, hit {per_hit}, \
-         failed lookup {per_failed_lookup}, dead-end chain {per_chain}, retry {per_retry}"
+         failed lookup {per_failed_lookup}, dead-end chain {per_chain}, retry {per_retry}, \
+         cold sizing: paper case {per_paper_sizing}, dvbt-rx on the mesh {per_mixed_sizing}"
     );
     assert!(
         per_retry <= RETRY_CEILING,
@@ -241,5 +275,15 @@ fn paper_case_admission_calls_stay_under_their_allocation_ceilings() {
     assert!(
         per_chain <= DEAD_END_CHAIN_CEILING,
         "{per_chain} allocator calls per refused map, ceiling {DEAD_END_CHAIN_CEILING}"
+    );
+    assert!(
+        per_paper_sizing <= COLD_SIZING_PAPER_CEILING,
+        "{per_paper_sizing} allocator calls per cold sizing of the paper case, \
+         ceiling {COLD_SIZING_PAPER_CEILING}"
+    );
+    assert!(
+        per_mixed_sizing <= COLD_SIZING_MIXED_CEILING,
+        "{per_mixed_sizing} allocator calls per cold sizing of dvbt-rx, \
+         ceiling {COLD_SIZING_MIXED_CEILING}"
     );
 }

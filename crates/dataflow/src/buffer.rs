@@ -47,10 +47,10 @@
 //!    long to repeat. So a probe simulates at most
 //!    `ITERATIONS_BEFORE_CYCLE_TEST` (4) iterations' firings first; a run
 //!    still without recurrence or deadlock is put to
-//!    [`refutes_source_period`], which asks whether a cycle of the HSDF
-//!    expansion that paces the source holds no tokens or is slower than the
-//!    period. That is exactly what the
-//!    completed run would find, so a "yes" is entered as a completed
+//!    [`refutes_source_period`](crate::mcr::refutes_source_period), which
+//!    asks whether a cycle of the HSDF expansion that paces the source
+//!    holds no tokens or is slower than the period. That is exactly what
+//!    the completed run would find, so a "yes" is entered as a completed
 //!    refutation (rule 4 applies) and the run is dropped; a "no" or a
 //!    "don't know" resumes the same run to its end. Capacities, achieved
 //!    throughputs and simulation counts are those of running every probe to
@@ -61,6 +61,12 @@
 //!
 //! By rule 4 the descent makes one sweep over the channels: a second one
 //! would change nothing.
+//!
+//! A search reads the caller's graph and never copies or writes it: it
+//! builds the simulator's tables once, keeps one capacity per channel, and
+//! before each simulated probe writes the probe's capacities over the sized
+//! channels'; the simulation and the cycle test read them beside the
+//! graph.
 //!
 //! The result is feasible by construction and minimal per-channel (it may be
 //! off the Pareto frontier of *joint* minimality, as is Wiggers' — both are
@@ -74,8 +80,8 @@
 
 use crate::error::DataflowError;
 use crate::graph::{ActorId, ChannelId, CsdfGraph};
-use crate::mcr::refutes_source_period;
-use crate::simulate::{SimConfig, Simulation};
+use crate::mcr::refutes_at;
+use crate::simulate::{SimConfig, Simulation, Tables};
 use crate::throughput::{throughput_of, Throughput};
 use rtsm_obs as obs;
 use std::collections::HashMap;
@@ -191,7 +197,9 @@ pub fn size_buffers_ref(
         .map(|(id, actor)| reps[id.index()] * actor.n_phases() as u64)
         .sum();
     let mut search = Search {
-        graph: graph.clone(),
+        graph,
+        tables: Tables::new(graph),
+        capacities: graph.channels().map(|(_, c)| c.capacity).collect(),
         targets: &targets,
         config,
         budget: ITERATIONS_BEFORE_CYCLE_TEST.saturating_mul(firings_per_iteration),
@@ -206,10 +214,12 @@ pub fn size_buffers_ref(
 
     // Pilot run with the target channels unbounded to obtain upper bounds.
     for &ch in &targets {
-        search.graph.channel_mut(ch).capacity = None;
+        search.capacities[ch.index()] = None;
     }
-    let sim = Simulation::new(
-        &search.graph,
+    let sim = Simulation::over(
+        graph,
+        &search.tables,
+        &search.capacities,
         SimConfig {
             reference: Some(config.source),
             ..SimConfig::default()
@@ -293,9 +303,13 @@ const ITERATIONS_BEFORE_CYCLE_TEST: u64 = 4;
 
 /// The working state of one sizing search.
 struct Search<'a> {
-    /// The caller's graph; every simulated probe overwrites the capacities
-    /// of `targets`.
-    graph: CsdfGraph,
+    /// The caller's graph, which the search never writes.
+    graph: &'a CsdfGraph,
+    /// The graph's simulator tables, built once per search.
+    tables: Tables,
+    /// Per channel, the capacity it is analysed at: the graph's, but every
+    /// simulated probe overwrites those of `targets`.
+    capacities: Vec<Option<u64>>,
     targets: &'a [ChannelId],
     config: &'a BufferSizingConfig,
     /// Firings a probe simulates before the cycle test:
@@ -315,7 +329,7 @@ impl Search<'_> {
         }
         obs::count(obs::Counter::BufferProbe, 1);
         for (&ch, &capacity) in self.targets.iter().zip(capacities) {
-            self.graph.channel_mut(ch).capacity = Some(capacity);
+            self.capacities[ch.index()] = Some(capacity);
         }
         let probed = self.analyse();
         if probed == Probed::CutOff {
@@ -328,15 +342,16 @@ impl Search<'_> {
         self.table.record(capacities.to_vec(), probed)
     }
 
-    /// What the self-timed run of the graph at its current capacities
-    /// concludes, as [`check_source_period`](crate::check_source_period)
+    /// What the self-timed run of the graph at `self.capacities` concludes, as [`check_source_period`](crate::check_source_period)
     /// would — except that a run still without recurrence after `budget`
     /// firings is first put to the cycle test, and not run on if that
     /// refutes it (rule 5). A "no" or a "don't know" resumes the same run.
     fn analyse(&self) -> Probed {
         let (source, period) = (self.config.source, self.config.period);
-        let sim = Simulation::new(
-            &self.graph,
+        let sim = Simulation::over(
+            self.graph,
+            &self.tables,
+            &self.capacities,
             SimConfig {
                 reference: Some(source),
                 ..SimConfig::default()
@@ -345,7 +360,7 @@ impl Search<'_> {
         let outcome = match sim.run_within(self.budget) {
             Ok(outcome) => outcome,
             Err(paused) => {
-                if refutes_source_period(&self.graph, source, period) == Ok(true) {
+                if refutes_at(self.graph, &self.capacities, source, period) == Ok(true) {
                     obs::count(obs::Counter::BufferProbeCycleRefuted, 1);
                     return Probed::Refuted;
                 }

@@ -11,8 +11,8 @@
 //! [`expand`] builds the expansion as node and edge lists. The cycle test
 //! reads a graph by in-edges (`InEdges`): `Rows` regroups such lists,
 //! and `Expansion` works each in-edge out from the rates when it is asked
-//! for, straight from a graph with its capacities as bounds — no copy of
-//! the graph, nothing stored per firing.
+//! for, straight from a graph and a capacity per channel as bounds — no
+//! copy of the graph, nothing stored per firing.
 
 use crate::error::DataflowError;
 use crate::graph::{ActorId, ActorSpec, ChannelId, CsdfGraph};
@@ -230,7 +230,8 @@ impl InEdges for Rows {
 }
 
 /// The HSDF expansion of a graph with every capacity as a bound — the
-/// expansion of [`CsdfGraph::expand_capacities`], without the copy —
+/// expansion of [`CsdfGraph::expand_capacities`], without the copy, at
+/// capacities the caller may hold apart from the graph —
 /// restricted to the firings of actors from which one target actor can be
 /// reached: the only ones whose cycles pace it.
 ///
@@ -242,6 +243,8 @@ impl InEdges for Rows {
 #[derive(Debug)]
 pub(crate) struct Expansion<'g> {
     graph: &'g CsdfGraph,
+    /// Per channel, the capacity it is expanded at.
+    capacities: &'g [Option<u64>],
     /// Firings per iteration, per actor.
     q: Vec<u64>,
     /// First node per actor; `NONE` for one outside.
@@ -257,8 +260,9 @@ pub(crate) struct Expansion<'g> {
 }
 
 impl<'g> Expansion<'g> {
-    /// The expansion of `graph` reaching `target`. `reps` is the graph's
-    /// cycle-repetition vector.
+    /// The expansion of `graph`, its channels at `capacities` (one per
+    /// channel), reaching `target`. `reps` is the graph's cycle-repetition
+    /// vector.
     ///
     /// # Errors
     ///
@@ -267,6 +271,7 @@ impl<'g> Expansion<'g> {
     ///   initial tokens, which the expansion cannot express.
     pub(crate) fn reaching(
         graph: &'g CsdfGraph,
+        capacities: &'g [Option<u64>],
         reps: &[u64],
         target: ActorId,
     ) -> Result<Expansion<'g>, DataflowError> {
@@ -280,10 +285,10 @@ impl<'g> Expansion<'g> {
         reaches[target.index()] = true;
         let mut stack = vec![target];
         while let Some(actor) = stack.pop() {
-            for (_, ch) in moving() {
+            for (c, ch) in moving() {
                 let from = if ch.dst == actor {
                     ch.src
-                } else if ch.src == actor && ch.capacity.is_some() {
+                } else if ch.src == actor && capacities[c.index()].is_some() {
                     ch.dst
                 } else {
                     continue;
@@ -301,6 +306,7 @@ impl<'g> Expansion<'g> {
             .collect();
         let mut expansion = Expansion {
             graph,
+            capacities,
             q,
             base: vec![NONE; n_actors],
             kept: Vec::new(),
@@ -319,7 +325,7 @@ impl<'g> Expansion<'g> {
             // A producer into a kept actor reaches it, and so does the
             // consumer of a bounded channel out of one: both are kept.
             for (c, ch) in moving() {
-                if let Some(capacity) = ch.capacity.filter(|_| ch.src == id) {
+                if let Some(capacity) = capacities[c.index()].filter(|_| ch.src == id) {
                     if capacity < ch.initial_tokens {
                         return Err(DataflowError::Inconsistent {
                             detail: format!("capacity {capacity} below the initial tokens"),
@@ -363,7 +369,8 @@ impl InEdges for Expansion<'_> {
             let (producer, rates, needs, initial_tokens) = if room {
                 // What the consumer frees, `capacity − initial_tokens` free
                 // from the start.
-                let capacity = ch.capacity.expect("room is asked of bounded channels");
+                let capacity =
+                    self.capacities[c as usize].expect("room is asked of bounded channels");
                 (ch.dst, &ch.cons, &ch.prod, capacity - ch.initial_tokens)
             } else {
                 (ch.src, &ch.prod, &ch.cons, ch.initial_tokens)
@@ -520,7 +527,8 @@ mod tests {
     fn the_expansion_is_that_of_the_expanded_capacities_within_reach() {
         let (g, a) = chain_with_a_loop();
         let reps = g.repetition_vector().unwrap();
-        let implicit = Expansion::reaching(&g, &reps, a).unwrap();
+        let capacities: Vec<_> = g.channels().map(|(_, c)| c.capacity).collect();
+        let implicit = Expansion::reaching(&g, &capacities, &reps, a).unwrap();
         // `x` cannot reach `a`; the others are the first nodes, in order.
         let inside = expand(&g.expand_capacities()).unwrap();
         let kept = inside.nodes.iter().filter(|n| n.actor.index() < 3).count();

@@ -154,9 +154,23 @@ pub fn refutes_source_period(
     source: ActorId,
     period: u64,
 ) -> Result<bool, DataflowError> {
+    let capacities: Vec<Option<u64>> = graph.channels().map(|(_, c)| c.capacity).collect();
+    refutes_at(graph, &capacities, source, period)
+}
+
+/// [`refutes_source_period`] with `capacities` (one per channel, in channel
+/// order) in place of the graph's own: what the buffer-sizing search asks
+/// of a capacity vector it has not written into any graph.
+pub(crate) fn refutes_at(
+    graph: &CsdfGraph,
+    capacities: &[Option<u64>],
+    source: ActorId,
+    period: u64,
+) -> Result<bool, DataflowError> {
     let reps = graph.repetition_vector()?;
     let lambda = i128::from(reps[source.index()]) * i128::from(period);
-    has_critical_cycle(&Expansion::reaching(graph, &reps, source)?, lambda, 1)
+    let expansion = Expansion::reaching(graph, capacities, &reps, source)?;
+    has_critical_cycle(&expansion, lambda, 1)
 }
 
 /// Simplest rational `p/q` with `lo ≤ p/q ≤ hi` (both bounds non-negative).

@@ -18,10 +18,27 @@
 //! Periodic steady state is detected *exactly* by hashing normalised
 //! simulator states at reference-actor iteration boundaries; the detected
 //! `(iterations, period)` pair gives the graph's self-timed throughput.
+//!
+//! The event loop reads the graph from flat tables built once
+//! (`Tables`): per actor a row (where its ports start, where its outputs
+//! start and end, its phase count, where its phase durations start) and
+//! one CSR list of ports, inputs then outputs, each naming its channel,
+//! the actor at the channel's other end and where its per-phase rates
+//! start. A firing walks its actor's ports once to start and once to
+//! complete, and a completion wakes the idle actors its ports name. A run
+//! keeps one record per channel — tokens, *pressure* (tokens plus the room
+//! reserved by producers and the tokens held by consumers in flight, what
+//! a capacity bounds), capacity, peak pressure — and one per actor (next
+//! phase, phase in flight or none, end of that firing); completions wait in
+//! a heap keyed by one word holding time, then actor. The tables are a
+//! function of the graph's structure alone — tokens and capacities are
+//! read into a run's channel records — so the buffer-sizing search builds
+//! them once and gives each probe its own capacities.
 
 use crate::fnv::Fnv64;
-use crate::graph::{ActorId, CsdfGraph};
+use crate::graph::{ActorId, ChannelId, CsdfGraph};
 use rtsm_obs as obs;
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
@@ -82,7 +99,7 @@ pub struct SteadyState {
 }
 
 /// Result of a simulation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimOutcome {
     /// Simulated time at which the run stopped.
     pub end_time: u64,
@@ -106,126 +123,190 @@ pub struct SimOutcome {
 /// the iteration count and time it was first met at.
 type Recurrences = HashMap<Vec<u64>, (u64, u64), BuildHasherDefault<Fnv64>>;
 
-/// The graph in flat CSR tables, built once per run so the event loop
-/// indexes contiguous arrays instead of chasing `PhaseVec` runs and
-/// per-actor heap-allocated adjacency lists. Actor `a`'s input channels are
-/// `in_ch[in_off[a]..in_off[a+1]]` (likewise `out_*`); channel `c` consumes
-/// `cons_val[cons_off[c] + consumer_phase]` tokens and produces
-/// `prod_val[prod_off[c] + producer_phase]`; actor `a`'s phase `p` runs for
-/// `dur_val[dur_off[a] + p]` time units.
-#[derive(Debug, Default)]
-struct Tables {
-    in_off: Vec<u32>,
-    in_ch: Vec<u32>,
-    out_off: Vec<u32>,
-    out_ch: Vec<u32>,
-    cons_off: Vec<u32>,
-    cons_val: Vec<u64>,
-    prod_off: Vec<u32>,
-    prod_val: Vec<u64>,
-    /// Channel capacity, `u64::MAX` when unbounded.
-    cap_tab: Vec<u64>,
-    src_tab: Vec<u32>,
-    dst_tab: Vec<u32>,
-    dur_off: Vec<u32>,
-    dur_val: Vec<u64>,
+/// `ActorState::in_flight` of an actor with no firing in flight.
+const IDLE: u32 = u32::MAX;
+
+/// One end of a channel, as its actor sees it.
+#[derive(Debug, Clone, Copy)]
+struct Port {
+    channel: u32,
+    /// The actor at the channel's other end.
+    peer: u32,
+}
+
+/// An actor's slice of the tables.
+#[derive(Debug, Clone, Copy)]
+struct ActorRow {
+    /// Its ports are `ports[first..end]`: inputs up to `outputs`, then
+    /// outputs.
+    first: u32,
+    outputs: u32,
+    end: u32,
+    phases: u32,
+    /// Where its phase durations start in [`Tables::durations`].
+    durations: u32,
+    /// Where its rates start in [`Tables::rates`]: phase by phase, the
+    /// tokens each of its ports moves, in port order.
+    rates: u32,
+}
+
+/// The graph in flat tables: per actor its row, one CSR list of ports —
+/// inputs, then outputs, each with its channel and the actor at the other
+/// end — and per actor and phase the tokens each port moves, beside its
+/// ports, so a firing reads two contiguous runs and wakes neighbours
+/// without a second lookup. A function of the graph's actors, rates and
+/// endpoints alone: initial tokens and capacities are not in it.
+#[derive(Debug, Clone)]
+pub(crate) struct Tables {
+    actors: Vec<ActorRow>,
+    ports: Vec<Port>,
+    rates: Vec<u64>,
+    durations: Vec<u64>,
 }
 
 impl Tables {
-    fn new(graph: &CsdfGraph) -> Tables {
-        let n = graph.n_actors();
-        let m = graph.n_channels();
-        // Degree counts, then prefix sums, then a fill pass — the standard
-        // CSR construction.
-        let mut in_deg = vec![0u32; n];
-        let mut out_deg = vec![0u32; n];
-        for (_, ch) in graph.channels() {
-            out_deg[ch.src.index()] += 1;
-            in_deg[ch.dst.index()] += 1;
-        }
-        let prefix = |deg: &[u32]| {
-            let mut off = Vec::with_capacity(deg.len() + 1);
-            off.push(0u32);
-            for &d in deg {
-                off.push(off.last().unwrap() + d);
-            }
-            off
+    pub(crate) fn new(graph: &CsdfGraph) -> Tables {
+        let row = |phases: usize| ActorRow {
+            first: 0,
+            outputs: 0,
+            end: 0,
+            phases: phases as u32,
+            durations: 0,
+            rates: 0,
         };
-        let in_off = prefix(&in_deg);
-        let out_off = prefix(&out_deg);
-        let mut in_ch = vec![0u32; m];
-        let mut out_ch = vec![0u32; m];
-        let mut in_cursor: Vec<u32> = in_off[..n].to_vec();
-        let mut out_cursor: Vec<u32> = out_off[..n].to_vec();
-        let mut cons_off = Vec::with_capacity(m + 1);
-        let mut prod_off = Vec::with_capacity(m + 1);
-        let mut cons_val = Vec::new();
-        let mut prod_val = Vec::new();
-        let mut cap_tab = Vec::with_capacity(m);
-        let mut src_tab = Vec::with_capacity(m);
-        let mut dst_tab = Vec::with_capacity(m);
-        cons_off.push(0u32);
-        prod_off.push(0u32);
-        for (ci, ch) in graph.channels() {
-            let s = ch.src.index();
-            let d = ch.dst.index();
-            out_ch[out_cursor[s] as usize] = ci.index() as u32;
-            out_cursor[s] += 1;
-            in_ch[in_cursor[d] as usize] = ci.index() as u32;
-            in_cursor[d] += 1;
-            cons_val.extend(ch.cons.iter());
-            prod_val.extend(ch.prod.iter());
-            cons_off.push(cons_val.len() as u32);
-            prod_off.push(prod_val.len() as u32);
-            cap_tab.push(ch.capacity.unwrap_or(u64::MAX));
-            src_tab.push(s as u32);
-            dst_tab.push(d as u32);
+        let mut actors: Vec<ActorRow> = graph.actors().map(|(_, a)| row(a.n_phases())).collect();
+        // Degree counts (inputs in `first`, outputs in `outputs`), then
+        // prefix sums that leave `first` at the end of the inputs and
+        // `outputs` at the end of the outputs: a fill pass over the
+        // channels in reverse moves both down to where their runs start,
+        // each run in channel order.
+        for (_, ch) in graph.channels() {
+            actors[ch.dst.index()].first += 1;
+            actors[ch.src.index()].outputs += 1;
         }
-        let mut dur_off = Vec::with_capacity(n + 1);
-        let mut dur_val = Vec::new();
-        dur_off.push(0u32);
-        for (_, a) in graph.actors() {
-            for p in 0..a.n_phases() {
-                dur_val.push(a.phase_duration(p));
+        let (mut next, mut n_rates, mut n_durations) = (0, 0, 0);
+        for a in &mut actors {
+            let (inputs, outputs) = (a.first, a.outputs);
+            a.first = next + inputs;
+            a.outputs = a.first + outputs;
+            a.end = a.outputs;
+            next = a.end;
+            a.rates = n_rates as u32;
+            n_rates += (inputs + outputs) as usize * a.phases as usize;
+            n_durations += a.phases as usize;
+        }
+        let mut ports = vec![
+            Port {
+                channel: 0,
+                peer: 0
+            };
+            next as usize
+        ];
+        for c in (0..graph.n_channels()).rev() {
+            let ch = graph.channel(ChannelId(c));
+            let channel = c as u32;
+            let (src, dst) = (ch.src.index(), ch.dst.index());
+            actors[src].outputs -= 1;
+            ports[actors[src].outputs as usize] = Port {
+                channel,
+                peer: dst as u32,
+            };
+            actors[dst].first -= 1;
+            ports[actors[dst].first as usize] = Port {
+                channel,
+                peer: src as u32,
+            };
+        }
+        // Port `k` of an actor with `d` ports moves `rates[rates + p·d + k]`
+        // tokens in phase `p`.
+        let mut rates = vec![0; n_rates];
+        for a in &actors {
+            let degree = (a.end - a.first) as usize;
+            for k in a.first..a.end {
+                let ch = graph.channel(ChannelId(ports[k as usize].channel as usize));
+                let per_phase = if k < a.outputs { &ch.cons } else { &ch.prod };
+                let at = a.rates as usize + (k - a.first) as usize;
+                for (p, rate) in per_phase.iter().enumerate() {
+                    rates[at + p * degree] = rate;
+                }
             }
-            dur_off.push(dur_val.len() as u32);
+        }
+        let mut durations = Vec::with_capacity(n_durations);
+        for ((_, spec), a) in graph.actors().zip(&mut actors) {
+            a.durations = durations.len() as u32;
+            durations.extend((0..spec.n_phases()).map(|p| spec.phase_duration(p)));
         }
         Tables {
-            in_off,
-            in_ch,
-            out_off,
-            out_ch,
-            cons_off,
-            cons_val,
-            prod_off,
-            prod_val,
-            cap_tab,
-            src_tab,
-            dst_tab,
-            dur_off,
-            dur_val,
+            actors,
+            ports,
+            rates,
+            durations,
         }
     }
 
     #[inline]
-    fn inputs(&self, actor: usize) -> &[u32] {
-        &self.in_ch[self.in_off[actor] as usize..self.in_off[actor + 1] as usize]
+    fn inputs(&self, row: ActorRow) -> &[Port] {
+        &self.ports[row.first as usize..row.outputs as usize]
     }
 
     #[inline]
-    fn outputs(&self, actor: usize) -> &[u32] {
-        &self.out_ch[self.out_off[actor] as usize..self.out_off[actor + 1] as usize]
+    fn outputs(&self, row: ActorRow) -> &[Port] {
+        &self.ports[row.outputs as usize..row.end as usize]
     }
 
+    /// The tokens the actor's inputs and outputs move in `phase`, in port
+    /// order.
     #[inline]
-    fn cons(&self, ci: usize, phase: usize) -> u64 {
-        self.cons_val[self.cons_off[ci] as usize + phase]
+    fn rates(&self, row: ActorRow, phase: usize) -> (&[u64], &[u64]) {
+        let degree = (row.end - row.first) as usize;
+        let at = row.rates as usize + phase * degree;
+        self.rates[at..at + degree].split_at((row.outputs - row.first) as usize)
     }
+}
 
-    #[inline]
-    fn prod(&self, ci: usize, phase: usize) -> u64 {
-        self.prod_val[self.prod_off[ci] as usize + phase]
-    }
+/// A channel during a run. `pressure` is its tokens plus the room reserved
+/// by producer firings in flight plus the tokens held by consumer firings
+/// in flight: what the capacity bounds. (Its peak is kept apart, in the
+/// vector the outcome takes over.)
+#[derive(Debug, Clone, Copy)]
+struct ChannelState {
+    data: u64,
+    pressure: u64,
+    /// `u64::MAX` when unbounded.
+    cap: u64,
+}
+
+/// An actor during a run.
+#[derive(Debug, Clone, Copy)]
+struct ActorState {
+    /// The phase its next firing runs.
+    phase: u32,
+    /// The phase of its firing in flight, [`IDLE`] when none is.
+    in_flight: u32,
+    busy_until: u64,
+}
+
+/// Each channel of `graph` at the start of a run: its initial tokens, at
+/// the capacity `capacities` gives it.
+fn channel_states(
+    graph: &CsdfGraph,
+    capacities: impl Iterator<Item = Option<u64>>,
+) -> Vec<ChannelState> {
+    graph
+        .channels()
+        .zip(capacities)
+        .map(|((_, c), capacity)| ChannelState {
+            data: c.initial_tokens,
+            pressure: c.initial_tokens,
+            cap: capacity.unwrap_or(u64::MAX),
+        })
+        .collect()
+}
+
+/// A heap key: time, then actor, in one word that orders as the pair does.
+#[inline]
+fn event(time: u64, actor: usize) -> u128 {
+    u128::from(time) << 32 | actor as u128
 }
 
 /// A discrete-event, self-timed CSDF simulator.
@@ -234,39 +315,44 @@ impl Tables {
 /// intentionally private (the outcome carries everything analyses need).
 #[derive(Debug)]
 pub struct Simulation<'g> {
-    graph: &'g CsdfGraph,
+    tables: Cow<'g, Tables>,
+    run: Run,
+}
+
+/// What a run changes: everything of a [`Simulation`] but its tables.
+#[derive(Debug)]
+struct Run {
     config: SimConfig,
     now: u64,
-    data: Vec<u64>,
-    reserved: Vec<u64>,
-    held: Vec<u64>,
-    phase: Vec<u32>,
-    in_flight: Vec<Option<u32>>,
-    busy_until: Vec<u64>,
+    channels: Vec<ChannelState>,
+    /// Per channel, the largest pressure a start has reserved up to.
+    max_pressure: Vec<u64>,
+    actors: Vec<ActorState>,
     completions: Vec<u64>,
     total_firings: u64,
-    max_pressure: Vec<u64>,
-    events: BinaryHeap<Reverse<(u64, usize)>>,
+    events: BinaryHeap<Reverse<u128>>,
+    /// Per actor whether its firings are recorded; empty when none is.
     recorded: Vec<bool>,
     fire_start: Vec<u64>,
     records: Vec<FiringRecord>,
-    tables: Tables,
     // Where the run stands, kept between `advance` calls so that a paused
     // run resumes exactly where it stopped.
     seen: Recurrences,
-    last_snapshot_iter: u64,
+    /// The reference actor's completions at the last snapshot.
+    last_snapshot: u64,
     steady: Option<SteadyState>,
     deadlocked: bool,
     // Candidate-driven start scheduling: starting a firing only consumes
-    // resources, so only completions can enable new firings. The dirty set
-    // holds exactly the actors whose enablement may have changed.
-    dirty: Vec<bool>,
-    candidates: Vec<usize>,
+    // resources, so only completions can enable new firings. The candidates
+    // are the actors whose enablement may have changed since they were last
+    // asked; one woken twice in an instant is asked twice, and the second
+    // time finds it started or still blocked.
+    candidates: Vec<u32>,
 }
 
 /// A run [`Simulation::run_within`] stopped at its firing budget, before it
-/// ended. It keeps its state and lets go of its tables, which are a
-/// function of the graph alone: what runs while it waits has their memory.
+/// ended. It keeps its state, and its tables are the caller's: the
+/// buffer-sizing search's, which outlive every probe.
 #[derive(Debug)]
 pub(crate) struct Paused<'g>(Simulation<'g>);
 
@@ -274,145 +360,72 @@ impl Paused<'_> {
     /// Runs the paused simulation on to its end, as [`Simulation::run`]
     /// would have: the outcome is the one an uninterrupted run returns.
     pub(crate) fn resume(mut self) -> SimOutcome {
-        self.0.tables = Tables::new(self.0.graph);
         self.0.advance(u64::MAX);
-        self.0.into_outcome()
+        self.0.run.into_outcome()
     }
 }
 
 impl<'g> Simulation<'g> {
     /// Creates a simulator over `graph` with the given configuration.
     pub fn new(graph: &'g CsdfGraph, config: SimConfig) -> Self {
-        let n = graph.n_actors();
-        let m = graph.n_channels();
-        let data = graph.channels().map(|(_, c)| c.initial_tokens).collect();
-        let mut recorded = vec![false; n];
-        for a in &config.record {
-            recorded[a.index()] = true;
+        let capacities = graph.channels().map(|(_, c)| c.capacity);
+        let channels = channel_states(graph, capacities);
+        Simulation::with_tables(Cow::Owned(Tables::new(graph)), channels, config)
+    }
+
+    /// A simulator over `graph`'s tables, which the caller keeps between
+    /// runs, with `capacities` (one per channel, `None` unbounded) in place
+    /// of the graph's own.
+    pub(crate) fn over(
+        graph: &CsdfGraph,
+        tables: &'g Tables,
+        capacities: &[Option<u64>],
+        config: SimConfig,
+    ) -> Self {
+        let channels = channel_states(graph, capacities.iter().copied());
+        Simulation::with_tables(Cow::Borrowed(tables), channels, config)
+    }
+
+    fn with_tables(
+        tables: Cow<'g, Tables>,
+        channels: Vec<ChannelState>,
+        config: SimConfig,
+    ) -> Self {
+        let n = tables.actors.len();
+        let mut recorded = Vec::new();
+        let mut fire_start = Vec::new();
+        if !config.record.is_empty() {
+            recorded = vec![false; n];
+            fire_start = vec![0; n];
+            for a in &config.record {
+                recorded[a.index()] = true;
+            }
         }
-        Simulation {
-            graph,
+        let candidates = (0..n as u32).collect();
+        let idle = ActorState {
+            phase: 0,
+            in_flight: IDLE,
+            busy_until: 0,
+        };
+        let run = Run {
             config,
-            tables: Tables::new(graph),
             now: 0,
-            data,
-            reserved: vec![0; m],
-            held: vec![0; m],
-            phase: vec![0; n],
-            in_flight: vec![None; n],
-            busy_until: vec![0; n],
+            max_pressure: vec![0; channels.len()],
+            channels,
+            actors: vec![idle; n],
             completions: vec![0; n],
             total_firings: 0,
-            max_pressure: vec![0; m],
             events: BinaryHeap::new(),
             recorded,
-            fire_start: vec![0; n],
+            fire_start,
             records: Vec::new(),
             seen: Recurrences::default(),
-            last_snapshot_iter: u64::MAX,
+            last_snapshot: 0,
             steady: None,
             deadlocked: false,
-            dirty: vec![true; n],
-            candidates: (0..n).collect(),
-        }
-    }
-
-    fn can_start(&self, actor: usize) -> bool {
-        if self.in_flight[actor].is_some() {
-            return false;
-        }
-        let phase = self.phase[actor] as usize;
-        for &ci in self.tables.inputs(actor) {
-            let ci = ci as usize;
-            if self.data[ci] < self.tables.cons(ci, phase) {
-                return false;
-            }
-        }
-        for &ci in self.tables.outputs(actor) {
-            let ci = ci as usize;
-            let pressure = self.data[ci] + self.reserved[ci] + self.held[ci];
-            if pressure + self.tables.prod(ci, phase) > self.tables.cap_tab[ci] {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn start(&mut self, actor: usize) {
-        let phase = self.phase[actor] as usize;
-        for k in self.tables.in_off[actor]..self.tables.in_off[actor + 1] {
-            let ci = self.tables.in_ch[k as usize] as usize;
-            let cons = self.tables.cons(ci, phase);
-            debug_assert!(self.data[ci] >= cons);
-            self.data[ci] -= cons;
-            self.held[ci] += cons;
-        }
-        for k in self.tables.out_off[actor]..self.tables.out_off[actor + 1] {
-            let ci = self.tables.out_ch[k as usize] as usize;
-            self.reserved[ci] += self.tables.prod(ci, phase);
-            let pressure = self.data[ci] + self.reserved[ci] + self.held[ci];
-            if pressure > self.max_pressure[ci] {
-                self.max_pressure[ci] = pressure;
-            }
-        }
-        let duration = self.tables.dur_val[self.tables.dur_off[actor] as usize + phase];
-        self.in_flight[actor] = Some(phase as u32);
-        self.busy_until[actor] = self.now + duration;
-        if self.recorded[actor] {
-            self.fire_start[actor] = self.now;
-        }
-        self.events.push(Reverse((self.busy_until[actor], actor)));
-    }
-
-    fn complete(&mut self, actor: usize) {
-        let id = ActorId(actor);
-        let phase = self.in_flight[actor]
-            .take()
-            .expect("completion event for idle actor") as usize;
-        for k in self.tables.in_off[actor]..self.tables.in_off[actor + 1] {
-            let ci = self.tables.in_ch[k as usize] as usize;
-            let cons = self.tables.cons(ci, phase);
-            debug_assert!(self.held[ci] >= cons);
-            self.held[ci] -= cons;
-        }
-        for k in self.tables.out_off[actor]..self.tables.out_off[actor + 1] {
-            let ci = self.tables.out_ch[k as usize] as usize;
-            let prod = self.tables.prod(ci, phase);
-            debug_assert!(self.reserved[ci] >= prod);
-            self.reserved[ci] -= prod;
-            self.data[ci] += prod;
-        }
-        let n_phases = self.graph.actor(id).n_phases() as u32;
-        self.phase[actor] = (self.phase[actor] + 1) % n_phases;
-        self.completions[actor] += 1;
-        self.total_firings += 1;
-        if self.recorded[actor] {
-            self.records.push(FiringRecord {
-                actor: id,
-                phase: phase as u32,
-                start: self.fire_start[actor],
-                end: self.now,
-            });
-        }
-    }
-
-    /// The normalised state as one flat key: per actor its next phase
-    /// packed with its in-flight phase (`u32::MAX` when idle) and its
-    /// remaining busy time (`u64::MAX` when idle), then per channel its
-    /// tokens.
-    fn snapshot(&self) -> Vec<u64> {
-        let n = self.graph.n_actors();
-        let mut key = Vec::with_capacity(2 * n + self.data.len());
-        for a in 0..n {
-            let (remaining, in_flight) = match self.in_flight[a] {
-                Some(ph) => (self.busy_until[a] - self.now, ph),
-                None => (u64::MAX, u32::MAX),
-            };
-            key.push(u64::from(self.phase[a]) << 32 | u64::from(in_flight));
-            key.push(remaining);
-        }
-        key.extend_from_slice(&self.data);
-        key
+            candidates,
+        };
+        Simulation { tables, run }
     }
 
     /// Runs the simulation to a guard, deadlock, or (if enabled) steady
@@ -421,7 +434,7 @@ impl<'g> Simulation<'g> {
     pub fn run(mut self) -> SimOutcome {
         obs::count(obs::Counter::CsdfRun, 1);
         self.advance(u64::MAX);
-        self.into_outcome()
+        self.run.into_outcome()
     }
 
     /// [`Simulation::run`], paused instead once `budget` firings have
@@ -431,42 +444,165 @@ impl<'g> Simulation<'g> {
     pub(crate) fn run_within(mut self, budget: u64) -> Result<SimOutcome, Paused<'g>> {
         obs::count(obs::Counter::CsdfRun, 1);
         if self.advance(budget) {
-            Ok(self.into_outcome())
+            Ok(self.run.into_outcome())
         } else {
-            self.tables = Tables::default();
             Err(Paused(self))
         }
+    }
+
+    /// [`Run::advance`] on these tables, with the record check made once.
+    fn advance(&mut self, budget: u64) -> bool {
+        let Simulation { tables, run } = self;
+        if run.recorded.is_empty() {
+            run.advance::<false>(tables, budget)
+        } else {
+            run.advance::<true>(tables, budget)
+        }
+    }
+}
+
+impl Run {
+    /// Starts `actor`'s next firing if it is idle, every input holds the
+    /// tokens the phase consumes and every output has room for what it
+    /// produces: consumes the inputs, reserves the room, and schedules the
+    /// completion.
+    #[inline]
+    fn try_start<const RECORD: bool>(&mut self, t: &Tables, actor: usize) {
+        let state = self.actors[actor];
+        if state.in_flight != IDLE {
+            return;
+        }
+        let row = t.actors[actor];
+        let phase = state.phase as usize;
+        let (inputs, outputs) = (t.inputs(row), t.outputs(row));
+        let (consumed, produced) = t.rates(row, phase);
+        for (port, &cons) in inputs.iter().zip(consumed) {
+            if self.channels[port.channel as usize].data < cons {
+                return;
+            }
+        }
+        for (port, &prod) in outputs.iter().zip(produced) {
+            let ch = &self.channels[port.channel as usize];
+            if ch.pressure + prod > ch.cap {
+                return;
+            }
+        }
+        for (port, &cons) in inputs.iter().zip(consumed) {
+            self.channels[port.channel as usize].data -= cons;
+        }
+        for (port, &prod) in outputs.iter().zip(produced) {
+            let c = port.channel as usize;
+            let ch = &mut self.channels[c];
+            ch.pressure += prod;
+            self.max_pressure[c] = self.max_pressure[c].max(ch.pressure);
+        }
+        let busy_until = self.now + t.durations[row.durations as usize + phase];
+        self.actors[actor] = ActorState {
+            phase: state.phase,
+            in_flight: state.phase,
+            busy_until,
+        };
+        if RECORD && self.recorded[actor] {
+            self.fire_start[actor] = self.now;
+        }
+        self.events.push(Reverse(event(busy_until, actor)));
+    }
+
+    /// Completes `actor`'s firing in flight: releases what it held on its
+    /// inputs and fills the room it reserved on its outputs, then wakes the
+    /// actors this may have enabled — itself, the producers into its inputs
+    /// (freed room) and the consumers of its outputs (new tokens).
+    #[inline]
+    fn complete<const RECORD: bool>(&mut self, t: &Tables, actor: usize) {
+        let state = self.actors[actor];
+        debug_assert_ne!(state.in_flight, IDLE, "completion event for idle actor");
+        let row = t.actors[actor];
+        let phase = state.in_flight as usize;
+        let (consumed, produced) = t.rates(row, phase);
+        for (port, &cons) in t.inputs(row).iter().zip(consumed) {
+            let ch = &mut self.channels[port.channel as usize];
+            debug_assert!(ch.pressure - ch.data >= cons);
+            ch.pressure -= cons;
+            self.wake(port.peer);
+        }
+        for (port, &prod) in t.outputs(row).iter().zip(produced) {
+            self.channels[port.channel as usize].data += prod;
+            self.wake(port.peer);
+        }
+        self.candidates.push(actor as u32);
+        let next = state.phase + 1;
+        self.actors[actor] = ActorState {
+            phase: if next == row.phases { 0 } else { next },
+            in_flight: IDLE,
+            busy_until: state.busy_until,
+        };
+        self.completions[actor] += 1;
+        self.total_firings += 1;
+        if RECORD && self.recorded[actor] {
+            self.records.push(FiringRecord {
+                actor: ActorId(actor),
+                phase: phase as u32,
+                start: self.fire_start[actor],
+                end: self.now,
+            });
+        }
+    }
+
+    /// Makes `actor` a candidate if it is idle: a busy one is woken by its
+    /// own completion.
+    #[inline]
+    fn wake(&mut self, actor: u32) {
+        if self.actors[actor as usize].in_flight == IDLE {
+            self.candidates.push(actor);
+        }
+    }
+
+    /// The normalised state as one flat key: per actor its next phase
+    /// packed with its in-flight phase (`u32::MAX` when idle) and its
+    /// remaining busy time (`u64::MAX` when idle), then per channel its
+    /// tokens.
+    fn snapshot(&self) -> Vec<u64> {
+        let mut key = Vec::with_capacity(2 * self.actors.len() + self.channels.len());
+        for a in &self.actors {
+            let remaining = if a.in_flight == IDLE {
+                u64::MAX
+            } else {
+                a.busy_until - self.now
+            };
+            key.push(u64::from(a.phase) << 32 | u64::from(a.in_flight));
+            key.push(remaining);
+        }
+        key.extend(self.channels.iter().map(|c| c.data));
+        key
     }
 
     /// Simulates until the run ends — a recurrence (when enabled), a
     /// deadlock, a guard — and returns true, or until `budget` firings have
     /// completed and returns false. It pauses where the guard is checked,
     /// with nothing left to start at the current time, so the next call
-    /// picks the run up as if it had never stopped.
-    fn advance(&mut self, budget: u64) -> bool {
+    /// picks the run up as if it had never stopped. `RECORD` says whether
+    /// any actor's firings are recorded.
+    fn advance<const RECORD: bool>(&mut self, t: &Tables, budget: u64) -> bool {
         let reference = self.config.reference.unwrap_or(ActorId(0)).index();
-        let ref_phases = self.graph.actor(ActorId(reference)).n_phases() as u64;
+        let ref_phases = u64::from(t.actors[reference].phases);
+        let limit = budget.min(self.config.max_firings);
         loop {
             // Start every enabled candidate at the current time.
             while let Some(a) = self.candidates.pop() {
-                self.dirty[a] = false;
-                if self.can_start(a) {
-                    self.start(a);
-                }
+                self.try_start::<RECORD>(t, a as usize);
             }
 
             // Steady-state snapshot at reference-iteration boundaries: only
-            // when the reference actor has just wrapped its phase cycle and
-            // the state at `now` is saturated (nothing more can start).
+            // when the reference actor has just wrapped its phase cycle (its
+            // next phase is 0 and it has completed some) and the state at
+            // `now` is saturated (nothing more can start).
             if self.config.stop_at_steady_state
                 && self.steady.is_none()
-                && self.completions[reference] > 0
-                && self.completions[reference].is_multiple_of(ref_phases)
-                && self.phase[reference] == 0
-                && self.completions[reference] / ref_phases != self.last_snapshot_iter
+                && self.actors[reference].phase == 0
+                && self.completions[reference] != self.last_snapshot
             {
-                let iterations = self.completions[reference] / ref_phases;
-                self.last_snapshot_iter = iterations;
+                self.last_snapshot = self.completions[reference];
+                let iterations = self.last_snapshot / ref_phases;
                 let key = self.snapshot();
                 match self.seen.entry(key) {
                     Entry::Occupied(prev) => {
@@ -484,51 +620,29 @@ impl<'g> Simulation<'g> {
                 }
             }
 
-            if self.total_firings >= self.config.max_firings {
-                return true;
-            }
-            if self.total_firings >= budget {
-                return false;
+            if self.total_firings >= limit {
+                return self.total_firings >= self.config.max_firings;
             }
 
             // Advance to the next completion.
-            let Some(Reverse((t, _))) = self.events.peek().copied() else {
+            let Some(&Reverse(next)) = self.events.peek() else {
                 // No in-flight firings and nothing startable: deadlock (or a
                 // graph with no fireable actor at all).
                 self.deadlocked = true;
                 return true;
             };
-            if t > TIME_LIMIT {
+            let now = (next >> 32) as u64;
+            if now > TIME_LIMIT {
                 return true;
             }
-            self.now = t;
-            while let Some(Reverse((t2, actor))) = self.events.peek().copied() {
-                if t2 != t {
+            self.now = now;
+            while let Some(&Reverse(next)) = self.events.peek() {
+                if (next >> 32) as u64 != now {
                     break;
                 }
                 self.events.pop();
-                self.complete(actor);
-                // Wake the actors this completion may have enabled: the
-                // completer itself, consumers of its outputs (new data),
-                // and producers into its inputs (freed space).
-                self.wake(actor);
-                for k in self.tables.out_off[actor]..self.tables.out_off[actor + 1] {
-                    let ci = self.tables.out_ch[k as usize] as usize;
-                    self.wake(self.tables.dst_tab[ci] as usize);
-                }
-                for k in self.tables.in_off[actor]..self.tables.in_off[actor + 1] {
-                    let ci = self.tables.in_ch[k as usize] as usize;
-                    self.wake(self.tables.src_tab[ci] as usize);
-                }
+                self.complete::<RECORD>(t, next as u32 as usize);
             }
-        }
-    }
-
-    #[inline]
-    fn wake(&mut self, actor: usize) {
-        if !self.dirty[actor] {
-            self.dirty[actor] = true;
-            self.candidates.push(actor);
         }
     }
 
@@ -544,6 +658,9 @@ impl<'g> Simulation<'g> {
         }
     }
 }
+
+#[cfg(test)]
+mod twin;
 
 #[cfg(test)]
 mod tests {

@@ -211,8 +211,7 @@ impl Default for Path {
 /// # Errors
 ///
 /// [`PlatformError::NoRoute`] if no such path exists (including NI
-/// exhaustion, and an end tile off the mesh) — the mapper turns this into
-/// step-3 feedback.
+/// exhaustion) — the mapper turns this into step-3 feedback.
 pub fn route(
     platform: &Platform,
     state: &PlatformState,
@@ -252,10 +251,6 @@ pub fn route_with<'s>(
     }
     let start = platform.tile(from).position;
     let goal = platform.tile(to).position;
-    // A tile off the mesh is on no router, so no path reaches it.
-    if !platform.on_mesh(start) || !platform.on_mesh(goal) {
-        return Err(no_route());
-    }
     scratch.reset_path(from, to, demand);
     if walk_canonical(platform, state, start, goal, demand, &mut scratch.path) {
         return Ok(&scratch.path);

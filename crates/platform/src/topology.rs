@@ -3,7 +3,7 @@
 use crate::error::PlatformError;
 use crate::state::PlatformState;
 use crate::tile::{Tile, TileId, TileKind};
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -103,9 +103,11 @@ pub struct AdjEntry {
 /// [`Platform::tile_at`] an array read, a name index making
 /// [`Platform::tile_by_name`] O(1), and the two stream-endpoint tiles
 /// ([`Platform::stream_input_tile`], [`Platform::stream_output_tile`]). All
-/// are rebuilt on deserialization.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(from = "PlatformSerde", into = "PlatformSerde")]
+/// are rebuilt on deserialization, which holds the tiles to the builder's
+/// rules: a file with a tile off the mesh or two tiles on one router is
+/// refused with [`PlatformBuilder::build`]'s error.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[serde(into = "PlatformSerde")]
 pub struct Platform {
     width: u16,
     height: u16,
@@ -149,16 +151,12 @@ fn derived_tables(width: u16, height: u16, tiles: &[Tile], links: &[Link]) -> De
         tile_by_name.entry(t.name.clone()).or_insert(TileId(i));
     }
     let n_routers = width as usize * height as usize;
-    // The builder refuses two tiles on one router and a tile off the mesh;
-    // a deserialized platform can hold either. Of two tiles on one router
-    // the later one is kept (what the `HashMap` this table replaced kept),
-    // and a tile off the mesh is on no router.
+    // Every tile is on the mesh, alone on its router: `check_positions`
+    // has passed.
     let mut tile_at = vec![None; n_routers];
     for (i, t) in tiles.iter().enumerate() {
         let Coord { x, y } = t.position;
-        if on_mesh(t.position) {
-            tile_at[y as usize * width as usize + x as usize] = Some(TileId(i));
-        }
+        tile_at[y as usize * width as usize + x as usize] = Some(TileId(i));
     }
     // Each router's edges to its west, east, north and south neighbour —
     // the order `Platform::neighbours` yields. Of two links joining the
@@ -204,6 +202,31 @@ fn neighbour(c: Coord, direction: usize) -> Option<Coord> {
     Some(Coord { x, y })
 }
 
+/// The builder's rules for tiles: each on the mesh, no two on one router.
+///
+/// # Errors
+///
+/// * [`PlatformError::OutOfMesh`] for the first tile outside the mesh.
+/// * [`PlatformError::DuplicatePosition`] for the first tile on a router
+///   an earlier one holds.
+fn check_positions(width: u16, height: u16, tiles: &[Tile]) -> Result<(), PlatformError> {
+    let mut occupied = vec![false; width as usize * height as usize];
+    for t in tiles {
+        if t.position.x >= width || t.position.y >= height {
+            return Err(PlatformError::OutOfMesh {
+                coord: t.position,
+                width,
+                height,
+            });
+        }
+        let router = t.position.y as usize * width as usize + t.position.x as usize;
+        if std::mem::replace(&mut occupied[router], true) {
+            return Err(PlatformError::DuplicatePosition(t.position));
+        }
+    }
+    Ok(())
+}
+
 /// Serde shadow of [`Platform`]: the coordinate-keyed lookup maps are
 /// derived data and are rebuilt on deserialization (JSON requires string
 /// keys).
@@ -229,15 +252,43 @@ impl From<Platform> for PlatformSerde {
     }
 }
 
-impl From<PlatformSerde> for Platform {
-    fn from(s: PlatformSerde) -> Self {
-        let derived = derived_tables(s.width, s.height, &s.tiles, &s.links);
+impl TryFrom<PlatformSerde> for Platform {
+    type Error = PlatformError;
+
+    /// The platform a file describes, if its tiles keep the builder's rules
+    /// (`check_positions`); its links are taken as they are.
+    fn try_from(s: PlatformSerde) -> Result<Self, PlatformError> {
+        check_positions(s.width, s.height, &s.tiles)?;
+        Ok(Platform::with_tables(
+            s.width, s.height, s.noc, s.tiles, s.links,
+        ))
+    }
+}
+
+impl Deserialize for Platform {
+    fn from_value(value: &Value) -> Result<Self, de::Error> {
+        Platform::try_from(PlatformSerde::from_value(value)?)
+            .map_err(|e| de::Error::msg(format!("invalid platform: {e}")))
+    }
+}
+
+impl Platform {
+    /// The platform of these parts, with its lookup tables derived; the
+    /// tiles have passed `check_positions`.
+    fn with_tables(
+        width: u16,
+        height: u16,
+        noc: NocParams,
+        tiles: Vec<Tile>,
+        links: Vec<Link>,
+    ) -> Platform {
+        let derived = derived_tables(width, height, &tiles, &links);
         Platform {
-            width: s.width,
-            height: s.height,
-            noc: s.noc,
-            tiles: s.tiles,
-            links: s.links,
+            width,
+            height,
+            noc,
+            tiles,
+            links,
             tile_by_name: derived.tile_by_name,
             tile_at: derived.tile_at,
             adj_offsets: derived.adj_offsets,
@@ -246,9 +297,7 @@ impl From<PlatformSerde> for Platform {
             stream_output: derived.stream_output,
         }
     }
-}
 
-impl Platform {
     /// Mesh width in routers.
     pub fn width(&self) -> u16 {
         self.width
@@ -325,8 +374,8 @@ impl Platform {
         self.tile_by_name.get(name).copied()
     }
 
-    /// Whether `coord` names one of the mesh's routers. A deserialized
-    /// platform's tile can sit off the mesh, on no router.
+    /// Whether `coord` names one of the mesh's routers, as every tile's
+    /// position does.
     pub fn on_mesh(&self, coord: Coord) -> bool {
         coord.x < self.width && coord.y < self.height
     }
@@ -385,7 +434,7 @@ impl Platform {
     ///
     /// This is the flat CSR table the routing hot path walks, and the one
     /// [`Platform::link_between`] scans. Empty for a coordinate off the
-    /// mesh, such as a deserialized platform's tile can have.
+    /// mesh.
     pub fn adjacency(&self, c: Coord) -> &[AdjEntry] {
         if !self.on_mesh(c) {
             return &[];
@@ -495,20 +544,7 @@ impl PlatformBuilder {
     ///   mesh.
     /// * [`PlatformError::DuplicatePosition`] if two tiles share a router.
     pub fn build(self) -> Result<Platform, PlatformError> {
-        let mut occupied = vec![false; self.width as usize * self.height as usize];
-        for t in &self.tiles {
-            if t.position.x >= self.width || t.position.y >= self.height {
-                return Err(PlatformError::OutOfMesh {
-                    coord: t.position,
-                    width: self.width,
-                    height: self.height,
-                });
-            }
-            let router = t.position.y as usize * self.width as usize + t.position.x as usize;
-            if std::mem::replace(&mut occupied[router], true) {
-                return Err(PlatformError::DuplicatePosition(t.position));
-            }
-        }
+        check_positions(self.width, self.height, &self.tiles)?;
         let mut links = Vec::new();
         for y in 0..self.height {
             for x in 0..self.width {
@@ -528,20 +564,13 @@ impl PlatformBuilder {
                 }
             }
         }
-        let derived = derived_tables(self.width, self.height, &self.tiles, &links);
-        Ok(Platform {
-            width: self.width,
-            height: self.height,
-            noc: self.noc,
-            tiles: self.tiles,
+        Ok(Platform::with_tables(
+            self.width,
+            self.height,
+            self.noc,
+            self.tiles,
             links,
-            tile_by_name: derived.tile_by_name,
-            tile_at: derived.tile_at,
-            adj_offsets: derived.adj_offsets,
-            adj: derived.adj,
-            stream_input: derived.stream_input,
-            stream_output: derived.stream_output,
-        })
+        ))
     }
 }
 
@@ -680,31 +709,52 @@ mod tests {
         assert_eq!(p.stream_input_tile(), p.tile_by_name("adc1"));
         assert_eq!(p.stream_output_tile(), None);
         // Rebuilt, not serialized.
-        let back: Platform = PlatformSerde::from(p.clone()).into();
+        let back = Platform::try_from(PlatformSerde::from(p.clone())).unwrap();
         assert_eq!(back, p);
     }
 
     #[test]
-    fn router_table_keeps_what_the_hash_map_kept() {
-        // A file can put two tiles on one router, and one off the mesh.
-        let mut read = PlatformSerde::from(small());
-        let mut twin = read.tiles[0].clone();
-        twin.name = "a twin".into();
-        read.tiles.push(twin);
-        let mut off = read.tiles[0].clone();
-        off.position = Coord { x: 7, y: 0 };
-        read.tiles.push(off);
-        let p = Platform::from(read);
-        // The map the table replaced: the later of two tiles on a router.
-        let map: HashMap<Coord, TileId> = p.tiles().map(|(id, t)| (t.position, id)).collect();
+    fn a_file_is_held_to_the_builders_tile_rules() {
+        // Two tiles on one router, and one off the mesh: refused as the
+        // builder refuses them, by deserialization too.
+        let mut twin = PlatformSerde::from(small());
+        let mut second = twin.tiles[0].clone();
+        second.name = "a twin".into();
+        twin.tiles.push(second);
+        let mut off = PlatformSerde::from(small());
+        off.tiles[1].position = Coord { x: 7, y: 0 };
+        let read = |s: &PlatformSerde| Platform::from_value(&s.to_value());
+        let error = read(&twin).unwrap_err().to_string();
+        assert!(
+            error.contains("two tiles share router position (0,0)"),
+            "{error}"
+        );
+        let error = read(&off).unwrap_err().to_string();
+        assert!(
+            error.contains("coordinate (7,0) outside 3x3 mesh"),
+            "{error}"
+        );
+        assert_eq!(
+            Platform::try_from(twin).unwrap_err(),
+            PlatformError::DuplicatePosition(Coord { x: 0, y: 0 })
+        );
+        assert_eq!(
+            Platform::try_from(off).unwrap_err(),
+            PlatformError::OutOfMesh {
+                coord: Coord { x: 7, y: 0 },
+                width: 3,
+                height: 3
+            }
+        );
+        // What is let in has its router table: each tile where it is.
+        let p = small();
         for y in 0..p.height() {
             for x in 0..p.width() {
                 let c = Coord { x, y };
-                assert_eq!(p.tile_at(c), map.get(&c).copied(), "at {c}");
+                let here = p.tiles().find(|(_, t)| t.position == c).map(|(id, _)| id);
+                assert_eq!(p.tile_at(c), here, "at {c}");
             }
         }
-        assert_eq!(p.tile_at(Coord { x: 0, y: 0 }), p.tile_by_name("a twin"));
-        // Off the mesh is no router's.
         assert_eq!(p.tile_at(Coord { x: 7, y: 0 }), None);
         assert_eq!(p.tile_at(Coord { x: 0, y: 3 }), None);
     }
@@ -722,7 +772,7 @@ mod tests {
             to: far,
             capacity: 7,
         });
-        let p = Platform::from(read);
+        let p = Platform::try_from(read).unwrap();
         let later = LinkId(p.n_links() - 2);
         assert_eq!(p.link_between(first.from, first.to), Some(later));
         let row = p.adjacency(first.from);
