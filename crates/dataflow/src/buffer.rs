@@ -200,6 +200,7 @@ pub fn size_buffers_ref(
         graph,
         tables: Tables::new(graph),
         capacities: graph.channels().map(|(_, c)| c.capacity).collect(),
+        reps,
         targets: &targets,
         config,
         budget: ITERATIONS_BEFORE_CYCLE_TEST.saturating_mul(firings_per_iteration),
@@ -310,6 +311,8 @@ struct Search<'a> {
     /// Per channel, the capacity it is analysed at: the graph's, but every
     /// simulated probe overwrites those of `targets`.
     capacities: Vec<Option<u64>>,
+    /// The graph's cycle-repetition vector, for the cycle test.
+    reps: Vec<u64>,
     targets: &'a [ChannelId],
     config: &'a BufferSizingConfig,
     /// Firings a probe simulates before the cycle test:
@@ -342,10 +345,11 @@ impl Search<'_> {
         self.table.record(capacities.to_vec(), probed)
     }
 
-    /// What the self-timed run of the graph at `self.capacities` concludes, as [`check_source_period`](crate::check_source_period)
-    /// would — except that a run still without recurrence after `budget`
-    /// firings is first put to the cycle test, and not run on if that
-    /// refutes it (rule 5). A "no" or a "don't know" resumes the same run.
+    /// What the self-timed run of the graph at `self.capacities` concludes,
+    /// as [`check_source_period`](crate::check_source_period) would — except
+    /// that a run still without recurrence after `budget` firings is first
+    /// put to the cycle test, and not run on if that refutes it (rule 5). A
+    /// "no" or a "don't know" resumes the same run.
     fn analyse(&self) -> Probed {
         let (source, period) = (self.config.source, self.config.period);
         let sim = Simulation::over(
@@ -360,7 +364,8 @@ impl Search<'_> {
         let outcome = match sim.run_within(self.budget) {
             Ok(outcome) => outcome,
             Err(paused) => {
-                if refutes_at(self.graph, &self.capacities, source, period) == Ok(true) {
+                if refutes_at(self.graph, &self.capacities, &self.reps, source, period) == Ok(true)
+                {
                     obs::count(obs::Counter::BufferProbeCycleRefuted, 1);
                     return Probed::Refuted;
                 }

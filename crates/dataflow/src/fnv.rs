@@ -2,15 +2,13 @@
 //!
 //! The table is short-lived and keyed by values this crate computes, so
 //! SipHash's keyed collision resistance buys nothing; a fixed key makes
-//! digests identical across runs and threads. The keys are vectors of
-//! `u64`, so the hasher takes eight bytes a step.
+//! digests identical across runs and threads.
 
 use std::hash::Hasher;
 
 const PRIME: u64 = 0x100_0000_01b3;
 
-/// 64-bit FNV-1a over little-endian 64-bit words, then byte by byte for a
-/// tail shorter than a word.
+/// 64-bit FNV-1a, specified byte-for-byte.
 pub(crate) struct Fnv64(u64);
 
 impl Default for Fnv64 {
@@ -24,12 +22,7 @@ impl Hasher for Fnv64 {
         self.0
     }
     fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
-            self.0 = (self.0 ^ word).wrapping_mul(PRIME);
-        }
-        for &b in words.remainder() {
+        for &b in bytes {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(PRIME);
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::error::DataflowError;
 use crate::phase::PhaseVec;
-use crate::rational::{gcd_i128, Ratio};
+use crate::rational::Ratio;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -273,38 +273,22 @@ impl CsdfGraph {
         }
         let n = self.actors.len();
         let mut rate: Vec<Option<Ratio>> = vec![None; n];
-        // Each actor's channels, in channel order, for the search: counts,
-        // prefix sums, then a fill pass.
-        let mut adj_off = vec![0u32; n + 1];
-        for ch in &self.channels {
-            adj_off[ch.src.0 + 1] += 1;
-            adj_off[ch.dst.0 + 1] += 1;
-        }
-        for a in 0..n {
-            adj_off[a + 1] += adj_off[a];
-        }
-        let mut adj = vec![0u32; adj_off[n] as usize];
-        let mut cursor = adj_off.clone();
+        // Adjacency over channels for BFS.
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (ci, ch) in self.channels.iter().enumerate() {
-            for end in [ch.src.0, ch.dst.0] {
-                adj[cursor[end] as usize] = ci as u32;
-                cursor[end] += 1;
-            }
+            adj[ch.src.0].push(ci);
+            adj[ch.dst.0].push(ci);
         }
-        let mut stack = Vec::new();
-        let mut component = Vec::new();
         for start in 0..n {
             if rate[start].is_some() {
                 continue;
             }
             rate[start] = Some(Ratio::ONE);
-            stack.push(start);
-            component.clear();
-            component.push(start);
+            let mut stack = vec![start];
+            let mut component = vec![start];
             while let Some(a) = stack.pop() {
                 let ra = rate[a].expect("visited actors have rates");
-                for &ci in &adj[adj_off[a] as usize..adj_off[a + 1] as usize] {
-                    let ci = ci as usize;
+                for &ci in &adj[a] {
                     let ch = &self.channels[ci];
                     let prod = ch.prod.total() as i128;
                     let cons = ch.cons.total() as i128;
@@ -321,20 +305,11 @@ impl CsdfGraph {
                             ),
                         });
                     }
-                    // A channel that moves as much as it takes (most do)
-                    // passes the rate on unchanged, with no arithmetic.
-                    let scaled = |num, den| {
-                        if num == den {
-                            ra
-                        } else {
-                            ra.mul(Ratio::new(num, den))
-                        }
-                    };
                     let (other, expected) = if ch.src.0 == a {
                         // r_src * prod = r_dst * cons  =>  r_dst = r_src * prod / cons
-                        (ch.dst.0, scaled(prod, cons))
+                        (ch.dst.0, ra.mul(Ratio::new(prod, cons)))
                     } else {
-                        (ch.src.0, scaled(cons, prod))
+                        (ch.src.0, ra.mul(Ratio::new(cons, prod)))
                     };
                     match rate[other] {
                         None => {
@@ -354,32 +329,22 @@ impl CsdfGraph {
                     }
                 }
             }
-            // Scale this component to smallest integers. The 128-bit
-            // divisions are skipped where they would divide by one.
+            // Scale this component to smallest integers.
             let mut denom_lcm: i128 = 1;
             for &a in &component {
-                let den = rate[a].expect("component actors have rates").denom();
-                if den != 1 && den != denom_lcm {
-                    denom_lcm = denom_lcm / gcd_i128(denom_lcm, den) * den;
-                }
+                let r = rate[a].expect("component actors have rates");
+                denom_lcm = denom_lcm / gcd_i128(denom_lcm, r.denom()) * r.denom();
             }
-            let over_lcm = |r: Ratio| match r.denom() {
-                den if den == denom_lcm => r.numer(),
-                den => r.numer() * (denom_lcm / den),
-            };
             let mut numer_gcd: i128 = 0;
             for &a in &component {
                 let r = rate[a].expect("component actors have rates");
-                numer_gcd = gcd_i128(numer_gcd, over_lcm(r));
+                let scaled = r.numer() * (denom_lcm / r.denom());
+                numer_gcd = gcd_i128(numer_gcd, scaled);
             }
             let numer_gcd = numer_gcd.max(1);
             for &a in &component {
-                let scaled = over_lcm(rate[a].expect("component actors have rates"));
-                let scaled = if numer_gcd == 1 {
-                    scaled
-                } else {
-                    scaled / numer_gcd
-                };
+                let r = rate[a].expect("component actors have rates");
+                let scaled = r.numer() * (denom_lcm / r.denom()) / numer_gcd;
                 rate[a] = Some(Ratio::integer(scaled));
             }
         }
@@ -453,6 +418,16 @@ impl CsdfGraph {
         }
         g
     }
+}
+
+fn gcd_i128(a: i128, b: i128) -> i128 {
+    let (mut a, mut b) = (a.abs(), b.abs());
+    while b != 0 {
+        let t = a % b;
+        a = b;
+        b = t;
+    }
+    a
 }
 
 #[cfg(test)]

@@ -155,21 +155,24 @@ pub fn refutes_source_period(
     period: u64,
 ) -> Result<bool, DataflowError> {
     let capacities: Vec<Option<u64>> = graph.channels().map(|(_, c)| c.capacity).collect();
-    refutes_at(graph, &capacities, source, period)
+    let reps = graph.repetition_vector()?;
+    refutes_at(graph, &capacities, &reps, source, period)
 }
 
 /// [`refutes_source_period`] with `capacities` (one per channel, in channel
 /// order) in place of the graph's own: what the buffer-sizing search asks
-/// of a capacity vector it has not written into any graph.
+/// of a capacity vector it has not written into any graph. `reps` is the
+/// graph's cycle-repetition vector, which the search already holds.
 pub(crate) fn refutes_at(
     graph: &CsdfGraph,
     capacities: &[Option<u64>],
+    reps: &[u64],
     source: ActorId,
     period: u64,
 ) -> Result<bool, DataflowError> {
-    let reps = graph.repetition_vector()?;
+    debug_assert_eq!(capacities.len(), graph.n_channels());
     let lambda = i128::from(reps[source.index()]) * i128::from(period);
-    let expansion = Expansion::reaching(graph, capacities, &reps, source)?;
+    let expansion = Expansion::reaching(graph, capacities, reps, source)?;
     has_critical_cycle(&expansion, lambda, 1)
 }
 

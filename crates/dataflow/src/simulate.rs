@@ -382,6 +382,7 @@ impl<'g> Simulation<'g> {
         capacities: &[Option<u64>],
         config: SimConfig,
     ) -> Self {
+        debug_assert_eq!(capacities.len(), graph.n_channels());
         let channels = channel_states(graph, capacities.iter().copied());
         Simulation::with_tables(Cow::Borrowed(tables), channels, config)
     }
