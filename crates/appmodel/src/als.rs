@@ -204,6 +204,7 @@ impl ApplicationSpec {
 mod tests {
     use super::*;
     use crate::implementation::Implementation;
+    use proptest::prelude::*;
     use rtsm_dataflow::PhaseVec;
     use rtsm_platform::TileKind;
 
@@ -415,16 +416,8 @@ mod tests {
     /// A random spec over raw lists — what a file can hold, so channels may
     /// name processes past the end, form cycles, touch control processes
     /// and disagree with their implementations' ports and rates.
-    fn random_spec(seed: u64) -> ApplicationSpec {
-        let mut state = seed;
-        let mut draw = |bound: u64| {
-            // SplitMix64.
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) % bound
-        };
+    fn random_spec(tape: &mut Tape) -> ApplicationSpec {
+        let mut draw = |bound: u64| tape.choose(bound - 1);
         let n = draw(7) as usize;
         let processes: Vec<Process> = (0..n)
             .map(|i| Process {
@@ -482,7 +475,7 @@ mod tests {
             }
         }
         ApplicationSpec {
-            name: format!("random {seed}"),
+            name: "random".into(),
             graph,
             qos: QosSpec::with_period(1_000_000),
             library,
@@ -497,14 +490,14 @@ mod tests {
         let (mut valid, mut cyclic, mut unknown, mut other) = (0, 0, 0, 0);
         let mut with_control = 0;
         let mut bad_ends = std::collections::BTreeMap::new();
-        for seed in 0..4000 {
-            let spec = random_spec(seed);
+        TestRunner::new(ProptestConfig::with_cases(4000)).run(|tape| {
+            let spec = random_spec(tape);
             let expected = spec.reference_validated_order();
-            assert_eq!(spec.validated_order(), expected, "seed {seed}");
+            assert_eq!(spec.validated_order(), expected, "{spec:?}");
             assert_eq!(
                 spec.graph.topological_order(),
                 spec.graph.reference_topological_order(),
-                "seed {seed}"
+                "{spec:?}"
             );
             match expected {
                 Ok(_) => valid += 1,
@@ -515,16 +508,12 @@ mod tests {
             }
             if let Ok(ports) = spec.graph.ports() {
                 for (pid, _) in spec.graph.processes() {
-                    assert_eq!(ports.inputs(pid), spec.graph.inputs_of(pid), "seed {seed}");
-                    assert_eq!(
-                        ports.outputs(pid),
-                        spec.graph.outputs_of(pid),
-                        "seed {seed}"
-                    );
+                    assert_eq!(ports.inputs(pid), spec.graph.inputs_of(pid));
+                    assert_eq!(ports.outputs(pid), spec.graph.outputs_of(pid));
                 }
                 with_control += u32::from(spec.graph.channels().any(|(_, c)| c.is_control));
             }
-        }
+        });
         // Each of the three ways a channel end can be wrong is drawn.
         let mut seen = vec![valid, cyclic, unknown, other, with_control];
         seen.extend(bad_ends.values());

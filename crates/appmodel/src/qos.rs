@@ -1,10 +1,11 @@
 //! Quality-of-Service constraints of an application.
 
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Serialize, Value};
 
 /// QoS constraints attached to an Application Level Specification (§1.3:
-/// "throughput requirements and latency bounds").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// "throughput requirements and latency bounds"). A file's period of 0 ps
+/// is refused on the way in: every bandwidth divides by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct QosSpec {
     /// Application period in picoseconds: one unit of stream input (e.g. an
     /// OFDM symbol) arrives every `period_ps` (HIPERLAN/2: 4 µs).
@@ -12,6 +13,29 @@ pub struct QosSpec {
     /// Optional end-to-end latency bound (stream input to stream output) in
     /// picoseconds.
     pub max_latency_ps: Option<u64>,
+}
+
+/// What a file holds of a [`QosSpec`], before its check.
+#[derive(Deserialize)]
+struct QosSpecSerde {
+    period_ps: u64,
+    max_latency_ps: Option<u64>,
+}
+
+impl Deserialize for QosSpec {
+    fn from_value(value: &Value) -> Result<Self, de::Error> {
+        let QosSpecSerde {
+            period_ps,
+            max_latency_ps,
+        } = QosSpecSerde::from_value(value)?;
+        match period_ps {
+            0 => Err(de::Error::msg("invalid QoS: a period of 0 ps")),
+            _ => Ok(QosSpec {
+                period_ps,
+                max_latency_ps,
+            }),
+        }
+    }
 }
 
 impl QosSpec {

@@ -22,9 +22,9 @@ use rtsm_core::{
 };
 use rtsm_dataflow::{size_buffers_ref, BufferSizingConfig};
 use rtsm_platform::paper::paper_platform;
-use rtsm_platform::{Platform, TileKind};
+use rtsm_platform::Platform;
 use rtsm_workloads::apps::{dvbt_rx, wlan_tx};
-use rtsm_workloads::mesh_platform;
+use rtsm_workloads::catalog_world;
 use std::sync::Arc;
 
 #[global_allocator]
@@ -222,16 +222,7 @@ fn paper_case_admission_calls_stay_under_their_allocation_ceilings() {
     // A chain of dead ends as long as the refinement budget: every attempt
     // places five of `wlan-tx`'s six processes before the sixth finds the
     // MONTIUMs gone.
-    let mesh = mesh_platform(
-        42,
-        4,
-        4,
-        &[
-            (TileKind::Montium, 4),
-            (TileKind::Arm, 4),
-            (TileKind::Dsp, 2),
-        ],
-    );
+    let mesh = (catalog_world("mixed").expect("registered").platform)(42);
     let mapper = templated.inner();
     let (running, arriving) = (dvbt_rx(), wlan_tx());
     let mut ledger = mesh.initial_state();

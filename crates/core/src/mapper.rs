@@ -492,8 +492,7 @@ mod tests {
     #[test]
     fn excluded_tile_forces_relocation() {
         use crate::constraints::MappingConstraints;
-        use rtsm_app::{Endpoint, Implementation, ImplementationLibrary, ProcessGraph, QosSpec};
-        use rtsm_dataflow::PhaseVec;
+        use rtsm_app::ProcessId;
         use rtsm_platform::{Coord, PlatformBuilder};
 
         // Two identical ARMs; first-fit prefers ARM-a. Excluding it must
@@ -506,33 +505,8 @@ mod tests {
             .tile("Sink", TileKind::Sink, Coord { x: 3, y: 0 })
             .build()
             .unwrap();
-        let mut graph = ProcessGraph::new();
-        let p = graph.add_process("Stage");
-        graph
-            .add_channel(Endpoint::StreamInput, Endpoint::Process(p), 16)
-            .unwrap();
-        graph
-            .add_channel(Endpoint::Process(p), Endpoint::StreamOutput, 16)
-            .unwrap();
-        let mut library = ImplementationLibrary::new();
-        library.register(
-            p,
-            Implementation::simple(
-                "Stage @ ARM",
-                TileKind::Arm,
-                PhaseVec::from_slice(&[8, 60, 8]),
-                PhaseVec::from_slice(&[16, 0, 0]),
-                PhaseVec::from_slice(&[0, 0, 16]),
-                5_000,
-                2048,
-            ),
-        );
-        let spec = ApplicationSpec {
-            name: "relocatable app".into(),
-            graph,
-            qos: QosSpec::with_period(4_000_000),
-            library,
-        };
+        let spec = rtsm_testkit::pipeline(&[&[TileKind::Arm]], (true, true), 2048);
+        let p = ProcessId::from_index(0);
 
         let arm_a = platform.tile_by_name("ARM-a").unwrap();
         let arm_b = platform.tile_by_name("ARM-b").unwrap();
@@ -671,8 +645,7 @@ mod tests {
 
     #[test]
     fn multi_slot_tile_hosts_two_light_processes() {
-        use rtsm_app::{Endpoint, Implementation, ImplementationLibrary, ProcessGraph, QosSpec};
-        use rtsm_dataflow::PhaseVec;
+        use rtsm_app::ProcessId;
         use rtsm_platform::{Coord, PlatformBuilder};
 
         // A single 2-slot ARM: both pipeline stages must share it (same-tile
@@ -684,39 +657,10 @@ mod tests {
             .tile("Sink", TileKind::Sink, Coord { x: 2, y: 0 })
             .build()
             .unwrap();
-        let mut graph = ProcessGraph::new();
-        let a = graph.add_process("StageA");
-        let b = graph.add_process("StageB");
-        graph
-            .add_channel(Endpoint::StreamInput, Endpoint::Process(a), 16)
-            .unwrap();
-        graph
-            .add_channel(Endpoint::Process(a), Endpoint::Process(b), 16)
-            .unwrap();
-        graph
-            .add_channel(Endpoint::Process(b), Endpoint::StreamOutput, 16)
-            .unwrap();
-        let mut library = ImplementationLibrary::new();
-        for (pid, name) in [(a, "StageA"), (b, "StageB")] {
-            library.register(
-                pid,
-                Implementation::simple(
-                    format!("{name} @ ARM"),
-                    TileKind::Arm,
-                    PhaseVec::from_slice(&[8, 60, 8]), // 76 cc ≪ 800-cc budget
-                    PhaseVec::from_slice(&[16, 0, 0]),
-                    PhaseVec::from_slice(&[0, 0, 16]),
-                    5_000,
-                    2048,
-                ),
-            );
-        }
-        let spec = ApplicationSpec {
-            name: "shared-tile app".into(),
-            graph,
-            qos: QosSpec::with_period(4_000_000),
-            library,
-        };
+        // 8 + 60 + 8 = 76 cc per stage ≪ the 800-cc budget.
+        let arm: &[_] = &[TileKind::Arm];
+        let spec = rtsm_testkit::pipeline(&[arm, arm], (true, true), 2048);
+        let (a, b) = (ProcessId::from_index(0), ProcessId::from_index(1));
         let result = SpatialMapper::new(MapperConfig::default())
             .map(&spec, &platform, &platform.initial_state())
             .expect("two light processes share the 2-slot ARM");

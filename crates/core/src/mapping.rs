@@ -156,10 +156,10 @@ impl Mapping {
     /// the *routed* paths (falling back to Manhattan distance for unrouted
     /// channels, as steps 1–2 estimate it).
     pub fn energy_pj(&self, spec: &ApplicationSpec, platform: &Platform) -> u64 {
-        let processing: u64 = self
-            .assignments()
+        // Saturating: a spec file may hold any per-period energy.
+        let processing = (self.assignments())
             .map(|(p, a)| spec.library.impls_for(p)[a.impl_index].energy_pj_per_period)
-            .sum();
+            .fold(0, u64::saturating_add);
         let communication: u64 = spec
             .graph
             .stream_channels()
@@ -175,7 +175,7 @@ impl Mapping {
                 Some(channel_energy_pj(ch.tokens_per_period, hops))
             })
             .sum();
-        processing + communication
+        processing.saturating_add(communication)
     }
 }
 

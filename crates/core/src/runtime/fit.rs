@@ -406,49 +406,14 @@ pub(super) fn rules_out(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtsm_app::{Endpoint, Implementation, ImplementationLibrary, ProcessGraph, QosSpec};
-    use rtsm_dataflow::PhaseVec;
+    use rtsm_app::Implementation;
     use rtsm_platform::{Coord, PlatformBuilder};
     use TileKind::{Arm, Dsp, Montium};
 
     /// A pipeline with one process per entry of `kinds`, implemented on
     /// each of the entry's tile kinds at `memory_bytes`.
     fn pipeline(kinds: &[&[TileKind]], memory_bytes: u64) -> ApplicationSpec {
-        let mut graph = ProcessGraph::new();
-        let mut library = ImplementationLibrary::new();
-        let mut upstream = Endpoint::StreamInput;
-        for (i, kinds) in kinds.iter().enumerate() {
-            let process = graph.add_process(format!("stage {i}"));
-            graph
-                .add_channel(upstream, Endpoint::Process(process), 16)
-                .unwrap();
-            upstream = Endpoint::Process(process);
-            for &kind in *kinds {
-                library.register(
-                    process,
-                    Implementation::simple(
-                        format!("stage {i} @ {kind}"),
-                        kind,
-                        PhaseVec::from_slice(&[8, 60, 8]),
-                        PhaseVec::from_slice(&[16, 0, 0]),
-                        PhaseVec::from_slice(&[0, 0, 16]),
-                        5_000,
-                        memory_bytes,
-                    ),
-                );
-            }
-        }
-        graph
-            .add_channel(upstream, Endpoint::StreamOutput, 16)
-            .unwrap();
-        let spec = ApplicationSpec {
-            name: "pipeline".into(),
-            graph,
-            qos: QosSpec::with_period(4_000_000),
-            library,
-        };
-        spec.validate().expect("the pipeline is a valid spec");
-        spec
+        rtsm_testkit::pipeline(kinds, (true, true), memory_bytes)
     }
 
     /// A/D, `tiles` in a row (each with `slots` compute slots and 64 KiB),
@@ -470,41 +435,7 @@ mod tests {
 
     /// One ARM stage wired to the stream input, the stream output, or both.
     fn stage(input: bool, output: bool) -> ApplicationSpec {
-        let mut graph = ProcessGraph::new();
-        let process = graph.add_process("stage");
-        let mut implementation = Implementation::simple(
-            "stage @ ARM",
-            Arm,
-            PhaseVec::from_slice(&[8, 60, 8]),
-            PhaseVec::from_slice(&[16, 0, 0]),
-            PhaseVec::from_slice(&[0, 0, 16]),
-            5_000,
-            1024,
-        );
-        if input {
-            graph
-                .add_channel(Endpoint::StreamInput, Endpoint::Process(process), 16)
-                .unwrap();
-        } else {
-            implementation.inputs.clear();
-        }
-        if output {
-            graph
-                .add_channel(Endpoint::Process(process), Endpoint::StreamOutput, 16)
-                .unwrap();
-        } else {
-            implementation.outputs.clear();
-        }
-        let mut library = ImplementationLibrary::new();
-        library.register(process, implementation);
-        let spec = ApplicationSpec {
-            name: "stage".into(),
-            graph,
-            qos: QosSpec::with_period(4_000_000),
-            library,
-        };
-        spec.validate().expect("the stage is a valid spec");
-        spec
+        rtsm_testkit::pipeline(&[&[Arm]], (input, output), 1024)
     }
 
     fn cannot_fit(spec: &ApplicationSpec, platform: &Platform, state: &PlatformState) -> bool {

@@ -1260,35 +1260,10 @@ mod tests {
     }
 
     fn pipe_app(name: &str, memory_bytes: u64) -> ApplicationSpec {
-        use rtsm_app::{Endpoint, Implementation, ImplementationLibrary, ProcessGraph, QosSpec};
-        use rtsm_dataflow::PhaseVec;
-        use rtsm_platform::TileKind;
-        let mut graph = ProcessGraph::new();
-        let p = graph.add_process("Stage");
-        graph
-            .add_channel(Endpoint::StreamInput, Endpoint::Process(p), 16)
-            .unwrap();
-        graph
-            .add_channel(Endpoint::Process(p), Endpoint::StreamOutput, 16)
-            .unwrap();
-        let mut library = ImplementationLibrary::new();
-        library.register(
-            p,
-            Implementation::simple(
-                format!("{name} @ ARM"),
-                TileKind::Arm,
-                PhaseVec::from_slice(&[8, 60, 8]),
-                PhaseVec::from_slice(&[16, 0, 0]),
-                PhaseVec::from_slice(&[0, 0, 16]),
-                5_000,
-                memory_bytes,
-            ),
-        );
+        let arm: &[_] = &[rtsm_platform::TileKind::Arm];
         ApplicationSpec {
             name: name.into(),
-            graph,
-            qos: QosSpec::with_period(4_000_000),
-            library,
+            ..rtsm_testkit::pipeline(&[arm], (true, true), memory_bytes)
         }
     }
 
@@ -1548,7 +1523,7 @@ mod tests {
             .unwrap()
             .spec
             .graph
-            .process_by_name("Stage")
+            .process_by_name("stage 0")
             .unwrap();
         assert_eq!(
             m.get(h)
@@ -1665,7 +1640,7 @@ mod tests {
         let survivors: Vec<_> = m
             .running()
             .filter(|(_, app)| {
-                let p = app.spec.graph.process_by_name("Stage").unwrap();
+                let p = app.spec.graph.process_by_name("stage 0").unwrap();
                 app.outcome.mapping.assignment(p).unwrap().tile != arm_a
             })
             .map(|(h, app)| (h, app.clone()))
@@ -1774,29 +1749,14 @@ mod tests {
         m
     }
 
-    /// [`pipe_app`] with a second stage like the first behind it.
+    /// [`pipe_app`] with a second stage like the first behind it (the
+    /// first stage is process 0 of either).
     fn two_stage(memory_bytes: u64) -> ApplicationSpec {
-        use rtsm_app::{Endpoint, Implementation, ProcessGraph};
-        let mut spec = pipe_app("two-stage", memory_bytes);
-        let mut graph = ProcessGraph::new();
-        let stages = [graph.add_process("Stage"), graph.add_process("Stage 2")];
-        let ends = [
-            Endpoint::StreamInput,
-            Endpoint::Process(stages[0]),
-            Endpoint::Process(stages[1]),
-            Endpoint::StreamOutput,
-        ];
-        for hop in ends.windows(2) {
-            graph.add_channel(hop[0], hop[1], 16).unwrap();
+        let arm: &[_] = &[rtsm_platform::TileKind::Arm];
+        ApplicationSpec {
+            name: "two-stage".into(),
+            ..rtsm_testkit::pipeline(&[arm, arm], (true, true), memory_bytes)
         }
-        // The first stage is process 0 of either graph.
-        let second = Implementation {
-            name: "Stage 2 @ ARM".into(),
-            ..spec.library.impls_for(stages[0])[0].clone()
-        };
-        spec.library.register(stages[1], second);
-        spec.graph = graph;
-        spec
     }
 
     #[test]

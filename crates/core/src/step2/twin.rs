@@ -35,13 +35,10 @@ use crate::constraints::MappingConstraints;
 use crate::feedback::Feedback;
 use crate::step1::Step1;
 use proptest::prelude::*;
-use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm_app::{Implementation, ImplementationLibrary, KpnChannelId, ProcessGraph, QosSpec};
 use rtsm_dataflow::PhaseVec;
-use rtsm_platform::paper::paper_platform;
 use rtsm_platform::{PlatformBuilder, Tile};
-use rtsm_workloads::apps::{dvbt_rx, jpeg_encoder, mp3_decoder, wlan_tx};
-use rtsm_workloads::{mesh_platform, synthetic_app, GraphShape, SyntheticConfig};
+use rtsm_workloads::{catalog_world, synthetic_app, GraphShape, SyntheticConfig};
 use std::collections::BTreeSet;
 
 /// A key of the reference's tried set.
@@ -497,31 +494,10 @@ fn synthetic_specs() -> Vec<ApplicationSpec> {
 /// and the synthetic specs on the mixed 4×4 mesh (platform seed 42, the
 /// repo-wide default).
 fn worlds() -> Vec<(Platform, Vec<ApplicationSpec>)> {
-    let mixed_mix = [
-        (TileKind::Montium, 4),
-        (TileKind::Arm, 4),
-        (TileKind::Dsp, 2),
-    ];
-    vec![
-        (
-            paper_platform(),
-            Hiperlan2Mode::ALL
-                .iter()
-                .map(|&mode| hiperlan2_receiver(mode))
-                .collect(),
-        ),
-        (
-            mesh_platform(42, 4, 4, &mixed_mix),
-            vec![
-                wlan_tx(),
-                jpeg_encoder(),
-                mp3_decoder(),
-                dvbt_rx(),
-                hiperlan2_receiver(Hiperlan2Mode::Qpsk34),
-            ],
-        ),
-        (mesh_platform(42, 4, 4, &mixed_mix), synthetic_specs()),
-    ]
+    let world = |name| catalog_world(name).expect("registered").instance(42);
+    let mixed = world("mixed");
+    let on_the_mesh = (mixed.0.clone(), synthetic_specs());
+    vec![world("hiperlan2"), mixed, on_the_mesh]
 }
 
 /// Channels between `a` and `b`, either way.
@@ -563,7 +539,7 @@ fn the_view_makes_the_reference_scans_decisions() {
     let mut coverage = Coverage::default();
     for round in 0..runner.cases() {
         for (template, specs) in &worlds() {
-            let mut draw = |upper: u32| Strategy::generate(&(0..upper), runner.rng());
+            let mut draw = |upper: u32| runner.tape().draw(upper);
             // This round's tiles, one to three compute slots each.
             let platform = template
                 .tiles()
@@ -580,102 +556,113 @@ fn the_view_makes_the_reference_scans_decisions() {
             let n_tiles = platform.n_tiles() as u32;
 
             for step in 0..STEPS {
-                let spec = &specs[draw(specs.len() as u32) as usize];
-                let table = SpecTable::for_validated(spec);
-                let n_processes = spec.graph.n_processes() as u32;
+                runner.case(|tape| {
+                    let mut draw = |upper: u32| tape.draw(upper);
+                    let spec = &specs[draw(specs.len() as u32) as usize];
+                    let table = SpecTable::for_validated(spec);
+                    let n_processes = spec.graph.n_processes() as u32;
 
-                // Under the step's load a tile has some of its slots and up
-                // to three quarters of its memory and cycles taken; one in
-                // ten fails.
-                let mut base = platform.initial_state();
-                let load = draw(3);
-                for (id, tile) in platform.tiles() {
-                    let loaded = u32::from(draw(4) < load);
-                    let (slots, memory, cycles) = (draw(tile.compute_slots + 1), draw(4), draw(4));
-                    let quarters = |whole: u64, n: u32| whole * u64::from(n * loaded) / 4;
-                    let claim = TileClaim {
-                        slots: slots * loaded,
-                        memory_bytes: quarters(tile.memory_bytes, memory),
-                        cycles_per_second: quarters(u64::from(tile.clock_mhz) * 1_000_000, cycles),
-                        injection: 0,
-                        ejection: 0,
-                    };
-                    base.claim_tile(&platform, id, &claim)
-                        .expect("within the tile");
-                    if draw(10) == 0 {
-                        base.fail_tile(id);
+                    // Under the step's load a tile has some of its slots and up
+                    // to three quarters of its memory and cycles taken; one in
+                    // ten fails.
+                    let mut base = platform.initial_state();
+                    let load = draw(3);
+                    for (id, tile) in platform.tiles() {
+                        let loaded = u32::from(draw(4) < load);
+                        let (slots, memory, cycles) =
+                            (draw(tile.compute_slots + 1), draw(4), draw(4));
+                        let quarters = |whole: u64, n: u32| whole * u64::from(n * loaded) / 4;
+                        let claim = TileClaim {
+                            slots: slots * loaded,
+                            memory_bytes: quarters(tile.memory_bytes, memory),
+                            cycles_per_second: quarters(
+                                u64::from(tile.clock_mhz) * 1_000_000,
+                                cycles,
+                            ),
+                            injection: 0,
+                            ejection: 0,
+                        };
+                        base.claim_tile(&platform, id, &claim)
+                            .expect("within the tile");
+                        if draw(10) == 0 {
+                            base.fail_tile(id);
+                        }
                     }
-                }
-                // Draws past the tile count leave the constraint out.
-                let mut external = MappingConstraints::none();
-                let (excluded, pinned, forbidden) =
-                    (draw(3 * n_tiles), draw(3 * n_tiles), draw(2 * n_tiles));
-                if excluded < n_tiles {
-                    external = external.exclude_tile(TileId::from_index(excluded as usize));
-                }
-                if pinned < n_tiles {
-                    external = external.pin(
-                        ProcessId::from_index(draw(n_processes) as usize),
-                        TileId::from_index(pinned as usize),
-                    );
-                }
-                let mut constraints = Constraints::with_external(external);
-                if forbidden < n_tiles {
-                    constraints.absorb(&Feedback::ForbidTile {
-                        process: ProcessId::from_index(draw(n_processes) as usize),
-                        tile: TileId::from_index(forbidden as usize),
-                    });
-                }
-
-                coverage.cases += 1;
-                let Ok(placed) = Step1::new(&table, &platform, &base).attempt(&constraints) else {
-                    coverage.unmapped += 1;
-                    continue;
-                };
-                coverage.with_a_pin += u32::from(pinned < n_tiles);
-                coverage.with_a_forbidden_tile +=
-                    u32::from(excluded < n_tiles || forbidden < n_tiles);
-                coverage.with_a_failed_tile += u32::from(base.any_failed());
-                for model in [
-                    CostModel::HopCount,
-                    CostModel::TrafficWeighted,
-                    CostModel::Energy,
-                ] {
-                    let ctx = SearchCtx::new(&table, &platform, &constraints, &model);
-                    for capture in [false, true] {
-                        let at = format!(
-                            "round {round}, `{}`, step {step}, {model:?}, capture {capture}",
-                            spec.name
+                    // Draws past the tile count leave the constraint out.
+                    let mut external = MappingConstraints::none();
+                    let (excluded, pinned, forbidden) =
+                        (draw(3 * n_tiles), draw(3 * n_tiles), draw(2 * n_tiles));
+                    if excluded < n_tiles {
+                        external = external.exclude_tile(TileId::from_index(excluded as usize));
+                    }
+                    if pinned < n_tiles {
+                        external = external.pin(
+                            ProcessId::from_index(draw(n_processes) as usize),
+                            TileId::from_index(pinned as usize),
                         );
-                        let (mut mapping, mut working) =
-                            (placed.mapping.clone(), placed.working.clone());
-                        let trace = ctx.improve(&mut mapping, &mut working, capture);
-                        let (mut expected_mapping, mut expected_working) =
-                            (placed.mapping.clone(), placed.working.clone());
-                        let expected = Reference(&ctx).improve(
-                            &mut expected_mapping,
-                            &mut expected_working,
-                            capture,
-                        );
-                        assert_eq!(trace, expected, "{at}");
-                        assert_eq!(mapping, expected_mapping, "{at}");
-                        assert_eq!(working, expected_working, "{at}");
+                    }
+                    let mut constraints = Constraints::with_external(external);
+                    if forbidden < n_tiles {
+                        constraints.absorb(&Feedback::ForbidTile {
+                            process: ProcessId::from_index(draw(n_processes) as usize),
+                            tile: TileId::from_index(forbidden as usize),
+                        });
+                    }
 
-                        coverage.searches += 1;
-                        for event in &trace.events {
-                            coverage.kept += u32::from(event.kept);
-                            coverage.reverted += u32::from(!event.kept);
-                            if let Step2Move::Swap { a, b } = event.candidate {
-                                let tile_of = |p| event.assignment.iter().find(|(q, _)| *q == p);
-                                let shared = tile_of(a).map(|t| t.1) == tile_of(b).map(|t| t.1);
-                                let links = links(spec, a, b);
-                                coverage.shared_tile_swaps += u32::from(shared);
-                                coverage.shared_tile_linked_swaps += u32::from(shared && links > 0);
-                                coverage.parallel_linked_swaps += u32::from(!shared && links >= 2);
+                    coverage.cases += 1;
+                    let Ok(placed) = Step1::new(&table, &platform, &base).attempt(&constraints)
+                    else {
+                        coverage.unmapped += 1;
+                        return;
+                    };
+                    coverage.with_a_pin += u32::from(pinned < n_tiles);
+                    coverage.with_a_forbidden_tile +=
+                        u32::from(excluded < n_tiles || forbidden < n_tiles);
+                    coverage.with_a_failed_tile += u32::from(base.any_failed());
+                    for model in [
+                        CostModel::HopCount,
+                        CostModel::TrafficWeighted,
+                        CostModel::Energy,
+                    ] {
+                        let ctx = SearchCtx::new(&table, &platform, &constraints, &model);
+                        for capture in [false, true] {
+                            let at = format!(
+                                "round {round}, `{}`, step {step}, {model:?}, capture {capture}",
+                                spec.name
+                            );
+                            let (mut mapping, mut working) =
+                                (placed.mapping.clone(), placed.working.clone());
+                            let trace = ctx.improve(&mut mapping, &mut working, capture);
+                            let (mut expected_mapping, mut expected_working) =
+                                (placed.mapping.clone(), placed.working.clone());
+                            let expected = Reference(&ctx).improve(
+                                &mut expected_mapping,
+                                &mut expected_working,
+                                capture,
+                            );
+                            assert_eq!(trace, expected, "{at}");
+                            assert_eq!(mapping, expected_mapping, "{at}");
+                            assert_eq!(working, expected_working, "{at}");
+
+                            coverage.searches += 1;
+                            for event in &trace.events {
+                                coverage.kept += u32::from(event.kept);
+                                coverage.reverted += u32::from(!event.kept);
+                                if let Step2Move::Swap { a, b } = event.candidate {
+                                    let tile_of =
+                                        |p| event.assignment.iter().find(|(q, _)| *q == p);
+                                    let shared = tile_of(a).map(|t| t.1) == tile_of(b).map(|t| t.1);
+                                    let links = links(spec, a, b);
+                                    coverage.shared_tile_swaps += u32::from(shared);
+                                    coverage.shared_tile_linked_swaps +=
+                                        u32::from(shared && links > 0);
+                                    coverage.parallel_linked_swaps +=
+                                        u32::from(!shared && links >= 2);
+                                }
                             }
                         }
                     }
-                }
+                });
             }
         }
     }

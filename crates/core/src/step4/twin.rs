@@ -33,11 +33,8 @@ use crate::store::{self, ANALYSIS_CAP};
 use proptest::prelude::*;
 use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm_dataflow::{check_source_period, size_buffers, Channel};
-use rtsm_platform::paper::paper_platform;
 use rtsm_platform::{NocParams, PlatformBuilder, Tile, TileKind};
-use rtsm_workloads::apps::{dvbt_rx, jpeg_encoder, mp3_decoder, wlan_tx};
-use rtsm_workloads::synthetic::{synthetic_app, GraphShape, SyntheticConfig};
-use rtsm_workloads::{defrag_heavy, defrag_light, defrag_platform, mesh_platform};
+use rtsm_workloads::CATALOG_WORLDS;
 use std::collections::HashMap;
 
 /// Step 4 with no memory and no shortcut.
@@ -189,7 +186,7 @@ fn names_of(graph: &CsdfGraph) -> Vec<String> {
 }
 
 /// The four catalogs on their platforms (platform seed 42, the repo-wide
-/// default), plus a HIPERLAN/2 receiver under a latency bound it meets and
+/// default), HIPERLAN/2 with a receiver under a latency bound it meets and
 /// one under a bound it cannot, each with its cases per round.
 fn worlds() -> Vec<(Platform, Vec<ApplicationSpec>, u32)> {
     let bounded = |bound| {
@@ -198,43 +195,23 @@ fn worlds() -> Vec<(Platform, Vec<ApplicationSpec>, u32)> {
         spec.qos.max_latency_ps = Some(bound);
         spec
     };
-    let hiperlan2 = Hiperlan2Mode::ALL
-        .iter()
-        .map(|&mode| hiperlan2_receiver(mode))
-        .chain([bounded(40_000_000), bounded(1)])
-        .collect();
-    let mixed = vec![
-        wlan_tx(),
-        jpeg_encoder(),
-        mp3_decoder(),
-        dvbt_rx(),
-        hiperlan2_receiver(Hiperlan2Mode::Qpsk34),
-    ];
-    let synthetic = (0..6)
-        .map(|i| {
-            synthetic_app(&SyntheticConfig {
-                seed: 42 + i as u64,
-                n_processes: 3 + i % 5,
-                shape: GraphShape::Chain,
-                tile_kinds: vec![TileKind::Montium, TileKind::Arm],
-                ..SyntheticConfig::default()
-            })
-        })
-        .collect();
-    let mesh = |mix: &[(TileKind, usize)]| mesh_platform(42, 4, 4, mix);
-    let mixed_mix = [
-        (TileKind::Montium, 4),
-        (TileKind::Arm, 4),
-        (TileKind::Dsp, 2),
-    ];
-    let synthetic_mix = [(TileKind::Montium, 6), (TileKind::Arm, 4)];
     // A cold analysis of a synthetic chain costs some twenty of the others.
-    vec![
-        (paper_platform(), hiperlan2, 210),
-        (mesh(&mixed_mix), mixed, 210),
-        (mesh(&synthetic_mix), synthetic, 5),
-        (defrag_platform(4), vec![defrag_light(), defrag_heavy()], 12),
-    ]
+    let steps = [
+        ("hiperlan2", 210),
+        ("mixed", 210),
+        ("synthetic", 5),
+        ("defrag", 12),
+    ];
+    (CATALOG_WORLDS.iter().zip(steps))
+        .map(|(world, (name, steps))| {
+            assert_eq!(world.name, name);
+            let (platform, mut specs) = world.instance(42);
+            if name == "hiperlan2" {
+                specs.extend([bounded(40_000_000), bounded(1)]);
+            }
+            (platform, specs, steps)
+        })
+        .collect()
 }
 
 /// What the random cases exercised, summed over the run.
@@ -262,7 +239,7 @@ fn warm_verdicts_equal_a_memoryless_reference() {
     let worlds = worlds();
     for round in 0..runner.cases() {
         for (template, specs, steps) in &worlds {
-            let mut draw = |upper: u32| Strategy::generate(&(0..upper), runner.rng());
+            let mut draw = |upper: u32| runner.tape().draw(upper);
 
             // This round's tiles, under three NoCs: the catalog's, one with
             // slower routers and one with a faster clock.
@@ -299,107 +276,111 @@ fn warm_verdicts_equal_a_memoryless_reference() {
             });
 
             for step in 0..*steps {
-                let spec = &specs[draw(specs.len() as u32) as usize];
-                // Mostly the catalog's NoC, so that signatures repeat.
-                let platform = &platforms[draw(12).saturating_sub(9) as usize];
-                let table = SpecTable::for_validated(spec);
-                let n_tiles = platform.n_tiles() as u32;
+                runner.case(|tape| {
+                    let mut draw = |upper: u32| tape.draw(upper);
+                    let spec = &specs[draw(specs.len() as u32) as usize];
+                    // Mostly the catalog's NoC, so that signatures repeat.
+                    let platform = &platforms[draw(12).saturating_sub(9) as usize];
+                    let table = SpecTable::for_validated(spec);
+                    let n_tiles = platform.n_tiles() as u32;
 
-                // A tile is full when its draw is under the step's load and
-                // fails one time in ten; one in four has room for the
-                // implementations of its kind and little else.
-                let mut base = platform.initial_state();
-                let load = draw(3);
-                for (id, tile) in platform.tiles() {
-                    let free_bytes = match (draw(4), tile.kind) {
-                        (0, TileKind::Arm) => 8192 + 64 * u64::from(draw(8)),
-                        (0, _) => 2048 + 64 * u64::from(draw(8)),
-                        _ => tile.memory_bytes,
-                    };
-                    let claim = TileClaim {
-                        slots: if draw(6) < load {
-                            tile.compute_slots
-                        } else {
-                            0
-                        },
-                        memory_bytes: tile.memory_bytes.saturating_sub(free_bytes),
-                        cycles_per_second: 0,
-                        injection: 0,
-                        ejection: 0,
-                    };
-                    base.claim_tile(platform, id, &claim)
-                        .expect("within the tile");
-                    if draw(10) == 0 {
-                        base.fail_tile(id);
+                    // A tile is full when its draw is under the step's load and
+                    // fails one time in ten; one in four has room for the
+                    // implementations of its kind and little else.
+                    let mut base = platform.initial_state();
+                    let load = draw(3);
+                    for (id, tile) in platform.tiles() {
+                        let free_bytes = match (draw(4), tile.kind) {
+                            (0, TileKind::Arm) => 8192 + 64 * u64::from(draw(8)),
+                            (0, _) => 2048 + 64 * u64::from(draw(8)),
+                            _ => tile.memory_bytes,
+                        };
+                        let claim = TileClaim {
+                            slots: if draw(6) < load {
+                                tile.compute_slots
+                            } else {
+                                0
+                            },
+                            memory_bytes: tile.memory_bytes.saturating_sub(free_bytes),
+                            cycles_per_second: 0,
+                            injection: 0,
+                            ejection: 0,
+                        };
+                        base.claim_tile(platform, id, &claim)
+                            .expect("within the tile");
+                        if draw(10) == 0 {
+                            base.fail_tile(id);
+                        }
                     }
-                }
-                for (id, _) in platform.links() {
-                    if draw(10) == 0 {
-                        base.fail_link(id);
+                    for (id, _) in platform.links() {
+                        if draw(10) == 0 {
+                            base.fail_link(id);
+                        }
                     }
-                }
-                // Draws past the tile count leave the constraint out.
-                let mut external = MappingConstraints::none();
-                let (excluded, pinned) = (draw(3 * n_tiles), draw(8 * n_tiles));
-                if excluded < n_tiles {
-                    external = external.exclude_tile(TileId::from_index(excluded as usize));
-                }
-                if pinned < n_tiles {
-                    external = external.pin(
-                        ProcessId::from_index(0),
-                        TileId::from_index(pinned as usize),
+                    // Draws past the tile count leave the constraint out.
+                    let mut external = MappingConstraints::none();
+                    let (excluded, pinned) = (draw(3 * n_tiles), draw(8 * n_tiles));
+                    if excluded < n_tiles {
+                        external = external.exclude_tile(TileId::from_index(excluded as usize));
+                    }
+                    if pinned < n_tiles {
+                        external = external.pin(
+                            ProcessId::from_index(0),
+                            TileId::from_index(pinned as usize),
+                        );
+                    }
+                    let constraints = Constraints::with_external(external);
+
+                    coverage.cases += 1;
+                    let Ok(placed) = Step1::new(&table, platform, &base).attempt(&constraints)
+                    else {
+                        coverage.unmapped += 1;
+                        return;
+                    };
+                    let (mut mapping, mut working) = (placed.mapping, placed.working);
+                    SearchCtx::new(&table, platform, &constraints, &CostModel::HopCount).improve(
+                        &mut mapping,
+                        &mut working,
+                        false,
                     );
-                }
-                let constraints = Constraints::with_external(external);
+                    if route_channels(spec, platform, &mut mapping, &mut working).is_err() {
+                        coverage.unmapped += 1;
+                        return;
+                    }
 
-                coverage.cases += 1;
-                let Ok(placed) = Step1::new(&table, platform, &base).attempt(&constraints) else {
-                    coverage.unmapped += 1;
-                    continue;
-                };
-                let (mut mapping, mut working) = (placed.mapping, placed.working);
-                SearchCtx::new(&table, platform, &constraints, &CostModel::HopCount).improve(
-                    &mut mapping,
-                    &mut working,
-                    false,
-                );
-                if route_channels(spec, platform, &mut mapping, &mut working).is_err() {
-                    coverage.unmapped += 1;
-                    continue;
-                }
+                    let at = format!("round {round}, `{}`, step {step}", spec.name);
+                    let signature = signature(&table, platform, &mapping).expect("assigned");
+                    assert_ne!(
+                        (signature >> 64) as u64,
+                        signature as u64,
+                        "{at}: a 64-bit key"
+                    );
+                    let known = store::with(|store| store.analyses.contains_key(&signature));
+                    let verdict = check_constraints_in(&table, platform, &mapping, working.clone());
+                    let expected = reference(&table, platform, &mapping, &working);
+                    assert_eq!(verdict, expected, "{at}");
 
-                let at = format!("round {round}, `{}`, step {step}", spec.name);
-                let signature = signature(&table, platform, &mapping).expect("assigned");
-                assert_ne!(
-                    (signature >> 64) as u64,
-                    signature as u64,
-                    "{at}: a 64-bit key"
-                );
-                let known = store::with(|store| store.analyses.contains_key(&signature));
-                let verdict = check_constraints_in(&table, platform, &mapping, working.clone());
-                let expected = reference(&table, platform, &mapping, &working);
-                assert_eq!(verdict, expected, "{at}");
+                    // One signature, one graph.
+                    let graph = compose(&table, platform, &mapping).expect("assigned").csdf;
+                    let (structure, names) = (structure_of(&graph), names_of(&graph));
+                    let (first_structure, first_names) = seen
+                        .entry(signature)
+                        .or_insert_with(|| (structure.clone(), names.clone()));
+                    assert_eq!(&structure, first_structure, "{at}");
 
-                // One signature, one graph.
-                let graph = compose(&table, platform, &mapping).expect("assigned").csdf;
-                let (structure, names) = (structure_of(&graph), names_of(&graph));
-                let (first_structure, first_names) = seen
-                    .entry(signature)
-                    .or_insert_with(|| (structure.clone(), names.clone()));
-                assert_eq!(&structure, first_structure, "{at}");
-
-                let hit = known && !verdict.buffers.is_empty();
-                let has = |f: fn(&Feedback) -> bool| verdict.feedback.iter().any(f);
-                coverage.hits += u32::from(hit);
-                coverage.hits_under_other_names += u32::from(hit && names != *first_names);
-                coverage.hits_refused_for_memory +=
-                    u32::from(hit && has(|f| matches!(f, Feedback::BufferOverflow { .. })));
-                coverage.hits_with_a_latency += u32::from(hit && verdict.latency_ps.is_some());
-                coverage.same_tile_channels += mapping
-                    .routes()
-                    .filter(|(_, route)| matches!(route, RouteBinding::SameTile))
-                    .count() as u32;
-                coverage.infeasible += u32::from(!verdict.feasible);
+                    let hit = known && !verdict.buffers.is_empty();
+                    let has = |f: fn(&Feedback) -> bool| verdict.feedback.iter().any(f);
+                    coverage.hits += u32::from(hit);
+                    coverage.hits_under_other_names += u32::from(hit && names != *first_names);
+                    coverage.hits_refused_for_memory +=
+                        u32::from(hit && has(|f| matches!(f, Feedback::BufferOverflow { .. })));
+                    coverage.hits_with_a_latency += u32::from(hit && verdict.latency_ps.is_some());
+                    coverage.same_tile_channels += mapping
+                        .routes()
+                        .filter(|(_, route)| matches!(route, RouteBinding::SameTile))
+                        .count() as u32;
+                    coverage.infeasible += u32::from(!verdict.feasible);
+                });
             }
         }
     }

@@ -23,12 +23,9 @@ use super::*;
 use crate::claims::claim_for;
 use crate::mapper::SpatialMapper;
 use proptest::prelude::*;
-use proptest::test_runner::TestRunner;
-use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
-use rtsm_platform::paper::paper_platform;
 use rtsm_platform::routing::route;
-use rtsm_workloads::apps::{dvbt_rx, jpeg_encoder, mp3_decoder, wlan_tx};
-use rtsm_workloads::mesh_platform;
+use rtsm_testkit::any_ledger;
+use rtsm_workloads::catalog_world;
 
 /// The per-candidate lookup over `entries`, counting hits into `hits` (one
 /// per entry) the way the library counts them.
@@ -171,75 +168,6 @@ fn reference_candidate(
     })
 }
 
-/// HIPERLAN/2 in every mode on the paper platform, and the mixed catalog
-/// on the mixed 4×4 mesh (platform seed 42, the repo-wide default).
-fn worlds() -> Vec<(Platform, Vec<ApplicationSpec>)> {
-    let mixed_mix = [
-        (TileKind::Montium, 4),
-        (TileKind::Arm, 4),
-        (TileKind::Dsp, 2),
-    ];
-    vec![
-        (
-            paper_platform(),
-            Hiperlan2Mode::ALL
-                .iter()
-                .map(|&mode| hiperlan2_receiver(mode))
-                .collect(),
-        ),
-        (
-            mesh_platform(42, 4, 4, &mixed_mix),
-            vec![
-                wlan_tx(),
-                jpeg_encoder(),
-                mp3_decoder(),
-                dvbt_rx(),
-                hiperlan2_receiver(Hiperlan2Mode::Qpsk34),
-            ],
-        ),
-    ]
-}
-
-/// A random ledger of `platform`: under a load of 0–3 quarters, that share
-/// of its tiles have some of their slots and up to three quarters of their
-/// memory, cycles and network interfaces taken, and that share of its
-/// links up to three quarters of their capacity; one tile in twenty and one
-/// link in thirty fail.
-fn random_ledger(platform: &Platform, draw: &mut impl FnMut(u32) -> u32) -> PlatformState {
-    let mut ledger = platform.initial_state();
-    let load = draw(4);
-    for (id, tile) in platform.tiles() {
-        let loaded = u64::from(draw(4) < load);
-        let quarters = |whole: u64, n: u32| whole * u64::from(n) * loaded / 4;
-        let claim = TileClaim {
-            slots: draw(tile.compute_slots + 1) * loaded as u32,
-            memory_bytes: quarters(tile.memory_bytes, draw(4)),
-            cycles_per_second: quarters(u64::from(tile.clock_mhz) * 1_000_000, draw(4)),
-            injection: quarters(tile.ni_injection, draw(4)),
-            ejection: quarters(tile.ni_ejection, draw(4)),
-        };
-        ledger
-            .claim_tile(platform, id, &claim)
-            .expect("within the tile");
-        if draw(20) == 0 {
-            ledger.fail_tile(id);
-        }
-    }
-    let links: Vec<_> = platform.links().map(|(id, l)| (id, l.capacity)).collect();
-    for (id, capacity) in links {
-        if draw(4) < load {
-            let taken = capacity * u64::from(draw(4)) / 4;
-            ledger
-                .allocate_link(platform, id, taken)
-                .expect("within the link");
-        }
-        if draw(30) == 0 {
-            ledger.fail_link(id);
-        }
-    }
-    ledger
-}
-
 /// What the random lookups exercised, summed over the run.
 #[derive(Debug, Default)]
 struct Coverage {
@@ -262,23 +190,23 @@ fn compiled_shapes_make_the_reference_lookups_decisions() {
     let mut runner = TestRunner::new(ProptestConfig::with_cases(ROUNDS));
     let mut coverage = Coverage::default();
     let mapper = SpatialMapper::default();
-    for (platform, specs) in &worlds() {
-        let mut draw = |upper: u32| Strategy::generate(&(0..upper), runner.rng());
+    for name in ["hiperlan2", "mixed"] {
+        let (platform, specs) = catalog_world(name).expect("registered").instance(42);
         let n_tiles = platform.n_tiles() as u32;
 
         // Learn what the mapper makes of each spec on the empty platform
         // and on loaded ledgers, as misses would.
         let mut library = TemplateLibrary::default();
-        for spec in specs {
+        for spec in &specs {
             let key = spec.structural_digest();
             for round in 0..LEARNING_MAPS {
                 let ledger = if round == 0 {
                     platform.initial_state()
                 } else {
-                    random_ledger(platform, &mut draw)
+                    any_ledger(&platform, runner.tape())
                 };
-                if let Ok(outcome) = mapper.map(spec, platform, &ledger) {
-                    let shape = MappingShape::canonicalise(&outcome, spec, platform)
+                if let Ok(outcome) = mapper.map(spec, &platform, &ledger) {
+                    let shape = MappingShape::canonicalise(&outcome, spec, &platform)
                         .expect("a four-step mapping canonicalises");
                     library.learn(key, shape);
                 }
@@ -287,50 +215,52 @@ fn compiled_shapes_make_the_reference_lookups_decisions() {
         }
 
         for step in 0..ROUNDS * STEPS {
-            let spec = &specs[draw(specs.len() as u32) as usize];
-            let key = spec.structural_digest();
-            let base = random_ledger(platform, &mut draw);
-            // Draws past the tile count leave the constraint out.
-            let mut constraints = MappingConstraints::none();
-            let (excluded, pinned) = (draw(3 * n_tiles), draw(4 * n_tiles));
-            if excluded < n_tiles {
-                constraints = constraints.exclude_tile(TileId::from_index(excluded as usize));
-            }
-            if pinned < n_tiles {
-                let process = draw(spec.graph.n_processes() as u32);
-                constraints = constraints.pin(
-                    ProcessId::from_index(process as usize),
-                    TileId::from_index(pinned as usize),
+            runner.case(|tape| {
+                let spec = &specs[tape.draw(specs.len() as u32) as usize];
+                let key = spec.structural_digest();
+                let base = any_ledger(&platform, tape);
+                // Draws past the tile count leave the constraint out.
+                let mut constraints = MappingConstraints::none();
+                let (excluded, pinned) = (tape.draw(3 * n_tiles), tape.draw(4 * n_tiles));
+                if excluded < n_tiles {
+                    constraints = constraints.exclude_tile(TileId::from_index(excluded as usize));
+                }
+                if pinned < n_tiles {
+                    let process = tape.draw(spec.graph.n_processes() as u32);
+                    constraints = constraints.pin(
+                        ProcessId::from_index(process as usize),
+                        TileId::from_index(pinned as usize),
+                    );
+                }
+
+                let before: Vec<u32> = library.specs[&key].iter().map(|e| e.hits).collect();
+                let mut expected_hits = before.clone();
+                let expected = reference_lookup(
+                    &library.specs[&key],
+                    &mut expected_hits,
+                    spec,
+                    &platform,
+                    &base,
+                    &constraints,
                 );
-            }
+                let outcome = library.instantiate(key, spec, &platform, &base, &constraints);
+                let at = format!("`{}`, step {step}", spec.name);
+                assert_eq!(outcome, expected, "{at}");
+                let hits: Vec<u32> = library.specs[&key].iter().map(|e| e.hits).collect();
+                assert_eq!(hits, expected_hits, "{at}");
 
-            let before: Vec<u32> = library.specs[&key].iter().map(|e| e.hits).collect();
-            let mut expected_hits = before.clone();
-            let expected = reference_lookup(
-                &library.specs[&key],
-                &mut expected_hits,
-                spec,
-                platform,
-                &base,
-                &constraints,
-            );
-            let outcome = library.instantiate(key, spec, platform, &base, &constraints);
-            let at = format!("`{}`, step {step}", spec.name);
-            assert_eq!(outcome, expected, "{at}");
-            let hits: Vec<u32> = library.specs[&key].iter().map(|e| e.hits).collect();
-            assert_eq!(hits, expected_hits, "{at}");
-
-            coverage.lookups += 1;
-            coverage.with_a_pin += u32::from(pinned < n_tiles);
-            coverage.with_a_failed_tile +=
-                u32::from(platform.tiles().any(|(t, _)| base.is_tile_failed(t)));
-            coverage.with_a_failed_link +=
-                u32::from(platform.links().any(|(l, _)| base.is_link_failed(l)));
-            if let Some(outcome) = outcome {
-                coverage.hits += 1;
-                coverage.late_hits += u32::from(outcome.evaluated > 1);
-                coverage.later_shape_hits += u32::from(hits[0] == before[0]);
-            }
+                coverage.lookups += 1;
+                coverage.with_a_pin += u32::from(pinned < n_tiles);
+                coverage.with_a_failed_tile +=
+                    u32::from(platform.tiles().any(|(t, _)| base.is_tile_failed(t)));
+                coverage.with_a_failed_link +=
+                    u32::from(platform.links().any(|(l, _)| base.is_link_failed(l)));
+                if let Some(outcome) = outcome {
+                    coverage.hits += 1;
+                    coverage.late_hits += u32::from(outcome.evaluated > 1);
+                    coverage.later_shape_hits += u32::from(hits[0] == before[0]);
+                }
+            });
         }
     }
     // The cases must reach what compiling could get wrong.
@@ -341,4 +271,5 @@ fn compiled_shapes_make_the_reference_lookups_decisions() {
     assert!(coverage.with_a_pin >= 50, "{coverage:?}");
     assert!(coverage.with_a_failed_tile >= 100, "{coverage:?}");
     assert!(coverage.with_a_failed_link >= 100, "{coverage:?}");
+    eprintln!("{coverage:?}");
 }

@@ -28,8 +28,8 @@ use rtsm_core::{
 };
 use rtsm_platform::paper::paper_platform;
 use rtsm_platform::{Platform, PlatformState, TileClaim, TileId, TileKind};
-use rtsm_workloads::apps::{dvbt_rx, jpeg_encoder, mp3_decoder, wlan_tx};
-use rtsm_workloads::{mesh_platform, synthetic_app, GraphShape, SyntheticConfig};
+use rtsm_testkit::any_ledger;
+use rtsm_workloads::{catalog_world, synthetic_app, GraphShape, SyntheticConfig};
 
 /// `claim_for` as it was before the single pass: `cycles_per_period` from
 /// the first port of freshly collected `inputs_of`/`outputs_of` lists, NI
@@ -106,27 +106,11 @@ fn check_table(spec: &ApplicationSpec) {
     assert_eq!(table.n_slots(), slots);
 }
 
-fn mixed_mesh() -> Platform {
-    mesh_platform(
-        42,
-        4,
-        4,
-        &[
-            (TileKind::Montium, 4),
-            (TileKind::Arm, 4),
-            (TileKind::Dsp, 2),
-        ],
-    )
-}
-
-fn mixed_specs() -> [ApplicationSpec; 5] {
-    [
-        wlan_tx(),
-        jpeg_encoder(),
-        mp3_decoder(),
-        dvbt_rx(),
-        hiperlan2_receiver(Hiperlan2Mode::Qpsk34),
-    ]
+/// Each specification of the catalog `name` on the catalog's platform
+/// (platform seed 42, the repo-wide default).
+fn catalog(name: &str) -> impl Iterator<Item = (ApplicationSpec, Platform)> {
+    let (platform, specs) = catalog_world(name).expect("registered").instance(42);
+    specs.into_iter().map(move |spec| (spec, platform.clone()))
 }
 
 #[test]
@@ -134,7 +118,7 @@ fn table_matches_the_spec_on_the_hiperlan2_and_mixed_catalogs() {
     for mode in Hiperlan2Mode::ALL {
         check_table(&hiperlan2_receiver(mode));
     }
-    for spec in mixed_specs() {
+    for (spec, _) in catalog("mixed") {
         check_table(&spec);
     }
 }
@@ -319,7 +303,7 @@ fn check_equivalence(
 fn wrapper_and_table_paths_decide_identically() {
     let cases: Vec<(ApplicationSpec, Platform)> =
         std::iter::once((hiperlan2_receiver(Hiperlan2Mode::Qpsk34), paper_platform()))
-            .chain(mixed_specs().map(|spec| (spec, mixed_mesh())))
+            .chain(catalog("mixed"))
             .collect();
     let (mut reached_step4, mut stopped_early) = (0, 0);
     for (spec, platform) in &cases {
@@ -414,7 +398,7 @@ fn one_failed_tile_per_kind(platform: &Platform, base: &PlatformState) -> Platfo
 fn refused_maps_return_the_reference_loops_error() {
     let cases: Vec<(ApplicationSpec, Platform)> =
         std::iter::once((hiperlan2_receiver(Hiperlan2Mode::Qpsk34), paper_platform()))
-            .chain(mixed_specs().map(|spec| (spec, mixed_mesh())))
+            .chain(catalog("mixed"))
             .collect();
     let mapper = SpatialMapper::default();
     // Chain lengths seen, by how the refusal ended.
@@ -515,50 +499,6 @@ fn chain_length(
     dead_ends
 }
 
-/// SplitMix64: the next value of the stream in `state`.
-fn next_random(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce5_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A ledger on `platform` where each tile, at random, is untouched, has
-/// lost a random share of its memory and cycles, has every compute slot
-/// taken, or has failed.
-fn random_ledger(platform: &Platform, rng: &mut u64) -> PlatformState {
-    let mut state = platform.initial_state();
-    for (id, tile) in platform.tiles() {
-        let share = |rng: &mut u64, whole: u64| whole * (next_random(rng) % 90) / 100;
-        let claim = match next_random(rng) % 8 {
-            0..=2 => continue,
-            3..=5 => TileClaim {
-                slots: 0,
-                memory_bytes: share(rng, tile.memory_bytes),
-                cycles_per_second: share(rng, u64::from(tile.clock_mhz) * 1_000_000),
-                injection: 0,
-                ejection: 0,
-            },
-            6 => TileClaim {
-                slots: tile.compute_slots,
-                memory_bytes: 0,
-                cycles_per_second: 0,
-                injection: 0,
-                ejection: 0,
-            },
-            _ => {
-                state.fail_tile(id);
-                continue;
-            }
-        };
-        state
-            .claim_tile(platform, id, &claim)
-            .expect("a share fits");
-    }
-    state
-}
-
 /// A [`Step1`] answers each attempt from its inputs alone: whatever
 /// attempts it ran before — successes, dead ends after a placement — it
 /// returns what a fresh one returns under the same constraints. Each case
@@ -568,22 +508,19 @@ fn random_ledger(platform: &Platform, rng: &mut u64) -> PlatformState {
 /// feedback).
 #[test]
 fn an_attempt_depends_only_on_its_inputs() {
-    let cases: Vec<(ApplicationSpec, Platform)> = Hiperlan2Mode::ALL
-        .into_iter()
-        .map(|mode| (hiperlan2_receiver(mode), paper_platform()))
-        .chain(mixed_specs().map(|spec| (spec, mixed_mesh())))
-        .collect();
+    let cases: Vec<(ApplicationSpec, Platform)> =
+        catalog("hiperlan2").chain(catalog("mixed")).collect();
     // Attempts compared, by what the attempt before them on the same
     // `Step1` ended in.
     let (mut first, mut after_success, mut after_placed_dead_end) = (0, 0, 0);
     // Successes right after a dead end that had placed something: the
     // working ledger it reserved on is reused by this attempt.
     let mut placed_after_placed_dead_end = 0;
-    let mut rng = 2008;
+    let mut runner = TestRunner::new(ProptestConfig::with_cases(40));
     for (spec, platform) in &cases {
         let table = SpecTable::for_validated(spec);
-        for _ in 0..40 {
-            let base = random_ledger(platform, &mut rng);
+        runner.run(|tape| {
+            let base = any_ledger(platform, tape);
             let mut step1 = Step1::new(&table, platform, &base);
             let mut constraints = Constraints::new();
             let mut before: Option<Result<(), DeadEnd>> = None;
@@ -611,7 +548,7 @@ fn an_attempt_depends_only_on_its_inputs() {
                 }
                 before = Some(reused.map(drop));
             }
-        }
+        });
     }
     println!(
         "attempts compared: {first} first, {after_success} after a success, \
@@ -619,7 +556,7 @@ fn an_attempt_depends_only_on_its_inputs() {
          ({placed_after_placed_dead_end} of them successes)"
     );
     assert_eq!(first, cases.len() * 40);
-    // Measured: 936, 1204 and 184.
+    // Measured: 1117, 1151 and 228.
     assert!(
         after_success > 450,
         "{after_success} attempts after a success"
@@ -655,7 +592,7 @@ fn cold_answer(spec: &ApplicationSpec, platform: &Platform, base: &PlatformState
 /// Every spec of `mixed` and `hiperlan2` and five synthetic seeds, each on
 /// its catalog's platform, empty and half full.
 fn store_cases() -> Vec<(ApplicationSpec, Platform, PlatformState)> {
-    let mesh = mixed_mesh();
+    let (mesh, mixed) = catalog_world("mixed").expect("registered").instance(42);
     let synthetic = (1..=5).map(|seed| {
         synthetic_app(&SyntheticConfig {
             seed,
@@ -666,15 +603,12 @@ fn store_cases() -> Vec<(ApplicationSpec, Platform, PlatformState)> {
             ..SyntheticConfig::default()
         })
     });
-    let on_mesh = mixed_specs()
+    let on_mesh = mixed
         .into_iter()
         .chain(synthetic)
         .map(|s| (s, mesh.clone()));
-    let on_paper = Hiperlan2Mode::ALL
-        .iter()
-        .map(|&mode| (hiperlan2_receiver(mode), paper_platform()));
     on_mesh
-        .chain(on_paper)
+        .chain(catalog("hiperlan2"))
         .flat_map(|(spec, platform)| {
             let half = half_occupied(&platform);
             [

@@ -3,7 +3,6 @@
 //! dataflow simulation at all. (The memory-less oracle for the memo itself
 //! is `src/step4/twin.rs`.)
 
-use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm_app::ApplicationSpec;
 use rtsm_core::cost::CostModel;
 use rtsm_core::feedback::Constraints;
@@ -12,36 +11,18 @@ use rtsm_core::step2::improve_assignment;
 use rtsm_core::step3::route_channels;
 use rtsm_core::step4::{check_constraints, Step4Config, Step4Verdict};
 use rtsm_obs::{Counter, SpanLatencyProbe};
-use rtsm_platform::paper::paper_platform;
-use rtsm_platform::{Platform, TileKind};
-use rtsm_workloads::apps::{dvbt_rx, jpeg_encoder, mp3_decoder, wlan_tx};
-use rtsm_workloads::mesh_platform;
+use rtsm_platform::Platform;
+use rtsm_workloads::catalog_world;
 use std::rc::Rc;
 
 /// Every HIPERLAN/2 mode on the paper platform, then the `mixed` catalog
 /// on its 4×4 mesh (platform seed 42, the repo-wide default).
 fn cases() -> Vec<(ApplicationSpec, Platform)> {
-    let mesh = mesh_platform(
-        42,
-        4,
-        4,
-        &[
-            (TileKind::Montium, 4),
-            (TileKind::Arm, 4),
-            (TileKind::Dsp, 2),
-        ],
-    );
-    let mixed = [
-        wlan_tx(),
-        jpeg_encoder(),
-        mp3_decoder(),
-        dvbt_rx(),
-        hiperlan2_receiver(Hiperlan2Mode::Qpsk34),
-    ];
-    Hiperlan2Mode::ALL
-        .iter()
-        .map(|&mode| (hiperlan2_receiver(mode), paper_platform()))
-        .chain(mixed.into_iter().map(|spec| (spec, mesh.clone())))
+    let world = |name| catalog_world(name).expect("registered").instance(42);
+    let ((paper, hiperlan2), (mesh, mixed)) = (world("hiperlan2"), world("mixed"));
+    let on = |platform: Platform| move |spec| (spec, platform.clone());
+    (hiperlan2.into_iter().map(on(paper)))
+        .chain(mixed.into_iter().map(on(mesh)))
         .collect()
 }
 

@@ -6,7 +6,7 @@
 //! meaning `n` phases with value `x` followed by `m` phases with value `y`
 //! (Table 1). [`PhaseVec`] stores exactly that encoding.
 
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Serialize, Value};
 use std::fmt;
 
 /// A single run of identical phase values.
@@ -33,11 +33,42 @@ pub struct Run {
 /// assert_eq!(v.get(0), 8);
 /// assert_eq!(v.get(3), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// A file's phase vector is held to the constructors' rules on the way in:
+/// at least one run, no run of zero phases, and `len` the sum of the runs'
+/// counts; and no phase value above `u32::MAX`, so that totals and times
+/// in picoseconds stay within `u64`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct PhaseVec {
     runs: Vec<Run>,
     /// Total number of phases (cached).
     len: u32,
+}
+
+/// What a file holds of a [`PhaseVec`], before its checks.
+#[derive(Deserialize)]
+struct PhaseVecSerde {
+    runs: Vec<Run>,
+    len: u32,
+}
+
+impl Deserialize for PhaseVec {
+    fn from_value(value: &Value) -> Result<Self, de::Error> {
+        let PhaseVecSerde { runs, len } = PhaseVecSerde::from_value(value)?;
+        let phases: u64 = runs.iter().map(|r| u64::from(r.count)).sum();
+        let refusal = if runs.is_empty() {
+            "no runs".to_string()
+        } else if runs.iter().any(|r| r.count == 0) {
+            "a run of 0 phases".to_string()
+        } else if let Some(r) = runs.iter().find(|r| r.value > u64::from(u32::MAX)) {
+            format!("a phase value of {} above 2^32 - 1", r.value)
+        } else if phases != u64::from(len) {
+            format!("runs of {phases} phases under a len of {len}")
+        } else {
+            return Ok(PhaseVec { runs, len });
+        };
+        Err(de::Error::msg(format!("invalid phase vector: {refusal}")))
+    }
 }
 
 impl PhaseVec {

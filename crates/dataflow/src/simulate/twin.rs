@@ -452,31 +452,10 @@ impl<'g> Twin<'g> {
     }
 }
 
-/// A splitmix64 stream: each case is drawn from one seed.
-struct Draw(u64);
-
-impl Draw {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..=max`.
-    fn upto(&mut self, max: u64) -> u64 {
-        self.next() % (max + 1)
-    }
-
-    fn one_in(&mut self, n: u64) -> bool {
-        self.next().is_multiple_of(n)
-    }
-
-    fn phases(&mut self, n: usize, max: u64) -> PhaseVec {
-        let values: Vec<u64> = (0..n).map(|_| self.upto(max)).collect();
-        PhaseVec::from_slice(&values)
-    }
+/// Phase values of `0..=max`, one per phase.
+fn phases(tape: &mut Tape, n: usize, max: u64) -> PhaseVec {
+    let values: Vec<u64> = (0..n).map(|_| tape.choose(max)).collect();
+    PhaseVec::from_slice(&values)
 }
 
 /// A random multi-rate CSDF graph — one to six actors of one to three
@@ -486,23 +465,22 @@ impl Draw {
 /// anywhere from below a phase's transfer up — and a configuration under a
 /// small firing guard, with or without steady-state detection, recording
 /// some actors.
-fn case(seed: u64) -> (CsdfGraph, SimConfig) {
-    let mut draw = Draw(seed);
+fn case(tape: &mut Tape) -> (CsdfGraph, SimConfig) {
     let mut g = CsdfGraph::new();
-    let n = 1 + draw.upto(5) as usize;
-    let mut phases = Vec::with_capacity(n);
+    let n = 1 + tape.choose(5) as usize;
+    let mut actor_phases = Vec::with_capacity(n);
     for a in 0..n {
-        let p = 1 + draw.upto(2) as usize;
-        let wcet = draw.phases(p, 4);
-        g.add_actor(format!("a{a}"), wcet, 1 + draw.upto(2));
-        phases.push(p);
+        let p = 1 + tape.choose(2) as usize;
+        let wcet = phases(tape, p, 4);
+        g.add_actor(format!("a{a}"), wcet, 1 + tape.choose(2));
+        actor_phases.push(p);
     }
-    for _ in 0..draw.upto(8) {
-        let (src, dst) = (draw.upto(n as u64 - 1), draw.upto(n as u64 - 1));
-        let prod = draw.phases(phases[src as usize], 3);
-        let cons = draw.phases(phases[dst as usize], 3);
-        let initial = if draw.one_in(2) { draw.upto(5) } else { 0 };
-        let capacity = (!draw.one_in(3)).then(|| draw.upto(10));
+    for _ in 0..tape.choose(8) {
+        let (src, dst) = (tape.choose(n as u64 - 1), tape.choose(n as u64 - 1));
+        let prod = phases(tape, actor_phases[src as usize], 3);
+        let cons = phases(tape, actor_phases[dst as usize], 3);
+        let initial = if tape.draw(2) == 0 { tape.choose(5) } else { 0 };
+        let capacity = (tape.draw(3) != 0).then(|| tape.choose(10));
         g.add_channel_full(
             ActorId(src as usize),
             ActorId(dst as usize),
@@ -514,10 +492,10 @@ fn case(seed: u64) -> (CsdfGraph, SimConfig) {
         .expect("rates match the actors' phases");
     }
     let config = SimConfig {
-        max_firings: draw.upto(3000),
-        reference: (!draw.one_in(4)).then(|| ActorId(draw.upto(n as u64 - 1) as usize)),
-        stop_at_steady_state: !draw.one_in(4),
-        record: (0..n).filter(|_| draw.one_in(3)).map(ActorId).collect(),
+        max_firings: tape.choose(3000),
+        reference: (tape.draw(4) != 0).then(|| ActorId(tape.choose(n as u64 - 1) as usize)),
+        stop_at_steady_state: tape.draw(4) != 0,
+        record: (0..n).filter(|_| tape.draw(3) == 0).map(ActorId).collect(),
     };
     (g, config)
 }
@@ -554,75 +532,72 @@ impl Endings {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(1))]
+/// Random graphs per property.
+const CASES: u32 = 1500;
 
-    #[test]
-    fn the_port_tables_run_the_reference_schedule(first in 0u64..1 << 48) {
-        let mut endings = Endings::default();
-        for seed in first..first + 1500 {
-            let (g, config) = case(seed);
-            let outcome = Simulation::new(&g, config.clone()).run();
-            assert_eq!(outcome, Twin::new(&g, config).run(), "seed {seed}: {g:?}");
-            endings.count(&outcome);
-        }
-        endings.assert_varied();
-    }
+#[test]
+fn the_port_tables_run_the_reference_schedule() {
+    let mut endings = Endings::default();
+    TestRunner::new(ProptestConfig::with_cases(CASES)).run(|tape| {
+        let (g, config) = case(tape);
+        let outcome = Simulation::new(&g, config.clone()).run();
+        assert_eq!(outcome, Twin::new(&g, config).run(), "{g:?}");
+        endings.count(&outcome);
+    });
+    endings.assert_varied();
+}
 
-    #[test]
-    fn a_paused_run_resumes_as_an_uninterrupted_one(first in 0u64..1 << 48) {
-        let (mut endings, mut pauses) = (Endings::default(), 0);
-        for seed in first..first + 1500 {
-            let (g, config) = case(seed);
-            let budget = Draw(!seed).upto(config.max_firings + 10);
-            let whole = Simulation::new(&g, config.clone()).run();
-            let tables = super::Tables::new(&g);
-            let capacities: Vec<_> = g.channels().map(|(_, c)| c.capacity).collect();
-            let resumed = match Simulation::over(&g, &tables, &capacities, config.clone())
-                .run_within(budget)
-            {
+#[test]
+fn a_paused_run_resumes_as_an_uninterrupted_one() {
+    let (mut endings, mut pauses) = (Endings::default(), 0);
+    TestRunner::new(ProptestConfig::with_cases(CASES)).run(|tape| {
+        let (g, config) = case(tape);
+        let budget = tape.choose(config.max_firings + 10);
+        let whole = Simulation::new(&g, config.clone()).run();
+        let tables = super::Tables::new(&g);
+        let capacities: Vec<_> = g.channels().map(|(_, c)| c.capacity).collect();
+        let resumed =
+            match Simulation::over(&g, &tables, &capacities, config.clone()).run_within(budget) {
                 Ok(ended) => ended,
                 Err(paused) => {
-                    assert!(whole.total_firings >= budget, "seed {seed}: paused early");
+                    assert!(whole.total_firings >= budget, "paused early");
                     pauses += 1;
                     paused.resume()
                 }
             };
-            assert_eq!(resumed, whole, "seed {seed}, budget {budget}: {g:?}");
-            let twin = match Twin::new(&g, config).run_within(budget) {
-                Ok(ended) => ended,
-                Err(paused) => paused.resume(),
-            };
-            assert_eq!(twin, whole, "seed {seed}, budget {budget}: {g:?}");
-            endings.count(&whole);
-        }
-        endings.assert_varied();
-        assert!(pauses > 200, "{pauses} runs paused");
-    }
+        assert_eq!(resumed, whole, "budget {budget}: {g:?}");
+        let twin = match Twin::new(&g, config).run_within(budget) {
+            Ok(ended) => ended,
+            Err(paused) => paused.resume(),
+        };
+        assert_eq!(twin, whole, "budget {budget}: {g:?}");
+        endings.count(&whole);
+    });
+    endings.assert_varied();
+    assert!(pauses > 200, "{pauses} runs paused");
+}
 
-    #[test]
-    fn overwritten_capacities_run_as_a_graph_holding_them(first in 0u64..1 << 48) {
-        let mut endings = Endings::default();
-        for seed in first..first + 1500 {
-            let (mut g, config) = case(seed);
-            // The tables of the graph as drawn, then some capacities
-            // given in place of its own, as the buffer-sizing search does,
-            // and written into the twin's graph.
-            let tables = super::Tables::new(&g);
-            let mut capacities: Vec<_> = g.channels().map(|(_, c)| c.capacity).collect();
-            let mut draw = Draw(!seed);
-            for capacity in &mut capacities {
-                if draw.one_in(2) {
-                    *capacity = (!draw.one_in(3)).then(|| draw.upto(10));
-                }
+#[test]
+fn overwritten_capacities_run_as_a_graph_holding_them() {
+    let mut endings = Endings::default();
+    TestRunner::new(ProptestConfig::with_cases(CASES)).run(|tape| {
+        let (mut g, config) = case(tape);
+        // The tables of the graph as drawn, then some capacities given in
+        // place of its own, as the buffer-sizing search does, and written
+        // into the twin's graph.
+        let tables = super::Tables::new(&g);
+        let mut capacities: Vec<_> = g.channels().map(|(_, c)| c.capacity).collect();
+        for capacity in &mut capacities {
+            if tape.draw(2) == 0 {
+                *capacity = (tape.draw(3) != 0).then(|| tape.choose(10));
             }
-            let outcome = Simulation::over(&g, &tables, &capacities, config.clone()).run();
-            for (c, &capacity) in capacities.iter().enumerate() {
-                g.channel_mut(ChannelId(c)).capacity = capacity;
-            }
-            assert_eq!(outcome, Twin::new(&g, config).run(), "seed {seed}: {g:?}");
-            endings.count(&outcome);
         }
-        endings.assert_varied();
-    }
+        let outcome = Simulation::over(&g, &tables, &capacities, config.clone()).run();
+        for (c, &capacity) in capacities.iter().enumerate() {
+            g.channel_mut(ChannelId(c)).capacity = capacity;
+        }
+        assert_eq!(outcome, Twin::new(&g, config).run(), "{g:?}");
+        endings.count(&outcome);
+    });
+    endings.assert_varied();
 }

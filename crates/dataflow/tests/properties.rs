@@ -6,29 +6,6 @@ use rtsm_dataflow::mcr::{maximum_cycle_ratio, refutes_source_period};
 use rtsm_dataflow::simulate::{SimConfig, Simulation};
 use rtsm_dataflow::{check_source_period, hsdf, DataflowError, PhaseVec, Ratio};
 
-/// Strategy: a phase vector with the given total, split over 1..=4 phases.
-fn phase_vec_with_total(total: u64) -> impl Strategy<Value = PhaseVec> {
-    (1usize..=4).prop_flat_map(move |n| {
-        proptest::collection::vec(0u64..=total, n - 1).prop_map(move |cuts| {
-            // Split [0, total] at sorted cut points into n parts.
-            let mut cuts = cuts;
-            cuts.sort_unstable();
-            let mut values = Vec::with_capacity(cuts.len() + 1);
-            let mut prev = 0;
-            for c in cuts {
-                values.push(c - prev);
-                prev = c;
-            }
-            values.push(total - prev);
-            PhaseVec::from_slice(&values)
-        })
-    })
-}
-
-fn arbitrary_wcet(phases: usize) -> impl Strategy<Value = PhaseVec> {
-    proptest::collection::vec(1u64..=10, phases).prop_map(|v| PhaseVec::from_slice(&v))
-}
-
 proptest! {
     #[test]
     fn phase_roundtrip(values in proptest::collection::vec(0u64..100, 1..20)) {
@@ -245,9 +222,9 @@ proptest! {
     /// names.
     #[test]
     fn sizing_carries_the_sized_graphs_throughput_and_ignores_names(
-        rs in proptest::collection::vec(1u64..=3, 4),
-        ms in proptest::collection::vec(1u64..=2, 3),
-        wcets in proptest::collection::vec(1u64..=6, 3),
+        rs in proptest::collection::vec(1u64..=3, 4..=4),
+        ms in proptest::collection::vec(1u64..=2, 3..=3),
+        wcets in proptest::collection::vec(1u64..=6, 3..=3),
         stages in 2usize..=4,
     ) {
         let build = |prefix: &str| {
@@ -286,9 +263,9 @@ proptest! {
 }
 
 /// Per-phase rates 0–3 over `phases` phases, redrawn until one is non-zero.
-fn nonzero_rates(phases: usize, rng: &mut proptest::TestRng) -> Vec<u64> {
+fn nonzero_rates(phases: usize, tape: &mut Tape) -> Vec<u64> {
     loop {
-        let rates = collection::vec(0u64..=3, phases).generate(rng);
+        let rates = collection::vec(0u64..=3, phases..=phases).generate(tape);
         if rates.iter().any(|&r| r > 0) {
             return rates;
         }
@@ -298,19 +275,19 @@ fn nonzero_rates(phases: usize, rng: &mut proptest::TestRng) -> Vec<u64> {
 /// A random connected multi-rate CSDF chain: 2–4 actors of 1–3 phases
 /// (WCET 1–9), per-phase rates 0–3 with a non-zero total, every channel
 /// bounded at `1 + U[0, 3·(max prod + max cons))` tokens. Actor 0 heads it.
-fn bounded_multirate_chain(rng: &mut proptest::TestRng) -> CsdfGraph {
+fn bounded_multirate_chain(tape: &mut Tape) -> CsdfGraph {
     let mut g = CsdfGraph::new();
-    let phases = collection::vec(1usize..=3, 2..=4).generate(rng);
+    let phases = collection::vec(1usize..=3, 2..=4).generate(tape);
     let mut ids = Vec::new();
     for (i, &n) in phases.iter().enumerate() {
-        let wcet = collection::vec(1u64..=9, n).generate(rng);
+        let wcet = collection::vec(1u64..=9, n..=n).generate(tape);
         ids.push(g.add_actor(format!("a{i}"), PhaseVec::from_slice(&wcet), 1));
     }
     for i in 1..ids.len() {
-        let prod = nonzero_rates(phases[i - 1], rng);
-        let cons = nonzero_rates(phases[i], rng);
+        let prod = nonzero_rates(phases[i - 1], tape);
+        let cons = nonzero_rates(phases[i], tape);
         let bound = 3 * (prod.iter().max().unwrap() + cons.iter().max().unwrap());
-        let capacity = Some(1 + (0..bound).generate(rng));
+        let capacity = Some(1 + (0..bound).generate(tape));
         let (prod, cons) = (PhaseVec::from_slice(&prod), PhaseVec::from_slice(&cons));
         g.add_channel_full(ids[i - 1], ids[i], prod, cons, 0, capacity)
             .unwrap();
@@ -324,10 +301,9 @@ fn bounded_multirate_chain(rng: &mut proptest::TestRng) -> CsdfGraph {
 /// a deadlocked one both refuse; both kinds occur.
 #[test]
 fn mcr_matches_simulation_on_bounded_multirate_chains() {
-    let mut runner = TestRunner::new(ProptestConfig::with_cases(500));
     let (mut live, mut dead) = (0, 0);
-    for _ in 0..runner.cases() {
-        let g = bounded_multirate_chain(runner.rng());
+    TestRunner::new(ProptestConfig::with_cases(500)).run(|tape| {
+        let g = bounded_multirate_chain(tape);
         let mcr = hsdf::expand(&g.expand_capacities()).and_then(|h| maximum_cycle_ratio(&h));
         let steady = Simulation::new(&g, SimConfig::default()).run().steady;
         match (mcr, steady) {
@@ -340,7 +316,7 @@ fn mcr_matches_simulation_on_bounded_multirate_chains() {
             (Err(_), None) => dead += 1,
             (mcr, steady) => panic!("MCR {mcr:?} but simulation {steady:?} on {g:?}"),
         }
-    }
+    });
     assert!(live > 0 && dead > 0, "{live} live, {dead} deadlocked");
 }
 
@@ -353,11 +329,9 @@ fn mcr_matches_simulation_on_bounded_multirate_chains() {
 /// boundary (period = MCR per head cycle, where only `>` refutes) all occur.
 #[test]
 fn the_cycle_test_refutes_exactly_what_simulation_refutes() {
-    let mut runner = TestRunner::new(ProptestConfig::with_cases(500));
     let (mut slow, mut dead, mut sustained, mut boundary) = (0, 0, 0, 0);
-    for _ in 0..runner.cases() {
-        let rng = runner.rng();
-        let g = bounded_multirate_chain(rng);
+    TestRunner::new(ProptestConfig::with_cases(500)).run(|tape| {
+        let g = bounded_multirate_chain(tape);
         let head = g.actors().next().unwrap().0;
         let reps = g.repetition_vector().unwrap();
         // The head's simulated time per cycle, when it has one.
@@ -368,9 +342,9 @@ fn the_cycle_test_refutes_exactly_what_simulation_refutes() {
             Ok(p) => {
                 // The least whole period that keeps up, and its neighbours.
                 let ceil = ((p.numer() + p.denom() - 1) / p.denom()) as u64;
-                (ceil + (0u64..3).generate(rng)).saturating_sub(1).max(1)
+                (ceil + (0u64..3).generate(tape)).saturating_sub(1).max(1)
             }
-            Err(_) => (1u64..=100).generate(rng),
+            Err(_) => (1u64..=100).generate(tape),
         };
         let simulated = match check_source_period(&g, head, period) {
             Ok((sustains, _)) => !sustains,
@@ -385,7 +359,7 @@ fn the_cycle_test_refutes_exactly_what_simulation_refutes() {
             (false, Ok(p)) if p == Ratio::integer(period as i128) => boundary += 1,
             (false, _) => sustained += 1,
         }
-    }
+    });
     assert!(
         slow > 0 && dead > 0 && sustained > 0 && boundary > 0,
         "{slow} too slow, {dead} deadlocked, {sustained} sustained, {boundary} at the boundary"
@@ -423,31 +397,4 @@ fn a_slow_cycle_the_source_does_not_wait_for_is_no_refutation() {
     assert_eq!(refutes_source_period(&g, src, 15), Ok(true));
     let (sustains, _) = check_source_period(&g, src, 15).unwrap();
     assert!(!sustains);
-}
-
-#[test]
-fn phase_vec_with_total_strategy_is_sound() {
-    // Sanity-check the helper strategy itself once.
-    use proptest::strategy::{Strategy as _, ValueTree};
-    use proptest::test_runner::TestRunner;
-    let mut runner = TestRunner::default();
-    for _ in 0..32 {
-        let v = phase_vec_with_total(12)
-            .new_tree(&mut runner)
-            .unwrap()
-            .current();
-        assert_eq!(v.total(), 12);
-    }
-}
-
-#[test]
-fn wcet_strategy_is_sound() {
-    use proptest::strategy::{Strategy as _, ValueTree};
-    use proptest::test_runner::TestRunner;
-    let mut runner = TestRunner::default();
-    for _ in 0..8 {
-        let v = arbitrary_wcet(3).new_tree(&mut runner).unwrap().current();
-        assert_eq!(v.len(), 3);
-        assert!(v.iter().all(|x| x >= 1));
-    }
 }

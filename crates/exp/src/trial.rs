@@ -14,10 +14,9 @@ use rtsm_baselines::{
     SpiralMapper,
 };
 use rtsm_core::{MapperConfig, MappingAlgorithm, SpatialMapper, TemplatedMapper};
-use rtsm_platform::paper::paper_platform;
-use rtsm_platform::{Platform, TileKind};
+use rtsm_platform::Platform;
 use rtsm_sim::{run_sim, ArrivalProcess, Catalog, HoldingTime, SimConfig, SimRun, TemplateReport};
-use rtsm_workloads::{defrag_platform, mesh_platform};
+use rtsm_workloads::{catalog_world, CATALOG_WORLDS};
 use serde::{Deserialize, Serialize};
 
 /// One registered mapping algorithm: the short name specs and CLIs use,
@@ -88,67 +87,13 @@ pub const VALID_ALGORITHMS: [&str; ALGORITHMS.len()] = {
     names
 };
 
-/// One registered catalog: the name specs and CLIs use, plus the
-/// platform/population pair it resolves to under a `platform_seed`.
-struct CatalogSource {
-    name: &'static str,
-    build: fn(u64) -> ResolvedCatalog,
-}
-
-/// Every catalog the harness can run, in display order. Like
-/// [`ALGORITHMS`], the one place a catalog is named.
-const CATALOGS: [CatalogSource; 4] = [
-    CatalogSource {
-        name: "hiperlan2",
-        build: |_| ResolvedCatalog {
-            platform: paper_platform(),
-            catalog: Catalog::hiperlan2(),
-        },
-    },
-    CatalogSource {
-        name: "mixed",
-        build: |platform_seed| ResolvedCatalog {
-            platform: mesh_platform(
-                platform_seed,
-                4,
-                4,
-                &[
-                    (TileKind::Montium, 4),
-                    (TileKind::Arm, 4),
-                    (TileKind::Dsp, 2),
-                ],
-            ),
-            catalog: Catalog::mixed_dsp(),
-        },
-    },
-    CatalogSource {
-        name: "synthetic",
-        build: |platform_seed| ResolvedCatalog {
-            platform: mesh_platform(
-                platform_seed,
-                4,
-                4,
-                &[(TileKind::Montium, 6), (TileKind::Arm, 4)],
-            ),
-            catalog: Catalog::synthetic(platform_seed, 6),
-        },
-    },
-    CatalogSource {
-        name: "defrag",
-        build: |_| ResolvedCatalog {
-            platform: defrag_platform(4),
-            catalog: Catalog::defrag(),
-        },
-    },
-];
-
-/// The catalog names a spec may list, in display order — derived from the
-/// catalog table at compile time.
-pub const VALID_CATALOGS: [&str; CATALOGS.len()] = {
-    let mut names = [""; CATALOGS.len()];
+/// The catalog names a spec may list, in display order — derived from
+/// [`CATALOG_WORLDS`], the one place a catalog is named, at compile time.
+pub const VALID_CATALOGS: [&str; CATALOG_WORLDS.len()] = {
+    let mut names = [""; CATALOG_WORLDS.len()];
     let mut i = 0;
-    while i < CATALOGS.len() {
-        names[i] = CATALOGS[i].name;
+    while i < CATALOG_WORLDS.len() {
+        names[i] = CATALOG_WORLDS[i].name;
         i += 1;
     }
     names
@@ -200,10 +145,14 @@ pub struct ResolvedCatalog {
 /// Resolves a catalog name exactly like the `simulate` CLI does; `None`
 /// for unknown names (spec validation reports them with the valid list).
 pub fn resolve_catalog(name: &str, platform_seed: u64) -> Option<ResolvedCatalog> {
-    CATALOGS
-        .iter()
-        .find(|source| source.name == name)
-        .map(|source| (source.build)(platform_seed))
+    let world = catalog_world(name)?;
+    let entries = (world.entries)(platform_seed).into_iter();
+    Some(ResolvedCatalog {
+        platform: (world.platform)(platform_seed),
+        catalog: entries.fold(Catalog::new(), |c, (name, weight, spec)| {
+            c.with(name, weight, spec)
+        }),
+    })
 }
 
 /// Builds the mapping algorithm for a short name; `None` for unknown

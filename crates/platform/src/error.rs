@@ -19,6 +19,10 @@ pub enum PlatformError {
     },
     /// Two tiles were placed on the same router.
     DuplicatePosition(Coord),
+    /// The NoC's clock is 0 MHz, so a hop would take forever.
+    ZeroNocClock,
+    /// A NoC hop takes more than `u32::MAX` cycles.
+    HopLatency(u64),
     /// No route with sufficient residual capacity exists.
     NoRoute {
         /// Source tile.
@@ -54,6 +58,10 @@ impl fmt::Display for PlatformError {
             } => write!(f, "coordinate {coord} outside {width}x{height} mesh"),
             PlatformError::DuplicatePosition(c) => {
                 write!(f, "two tiles share router position {c}")
+            }
+            PlatformError::ZeroNocClock => write!(f, "the NoC clock is 0 MHz"),
+            PlatformError::HopLatency(cycles) => {
+                write!(f, "a NoC hop of {cycles} cycles is above 2^32 - 1")
             }
             PlatformError::NoRoute { from, to, demand } => write!(
                 f,

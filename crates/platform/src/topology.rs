@@ -104,8 +104,8 @@ pub struct AdjEntry {
 /// [`Platform::tile_by_name`] O(1), and the two stream-endpoint tiles
 /// ([`Platform::stream_input_tile`], [`Platform::stream_output_tile`]). All
 /// are rebuilt on deserialization, which holds the tiles to the builder's
-/// rules: a file with a tile off the mesh or two tiles on one router is
-/// refused with [`PlatformBuilder::build`]'s error.
+/// rules: a file with a tile off the mesh, two tiles on one router or a
+/// NoC clock of 0 MHz is refused with [`PlatformBuilder::build`]'s error.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 #[serde(into = "PlatformSerde")]
 pub struct Platform {
@@ -227,6 +227,25 @@ fn check_positions(width: u16, height: u16, tiles: &[Tile]) -> Result<(), Platfo
     Ok(())
 }
 
+/// The builder's rules for the NoC: its routers tick, so a hop has a
+/// duration ([`NocParams::cycle_time_ps`] divides by the clock), and a hop
+/// takes at most `u32::MAX` cycles, so that its duration in picoseconds,
+/// summed over a route's hops, stays within `u64`.
+///
+/// # Errors
+///
+/// [`PlatformError::ZeroNocClock`] for a clock of 0 MHz and
+/// [`PlatformError::HopLatency`] for a longer hop.
+fn check_noc(noc: &NocParams) -> Result<(), PlatformError> {
+    if noc.clock_mhz == 0 {
+        Err(PlatformError::ZeroNocClock)
+    } else if noc.hop_latency_cycles > u64::from(u32::MAX) {
+        Err(PlatformError::HopLatency(noc.hop_latency_cycles))
+    } else {
+        Ok(())
+    }
+}
+
 /// Serde shadow of [`Platform`]: the coordinate-keyed lookup maps are
 /// derived data and are rebuilt on deserialization (JSON requires string
 /// keys).
@@ -256,9 +275,10 @@ impl TryFrom<PlatformSerde> for Platform {
     type Error = PlatformError;
 
     /// The platform a file describes, if its tiles keep the builder's rules
-    /// (`check_positions`); its links are taken as they are.
+    /// (`check_positions`, `check_noc`); its links are taken as they are.
     fn try_from(s: PlatformSerde) -> Result<Self, PlatformError> {
         check_positions(s.width, s.height, &s.tiles)?;
+        check_noc(&s.noc)?;
         Ok(Platform::with_tables(
             s.width, s.height, s.noc, s.tiles, s.links,
         ))
@@ -543,8 +563,12 @@ impl PlatformBuilder {
     /// * [`PlatformError::OutOfMesh`] if a tile's position is outside the
     ///   mesh.
     /// * [`PlatformError::DuplicatePosition`] if two tiles share a router.
+    /// * [`PlatformError::ZeroNocClock`] if the NoC clock is 0 MHz, and
+    ///   [`PlatformError::HopLatency`] if a hop takes more than `u32::MAX`
+    ///   cycles.
     pub fn build(self) -> Result<Platform, PlatformError> {
         check_positions(self.width, self.height, &self.tiles)?;
+        check_noc(&self.noc)?;
         let mut links = Vec::new();
         for y in 0..self.height {
             for x in 0..self.width {

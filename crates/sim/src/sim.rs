@@ -398,7 +398,6 @@ mod tests {
     use super::*;
     use rtsm_core::SpatialMapper;
     use rtsm_platform::paper::paper_platform;
-    use rtsm_platform::TileKind;
 
     fn small_config(seed: u64) -> SimConfig {
         SimConfig {
@@ -499,16 +498,9 @@ mod tests {
                 evacuation: EvacuationPolicy,
             })
         };
-        let mesh = rtsm_workloads::mesh_platform(
-            42,
-            4,
-            4,
-            &[
-                (TileKind::Montium, 4),
-                (TileKind::Arm, 4),
-                (TileKind::Dsp, 2),
-            ],
-        );
+        let mesh = (rtsm_workloads::catalog_world("mixed")
+            .expect("registered")
+            .platform)(42);
         let rows = [
             (
                 paper_platform(),

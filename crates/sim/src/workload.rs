@@ -9,11 +9,9 @@
 use crate::event::SimTime;
 use rand::rngs::StdRng;
 use rand::RngExt;
-use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm_app::ApplicationSpec;
-use rtsm_platform::TileKind;
-use rtsm_workloads::apps::{dvbt_rx, jpeg_encoder, mp3_decoder, wlan_tx};
-use rtsm_workloads::{synthetic_app, GraphShape, SyntheticConfig};
+use rtsm_workloads::catalog_world;
+use rtsm_workloads::catalogs::synthetic_chains;
 use std::sync::Arc;
 
 /// One catalog entry: an application specification with a sampling weight.
@@ -99,32 +97,27 @@ impl Catalog {
         unreachable!("weights sum to total_weight")
     }
 
+    /// The entries of the catalog `name` of
+    /// [`CATALOG_WORLDS`](rtsm_workloads::CATALOG_WORLDS), in order.
+    fn registered(name: &str, platform_seed: u64) -> Self {
+        let world = catalog_world(name).expect("a registered catalog");
+        let entries = (world.entries)(platform_seed).into_iter();
+        entries.fold(Catalog::new(), |c, (name, weight, spec)| {
+            c.with(name, weight, spec)
+        })
+    }
+
     /// All seven HIPERLAN/2 receiver modes (§4.1), equally weighted — the
     /// paper's own application under sustained load on the paper platform.
     pub fn hiperlan2() -> Self {
-        Hiperlan2Mode::ALL.iter().fold(Catalog::new(), |c, &mode| {
-            c.with(
-                format!("hiperlan2 {}", mode.name()),
-                1,
-                hiperlan2_receiver(mode),
-            )
-        })
+        Catalog::registered("hiperlan2", 0)
     }
 
     /// A mixed DSP workload for larger mesh platforms: the constructed
     /// realistic applications plus a HIPERLAN/2 receiver, weighted towards
     /// the lighter applications.
     pub fn mixed_dsp() -> Self {
-        Catalog::new()
-            .with("wlan-tx", 3, wlan_tx())
-            .with("jpeg-encoder", 3, jpeg_encoder())
-            .with("mp3-decoder", 2, mp3_decoder())
-            .with("dvbt-rx", 1, dvbt_rx())
-            .with(
-                "hiperlan2 QPSK 3/4",
-                2,
-                hiperlan2_receiver(Hiperlan2Mode::Qpsk34),
-            )
+        Catalog::registered("mixed", 0)
     }
 
     /// The engineered fragmentation workload
@@ -136,26 +129,15 @@ impl Catalog {
     /// [`ReconfigurationPolicy`](rtsm_core::ReconfigurationPolicy) to
     /// measure recovered admissions.
     pub fn defrag() -> Self {
-        Catalog::new()
-            .with("defrag light", 3, rtsm_workloads::defrag_light())
-            .with("defrag heavy", 1, rtsm_workloads::defrag_heavy())
+        Catalog::registered("defrag", 0)
     }
 
     /// `n` seeded synthetic chain applications (3–7 processes, MONTIUM
     /// preferred with ARM alternatives), equally weighted. Deterministic
     /// per `seed`.
     pub fn synthetic(seed: u64, n: usize) -> Self {
-        (0..n).fold(Catalog::new(), |c, i| {
-            let config = SyntheticConfig {
-                seed: seed.wrapping_add(i as u64),
-                n_processes: 3 + i % 5,
-                shape: GraphShape::Chain,
-                tile_kinds: vec![TileKind::Montium, TileKind::Arm],
-                ..SyntheticConfig::default()
-            };
-            let spec = synthetic_app(&config);
-            c.with(spec.name.clone(), 1, spec)
-        })
+        (synthetic_chains(seed, n).into_iter())
+            .fold(Catalog::new(), |c, spec| c.with(spec.name.clone(), 1, spec))
     }
 }
 
@@ -213,6 +195,7 @@ pub(crate) fn exponential_ticks(rng: &mut StdRng, mean: SimTime) -> SimTime {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use rtsm_app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 
     #[test]
     fn weighted_sampling_respects_weights() {

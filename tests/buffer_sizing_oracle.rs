@@ -453,12 +453,14 @@ fn random_graphs_size_as_the_reference_descent_and_capacity_never_hurts() {
     let mut runner = TestRunner::new(ProptestConfig::with_cases(CASES));
     let mut coverage = Coverage::default();
     let (mut raised, mut raised_from_infeasible) = (0u32, 0u32);
-    for number in 0..runner.cases() {
-        let mut draw = |upper: u32| Strategy::generate(&(0..upper), runner.rng());
+    let mut number = 0;
+    runner.run(|tape| {
+        number += 1;
+        let mut draw = |upper: u32| tape.draw(upper);
         let case = random_case(&mut draw);
         let at = format!("case {number}");
         let Ok(sizing) = coverage.compare(&case, &at) else {
-            continue;
+            return;
         };
 
         // The assumption under every shortcut: raising one capacity never
@@ -470,7 +472,7 @@ fn random_graphs_size_as_the_reference_descent_and_capacity_never_hurts() {
             .map(|(&(_, cap), &floor)| floor + u64::from(draw((cap + 3 - floor) as u32)))
             .collect();
         let Some(below) = rate(&case, &around) else {
-            continue;
+            return;
         };
         for i in 0..around.len() {
             let mut more = around.clone();
@@ -494,7 +496,7 @@ fn random_graphs_size_as_the_reference_descent_and_capacity_never_hurts() {
                 "{at}: {around:?} → {more:?}"
             );
         }
-    }
+    });
     eprintln!("{coverage:?}, {raised} capacities raised ({raised_from_infeasible} from an infeasible vector)");
     assert_eq!(coverage.cases, CASES);
     assert!(coverage.floors_feasible >= 10, "{coverage:?}");
@@ -677,42 +679,44 @@ fn catalog_compositions_size_as_the_reference_descent() {
         let platform = &resolved.platform;
         for entry in resolved.catalog.entries() {
             for ledger in 0..ledgers {
-                let mut draw = |upper: u32| Strategy::generate(&(0..upper), runner.rng());
-                // The first ledger is the empty platform; on the others a
-                // tile is full when its draw is under the load, and a tile
-                // or a link has failed one time in ten.
-                let mut base = platform.initial_state();
-                let load = if ledger == 0 { 0 } else { draw(3) };
-                for (id, tile) in platform.tiles() {
-                    if draw(6) < load {
-                        let full = TileClaim {
-                            slots: tile.compute_slots,
-                            memory_bytes: 0,
-                            cycles_per_second: 0,
-                            injection: 0,
-                            ejection: 0,
-                        };
-                        base.claim_tile(platform, id, &full)
-                            .expect("within the tile");
+                runner.case(|tape| {
+                    let mut draw = |upper: u32| tape.draw(upper);
+                    // The first ledger is the empty platform; on the others a
+                    // tile is full when its draw is under the load, and a tile
+                    // or a link has failed one time in ten.
+                    let mut base = platform.initial_state();
+                    let load = if ledger == 0 { 0 } else { draw(3) };
+                    for (id, tile) in platform.tiles() {
+                        if draw(6) < load {
+                            let full = TileClaim {
+                                slots: tile.compute_slots,
+                                memory_bytes: 0,
+                                cycles_per_second: 0,
+                                injection: 0,
+                                ejection: 0,
+                            };
+                            base.claim_tile(platform, id, &full)
+                                .expect("within the tile");
+                        }
+                        if ledger > 0 && draw(10) == 0 {
+                            base.fail_tile(id);
+                        }
                     }
-                    if ledger > 0 && draw(10) == 0 {
-                        base.fail_tile(id);
+                    for (id, _) in platform.links() {
+                        if ledger > 0 && draw(10) == 0 {
+                            base.fail_link(id);
+                        }
                     }
-                }
-                for (id, _) in platform.links() {
-                    if ledger > 0 && draw(10) == 0 {
-                        base.fail_link(id);
-                    }
-                }
-                let Some(case) = composed_on(&entry.spec, platform, &base) else {
-                    unmapped += 1;
-                    continue;
-                };
-                let at = format!("`{name}` / `{}`, ledger {ledger}", entry.name);
-                coverage
-                    .compare(&case, &at)
-                    .expect("every catalog spec is feasible alone");
-                graphs.insert(format!("{:?}", case.graph.channels().collect::<Vec<_>>()));
+                    let Some(case) = composed_on(&entry.spec, platform, &base) else {
+                        unmapped += 1;
+                        return;
+                    };
+                    let at = format!("`{name}` / `{}`, ledger {ledger}", entry.name);
+                    coverage
+                        .compare(&case, &at)
+                        .expect("every catalog spec is feasible alone");
+                    graphs.insert(format!("{:?}", case.graph.channels().collect::<Vec<_>>()));
+                });
             }
         }
     }

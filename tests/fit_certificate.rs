@@ -8,13 +8,15 @@
 //! Random catalog and synthetic specs on the paper platform and on 3×3 and
 //! 4×4 meshes — a quarter of them replaced by a pipeline that lacks its
 //! stream input, its stream output or both —, random ledgers (any load, NI
-//! traffic included, up to three failed tiles, failed links, and the A/D
-//! and the Sink each failed at `ENDPOINT_FAILURE_RATE`) and random
-//! constraints (pins, exclusions).
+//! traffic included, failed tiles and links, a third of the tiles full, and
+//! the A/D and the Sink each failed one time in `ENDPOINT_FAILURE_ONE_IN`)
+//! and random constraints (pins, exclusions), all drawn by `rtsm_testkit`
+//! from one shrinkable tape.
 //!
 //! Hand mutations of `crates/core/src/runtime/fit.rs` this was checked
 //! against, each failing the tests named (a seed is the first case of
-//! `a_fired_certificate_is_never_contradicted` to fail):
+//! `a_fired_certificate_is_never_contradicted` to fail when each case drew
+//! from a seeded stream of its own):
 //! - the input flag tested against the Sink tile: seed 17,
 //!   `a_failed_endpoint_refuses_before_the_template_library_is_asked` and
 //!   the module's `a_failed_stream_endpoint_rules_out_only_…`;
@@ -57,8 +59,7 @@
 //! and one on a mesh beyond the masks' 64 tiles, where `start` refuses
 //! through the algorithm unless an endpoint is down.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use proptest::prelude::*;
 use rtsm::app::{ApplicationSpec, ProcessId};
 use rtsm::core::claims::{claim_for, reservation_of};
 use rtsm::core::runtime::{AdmissionError, Demand, EvacuationPolicy, FailureEvent, RuntimeManager};
@@ -72,250 +73,41 @@ use rtsm::platform::{
 };
 use rtsm::sim::Catalog;
 use rtsm::workloads::mesh_platform;
+use rtsm_testkit::{any_constraints, any_instance, any_ledger};
 use std::sync::Arc;
 
-/// About 40 s in a debug build.
-const CASES: u64 = 300;
+/// About 10 s in a debug build.
+const CASES: u32 = 300;
 
-/// A 3×3 mesh whose processing tiles host two processes each (the meshes of
-/// `mesh_platform` and the paper platform have one-slot tiles).
-fn two_slot_mesh() -> Platform {
-    use TileKind::{AdcSource, Arm, Montium, Sink};
-    let kinds = [
-        AdcSource, Montium, Arm, Arm, Montium, Arm, Montium, Arm, Sink,
-    ];
-    let mut builder = PlatformBuilder::mesh(3, 3).tile_defaults(200, 2, 128 * 1024, 200_000_000);
-    for (i, kind) in kinds.into_iter().enumerate() {
-        let position = Coord {
-            x: i as u16 % 3,
-            y: i as u16 / 3,
-        };
-        builder = builder.tile(format!("T{i}"), kind, position);
-    }
-    builder.build().expect("nine tiles on nine routers")
-}
+/// Each stream endpoint tile fails on one drawn ledger in this many,
+/// besides the failures of any tile the ledger draws.
+const ENDPOINT_FAILURE_ONE_IN: u32 = 10;
 
-/// One platform with a catalog that suits it.
-fn draw_instance(rng: &mut StdRng) -> (Platform, Arc<ApplicationSpec>) {
-    let (platform, catalog) = match rng.random_range(0u32..5) {
-        0 => (paper_platform(), Catalog::hiperlan2()),
-        1 => (
-            two_slot_mesh(),
-            Catalog::synthetic(rng.random_range(0u64..1000), 5),
-        ),
-        2 => (
-            mesh_platform(
-                rng.random_range(0u64..64),
-                3,
-                3,
-                &[
-                    (TileKind::Montium, 2),
-                    (TileKind::Arm, 3),
-                    (TileKind::Dsp, 2),
-                ],
-            ),
-            Catalog::synthetic(rng.random_range(0u64..1000), 5),
-        ),
-        3 => (
-            mesh_platform(
-                rng.random_range(0u64..64),
-                4,
-                4,
-                &[
-                    (TileKind::Montium, 4),
-                    (TileKind::Arm, 4),
-                    (TileKind::Dsp, 2),
-                ],
-            ),
-            Catalog::mixed_dsp(),
-        ),
-        _ => (
-            mesh_platform(
-                rng.random_range(0u64..64),
-                4,
-                4,
-                &[(TileKind::Montium, 6), (TileKind::Arm, 8)],
-            ),
-            Catalog::synthetic(rng.random_range(0u64..1000), 5),
-        ),
-    };
-    let spec = catalog.entries()[rng.random_range(0usize..catalog.len())]
-        .spec
-        .clone();
-    // Every catalog streams from the A/D to the Sink; a quarter of the
-    // cases map a pipeline cut loose from one endpoint or both instead.
-    if rng.random_bool(0.25) {
-        let spec = open_pipeline(&platform, rng);
-        return (platform, Arc::new(spec));
-    }
-    (platform, spec)
-}
-
-/// A two- or three-stage pipeline on the platform's processing kinds that
-/// lacks a channel from the stream input, one to the stream output, or
-/// both: no failed endpoint rules it out through a channel it does not have.
-fn open_pipeline(platform: &Platform, rng: &mut StdRng) -> ApplicationSpec {
-    use rtsm::app::{Endpoint, Implementation, ImplementationLibrary, ProcessGraph, QosSpec};
-    use rtsm::dataflow::PhaseVec;
-    let mut kinds: Vec<TileKind> = platform
-        .tiles()
-        .map(|(_, t)| t.kind)
-        .filter(|kind| kind.is_processing())
-        .collect();
-    kinds.sort_unstable();
-    kinds.dedup();
-    let (input, output) =
-        [(false, true), (true, false), (false, false)][rng.random_range(0usize..3)];
-    let stages = rng.random_range(2usize..4);
-    let mut graph = ProcessGraph::new();
-    let mut library = ImplementationLibrary::new();
-    let mut upstream = input.then_some(Endpoint::StreamInput);
-    for i in 0..stages {
-        let process = graph.add_process(format!("stage {i}"));
-        if let Some(from) = upstream {
-            graph
-                .add_channel(from, Endpoint::Process(process), 16)
-                .unwrap();
-        }
-        let kind = kinds[rng.random_range(0usize..kinds.len())];
-        let sends = i + 1 < stages || output;
-        library.register(
-            process,
-            Implementation {
-                name: format!("stage {i} @ {kind}"),
-                tile_kind: kind,
-                wcet: PhaseVec::from_slice(&[8, 60, 8]),
-                inputs: upstream
-                    .map(|_| PhaseVec::from_slice(&[16, 0, 0]))
-                    .into_iter()
-                    .collect(),
-                outputs: sends
-                    .then(|| PhaseVec::from_slice(&[0, 0, 16]))
-                    .into_iter()
-                    .collect(),
-                energy_pj_per_period: 5_000,
-                memory_bytes: 4 * 1024,
-            },
-        );
-        upstream = Some(Endpoint::Process(process));
-    }
-    if let (true, Some(last)) = (output, upstream) {
-        graph.add_channel(last, Endpoint::StreamOutput, 16).unwrap();
-    }
-    let spec = ApplicationSpec {
-        name: format!("open pipeline ({input}, {output})"),
-        graph,
-        qos: QosSpec::with_period(4_000_000),
-        library,
-    };
-    spec.validate().expect("the open pipeline is a valid spec");
-    spec
-}
-
-/// How often each stream endpoint tile fails on a drawn ledger, besides
-/// the up to three random tile failures that may also hit it.
-const ENDPOINT_FAILURE_RATE: f64 = 0.1;
-
-/// A ledger at a random load: every slot of every tile is taken with the
-/// load's probability by a tenant of random size (memory, cycles and NI
-/// traffic), then up to three tiles and three links fail.
-fn draw_ledger(platform: &Platform, rng: &mut StdRng) -> PlatformState {
-    let mut state = platform.initial_state();
-    let load = f64::from(rng.random_range(0u32..=100)) / 100.0;
-    for (tile, spec) in platform.tiles() {
-        for _ in 0..spec.compute_slots {
-            if !rng.random_bool(load) {
-                continue;
-            }
-            let share = |rng: &mut StdRng, whole: u64| {
-                rng.random_range(0..=whole / u64::from(spec.compute_slots))
-            };
+/// A ledger of `platform` ([`any_ledger`]) on which a third of the tiles
+/// have every slot taken besides, and the stream endpoints may fail.
+fn busy_ledger(platform: &Platform, tape: &mut Tape) -> PlatformState {
+    let mut state = any_ledger(platform, tape);
+    for (tile, _) in platform.tiles() {
+        let slots = state.free_slots(platform, tile);
+        if tape.draw(3) == 2 && !state.is_tile_failed(tile) {
             let tenant = TileClaim {
-                slots: 1,
-                memory_bytes: share(rng, spec.memory_bytes),
-                cycles_per_second: share(rng, u64::from(spec.clock_mhz) * 1_000_000),
-                injection: share(rng, spec.ni_injection),
-                ejection: share(rng, spec.ni_ejection),
+                slots,
+                memory_bytes: 0,
+                cycles_per_second: 0,
+                injection: 0,
+                ejection: 0,
             };
             state
                 .claim_tile(platform, tile, &tenant)
-                .expect("the shares of a tile's slots fit it together");
+                .expect("the free slots");
         }
-    }
-    // Tenants that take no slot: buffers that fill a tile's memory, routes
-    // that end on it and take its NI bandwidth (which is no part of a
-    // process's hard reservation).
-    for (tile, spec) in platform.tiles() {
-        let mut squatter = TileClaim {
-            slots: 0,
-            memory_bytes: 0,
-            cycles_per_second: 0,
-            injection: 0,
-            ejection: 0,
-        };
-        if rng.random_bool(0.1) {
-            squatter.memory_bytes = spec.memory_bytes - state.used_memory(tile);
-        }
-        if spec.kind.is_processing() && rng.random_bool(0.3) {
-            let percent = rng.random_range(50u64..=100);
-            squatter.injection = state.residual_injection(platform, tile) * percent / 100;
-            squatter.ejection = state.residual_ejection(platform, tile) * percent / 100;
-        }
-        state
-            .claim_tile(platform, tile, &squatter)
-            .expect("what is left of a tile fits it");
-    }
-    for _ in 0..rng.random_range(0u32..4) {
-        state.fail_tile(TileId::from_index(
-            rng.random_range(0usize..platform.n_tiles()),
-        ));
-    }
-    let links: Vec<LinkId> = platform.links().map(|(link, _)| link).collect();
-    for _ in 0..rng.random_range(0u32..4) {
-        state.fail_link(links[rng.random_range(0usize..links.len())]);
     }
     for endpoint in [platform.stream_input_tile(), platform.stream_output_tile()] {
-        if rng.random_bool(ENDPOINT_FAILURE_RATE) {
+        if tape.draw(ENDPOINT_FAILURE_ONE_IN) == 0 {
             state.fail_tile(endpoint.expect("every platform here has both endpoints"));
         }
     }
     state
-}
-
-/// No constraints half of the time; otherwise up to two pins (to a tile of
-/// a kind the process runs on, or to any tile) and up to two exclusions.
-fn draw_constraints(
-    spec: &ApplicationSpec,
-    platform: &Platform,
-    rng: &mut StdRng,
-) -> MappingConstraints {
-    let mut constraints = MappingConstraints::none();
-    if rng.random_bool(0.5) {
-        return constraints;
-    }
-    let processes: Vec<ProcessId> = spec.graph.stream_processes().map(|(p, _)| p).collect();
-    for _ in 0..rng.random_range(0u32..3) {
-        let process = processes[rng.random_range(0usize..processes.len())];
-        let suitable: Vec<TileId> = spec
-            .library
-            .impls_for(process)
-            .iter()
-            .flat_map(|i| platform.tiles_of_kind(i.tile_kind))
-            .map(|(tile, _)| tile)
-            .collect();
-        let tile = if suitable.is_empty() || rng.random_bool(0.2) {
-            TileId::from_index(rng.random_range(0usize..platform.n_tiles()))
-        } else {
-            suitable[rng.random_range(0usize..suitable.len())]
-        };
-        constraints = constraints.pin(process, tile);
-    }
-    for _ in 0..rng.random_range(0u32..3) {
-        constraints = constraints.exclude_tile(TileId::from_index(
-            rng.random_range(0usize..platform.n_tiles()),
-        ));
-    }
-    constraints
 }
 
 /// Per mapped process, the tiles that could host it — derived here, tile
@@ -404,17 +196,17 @@ fn kind_count_fails(spec: &ApplicationSpec, platform: &Platform, state: &Platfor
     })
 }
 
-/// A template library that has seen `spec` on the empty platform and on a
-/// few busier ones.
+/// A template library that has seen `spec` on the empty platform and on
+/// two busier ones.
 fn warmed(
     spec: &ApplicationSpec,
     platform: &Platform,
-    rng: &mut StdRng,
+    tape: &mut Tape,
 ) -> TemplatedMapper<SpatialMapper> {
     let templated = TemplatedMapper::new(SpatialMapper::default());
     let _ = templated.map(spec, platform, &platform.initial_state());
-    for _ in 0..3 {
-        let _ = templated.map(spec, platform, &draw_ledger(platform, rng));
+    for _ in 0..2 {
+        let _ = templated.map(spec, platform, &busy_ledger(platform, tape));
     }
     templated
 }
@@ -434,26 +226,33 @@ struct Coverage {
 #[test]
 fn a_fired_certificate_is_never_contradicted() {
     let mut coverage = Coverage::default();
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (platform, spec) = draw_instance(&mut rng);
-        let state = draw_ledger(&platform, &mut rng);
-        let constraints = draw_constraints(&spec, &platform, &mut rng);
+    TestRunner::new(ProptestConfig::with_cases(CASES)).run(|tape| {
+        let (platform, spec) = any_instance(tape);
+        let state = busy_ledger(&platform, tape);
+        let constraints = any_constraints(&spec, &platform, tape);
         let fired = Demand::of(&spec).cannot_fit(&platform, &state, &constraints);
+        let case = format!(
+            "`{}` ({} processes) on a {}×{} mesh of {} tiles under {constraints:?}",
+            spec.name,
+            spec.graph.n_processes(),
+            platform.width(),
+            platform.height(),
+            platform.n_tiles(),
+        );
 
         let hosts = hosts(&spec, &platform, &state, &constraints);
         let endpoint_down = failed_endpoint(&spec, &platform, &state).is_some();
         assert_eq!(
             fired,
             endpoint_down || !hall_holds(&hosts, &platform, &state),
-            "seed {seed}: the certificate disagrees with Hall's condition and the endpoints"
+            "{case}: the certificate disagrees with Hall's condition and the endpoints"
         );
         let ends = [platform.stream_input_tile(), platform.stream_output_tile()];
         if !fired && ends.into_iter().flatten().any(|t| state.is_tile_failed(t)) {
             coverage.silent_past_a_failed_endpoint += 1;
         }
 
-        let templated = warmed(&spec, &platform, &mut rng);
+        let templated = warmed(&spec, &platform, tape);
         let hits_before = templated.stats().hits;
         let by_template = templated.map_constrained(&spec, &platform, &state, &constraints);
         coverage.template_hits_checked += (templated.stats().hits - hits_before) as u32;
@@ -462,20 +261,18 @@ fn a_fired_certificate_is_never_contradicted() {
                 Ok(_) => coverage.silent_and_admitted += 1,
                 Err(_) => coverage.silent_and_refused += 1,
             }
-            continue;
+            return;
         }
         assert!(
             by_template.is_err(),
-            "seed {seed}: the warmed template library admitted {}",
-            spec.name
+            "{case}: the warmed template library admitted it"
         );
         for entry in rtsm::exp::ALGORITHMS {
             let outcome = (entry.build)().map_constrained(&spec, &platform, &state, &constraints);
             assert!(
                 outcome.is_err(),
-                "seed {seed}: `{}` admitted {} where the certificate fired",
-                entry.name,
-                spec.name
+                "{case}: `{}` admitted it where the certificate fired",
+                entry.name
             );
         }
         if endpoint_down {
@@ -487,7 +284,7 @@ fn a_fired_certificate_is_never_contradicted() {
         } else {
             coverage.fired_matching_only += 1;
         }
-    }
+    });
     println!("fit certificate over {CASES} cases: {coverage:?}");
     let Coverage {
         fired_endpoint,
@@ -609,27 +406,26 @@ fn drive_manager(
     platform: &Platform,
     catalog: &Catalog,
     entry: &rtsm::exp::AlgorithmEntry,
-    seed: u64,
+    tape: &mut Tape,
 ) -> (u32, u32) {
     use rtsm::core::runtime::RuntimeError;
     let none = MappingConstraints::none();
     let mut manager = RuntimeManager::new(platform.clone(), (entry.build)());
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut running = Vec::new();
     let (mut certified, mut by_algorithm) = (0, 0);
     for op in 0..120 {
-        let spec = catalog.entries()[rng.random_range(0usize..catalog.len())]
+        let spec = catalog.entries()[tape.draw(catalog.len() as u32) as usize]
             .spec
             .clone();
-        let roll = rng.random_range(0u32..100);
+        let roll = tape.draw(100);
         if !running.is_empty() && roll < 30 {
-            let handle = running.swap_remove(rng.random_range(0usize..running.len()));
+            let handle = running.swap_remove(tape.draw(running.len() as u32) as usize);
             manager.stop(handle).expect("a running handle stops");
             continue;
         }
         // The ledger the placement is held against, and its outcome.
         let (ledger, refusal) = if !running.is_empty() && roll < 45 {
-            let handle = running[rng.random_range(0usize..running.len())];
+            let handle = running[tape.draw(running.len() as u32) as usize];
             let old = manager.get(handle).expect("running").clone();
             let mut released = manager.state().clone();
             old.outcome
@@ -638,7 +434,7 @@ fn drive_manager(
             match manager.switch(handle, spec.clone()) {
                 Ok(_) => continue,
                 Err(RuntimeError::Admission(AdmissionError::Rejected(e))) => (released, e),
-                Err(other) => panic!("seed {seed} op {op}: switch failed: {other}"),
+                Err(other) => panic!("op {op}: switch failed: {other}"),
             }
         } else {
             match manager.start(spec.clone()) {
@@ -647,7 +443,7 @@ fn drive_manager(
                     continue;
                 }
                 Err(AdmissionError::Rejected(e)) => (manager.state().clone(), e),
-                Err(other) => panic!("seed {seed} op {op}: start failed: {other}"),
+                Err(other) => panic!("op {op}: start failed: {other}"),
             }
         };
         if !matches!(refusal, MapError::CannotFit { .. }) {
@@ -659,7 +455,7 @@ fn drive_manager(
             (manager.algorithm()).map_constrained(&spec, manager.platform(), &ledger, &none);
         assert!(
             mapped.is_err(),
-            "seed {seed} op {op}: `{}` maps {} where the manager refused it with `{refusal}`",
+            "op {op}: `{}` maps {} where the manager refused it with `{refusal}`",
             entry.name,
             spec.name
         );
@@ -674,10 +470,13 @@ fn a_manager_never_certifies_a_refusal_its_algorithm_would_admit() {
         ("mixed mesh", mixed.platform, mixed.catalog),
         ("paper platform", paper_platform(), Catalog::hiperlan2()),
     ];
+    let mut runner = TestRunner::default();
     for (name, platform, catalog) in &instances {
-        for (seed, entry) in rtsm::exp::ALGORITHMS.iter().enumerate() {
-            let (certified, _) = drive_manager(platform, catalog, entry, seed as u64);
-            assert!(certified > 0, "{name}: `{}` was never refused", entry.name);
+        for entry in &rtsm::exp::ALGORITHMS {
+            runner.case(|tape| {
+                let (certified, _) = drive_manager(platform, catalog, entry, tape);
+                assert!(certified > 0, "{name}: `{}` was never refused", entry.name);
+            });
         }
     }
 }
@@ -755,19 +554,15 @@ fn a_failed_endpoint_refuses_before_the_template_library_is_asked() {
         Fail,
         Repair(FailureEvent),
     }
-    let exponential =
-        |rng: &mut StdRng, mean: f64| (-mean * (1.0 - rng.random::<f64>()).ln()) as u64 + 1;
+    let exponential = |tape: &mut Tape, mean: f64| {
+        let uniform = f64::from(tape.draw(1 << 30)) / f64::from(1 << 30);
+        (-mean * (1.0 - uniform).ln()) as u64 + 1
+    };
     let mixed = rtsm::exp::resolve_catalog("mixed", 42).expect("registered catalog");
     let (platform, catalog) = (mixed.platform, mixed.catalog);
     let tiles: Vec<TileId> = platform.tiles().map(|(t, _)| t).collect();
     let links: Vec<LinkId> = platform.links().map(|(l, _)| l).collect();
     let policy = ReconfigurationPolicy::default();
-    let mut manager = RuntimeManager::new(
-        platform.clone(),
-        TemplatedMapper::new(SpatialMapper::default()),
-    );
-    let mut rng = StdRng::seed_from_u64(2008);
-    let mut queue = BinaryHeap::from([Reverse((0, Event::Arrival)), Reverse((0, Event::Fail))]);
     let (mut arrivals, mut refused_at_a_failed_endpoint) = (0, 0);
     // The refusal `spec` must meet on `state`, if a stream endpoint it uses
     // is down.
@@ -776,100 +571,109 @@ fn a_failed_endpoint_refuses_before_the_template_library_is_asked() {
             cause: CannotFitCause::EndpointFailed(tile),
         })
     };
-    while let Some(Reverse((now, event))) = queue.pop() {
-        match event {
-            Event::Arrival => {
-                arrivals += 1;
-                if arrivals < ARRIVALS {
-                    queue.push(Reverse((
-                        now + exponential(&mut rng, 500.0),
-                        Event::Arrival,
-                    )));
-                }
-                let spec = catalog.entries()[catalog.sample(&mut rng)].spec.clone();
-                let expected = endpoint_refusal(&spec, manager.state());
-                let stats = manager.algorithm().stats();
-                let started = manager.start(spec.clone());
-                let Some(cause) = expected else {
-                    let handle = match started {
-                        Ok(handle) => handle,
-                        Err(AdmissionError::Rejected(_)) => {
-                            match manager.start_with_reconfiguration(spec, &policy) {
-                                Ok(done) => done.handle,
-                                Err(_) => continue,
+    TestRunner::default().case(|tape| {
+        let mut manager = RuntimeManager::new(
+            platform.clone(),
+            TemplatedMapper::new(SpatialMapper::default()),
+        );
+        let mut queue = BinaryHeap::from([Reverse((0, Event::Arrival)), Reverse((0, Event::Fail))]);
+        (arrivals, refused_at_a_failed_endpoint) = (0, 0);
+        while let Some(Reverse((now, event))) = queue.pop() {
+            match event {
+                Event::Arrival => {
+                    arrivals += 1;
+                    if arrivals < ARRIVALS {
+                        queue.push(Reverse((now + exponential(tape, 500.0), Event::Arrival)));
+                    }
+                    let spec = catalog.entries()[tape.draw(catalog.len() as u32) as usize]
+                        .spec
+                        .clone();
+                    let expected = endpoint_refusal(&spec, manager.state());
+                    let stats = manager.algorithm().stats();
+                    let started = manager.start(spec.clone());
+                    let Some(cause) = expected else {
+                        let handle = match started {
+                            Ok(handle) => handle,
+                            Err(AdmissionError::Rejected(_)) => {
+                                match manager.start_with_reconfiguration(spec, &policy) {
+                                    Ok(done) => done.handle,
+                                    Err(_) => continue,
+                                }
                             }
+                            Err(other) => panic!("at {now}: start failed: {other}"),
+                        };
+                        let hold = exponential(tape, 8_000.0);
+                        queue.push(Reverse((now + hold, Event::Departure(handle))));
+                        if tape.draw(10) < 3 {
+                            queue.push(Reverse((now + hold / 2, Event::Switch(handle))));
                         }
-                        Err(other) => panic!("at {now}: start failed: {other}"),
+                        continue;
                     };
-                    let hold = exponential(&mut rng, 8_000.0);
-                    queue.push(Reverse((now + hold, Event::Departure(handle))));
-                    if rng.random_bool(0.3) {
-                        queue.push(Reverse((now + hold / 2, Event::Switch(handle))));
+                    assert_eq!(started, Err(AdmissionError::Rejected(cause)), "at {now}");
+                    assert_eq!(manager.algorithm().stats(), stats, "at {now}");
+                    let mapped = manager.algorithm().map(&spec, &platform, manager.state());
+                    assert!(mapped.is_err(), "at {now}: {} maps", spec.name);
+                    assert!(manager.start_with_reconfiguration(spec, &policy).is_err());
+                    assert_eq!(manager.algorithm().stats().hits, stats.hits, "at {now}");
+                    refused_at_a_failed_endpoint += 1;
+                }
+                Event::Switch(handle) => {
+                    let Some(old) = manager.get(handle).cloned() else {
+                        continue; // evicted by an evacuation
+                    };
+                    let spec = catalog.entries()[tape.draw(catalog.len() as u32) as usize]
+                        .spec
+                        .clone();
+                    let mut released = manager.state().clone();
+                    old.outcome
+                        .release(&old.spec, &platform, &mut released)
+                        .expect("the manager's ledger holds what it committed");
+                    let expected = endpoint_refusal(&spec, &released);
+                    let stats = manager.algorithm().stats();
+                    let switched = manager.switch(handle, spec.clone());
+                    let Some(cause) = expected else {
+                        match switched {
+                            Ok(_) | Err(RuntimeError::Admission(AdmissionError::Rejected(_))) => {}
+                            Err(other) => panic!("at {now}: switch failed: {other}"),
+                        }
+                        continue;
+                    };
+                    assert_eq!(
+                        switched,
+                        Err(RuntimeError::Admission(AdmissionError::Rejected(cause))),
+                        "at {now}"
+                    );
+                    assert_eq!(manager.algorithm().stats(), stats, "at {now}");
+                    let mapped = manager.algorithm().map(&spec, &platform, &released);
+                    assert!(mapped.is_err(), "at {now}: {} maps", spec.name);
+                }
+                Event::Departure(handle) => {
+                    if manager.get(handle).is_some() {
+                        manager.stop(handle).expect("a running handle stops");
                     }
-                    continue;
-                };
-                assert_eq!(started, Err(AdmissionError::Rejected(cause)), "at {now}");
-                assert_eq!(manager.algorithm().stats(), stats, "at {now}");
-                let mapped = manager.algorithm().map(&spec, &platform, manager.state());
-                assert!(mapped.is_err(), "at {now}: {} maps", spec.name);
-                assert!(manager.start_with_reconfiguration(spec, &policy).is_err());
-                assert_eq!(manager.algorithm().stats().hits, stats.hits, "at {now}");
-                refused_at_a_failed_endpoint += 1;
-            }
-            Event::Switch(handle) => {
-                let Some(old) = manager.get(handle).cloned() else {
-                    continue; // evicted by an evacuation
-                };
-                let spec = catalog.entries()[catalog.sample(&mut rng)].spec.clone();
-                let mut released = manager.state().clone();
-                old.outcome
-                    .release(&old.spec, &platform, &mut released)
-                    .expect("the manager's ledger holds what it committed");
-                let expected = endpoint_refusal(&spec, &released);
-                let stats = manager.algorithm().stats();
-                let switched = manager.switch(handle, spec.clone());
-                let Some(cause) = expected else {
-                    match switched {
-                        Ok(_) | Err(RuntimeError::Admission(AdmissionError::Rejected(_))) => {}
-                        Err(other) => panic!("at {now}: switch failed: {other}"),
+                }
+                Event::Fail => {
+                    if arrivals < ARRIVALS {
+                        queue.push(Reverse((now + exponential(tape, MTTF), Event::Fail)));
                     }
-                    continue;
-                };
-                assert_eq!(
-                    switched,
-                    Err(RuntimeError::Admission(AdmissionError::Rejected(cause))),
-                    "at {now}"
-                );
-                assert_eq!(manager.algorithm().stats(), stats, "at {now}");
-                let mapped = manager.algorithm().map(&spec, &platform, &released);
-                assert!(mapped.is_err(), "at {now}: {} maps", spec.name);
-            }
-            Event::Departure(handle) => {
-                if manager.get(handle).is_some() {
-                    manager.stop(handle).expect("a running handle stops");
+                    let failure = if tape.draw(2) == 0 {
+                        FailureEvent::Link(links[tape.draw(links.len() as u32) as usize])
+                    } else {
+                        FailureEvent::Tile(tiles[tape.draw(tiles.len() as u32) as usize])
+                    };
+                    if !manager.is_failed(failure) {
+                        manager
+                            .evacuate(failure, &EvacuationPolicy)
+                            .expect("the ledger holds what the manager committed");
+                        queue.push(Reverse((now + MTTR, Event::Repair(failure))));
+                    }
                 }
-            }
-            Event::Fail => {
-                if arrivals < ARRIVALS {
-                    queue.push(Reverse((now + exponential(&mut rng, MTTF), Event::Fail)));
+                Event::Repair(failure) => {
+                    manager.repair(failure);
                 }
-                let failure = if rng.random_bool(0.5) {
-                    FailureEvent::Link(links[rng.random_range(0..links.len())])
-                } else {
-                    FailureEvent::Tile(tiles[rng.random_range(0..tiles.len())])
-                };
-                if !manager.is_failed(failure) {
-                    manager
-                        .evacuate(failure, &EvacuationPolicy)
-                        .expect("the ledger holds what the manager committed");
-                    queue.push(Reverse((now + MTTR, Event::Repair(failure))));
-                }
-            }
-            Event::Repair(failure) => {
-                manager.repair(failure);
             }
         }
-    }
+    });
     println!("{refused_at_a_failed_endpoint} of {arrivals} arrivals met a failed endpoint");
     assert!(
         refused_at_a_failed_endpoint >= 20,

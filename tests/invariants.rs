@@ -40,8 +40,8 @@ proptest! {
     /// dependency), and incomplete mappings are never adequate.
     #[test]
     fn adherence_implies_adequacy(
-        impl_choices in proptest::collection::vec(0usize..2, 4),
-        tile_choices in proptest::collection::vec(0usize..4, 4),
+        impl_choices in proptest::collection::vec(0usize..2, 4..=4),
+        tile_choices in proptest::collection::vec(0usize..4, 4..=4),
     ) {
         let spec = hiperlan2_receiver(Hiperlan2Mode::Qpsk34);
         let platform = paper_platform();

@@ -5,9 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rtsm::app::{Endpoint, Implementation, ImplementationLibrary, ProcessGraph, QosSpec};
 use rtsm::core::{AdmissionError, AppHandle, RuntimeError, RuntimeManager, SpatialMapper};
-use rtsm::dataflow::PhaseVec;
 use rtsm::platform::TileKind;
 use rtsm::workloads::{mesh_platform, synthetic_app, GraphShape, SyntheticConfig};
 use std::sync::Arc;
@@ -33,34 +31,7 @@ fn app(seed: u64, n_processes: usize) -> rtsm::app::ApplicationSpec {
 
 /// One stage implemented only on a tile kind the mesh does not have.
 fn unhostable() -> rtsm::app::ApplicationSpec {
-    let mut graph = ProcessGraph::new();
-    let stage = graph.add_process("Stage");
-    let at_stage = Endpoint::Process(stage);
-    graph
-        .add_channel(Endpoint::StreamInput, at_stage, 16)
-        .unwrap();
-    graph
-        .add_channel(at_stage, Endpoint::StreamOutput, 16)
-        .unwrap();
-    let mut library = ImplementationLibrary::new();
-    library.register(
-        stage,
-        Implementation::simple(
-            "Stage @ FPGA",
-            TileKind::Fpga,
-            PhaseVec::from_slice(&[8, 60, 8]),
-            PhaseVec::from_slice(&[16, 0, 0]),
-            PhaseVec::from_slice(&[0, 0, 16]),
-            5_000,
-            1024,
-        ),
-    );
-    rtsm::app::ApplicationSpec {
-        name: "unhostable".into(),
-        graph,
-        qos: QosSpec::with_period(4_000_000),
-        library,
-    }
+    rtsm_testkit::pipeline(&[&[TileKind::Fpga]], (true, true), 1024)
 }
 
 proptest! {

@@ -2,6 +2,7 @@
 //! platforms, mappings and results survive JSON persistence — the basis
 //! for stored reports and tooling interchange.
 
+use proptest::prelude::*;
 use rtsm::app::hiperlan2::{hiperlan2_receiver, Hiperlan2Mode};
 use rtsm::app::ApplicationSpec;
 use rtsm::core::mapper::{MapperConfig, SpatialMapper};
@@ -447,4 +448,138 @@ fn unbinding_the_last_entry_leaves_an_equal_mapping() {
     assert_ne!(never, dropped);
     dropped.clear_routes();
     assert_eq!(never, dropped);
+}
+
+/// A phase vector file whose runs contradict its `len` — or that has no
+/// run, or a run of no phases — is refused when it is read. (Read as it
+/// was, `{"runs":[{"value":40,"count":1}],"len":4}` loaded, a spec holding
+/// it passed `validate()`, and step 4 panicked indexing phase 2.)
+#[test]
+fn a_phase_vector_file_that_contradicts_itself_is_refused() {
+    let read = |json: &str| serde_json::from_str::<PhaseVec>(json).map_err(|e| e.to_string());
+    let v = PhaseVec::from_slice(&[40, 40, 8]);
+    assert_eq!(read(&serde_json::to_string(&v).unwrap()), Ok(v));
+    for (json, refusal) in [
+        (
+            r#"{"runs":[{"value":40,"count":1}],"len":4}"#,
+            "runs of 1 phases under a len of 4",
+        ),
+        (
+            r#"{"runs":[{"value":40,"count":3}],"len":2}"#,
+            "runs of 3 phases under a len of 2",
+        ),
+        (r#"{"runs":[],"len":0}"#, "no runs"),
+        (
+            r#"{"runs":[{"value":40,"count":0},{"value":8,"count":1}],"len":1}"#,
+            "a run of 0 phases",
+        ),
+    ] {
+        let error = read(json).unwrap_err();
+        assert!(
+            error.contains(&format!("invalid phase vector: {refusal}")),
+            "{json}: {error}"
+        );
+    }
+}
+
+/// A platform file whose NoC clock is 0 MHz is refused when it is read
+/// (with the error `PlatformBuilder::build` gives). Read as it was, it
+/// loaded and the first `start` divided by zero in
+/// `NocParams::cycle_time_ps`.
+#[test]
+fn a_platform_file_with_a_stopped_noc_clock_is_refused() {
+    let json = serde_json::to_string(&paper_platform()).unwrap();
+    let clock = r#""clock_mhz":200,"link_capacity""#;
+    assert_eq!(json.matches(clock).count(), 1, "the NoC's clock");
+    let stopped = json.replacen(clock, r#""clock_mhz":0,"link_capacity""#, 1);
+    let error = serde_json::from_str::<Platform>(&stopped).unwrap_err();
+    let expected = "invalid platform: the NoC clock is 0 MHz";
+    assert!(error.to_string().contains(expected), "{error}");
+}
+
+/// The integer literals of `json` that stand as values (after `:`, `[` or
+/// `,`), as byte ranges, with the key each belongs to (the last key before
+/// it).
+fn integer_literals(json: &str) -> Vec<(&str, std::ops::Range<usize>)> {
+    let bytes = json.as_bytes();
+    let (mut literals, mut key) = (Vec::new(), "");
+    let mut at = 0;
+    while at < bytes.len() {
+        let start = at;
+        if bytes[at] == b'"' {
+            at += 1 + json[at + 1..].find('"').expect("a closed string");
+            key = &json[start + 1..at];
+        } else if bytes[at].is_ascii_digit() && b":[,".contains(&bytes[start - 1]) {
+            while at < bytes.len() && bytes[at].is_ascii_digit() {
+                at += 1;
+            }
+            if !b".eE".contains(&bytes[at]) {
+                literals.push((key, start..at));
+            }
+            continue;
+        }
+        at += 1;
+    }
+    literals
+}
+
+/// Every catalog spec and its platform — HIPERLAN/2 on the paper platform,
+/// the mixed catalog on its 4×4 mesh — written to JSON with one integer
+/// literal rewritten (to 0, 1, 2³², `u64::MAX` or a thousand times itself)
+/// either loads to an error or validates and starts twice on a fresh
+/// manager without a panic. The literal is drawn key first, so the NoC's
+/// clock and a phase vector's `len` and `count` come up often enough that
+/// the case count here meets both defects the file checks now refuse.
+#[test]
+fn a_catalog_file_with_one_integer_rewritten_loads_to_an_error_or_starts() {
+    use rtsm::core::runtime::RuntimeManager;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let files: Vec<(String, String)> = ["hiperlan2", "mixed"]
+        .into_iter()
+        .flat_map(|name| {
+            let (platform, specs) = rtsm::workloads::catalog_world(name).unwrap().instance(42);
+            let platform = serde_json::to_string(&platform).unwrap();
+            let specs = specs.into_iter();
+            specs.map(move |spec| (serde_json::to_string(&spec).unwrap(), platform.clone()))
+        })
+        .collect();
+    TestRunner::new(ProptestConfig::with_cases(1500)).run(|tape| {
+        let (spec, platform) = &files[tape.draw(files.len() as u32) as usize];
+        let mut files = [spec.clone(), platform.clone()];
+        let which = tape.draw(2) as usize;
+        let file = &files[which];
+        let literals = integer_literals(file);
+        let mut names: Vec<&str> = literals.iter().map(|(key, _)| *key).collect();
+        names.sort_unstable();
+        names.dedup();
+        let key = names[tape.draw(names.len() as u32) as usize].to_string();
+        let of_key: Vec<_> = literals.iter().filter(|(k, _)| *k == key).collect();
+        let (_, range) = of_key[tape.draw(of_key.len() as u32) as usize].clone();
+        // A mesh side a thousand times the paper's is a valid platform of
+        // millions of routers: too large for a test.
+        let scaled = match key.as_str() {
+            "width" | "height" => "0".to_string(),
+            _ => format!("{}000", &file[range.clone()]),
+        };
+        let values = ["0", "1", "4294967296", "18446744073709551615", &scaled];
+        let value = values[tape.draw(values.len() as u32) as usize];
+        let mutation = format!("`{key}` {} → {value}", &file[range.clone()]);
+        files[which] = format!("{}{value}{}", &file[..range.start], &file[range.end..]);
+        let (Ok(spec), Ok(platform)) = (
+            serde_json::from_str::<ApplicationSpec>(&files[0]),
+            serde_json::from_str::<Platform>(&files[1]),
+        ) else {
+            return;
+        };
+        if spec.validate().is_err() {
+            return;
+        }
+        let started = catch_unwind(AssertUnwindSafe(|| {
+            let spec = std::sync::Arc::new(spec);
+            let mut manager = RuntimeManager::new(platform, SpatialMapper::default());
+            let _ = manager.start(spec.clone());
+            let _ = manager.start(spec);
+        }));
+        assert!(started.is_ok(), "a panic after {mutation}");
+    });
 }
