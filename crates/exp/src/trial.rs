@@ -145,13 +145,9 @@ pub struct ResolvedCatalog {
 /// Resolves a catalog name exactly like the `simulate` CLI does; `None`
 /// for unknown names (spec validation reports them with the valid list).
 pub fn resolve_catalog(name: &str, platform_seed: u64) -> Option<ResolvedCatalog> {
-    let world = catalog_world(name)?;
-    let entries = (world.entries)(platform_seed).into_iter();
     Some(ResolvedCatalog {
-        platform: (world.platform)(platform_seed),
-        catalog: entries.fold(Catalog::new(), |c, (name, weight, spec)| {
-            c.with(name, weight, spec)
-        }),
+        platform: (catalog_world(name)?.platform)(platform_seed),
+        catalog: Catalog::named(name, platform_seed)?,
     })
 }
 

@@ -98,26 +98,26 @@ impl Catalog {
     }
 
     /// The entries of the catalog `name` of
-    /// [`CATALOG_WORLDS`](rtsm_workloads::CATALOG_WORLDS), in order.
-    fn registered(name: &str, platform_seed: u64) -> Self {
-        let world = catalog_world(name).expect("a registered catalog");
-        let entries = (world.entries)(platform_seed).into_iter();
-        entries.fold(Catalog::new(), |c, (name, weight, spec)| {
+    /// [`CATALOG_WORLDS`](rtsm_workloads::CATALOG_WORLDS), in order, under
+    /// `platform_seed`; `None` for a name not registered there.
+    pub fn named(name: &str, platform_seed: u64) -> Option<Self> {
+        let entries = (catalog_world(name)?.entries)(platform_seed).into_iter();
+        Some(entries.fold(Catalog::new(), |c, (name, weight, spec)| {
             c.with(name, weight, spec)
-        })
+        }))
     }
 
     /// All seven HIPERLAN/2 receiver modes (§4.1), equally weighted — the
     /// paper's own application under sustained load on the paper platform.
     pub fn hiperlan2() -> Self {
-        Catalog::registered("hiperlan2", 0)
+        Catalog::named("hiperlan2", 0).expect("registered")
     }
 
     /// A mixed DSP workload for larger mesh platforms: the constructed
     /// realistic applications plus a HIPERLAN/2 receiver, weighted towards
     /// the lighter applications.
     pub fn mixed_dsp() -> Self {
-        Catalog::registered("mixed", 0)
+        Catalog::named("mixed", 0).expect("registered")
     }
 
     /// The engineered fragmentation workload
@@ -129,7 +129,7 @@ impl Catalog {
     /// [`ReconfigurationPolicy`](rtsm_core::ReconfigurationPolicy) to
     /// measure recovered admissions.
     pub fn defrag() -> Self {
-        Catalog::registered("defrag", 0)
+        Catalog::named("defrag", 0).expect("registered")
     }
 
     /// `n` seeded synthetic chain applications (3–7 processes, MONTIUM

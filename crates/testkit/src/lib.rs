@@ -1,12 +1,12 @@
 //! The instances the workspace's random tests share, each drawn from a
 //! recorded [`Tape`] so that a failing case shrinks: ledgers of any
-//! platform, small platforms with specifications that suit them, pipelines
-//! cut loose from a stream endpoint, and mapping constraints; and the one
+//! platform, small platforms with specifications that suit them, and
+//! pipelines cut loose from a stream endpoint; and the one
 //! hand-written [`pipeline`] tests build specifications from. The named
 //! catalogs themselves are [`rtsm_workloads::CATALOG_WORLDS`].
 //!
 //! Choice 0 is the simplest one: the smallest platform, the shortest
-//! pipeline, no constraint, an unloaded tile. The ledger's failure draws
+//! pipeline, an unloaded tile. The ledger's failure draws
 //! are the exception: they keep the template twin's cases, where 0 fails
 //! the tile or link.
 
@@ -14,10 +14,9 @@
 
 use proptest::Tape;
 use rtsm_app::{ApplicationSpec, Endpoint, Implementation, ImplementationLibrary};
-use rtsm_app::{ProcessGraph, ProcessId, QosSpec};
-use rtsm_core::MappingConstraints;
+use rtsm_app::{ProcessGraph, QosSpec};
 use rtsm_dataflow::PhaseVec;
-use rtsm_platform::{Coord, Platform, PlatformBuilder, PlatformState, TileClaim, TileId, TileKind};
+use rtsm_platform::{Coord, Platform, PlatformBuilder, PlatformState, TileClaim, TileKind};
 use rtsm_workloads::catalogs::synthetic_chains;
 use rtsm_workloads::{catalog_world, mesh_platform};
 use std::sync::Arc;
@@ -194,40 +193,4 @@ pub fn pipeline(
     };
     spec.validate().expect("a pipeline is a valid spec");
     spec
-}
-
-/// No constraints half of the time; otherwise up to two pins (to a tile of
-/// a kind the process runs on, or to any tile) and up to two exclusions.
-pub fn any_constraints(
-    spec: &ApplicationSpec,
-    platform: &Platform,
-    tape: &mut Tape,
-) -> MappingConstraints {
-    let mut constraints = MappingConstraints::none();
-    if tape.draw(2) == 0 {
-        return constraints;
-    }
-    let n_tiles = platform.n_tiles() as u32;
-    let processes: Vec<ProcessId> = spec.graph.stream_processes().map(|(p, _)| p).collect();
-    for _ in 0..tape.draw(3) {
-        let process = processes[tape.draw(processes.len() as u32) as usize];
-        let suitable: Vec<TileId> = spec
-            .library
-            .impls_for(process)
-            .iter()
-            .flat_map(|i| platform.tiles_of_kind(i.tile_kind))
-            .map(|(tile, _)| tile)
-            .collect();
-        let tile = if suitable.is_empty() || tape.draw(5) == 4 {
-            TileId::from_index(tape.draw(n_tiles) as usize)
-        } else {
-            suitable[tape.draw(suitable.len() as u32) as usize]
-        };
-        constraints = constraints.pin(process, tile);
-    }
-    for _ in 0..tape.draw(3) {
-        let tile = TileId::from_index(tape.draw(n_tiles) as usize);
-        constraints = constraints.exclude_tile(tile);
-    }
-    constraints
 }

@@ -8,39 +8,49 @@
 //! Random catalog and synthetic specs on the paper platform and on 3×3 and
 //! 4×4 meshes — a quarter of them replaced by a pipeline that lacks its
 //! stream input, its stream output or both —, random ledgers (any load, NI
-//! traffic included, failed tiles and links, a third of the tiles full, and
-//! the A/D and the Sink each failed one time in `ENDPOINT_FAILURE_ONE_IN`)
-//! and random constraints (pins, exclusions), all drawn by `rtsm_testkit`
-//! from one shrinkable tape.
+//! traffic included, failed tiles and links, and loads up to the
+//! boundaries: tiles with every slot taken, memory full to the byte, or
+//! 50–100 % of the NI left taken; the A/D and the Sink each failed one time
+//! in `ENDPOINT_FAILURE_ONE_IN`) and random constraints (pins, exclusions),
+//! all drawn from one shrinkable tape.
 //!
 //! Hand mutations of `crates/core/src/runtime/fit.rs` this was checked
-//! against, each failing the tests named (a seed is the first case of
-//! `a_fired_certificate_is_never_contradicted` to fail when each case drew
-//! from a seeded stream of its own):
-//! - the input flag tested against the Sink tile: seed 17,
+//! against, each failing the tests named (`a_fired_…` is
+//! `a_fired_certificate_is_never_contradicted`, with the case its shrunk
+//! tape reports):
+//! - the input flag tested against the Sink tile: `a_fired_…` (`pipeline
+//!   (true, false)` on the two-slot 3×3 mesh),
 //!   `a_failed_endpoint_refuses_before_the_template_library_is_asked` and
 //!   the module's `a_failed_stream_endpoint_rules_out_only_…`;
 //! - the endpoint rule applied to a specification without the stream
-//!   channel: seed 30 and the same unit test;
+//!   channel: `a_fired_…` (`pipeline (false, false)`, same mesh) and the
+//!   same unit test;
 //! - the endpoint rule placed after the 64-tile return: only a platform of
 //!   65 or more tiles shows it, `beyond_64_tiles_start_refuses_through_…`
 //!   and the module's `beyond_64_tiles_a_failed_endpoint_is_still_certain`.
 //!
-//! Three more make the certificate *miss* refusals, which no algorithm can
+//! Two more make the certificate *miss* refusals, which no algorithm can
 //! show; the Hall oracle and a unit test of the module do: capacity read
-//! from `compute_slots` instead of the free slots (seed 23;
-//! `a_tile_hosts_as_many_processes_…`); tile health ignored (seed 97;
-//! `a_failed_tile_hosts_nothing`); `constraints.allows` dropped (seed 0;
-//! the pin and exclusion tests). One is unsound: a host's reservation
-//! charged with the NI traffic of step 1's filter (`claim_for`'s injection
-//! and ejection). The Hall oracle sees it (seed 235), but over 6 000
-//! generated cases no algorithm and no template hit contradicted the
-//! mutant — the two differ only where communicating processes share a tile
-//! and its NI is nearly full — so
+//! from `compute_slots` instead of the free slots (`a_fired_…` on a
+//! 7-process chain, same mesh; `a_tile_hosts_as_many_processes_…`), and
+//! `constraints.allows` dropped (`a_fired_…` on a 2-stage pipeline with a
+//! tile excluded, same mesh; the pin and exclusion tests). Dropping the
+//! health test where the open tiles are collected changes nothing:
+//! `fits_tile` refuses a failed tile to every host, as
+//! `a_failed_tile_hosts_nothing` checks. One is unsound: a host's
+//! reservation charged with the NI traffic of step 1's filter
+//! (`claim_for`'s injection and ejection). The Hall oracle sees it
+//! (`a_fired_…` on a 3-process chain on a 4×4 mesh; 58 of 6 000 cases),
+//! but over those 6 000 cases no algorithm and no template hit
+//! contradicted the mutant — the two differ only where communicating
+//! processes share a tile and its NI is nearly full — so
 //! `a_template_hit_admits_what_the_ni_filter_refuses` builds that case by
-//! hand, and fails under the mutant. The last lets the first-fit pass in
-//! front of the matching seat a process on a tile whose free slots it has
-//! already handed out; `a_fired_certificate_is_…` fails under it.
+//! hand, and fails under the mutant. Letting the first-fit pass in front
+//! of the matching seat a process on a tile whose free slots it has
+//! already handed out fails `a_fired_…`, both manager streams,
+//! `a_switch_releases_…` and eight unit tests; taking the augmenting path
+//! out of `Matching::place` fails `a_fired_…` (a pinned 3-process chain,
+//! two-slot mesh) and two unit tests.
 //!
 //! The demand is also where the manager reads each process's reservation
 //! when it stages a commit or a release: `reservations_are_the_claims_…`
@@ -73,7 +83,7 @@ use rtsm::platform::{
 };
 use rtsm::sim::Catalog;
 use rtsm::workloads::mesh_platform;
-use rtsm_testkit::{any_constraints, any_instance, any_ledger};
+use rtsm_testkit::{any_instance, any_ledger};
 use std::sync::Arc;
 
 /// About 10 s in a debug build.
@@ -83,24 +93,38 @@ const CASES: u32 = 300;
 /// besides the failures of any tile the ledger draws.
 const ENDPOINT_FAILURE_ONE_IN: u32 = 10;
 
-/// A ledger of `platform` ([`any_ledger`]) on which a third of the tiles
-/// have every slot taken besides, and the stream endpoints may fail.
+/// A ledger of `platform` ([`any_ledger`]) loaded up to the boundaries
+/// `any_ledger` stops short of: on each healthy tile, every free slot taken
+/// one time in three, the memory filled to the last byte one time in ten,
+/// and on a processing tile 50–100 % of what is left of its network
+/// interface taken by routes three times in ten (routes take no slot and
+/// are no part of a process's hard reservation); then the stream endpoints
+/// may fail.
 fn busy_ledger(platform: &Platform, tape: &mut Tape) -> PlatformState {
     let mut state = any_ledger(platform, tape);
-    for (tile, _) in platform.tiles() {
-        let slots = state.free_slots(platform, tile);
-        if tape.draw(3) == 2 && !state.is_tile_failed(tile) {
-            let tenant = TileClaim {
-                slots,
-                memory_bytes: 0,
-                cycles_per_second: 0,
-                injection: 0,
-                ejection: 0,
-            };
-            state
-                .claim_tile(platform, tile, &tenant)
-                .expect("the free slots");
+    for (tile, spec) in platform.tiles() {
+        if state.is_tile_failed(tile) {
+            continue;
         }
+        let mut tenant = TileClaim {
+            slots: 0,
+            memory_bytes: 0,
+            cycles_per_second: 0,
+            injection: 0,
+            ejection: 0,
+        };
+        if tape.draw(3) == 2 {
+            tenant.slots = state.free_slots(platform, tile);
+        }
+        if tape.draw(10) == 9 {
+            tenant.memory_bytes = spec.memory_bytes - state.used_memory(tile);
+        }
+        if spec.kind.is_processing() && tape.draw(10) >= 7 {
+            let percent = u64::from(50 + tape.draw(51));
+            tenant.injection = state.residual_injection(platform, tile) * percent / 100;
+            tenant.ejection = state.residual_ejection(platform, tile) * percent / 100;
+        }
+        (state.claim_tile(platform, tile, &tenant)).expect("what is left of the tile");
     }
     for endpoint in [platform.stream_input_tile(), platform.stream_output_tile()] {
         if tape.draw(ENDPOINT_FAILURE_ONE_IN) == 0 {
@@ -108,6 +132,42 @@ fn busy_ledger(platform: &Platform, tape: &mut Tape) -> PlatformState {
         }
     }
     state
+}
+
+/// No constraints half of the time; otherwise up to two pins (to a tile of
+/// a kind the process runs on, or to any tile) and up to two exclusions.
+fn any_constraints(
+    spec: &ApplicationSpec,
+    platform: &Platform,
+    tape: &mut Tape,
+) -> MappingConstraints {
+    let mut constraints = MappingConstraints::none();
+    if tape.draw(2) == 0 {
+        return constraints;
+    }
+    let n_tiles = platform.n_tiles() as u32;
+    let processes: Vec<ProcessId> = spec.graph.stream_processes().map(|(p, _)| p).collect();
+    for _ in 0..tape.draw(3) {
+        let process = processes[tape.draw(processes.len() as u32) as usize];
+        let suitable: Vec<TileId> = spec
+            .library
+            .impls_for(process)
+            .iter()
+            .flat_map(|i| platform.tiles_of_kind(i.tile_kind))
+            .map(|(tile, _)| tile)
+            .collect();
+        let tile = if suitable.is_empty() || tape.draw(5) == 4 {
+            TileId::from_index(tape.draw(n_tiles) as usize)
+        } else {
+            suitable[tape.draw(suitable.len() as u32) as usize]
+        };
+        constraints = constraints.pin(process, tile);
+    }
+    for _ in 0..tape.draw(3) {
+        let tile = TileId::from_index(tape.draw(n_tiles) as usize);
+        constraints = constraints.exclude_tile(tile);
+    }
+    constraints
 }
 
 /// Per mapped process, the tiles that could host it — derived here, tile
@@ -197,7 +257,7 @@ fn kind_count_fails(spec: &ApplicationSpec, platform: &Platform, state: &Platfor
 }
 
 /// A template library that has seen `spec` on the empty platform and on
-/// two busier ones.
+/// three busier ones.
 fn warmed(
     spec: &ApplicationSpec,
     platform: &Platform,
@@ -205,7 +265,7 @@ fn warmed(
 ) -> TemplatedMapper<SpatialMapper> {
     let templated = TemplatedMapper::new(SpatialMapper::default());
     let _ = templated.map(spec, platform, &platform.initial_state());
-    for _ in 0..2 {
+    for _ in 0..3 {
         let _ = templated.map(spec, platform, &busy_ledger(platform, tape));
     }
     templated
@@ -560,6 +620,12 @@ fn a_failed_endpoint_refuses_before_the_template_library_is_asked() {
     };
     let mixed = rtsm::exp::resolve_catalog("mixed", 42).expect("registered catalog");
     let (platform, catalog) = (mixed.platform, mixed.catalog);
+    // A catalog entry drawn as `Catalog::sample` draws it: one unit of the
+    // total weight.
+    let units: Vec<usize> = (catalog.entries().iter().enumerate())
+        .flat_map(|(i, entry)| std::iter::repeat_n(i, entry.weight as usize))
+        .collect();
+    let weighted = |tape: &mut Tape| units[tape.draw(units.len() as u32) as usize];
     let tiles: Vec<TileId> = platform.tiles().map(|(t, _)| t).collect();
     let links: Vec<LinkId> = platform.links().map(|(l, _)| l).collect();
     let policy = ReconfigurationPolicy::default();
@@ -585,9 +651,7 @@ fn a_failed_endpoint_refuses_before_the_template_library_is_asked() {
                     if arrivals < ARRIVALS {
                         queue.push(Reverse((now + exponential(tape, 500.0), Event::Arrival)));
                     }
-                    let spec = catalog.entries()[tape.draw(catalog.len() as u32) as usize]
-                        .spec
-                        .clone();
+                    let spec = catalog.entries()[weighted(tape)].spec.clone();
                     let expected = endpoint_refusal(&spec, manager.state());
                     let stats = manager.algorithm().stats();
                     let started = manager.start(spec.clone());
@@ -621,9 +685,7 @@ fn a_failed_endpoint_refuses_before_the_template_library_is_asked() {
                     let Some(old) = manager.get(handle).cloned() else {
                         continue; // evicted by an evacuation
                     };
-                    let spec = catalog.entries()[tape.draw(catalog.len() as u32) as usize]
-                        .spec
-                        .clone();
+                    let spec = catalog.entries()[weighted(tape)].spec.clone();
                     let mut released = manager.state().clone();
                     old.outcome
                         .release(&old.spec, &platform, &mut released)
